@@ -8,8 +8,11 @@
 //! increasing producer/consumer cursors, each on its own cache line
 //! (`#[repr(align(64))]` padding) so the two sides never false-share.
 //! [`Producer::push_slice`] and [`Consumer::pop_into`] move batches
-//! with one cursor publication per call, which is what makes the
-//! word-at-a-time framing of whole packet bursts cheap.
+//! of words with one cursor publication per call;
+//! [`Producer::push_bytes`] and [`Consumer::pop_bytes`] do the same for
+//! byte payloads, packing 8 bytes per slot straight from and into the
+//! caller's buffer — which is what lets the runtime stream whole
+//! frames through the ring without staging them as words first.
 //!
 //! The crate-wide `#![forbid(unsafe_code)]` applies here too: unlike
 //! the usual `UnsafeCell` SPSC ring, every slot is itself an atomic, so
@@ -31,10 +34,11 @@
 //! `Sync` nor `Clone`, so single-producer/single-consumer holds by
 //! construction. Correctness is covered three ways below: proptest
 //! op sequences against a `VecDeque` oracle (wraparound, full/empty
-//! boundaries, batched ops), a bounded-exhaustive enumeration of every
-//! producer/consumer interleaving at small sizes against the same
-//! oracle, and a two-thread stress transfer that must deliver every
-//! word in order.
+//! boundaries, batched word and byte ops, partial fits), a
+//! bounded-exhaustive enumeration of every producer/consumer
+//! interleaving at small sizes against the same oracle, and two-thread
+//! stress transfers that must deliver every word, and every
+//! length-prefixed byte frame, in order.
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -54,6 +58,53 @@ struct Shared {
     head: CachePadded<AtomicUsize>,
     /// Producer cursor: everything below it has been pushed.
     tail: CachePadded<AtomicUsize>,
+}
+
+impl Shared {
+    /// The `n` slots starting at `cursor` as at most two contiguous
+    /// runs (before and after the wrap), so bulk copies walk plain
+    /// slices instead of masking every index.
+    fn runs(&self, cursor: usize, n: usize) -> (&[AtomicU64], &[AtomicU64]) {
+        let start = cursor & self.mask;
+        let first = n.min(self.slots.len() - start);
+        (&self.slots[start..start + first], &self.slots[..n - first])
+    }
+}
+
+/// Words a `len`-byte payload occupies on the ring ([`Producer::push_bytes`]
+/// packs 8 bytes per word and zero-pads the last).
+pub const fn words_for_bytes(len: usize) -> usize {
+    len.div_ceil(8)
+}
+
+/// Pack `bytes` little-endian into `slots`, zero-padding the last word
+/// (`slots.len() == words_for_bytes(bytes.len())`).
+fn pack(slots: &[AtomicU64], bytes: &[u8]) {
+    let mut chunks = bytes.chunks_exact(8);
+    for (chunk, slot) in chunks.by_ref().zip(slots) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+        slot.store(word, Ordering::Relaxed);
+    }
+    let tail = chunks.remainder();
+    if let (false, Some(slot)) = (tail.is_empty(), slots.last()) {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        slot.store(u64::from_le_bytes(word), Ordering::Relaxed);
+    }
+}
+
+/// The inverse of [`pack`]: fill `out` from `slots`, dropping the last
+/// word's padding (`slots.len() == words_for_bytes(out.len())`).
+fn unpack(slots: &[AtomicU64], out: &mut [u8]) {
+    let mut chunks = out.chunks_exact_mut(8);
+    for (chunk, slot) in chunks.by_ref().zip(slots) {
+        chunk.copy_from_slice(&slot.load(Ordering::Relaxed).to_le_bytes());
+    }
+    let tail = chunks.into_remainder();
+    if let (false, Some(slot)) = (tail.is_empty(), slots.last()) {
+        let word = slot.load(Ordering::Relaxed).to_le_bytes();
+        tail.copy_from_slice(&word[..tail.len()]);
+    }
 }
 
 /// Create a bounded SPSC ring holding at least `capacity` words
@@ -114,29 +165,64 @@ impl Producer {
         self.push_slice(core::slice::from_ref(&word)) == 1
     }
 
-    /// Push as many words of `words` as fit, in order, with a single
-    /// cursor publication. Returns how many were pushed (0 when full).
-    pub fn push_slice(&mut self, words: &[u64]) -> usize {
+    /// Free slots, refreshing the cached consumer cursor only if the
+    /// cached view cannot hold `want` words.
+    fn free(&mut self, want: usize) -> usize {
         let cap = self.capacity();
         let mut free = cap - self.tail.wrapping_sub(self.head_cache);
-        if free < words.len() {
-            // The cached consumer cursor would block us; refresh once.
+        if free < want {
             self.head_cache = self.shared.head.0.load(Ordering::Acquire);
             free = cap - self.tail.wrapping_sub(self.head_cache);
         }
-        let n = words.len().min(free);
+        free
+    }
+
+    /// Publish `n` freshly written slots. The Release store is what
+    /// makes the Relaxed slot writes before it visible to the
+    /// consumer's Acquire load of `tail`.
+    fn publish(&mut self, n: usize) {
+        self.tail = self.tail.wrapping_add(n);
+        self.shared.tail.0.store(self.tail, Ordering::Release);
+    }
+
+    /// Push as many words of `words` as fit, in order, with a single
+    /// cursor publication. Returns how many were pushed (0 when full).
+    pub fn push_slice(&mut self, words: &[u64]) -> usize {
+        let n = words.len().min(self.free(words.len()));
         if n == 0 {
             return 0;
         }
-        for (i, &w) in words[..n].iter().enumerate() {
-            // Relaxed is enough: the Release store of `tail` below
-            // publishes these writes to the consumer's Acquire load.
-            self.shared.slots[self.tail.wrapping_add(i) & self.shared.mask]
-                .store(w, Ordering::Relaxed);
+        let (a, b) = self.shared.runs(self.tail, n);
+        for (slot, &w) in a.iter().chain(b).zip(words) {
+            slot.store(w, Ordering::Relaxed);
         }
-        self.tail = self.tail.wrapping_add(n);
-        self.shared.tail.0.store(self.tail, Ordering::Release);
+        self.publish(n);
         n
+    }
+
+    /// Push the longest prefix of `bytes` that fits, packed 8 bytes per
+    /// word (little-endian) straight into the slots, with a single
+    /// cursor publication. Returns how many **bytes** were taken.
+    ///
+    /// When everything fits the last word is zero-padded and the return
+    /// value is `bytes.len()`; otherwise only whole words are taken, so
+    /// the return value is a multiple of 8 and the caller resumes with
+    /// `&bytes[n..]` — padding only ever follows the final byte. The
+    /// consumer reads it back with [`Consumer::pop_bytes`] over a slice
+    /// of the same total length.
+    pub fn push_bytes(&mut self, bytes: &[u8]) -> usize {
+        let want = words_for_bytes(bytes.len());
+        let n = want.min(self.free(want));
+        if n == 0 {
+            return 0;
+        }
+        let take = bytes.len().min(n * 8);
+        let (a, b) = self.shared.runs(self.tail, n);
+        let (head, rest) = bytes[..take].split_at(take.min(a.len() * 8));
+        pack(a, head);
+        pack(b, rest);
+        self.publish(n);
+        take
     }
 }
 
@@ -191,16 +277,44 @@ impl Consumer {
         if n == 0 {
             return 0;
         }
-        for (i, slot) in out[..n].iter_mut().enumerate() {
-            // Relaxed read: ordered after the producer's writes by the
-            // Acquire load of `tail` in `len`, and the slot cannot be
-            // overwritten until we publish `head` below.
-            *slot = self.shared.slots[self.head.wrapping_add(i) & self.shared.mask]
-                .load(Ordering::Relaxed);
+        let (a, b) = self.shared.runs(self.head, n);
+        for (slot, w) in a.iter().chain(b).zip(out.iter_mut()) {
+            *w = slot.load(Ordering::Relaxed);
         }
+        self.release(n);
+        n
+    }
+
+    /// Free `n` slots just read. Their Relaxed reads are ordered after
+    /// the producer's writes by the Acquire load of `tail` in
+    /// [`Consumer::available`], and no slot can be overwritten until
+    /// this Release store of `head`.
+    fn release(&mut self, n: usize) {
         self.head = self.head.wrapping_add(n);
         self.shared.head.0.store(self.head, Ordering::Release);
-        n
+    }
+
+    /// Pop bytes that [`Producer::push_bytes`] packed, straight from
+    /// the slots into `out`, with a single cursor publication. Returns
+    /// how many **bytes** were written.
+    ///
+    /// When every word of `out` has arrived the padding of the last one
+    /// is discarded and the return value is `out.len()`; otherwise only
+    /// whole words are taken, the return value is a multiple of 8, and
+    /// the caller resumes with `&mut out[n..]`.
+    pub fn pop_bytes(&mut self, out: &mut [u8]) -> usize {
+        let want = words_for_bytes(out.len());
+        let n = want.min(self.available(want));
+        if n == 0 {
+            return 0;
+        }
+        let take = out.len().min(n * 8);
+        let (a, b) = self.shared.runs(self.head, n);
+        let (head, rest) = out[..take].split_at_mut(take.min(a.len() * 8));
+        unpack(a, head);
+        unpack(b, rest);
+        self.release(n);
+        take
     }
 
     /// Append up to `max` available words to `out` (convenience over
@@ -370,17 +484,126 @@ mod tests {
         }
     }
 
+    /// What `push_bytes` must put on the ring for `bytes`.
+    fn packed(bytes: &[u8]) -> Vec<u64> {
+        bytes
+            .chunks(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+            .collect()
+    }
+
+    /// The frame lengths the runtime's transport has to get right: empty,
+    /// sub-word, word-aligned, one over, and a full-size Ethernet frame.
+    const BYTE_LENS: [usize; 6] = [0, 1, 7, 8, 9, 1518];
+
+    fn pattern(len: usize, salt: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + salt * 7 + 1) as u8).collect()
+    }
+
+    #[test]
+    fn bytes_roundtrip_with_resumption_across_wrap_and_partial_fit() {
+        // Rings smaller and larger than a frame; an odd word is pushed
+        // first so the cursors sit off the slot-array boundary and the
+        // large frames straddle the wrap.
+        for cap in [2usize, 8, 64, 256] {
+            let (mut tx, mut rx) = channel(cap);
+            for (round, &len) in BYTE_LENS.iter().cycle().take(24).enumerate() {
+                assert!(tx.try_push(round as u64));
+                assert_eq!(rx.try_pop(), Some(round as u64));
+                let frame = pattern(len, round);
+                let mut out = vec![0xEEu8; len];
+                let (mut sent, mut got) = (0, 0);
+                while got < len {
+                    let n = tx.push_bytes(&frame[sent..]);
+                    sent += n;
+                    assert!(sent == len || n % 8 == 0, "partial pushes take whole words");
+                    let m = rx.pop_bytes(&mut out[got..]);
+                    got += m;
+                    assert!(got == len || m % 8 == 0, "partial pops take whole words");
+                }
+                assert_eq!(sent, len);
+                assert_eq!(out, frame, "cap {cap} len {len}");
+                assert_eq!(rx.try_pop(), None, "padding never leaks into the stream");
+            }
+        }
+    }
+
+    #[test]
+    fn two_threads_stream_length_prefixed_frames() {
+        // The runtime's stream shape — a length word, then the packed
+        // payload — between two threads over rings small enough that
+        // every large frame is split many times.
+        for cap in [2usize, 8, 64] {
+            const FRAMES: usize = 3_000;
+            let (mut tx, mut rx) = channel(cap);
+            let producer = std::thread::spawn(move || {
+                for k in 0..FRAMES {
+                    let frame = pattern(BYTE_LENS[k % BYTE_LENS.len()], k);
+                    while !tx.try_push(frame.len() as u64) {
+                        std::thread::yield_now();
+                    }
+                    let mut sent = 0;
+                    while sent < frame.len() {
+                        match tx.push_bytes(&frame[sent..]) {
+                            0 => std::thread::yield_now(),
+                            n => sent += n,
+                        }
+                    }
+                }
+            });
+            let mut out = Vec::new();
+            for k in 0..FRAMES {
+                let len = loop {
+                    match rx.try_pop() {
+                        Some(w) => break w as usize,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                out.clear();
+                out.resize(len, 0);
+                let mut got = 0;
+                while got < len {
+                    match rx.pop_bytes(&mut out[got..]) {
+                        0 => std::thread::yield_now(),
+                        n => got += n,
+                    }
+                }
+                assert_eq!(
+                    out,
+                    pattern(BYTE_LENS[k % BYTE_LENS.len()], k),
+                    "cap {cap} frame {k}"
+                );
+            }
+            producer.join().expect("producer thread");
+            assert_eq!(rx.try_pop(), None);
+        }
+    }
+
     /// One randomized batched op: push a chunk or pop a chunk.
     #[derive(Debug, Clone)]
     enum Op {
         Push(Vec<u64>),
         Pop(usize),
+        PushBytes(Vec<u8>),
+        PopBytes(usize),
+    }
+
+    /// A byte length: one of the boundary cases or anything up to 40.
+    fn byte_len() -> impl Strategy<Value = usize> {
+        prop_oneof![(0usize..6).prop_map(|i| BYTE_LENS[i]), 0usize..40]
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
             proptest::collection::vec(any::<u64>(), 0..12).prop_map(Op::Push),
             (0usize..12).prop_map(Op::Pop),
+            (byte_len(), any::<u8>())
+                .prop_map(|(len, salt)| Op::PushBytes(pattern(len, salt as usize))),
+            byte_len().prop_map(Op::PopBytes),
         ]
     }
 
@@ -418,6 +641,31 @@ mod tests {
                         if n < max {
                             prop_assert!(oracle.q.is_empty());
                         }
+                    }
+                    Op::PushBytes(bytes) => {
+                        // The longest whole-word prefix that fits, or
+                        // everything (last word zero-padded).
+                        let words = packed(&bytes);
+                        let fit = words.len().min(oracle.cap - oracle.q.len());
+                        prop_assert_eq!(tx.push_bytes(&bytes), bytes.len().min(fit * 8));
+                        for w in &words[..fit] {
+                            prop_assert!(oracle.push(*w));
+                        }
+                    }
+                    Op::PopBytes(len) => {
+                        // As many whole words as are there, or all of
+                        // `out` (last word's padding dropped). Bytes
+                        // beyond the returned count stay untouched.
+                        let fit = words_for_bytes(len).min(oracle.q.len());
+                        let mut want = vec![0xEEu8; len];
+                        let take = len.min(fit * 8);
+                        for chunk in want[..take].chunks_mut(8) {
+                            let word = oracle.pop().expect("fit words queued").to_le_bytes();
+                            chunk.copy_from_slice(&word[..chunk.len()]);
+                        }
+                        let mut out = vec![0xEEu8; len];
+                        prop_assert_eq!(rx.pop_bytes(&mut out), take);
+                        prop_assert_eq!(out, want);
                     }
                 }
             }

@@ -3,8 +3,12 @@
 //! Faithful to the parts of DPDK the paper's NFs relied on:
 //!
 //! * **all memory preallocated** — `Mempool::new` grabs every buffer up
-//!   front, `get`/`put` are free-list pushes/pops, nothing allocates on
-//!   the datapath (the property §5.1.1 of the paper builds on);
+//!   front, `get`/`put` are O(1) free-list pops/pushes, nothing
+//!   allocates on the datapath (the property §5.1.1 of the paper builds
+//!   on). Double frees are still caught on every `put`: the pool keeps
+//!   one allocated flag per buffer, set by `get` and tested-and-cleared
+//!   by `put`, so the check costs one byte load instead of a scan of
+//!   the free list;
 //! * **fixed-capacity rings** — like `rte_ring`, excess traffic is
 //!   dropped at the RX ring and counted, which is where "loss" in the
 //!   RFC 2544 throughput experiments comes from;
@@ -25,6 +29,8 @@ pub struct Mempool {
     bufs: Vec<Vec<u8>>,
     lens: Vec<usize>,
     free: Vec<usize>,
+    /// `allocated[i]`: buffer `i` is out of the pool (not on `free`).
+    allocated: Vec<bool>,
 }
 
 impl Mempool {
@@ -35,6 +41,7 @@ impl Mempool {
             bufs: (0..count).map(|_| vec![0u8; MBUF_SIZE]).collect(),
             lens: vec![0; count],
             free: (0..count).rev().collect(),
+            allocated: vec![false; count],
         }
     }
 
@@ -52,7 +59,9 @@ impl Mempool {
     /// must treat it as packet loss, never crash — the leak Vigor caught
     /// in VigNAT was exactly a buffer that never came back here).
     pub fn get(&mut self) -> Option<BufIdx> {
-        self.free.pop().map(BufIdx)
+        let idx = self.free.pop()?;
+        self.allocated[idx] = true;
+        Some(BufIdx(idx))
     }
 
     /// Return a buffer.
@@ -65,7 +74,7 @@ impl Mempool {
             "foreign buffer returned to mempool"
         );
         assert!(
-            !self.free.contains(&idx.0),
+            std::mem::replace(&mut self.allocated[idx.0], false),
             "double free of mempool buffer {}",
             idx.0
         );
@@ -75,9 +84,17 @@ impl Mempool {
 
     /// Write a frame into a buffer, recording its length.
     pub fn write_frame(&mut self, idx: BufIdx, frame: &[u8]) {
-        assert!(frame.len() <= MBUF_SIZE, "frame exceeds mbuf data room");
-        self.bufs[idx.0][..frame.len()].copy_from_slice(frame);
-        self.lens[idx.0] = frame.len();
+        self.reserve_frame(idx, frame.len()).copy_from_slice(frame);
+    }
+
+    /// Size a buffer's frame to `len` bytes and hand them out for the
+    /// caller to fill in place (the `rte_pktmbuf_append` analog): how a
+    /// receive path lands a frame in the pool without staging it
+    /// elsewhere first. The bytes are whatever the buffer last held.
+    pub fn reserve_frame(&mut self, idx: BufIdx, len: usize) -> &mut [u8] {
+        assert!(len <= MBUF_SIZE, "frame exceeds mbuf data room");
+        self.lens[idx.0] = len;
+        &mut self.bufs[idx.0][..len]
     }
 
     /// The valid bytes of a buffer.
@@ -363,6 +380,7 @@ impl MultiQueueDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mempool_get_put_roundtrip() {
@@ -384,6 +402,92 @@ mod tests {
         let a = p.get().unwrap();
         p.put(a);
         p.put(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "foreign buffer")]
+    fn mempool_foreign_buffer_is_caught() {
+        Mempool::new(2).put(BufIdx(2));
+    }
+
+    /// One step of the model-based mempool test. Indices are reduced
+    /// modulo whatever they select from.
+    #[derive(Debug, Clone)]
+    enum PoolOp {
+        Get,
+        /// Return the k-th buffer currently out of the pool.
+        Put(usize),
+        /// Write a frame of this length into the k-th buffer out.
+        Write(usize, usize),
+        /// Return a buffer that is already free: must panic.
+        DoubleFree(usize),
+        /// Return an index this far past the pool: must panic.
+        Foreign(usize),
+    }
+
+    fn pool_op() -> impl Strategy<Value = PoolOp> {
+        prop_oneof![
+            Just(PoolOp::Get),
+            Just(PoolOp::Get),
+            (0usize..64).prop_map(PoolOp::Put),
+            (0usize..64, 0usize..=MBUF_SIZE).prop_map(|(k, len)| PoolOp::Write(k, len)),
+            (0usize..64).prop_map(PoolOp::DoubleFree),
+            (0usize..64).prop_map(PoolOp::Foreign),
+        ]
+    }
+
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    proptest! {
+        /// Random `get`/`put`/`write_frame` sequences against a model
+        /// that knows only which buffers are out (a set) and in what
+        /// order the rest came back (a stack): availability, LIFO
+        /// reuse, length reset on free, exhaustion, and the two panics
+        /// — which must fire *every* time and leave the pool as it was.
+        #[test]
+        fn mempool_matches_set_model(
+            cap in 1usize..12,
+            ops in proptest::collection::vec(pool_op(), 0..120),
+        ) {
+            let mut pool = Mempool::new(cap);
+            let mut free: Vec<usize> = (0..cap).rev().collect();
+            let mut out: Vec<usize> = Vec::new();
+            for op in ops {
+                match op {
+                    PoolOp::Get => {
+                        let want = free.pop();
+                        prop_assert_eq!(pool.get(), want.map(BufIdx), "LIFO reuse; None when dry");
+                        if let Some(i) = want {
+                            prop_assert_eq!(pool.frame(BufIdx(i)).len(), 0, "length reset by put");
+                            out.push(i);
+                        }
+                    }
+                    PoolOp::Put(k) if !out.is_empty() => {
+                        let i = out.swap_remove(k % out.len());
+                        pool.put(BufIdx(i));
+                        free.push(i);
+                    }
+                    PoolOp::Write(k, len) if !out.is_empty() => {
+                        let i = BufIdx(out[k % out.len()]);
+                        let frame: Vec<u8> = (0..len).map(|b| (b ^ i.0) as u8).collect();
+                        pool.write_frame(i, &frame);
+                        prop_assert_eq!(pool.frame(i), &frame[..]);
+                    }
+                    PoolOp::DoubleFree(k) if !free.is_empty() => {
+                        let i = free[k % free.len()];
+                        prop_assert!(panics(|| pool.put(BufIdx(i))), "double free of {} passed", i);
+                    }
+                    PoolOp::Foreign(k) => {
+                        prop_assert!(panics(|| pool.put(BufIdx(cap + k))), "foreign index passed");
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(pool.available(), free.len());
+                prop_assert_eq!(pool.available() + out.len(), pool.capacity());
+            }
+        }
     }
 
     #[test]

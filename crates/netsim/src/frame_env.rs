@@ -433,6 +433,41 @@ pub struct BurstEnv<'a, T: FlowTable = FlowManager> {
     scratch: &'a mut BurstScratch,
 }
 
+/// Run staged buffers through the loop body over one shard's table,
+/// run-to-completion in [`vignat::MAX_BURST`] chunks, appending one
+/// verdict per buffer to `verdicts`; returns the flows expired on the
+/// way. No buffers still runs one empty chunk — the expiry tick a
+/// polling core performs every iteration, exactly as in the sequential
+/// oracle (which expires every shard per burst). Shared by the pinned
+/// runtime's workers and the in-line
+/// [`crate::harness::ParallelShardedNat::process_on_shard`], so the two
+/// cannot drift apart.
+#[allow(clippy::too_many_arguments)]
+pub fn run_staged(
+    fm: &mut FlowManager,
+    pool: &mut Mempool,
+    scratch: &mut BurstScratch,
+    cfg: &vig_spec::NatConfig,
+    dir: Direction,
+    now: Time,
+    bufs: &[BufIdx],
+    verdicts: &mut Vec<FrameVerdict>,
+) -> usize {
+    let mut expired = 0;
+    let chunks = bufs
+        .chunks(vignat::MAX_BURST.max(1))
+        .chain(std::iter::once(&[] as &[BufIdx]).filter(|_| bufs.is_empty()));
+    for chunk in chunks {
+        let mut env = BurstEnv::new(fm, pool, chunk, dir, now, scratch);
+        let outcomes = vignat::nat_process_batch(&mut env, cfg);
+        debug_assert_eq!(outcomes.len(), chunk.len(), "burst must drain its chunk");
+        expired += env.expired();
+        verdicts.extend(env.verdicts().iter().map(|v| v.expect("staged buffer")));
+        env.finish();
+    }
+    expired
+}
+
 /// Reusable per-burst buffers (keys, hashes, probe results) for
 /// [`BurstEnv::lookup_internal_batch`]. Owned by the NF across bursts
 /// so the steady-state burst path performs no heap allocation for its

@@ -18,16 +18,15 @@
 //! the measurement uniformly for every NF — mirroring how every paper NF
 //! pays the same DPDK rx/tx cost.
 
-use crate::dpdk::MBUF_SIZE;
-use crate::dpdk::{BufIdx, Device, Mempool};
-use crate::frame_env::{BurstEnv, BurstScratch, RssClassifier};
+use crate::dpdk::{BufIdx, Device, Mempool, MBUF_SIZE};
+use crate::frame_env::{run_staged, BurstScratch, RssClassifier};
 use crate::middlebox::{Middlebox, Verdict, VigNatMb};
 use crate::runtime::{with_shard_runtime, RuntimeReport, ShardRuntimeSession, DEFAULT_RING_WORDS};
 use crate::tester::{FlowGen, WorkloadMix};
 use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
-use vignat::{nat_process_batch, IterationOutcome, ShardedFlowManager, MAX_BURST};
+use vignat::{ShardedFlowManager, MAX_BURST};
 
 /// Callback that inspects an output frame after transmission.
 pub type InspectFn<'a> = &'a mut dyn FnMut(&[u8], Direction);
@@ -249,9 +248,10 @@ impl Testbed {
 /// ([`crate::frame_env::frame_l4_dst_port`]) —
 /// then `std::thread::scope` runs every shard's sub-burst concurrently
 /// through the ordinary batched fast path
-/// ([`vignat::nat_process_batch`] over [`BurstEnv`]). Shards share no
-/// state, so no locks exist anywhere on the datapath; verdicts are
-/// scattered back to arrival order afterwards.
+/// ([`vignat::nat_process_batch`] over
+/// [`crate::frame_env::BurstEnv`]). Shards share no state, so no locks
+/// exist anywhere on the datapath; verdicts are scattered back to
+/// arrival order afterwards.
 ///
 /// Correctness, not wall-clock speed, is this driver's contract:
 /// `tests/shard_equivalence.rs` proves it packet-for-packet equivalent
@@ -400,43 +400,41 @@ impl ParallelShardedNat {
         for f in frames.iter() {
             assert_eq!(cls.queue_of(dir, f), s, "frame dispatched to wrong shard");
         }
+        // Checked admission, like the runtime's workers: a frame the
+        // pool cannot take (exhausted, or longer than a buffer) is
+        // dropped with its bytes unmodified — never a panic, never a
+        // leaked buffer.
         let pool = &mut self.pools[s];
-        let bufs: Vec<BufIdx> = frames
+        let slots: Vec<Option<BufIdx>> = frames
             .iter()
             .map(|f| {
-                let b = pool.get().expect("per-shard pool sized for a burst");
+                let b = (f.len() <= MBUF_SIZE).then(|| pool.get()).flatten()?;
                 pool.write_frame(b, f);
-                b
+                Some(b)
             })
             .collect();
+        let bufs: Vec<BufIdx> = slots.iter().flatten().copied().collect();
         // Global config, like the parallel workers: the shard's
         // FlowManager returns pool-global port offsets.
         let cfg = self.table.global_cfg();
         let fm = &mut self.table.shards_mut()[s];
         let scratch = &mut self.scratches[s];
-        let mut verdicts = Vec::with_capacity(bufs.len());
-        // Like the parallel path: a polling core expires every loop
-        // iteration, so an empty burst still advances this shard's
-        // expiry (callers use exactly that to tick a lone clock).
-        let chunks = bufs
-            .chunks(MAX_BURST.max(1))
-            .chain(std::iter::once(&[] as &[BufIdx]).filter(|_| bufs.is_empty()));
-        for chunk in chunks {
-            let mut env = BurstEnv::new(fm, pool, chunk, dir, now, scratch);
-            let outcomes = nat_process_batch(&mut env, &cfg);
-            self.expired_total += env.expired() as u64;
-            env.finish();
-            verdicts.extend(outcomes.into_iter().map(|o| match o {
-                IterationOutcome::Forwarded(d) => Verdict::Forward(d),
-                IterationOutcome::Dropped(_) => Verdict::Drop,
-                IterationOutcome::NoPacket => unreachable!("staged buffer"),
-            }));
-        }
-        for (f, &buf) in frames.iter_mut().zip(&bufs) {
-            f.copy_from_slice(self.pools[s].frame(buf));
-            self.pools[s].put(buf);
-        }
-        verdicts
+        let mut staged = Vec::with_capacity(bufs.len());
+        let expired = run_staged(fm, pool, scratch, &cfg, dir, now, &bufs, &mut staged);
+        self.expired_total += expired as u64;
+        let mut staged = staged.into_iter();
+        frames
+            .iter_mut()
+            .zip(slots)
+            .map(|(f, slot)| {
+                let Some(b) = slot else {
+                    return Verdict::Drop;
+                };
+                f.copy_from_slice(pool.frame(b));
+                pool.put(b);
+                staged.next().expect("one verdict per staged buffer").into()
+            })
+            .collect()
     }
 }
 
@@ -1447,14 +1445,7 @@ mod tests {
     #[test]
     fn parallel_sharded_nat_reclaims_buffers_and_translates() {
         let mut nat = ParallelShardedNat::new(cfg(128), 2, 64);
-        let gen = FlowGen::new(Proto::Udp);
-        let mut buf = [0u8; MBUF_SIZE];
-        let mut frames: Vec<Vec<u8>> = (0..48u32)
-            .map(|i| {
-                let n = gen.write_frame(&gen.background(i), &mut buf);
-                buf[..n].to_vec()
-            })
-            .collect();
+        let mut frames = udp_frames(48);
         let before: usize = (0..2).map(|s| 64 - nat.pools[s].available()).sum();
         let v = nat.process_burst_parallel(Direction::Internal, &mut frames, Time::from_secs(1));
         assert_eq!(v, vec![Verdict::Forward(Direction::External); 48]);
@@ -1471,6 +1462,92 @@ mod tests {
             let start = 1 + s as u16 * per;
             assert!((start..start + per).contains(&ff.src_port));
         }
+    }
+
+    fn udp_frames(n: u32) -> Vec<Vec<u8>> {
+        let gen = FlowGen::new(Proto::Udp);
+        let mut buf = [0u8; MBUF_SIZE];
+        (0..n)
+            .map(|i| {
+                let len = gen.write_frame(&gen.background(i), &mut buf);
+                buf[..len].to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn process_on_shard_denies_what_the_pool_cannot_hold() {
+        // Two buffers for an eight-frame burst: the in-line path gets
+        // the runtime's checked admission — six frames denied, none
+        // panics, no buffer leaks.
+        let mut nat = ParallelShardedNat::new(cfg(128), 1, 2);
+        let mut frames = udp_frames(8);
+        let originals = frames.clone();
+        let v = nat.process_on_shard(0, Direction::Internal, &mut frames, Time::from_secs(1));
+        for (i, v) in v.iter().enumerate() {
+            if i < 2 {
+                assert_eq!(*v, Verdict::Forward(Direction::External));
+                assert_ne!(frames[i], originals[i]);
+            } else {
+                assert_eq!(*v, Verdict::Drop);
+                assert_eq!(
+                    frames[i], originals[i],
+                    "denied frames come back unmodified"
+                );
+            }
+        }
+        assert_eq!(nat.occupancy(), 2);
+        assert_eq!(nat.pools[0].available(), nat.pools[0].capacity());
+    }
+
+    #[test]
+    fn a_frame_longer_than_a_buffer_drops_on_both_paths() {
+        let mut nat = ParallelShardedNat::new(cfg(128), 1, 8);
+        let mut frames = udp_frames(3);
+        frames[1].resize(MBUF_SIZE + 1, 0xab);
+        let jumbo = frames[1].clone();
+        let want = [
+            Verdict::Forward(Direction::External),
+            Verdict::Drop,
+            Verdict::Forward(Direction::External),
+        ];
+        let now = Time::from_secs(1);
+        assert_eq!(
+            nat.process_on_shard(0, Direction::Internal, &mut frames.clone(), now),
+            want
+        );
+        let (v, report) = nat.with_runtime(false, |s| {
+            s.process_burst(Direction::Internal, &mut frames, now)
+        });
+        assert_eq!(v, want);
+        assert_eq!(frames[1], jumbo, "dropped unmodified");
+        assert_eq!(report.chaos.pool_denied, 1);
+        assert_eq!(nat.pools[0].available(), nat.pools[0].capacity());
+    }
+
+    #[test]
+    fn a_panicking_session_closure_propagates_instead_of_hanging() {
+        // Without the shutdown sentinels on unwind the workers would
+        // spin forever and `thread::scope` would never join them. The
+        // helper thread reports through a channel so a hang fails the
+        // test instead of wedging the suite.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let helper = std::thread::spawn(move || {
+            let mut nat = ParallelShardedNat::new(cfg(128), 2, 8);
+            let _done = done_tx; // dropped when the thread unwinds or returns
+            nat.with_runtime(false, |s| {
+                s.process_burst(Direction::Internal, &mut udp_frames(4), Time::from_secs(2));
+                // Time runs backwards: "shard clock must be monotone".
+                s.process_burst(Direction::Internal, &mut udp_frames(4), Time::from_secs(1));
+            });
+        });
+        let hung = done_rx.recv_timeout(std::time::Duration::from_secs(10))
+            != Err(std::sync::mpsc::RecvTimeoutError::Disconnected);
+        assert!(
+            !hung,
+            "session did not shut down within 10 s of the closure panicking"
+        );
+        assert!(helper.join().is_err(), "the closure's panic must propagate");
     }
 
     #[test]

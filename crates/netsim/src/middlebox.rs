@@ -27,6 +27,15 @@ pub enum Verdict {
     Drop,
 }
 
+impl From<FrameVerdict> for Verdict {
+    fn from(v: FrameVerdict) -> Verdict {
+        match v {
+            FrameVerdict::Forward(d) => Verdict::Forward(d),
+            FrameVerdict::Drop => Verdict::Drop,
+        }
+    }
+}
+
 /// A middlebox under test. See module docs.
 pub trait Middlebox {
     /// Display name (used in bench tables).
@@ -191,10 +200,7 @@ impl<T: FlowTable> Middlebox for VigNatMb<T> {
         let expired = env.expired() as u64;
         let verdict = env.verdict().expect("one frame in => one verdict out");
         self.expired_total += expired;
-        match verdict {
-            FrameVerdict::Forward(d) => Verdict::Forward(d),
-            FrameVerdict::Drop => Verdict::Drop,
-        }
+        verdict.into()
     }
 
     fn occupancy(&self) -> usize {

@@ -1,13 +1,10 @@
 //! The persistent core-pinned shard runtime: long-lived worker threads
 //! fed through lock-free SPSC rings, under a supervising dispatcher.
 //!
-//! [`ParallelShardedNat`](crate::harness::ParallelShardedNat) proved
-//! the N-shard NAT *correct* under parallel execution, but it spawns
-//! its scoped workers **per burst** — thread creation and teardown on
-//! every burst swamps the per-packet work, which is why the honest
-//! wall-clock number in `BENCH_throughput.json` sat ~20x below the
-//! per-shard sum. This module is the deployment-shaped fix, the
-//! software analog of DPDK's `rte_eal_remote_launch` + `rte_ring`
+//! The deployment shape of the N-shard NAT
+//! ([`ParallelShardedNat`](crate::harness::ParallelShardedNat) drives
+//! it): thread creation is paid once per session, never per burst —
+//! the software analog of DPDK's `rte_eal_remote_launch` + `rte_ring`
 //! topology:
 //!
 //! * **one long-lived worker thread per shard**, spawned once per
@@ -19,14 +16,31 @@
 //!   persistent workers, and the [`PinReport`] says so;
 //! * dispatcher ↔ worker traffic rides two [`libvig::spsc`] rings per
 //!   shard (jobs down, results up): single-producer/single-consumer,
-//!   cache-line-padded cursors, batched word transfers — no locks
-//!   anywhere on the datapath, matching the paper's no-shared-state
-//!   discipline (§5: every structure single-owner);
+//!   cache-line-padded cursors, bulk transfers — no locks anywhere on
+//!   the datapath, matching the paper's no-shared-state discipline
+//!   (§5: every structure single-owner);
 //! * workers **busy-poll with exponential idle backoff** (spin → yield
 //!   → sleep, the thread-world analog of
 //!   [`crate::eventloop::Poller`]'s virtual backoff), so an idle shard
 //!   cedes its core — which matters on the very runners where pinning
-//!   is also restricted.
+//!   is also restricted. A session with more threads than the host has
+//!   cores skips the spin phase on both sides.
+//!
+//! ## Transport
+//!
+//! Control travels as `u64` words; frame payloads are packed 8 bytes
+//! per word by [`spsc::Producer::push_bytes`], straight from the
+//! caller's frame into the job ring, straight from the ring into a
+//! worker-pool buffer, and back the same way — two copies per
+//! direction, no staging vectors, nothing allocated per burst once the
+//! session's and workers' scratch has grown to the burst size.
+//!
+//! ```text
+//! job:      count, dir, now_ns, len × count, payload × count
+//! response: STATUS_OK, expired, pool_denied, verdict × count,
+//!           payload × (frames whose verdict is not DENIED)
+//!      or:  STATUS_DOWN, repinned, 0, DENIED × count
+//! ```
 //!
 //! ## Determinism (the oracle contract)
 //!
@@ -51,8 +65,8 @@
 //! [`SupervisorStats`] bucket):
 //!
 //! 1. **Worker panic.** Each worker reads its *entire* job off the
-//!    ring before touching shard state, and buffers its *entire*
-//!    result before pushing — so the rings only ever see whole
+//!    ring before touching shard state, and pushes nothing until the
+//!    job has run to completion — so the rings only ever see whole
 //!    responses, never a torn stream. The job itself runs under
 //!    `catch_unwind`; on panic the worker discards the suspect shard
 //!    state ([`vignat::FlowManager::reset`] — mid-batch, any subset of
@@ -77,30 +91,31 @@
 //!    ring traffic — the session keeps serving every surviving shard.
 //!
 //! Mempool exhaustion inside a worker is *not* a failure: admission is
-//! checked per frame, denied frames come back as [`Verdict::Drop`]
-//! with their bytes unmodified, and the count rides the result trailer
-//! into `SupervisorStats::pool_denied`.
+//! checked per frame as the job is read (a job holds its buffers until
+//! its response is out), denied frames come back as [`Verdict::Drop`]
+//! with their bytes unmodified, and the count rides the response into
+//! `SupervisorStats::pool_denied`.
 //!
 //! ## Deadlock freedom
 //!
 //! Rings are bounded, so a naive "push whole job, then read whole
 //! result" dispatcher could deadlock against a worker blocked on a
 //! full result ring. The dispatcher therefore never blocks: it pumps
-//! round-robin — push as many job words as fit, drain whatever result
-//! words arrived — until every stream completes or exceeds its stall
-//! budget. Workers *may* block (with backoff) on both rings, because
-//! the dispatcher is always draining the other end.
+//! round-robin — push as much of each job as fits, drain whatever of
+//! each response arrived — until every stream completes or exceeds its
+//! stall budget. Workers *may* block (with backoff) on both rings,
+//! because the dispatcher is always draining the other end.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
-use crate::frame_env::{BurstEnv, BurstScratch, RssClassifier};
+use crate::frame_env::{run_staged, BurstScratch, FrameVerdict, RssClassifier};
 use crate::middlebox::Verdict;
 use libvig::spsc;
 use libvig::time::Time;
 use vig_packet::Direction;
-use vignat::{nat_process_batch, IterationOutcome, ShardedFlowManager, MAX_BURST};
+use vignat::{ShardedFlowManager, MAX_BURST};
 
 /// Job-stream sentinel header: "session over, worker exits".
 const SHUTDOWN: u64 = u64::MAX;
@@ -114,12 +129,12 @@ const KILL: u64 = u64::MAX - 1;
 /// the dispatcher's stall-budget retirement path.
 const HALT: u64 = u64::MAX - 2;
 
-/// First word of every per-job response: a complete result body
-/// follows (`count × (verdict, len, payload…), expired, pool_denied`).
+/// First word of a response to a job that ran to completion.
 const STATUS_OK: u64 = 0;
 
 /// First word of a response from a worker that panicked on the job:
-/// one more word follows (whether the re-pin after restart succeeded).
+/// the second says whether the re-pin after restart succeeded, and
+/// every frame is [`VERDICT_DENIED`] (no payload comes back).
 const STATUS_DOWN: u64 = 1;
 
 /// Default per-ring capacity in words (64 Ki words = 512 KiB): holds a
@@ -237,36 +252,26 @@ fn fallback_cpus() -> Vec<usize> {
     (0..n).collect()
 }
 
-// --- word codec ------------------------------------------------------------
+// --- verdict words ---------------------------------------------------------
 
-/// Words a `len`-byte payload occupies (8 bytes per word, last padded).
-fn payload_words(len: usize) -> usize {
-    len.div_ceil(8)
-}
+const VERDICT_DROP: u64 = 0;
+const VERDICT_FWD_INTERNAL: u64 = 1;
+const VERDICT_FWD_EXTERNAL: u64 = 2;
+/// The worker had no buffer for the frame: dropped, and no payload
+/// follows — the dispatcher's copy is still the unmodified original.
+const VERDICT_DENIED: u64 = 3;
 
-/// Append `[len, payload…]` for one frame to a word stream.
-fn encode_frame(words: &mut Vec<u64>, frame: &[u8]) {
-    words.push(frame.len() as u64);
-    for chunk in frame.chunks(8) {
-        let mut b = [0u8; 8];
-        b[..chunk.len()].copy_from_slice(chunk);
-        words.push(u64::from_le_bytes(b));
+fn verdict_word(v: FrameVerdict) -> u64 {
+    match v {
+        FrameVerdict::Drop => VERDICT_DROP,
+        FrameVerdict::Forward(Direction::Internal) => VERDICT_FWD_INTERNAL,
+        FrameVerdict::Forward(Direction::External) => VERDICT_FWD_EXTERNAL,
     }
 }
 
-/// Decode `payload_words(len)` words into `out[..len]`.
-fn decode_payload(words: &[u64], out: &mut [u8]) {
-    for (i, w) in words.iter().enumerate() {
-        let b = w.to_le_bytes();
-        let lo = i * 8;
-        let hi = (lo + 8).min(out.len());
-        out[lo..hi].copy_from_slice(&b[..hi - lo]);
-    }
-}
+// --- waiting ---------------------------------------------------------------
 
-// --- worker-side blocking ring ops with idle backoff -----------------------
-
-/// Spin → yield → sleep ladder for a worker waiting on its rings: the
+/// Spin → yield → sleep ladder for a thread waiting on its rings: the
 /// real-time analog of the event loop's virtual idle backoff. The spin
 /// phase keeps the hot path latency-free; the sleep phase (doubling
 /// 1 µs → 128 µs) matters on hosts with fewer cores than workers,
@@ -274,6 +279,7 @@ fn decode_payload(words: &[u64], out: &mut [u8]) {
 /// on.
 struct Backoff {
     step: u32,
+    spins: u32,
 }
 
 impl Backoff {
@@ -282,177 +288,88 @@ impl Backoff {
     const SLEEP_MIN_NS: u64 = 1_000;
     const SLEEP_MAX_NS: u64 = 128_000;
 
-    fn new() -> Backoff {
-        Backoff { step: 0 }
+    /// `oversubscribed`: the session runs more threads than the host
+    /// has cores, so whoever is being waited for needs this core —
+    /// spinning only burns its timeslice; start at the yield phase.
+    fn new(oversubscribed: bool) -> Backoff {
+        Backoff {
+            step: 0,
+            spins: if oversubscribed { 0 } else { Self::SPINS },
+        }
     }
 
     fn reset(&mut self) {
         self.step = 0;
     }
 
+    /// The workers' wait: the whole ladder.
     fn wait(&mut self) {
-        if self.step < Self::SPINS {
+        if self.step < self.spins + Self::YIELDS {
+            return self.wait_awake();
+        }
+        let exp = (self.step - self.spins - Self::YIELDS).min(16);
+        let ns = (Self::SLEEP_MIN_NS << exp).min(Self::SLEEP_MAX_NS);
+        std::thread::sleep(Duration::from_nanos(ns));
+        self.step = self.step.saturating_add(1);
+    }
+
+    /// The dispatcher's wait: spin, then yield, never sleep — it is
+    /// waiting for a worker that is running, not for traffic.
+    fn wait_awake(&mut self) {
+        if self.step < self.spins {
             std::hint::spin_loop();
-        } else if self.step < Self::SPINS + Self::YIELDS {
-            std::thread::yield_now();
         } else {
-            let exp = (self.step - Self::SPINS - Self::YIELDS).min(16);
-            let ns = (Self::SLEEP_MIN_NS << exp).min(Self::SLEEP_MAX_NS);
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
+            std::thread::yield_now();
         }
         self.step = self.step.saturating_add(1);
     }
 }
 
-/// Blocking single-word pop (worker side only — the dispatcher never
-/// blocks; see the module docs' deadlock argument).
-fn pop_blocking(ring: &mut spsc::Consumer, backoff: &mut Backoff) -> u64 {
-    loop {
-        if let Some(w) = ring.try_pop() {
-            backoff.reset();
-            return w;
+/// Drive a non-blocking bulk ring operation to completion (worker side
+/// only — the dispatcher never blocks; see the module docs' deadlock
+/// argument). `step(done)` moves what it can starting at offset `done`
+/// and returns how much that was.
+fn until_done(total: usize, backoff: &mut Backoff, mut step: impl FnMut(usize) -> usize) {
+    let mut done = 0;
+    while done < total {
+        match step(done) {
+            0 => backoff.wait(),
+            n => {
+                backoff.reset();
+                done += n;
+            }
         }
-        backoff.wait();
     }
 }
 
-/// Blocking slice push (worker side only).
+/// Blocking word push (worker side only).
 fn push_blocking(ring: &mut spsc::Producer, words: &[u64], backoff: &mut Backoff) {
-    let mut sent = 0;
-    while sent < words.len() {
-        let n = ring.push_slice(&words[sent..]);
-        if n == 0 {
-            backoff.wait();
-        } else {
-            backoff.reset();
-            sent += n;
-        }
-    }
+    until_done(words.len(), backoff, |at| ring.push_slice(&words[at..]));
+}
+
+/// Blocking word pop (worker side only).
+fn pop_blocking(ring: &mut spsc::Consumer, out: &mut [u64], backoff: &mut Backoff) {
+    until_done(out.len(), backoff, |at| ring.pop_into(&mut out[at..]));
 }
 
 // --- the worker loop -------------------------------------------------------
 
-/// Run one fully-buffered job against the shard's state and build the
-/// complete `OK` response: `[STATUS_OK, count × (verdict, len,
-/// payload…), expired, pool_denied]`.
-///
-/// Frames live in `flat` back-to-back, lengths in `lens`. Processing
-/// is run-to-completion in [`MAX_BURST`] chunks exactly like the
-/// scoped per-burst driver, so state trajectories are identical; an
-/// empty job runs one empty chunk (the polling core's expiry tick).
-/// Mempool admission is checked, not assumed: a denied frame is
-/// dropped with its bytes echoed unmodified and counted in the
-/// `pool_denied` trailer — undersized pools degrade, they don't panic.
-///
-/// `kill` is the test seam: panic after the first chunk (after the
-/// empty tick for an empty job), so shard state is *partially* mutated
-/// when the supervisor's reset runs — the hard case.
-#[allow(clippy::too_many_arguments)]
-fn run_job(
-    fm: &mut vignat::FlowManager,
-    pool: &mut Mempool,
-    scratch: &mut BurstScratch,
-    cfg: &vig_spec::NatConfig,
-    dir: Direction,
-    now: Time,
-    flat: &[u8],
-    lens: &[usize],
-    kill: bool,
-) -> Vec<u64> {
-    let cap: usize = 3 + lens.iter().map(|&l| 2 + payload_words(l)).sum::<usize>();
-    let mut out = Vec::with_capacity(cap);
-    out.push(STATUS_OK);
-    let mut expired = 0usize;
-    let mut pool_denied = 0u64;
-    if lens.is_empty() {
-        // Idle shard: one empty burst, so expiry ticks exactly as in
-        // the sequential oracle (which expires every shard per burst)
-        // and in the scoped per-burst driver.
-        let mut env = BurstEnv::new(fm, pool, &[], dir, now, scratch);
-        let outcomes = nat_process_batch(&mut env, cfg);
-        debug_assert!(outcomes.is_empty());
-        expired += env.expired();
-        env.finish();
-        if kill {
-            panic!("injected worker kill (test seam)");
-        }
-    }
-    let mut bufs: Vec<BufIdx> = Vec::with_capacity(MAX_BURST.max(1));
-    let mut slots: Vec<Option<BufIdx>> = Vec::with_capacity(MAX_BURST.max(1));
-    let mut idx = 0usize; // next frame
-    let mut at = 0usize; // its offset into `flat`
-    let mut first_chunk = true;
-    while idx < lens.len() {
-        let take = (lens.len() - idx).min(MAX_BURST.max(1));
-        bufs.clear();
-        slots.clear();
-        let mut o = at;
-        for &len in &lens[idx..idx + take] {
-            match pool.get() {
-                Some(b) => {
-                    pool.write_frame(b, &flat[o..o + len]);
-                    bufs.push(b);
-                    slots.push(Some(b));
-                }
-                None => {
-                    pool_denied += 1;
-                    slots.push(None);
-                }
-            }
-            o += len;
-        }
-        let mut env = BurstEnv::new(fm, pool, &bufs, dir, now, scratch);
-        let outcomes = nat_process_batch(&mut env, cfg);
-        debug_assert_eq!(outcomes.len(), bufs.len());
-        expired += env.expired();
-        env.finish();
-        let mut oi = 0usize;
-        let mut o = at;
-        for (k, &len) in lens[idx..idx + take].iter().enumerate() {
-            match slots[k] {
-                Some(b) => {
-                    let verdict = match outcomes[oi] {
-                        IterationOutcome::Forwarded(Direction::Internal) => 1,
-                        IterationOutcome::Forwarded(Direction::External) => 2,
-                        IterationOutcome::Dropped(_) => 0,
-                        IterationOutcome::NoPacket => unreachable!("staged buffer"),
-                    };
-                    oi += 1;
-                    out.push(verdict);
-                    encode_frame(&mut out, pool.frame(b));
-                    pool.put(b);
-                }
-                None => {
-                    out.push(0); // Verdict::Drop, bytes unmodified
-                    encode_frame(&mut out, &flat[o..o + len]);
-                }
-            }
-            o += len;
-        }
-        at = o;
-        idx += take;
-        if kill && first_chunk {
-            panic!("injected worker kill (test seam)");
-        }
-        first_chunk = false;
-    }
-    out.push(expired as u64);
-    out.push(pool_denied);
-    out
-}
-
 /// One shard's long-lived worker: pin (best effort), report pin status
-/// as the first result word, then serve jobs until the shutdown
-/// sentinel.
+/// as the first result word, then serve jobs (stream layout: module
+/// docs, "Transport") until the shutdown sentinel.
 ///
-/// Job stream per burst: `[count, dir, now_ns, count × (len,
-/// payload…)]`. Each response starts with a status word:
-/// [`STATUS_OK`] followed by the full result body (see [`run_job`]),
-/// or [`STATUS_DOWN`] followed by the re-pin flag when the job
-/// panicked. The worker reads the *whole* job before processing and
-/// buffers the *whole* response before pushing, so a panic can never
-/// leave a torn stream on either ring — the supervisor's framing
-/// invariant.
+/// The worker reads the *whole* job before running it — payloads land
+/// directly in pool buffers, admission checked per frame — and pushes
+/// nothing until the job has run to completion, when the response
+/// streams straight out of those buffers. A panic can therefore never
+/// leave a torn stream on either ring: the supervisor's framing
+/// invariant. Frames an exhausted pool cannot take come back
+/// [`VERDICT_DENIED`] — undersized pools degrade, they don't panic.
+///
+/// Everything the loop needs per job lives in vectors it owns and
+/// reuses, so a steady-state job allocates nothing on the transport
+/// path.
+#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     fm: &mut vignat::FlowManager,
     pool: &mut Mempool,
@@ -461,71 +378,198 @@ fn worker_loop(
     jobs: &mut spsc::Consumer,
     results: &mut spsc::Producer,
     pin_cpu: Option<usize>,
+    oversubscribed: bool,
 ) {
     let pinned = pin_cpu.is_some_and(pin_to);
-    let mut backoff = Backoff::new();
+    let mut backoff = Backoff::new(oversubscribed);
     push_blocking(results, &[u64::from(pinned)], &mut backoff);
     let pool_capacity = pool.capacity();
-    let mut frame_buf = vec![0u8; MBUF_SIZE];
-    let mut words: Vec<u64> = Vec::with_capacity(MBUF_SIZE / 8 + 2);
-    let mut flat: Vec<u8> = Vec::new();
-    let mut lens: Vec<usize> = Vec::new();
+    let mut lens: Vec<u64> = Vec::new();
+    let mut bufs: Vec<BufIdx> = Vec::new();
+    let mut verdicts: Vec<FrameVerdict> = Vec::new();
+    let mut response: Vec<u64> = Vec::new();
     let mut armed = false;
     loop {
-        let header = pop_blocking(jobs, &mut backoff);
-        match header {
-            SHUTDOWN => return,
-            HALT => return, // simulated hard death: exit without a word
+        let mut header = [0u64; 1];
+        pop_blocking(jobs, &mut header, &mut backoff);
+        match header[0] {
+            SHUTDOWN | HALT => return, // HALT: simulated hard death, no last word
             KILL => {
                 armed = true;
                 continue;
             }
             _ => {}
         }
-        let count = header as usize;
-        let dir = if pop_blocking(jobs, &mut backoff) == 0 {
+        let mut meta = [0u64; 2];
+        pop_blocking(jobs, &mut meta, &mut backoff);
+        let dir = if meta[0] == Direction::Internal as u64 {
             Direction::Internal
         } else {
             Direction::External
         };
-        let now = Time::ZERO.plus(pop_blocking(jobs, &mut backoff));
-        flat.clear();
+        let now = Time::ZERO.plus(meta[1]);
         lens.clear();
-        for _ in 0..count {
-            let len = pop_blocking(jobs, &mut backoff) as usize;
-            debug_assert!(len <= MBUF_SIZE);
-            words.clear();
-            for _ in 0..payload_words(len) {
-                words.push(pop_blocking(jobs, &mut backoff));
+        lens.resize(header[0] as usize, 0);
+        pop_blocking(jobs, &mut lens, &mut backoff);
+        // Payloads land straight in pool buffers until the pool runs
+        // dry; the rest of the job is read off the ring and discarded.
+        bufs.clear();
+        for &len in &lens {
+            let len = len as usize;
+            if let Some(b) = pool.get() {
+                let room = pool.reserve_frame(b, len);
+                until_done(len, &mut backoff, |at| jobs.pop_bytes(&mut room[at..]));
+                bufs.push(b);
+            } else {
+                let sink = &mut [0u8; MBUF_SIZE][..len];
+                until_done(len, &mut backoff, |at| jobs.pop_bytes(&mut sink[at..]));
             }
-            decode_payload(&words, &mut frame_buf[..len]);
-            flat.extend_from_slice(&frame_buf[..len]);
-            lens.push(len);
         }
         // The whole job is now local: shard state is touched only from
         // here on, and only whole responses hit the result ring.
         let kill = std::mem::take(&mut armed);
+        verdicts.clear();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_job(fm, pool, scratch, &cfg, dir, now, &flat, &lens, kill)
+            // Armed by KILL (the test seam): run the first chunk only,
+            // then panic — shard state is *partially* mutated when the
+            // supervisor's reset runs, the hard case.
+            let run = if kill {
+                bufs.len().min(MAX_BURST)
+            } else {
+                bufs.len()
+            };
+            let run = &bufs[..run];
+            let expired = run_staged(fm, pool, scratch, &cfg, dir, now, run, &mut verdicts);
+            assert!(!kill, "injected worker kill (test seam)");
+            expired
         }));
+        response.clear();
         match outcome {
-            Ok(response) => push_blocking(results, &response, &mut backoff),
+            Ok(expired) => {
+                let denied = lens.len() - bufs.len();
+                response.extend([STATUS_OK, expired as u64, denied as u64]);
+                response.extend(verdicts.iter().map(|&v| verdict_word(v)));
+            }
             Err(_) => {
                 // Supervised restart: the shard's state is suspect (any
-                // subset of the batch's updates may have landed) and
-                // staged mbufs leaked on unwind — rebuild both, re-pin,
-                // and report DOWN instead of a result body.
+                // subset of the batch's updates may have landed, and who
+                // holds which mbuf is unknown) — rebuild table and pool,
+                // re-pin, and report DOWN with every frame denied.
                 fm.reset();
                 *pool = Mempool::new(pool_capacity);
                 *scratch = BurstScratch::default();
+                bufs.clear();
                 let repinned = pin_cpu.is_some_and(pin_to);
-                push_blocking(results, &[STATUS_DOWN, u64::from(repinned)], &mut backoff);
+                response.extend([STATUS_DOWN, u64::from(repinned), 0]);
             }
+        }
+        response.resize(3 + lens.len(), VERDICT_DENIED);
+        push_blocking(results, &response, &mut backoff);
+        for &b in &bufs {
+            let frame = pool.frame(b);
+            until_done(frame.len(), &mut backoff, |at| {
+                results.push_bytes(&frame[at..])
+            });
+            pool.put(b);
         }
     }
 }
 
 // --- the dispatcher session ------------------------------------------------
+
+/// The dispatcher's end of one shard: its rings, what the supervisor
+/// knows of its worker, and its slice of the current burst with the
+/// cursors the non-blocking pump resumes from. Session-owned and
+/// reused, so once its vectors have grown to the session's burst size
+/// a burst allocates nothing here.
+struct Lane {
+    jobs: spsc::Producer,
+    results: spsc::Consumer,
+    /// Retired by the supervisor; its worker thread is gone.
+    dead: bool,
+    /// The worker's latest pin attempt stuck.
+    pinned: bool,
+    /// Arrival positions of the frames routed to this shard.
+    idxs: Vec<usize>,
+    /// The job's control words (`count, dir, now_ns, len × count`).
+    head: Vec<u64>,
+    /// The response's control words as far as they have arrived.
+    ctrl: Vec<u64>,
+    at: Progress,
+}
+
+/// A [`Lane`]'s cursors, reset with every burst.
+#[derive(Default)]
+struct Progress {
+    /// Words of `head` on the job ring.
+    head_sent: usize,
+    /// Next frame of `idxs` to put on the job ring, and how many of
+    /// its bytes already are.
+    tx_frame: usize,
+    tx_off: usize,
+    /// Next frame of `idxs` to take off the result ring, and how many
+    /// of its bytes already are.
+    rx_frame: usize,
+    rx_off: usize,
+    /// Result-ring words taken this burst (control and payload).
+    rx_words: u64,
+    /// The whole response is in (or the shard is dead).
+    complete: bool,
+    /// Start of the current run of passes without ring progress.
+    idle_since: Option<Instant>,
+}
+
+impl Lane {
+    /// Move what the rings will take without blocking: job words and
+    /// payload bytes down, response words and payload bytes up (straight
+    /// into `frames`). Returns whether anything moved.
+    fn pump(&mut self, frames: &mut [Vec<u8>]) -> bool {
+        let at = &mut self.at;
+        let mut moved = 0;
+        if at.head_sent < self.head.len() {
+            let n = self.jobs.push_slice(&self.head[at.head_sent..]);
+            at.head_sent += n;
+            moved += n;
+        }
+        if at.head_sent == self.head.len() {
+            while let Some(&i) = self.idxs.get(at.tx_frame) {
+                let n = self.jobs.push_bytes(&frames[i][at.tx_off..]);
+                at.tx_off += n;
+                moved += n;
+                if at.tx_off < frames[i].len() {
+                    break; // ring full
+                }
+                at.tx_frame += 1;
+                at.tx_off = 0;
+            }
+        }
+        let ctrl_need = 3 + self.idxs.len();
+        let want = ctrl_need - self.ctrl.len();
+        let n = self.results.pop_extend(&mut self.ctrl, want);
+        at.rx_words += n as u64;
+        moved += n;
+        if self.ctrl.len() == ctrl_need {
+            while let Some(&i) = self.idxs.get(at.rx_frame) {
+                if self.ctrl[3 + at.rx_frame] != VERDICT_DENIED {
+                    let n = self.results.pop_bytes(&mut frames[i][at.rx_off..]);
+                    at.rx_off += n;
+                    at.rx_words += spsc::words_for_bytes(n) as u64;
+                    moved += n;
+                    if at.rx_off < frames[i].len() {
+                        break; // ring empty
+                    }
+                }
+                at.rx_frame += 1;
+                at.rx_off = 0;
+            }
+        }
+        // A worker answers only after reading its whole job, so a whole
+        // response implies the job was wholly sent.
+        at.complete = self.ctrl.len() == ctrl_need && at.rx_frame == self.idxs.len();
+        debug_assert!(!at.complete || at.tx_frame == self.idxs.len());
+        moved > 0
+    }
+}
 
 /// The dispatcher's handle to a live worker fleet, valid inside one
 /// [`with_shard_runtime`] call. Owns the job-ring producers and
@@ -536,34 +580,34 @@ fn worker_loop(
 /// The session doubles as the supervisor: it detects worker panics
 /// (`DOWN` responses), retires unresponsive shards after the stall
 /// budget, and attributes every lost frame in [`SupervisorStats`].
+/// Dropping it — normally, or while a panic in the session closure
+/// unwinds — sends every live worker its shutdown sentinel.
 pub struct ShardRuntimeSession {
-    jobs: Vec<spsc::Producer>,
-    results: Vec<spsc::Consumer>,
+    lanes: Vec<Lane>,
     classifier: RssClassifier,
     expired: u64,
     pin: PinReport,
-    pinned_by_shard: Vec<bool>,
-    dead: Vec<bool>,
     chaos: SupervisorStats,
     downs: Vec<WorkerDown>,
     stall_budget: Duration,
+    idle: Backoff,
 }
 
-/// Result-stream words still owed by a shard given what has arrived:
-/// unknown until the status word lands, then the full `OK` body or the
-/// two-word `DOWN` report.
-fn expected_words(stream: &[u64], ok_need: usize) -> usize {
-    match stream.first() {
-        None => 1,
-        Some(&STATUS_OK) => ok_need,
-        Some(_) => 2,
+impl Drop for ShardRuntimeSession {
+    fn drop(&mut self) {
+        // Retired shards get no sentinel: their threads already exited,
+        // which is exactly why they were retired. A live worker whose
+        // ring stays full past the stall budget is given up on.
+        for s in 0..self.worker_count() {
+            self.send_sentinel(s, SHUTDOWN);
+        }
     }
 }
 
 impl ShardRuntimeSession {
     /// Number of worker threads (== shards).
     pub fn worker_count(&self) -> usize {
-        self.jobs.len()
+        self.lanes.len()
     }
 
     /// Pinning outcome for this session's workers (kept current across
@@ -590,7 +634,7 @@ impl ShardRuntimeSession {
     /// Whether shard `s` is still serving (not retired by the
     /// supervisor). A worker that panicked and restarted is alive.
     pub fn shard_alive(&self, s: usize) -> bool {
-        !self.dead[s]
+        !self.lanes[s].dead
     }
 
     /// Replace the stall budget ([`DEFAULT_STALL_BUDGET`]): the longest
@@ -619,13 +663,11 @@ impl ShardRuntimeSession {
     }
 
     fn send_sentinel(&mut self, s: usize, sentinel: u64) -> bool {
-        if self.dead[s] {
-            return false;
-        }
         let deadline = Instant::now() + self.stall_budget;
+        let lane = &mut self.lanes[s];
         loop {
-            if self.jobs[s].try_push(sentinel) {
-                return true;
+            if lane.dead || lane.jobs.try_push(sentinel) {
+                return !lane.dead;
             }
             if Instant::now() > deadline {
                 return false;
@@ -634,30 +676,34 @@ impl ShardRuntimeSession {
         }
     }
 
-    /// Retire shard `s`: mark dead, account the lost in-flight frames,
-    /// and drain whatever the dead worker left on its result ring so
-    /// the words are counted rather than silently abandoned.
-    fn retire_shard(&mut self, s: usize, frames_lost: usize) {
-        self.dead[s] = true;
-        self.chaos.hard_deaths += 1;
+    /// Record a supervised failure of shard `s` that lost its whole
+    /// in-flight job, and the worker's pin state after it.
+    fn worker_down(&mut self, s: usize, repinned: bool, restarted: bool) {
+        let frames_lost = self.lanes[s].idxs.len();
         self.chaos.frames_lost += frames_lost as u64;
-        let mut scrap = Vec::new();
-        loop {
-            scrap.clear();
-            let got = self.results[s].pop_extend(&mut scrap, 1024);
-            self.chaos.drained_result_words += got as u64;
-            if got == 0 {
-                break;
-            }
-        }
-        self.pinned_by_shard[s] = false;
-        self.pin.pinned = self.pinned_by_shard.iter().filter(|&&b| b).count();
+        self.lanes[s].pinned = repinned;
+        self.pin.pinned = self.lanes.iter().filter(|l| l.pinned).count();
         self.downs.push(WorkerDown {
             shard: s,
             frames_lost,
-            repinned: false,
-            restarted: false,
+            repinned,
+            restarted,
         });
+    }
+
+    /// Retire shard `s`: mark dead, account the lost in-flight frames,
+    /// and drain whatever the dead worker left on its result ring so
+    /// the words are counted rather than silently abandoned.
+    fn retire_shard(&mut self, s: usize) {
+        let lane = &mut self.lanes[s];
+        lane.dead = true;
+        lane.at.complete = true;
+        self.chaos.hard_deaths += 1;
+        self.chaos.drained_result_words += lane.at.rx_words;
+        while lane.results.try_pop().is_some() {
+            self.chaos.drained_result_words += 1;
+        }
+        self.worker_down(s, false, false);
     }
 
     /// Process one burst arriving on `dir` at instant `now` across the
@@ -670,147 +716,99 @@ impl ShardRuntimeSession {
     /// Under faults the burst still returns: frames on a panicking or
     /// dying shard come back as [`Verdict::Drop`] with the loss
     /// attributed in [`SupervisorStats`]; surviving shards' verdicts
-    /// and bytes are unaffected.
+    /// and bytes are unaffected. (A shard retired *while its response
+    /// was arriving* may have rewritten some of its frames already;
+    /// they are `Drop` all the same.)
     pub fn process_burst(
         &mut self,
         dir: Direction,
         frames: &mut [Vec<u8>],
         now: Time,
     ) -> Vec<Verdict> {
-        let n = self.worker_count();
+        for lane in &mut self.lanes {
+            lane.idxs.clear();
+            lane.head.clear();
+            lane.ctrl.clear();
+            lane.at = Progress {
+                complete: lane.dead,
+                ..Progress::default()
+            };
+        }
         // Dispatch: route every frame to its shard (RSS function).
         // Frames bound for a retired shard drop here, with accounting —
-        // bounded backpressure, not an unbounded stall.
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); n];
+        // bounded backpressure, not an unbounded stall. So does a frame
+        // longer than any worker buffer: no pool could admit it.
         for (i, f) in frames.iter().enumerate() {
-            let s = self.classifier.queue_of(dir, f);
-            if self.dead[s] {
+            let lane = &mut self.lanes[self.classifier.queue_of(dir, f)];
+            if lane.dead {
                 self.chaos.backpressure_drops += 1;
-                continue;
+            } else if f.len() > MBUF_SIZE {
+                self.chaos.pool_denied += 1;
+            } else {
+                lane.idxs.push(i);
             }
-            routed[s].push(i);
         }
-        // Encode each shard's job stream and compute the exact OK
-        // result length (the NAT rewrites in place — and pool-denied
-        // frames echo — so output length == input length:
-        // `status + count × (verdict + len + payload) + 2 trailers`).
-        let dir_word = match dir {
-            Direction::Internal => 0u64,
-            Direction::External => 1u64,
-        };
-        let mut job_words: Vec<Vec<u64>> = Vec::with_capacity(n);
-        let mut ok_need: Vec<usize> = Vec::with_capacity(n);
-        for (s, idxs) in routed.iter().enumerate() {
-            if self.dead[s] {
-                job_words.push(Vec::new());
-                ok_need.push(0);
-                continue;
-            }
-            let mut w = Vec::with_capacity(3 + idxs.len() * (1 + MBUF_SIZE / 8));
-            w.push(idxs.len() as u64);
-            w.push(dir_word);
-            w.push(now.nanos());
-            let mut result_len = 3; // status word + expired + pool_denied
-            for &i in idxs {
-                encode_frame(&mut w, &frames[i]);
-                result_len += 2 + payload_words(frames[i].len());
-            }
-            job_words.push(w);
-            ok_need.push(result_len);
+        for lane in self.lanes.iter_mut().filter(|l| !l.dead) {
+            let meta = [lane.idxs.len() as u64, dir as u64, now.nanos()];
+            let lens = lane.idxs.iter().map(|&i| frames[i].len() as u64);
+            lane.head.extend(meta.into_iter().chain(lens));
         }
         // Non-blocking pump: interleave job pushes and result drains so
         // bounded rings can never deadlock (see module docs). A shard
         // with zero progress past the stall budget is retired.
-        let mut sent = vec![0usize; n];
-        let mut recv: Vec<Vec<u64>> = ok_need.iter().map(|&m| Vec::with_capacity(m)).collect();
-        let mut complete: Vec<bool> = (0..n).map(|s| self.dead[s]).collect();
-        let mut last_progress: Vec<Instant> = vec![Instant::now(); n];
         loop {
-            let mut done = true;
             let mut progress = false;
-            for s in 0..n {
-                if complete[s] {
-                    continue;
+            for lane in self.lanes.iter_mut().filter(|l| !l.at.complete) {
+                if lane.pump(frames) {
+                    lane.at.idle_since = None;
+                    progress = true;
                 }
-                let mut p = false;
-                if sent[s] < job_words[s].len() {
-                    let pushed = self.jobs[s].push_slice(&job_words[s][sent[s]..]);
-                    sent[s] += pushed;
-                    p |= pushed > 0;
-                }
-                let expect = expected_words(&recv[s], ok_need[s]);
-                if recv[s].len() < expect {
-                    let want = expect - recv[s].len();
-                    let popped = self.results[s].pop_extend(&mut recv[s], want);
-                    p |= popped > 0;
-                }
-                let expect = expected_words(&recv[s], ok_need[s]);
-                complete[s] = sent[s] == job_words[s].len() && recv[s].len() == expect;
-                if p {
-                    last_progress[s] = Instant::now();
-                }
-                progress |= p;
-                done &= complete[s];
             }
-            if done {
+            if self.lanes.iter().all(|l| l.at.complete) {
                 break;
             }
-            if !progress {
-                let now_t = Instant::now();
-                for s in 0..n {
-                    if !complete[s] && now_t.duration_since(last_progress[s]) > self.stall_budget {
-                        self.chaos.drained_result_words += recv[s].len() as u64;
-                        recv[s].clear();
-                        self.retire_shard(s, routed[s].len());
-                        complete[s] = true;
-                    }
+            if progress {
+                self.idle.reset();
+                continue;
+            }
+            let now_t = Instant::now();
+            for s in 0..self.lanes.len() {
+                let at = &mut self.lanes[s].at;
+                let since = *at.idle_since.get_or_insert(now_t);
+                if !at.complete && now_t.duration_since(since) > self.stall_budget {
+                    self.retire_shard(s);
                 }
-                std::thread::yield_now();
             }
+            self.idle.wait_awake();
         }
-        // Merge in deterministic shard order: scatter verdicts and
-        // rewritten bytes back to arrival positions, accumulate expiry.
-        // A DOWN response maps its whole job to Drop — the honest loss
-        // report; surviving shards merge exactly as on a clean run.
+        self.idle.reset();
+        // Merge in deterministic shard order: scatter verdicts back to
+        // arrival positions (the bytes are already in place), accumulate
+        // expiry. A DOWN response maps its whole job to Drop — the
+        // honest loss report; surviving shards merge exactly as on a
+        // clean run.
         let mut out = vec![Verdict::Drop; frames.len()];
-        for (s, idxs) in routed.iter().enumerate() {
-            if self.dead[s] {
+        for s in 0..self.lanes.len() {
+            let lane = &self.lanes[s];
+            if lane.dead {
                 continue;
             }
-            let stream = &recv[s];
-            debug_assert!(!stream.is_empty());
-            if stream[0] == STATUS_DOWN {
-                let repinned = stream[1] != 0;
+            if lane.ctrl[0] == STATUS_DOWN {
+                let repinned = lane.ctrl[1] != 0;
                 self.chaos.worker_downs += 1;
-                self.chaos.frames_lost += idxs.len() as u64;
-                self.pinned_by_shard[s] = repinned;
-                self.pin.pinned = self.pinned_by_shard.iter().filter(|&&b| b).count();
-                self.downs.push(WorkerDown {
-                    shard: s,
-                    frames_lost: idxs.len(),
-                    repinned,
-                    restarted: true,
-                });
-                continue;
+                self.worker_down(s, repinned, true);
+                continue; // every verdict is DENIED: the whole job drops
             }
-            let mut at = 1usize;
-            for &i in idxs {
-                let verdict = stream[at];
-                let len = stream[at + 1] as usize;
-                debug_assert_eq!(len, frames[i].len(), "NAT rewrites in place");
-                let pw = payload_words(len);
-                decode_payload(&stream[at + 2..at + 2 + pw], &mut frames[i]);
-                at += 2 + pw;
-                out[i] = match verdict {
-                    0 => Verdict::Drop,
-                    1 => Verdict::Forward(Direction::Internal),
-                    2 => Verdict::Forward(Direction::External),
-                    v => unreachable!("bad verdict word {v}"),
+            self.expired += lane.ctrl[1];
+            self.chaos.pool_denied += lane.ctrl[2];
+            for (&i, &word) in lane.idxs.iter().zip(&lane.ctrl[3..]) {
+                out[i] = match word {
+                    VERDICT_DROP | VERDICT_DENIED => Verdict::Drop,
+                    VERDICT_FWD_INTERNAL => Verdict::Forward(Direction::Internal),
+                    VERDICT_FWD_EXTERNAL => Verdict::Forward(Direction::External),
+                    w => unreachable!("bad verdict word {w}"),
                 };
             }
-            self.expired += stream[at];
-            self.chaos.pool_denied += stream[at + 1];
-            debug_assert_eq!(at + 2, ok_need[s]);
         }
         out
     }
@@ -824,13 +822,15 @@ impl ShardRuntimeSession {
 /// With `pin` set, worker `s` pins itself to the `s % host_cores`-th
 /// *allowed* CPU; failures degrade to unpinned workers and are counted
 /// in the returned [`RuntimeReport`] — never an error, matching how a
-/// restricted CI runner should behave.
+/// restricted CI runner should behave. When the session's threads
+/// (workers plus the dispatcher) outnumber the allowed CPUs, both sides
+/// skip the spin phase of their waits and yield at once.
 ///
 /// The session (and thus every worker) lives exactly as long as `f`:
-/// on return, shutdown sentinels are sent and the scope joins all
-/// workers, so `table` is borrowable again immediately after. Shards
-/// the supervisor retired get no sentinel — their threads already
-/// exited, which is exactly why they were retired.
+/// when `f` returns — or panics — dropping the session sends the
+/// shutdown sentinels and the scope joins all workers, so `table` is
+/// borrowable again immediately after, and a panic in `f` propagates
+/// instead of hanging on workers that wait forever.
 pub fn with_shard_runtime<R>(
     table: &mut ShardedFlowManager,
     pools: &mut [Mempool],
@@ -850,17 +850,23 @@ pub fn with_shard_runtime<R>(
     let cfg = table.global_cfg();
     let allowed = host_allowed_cpus();
     let host_cores = allowed.len().max(1);
-    let mut job_tx = Vec::with_capacity(n);
-    let mut job_rx = Vec::with_capacity(n);
-    let mut res_tx = Vec::with_capacity(n);
-    let mut res_rx = Vec::with_capacity(n);
+    let oversubscribed = n + 1 > host_cores;
+    let mut lanes = Vec::with_capacity(n);
+    let mut worker_ends = Vec::with_capacity(n);
     for _ in 0..n {
-        let (p, c) = spsc::channel(ring_words);
-        job_tx.push(p);
-        job_rx.push(c);
-        let (p, c) = spsc::channel(ring_words);
-        res_tx.push(p);
-        res_rx.push(c);
+        let (jobs, jobs_rx) = spsc::channel(ring_words);
+        let (results_tx, results) = spsc::channel(ring_words);
+        worker_ends.push((jobs_rx, results_tx));
+        lanes.push(Lane {
+            jobs,
+            results,
+            dead: false,
+            pinned: false,
+            idxs: Vec::new(),
+            head: Vec::new(),
+            ctrl: Vec::new(),
+            at: Progress::default(),
+        });
     }
     std::thread::scope(|sc| {
         let workers = table
@@ -868,15 +874,26 @@ pub fn with_shard_runtime<R>(
             .iter_mut()
             .zip(pools.iter_mut())
             .zip(scratches.iter_mut())
-            .zip(job_rx.into_iter().zip(res_tx))
+            .zip(worker_ends)
             .enumerate();
         for (s, (((fm, pool), scratch), (mut jobs, mut results))) in workers {
             let pin_cpu = pin.then(|| allowed[s % host_cores]);
-            sc.spawn(move || worker_loop(fm, pool, scratch, cfg, &mut jobs, &mut results, pin_cpu));
+            sc.spawn(move || {
+                let (jobs, results) = (&mut jobs, &mut results);
+                worker_loop(
+                    fm,
+                    pool,
+                    scratch,
+                    cfg,
+                    jobs,
+                    results,
+                    pin_cpu,
+                    oversubscribed,
+                )
+            });
         }
         let mut session = ShardRuntimeSession {
-            jobs: job_tx,
-            results: res_rx,
+            lanes,
             classifier,
             expired: 0,
             pin: PinReport {
@@ -885,37 +902,30 @@ pub fn with_shard_runtime<R>(
                 pinned: 0,
                 host_cores,
             },
-            pinned_by_shard: Vec::with_capacity(n),
-            dead: vec![false; n],
             chaos: SupervisorStats::default(),
             downs: Vec::new(),
             stall_budget: DEFAULT_STALL_BUDGET,
+            idle: Backoff::new(oversubscribed),
         };
         // First result word from each worker is its pin status; collect
         // before handing the session to `f` so reports are complete even
         // if `f` never processes a burst. Workers push it immediately,
         // so this wait is bounded by thread startup.
-        for c in session.results.iter_mut() {
-            let mut backoff = Backoff::new();
-            let pinned = pop_blocking(c, &mut backoff) != 0;
-            session.pinned_by_shard.push(pinned);
+        for lane in &mut session.lanes {
+            let mut pinned = [0u64; 1];
+            pop_blocking(&mut lane.results, &mut pinned, &mut session.idle);
+            lane.pinned = pinned[0] != 0;
         }
-        session.pin.pinned = session.pinned_by_shard.iter().filter(|&&b| b).count();
+        session.idle.reset();
+        session.pin.pinned = session.lanes.iter().filter(|l| l.pinned).count();
         let r = f(&mut session);
-        // Shutdown: sentinel per live worker, then the scope joins
-        // them. Retired shards' threads already exited.
-        for (s, p) in session.jobs.iter_mut().enumerate() {
-            if session.dead[s] {
-                continue;
-            }
-            let mut backoff = Backoff::new();
-            push_blocking(p, &[SHUTDOWN], &mut backoff);
-        }
         let report = RuntimeReport {
             pin: session.pin,
             expired: session.expired,
             chaos: session.chaos,
         };
+        // Dropping the session shuts the workers down; the scope then
+        // joins them.
         (r, report)
     })
 }
@@ -925,20 +935,6 @@ mod tests {
     use super::*;
     use vig_packet::builder::PacketBuilder;
     use vig_packet::Ip4;
-
-    #[test]
-    fn codec_roundtrips_odd_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 15, 64, 1499] {
-            let frame: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let mut words = Vec::new();
-            encode_frame(&mut words, &frame);
-            assert_eq!(words[0] as usize, len);
-            assert_eq!(words.len(), 1 + payload_words(len));
-            let mut out = vec![0u8; len];
-            decode_payload(&words[1..], &mut out);
-            assert_eq!(out, frame);
-        }
-    }
 
     fn test_cfg() -> vig_spec::NatConfig {
         vig_spec::NatConfig {

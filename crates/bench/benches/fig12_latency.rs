@@ -18,7 +18,7 @@
 //! (set `VIGNAT_BENCH_FULL=1` for the paper-scale sweep).
 
 use libvig::time::Time;
-use netsim::harness::{probe_latency, Testbed};
+use netsim::harness::probe_latency;
 use netsim::middlebox::{Middlebox, NoopForwarder, SystemClockMb, VigNatMb};
 use netsim::tester::WorkloadMix;
 use vig_baselines::UnverifiedNat;
@@ -47,9 +47,7 @@ fn mix(background: usize) -> WorkloadMix {
 }
 
 fn measure(nf: &mut dyn Middlebox, background: usize) -> f64 {
-    let mut tb = Testbed::new(512);
-    let s = probe_latency(nf, &mut tb, &mix(background));
-    s.mean()
+    probe_latency(nf, &mix(background)).mean()
 }
 
 fn main() {

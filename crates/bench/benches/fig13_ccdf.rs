@@ -10,7 +10,7 @@
 //! Run: `cargo bench -p vig-bench --bench fig13_ccdf`
 
 use libvig::time::Time;
-use netsim::harness::{probe_latency, LatencySamples, Testbed};
+use netsim::harness::{probe_latency, LatencySamples};
 use netsim::middlebox::{Middlebox, NoopForwarder, VigNatMb};
 use netsim::tester::WorkloadMix;
 use vig_baselines::UnverifiedNat;
@@ -31,7 +31,6 @@ fn cfg() -> NatConfig {
 }
 
 fn samples(nf: &mut dyn Middlebox) -> LatencySamples {
-    let mut tb = Testbed::new(512);
     let mix = WorkloadMix {
         background_flows: BACKGROUND,
         probe_packets: if full_mode() { 2_000 } else { 300 },
@@ -39,7 +38,7 @@ fn samples(nf: &mut dyn Middlebox) -> LatencySamples {
         texp_ns: Time::from_secs(2).nanos(),
         probe_pool: 1 << 23,
     };
-    probe_latency(nf, &mut tb, &mix)
+    probe_latency(nf, &mix)
 }
 
 fn main() {

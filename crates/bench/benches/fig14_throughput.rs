@@ -6,7 +6,10 @@
 //! Methodology (RFC 2544, as in the paper): for each flow count, the
 //! NF's steady-state per-packet service times are measured on the
 //! all-hits workload ("flows that never expire, each producing 64-byte
-//! packets"), MAD outlier rejection removes timer-noise samples (a
+//! packets") through the one driver every NF shares
+//! (`netsim::eventloop::round_service_times` over a 1-queue simulated
+//! port — each series carries the same event-loop cost, as every paper
+//! NF carries the same DPDK cost), MAD outlier rejection removes timer-noise samples (a
 //! descheduled burst inflates a handful of samples by 100x and would
 //! otherwise dominate the loss search — the rejected count is
 //! reported), then the highest offered rate whose bounded-ring queue
@@ -41,19 +44,23 @@
 //! Run: `cargo bench -p vig-bench --bench fig14_throughput`
 
 use libvig::time::Time;
-use netsim::eventloop::event_driven_service_times;
+use netsim::backend::SimBackend;
+use netsim::eventloop::round_service_times;
 use netsim::harness::{
     parallel_scaling_curve, search_rate_filtered, search_rate_with_ci, sharded_throughput_sweep,
-    steady_state_service_times, steady_state_service_times_batched, LatencySamples, RateEstimate,
-    Testbed,
+    LatencySamples, RateEstimate,
 };
-use netsim::middlebox::{Middlebox, NoopForwarder, SystemClockMb, Verdict, VigNatMb};
+use netsim::middlebox::{
+    Middlebox, NoopForwarder, ShardedVigNatMb, SystemClockMb, Verdict, VigNatMb,
+};
+use netsim::tester::FlowGen;
+use netsim::RssClassifier;
 use std::hint::black_box;
 use std::time::Instant;
 use vig_baselines::{NetfilterNat, UnverifiedNat};
 use vig_bench::{flow_sweep, print_table, throughput_packets, write_result_json};
 use vig_packet::builder::PacketBuilder;
-use vig_packet::{Direction, Ip4};
+use vig_packet::{Direction, Ip4, Proto};
 use vig_spec::NatConfig;
 use vignat::ExpiryMode;
 
@@ -67,33 +74,43 @@ fn cfg() -> NatConfig {
     }
 }
 
-/// One throughput measurement with the bootstrap 95% CI: the point
-/// estimate is the RFC 2544 search over the full filtered series
-/// (identical to the committed PR 3 methodology), the interval comes
-/// from resampling per-trial rates ([`search_rate_with_ci`]).
-fn measure(nf: &mut dyn Middlebox, flows: usize) -> RateEstimate {
-    let mut tb = Testbed::new(512);
-    let svc = steady_state_service_times(
-        nf,
-        &mut tb,
-        flows,
-        throughput_packets(),
-        Time::from_secs(60).nanos(),
-    );
-    search_rate_with_ci(&svc, 512)
+/// An NF seen one frame at a time: forwards [`Middlebox::process`] and
+/// leaves `process_burst` at the trait default, so the driver's bursts
+/// reach it frame by frame — the paper's per-packet loop, and the
+/// `verified` / `verified_sysclock` series (the bare [`VigNatMb`] is
+/// the batched fast path).
+struct PerFrame<M>(M);
+
+impl<M: Middlebox> Middlebox for PerFrame<M> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn process(&mut self, dir: Direction, frame: &mut [u8], now: Time) -> Verdict {
+        self.0.process(dir, frame, now)
+    }
 }
 
-/// [`measure`] through the batched fast path.
-fn measure_batched(nf: &mut dyn Middlebox, flows: usize) -> RateEstimate {
-    let mut tb = Testbed::new(512);
-    let svc = steady_state_service_times_batched(
-        nf,
-        &mut tb,
-        flows,
-        throughput_packets(),
-        Time::from_secs(60).nanos(),
-    );
-    search_rate_with_ci(&svc, 512)
+/// Steady-state service times of `nf` behind a `queues`-queue simulated
+/// port (512-descriptor rings): the one measurement loop every series
+/// of this bench shares.
+fn service_times(
+    nf: &mut dyn Middlebox,
+    queues: usize,
+    flows: usize,
+    packets: usize,
+) -> LatencySamples {
+    let io = SimBackend::new(RssClassifier::for_nat(&cfg(), queues), 512);
+    let gen = FlowGen::new(Proto::Udp);
+    round_service_times(io, nf, &gen, flows, packets, cfg().expiry_ns).0
+}
+
+/// One throughput measurement with the bootstrap 95% CI: the point
+/// estimate is the RFC 2544 search over the full filtered series, the
+/// interval comes from resampling per-trial rates
+/// ([`search_rate_with_ci`]).
+fn measure(nf: &mut dyn Middlebox, flows: usize) -> RateEstimate {
+    search_rate_with_ci(&service_times(nf, 1, flows, throughput_packets()), 512)
 }
 
 /// Million-flow churn: table capacity (2^20 slots — a multi-address
@@ -237,16 +254,19 @@ fn main() {
     for &n in &sweep {
         let noop = measure(&mut NoopForwarder::new(), n);
         let unv = measure(&mut UnverifiedNat::new(cfg()), n);
-        let ver = measure(&mut VigNatMb::new(cfg()), n);
-        let verb = measure_batched(&mut VigNatMb::new(cfg()), n);
+        let ver = measure(&mut PerFrame(VigNatMb::new(cfg())), n);
+        let verb = measure(&mut VigNatMb::new(cfg()), n);
         let lin = measure(&mut NetfilterNat::new(cfg()), n);
         // Real-clock mode: the same NAT reading the host clock per
         // process call / per burst — side by side with virtual time.
         let ver_sys = measure(
-            &mut SystemClockMb::new(VigNatMb::new(cfg()), "Verified NAT (sysclock)"),
+            &mut PerFrame(SystemClockMb::new(
+                VigNatMb::new(cfg()),
+                "Verified NAT (sysclock)",
+            )),
             n,
         );
-        let verb_sys = measure_batched(
+        let verb_sys = measure(
             &mut SystemClockMb::new(VigNatMb::new(cfg()), "Verified batched (sysclock)"),
             n,
         );
@@ -296,14 +316,9 @@ fn main() {
     // both modes at the largest flow count.
     let (p50_seq, p99_seq, p50_bat, p99_bat) = {
         let flows = *sweep.last().expect("non-empty sweep");
-        let texp = Time::from_secs(60).nanos();
         let pkts = throughput_packets() / 4;
-        let mut tb = Testbed::new(512);
-        let mut nf = VigNatMb::new(cfg());
-        let s = steady_state_service_times(&mut nf, &mut tb, flows, pkts, texp);
-        let mut tb = Testbed::new(512);
-        let mut nf = VigNatMb::new(cfg());
-        let b = steady_state_service_times_batched(&mut nf, &mut tb, flows, pkts, texp);
+        let s = service_times(&mut PerFrame(VigNatMb::new(cfg())), 1, flows, pkts);
+        let b = service_times(&mut VigNatMb::new(cfg()), 1, flows, pkts);
         (
             s.percentile(0.5),
             s.percentile(0.99),
@@ -401,27 +416,17 @@ fn main() {
         &curve_rows,
     );
 
-    // Multi-queue event-driven sweep (queues × shards): the epoll-style
-    // driver feeding the N-shard NAT from Q RSS-classified queues, on
-    // one core — what the event loop costs relative to the lockstep
-    // single-queue drain, and how it scales in queues and shards. The
-    // measurement runs through the backend-generic driver over
-    // `SimBackend` (the PacketIo seam `backend::os::OsBackend` plugs
-    // into), so this series prices exactly the event loop the live NAT
-    // ships with.
+    // Multi-queue sweep (queues × shards): the same driver feeding the
+    // N-shard NAT from Q RSS-classified queues, on one core — how the
+    // event loop scales in queues and shards (the 1q/1s point differs
+    // from `verified_batched` only in the table being the 1-shard
+    // sharded one).
     let mq_combos: [(usize, usize); 4] = [(1, 1), (2, 2), (4, 2), (4, 4)];
     let mq_flows = (cfg().capacity as f64 * occupancy) as usize;
     let mut mq_points = Vec::new();
     for &(queues, shards) in &mq_combos {
-        let svc = event_driven_service_times(
-            &cfg(),
-            queues,
-            shards,
-            mq_flows,
-            throughput_packets() / 4,
-            Time::from_secs(60).nanos(),
-            512,
-        );
+        let mut nf = ShardedVigNatMb::sharded(cfg(), shards);
+        let svc = service_times(&mut nf, queues, mq_flows, throughput_packets() / 4);
         let (mpps, mean, rejected) = search_rate_filtered(&svc, 512);
         mq_points.push((queues, shards, mpps, mean, rejected));
     }
@@ -690,7 +695,7 @@ fn main() {
     let mq_11 = mq_points[0].2;
     let mq_44 = mq_points[3].2;
     println!(
-        "  Event-driven driver overhead (1q/1s vs lockstep batched): {:.2}x ({mq_11:.2} vs {m_verb:.2} Mpps)",
+        "  1-shard sharded table at 50% occupancy vs unsharded batched: {:.2}x ({mq_11:.2} vs {m_verb:.2} Mpps)",
         mq_11 / m_verb
     );
     println!(

@@ -14,7 +14,7 @@
 //! Run: `cargo bench -p vig-bench --bench text_expiry60`
 
 use libvig::time::Time;
-use netsim::harness::{probe_latency, Testbed};
+use netsim::harness::probe_latency;
 use netsim::middlebox::{Middlebox, VigNatMb};
 use netsim::tester::WorkloadMix;
 use vig_baselines::UnverifiedNat;
@@ -36,7 +36,6 @@ fn cfg(texp_s: u64) -> NatConfig {
 }
 
 fn probe_mean(nf: &mut dyn Middlebox, texp_s: u64, pool: usize) -> f64 {
-    let mut tb = Testbed::new(512);
     // Measure 2x the probe count and keep the second half: with the
     // 60 s expiry the first `pool` probes are misses (cold start), the
     // steady state is all hits.
@@ -51,7 +50,7 @@ fn probe_mean(nf: &mut dyn Middlebox, texp_s: u64, pool: usize) -> f64 {
         texp_ns: Time::from_secs(texp_s).nanos(),
         probe_pool: pool,
     };
-    let s = probe_latency(nf, &mut tb, &mix);
+    let s = probe_latency(nf, &mix);
     let tail = &s.ns[s.ns.len() / 2..];
     tail.iter().sum::<u64>() as f64 / tail.len() as f64
 }

@@ -105,8 +105,8 @@ pub fn measure_fault_overhead(
     trials: usize,
     packets: usize,
 ) -> FaultOverhead {
-    use netsim::backend::{FaultIo, FaultPlan, SimBackend};
-    use netsim::eventloop::event_driven_service_times_on;
+    use netsim::backend::{FaultIo, FaultPlan, SimBackend, TesterIo};
+    use netsim::eventloop::round_service_times;
     use netsim::frame_env::RssClassifier;
     use netsim::harness::search_rate_filtered;
     use netsim::middlebox::ShardedVigNatMb;
@@ -118,34 +118,22 @@ pub fn measure_fault_overhead(
     // bare/wrapped runs interleave tightly in wall time.
     let flows = 1024.min(cfg.capacity / 2);
     // Per run: (loss-search rate in Mpps, median per-packet ns).
-    let stats_of = |mut svc: netsim::harness::LatencySamples| {
+    fn run<B: TesterIo>(
+        io: B,
+        cfg: &vig_spec::NatConfig,
+        flows: usize,
+        packets: usize,
+    ) -> (f64, f64) {
+        let mut nf = ShardedVigNatMb::sharded(*cfg, 2);
+        let gen = netsim::tester::FlowGen::new(vig_packet::Proto::Udp);
+        let (mut svc, _io) = round_service_times(io, &mut nf, &gen, flows, packets, cfg.expiry_ns);
         let mpps = search_rate_filtered(&svc, 512).0;
         svc.ns.sort_unstable();
         (mpps, svc.ns[svc.ns.len() / 2] as f64)
-    };
-    let run_bare = |_: usize| {
-        let mut nf = ShardedVigNatMb::sharded(*cfg, 2);
-        stats_of(event_driven_service_times_on(
-            SimBackend::new(RssClassifier::for_nat(cfg, 2), 512),
-            &mut nf,
-            flows,
-            packets,
-            cfg.expiry_ns,
-        ))
-    };
-    let run_wrapped = |_: usize| {
-        let mut nf = ShardedVigNatMb::sharded(*cfg, 2);
-        stats_of(event_driven_service_times_on(
-            FaultIo::new(
-                SimBackend::new(RssClassifier::for_nat(cfg, 2), 512),
-                FaultPlan::none(),
-            ),
-            &mut nf,
-            flows,
-            packets,
-            cfg.expiry_ns,
-        ))
-    };
+    }
+    let sim = || SimBackend::new(RssClassifier::for_nat(cfg, 2), 512);
+    let run_bare = || run(sim(), cfg, flows, packets);
+    let run_wrapped = || run(FaultIo::new(sim(), FaultPlan::none()), cfg, flows, packets);
     let mut bare_rates = Vec::with_capacity(trials);
     let mut fault_rates = Vec::with_capacity(trials);
     let mut overheads = Vec::with_capacity(trials);
@@ -157,11 +145,11 @@ pub fn measure_fault_overhead(
         // pairs a burst straddled fall to the outer median below —
         // far steadier than a delta of means or loss-search rates.
         let (bare, wrapped) = if t % 2 == 0 {
-            let b = run_bare(t);
-            (b, run_wrapped(t))
+            let b = run_bare();
+            (b, run_wrapped())
         } else {
-            let w = run_wrapped(t);
-            (run_bare(t), w)
+            let w = run_wrapped();
+            (run_bare(), w)
         };
         bare_rates.push(bare.0);
         fault_rates.push(wrapped.0);

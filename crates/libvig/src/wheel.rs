@@ -71,8 +71,9 @@
 //! ## The overdue lane
 //!
 //! A sharded NAT's expiry threshold can come from a *global* clock
-//! ahead of the shard's local packet clock (`QueueFed` ticks idle
-//! shards at the fleet-wide max). After such a tick fast-forwards the
+//! ahead of the shard's local packet clock (a driver that expires
+//! every shard at each burst's arrival instant ticks idle shards at
+//! the fleet-wide max). After such a tick fast-forwards the
 //! cursor, a later local insert may carry `t < C`. Those entries are
 //! already due-or-imminent; they go to a dedicated **overdue FIFO**
 //! drained before the wheel. Monotonicity makes this exact too: an

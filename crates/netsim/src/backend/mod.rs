@@ -12,10 +12,10 @@
 //! poller/WRR event loop — runs over:
 //!
 //! * [`SimBackend`] — the in-process NIC model: an adapter over
-//!   [`MultiQueueDevice`](crate::dpdk::MultiQueueDevice), byte-for-byte
-//!   equivalent to the legacy
-//!   [`MultiQueueTestbed`](crate::eventloop::MultiQueueTestbed)
-//!   (`tests/backend_conformance.rs` proves it differentially);
+//!   [`MultiQueueDevice`](crate::dpdk::MultiQueueDevice), the home of
+//!   every simulated test and bench (`tests/queue_equivalence.rs`
+//!   proves the driver over it equivalent to sequential per-frame
+//!   processing);
 //! * [`os::OsBackend`] (Linux) — real OS packet I/O: one `AF_PACKET`
 //!   raw socket per port, bound to an interface (a veth pair end in the
 //!   intended deployment), feeding the *same* classifier and FIFOs with
@@ -120,8 +120,8 @@ pub trait PacketIo {
 /// Tester-side frame staging and collection — how a measurement
 /// harness gets frames *into* a backend and reads what came out.
 ///
-/// For the sim backend this is direct ring access (classify + enqueue,
-/// exactly the legacy testbed's `offer`/`collect_tx`). For an OS
+/// For the sim backend this is direct ring access (classify + enqueue
+/// on the way in, dequeue + reclaim on the way out). For an OS
 /// backend the "tester" sits on the far end of the wire: the veth-pair
 /// test rig ([`os::OsTestRig`]) implements `stage` by sending on the
 /// peer interface's own raw socket and `reap` by receiving there.

@@ -1,14 +1,14 @@
 //! [`SimBackend`]: the in-process NIC model behind the [`PacketIo`]
 //! seam.
 //!
-//! An adapter over two [`MultiQueueDevice`]s and one [`Mempool`] —
-//! structurally the same parts as the legacy
-//! [`MultiQueueTestbed`](crate::eventloop::MultiQueueTestbed), arranged
-//! behind the backend trait instead of a concrete drain loop. The
-//! conformance suite (`tests/backend_conformance.rs`) proves the
-//! generic driver over this backend byte-for-byte equivalent to the
-//! legacy testbed: same tx sequences, same NAT state, same per-queue
-//! drop accounting under overflow.
+//! An adapter over two [`MultiQueueDevice`]s and one [`Mempool`]: the
+//! two-port testbed of the paper's Fig. 11 (one queue) or its RSS
+//! multi-queue extension, arranged behind the backend trait so the one
+//! drain loop ([`crate::eventloop::BackendDriver`]) serves it like any
+//! other packet source. `tests/queue_equivalence.rs` proves the driver
+//! over this backend byte-for-byte equivalent per flow to sequential
+//! per-frame processing, per-queue drop accounting under overflow
+//! included.
 
 use super::{PacketIo, TesterIo};
 use crate::dpdk::{BufIdx, Mempool, MultiQueueDevice, PortStats, MBUF_SIZE};
@@ -27,8 +27,8 @@ pub struct SimBackend {
 impl SimBackend {
     /// Backend whose ports have one RX/TX ring pair of `ring_size`
     /// descriptors per classifier queue. The pool holds four rings'
-    /// worth of buffers per queue — identical sizing to the legacy
-    /// testbed, so pool-exhaustion behaviour matches exactly.
+    /// worth of buffers per queue — both ports' RX and TX rings can be
+    /// full at once without exhausting it.
     pub fn new(classifier: RssClassifier, ring_size: usize) -> SimBackend {
         let queues = classifier.queue_count();
         SimBackend {
@@ -112,10 +112,10 @@ impl PacketIo for SimBackend {
 
 impl TesterIo for SimBackend {
     /// Tester-side: write the frame, classify it (the NIC hash unit's
-    /// step), and offer it to the chosen RX queue — the exact logic of
-    /// the legacy testbed's `offer`, including the pool-exhaustion
-    /// accounting (an RX drop on the queue the frame would have
-    /// entered).
+    /// step), and offer it to the chosen RX queue. A full ring counts
+    /// the drop on that queue; pool exhaustion manifests the same way
+    /// (an RX drop on the queue the frame would have entered — a NIC
+    /// out of descriptors).
     fn stage(
         &mut self,
         dir: Direction,

@@ -188,78 +188,6 @@ pub struct PortStats {
     pub tx_bytes: u64,
 }
 
-/// A simulated NIC port: an RX ring the tester feeds, a TX ring the NF
-/// fills, and counters.
-#[derive(Debug)]
-pub struct Device {
-    /// Inbound queue.
-    pub rx: Ring,
-    /// Outbound queue.
-    pub tx: Ring,
-    /// Counters.
-    pub stats: PortStats,
-}
-
-impl Device {
-    /// Device with the given ring sizes (the paper's setup used default
-    /// DPDK rings; 512 descriptors is representative).
-    pub fn new(ring_size: usize) -> Device {
-        Device {
-            rx: Ring::new(ring_size),
-            tx: Ring::new(ring_size),
-            stats: PortStats::default(),
-        }
-    }
-
-    /// Tester-side: offer a frame to the port. Returns `false` (and
-    /// counts a drop) when the RX ring is full — this is packet loss.
-    pub fn offer(&mut self, buf: BufIdx) -> bool {
-        if self.rx.push(buf) {
-            self.stats.rx += 1;
-            true
-        } else {
-            self.stats.rx_dropped += 1;
-            false
-        }
-    }
-
-    /// NF-side: take the next received frame.
-    pub fn rx_burst_one(&mut self) -> Option<BufIdx> {
-        self.rx.pop()
-    }
-
-    /// NF-side: drain up to `max` received frames into `out` (the
-    /// `rte_eth_rx_burst` analog). Returns how many were taken.
-    pub fn rx_burst(&mut self, max: usize, out: &mut Vec<BufIdx>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.rx.pop() {
-                Some(b) => {
-                    out.push(b);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// NF-side: queue a frame of `bytes` bytes for transmission.
-    pub fn tx_put(&mut self, buf: BufIdx, bytes: usize) -> bool {
-        let ok = self.tx.push(buf);
-        if ok {
-            self.stats.tx += 1;
-            self.stats.tx_bytes += bytes as u64;
-        }
-        ok
-    }
-
-    /// Tester-side: collect a transmitted frame.
-    pub fn tx_take(&mut self) -> Option<BufIdx> {
-        self.tx.pop()
-    }
-}
-
 /// A simulated multi-queue NIC port: N independent RX/TX ring pairs
 /// with per-queue statistics — the device model behind RSS (receive
 /// side scaling), where the NIC hashes each arriving frame and steers
@@ -285,7 +213,7 @@ pub struct MultiQueueDevice {
 
 impl MultiQueueDevice {
     /// A port with `queues` RX/TX ring pairs of `ring_size` descriptors
-    /// each. A 1-queue device is behaviourally identical to [`Device`].
+    /// each.
     pub fn new(queues: usize, ring_size: usize) -> MultiQueueDevice {
         assert!(queues > 0, "need at least one queue");
         MultiQueueDevice {
@@ -515,19 +443,20 @@ mod tests {
 
     #[test]
     fn device_counts_loss() {
-        let mut d = Device::new(1);
-        assert!(d.offer(BufIdx(0)));
+        let mut d = MultiQueueDevice::new(1, 1);
+        assert!(d.offer_to(0, BufIdx(0)));
         assert!(
-            !d.offer(BufIdx(1)),
+            !d.offer_to(0, BufIdx(1)),
             "second offer overflows the 1-slot ring"
         );
-        assert_eq!(d.stats.rx, 1);
-        assert_eq!(d.stats.rx_dropped, 1);
-        let got = d.rx_burst_one().unwrap();
-        assert!(d.tx_put(got, 64));
-        assert_eq!(d.stats.tx, 1);
-        assert_eq!(d.stats.tx_bytes, 64);
-        assert_eq!(d.tx_take(), Some(BufIdx(0)));
+        assert_eq!(d.queue_stats(0).rx, 1);
+        assert_eq!(d.queue_stats(0).rx_dropped, 1);
+        let mut got = Vec::new();
+        assert_eq!(d.rx_burst(0, 1, &mut got), 1);
+        assert!(d.tx_put(0, got[0], 64));
+        assert_eq!(d.queue_stats(0).tx, 1);
+        assert_eq!(d.queue_stats(0).tx_bytes, 64);
+        assert_eq!(d.tx_take(0), Some(BufIdx(0)));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The async (epoll-style) event-driven driver over the multi-queue
-//! NIC model.
+//! The async (epoll-style) event-driven driver: the one piece of code
+//! that moves frames from an RX ring into
+//! [`Middlebox::process_burst`] and verdicts out to a TX ring.
 //!
 //! The paper's NAT is one run-to-completion loop over one RX ring; this
 //! module is the I/O layer that feeds the *same verified loop body*
@@ -16,24 +17,22 @@
 //! * [`EventLoop`] — the driver state (poller + scheduler + batch
 //!   scratch), reused across drains so the steady-state path allocates
 //!   nothing;
-//! * [`MultiQueueTestbed`] — the two-port testbed analog of
-//!   [`crate::harness::Testbed`]: one mempool, two
-//!   [`MultiQueueDevice`]s, and the RSS classifier
-//!   ([`RssClassifier`]) applied tester-side exactly where a NIC's
-//!   hash unit runs;
-//! * [`BackendDriver`] — the same drain loop written once over the
+//! * [`BackendDriver`] — the drain loop, written once over the
 //!   [`PacketIo`] backend seam (see [`crate::backend`]), so it runs
-//!   identically on the simulated NIC model ([`SimBackend`]) and on
-//!   real OS packet I/O (`backend::os::OsBackend`); the legacy
-//!   [`MultiQueueTestbed`] drain stays as its differential oracle.
+//!   identically on the simulated NIC model
+//!   ([`SimBackend`](crate::backend::SimBackend), any queue count down
+//!   to one) and on real OS packet I/O (`backend::os::OsBackend`);
+//! * [`round_service_times`] / [`sustained_service_times_io`] — the two
+//!   RFC 2544 traffic shapes (paced all-hit rounds for synchronous
+//!   backends, a sustained in-flight window for asynchronous wires),
+//!   both staged through [`TesterIo`] and drained by [`BackendDriver`].
 //!
 //! Packets reach the NF through the ordinary [`Middlebox::process_burst`]
 //! — each queue event becomes one `BurstEnv` drain of the verified
 //! batch loop — so the event-driven driver changes *when* bursts run,
 //! never *what* a burst does. `tests/queue_equivalence.rs` proves the
 //! output byte-for-byte equivalent per flow to the sequential
-//! single-queue driver, which stays in [`crate::harness`] as the
-//! differential oracle.
+//! per-frame [`Middlebox::process`] oracle.
 //!
 //! ## Ordering guarantees (and the shape of the equivalence proof)
 //!
@@ -52,15 +51,13 @@
 //! queues; translation of *established* flows remains byte-identical
 //! in every case. See `docs/ARCHITECTURE.md`.
 
-use crate::backend::{PacketIo, SimBackend, TesterIo};
-use crate::dpdk::{BufIdx, Mempool, MultiQueueDevice, PortStats, MBUF_SIZE};
-use crate::frame_env::RssClassifier;
+use crate::backend::{PacketIo, TesterIo};
+use crate::dpdk::BufIdx;
 use crate::harness::LatencySamples;
-use crate::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
+use crate::middlebox::{Middlebox, Verdict};
 use crate::tester::FlowGen;
 use libvig::time::Time;
-use vig_packet::Direction;
-use vig_spec::NatConfig;
+use vig_packet::{Direction, FlowFields};
 use vignat::MAX_BURST;
 
 /// One readiness event: RX queue `queue` of port `dir` holds frames.
@@ -116,30 +113,17 @@ impl Poller {
         }
     }
 
-    /// Scan both ports' RX queues and record every non-empty one as a
-    /// [`QueueEvent`] (readable via [`Poller::ready`]). Returns how
-    /// many queues are ready. An empty scan advances the idle backoff
-    /// (doubling up to the cap); any readiness resets it.
-    pub fn poll(&mut self, int_dev: &MultiQueueDevice, ext_dev: &MultiQueueDevice) -> usize {
-        self.poll_with(int_dev.queue_count(), |dir, q| match dir {
-            Direction::Internal => int_dev.rx_len(q),
-            Direction::External => ext_dev.rx_len(q),
-        })
-    }
-
-    /// [`Poller::poll`] over any [`PacketIo`] backend: the identical
-    /// level-triggered scan (internal port first, ascending queue
-    /// index) against the backend's `rx_len` readiness signal.
+    /// Scan both ports' RX queues (internal port first, ascending
+    /// queue index) against the backend's `rx_len` readiness signal
+    /// and record every non-empty one as a [`QueueEvent`] (readable via
+    /// [`Poller::ready`]). Returns how many queues are ready. An empty
+    /// scan advances the idle backoff (doubling up to the cap); any
+    /// readiness resets it.
     pub fn poll_io<B: PacketIo>(&mut self, io: &B) -> usize {
-        self.poll_with(io.queue_count(), |dir, q| io.rx_len(dir, q))
-    }
-
-    /// The shared scan: `rx_len(dir, q)` over both ports × `queues`.
-    fn poll_with(&mut self, queues: usize, rx_len: impl Fn(Direction, usize) -> usize) -> usize {
         self.ready.clear();
         for dir in [Direction::Internal, Direction::External] {
-            for q in 0..queues {
-                if rx_len(dir, q) > 0 {
+            for q in 0..io.queue_count() {
+                if io.rx_len(dir, q) > 0 {
                     self.ready.push(QueueEvent { dir, queue: q });
                 }
             }
@@ -156,7 +140,7 @@ impl Poller {
         self.ready.len()
     }
 
-    /// The events found by the last [`Poller::poll`].
+    /// The events found by the last [`Poller::poll_io`].
     pub fn ready(&self) -> &[QueueEvent] {
         &self.ready
     }
@@ -310,13 +294,16 @@ pub struct TxRecord {
     pub frame: Vec<u8>,
 }
 
-/// The backend-generic event-driven driver: the same poll → WRR →
-/// budgeted-burst → verified-batch-loop drain as
-/// [`MultiQueueTestbed::drain_event_driven`], written once over
-/// [`PacketIo`] so it runs identically on the simulated NIC model and
-/// on real OS packet I/O. `tests/backend_conformance.rs` proves the
-/// [`SimBackend`] instantiation byte-for-byte equivalent to the legacy
-/// testbed, which stays as the differential oracle.
+/// The event-driven driver: poll for ready queues, visit them in
+/// weighted round-robin order, and run each visit's budgeted burst
+/// through [`Middlebox::process_burst`] — one queue event, one
+/// `BurstEnv` drain of the verified batch loop. Forwarded frames go out
+/// on the destination port's TX queue of the same index (a
+/// run-to-completion core owns its queue pair). Written once over
+/// [`PacketIo`], so it runs identically on the simulated NIC model and
+/// on real OS packet I/O; `tests/queue_equivalence.rs` proves the
+/// `SimBackend` instantiation byte-for-byte equivalent per flow to the
+/// sequential per-frame oracle.
 pub struct BackendDriver<B: PacketIo> {
     io: B,
     ev: EventLoop,
@@ -424,9 +411,10 @@ impl<B: PacketIo> BackendDriver<B> {
                         // injected overrun: flush and retry up to the
                         // budget, then drop with accounting — bounded
                         // degradation, never a stall or a panic. On the
-                        // sim backend flush is a no-op and the legacy
-                        // testbed's sizing invariant makes the first
-                        // put succeed, so equivalence is untouched.
+                        // sim backend flush is a no-op, and a tester
+                        // that reaps between drains leaves each TX ring
+                        // (as deep as the RX ring feeding it) room for
+                        // the whole drain, so the first put succeeds.
                         let mut sent = self.io.tx_put(*out, event.queue, buf);
                         for _ in 0..TX_RETRY_BUDGET {
                             if sent {
@@ -456,9 +444,8 @@ impl<B: PacketIo> BackendDriver<B> {
     }
 
     /// Drain until idle: service rounds until a poll finds no queue
-    /// ready, then flush TX to the backend's outside world. The exact
-    /// loop of [`MultiQueueTestbed::drain_event_driven`], including its
-    /// statistics semantics (the final empty poll is counted).
+    /// ready, then flush TX to the backend's outside world. The final
+    /// empty poll is counted in [`DrainStats::polls`].
     pub fn drain(&mut self, nf: &mut dyn Middlebox, now: Time) -> DrainStats {
         let mut stats = DrainStats::default();
         let t0 = std::time::Instant::now();
@@ -487,239 +474,18 @@ impl<B: PacketIo> BackendDriver<B> {
     }
 }
 
-/// The two-port multi-queue testbed: one mempool, two
-/// [`MultiQueueDevice`]s, and the RSS classifier applied tester-side.
-/// The multi-queue analog of [`crate::harness::Testbed`].
-pub struct MultiQueueTestbed {
-    pool: Mempool,
-    int_dev: MultiQueueDevice,
-    ext_dev: MultiQueueDevice,
-    classifier: RssClassifier,
-    scratch: Box<[u8; MBUF_SIZE]>,
-}
-
-impl MultiQueueTestbed {
-    /// Testbed whose ports have one RX/TX ring pair of `ring_size`
-    /// descriptors per classifier queue. The pool holds four rings'
-    /// worth of buffers per queue, like the single-queue testbed.
-    pub fn new(classifier: RssClassifier, ring_size: usize) -> MultiQueueTestbed {
-        let queues = classifier.queue_count();
-        MultiQueueTestbed {
-            pool: Mempool::new(queues * ring_size * 4),
-            int_dev: MultiQueueDevice::new(queues, ring_size),
-            ext_dev: MultiQueueDevice::new(queues, ring_size),
-            classifier,
-            scratch: Box::new([0u8; MBUF_SIZE]),
-        }
-    }
-
-    fn dev(&mut self, d: Direction) -> &mut MultiQueueDevice {
-        match d {
-            Direction::Internal => &mut self.int_dev,
-            Direction::External => &mut self.ext_dev,
-        }
-    }
-
-    /// The classifier steering this testbed's traffic.
-    pub fn classifier(&self) -> RssClassifier {
-        self.classifier
-    }
-
-    /// Queues per port.
-    pub fn queue_count(&self) -> usize {
-        self.int_dev.queue_count()
-    }
-
-    /// Buffers currently free in the pool (leak checks).
-    pub fn pool_available(&self) -> usize {
-        self.pool.available()
-    }
-
-    /// Queue `q`'s counters on port `dir`.
-    pub fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
-        match dir {
-            Direction::Internal => self.int_dev.queue_stats(q),
-            Direction::External => self.ext_dev.queue_stats(q),
-        }
-    }
-
-    /// Port-wide counters (sum over queues).
-    pub fn port_stats(&self, dir: Direction) -> PortStats {
-        match dir {
-            Direction::Internal => self.int_dev.port_stats(),
-            Direction::External => self.ext_dev.port_stats(),
-        }
-    }
-
-    /// Tester-side: write a frame, classify it (the NIC hash unit's
-    /// step), and offer it to the chosen RX queue. Returns the queue it
-    /// landed in, or `None` when that queue's ring (or the pool) is
-    /// full — in which case the drop is counted in that queue's stats
-    /// and nothing else changes.
-    pub fn offer(
-        &mut self,
-        dir: Direction,
-        fields_writer: impl FnOnce(&mut [u8]) -> usize,
-    ) -> Option<usize> {
-        let len = fields_writer(&mut self.scratch[..]);
-        let q = self.classifier.queue_of(dir, &self.scratch[..len]);
-        let Some(buf) = self.pool.get() else {
-            // Pool exhaustion manifests as an RX drop on the queue the
-            // frame would have entered (a NIC out of descriptors).
-            self.dev(dir).note_rx_drop(q);
-            return None;
-        };
-        self.pool.write_frame(buf, &self.scratch[..len]);
-        if self.dev(dir).offer_to(q, buf) {
-            Some(q)
-        } else {
-            self.pool.put(buf);
-            None
-        }
-    }
-
-    /// The event-driven drain: poll for ready queues, visit them in
-    /// weighted round-robin order, and run each visit's budgeted burst
-    /// through [`Middlebox::process_burst`] — one queue event, one
-    /// `BurstEnv` drain of the verified batch loop. Loops until no
-    /// queue is ready. Forwarded frames go out on the destination
-    /// port's TX queue of the same index (a run-to-completion core owns
-    /// its queue pair). Returns the drain's statistics; transmitted
-    /// frames stay queued until [`MultiQueueTestbed::collect_tx`].
-    pub fn drain_event_driven(
-        &mut self,
-        nf: &mut dyn Middlebox,
-        now: Time,
-        ev: &mut EventLoop,
-    ) -> DrainStats {
-        let mut stats = DrainStats::default();
-        let t0 = std::time::Instant::now();
-        loop {
-            stats.polls += 1;
-            let n_ready = ev.poller.poll(&self.int_dev, &self.ext_dev);
-            if n_ready == 0 {
-                break;
-            }
-            let start = ev.wrr.rotation(n_ready);
-            for k in 0..n_ready {
-                let event = ev.poller.ready[(start + k) % n_ready];
-                let budget = ev.wrr.budget(event.queue);
-                ev.batch.clear();
-                if self
-                    .dev(event.dir)
-                    .rx_burst(event.queue, budget, &mut ev.batch)
-                    == 0
-                {
-                    continue;
-                }
-                stats.bursts += 1;
-                let verdicts = nf.process_burst(event.dir, &mut self.pool, &ev.batch, now);
-                debug_assert_eq!(verdicts.len(), ev.batch.len());
-                for (&buf, v) in ev.batch.iter().zip(&verdicts) {
-                    match v {
-                        Verdict::Forward(out) => {
-                            let bytes = self.pool.frame(buf).len();
-                            assert!(
-                                self.dev(*out).tx_put(event.queue, buf, bytes),
-                                "tx ring sized for a ring's worth of bursts"
-                            );
-                            stats.forwarded += 1;
-                        }
-                        Verdict::Drop => {
-                            self.pool.put(buf);
-                            stats.dropped += 1;
-                        }
-                    }
-                }
-            }
-        }
-        stats.elapsed_ns = t0.elapsed().as_nanos() as u64;
-        stats
-    }
-
-    /// The lockstep oracle drain: visit every queue of both ports in
-    /// fixed ascending order and drain each *fully* (in
-    /// [`MAX_BURST`]-frame chunks) before moving on — the sequential
-    /// interleaving the event-driven drain is differentially tested
-    /// against. Returns `(forwarded, dropped)`.
-    pub fn drain_sequential(&mut self, nf: &mut dyn Middlebox, now: Time) -> (u64, u64) {
-        let mut forwarded = 0u64;
-        let mut dropped = 0u64;
-        let mut batch: Vec<BufIdx> = Vec::with_capacity(MAX_BURST);
-        for dir in [Direction::Internal, Direction::External] {
-            for q in 0..self.queue_count() {
-                loop {
-                    batch.clear();
-                    if self.dev(dir).rx_burst(q, MAX_BURST, &mut batch) == 0 {
-                        break;
-                    }
-                    let verdicts = nf.process_burst(dir, &mut self.pool, &batch, now);
-                    for (&buf, v) in batch.iter().zip(&verdicts) {
-                        match v {
-                            Verdict::Forward(out) => {
-                                let bytes = self.pool.frame(buf).len();
-                                assert!(
-                                    self.dev(*out).tx_put(q, buf, bytes),
-                                    "tx ring holds the queue"
-                                );
-                                forwarded += 1;
-                            }
-                            Verdict::Drop => {
-                                self.pool.put(buf);
-                                dropped += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        (forwarded, dropped)
-    }
-
-    /// Tester-side: collect every transmitted frame from port `dir`'s
-    /// TX queues (queue order, FIFO within a queue), reclaiming the
-    /// buffers. Returns `(tx_queue, frame bytes)` pairs.
-    pub fn collect_tx(&mut self, dir: Direction) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        for q in 0..self.queue_count() {
-            while let Some(buf) = self.dev(dir).tx_take(q) {
-                out.push((q, self.pool.frame(buf).to_vec()));
-                self.pool.put(buf);
-            }
-        }
-        out
-    }
-}
-
-/// Steady-state per-packet service times through the event-driven
-/// multi-queue path — the multi-queue analog of
-/// [`crate::harness::steady_state_service_times_batched`]: an N-shard
-/// NAT behind a `queues`-queue classifier, all-hit workload, 64-frame
-/// rounds staged across queues by RSS and drained event-driven. Each
-/// packet is assigned its round's mean (burst-granularity timing, as
-/// everywhere in the harness).
-pub fn event_driven_service_times(
-    cfg: &NatConfig,
-    queues: usize,
-    shards: usize,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    ring_cap: usize,
-) -> LatencySamples {
-    let mut nf = ShardedVigNatMb::sharded(*cfg, shards);
-    let io = SimBackend::new(RssClassifier::for_nat(cfg, queues), ring_cap);
-    event_driven_service_times_on(io, &mut nf, flows, packets, texp_ns)
-}
+/// Frames per measurement round: the DPDK run-to-completion burst
+/// granularity every service-time loop here stages and times at.
+const ROUND: usize = 64;
 
 /// Drain until `staged` frames of the current round have been
-/// processed (forwarded or dropped). One pass on a synchronous
-/// backend — the sim stages straight into the FIFOs, so the first
-/// drain handles everything and the loop exits without re-polling.
-/// On an asynchronous rig (the veth `OsTestRig`, where `stage` is a
-/// wire send) the kernel may deliver after the first poll, so keep
-/// draining until the frames show up, bounded by a generous
-/// real-time deadline. Statistics accumulate across passes.
+/// accounted for (forwarded, dropped by the NF, or dropped at TX). One
+/// pass on a synchronous backend — the sim stages straight into the
+/// FIFOs, so the first drain handles everything and the loop exits
+/// without re-polling. On an asynchronous rig (the veth `OsTestRig`,
+/// where `stage` is a wire send) the kernel may deliver after the
+/// first poll, so keep draining until the frames show up, bounded by a
+/// generous real-time deadline. Statistics accumulate across passes.
 fn drain_staged<B: PacketIo>(
     drv: &mut BackendDriver<B>,
     nf: &mut dyn Middlebox,
@@ -732,118 +498,111 @@ fn drain_staged<B: PacketIo>(
         let s = drv.drain(nf, now);
         total.forwarded += s.forwarded;
         total.dropped += s.dropped;
+        total.tx_dropped += s.tx_dropped;
         total.bursts += s.bursts;
         total.polls += s.polls;
         total.elapsed_ns += s.elapsed_ns;
-        if total.forwarded + total.dropped >= staged || std::time::Instant::now() >= deadline {
+        if total.forwarded + total.dropped + total.tx_dropped >= staged
+            || std::time::Instant::now() >= deadline
+        {
             return total;
         }
         std::thread::yield_now();
     }
 }
 
-/// The backend-generic measurement loop behind
-/// [`event_driven_service_times`]: populate, then timed all-hit rounds,
-/// staged through [`TesterIo`] and drained by [`BackendDriver`] — so
-/// the identical RFC 2544 methodology runs over the simulated NIC
-/// model or, via the veth test rig, over real OS packet I/O (rounds
-/// pace themselves on actual delivery — one drain pass on a
-/// synchronous backend, re-draining until the staged frames arrive on
-/// an asynchronous one — and a rig's interfaces should be quiesced
-/// the way `backend::os::VethPair::create` leaves them, so no kernel
-/// noise lands in the timed region).
-pub fn event_driven_service_times_on<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> LatencySamples {
-    event_driven_service_times_io(io, nf, flows, packets, texp_ns).0
-}
-
-/// [`event_driven_service_times_on`] with the flow universe made
-/// explicit — the scenario matrix sweeps mixed TCP/UDP universes
-/// ([`FlowGen::mixed`]) through the identical measurement loop, so a
-/// protocol-mix axis changes only the workload, never the methodology.
-pub fn event_driven_service_times_gen<B: TesterIo>(
-    io: B,
+/// One measurement round: stage `flows` on the internal port, drain
+/// until every admitted frame is accounted for, reap the external
+/// port. Returns how many frames the backend admitted and the round's
+/// drain statistics.
+pub(crate) fn offer_round<B: TesterIo>(
+    drv: &mut BackendDriver<B>,
     nf: &mut dyn Middlebox,
     gen: &FlowGen,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> LatencySamples {
-    event_driven_service_times_io_gen(io, nf, gen, flows, packets, texp_ns).0
-}
-
-/// [`event_driven_service_times_on`], but hand the backend back with
-/// the samples — the cross-wire RFC 2544 harness reads its honesty
-/// counters (kernel drops, tx errors) after the measurement.
-pub fn event_driven_service_times_io<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> (LatencySamples, B) {
-    let gen = FlowGen::new(vig_packet::Proto::Udp);
-    event_driven_service_times_io_gen(io, nf, &gen, flows, packets, texp_ns)
-}
-
-/// The common body behind [`event_driven_service_times_io`] and
-/// [`event_driven_service_times_gen`]: populate `flows` flows from
-/// `gen`'s universe, then timed all-hit rounds.
-fn event_driven_service_times_io_gen<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    gen: &FlowGen,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> (LatencySamples, B) {
-    const ROUND: usize = 64;
-    let mut drv = BackendDriver::new(io);
-    let mut now = Time::from_secs(1);
-
-    // Populate (untimed): establish every flow.
-    for chunk in (0..flows as u32).collect::<Vec<_>>().chunks(ROUND) {
-        now = now.plus(1_000);
-        for &i in chunk {
-            let f = gen.background(i);
-            let accepted = drv
-                .io_mut()
-                .stage(Direction::Internal, |b| gen.write_frame(&f, b));
-            assert!(accepted.is_some(), "populate must not overflow");
-        }
-        drain_staged(&mut drv, nf, now, chunk.len() as u64);
-        let _ = drv.io_mut().reap(Direction::External);
+    flows: impl Iterator<Item = FlowFields>,
+    now: Time,
+) -> (usize, DrainStats) {
+    let mut staged = 0usize;
+    for f in flows {
+        let admitted = drv
+            .io_mut()
+            .stage(Direction::Internal, |b| gen.write_frame(&f, b));
+        staged += usize::from(admitted.is_some());
     }
+    let stats = drain_staged(drv, nf, now, staged as u64);
+    let _ = drv.io_mut().reap(Direction::External);
+    (staged, stats)
+}
 
-    // Timed all-hit rounds; clock advances slowly enough that no flow
-    // expires (same construction as the single-queue harness).
+/// Send one frame of each of `gen`'s background flows `0..flows`
+/// through the driver (untimed) in paced [`ROUND`]-frame rounds,
+/// `round_gap_ns` of virtual time apart, starting after `now`: the
+/// populate step of every measurement loop, and the background refresh
+/// pass of [`crate::harness::probe_latency`]. Returns the clock after
+/// the last round.
+pub(crate) fn offer_background<B: TesterIo>(
+    drv: &mut BackendDriver<B>,
+    nf: &mut dyn Middlebox,
+    gen: &FlowGen,
+    flows: usize,
+    mut now: Time,
+    round_gap_ns: u64,
+) -> Time {
+    for start in (0..flows).step_by(ROUND) {
+        let end = flows.min(start + ROUND);
+        now = now.plus(round_gap_ns);
+        let ids = (start..end).map(|i| gen.background(i as u32));
+        let (staged, _) = offer_round(drv, nf, gen, ids, now);
+        assert_eq!(staged, end - start, "populate must not overflow");
+    }
+    now
+}
+
+/// Steady-state per-packet service times through the driver (Fig. 14's
+/// workload: "a fixed number of flows that never expire"): establish
+/// `flows` flows from `gen`'s universe, then time all-hit
+/// 64-frame rounds, staged through [`TesterIo`] and drained by
+/// [`BackendDriver`], until `packets` samples exist. Each packet is
+/// assigned its round's mean, which keeps clock-read overhead out of
+/// the service times while preserving burst-scale variance for the
+/// queue simulation. The virtual clock advances slowly enough that no
+/// flow expires inside `texp_ns`.
+///
+/// This is the one round loop: the NF (any [`Middlebox`], batched fast
+/// path or trait-default per-frame), the flow universe
+/// ([`FlowGen::mixed`] for the scenario matrix) and the backend (a
+/// 1-queue [`SimBackend`](crate::backend::SimBackend) for the paper's
+/// figures, multi-queue, `FaultIo`-wrapped, or a veth rig) are the
+/// caller's choice; the methodology is not. Rounds pace themselves on
+/// actual delivery — one drain pass on a synchronous backend,
+/// re-draining until the staged frames arrive on an asynchronous one —
+/// and a rig's interfaces should be quiesced the way
+/// `backend::os::VethPair::create` leaves them, so no kernel noise
+/// lands in the timed region. Every ring must hold a full round. The
+/// backend is handed back so honesty counters (kernel drops, tx
+/// errors, fault stats) can be read after the measurement.
+pub fn round_service_times<B: TesterIo>(
+    io: B,
+    nf: &mut dyn Middlebox,
+    gen: &FlowGen,
+    flows: usize,
+    packets: usize,
+    texp_ns: u64,
+) -> (LatencySamples, B) {
+    let mut drv = BackendDriver::new(io);
+    let mut now = offer_background(&mut drv, nf, gen, flows, Time::from_secs(1), 1_000);
+
     let rounds_estimate = packets.div_ceil(ROUND) as u64;
     let step = (texp_ns / 4) / (rounds_estimate * 8 + 1);
-    let mut samples = Vec::with_capacity(packets);
+    let mut samples = Vec::with_capacity(packets + ROUND);
     let mut next_flow = 0u32;
     while samples.len() < packets {
         now = now.plus(step.max(1));
-        let mut staged = 0usize;
-        for k in 0..ROUND {
-            let f = gen.background((next_flow + k as u32) % flows as u32);
-            if drv
-                .io_mut()
-                .stage(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some()
-            {
-                staged += 1;
-            }
-        }
+        let ids = (0..ROUND as u32).map(|k| gen.background((next_flow + k) % flows as u32));
+        let (staged, stats) = offer_round(&mut drv, nf, gen, ids, now);
         next_flow = (next_flow + ROUND as u32) % flows as u32;
-        let stats = drain_staged(&mut drv, nf, now, staged as u64);
         debug_assert_eq!(stats.dropped, 0, "steady state must be all hits");
-        let _ = drv.io_mut().reap(Direction::External);
-        debug_assert!(staged > 0);
+        assert!(staged > 0, "backend admitted nothing of a whole round");
         let per_packet = stats.elapsed_ns / staged as u64;
         samples.extend(std::iter::repeat_n(per_packet.max(1), staged));
     }
@@ -855,7 +614,7 @@ fn event_driven_service_times_io_gen<B: TesterIo>(
 /// drain continuously, instead of offering 64-frame bursts and waiting
 /// for each to fully drain.
 ///
-/// The round-based loop above is the right shape for the simulated
+/// [`round_service_times`] is the right shape for the simulated
 /// backend (stage and delivery are synchronous), but it measures a
 /// *batching transport* at its worst: on the `TPACKET_V3` block ring
 /// the kernel hands a block to user space when it fills **or** when
@@ -882,24 +641,9 @@ pub fn sustained_service_times_io<B: TesterIo>(
     window: usize,
     texp_ns: u64,
 ) -> (LatencySamples, B) {
-    const ROUND: usize = 64;
     let mut drv = BackendDriver::new(io);
     let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut now = Time::from_secs(1);
-
-    // Populate (untimed): establish every flow, in paced bursts.
-    for chunk in (0..flows as u32).collect::<Vec<_>>().chunks(ROUND) {
-        now = now.plus(1_000);
-        for &i in chunk {
-            let f = gen.background(i);
-            let accepted = drv
-                .io_mut()
-                .stage(Direction::Internal, |b| gen.write_frame(&f, b));
-            assert!(accepted.is_some(), "populate must not overflow");
-        }
-        drain_staged(&mut drv, nf, now, chunk.len() as u64);
-        let _ = drv.io_mut().reap(Direction::External);
-    }
+    let mut now = offer_background(&mut drv, nf, &gen, flows, Time::from_secs(1), 1_000);
 
     // Timed sustained phase. The virtual clock advances slowly enough
     // that no flow expires across the whole run.
@@ -961,8 +705,12 @@ pub fn sustained_service_times_io<B: TesterIo>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middlebox::VigNatMb;
+    use crate::backend::{FaultIo, FaultPlan, SimBackend};
+    use crate::dpdk::MBUF_SIZE;
+    use crate::frame_env::RssClassifier;
+    use crate::middlebox::{ShardedVigNatMb, VigNatMb};
     use vig_packet::{Ip4, Proto};
+    use vig_spec::NatConfig;
 
     fn cfg(cap: usize) -> NatConfig {
         NatConfig {
@@ -974,30 +722,50 @@ mod tests {
         }
     }
 
+    fn sim(c: &NatConfig, queues: usize, ring: usize) -> SimBackend {
+        SimBackend::new(RssClassifier::for_nat(c, queues), ring)
+    }
+
+    /// Stage background flow `i` on the internal port.
+    fn stage(io: &mut impl TesterIo, gen: &FlowGen, i: u32) -> Option<usize> {
+        let f = gen.background(i);
+        io.stage(Direction::Internal, |b| gen.write_frame(&f, b))
+    }
+
+    /// Background flow indices `0..512` sorted by the internal RX queue
+    /// a 2-queue classifier steers them to.
+    fn flows_by_queue(io: &SimBackend, gen: &FlowGen) -> [Vec<u32>; 2] {
+        let mut by_queue: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+        let mut buf = [0u8; MBUF_SIZE];
+        for i in 0..512u32 {
+            let n = gen.write_frame(&gen.background(i), &mut buf);
+            by_queue[io.classifier().queue_of(Direction::Internal, &buf[..n])].push(i);
+        }
+        by_queue
+    }
+
     #[test]
     fn poller_reports_readiness_and_backs_off_when_idle() {
-        let int_dev = MultiQueueDevice::new(2, 4);
-        let ext_dev = MultiQueueDevice::new(2, 4);
+        let mut io = sim(&cfg(64), 2, 4);
         let mut p = Poller::with_backoff(100, 800);
         // Idle polls double the backoff up to the cap.
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
+        assert_eq!(p.poll_io(&io), 0);
         assert_eq!(p.current_backoff_ns(), 200);
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
-        assert_eq!(p.poll(&int_dev, &ext_dev), 0);
+        assert_eq!(p.poll_io(&io), 0);
+        assert_eq!(p.poll_io(&io), 0);
+        assert_eq!(p.poll_io(&io), 0);
         assert_eq!(p.current_backoff_ns(), 800, "capped");
         assert_eq!(p.stats().idle_polls, 4);
         assert!(p.stats().idle_backoff_ns >= 100 + 200 + 400 + 800);
 
         // Readiness resets the backoff and reports the exact queue.
-        let mut int_dev = int_dev;
-        int_dev.offer_to(1, BufIdx(0));
-        assert_eq!(p.poll(&int_dev, &ext_dev), 1);
+        let queue = stage(&mut io, &FlowGen::new(Proto::Udp), 0).expect("ring has room");
+        assert_eq!(p.poll_io(&io), 1);
         assert_eq!(
             p.ready(),
             &[QueueEvent {
                 dir: Direction::Internal,
-                queue: 1
+                queue
             }]
         );
         assert_eq!(p.current_backoff_ns(), 100);
@@ -1011,25 +779,29 @@ mod tests {
         assert_eq!(w.budget(2), 16);
     }
 
-    #[test]
-    fn event_driven_drain_translates_and_reclaims_buffers() {
+    /// 48 fresh flows through 4 queues into a 2-shard NAT, one drain,
+    /// tx log on: the shared scene of the two translate-and-reclaim
+    /// tests.
+    fn drain_48_flows() -> (BackendDriver<SimBackend>, ShardedVigNatMb, DrainStats) {
         let c = cfg(256);
         let mut nf = ShardedVigNatMb::sharded(c, 2);
-        let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 4), 64);
-        let mut ev = EventLoop::new(4);
+        let mut drv = BackendDriver::new(sim(&c, 4, 64));
+        drv.set_tx_log(true);
         let gen = FlowGen::new(Proto::Udp);
-        let before = tb.pool_available();
         for i in 0..48u32 {
-            let f = gen.background(i);
-            assert!(tb
-                .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
+            assert!(stage(drv.io_mut(), &gen, i).is_some());
         }
-        let stats = tb.drain_event_driven(&mut nf, Time::from_secs(1), &mut ev);
+        let stats = drv.drain(&mut nf, Time::from_secs(1));
+        (drv, nf, stats)
+    }
+
+    #[test]
+    fn event_driven_drain_translates_and_reclaims_buffers() {
+        let (mut drv, nf, stats) = drain_48_flows();
         assert_eq!(stats.forwarded, 48);
         assert_eq!(stats.dropped, 0);
         assert!(stats.bursts >= 1);
-        let tx = tb.collect_tx(Direction::External);
+        let tx = drv.io_mut().reap(Direction::External);
         assert_eq!(tx.len(), 48);
         // Every output frame carries the external ip, and the port it
         // was allocated lives in the same *shard* group as the queue
@@ -1039,7 +811,8 @@ mod tests {
         for (q, frame) in &tx {
             let (_, ff) = vig_packet::parse_l3l4(frame).unwrap();
             assert_eq!(ff.src_ip, Ip4::new(10, 1, 0, 1));
-            let port_q = tb
+            let port_q = drv
+                .io()
                 .classifier()
                 .queue_of_port(ff.src_port)
                 .expect("allocated port is in range");
@@ -1049,7 +822,11 @@ mod tests {
                 "port's queue group must nest in the carrying queue's shard"
             );
         }
-        assert_eq!(tb.pool_available(), before, "no buffer leaks");
+        assert_eq!(
+            drv.io().pool_available(),
+            drv.io().pool().capacity(),
+            "no buffer leaks"
+        );
         assert_eq!(nf.occupancy(), 48);
     }
 
@@ -1061,32 +838,21 @@ mod tests {
         // queue once.
         let c = cfg(256);
         let mut nf = VigNatMb::new(c);
-        let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 2), 64);
-        let mut ev = EventLoop::with_parts(Poller::new(), Wrr::new(2, 8));
+        let mut drv = BackendDriver::with_event_loop(
+            sim(&c, 2, 64),
+            EventLoop::with_parts(Poller::new(), Wrr::new(2, 8)),
+        );
         let gen = FlowGen::new(Proto::Udp);
-        // Find flows for each queue.
-        let mut by_queue: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
-        let mut buf = [0u8; MBUF_SIZE];
-        for i in 0..512u32 {
-            let f = gen.background(i);
-            let n = gen.write_frame(&f, &mut buf);
-            let q = tb.classifier().queue_of(Direction::Internal, &buf[..n]);
-            by_queue[q].push(i);
-        }
+        let by_queue = flows_by_queue(drv.io(), &gen);
         // 40 frames into queue 0's flows, 8 into queue 1's.
-        for k in 0..40 {
-            let f = gen.background(by_queue[0][k % by_queue[0].len()]);
-            assert!(tb
-                .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
+        for (q, count) in [(0, 40), (1, 8)] {
+            for k in 0..count {
+                let i = by_queue[q][k % by_queue[q].len()];
+                assert_eq!(stage(drv.io_mut(), &gen, i), Some(q));
+            }
         }
-        for k in 0..8 {
-            let f = gen.background(by_queue[1][k % by_queue[1].len()]);
-            assert!(tb
-                .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
-        }
-        let stats = tb.drain_event_driven(&mut nf, Time::from_secs(1), &mut ev);
+        drv.set_tx_log(true);
+        let stats = drv.drain(&mut nf, Time::from_secs(1));
         assert_eq!(stats.forwarded, 48);
         // Deep queue: ceil(40/8) = 5 visits; shallow: 1. Plus the final
         // empty poll. Multiple poll rounds prove the interleaving.
@@ -1095,65 +861,95 @@ mod tests {
             stats.polls >= 5,
             "deep queue re-polls while shallow is done"
         );
-        let _ = tb.collect_tx(Direction::External);
+        // The first round serves both queues once: the shallow queue's
+        // 8 frames have all left within the first 16 transmissions.
+        let log = drv.take_tx_log();
+        let last_shallow = log.iter().rposition(|r| r.queue == 1).unwrap();
+        assert!(last_shallow < 16, "shallow queue waited for the deep one");
+        let _ = drv.io_mut().reap(Direction::External);
     }
 
     #[test]
     fn sequential_oracle_matches_event_driven_on_totals() {
+        // The reference is the thing that is actually one: per-frame
+        // `Middlebox::process` in arrival order.
         let c = cfg(128);
         let gen = FlowGen::new(Proto::Udp);
-        let mk = |tb: &mut MultiQueueTestbed| {
-            for i in 0..32u32 {
-                let f = gen.background(i);
-                assert!(tb
-                    .offer(Direction::Internal, |b| gen.write_frame(&f, b))
-                    .is_some());
+        let mut nf_drv = ShardedVigNatMb::sharded(c, 2);
+        let mut nf_seq = ShardedVigNatMb::sharded(c, 2);
+        let mut drv = BackendDriver::new(sim(&c, 2, 64));
+        let (mut fwd, mut drop) = (0u64, 0u64);
+        let mut buf = [0u8; MBUF_SIZE];
+        for i in 0..32u32 {
+            assert!(stage(drv.io_mut(), &gen, i).is_some());
+            let n = gen.write_frame(&gen.background(i), &mut buf);
+            match nf_seq.process(Direction::Internal, &mut buf[..n], Time::from_secs(1)) {
+                Verdict::Forward(_) => fwd += 1,
+                Verdict::Drop => drop += 1,
             }
-        };
-        let mut a = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 2), 64);
-        let mut b = MultiQueueTestbed::new(RssClassifier::for_nat(&c, 2), 64);
-        mk(&mut a);
-        mk(&mut b);
-        let mut nf_a = ShardedVigNatMb::sharded(c, 2);
-        let mut nf_b = ShardedVigNatMb::sharded(c, 2);
-        let mut ev = EventLoop::new(2);
-        let s = a.drain_event_driven(&mut nf_a, Time::from_secs(1), &mut ev);
-        let (fwd, drop) = b.drain_sequential(&mut nf_b, Time::from_secs(1));
+        }
+        let s = drv.drain(&mut nf_drv, Time::from_secs(1));
         assert_eq!((s.forwarded, s.dropped), (fwd, drop));
-        assert_eq!(nf_a.occupancy(), nf_b.occupancy());
-        let _ = (
-            a.collect_tx(Direction::External),
-            b.collect_tx(Direction::External),
+        assert_eq!(nf_drv.occupancy(), nf_seq.occupancy());
+        assert_eq!(
+            nf_drv.flow_manager().snapshot(),
+            nf_seq.flow_manager().snapshot()
         );
+        let _ = drv.io_mut().reap(Direction::External);
     }
 
     #[test]
     fn event_driven_steady_state_is_all_hits() {
-        let s =
-            event_driven_service_times(&cfg(1024), 2, 2, 64, 500, Time::from_secs(60).nanos(), 64);
+        let c = cfg(1024);
+        let mut nf = ShardedVigNatMb::sharded(c, 2);
+        let (s, io) = round_service_times(
+            sim(&c, 2, 64),
+            &mut nf,
+            &FlowGen::new(Proto::Udp),
+            64,
+            500,
+            c.expiry_ns,
+        );
         assert_eq!(s.ns.len(), 500);
         assert!(s.mean() > 0.0);
+        assert_eq!(nf.occupancy(), 64, "no flow may expire mid-experiment");
+        assert_eq!(io.pool_available(), io.pool().capacity(), "rounds reap");
+    }
+
+    #[test]
+    fn drain_staged_accounts_tx_drops_and_returns_at_once() {
+        // An overrun longer than the retry budget forces real TX
+        // drops. The round must count them as done (not wait out its
+        // 5 s delivery deadline for frames that will never forward)
+        // and report them.
+        let c = cfg(256);
+        let mut nf = VigNatMb::new(c);
+        let plan = FaultPlan::seeded(7).tx_reject_1_in(8, TX_RETRY_BUDGET as u64 + 1);
+        let mut drv = BackendDriver::new(FaultIo::new(sim(&c, 1, 64), plan));
+        let gen = FlowGen::new(Proto::Udp);
+        let t0 = std::time::Instant::now();
+        let ids = (0..ROUND as u32).map(|i| gen.background(i));
+        let (staged, stats) = offer_round(&mut drv, &mut nf, &gen, ids, Time::from_secs(1));
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "round waited for TX-dropped frames"
+        );
+        assert_eq!(staged, ROUND);
+        assert!(stats.tx_dropped > 0, "the plan must force a TX drop");
+        assert_eq!(
+            stats.forwarded + stats.dropped + stats.tx_dropped,
+            staged as u64
+        );
+        assert_eq!(
+            drv.io().inner().pool_available(),
+            drv.io().pool().capacity(),
+            "TX-dropped buffers go back to the pool"
+        );
     }
 
     #[test]
     fn backend_driver_over_sim_translates_and_reclaims_buffers() {
-        // The generic driver over SimBackend behaves like the legacy
-        // testbed drain on the same workload (the full byte-for-byte
-        // differential lives in tests/backend_conformance.rs).
-        let c = cfg(256);
-        let mut nf = ShardedVigNatMb::sharded(c, 2);
-        let mut drv = BackendDriver::new(SimBackend::new(RssClassifier::for_nat(&c, 4), 64));
-        drv.set_tx_log(true);
-        let gen = FlowGen::new(Proto::Udp);
-        let before = drv.io().pool_available();
-        for i in 0..48u32 {
-            let f = gen.background(i);
-            assert!(drv
-                .io_mut()
-                .stage(Direction::Internal, |b| gen.write_frame(&f, b))
-                .is_some());
-        }
-        let stats = drv.drain(&mut nf, Time::from_secs(1));
+        let (mut drv, nf, stats) = drain_48_flows();
         assert_eq!((stats.forwarded, stats.dropped), (48, 0));
         let log = drv.take_tx_log();
         assert_eq!(log.len(), 48);
@@ -1169,7 +965,11 @@ mod tests {
         logged.sort();
         reaped.sort();
         assert_eq!(logged, reaped);
-        assert_eq!(drv.io().pool_available(), before, "no buffer leaks");
+        assert_eq!(
+            drv.io().pool_available(),
+            drv.io().pool().capacity(),
+            "no buffer leaks"
+        );
         assert_eq!(nf.occupancy(), 48);
     }
 
@@ -1177,16 +977,12 @@ mod tests {
     fn service_once_does_one_round_and_reports_idle() {
         let c = cfg(64);
         let mut nf = ShardedVigNatMb::sharded(c, 2);
-        let mut drv = BackendDriver::new(SimBackend::new(RssClassifier::for_nat(&c, 2), 64));
+        let mut drv = BackendDriver::new(sim(&c, 2, 64));
         let idle = drv.service_once(&mut nf, Time::from_secs(1));
         assert_eq!((idle.forwarded, idle.bursts, idle.polls), (0, 0, 1));
         assert!(drv.current_backoff_ns() > 0);
         let gen = FlowGen::new(Proto::Udp);
-        let f = gen.background(7);
-        assert!(drv
-            .io_mut()
-            .stage(Direction::Internal, |b| gen.write_frame(&f, b))
-            .is_some());
+        assert!(stage(drv.io_mut(), &gen, 7).is_some());
         let busy = drv.service_once(&mut nf, Time::from_secs(1));
         assert_eq!((busy.forwarded, busy.bursts), (1, 1));
         let _ = drv.io_mut().reap(Direction::External);

@@ -1,24 +1,27 @@
 //! The RFC 2544 measurement harness (paper §6, Fig. 11's methodology).
 //!
-//! Two experiment drivers reproduce the paper's figures:
+//! Two experiments reproduce the paper's figures:
 //!
 //! * [`probe_latency`] — Fig. 12/13: measure per-packet middlebox
 //!   residence time of *probe* packets (worst case: flow-table miss,
 //!   expiry work, allocation) while N background flows occupy the
 //!   table;
-//! * [`throughput_search`] — Fig. 14: the RFC 2544 loss-bounded maximum
-//!   throughput — measure the NF's per-packet service times on the
-//!   steady-state (all-hits) workload, MAD-reject timer-noise outliers
-//!   ([`mad_filter_ns`]), then binary-search the highest offered rate
-//!   whose queue simulation loses ≤ 0.1% of packets at the device's
-//!   RX-ring depth.
+//! * the loss-bounded maximum throughput of Fig. 14 — measure the NF's
+//!   per-packet service times on the steady-state (all-hits) workload
+//!   ([`crate::eventloop::round_service_times`]), MAD-reject
+//!   timer-noise outliers ([`mad_filter_ns`]), then binary-search the
+//!   highest offered rate whose queue simulation loses ≤ 0.1% of
+//!   packets at the device's RX-ring depth ([`search_rate_with_ci`]).
 //!
-//! Every frame goes through the same mempool→RX-ring→NF→TX-ring→mempool
-//! transaction ([`Testbed::shoot`]), so ring and buffer costs are inside
-//! the measurement uniformly for every NF — mirroring how every paper NF
-//! pays the same DPDK rx/tx cost.
+//! Every frame of every experiment reaches its NF the same way — staged
+//! through [`crate::backend::TesterIo`], drained by
+//! [`crate::eventloop::BackendDriver`], reaped — so ring, mempool and
+//! event-loop costs are inside the measurement uniformly for every NF,
+//! mirroring how every paper NF pays the same DPDK rx/tx cost.
 
-use crate::dpdk::{BufIdx, Device, Mempool, MBUF_SIZE};
+use crate::backend::SimBackend;
+use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
+use crate::eventloop::{offer_background, offer_round, round_service_times, BackendDriver};
 use crate::frame_env::{run_staged, BurstScratch, RssClassifier};
 use crate::middlebox::{Middlebox, Verdict, VigNatMb};
 use crate::runtime::{with_shard_runtime, RuntimeReport, ShardRuntimeSession, DEFAULT_RING_WORDS};
@@ -27,210 +30,6 @@ use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
 use vignat::{ShardedFlowManager, MAX_BURST};
-
-/// Callback that inspects an output frame after transmission.
-pub type InspectFn<'a> = &'a mut dyn FnMut(&[u8], Direction);
-
-/// The simulated two-port testbed.
-pub struct Testbed {
-    pool: Mempool,
-    int_dev: Device,
-    ext_dev: Device,
-    scratch: Box<[u8; MBUF_SIZE]>,
-}
-
-impl Testbed {
-    /// Testbed with the given RX/TX ring depth (512 descriptors is the
-    /// representative DPDK default used throughout the benches).
-    pub fn new(ring_size: usize) -> Testbed {
-        Testbed {
-            pool: Mempool::new(ring_size * 4),
-            int_dev: Device::new(ring_size),
-            ext_dev: Device::new(ring_size),
-            scratch: Box::new([0u8; MBUF_SIZE]),
-        }
-    }
-
-    fn dev(&mut self, d: Direction) -> &mut Device {
-        match d {
-            Direction::Internal => &mut self.int_dev,
-            Direction::External => &mut self.ext_dev,
-        }
-    }
-
-    /// Push one frame through the full path, returning the verdict and
-    /// the middlebox residence time in nanoseconds (RX-ring pop →
-    /// process → TX-ring push, i.e. excluding the tester's own work).
-    /// `inspect` (if any) sees the output frame after transmission.
-    pub fn shoot(
-        &mut self,
-        nf: &mut dyn Middlebox,
-        dir: Direction,
-        fields_writer: impl FnOnce(&mut [u8]) -> usize,
-        now: Time,
-        mut inspect: Option<InspectFn<'_>>,
-    ) -> (Verdict, u64) {
-        // Tester side: buffer + frame + offer to the NIC.
-        let len = fields_writer(&mut self.scratch[..]);
-        let buf = self
-            .pool
-            .get()
-            .expect("testbed pool sized for one in flight");
-        self.pool.write_frame(buf, &self.scratch[..len]);
-        assert!(
-            self.dev(dir).offer(buf),
-            "single-packet offer cannot overflow"
-        );
-
-        // Middlebox side: the timed region.
-        let t0 = std::time::Instant::now();
-        let got = self
-            .dev(dir)
-            .rx_burst_one()
-            .expect("frame was just offered");
-        let frame = self.pool.frame_mut(got);
-        let verdict = nf.process(dir, frame, now);
-        if let Verdict::Forward(out) = verdict {
-            let bytes = self.pool.frame(got).len();
-            assert!(
-                self.dev(out).tx_put(got, bytes),
-                "tx ring sized for one in flight"
-            );
-        }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-
-        // Tester side: collect or reclaim.
-        match verdict {
-            Verdict::Forward(out) => {
-                let sent = self.dev(out).tx_take().expect("frame was just queued");
-                if let Some(f) = inspect.as_mut() {
-                    f(self.pool.frame(sent), out);
-                }
-                self.pool.put(sent);
-            }
-            Verdict::Drop => self.pool.put(got),
-        }
-        (verdict, elapsed)
-    }
-}
-
-impl Testbed {
-    /// Burst variant: stage up to `count` frames (ring-capacity bound)
-    /// into the RX ring, then time one run-to-completion drain loop —
-    /// the way a DPDK NF actually executes (`rte_eth_rx_burst` → process
-    /// → `rte_eth_tx_burst`). Returns (forwarded, dropped, elapsed ns
-    /// for the whole burst). Timing a burst amortizes clock-read
-    /// overhead across `count` packets, which matters when per-packet
-    /// service time is tens of nanoseconds.
-    pub fn shoot_burst(
-        &mut self,
-        nf: &mut dyn Middlebox,
-        dir: Direction,
-        count: usize,
-        mut fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
-        now: Time,
-    ) -> (usize, usize, u64) {
-        let count = count.min(self.dev(dir).rx.capacity());
-        // Tester side: stage the burst.
-        for i in 0..count {
-            let len = fields_writer(i, &mut self.scratch[..]);
-            let buf = self.pool.get().expect("pool sized for a full ring");
-            self.pool.write_frame(buf, &self.scratch[..len]);
-            assert!(self.dev(dir).offer(buf), "staged within ring capacity");
-        }
-        // Middlebox side: the timed run-to-completion loop.
-        let mut forwarded = 0usize;
-        let mut dropped = 0usize;
-        let t0 = std::time::Instant::now();
-        while let Some(buf) = self.dev(dir).rx_burst_one() {
-            let frame = self.pool.frame_mut(buf);
-            match nf.process(dir, frame, now) {
-                Verdict::Forward(out) => {
-                    let bytes = self.pool.frame(buf).len();
-                    assert!(
-                        self.dev(out).tx_put(buf, bytes),
-                        "tx ring holds a full burst"
-                    );
-                    forwarded += 1;
-                }
-                Verdict::Drop => {
-                    self.pool.put(buf);
-                    dropped += 1;
-                }
-            }
-        }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        // Tester side: reclaim transmitted buffers.
-        for d in [Direction::Internal, Direction::External] {
-            while let Some(buf) = self.dev(d).tx_take() {
-                self.pool.put(buf);
-            }
-        }
-        (forwarded, dropped, elapsed)
-    }
-
-    /// Batched-fast-path variant of [`Testbed::shoot_burst`]: the timed
-    /// region drains the RX ring in [`vignat::MAX_BURST`]-sized bursts
-    /// through [`Middlebox::process_burst`] instead of frame at a time
-    /// — one clock read and one expiry scan per burst, batched
-    /// flow-table probes. Same staging, same reclamation, same
-    /// semantics per packet (the burst path is differentially tested
-    /// against the sequential one).
-    pub fn shoot_burst_batched(
-        &mut self,
-        nf: &mut dyn Middlebox,
-        dir: Direction,
-        count: usize,
-        mut fields_writer: impl FnMut(usize, &mut [u8]) -> usize,
-        now: Time,
-    ) -> (usize, usize, u64) {
-        let count = count.min(self.dev(dir).rx.capacity());
-        // Tester side: stage the burst.
-        for i in 0..count {
-            let len = fields_writer(i, &mut self.scratch[..]);
-            let buf = self.pool.get().expect("pool sized for a full ring");
-            self.pool.write_frame(buf, &self.scratch[..len]);
-            assert!(self.dev(dir).offer(buf), "staged within ring capacity");
-        }
-        // Middlebox side: the timed run-to-completion loop, burst-wise.
-        let mut forwarded = 0usize;
-        let mut dropped = 0usize;
-        let mut batch: Vec<crate::dpdk::BufIdx> = Vec::with_capacity(vignat::MAX_BURST);
-        let t0 = std::time::Instant::now();
-        loop {
-            batch.clear();
-            if self.dev(dir).rx_burst(vignat::MAX_BURST, &mut batch) == 0 {
-                break;
-            }
-            let verdicts = nf.process_burst(dir, &mut self.pool, &batch, now);
-            debug_assert_eq!(verdicts.len(), batch.len());
-            for (&buf, v) in batch.iter().zip(&verdicts) {
-                match v {
-                    Verdict::Forward(out) => {
-                        let bytes = self.pool.frame(buf).len();
-                        assert!(
-                            self.dev(*out).tx_put(buf, bytes),
-                            "tx ring holds a full burst"
-                        );
-                        forwarded += 1;
-                    }
-                    Verdict::Drop => {
-                        self.pool.put(buf);
-                        dropped += 1;
-                    }
-                }
-            }
-        }
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        // Tester side: reclaim transmitted buffers.
-        for d in [Direction::Internal, Direction::External] {
-            while let Some(buf) = self.dev(d).tx_take() {
-                self.pool.put(buf);
-            }
-        }
-        (forwarded, dropped, elapsed)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Sharded parallel driver (RSS model: one worker thread per shard)
@@ -541,7 +340,7 @@ pub struct ShardSweepPoint {
 /// [`VigNatMb`] over its slice of the capacity and port range, at
 /// `occupancy` of its table), then aggregate under the multi-queue RSS
 /// model — N independent RX queues, one core each, loss simulated per
-/// queue exactly as [`throughput_search`] does for one.
+/// queue exactly as [`search_rate_filtered`] does for one.
 ///
 /// Per-shard tables are `capacity/N` slots, so higher shard counts also
 /// shrink each core's working set — the sweep measures that real cache
@@ -556,6 +355,7 @@ pub fn sharded_throughput_sweep(
     ring_cap: usize,
 ) -> Vec<ShardSweepPoint> {
     assert!((0.0..=1.0).contains(&occupancy));
+    let gen = FlowGen::new(vig_packet::Proto::Udp);
     let mut points = Vec::with_capacity(shard_counts.len());
     for &n in shard_counts {
         let table = ShardedFlowManager::new(cfg, n); // config derivation only
@@ -566,10 +366,10 @@ pub fn sharded_throughput_sweep(
             let scfg = table.shard_cfg(s);
             let flows = ((scfg.capacity as f64 * occupancy) as usize).max(1);
             let mut nf = VigNatMb::new(scfg);
-            let mut tb = Testbed::new(ring_cap);
-            let svc = steady_state_service_times_batched(
+            let (svc, _io) = round_service_times(
+                SimBackend::new(RssClassifier::for_nat(&scfg, 1), ring_cap),
                 &mut nf,
-                &mut tb,
+                &gen,
                 flows,
                 packets_per_shard,
                 texp_ns,
@@ -599,68 +399,12 @@ pub fn sharded_throughput_sweep(
 /// poll-mode driver under load.
 const WALL_BURST: usize = 4096;
 
-/// Frame-builder shared by the wall-clock loops: background flow `i`
-/// as an owned frame.
+/// Frame-builder of the scaling curve's loops: background flow `i` as
+/// an owned frame.
 fn wall_frame(gen: &FlowGen, i: u32, buf: &mut [u8]) -> Vec<u8> {
     let f = gen.background(i);
     let len = gen.write_frame(&f, buf);
     buf[..len].to_vec()
-}
-
-/// Wall-clock packet rate (Mpps) of [`ParallelShardedNat`] on this
-/// machine: populate to `occupancy`, then time `packets` all-hit
-/// packets pushed through one persistent **pinned** runtime session
-/// ([`ParallelShardedNat::with_runtime`]) in large bursts. Unlike
-/// [`sharded_throughput_sweep`] this includes ring traffic and
-/// dispatcher coordination and is bounded by the host's physical
-/// parallelism — reported for honesty alongside the modeled aggregate,
-/// never used for shape claims (CI machines may have one core; the
-/// bench JSON carries the pin report so readers can tell).
-pub fn sharded_parallel_wallclock_mpps(
-    cfg: &NatConfig,
-    shards: usize,
-    occupancy: f64,
-    packets: usize,
-) -> f64 {
-    let mut nat = ParallelShardedNat::new(*cfg, shards, WALL_BURST);
-    let flows =
-        ((shards as f64 * nat.table().per_shard_capacity() as f64 * occupancy) as usize).max(1);
-    let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut buf = vec![0u8; MBUF_SIZE];
-    let (mpps, _report) = nat.with_runtime(true, |session| {
-        let mut now = Time::from_secs(1);
-        // Populate (untimed).
-        for chunk_start in (0..flows).step_by(WALL_BURST) {
-            let mut frames: Vec<Vec<u8>> = (chunk_start..flows.min(chunk_start + WALL_BURST))
-                .map(|i| wall_frame(&gen, i as u32, &mut buf))
-                .collect();
-            now = now.plus(1_000);
-            session.process_burst(Direction::Internal, &mut frames, now);
-        }
-        // Timed all-hit phase (per-burst stopwatch: frame generation
-        // stays outside the measurement).
-        let mut done = 0usize;
-        let mut next = 0u32;
-        let mut elapsed_ns = 0u64;
-        while done < packets {
-            let count = WALL_BURST.min(packets - done);
-            let mut frames: Vec<Vec<u8>> = (0..count)
-                .map(|k| wall_frame(&gen, (next + k as u32) % flows as u32, &mut buf))
-                .collect();
-            next = (next + count as u32) % flows as u32;
-            now = now.plus(1_000);
-            let t = std::time::Instant::now();
-            session.process_burst(Direction::Internal, &mut frames, now);
-            elapsed_ns += t.elapsed().as_nanos() as u64;
-            done += count;
-        }
-        if elapsed_ns == 0 {
-            0.0
-        } else {
-            done as f64 / (elapsed_ns as f64 / 1e9) / 1e6
-        }
-    });
-    mpps
 }
 
 /// One point of the aggregate-Mpps scaling curve
@@ -744,7 +488,7 @@ pub fn parallel_scaling_curve(
             }
             // Service-time phase: MAX_BURST bursts, per-packet = burst
             // mean, virtual time advancing slowly enough that nothing
-            // expires (mirrors `steady_state_service_times`).
+            // expires (mirrors `round_service_times`).
             let bursts = packets.div_ceil(burst) as u64;
             let step = ((cfg.expiry_ns / 4) / (bursts * 8 + 1)).max(1);
             let mut samples = Vec::with_capacity(packets);
@@ -857,35 +601,30 @@ impl LatencySamples {
     }
 }
 
-/// Fig. 12 driver. Builds `mix.background_flows` flows, keeps every one
-/// of them refreshed at least once per `2/3 · Texp` of virtual time, and
-/// measures `mix.probe_packets` probe packets. With the default 2 s
-/// expiry each probe flow's own packet gap exceeds `Texp`, so every
-/// probe is the paper's worst case: a table miss that triggers expiry
-/// work and a fresh allocation. Returns the probe samples.
-pub fn probe_latency(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    mix: &WorkloadMix,
-) -> LatencySamples {
+/// Ring depth of [`probe_latency`]'s simulated port (512 descriptors
+/// is the representative DPDK default used throughout the benches).
+const PROBE_RING: usize = 512;
+
+/// Fig. 12 experiment. Builds `mix.background_flows` flows, keeps every
+/// one of them refreshed at least once per `2/3 · Texp` of virtual
+/// time, and measures `mix.probe_packets` probe packets, each staged
+/// alone on a 1-queue [`SimBackend`] and timed through one
+/// [`BackendDriver`] drain. With the default 2 s expiry each probe
+/// flow's own packet gap exceeds `Texp`, so every probe is the paper's
+/// worst case: a table miss that triggers expiry work and a fresh
+/// allocation. Returns the probe samples.
+pub fn probe_latency(nf: &mut dyn Middlebox, mix: &WorkloadMix) -> LatencySamples {
     let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut now = Time::from_secs(1);
-    let bg = mix.background_flows as u32;
+    // One queue: every frame classifies to queue 0 whatever the pool,
+    // so the classifier's NAT config is immaterial (and the NF under
+    // test need not be a NAT at all).
+    let classifier = RssClassifier::for_nat(&NatConfig::paper_default(), 1);
+    let mut drv = BackendDriver::new(SimBackend::new(classifier, PROBE_RING));
+    let bg = mix.background_flows;
     let batch = mix.probe_batch.max(1);
     let pool = mix.probe_pool.max(1) as u32;
 
-    // Populate background flows.
-    for i in 0..bg {
-        now = now.plus(1_000); // 1 µs apart
-        let f = gen.background(i);
-        tb.shoot(
-            nf,
-            Direction::Internal,
-            |b| gen.write_frame(&f, b),
-            now,
-            None,
-        );
-    }
+    let mut now = offer_background(&mut drv, nf, &gen, bg, Time::from_secs(1), 1_000);
 
     // One window = Texp/2 of virtual time, in three equal sections: two
     // full refresh passes, then the probe batch. No background flow
@@ -898,18 +637,8 @@ pub fn probe_latency(
     let mut probe_id = 0u32;
     'outer: loop {
         for _pass in 0..2 {
-            now = now.plus(third);
-            for i in 0..bg {
-                let f = gen.background(i);
-                now = now.plus(2); // keep the clock strictly monotone
-                tb.shoot(
-                    nf,
-                    Direction::Internal,
-                    |b| gen.write_frame(&f, b),
-                    now,
-                    None,
-                );
-            }
+            // Rounds 128 ns apart keep the clock strictly monotone.
+            now = offer_background(&mut drv, nf, &gen, bg, now.plus(third), 128);
         }
         let probe_gap = third / (batch as u64 + 1);
         for _ in 0..batch {
@@ -917,103 +646,14 @@ pub fn probe_latency(
                 break 'outer;
             }
             now = now.plus(probe_gap.max(1));
-            let f = gen.probe(probe_id % pool);
+            let probe = gen.probe(probe_id % pool);
             probe_id += 1;
-            let (_, ns) = tb.shoot(
-                nf,
-                Direction::Internal,
-                |b| gen.write_frame(&f, b),
-                now,
-                None,
-            );
-            samples.push(ns);
+            let (staged, stats) = offer_round(&mut drv, nf, &gen, std::iter::once(probe), now);
+            assert_eq!(staged, 1, "an idle ring admits one probe");
+            samples.push(stats.elapsed_ns);
         }
         now = now.plus(third - probe_gap * batch as u64);
     }
-    LatencySamples { ns: samples }
-}
-
-/// Measure steady-state per-packet service times: all flows exist, every
-/// packet is a hit that refreshes its flow (Fig. 14's workload: "a fixed
-/// number of flows that never expire"). Measurement is per 64-packet
-/// burst (DPDK run-to-completion granularity); each packet in a burst
-/// is assigned the burst's mean, which keeps clock-read overhead out of
-/// the service times while preserving burst-scale variance for the
-/// queue simulation.
-pub fn steady_state_service_times(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> LatencySamples {
-    steady_state_service_times_impl(nf, tb, flows, packets, texp_ns, false)
-}
-
-/// [`steady_state_service_times`] through the batched fast path
-/// ([`Testbed::shoot_burst_batched`]): identical workload, identical
-/// per-packet semantics, amortized per-burst overhead — the number the
-/// batched Fig. 14 variant reports.
-pub fn steady_state_service_times_batched(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> LatencySamples {
-    steady_state_service_times_impl(nf, tb, flows, packets, texp_ns, true)
-}
-
-fn steady_state_service_times_impl(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    batched: bool,
-) -> LatencySamples {
-    const BURST: usize = 64;
-    let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut now = Time::from_secs(1);
-    for i in 0..flows as u32 {
-        now = now.plus(1_000);
-        let f = gen.background(i);
-        tb.shoot(
-            nf,
-            Direction::Internal,
-            |b| gen.write_frame(&f, b),
-            now,
-            None,
-        );
-    }
-    // Round-robin over the flows; advance time slowly enough that no
-    // flow ever expires (refresh interval << Texp by construction).
-    let bursts_estimate = packets.div_ceil(BURST.min(64)) as u64;
-    let step = (texp_ns / 4) / (bursts_estimate * 8 + 1);
-    let mut samples = Vec::with_capacity(packets);
-    let mut next_flow = 0u32;
-    while samples.len() < packets {
-        now = now.plus(step.max(1));
-        let base = next_flow;
-        let writer = |i: usize, b: &mut [u8]| {
-            let f = gen.background((base + i as u32) % flows as u32);
-            gen.write_frame(&f, b)
-        };
-        let (fwd, drop, ns) = if batched {
-            tb.shoot_burst_batched(nf, Direction::Internal, BURST, writer, now)
-        } else {
-            tb.shoot_burst(nf, Direction::Internal, BURST, writer, now)
-        };
-        // shoot_burst clamps the burst to the ring capacity; use what
-        // actually went through.
-        let staged = fwd + drop;
-        debug_assert!(staged > 0);
-        debug_assert_eq!(drop, 0, "steady state must be all hits");
-        next_flow = (base + staged as u32) % flows as u32;
-        let per_packet = ns / staged as u64;
-        samples.extend(std::iter::repeat_n(per_packet.max(1), staged));
-    }
-    samples.truncate(packets);
     LatencySamples { ns: samples }
 }
 
@@ -1272,40 +912,9 @@ pub fn search_rate_with_ci(svc: &LatencySamples, ring_cap: usize) -> RateEstimat
     }
 }
 
-/// Fig. 14 driver: measure steady-state service times, MAD-reject
-/// outliers, then search for the maximum rate at ≤ 0.1% loss. Returns
-/// (Mpps, mean service ns, outlier samples rejected).
-pub fn throughput_search(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    ring_cap: usize,
-) -> (f64, f64, usize) {
-    let svc = steady_state_service_times(nf, tb, flows, packets, texp_ns);
-    search_rate_filtered(&svc, ring_cap)
-}
-
-/// [`throughput_search`] over the batched fast path: service times are
-/// measured through [`Middlebox::process_burst`]. Returns
-/// (Mpps, mean service ns, outlier samples rejected).
-pub fn throughput_search_batched(
-    nf: &mut dyn Middlebox,
-    tb: &mut Testbed,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-    ring_cap: usize,
-) -> (f64, f64, usize) {
-    let svc = steady_state_service_times_batched(nf, tb, flows, packets, texp_ns);
-    search_rate_filtered(&svc, ring_cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::middlebox::{NoopForwarder, VigNatMb};
     use vig_packet::{Ip4, Proto};
     use vig_spec::NatConfig;
 
@@ -1320,33 +929,7 @@ mod tests {
     }
 
     #[test]
-    fn shoot_roundtrip_reclaims_buffers() {
-        let mut tb = Testbed::new(16);
-        let mut nf = NoopForwarder::new();
-        let gen = FlowGen::new(Proto::Udp);
-        let before = tb.pool.available();
-        for i in 0..100 {
-            let f = gen.background(i);
-            let (v, ns) = tb.shoot(
-                &mut nf,
-                Direction::Internal,
-                |b| gen.write_frame(&f, b),
-                Time::from_secs(1),
-                None,
-            );
-            assert_eq!(v, Verdict::Forward(Direction::External));
-            assert!(ns < 1_000_000_000, "sane timing");
-        }
-        assert_eq!(
-            tb.pool.available(),
-            before,
-            "no buffer leaks through the path"
-        );
-    }
-
-    #[test]
     fn probe_latency_keeps_occupancy_stable() {
-        let mut tb = Testbed::new(16);
         let mut nf = VigNatMb::new(cfg(512));
         let mix = WorkloadMix {
             background_flows: 64,
@@ -1355,7 +938,7 @@ mod tests {
             texp_ns: Time::from_secs(2).nanos(),
             probe_pool: 1_000,
         };
-        let s = probe_latency(&mut nf, &mut tb, &mix);
+        let s = probe_latency(&mut nf, &mix);
         assert_eq!(s.ns.len(), 24);
         // Occupancy: 64 background + at most ~4 windows' worth of
         // probes still inside Texp (window = Texp/2).
@@ -1373,7 +956,6 @@ mod tests {
         // through a small pool and never expire, so after the first
         // round every probe is a lookup hit. (NF expiry must match the
         // workload's 60 s — they describe the same NAT parameter.)
-        let mut tb = Testbed::new(16);
         let mut nf = VigNatMb::new(NatConfig {
             expiry_ns: Time::from_secs(60).nanos(),
             ..cfg(512)
@@ -1385,7 +967,7 @@ mod tests {
             texp_ns: Time::from_secs(60).nanos(),
             probe_pool: 10,
         };
-        let s = probe_latency(&mut nf, &mut tb, &mix);
+        let s = probe_latency(&mut nf, &mix);
         assert_eq!(s.ns.len(), 40);
         assert_eq!(nf.expired_total(), 0, "nothing expires at 60 s");
         assert_eq!(
@@ -1395,51 +977,44 @@ mod tests {
         );
     }
 
+    /// An NF seen one frame at a time: forwards `process` and leaves
+    /// `process_burst` at the trait default.
+    struct PerFrame(VigNatMb);
+
+    impl Middlebox for PerFrame {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn process(&mut self, dir: Direction, frame: &mut [u8], now: Time) -> Verdict {
+            self.0.process(dir, frame, now)
+        }
+    }
+
+    fn steady_state(nf: &mut dyn Middlebox, c: &NatConfig) -> LatencySamples {
+        let io = SimBackend::new(RssClassifier::for_nat(c, 1), 64);
+        let gen = FlowGen::new(Proto::Udp);
+        round_service_times(io, nf, &gen, 32, 500, c.expiry_ns).0
+    }
+
     #[test]
     fn steady_state_is_all_hits() {
-        let mut tb = Testbed::new(16);
-        let mut nf = VigNatMb::new(cfg(128));
-        let s = steady_state_service_times(&mut nf, &mut tb, 32, 500, Time::from_secs(2).nanos());
+        let c = cfg(128);
+        let mut nf = PerFrame(VigNatMb::new(c));
+        let s = steady_state(&mut nf, &c);
         assert_eq!(s.ns.len(), 500);
-        assert_eq!(nf.occupancy(), 32, "no flow may expire mid-experiment");
-        assert_eq!(nf.expired_total(), 0);
+        assert_eq!(nf.0.occupancy(), 32, "no flow may expire mid-experiment");
+        assert_eq!(nf.0.expired_total(), 0);
     }
 
     #[test]
     fn batched_steady_state_is_all_hits_too() {
-        let mut tb = Testbed::new(64);
-        let mut nf = VigNatMb::new(cfg(128));
-        let s = steady_state_service_times_batched(
-            &mut nf,
-            &mut tb,
-            32,
-            500,
-            Time::from_secs(2).nanos(),
-        );
+        let c = cfg(128);
+        let mut nf = VigNatMb::new(c);
+        let s = steady_state(&mut nf, &c);
         assert_eq!(s.ns.len(), 500);
         assert_eq!(nf.occupancy(), 32, "no flow may expire mid-experiment");
         assert_eq!(nf.expired_total(), 0);
-    }
-
-    #[test]
-    fn shoot_burst_batched_reclaims_buffers() {
-        let mut tb = Testbed::new(64);
-        let mut nf = VigNatMb::new(cfg(128));
-        let gen = FlowGen::new(Proto::Udp);
-        let before = tb.pool.available();
-        let (fwd, drop, _) = tb.shoot_burst_batched(
-            &mut nf,
-            Direction::Internal,
-            48,
-            |i, b| gen.write_frame(&gen.background(i as u32), b),
-            Time::from_secs(1),
-        );
-        assert_eq!((fwd, drop), (48, 0));
-        assert_eq!(
-            tb.pool.available(),
-            before,
-            "no buffer leaks through the burst path"
-        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Multi-queue / event-driven differential tests: the epoll-style
-//! driver over the multi-queue NIC model must be byte-for-byte
-//! equivalent, per flow, to the sequential single-queue driver.
+//! Multi-queue / event-driven differential tests: the one driver
+//! (`BackendDriver` over the multi-queue `SimBackend`) must be
+//! byte-for-byte equivalent, per flow, to the sequential per-frame
+//! `Middlebox::process` oracle.
 //!
 //! The equivalence argument, layer by layer:
 //!
@@ -31,14 +32,20 @@
 //!    byte-identical under any interleaving.
 //! 4. **Overflow isolation**: a full RX ring drops (and counts) on that
 //!    queue alone; siblings drain normally and flow state stays
-//!    coherent — loss is an accounting event, never corruption.
+//!    coherent — loss is an accounting event, never corruption. Every
+//!    per-queue counter of both ports (rx, rx drops, tx, tx bytes) is
+//!    checked against a ledger kept beside the oracle.
+//! 5. **Skewed budgets**: `Wrr::weighted` budgets and a tight backoff
+//!    window reorder *when* queues are served, never what a flow's
+//!    packets become.
 
 use std::collections::HashMap;
 
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig};
 use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Ip4, Proto};
-use vignat_repro::sim::eventloop::{EventLoop, MultiQueueTestbed, Poller, Wrr};
+use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
+use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, Poller, Wrr};
 use vignat_repro::sim::frame_env::RssClassifier;
 use vignat_repro::sim::harness::ParallelShardedNat;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
@@ -115,26 +122,25 @@ fn run_sequential(
     out
 }
 
-/// Event-driven driver: offer everything (classified by RSS), drain
-/// with the given driver state, collect both ports' TX queues.
-fn run_event_driven(
-    nf: &mut ShardedVigNatMb,
-    tb: &mut MultiQueueTestbed,
-    ev: &mut EventLoop,
-    traffic: &[(Direction, Vec<u8>)],
-    now: Time,
-) -> Outputs {
-    for (dir, frame) in traffic {
-        let accepted = tb.offer(*dir, |b| {
-            b[..frame.len()].copy_from_slice(frame);
-            frame.len()
-        });
-        assert!(accepted.is_some(), "test traffic sized within the rings");
-    }
-    tb.drain_event_driven(nf, now, ev);
+/// A driver over `queues`-queue simulated ports with the given event
+/// loop.
+fn driver(c: &NatConfig, queues: usize, ring: usize, ev: EventLoop) -> BackendDriver<SimBackend> {
+    BackendDriver::with_event_loop(SimBackend::new(RssClassifier::for_nat(c, queues), ring), ev)
+}
+
+/// Stage one frame; the RX queue it landed in, or `None` on overflow.
+fn stage(drv: &mut BackendDriver<SimBackend>, dir: Direction, frame: &[u8]) -> Option<usize> {
+    drv.io_mut().stage(dir, |b| {
+        b[..frame.len()].copy_from_slice(frame);
+        frame.len()
+    })
+}
+
+/// Reap both ports' TX queues into per-tag outputs.
+fn reap_outputs(drv: &mut BackendDriver<SimBackend>) -> Outputs {
     let mut out = Outputs::new();
     for dir in [Direction::Internal, Direction::External] {
-        for (_q, frame) in tb.collect_tx(dir) {
+        for (_q, frame) in drv.io_mut().reap(dir) {
             let tag = tag_of(&frame);
             assert!(
                 out.insert(tag, (dir, frame)).is_none(),
@@ -143,6 +149,22 @@ fn run_event_driven(
         }
     }
     out
+}
+
+/// Event-driven driver: stage everything (classified by RSS), drain,
+/// reap both ports' TX queues.
+fn run_event_driven(
+    nf: &mut ShardedVigNatMb,
+    drv: &mut BackendDriver<SimBackend>,
+    traffic: &[(Direction, Vec<u8>)],
+    now: Time,
+) -> Outputs {
+    for (dir, frame) in traffic {
+        let accepted = stage(drv, *dir, frame);
+        assert!(accepted.is_some(), "test traffic sized within the rings");
+    }
+    drv.drain(nf, now);
+    reap_outputs(drv)
 }
 
 fn assert_same_outputs(a: &Outputs, b: &Outputs, what: &str) {
@@ -167,12 +189,11 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
         let c = cfg();
         let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
         let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-        let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, shards), 64);
         // Skewed weights + small quantum: force budgeted interleaving
         // rather than drain-to-completion per queue.
         let weights: Vec<usize> = (0..shards).map(|q| 1 + (q % 2)).collect();
-        let mut ev =
-            EventLoop::with_parts(Poller::with_backoff(100, 1_000), Wrr::weighted(weights, 4));
+        let ev = EventLoop::with_parts(Poller::with_backoff(100, 1_000), Wrr::weighted(weights, 4));
+        let mut drv = driver(&c, shards, 64, ev);
         let mut tag = 0u32;
         let next_tag = |n: &mut u32| {
             *n += 1;
@@ -185,7 +206,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             .map(|i| internal(i % 12, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round1, t1);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round1, t1);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round1, t1);
         assert_same_outputs(&seq_out, &ev_out, "round 1");
 
         // Round 2a (t=2s), external drain: replies to every translation
@@ -228,7 +249,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             next_tag(&mut tag),
         ));
         let seq_out = run_sequential(&mut seq_nf, &round2a, t2);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round2a, t2);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round2a, t2);
         assert_same_outputs(&seq_out, &ev_out, "round 2a");
 
         // Round 2b, internal drain at the same instant: repeats that
@@ -238,7 +259,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             .map(|i| internal(i % 12, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round2b, t2);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round2b, t2);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round2b, t2);
         assert_same_outputs(&seq_out, &ev_out, "round 2b");
 
         // Round 3 (t=10s, Texp=2s): everything expired — the expiry
@@ -248,7 +269,7 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
             .map(|i| internal(i % 20, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round3, t3);
-        let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round3, t3);
+        let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round3, t3);
         assert_same_outputs(&seq_out, &ev_out, "round 3");
 
         // Final state: same occupancy, same expiry count, and the same
@@ -279,15 +300,15 @@ fn mixed_direction_drain_translates_identically_per_flow() {
     let shards = 2usize;
     let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
     let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, shards), 64);
-    let mut ev = EventLoop::with_parts(Poller::new(), Wrr::weighted(vec![2, 1], 4));
+    let ev = EventLoop::with_parts(Poller::new(), Wrr::weighted(vec![2, 1], 4));
+    let mut drv = driver(&c, shards, 64, ev);
 
     // Establish a few flows (single-direction round — equivalence from
     // the headline test).
     let t1 = Time::from_secs(1);
     let round1: Vec<_> = (0..12).map(|h| internal(h, 500 + u32::from(h))).collect();
     let seq_out = run_sequential(&mut seq_nf, &round1, t1);
-    let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &round1, t1);
+    let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round1, t1);
     assert_same_outputs(&seq_out, &ev_out, "mixed: establish");
 
     // One drain mixing new flows, repeats, and replies.
@@ -314,7 +335,7 @@ fn mixed_direction_drain_translates_identically_per_flow() {
         mixed.push(internal(i as u8 % 12, tag)); // repeats
     }
     let seq_out = run_sequential(&mut seq_nf, &mixed, t2);
-    let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &mixed, t2);
+    let ev_out = run_event_driven(&mut ev_nf, &mut drv, &mixed, t2);
     assert_same_outputs(&seq_out, &ev_out, "mixed drain");
     assert_eq!(seq_nf.occupancy(), ev_nf.occupancy());
     ev_nf.flow_manager().check_coherence().unwrap();
@@ -330,8 +351,7 @@ fn four_queues_two_shards_established_flows_translate_identically() {
     let (queues, shards) = (4usize, 2usize);
     let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
     let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, queues), 64);
-    let mut ev = EventLoop::new(queues);
+    let mut drv = driver(&c, queues, 64, EventLoop::new(queues));
 
     // Establish the same flows in both NATs through the *same
     // sequential* order (allocation fixed), outside the queues; the
@@ -378,31 +398,42 @@ fn four_queues_two_shards_established_flows_translate_identically() {
         }
     }
     let seq_out = run_sequential(&mut seq_nf, &traffic, t2);
-    let ev_out = run_event_driven(&mut ev_nf, &mut tb, &mut ev, &traffic, t2);
+    let ev_out = run_event_driven(&mut ev_nf, &mut drv, &traffic, t2);
     assert_same_outputs(&seq_out, &ev_out, "4q x 2s steady state");
     assert_eq!(seq_nf.occupancy(), ev_nf.occupancy());
 }
 
-/// Drop accounting under an overflowing queue: the full ring drops (and
-/// counts) on that queue alone; siblings drain normally, every accepted
-/// frame is processed exactly as the oracle processes the accepted
-/// subsequence, and the flow table stays coherent.
+/// Drop accounting under an overflowing queue, with the default event
+/// loop and under skewed `Wrr::weighted` budgets with a tight backoff
+/// window: the full ring drops (and counts) on that queue alone;
+/// siblings drain normally, every accepted frame is processed exactly
+/// as the oracle processes the accepted subsequence, every per-queue
+/// counter of both ports matches the ledger the oracle implies, and
+/// the flow table stays coherent.
 #[test]
 fn overflowing_queue_counts_drops_and_spares_siblings() {
+    let queues = 2usize;
+    overflow_case(EventLoop::new(queues));
+    overflow_case(EventLoop::with_parts(
+        Poller::with_backoff(100, 400),
+        Wrr::weighted((1..=queues).collect(), 4),
+    ));
+}
+
+fn overflow_case(ev: EventLoop) {
     let c = cfg();
     let queues = 2usize;
     let ring = 8usize;
     let mut nf = ShardedVigNatMb::sharded(c, queues);
     let mut oracle = ShardedVigNatMb::sharded(c, queues);
-    let mut tb = MultiQueueTestbed::new(RssClassifier::for_nat(&c, queues), ring);
-    let mut ev = EventLoop::new(queues);
+    let mut drv = driver(&c, queues, ring, ev);
+    let classifier = drv.io().classifier();
 
     // Sort candidate flows by the queue RSS steers them to.
     let mut by_queue: Vec<Vec<u8>> = vec![Vec::new(); queues];
     for h in 0..=255u8 {
         let (_, frame) = internal(h, 0);
-        let q = tb.classifier().queue_of(Direction::Internal, &frame);
-        by_queue[q].push(h);
+        by_queue[classifier.queue_of(Direction::Internal, &frame)].push(h);
     }
     assert!(
         by_queue.iter().all(|v| v.len() >= 4),
@@ -414,72 +445,72 @@ fn overflowing_queue_counts_drops_and_spares_siblings() {
     let t = Time::from_secs(1);
     let mut accepted = Vec::new();
     let mut tag = 0u32;
-    let mut offered_q0 = 0u64;
-    for k in 0..20 {
-        tag += 1;
-        let h = by_queue[0][k % by_queue[0].len()];
-        let (dir, frame) = internal(h, tag);
-        offered_q0 += 1;
-        if tb
-            .offer(dir, |b| {
-                b[..frame.len()].copy_from_slice(&frame);
-                frame.len()
-            })
-            .is_some()
-        {
-            accepted.push((dir, frame));
+    for (q, count) in [(0usize, 20usize), (1, 4)] {
+        for k in 0..count {
+            tag += 1;
+            let (dir, frame) = internal(by_queue[q][k % by_queue[q].len()], tag);
+            match stage(&mut drv, dir, &frame) {
+                Some(landed) => {
+                    assert_eq!(landed, q, "RSS steers the flow to its queue");
+                    accepted.push((dir, frame));
+                }
+                None => assert_eq!(q, 0, "sibling queue must not be affected"),
+            }
         }
     }
-    for k in 0..4 {
-        tag += 1;
-        let h = by_queue[1][k % by_queue[1].len()];
-        let (dir, frame) = internal(h, tag);
-        let q = tb.offer(dir, |b| {
-            b[..frame.len()].copy_from_slice(&frame);
-            frame.len()
-        });
-        assert_eq!(q, Some(1), "sibling queue must not be affected");
-        accepted.push((dir, frame));
-    }
-
-    // Accounting: queue 0 accepted exactly its ring depth and dropped
-    // the rest; queue 1 is clean.
-    let s0 = tb.queue_stats(Direction::Internal, 0);
-    let s1 = tb.queue_stats(Direction::Internal, 1);
-    assert_eq!(s0.rx, ring as u64);
-    assert_eq!(s0.rx_dropped, offered_q0 - ring as u64);
-    assert_eq!((s1.rx, s1.rx_dropped), (4, 0));
 
     // The drain processes every accepted frame — and only those —
     // exactly as the oracle fed the accepted subsequence does.
-    let stats = tb.drain_event_driven(&mut nf, t, &mut ev);
+    let stats = drv.drain(&mut nf, t);
     assert_eq!(stats.forwarded, ring as u64 + 4);
     assert_eq!(stats.dropped, 0, "ring loss is not NF loss");
-    let mut ev_out = Outputs::new();
-    for dir in [Direction::Internal, Direction::External] {
-        for (_q, frame) in tb.collect_tx(dir) {
-            ev_out.insert(tag_of(&frame), (dir, frame));
-        }
-    }
+    let ev_out = reap_outputs(&mut drv);
     let seq_out = run_sequential(&mut oracle, &accepted, t);
     assert_same_outputs(&seq_out, &ev_out, "accepted subsequence");
     assert_eq!(nf.occupancy(), oracle.occupancy());
     nf.flow_manager().check_coherence().unwrap();
 
+    // Accounting, per queue and per port, as `(rx, rx_dropped, tx,
+    // tx_bytes)`: queue 0 accepted exactly its ring depth and dropped
+    // the rest, queue 1 is clean, and each accepted frame left on the
+    // external port's TX queue of its carrying queue's index with the
+    // oracle's byte count. Nothing touched the other two rings.
+    let mut want = [[(0u64, 0u64, 0u64, 0u64); 2]; 2];
+    want[0][0] = (ring as u64, 20 - ring as u64, 0, 0);
+    want[0][1] = (4, 0, 0, 0);
+    for (dir, frame) in &accepted {
+        let q = classifier.queue_of(*dir, frame);
+        let (out, bytes) = &seq_out[&tag_of(frame)];
+        assert_eq!(*out, Direction::External);
+        want[1][q].2 += 1;
+        want[1][q].3 += bytes.len() as u64;
+    }
+    for (p, dir) in [Direction::Internal, Direction::External]
+        .into_iter()
+        .enumerate()
+    {
+        for (q, want) in want[p].iter().enumerate() {
+            let s = drv.io().queue_stats(dir, q);
+            assert_eq!(
+                (s.rx, s.rx_dropped, s.tx, s.tx_bytes),
+                *want,
+                "{dir:?} queue {q} counters"
+            );
+        }
+    }
+
     // The overflowed queue is not stalled: the next round drains fine.
     let t2 = Time::from_secs(1).plus(1_000_000);
-    let h = by_queue[0][0];
-    let (dir, frame) = internal(h, 77_777);
-    assert_eq!(
-        tb.offer(dir, |b| {
-            b[..frame.len()].copy_from_slice(&frame);
-            frame.len()
-        }),
-        Some(0)
-    );
-    let stats = tb.drain_event_driven(&mut nf, t2, &mut ev);
+    let (dir, frame) = internal(by_queue[0][0], 77_777);
+    assert_eq!(stage(&mut drv, dir, &frame), Some(0));
+    let stats = drv.drain(&mut nf, t2);
     assert_eq!(stats.forwarded, 1);
-    let _ = tb.collect_tx(Direction::External);
+    assert_eq!(reap_outputs(&mut drv).len(), 1);
+    assert_eq!(
+        drv.io().pool_available(),
+        drv.io().pool().capacity(),
+        "no buffer leaks through overflow"
+    );
 }
 
 /// The NIC model's classifier and the parallel driver's software

@@ -12,9 +12,11 @@
 //!   packet (a clock read alone is ~25-40 ns on commodity hosts, on the
 //!   order of the probe itself), and issues the burst's directory
 //!   probes back to back;
-//! * **single vs batched lookups** — the probe cost in isolation
-//!   (`Map::get_batch_with_hash` hashes a burst in one pass and
-//!   first-touches every start slot before probing);
+//! * **single vs batched lookups** — the directory-probe cost in
+//!   isolation, on the flow table's `DoubleMap`
+//!   (`Map::get_batch_with_hash` stages a burst: every probe start and
+//!   tag word, then the slot each probe dereferences first, then the
+//!   probes);
 //! * open addressing (verified `libvig::Map`) vs separate chaining
 //!   (`ChainedMap`) at moderate and near-full occupancy — the source of
 //!   the verified NAT's last-point uptick in Fig. 12;
@@ -34,6 +36,7 @@
 //!
 //! Run: `cargo bench -p vig-bench --bench micro_flowtable`
 
+use libvig::dmap::DoubleMap;
 use libvig::map::MapKey;
 use libvig::time::Time;
 use std::hint::black_box;
@@ -41,8 +44,8 @@ use std::time::Instant;
 use vig_baselines::ChainedMap;
 use vig_bench::{print_table, write_result_json, Series};
 use vig_packet::checksum::{checksum, Checksum};
-use vig_packet::{FlowId, Ip4, Proto};
-use vignat::{ExpiryMode, FlowManager, NatConfig, MAX_BURST};
+use vig_packet::{Flow, FlowId, Ip4, Proto};
+use vignat::{ExpiryMode, FlowManager, FlowTable, NatConfig, MAX_BURST};
 
 /// Table capacity: the paper-scale flow table (also the largest the
 /// VigNAT config invariant allows).
@@ -100,7 +103,6 @@ fn bench_nat_step(occupancy: usize, rounds: usize) -> (Series, Series) {
     // Reusable buffers, as the burst datapath keeps them (BurstScratch).
     let mut keys: Vec<FlowId> = Vec::with_capacity(MAX_BURST);
     let mut hashes: Vec<u64> = Vec::with_capacity(MAX_BURST);
-    let mut slots: Vec<Option<usize>> = Vec::with_capacity(MAX_BURST);
     let mut out: Vec<Option<(usize, vig_packet::Flow)>> = Vec::with_capacity(MAX_BURST);
 
     // Interleave the two measurements chunk by chunk so frequency
@@ -132,7 +134,7 @@ fn bench_nat_step(occupancy: usize, rounds: usize) -> (Series, Series) {
         fm.expire(now.minus(texp));
         hashes.clear();
         hashes.extend(keys.iter().map(MapKey::key_hash));
-        fm.lookup_internal_batch(black_box(&keys), black_box(&hashes), &mut slots, &mut out);
+        fm.probe_internal_batch(black_box(&keys), black_box(&hashes), &mut out);
         for r in &out {
             let (slot, _) = r.expect("steady state: all hits");
             fm.rejuvenate(slot, now);
@@ -149,12 +151,20 @@ fn bench_nat_step(occupancy: usize, rounds: usize) -> (Series, Series) {
 }
 
 /// Pure flow-table lookups, single vs batched (no clock, no expiry, no
-/// rejuvenation) — isolates the directory-probe cost.
+/// rejuvenation) — isolates the directory-probe cost, so it runs on the
+/// flow table's `DoubleMap` itself: `FlowManager`'s batched probe also
+/// warms what a rejuvenate of each hit will touch (the burst pipeline's
+/// stages 3–4), which a lookup-only loop would pay for and never use.
 fn bench_lookup_paths(occupancy: usize, rounds: usize) -> (Series, Series) {
-    let mut fm = FlowManager::new(&cfg());
-    for i in 0..occupancy as u32 {
-        fm.allocate(fid(i), Time::from_secs(1))
-            .expect("below capacity");
+    let c = cfg();
+    let mut table: DoubleMap<Flow> = DoubleMap::new(CAP);
+    for i in 0..occupancy {
+        let flow = Flow {
+            int_key: fid(i as u32),
+            ext_ip: c.ext_ip_of_slot(i),
+            ext_port: c.ext_port_of_slot(i),
+        };
+        table.put(i, flow).expect("below capacity");
     }
     let queries = scrambled(occupancy, rounds * MAX_BURST);
 
@@ -163,7 +173,7 @@ fn bench_lookup_paths(occupancy: usize, rounds: usize) -> (Series, Series) {
     let mut keys: Vec<FlowId> = Vec::with_capacity(MAX_BURST);
     let mut hashes: Vec<u64> = Vec::with_capacity(MAX_BURST);
     let mut slots: Vec<Option<usize>> = Vec::with_capacity(MAX_BURST);
-    let mut out = Vec::with_capacity(MAX_BURST);
+    let mut out: Vec<Option<(usize, Flow)>> = Vec::with_capacity(MAX_BURST);
 
     for chunk in queries.chunks_exact(MAX_BURST) {
         keys.clear();
@@ -172,18 +182,25 @@ fn bench_lookup_paths(occupancy: usize, rounds: usize) -> (Series, Series) {
         let t0 = Instant::now();
         let mut hits = 0usize;
         for k in &keys {
-            if fm.lookup_internal(black_box(k)).is_some() {
+            let found = table.get_by_a(black_box(k)).and_then(|s| table.get(s));
+            if black_box(found).is_some() {
                 hits += 1;
             }
         }
         single_ns.push(t0.elapsed().as_nanos() as f64 / MAX_BURST as f64);
         assert_eq!(hits, MAX_BURST, "steady state must be all hits");
 
+        slots.clear();
         out.clear();
         let t0 = Instant::now();
         hashes.clear();
         hashes.extend(keys.iter().map(MapKey::key_hash));
-        fm.lookup_internal_batch(black_box(&keys), black_box(&hashes), &mut slots, &mut out);
+        table.lookup_batch(black_box(&keys), black_box(&hashes), &mut slots);
+        out.extend(
+            slots
+                .iter()
+                .map(|s| s.and_then(|slot| table.get(slot).map(|f| (slot, *f)))),
+        );
         batched_ns.push(t0.elapsed().as_nanos() as f64 / MAX_BURST as f64);
         assert!(
             out.iter().all(Option::is_some),

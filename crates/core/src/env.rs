@@ -151,6 +151,7 @@ pub struct TxHdr<D: Domain + ?Sized> {
 /// cannot drift apart in how they hash and convert.
 pub mod concrete {
     use super::{ExtParts, FidParts, FlowView, NatEnv, SlotId};
+    use crate::flow_manager::FlowTable;
     use libvig::map::MapKey;
     use vig_packet::{ExtKey, Flow, FlowId, Ip4};
 
@@ -193,6 +194,80 @@ pub mod concrete {
             ext_port: flow.ext_port,
             int_ip: flow.int_key.src_ip.raw(),
             int_port: flow.int_key.src_port,
+        }
+    }
+
+    /// Reusable buffers behind the concrete envs' `lookup_*_batch`:
+    /// the burst's `Some` queries gathered into the dense key/hash
+    /// slices [`FlowTable`]'s batch probes take, their packet
+    /// positions, and the probe results. Owned across bursts, so the
+    /// steady-state burst path allocates nothing for its flow probes.
+    #[derive(Debug, Default)]
+    pub struct ProbeScratch {
+        fids: Vec<FlowId>,
+        eks: Vec<ExtKey>,
+        hashes: Vec<u64>,
+        positions: Vec<usize>,
+        found: Vec<Option<(usize, Flow)>>,
+    }
+
+    impl ProbeScratch {
+        /// [`NatEnv::lookup_internal_batch`] over `table`.
+        pub fn lookup_internal<E, T>(
+            &mut self,
+            table: &mut T,
+            fids: &[Option<FidParts<E>>],
+            out: &mut [Option<FlowView<E>>],
+        ) where
+            E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+            T: FlowTable,
+        {
+            self.gather(fids, |keys, q| keys.fids.push(fid_key(q)));
+            self.hashes.extend(self.fids.iter().map(MapKey::key_hash));
+            table.probe_internal_batch(&self.fids, &self.hashes, &mut self.found);
+            self.scatter(out);
+        }
+
+        /// [`NatEnv::lookup_external_batch`] over `table`.
+        pub fn lookup_external<E, T>(
+            &mut self,
+            table: &mut T,
+            eks: &[Option<ExtParts<E>>],
+            out: &mut [Option<FlowView<E>>],
+        ) where
+            E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+            T: FlowTable,
+        {
+            self.gather(eks, |keys, q| keys.eks.push(ext_key(q)));
+            self.hashes.extend(self.eks.iter().map(MapKey::key_hash));
+            table.probe_external_batch(&self.eks, &self.hashes, &mut self.found);
+            self.scatter(out);
+        }
+
+        /// Clear, then push every `Some` query's key and position.
+        fn gather<Q>(&mut self, queries: &[Option<Q>], push_key: impl Fn(&mut Self, &Q)) {
+            self.fids.clear();
+            self.eks.clear();
+            self.hashes.clear();
+            self.positions.clear();
+            self.found.clear();
+            for (i, q) in queries.iter().enumerate() {
+                if let Some(q) = q {
+                    push_key(self, q);
+                    self.positions.push(i);
+                }
+            }
+        }
+
+        /// Write each probe result at its query's packet position.
+        fn scatter<E>(&self, out: &mut [Option<FlowView<E>>])
+        where
+            E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+        {
+            debug_assert_eq!(self.found.len(), self.positions.len());
+            for (&i, r) in self.positions.iter().zip(&self.found) {
+                out[i] = r.as_ref().map(|(slot, flow)| view(*slot, flow));
+            }
         }
     }
 
@@ -278,13 +353,15 @@ pub trait NatEnv: Domain {
     /// Look up a flow by internal 5-tuple.
     fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>>;
 
-    /// Resolve a burst of internal-key lookups, appending one result
-    /// per query to `out` in query order. Must be observationally
+    /// Resolve a burst of internal-key lookups. Queries and results
+    /// are indexed by packet position: `out[i]` receives the result of
+    /// `fids[i]` where that is `Some`, and is left alone where it is
+    /// `None` (`out.len() == fids.len()`). Must be observationally
     /// identical to calling [`NatEnv::lookup_internal`] per query — the
     /// default does exactly that; concrete environments override it
-    /// with the flow table's batched probe
-    /// (`libvig::DoubleMap::lookup_batch`) so a burst's directory
-    /// probes issue back to back.
+    /// with the flow table's staged burst probe
+    /// ([`crate::flow_manager::FlowTable::probe_internal_batch`]) so the
+    /// burst's cache misses overlap instead of serializing.
     ///
     /// The burst loop body ([`crate::loop_body::nat_process_batch`])
     /// only *trusts* hits from this call: burst-mate packets can insert
@@ -292,17 +369,33 @@ pub trait NatEnv: Domain {
     /// misses are re-checked at their sequence point.
     fn lookup_internal_batch(
         &mut self,
-        fids: &[FidParts<Self>],
-        out: &mut Vec<Option<FlowView<Self>>>,
+        fids: &[Option<FidParts<Self>>],
+        out: &mut [Option<FlowView<Self>>],
     ) {
-        for fid in fids {
-            let r = self.lookup_internal(fid);
-            out.push(r);
+        for (fid, slot) in fids.iter().zip(out) {
+            if let Some(fid) = fid {
+                *slot = self.lookup_internal(fid);
+            }
         }
     }
 
     /// Look up a flow by external key.
     fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>>;
+
+    /// [`NatEnv::lookup_internal_batch`] for external keys: same
+    /// indexing, same hits-only trust rule, default delegating to
+    /// [`NatEnv::lookup_external`] per query.
+    fn lookup_external_batch(
+        &mut self,
+        eks: &[Option<ExtParts<Self>>],
+        out: &mut [Option<FlowView<Self>>],
+    ) {
+        for (ek, slot) in eks.iter().zip(out) {
+            if let Some(ek) = ek {
+                *slot = self.lookup_external(ek);
+            }
+        }
+    }
 
     /// Refresh a matched flow's timestamp (Fig. 6 lines 10–12).
     ///

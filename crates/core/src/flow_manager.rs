@@ -55,6 +55,26 @@
 //! byte-identical (free-list order included) and the scan remains the
 //! wheel's differential oracle for every class mix.
 //!
+//! ## The burst pipeline
+//!
+//! A hit on a table larger than cache touches a dozen scattered lines
+//! in dependent levels: directory tag word → directory slot → value
+//! slot, then — when the hit is rejuvenated — the chain cell, the
+//! tracker bytes, the node of the slot's class wheel, and both lists'
+//! neighbour links. One lookup at a time pays those misses in series.
+//! [`FlowTable::probe_internal_batch`] and
+//! [`FlowTable::probe_external_batch`] instead run the burst in stages,
+//! each issued for every query before the next begins, so the misses of
+//! one stage overlap: (1) probe starts and tag words, (2) the directory
+//! slot each probe dereferences first, then the probes
+//! ([`libvig::map::Map::get_batch_with_hash`]); (3) for every hit the
+//! value slot, chain cell, tracker bytes and class-wheel node; (4) the
+//! two neighbours each list's unlink will write. Stages 3–4 are plain
+//! loads through the structures' `first_touch*` hints — they change no
+//! state, so results stay exactly the per-query lookups' — and are
+//! skipped while the table tracks so few flows that their state is
+//! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
+//!
 //! Homogeneous configurations (the paper's, and every config where the
 //! TCP lifetimes inherit `expiry_ns`) keep the **literal legacy
 //! single-wheel/scan path**: the classed engines break equal-deadline
@@ -129,11 +149,24 @@ pub trait FlowTable {
     /// fids[i].key_hash()`. Results must equal element-wise
     /// [`FlowTable::lookup_internal_hashed`] — batching (and, for
     /// sharded tables, the per-shard sub-batch split) is a pure
-    /// optimization. Takes `&mut self` only for internal scratch; the
-    /// table state is not modified.
+    /// optimization: beyond the results, an implementation may only
+    /// *load* what the hits' rejuvenations will touch, so those misses
+    /// overlap across the burst ([`FlowManager`] docs). Takes
+    /// `&mut self` only for internal scratch; the table state is not
+    /// modified.
     fn probe_internal_batch(
         &mut self,
         fids: &[FlowId],
+        hashes: &[u64],
+        out: &mut Vec<Option<(usize, Flow)>>,
+    );
+
+    /// [`FlowTable::probe_internal_batch`] for external keys: results
+    /// equal element-wise [`FlowTable::lookup_external_hashed`],
+    /// duplicates and endpoints no shard owns included.
+    fn probe_external_batch(
+        &mut self,
+        eks: &[ExtKey],
         hashes: &[u64],
         out: &mut Vec<Option<(usize, Flow)>>,
     );
@@ -191,6 +224,16 @@ pub trait FlowTable {
     fn check_coherence(&self) -> Result<(), String>;
 }
 
+/// What stages 3–4 of the burst pipeline load for one hit: about ten
+/// 64-byte lines (module docs).
+const HIT_STATE_BYTES: usize = 10 * 64;
+
+/// The cache a table's hot per-slot state may be assumed to stay in — a
+/// conservative share of one core's private L2. A table tracking fewer
+/// flows than fit it (about 800) runs its batched probes without stages
+/// 3–4.
+const RESIDENT_BUDGET_BYTES: usize = 512 << 10;
+
 /// The NAT's flow table + expiry machinery. See module docs.
 #[derive(Debug, Clone)]
 pub struct FlowManager {
@@ -219,7 +262,7 @@ pub struct FlowManager {
     /// monotonicity precondition (debug-asserted).
     #[cfg(debug_assertions)]
     clock_high: Time,
-    /// Reusable slot buffer for [`FlowTable::probe_internal_batch`].
+    /// Reusable slot buffer for the `FlowTable::probe_*_batch` pair.
     probe_slots: Vec<Option<usize>>,
 }
 
@@ -432,25 +475,64 @@ impl FlowManager {
         self.table.get(slot).map(|f| (slot, f))
     }
 
-    /// Resolve a burst of internal-key lookups with one batched
-    /// directory probe ([`libvig::DoubleMap::lookup_batch`]), appending
-    /// `(slot, flow)` per query to `out` in query order. `hashes[i]`
-    /// must equal `fids[i].key_hash()`. `slots_scratch` is a reusable
-    /// buffer (cleared here) so steady-state bursts allocate nothing.
-    pub fn lookup_internal_batch(
-        &self,
-        fids: &[FlowId],
-        hashes: &[u64],
-        slots_scratch: &mut Vec<Option<usize>>,
+    /// One batched probe: `directory_probe` resolves the queries to
+    /// slots (stages 1–2, in whichever directory), [`Self::finish_probe`]
+    /// does the rest.
+    fn staged_probe(
+        &mut self,
         out: &mut Vec<Option<(usize, Flow)>>,
+        directory_probe: impl FnOnce(&DoubleMap<Flow>, &mut Vec<Option<usize>>),
     ) {
-        slots_scratch.clear();
-        self.table.lookup_batch(fids, hashes, slots_scratch);
+        // Detach the scratch so the `&self` stages can run while we
+        // hold it mutably; reattach afterwards (no allocation in steady
+        // state).
+        let mut slots = std::mem::take(&mut self.probe_slots);
+        slots.clear();
+        directory_probe(&self.table, &mut slots);
+        self.finish_probe(&slots, out);
+        self.probe_slots = slots;
+    }
+
+    /// Stages 3–4 of the burst pipeline (module docs) over the slots a
+    /// batched directory probe resolved, then one `(slot, flow)` per
+    /// query appended to `out`.
+    ///
+    /// The stages are skipped while the live flows' per-slot state fits
+    /// [`RESIDENT_BUDGET_BYTES`]: lines that are in cache already gain
+    /// nothing from being loaded early, and the hint passes cost a few
+    /// ns per packet.
+    fn finish_probe(&self, slots: &[Option<usize>], out: &mut Vec<Option<(usize, Flow)>>) {
+        if self.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES {
+            for &slot in slots.iter().flatten() {
+                self.table.first_touch(slot);
+                self.chain.first_touch(slot);
+                std::hint::black_box(self.tcp_state.get(slot));
+                if let Some(wheel) = self.wheel_of(slot) {
+                    wheel.first_touch(slot);
+                }
+            }
+            for &slot in slots.iter().flatten() {
+                self.chain.first_touch_neighbours(slot);
+                if let Some(wheel) = self.wheel_of(slot) {
+                    wheel.first_touch_neighbours(slot);
+                }
+            }
+        }
         out.extend(
-            slots_scratch
+            slots
                 .iter()
                 .map(|s| s.and_then(|slot| self.table.get(slot).map(|f| (slot, *f)))),
         );
+    }
+
+    /// The wheel `slot` is armed on, if this table runs wheels: the one
+    /// wheel of a homogeneous config, else the wheel of the slot's
+    /// current class (which reads the slot's class byte).
+    fn wheel_of(&self, slot: usize) -> Option<&TimerWheel> {
+        match &self.wheel {
+            Some(wheel) => Some(wheel),
+            None => self.class_wheels.get(usize::from(*self.class.get(slot)?)),
+        }
     }
 
     /// Find a flow by its external key.
@@ -751,12 +833,16 @@ impl FlowTable for FlowManager {
         hashes: &[u64],
         out: &mut Vec<Option<(usize, Flow)>>,
     ) {
-        // Detach the scratch so the `&self` batch probe can run while
-        // we hold it mutably; reattach afterwards (no allocation in
-        // steady state).
-        let mut slots = std::mem::take(&mut self.probe_slots);
-        self.lookup_internal_batch(fids, hashes, &mut slots, out);
-        self.probe_slots = slots;
+        self.staged_probe(out, |table, slots| table.lookup_batch(fids, hashes, slots));
+    }
+
+    fn probe_external_batch(
+        &mut self,
+        eks: &[ExtKey],
+        hashes: &[u64],
+        out: &mut Vec<Option<(usize, Flow)>>,
+    ) {
+        self.staged_probe(out, |table, slots| table.lookup_batch_b(eks, hashes, slots));
     }
 
     fn lookup_external_hashed(&self, ek: &ExtKey, hash: u64) -> Option<(usize, &Flow)> {
@@ -1008,6 +1094,88 @@ mod tests {
             classed_trace(ExpiryMode::Wheel),
             classed_trace(ExpiryMode::Scan)
         );
+    }
+
+    /// The batched probes, on a table past the cache-resident budget so
+    /// stages 3–4 run: results equal the per-key lookups (hits, misses,
+    /// duplicates, both directions), and nothing observable changes —
+    /// the table still equals the clone taken before, LRU order, stamps
+    /// and coherence included — in every expiry configuration.
+    #[test]
+    fn staged_probes_equal_lookups_and_change_nothing() {
+        use vig_packet::tcp::flags;
+        let big = |c: NatConfig| NatConfig {
+            capacity: 2048,
+            ..c
+        };
+        for (c, mode) in [
+            (big(cfg()), ExpiryMode::Wheel),
+            (big(classed_cfg()), ExpiryMode::Wheel),
+            (big(classed_cfg()), ExpiryMode::Scan),
+        ] {
+            let mut fm = FlowManager::with_expiry(&c, mode);
+            let key = |i: u32| FlowId {
+                src_ip: Ip4(Ip4::new(192, 168, 0, 0).raw() + i),
+                proto: if i.is_multiple_of(3) {
+                    Proto::Udp
+                } else {
+                    Proto::Tcp
+                },
+                ..fid(0, 100)
+            };
+            let mut now = Time::from_secs(1);
+            for i in 0..1500 {
+                now = now.plus(1_000);
+                fm.allocate(key(i), now).expect("below capacity");
+            }
+            assert!(fm.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES);
+            // Shuffle the LRU order and spread TCP flows over classes.
+            for i in (0..1500).step_by(7) {
+                now = now.plus(1_000);
+                let (slot, _) = fm.lookup_internal(&key(i)).unwrap();
+                let fl = [flags::ACK, flags::FIN, flags::RST][i as usize % 3];
+                fm.rejuvenate_with(slot, now, Direction::External, fl);
+            }
+            fm.check_coherence().unwrap();
+
+            let fids: Vec<FlowId> = (1400..1600).chain([3, 3, 1499]).map(key).collect();
+            let eks: Vec<ExtKey> = fids
+                .iter()
+                .map(|f| match fm.lookup_internal(f) {
+                    Some((_, flow)) => flow.ext_key(),
+                    None => ExtKey {
+                        ext_ip: c.external_ip,
+                        ext_port: c.start_port + 2047,
+                        dst_ip: f.dst_ip,
+                        dst_port: f.dst_port,
+                        proto: f.proto,
+                    },
+                })
+                .collect();
+            let before = fm.clone();
+            let mut out = Vec::new();
+            let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();
+            fm.probe_internal_batch(&fids, &hashes, &mut out);
+            for (i, f) in fids.iter().enumerate() {
+                assert_eq!(out[i], fm.lookup_internal(f).map(|(s, fl)| (s, *fl)));
+            }
+            assert_eq!(out.iter().flatten().count(), 100 + 3);
+            out.clear();
+            let hashes: Vec<u64> = eks.iter().map(MapKey::key_hash).collect();
+            fm.probe_external_batch(&eks, &hashes, &mut out);
+            for (i, ek) in eks.iter().enumerate() {
+                assert_eq!(out[i], fm.lookup_external(ek).map(|(s, fl)| (s, *fl)));
+            }
+            assert_eq!(out.iter().flatten().count(), 100 + 3);
+
+            let lru = |fm: &FlowManager| -> Vec<(usize, Flow, Time)> {
+                fm.iter_lru().map(|(s, f, t)| (s, *f, t)).collect()
+            };
+            assert_eq!(lru(&fm), lru(&before));
+            assert_eq!(fm.tcp_state, before.tcp_state);
+            assert_eq!(fm.class, before.class);
+            fm.check_coherence().unwrap();
+        }
     }
 
     proptest! {

@@ -90,7 +90,8 @@ pub fn nat_loop_iteration<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig) -> I
         return IterationOutcome::NoPacket;
     };
 
-    process_received(env, cfg, pkt, now, None)
+    let verdict = validate(env, &pkt);
+    complete(env, cfg, &pkt, verdict, now, None)
 }
 
 /// `expire_flows(t)` with the `now >= Texp` guard (Fig. 6 line 2):
@@ -112,22 +113,25 @@ fn expire_guarded<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig, now: &E::U64
     }
 }
 
-/// Validate + translate one received packet. `hint` is an optional
-/// prefetched internal-lookup result from a batched probe
-/// ([`NatEnv::lookup_internal_batch`]); `None` means "look up at the
+/// Complete one received packet from its validation `verdict`:
+/// translate it, or drop it. `hint` is an optional result of the burst's
+/// batched probe for this packet's own lookup
+/// ([`NatEnv::lookup_internal_batch`] /
+/// [`NatEnv::lookup_external_batch`]); `None` means "look up at the
 /// sequence point" — the single-packet path always passes `None`, so
 /// its behaviour is byte-for-byte the pre-batching code.
-fn process_received<E: NatEnv + ?Sized>(
+fn complete<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: RxPacket<E>,
+    pkt: &RxPacket<E>,
+    verdict: Result<Proto, DropReason>,
     now: E::U64,
     hint: Option<FlowView<E>>,
 ) -> IterationOutcome {
-    match validate(env, &pkt) {
+    match verdict {
         Ok(proto) => match pkt.dir {
-            Direction::Internal => translate_internal(env, cfg, &pkt, proto, now, hint),
-            Direction::External => translate_external(env, cfg, &pkt, proto, now),
+            Direction::Internal => translate_internal(env, cfg, pkt, proto, now, hint),
+            Direction::External => translate_external(env, cfg, pkt, proto, now, hint),
         },
         Err(reason) => {
             env.drop_pkt(pkt.handle);
@@ -314,13 +318,53 @@ fn translate_internal<E: NatEnv + ?Sized>(
 
 /// External → internal path: match or drop, rewrite destination to the
 /// internal endpoint.
+///
+/// `hint`: a *trusted hit* from a batched lookup, or `None` to probe
+/// here — the rule of [`translate_internal`], for the same reason:
+/// expiry ran before the batch probe and nothing else removes a flow
+/// mid-burst, so a batched hit stays valid, while an earlier packet of
+/// the burst may have created the flow a batched miss did not see.
 fn translate_external<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
     pkt: &RxPacket<E>,
     proto: Proto,
     now: E::U64,
+    hint: Option<FlowView<E>>,
 ) -> IterationOutcome {
+    let found = match hint {
+        Some(flow) => Some(flow),
+        None => {
+            let ek = external_key(env, cfg, pkt, proto);
+            env.lookup_external(&ek)
+        }
+    };
+    match found {
+        Some(flow) => {
+            env.rejuvenate(flow.slot, &now, Direction::External, &pkt.tcp_flags);
+            let hdr = TxHdr {
+                src_ip: pkt.src_ip.clone(),
+                src_port: pkt.src_port.clone(),
+                dst_ip: flow.int_ip,
+                dst_port: flow.int_port,
+            };
+            env.tx(pkt.handle, Direction::Internal, hdr);
+            IterationOutcome::Forwarded(Direction::Internal)
+        }
+        None => {
+            env.drop_pkt(pkt.handle);
+            IterationOutcome::Dropped(DropReason::NoFlow)
+        }
+    }
+}
+
+/// Build the external match key for a return packet.
+fn external_key<E: NatEnv + ?Sized>(
+    env: &mut E,
+    cfg: &NatConfig,
+    pkt: &RxPacket<E>,
+    proto: Proto,
+) -> ExtParts<E> {
     // Pool-address selection for the match key. With the paper's
     // single-address pool the NAT owns its one external address and —
     // like Fig. 6 — matches return traffic without consulting the
@@ -343,29 +387,12 @@ fn translate_external<E: NatEnv + ?Sized>(
     } else {
         (pkt.src_ip.clone(), pkt.src_port.clone())
     };
-    let ek = ExtParts {
+    ExtParts {
         ext_ip,
         ext_port: pkt.dst_port.clone(),
         dst_ip: rem_ip,
         dst_port: rem_port,
         proto,
-    };
-    match env.lookup_external(&ek) {
-        Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::External, &pkt.tcp_flags);
-            let hdr = TxHdr {
-                src_ip: pkt.src_ip.clone(),
-                src_port: pkt.src_port.clone(),
-                dst_ip: flow.int_ip,
-                dst_port: flow.int_port,
-            };
-            env.tx(pkt.handle, Direction::Internal, hdr);
-            IterationOutcome::Forwarded(Direction::Internal)
-        }
-        None => {
-            env.drop_pkt(pkt.handle);
-            IterationOutcome::Dropped(DropReason::NoFlow)
-        }
     }
 }
 
@@ -529,10 +556,14 @@ pub const MAX_BURST: usize = 32;
 /// * `expire_flows` runs **once** — re-running it mid-burst is provably
 ///   a no-op, because every flow touched after the first scan is
 ///   stamped `now > now - Texp` (`Texp > 0` by the config invariant);
-/// * internal flow lookups are issued as one batched probe
-///   ([`NatEnv::lookup_internal_batch`]); only *hits* are trusted, and
-///   misses re-probe at their sequence point, so a flow inserted by an
-///   earlier packet of the same burst is still found by a later one.
+/// * flow lookups of **both directions** are issued as batched probes
+///   ([`NatEnv::lookup_internal_batch`],
+///   [`NatEnv::lookup_external_batch`]) which the concrete flow tables
+///   run as a staged first-touch pipeline, so the burst's cache misses
+///   overlap; only *hits* are trusted, and misses re-probe at their
+///   sequence point, so a flow inserted by an earlier packet of the
+///   same burst is still found by a later one — in either direction
+///   (mixed-direction bursts, hairpinning).
 ///
 /// The batched probe (pass 2 below) is also where **RSS-style shard
 /// dispatch** rides when the environment's flow table is sharded
@@ -555,11 +586,10 @@ pub const MAX_BURST: usize = 32;
 /// Returns one [`IterationOutcome`] per received packet (empty when no
 /// packet was pending).
 ///
-/// Per-burst scratch (the five small vectors below) is heap-allocated
-/// per call — measured at ~2 ns/packet, and not reusable across calls
-/// without threading `E`-typed buffers through every caller (the
-/// env-side probe scratch, which dominates, *is* reused via
-/// `BurstScratch` in netsim).
+/// Verdicts, queries and hints live in fixed `[_; MAX_BURST]` arrays
+/// indexed by packet position, so the only heap allocations per call
+/// are the received-packet vector ([`NatEnv::receive_burst`] fills a
+/// `Vec`) and the returned outcomes.
 pub fn nat_process_batch<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -569,62 +599,63 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
 
     let mut pkts: Vec<RxPacket<E>> = Vec::with_capacity(MAX_BURST);
     env.receive_burst(MAX_BURST, &mut pkts);
+    let n = pkts.len();
+    assert!(n <= MAX_BURST, "env delivered {n} packets to one burst");
 
     // Pass 1: validation ladder per packet. Decision only — the
     // `drop_pkt` *effect* is deferred to pass 3 so every buffer is
     // consumed at its own sequence point, in arrival order, exactly as
     // the sequential loop consumes them.
-    let mut verdicts: Vec<Result<Proto, DropReason>> = Vec::with_capacity(pkts.len());
-    for pkt in &pkts {
-        verdicts.push(validate(env, pkt));
-    }
+    let verdicts: [Option<Result<Proto, DropReason>>; MAX_BURST] =
+        std::array::from_fn(|i| pkts.get(i).map(|pkt| validate(env, pkt)));
 
-    // Pass 2: one batched probe for all internal-direction lookups.
-    // (On a sharded flow table this is the dispatch point: the env
-    // splits these queries into per-shard sub-batches by their
-    // memoized hashes — see the function docs.)
-    // Keys are built by `internal_fid`, so EIM canonicalization applies
-    // to batched probes exactly as to sequence-point lookups. (On the
-    // hairpin path the sender's key is this same fid, so a batched hit
-    // stays a valid hint there too.)
-    let mut queries: Vec<FidParts<E>> = Vec::with_capacity(pkts.len());
-    for (pkt, v) in pkts.iter().zip(&verdicts) {
-        if let Ok(proto) = v {
-            if pkt.dir == Direction::Internal {
-                queries.push(internal_fid(env, cfg, pkt, *proto));
+    // Pass 2: batched probes for every valid packet's own lookup, by
+    // direction. (On a sharded flow table this is the dispatch point:
+    // the env splits these queries into per-shard sub-batches — see the
+    // function docs.) Keys are built by `internal_fid`/`external_key`,
+    // so EIM canonicalization applies to batched probes exactly as to
+    // sequence-point lookups. (On the hairpin path the sender's key is
+    // this same fid, so a batched hit stays a valid hint there too; the
+    // hairpin *target* is looked up at its sequence point.)
+    let mut int_queries: [Option<FidParts<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let mut ext_queries: [Option<ExtParts<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let (mut any_int, mut any_ext) = (false, false);
+    for (i, pkt) in pkts.iter().enumerate() {
+        if let Some(Ok(proto)) = verdicts[i] {
+            match pkt.dir {
+                Direction::Internal => {
+                    int_queries[i] = Some(internal_fid(env, cfg, pkt, proto));
+                    any_int = true;
+                }
+                Direction::External => {
+                    ext_queries[i] = Some(external_key(env, cfg, pkt, proto));
+                    any_ext = true;
+                }
             }
         }
     }
-    let mut hints: Vec<Option<FlowView<E>>> = Vec::with_capacity(queries.len());
-    env.lookup_internal_batch(&queries, &mut hints);
-    debug_assert_eq!(
-        hints.len(),
-        queries.len(),
-        "env returned wrong batch result count"
-    );
+    let mut hints: [Option<FlowView<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    if any_int {
+        env.lookup_internal_batch(&int_queries[..n], &mut hints[..n]);
+    }
+    if any_ext {
+        env.lookup_external_batch(&ext_queries[..n], &mut hints[..n]);
+    }
 
     // Pass 3: complete each packet in arrival order. Trust batched
     // hits; batched misses pass `None` and re-probe at the sequence
     // point (see `translate_internal`).
-    let mut outcomes = Vec::with_capacity(pkts.len());
-    let mut next_hint = 0;
-    for (pkt, v) in pkts.iter().zip(&verdicts) {
-        match v {
-            Err(reason) => {
-                env.drop_pkt(pkt.handle);
-                outcomes.push(IterationOutcome::Dropped(*reason));
-            }
-            Ok(proto) => match pkt.dir {
-                Direction::Internal => {
-                    let hint = hints.get_mut(next_hint).and_then(Option::take);
-                    next_hint += 1;
-                    outcomes.push(translate_internal(env, cfg, pkt, *proto, now.clone(), hint));
-                }
-                Direction::External => {
-                    outcomes.push(translate_external(env, cfg, pkt, *proto, now.clone()));
-                }
-            },
-        }
+    let mut outcomes = Vec::with_capacity(n);
+    for (i, pkt) in pkts.iter().enumerate() {
+        let verdict = verdicts[i].expect("every received packet was validated in pass 1");
+        outcomes.push(complete(
+            env,
+            cfg,
+            pkt,
+            verdict,
+            now.clone(),
+            hints[i].take(),
+        ));
     }
     outcomes
 }

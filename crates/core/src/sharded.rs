@@ -59,10 +59,13 @@ pub struct ShardedFlowManager {
     shards: Vec<FlowManager>,
     cfg: NatConfig,
     per_shard: usize,
-    /// Gather/scatter scratch for the per-shard sub-batch probe split.
+    /// Gather/scatter scratch for the per-shard sub-batch probe split
+    /// of internal keys (routed by hash)...
     split: BatchSplit<FlowId>,
-    /// Per-shard probe result scratch (reused across bursts).
-    shard_found: Vec<Vec<Option<(usize, Flow)>>>,
+    /// ...and of external keys (routed by the endpoint partition).
+    split_ext: BatchSplit<ExtKey>,
+    /// One shard's probe results (reused across shards and bursts).
+    found: Vec<Option<(usize, Flow)>>,
 }
 
 impl ShardedFlowManager {
@@ -99,7 +102,8 @@ impl ShardedFlowManager {
             cfg: *cfg,
             per_shard,
             split: BatchSplit::new(shards),
-            shard_found: (0..shards).map(|_| Vec::new()).collect(),
+            split_ext: BatchSplit::new(shards),
+            found: Vec::new(),
         }
     }
 
@@ -168,10 +172,7 @@ impl ShardedFlowManager {
     /// be canonicalized the way the loop body's external key is (the
     /// configured address for single-address pools).
     pub fn shard_of_endpoint(&self, ip: Ip4, port: u16) -> Option<usize> {
-        let slot = self.cfg.slot_of_endpoint(ip, port)?;
-        // Remainder slots (capacity % shards) are dropped from the
-        // sharded table; their endpoints belong to no shard.
-        (slot < self.per_shard * self.shards.len()).then(|| slot / self.per_shard)
+        endpoint_shard(&self.cfg, self.per_shard, self.shards.len(), ip, port)
     }
 
     /// [`ShardedFlowManager::shard_of_endpoint`] for the paper's
@@ -225,6 +226,44 @@ impl ShardedFlowManager {
     }
 }
 
+/// [`ShardedFlowManager::shard_of_endpoint`] on the table's parameters
+/// (callable while the table's scratch is mutably borrowed).
+fn endpoint_shard(
+    cfg: &NatConfig,
+    per_shard: usize,
+    shards: usize,
+    ip: Ip4,
+    port: u16,
+) -> Option<usize> {
+    let slot = cfg.slot_of_endpoint(ip, port)?;
+    // Remainder slots (capacity % shards) are dropped from the sharded
+    // table; their endpoints belong to no shard.
+    (slot < per_shard * shards).then(|| slot / per_shard)
+}
+
+/// Probe each shard's sub-batch of `split` with `probe` and write every
+/// result at its query's original position of `out`, remapped to global
+/// slots. Queries routed nowhere keep the `None` they start with.
+fn probe_split<K: Clone>(
+    shards: &mut [FlowManager],
+    per_shard: usize,
+    split: &BatchSplit<K>,
+    found: &mut Vec<Option<(usize, Flow)>>,
+    out: &mut [Option<(usize, Flow)>],
+    probe: impl Fn(&mut FlowManager, &[K], &[u64], &mut Vec<Option<(usize, Flow)>>),
+) {
+    for (s, fm) in shards.iter_mut().enumerate() {
+        if split.keys(s).is_empty() {
+            continue;
+        }
+        found.clear();
+        probe(fm, split.keys(s), split.hashes(s), found);
+        for (&orig, r) in split.origins(s).iter().zip(found.iter()) {
+            out[orig as usize] = r.map(|(slot, flow)| (s * per_shard + slot, flow));
+        }
+    }
+}
+
 impl FlowTable for ShardedFlowManager {
     fn flow_count(&self) -> usize {
         self.shards.iter().map(FlowManager::len).sum()
@@ -255,25 +294,41 @@ impl FlowTable for ShardedFlowManager {
         self.split.split(fids, hashes);
         let base = out.len();
         out.resize(base + fids.len(), None);
-        // Probe: each shard resolves its sub-batch with its own batched
-        // directory probe (`get_batch_with_hash` underneath), giving
-        // the same grouped-first-touch locality per shard the unsharded
-        // burst path gets globally.
-        for (s, (fm, found)) in self
-            .shards
-            .iter_mut()
-            .zip(self.shard_found.iter_mut())
-            .enumerate()
-        {
-            found.clear();
-            fm.probe_internal_batch(self.split.keys(s), self.split.hashes(s), found);
-            // Scatter: write each sub-batch result back at its query's
-            // original position, remapped to global slots.
-            for (j, &orig) in self.split.origins(s).iter().enumerate() {
-                out[base + orig as usize] =
-                    found[j].map(|(slot, flow)| (s * self.per_shard + slot, flow));
-            }
-        }
+        // Probe + scatter: each shard resolves its sub-batch with its
+        // own staged burst probe, giving the same overlapped misses per
+        // shard the unsharded burst path gets globally.
+        probe_split(
+            &mut self.shards,
+            self.per_shard,
+            &self.split,
+            &mut self.found,
+            &mut out[base..],
+            FlowManager::probe_internal_batch,
+        );
+    }
+
+    fn probe_external_batch(
+        &mut self,
+        eks: &[ExtKey],
+        hashes: &[u64],
+        out: &mut Vec<Option<(usize, Flow)>>,
+    ) {
+        // Route by the endpoint partition, once per key (module docs);
+        // an endpoint no shard owns joins no sub-batch and stays a miss.
+        let (cfg, per_shard, shards) = (self.cfg, self.per_shard, self.shards.len());
+        self.split_ext.split_by(eks, hashes, |ek, _| {
+            endpoint_shard(&cfg, per_shard, shards, ek.ext_ip, ek.ext_port)
+        });
+        let base = out.len();
+        out.resize(base + eks.len(), None);
+        probe_split(
+            &mut self.shards,
+            self.per_shard,
+            &self.split_ext,
+            &mut self.found,
+            &mut out[base..],
+            FlowManager::probe_external_batch,
+        );
     }
 
     fn lookup_external_hashed(&self, ek: &ExtKey, hash: u64) -> Option<(usize, &Flow)> {
@@ -527,5 +582,102 @@ mod tests {
     #[should_panic(expected = "empty shards")]
     fn more_shards_than_capacity_is_rejected() {
         let _ = ShardedFlowManager::new(&cfg(4), 8);
+    }
+
+    /// Both batch probes against their per-key lookups on `t`.
+    fn assert_batches_equal_lookups<T: FlowTable>(t: &mut T, fids: &[FlowId], eks: &[ExtKey]) {
+        let hashes: Vec<u64> = eks.iter().map(MapKey::key_hash).collect();
+        let mut batch = Vec::new();
+        t.probe_external_batch(eks, &hashes, &mut batch);
+        assert_eq!(batch.len(), eks.len());
+        for (i, ek) in eks.iter().enumerate() {
+            let seq = t
+                .lookup_external_hashed(ek, hashes[i])
+                .map(|(s, f)| (s, *f));
+            assert_eq!(batch[i], seq, "external query {i} ({ek:?}) diverged");
+        }
+        let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();
+        batch.clear();
+        t.probe_internal_batch(fids, &hashes, &mut batch);
+        for (i, fid) in fids.iter().enumerate() {
+            let seq = t
+                .lookup_internal_hashed(fid, hashes[i])
+                .map(|(s, f)| (s, *f));
+            assert_eq!(batch[i], seq, "internal query {i} diverged");
+        }
+    }
+
+    proptest::proptest! {
+        /// `probe_external_batch` (and its internal twin) equal their
+        /// element-wise lookups on the unsharded and the sharded table
+        /// — live endpoints, dead ones, wrong remotes, duplicates,
+        /// endpoints outside the pool and, with 3 shards over 64 slots,
+        /// the remainder slot no shard owns — and, being loads only,
+        /// leave every observable bit of either table as it was.
+        #[test]
+        fn batch_probes_equal_lookups_and_change_nothing(
+            flows in proptest::collection::vec((0u8..48, 0u8..2, 0u8..3), 0..70),
+            queries in proptest::collection::vec((0u16..70, 0u8..3, 0u8..2), 1..90),
+            shards in 1usize..4,
+            classed in 0u8..2,
+        ) {
+            let c = NatConfig {
+                tcp_transitory_ns: u64::from(classed) * Time::from_secs(3).nanos(),
+                ..cfg(64)
+            };
+            let mut plain = FlowManager::new(&c);
+            let mut sharded = ShardedFlowManager::new(&c, shards);
+            let mut now = Time::from_secs(1);
+            for (host, tcp, step) in flows {
+                now = now.plus(u64::from(step));
+                let f = FlowId {
+                    proto: if tcp == 1 { Proto::Tcp } else { Proto::Udp },
+                    ..fid(host, 100)
+                };
+                match plain.lookup_internal(&f) {
+                    Some((slot, _)) => plain.rejuvenate(slot, now),
+                    None => { plain.allocate(f, now); }
+                }
+                let h = f.key_hash();
+                match sharded.lookup_internal_hashed(&f, h).map(|(s, _)| s) {
+                    Some(slot) => sharded.rejuvenate(slot, now, Direction::External, 0x10),
+                    None => {
+                        if let Some(slot) = sharded.allocate_slot_routed(h, now) {
+                            let (ip, port) = sharded.endpoint_of_slot(slot);
+                            sharded.insert_hashed(slot, f, ip, port, h, 0x02);
+                        }
+                    }
+                }
+            }
+            let eks: Vec<ExtKey> = queries
+                .iter()
+                .map(|&(off, remote, tcp)| ExtKey {
+                    ext_ip: c.external_ip,
+                    // 1000..1063 is the pool; 999 and 1064.. are not.
+                    ext_port: 999 + off,
+                    dst_ip: Ip4::new(8, 8, 8, 8),
+                    dst_port: [53, 53, 54][usize::from(remote)],
+                    proto: if tcp == 1 { Proto::Tcp } else { Proto::Udp },
+                })
+                .collect();
+            let fids: Vec<FlowId> = queries
+                .iter()
+                .map(|&(off, _, tcp)| FlowId {
+                    proto: if tcp == 1 { Proto::Tcp } else { Proto::Udp },
+                    ..fid(off as u8, 100)
+                })
+                .collect();
+
+            let before: Vec<_> = plain.iter_lru().map(|(s, f, t)| (s, *f, t)).collect();
+            assert_batches_equal_lookups(&mut plain, &fids, &eks);
+            let after: Vec<_> = plain.iter_lru().map(|(s, f, t)| (s, *f, t)).collect();
+            proptest::prop_assert_eq!(before, after);
+            proptest::prop_assert!(plain.check_coherence().is_ok());
+
+            let before = sharded.snapshot();
+            assert_batches_equal_lookups(&mut sharded, &fids, &eks);
+            proptest::prop_assert_eq!(before, sharded.snapshot());
+            proptest::prop_assert!(sharded.check_coherence().is_ok());
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! every received handle must be consumed by exactly one `tx`/`drop_pkt`
 //! before the iteration ends, mirroring the Validator's leak check.
 
-use crate::env::concrete::{ext_key, fid_key, view, FidMemo};
+use crate::env::concrete::{ext_key, fid_key, view, FidMemo, ProbeScratch};
 use crate::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
 use crate::flow_manager::{FlowManager, FlowTable};
 use crate::loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome};
@@ -21,7 +21,7 @@ use crate::sharded::ShardedFlowManager;
 use libvig::map::MapKey;
 use libvig::time::Time;
 use std::collections::VecDeque;
-use vig_packet::{Direction, FlowFields, FlowId};
+use vig_packet::{Direction, FlowFields};
 use vig_spec::NatConfig;
 
 /// Raw header fields for an injected packet. Use [`RawRx::well_formed`]
@@ -121,6 +121,8 @@ pub struct SimpleEnv<T: FlowTable = FlowManager> {
     expired_total: usize,
     /// Per-packet `FlowId` hash memo (each `FlowId` is hashed once).
     fid_memo: FidMemo,
+    /// Reused buffers of the batched probes.
+    probe_scratch: ProbeScratch,
 }
 
 impl<T: FlowTable> crate::domain::Domain for SimpleEnv<T> {
@@ -154,6 +156,7 @@ impl<T: FlowTable> SimpleEnv<T> {
             in_flight: Vec::new(),
             expired_total: 0,
             fid_memo: FidMemo::default(),
+            probe_scratch: ProbeScratch::default(),
         }
     }
 
@@ -309,18 +312,10 @@ impl<T: FlowTable> NatEnv for SimpleEnv<T> {
 
     fn lookup_internal_batch(
         &mut self,
-        fids: &[FidParts<Self>],
-        out: &mut Vec<Option<FlowView<Self>>>,
+        fids: &[Option<FidParts<Self>>],
+        out: &mut [Option<FlowView<Self>>],
     ) {
-        let keys: Vec<FlowId> = fids.iter().map(fid_key).collect();
-        let hashes: Vec<u64> = keys.iter().map(MapKey::key_hash).collect();
-        let mut found = Vec::with_capacity(keys.len());
-        self.fm.probe_internal_batch(&keys, &hashes, &mut found);
-        out.extend(
-            found
-                .into_iter()
-                .map(|r| r.map(|(slot, flow)| view(slot, &flow))),
-        );
+        self.probe_scratch.lookup_internal(&mut self.fm, fids, out);
     }
 
     fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
@@ -328,6 +323,14 @@ impl<T: FlowTable> NatEnv for SimpleEnv<T> {
         let hash = key.key_hash();
         let (slot, flow) = self.fm.lookup_external_hashed(&key, hash)?;
         Some(view(slot, flow))
+    }
+
+    fn lookup_external_batch(
+        &mut self,
+        eks: &[Option<ExtParts<Self>>],
+        out: &mut [Option<FlowView<Self>>],
+    ) {
+        self.probe_scratch.lookup_external(&mut self.fm, eks, out);
     }
 
     fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, tcp_flags: &u8) {

@@ -27,54 +27,74 @@
 //!   `G.timestamp + Texp <= t`; callers pass
 //!   `threshold = now - Texp`, see [`crate::expirator`].)
 //! * `is_allocated(i)`, `timestamp_of(i)` — pure queries.
+//!
+//! ## Memory layout
+//!
+//! One `Vec` of 16-byte cells `{prev, next, ts}`, four to a cache line,
+//! so everything `rejuvenate` reads or writes about an index — both
+//! links, the stamp, and whether it is allocated at all — is one line,
+//! not one line in each of four parallel arrays. Links are `u32` (the
+//! NAT caps capacity at 2^26; [`DoubleChain::new`] asserts the capacity
+//! fits below the two sentinels), and "free" is encoded in `prev`: a
+//! free cell's `prev` is the `FREE` sentinel, an allocated cell's is a
+//! real index or `NIL`. The allocated list is doubly linked in LRU order; the
+//! free list is singly linked through `next`.
 
 use crate::time::Time;
 use crate::Full;
 
-const NIL: usize = usize::MAX;
+/// Link terminator.
+const NIL: u32 = u32::MAX;
+/// `prev` of a cell on the free list.
+const FREE: u32 = u32::MAX - 1;
+
+/// Everything the chain keeps about one index. See the module docs.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    prev: u32,
+    next: u32,
+    ts: Time,
+}
 
 /// The double chain. See module docs.
 #[derive(Debug, Clone)]
 pub struct DoubleChain {
-    /// Doubly-linked allocated list in LRU order + singly-linked free list,
-    /// sharing the `next`/`prev` arrays.
-    next: Vec<usize>,
-    prev: Vec<usize>,
-    timestamps: Vec<Time>,
-    allocated: Vec<bool>,
+    cells: Vec<Cell>,
     /// Head/tail of the allocated list (oldest / freshest).
-    al_head: usize,
-    al_tail: usize,
+    al_head: u32,
+    al_tail: u32,
     /// Head of the free list.
-    free_head: usize,
+    free_head: u32,
     size: usize,
-    capacity: usize,
 }
 
 impl DoubleChain {
     /// Preallocate a chain handing out indices `0..capacity`.
     pub fn new(capacity: usize) -> DoubleChain {
         assert!(capacity > 0, "dchain capacity must be non-zero");
-        let mut next = vec![NIL; capacity];
-        for (i, n) in next.iter_mut().enumerate().take(capacity - 1) {
-            *n = i + 1;
-        }
+        assert!(
+            capacity <= FREE as usize,
+            "dchain capacity must fit u32 links below the NIL/FREE sentinels"
+        );
+        let cells = (0..capacity)
+            .map(|i| Cell {
+                prev: FREE,
+                next: if i + 1 < capacity { i as u32 + 1 } else { NIL },
+                ts: Time::ZERO,
+            })
+            .collect();
         DoubleChain {
-            next,
-            prev: vec![NIL; capacity],
-            timestamps: vec![Time::ZERO; capacity],
-            allocated: vec![false; capacity],
+            cells,
             al_head: NIL,
             al_tail: NIL,
             free_head: 0,
             size: 0,
-            capacity,
         }
     }
 
     /// Capacity fixed at construction.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.cells.len()
     }
 
     /// Number of allocated indices.
@@ -84,29 +104,42 @@ impl DoubleChain {
 
     /// True when every index is allocated.
     pub fn is_full(&self) -> bool {
-        self.size == self.capacity
+        self.size == self.cells.len()
     }
 
     /// True if `index` is currently allocated. Out-of-range is `false`.
     pub fn is_allocated(&self, index: usize) -> bool {
-        index < self.capacity && self.allocated[index]
+        self.cells.get(index).is_some_and(|c| c.prev != FREE)
     }
 
     /// Last-refresh time of an allocated index.
     pub fn timestamp_of(&self, index: usize) -> Option<Time> {
-        if self.is_allocated(index) {
-            Some(self.timestamps[index])
-        } else {
-            None
-        }
+        self.cells
+            .get(index)
+            .and_then(|c| (c.prev != FREE).then_some(c.ts))
     }
 
     /// Timestamp of the oldest allocated index (the expiry candidate).
     pub fn oldest_timestamp(&self) -> Option<Time> {
-        if self.al_head == NIL {
-            None
-        } else {
-            Some(self.timestamps[self.al_head])
+        self.cells.get(self.al_head as usize).map(|c| c.ts)
+    }
+
+    /// Hint: load `index`'s cell so a following
+    /// [`DoubleChain::rejuvenate`] finds it in cache. Changes nothing;
+    /// any `index` is accepted (out of range loads nothing).
+    #[inline]
+    pub fn first_touch(&self, index: usize) {
+        std::hint::black_box(self.cells.get(index).map(|c| c.ts));
+    }
+
+    /// Hint: load the cells of `index`'s two list neighbours — the
+    /// lines unlinking it will write. Changes nothing; any `index` is
+    /// accepted (a free cell's `next` is just another cell to load).
+    #[inline]
+    pub fn first_touch_neighbours(&self, index: usize) {
+        if let Some(c) = self.cells.get(index) {
+            self.first_touch(c.prev as usize);
+            self.first_touch(c.next as usize);
         }
     }
 
@@ -120,10 +153,10 @@ impl DoubleChain {
             return Err(Full);
         }
         let idx = self.free_head;
-        self.free_head = self.next[idx];
+        self.free_head = self.cells[idx as usize].next;
         self.append_allocated(idx, time);
         self.size += 1;
-        Ok(idx)
+        Ok(idx as usize)
     }
 
     /// Refresh an allocated index's timestamp to `time`, moving it to the
@@ -135,27 +168,20 @@ impl DoubleChain {
         if !self.is_allocated(index) {
             return false;
         }
-        self.unlink_allocated(index);
-        self.append_allocated(index, time);
+        self.unlink_allocated(index as u32);
+        self.append_allocated(index as u32, time);
         true
     }
 
     /// If the oldest allocated index has `timestamp <= threshold`, free it
     /// and return it.
     pub fn expire_one(&mut self, threshold: Time) -> Option<usize> {
-        if self.al_head == NIL {
-            return None;
-        }
         let idx = self.al_head;
-        if self.timestamps[idx] > threshold {
+        if self.cells.get(idx as usize)?.ts > threshold {
             return None;
         }
-        self.unlink_allocated(idx);
-        self.allocated[idx] = false;
-        self.next[idx] = self.free_head;
-        self.free_head = idx;
-        self.size -= 1;
-        Some(idx)
+        self.release(idx);
+        Some(idx as usize)
     }
 
     /// Free an allocated index directly (used by NFs that tear down state
@@ -165,11 +191,7 @@ impl DoubleChain {
         if !self.is_allocated(index) {
             return false;
         }
-        self.unlink_allocated(index);
-        self.allocated[index] = false;
-        self.next[index] = self.free_head;
-        self.free_head = index;
-        self.size -= 1;
+        self.release(index as u32);
         true
     }
 
@@ -182,51 +204,60 @@ impl DoubleChain {
         }
     }
 
-    fn append_allocated(&mut self, idx: usize, time: Time) {
-        self.allocated[idx] = true;
-        self.timestamps[idx] = time;
-        self.next[idx] = NIL;
-        self.prev[idx] = self.al_tail;
+    /// Move allocated `idx` to the head of the free list.
+    fn release(&mut self, idx: u32) {
+        self.unlink_allocated(idx);
+        let cell = &mut self.cells[idx as usize];
+        cell.prev = FREE;
+        cell.next = self.free_head;
+        self.free_head = idx;
+        self.size -= 1;
+    }
+
+    fn append_allocated(&mut self, idx: u32, time: Time) {
+        self.cells[idx as usize] = Cell {
+            prev: self.al_tail,
+            next: NIL,
+            ts: time,
+        };
         if self.al_tail != NIL {
-            self.next[self.al_tail] = idx;
+            self.cells[self.al_tail as usize].next = idx;
         } else {
             self.al_head = idx;
         }
         self.al_tail = idx;
     }
 
-    fn unlink_allocated(&mut self, idx: usize) {
-        let (p, n) = (self.prev[idx], self.next[idx]);
+    fn unlink_allocated(&mut self, idx: u32) {
+        let Cell {
+            prev: p, next: n, ..
+        } = self.cells[idx as usize];
         if p != NIL {
-            self.next[p] = n;
+            self.cells[p as usize].next = n;
         } else {
             self.al_head = n;
         }
         if n != NIL {
-            self.prev[n] = p;
+            self.cells[n as usize].prev = p;
         } else {
             self.al_tail = p;
         }
-        self.prev[idx] = NIL;
-        self.next[idx] = NIL;
     }
 }
 
 struct LruIter<'a> {
     chain: &'a DoubleChain,
-    cur: usize,
+    cur: u32,
 }
 
 impl Iterator for LruIter<'_> {
     type Item = (usize, Time);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let i = self.cur;
-        self.cur = self.chain.next[i];
-        Some((i, self.chain.timestamps[i]))
+        let cell = self.chain.cells.get(self.cur as usize)?;
+        let i = self.cur as usize;
+        self.cur = cell.next;
+        Some((i, cell.ts))
     }
 }
 
@@ -516,6 +547,39 @@ mod tests {
         assert_eq!(c.raw().timestamp_of(a), Some(Time(5)));
         assert_eq!(c.raw().timestamp_of(1 - a), None);
         assert_eq!(c.raw().oldest_timestamp(), Some(Time(5)));
+    }
+
+    #[test]
+    fn cell_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit u32 links")]
+    fn capacity_past_the_link_width_is_rejected_at_construction() {
+        // The assert fires before anything is allocated.
+        let _ = DoubleChain::new(FREE as usize + 1);
+    }
+
+    #[test]
+    fn hints_change_nothing_and_accept_any_index() {
+        let mut c = DoubleChain::new(6);
+        for t in 1..=5 {
+            c.allocate(Time(t)).unwrap();
+        }
+        c.free_index(2);
+        c.rejuvenate(0, Time(9));
+        let before: Vec<_> = c.iter_lru().collect();
+        let free_before = c.clone().allocate(Time(10));
+        // Allocated, freed, never-allocated, one past the end, and the
+        // sentinels themselves.
+        for i in [0, 1, 2, 5, 6, 7, FREE as usize, NIL as usize, usize::MAX] {
+            c.first_touch(i);
+            c.first_touch_neighbours(i);
+        }
+        assert_eq!(c.iter_lru().collect::<Vec<_>>(), before);
+        assert_eq!(c.size(), 4);
+        assert_eq!(c.clone().allocate(Time(10)), free_before, "free list too");
     }
 
     #[derive(Debug, Clone)]

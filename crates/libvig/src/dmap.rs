@@ -127,6 +127,20 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
         self.map_a.get_batch_with_hash(keys, hashes, out);
     }
 
+    /// [`DoubleMap::lookup_batch`] for B-keys: exactly `get_by_b` per
+    /// query, with the B-directory probes staged across the burst.
+    pub fn lookup_batch_b(&self, keys: &[V::KeyB], hashes: &[u64], out: &mut Vec<Option<usize>>) {
+        self.map_b.get_batch_with_hash(keys, hashes, out);
+    }
+
+    /// Hint: load value slot `index` so a following [`DoubleMap::get`]
+    /// finds its line in cache. Changes nothing; any `index` is accepted
+    /// (out of range loads nothing).
+    #[inline]
+    pub fn first_touch(&self, index: usize) {
+        std::hint::black_box(self.slots.get(index).map(Option::is_some));
+    }
+
     /// Read the value in slot `index`.
     pub fn get(&self, index: usize) -> Option<&V> {
         self.slots.get(index).and_then(|s| s.as_ref())
@@ -384,6 +398,30 @@ impl<V: DmapValue + Clone + PartialEq + core::fmt::Debug> CheckedDmap<V> {
         got
     }
 
+    /// Contract-checked B-key batch lookup: must equal element-wise
+    /// `get_by_b` against the model, as [`CheckedDmap::lookup_batch`]
+    /// does for directory A.
+    pub fn lookup_batch_b(&self, keys: &[V::KeyB], hashes: &[u64]) -> Vec<Option<usize>> {
+        for (k, &h) in keys.iter().zip(hashes) {
+            assert_eq!(h, k.key_hash(), "lookup_batch_b precondition: stale hash");
+        }
+        let mut got = Vec::new();
+        self.imp.lookup_batch_b(keys, hashes, &mut got);
+        assert_eq!(
+            got.len(),
+            keys.len(),
+            "lookup_batch_b result count mismatch"
+        );
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(
+                got[i],
+                self.model.get_by_b(k),
+                "lookup_batch_b diverged from abstract model at query {i}"
+            );
+        }
+        got
+    }
+
     /// Contract-checked `put_with_hash` (the `put` contract plus the
     /// memoized-hash precondition on the A-key).
     pub fn put_with_hash(&mut self, index: usize, value: V, ka_hash: u64) -> Result<(), Full> {
@@ -558,6 +596,31 @@ mod tests {
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(batch[i], d.get_by_a(q), "query {i} diverged");
         }
+        // Directory B: hits (50..55), misses, and an A-key that is not a
+        // B-key.
+        let queries: Vec<u64> = (44..60).chain([0, 52, 52]).collect();
+        let hashes: Vec<u64> = queries.iter().map(|k| k.key_hash()).collect();
+        let batch = d.lookup_batch_b(&queries, &hashes);
+        for (i, q) in queries.iter().enumerate() {
+            assert_eq!(batch[i], d.get_by_b(q), "B query {i} diverged");
+        }
+        assert_eq!(batch.iter().flatten().count(), 5 + 2);
+    }
+
+    #[test]
+    fn first_touch_changes_nothing_and_accepts_any_index() {
+        let mut d: DoubleMap<Pair> = DoubleMap::new(4);
+        d.put(1, pair(10, 20)).unwrap();
+        d.put(3, pair(11, 21)).unwrap();
+        let before: Vec<(usize, Pair)> = d.iter().map(|(i, v)| (i, v.clone())).collect();
+        for i in [0, 1, 3, 4, 5, usize::MAX] {
+            d.first_touch(i);
+        }
+        let after: Vec<(usize, Pair)> = d.iter().map(|(i, v)| (i, v.clone())).collect();
+        assert_eq!(before, after);
+        assert_eq!(d.get_by_a(&10), Some(1));
+        assert_eq!(d.get_by_b(&21), Some(3));
+        d.check_directory_coherence().unwrap();
     }
 
     proptest! {

@@ -10,8 +10,8 @@
 //! | module | structure | paper counterpart |
 //! |--------|-----------|-------------------|
 //! | [`map`] | open-addressing hash map with probe-chain counters; single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_batch_with_hash` burst probe | `map.c` / `map.h` |
-//! | [`dmap`] | double-keyed map over preallocated value slots; `get_by_*_with_hash`, `put_with_hash`, batched `lookup_batch` | the flow table (`double-map.c`) |
-//! | [`dchain`] | index allocator with LRU timestamp order | `double-chain.c` (expirator substrate) |
+//! | [`dmap`] | double-keyed map over preallocated value slots; `get_by_*_with_hash`, `put_with_hash`, batched `lookup_batch{,_b}` | the flow table (`double-map.c`) |
+//! | [`dchain`] | index allocator with LRU timestamp order; one 16-byte cell per index, `first_touch*` load hints | `double-chain.c` (expirator substrate) |
 //! | [`vector`] | preallocated value vector | `vector.c` |
 //! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |
 //! | [`spsc`] | lock-free bounded SPSC word ring (shard-runtime queues) | DPDK `rte_ring` (SP/SC mode) |
@@ -19,7 +19,7 @@
 //! | [`port_alloc`] | standalone port allocator | port allocator |
 //! | [`rss`] | RSS-style hash→shard routing + batched-probe splitter | NIC receive-side scaling |
 //! | [`expirator`] | dchain+dmap glue that expires old flows | `expirator.c` |
-//! | [`wheel`] | hierarchical timer wheel (O(1) expiry at any scale), proven ≡ the scan drain | Varghese–Lauck wheel behind `expirator.c`'s seam |
+//! | [`wheel`] | hierarchical timer wheel (O(1) expiry at any scale), proven ≡ the scan drain; one 16-byte node per index, `first_touch*` load hints | Varghese–Lauck wheel behind `expirator.c`'s seam |
 //! | [`time`] | time abstraction (virtual + system clocks) | `nf_time` |
 //! | [`flow`] | NAT flow key hashing | `flow.h` |
 //!

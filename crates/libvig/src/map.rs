@@ -19,12 +19,19 @@
 //!
 //! The table is a **single allocation** of `Slot`s: hash, value, key
 //! and metadata for one probe position live side by side, so one probe
-//! step touches one cache line instead of scattering across five
-//! parallel arrays (the original layout paid up to five cache misses per
-//! step). The busybit is folded into the high bit of the chain-counter
-//! word (`Slot::meta`); the remaining 31 bits count traversing probe
-//! chains, which bounds chains at 2^31 — far above any reachable
-//! occupancy (capacity itself is bounded by memory long before).
+//! step touches one slot instead of scattering across five parallel
+//! arrays (the original layout paid up to five cache misses per step).
+//! One slot is not always one cache line: a NAT-sized `Slot<FlowId>` is
+//! 40 bytes, and a 40-byte element of a contiguous array straddles two
+//! 64-byte lines about half the time (offsets 32, 40, 48 and 56 of the
+//! eight that occur). A 32-byte slot would never straddle, but needs a
+//! narrower value type and measured speed-neutral on the prototype of
+//! the burst pipeline, so it is left for its own change.
+//!
+//! The busybit is folded into the high bit of the chain-counter word
+//! (`Slot::meta`); the remaining 31 bits count traversing probe chains,
+//! which bounds chains at 2^31 — far above any reachable occupancy
+//! (capacity itself is bounded by memory long before).
 //!
 //! ## Tag-group directory (SWAR probing)
 //!
@@ -58,11 +65,16 @@
 //! computed hash so composite structures can hash a key **once** and
 //! reuse it across several probes (VigNAT: lookup miss → insert reuses
 //! the same `FlowId` hash). [`Map::get_batch_with_hash`] resolves a
-//! burst of keys in two passes — a hash/first-touch pass that issues all
-//! the initial slot loads back to back (memory-level parallelism: the
-//! misses overlap instead of serializing), then a probe pass that mostly
-//! hits warm lines. This is what makes the burst path's flow-table cost
-//! sublinear in burst size on large tables.
+//! burst of keys in stages, each issued for a whole chunk of keys before
+//! the next begins: compute every probe start and first-touch its
+//! control word; first-touch the one slot each probe will dereference
+//! first; then complete the probes on warm lines. Loads of one stage do
+//! not depend on each other, so their misses overlap in the memory
+//! system instead of serializing one lookup at a time (memory-level
+//! parallelism) — which is what makes the burst path's flow-table cost
+//! sublinear in burst size on large tables. The first-touches are plain
+//! loads folded into `std::hint::black_box` (this crate forbids
+//! `unsafe`, so there are no prefetch intrinsics); they change no state.
 //!
 //! ## Contract summary (paper Fig. 8 analog)
 //!
@@ -114,8 +126,9 @@ impl MapKey for u16 {
 }
 
 /// One probe position of the table: everything a probe step needs, in
-/// one place (one cache line for NAT-sized keys). The busybit lives in
-/// the high bit of `meta`; the low 31 bits are the probe-chain counter.
+/// one place (one or two cache lines — see the module docs). The
+/// busybit lives in the high bit of `meta`; the low 31 bits are the
+/// probe-chain counter.
 #[derive(Debug, Clone)]
 struct Slot<K> {
     /// Cached hash of the stored key (valid only when busy).
@@ -142,6 +155,8 @@ const LANE_LSB: u64 = 0x0101_0101_0101_0101;
 const LANE_MSB: u64 = 0x8080_8080_8080_8080;
 /// Busy bit within one control byte.
 const CTRL_BUSY: u8 = 0x80;
+/// Keys [`Map::get_batch_with_hash`] stages at once (one RX burst).
+const BATCH_CHUNK: usize = 32;
 
 /// The control byte a busy slot holding a key with hash `hash` carries:
 /// busy bit | top seven hash bits. The probe start position consumes
@@ -294,6 +309,17 @@ impl<K: MapKey> Map<K> {
         home - home % GROUP
     }
 
+    /// The probe position after `pos`, wrapping at the table end — the
+    /// scalar walk's `(start + i) % capacity` without the division.
+    #[inline(always)]
+    fn next_pos(&self, pos: usize) -> usize {
+        if pos + 1 == self.capacity {
+            0
+        } else {
+            pos + 1
+        }
+    }
+
     /// Look up `key`, returning the stored value if present.
     ///
     /// Probes linearly from the hash slot; stops early at a slot that is
@@ -393,8 +419,17 @@ impl<K: MapKey> Map<K> {
     /// loop's `i`) at the stopping position.
     #[inline]
     fn probe(&self, key: &K, hash: u64) -> ProbeOutcome {
+        self.probe_at(key, hash, self.start_of(hash))
+    }
+
+    /// [`Map::probe`] from a start the caller already computed
+    /// (`start == self.start_of(hash)`): the batch path and `erase`
+    /// need the start themselves and pay its division once.
+    #[inline]
+    fn probe_at(&self, key: &K, hash: u64, start: usize) -> ProbeOutcome {
+        debug_assert_eq!(start, self.start_of(hash), "probe_at: stale start");
         let tag = ctrl_byte(hash);
-        self.scan_windows(self.start_of(hash), |base, off, hi, w, scanned| {
+        self.scan_windows(start, |base, off, hi, w, scanned| {
             let window = lane_window(off, hi);
             let frees = free_lanes(w) & window;
             let mut events = (match_lanes(w, tag) & window) | frees;
@@ -429,12 +464,12 @@ impl<K: MapKey> Map<K> {
     /// Resolve a burst of lookups, writing one result per query into
     /// `out` (appended in query order).
     ///
-    /// Two passes: the first touches every query's **start slot**
-    /// back-to-back, so on tables larger than cache the initial-probe
-    /// misses overlap in the memory system instead of serializing one
-    /// lookup at a time; the second finishes each probe on the warmed
-    /// lines. Results are exactly `get_with_hash` per query (the
-    /// contract layer checks this). `hashes[i]` must equal
+    /// Staged per chunk of 32 keys (module docs): stage 1
+    /// computes each probe start — once; the probe reuses it — and
+    /// first-touches its control word; stage 2 first-touches the slot
+    /// each probe will dereference first; then the probes complete on
+    /// the warmed lines. Results are exactly `get_with_hash` per query
+    /// (the contract layer checks this). `hashes[i]` must equal
     /// `keys[i].key_hash()`.
     pub fn get_batch_with_hash(&self, keys: &[K], hashes: &[u64], out: &mut Vec<Option<usize>>) {
         assert_eq!(
@@ -442,22 +477,48 @@ impl<K: MapKey> Map<K> {
             hashes.len(),
             "get_batch: keys/hashes length mismatch"
         );
-        // Pass 1: first-touch every start position's control word
-        // (group prefetch). With the tag directory a probe's first load
-        // is the control word, not the slot — eight slots of metadata
-        // per line-resident u64 — so warming these is what overlaps the
-        // batch's initial misses. The fold prevents the loads from
-        // being optimized away.
-        let mut touch = 0u64;
-        for &h in hashes {
-            touch = touch.wrapping_add(self.tags[self.start_of(h) / GROUP]);
-        }
-        std::hint::black_box(touch);
-        // Pass 2: complete each probe.
         out.reserve(keys.len());
-        for (k, &h) in keys.iter().zip(hashes) {
-            out.push(self.get_with_hash(k, h));
+        let mut starts = [0usize; BATCH_CHUNK];
+        for (keys, hashes) in keys.chunks(BATCH_CHUNK).zip(hashes.chunks(BATCH_CHUNK)) {
+            // The folds keep the loads from being optimized away.
+            let mut touch = 0u64;
+            for (start, &h) in starts.iter_mut().zip(hashes) {
+                *start = self.start_of(h);
+                touch = touch.wrapping_add(self.tags[*start / GROUP]);
+            }
+            std::hint::black_box(touch);
+            let mut touch = 0u64;
+            for (&start, &h) in starts.iter().zip(hashes) {
+                touch = touch.wrapping_add(self.first_touch_slot(start, h));
+            }
+            std::hint::black_box(touch);
+            for ((k, &h), &start) in keys.iter().zip(hashes).zip(&starts) {
+                debug_assert_eq!(h, k.key_hash(), "get_batch: stale hash");
+                out.push(match self.probe_at(k, h, start) {
+                    ProbeOutcome::Hit { idx, .. } => Some(self.slots[idx].value),
+                    _ => None,
+                });
+            }
         }
+    }
+
+    /// Load the slot a probe for `hash` from `start` dereferences first
+    /// — the first lane of the start group that is free or carries the
+    /// hash's tag — and return a fold of the fields the probe reads, for
+    /// the caller to sink into `black_box`. Reads both ends of the slot,
+    /// so a slot straddling two lines warms both. A start group with no
+    /// such lane (eight busy slots of other tags) loads nothing: the
+    /// probe moves on to the next control word, which is adjacent.
+    #[inline(always)]
+    fn first_touch_slot(&self, start: usize, hash: u64) -> u64 {
+        let w = self.tags[start / GROUP];
+        let window = lane_window(0, GROUP.min(self.capacity - start));
+        let events = (match_lanes(w, ctrl_byte(hash)) | free_lanes(w)) & window;
+        if events == 0 {
+            return 0;
+        }
+        let slot = &self.slots[start + (events.trailing_zeros() as usize) / 8];
+        slot.key_hash ^ u64::from(slot.meta) ^ u64::from(slot.key.is_some())
     }
 
     /// Number of slots a lookup for `key` would inspect. Exposed for the
@@ -536,9 +597,10 @@ impl<K: MapKey> Map<K> {
         self.set_ctrl(idx, ctrl_byte(hash));
         self.size += 1;
         // Mark the traversed prefix of the probe path.
-        for j in 0..i {
-            let t = (start + j) % self.capacity;
+        let mut t = start;
+        for _ in 0..i {
             self.slots[t].meta += 1; // chain bits; cannot carry into BUSY
+            t = self.next_pos(t);
         }
         Ok(())
     }
@@ -550,22 +612,23 @@ impl<K: MapKey> Map<K> {
     /// raw structure total, and the contract layer flags the misuse.
     pub fn erase(&mut self, key: &K) -> Option<usize> {
         let hash = key.key_hash();
-        let ProbeOutcome::Hit { idx, dist } = self.probe(key, hash) else {
+        let start = self.start_of(hash);
+        let ProbeOutcome::Hit { idx, dist } = self.probe_at(key, hash, start) else {
             return None;
         };
-        let start = self.start_of(hash);
         let slot = &mut self.slots[idx];
         slot.meta &= !BUSY;
         slot.key = None;
         let v = slot.value;
         self.set_ctrl(idx, 0);
         self.size -= 1;
-        for j in 0..dist {
-            let t = (start + j) % self.capacity;
+        let mut t = start;
+        for _ in 0..dist {
             debug_assert!(self.slots[t].chain() > 0, "chain underflow");
             if self.slots[t].chain() > 0 {
                 self.slots[t].meta -= 1;
             }
+            t = self.next_pos(t);
         }
         Some(v)
     }
@@ -891,6 +954,17 @@ mod tests {
         fn key_hash(&self) -> u64 {
             u64::from(self.group) // all keys in a group collide perfectly
         }
+    }
+
+    /// The module docs' layout claim: both NAT directories use 40-byte
+    /// slots, which straddle two 64-byte lines at four of the eight
+    /// offsets a 40-byte stride produces.
+    #[test]
+    fn nat_sized_slots_are_forty_bytes() {
+        assert_eq!(std::mem::size_of::<Slot<vig_packet::FlowId>>(), 40);
+        assert_eq!(std::mem::size_of::<Slot<vig_packet::ExtKey>>(), 40);
+        let straddling = (0..8).filter(|i| (i * 40) % 64 + 40 > 64).count();
+        assert_eq!(straddling, 4);
     }
 
     #[test]
@@ -1244,6 +1318,55 @@ mod tests {
                 }
                 m.check_equiv();
             }
+        }
+
+        /// The staged batch lookup equals per-key `get_with_hash` on a
+        /// nearly full table (≥ 95 %) of heavily colliding keys whose
+        /// capacity leaves a short last group, over more than one
+        /// 32-key chunk (so the per-chunk `starts` scratch is reused),
+        /// with present, absent and duplicate queries — and changes
+        /// nothing: entries and control directory are as before.
+        #[test]
+        fn staged_batch_equals_per_key_lookups_when_nearly_full(
+            fill in proptest::collection::vec((0u8..4, 0u8..12, 0u32..40), 120..200),
+            erase in proptest::collection::vec(0usize..75, 0..3),
+            queries in proptest::collection::vec((0u8..4, 0u8..12, 0u32..48), 65..100),
+        ) {
+            let cap = 75; // nine full groups and one of three lanes
+            let mk = |(t, s, id): (u8, u8, u32)| AdvKey {
+                id,
+                // Few tags, few starts (the last lanes included): long,
+                // interleaved probe chains that wrap.
+                hash: adv_hash([0, 0, 1, 127][t as usize], (s as usize * 7 + 68) % cap, cap),
+            };
+            let mut m = Map::<AdvKey>::new(cap);
+            let mut stored = Vec::new();
+            for k in fill.into_iter().map(mk) {
+                if m.get(&k).is_none() && m.put(k.clone(), k.id as usize).is_ok() {
+                    stored.push(k);
+                }
+            }
+            // Holes in the chains: free lanes whose chain counters say
+            // "keep going".
+            for i in erase {
+                if i < stored.len() && stored.len() > 72 {
+                    m.erase(&stored.swap_remove(i));
+                }
+            }
+            prop_assert!(m.size() * 100 >= cap * 95, "table only {} full", m.size());
+            let queries: Vec<AdvKey> = queries.into_iter().map(mk).collect();
+            let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
+            let before: Vec<(AdvKey, usize)> = m.iter().map(|(k, v)| (k.clone(), v)).collect();
+            let mut batch = vec![Some(usize::MAX)]; // results are appended
+            m.get_batch_with_hash(&queries, &hashes, &mut batch);
+            prop_assert_eq!(batch.len(), 1 + queries.len());
+            for (i, (q, &h)) in queries.iter().zip(&hashes).enumerate() {
+                prop_assert_eq!(batch[1 + i], m.get_with_hash(q, h), "query {}", i);
+                prop_assert_eq!(batch[1 + i], m.get_with_hash_scalar(q, h));
+            }
+            let after: Vec<(AdvKey, usize)> = m.iter().map(|(k, v)| (k.clone(), v)).collect();
+            prop_assert_eq!(before, after);
+            prop_assert!(m.check_tag_coherence().is_ok());
         }
 
         /// Under insert-only sequences every free slot on a probe path

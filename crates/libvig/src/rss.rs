@@ -115,6 +115,22 @@ impl<K: Clone> BatchSplit<K> {
     /// operation carries). Previous contents are cleared; buffers are
     /// reused.
     pub fn split(&mut self, keys: &[K], hashes: &[u64]) {
+        let n = self.subs.len();
+        self.split_by(keys, hashes, |_, h| Some(shard_of(h, n)));
+    }
+
+    /// [`BatchSplit::split`] with the caller's routing function, called
+    /// once per query: `route(key, hash)` names the query's shard, or
+    /// `None` for a query no shard owns (it joins no sub-batch, so its
+    /// slot of the caller's output keeps the "not found" it started
+    /// with). Return traffic routes this way — by the endpoint
+    /// partition, not by the hash.
+    pub fn split_by(
+        &mut self,
+        keys: &[K],
+        hashes: &[u64],
+        route: impl Fn(&K, u64) -> Option<usize>,
+    ) {
         assert_eq!(keys.len(), hashes.len(), "split: keys/hashes mismatch");
         assert!(
             keys.len() <= u32::MAX as usize,
@@ -125,9 +141,9 @@ impl<K: Clone> BatchSplit<K> {
             sub.hashes.clear();
             sub.origins.clear();
         }
-        let n = self.subs.len();
         for (i, (k, &h)) in keys.iter().zip(hashes).enumerate() {
-            let sub = &mut self.subs[shard_of(h, n)];
+            let Some(s) = route(k, h) else { continue };
+            let sub = &mut self.subs[s];
             sub.keys.push(k.clone());
             sub.hashes.push(h);
             sub.origins.push(i as u32);
@@ -229,6 +245,26 @@ mod tests {
         assert_eq!(total, keys.len());
         let got: Vec<u64> = reconstructed.into_iter().map(Option::unwrap).collect();
         assert_eq!(got, keys);
+    }
+
+    #[test]
+    fn split_by_routes_once_per_key_and_skips_unowned() {
+        let keys: Vec<u64> = (0..40).collect();
+        let hashes: Vec<u64> = keys.iter().map(|k| k.key_hash()).collect();
+        let calls = std::cell::Cell::new(0);
+        let mut split = BatchSplit::new(3);
+        split.split_by(&keys, &hashes, |&k, _| {
+            calls.set(calls.get() + 1);
+            (k % 4 != 3).then_some((k % 4) as usize)
+        });
+        assert_eq!(calls.get(), keys.len());
+        for s in 0..3 {
+            assert_eq!(split.keys(s).len(), 10);
+            for (j, &orig) in split.origins(s).iter().enumerate() {
+                assert_eq!(split.keys(s)[j], keys[orig as usize]);
+                assert_eq!(keys[orig as usize] % 4, s as u64);
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use libvig::map::MapKey;
 use libvig::time::Time;
 use vig_packet::checksum::Checksum;
 use vig_packet::{Direction, FlowId};
-use vignat::env::concrete::{ext_key, fid_key, view, FidMemo};
+use vignat::env::concrete::{ext_key, fid_key, view, FidMemo, ProbeScratch};
 use vignat::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
 use vignat::{FlowManager, FlowTable};
 
@@ -409,17 +409,16 @@ impl<T: FlowTable> NatEnv for FrameEnv<'_, T> {
 ///
 /// Where [`FrameEnv`] serves exactly one frame, `BurstEnv` serves one
 /// RX burst (up to [`vignat::MAX_BURST`] buffers): `receive_burst`
-/// yields the staged frames in ring order, `lookup_internal_batch`
-/// resolves the burst's flow probes through the flow table's batched
-/// directory probe (underneath: `Map::get_batch_with_hash`, which
-/// first-touches the burst's tag-group control words back to back and
-/// then SWAR-scans each probe — the batch contract is unchanged by the
-/// tag directory, as the equivalence suites assert), and
-/// `tx`/`drop_pkt` record one verdict per buffer
-/// (the middlebox routes them afterwards). Like `FrameEnv` it borrows
-/// everything, so constructing one per burst costs nothing and the
-/// datapath stays allocation-free apart from the per-burst scratch
-/// vectors, which are capacity-bounded by the burst size.
+/// yields the staged frames in ring order, `lookup_internal_batch` and
+/// `lookup_external_batch` resolve the burst's flow probes through the
+/// flow table's staged burst pipeline (`FlowTable::probe_*_batch`:
+/// tag words, directory slots, then every hit's chain cell, wheel node
+/// and list neighbours, each first-touched for the whole burst before
+/// the next — results are exactly the per-query lookups', as the
+/// equivalence suites assert), and `tx`/`drop_pkt` record one verdict
+/// per buffer (the middlebox routes them afterwards). Like `FrameEnv`
+/// it borrows everything, so constructing one per burst costs nothing,
+/// and its scratch is reused across bursts.
 pub struct BurstEnv<'a, T: FlowTable = FlowManager> {
     fm: &'a mut T,
     pool: &'a mut Mempool,
@@ -468,16 +467,14 @@ pub fn run_staged(
     expired
 }
 
-/// Reusable per-burst buffers (keys, hashes, probe results) for
-/// [`BurstEnv::lookup_internal_batch`]. Owned by the NF across bursts
-/// so the steady-state burst path performs no heap allocation for its
-/// flow probes — the design rule (§5.1.1, all memory preallocated)
-/// extended to the fast path's scratch space.
+/// Reusable per-burst buffers (probe keys, hashes and results, the
+/// verdict vector) of [`BurstEnv`]. Owned by the NF across bursts so
+/// the steady-state burst path performs no heap allocation for its flow
+/// probes — the design rule (§5.1.1, all memory preallocated) extended
+/// to the fast path's scratch space.
 #[derive(Debug, Default)]
 pub struct BurstScratch {
-    keys: Vec<FlowId>,
-    hashes: Vec<u64>,
-    found: Vec<Option<(usize, vig_packet::Flow)>>,
+    probe: ProbeScratch,
     verdicts_pool: Vec<Option<FrameVerdict>>,
 }
 
@@ -565,24 +562,20 @@ impl<T: FlowTable> NatEnv for BurstEnv<'_, T> {
 
     fn lookup_internal_batch(
         &mut self,
-        fids: &[FidParts<Self>],
-        out: &mut Vec<Option<FlowView<Self>>>,
+        fids: &[Option<FidParts<Self>>],
+        out: &mut [Option<FlowView<Self>>],
     ) {
-        let s = &mut *self.scratch;
-        s.keys.clear();
-        s.keys.extend(fids.iter().map(fid_key));
-        s.hashes.clear();
-        s.hashes.extend(s.keys.iter().map(MapKey::key_hash));
-        s.found.clear();
-        // One batched probe; on a sharded table this is where the
-        // burst splits into per-shard sub-batches by these hashes.
-        self.fm
-            .probe_internal_batch(&s.keys, &s.hashes, &mut s.found);
-        out.extend(
-            s.found
-                .iter()
-                .map(|r| r.map(|(slot, flow)| view(slot, &flow))),
-        );
+        // On a sharded table this is where the burst splits into
+        // per-shard sub-batches by the keys' hashes.
+        self.scratch.probe.lookup_internal(self.fm, fids, out);
+    }
+
+    fn lookup_external_batch(
+        &mut self,
+        eks: &[Option<ExtParts<Self>>],
+        out: &mut [Option<FlowView<Self>>],
+    ) {
+        self.scratch.probe.lookup_external(self.fm, eks, out);
     }
 
     fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {

@@ -7,17 +7,36 @@
 //! Traffic is randomized and adversarial, in the style of
 //! `tests/adversarial_inputs.rs`: valid new flows, repeats of the same
 //! flow within one burst (the insert→hit sequence-point case), valid
-//! and junk return traffic, random-byte frames, bit-flipped frames,
-//! truncations, and time jumps that trigger expiry between bursts.
+//! and junk return traffic (UDP, and TCP segments carrying SYN+ACK /
+//! FIN / RST so slots migrate between class wheels), destinations inside
+//! and outside the endpoint pool, random-byte frames, bit-flipped
+//! frames, truncations, and time jumps that trigger expiry between
+//! bursts.
+//!
+//! The same generator runs over every table the burst pipeline has a
+//! path for: the unsharded `FlowManager` and `ShardedFlowManager` with 2
+//! and 3 shards, under homogeneous and per-class lifetimes, a
+//! 17-address pool, and EIM + hairpinning. The frame-level driver feeds
+//! one direction per burst (the run-to-completion model); the
+//! field-level driver over `SimpleEnv` mixes directions inside a burst,
+//! which is where an external packet can follow, in the same burst, the
+//! internal packet that creates its flow.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vignat_repro::libvig::time::Time;
-use vignat_repro::nat::loop_body::IterationOutcome;
-use vignat_repro::nat::{nat_loop_iteration, nat_process_batch, FlowManager, NatConfig, MAX_BURST};
-use vignat_repro::packet::{builder::PacketBuilder, Direction, Ip4};
+use vignat_repro::nat::loop_body::{DropReason, IterationOutcome};
+use vignat_repro::nat::simple_env::{EnvEvent, RawRx};
+use vignat_repro::nat::{
+    nat_loop_iteration, nat_process_batch, FlowManager, FlowTable, NatConfig, ShardedFlowManager,
+    SimpleEnv, MAX_BURST,
+};
+use vignat_repro::packet::tcp::flags;
+use vignat_repro::packet::{builder::PacketBuilder, Direction, Flow, FlowFields, Ip4, Proto};
 use vignat_repro::sim::dpdk::Mempool;
 use vignat_repro::sim::frame_env::{BurstEnv, BurstScratch, FrameEnv};
+
+const REMOTE: Ip4 = Ip4::new(1, 1, 1, 1);
 
 fn cfg() -> NatConfig {
     NatConfig {
@@ -29,104 +48,258 @@ fn cfg() -> NatConfig {
     }
 }
 
-/// One randomized frame of adversarial traffic. Mirrors the generators
-/// in `tests/adversarial_inputs.rs`: mostly valid traffic (so flow
-/// state actually builds up), spiced with junk.
-fn gen_frame(rng: &mut StdRng) -> (Direction, Vec<u8>) {
-    let class = rng.gen_range(0..10u8);
-    match class {
-        // Valid internal traffic from a small host/port pool: drives
-        // new flows, repeats (also within one burst), and TableFull.
-        0..=4 => {
-            let host = rng.gen_range(1..=24u8);
-            let port = 1024 + u16::from(rng.gen_range(0..4u8));
-            let frame = if rng.gen_bool(0.5) {
-                PacketBuilder::udp(Ip4::new(10, 0, 0, host), Ip4::new(1, 1, 1, 1), port, 53).build()
-            } else {
-                PacketBuilder::tcp(Ip4::new(10, 0, 0, host), Ip4::new(1, 1, 1, 1), port, 80).build()
-            };
-            (Direction::Internal, frame)
-        }
-        // Return traffic to a port that may or may not be live.
-        5..=6 => {
-            let ext_port = 4096 + u16::from(rng.gen_range(0..80u8));
-            let frame =
-                PacketBuilder::udp(Ip4::new(1, 1, 1, 1), Ip4::new(203, 0, 113, 1), 53, ext_port)
-                    .build();
-            (Direction::External, frame)
-        }
-        // Bit-flipped valid frame: exercises the validation ladder.
-        7 => {
-            let mut frame =
-                PacketBuilder::tcp(Ip4::new(10, 0, 0, 1), Ip4::new(1, 1, 1, 1), 1024, 80).build();
-            for _ in 0..rng.gen_range(1..=4) {
-                let byte = rng.gen_range(0..frame.len());
-                frame[byte] ^= 1u8 << rng.gen_range(0..8);
-            }
-            let dir = if rng.gen_bool(0.5) {
-                Direction::Internal
-            } else {
-                Direction::External
-            };
-            (dir, frame)
-        }
-        // Truncation of a valid frame at an arbitrary boundary.
-        8 => {
-            let frame =
-                PacketBuilder::udp(Ip4::new(10, 0, 0, 2), Ip4::new(1, 1, 1, 1), 1025, 53).build();
-            let cut = rng.gen_range(0..frame.len());
-            (Direction::Internal, frame[..cut].to_vec())
-        }
-        // Pure random bytes.
-        _ => {
-            let len = rng.gen_range(0..120usize);
-            let frame: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
-            let dir = if rng.gen_bool(0.5) {
-                Direction::Internal
-            } else {
-                Direction::External
-            };
-            (dir, frame)
+/// Per-class lifetimes: TCP slots move between three wheels as the
+/// return segments' flags step their trackers.
+fn classed_cfg() -> NatConfig {
+    NatConfig {
+        tcp_transitory_ns: Time::from_millis(700).nanos(),
+        tcp_established_ns: Time::from_secs(5).nanos(),
+        ..cfg()
+    }
+}
+
+/// 68 slots at four ports per address: a 17-address pool.
+fn pool17_cfg() -> NatConfig {
+    let c = NatConfig {
+        capacity: 68,
+        start_port: 65_532,
+        ..classed_cfg()
+    };
+    assert_eq!(c.num_external_ips(), 17);
+    c
+}
+
+/// A table that outgrows the flow manager's cache-resident budget
+/// (about 800 flows per shard): lifetimes long enough that the run's
+/// flows pile up, so the batched probes run their stages 3–4, which the
+/// 64-slot tables never do.
+fn large_cfg(capacity: usize) -> NatConfig {
+    NatConfig {
+        capacity,
+        expiry_ns: Time::from_secs(1_000).nanos(),
+        tcp_established_ns: Time::from_secs(3_000).nanos(),
+        ..classed_cfg()
+    }
+}
+
+/// Endpoint-independent mapping with hairpinning (single address).
+fn hairpin_cfg() -> NatConfig {
+    NatConfig {
+        eim: true,
+        hairpinning: true,
+        ..classed_cfg()
+    }
+}
+
+/// A flow table the scenarios can build and snapshot.
+trait Table: FlowTable + Sized {
+    fn build(cfg: &NatConfig, shards: usize) -> Self;
+    /// Everything observable about the table, per shard: slot, flow and
+    /// stamp in LRU order — after asserting coherence.
+    fn state(&self) -> Vec<Vec<(usize, Flow, Time)>>;
+}
+
+impl Table for FlowManager {
+    fn build(cfg: &NatConfig, shards: usize) -> Self {
+        assert_eq!(shards, 1, "the unsharded table is one shard");
+        FlowManager::new(cfg)
+    }
+
+    fn state(&self) -> Vec<Vec<(usize, Flow, Time)>> {
+        self.check_coherence()
+            .expect("flow manager must stay coherent");
+        vec![self
+            .iter_lru()
+            .map(|(slot, flow, t)| (slot, *flow, t))
+            .collect()]
+    }
+}
+
+impl Table for ShardedFlowManager {
+    fn build(cfg: &NatConfig, shards: usize) -> Self {
+        ShardedFlowManager::new(cfg, shards)
+    }
+
+    fn state(&self) -> Vec<Vec<(usize, Flow, Time)>> {
+        FlowTable::check_coherence(self).expect("sharded table must stay coherent");
+        self.snapshot()
+    }
+}
+
+/// One well-formed packet, as header fields.
+#[derive(Debug, Clone, Copy)]
+struct Pkt {
+    dir: Direction,
+    fields: FlowFields,
+    tcp_flags: u8,
+}
+
+impl Pkt {
+    fn frame(&self) -> Vec<u8> {
+        let f = self.fields;
+        match f.proto {
+            Proto::Udp => PacketBuilder::udp(f.src_ip, f.dst_ip, f.src_port, f.dst_port).build(),
+            Proto::Tcp => PacketBuilder::tcp(f.src_ip, f.dst_ip, f.src_port, f.dst_port)
+                .tcp_flags(self.tcp_flags)
+                .build(),
         }
     }
 }
 
-/// Snapshot of everything observable about a flow manager.
-fn fm_state(fm: &FlowManager) -> Vec<(usize, vignat_repro::packet::Flow, Time)> {
-    fm.check_coherence()
-        .expect("flow manager must stay coherent");
-    fm.iter_lru()
-        .map(|(slot, flow, t)| (slot, *flow, t))
-        .collect()
+fn gen_proto_and_flags(rng: &mut StdRng) -> (Proto, u8, u16) {
+    if rng.gen_bool(0.5) {
+        (Proto::Udp, 0, 53)
+    } else {
+        let fl = [
+            flags::ACK,
+            flags::SYN,
+            flags::SYN | flags::ACK,
+            flags::FIN | flags::ACK,
+            flags::RST,
+        ][rng.gen_range(0..5usize)];
+        (Proto::Tcp, fl, 80)
+    }
 }
 
-#[test]
-fn batch_equals_sequential_on_adversarial_traffic() {
-    let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let c = cfg();
-    let mut fm_seq = FlowManager::new(&c);
-    let mut fm_bat = FlowManager::new(&c);
+/// One well-formed packet of `cfg`'s traffic: mostly internal traffic
+/// from a small host/port pool (so flow state builds up, repeats land
+/// inside one burst, and the table fills), return traffic aimed at pool
+/// endpoints that may or may not be live, at endpoints just outside the
+/// pool, and internal traffic aimed at the NAT's own pool (the hairpin
+/// leg where the configuration enables it).
+fn gen_pkt(rng: &mut StdRng, cfg: &NatConfig) -> Pkt {
+    let (proto, tcp_flags, remote_port) = gen_proto_and_flags(rng);
+    // A pool endpoint, or — one time in six — a destination the pool
+    // does not own: the port below `start_port` on the first address,
+    // or an address past the last.
+    let pool_endpoint = |rng: &mut StdRng| match rng.gen_range(0..6u8) {
+        0 if rng.gen_bool(0.5) => (cfg.external_ip, cfg.start_port - 1),
+        0 => (
+            Ip4(cfg.external_ip.raw() + cfg.num_external_ips() as u32),
+            cfg.start_port,
+        ),
+        _ => {
+            let slot = rng.gen_range(0..cfg.capacity);
+            (cfg.ext_ip_of_slot(slot), cfg.ext_port_of_slot(slot))
+        }
+    };
+    // Three hosts per eight slots (24 for the 64-slot tables), four
+    // ports each, two protocols: enough distinct flows to fill the table.
+    let internal_src = |rng: &mut StdRng| {
+        let host = rng.gen_range(1..=cfg.capacity as u32 * 3 / 8);
+        (
+            Ip4(Ip4::new(10, 0, 0, 0).raw() + host),
+            1024 + u16::from(rng.gen_range(0..4u8)),
+        )
+    };
+    match rng.gen_range(0..10u8) {
+        0..=5 => {
+            let (src_ip, src_port) = internal_src(rng);
+            Pkt {
+                dir: Direction::Internal,
+                fields: FlowFields {
+                    src_ip,
+                    src_port,
+                    dst_ip: REMOTE,
+                    dst_port: remote_port,
+                    proto,
+                },
+                tcp_flags,
+            }
+        }
+        6..=8 => {
+            let (dst_ip, dst_port) = pool_endpoint(rng);
+            Pkt {
+                dir: Direction::External,
+                fields: FlowFields {
+                    src_ip: REMOTE,
+                    src_port: remote_port,
+                    dst_ip,
+                    dst_port,
+                    proto,
+                },
+                tcp_flags,
+            }
+        }
+        _ => {
+            let (src_ip, src_port) = internal_src(rng);
+            let (dst_ip, dst_port) = pool_endpoint(rng);
+            Pkt {
+                dir: Direction::Internal,
+                fields: FlowFields {
+                    src_ip,
+                    src_port,
+                    dst_ip,
+                    dst_port,
+                    proto,
+                },
+                tcp_flags,
+            }
+        }
+    }
+}
+
+/// One randomized frame of adversarial traffic. Mirrors the generators
+/// in `tests/adversarial_inputs.rs`: mostly valid traffic (so flow
+/// state actually builds up), spiced with junk.
+fn gen_frame(rng: &mut StdRng, cfg: &NatConfig) -> Vec<u8> {
+    match rng.gen_range(0..10u8) {
+        0..=6 => gen_pkt(rng, cfg).frame(),
+        // Bit-flipped valid frame: exercises the validation ladder.
+        7 => {
+            let mut frame = gen_pkt(rng, cfg).frame();
+            for _ in 0..rng.gen_range(1..=4) {
+                let byte = rng.gen_range(0..frame.len());
+                frame[byte] ^= 1u8 << rng.gen_range(0..8);
+            }
+            frame
+        }
+        // Truncation of a valid frame at an arbitrary boundary.
+        8 => {
+            let frame = gen_pkt(rng, cfg).frame();
+            let cut = rng.gen_range(0..frame.len());
+            frame[..cut].to_vec()
+        }
+        // Pure random bytes.
+        _ => {
+            let len = rng.gen_range(0..120usize);
+            (0..len).map(|_| rng.gen::<u8>()).collect()
+        }
+    }
+}
+
+/// Frame-level driver: `rounds` single-direction bursts through `FrameEnv`
+/// one frame at a time and through `BurstEnv` in one call, over two
+/// tables built alike. Outcomes (with drop reasons), frame bytes and
+/// table state must match after every burst.
+///
+/// Returns the most flows the table held after any burst.
+fn frames_batch_equals_sequential<T: Table>(
+    c: NatConfig,
+    shards: usize,
+    seed: u64,
+    rounds: usize,
+) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut fm_seq = T::build(&c, shards);
+    let mut fm_bat = T::build(&c, shards);
     let mut pool = Mempool::new(MAX_BURST * 2);
     let mut scratch = BurstScratch::default();
+    let (mut forwarded, mut to_internal, mut peak_flows) = (0usize, 0usize, 0usize);
 
     let mut now = Time::from_secs(1);
-    for round in 0..400 {
+    for round in 0..rounds {
         // Time jumps: some bursts arrive after everything expired.
         now = now.plus(rng.gen_range(1_000_000..800_000_000));
         let burst_len = rng.gen_range(1..=MAX_BURST);
-        let dir = if rng.gen_bool(0.8) {
+        let dir = if rng.gen_bool(0.7) {
             Direction::Internal
         } else {
             Direction::External
         };
         // One burst arrives on one interface (the run-to-completion
         // model); frames within it are randomized independently.
-        let frames: Vec<Vec<u8>> = (0..burst_len)
-            .map(|_| {
-                let (_, f) = gen_frame(&mut rng);
-                f
-            })
-            .collect();
+        let frames: Vec<Vec<u8>> = (0..burst_len).map(|_| gen_frame(&mut rng, &c)).collect();
 
         // Sequential reference: one FrameEnv per frame, same instant.
         let mut seq_outcomes: Vec<IterationOutcome> = Vec::with_capacity(burst_len);
@@ -171,14 +344,190 @@ fn batch_equals_sequential_on_adversarial_traffic() {
         // Flow-table state — occupancy, slot assignment, ports, LRU
         // order and timestamps — must be identical.
         assert_eq!(
-            fm_state(&fm_seq),
-            fm_state(&fm_bat),
+            fm_seq.state(),
+            fm_bat.state(),
+            "flow-table state diverged in round {round}"
+        );
+        for o in &bat_outcomes {
+            forwarded += usize::from(matches!(o, IterationOutcome::Forwarded(_)));
+            to_internal += usize::from(*o == IterationOutcome::Forwarded(Direction::Internal));
+        }
+        peak_flows = peak_flows.max(fm_bat.flow_count());
+    }
+
+    // The run must actually have exercised both batched directions.
+    assert!(forwarded > 400, "only {forwarded} packets forwarded");
+    assert!(
+        to_internal > 20,
+        "only {to_internal} return packets matched"
+    );
+    peak_flows
+}
+
+/// Field-level driver: bursts that mix directions, through `SimpleEnv`
+/// one packet at a time and one burst at a time. Outcomes, rewritten
+/// tuples and table state must match after every burst. In the middle
+/// of every burst an internal packet opens a brand-new flow and the
+/// next packet is the return traffic addressed to the endpoint that
+/// flow was just given: on the batched side the flow does not exist
+/// when the burst is probed, so this is a batched external miss that
+/// must re-probe at its sequence point and hit.
+fn mixed_bursts_equal_sequential<T: Table>(
+    mut seq: SimpleEnv<T>,
+    mut bat: SimpleEnv<T>,
+    c: NatConfig,
+    seed: u64,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut now = Time::from_secs(1);
+    let mut same_burst_returns = 0usize;
+    let rx = |p: &Pkt| RawRx::well_formed(p.dir, p.fields).with_tcp_flags(p.tcp_flags);
+    for round in 0..300u32 {
+        now = now.plus(rng.gen_range(1_000_000..800_000_000));
+        seq.set_time(now);
+        bat.set_time(now);
+        let seq_base = seq.events().len();
+        let mut burst: Vec<Pkt> = Vec::new();
+        let mut seq_outcomes: Vec<IterationOutcome> = Vec::new();
+        let mut run_seq = |seq: &mut SimpleEnv<T>, p: Pkt| {
+            seq.inject(rx(&p));
+            burst.push(p);
+            seq_outcomes.push(seq.run_one());
+        };
+
+        // The sequential side runs first, packet by packet, so the
+        // return packet can be addressed to the endpoint the opener got.
+        for _ in 0..rng.gen_range(0..MAX_BURST / 2 - 1) {
+            run_seq(&mut seq, gen_pkt(&mut rng, &c));
+        }
+        let opener_at = seq.events().len();
+        run_seq(
+            &mut seq,
+            Pkt {
+                dir: Direction::Internal,
+                fields: FlowFields {
+                    src_ip: Ip4(Ip4::new(172, 16, 0, 0).raw() + round),
+                    src_port: 7000,
+                    dst_ip: REMOTE,
+                    dst_port: 53,
+                    proto: Proto::Udp,
+                },
+                tcp_flags: 0,
+            },
+        );
+        if let EnvEvent::Sent {
+            src_ip, src_port, ..
+        } = seq.events()[opener_at]
+        {
+            same_burst_returns += 1;
+            run_seq(
+                &mut seq,
+                Pkt {
+                    dir: Direction::External,
+                    fields: FlowFields {
+                        src_ip: REMOTE,
+                        src_port: 53,
+                        dst_ip: Ip4(src_ip),
+                        dst_port: src_port,
+                        proto: Proto::Udp,
+                    },
+                    tcp_flags: 0,
+                },
+            );
+        }
+        for _ in 0..rng.gen_range(0..MAX_BURST / 2 - 1) {
+            run_seq(&mut seq, gen_pkt(&mut rng, &c));
+        }
+        if let EnvEvent::Sent { .. } = seq.events()[opener_at] {
+            assert_eq!(
+                seq_outcomes[opener_at - seq_base + 1],
+                IterationOutcome::Forwarded(Direction::Internal),
+                "round {round}: return traffic to the flow just opened"
+            );
+        }
+
+        let bat_base = bat.events().len();
+        for p in &burst {
+            bat.inject(rx(p));
+        }
+        let bat_outcomes = bat.run_burst();
+
+        assert_eq!(
+            seq_outcomes, bat_outcomes,
+            "outcome mismatch in round {round}"
+        );
+        assert_eq!(
+            seq.events()[seq_base..],
+            bat.events()[bat_base..],
+            "rewritten tuples diverged in round {round}"
+        );
+        assert_eq!(
+            seq.flow_manager().state(),
+            bat.flow_manager().state(),
             "flow-table state diverged in round {round}"
         );
     }
+    assert!(
+        same_burst_returns > 100,
+        "only {same_burst_returns} bursts had room to open their flow"
+    );
+}
 
-    // The run must actually have exercised state: flows were created.
-    assert!(!fm_seq.is_empty() || fm_seq.capacity() > 0);
+#[test]
+fn batch_equals_sequential_on_adversarial_traffic() {
+    frames_batch_equals_sequential::<FlowManager>(cfg(), 1, 0xBA7C4, 400);
+}
+
+#[test]
+fn batch_equals_sequential_with_per_class_lifetimes() {
+    frames_batch_equals_sequential::<FlowManager>(classed_cfg(), 1, 0xC1A55, 400);
+}
+
+#[test]
+fn batch_equals_sequential_on_sharded_tables() {
+    frames_batch_equals_sequential::<ShardedFlowManager>(classed_cfg(), 2, 0x5A4D2, 400);
+    // 64 slots over 3 shards: slot 63's endpoint belongs to no shard.
+    frames_batch_equals_sequential::<ShardedFlowManager>(cfg(), 3, 0x5A4D3, 400);
+}
+
+#[test]
+fn batch_equals_sequential_on_a_17_address_pool() {
+    frames_batch_equals_sequential::<FlowManager>(pool17_cfg(), 1, 0x17A, 400);
+    frames_batch_equals_sequential::<ShardedFlowManager>(pool17_cfg(), 2, 0x17B, 400);
+}
+
+#[test]
+fn batch_equals_sequential_with_eim_and_hairpinning() {
+    frames_batch_equals_sequential::<FlowManager>(hairpin_cfg(), 1, 0xE14, 400);
+    frames_batch_equals_sequential::<ShardedFlowManager>(hairpin_cfg(), 2, 0xE15, 400);
+}
+
+#[test]
+fn batch_equals_sequential_past_the_cache_resident_budget() {
+    let peak = frames_batch_equals_sequential::<FlowManager>(large_cfg(2048), 1, 0x1A46E, 400);
+    assert!(peak > 1200, "table peaked at {peak} flows");
+    let peak =
+        frames_batch_equals_sequential::<ShardedFlowManager>(large_cfg(4096), 2, 0x1A46F, 1200);
+    assert!(peak > 2400, "sharded table peaked at {peak} flows");
+}
+
+#[test]
+fn mixed_direction_bursts_equal_sequential() {
+    for (i, c) in [cfg(), classed_cfg(), pool17_cfg(), hairpin_cfg()]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = 0x313D + i as u64;
+        mixed_bursts_equal_sequential(SimpleEnv::new(c), SimpleEnv::new(c), c, seed);
+        for shards in [2, 3] {
+            mixed_bursts_equal_sequential(
+                SimpleEnv::sharded(c, shards),
+                SimpleEnv::sharded(c, shards),
+                c,
+                seed ^ (shards as u64) << 20,
+            );
+        }
+    }
 }
 
 #[test]
@@ -229,8 +578,7 @@ fn batch_handles_full_table_same_as_sequential() {
     env.finish();
 
     assert_eq!(seq_outcomes, bat_outcomes);
-    assert_eq!(fm_state(&fm_seq), fm_state(&fm_bat));
-    use vignat_repro::nat::loop_body::DropReason;
+    assert_eq!(fm_seq.state(), fm_bat.state());
     assert_eq!(
         bat_outcomes
             .iter()

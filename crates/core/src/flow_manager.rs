@@ -224,8 +224,11 @@ pub trait FlowTable {
     fn check_coherence(&self) -> Result<(), String>;
 }
 
-/// What stages 3–4 of the burst pipeline load for one hit: about ten
-/// 64-byte lines (module docs).
+/// What stages 3–4 of the burst pipeline load for one hit: ten 64-byte
+/// lines — value slot, chain cell, two tracker bytes, wheel bucket id
+/// and node, two chain and two wheel neighbours. The directory's tag
+/// word and 32-byte slot (stages 1–2, which always run) are not in it,
+/// so the directory's slot size and load factor do not move the budget.
 const HIT_STATE_BYTES: usize = 10 * 64;
 
 /// The cache a table's hot per-slot state may be assumed to stay in — a

@@ -17,16 +17,19 @@
 //!
 //! ## Memory layout (cache-conscious)
 //!
-//! The table is a **single allocation** of `Slot`s: hash, value, key
-//! and metadata for one probe position live side by side, so one probe
+//! The table is a **single allocation** of `Slot`s: value, key and
+//! metadata for one probe position live side by side, so one probe
 //! step touches one slot instead of scattering across five parallel
 //! arrays (the original layout paid up to five cache misses per step).
-//! One slot is not always one cache line: a NAT-sized `Slot<FlowId>` is
-//! 40 bytes, and a 40-byte element of a contiguous array straddles two
-//! 64-byte lines about half the time (offsets 32, 40, 48 and 56 of the
-//! eight that occur). A 32-byte slot would never straddle, but needs a
-//! narrower value type and measured speed-neutral on the prototype of
-//! the burst pipeline, so it is left for its own change.
+//! The slot stores **no hash**: the control directory's 7-bit tag
+//! (below) already rejects 127 of 128 foreign keys before a slot is
+//! loaded, key equality decides the rest, and the tag is recomputable
+//! from the key ([`Map::check_tag_coherence`] does). Without the hash a
+//! NAT-sized slot (`Slot<FlowId>`, `Slot<ExtKey>`) is 28 bytes of
+//! fields, and `#[repr(align(32))]` rounds it to 32: two slots per
+//! 64-byte line, none straddling two. Those 8 bytes per slot are what
+//! pay for the flow table's directory headroom
+//! ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]).
 //!
 //! The busybit is folded into the high bit of the chain-counter word
 //! (`Slot::meta`); the remaining 31 bits count traversing probe chains,
@@ -126,13 +129,12 @@ impl MapKey for u16 {
 }
 
 /// One probe position of the table: everything a probe step needs, in
-/// one place (one or two cache lines — see the module docs). The
-/// busybit lives in the high bit of `meta`; the low 31 bits are the
-/// probe-chain counter.
+/// one place. Aligned so that a slot of up to 32 bytes never straddles
+/// a cache line (see the module docs). The busybit lives in the high
+/// bit of `meta`; the low 31 bits are the probe-chain counter.
 #[derive(Debug, Clone)]
+#[repr(align(32))]
 struct Slot<K> {
-    /// Cached hash of the stored key (valid only when busy).
-    key_hash: u64,
     /// Stored value (valid only when busy).
     value: usize,
     /// Busybit (bit 31) | probe-chain counter (bits 0..31).
@@ -187,8 +189,8 @@ fn lane_window(off: usize, hi: usize) -> u64 {
 /// Classic SWAR zero-byte detection over `w ^ broadcast(byte)`. May
 /// report a **false positive** on a lane differing from `byte` only in
 /// its lowest bit when a lower lane matched (borrow propagation) — the
-/// caller always confirms a candidate against the slot's full hash and
-/// key, so a false positive costs one extra comparison, never wrongness.
+/// caller always confirms a candidate against the slot's key, so a
+/// false positive costs one extra comparison, never wrongness.
 #[inline(always)]
 fn match_lanes(w: u64, byte: u8) -> u64 {
     let x = w ^ (u64::from(byte) * LANE_LSB);
@@ -254,7 +256,6 @@ impl<K: MapKey> Map<K> {
         Map {
             slots: (0..capacity)
                 .map(|_| Slot {
-                    key_hash: 0,
                     value: 0,
                     meta: 0,
                     key: None,
@@ -358,12 +359,8 @@ impl<K: MapKey> Map<K> {
             let idx = (start + i) % self.capacity;
             let slot = &self.slots[idx];
             if slot.busy() {
-                if slot.key_hash == hash {
-                    if let Some(k) = &slot.key {
-                        if k == key {
-                            return Some(slot.value);
-                        }
-                    }
+                if slot.key.as_ref() == Some(key) {
+                    return Some(slot.value);
                 }
             } else if slot.chain() == 0 {
                 return None;
@@ -411,8 +408,8 @@ impl<K: MapKey> Map<K> {
     /// The SWAR group walk every tag-probed operation shares: follow
     /// `key`'s probe sequence from `hash`'s start slot, scanning one
     /// control word per step. Lanes whose byte matches the broadcast
-    /// tag are **candidates** (confirmed against the slot's full hash
-    /// and key); free lanes consult the slot's chain counter, which —
+    /// tag are **candidates** (confirmed against the slot's key); free
+    /// lanes consult the slot's chain counter, which —
     /// exactly as in the scalar walk — decides whether a miss may stop.
     /// Busy lanes with a different tag are skipped without loading
     /// their slots. `dist` is the 0-based probe distance (the scalar
@@ -444,15 +441,11 @@ impl<K: MapKey> Map<K> {
                             dist: scanned + (lane - off),
                         });
                     }
-                } else if slot.key_hash == hash {
-                    if let Some(k) = &slot.key {
-                        if k == key {
-                            return Some(ProbeOutcome::Hit {
-                                idx,
-                                dist: scanned + (lane - off),
-                            });
-                        }
-                    }
+                } else if slot.key.as_ref() == Some(key) {
+                    return Some(ProbeOutcome::Hit {
+                        idx,
+                        dist: scanned + (lane - off),
+                    });
                 }
                 events &= events - 1;
             }
@@ -504,11 +497,12 @@ impl<K: MapKey> Map<K> {
 
     /// Load the slot a probe for `hash` from `start` dereferences first
     /// — the first lane of the start group that is free or carries the
-    /// hash's tag — and return a fold of the fields the probe reads, for
-    /// the caller to sink into `black_box`. Reads both ends of the slot,
-    /// so a slot straddling two lines warms both. A start group with no
-    /// such lane (eight busy slots of other tags) loads nothing: the
-    /// probe moves on to the next control word, which is adjacent.
+    /// hash's tag — and return its `meta` word for the caller to sink
+    /// into `black_box`. One field is enough: a slot is line-aligned and
+    /// never straddles (module docs), so one load warms all of it. A
+    /// start group with no such lane (eight busy slots of other tags)
+    /// loads nothing: the probe moves on to the next control word,
+    /// which is adjacent.
     #[inline(always)]
     fn first_touch_slot(&self, start: usize, hash: u64) -> u64 {
         let w = self.tags[start / GROUP];
@@ -517,8 +511,7 @@ impl<K: MapKey> Map<K> {
         if events == 0 {
             return 0;
         }
-        let slot = &self.slots[start + (events.trailing_zeros() as usize) / 8];
-        slot.key_hash ^ u64::from(slot.meta) ^ u64::from(slot.key.is_some())
+        u64::from(self.slots[start + (events.trailing_zeros() as usize) / 8].meta)
     }
 
     /// Number of slots a lookup for `key` would inspect. Exposed for the
@@ -542,12 +535,8 @@ impl<K: MapKey> Map<K> {
             let idx = (start + i) % self.capacity;
             let slot = &self.slots[idx];
             if slot.busy() {
-                if slot.key_hash == hash {
-                    if let Some(k) = &slot.key {
-                        if k == key {
-                            return i + 1;
-                        }
-                    }
+                if slot.key.as_ref() == Some(key) {
+                    return i + 1;
                 }
             } else if slot.chain() == 0 {
                 return i + 1;
@@ -592,7 +581,6 @@ impl<K: MapKey> Map<K> {
         let slot = &mut self.slots[idx];
         slot.meta |= BUSY;
         slot.key = Some(key);
-        slot.key_hash = hash;
         slot.value = value;
         self.set_ctrl(idx, ctrl_byte(hash));
         self.size += 1;
@@ -635,7 +623,8 @@ impl<K: MapKey> Map<K> {
 
     /// Assert the control directory is exactly the busy-bit/tag
     /// projection of the slot array: every busy slot's byte is
-    /// `0x80 | top7(key_hash)`, every free slot's byte is zero, and the
+    /// `0x80 | top7(key.key_hash())` — recomputed from the stored key,
+    /// the slot caches no hash — every free slot's byte is zero, and the
     /// padding lanes past `capacity` in the last word are zero (they
     /// must never register as free *or* candidate in a scan of the
     /// short last group). Test/diagnostic use; O(capacity).
@@ -651,14 +640,14 @@ impl<K: MapKey> Map<K> {
             let byte = (self.tags[idx / GROUP] >> ((idx % GROUP) * 8)) as u8;
             let slot = &self.slots[idx];
             if slot.busy() {
-                let want = ctrl_byte(slot.key_hash);
+                let Some(key) = &slot.key else {
+                    return Err(format!("slot {idx}: busy without a key"));
+                };
+                let want = ctrl_byte(key.key_hash());
                 if byte != want {
                     return Err(format!(
                         "slot {idx}: control byte {byte:#04x} != expected {want:#04x}"
                     ));
-                }
-                if slot.key.is_none() {
-                    return Err(format!("slot {idx}: busy without a key"));
                 }
             } else if byte != 0 {
                 return Err(format!(
@@ -956,15 +945,24 @@ mod tests {
         }
     }
 
-    /// The module docs' layout claim: both NAT directories use 40-byte
-    /// slots, which straddle two 64-byte lines at four of the eight
-    /// offsets a 40-byte stride produces.
+    /// The module docs' layout claim: both NAT directories use 32-byte
+    /// slots on a 32-byte alignment, so in a live table every slot sits
+    /// in one half of a 64-byte line and none straddles two.
     #[test]
-    fn nat_sized_slots_are_forty_bytes() {
-        assert_eq!(std::mem::size_of::<Slot<vig_packet::FlowId>>(), 40);
-        assert_eq!(std::mem::size_of::<Slot<vig_packet::ExtKey>>(), 40);
-        let straddling = (0..8).filter(|i| (i * 40) % 64 + 40 > 64).count();
-        assert_eq!(straddling, 4);
+    fn nat_sized_slots_are_half_a_line_and_never_straddle() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(size_of::<Slot<vig_packet::FlowId>>(), 32);
+        assert_eq!(align_of::<Slot<vig_packet::FlowId>>(), 32);
+        assert_eq!(size_of::<Slot<vig_packet::ExtKey>>(), 32);
+        assert_eq!(align_of::<Slot<vig_packet::ExtKey>>(), 32);
+        let m = Map::<vig_packet::FlowId>::new(1000);
+        for (i, slot) in m.slots.iter().enumerate() {
+            let offset = std::ptr::from_ref(slot) as usize % 64;
+            assert!(
+                offset == 0 || offset == 32,
+                "slot {i} at line offset {offset}"
+            );
+        }
     }
 
     #[test]

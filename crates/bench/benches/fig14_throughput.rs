@@ -26,11 +26,8 @@
 //!   event-driven driver (`netsim::eventloop`) feeding an N-shard NAT
 //!   from Q RSS-classified queues, swept over (queues × shards);
 //! * **million-flow churn** (`churn` object): the sustained rate at
-//!   2^20 table slots under continuous flow arrival and expiry, for
-//!   both expiry engines (timer wheel vs LRU scan — the bench asserts
-//!   their expiry counts agree exactly on the shared deterministic
-//!   schedule), plus a Fig. 13-style latency CCDF of per-packet
-//!   service time under churn;
+//!   2^20 table slots under continuous flow arrival and expiry, plus a
+//!   Fig. 13-style latency CCDF of per-packet service time under churn;
 //! * **bootstrap confidence intervals**: every main-series rate point
 //!   carries a 95% CI from resampling per-trial rates
 //!   ([`search_rate_with_ci`]), so run-to-run noise on shared CI hosts
@@ -62,7 +59,6 @@ use vig_bench::{flow_sweep, print_table, throughput_packets, write_result_json};
 use vig_packet::builder::PacketBuilder;
 use vig_packet::{Direction, Ip4, Proto};
 use vig_spec::NatConfig;
-use vignat::ExpiryMode;
 
 fn cfg() -> NatConfig {
     NatConfig {
@@ -193,7 +189,7 @@ struct ChurnOutcome {
 /// measure. Frames are built outside the timed region; each timed
 /// packet pays the full loop-body cost — clock-guarded expiry drain,
 /// lookup or allocation, rejuvenation, header rewrite.
-fn churn_service_times(mode: ExpiryMode, measured: usize) -> ChurnOutcome {
+fn churn_service_times(measured: usize) -> ChurnOutcome {
     let frame_of = |i: usize| {
         PacketBuilder::udp(
             Ip4(0x0a00_0000 | (i as u32 & 0x00ff_ffff)),
@@ -203,7 +199,7 @@ fn churn_service_times(mode: ExpiryMode, measured: usize) -> ChurnOutcome {
         )
         .build()
     };
-    let mut nf = VigNatMb::with_expiry(churn_cfg(), mode);
+    let mut nf = VigNatMb::new(churn_cfg());
     let mut now = 0u64;
     for i in 0..CHURN_ACTIVE {
         now += CHURN_DT_NS;
@@ -472,65 +468,45 @@ fn main() {
     let fault_overhead_json = fault.section_json();
 
     // Million-flow churn: sustained rate under continuous arrival and
-    // expiry at 2^20 table capacity, timer-wheel vs LRU-scan expiry,
-    // plus the Fig. 13-style latency CCDF for the wheel. Both engines
-    // see the identical deterministic schedule, so their expiry counts
-    // must agree exactly — the wheel ≡ scan theorem, live in the bench.
-    let churn_pkts = throughput_packets();
-    let churn_wheel = churn_service_times(ExpiryMode::Wheel, churn_pkts);
-    let churn_scan = churn_service_times(ExpiryMode::Scan, churn_pkts);
-    assert_eq!(
-        churn_wheel.expired, churn_scan.expired,
-        "wheel and scan must expire identical counts under the same churn schedule"
-    );
-    assert_eq!(
-        churn_wheel.occupancy_end, churn_scan.occupancy_end,
-        "wheel and scan must end churn at identical occupancy"
-    );
+    // expiry at 2^20 table capacity, plus the Fig. 13-style latency
+    // CCDF.
+    let churn = churn_service_times(throughput_packets());
     assert!(
-        churn_wheel.occupancy_end >= CHURN_ACTIVE,
+        churn.occupancy_end >= CHURN_ACTIVE,
         "the live window must be resident at the end of the run"
     );
-    assert!(churn_wheel.expired > 0, "churn must actually expire flows");
-    let churn_wheel_est = search_rate_with_ci(&churn_wheel.svc, 512);
-    let churn_scan_est = search_rate_with_ci(&churn_scan.svc, 512);
-    let churn_rows: Vec<Vec<String>> = [("wheel", &churn_wheel_est), ("scan", &churn_scan_est)]
-        .iter()
-        .map(|(engine, est)| {
-            vec![
-                engine.to_string(),
-                format!(
-                    "{:.2} [{:.2},{:.2}]",
-                    est.mpps, est.ci95_lo_mpps, est.ci95_hi_mpps
-                ),
-                format!("{:.1}", est.mean_ns),
-                format!("{}", est.outliers_rejected),
-            ]
-        })
-        .collect();
+    assert!(churn.expired > 0, "churn must actually expire flows");
+    let churn_est = search_rate_with_ci(&churn.svc, 512);
     print_table(
         &format!(
             "FIG14e: sustained churn at {CHURN_CAP} flow slots ({} resident, {} expired \
              during churn)",
-            churn_wheel.occupancy_end, churn_wheel.expired
+            churn.occupancy_end, churn.expired
         ),
-        &["expiry", "Mpps [ci95]", "mean svc (ns)", "outliers"],
-        &churn_rows,
+        &["Mpps [ci95]", "mean svc (ns)", "outliers"],
+        &[vec![
+            format!(
+                "{:.2} [{:.2},{:.2}]",
+                churn_est.mpps, churn_est.ci95_lo_mpps, churn_est.ci95_hi_mpps
+            ),
+            format!("{:.1}", churn_est.mean_ns),
+            format!("{}", churn_est.outliers_rejected),
+        ]],
     );
 
-    // Fig. 13-style CCDF of per-packet latency under churn (wheel
-    // engine): x = latency, y = P(latency > x), from the measured
-    // service-time distribution. Quantile ties collapse to the first
+    // Fig. 13-style CCDF of per-packet latency under churn: x =
+    // latency, y = P(latency > x), from the measured service-time
+    // distribution. Quantile ties collapse to the first
     // point so latencies stay strictly increasing.
     let ccdf_qs = [0.50, 0.75, 0.90, 0.95, 0.99, 0.995, 0.999, 0.9995];
     let mut ccdf_points: Vec<(u64, f64)> = Vec::new();
     for &q in &ccdf_qs {
-        let lat = churn_wheel.svc.percentile(q);
+        let lat = churn.svc.percentile(q);
         if ccdf_points.last().is_none_or(|&(prev, _)| lat > prev) {
             ccdf_points.push((lat, 1.0 - q));
         }
     }
-    println!("\nFIG13-style latency CCDF under churn (wheel expiry):");
+    println!("\nFIG13-style latency CCDF under churn:");
     for (lat, ccdf) in &ccdf_points {
         println!("  P(latency > {lat:>6} ns) = {ccdf:.4}");
     }
@@ -575,24 +551,22 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(",\n      ");
-    let churn_sustained_json = [("wheel", &churn_wheel_est), ("scan", &churn_scan_est)]
-        .iter()
-        .map(|(engine, est)| {
-            format!(
-                r#"{{"expiry":"{engine}","mpps":{:.3},"ci95_mpps":[{:.3},{:.3}],"mean_ns":{:.1},"outliers_rejected":{}}}"#,
-                est.mpps, est.ci95_lo_mpps, est.ci95_hi_mpps, est.mean_ns, est.outliers_rejected
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n      ");
+    let churn_sustained_json = format!(
+        r#"{{"mpps":{:.3},"ci95_mpps":[{:.3},{:.3}],"mean_ns":{:.1},"outliers_rejected":{}}}"#,
+        churn_est.mpps,
+        churn_est.ci95_lo_mpps,
+        churn_est.ci95_hi_mpps,
+        churn_est.mean_ns,
+        churn_est.outliers_rejected
+    );
     let churn_ccdf_json = ccdf_points
         .iter()
         .map(|(lat, ccdf)| format!(r#"{{"latency_ns":{lat},"ccdf":{ccdf:.6}}}"#))
         .collect::<Vec<_>>()
         .join(",\n        ");
     let churn_json = format!(
-        "\"churn\": {{\n    \"table_capacity\": {CHURN_CAP},\n    \"expiry_ns\": {CHURN_TEXP_NS},\n    \"active_window\": {CHURN_ACTIVE},\n    \"new_flow_every\": {CHURN_NEW_EVERY},\n    \"virtual_ns_per_packet\": {CHURN_DT_NS},\n    \"occupancy_end\": {},\n    \"new_flows_during_measurement\": {},\n    \"expired_during_churn\": {},\n    \"sustained\": [\n      {churn_sustained_json}\n    ],\n    \"latency_ccdf\": {{\"expiry\": \"wheel\", \"points\": [\n        {churn_ccdf_json}\n    ]}}\n  }}",
-        churn_wheel.occupancy_end, churn_wheel.new_flows, churn_wheel.expired
+        "\"churn\": {{\n    \"table_capacity\": {CHURN_CAP},\n    \"expiry_ns\": {CHURN_TEXP_NS},\n    \"active_window\": {CHURN_ACTIVE},\n    \"new_flow_every\": {CHURN_NEW_EVERY},\n    \"virtual_ns_per_packet\": {CHURN_DT_NS},\n    \"occupancy_end\": {},\n    \"new_flows_during_measurement\": {},\n    \"expired_during_churn\": {},\n    \"sustained\": [\n      {churn_sustained_json}\n    ],\n    \"latency_ccdf\": {{\"points\": [\n        {churn_ccdf_json}\n    ]}}\n  }}",
+        churn.occupancy_end, churn.new_flows, churn.expired
     );
     let curve_points_json = curve
         .points
@@ -703,12 +677,8 @@ fn main() {
         mq_44 / mq_11
     );
     println!(
-        "  Sustained churn at {CHURN_CAP} slots: wheel {:.2} vs scan {:.2} Mpps ({:.2}x), \
-         expiry parity exact ({} flows expired)",
-        churn_wheel_est.mpps,
-        churn_scan_est.mpps,
-        churn_wheel_est.mpps / churn_scan_est.mpps,
-        churn_wheel.expired
+        "  Sustained churn at {CHURN_CAP} slots: {:.2} Mpps ({} flows expired)",
+        churn_est.mpps, churn.expired
     );
     println!(
         "  (note: the simulator's virtual clock and free NIC descriptors remove exactly the\n   \

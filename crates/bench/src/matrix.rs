@@ -10,7 +10,7 @@
 //! event-driven RFC 2544 measurement loop
 //! ([`netsim::eventloop::round_service_times`]); only the
 //! cell's coordinates change. The TCP/UDP-mix axis routes flows
-//! through the per-class expiry wheels (TCP flows carry distinct
+//! through the per-class expiry lists (TCP flows carry distinct
 //! transitory/established lifetimes in the cell config), so a new
 //! behavior added to the NAT is automatically priced across the whole
 //! scenario space instead of only at the single configuration a
@@ -59,8 +59,8 @@ pub const BACKENDS: [&str; 2] = ["sim", "faultio"];
 pub const TCP_PERMILLE: [u16; 3] = [0, 500, 1000];
 
 /// Cell config: per-class lifetimes are heterogeneous on purpose, so
-/// every TCP-bearing cell runs the per-class wheel path rather than
-/// collapsing to the homogeneous single-wheel fast case.
+/// every TCP-bearing cell runs on per-class lists rather than
+/// collapsing to the homogeneous one-list chain.
 fn cell_cfg() -> NatConfig {
     NatConfig {
         capacity: TABLE_CAPACITY,

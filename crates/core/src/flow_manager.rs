@@ -6,14 +6,11 @@
 //! * a [`DoubleMap`] keyed by internal 5-tuple and external key, holding
 //!   [`Flow`] records in slots `0..capacity`;
 //! * a [`DoubleChain`] allocating those same slot indices and keeping
-//!   their last-activity order for expiry;
-//! * in the default [`ExpiryMode::Wheel`], a [`TimerWheel`] shadowing
-//!   the chain's deadlines so expiry drains due buckets instead of
-//!   walking the LRU list;
+//!   their last-activity order for expiry — the only timestamp-ordered
+//!   structure there is;
 //! * the invariant tying them: slot `i` is chain-allocated **iff** slot
-//!   `i` is dmap-occupied (**iff** wheel-armed, in wheel mode), and the
-//!   flow in slot `i` owns the pool endpoint
-//!   `(ext_ip, ext_port) = cfg.endpoint_of(slot_base + i)`.
+//!   `i` is dmap-occupied, and the flow in slot `i` owns the pool
+//!   endpoint `(ext_ip, ext_port) = cfg.endpoint_of(slot_base + i)`.
 //!
 //! That last equality is the trick that removes the need for a separate
 //! endpoint allocator: endpoint uniqueness *is* slot uniqueness, which
@@ -22,92 +19,63 @@
 //! [`FlowManager::check_coherence`] asserts the full invariant; the
 //! differential and property tests call it liberally.
 //!
-//! ## Wheel ≡ scan
+//! ## Expiry: one LRU list per timeout class
 //!
-//! The wheel pops indices in exactly the order the LRU scan frees them
-//! — ascending `(timestamp, insertion order)` — and frees them through
-//! the same [`DoubleChain::free_index`] push the scan's `expire_one`
-//! performs, so the two modes leave **byte-identical** chain state
-//! (including free-list order, hence future slot and port assignment).
-//! `libvig::expirator`'s `wheel_drain_equals_scan_drain` property and
-//! `tests/wheel_equivalence.rs` prove this differentially; the only
-//! precondition is the monotone clock every driver already guarantees
-//! (asserted here in debug builds).
-//!
-//! ## Per-class lifetimes (TCP-aware expiry)
+//! On a homogeneous configuration (the paper's, and every config where
+//! the TCP lifetimes inherit `expiry_ns`) the chain has **one list** and
+//! expiry is the paper's Fig. 6 loop: free the head while
+//! `last_active + Texp <= now`. O(1) per expired flow, because one
+//! `Texp` and a monotone clock make last-activity order deadline order.
 //!
 //! With per-class TCP lifetimes configured (`!cfg.is_homogeneous()`)
 //! each slot additionally carries its tracker state
 //! ([`vig_spec::TcpState`], `None` for UDP) and its current
-//! [`vig_spec::TimeoutClass`]; rejuvenation steps the tracker
-//! ([`vig_spec::tcp::transition`]) and may *migrate* the slot between
-//! classes. Expiry then runs **one engine per class**:
+//! [`vig_spec::TimeoutClass`], and the chain has **one list per class**
+//! ([`DoubleChain::with_lists`]). Rejuvenation steps the tracker
+//! ([`vig_spec::tcp::transition`]) and re-links the slot at the tail of
+//! its (possibly new) class's list — refresh and class migration are
+//! the same operation. Within one class the lifetime is constant, so
+//! each list is still in deadline order and only the three heads can be
+//! due: [`libvig::expirator::expire_items`] merges them, freeing due
+//! slots in ascending `(deadline, class, within-class LRU)` order. That
+//! order is part of the behaviour — it is the order slots return to the
+//! free list, hence which slot and external port the next flows get.
+//! On one list it is global LRU order, ties included; the two orders
+//! differ on equal deadlines across classes, which is why a homogeneous
+//! config gets one list rather than three with equal lifetimes.
 //!
-//! * scan mode walks the whole LRU list applying each slot's own
-//!   class lifetime (`expirator::expire_items_classed`);
-//! * wheel mode keeps one [`TimerWheel`] *per class* — each wheel only
-//!   ever sees monotone stamps, preserving its insert contract — and
-//!   drains each against its own class threshold
-//!   (`expirator::expire_items_wheels`).
-//!
-//! Both free due slots in the canonical ascending
-//! `(deadline, class, within-class LRU)` order, so scan and wheels stay
-//! byte-identical (free-list order included) and the scan remains the
-//! wheel's differential oracle for every class mix.
+//! The only precondition is the monotone clock every driver already
+//! guarantees (asserted here in debug builds). `tests/expiry_equivalence.rs`
+//! holds the manager to a naive model of exactly this order.
 //!
 //! ## The burst pipeline
 //!
-//! A hit on a table larger than cache touches a dozen scattered lines
+//! A hit on a table larger than cache touches some eight scattered lines
 //! in dependent levels: directory tag word → directory slot → value
 //! slot, then — when the hit is rejuvenated — the chain cell, the
-//! tracker bytes, the node of the slot's class wheel, and both lists'
-//! neighbour links. One lookup at a time pays those misses in series.
+//! tracker bytes and the cells of the slot's two list neighbours. One
+//! lookup at a time pays those misses in series.
 //! [`FlowTable::probe_internal_batch`] and
 //! [`FlowTable::probe_external_batch`] instead run the burst in stages,
 //! each issued for every query before the next begins, so the misses of
 //! one stage overlap: (1) probe starts and tag words, (2) the directory
 //! slot each probe dereferences first, then the probes
 //! ([`libvig::map::Map::get_batch_with_hash`]); (3) for every hit the
-//! value slot, chain cell, tracker bytes and class-wheel node; (4) the
-//! two neighbours each list's unlink will write. Stages 3–4 are plain
-//! loads through the structures' `first_touch*` hints — they change no
-//! state, so results stay exactly the per-query lookups' — and are
-//! skipped while the table tracks so few flows that their state is
-//! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
-//!
-//! Homogeneous configurations (the paper's, and every config where the
-//! TCP lifetimes inherit `expiry_ns`) keep the **literal legacy
-//! single-wheel/scan path**: the classed engines break equal-deadline
-//! ties by class rank rather than global LRU order, so they are *not*
-//! a drop-in for the legacy order even when all lifetimes coincide.
+//! value slot, chain cell and tracker bytes; (4) the two neighbours the
+//! chain's unlink will write. Stages 3–4 are plain loads through the
+//! structures' `first_touch*` hints — they change no state, so results
+//! stay exactly the per-query lookups' — and are skipped while the
+//! table tracks so few flows that their state is cache-resident anyway
+//! (`RESIDENT_BUDGET_BYTES`).
 
 use libvig::dchain::DoubleChain;
 use libvig::dmap::DoubleMap;
 use libvig::expirator;
 use libvig::map::MapKey;
 use libvig::time::Time;
-use libvig::wheel::TimerWheel;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
 use vig_spec::tcp::{class_of, initial_state, transition};
 use vig_spec::{NatConfig, TcpState, TimeoutClass};
-
-/// How a flow table finds its expired flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExpiryMode {
-    /// Walk the dchain's LRU list from its head (the paper's
-    /// `expire_items` loop). O(expired + 1) per call but O(n) worst
-    /// case per *tick* when a burst of deadlines lands together; kept
-    /// as the differential oracle for the wheel.
-    Scan,
-    /// Drain due buckets of a hierarchical [`TimerWheel`]. Same
-    /// expired sets, same order, same resulting state as [`Scan`]
-    /// (module docs) with O(1) amortized arm/refresh/pop — the mode
-    /// million-flow tables run.
-    ///
-    /// [`Scan`]: ExpiryMode::Scan
-    #[default]
-    Wheel,
-}
 
 /// The flow-table interface the concrete environments drive.
 ///
@@ -224,36 +192,34 @@ pub trait FlowTable {
     fn check_coherence(&self) -> Result<(), String>;
 }
 
-/// What stages 3–4 of the burst pipeline load for one hit: ten 64-byte
-/// lines — value slot, chain cell, two tracker bytes, wheel bucket id
-/// and node, two chain and two wheel neighbours. The directory's tag
-/// word and 32-byte slot (stages 1–2, which always run) are not in it,
-/// so the directory's slot size and load factor do not move the budget.
-const HIT_STATE_BYTES: usize = 10 * 64;
+/// What stages 3–4 of the burst pipeline load for one hit: six 64-byte
+/// lines — value slot, chain cell, two tracker bytes, two chain
+/// neighbours. The directory's tag word and 32-byte slot (stages 1–2,
+/// which always run) are not in it, so the directory's slot size and
+/// load factor do not move the budget.
+const HIT_STATE_BYTES: usize = 6 * 64;
 
 /// The cache a table's hot per-slot state may be assumed to stay in — a
 /// conservative share of one core's private L2. A table tracking fewer
-/// flows than fit it (about 800) runs its batched probes without stages
-/// 3–4.
+/// flows than fit it (about 1,365) runs its batched probes without
+/// stages 3–4. (With the timer wheels' four lines per hit the cut-off
+/// was about 800; no natbench workload sits between the two — 256 flows
+/// below, 60k and 944k above.)
 const RESIDENT_BUDGET_BYTES: usize = 512 << 10;
 
 /// The NAT's flow table + expiry machinery. See module docs.
 #[derive(Debug, Clone)]
 pub struct FlowManager {
     table: DoubleMap<Flow>,
+    /// One LRU list on a homogeneous config, else one per
+    /// [`TimeoutClass`], indexed by `TimeoutClass::index()` (module
+    /// docs).
     chain: DoubleChain,
-    /// Deadline index for [`ExpiryMode::Wheel`] on a *homogeneous*
-    /// config; `None` in scan mode and on per-class configs.
-    wheel: Option<TimerWheel>,
-    /// One wheel per [`TimeoutClass`] for [`ExpiryMode::Wheel`] on a
-    /// *heterogeneous* config (module docs); empty otherwise. Indexed
-    /// by `TimeoutClass::index()`.
-    class_wheels: Vec<TimerWheel>,
     /// Per-slot TCP tracker state; `None` for UDP flows (and for free
     /// slots — stale values are overwritten on insert, never read).
     tcp_state: Vec<Option<TcpState>>,
-    /// Per-slot timeout class (`TimeoutClass::index()` of the flow).
-    /// Only consulted by the heterogeneous expiry engines.
+    /// Per-slot timeout class (`TimeoutClass::index()` of the flow):
+    /// which chain list a refresh re-links the slot on.
     class: Vec<u8>,
     /// The *global* pool configuration the endpoint mapping runs on.
     cfg: NatConfig,
@@ -261,8 +227,8 @@ pub struct FlowManager {
     /// for shard `s` of a sharded table).
     slot_base: usize,
     capacity: usize,
-    /// High-water mark of the clock values seen, for the wheel-mode
-    /// monotonicity precondition (debug-asserted).
+    /// High-water mark of the clock values seen, for the monotonicity
+    /// precondition (debug-asserted).
     #[cfg(debug_assertions)]
     clock_high: Time,
     /// Reusable slot buffer for the `FlowTable::probe_*_batch` pair.
@@ -270,31 +236,18 @@ pub struct FlowManager {
 }
 
 impl FlowManager {
-    /// Preallocate for `cfg.capacity` flows with the default
-    /// [`ExpiryMode::Wheel`]. Panics if the configuration violates
-    /// [`crate::loop_body::check_config`] — a start-up error, never a
-    /// datapath one.
+    /// Preallocate for `cfg.capacity` flows. Panics if the configuration
+    /// violates [`crate::loop_body::check_config`] — a start-up error,
+    /// never a datapath one.
     pub fn new(cfg: &NatConfig) -> FlowManager {
-        FlowManager::with_expiry(cfg, ExpiryMode::default())
-    }
-
-    /// [`FlowManager::new`] with an explicit expiry mode —
-    /// [`ExpiryMode::Scan`] is the differential oracle the equivalence
-    /// suites run the wheel against.
-    pub fn with_expiry(cfg: &NatConfig, mode: ExpiryMode) -> FlowManager {
-        FlowManager::for_shard(cfg, cfg.capacity, 0, mode)
+        FlowManager::for_shard(cfg, cfg.capacity, 0)
     }
 
     /// A flow manager owning the `capacity` global slots starting at
     /// `slot_base` of `cfg`'s pool — the shard constructor
     /// ([`crate::sharded::ShardedFlowManager`] builds one per shard;
     /// standalone tables use `slot_base == 0` and the full capacity).
-    pub fn for_shard(
-        cfg: &NatConfig,
-        capacity: usize,
-        slot_base: usize,
-        mode: ExpiryMode,
-    ) -> FlowManager {
+    pub fn for_shard(cfg: &NatConfig, capacity: usize, slot_base: usize) -> FlowManager {
         crate::loop_body::check_config(cfg).expect("invalid NAT configuration");
         assert!(
             slot_base + capacity <= cfg.capacity,
@@ -302,22 +255,14 @@ impl FlowManager {
             slot_base + capacity,
             cfg.capacity
         );
+        let lists = if cfg.is_homogeneous() {
+            1
+        } else {
+            TimeoutClass::ALL.len()
+        };
         FlowManager {
             table: DoubleMap::new(capacity),
-            chain: DoubleChain::new(capacity),
-            wheel: match mode {
-                ExpiryMode::Scan => None,
-                ExpiryMode::Wheel if cfg.is_homogeneous() => Some(TimerWheel::new(capacity)),
-                ExpiryMode::Wheel => None, // per-class wheels below
-            },
-            class_wheels: if mode == ExpiryMode::Wheel && !cfg.is_homogeneous() {
-                TimeoutClass::ALL
-                    .iter()
-                    .map(|_| TimerWheel::new(capacity))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            chain: DoubleChain::with_lists(capacity, lists),
             tcp_state: vec![None; capacity],
             class: vec![0; capacity],
             cfg: *cfg,
@@ -329,46 +274,32 @@ impl FlowManager {
         }
     }
 
-    /// The expiry mode this table runs.
-    pub fn expiry_mode(&self) -> ExpiryMode {
-        if self.wheel.is_some() || !self.class_wheels.is_empty() {
-            ExpiryMode::Wheel
-        } else {
-            ExpiryMode::Scan
-        }
-    }
-
     /// Discard every flow and rebuild this table empty, keeping its
-    /// identity (config, slot range, expiry mode). The supervisor's
-    /// recovery primitive: after a worker panic the shard's state is
-    /// suspect — mid-batch, any subset of table/chain/wheel updates may
-    /// have landed — so the restarted worker starts from the one state
-    /// whose invariants are trivially re-established, the empty table.
-    /// Equivalent to (and implemented as) constructing a fresh
-    /// [`FlowManager::for_shard`] with the stored parameters.
+    /// identity (config, slot range). The supervisor's recovery
+    /// primitive: after a worker panic the shard's state is suspect —
+    /// mid-batch, any subset of table/chain updates may have landed — so
+    /// the restarted worker starts from the one state whose invariants
+    /// are trivially re-established, the empty table. Equivalent to (and
+    /// implemented as) constructing a fresh [`FlowManager::for_shard`]
+    /// with the stored parameters.
     pub fn reset(&mut self) {
-        *self =
-            FlowManager::for_shard(&self.cfg, self.capacity, self.slot_base, self.expiry_mode());
+        *self = FlowManager::for_shard(&self.cfg, self.capacity, self.slot_base);
     }
 
-    /// Debug-only: the wheel-mode clock precondition. Every driver
-    /// feeds the table a monotone clock (the NAT has one clock); the
-    /// wheel's sorted-bucket invariant leans on it.
+    /// Debug-only: the clock precondition. Every driver feeds the table
+    /// a monotone clock (the NAT has one clock); each chain list being
+    /// in deadline order leans on it.
     #[inline]
     fn note_clock(&mut self, now: Time) {
         #[cfg(debug_assertions)]
         {
-            if self.wheel.is_some() || !self.class_wheels.is_empty() {
-                debug_assert!(
-                    self.clock_high <= now,
-                    "wheel mode requires a monotone clock: {:?} after {:?}",
-                    now,
-                    self.clock_high
-                );
-            }
-            if self.clock_high < now {
-                self.clock_high = now;
-            }
+            debug_assert!(
+                self.clock_high <= now,
+                "the flow table requires a monotone clock: {:?} after {:?}",
+                now,
+                self.clock_high
+            );
+            self.clock_high = now;
         }
         #[cfg(not(debug_assertions))]
         let _ = now;
@@ -417,51 +348,25 @@ impl FlowManager {
     /// Expire due flows. Returns how many were removed.
     ///
     /// `threshold` is what the loop body computes: `now -
-    /// min_lifetime_ns()`. On a homogeneous config that *is* the
-    /// paper's `last_active <= threshold` test, on the literal legacy
-    /// engines. On a per-class config the manager reconstructs `now`
-    /// and applies each class's own lifetime (module docs) — a flow is
-    /// due iff `last_active + lifetime(class) <= now`.
+    /// min_lifetime_ns()`. The manager reconstructs `now` and applies
+    /// each list's own lifetime (module docs) — a flow is due iff
+    /// `last_active + lifetime(class) <= now`, which on a homogeneous
+    /// config is the paper's `last_active <= threshold`. (The addition
+    /// saturates only for a threshold no clock can produce.)
     pub fn expire(&mut self, threshold: Time) -> usize {
-        if self.cfg.is_homogeneous() {
-            return match self.wheel.as_mut() {
-                Some(wheel) => expirator::expire_items_wheel(
-                    wheel,
-                    &mut self.chain,
-                    &mut self.table,
-                    threshold,
-                ),
-                None => expirator::expire_items(&mut self.chain, &mut self.table, threshold),
-            };
-        }
-        let now = Time(threshold.nanos().saturating_add(self.cfg.min_lifetime_ns()));
-        let lifetimes = self.lifetimes();
-        if self.class_wheels.is_empty() {
-            expirator::expire_items_classed(
-                &mut self.chain,
-                &mut self.table,
-                &self.class,
-                &lifetimes,
-                now,
-            )
-        } else {
-            expirator::expire_items_wheels(
-                &mut self.class_wheels,
-                &mut self.chain,
-                &mut self.table,
-                &lifetimes,
-                now,
-            )
-        }
+        let now = threshold.plus(self.cfg.min_lifetime_ns());
+        let lifetimes = TimeoutClass::ALL.map(|c| self.cfg.lifetime_ns(c));
+        let lifetimes = &lifetimes[..self.chain.lists()];
+        expirator::expire_items(&mut self.chain, &mut self.table, lifetimes, now)
     }
 
-    /// Per-class lifetimes, indexed by `TimeoutClass::index()`.
-    fn lifetimes(&self) -> [u64; 3] {
-        let mut out = [0u64; 3];
-        for c in TimeoutClass::ALL {
-            out[c.index()] = self.cfg.lifetime_ns(c);
+    /// The chain list a slot of timeout class `class` lives on.
+    fn list_of(&self, class: u8) -> usize {
+        if self.chain.lists() == 1 {
+            0
+        } else {
+            usize::from(class)
         }
-        out
     }
 
     /// Find a flow by its internal 5-tuple.
@@ -509,16 +414,10 @@ impl FlowManager {
             for &slot in slots.iter().flatten() {
                 self.table.first_touch(slot);
                 self.chain.first_touch(slot);
-                std::hint::black_box(self.tcp_state.get(slot));
-                if let Some(wheel) = self.wheel_of(slot) {
-                    wheel.first_touch(slot);
-                }
+                std::hint::black_box((self.tcp_state.get(slot), self.class.get(slot)));
             }
             for &slot in slots.iter().flatten() {
                 self.chain.first_touch_neighbours(slot);
-                if let Some(wheel) = self.wheel_of(slot) {
-                    wheel.first_touch_neighbours(slot);
-                }
             }
         }
         out.extend(
@@ -526,16 +425,6 @@ impl FlowManager {
                 .iter()
                 .map(|s| s.and_then(|slot| self.table.get(slot).map(|f| (slot, *f)))),
         );
-    }
-
-    /// The wheel `slot` is armed on, if this table runs wheels: the one
-    /// wheel of a homogeneous config, else the wheel of the slot's
-    /// current class (which reads the slot's class byte).
-    fn wheel_of(&self, slot: usize) -> Option<&TimerWheel> {
-        match &self.wheel {
-            Some(wheel) => Some(wheel),
-            None => self.class_wheels.get(usize::from(*self.class.get(slot)?)),
-        }
     }
 
     /// Find a flow by its external key.
@@ -562,36 +451,20 @@ impl FlowManager {
 
     /// Refresh a flow's activity timestamp and step its TCP tracker
     /// with a segment's flags from `dir`. A state change can migrate
-    /// the flow between timeout classes, re-arming it on its new
-    /// class's wheel (stamped `now`, so each wheel still only ever
-    /// sees monotone stamps).
+    /// the flow between timeout classes; either way the slot is
+    /// re-linked, stamped `now`, at the tail of its class's list.
     ///
     /// Precondition (P4) as for [`FlowManager::rejuvenate`].
     pub fn rejuvenate_with(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
         self.note_clock(now);
-        let ok = self.chain.rejuvenate(slot, now);
-        debug_assert!(ok, "rejuvenate of unallocated slot {slot}");
         if let Some(st) = self.tcp_state[slot] {
             let next = transition(st, dir, tcp_flags);
             self.tcp_state[slot] = Some(next);
-            let old_class = self.class[slot];
-            let new_class = class_of(Proto::Tcp, Some(next)).index() as u8;
-            self.class[slot] = new_class;
-            if !self.class_wheels.is_empty() {
-                if new_class == old_class {
-                    self.class_wheels[usize::from(new_class)].refresh(slot, now);
-                } else {
-                    let removed = self.class_wheels[usize::from(old_class)].remove(slot);
-                    debug_assert!(removed, "slot {slot} missing from class-{old_class} wheel");
-                    self.class_wheels[usize::from(new_class)].insert(slot, now);
-                }
-            }
-        } else if !self.class_wheels.is_empty() {
-            self.class_wheels[usize::from(self.class[slot])].refresh(slot, now);
+            self.class[slot] = class_of(Proto::Tcp, Some(next)).index() as u8;
         }
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.refresh(slot, now);
-        }
+        let list = self.list_of(self.class[slot]);
+        let ok = self.chain.rejuvenate_on(slot, list, now);
+        debug_assert!(ok, "rejuvenate of unallocated slot {slot}");
     }
 
     /// The TCP tracker state of an occupied slot (`None` for UDP
@@ -607,11 +480,7 @@ impl FlowManager {
     /// same slot (the loop body does; the Validator checks it).
     pub fn allocate_slot(&mut self, now: Time) -> Option<usize> {
         self.note_clock(now);
-        let slot = self.chain.allocate(now).ok()?;
-        if let Some(wheel) = self.wheel.as_mut() {
-            wheel.insert(slot, now);
-        }
-        Some(slot)
+        self.chain.allocate(now).ok()
     }
 
     /// Populate a reserved slot.
@@ -658,15 +527,15 @@ impl FlowManager {
         debug_assert!(ok.is_ok(), "insert into occupied slot {slot}");
         self.tcp_state[slot] = st;
         self.class[slot] = class;
-        if !self.class_wheels.is_empty() {
-            // The slot was stamped by `allocate_slot` (same iteration,
-            // P4); arm its class's wheel with that same stamp so wheel
-            // deadlines and chain stamps stay equal.
+        if self.chain.lists() > 1 {
+            // `allocate_slot` linked and stamped the slot on list 0 (same
+            // iteration, P4); its class is only known now. Keeps the
+            // stamp, so within a class slots order by insertion.
             let stamp = self
                 .chain
                 .timestamp_of(slot)
                 .expect("insert into unallocated slot");
-            self.class_wheels[usize::from(class)].insert(slot, stamp);
+            self.chain.rejuvenate_on(slot, usize::from(class), stamp);
         }
     }
 
@@ -694,8 +563,9 @@ impl FlowManager {
         self.table.probe_len_by_a(fid)
     }
 
-    /// Iterate over live flows (slot, flow, last_active), oldest first.
-    /// For tests and statistics; the datapath never scans.
+    /// Iterate over live flows (slot, flow, last_active), oldest first
+    /// (per-class lists merged by `(last_active, class)`). For tests and
+    /// statistics; the datapath never scans.
     pub fn iter_lru(&self) -> impl Iterator<Item = (usize, &Flow, Time)> + '_ {
         self.chain
             .iter_lru()
@@ -716,27 +586,32 @@ impl FlowManager {
         // the slots exactly — expiry and slot realloc go through
         // erase/put, which maintain them.
         self.table.check_directory_coherence()?;
-        if let Some(wheel) = self.wheel.as_ref() {
-            wheel.check_consistency();
-            if wheel.len() != self.chain.size() {
-                return Err(format!(
-                    "wheel arms {} slots, dchain {}",
-                    wheel.len(),
-                    self.chain.size()
-                ));
+        // Every allocated slot is on the list of its class, and each
+        // list is in stamp (hence deadline) order.
+        let mut linked = 0;
+        for list in 0..self.chain.lists() {
+            let mut prev = Time::ZERO;
+            for (slot, stamp) in self.chain.iter_list(list) {
+                if self.list_of(self.class[slot]) != list {
+                    return Err(format!(
+                        "slot {slot}: on list {list} with class {}",
+                        self.class[slot]
+                    ));
+                }
+                if stamp < prev {
+                    return Err(format!(
+                        "slot {slot}: list {list} out of order, {stamp:?} after {prev:?}"
+                    ));
+                }
+                prev = stamp;
+                linked += 1;
             }
         }
-        if !self.class_wheels.is_empty() {
-            let armed: usize = self.class_wheels.iter().map(TimerWheel::len).sum();
-            if armed != self.chain.size() {
-                return Err(format!(
-                    "class wheels arm {armed} slots, dchain {}",
-                    self.chain.size()
-                ));
-            }
-            for w in &self.class_wheels {
-                w.check_consistency();
-            }
+        if linked != self.chain.size() {
+            return Err(format!(
+                "chain lists link {linked} slots, dchain allocates {}",
+                self.chain.size()
+            ));
         }
         for slot in 0..self.capacity {
             let in_map = self.table.get(slot).is_some();
@@ -744,25 +619,9 @@ impl FlowManager {
             if in_map != in_chain {
                 return Err(format!("slot {slot}: dmap={in_map} dchain={in_chain}"));
             }
-            if let Some(wheel) = self.wheel.as_ref() {
-                if wheel.contains(slot) != in_chain {
-                    return Err(format!(
-                        "slot {slot}: wheel={} dchain={in_chain}",
-                        wheel.contains(slot)
-                    ));
-                }
-                if in_chain && wheel.deadline_of(slot) != self.chain.timestamp_of(slot) {
-                    return Err(format!(
-                        "slot {slot}: wheel deadline {:?} != chain stamp {:?}",
-                        wheel.deadline_of(slot),
-                        self.chain.timestamp_of(slot)
-                    ));
-                }
-            }
             if let Some(f) = self.table.get(slot) {
                 // TCP tracker coherence: tracked iff TCP, class derived
-                // from the tracker, and (per-class wheel mode) armed on
-                // exactly its class's wheel at the chain's stamp.
+                // from the tracker.
                 if self.tcp_state[slot].is_some() != (f.int_key.proto == Proto::Tcp) {
                     return Err(format!(
                         "slot {slot}: tcp_state {:?} for proto {:?}",
@@ -775,23 +634,6 @@ impl FlowManager {
                         "slot {slot}: class {} != tracker class {want_class}",
                         self.class[slot]
                     ));
-                }
-                for (ci, w) in self.class_wheels.iter().enumerate() {
-                    let should_arm = ci == usize::from(self.class[slot]);
-                    if w.contains(slot) != should_arm {
-                        return Err(format!(
-                            "slot {slot}: class-{ci} wheel membership {} (class {})",
-                            w.contains(slot),
-                            self.class[slot]
-                        ));
-                    }
-                    if should_arm && w.deadline_of(slot) != self.chain.timestamp_of(slot) {
-                        return Err(format!(
-                            "slot {slot}: class-{ci} wheel stamp {:?} != chain stamp {:?}",
-                            w.deadline_of(slot),
-                            self.chain.timestamp_of(slot)
-                        ));
-                    }
                 }
                 if f.ext_port != self.port_of_slot(slot) {
                     return Err(format!(
@@ -987,14 +829,17 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_config_selects_per_class_engines() {
-        let fm = FlowManager::new(&classed_cfg());
-        assert_eq!(fm.expiry_mode(), ExpiryMode::Wheel);
-        let fm = FlowManager::with_expiry(&classed_cfg(), ExpiryMode::Scan);
-        assert_eq!(fm.expiry_mode(), ExpiryMode::Scan);
-        // Homogeneous keeps the legacy single wheel.
-        let fm = FlowManager::new(&cfg());
-        assert!(fm.wheel.is_some() && fm.class_wheels.is_empty());
+    fn heterogeneous_config_gets_a_list_per_class() {
+        assert_eq!(FlowManager::new(&classed_cfg()).chain.lists(), 3);
+        // Homogeneous — TCP lifetimes unset, or spelled out equal — is
+        // the paper's one-list chain.
+        assert_eq!(FlowManager::new(&cfg()).chain.lists(), 1);
+        let spelled_out = NatConfig {
+            tcp_transitory_ns: cfg().expiry_ns,
+            tcp_established_ns: cfg().expiry_ns,
+            ..cfg()
+        };
+        assert_eq!(FlowManager::new(&spelled_out).chain.lists(), 1);
     }
 
     #[test]
@@ -1042,68 +887,36 @@ mod tests {
         assert!(fm.is_empty());
     }
 
-    /// One rejuvenate/expire trace, on a per-class config, against both
-    /// expiry engines in lockstep.
-    fn classed_trace(mode: ExpiryMode) -> Vec<(usize, u16, Time)> {
-        use vig_packet::tcp::flags;
-        let c = classed_cfg();
-        let mut fm = FlowManager::with_expiry(&c, mode);
-        let mk = |i: u8| {
-            if i.is_multiple_of(2) {
-                fid(i, 100)
-            } else {
-                tcp_fid(i, 100)
-            }
-        };
-        let mut now = Time::ZERO;
-        for i in 0..6u8 {
-            now = now.plus(500_000_000);
-            fm.allocate(mk(i), now).unwrap();
-        }
-        // Steer the TCP flows through distinct states.
-        for (i, fl) in [(1u8, flags::SYN), (3, flags::FIN), (5, flags::ACK)] {
-            if let Some((slot, _)) = fm.lookup_internal(&mk(i)) {
-                now = now.plus(100_000_000);
-                fm.rejuvenate_with(slot, now, Direction::Internal, fl);
-            }
-        }
-        let mut log = Vec::new();
-        for step in 0..40u64 {
-            now = now.plus(1_000_000_000);
-            let thr = now.minus(c.min_lifetime_ns());
-            fm.expire(thr);
-            fm.check_coherence().unwrap();
-            if step % 7 == 0 {
-                if let Some((slot, _)) = fm.lookup_internal(&mk(5)) {
-                    fm.rejuvenate_with(slot, now, Direction::Internal, flags::ACK);
-                }
-            }
-            for (slot, f, t) in fm.iter_lru() {
-                log.push((slot, f.ext_port, t));
-            }
-        }
-        // Free-list drain order: refill and log the assignment order.
-        let mut i = 100u8;
-        while let Some((slot, port)) = fm.allocate(fid(i, 200), now) {
-            log.push((slot, port, now));
-            i += 1;
-        }
-        log
-    }
-
+    /// Equal deadlines across classes expire in class order, not LRU
+    /// order, and that order decides which slot (and port) the next
+    /// flows get: the free list is LIFO.
     #[test]
-    fn per_class_wheels_equal_per_class_scan() {
-        assert_eq!(
-            classed_trace(ExpiryMode::Wheel),
-            classed_trace(ExpiryMode::Scan)
-        );
+    fn equal_deadlines_expire_in_class_order() {
+        let mut fm = FlowManager::new(&classed_cfg());
+        // Established TCP (30 s) at t=0 and UDP (10 s) at t=20 share the
+        // deadline t=30; a transitory flow (2 s) at t=27 is due earlier.
+        let (est, _) = fm.allocate(tcp_fid(1, 100), Time::ZERO).unwrap();
+        let (udp, _) = fm.allocate(fid(2, 100), Time::from_secs(20)).unwrap();
+        let syn = fm.allocate_slot(Time::from_secs(27)).unwrap();
+        let (ip, port) = (fm.ip_of_slot(syn), fm.port_of_slot(syn));
+        let f = tcp_fid(3, 100);
+        fm.insert_hashed(syn, f, ip, port, f.key_hash(), vig_packet::tcp::flags::SYN);
+        fm.check_coherence().unwrap();
+        // The loop body's threshold at t=30 (min lifetime 2 s).
+        assert_eq!(fm.expire(Time::from_secs(28)), 3);
+        // Freed transitory, UDP, established — reused in reverse.
+        let reused: Vec<usize> = (10..13)
+            .map(|h| fm.allocate(fid(h, 100), Time::from_secs(30)).unwrap().0)
+            .collect();
+        assert_eq!(reused, [est, udp, syn]);
+        fm.check_coherence().unwrap();
     }
 
     /// The batched probes, on a table past the cache-resident budget so
     /// stages 3–4 run: results equal the per-key lookups (hits, misses,
     /// duplicates, both directions), and nothing observable changes —
     /// the table still equals the clone taken before, LRU order, stamps
-    /// and coherence included — in every expiry configuration.
+    /// and coherence included — on one list and on a list per class.
     #[test]
     fn staged_probes_equal_lookups_and_change_nothing() {
         use vig_packet::tcp::flags;
@@ -1111,12 +924,8 @@ mod tests {
             capacity: 2048,
             ..c
         };
-        for (c, mode) in [
-            (big(cfg()), ExpiryMode::Wheel),
-            (big(classed_cfg()), ExpiryMode::Wheel),
-            (big(classed_cfg()), ExpiryMode::Scan),
-        ] {
-            let mut fm = FlowManager::with_expiry(&c, mode);
+        for c in [big(cfg()), big(classed_cfg())] {
+            let mut fm = FlowManager::new(&c);
             let key = |i: u32| FlowId {
                 src_ip: Ip4(Ip4::new(192, 168, 0, 0).raw() + i),
                 proto: if i.is_multiple_of(3) {

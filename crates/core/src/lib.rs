@@ -35,8 +35,9 @@
 //! `start_port + i` with the paper's single-address pool — so endpoint
 //! uniqueness follows from slot uniqueness, which the dchain contract
 //! provides. Beyond 64k flows the pool spills onto consecutive
-//! external addresses, and expiry runs on a hierarchical timer wheel
-//! ([`flow_manager::ExpiryMode`]) proven equivalent to the LRU scan.
+//! external addresses. Expiry is the paper's: the dchain's LRU list is
+//! its deadline order, one list per timeout class when TCP lifetimes
+//! differ ([`flow_manager`] module docs).
 //!
 //! ## Quick start
 //!
@@ -74,7 +75,7 @@ pub mod simple_env;
 
 pub use domain::{Concrete, Domain};
 pub use env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
-pub use flow_manager::{ExpiryMode, FlowManager, FlowTable};
+pub use flow_manager::{FlowManager, FlowTable};
 pub use loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome, MAX_BURST};
 pub use sharded::ShardedFlowManager;
 pub use simple_env::SimpleEnv;

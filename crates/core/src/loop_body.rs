@@ -667,8 +667,8 @@ pub fn check_config(cfg: &NatConfig) -> Result<(), String> {
         return Err("capacity must be at least 1".into());
     }
     // Million-flow tables are in scope; the cap below only keeps the
-    // per-slot structures (flow table, dchain, timer wheel — all u32-
-    // indexed) and their memory honestly bounded.
+    // per-slot structures (flow table, dchain — both u32-indexed) and
+    // their memory honestly bounded.
     if cfg.capacity > MAX_CAPACITY {
         return Err(format!(
             "capacity {} exceeds the supported maximum {}",
@@ -715,7 +715,7 @@ pub fn check_config(cfg: &NatConfig) -> Result<(), String> {
 
 /// Largest supported `capacity`: 2^26 flows. Far beyond the paper's
 /// evaluation (and the issue's 2^20 target) while keeping u32 slot
-/// indices — which the timer wheel's intrusive links use — comfortably
+/// indices — which the dchain's intrusive links use — comfortably
 /// valid and table memory bounded.
 pub const MAX_CAPACITY: usize = 1 << 26;
 

@@ -164,7 +164,8 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum ChainOp {
         Alloc,
-        Rejuv(usize),
+        /// `(index, list)`.
+        Rejuv(usize, usize),
         Expire(u64),
         Free(usize),
     }
@@ -179,8 +180,8 @@ mod tests {
     fn dchain_all_sequences_depth5() {
         let universe = [
             ChainOp::Alloc,
-            ChainOp::Rejuv(0),
-            ChainOp::Rejuv(1),
+            ChainOp::Rejuv(0, 0),
+            ChainOp::Rejuv(1, 0),
             ChainOp::Expire(0),
             ChainOp::Expire(3),
             ChainOp::Free(0),
@@ -196,8 +197,8 @@ mod tests {
                 ChainOp::Alloc => {
                     let _ = s.chain.allocate(s.now);
                 }
-                ChainOp::Rejuv(i) => {
-                    s.chain.rejuvenate(i, s.now);
+                ChainOp::Rejuv(i, l) => {
+                    s.chain.rejuvenate_on(i, l, s.now);
                 }
                 ChainOp::Expire(back) => {
                     s.chain.expire_one(s.now.minus(back));
@@ -208,6 +209,44 @@ mod tests {
             }
         });
         assert_eq!(n, (0..=5).map(|d| 7u64.pow(d)).sum::<u64>());
+    }
+
+    #[test]
+    fn dchain_two_lists_all_sequences_depth5() {
+        // Two indices over two lists: every interleaving of refresh,
+        // migration in either direction, cross-list expiry and eager
+        // free. Only `Alloc` advances the clock, so refreshes and
+        // migrations also meet at equal stamps across lists.
+        let universe = [
+            ChainOp::Alloc,
+            ChainOp::Rejuv(0, 0),
+            ChainOp::Rejuv(0, 1),
+            ChainOp::Rejuv(1, 0),
+            ChainOp::Rejuv(1, 1),
+            ChainOp::Expire(0),
+            ChainOp::Expire(2),
+            ChainOp::Free(0),
+        ];
+        let init = ChainState {
+            chain: CheckedChain::with_lists(2, 2),
+            now: Time::ZERO,
+        };
+        let n = check_all_sequences(&init, &universe, 5, &|s, op| match *op {
+            ChainOp::Alloc => {
+                s.now = s.now.plus(1);
+                let _ = s.chain.allocate(s.now);
+            }
+            ChainOp::Rejuv(i, l) => {
+                s.chain.rejuvenate_on(i, l, s.now);
+            }
+            ChainOp::Expire(back) => {
+                s.chain.expire_one(s.now.minus(back));
+            }
+            ChainOp::Free(i) => {
+                s.chain.free_index(i);
+            }
+        });
+        assert_eq!(n, (0..=5).map(|d| 8u64.pow(d)).sum::<u64>());
     }
 
     #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,33 +1,62 @@
 //! The expirator (`expirator.c`): the glue that expires flows.
 //!
-//! `expire_items` walks the [`DoubleChain`]'s LRU order, freeing every
-//! index whose last activity is at or before the threshold, and erasing
-//! the corresponding [`DoubleMap`] slot. This implements line 2 of the
-//! paper's Fig. 6 (`expire_flows(t)`), with
-//! `threshold = now - Texp` ⟺ `G.timestamp + Texp <= now`.
+//! `expire_items` frees every [`DoubleChain`] index whose last activity
+//! plus its list's lifetime is at or before `now`, erasing the
+//! corresponding [`DoubleMap`] slot. This implements line 2 of the
+//! paper's Fig. 6 (`expire_flows(t)`: `G.timestamp + Texp <= t`), with
+//! one `Texp` per chain list.
 //!
-//! Contract: afterwards, (a) every surviving chain timestamp is
-//! `> threshold`, (b) chain and map agree on exactly which indices are
-//! live, and (c) the number of removed items is returned. The glue has
-//! its own contract because it spans two structures — this is where a
-//! coherence bug (expiring from one structure but not the other) would
-//! live, precisely the class of stateful bug the paper says Dobrescu et
-//! al. could not catch.
+//! It is O(1) per expired index with no timer structure beside the
+//! chain: under a monotone clock and a constant lifetime per list, each
+//! list's LRU order *is* its deadline order, so only list heads can be
+//! due. With several lists the heads are merged by ascending
+//! `(deadline, list)`; that order — `(deadline, list, within-list LRU)`
+//! over all due indices — fixes the order indices return to the free
+//! list, hence which slot (and external port) the next flows get. With
+//! one list the merge is the paper's loop verbatim.
+//!
+//! Contract: afterwards, (a) every surviving index has
+//! `timestamp + lifetime > now`, (b) chain and map agree on exactly
+//! which indices are live, and (c) the number of removed items is
+//! returned. The glue has its own contract because it spans two
+//! structures — this is where a coherence bug (expiring from one
+//! structure but not the other) would live, precisely the class of
+//! stateful bug the paper says Dobrescu et al. could not catch.
 
 use crate::dchain::DoubleChain;
 use crate::dmap::{DmapValue, DoubleMap};
 use crate::time::Time;
-use crate::wheel::TimerWheel;
 
-/// Expire every index whose timestamp is `<= threshold`, erasing both
-/// the chain entry and the map slot. Returns how many were expired.
+/// Expire every index on list `l` of `chain` whose
+/// `timestamp + lifetimes[l] <= now`, erasing both the chain entry and
+/// the map slot, in ascending `(deadline, list)` order (module docs).
+/// Returns how many were expired. `lifetimes` holds one lifetime (ns)
+/// per chain list.
 pub fn expire_items<V: DmapValue + Clone>(
     chain: &mut DoubleChain,
     map: &mut DoubleMap<V>,
-    threshold: Time,
+    lifetimes: &[u64],
+    now: Time,
 ) -> usize {
+    assert_eq!(lifetimes.len(), chain.lists(), "one lifetime per list");
     let mut count = 0;
-    while let Some(index) = chain.expire_one(threshold) {
+    loop {
+        let due = lifetimes
+            .iter()
+            .enumerate()
+            .filter_map(|(list, &lifetime)| {
+                let (index, stamp) = chain.oldest_on(list)?;
+                // checked_add: a deadline past u64::MAX can never be due.
+                let deadline = stamp.nanos().checked_add(lifetime)?;
+                (deadline <= now.nanos()).then_some((deadline, index))
+            })
+            // The first minimum: equal deadlines break by list rank.
+            .min_by_key(|&(deadline, _)| deadline);
+        let Some((_, index)) = due else {
+            return count;
+        };
+        let freed = chain.free_index(index);
+        debug_assert!(freed, "list head {index} not allocated");
         let erased = map.erase(index);
         debug_assert!(
             erased.is_some(),
@@ -35,164 +64,6 @@ pub fn expire_items<V: DmapValue + Clone>(
         );
         count += 1;
     }
-    count
-}
-
-/// Expire every index whose deadline is `<= threshold`, driven by the
-/// [`TimerWheel`] instead of the chain's LRU walk: pop due indices off
-/// the wheel, free each from the chain, erase its map slot.
-///
-/// Same contract as [`expire_items`], plus exact-order agreement: the
-/// wheel's drain order equals the chain's LRU expiry order (the
-/// module-level order theorem in [`crate::wheel`]), and
-/// [`DoubleChain::free_index`] pushes a freed index onto the free list
-/// exactly as [`DoubleChain::expire_one`] would — so the post-states
-/// of the two drains are identical, free-list order included. The
-/// `debug_assert`s here pin that agreement on every pop; the
-/// differential suites prove it end to end.
-pub fn expire_items_wheel<V: DmapValue + Clone>(
-    wheel: &mut TimerWheel,
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    threshold: Time,
-) -> usize {
-    let mut count = 0;
-    while let Some(index) = wheel.pop_expired(threshold) {
-        debug_assert_eq!(
-            chain.oldest_timestamp(),
-            chain.timestamp_of(index),
-            "wheel/chain coherence: popped index {index} is not the LRU head's stamp"
-        );
-        debug_assert!(
-            chain.timestamp_of(index).is_some_and(|t| t <= threshold),
-            "wheel/chain coherence: popped index {index} is not due on the chain"
-        );
-        let freed = chain.free_index(index);
-        debug_assert!(freed, "wheel/chain coherence: index {index} not allocated");
-        let erased = map.erase(index);
-        debug_assert!(
-            erased.is_some(),
-            "wheel/map coherence: expired index {index} had no map slot"
-        );
-        count += 1;
-    }
-    count
-}
-
-/// Expire under **per-class lifetimes** by scanning the chain's LRU
-/// list: a flow of class `classes[slot]` stamped `ts` is dead once
-/// `ts + lifetimes[class] <= now`. Due flows are freed in the canonical
-/// merge order — ascending `(deadline, class, LRU position)` — which
-/// [`expire_items_wheels`] reproduces exactly, so the two engines leave
-/// byte-identical chain state (free-list order, hence future slot and
-/// port assignment, included), mirroring the single-lifetime
-/// [`expire_items`]/[`expire_items_wheel`] pair.
-///
-/// Note that with all lifetimes equal this does **not** reduce to
-/// [`expire_items`]: equal-deadline ties across classes break by class
-/// rank here, by global LRU order there. Callers therefore keep the
-/// single-lifetime engines for homogeneous configurations and use the
-/// classed engines only when lifetimes actually differ (the flow
-/// manager does exactly this).
-pub fn expire_items_classed<V: DmapValue + Clone>(
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    classes: &[u8],
-    lifetimes: &[u64],
-    now: Time,
-) -> usize {
-    let mut due: Vec<(u64, u8, usize)> = Vec::new();
-    for (slot, stamp) in chain.iter_lru() {
-        let class = classes[slot];
-        let lifetime = lifetimes[usize::from(class)];
-        // checked_add: a deadline past u64::MAX can never be due.
-        if let Some(deadline) = stamp.nanos().checked_add(lifetime) {
-            if deadline <= now.nanos() {
-                due.push((deadline, class, slot));
-            }
-        }
-    }
-    // Stable by (deadline, class): each class's subsequence keeps its
-    // LRU order — exactly the per-class wheel pop order.
-    due.sort_by_key(|&(deadline, class, _)| (deadline, class));
-    for &(_, _, slot) in &due {
-        let freed = chain.free_index(slot);
-        debug_assert!(freed, "classed expiry: slot {slot} not allocated");
-        let erased = map.erase(slot);
-        debug_assert!(
-            erased.is_some(),
-            "chain/map coherence: expired slot {slot} had no map slot"
-        );
-    }
-    due.len()
-}
-
-/// Per-class-lifetime expiry driven by **one [`TimerWheel`] per class**,
-/// each keyed by last-activity stamp: class `c` is due once its stamp
-/// is `<= now - lifetimes[c]`. Pops of all classes are merged in
-/// ascending `(deadline, class, within-class pop order)` before any
-/// slot is freed, which — because each wheel's pop order equals its
-/// class's LRU subsequence — is byte-identical to
-/// [`expire_items_classed`], free-list order included. `wheels[c]` must
-/// be armed with exactly the allocated slots of class `c`.
-pub fn expire_items_wheels<V: DmapValue + Clone>(
-    wheels: &mut [TimerWheel],
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    lifetimes: &[u64],
-    now: Time,
-) -> usize {
-    debug_assert_eq!(wheels.len(), lifetimes.len());
-    let mut due: Vec<(u64, u8, usize)> = Vec::new();
-    for (class, wheel) in wheels.iter_mut().enumerate() {
-        let lifetime = lifetimes[class];
-        // checked_sub: while now < lifetime nothing of this class can
-        // have expired yet (the spec's expiry_threshold_for shape).
-        let Some(threshold) = now.nanos().checked_sub(lifetime) else {
-            continue;
-        };
-        while let Some(slot) = wheel.pop_expired(Time::ZERO.plus(threshold)) {
-            let stamp = chain
-                .timestamp_of(slot)
-                .expect("wheel/chain coherence: popped slot not allocated");
-            // No overflow: stamp <= threshold = now - lifetime.
-            due.push((stamp.nanos() + lifetime, class as u8, slot));
-        }
-    }
-    due.sort_by_key(|&(deadline, class, _)| (deadline, class));
-    for &(_, _, slot) in &due {
-        let freed = chain.free_index(slot);
-        debug_assert!(freed, "classed expiry: slot {slot} not allocated");
-        let erased = map.erase(slot);
-        debug_assert!(
-            erased.is_some(),
-            "wheel/map coherence: expired slot {slot} had no map slot"
-        );
-    }
-    due.len()
-}
-
-/// Expire at most `limit` items (some NFs bound per-packet expiry work to
-/// keep worst-case latency flat; VigNAT expires exhaustively, which is
-/// why its probe-flow latency stays flat only while expiry is cheap).
-pub fn expire_items_bounded<V: DmapValue + Clone>(
-    chain: &mut DoubleChain,
-    map: &mut DoubleMap<V>,
-    threshold: Time,
-    limit: usize,
-) -> usize {
-    let mut count = 0;
-    while count < limit {
-        match chain.expire_one(threshold) {
-            Some(index) => {
-                let erased = map.erase(index);
-                debug_assert!(erased.is_some(), "chain/map coherence violated");
-                count += 1;
-            }
-            None => break,
-        }
-    }
-    count
 }
 
 #[cfg(test)]
@@ -224,6 +95,14 @@ mod tests {
         idx
     }
 
+    /// The single lifetime of the one-list tests.
+    const TEXP: u64 = Time::from_secs(10).nanos();
+
+    /// One-list expiry at `threshold = now - TEXP`.
+    fn expire_at(chain: &mut DoubleChain, map: &mut DoubleMap<Item>, threshold: Time) -> usize {
+        expire_items(chain, map, &[TEXP], threshold.plus(TEXP))
+    }
+
     #[test]
     fn expires_only_stale_items() {
         let mut chain = DoubleChain::new(8);
@@ -232,7 +111,7 @@ mod tests {
         insert(&mut chain, &mut map, 2, Time::from_secs(2));
         let live = insert(&mut chain, &mut map, 3, Time::from_secs(10));
 
-        let n = expire_items(&mut chain, &mut map, Time::from_secs(5));
+        let n = expire_at(&mut chain, &mut map, Time::from_secs(5));
         assert_eq!(n, 2);
         assert_eq!(map.size(), 1);
         assert_eq!(chain.size(), 1);
@@ -247,23 +126,14 @@ mod tests {
         let mut chain = DoubleChain::new(4);
         let mut map: DoubleMap<Item> = DoubleMap::new(4);
         insert(&mut chain, &mut map, 1, Time::from_secs(100));
-        assert_eq!(expire_items(&mut chain, &mut map, Time::from_secs(99)), 0);
+        assert_eq!(expire_at(&mut chain, &mut map, Time::from_secs(99)), 0);
         assert_eq!(map.size(), 1);
-    }
-
-    #[test]
-    fn bounded_expiry_stops_at_limit() {
-        let mut chain = DoubleChain::new(8);
-        let mut map: DoubleMap<Item> = DoubleMap::new(8);
-        for i in 0..6 {
-            insert(&mut chain, &mut map, i, Time::from_secs(i));
-        }
-        let n = expire_items_bounded(&mut chain, &mut map, Time::from_secs(100), 4);
-        assert_eq!(n, 4);
-        assert_eq!(map.size(), 2);
-        // and the survivors are the freshest two (LRU order respected)
-        assert!(map.get_by_a(&4).is_some());
-        assert!(map.get_by_a(&5).is_some());
+        // A deadline past the end of time is never due.
+        let forever = [u64::MAX];
+        assert_eq!(
+            expire_items(&mut chain, &mut map, &forever, Time(u64::MAX)),
+            0
+        );
     }
 
     #[test]
@@ -273,7 +143,7 @@ mod tests {
         insert(&mut chain, &mut map, 1, Time::from_secs(1));
         insert(&mut chain, &mut map, 2, Time::from_secs(1));
         assert!(chain.is_full());
-        expire_items(&mut chain, &mut map, Time::from_secs(1));
+        expire_at(&mut chain, &mut map, Time::from_secs(1));
         assert_eq!(map.size(), 0);
         // full capacity available again
         insert(&mut chain, &mut map, 10, Time::from_secs(2));
@@ -281,136 +151,45 @@ mod tests {
         assert!(chain.is_full());
     }
 
+    /// The naive reference for per-list expiry: live items as
+    /// `(slot, list, stamp)` in arrival order and a LIFO free stack; due
+    /// items leave in stable `(stamp + lifetime[list], list)` order.
+    struct Naive {
+        live: Vec<(usize, usize, u64)>,
+        free: Vec<usize>,
+    }
+
+    impl Naive {
+        fn new(cap: usize) -> Naive {
+            Naive {
+                live: Vec::new(),
+                free: (0..cap).rev().collect(),
+            }
+        }
+
+        fn arrive(&mut self, list: usize, stamp: u64) -> Option<usize> {
+            let slot = self.free.pop()?;
+            self.live.push((slot, list, stamp));
+            Some(slot)
+        }
+
+        fn refresh(&mut self, slot: usize, list: usize, stamp: u64) {
+            self.live.retain(|&(s, ..)| s != slot);
+            self.live.push((slot, list, stamp));
+        }
+
+        fn expire(&mut self, lifetimes: &[u64], now: u64) -> usize {
+            let deadline = |&(_, list, stamp): &(usize, usize, u64)| stamp + lifetimes[list];
+            let mut due = self.live.clone();
+            due.retain(|e| deadline(e) <= now);
+            due.sort_by_key(|e| (deadline(e), e.1));
+            self.live.retain(|e| deadline(e) > now);
+            self.free.extend(due.iter().map(|&(slot, ..)| slot));
+            due.len()
+        }
+    }
+
     proptest! {
-        /// The wheel-driven drain is byte-identical to the scan drain:
-        /// same expired count, same surviving LRU sequence, same map
-        /// contents — and the same *free-list order*, observed by
-        /// draining both chains through fresh allocations afterwards
-        /// (this is what makes wheel mode reuse ports in the exact
-        /// sequence scan mode would).
-        #[test]
-        fn wheel_drain_equals_scan_drain(
-            stamps in proptest::collection::vec(0u64..60, 1..28),
-            rejuv in proptest::collection::vec((0usize..28, 0u64..60), 0..16),
-            thr in 0u64..80,
-        ) {
-            let cap = 32;
-            let mut chain_s = DoubleChain::new(cap);
-            let mut map_s: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut chain_w = DoubleChain::new(cap);
-            let mut map_w: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut wheel = crate::wheel::TimerWheel::new(cap);
-
-            let mut sorted = stamps;
-            sorted.sort_unstable();
-            let mut clock = 0u64;
-            for (i, s) in sorted.iter().enumerate() {
-                clock = clock.max(*s);
-                let t = Time::from_secs(clock);
-                let a = insert(&mut chain_s, &mut map_s, i as u64, t);
-                let b = insert(&mut chain_w, &mut map_w, i as u64, t);
-                prop_assert_eq!(a, b);
-                wheel.insert(b, t);
-            }
-            // A monotone rejuvenation storm (the refresh path).
-            for (pick, bump) in rejuv {
-                if pick < sorted.len() && chain_s.is_allocated(pick) {
-                    clock += bump;
-                    let t = Time::from_secs(clock);
-                    chain_s.rejuvenate(pick, t);
-                    chain_w.rejuvenate(pick, t);
-                    wheel.refresh(pick, t);
-                }
-            }
-
-            let thr_t = Time::from_secs(thr);
-            let n_scan = expire_items(&mut chain_s, &mut map_s, thr_t);
-            let n_wheel = expire_items_wheel(&mut wheel, &mut chain_w, &mut map_w, thr_t);
-            prop_assert_eq!(n_scan, n_wheel);
-            let lru_s: Vec<_> = chain_s.iter_lru().collect();
-            let lru_w: Vec<_> = chain_w.iter_lru().collect();
-            prop_assert_eq!(lru_s, lru_w);
-            prop_assert_eq!(map_s.size(), map_w.size());
-            wheel.check_consistency();
-            // Free-list order: drain both chains dry and compare the
-            // allocation sequences.
-            let t_next = Time::from_secs(clock + 1);
-            loop {
-                let a = chain_s.allocate(t_next);
-                let b = chain_w.allocate(t_next);
-                prop_assert_eq!(&a, &b, "free-list order diverged");
-                if a.is_err() { break; }
-            }
-        }
-
-        /// The per-class engines agree byte for byte: same expired
-        /// count, same surviving LRU sequence, same map contents, and
-        /// the same free-list order — for arbitrary class assignments,
-        /// lifetime triples, rejuvenation storms, and thresholds.
-        #[test]
-        fn classed_wheels_equal_classed_scan(
-            arrivals in proptest::collection::vec((0u64..60, 0u8..3), 1..28),
-            rejuv in proptest::collection::vec((0usize..28, 0u64..60), 0..16),
-            lifetimes in (1u64..40, 1u64..40, 1u64..40),
-            now in 0u64..120,
-        ) {
-            let cap = 32;
-            let mut chain_s = DoubleChain::new(cap);
-            let mut map_s: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut chain_w = DoubleChain::new(cap);
-            let mut map_w: DoubleMap<Item> = DoubleMap::new(cap);
-            let mut wheels: Vec<crate::wheel::TimerWheel> =
-                (0..3).map(|_| crate::wheel::TimerWheel::new(cap)).collect();
-            let mut classes = vec![0u8; cap];
-
-            let mut sorted = arrivals;
-            sorted.sort_unstable_by_key(|&(s, _)| s);
-            let mut clock = 0u64;
-            for (i, &(s, class)) in sorted.iter().enumerate() {
-                clock = clock.max(s);
-                let t = Time::from_secs(clock);
-                let a = insert(&mut chain_s, &mut map_s, i as u64, t);
-                let b = insert(&mut chain_w, &mut map_w, i as u64, t);
-                prop_assert_eq!(a, b);
-                classes[b] = class;
-                wheels[class as usize].insert(b, t);
-            }
-            for (pick, bump) in rejuv {
-                if pick < sorted.len() && chain_s.is_allocated(pick) {
-                    clock += bump;
-                    let t = Time::from_secs(clock);
-                    chain_s.rejuvenate(pick, t);
-                    chain_w.rejuvenate(pick, t);
-                    wheels[classes[pick] as usize].refresh(pick, t);
-                }
-            }
-
-            let lifetimes_ns: Vec<u64> = [lifetimes.0, lifetimes.1, lifetimes.2]
-                .iter().map(|l| Time::from_secs(*l).nanos()).collect();
-            let now_t = Time::from_secs(now);
-            let n_scan = expire_items_classed(
-                &mut chain_s, &mut map_s, &classes, &lifetimes_ns, now_t);
-            let n_wheel = expire_items_wheels(
-                &mut wheels, &mut chain_w, &mut map_w, &lifetimes_ns, now_t);
-            prop_assert_eq!(n_scan, n_wheel);
-            let lru_s: Vec<_> = chain_s.iter_lru().collect();
-            let lru_w: Vec<_> = chain_w.iter_lru().collect();
-            prop_assert_eq!(lru_s, lru_w);
-            prop_assert_eq!(map_s.size(), map_w.size());
-            for w in &wheels {
-                w.check_consistency();
-            }
-            // Free-list order: drain both chains dry and compare the
-            // allocation sequences (this is what pins port-reuse order).
-            let t_next = Time::from_secs(clock + 1);
-            loop {
-                let a = chain_s.allocate(t_next);
-                let b = chain_w.allocate(t_next);
-                prop_assert_eq!(&a, &b, "free-list order diverged");
-                if a.is_err() { break; }
-            }
-        }
-
         /// Post-state properties for arbitrary histories: survivors are
         /// exactly the items stamped after the threshold, and chain/map
         /// stay coherent.
@@ -426,7 +205,7 @@ mod tests {
             for (i, s) in sorted.iter().enumerate() {
                 insert(&mut chain, &mut map, i as u64, Time::from_secs(*s));
             }
-            let expired = expire_items(&mut chain, &mut map, Time::from_secs(thr));
+            let expired = expire_at(&mut chain, &mut map, Time::from_secs(thr));
             let expected = sorted.iter().filter(|&&s| s <= thr).count();
             prop_assert_eq!(expired, expected);
             prop_assert_eq!(chain.size(), map.size());
@@ -434,6 +213,69 @@ mod tests {
                 prop_assert!(t > Time::from_secs(thr));
                 prop_assert!(map.get(idx).is_some(), "chain/map coherence");
             }
+        }
+
+        /// The classed twin, against the naive model: arbitrary list
+        /// assignments, lifetime triples, refresh storms that migrate
+        /// items between lists, and repeated expiry at a moving clock
+        /// leave the same expired counts, the same survivors in the
+        /// same per-list order, the same map contents — and the same
+        /// *free-list order*, observed by draining both through fresh
+        /// allocations (this is what pins slot and port reuse).
+        #[test]
+        fn expiry_postcondition_classed(
+            arrivals in proptest::collection::vec((0u64..4, 0usize..3), 1..28),
+            ops in proptest::collection::vec((0usize..28, 0usize..3, 0u64..12, any::<bool>()), 0..24),
+            lifetimes in proptest::collection::vec(1u64..40, 3),
+        ) {
+            let cap = 32;
+            let mut chain = DoubleChain::with_lists(cap, 3);
+            let mut map: DoubleMap<Item> = DoubleMap::new(cap);
+            let mut model = Naive::new(cap);
+            let mut clock = 0u64;
+            let mut next_key = 0u64;
+            let mut arrive = |chain: &mut DoubleChain, map: &mut DoubleMap<Item>,
+                              model: &mut Naive, list: usize, clock: u64| {
+                let slot = model.arrive(list, clock);
+                let got = chain.allocate(Time(clock)).ok();
+                assert_eq!(got, slot, "allocation (free-list order) diverged");
+                if let Some(slot) = slot {
+                    assert!(chain.rejuvenate_on(slot, list, Time(clock)));
+                    map.put(slot, Item { a: next_key, b: next_key + 1000 }).unwrap();
+                    next_key += 1;
+                }
+            };
+            for (dt, list) in arrivals {
+                clock += dt; // dt == 0: same-stamp bursts across lists
+                arrive(&mut chain, &mut map, &mut model, list, clock);
+            }
+            for (pick, list, dt, expire) in ops {
+                clock += dt;
+                if chain.is_allocated(pick) {
+                    prop_assert!(chain.rejuvenate_on(pick, list, Time(clock)));
+                    model.refresh(pick, list, clock);
+                } else {
+                    arrive(&mut chain, &mut map, &mut model, list, clock);
+                }
+                if expire {
+                    let n = expire_items(&mut chain, &mut map, &lifetimes, Time(clock));
+                    prop_assert_eq!(n, model.expire(&lifetimes, clock));
+                }
+                for list in 0..3 {
+                    let got: Vec<_> = chain.iter_list(list).map(|(s, t)| (s, list, t.nanos())).collect();
+                    let want: Vec<_> = model.live.iter().copied().filter(|e| e.1 == list).collect();
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(map.size(), model.live.len());
+                for &(slot, ..) in &model.live {
+                    prop_assert!(map.get(slot).is_some(), "chain/map coherence");
+                }
+            }
+            // Free-list order: drain both dry.
+            while !model.free.is_empty() {
+                arrive(&mut chain, &mut map, &mut model, 0, clock);
+            }
+            prop_assert!(chain.is_full());
         }
     }
 }

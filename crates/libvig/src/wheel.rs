@@ -1,25 +1,33 @@
 //! Hierarchical timer wheel: O(1) expiry bucketed by deadline.
 //!
-//! The paper's expirator (Fig. 6) walks the [`crate::dchain`] LRU list,
-//! which is O(1) per expired flow *only because* every flow shares one
-//! timeout, so last-activity order equals deadline order. A production
-//! NAT wants expiry decoupled from that coupling — heterogeneous
-//! timeouts (TCP vs UDP lifetimes, RFC 4787 behaviors) break the
-//! LRU-equals-deadline property, and a million-flow table cannot afford
-//! a scan when it does. The classical fix is the hierarchical timer
-//! wheel (Varghese & Lauck, SOSP '87): hash each deadline into a
-//! bucket, expire by draining due buckets, pay O(1) amortized per
-//! timer regardless of table size.
+//! **Status: the NAT does not use this module.** It used to shadow the
+//! [`crate::dchain`] with one wheel per timeout class. But every wheel
+//! the NAT owned was fed monotone stamps under one constant lifetime, so
+//! it only ever sorted a sequence that arrived sorted: within a class,
+//! deadline order is arrival order, and one LRU list per class
+//! ([`crate::dchain::DoubleChain::with_lists`], drained by
+//! [`crate::expirator::expire_items`]) pops a due flow in O(1) with no
+//! buckets, cascades or overdue lane — measured faster and 54 bytes per
+//! slot smaller. The module is still compiled, unedited below this
+//! header, for one reason: `benchmark/src/ladder.rs` times
+//! [`TimerWheel::insert`], [`TimerWheel::refresh`] and
+//! [`TimerWheel::pop_expired`] for natbench's `libvig.wheel_refresh_ns`
+//! and `libvig.wheel_pop_ns` rungs, and the change that retired the
+//! wheel was not allowed to touch `benchmark/`. The benchmark change
+//! that drops those two rungs deletes this file with them.
 //!
-//! This module supplies that wheel **with the same verification story
-//! as every other libVig structure**: an executable abstract model
-//! ([`AbstractWheel`] — the naive scan the wheel replaces), a lockstep
-//! [`CheckedWheel`] asserting the contract on every call, and
-//! property/boundary suites. The differential proof that matters — the
-//! wheel drains in *exactly* the order the dchain scan expires, so a
-//! wheel-driven NAT is byte-identical to the scan-driven one — lives in
-//! `tests/wheel_equivalence.rs` and in the flow manager's dual-mode
-//! tests.
+//! What a wheel is for, and what would bring one back: deadlines that do
+//! *not* arrive in order within a list — a lifetime chosen per flow
+//! rather than per class (RFC 4787 behaviours, per-subscriber policy).
+//! The classical answer is the hierarchical timer wheel (Varghese &
+//! Lauck, SOSP '87): hash each deadline into a bucket, expire by
+//! draining due buckets, pay O(1) amortized per timer regardless of
+//! table size.
+//!
+//! The wheel keeps the verification story of every other libVig
+//! structure: an executable abstract model ([`AbstractWheel`] — the
+//! naive scan), a lockstep [`CheckedWheel`] asserting the contract on
+//! every call, and property/boundary suites, all in this file.
 //!
 //! ## Geometry
 //!
@@ -46,9 +54,9 @@
 //!
 //! Every [`TimerWheel::insert`]/[`TimerWheel::refresh`] timestamp must
 //! be ≥ every timestamp currently armed (contract precondition,
-//! asserted by [`CheckedWheel`]). The NAT satisfies it for free: all
-//! flows share one `Texp`, and deadlines are stamped by a monotone
-//! clock. Under it:
+//! asserted by [`CheckedWheel`]). The NAT satisfied it for free — one
+//! lifetime per wheel, stamps from a monotone clock — which is exactly
+//! why it never needed a wheel (header). Under it:
 //!
 //! * every bucket's FIFO is nondecreasing in timestamp (a new insert
 //!   is ≥ everything already armed, wherever it lands);
@@ -63,10 +71,10 @@
 //! Hence [`TimerWheel::pop_expired`] yields entries in ascending
 //! `(timestamp, insertion order)` — precisely the order
 //! [`crate::dchain::DoubleChain::expire_one`] frees them. That exact
-//! (not just set-wise) agreement is what lets the flow manager swap
-//! expiry engines without perturbing one byte of downstream state:
-//! freed indices hit the dchain free list in the same sequence, so
-//! port reuse, probe layout, and TX bytes all stay identical.
+//! (not just set-wise) agreement is what let the flow manager run a
+//! wheel beside the chain without perturbing one byte of downstream
+//! state: freed indices hit the dchain free list in the same sequence,
+//! so port reuse, probe layout, and TX bytes all stayed identical.
 //!
 //! ## The overdue lane
 //!

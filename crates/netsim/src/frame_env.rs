@@ -412,8 +412,8 @@ impl<T: FlowTable> NatEnv for FrameEnv<'_, T> {
 /// yields the staged frames in ring order, `lookup_internal_batch` and
 /// `lookup_external_batch` resolve the burst's flow probes through the
 /// flow table's staged burst pipeline (`FlowTable::probe_*_batch`:
-/// tag words, directory slots, then every hit's chain cell, wheel node
-/// and list neighbours, each first-touched for the whole burst before
+/// tag words, directory slots, then every hit's chain cell, tracker
+/// bytes and list neighbours, each first-touched for the whole burst before
 /// the next — results are exactly the per-query lookups', as the
 /// equivalence suites assert), and `tx`/`drop_pkt` record one verdict
 /// per buffer (the middlebox routes them afterwards). Like `FrameEnv`

@@ -125,14 +125,6 @@ impl VigNatMb {
     pub fn new(cfg: NatConfig) -> VigNatMb {
         VigNatMb::with_table(FlowManager::new(&cfg), cfg, "Verified NAT")
     }
-
-    /// Build with an explicit [`vignat::ExpiryMode`] — the
-    /// wheel-vs-scan differential suites run the whole middlebox twice,
-    /// once per mode, and demand identical verdicts, frames, and
-    /// expiry counts.
-    pub fn with_expiry(cfg: NatConfig, mode: vignat::ExpiryMode) -> VigNatMb {
-        VigNatMb::with_table(FlowManager::with_expiry(&cfg, mode), cfg, "Verified NAT")
-    }
 }
 
 impl ShardedVigNatMb {
@@ -141,20 +133,6 @@ impl ShardedVigNatMb {
     pub fn sharded(cfg: NatConfig, shards: usize) -> ShardedVigNatMb {
         VigNatMb::with_table(
             ShardedFlowManager::new(&cfg, shards),
-            cfg,
-            "Verified NAT (sharded)",
-        )
-    }
-
-    /// N-shard Verified NAT with an explicit [`vignat::ExpiryMode`]
-    /// (see [`VigNatMb::with_expiry`]).
-    pub fn sharded_with_expiry(
-        cfg: NatConfig,
-        shards: usize,
-        mode: vignat::ExpiryMode,
-    ) -> ShardedVigNatMb {
-        VigNatMb::with_table(
-            ShardedFlowManager::with_expiry(&cfg, shards, mode),
             cfg,
             "Verified NAT (sharded)",
         )

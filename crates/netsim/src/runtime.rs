@@ -70,7 +70,7 @@
 //!    responses, never a torn stream. The job itself runs under
 //!    `catch_unwind`; on panic the worker discards the suspect shard
 //!    state ([`vignat::FlowManager::reset`] — mid-batch, any subset of
-//!    table/chain/wheel updates may have landed — plus a fresh
+//!    table/chain updates may have landed — plus a fresh
 //!    [`Mempool`], since staged buffers leak on unwind), re-attempts
 //!    its pin, and answers with a two-word `DOWN` report instead of a
 //!    result body. The dispatcher maps the whole job to

@@ -8,7 +8,7 @@
 //! `tests/adversarial_inputs.rs`: valid new flows, repeats of the same
 //! flow within one burst (the insert→hit sequence-point case), valid
 //! and junk return traffic (UDP, and TCP segments carrying SYN+ACK /
-//! FIN / RST so slots migrate between class wheels), destinations inside
+//! FIN / RST so slots migrate between class lists), destinations inside
 //! and outside the endpoint pool, random-byte frames, bit-flipped
 //! frames, truncations, and time jumps that trigger expiry between
 //! bursts.
@@ -48,7 +48,7 @@ fn cfg() -> NatConfig {
     }
 }
 
-/// Per-class lifetimes: TCP slots move between three wheels as the
+/// Per-class lifetimes: TCP slots move between three lists as the
 /// return segments' flags step their trackers.
 fn classed_cfg() -> NatConfig {
     NatConfig {

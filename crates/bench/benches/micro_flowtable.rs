@@ -35,10 +35,10 @@
 //! **What the `_49pct` / `_98pct` labels load.** The label is the
 //! share of the 65,535 flow slots in use. The `lookup_*` and
 //! `natstep_*` rows run on a `DoubleMap<Flow>` / `FlowManager`, whose
-//! key directories have `libvig::dmap::DIRECTORY_SLOTS_PER_16` = 21
+//! key directory has `libvig::dmap::DIRECTORY_SLOTS_PER_16` = 21
 //! probe positions per 16 flow slots: behind those labels the
-//! directories are at load 0.37 and 0.75 (0.46 and 0.92 in the rows
-//! committed while the directories had 17/16). The `open_addressing_*`
+//! directory is at load 0.37 and 0.75 (0.46 and 0.92 in the rows
+//! committed while it had 17/16). The `open_addressing_*`
 //! and `tag_probe_*` rows run on a bare `libvig::map::Map` of 65,535
 //! positions and keep the label's own load, 0.49 and 0.98.
 //!

@@ -198,10 +198,11 @@ pub mod concrete {
     }
 
     /// Reusable buffers behind the concrete envs' `lookup_*_batch`:
-    /// the burst's `Some` queries gathered into the dense key/hash
-    /// slices [`FlowTable`]'s batch probes take, their packet
-    /// positions, and the probe results. Owned across bursts, so the
-    /// steady-state burst path allocates nothing for its flow probes.
+    /// the burst's `Some` queries gathered into the dense key (and, for
+    /// internal keys, hash) slices [`FlowTable`]'s batch probes take,
+    /// their packet positions, and the probe results. Owned across
+    /// bursts, so the steady-state burst path allocates nothing for its
+    /// flow probes.
     #[derive(Debug, Default)]
     pub struct ProbeScratch {
         fids: Vec<FlowId>,
@@ -239,8 +240,7 @@ pub mod concrete {
             T: FlowTable,
         {
             self.gather(eks, |keys, q| keys.eks.push(ext_key(q)));
-            self.hashes.extend(self.eks.iter().map(MapKey::key_hash));
-            table.probe_external_batch(&self.eks, &self.hashes, &mut self.found);
+            table.probe_external_batch(&self.eks, &mut self.found);
             self.scatter(out);
         }
 

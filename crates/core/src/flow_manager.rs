@@ -1,10 +1,11 @@
 //! The flow manager: VigNAT's stateful half, entirely in libVig
 //! structures.
 //!
-//! State layout (identical to the C VigNAT):
+//! State layout (identical to the C VigNAT, minus its second hash
+//! directory):
 //!
-//! * a [`DoubleMap`] keyed by internal 5-tuple and external key, holding
-//!   [`Flow`] records in slots `0..capacity`;
+//! * a [`DoubleMap`] holding [`Flow`] records in slots `0..capacity`,
+//!   with one hash directory, keyed by the internal 5-tuple;
 //! * a [`DoubleChain`] allocating those same slot indices and keeping
 //!   their last-activity order for expiry — the only timestamp-ordered
 //!   structure there is;
@@ -16,6 +17,15 @@
 //! endpoint allocator: endpoint uniqueness *is* slot uniqueness, which
 //! the dchain contract guarantees. With the paper's single-address pool
 //! it reads `ext_port == start_port + i`, VigNAT's literal invariant.
+//! It is also the whole external lookup: a return packet's destination
+//! endpoint, run backwards through the bijection
+//! ([`NatConfig::slot_of_endpoint`], minus `slot_base`), *is* the slot
+//! index, so [`FlowManager::lookup_external`] is three integer
+//! operations and one comparison of the slot's `ext_key()` with the
+//! packet's — no hash, no probe. The comparison is of the whole key: a
+//! flow inserted at the wrong slot (a P4 violation, debug-asserted in
+//! [`FlowManager::insert_hashed`]) would be unreachable from outside,
+//! but no packet could ever be handed to the wrong flow.
 //! [`FlowManager::check_coherence`] asserts the full invariant; the
 //! differential and property tests call it liberally.
 //!
@@ -50,23 +60,26 @@
 //!
 //! ## The burst pipeline
 //!
-//! A hit on a table larger than cache touches some eight scattered lines
-//! in dependent levels: directory tag word → directory slot → value
-//! slot, then — when the hit is rejuvenated — the chain cell, the
-//! tracker bytes and the cells of the slot's two list neighbours. One
-//! lookup at a time pays those misses in series.
+//! An internal hit on a table larger than cache touches some seven
+//! scattered lines in dependent levels: directory tag word → directory
+//! slot → value slot, then — when the hit is rejuvenated — the chain
+//! cell, the tracker byte and the cells of the slot's two list
+//! neighbours. A return hit skips the two directory lines. One lookup
+//! at a time pays those misses in series.
 //! [`FlowTable::probe_internal_batch`] and
 //! [`FlowTable::probe_external_batch`] instead run the burst in stages,
 //! each issued for every query before the next begins, so the misses of
-//! one stage overlap: (1) probe starts and tag words, (2) the directory
-//! slot each probe dereferences first, then the probes
-//! ([`libvig::map::Map::get_batch_with_hash`]); (3) for every hit the
-//! value slot, chain cell and tracker bytes; (4) the two neighbours the
-//! chain's unlink will write. Stages 3–4 are plain loads through the
-//! structures' `first_touch*` hints — they change no state, so results
-//! stay exactly the per-query lookups' — and are skipped while the
-//! table tracks so few flows that their state is cache-resident anyway
-//! (`RESIDENT_BUDGET_BYTES`).
+//! one stage overlap. Internal keys: (1) probe starts and tag words,
+//! (2) the directory slot each probe dereferences first, then the
+//! probes ([`libvig::map::Map::get_batch_with_hash`]). External keys:
+//! (1) every key's candidate slot — arithmetic — and a first touch of
+//! those value slots, (2) the key comparisons. Then both: (3) for every
+//! hit the value slot, chain cell and tracker byte; (4) the two
+//! neighbours the chain's unlink will write. The touches are plain
+//! loads through the structures' `first_touch*` hints — they change no
+//! state, so results stay exactly the per-query lookups' — and are
+//! skipped while the table tracks so few flows that their state is
+//! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
 
 use libvig::dchain::DoubleChain;
 use libvig::dmap::DoubleMap;
@@ -74,7 +87,7 @@ use libvig::expirator;
 use libvig::map::MapKey;
 use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
-use vig_spec::tcp::{class_of, initial_state, transition};
+use vig_spec::tcp::{initial_state, transition};
 use vig_spec::{NatConfig, TcpState, TimeoutClass};
 
 /// The flow-table interface the concrete environments drive.
@@ -83,13 +96,14 @@ use vig_spec::{NatConfig, TcpState, TimeoutClass};
 /// sharded [`crate::sharded::ShardedFlowManager`] are interchangeable:
 /// the envs (`SimpleEnv`, netsim's `FrameEnv`/`BurstEnv`) are generic
 /// over a `FlowTable`, and the verified loop body above them is
-/// oblivious — it sees only [`crate::env::NatEnv`]. Every operation
-/// takes the caller's memoized key hash, both to skip rehashing (the
-/// PR 1 fast path) and because **the hash doubles as the shard
-/// selector** for sharded implementations — which is why
+/// oblivious — it sees only [`crate::env::NatEnv`]. Every internal-key
+/// operation takes the caller's memoized key hash, both to skip
+/// rehashing (the PR 1 fast path) and because **the hash doubles as the
+/// shard selector** for sharded implementations — which is why
 /// [`FlowTable::allocate_slot_routed`] carries the flow hash: the shard
 /// a fresh flow's slot (and therefore its external port) comes from is
 /// a function of that hash, so allocation never crosses shards.
+/// External keys are never hashed: their endpoint names shard and slot.
 ///
 /// Slot indices returned by lookups and allocation are *global*: a
 /// sharded table exposes `shard * per_shard_capacity + local_slot`, so
@@ -130,20 +144,14 @@ pub trait FlowTable {
     );
 
     /// [`FlowTable::probe_internal_batch`] for external keys: results
-    /// equal element-wise [`FlowTable::lookup_external_hashed`],
-    /// duplicates and endpoints no shard owns included.
-    fn probe_external_batch(
-        &mut self,
-        eks: &[ExtKey],
-        hashes: &[u64],
-        out: &mut Vec<Option<(usize, Flow)>>,
-    );
+    /// equal element-wise [`FlowTable::lookup_external`], duplicates
+    /// and endpoints no shard owns included.
+    fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>);
 
-    /// Find a flow by external key; `hash == ek.key_hash()`. Sharded
-    /// tables route by the port partition, **not** by this hash — a
-    /// flow's external port identifies its shard exactly, whereas the
-    /// external key hashes independently of the internal one.
-    fn lookup_external_hashed(&self, ek: &ExtKey, hash: u64) -> Option<(usize, &Flow)>;
+    /// Find a flow by external key: the flow in the slot that owns the
+    /// key's pool endpoint, if its external key is `ek`. An endpoint
+    /// outside the pool (or in no shard's partition) is a miss.
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)>;
 
     /// Refresh the activity timestamp of an allocated (global) slot.
     /// `dir`/`tcp_flags` step the slot's TCP tracker (when it has one),
@@ -192,19 +200,18 @@ pub trait FlowTable {
     fn check_coherence(&self) -> Result<(), String>;
 }
 
-/// What stages 3–4 of the burst pipeline load for one hit: six 64-byte
-/// lines — value slot, chain cell, two tracker bytes, two chain
-/// neighbours. The directory's tag word and 32-byte slot (stages 1–2,
-/// which always run) are not in it, so the directory's slot size and
-/// load factor do not move the budget.
-const HIT_STATE_BYTES: usize = 6 * 64;
+/// What the burst pipeline's touches load for one hit: five 64-byte
+/// lines — value slot, chain cell, tracker byte, two chain neighbours.
+/// The directory's tag word and 32-byte slot (an internal probe's
+/// stages 1–2, which always run) are not in it, so the directory's slot
+/// size and load factor do not move the budget.
+const HIT_STATE_BYTES: usize = 5 * 64;
 
 /// The cache a table's hot per-slot state may be assumed to stay in — a
 /// conservative share of one core's private L2. A table tracking fewer
-/// flows than fit it (about 1,365) runs its batched probes without
-/// stages 3–4. (With the timer wheels' four lines per hit the cut-off
-/// was about 800; no natbench workload sits between the two — 256 flows
-/// below, 60k and 944k above.)
+/// flows than fit it (about 1,638) runs its batched probes without
+/// touching ahead. (No natbench workload sits near the cut-off: 256
+/// flows below, 60k and 944k above.)
 const RESIDENT_BUDGET_BYTES: usize = 512 << 10;
 
 /// The NAT's flow table + expiry machinery. See module docs.
@@ -217,10 +224,9 @@ pub struct FlowManager {
     chain: DoubleChain,
     /// Per-slot TCP tracker state; `None` for UDP flows (and for free
     /// slots — stale values are overwritten on insert, never read).
+    /// Also names the slot's timeout class, hence the chain list a
+    /// refresh re-links it on ([`FlowManager::list_of`]).
     tcp_state: Vec<Option<TcpState>>,
-    /// Per-slot timeout class (`TimeoutClass::index()` of the flow):
-    /// which chain list a refresh re-links the slot on.
-    class: Vec<u8>,
     /// The *global* pool configuration the endpoint mapping runs on.
     cfg: NatConfig,
     /// This table's first global slot (0 standalone; `s * per_shard`
@@ -264,7 +270,6 @@ impl FlowManager {
             table: DoubleMap::new(capacity),
             chain: DoubleChain::with_lists(capacity, lists),
             tcp_state: vec![None; capacity],
-            class: vec![0; capacity],
             cfg: *cfg,
             slot_base,
             capacity,
@@ -360,12 +365,14 @@ impl FlowManager {
         expirator::expire_items(&mut self.chain, &mut self.table, lifetimes, now)
     }
 
-    /// The chain list a slot of timeout class `class` lives on.
-    fn list_of(&self, class: u8) -> usize {
+    /// The chain list a slot whose tracker reads `st` lives on: its
+    /// timeout class's. The table tracks a flow iff it is TCP
+    /// ([`FlowManager::check_coherence`]), so `None` is a UDP flow.
+    fn list_of(&self, st: Option<TcpState>) -> usize {
         if self.chain.lists() == 1 {
             0
         } else {
-            usize::from(class)
+            st.map_or(TimeoutClass::Udp, TcpState::class).index()
         }
     }
 
@@ -383,38 +390,25 @@ impl FlowManager {
         self.table.get(slot).map(|f| (slot, f))
     }
 
-    /// One batched probe: `directory_probe` resolves the queries to
-    /// slots (stages 1–2, in whichever directory), [`Self::finish_probe`]
-    /// does the rest.
+    /// One batched probe: `resolve` turns the queries into slots
+    /// (stages 1–2 of either direction); stages 3–4 (module docs) run
+    /// over the hits, then one `(slot, flow)` per query goes to `out`.
     fn staged_probe(
         &mut self,
         out: &mut Vec<Option<(usize, Flow)>>,
-        directory_probe: impl FnOnce(&DoubleMap<Flow>, &mut Vec<Option<usize>>),
+        resolve: impl FnOnce(&FlowManager, &mut Vec<Option<usize>>),
     ) {
         // Detach the scratch so the `&self` stages can run while we
         // hold it mutably; reattach afterwards (no allocation in steady
         // state).
         let mut slots = std::mem::take(&mut self.probe_slots);
         slots.clear();
-        directory_probe(&self.table, &mut slots);
-        self.finish_probe(&slots, out);
-        self.probe_slots = slots;
-    }
-
-    /// Stages 3–4 of the burst pipeline (module docs) over the slots a
-    /// batched directory probe resolved, then one `(slot, flow)` per
-    /// query appended to `out`.
-    ///
-    /// The stages are skipped while the live flows' per-slot state fits
-    /// [`RESIDENT_BUDGET_BYTES`]: lines that are in cache already gain
-    /// nothing from being loaded early, and the hint passes cost a few
-    /// ns per packet.
-    fn finish_probe(&self, slots: &[Option<usize>], out: &mut Vec<Option<(usize, Flow)>>) {
-        if self.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES {
+        resolve(self, &mut slots);
+        if self.touches_ahead() {
             for &slot in slots.iter().flatten() {
                 self.table.first_touch(slot);
                 self.chain.first_touch(slot);
-                std::hint::black_box((self.tcp_state.get(slot), self.class.get(slot)));
+                std::hint::black_box(self.tcp_state.get(slot));
             }
             for &slot in slots.iter().flatten() {
                 self.chain.first_touch_neighbours(slot);
@@ -425,17 +419,30 @@ impl FlowManager {
                 .iter()
                 .map(|s| s.and_then(|slot| self.table.get(slot).map(|f| (slot, *f)))),
         );
+        self.probe_slots = slots;
     }
 
-    /// Find a flow by its external key.
+    /// Whether the batched probes touch ahead: not while the live
+    /// flows' per-slot state fits [`RESIDENT_BUDGET_BYTES`] — warm lines
+    /// gain nothing, and the hint passes cost a few ns per packet.
+    fn touches_ahead(&self) -> bool {
+        self.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES
+    }
+
+    /// The (local) slot that owns `ek`'s pool endpoint — the inverse of
+    /// [`FlowManager::ip_of_slot`] / [`FlowManager::port_of_slot`].
+    /// `None`, before any memory is touched, for an endpoint outside
+    /// the pool or in a sibling shard's slot range.
+    fn slot_of_ext(&self, ek: &ExtKey) -> Option<usize> {
+        let global = self.cfg.slot_of_endpoint(ek.ext_ip, ek.ext_port)?;
+        let local = global.checked_sub(self.slot_base)?;
+        (local < self.capacity).then_some(local)
+    }
+
+    /// Find a flow by its external key: index the slot its endpoint
+    /// names, compare the whole key (module docs).
     pub fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)> {
-        self.lookup_external_hashed(ek, ek.key_hash())
-    }
-
-    /// [`FlowManager::lookup_external`] with a caller-computed hash
-    /// (`hash == ek.key_hash()`).
-    pub fn lookup_external_hashed(&self, ek: &ExtKey, hash: u64) -> Option<(usize, &Flow)> {
-        let slot = self.table.get_by_b_with_hash(ek, hash)?;
+        let slot = self.table.get_by_b_at(ek, self.slot_of_ext(ek)?)?;
         self.table.get(slot).map(|f| (slot, f))
     }
 
@@ -457,13 +464,9 @@ impl FlowManager {
     /// Precondition (P4) as for [`FlowManager::rejuvenate`].
     pub fn rejuvenate_with(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
         self.note_clock(now);
-        if let Some(st) = self.tcp_state[slot] {
-            let next = transition(st, dir, tcp_flags);
-            self.tcp_state[slot] = Some(next);
-            self.class[slot] = class_of(Proto::Tcp, Some(next)).index() as u8;
-        }
-        let list = self.list_of(self.class[slot]);
-        let ok = self.chain.rejuvenate_on(slot, list, now);
+        let st = self.tcp_state[slot].map(|st| transition(st, dir, tcp_flags));
+        self.tcp_state[slot] = st;
+        let ok = self.chain.rejuvenate_on(slot, self.list_of(st), now);
         debug_assert!(ok, "rejuvenate of unallocated slot {slot}");
     }
 
@@ -517,7 +520,6 @@ impl FlowManager {
             "slot/address bijection violated"
         );
         let st = (fid.proto == Proto::Tcp).then(|| initial_state(tcp_flags));
-        let class = class_of(fid.proto, st).index() as u8;
         let flow = Flow {
             int_key: fid,
             ext_ip,
@@ -526,7 +528,6 @@ impl FlowManager {
         let ok = self.table.put_with_hash(slot, flow, fid_hash);
         debug_assert!(ok.is_ok(), "insert into occupied slot {slot}");
         self.tcp_state[slot] = st;
-        self.class[slot] = class;
         if self.chain.lists() > 1 {
             // `allocate_slot` linked and stamped the slot on list 0 (same
             // iteration, P4); its class is only known now. Keeps the
@@ -535,7 +536,7 @@ impl FlowManager {
                 .chain
                 .timestamp_of(slot)
                 .expect("insert into unallocated slot");
-            self.chain.rejuvenate_on(slot, usize::from(class), stamp);
+            self.chain.rejuvenate_on(slot, self.list_of(st), stamp);
         }
     }
 
@@ -582,20 +583,20 @@ impl FlowManager {
                 self.chain.size()
             ));
         }
-        // Both flow directories' tag-group control words must project
-        // the slots exactly — expiry and slot realloc go through
-        // erase/put, which maintain them.
+        // The flow directory's tag-group control words must project the
+        // slots exactly — expiry and slot realloc go through erase/put,
+        // which maintain them.
         self.table.check_directory_coherence()?;
-        // Every allocated slot is on the list of its class, and each
-        // list is in stamp (hence deadline) order.
+        // Every allocated slot is on the list of the class its tracker
+        // names, and each list is in stamp (hence deadline) order.
         let mut linked = 0;
         for list in 0..self.chain.lists() {
             let mut prev = Time::ZERO;
             for (slot, stamp) in self.chain.iter_list(list) {
-                if self.list_of(self.class[slot]) != list {
+                if self.list_of(self.tcp_state[slot]) != list {
                     return Err(format!(
-                        "slot {slot}: on list {list} with class {}",
-                        self.class[slot]
+                        "slot {slot}: on list {list} with tracker {:?}",
+                        self.tcp_state[slot]
                     ));
                 }
                 if stamp < prev {
@@ -620,19 +621,12 @@ impl FlowManager {
                 return Err(format!("slot {slot}: dmap={in_map} dchain={in_chain}"));
             }
             if let Some(f) = self.table.get(slot) {
-                // TCP tracker coherence: tracked iff TCP, class derived
-                // from the tracker.
+                // TCP tracker coherence: tracked iff TCP (which is what
+                // lets the tracker alone name the class, above).
                 if self.tcp_state[slot].is_some() != (f.int_key.proto == Proto::Tcp) {
                     return Err(format!(
                         "slot {slot}: tcp_state {:?} for proto {:?}",
                         self.tcp_state[slot], f.int_key.proto
-                    ));
-                }
-                let want_class = class_of(f.int_key.proto, self.tcp_state[slot]).index() as u8;
-                if self.class[slot] != want_class {
-                    return Err(format!(
-                        "slot {slot}: class {} != tracker class {want_class}",
-                        self.class[slot]
                     ));
                 }
                 if f.ext_port != self.port_of_slot(slot) {
@@ -647,6 +641,14 @@ impl FlowManager {
                         "slot {slot}: ext_ip {} != pool address {}",
                         f.ext_ip,
                         self.ip_of_slot(slot)
+                    ));
+                }
+                // What the external lookup leans on, through the
+                // datapath's own inverse: the flow's key indexes here.
+                let indexed = self.slot_of_ext(&f.ext_key());
+                if indexed != Some(slot) {
+                    return Err(format!(
+                        "slot {slot}: external key indexes slot {indexed:?}"
                     ));
                 }
             }
@@ -678,20 +680,25 @@ impl FlowTable for FlowManager {
         hashes: &[u64],
         out: &mut Vec<Option<(usize, Flow)>>,
     ) {
-        self.staged_probe(out, |table, slots| table.lookup_batch(fids, hashes, slots));
+        self.staged_probe(out, |fm, slots| fm.table.lookup_batch(fids, hashes, slots));
     }
 
-    fn probe_external_batch(
-        &mut self,
-        eks: &[ExtKey],
-        hashes: &[u64],
-        out: &mut Vec<Option<(usize, Flow)>>,
-    ) {
-        self.staged_probe(out, |table, slots| table.lookup_batch_b(eks, hashes, slots));
+    fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>) {
+        self.staged_probe(out, |fm, slots| {
+            slots.extend(eks.iter().map(|ek| fm.slot_of_ext(ek)));
+            if fm.touches_ahead() {
+                for &slot in slots.iter().flatten() {
+                    fm.table.first_touch(slot);
+                }
+            }
+            for (slot, ek) in slots.iter_mut().zip(eks) {
+                *slot = slot.and_then(|i| fm.table.get_by_b_at(ek, i));
+            }
+        });
     }
 
-    fn lookup_external_hashed(&self, ek: &ExtKey, hash: u64) -> Option<(usize, &Flow)> {
-        FlowManager::lookup_external_hashed(self, ek, hash)
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)> {
+        FlowManager::lookup_external(self, ek)
     }
 
     fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
@@ -936,13 +943,13 @@ mod tests {
                 ..fid(0, 100)
             };
             let mut now = Time::from_secs(1);
-            for i in 0..1500 {
+            for i in 0..1800 {
                 now = now.plus(1_000);
                 fm.allocate(key(i), now).expect("below capacity");
             }
-            assert!(fm.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES);
+            assert!(fm.touches_ahead());
             // Shuffle the LRU order and spread TCP flows over classes.
-            for i in (0..1500).step_by(7) {
+            for i in (0..1800).step_by(7) {
                 now = now.plus(1_000);
                 let (slot, _) = fm.lookup_internal(&key(i)).unwrap();
                 let fl = [flags::ACK, flags::FIN, flags::RST][i as usize % 3];
@@ -950,7 +957,7 @@ mod tests {
             }
             fm.check_coherence().unwrap();
 
-            let fids: Vec<FlowId> = (1400..1600).chain([3, 3, 1499]).map(key).collect();
+            let fids: Vec<FlowId> = (1700..1900).chain([3, 3, 1799]).map(key).collect();
             let eks: Vec<ExtKey> = fids
                 .iter()
                 .map(|f| match fm.lookup_internal(f) {
@@ -973,8 +980,7 @@ mod tests {
             }
             assert_eq!(out.iter().flatten().count(), 100 + 3);
             out.clear();
-            let hashes: Vec<u64> = eks.iter().map(MapKey::key_hash).collect();
-            fm.probe_external_batch(&eks, &hashes, &mut out);
+            fm.probe_external_batch(&eks, &mut out);
             for (i, ek) in eks.iter().enumerate() {
                 assert_eq!(out[i], fm.lookup_external(ek).map(|(s, fl)| (s, *fl)));
             }
@@ -985,8 +991,187 @@ mod tests {
             };
             assert_eq!(lru(&fm), lru(&before));
             assert_eq!(fm.tcp_state, before.tcp_state);
-            assert_eq!(fm.class, before.class);
             fm.check_coherence().unwrap();
+        }
+    }
+
+    /// The pools of the external-lookup oracle test: one address; 17
+    /// addresses of four ports each, the last half used; one address
+    /// under EIM (remote fields canonically zero).
+    fn oracle_cfgs() -> [NatConfig; 3] {
+        let single = NatConfig {
+            capacity: 60,
+            ..cfg()
+        };
+        let pool17 = NatConfig {
+            capacity: 16 * 4 + 2,
+            start_port: 65_532,
+            ..cfg()
+        };
+        assert_eq!(pool17.num_external_ips(), 17);
+        let eim = NatConfig {
+            eim: true,
+            ..single
+        };
+        [single, pool17, eim]
+    }
+
+    /// Hold `t`'s external lookups, per key and batched, to a linear
+    /// scan of its live flows (`live`: global slot and flow of each)
+    /// after driving it with `ops` `(host, tcp, kind)` — arrivals,
+    /// refreshes, expiries — through the calls the loop body makes.
+    fn external_lookups_equal_a_linear_scan<T: FlowTable>(
+        mut t: T,
+        c: &NatConfig,
+        live: impl Fn(&T) -> Vec<(usize, Flow)>,
+        ops: &[(u8, u8, u8)],
+    ) {
+        let (remote_ip, remote_port) = if c.eim {
+            (Ip4(0), 0)
+        } else {
+            (Ip4::new(8, 8, 8, 8), 53)
+        };
+        let mut ever = Vec::new();
+        let mut now = Time::from_secs(1);
+        for &(host, tcp, kind) in ops {
+            now = now.plus(u64::from(kind) * 500_000_000);
+            if kind == 5 {
+                t.expire(now.minus(Time::from_secs(4).nanos()));
+                continue;
+            }
+            let f = FlowId {
+                dst_ip: remote_ip,
+                dst_port: remote_port,
+                proto: [Proto::Udp, Proto::Tcp][usize::from(tcp)],
+                ..fid(host, 100)
+            };
+            let h = f.key_hash();
+            match t.lookup_internal_hashed(&f, h).map(|(slot, _)| slot) {
+                Some(slot) => t.rejuvenate(slot, now, Direction::External, 0x10),
+                None => {
+                    if let Some(slot) = t.allocate_slot_routed(h, now) {
+                        let (ip, port) = t.endpoint_of_slot(slot);
+                        t.insert_hashed(slot, f, ip, port, h, 0x02);
+                        ever.push(t.lookup_internal_hashed(&f, h).unwrap().1.ext_key());
+                    }
+                }
+            }
+        }
+        t.check_coherence().unwrap();
+
+        // Every key a flow ever had — live, expired, or its slot since
+        // reused — and its near misses: another remote, the other proto.
+        let mut queries = Vec::new();
+        for &ek in &ever {
+            let other_proto = match ek.proto {
+                Proto::Udp => Proto::Tcp,
+                Proto::Tcp => Proto::Udp,
+            };
+            queries.extend([
+                ek,
+                ExtKey {
+                    dst_port: ek.dst_port + 1,
+                    ..ek
+                },
+                ExtKey {
+                    proto: other_proto,
+                    ..ek
+                },
+            ]);
+        }
+        // Every endpoint of the pool (free slots, a sibling shard's,
+        // the remainder no shard owns) and the ones just outside it on
+        // each side: the address below the first and past the last, the
+        // port below `start_port`, the last address's ports past
+        // `capacity`.
+        let last = c.capacity - 1;
+        let (last_ip, last_port) = (c.ext_ip_of_slot(last), c.ext_port_of_slot(last));
+        let endpoints = (0..c.capacity)
+            .map(|g| (c.ext_ip_of_slot(g), c.ext_port_of_slot(g)))
+            .chain([
+                (Ip4(c.external_ip.raw() - 1), c.start_port),
+                (Ip4(last_ip.raw() + 1), c.start_port),
+                (c.external_ip, c.start_port - 1),
+                (last_ip, c.start_port - 1),
+            ])
+            .chain((last_port..=u16::MAX).skip(1).take(3).map(|p| (last_ip, p)));
+        for (ext_ip, ext_port) in endpoints {
+            for proto in [Proto::Udp, Proto::Tcp] {
+                queries.push(ExtKey {
+                    ext_ip,
+                    ext_port,
+                    dst_ip: remote_ip,
+                    dst_port: remote_port,
+                    proto,
+                });
+            }
+        }
+
+        let live = live(&t);
+        let scan = |ek: &ExtKey| live.iter().copied().find(|(_, f)| f.ext_key() == *ek);
+        let mut batch = Vec::new();
+        t.probe_external_batch(&queries, &mut batch);
+        assert_eq!(batch.len(), queries.len());
+        for (ek, batched) in queries.iter().zip(batch) {
+            let want = scan(ek);
+            assert_eq!(
+                t.lookup_external(ek).map(|(s, f)| (s, *f)),
+                want,
+                "lookup_external({ek:?})"
+            );
+            assert_eq!(batched, want, "probe_external_batch({ek:?})");
+        }
+        for (_, f) in &live {
+            assert!(queries.contains(&f.ext_key()), "a live flow went unasked");
+        }
+    }
+
+    proptest! {
+        /// The oracle that is not the index: `lookup_external` and
+        /// `probe_external_batch` equal a linear scan of the live flows
+        /// for `ext_key() == ek` — on the whole pool, on a shard of it
+        /// (`slot_base > 0`), and sharded 1, 2 and 3 ways (3 leaves
+        /// remainder slots no shard owns), over [`oracle_cfgs`] — and
+        /// `slot_of_ext` equals a linear scan of the forward mapping.
+        /// Every other suite compares batch to per-key lookups, which
+        /// share `slot_of_ext`; this one would see a wrong inverse.
+        #[test]
+        fn external_lookups_equal_a_linear_scan_of_the_flows(
+            ops in proptest::collection::vec((0u8..48, 0u8..2, 0u8..6), 0..160),
+        ) {
+            use crate::sharded::ShardedFlowManager;
+            let plain_live = |t: &FlowManager| t.iter_lru().map(|(s, f, _)| (s, *f)).collect();
+            let sharded_live = |t: &ShardedFlowManager| {
+                t.snapshot().into_iter().flatten().map(|(s, f, _)| (s, f)).collect()
+            };
+            for c in oracle_cfgs() {
+                let third = c.capacity / 3;
+                for (capacity, slot_base) in [(c.capacity, 0), (third, third), (third, 2 * third)] {
+                    let fm = FlowManager::for_shard(&c, capacity, slot_base);
+                    for g in 0..c.capacity + 8 {
+                        // Past the pool: the next endpoints in slot order.
+                        let (ip, port) = (
+                            Ip4(c.external_ip.raw() + (g / c.ports_per_ip()) as u32),
+                            c.start_port + (g % c.ports_per_ip()) as u16,
+                        );
+                        let ek = ExtKey {
+                            ext_ip: ip,
+                            ext_port: port,
+                            dst_ip: Ip4(0),
+                            dst_port: 0,
+                            proto: Proto::Udp,
+                        };
+                        let forward = (0..capacity)
+                            .find(|&s| (fm.ip_of_slot(s), fm.port_of_slot(s)) == (ip, port));
+                        prop_assert_eq!(fm.slot_of_ext(&ek), forward, "endpoint of global slot {}", g);
+                    }
+                    external_lookups_equal_a_linear_scan(fm, &c, plain_live, &ops);
+                }
+                for shards in 1..=3 {
+                    let t = ShardedFlowManager::new(&c, shards);
+                    external_lookups_equal_a_linear_scan(t, &c, sharded_live, &ops);
+                }
+            }
         }
     }
 

@@ -373,7 +373,7 @@ fn external_key<E: NatEnv + ?Sized>(
     // address, so it joins the key. The branch is on concrete
     // configuration, not packet data — both the symbolic engine and
     // the differential tests see a fixed shape per config.
-    let ext_ip = if cfg.num_external_ips() == 1 {
+    let ext_ip = if cfg.is_single_address() {
         env.c_u32(cfg.external_ip.raw())
     } else {
         pkt.dst_ip.clone()

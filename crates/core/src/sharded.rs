@@ -15,9 +15,10 @@
 //!   per-shard slot uniqueness (the dchain contract), exactly as in
 //!   the unsharded VigNAT.
 //! * **External (return) traffic** routes by that endpoint partition —
-//!   a flow's external endpoint *identifies* its shard — never by the
-//!   external key's hash, which is independent of the internal one and
-//!   would land on the wrong shard for roughly `(N-1)/N` of all flows.
+//!   a flow's external endpoint *identifies* its shard, and within the
+//!   shard its slot: the partition is the lookup, not only the route
+//!   ([`FlowManager::lookup_external`]). No external key is hashed (its
+//!   hash would name the wrong shard for `(N-1)/N` of all flows).
 //!
 //! ## Global slots: the bijection survives sharding
 //!
@@ -185,6 +186,15 @@ impl ShardedFlowManager {
         (global / self.per_shard, global % self.per_shard)
     }
 
+    /// [`FlowTable::lookup_external`] as `benchmark/src/ladder.rs` calls
+    /// it (the `flow_manager.lookup_ext_ns` rung); the hash is ignored.
+    /// Kept only because a PR that claims a gain may not edit
+    /// `benchmark/`: the next benchmark PR deletes it.
+    #[doc(hidden)]
+    pub fn lookup_external_hashed(&self, ek: &ExtKey, _hash: u64) -> Option<(usize, &Flow)> {
+        self.lookup_external(ek)
+    }
+
     /// Expire shard `s` only, against its own clock's threshold — the
     /// entry point a per-core driver uses so each shard's expiry clock
     /// advances independently. Returns how many flows were removed.
@@ -234,23 +244,24 @@ fn endpoint_shard(
     (slot < per_shard * shards).then(|| slot / per_shard)
 }
 
-/// Probe each shard's sub-batch of `split` with `probe` and write every
-/// result at its query's original position of `out`, remapped to global
-/// slots. Queries routed nowhere keep the `None` they start with.
+/// Probe each shard's sub-batch of `split` with `probe` (which gets the
+/// shard's table and index) and write every result at its query's
+/// original position of `out`, remapped to global slots. Queries routed
+/// nowhere keep the `None` they start with.
 fn probe_split<K: Clone>(
     shards: &mut [FlowManager],
     per_shard: usize,
     split: &BatchSplit<K>,
     found: &mut Vec<Option<(usize, Flow)>>,
     out: &mut [Option<(usize, Flow)>],
-    probe: impl Fn(&mut FlowManager, &[K], &[u64], &mut Vec<Option<(usize, Flow)>>),
+    probe: impl Fn(&mut FlowManager, usize, &mut Vec<Option<(usize, Flow)>>),
 ) {
     for (s, fm) in shards.iter_mut().enumerate() {
         if split.keys(s).is_empty() {
             continue;
         }
         found.clear();
-        probe(fm, split.keys(s), split.hashes(s), found);
+        probe(fm, s, found);
         for (&orig, r) in split.origins(s).iter().zip(found.iter()) {
             out[orig as usize] = r.map(|(slot, flow)| (s * per_shard + slot, flow));
         }
@@ -290,46 +301,42 @@ impl FlowTable for ShardedFlowManager {
         // Probe + scatter: each shard resolves its sub-batch with its
         // own staged burst probe, giving the same overlapped misses per
         // shard the unsharded burst path gets globally.
+        let split = &self.split;
         probe_split(
             &mut self.shards,
             self.per_shard,
-            &self.split,
+            split,
             &mut self.found,
             &mut out[base..],
-            FlowManager::probe_internal_batch,
+            |fm, s, found| fm.probe_internal_batch(split.keys(s), split.hashes(s), found),
         );
     }
 
-    fn probe_external_batch(
-        &mut self,
-        eks: &[ExtKey],
-        hashes: &[u64],
-        out: &mut Vec<Option<(usize, Flow)>>,
-    ) {
+    fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>) {
         // Route by the endpoint partition, once per key (module docs);
         // an endpoint no shard owns joins no sub-batch and stays a miss.
         let (cfg, per_shard, shards) = (self.cfg, self.per_shard, self.shards.len());
-        self.split_ext.split_by(eks, hashes, |ek, _| {
+        self.split_ext.split_by(eks, |ek| {
             endpoint_shard(&cfg, per_shard, shards, ek.ext_ip, ek.ext_port)
         });
         let base = out.len();
         out.resize(base + eks.len(), None);
+        let split = &self.split_ext;
         probe_split(
             &mut self.shards,
             self.per_shard,
-            &self.split_ext,
+            split,
             &mut self.found,
             &mut out[base..],
-            FlowManager::probe_external_batch,
+            |fm, s, found| fm.probe_external_batch(split.keys(s), found),
         );
     }
 
-    fn lookup_external_hashed(&self, ek: &ExtKey, hash: u64) -> Option<(usize, &Flow)> {
-        // Route by the endpoint partition, not the hash (module docs):
-        // an out-of-pool endpoint cannot belong to any flow, matching
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)> {
+        // An endpoint no shard owns cannot belong to any flow, matching
         // the unsharded table's miss.
         let s = self.shard_of_endpoint(ek.ext_ip, ek.ext_port)?;
-        let (slot, flow) = self.shards[s].lookup_external_hashed(ek, hash)?;
+        let (slot, flow) = self.shards[s].lookup_external(ek)?;
         Some((self.global(s, slot), flow))
     }
 
@@ -473,8 +480,7 @@ mod tests {
         assert_eq!(s2, slot);
         let ek = flow.ext_key();
         assert_eq!(ek.ext_port, port);
-        let ekh = ek.key_hash();
-        let (s3, _) = t.lookup_external_hashed(&ek, ekh).unwrap();
+        let (s3, _) = t.lookup_external(&ek).unwrap();
         assert_eq!(s3, slot);
     }
 
@@ -579,14 +585,11 @@ mod tests {
 
     /// Both batch probes against their per-key lookups on `t`.
     fn assert_batches_equal_lookups<T: FlowTable>(t: &mut T, fids: &[FlowId], eks: &[ExtKey]) {
-        let hashes: Vec<u64> = eks.iter().map(MapKey::key_hash).collect();
         let mut batch = Vec::new();
-        t.probe_external_batch(eks, &hashes, &mut batch);
+        t.probe_external_batch(eks, &mut batch);
         assert_eq!(batch.len(), eks.len());
         for (i, ek) in eks.iter().enumerate() {
-            let seq = t
-                .lookup_external_hashed(ek, hashes[i])
-                .map(|(s, f)| (s, *f));
+            let seq = t.lookup_external(ek).map(|(s, f)| (s, *f));
             assert_eq!(batch[i], seq, "external query {i} ({ek:?}) diverged");
         }
         let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();

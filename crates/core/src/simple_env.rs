@@ -18,7 +18,6 @@ use crate::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, Slot
 use crate::flow_manager::{FlowManager, FlowTable};
 use crate::loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome};
 use crate::sharded::ShardedFlowManager;
-use libvig::map::MapKey;
 use libvig::time::Time;
 use std::collections::VecDeque;
 use vig_packet::{Direction, FlowFields};
@@ -319,9 +318,7 @@ impl<T: FlowTable> NatEnv for SimpleEnv<T> {
     }
 
     fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let key = ext_key(ek);
-        let hash = key.key_hash();
-        let (slot, flow) = self.fm.lookup_external_hashed(&key, hash)?;
+        let (slot, flow) = self.fm.lookup_external(&ext_key(ek))?;
         Some(view(slot, flow))
     }
 

@@ -276,11 +276,15 @@ mod tests {
 
     #[test]
     fn dmap_all_sequences_depth4() {
+        // B-key `b` names slot `b % 2`; two B-keys per slot, so a slot
+        // erased and reused under its other key is asked for both. The
+        // A-keys are shared across slots (A-freshness can refuse a put).
+        let at = |b: u8| usize::from(b % 2);
         let universe = [
-            DmapOp::Put(0, 0, 1),
-            DmapOp::Put(0, 2, 3),
-            DmapOp::Put(1, 0, 3),
-            DmapOp::Put(1, 2, 1),
+            DmapOp::Put(0, 0, 0),
+            DmapOp::Put(0, 2, 2),
+            DmapOp::Put(1, 0, 1),
+            DmapOp::Put(1, 2, 3),
             DmapOp::Erase(0),
             DmapOp::Erase(1),
             DmapOp::Lookup(0),
@@ -289,10 +293,9 @@ mod tests {
         let init = CheckedDmap::<Two>::new(2);
         let n = check_all_sequences(&init, &universe, 4, &|d, op| match *op {
             DmapOp::Put(i, a, b) => {
-                if d.get(i).is_none()
-                    && d.get_by_a(&CKey(a)).is_none()
-                    && d.get_by_b(&CKey(b)).is_none()
-                {
+                debug_assert_eq!(i, at(b));
+                // An empty slot means its B-keys are fresh.
+                if d.get(i).is_none() && d.get_by_a(&CKey(a)).is_none() {
                     d.put(i, Two { a, b }).unwrap();
                 }
             }
@@ -301,7 +304,8 @@ mod tests {
             }
             DmapOp::Lookup(k) => {
                 d.get_by_a(&CKey(k));
-                d.get_by_b(&CKey(k));
+                d.get_by_b_at(&CKey(k), at(k));
+                d.get_by_b_at(&CKey(k + 1), at(k + 1));
             }
         });
         assert_eq!(n, (0..=4).map(|d| 8u64.pow(d)).sum::<u64>());

@@ -89,9 +89,12 @@ mod tests {
         }
     }
 
+    /// B-keys name their slot, as VigNAT's do: `b = 1000 + index`.
     fn insert(chain: &mut DoubleChain, map: &mut DoubleMap<Item>, a: u64, t: Time) -> usize {
         let idx = chain.allocate(t).unwrap();
-        map.put(idx, Item { a, b: a + 1000 }).unwrap();
+        let b = 1000 + idx as u64;
+        map.put(idx, Item { a, b }).unwrap();
+        assert_eq!(map.get_by_b_at(&b, idx), Some(idx));
         idx
     }
 
@@ -107,7 +110,7 @@ mod tests {
     fn expires_only_stale_items() {
         let mut chain = DoubleChain::new(8);
         let mut map: DoubleMap<Item> = DoubleMap::new(8);
-        insert(&mut chain, &mut map, 1, Time::from_secs(1));
+        let dead = insert(&mut chain, &mut map, 1, Time::from_secs(1));
         insert(&mut chain, &mut map, 2, Time::from_secs(2));
         let live = insert(&mut chain, &mut map, 3, Time::from_secs(10));
 
@@ -118,7 +121,8 @@ mod tests {
         assert!(chain.is_allocated(live));
         assert_eq!(map.get_by_a(&3), Some(live));
         assert_eq!(map.get_by_a(&1), None);
-        assert_eq!(map.get_by_b(&1001), None);
+        assert_eq!(map.get_by_b_at(&(1000 + live as u64), live), Some(live));
+        assert_eq!(map.get_by_b_at(&(1000 + dead as u64), dead), None);
     }
 
     #[test]
@@ -241,7 +245,7 @@ mod tests {
                 assert_eq!(got, slot, "allocation (free-list order) diverged");
                 if let Some(slot) = slot {
                     assert!(chain.rejuvenate_on(slot, list, Time(clock)));
-                    map.put(slot, Item { a: next_key, b: next_key + 1000 }).unwrap();
+                    map.put(slot, Item { a: next_key, b: 1000 + slot as u64 }).unwrap();
                     next_key += 1;
                 }
             };

@@ -10,7 +10,7 @@
 //! | module | structure | paper counterpart |
 //! |--------|-----------|-------------------|
 //! | [`map`] | open-addressing hash map with probe-chain counters; single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_batch_with_hash` burst probe | `map.c` / `map.h` |
-//! | [`dmap`] | double-keyed map over preallocated value slots; `get_by_*_with_hash`, `put_with_hash`, batched `lookup_batch{,_b}` | the flow table (`double-map.c`) |
+//! | [`dmap`] | double-keyed map over preallocated value slots: one hash directory for the A-key (`get_by_a_with_hash`, `put_with_hash`, batched `lookup_batch`), the B-key compared at the slot it names (`get_by_b_at`) | the flow table (`double-map.c`) |
 //! | [`dchain`] | index allocator with LRU timestamp order on one list, or one list per timeout class; one 16-byte cell per index, `first_touch*` load hints | `double-chain.c` (expirator substrate) |
 //! | [`vector`] | preallocated value vector | `vector.c` |
 //! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |

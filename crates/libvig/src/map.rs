@@ -12,8 +12,8 @@
 //!
 //! The map stores `usize` values ("indices" in Vigor parlance) because
 //! libVig's composite structures ([`crate::dmap::DoubleMap`]) keep the
-//! real values in a separate preallocated slot array and use maps purely
-//! as key → slot directories.
+//! real values in a separate preallocated slot array and use a map
+//! purely as a key → slot directory.
 //!
 //! ## Memory layout (cache-conscious)
 //!
@@ -25,8 +25,7 @@
 //! (below) already rejects 127 of 128 foreign keys before a slot is
 //! loaded, key equality decides the rest, and the tag is recomputable
 //! from the key ([`Map::check_tag_coherence`] does). Without the hash a
-//! NAT-sized slot (`Slot<FlowId>`, `Slot<ExtKey>`) is 28 bytes of
-//! fields, and `#[repr(align(32))]` rounds it to 32: two slots per
+//! NAT-sized slot (`Slot<FlowId>`) is 28 bytes of fields, and `#[repr(align(32))]` rounds it to 32: two slots per
 //! 64-byte line, none straddling two. Those 8 bytes per slot are what
 //! pay for the flow table's directory headroom
 //! ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]).
@@ -945,7 +944,7 @@ mod tests {
         }
     }
 
-    /// The module docs' layout claim: both NAT directories use 32-byte
+    /// The module docs' layout claim: the NAT's directory uses 32-byte
     /// slots on a 32-byte alignment, so in a live table every slot sits
     /// in one half of a 64-byte line and none straddles two.
     #[test]
@@ -953,8 +952,6 @@ mod tests {
         use std::mem::{align_of, size_of};
         assert_eq!(size_of::<Slot<vig_packet::FlowId>>(), 32);
         assert_eq!(align_of::<Slot<vig_packet::FlowId>>(), 32);
-        assert_eq!(size_of::<Slot<vig_packet::ExtKey>>(), 32);
-        assert_eq!(align_of::<Slot<vig_packet::ExtKey>>(), 32);
         let m = Map::<vig_packet::FlowId>::new(1000);
         for (i, slot) in m.slots.iter().enumerate() {
             let offset = std::ptr::from_ref(slot) as usize % 64;

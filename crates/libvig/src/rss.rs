@@ -64,8 +64,9 @@ pub fn shard_of_port(
     (s < shards).then_some(s)
 }
 
-/// One shard's slice of a split batch: the gathered keys and hashes,
-/// plus each query's position in the original batch.
+/// One shard's slice of a split batch: the gathered keys (and, for a
+/// hash-routed split, their hashes), plus each query's position in the
+/// original batch.
 #[derive(Debug, Clone)]
 struct SubBatch<K> {
     keys: Vec<K>,
@@ -86,10 +87,10 @@ impl<K> Default for SubBatch<K> {
 /// Reusable gather/scatter scratch for routing one batched lookup
 /// across shards. See the module docs.
 ///
-/// Usage per burst: [`BatchSplit::split`] once, then for each shard run
-/// its directory probe over [`BatchSplit::keys`]/[`BatchSplit::hashes`]
-/// and write each result back at [`BatchSplit::origins`]`[j]` of the
-/// caller's query-ordered output.
+/// Usage per burst: [`BatchSplit::split`] (or [`BatchSplit::split_by`])
+/// once, then for each shard run its probe over [`BatchSplit::keys`]
+/// (and [`BatchSplit::hashes`]) and write each result back at
+/// [`BatchSplit::origins`]`[j]` of the caller's query-ordered output.
 #[derive(Debug, Clone)]
 pub struct BatchSplit<K> {
     subs: Vec<SubBatch<K>>,
@@ -115,38 +116,43 @@ impl<K: Clone> BatchSplit<K> {
     /// operation carries). Previous contents are cleared; buffers are
     /// reused.
     pub fn split(&mut self, keys: &[K], hashes: &[u64]) {
+        assert_eq!(keys.len(), hashes.len(), "split: keys/hashes mismatch");
+        self.clear_for(keys.len());
         let n = self.subs.len();
-        self.split_by(keys, hashes, |_, h| Some(shard_of(h, n)));
+        for (i, (k, &h)) in keys.iter().zip(hashes).enumerate() {
+            let sub = &mut self.subs[shard_of(h, n)];
+            sub.keys.push(k.clone());
+            sub.hashes.push(h);
+            sub.origins.push(i as u32);
+        }
     }
 
-    /// [`BatchSplit::split`] with the caller's routing function, called
-    /// once per query: `route(key, hash)` names the query's shard, or
-    /// `None` for a query no shard owns (it joins no sub-batch, so its
-    /// slot of the caller's output keeps the "not found" it started
-    /// with). Return traffic routes this way — by the endpoint
-    /// partition, not by the hash.
-    pub fn split_by(
-        &mut self,
-        keys: &[K],
-        hashes: &[u64],
-        route: impl Fn(&K, u64) -> Option<usize>,
-    ) {
-        assert_eq!(keys.len(), hashes.len(), "split: keys/hashes mismatch");
+    /// Partition `keys` by the caller's routing function, called once
+    /// per query: `route(key)` names the query's shard, or `None` for a
+    /// query no shard owns (it joins no sub-batch, so its slot of the
+    /// caller's output keeps the "not found" it started with). Return
+    /// traffic routes this way, by the endpoint partition, unhashed:
+    /// [`BatchSplit::hashes`] is empty afterwards.
+    pub fn split_by(&mut self, keys: &[K], route: impl Fn(&K) -> Option<usize>) {
+        self.clear_for(keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            let Some(s) = route(k) else { continue };
+            let sub = &mut self.subs[s];
+            sub.keys.push(k.clone());
+            sub.origins.push(i as u32);
+        }
+    }
+
+    /// Empty every sub-batch ahead of a split of `queries` queries.
+    fn clear_for(&mut self, queries: usize) {
         assert!(
-            keys.len() <= u32::MAX as usize,
+            queries <= u32::MAX as usize,
             "batch too large for u32 origins"
         );
         for sub in &mut self.subs {
             sub.keys.clear();
             sub.hashes.clear();
             sub.origins.clear();
-        }
-        for (i, (k, &h)) in keys.iter().zip(hashes).enumerate() {
-            let Some(s) = route(k, h) else { continue };
-            let sub = &mut self.subs[s];
-            sub.keys.push(k.clone());
-            sub.hashes.push(h);
-            sub.origins.push(i as u32);
         }
     }
 
@@ -155,7 +161,8 @@ impl<K: Clone> BatchSplit<K> {
         &self.subs[s].keys
     }
 
-    /// The hashes routed to shard `s`, parallel to [`BatchSplit::keys`].
+    /// The hashes routed to shard `s` by the last [`BatchSplit::split`],
+    /// parallel to [`BatchSplit::keys`].
     pub fn hashes(&self, s: usize) -> &[u64] {
         &self.subs[s].hashes
     }
@@ -250,16 +257,16 @@ mod tests {
     #[test]
     fn split_by_routes_once_per_key_and_skips_unowned() {
         let keys: Vec<u64> = (0..40).collect();
-        let hashes: Vec<u64> = keys.iter().map(|k| k.key_hash()).collect();
         let calls = std::cell::Cell::new(0);
         let mut split = BatchSplit::new(3);
-        split.split_by(&keys, &hashes, |&k, _| {
+        split.split_by(&keys, |&k| {
             calls.set(calls.get() + 1);
             (k % 4 != 3).then_some((k % 4) as usize)
         });
         assert_eq!(calls.get(), keys.len());
         for s in 0..3 {
             assert_eq!(split.keys(s).len(), 10);
+            assert!(split.hashes(s).is_empty(), "routed without hashing");
             for (j, &orig) in split.origins(s).iter().enumerate() {
                 assert_eq!(split.keys(s)[j], keys[orig as usize]);
                 assert_eq!(keys[orig as usize] % 4, s as u64);

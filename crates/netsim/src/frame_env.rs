@@ -245,7 +245,7 @@ impl RssClassifier {
     /// [`vig_spec::NatConfig::slot_of_endpoint`] — the same mapping the
     /// sharded table routes by.
     pub fn queue_of_endpoint(&self, dst_ip: vig_packet::Ip4, dst_port: u16) -> Option<usize> {
-        let ip = if self.cfg.num_external_ips() == 1 {
+        let ip = if self.cfg.is_single_address() {
             self.cfg.external_ip
         } else {
             dst_ip
@@ -344,9 +344,7 @@ impl<T: FlowTable> NatEnv for FrameEnv<'_, T> {
     }
 
     fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let key = ext_key(ek);
-        let hash = key.key_hash();
-        let (slot, flow) = self.fm.lookup_external_hashed(&key, hash)?;
+        let (slot, flow) = self.fm.lookup_external(&ext_key(ek))?;
         Some(view(slot, flow))
     }
 
@@ -412,13 +410,14 @@ impl<T: FlowTable> NatEnv for FrameEnv<'_, T> {
 /// yields the staged frames in ring order, `lookup_internal_batch` and
 /// `lookup_external_batch` resolve the burst's flow probes through the
 /// flow table's staged burst pipeline (`FlowTable::probe_*_batch`:
-/// tag words, directory slots, then every hit's chain cell, tracker
-/// bytes and list neighbours, each first-touched for the whole burst before
-/// the next — results are exactly the per-query lookups', as the
-/// equivalence suites assert), and `tx`/`drop_pkt` record one verdict
-/// per buffer (the middlebox routes them afterwards). Like `FrameEnv`
-/// it borrows everything, so constructing one per burst costs nothing,
-/// and its scratch is reused across bursts.
+/// tag words and directory slots for internal keys, the value slots
+/// their endpoints name for external ones, then every hit's chain cell,
+/// tracker byte and list neighbours, each first-touched for the whole
+/// burst before the next — results are exactly the per-query lookups',
+/// as the equivalence suites assert), and `tx`/`drop_pkt` record one
+/// verdict per buffer (the middlebox routes them afterwards). Like
+/// `FrameEnv` it borrows everything, so constructing one per burst
+/// costs nothing, and its scratch is reused across bursts.
 pub struct BurstEnv<'a, T: FlowTable = FlowManager> {
     fm: &'a mut T,
     pool: &'a mut Mempool,
@@ -579,9 +578,7 @@ impl<T: FlowTable> NatEnv for BurstEnv<'_, T> {
     }
 
     fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let key = ext_key(ek);
-        let hash = key.key_hash();
-        let (slot, flow) = self.fm.lookup_external_hashed(&key, hash)?;
+        let (slot, flow) = self.fm.lookup_external(&ext_key(ek))?;
         Some(view(slot, flow))
     }
 

@@ -127,10 +127,21 @@ impl NatConfig {
         65_536 - usize::from(self.start_port)
     }
 
+    /// True while the whole pool lives on one address — the paper's
+    /// setup, `num_external_ips() == 1` without the division (the
+    /// datapath asks this per return packet).
+    pub fn is_single_address(&self) -> bool {
+        self.capacity <= self.ports_per_ip()
+    }
+
     /// Number of consecutive external addresses the pool spans
     /// (1 while `capacity <= ports_per_ip()` — the paper's setup).
     pub fn num_external_ips(&self) -> usize {
-        self.capacity.div_ceil(self.ports_per_ip()).max(1)
+        if self.is_single_address() {
+            1
+        } else {
+            self.capacity.div_ceil(self.ports_per_ip())
+        }
     }
 
     /// The external address slot `slot` translates through.
@@ -150,11 +161,13 @@ impl NatConfig {
     /// pool (return traffic for it can never match a flow).
     pub fn slot_of_endpoint(&self, ip: Ip4, port: u16) -> Option<usize> {
         let ip_off = ip.raw().checked_sub(self.external_ip.raw())? as usize;
-        if ip_off >= self.num_external_ips() {
-            return None;
-        }
         let port_off = usize::from(port.checked_sub(self.start_port)?);
-        let slot = ip_off * self.ports_per_ip() + port_off;
+        // No test of `ip_off` against the address count (a division,
+        // per return packet): an address past the last puts the product
+        // at or past `capacity`. Checked for 32-bit `usize`.
+        let slot = ip_off
+            .checked_mul(self.ports_per_ip())?
+            .checked_add(port_off)?;
         (slot < self.capacity).then_some(slot)
     }
 
@@ -432,6 +445,7 @@ pub enum InsertError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use vig_packet::Proto;
 
     fn cfg() -> NatConfig {
@@ -572,6 +586,64 @@ mod tests {
             None,
             "past the capacity edge on the last address"
         );
+    }
+
+    /// `slot_of_endpoint` as it read while it still tested the address
+    /// offset against the pool's address count.
+    fn slot_of_endpoint_address_guarded(c: &NatConfig, ip: Ip4, port: u16) -> Option<usize> {
+        let ip_off = ip.raw().checked_sub(c.external_ip.raw())? as usize;
+        if ip_off >= c.capacity.div_ceil(c.ports_per_ip()).max(1) {
+            return None;
+        }
+        let port_off = usize::from(port.checked_sub(c.start_port)?);
+        let slot = ip_off * c.ports_per_ip() + port_off;
+        (slot < c.capacity).then_some(slot)
+    }
+
+    proptest::proptest! {
+        // 24,300 distinct draws; a case costs nanoseconds.
+        #![proptest_config(ProptestConfig::with_cases(8192))]
+        /// The guard-free `slot_of_endpoint` equals the guarded one, and
+        /// the division-free single-address test equals the address
+        /// count's, over 1-, 2- and 17-address pools whose last address
+        /// is barely, half or fully used, for endpoints drawn around
+        /// every edge of the pool.
+        #[test]
+        fn slot_of_endpoint_needs_no_address_guard(
+            (ips, start_port, last_fill) in (
+                proptest::prop_oneof![Just(1usize), Just(2), Just(17)],
+                proptest::prop_oneof![Just(1u16), Just(1024), Just(65_535)],
+                0usize..3,
+            ),
+            (ip_edge, ip_jitter) in (0usize..6, -2i64..=2),
+            (port_edge, port_jitter) in (0usize..6, -2i64..=2),
+        ) {
+            let ports = 65_536 - usize::from(start_port);
+            let last_used = [1, ports.div_ceil(2), ports][last_fill];
+            let c = NatConfig {
+                capacity: (ips - 1) * ports + last_used,
+                external_ip: Ip4::new(10, 1, 0, 1),
+                start_port,
+                ..NatConfig::paper_default()
+            };
+            prop_assert_eq!(c.num_external_ips(), ips);
+            prop_assert_eq!(c.num_external_ips(), c.capacity.div_ceil(c.ports_per_ip()).max(1));
+            prop_assert_eq!(c.is_single_address(), ips == 1);
+
+            let base = i64::from(c.external_ip.raw());
+            let ip = [0, base, base + ips as i64 - 1, base + ips as i64, base + 65_536, i64::from(u32::MAX)]
+                [ip_edge] + ip_jitter;
+            let first = i64::from(start_port);
+            let port = [0, first, first + last_used as i64 - 1, first + last_used as i64, 32_768, 65_535]
+                [port_edge] + port_jitter;
+            let ip = Ip4(ip.clamp(0, i64::from(u32::MAX)) as u32);
+            let port = port.clamp(0, 65_535) as u16;
+            let got = c.slot_of_endpoint(ip, port);
+            prop_assert_eq!(got, slot_of_endpoint_address_guarded(&c, ip, port), "{:?} {} in {:?}", ip, port, c);
+            if let Some(slot) = got {
+                prop_assert_eq!((c.ext_ip_of_slot(slot), c.ext_port_of_slot(slot)), (ip, port));
+            }
+        }
     }
 
     #[test]

@@ -115,8 +115,8 @@ fn probe_len_monotone_while_filling_to_98pct() {
 }
 
 /// Drive a FlowManager through fill → expiry → realloc at 49% and 98%
-/// occupancy, holding the coherence invariant (which now includes both
-/// directories' tag projections) at every stage, and proving the
+/// occupancy, holding the coherence invariant (which includes the
+/// directory's tag projection) at every stage, and proving the
 /// batched probe contract — batch results equal element-wise hashed
 /// lookups — on a hit/miss query mix.
 #[test]

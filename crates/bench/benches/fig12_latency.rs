@@ -18,10 +18,9 @@
 //! (set `VIGNAT_BENCH_FULL=1` for the paper-scale sweep).
 
 use libvig::time::Time;
-use netsim::harness::probe_latency;
 use netsim::middlebox::{Middlebox, NoopForwarder, SystemClockMb, VigNatMb};
-use netsim::tester::WorkloadMix;
 use vig_baselines::UnverifiedNat;
+use vig_bench::harness::{probe_latency, WorkloadMix};
 use vig_bench::{flow_sweep, print_table, probe_count, us, WIRE_BASE_NS};
 use vig_packet::Ip4;
 use vig_spec::NatConfig;

@@ -10,10 +10,9 @@
 //! Run: `cargo bench -p vig-bench --bench fig13_ccdf`
 
 use libvig::time::Time;
-use netsim::harness::{probe_latency, LatencySamples};
 use netsim::middlebox::{Middlebox, NoopForwarder, VigNatMb};
-use netsim::tester::WorkloadMix;
 use vig_baselines::UnverifiedNat;
+use vig_bench::harness::{probe_latency, LatencySamples, WorkloadMix};
 use vig_bench::{full_mode, print_table};
 use vig_packet::Ip4;
 use vig_spec::NatConfig;

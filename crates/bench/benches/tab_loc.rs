@@ -102,6 +102,7 @@ fn main() {
             "Unverified NAT, NetFilter",
         ),
         ("bench harness", "crates/bench", "(eval scripts)"),
+        ("stack benchmark (natbench)", "benchmark/src", "(n/a)"),
         ("integration tests", "tests", "(n/a)"),
         ("examples", "examples", "(n/a)"),
     ];

@@ -14,10 +14,9 @@
 //! Run: `cargo bench -p vig-bench --bench text_expiry60`
 
 use libvig::time::Time;
-use netsim::harness::probe_latency;
 use netsim::middlebox::{Middlebox, VigNatMb};
-use netsim::tester::WorkloadMix;
 use vig_baselines::UnverifiedNat;
+use vig_bench::harness::{probe_latency, WorkloadMix};
 use vig_bench::{print_table, probe_count, us, WIRE_BASE_NS};
 use vig_packet::Ip4;
 use vig_spec::NatConfig;

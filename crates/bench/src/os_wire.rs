@@ -1,18 +1,16 @@
-//! The cross-the-wire RFC 2544 section of `BENCH_throughput.json`.
+//! The cross-the-wire RFC 2544 measurement.
 //!
-//! One function, [`section_json`], runs the three-way saturation
+//! `wire::os_wire_rfc2544` (Linux only) runs the three-way saturation
 //! measurement — simulated backend, per-frame `AF_PACKET` transport,
-//! zero-copy mmap-ring transport — over real veth wires
-//! (`netsim::backend::os::os_wire_rfc2544`) and renders the JSON
-//! object the trajectory file commits. The fig. 14 bench and the CI
-//! example both call it, so the committed section and the CI artifact
-//! can never drift apart in shape.
+//! zero-copy mmap-ring transport — over real veth wires, and
+//! [`section_json`] renders its report as the JSON object the
+//! `os_wire_rfc2544` example writes (CI's `wire` job uploads it).
 //!
 //! The run needs `CAP_NET_RAW` + `CAP_NET_ADMIN` (it creates veth
 //! pairs). Without them — or off Linux — the section degrades to
-//! `{"available": false, "reason": ...}`, which `vig_bench --check`
-//! rejects in a *committed* file: the trajectory must carry a real
-//! wire run.
+//! `{"available": false, "reason": ...}` and the example exits
+//! non-zero. No committed file carries this section: a privileged run
+//! is not part of regenerating Fig. 14.
 
 /// RSS queues per direction for the wire measurement.
 pub const QUEUES: usize = 2;
@@ -39,15 +37,137 @@ fn unavailable(reason: &str) -> String {
     format!(r#"{{"available": false, "reason": "{}"}}"#, esc(reason))
 }
 
+#[cfg(target_os = "linux")]
+mod wire {
+    use crate::harness::{search_rate_with_ci, sustained_service_times_io, RateEstimate};
+    use netsim::backend::os::{OsTestRig, VethPair, WireBackend};
+    use netsim::backend::SimBackend;
+    use netsim::frame_env::RssClassifier;
+    use netsim::middlebox::ShardedVigNatMb;
+    use std::io;
+    use vig_spec::NatConfig;
+
+    /// One backend's cross-wire RFC 2544 measurement: the rate estimate
+    /// plus the honesty counters that certify it (a result with kernel
+    /// drops or TX errors measured a congested rig, not the NAT).
+    #[derive(Debug, Clone)]
+    pub struct OsWirePoint {
+        /// Saturation rate with bootstrap CI, from the same
+        /// [`search_rate_with_ci`] methodology the simulated Figure 14
+        /// uses.
+        pub rate: RateEstimate,
+        /// Kernel-side drops (`PACKET_STATISTICS`) over the whole run.
+        pub kernel_drops: u64,
+        /// Sends the kernel refused over the whole run.
+        pub tx_errors: u64,
+        /// Receive errors over the whole run.
+        pub rx_errors: u64,
+    }
+
+    /// The cross-wire RFC 2544 report: the same workload measured through
+    /// the simulated NIC model and across a live veth wire on both OS
+    /// transports. See [`os_wire_rfc2544`].
+    #[derive(Debug, Clone)]
+    pub struct OsWireReport {
+        /// Simulated-backend baseline (no kernel in the loop).
+        pub sim: RateEstimate,
+        /// Per-frame raw-socket transport (`recvmmsg` RX, one send per
+        /// frame).
+        pub os_frame: OsWirePoint,
+        /// Zero-copy mmap ring transport (`TPACKET_V3` RX, `TPACKET_V2`
+        /// TX).
+        pub os_mmap: OsWirePoint,
+    }
+
+    /// Measure saturation throughput of the sharded NAT behind the event
+    /// loop three ways — simulated backend, per-frame OS backend, mmap OS
+    /// backend — with the identical populate-then-sustained-load
+    /// methodology ([`sustained_service_times_io`], in-flight window =
+    /// ring size), the OS points crossing a real veth wire. Needs
+    /// `CAP_NET_RAW` + `CAP_NET_ADMIN`; interface names are
+    /// `{veth_prefix}{i0,i1,e0,e1}` (≤ 11 chars of prefix).
+    ///
+    /// Reports absolute sim-vs-kernel Mpps with CIs, and the
+    /// per-frame-vs-mmap speedup the zero-copy work is accountable to.
+    #[allow(clippy::too_many_arguments)]
+    pub fn os_wire_rfc2544(
+        cfg: &NatConfig,
+        queues: usize,
+        shards: usize,
+        flows: usize,
+        packets: usize,
+        ring_size: usize,
+        veth_prefix: &str,
+    ) -> io::Result<OsWireReport> {
+        let texp = cfg.expiry_ns;
+
+        // All three transports run the *sustained-load* measurement loop
+        // (see `sustained_service_times_io`): a block-batching
+        // transport must be offered continuous load to be measured as a
+        // transport, and the sim/per-frame points use the identical loop
+        // so the comparison stays apples-to-apples.
+        let sim = {
+            let io = SimBackend::new(RssClassifier::for_nat(cfg, queues), ring_size);
+            let mut nf = ShardedVigNatMb::sharded(*cfg, shards);
+            let (samples, _io) =
+                sustained_service_times_io(io, &mut nf, flows, packets, ring_size, texp);
+            search_rate_with_ci(&samples, ring_size)
+        };
+
+        let int_veth = VethPair::create(&format!("{veth_prefix}i0"), &format!("{veth_prefix}i1"))?;
+        let ext_veth = VethPair::create(&format!("{veth_prefix}e0"), &format!("{veth_prefix}e1"))?;
+        let classifier = RssClassifier::for_nat(cfg, queues);
+
+        let os_frame = {
+            let rig = OsTestRig::open(&int_veth, &ext_veth, classifier, ring_size)?;
+            wire_point(rig, cfg, shards, flows, packets, ring_size, texp)
+        };
+        let os_mmap = {
+            let rig = OsTestRig::open_mmap(&int_veth, &ext_veth, classifier, ring_size)?;
+            wire_point(rig, cfg, shards, flows, packets, ring_size, texp)
+        };
+
+        Ok(OsWireReport {
+            sim,
+            os_frame,
+            os_mmap,
+        })
+    }
+
+    /// Run the generic measurement loop over one wire rig and package the
+    /// rate estimate with the rig's honesty counters.
+    fn wire_point<B: WireBackend>(
+        rig: OsTestRig<B>,
+        cfg: &NatConfig,
+        shards: usize,
+        flows: usize,
+        packets: usize,
+        ring_size: usize,
+        texp: u64,
+    ) -> OsWirePoint {
+        let mut nf = ShardedVigNatMb::sharded(*cfg, shards);
+        let (samples, mut rig) =
+            sustained_service_times_io(rig, &mut nf, flows, packets, ring_size, texp);
+        let rate = search_rate_with_ci(&samples, ring_size);
+        let kernel_drops = rig.backend_mut().kernel_drops();
+        OsWirePoint {
+            rate,
+            kernel_drops,
+            tx_errors: rig.backend().tx_errors(),
+            rx_errors: rig.backend().rx_errors(),
+        }
+    }
+}
+
 /// Run the three-way cross-wire RFC 2544 measurement and render the
 /// `os_wire_rfc2544` JSON section (plus a one-line stdout summary).
 /// `flows` background flows, `packets` measured packets per transport.
 #[cfg(target_os = "linux")]
 pub fn section_json(flows: usize, packets: usize) -> String {
     use libvig::time::Time;
-    use netsim::backend::os::{os_wire_rfc2544, OsWirePoint};
     use vig_packet::Ip4;
     use vig_spec::NatConfig;
+    use wire::{os_wire_rfc2544, OsWirePoint};
 
     let cfg = NatConfig {
         capacity: 65_535,
@@ -75,11 +195,10 @@ pub fn section_json(flows: usize, packets: usize) -> String {
         )
     };
     let speedup = report.os_mmap.rate.mpps / report.os_frame.rate.mpps;
-    // Recorded so `vig_bench --check` can scale the zero-copy gate to
-    // what the host can express: on a single-core rig every veth
-    // transmit is synchronous on the measured core and shared by both
-    // transports, compressing the achievable ratio (see
-    // docs/BENCHMARKS.md, "Reading the speedup").
+    // Recorded because the ratio depends on it: on a single-core rig
+    // every veth transmit is synchronous on the measured core and
+    // shared by both transports, compressing the achievable ratio (see
+    // docs/BENCHMARKS.md).
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
         "os_wire_rfc2544: sim {:.2} | per-frame {:.2} | mmap {:.2} Mpps (mmap/per-frame {speedup:.2}x; \

@@ -8,7 +8,7 @@
 //!   socket per port; RX drains the socket in `recvmmsg` bursts (one
 //!   syscall per 32 frames, one copy per frame), TX sends one syscall
 //!   per frame. Honest, simple, and the reference point the mmap
-//!   speedup in `BENCH_throughput.json` is measured against.
+//!   speedup is measured against (`vig_bench::os_wire`).
 //! * [`mmap::MmapBackend`] — the zero-copy path: a `TPACKET_V3` RX
 //!   block ring and a `TPACKET_V2` TX ring shared with the kernel via
 //!   `mmap`, so steady-state RX needs no syscalls at all and a whole
@@ -53,7 +53,7 @@
 //! `io::Error` when they are missing, and the conformance tests skip
 //! cleanly in that case (CI runs them in a privileged job).
 
-use super::{PacketIo, SimBackend, TesterIo};
+use super::{PacketIo, TesterIo};
 use crate::dpdk::{BufIdx, Mempool, PortStats, Ring, MBUF_SIZE};
 use crate::frame_env::RssClassifier;
 use std::io;
@@ -191,7 +191,8 @@ impl Drop for RawSocket {
 
 /// The live-counter surface every OS-facing backend exposes, so the
 /// veth test rig, the conformance suites, and the cross-wire RFC 2544
-/// harness are generic over per-frame vs mmap transport.
+/// measurement (`vig_bench::os_wire`) are generic over per-frame vs
+/// mmap transport.
 pub trait WireBackend: PacketIo {
     /// The classifier steering this backend's traffic (the tester
     /// predicts queue assignment with the same function).
@@ -623,7 +624,7 @@ impl TesterIo for OsBackend {
 
 /// A veth pair created (and deleted on drop) via the `ip` tool — the
 /// fixture the privileged conformance tests and the CI
-/// `os-backend-integration` job build their wire out of. Needs
+/// `wire` job build their wire out of. Needs
 /// `CAP_NET_ADMIN`; [`VethPair::create`] returns the underlying error
 /// when the capability (or the `ip` binary) is missing, and callers
 /// skip cleanly.
@@ -855,120 +856,5 @@ impl<B: WireBackend> TesterIo for OsTestRig<B> {
     /// for the deadline variant the tests use).
     fn reap(&mut self, dir: Direction) -> Vec<(usize, Vec<u8>)> {
         self.reap_wait(dir, 0, std::time::Duration::ZERO)
-    }
-}
-
-/// One backend's cross-wire RFC 2544 measurement: the rate estimate
-/// plus the honesty counters that certify it (a result with kernel
-/// drops or TX errors measured a congested rig, not the NAT).
-#[derive(Debug, Clone)]
-pub struct OsWirePoint {
-    /// Saturation rate with bootstrap CI, from the same
-    /// [`search_rate_with_ci`](crate::harness::search_rate_with_ci)
-    /// methodology the simulated Figure 14 uses.
-    pub rate: crate::harness::RateEstimate,
-    /// Kernel-side drops (`PACKET_STATISTICS`) over the whole run.
-    pub kernel_drops: u64,
-    /// Sends the kernel refused over the whole run.
-    pub tx_errors: u64,
-    /// Receive errors over the whole run.
-    pub rx_errors: u64,
-}
-
-/// The cross-wire RFC 2544 report: the same workload measured through
-/// the simulated NIC model and across a live veth wire on both OS
-/// transports. See [`os_wire_rfc2544`].
-#[derive(Debug, Clone)]
-pub struct OsWireReport {
-    /// Simulated-backend baseline (no kernel in the loop).
-    pub sim: crate::harness::RateEstimate,
-    /// Per-frame raw-socket transport (`recvmmsg` RX, one send per
-    /// frame).
-    pub os_frame: OsWirePoint,
-    /// Zero-copy mmap ring transport (`TPACKET_V3` RX, `TPACKET_V2`
-    /// TX).
-    pub os_mmap: OsWirePoint,
-}
-
-/// Measure saturation throughput of the sharded NAT behind the event
-/// loop three ways — simulated backend, per-frame OS backend, mmap OS
-/// backend — with the identical populate-then-sustained-load
-/// methodology
-/// ([`sustained_service_times_io`](crate::eventloop::sustained_service_times_io),
-/// in-flight window = ring size), the OS points crossing a real veth
-/// wire. Needs `CAP_NET_RAW` +
-/// `CAP_NET_ADMIN`; interface names are `{veth_prefix}{i0,i1,e0,e1}`
-/// (≤ 11 chars of prefix).
-///
-/// This is what populates the `os_wire_rfc2544` section of
-/// `BENCH_throughput.json`: absolute sim-vs-kernel Mpps with CIs, and
-/// the per-frame-vs-mmap speedup the zero-copy work is accountable to.
-#[allow(clippy::too_many_arguments)]
-pub fn os_wire_rfc2544(
-    cfg: &vig_spec::NatConfig,
-    queues: usize,
-    shards: usize,
-    flows: usize,
-    packets: usize,
-    ring_size: usize,
-    veth_prefix: &str,
-) -> io::Result<OsWireReport> {
-    let texp = cfg.expiry_ns;
-
-    // All three transports run the *sustained-load* measurement loop
-    // (see `eventloop::sustained_service_times_io`): a block-batching
-    // transport must be offered continuous load to be measured as a
-    // transport, and the sim/per-frame points use the identical loop
-    // so the comparison stays apples-to-apples.
-    let sim = {
-        let io = SimBackend::new(RssClassifier::for_nat(cfg, queues), ring_size);
-        let mut nf = crate::middlebox::ShardedVigNatMb::sharded(*cfg, shards);
-        let (samples, _io) = crate::eventloop::sustained_service_times_io(
-            io, &mut nf, flows, packets, ring_size, texp,
-        );
-        crate::harness::search_rate_with_ci(&samples, ring_size)
-    };
-
-    let int_veth = VethPair::create(&format!("{veth_prefix}i0"), &format!("{veth_prefix}i1"))?;
-    let ext_veth = VethPair::create(&format!("{veth_prefix}e0"), &format!("{veth_prefix}e1"))?;
-    let classifier = RssClassifier::for_nat(cfg, queues);
-
-    let os_frame = {
-        let rig = OsTestRig::open(&int_veth, &ext_veth, classifier, ring_size)?;
-        wire_point(rig, cfg, shards, flows, packets, ring_size, texp)
-    };
-    let os_mmap = {
-        let rig = OsTestRig::open_mmap(&int_veth, &ext_veth, classifier, ring_size)?;
-        wire_point(rig, cfg, shards, flows, packets, ring_size, texp)
-    };
-
-    Ok(OsWireReport {
-        sim,
-        os_frame,
-        os_mmap,
-    })
-}
-
-/// Run the generic measurement loop over one wire rig and package the
-/// rate estimate with the rig's honesty counters.
-fn wire_point<B: WireBackend>(
-    rig: OsTestRig<B>,
-    cfg: &vig_spec::NatConfig,
-    shards: usize,
-    flows: usize,
-    packets: usize,
-    ring_size: usize,
-    texp: u64,
-) -> OsWirePoint {
-    let mut nf = crate::middlebox::ShardedVigNatMb::sharded(*cfg, shards);
-    let (samples, mut rig) =
-        crate::eventloop::sustained_service_times_io(rig, &mut nf, flows, packets, ring_size, texp);
-    let rate = crate::harness::search_rate_with_ci(&samples, ring_size);
-    let kernel_drops = rig.backend_mut().kernel_drops();
-    OsWirePoint {
-        rate,
-        kernel_drops,
-        tx_errors: rig.backend().tx_errors(),
-        rx_errors: rig.backend().rx_errors(),
     }
 }

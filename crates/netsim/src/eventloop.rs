@@ -21,11 +21,7 @@
 //!   [`PacketIo`] backend seam (see [`crate::backend`]), so it runs
 //!   identically on the simulated NIC model
 //!   ([`SimBackend`](crate::backend::SimBackend), any queue count down
-//!   to one) and on real OS packet I/O (`backend::os::OsBackend`);
-//! * [`round_service_times`] / [`sustained_service_times_io`] — the two
-//!   RFC 2544 traffic shapes (paced all-hit rounds for synchronous
-//!   backends, a sustained in-flight window for asynchronous wires),
-//!   both staged through [`TesterIo`] and drained by [`BackendDriver`].
+//!   to one) and on real OS packet I/O (`backend::os::OsBackend`).
 //!
 //! Packets reach the NF through the ordinary [`Middlebox::process_burst`]
 //! — each queue event becomes one `BurstEnv` drain of the verified
@@ -51,13 +47,11 @@
 //! queues; translation of *established* flows remains byte-identical
 //! in every case. See `docs/ARCHITECTURE.md`.
 
-use crate::backend::{PacketIo, TesterIo};
+use crate::backend::PacketIo;
 use crate::dpdk::BufIdx;
-use crate::harness::LatencySamples;
 use crate::middlebox::{Middlebox, Verdict};
-use crate::tester::FlowGen;
 use libvig::time::Time;
-use vig_packet::{Direction, FlowFields};
+use vig_packet::Direction;
 use vignat::MAX_BURST;
 
 /// One readiness event: RX queue `queue` of port `dir` holds frames.
@@ -474,241 +468,14 @@ impl<B: PacketIo> BackendDriver<B> {
     }
 }
 
-/// Frames per measurement round: the DPDK run-to-completion burst
-/// granularity every service-time loop here stages and times at.
-const ROUND: usize = 64;
-
-/// Drain until `staged` frames of the current round have been
-/// accounted for (forwarded, dropped by the NF, or dropped at TX). One
-/// pass on a synchronous backend — the sim stages straight into the
-/// FIFOs, so the first drain handles everything and the loop exits
-/// without re-polling. On an asynchronous rig (the veth `OsTestRig`,
-/// where `stage` is a wire send) the kernel may deliver after the
-/// first poll, so keep draining until the frames show up, bounded by a
-/// generous real-time deadline. Statistics accumulate across passes.
-fn drain_staged<B: PacketIo>(
-    drv: &mut BackendDriver<B>,
-    nf: &mut dyn Middlebox,
-    now: Time,
-    staged: u64,
-) -> DrainStats {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let mut total = DrainStats::default();
-    loop {
-        let s = drv.drain(nf, now);
-        total.forwarded += s.forwarded;
-        total.dropped += s.dropped;
-        total.tx_dropped += s.tx_dropped;
-        total.bursts += s.bursts;
-        total.polls += s.polls;
-        total.elapsed_ns += s.elapsed_ns;
-        if total.forwarded + total.dropped + total.tx_dropped >= staged
-            || std::time::Instant::now() >= deadline
-        {
-            return total;
-        }
-        std::thread::yield_now();
-    }
-}
-
-/// One measurement round: stage `flows` on the internal port, drain
-/// until every admitted frame is accounted for, reap the external
-/// port. Returns how many frames the backend admitted and the round's
-/// drain statistics.
-pub(crate) fn offer_round<B: TesterIo>(
-    drv: &mut BackendDriver<B>,
-    nf: &mut dyn Middlebox,
-    gen: &FlowGen,
-    flows: impl Iterator<Item = FlowFields>,
-    now: Time,
-) -> (usize, DrainStats) {
-    let mut staged = 0usize;
-    for f in flows {
-        let admitted = drv
-            .io_mut()
-            .stage(Direction::Internal, |b| gen.write_frame(&f, b));
-        staged += usize::from(admitted.is_some());
-    }
-    let stats = drain_staged(drv, nf, now, staged as u64);
-    let _ = drv.io_mut().reap(Direction::External);
-    (staged, stats)
-}
-
-/// Send one frame of each of `gen`'s background flows `0..flows`
-/// through the driver (untimed) in paced [`ROUND`]-frame rounds,
-/// `round_gap_ns` of virtual time apart, starting after `now`: the
-/// populate step of every measurement loop, and the background refresh
-/// pass of [`crate::harness::probe_latency`]. Returns the clock after
-/// the last round.
-pub(crate) fn offer_background<B: TesterIo>(
-    drv: &mut BackendDriver<B>,
-    nf: &mut dyn Middlebox,
-    gen: &FlowGen,
-    flows: usize,
-    mut now: Time,
-    round_gap_ns: u64,
-) -> Time {
-    for start in (0..flows).step_by(ROUND) {
-        let end = flows.min(start + ROUND);
-        now = now.plus(round_gap_ns);
-        let ids = (start..end).map(|i| gen.background(i as u32));
-        let (staged, _) = offer_round(drv, nf, gen, ids, now);
-        assert_eq!(staged, end - start, "populate must not overflow");
-    }
-    now
-}
-
-/// Steady-state per-packet service times through the driver (Fig. 14's
-/// workload: "a fixed number of flows that never expire"): establish
-/// `flows` flows from `gen`'s universe, then time all-hit
-/// 64-frame rounds, staged through [`TesterIo`] and drained by
-/// [`BackendDriver`], until `packets` samples exist. Each packet is
-/// assigned its round's mean, which keeps clock-read overhead out of
-/// the service times while preserving burst-scale variance for the
-/// queue simulation. The virtual clock advances slowly enough that no
-/// flow expires inside `texp_ns`.
-///
-/// This is the one round loop: the NF (any [`Middlebox`], batched fast
-/// path or trait-default per-frame), the flow universe
-/// ([`FlowGen::mixed`] for the scenario matrix) and the backend (a
-/// 1-queue [`SimBackend`](crate::backend::SimBackend) for the paper's
-/// figures, multi-queue, `FaultIo`-wrapped, or a veth rig) are the
-/// caller's choice; the methodology is not. Rounds pace themselves on
-/// actual delivery — one drain pass on a synchronous backend,
-/// re-draining until the staged frames arrive on an asynchronous one —
-/// and a rig's interfaces should be quiesced the way
-/// `backend::os::VethPair::create` leaves them, so no kernel noise
-/// lands in the timed region. Every ring must hold a full round. The
-/// backend is handed back so honesty counters (kernel drops, tx
-/// errors, fault stats) can be read after the measurement.
-pub fn round_service_times<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    gen: &FlowGen,
-    flows: usize,
-    packets: usize,
-    texp_ns: u64,
-) -> (LatencySamples, B) {
-    let mut drv = BackendDriver::new(io);
-    let mut now = offer_background(&mut drv, nf, gen, flows, Time::from_secs(1), 1_000);
-
-    let rounds_estimate = packets.div_ceil(ROUND) as u64;
-    let step = (texp_ns / 4) / (rounds_estimate * 8 + 1);
-    let mut samples = Vec::with_capacity(packets + ROUND);
-    let mut next_flow = 0u32;
-    while samples.len() < packets {
-        now = now.plus(step.max(1));
-        let ids = (0..ROUND as u32).map(|k| gen.background((next_flow + k) % flows as u32));
-        let (staged, stats) = offer_round(&mut drv, nf, gen, ids, now);
-        next_flow = (next_flow + ROUND as u32) % flows as u32;
-        debug_assert_eq!(stats.dropped, 0, "steady state must be all hits");
-        assert!(staged > 0, "backend admitted nothing of a whole round");
-        let per_packet = stats.elapsed_ns / staged as u64;
-        samples.extend(std::iter::repeat_n(per_packet.max(1), staged));
-    }
-    samples.truncate(packets);
-    (LatencySamples { ns: samples }, drv.into_io())
-}
-
-/// Sustained-load service times: keep a window of frames in flight and
-/// drain continuously, instead of offering 64-frame bursts and waiting
-/// for each to fully drain.
-///
-/// [`round_service_times`] is the right shape for the simulated
-/// backend (stage and delivery are synchronous), but it measures a
-/// *batching transport* at its worst: on the `TPACKET_V3` block ring
-/// the kernel hands a block to user space when it fills **or** when
-/// the millisecond-granular retire timer fires, so a 64-frame burst
-/// that never fills a block pays the retire latency every round —
-/// a latency artifact of pausing the offered load, not a throughput
-/// limit. RFC 2544 saturation is a sustained-rate question, so the
-/// cross-wire comparison offers sustained load: stage until `window`
-/// frames are in flight, drain what has arrived (empty drain passes
-/// are *not* discarded — their time is carried into the next
-/// productive drain, so wire stalls stay in the measurement), reap,
-/// top the window back up. All three transports (sim, per-frame,
-/// mmap) are measured by this same loop.
-///
-/// `window` should exceed the mmap RX block capacity in frames (so the
-/// in-flight traffic keeps filling blocks) and stay within the
-/// per-queue FIFO capacity (so admission never drops in steady state).
-/// The ring size is a good default.
-pub fn sustained_service_times_io<B: TesterIo>(
-    io: B,
-    nf: &mut dyn Middlebox,
-    flows: usize,
-    packets: usize,
-    window: usize,
-    texp_ns: u64,
-) -> (LatencySamples, B) {
-    let mut drv = BackendDriver::new(io);
-    let gen = FlowGen::new(vig_packet::Proto::Udp);
-    let mut now = offer_background(&mut drv, nf, &gen, flows, Time::from_secs(1), 1_000);
-
-    // Timed sustained phase. The virtual clock advances slowly enough
-    // that no flow expires across the whole run.
-    let step = (texp_ns / 4) / (packets as u64 * 4 + 1);
-    let mut samples = Vec::with_capacity(packets);
-    let mut staged_total = 0usize;
-    let mut done = 0usize;
-    let mut next_flow = 0u32;
-    // Time spent in drains that found nothing ready (frames still on
-    // the wire / in a kernel block): attributed to the packets the
-    // next productive drain delivers.
-    let mut carried_idle_ns = 0u64;
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    // Top up with hysteresis: refill only once half the window has
-    // drained, so every stage burst is at least `window / 2` frames.
-    // A trickle that replaces exactly what completed tends to align
-    // with the mmap ring's block capacity and leaves the tail of each
-    // burst parked in a partial block until the retire timer fires;
-    // bursts of half a window always cross block boundaries.
-    let chunk = (window / 2).max(1);
-    while done < packets {
-        if staged_total - done <= window - chunk {
-            while staged_total - done < window {
-                let f = gen.background(next_flow % flows as u32);
-                if drv
-                    .io_mut()
-                    .stage(Direction::Internal, |b| gen.write_frame(&f, b))
-                    .is_none()
-                {
-                    break; // FIFO pushback: stop topping up, drain first
-                }
-                next_flow = next_flow.wrapping_add(1);
-                staged_total += 1;
-            }
-        }
-        now = now.plus(step.max(1));
-        let stats = drv.drain(nf, now);
-        debug_assert_eq!(stats.dropped, 0, "steady state must be all hits");
-        let processed = stats.forwarded as usize;
-        if processed > 0 {
-            done += processed;
-            let per_packet = ((stats.elapsed_ns + carried_idle_ns) / processed as u64).max(1);
-            carried_idle_ns = 0;
-            samples.extend(std::iter::repeat_n(per_packet, processed));
-        } else {
-            carried_idle_ns += stats.elapsed_ns;
-            std::thread::yield_now();
-        }
-        let _ = drv.io_mut().reap(Direction::External);
-        assert!(
-            std::time::Instant::now() < deadline,
-            "sustained run stalled: {done}/{packets} packets after 60s"
-        );
-    }
-    samples.truncate(packets);
-    (LatencySamples { ns: samples }, drv.into_io())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FaultIo, FaultPlan, SimBackend};
+    use crate::backend::{SimBackend, TesterIo};
     use crate::dpdk::MBUF_SIZE;
     use crate::frame_env::RssClassifier;
     use crate::middlebox::{ShardedVigNatMb, VigNatMb};
+    use crate::tester::FlowGen;
     use vig_packet::{Ip4, Proto};
     use vig_spec::NatConfig;
 
@@ -896,55 +663,6 @@ mod tests {
             nf_seq.flow_manager().snapshot()
         );
         let _ = drv.io_mut().reap(Direction::External);
-    }
-
-    #[test]
-    fn event_driven_steady_state_is_all_hits() {
-        let c = cfg(1024);
-        let mut nf = ShardedVigNatMb::sharded(c, 2);
-        let (s, io) = round_service_times(
-            sim(&c, 2, 64),
-            &mut nf,
-            &FlowGen::new(Proto::Udp),
-            64,
-            500,
-            c.expiry_ns,
-        );
-        assert_eq!(s.ns.len(), 500);
-        assert!(s.mean() > 0.0);
-        assert_eq!(nf.occupancy(), 64, "no flow may expire mid-experiment");
-        assert_eq!(io.pool_available(), io.pool().capacity(), "rounds reap");
-    }
-
-    #[test]
-    fn drain_staged_accounts_tx_drops_and_returns_at_once() {
-        // An overrun longer than the retry budget forces real TX
-        // drops. The round must count them as done (not wait out its
-        // 5 s delivery deadline for frames that will never forward)
-        // and report them.
-        let c = cfg(256);
-        let mut nf = VigNatMb::new(c);
-        let plan = FaultPlan::seeded(7).tx_reject_1_in(8, TX_RETRY_BUDGET as u64 + 1);
-        let mut drv = BackendDriver::new(FaultIo::new(sim(&c, 1, 64), plan));
-        let gen = FlowGen::new(Proto::Udp);
-        let t0 = std::time::Instant::now();
-        let ids = (0..ROUND as u32).map(|i| gen.background(i));
-        let (staged, stats) = offer_round(&mut drv, &mut nf, &gen, ids, Time::from_secs(1));
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(1),
-            "round waited for TX-dropped frames"
-        );
-        assert_eq!(staged, ROUND);
-        assert!(stats.tx_dropped > 0, "the plan must force a TX drop");
-        assert_eq!(
-            stats.forwarded + stats.dropped + stats.tx_dropped,
-            staged as u64
-        );
-        assert_eq!(
-            drv.io().inner().pool_available(),
-            drv.io().pool().capacity(),
-            "TX-dropped buffers go back to the pool"
-        );
     }
 
     #[test]

@@ -21,20 +21,20 @@
 //! * [`frame_env`] — the bridge that runs the **verified loop body**
 //!   (`vignat::nat_loop_iteration`) over real packet bytes: header
 //!   fields in, incremental-checksum rewrites out;
-//! * [`middlebox`] — the uniform NF interface the harness measures
+//! * [`middlebox`] — the uniform NF interface every driver calls
 //!   ([`middlebox::Middlebox`]), plus the VigNAT and no-op instances;
 //! * [`tester`] — the MoonGen analog: background/probe flow workloads,
 //!   deterministic and reproducible via seeds;
-//! * [`harness`] — the RFC 2544 measurement methodology: per-packet
-//!   latency sampling through the full stage→ring→driver→NF→ring→reap
-//!   path, and loss-bounded maximum-throughput search.
-//!
+//! * [`harness`] — the `std::thread` per-shard parallel driver
+//!   ([`harness::ParallelShardedNat`]) over the pinned [`runtime`];
+//!   the measurement loops and statistics that used to share the
+//!   module live in `vig_bench::harness`, their only caller;
 //! * [`runtime`] — the persistent core-pinned shard runtime: one
 //!   long-lived worker thread per shard (pinned via `sched_setaffinity`
 //!   where permitted), fed by the RSS dispatcher through lock-free
 //!   [`libvig::spsc`] rings, with results merged in deterministic shard
-//!   order — the deployment-shaped parallel driver behind the scaling
-//!   curve in `BENCH_throughput.json`;
+//!   order — the deployment-shaped parallel driver natbench's
+//!   `runtime` workload times;
 //! * [`backend`] — the pluggable packet-I/O layer: the
 //!   [`backend::PacketIo`] driver contract (classify into per-queue
 //!   FIFOs, budgeted WRR drain, per-queue stats), with the simulated
@@ -81,4 +81,4 @@ pub use middlebox::{Middlebox, NoopForwarder, SystemClockMb, Verdict, VigNatMb};
 pub use runtime::{
     with_shard_runtime, PinReport, RuntimeReport, ShardRuntimeSession, SupervisorStats, WorkerDown,
 };
-pub use tester::{FlowGen, WorkloadMix};
+pub use tester::FlowGen;

@@ -136,30 +136,6 @@ impl FlowGen {
     }
 }
 
-/// A Fig. 12-style workload description.
-#[derive(Debug, Clone, Copy)]
-pub struct WorkloadMix {
-    /// Number of background flows (the x-axis of Fig. 12/14).
-    pub background_flows: usize,
-    /// Number of probe packets to measure.
-    pub probe_packets: usize,
-    /// Probes measured per refresh window. The paper's probe flows each
-    /// send one packet and then expire; batching several distinct probe
-    /// flows into one background-refresh window keeps the simulation
-    /// cost at `2·background/batch` refreshes per probe while
-    /// distorting table occupancy by at most `batch` entries. Use 1 for
-    /// the literal paper cadence.
-    pub probe_batch: usize,
-    /// Flow expiry used by the NF (2 s in the main experiment, 60 s in
-    /// the in-text variant).
-    pub texp_ns: u64,
-    /// Number of distinct probe flow ids to cycle through. The paper
-    /// uses 1,000 probe flows; with `texp` = 2 s they expire between
-    /// their packets (every probe misses), with `texp` = 60 s they
-    /// survive (later probes hit) — the in-text experiment.
-    pub probe_pool: usize,
-}
-
 /// A shuffled traversal order over `n` indices (used to randomize
 /// refresh order so the flow table sees no artificial locality).
 pub fn shuffled_indices(n: usize, seed: u64) -> Vec<u32> {

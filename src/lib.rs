@@ -16,8 +16,10 @@
 //!   analog);
 //! * [`validator`] — the Vigor Validator: lazy proofs discharging
 //!   P1/P2/P4/P5 over symbolic traces;
-//! * [`sim`] — the DPDK/testbed analog and RFC 2544 harness, including
-//!   the `std::thread` per-shard parallel driver;
+//! * [`sim`] — the DPDK/testbed analog: packet-I/O backends, the
+//!   event-driven driver and the pinned per-shard runtime (the paper's
+//!   §6 measurements over it live in `crates/bench`, the stack
+//!   benchmark in `benchmark/`);
 //! * [`baselines`] — the paper's comparison NFs (no-op, unverified
 //!   NAT, NetFilter analog).
 //!

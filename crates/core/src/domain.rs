@@ -100,134 +100,15 @@ pub trait Domain {
 pub struct Concrete;
 
 impl Domain for Concrete {
-    type B = bool;
-    type U8 = u8;
-    type U16 = u16;
-    type U32 = u32;
-    type U64 = u64;
-
-    #[inline(always)]
-    fn c_bool(&mut self, v: bool) -> bool {
-        v
-    }
-    #[inline(always)]
-    fn c_u8(&mut self, v: u8) -> u8 {
-        v
-    }
-    #[inline(always)]
-    fn c_u16(&mut self, v: u16) -> u16 {
-        v
-    }
-    #[inline(always)]
-    fn c_u32(&mut self, v: u32) -> u32 {
-        v
-    }
-    #[inline(always)]
-    fn c_u64(&mut self, v: u64) -> u64 {
-        v
-    }
-
-    #[inline(always)]
-    fn eq_u8(&mut self, a: &u8, b: &u8) -> bool {
-        a == b
-    }
-    #[inline(always)]
-    fn eq_u16(&mut self, a: &u16, b: &u16) -> bool {
-        a == b
-    }
-    #[inline(always)]
-    fn eq_u32(&mut self, a: &u32, b: &u32) -> bool {
-        a == b
-    }
-    #[inline(always)]
-    fn eq_u64(&mut self, a: &u64, b: &u64) -> bool {
-        a == b
-    }
-
-    #[inline(always)]
-    fn lt_u16(&mut self, a: &u16, b: &u16) -> bool {
-        a < b
-    }
-    #[inline(always)]
-    fn le_u16(&mut self, a: &u16, b: &u16) -> bool {
-        a <= b
-    }
-    #[inline(always)]
-    fn lt_u64(&mut self, a: &u64, b: &u64) -> bool {
-        a < b
-    }
-    #[inline(always)]
-    fn le_u64(&mut self, a: &u64, b: &u64) -> bool {
-        a <= b
-    }
-
-    #[inline(always)]
-    fn and(&mut self, a: &bool, b: &bool) -> bool {
-        *a && *b
-    }
-    #[inline(always)]
-    fn or(&mut self, a: &bool, b: &bool) -> bool {
-        *a || *b
-    }
-    #[inline(always)]
-    fn not(&mut self, a: &bool) -> bool {
-        !*a
-    }
-
-    #[inline(always)]
-    fn add_u16(&mut self, a: &u16, b: &u16) -> u16 {
-        debug_assert!(a.checked_add(*b).is_some(), "add_u16 obligation violated");
-        a.wrapping_add(*b)
-    }
-    #[inline(always)]
-    fn add_u64(&mut self, a: &u64, b: &u64) -> u64 {
-        debug_assert!(a.checked_add(*b).is_some(), "add_u64 obligation violated");
-        a.wrapping_add(*b)
-    }
-    #[inline(always)]
-    fn sub_u64(&mut self, a: &u64, b: &u64) -> u64 {
-        debug_assert!(b <= a, "sub_u64 obligation violated");
-        a.wrapping_sub(*b)
-    }
-    #[inline(always)]
-    fn sub_u16(&mut self, a: &u16, b: &u16) -> u16 {
-        debug_assert!(b <= a, "sub_u16 obligation violated");
-        a.wrapping_sub(*b)
-    }
-
-    #[inline(always)]
-    fn and_u8(&mut self, a: &u8, mask: u8) -> u8 {
-        a & mask
-    }
-    #[inline(always)]
-    fn and_u16(&mut self, a: &u16, mask: u16) -> u16 {
-        a & mask
-    }
-    #[inline(always)]
-    fn shr_u8(&mut self, a: &u8, shift: u32) -> u8 {
-        a >> shift
-    }
-    #[inline(always)]
-    fn shl_u8(&mut self, a: &u8, shift: u32) -> u8 {
-        debug_assert!(
-            a.checked_shl(shift).is_some_and(|r| r == (a << shift)),
-            "shl_u8 obligation"
-        );
-        a << shift
-    }
-    #[inline(always)]
-    fn u8_to_u16(&mut self, a: &u8) -> u16 {
-        u16::from(*a)
-    }
+    crate::concrete_domain_items!();
 }
 
-/// The associated types and methods of a concrete (machine-integer)
-/// [`Domain`] implementation, for expansion *inside* an `impl Domain
-/// for …` block. `impl_concrete_domain!` wraps this for plain types;
-/// generic environments (e.g. an env parameterized over its flow-table
-/// type) write the `impl<…> Domain for …` header themselves and expand
-/// this macro in the body, so every concrete env still forwards to
-/// [`Concrete`] and cannot drift.
+/// The associated types and methods of the concrete (machine-integer)
+/// [`Domain`], for expansion *inside* an `impl Domain for …` block:
+/// [`Concrete`]'s own, and that of the generic concrete environment
+/// (which writes its `impl<…> Domain for …` header itself). One body,
+/// so the two cannot drift; every method is an `#[inline(always)]`
+/// one-liner.
 #[macro_export]
 macro_rules! concrete_domain_items {
     () => {
@@ -303,23 +184,23 @@ macro_rules! concrete_domain_items {
         }
         #[inline(always)]
         fn add_u16(&mut self, a: &u16, b: &u16) -> u16 {
-            let mut c = $crate::domain::Concrete;
-            c.add_u16(a, b)
+            debug_assert!(a.checked_add(*b).is_some(), "add_u16 obligation violated");
+            a.wrapping_add(*b)
         }
         #[inline(always)]
         fn add_u64(&mut self, a: &u64, b: &u64) -> u64 {
-            let mut c = $crate::domain::Concrete;
-            c.add_u64(a, b)
+            debug_assert!(a.checked_add(*b).is_some(), "add_u64 obligation violated");
+            a.wrapping_add(*b)
         }
         #[inline(always)]
         fn sub_u64(&mut self, a: &u64, b: &u64) -> u64 {
-            let mut c = $crate::domain::Concrete;
-            c.sub_u64(a, b)
+            debug_assert!(b <= a, "sub_u64 obligation violated");
+            a.wrapping_sub(*b)
         }
         #[inline(always)]
         fn sub_u16(&mut self, a: &u16, b: &u16) -> u16 {
-            let mut c = $crate::domain::Concrete;
-            c.sub_u16(a, b)
+            debug_assert!(b <= a, "sub_u16 obligation violated");
+            a.wrapping_sub(*b)
         }
         #[inline(always)]
         fn and_u8(&mut self, a: &u8, mask: u8) -> u8 {
@@ -335,26 +216,15 @@ macro_rules! concrete_domain_items {
         }
         #[inline(always)]
         fn shl_u8(&mut self, a: &u8, shift: u32) -> u8 {
-            let mut c = $crate::domain::Concrete;
-            c.shl_u8(a, shift)
+            debug_assert!(
+                a.checked_shl(shift).is_some_and(|r| r == (a << shift)),
+                "shl_u8 obligation"
+            );
+            a << shift
         }
         #[inline(always)]
         fn u8_to_u16(&mut self, a: &u8) -> u16 {
             u16::from(*a)
-        }
-    };
-}
-
-/// Implement [`Domain`] for a type by forwarding every operation to
-/// [`Concrete`]. Concrete environments (the simple test env, the netsim
-/// datapath env, the baselines) use this so they can be handed to the
-/// generic loop body without any indirection — each forwarded method
-/// inlines to the same machine instruction `Concrete` emits.
-#[macro_export]
-macro_rules! impl_concrete_domain {
-    ($ty:ty) => {
-        impl $crate::domain::Domain for $ty {
-            $crate::concrete_domain_items!();
         }
     };
 }

@@ -7,10 +7,12 @@
 //! — so the *entire* behaviour of the NF is determined by the loop body
 //! plus an implementation of this trait:
 //!
-//! * the `netsim` crate implements it over simulated devices and the
-//!   concrete [`crate::flow_manager::FlowManager`];
-//! * [`crate::simple_env::SimpleEnv`] implements it over plain vectors
-//!   for unit and differential testing;
+//! * [`concrete::ConcreteEnv`] implements it over a
+//!   [`crate::flow_manager::FlowTable`] — the one concrete environment.
+//!   What varies is its [`concrete::PacketSide`]: header fields queued
+//!   by a test ([`crate::simple_env::SimpleEnv`]), one frame, or one
+//!   burst of mempool buffers (the `netsim` crate's `FrameEnv` /
+//!   `BurstEnv`);
 //! * `vig-validator` implements it over symbolic models, where
 //!   [`NatEnv::branch`] forks execution and the flow operations return
 //!   constrained fresh symbols.
@@ -144,21 +146,282 @@ pub struct TxHdr<D: Domain + ?Sized> {
     pub dst_port: D::U16,
 }
 
-/// Helpers shared by the *concrete* environments (machine-integer
-/// domains): key construction from domain-valued packet parts, flow
-/// views, and the per-packet `FlowId` hash memo. Kept here so the three
-/// concrete envs (`SimpleEnv`, netsim's `FrameEnv` and `BurstEnv`)
-/// cannot drift apart in how they hash and convert.
+/// The one *concrete* environment (machine-integer domain) and its
+/// parts: [`concrete::ConcreteEnv`] — the table half every concrete
+/// run of the loop body shares — over a [`concrete::PacketSide`], plus
+/// key construction from domain-valued packet parts, flow views, the
+/// per-packet `FlowId` hash memo and the batched probes' buffers.
 pub mod concrete {
-    use super::{ExtParts, FidParts, FlowView, NatEnv, SlotId};
+    use super::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
+    use crate::domain::{Concrete, Domain};
     use crate::flow_manager::FlowTable;
     use libvig::map::MapKey;
-    use vig_packet::{ExtKey, Flow, FlowId, Ip4};
+    use libvig::time::Time;
+    use std::borrow::BorrowMut;
+    use vig_packet::{Direction, ExtKey, Flow, FlowFields, FlowId, Ip4, Proto};
+
+    /// One received packet's header fields as machine integers — what a
+    /// [`PacketSide`] hands the env, and what tests inject. Use
+    /// [`RawRx::well_formed`] for valid packets; construct directly to
+    /// exercise the drop paths.
+    #[derive(Debug, Clone, Copy)]
+    pub struct RawRx {
+        /// Arrival interface.
+        pub dir: Direction,
+        /// Frame length in bytes.
+        pub frame_len: u16,
+        /// EtherType.
+        pub ethertype: u16,
+        /// IPv4 version+IHL byte.
+        pub version_ihl: u8,
+        /// IPv4 total length.
+        pub total_len: u16,
+        /// IPv4 flags+fragment-offset field.
+        pub frag_field: u16,
+        /// IPv4 TTL.
+        pub ttl: u8,
+        /// IPv4 protocol.
+        pub proto: u8,
+        /// Source address.
+        pub src_ip: u32,
+        /// Destination address.
+        pub dst_ip: u32,
+        /// L4 source port.
+        pub src_port: u16,
+        /// L4 destination port.
+        pub dst_port: u16,
+        /// TCP flag byte (ignored for non-TCP packets).
+        pub tcp_flags: u8,
+    }
+
+    impl RawRx {
+        /// A well-formed 64-byte TCP/UDP frame carrying `fields` (empty
+        /// TCP flag byte; see [`RawRx::with_tcp_flags`]).
+        pub fn well_formed(dir: Direction, fields: FlowFields) -> RawRx {
+            let l4 = match fields.proto {
+                Proto::Tcp => 20,
+                Proto::Udp => 8,
+            };
+            RawRx {
+                dir,
+                frame_len: 64,
+                ethertype: 0x0800,
+                version_ihl: 0x45,
+                total_len: 20 + l4,
+                frag_field: 0x4000, // DF, not fragmented
+                ttl: 64,
+                proto: fields.proto.number(),
+                src_ip: fields.src_ip.raw(),
+                dst_ip: fields.dst_ip.raw(),
+                src_port: fields.src_port,
+                dst_port: fields.dst_port,
+                tcp_flags: 0,
+            }
+        }
+
+        /// The same frame with a TCP flag byte.
+        pub fn with_tcp_flags(self, tcp_flags: u8) -> RawRx {
+            RawRx { tcp_flags, ..self }
+        }
+
+        /// The packet as the loop body receives it, in any
+        /// machine-integer domain. The TCP flag byte is zero-filled for
+        /// non-TCP packets, per the [`RxPacket`] contract.
+        pub fn into_rx<D>(self, handle: PktHandle) -> RxPacket<D>
+        where
+            D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+        {
+            RxPacket {
+                handle,
+                dir: self.dir,
+                frame_len: self.frame_len,
+                ethertype: self.ethertype,
+                version_ihl: self.version_ihl,
+                total_len: self.total_len,
+                frag_field: self.frag_field,
+                ttl: self.ttl,
+                proto: self.proto,
+                src_ip: self.src_ip,
+                dst_ip: self.dst_ip,
+                src_port: self.src_port,
+                dst_port: self.dst_port,
+                tcp_flags: if self.proto == vig_packet::ipv4::PROTO_TCP {
+                    self.tcp_flags
+                } else {
+                    0
+                },
+            }
+        }
+    }
+
+    /// Where a [`ConcreteEnv`]'s packets come from and go to — the only
+    /// thing that differs between concrete runs of the loop body.
+    /// Implemented three times: the field queue of
+    /// [`crate::simple_env::SimpleEnv`] (header fields in, events out,
+    /// buffer ownership checked at run time), and `netsim`'s one frame
+    /// and one burst of mempool buffers (bytes in, in-place rewrites
+    /// out).
+    pub trait PacketSide {
+        /// The next pending packet — its ownership handle and header
+        /// fields — or `None` when nothing is pending.
+        fn receive(&mut self) -> Option<(PktHandle, RawRx)>;
+
+        /// Transmit `pkt` on `out` with the rewritten tuple. Consumes
+        /// the buffer.
+        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Concrete>);
+
+        /// Drop `pkt`. Consumes the buffer.
+        fn drop_pkt(&mut self, pkt: PktHandle);
+    }
+
+    /// The concrete [`NatEnv`]: the loop body's table half — a borrowed
+    /// [`FlowTable`], the run's clock and expiry count, the per-packet
+    /// hash memo and the batched probes' buffers — over a
+    /// [`PacketSide`] `P`. One env serves one iteration or one burst;
+    /// it borrows its state, so building one costs nothing.
+    ///
+    /// `S` holds the [`ProbeScratch`]: a `&mut` to one the driver keeps
+    /// across bursts (the default — the steady-state burst path then
+    /// allocates nothing for its probes), or an owned, empty one for an
+    /// env that serves a single frame and never batches.
+    pub struct ConcreteEnv<'a, T, P, S = &'a mut ProbeScratch> {
+        table: &'a mut T,
+        packets: P,
+        now_ns: u64,
+        expired: usize,
+        memo: FidMemo,
+        scratch: S,
+    }
+
+    impl<'a, T, P, S> ConcreteEnv<'a, T, P, S> {
+        /// The env for the packets of `packets`, arriving at `now`.
+        pub fn new(table: &'a mut T, packets: P, now: Time, scratch: S) -> Self {
+            ConcreteEnv {
+                table,
+                packets,
+                now_ns: now.nanos(),
+                expired: 0,
+                memo: FidMemo::default(),
+                scratch,
+            }
+        }
+
+        /// End the run, returning the flows it expired.
+        pub fn finish(self) -> usize {
+            self.expired
+        }
+    }
+
+    impl<T, P, S> Domain for ConcreteEnv<'_, T, P, S> {
+        crate::concrete_domain_items!();
+    }
+
+    impl<T, P, S> NatEnv for ConcreteEnv<'_, T, P, S>
+    where
+        T: FlowTable,
+        P: PacketSide,
+        S: BorrowMut<ProbeScratch>,
+    {
+        fn now(&mut self) -> u64 {
+            self.now_ns
+        }
+
+        fn expire_flows(&mut self, threshold: &u64) {
+            self.expired += self.table.expire(Time(*threshold));
+        }
+
+        fn receive(&mut self) -> Option<RxPacket<Self>> {
+            let (handle, raw) = self.packets.receive()?;
+            Some(raw.into_rx(handle))
+        }
+
+        fn branch(&mut self, cond: bool) -> bool {
+            cond
+        }
+
+        fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>> {
+            let key = fid_key(fid);
+            // Hash once per packet; a following insert_flow reuses it.
+            let hash = self.memo.hash_for_lookup(key);
+            let (slot, flow) = self.table.lookup_internal_hashed(&key, hash)?;
+            Some(view(slot, flow))
+        }
+
+        fn lookup_internal_batch(
+            &mut self,
+            fids: &[Option<FidParts<Self>>],
+            out: &mut [Option<FlowView<Self>>],
+        ) {
+            // On a sharded table this is where the burst splits into
+            // per-shard sub-batches by the keys' hashes.
+            let scratch = self.scratch.borrow_mut();
+            scratch.lookup_internal(self.table, fids, out);
+        }
+
+        fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
+            let (slot, flow) = self.table.lookup_external(&ext_key(ek))?;
+            Some(view(slot, flow))
+        }
+
+        fn lookup_external_batch(
+            &mut self,
+            eks: &[Option<ExtParts<Self>>],
+            out: &mut [Option<FlowView<Self>>],
+        ) {
+            let scratch = self.scratch.borrow_mut();
+            scratch.lookup_external(self.table, eks, out);
+        }
+
+        fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, tcp_flags: &u8) {
+            self.table.rejuvenate(slot.0, Time(*now), dir, *tcp_flags);
+        }
+
+        fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
+            // The memoized hash of the just-missed lookup routes the
+            // allocation (the shard selector on sharded tables).
+            let slot = self
+                .table
+                .allocate_slot_routed(self.memo.hash_for_alloc(), Time(*now))?;
+            let (ip, _) = self.table.endpoint_of_slot(slot);
+            Some((SlotId(slot), self.table.port_offset_of_slot(slot), ip.raw()))
+        }
+
+        fn insert_flow(
+            &mut self,
+            slot: SlotId,
+            fid: FidParts<Self>,
+            ext_ip: u32,
+            ext_port: u16,
+            _now: &u64,
+            tcp_flags: &u8,
+        ) {
+            let key = fid_key(&fid);
+            // Reuse the hash memoized by the lookup miss that precedes
+            // every insert on the same packet.
+            let hash = self.memo.hash_for_insert(&key);
+            self.table
+                .insert_hashed(slot.0, key, Ip4(ext_ip), ext_port, hash, *tcp_flags);
+        }
+
+        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
+            let hdr = TxHdr {
+                src_ip: hdr.src_ip,
+                src_port: hdr.src_port,
+                dst_ip: hdr.dst_ip,
+                dst_port: hdr.dst_port,
+            };
+            self.packets.tx(pkt, out, hdr);
+        }
+
+        fn drop_pkt(&mut self, pkt: PktHandle) {
+            self.packets.drop_pkt(pkt);
+        }
+    }
 
     /// The internal 5-tuple as a flow-table key.
-    pub fn fid_key<E>(fid: &FidParts<E>) -> FlowId
+    pub fn fid_key<D>(fid: &FidParts<D>) -> FlowId
     where
-        E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+        D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
     {
         FlowId {
             src_ip: Ip4(fid.src_ip),
@@ -170,9 +433,9 @@ pub mod concrete {
     }
 
     /// The external-side key as a flow-table key.
-    pub fn ext_key<E>(ek: &ExtParts<E>) -> ExtKey
+    pub fn ext_key<D>(ek: &ExtParts<D>) -> ExtKey
     where
-        E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+        D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
     {
         ExtKey {
             ext_ip: Ip4(ek.ext_ip),
@@ -184,9 +447,9 @@ pub mod concrete {
     }
 
     /// A matched flow as the loop body sees it.
-    pub fn view<E>(slot: usize, flow: &Flow) -> FlowView<E>
+    fn view<D>(slot: usize, flow: &Flow) -> FlowView<D>
     where
-        E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+        D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
     {
         FlowView {
             slot: SlotId(slot),
@@ -197,7 +460,7 @@ pub mod concrete {
         }
     }
 
-    /// Reusable buffers behind the concrete envs' `lookup_*_batch`:
+    /// Reusable buffers behind [`ConcreteEnv`]'s `lookup_*_batch`:
     /// the burst's `Some` queries gathered into the dense key (and, for
     /// internal keys, hash) slices [`FlowTable`]'s batch probes take,
     /// their packet positions, and the probe results. Owned across
@@ -214,13 +477,13 @@ pub mod concrete {
 
     impl ProbeScratch {
         /// [`NatEnv::lookup_internal_batch`] over `table`.
-        pub fn lookup_internal<E, T>(
+        fn lookup_internal<E, T>(
             &mut self,
             table: &mut T,
             fids: &[Option<FidParts<E>>],
             out: &mut [Option<FlowView<E>>],
         ) where
-            E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+            E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
             T: FlowTable,
         {
             self.gather(fids, |keys, q| keys.fids.push(fid_key(q)));
@@ -230,13 +493,13 @@ pub mod concrete {
         }
 
         /// [`NatEnv::lookup_external_batch`] over `table`.
-        pub fn lookup_external<E, T>(
+        fn lookup_external<E, T>(
             &mut self,
             table: &mut T,
             eks: &[Option<ExtParts<E>>],
             out: &mut [Option<FlowView<E>>],
         ) where
-            E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+            E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
             T: FlowTable,
         {
             self.gather(eks, |keys, q| keys.eks.push(ext_key(q)));
@@ -262,7 +525,7 @@ pub mod concrete {
         /// Write each probe result at its query's packet position.
         fn scatter<E>(&self, out: &mut [Option<FlowView<E>>])
         where
-            E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+            E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
         {
             debug_assert_eq!(self.found.len(), self.positions.len());
             for (&i, r) in self.positions.iter().zip(&self.found) {
@@ -276,12 +539,12 @@ pub mod concrete {
     /// back to rehashing if the memo doesn't match (an env driven in a
     /// nonstandard order), so it can slow down but never corrupt.
     #[derive(Debug, Default)]
-    pub struct FidMemo(Option<(FlowId, u64)>);
+    struct FidMemo(Option<(FlowId, u64)>);
 
     impl FidMemo {
         /// Hash `key` for a lookup, remembering it for the insert that
         /// may follow on the same packet.
-        pub fn hash_for_lookup(&mut self, key: FlowId) -> u64 {
+        fn hash_for_lookup(&mut self, key: FlowId) -> u64 {
             let h = key.key_hash();
             self.0 = Some((key, h));
             h
@@ -289,7 +552,7 @@ pub mod concrete {
 
         /// Hash for the insert of `key`: the memoized value when it
         /// matches, a fresh hash otherwise.
-        pub fn hash_for_insert(&mut self, key: &FlowId) -> u64 {
+        fn hash_for_insert(&mut self, key: &FlowId) -> u64 {
             match self.0 {
                 Some((memo_key, memo_hash)) if memo_key == *key => memo_hash,
                 _ => key.key_hash(),
@@ -309,7 +572,7 @@ pub mod concrete {
         /// the flow id that will be inserted precedes every allocation.
         /// Panics if violated — silently routing by a wrong hash would
         /// strand the flow in a shard its lookups never probe.
-        pub fn hash_for_alloc(&self) -> u64 {
+        fn hash_for_alloc(&self) -> u64 {
             self.0
                 .as_ref()
                 .map(|&(_, h)| h)

@@ -94,11 +94,11 @@ use vig_spec::{NatConfig, TcpState, TimeoutClass};
 ///
 /// This is the seam at which the unsharded [`FlowManager`] and the
 /// sharded [`crate::sharded::ShardedFlowManager`] are interchangeable:
-/// the envs (`SimpleEnv`, netsim's `FrameEnv`/`BurstEnv`) are generic
-/// over a `FlowTable`, and the verified loop body above them is
-/// oblivious — it sees only [`crate::env::NatEnv`]. Every internal-key
+/// the concrete env ([`crate::env::concrete::ConcreteEnv`], under
+/// every packet side) is generic over a `FlowTable`, and the verified
+/// loop body above it is oblivious — it sees only [`crate::env::NatEnv`]. Every internal-key
 /// operation takes the caller's memoized key hash, both to skip
-/// rehashing (the PR 1 fast path) and because **the hash doubles as the
+/// rehashing and because **the hash doubles as the
 /// shard selector** for sharded implementations — which is why
 /// [`FlowTable::allocate_slot_routed`] carries the flow hash: the shard
 /// a fresh flow's slot (and therefore its external port) comes from is

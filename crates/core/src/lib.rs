@@ -18,9 +18,10 @@
 //!   - over a value [`domain::Domain`] — concrete machine integers on
 //!     the datapath ([`domain::Concrete`]), symbolic terms under the
 //!     verification engine;
-//!   - over an effect interface [`env::NatEnv`] — real devices + real
-//!     libVig in production (the `netsim` crate), *symbolic models* of
-//!     both under verification (the `vig-validator` crate).
+//!   - over an effect interface [`env::NatEnv`] — real libVig under a
+//!     packet side in production ([`env::concrete::ConcreteEnv`]; the
+//!     `netsim` crate supplies the frames), *symbolic models* of both
+//!     under verification (the `vig-validator` crate).
 //!
 //! This is the Rust equivalent of the paper's arrangement where the same
 //! C file is compiled against DPDK + libVig for deployment and against

@@ -29,6 +29,7 @@
 //! concrete environments zero-fill short reads, and this ordering is
 //! what makes that safe (and is itself visible to the verifier).
 
+use crate::domain::Domain;
 use crate::env::{ExtParts, FidParts, FlowView, NatEnv, RxPacket, TxHdr};
 use vig_packet::{Direction, Proto};
 use vig_spec::NatConfig;
@@ -358,8 +359,10 @@ fn translate_external<E: NatEnv + ?Sized>(
     }
 }
 
-/// Build the external match key for a return packet.
-fn external_key<E: NatEnv + ?Sized>(
+/// Build the external match key for a return packet. Needs only
+/// [`Domain`] operations, so the RSS classifier steers return traffic
+/// by calling this very function (over [`crate::domain::Concrete`]).
+pub fn external_key<E: Domain + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
     pkt: &RxPacket<E>,
@@ -401,8 +404,9 @@ fn external_key<E: NatEnv + ?Sized>(
 /// not participate in the mapping — the key's destination fields are
 /// canonicalized to zero, so every remote peer reuses the same
 /// mapping. The branch is on concrete configuration, so each config
-/// has a fixed key shape (and a fixed symbolic path set).
-fn internal_fid<E: NatEnv + ?Sized>(
+/// has a fixed key shape (and a fixed symbolic path set). Exported,
+/// like [`external_key`], so dispatch hashes the key the lookup will use.
+pub fn internal_fid<E: Domain + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
     pkt: &RxPacket<E>,

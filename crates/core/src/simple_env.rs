@@ -1,5 +1,5 @@
-//! A minimal concrete [`NatEnv`] over plain vectors — the test harness
-//! the differential suite runs the real loop body in.
+//! The concrete env over plain vectors — the test harness the
+//! differential suite runs the real loop body in.
 //!
 //! No devices, no buffers: packets are injected as header fields,
 //! outputs are recorded as field-level events. This keeps the
@@ -9,12 +9,13 @@
 //! behaviour (checksum updates, payload preservation) is covered by the
 //! netsim end-to-end tests.
 //!
-//! The env also enforces the buffer-ownership discipline at runtime:
+//! Its packet side also enforces the buffer-ownership discipline at runtime:
 //! every received handle must be consumed by exactly one `tx`/`drop_pkt`
 //! before the iteration ends, mirroring the Validator's leak check.
 
-use crate::env::concrete::{ext_key, fid_key, view, FidMemo, ProbeScratch};
-use crate::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
+use crate::domain::Concrete;
+use crate::env::concrete::{ConcreteEnv, PacketSide, ProbeScratch};
+use crate::env::{PktHandle, TxHdr};
 use crate::flow_manager::{FlowManager, FlowTable};
 use crate::loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome};
 use crate::sharded::ShardedFlowManager;
@@ -23,68 +24,7 @@ use std::collections::VecDeque;
 use vig_packet::{Direction, FlowFields};
 use vig_spec::NatConfig;
 
-/// Raw header fields for an injected packet. Use [`RawRx::well_formed`]
-/// for valid packets; construct directly to exercise the drop paths.
-#[derive(Debug, Clone, Copy)]
-pub struct RawRx {
-    /// Arrival interface.
-    pub dir: Direction,
-    /// Frame length in bytes.
-    pub frame_len: u16,
-    /// EtherType.
-    pub ethertype: u16,
-    /// IPv4 version+IHL byte.
-    pub version_ihl: u8,
-    /// IPv4 total length.
-    pub total_len: u16,
-    /// IPv4 flags+fragment-offset field.
-    pub frag_field: u16,
-    /// IPv4 TTL.
-    pub ttl: u8,
-    /// IPv4 protocol.
-    pub proto: u8,
-    /// Source address.
-    pub src_ip: u32,
-    /// Destination address.
-    pub dst_ip: u32,
-    /// L4 source port.
-    pub src_port: u16,
-    /// L4 destination port.
-    pub dst_port: u16,
-    /// TCP flag byte (ignored for non-TCP packets).
-    pub tcp_flags: u8,
-}
-
-impl RawRx {
-    /// A well-formed 64-byte TCP/UDP frame carrying `fields` (empty
-    /// TCP flag byte; see [`RawRx::with_tcp_flags`]).
-    pub fn well_formed(dir: Direction, fields: FlowFields) -> RawRx {
-        let l4 = match fields.proto {
-            vig_packet::Proto::Tcp => 20,
-            vig_packet::Proto::Udp => 8,
-        };
-        RawRx {
-            dir,
-            frame_len: 64,
-            ethertype: 0x0800,
-            version_ihl: 0x45,
-            total_len: 20 + l4,
-            frag_field: 0x4000, // DF, not fragmented
-            ttl: 64,
-            proto: fields.proto.number(),
-            src_ip: fields.src_ip.raw(),
-            dst_ip: fields.dst_ip.raw(),
-            src_port: fields.src_port,
-            dst_port: fields.dst_port,
-            tcp_flags: 0,
-        }
-    }
-
-    /// The same frame with a TCP flag byte.
-    pub fn with_tcp_flags(self, tcp_flags: u8) -> RawRx {
-        RawRx { tcp_flags, ..self }
-    }
-}
+pub use crate::env::concrete::RawRx;
 
 /// What the env observed the NF do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,24 +48,67 @@ pub enum EnvEvent {
 
 /// The vector-backed test environment, generic over the flow-table
 /// implementation it drives (unsharded [`FlowManager`] by default,
-/// [`ShardedFlowManager`] via [`SimpleEnv::sharded`]). See module docs.
+/// [`ShardedFlowManager`] via [`SimpleEnv::sharded`]). It owns the
+/// table, the clock and the field queue, and lends them to a
+/// [`ConcreteEnv`] for each run. See module docs.
 pub struct SimpleEnv<T: FlowTable = FlowManager> {
     cfg: NatConfig,
     fm: T,
-    now_ns: u64,
-    pending: VecDeque<RawRx>,
-    events: Vec<EnvEvent>,
-    next_handle: usize,
-    in_flight: Vec<usize>,
+    now: Time,
+    packets: FieldQueue,
     expired_total: usize,
-    /// Per-packet `FlowId` hash memo (each `FlowId` is hashed once).
-    fid_memo: FidMemo,
     /// Reused buffers of the batched probes.
     probe_scratch: ProbeScratch,
 }
 
-impl<T: FlowTable> crate::domain::Domain for SimpleEnv<T> {
-    crate::concrete_domain_items!();
+/// The field-level [`PacketSide`]: injected header fields in, events
+/// out, and the run-time buffer-ownership check in between.
+#[derive(Default)]
+struct FieldQueue {
+    pending: VecDeque<RawRx>,
+    events: Vec<EnvEvent>,
+    next_handle: usize,
+    in_flight: Vec<usize>,
+}
+
+impl FieldQueue {
+    /// Take `pkt` out of flight; `what` names the consumer on failure.
+    fn consume(&mut self, pkt: PktHandle, what: &str) {
+        let pos = self
+            .in_flight
+            .iter()
+            .position(|&h| h == pkt.0)
+            .unwrap_or_else(|| {
+                panic!("{what} of a handle not in flight (double consume or invented)")
+            });
+        self.in_flight.swap_remove(pos);
+    }
+}
+
+impl PacketSide for &mut FieldQueue {
+    fn receive(&mut self) -> Option<(PktHandle, RawRx)> {
+        let raw = self.pending.pop_front()?;
+        let handle = PktHandle(self.next_handle);
+        self.next_handle += 1;
+        self.in_flight.push(handle.0);
+        Some((handle, raw))
+    }
+
+    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Concrete>) {
+        self.consume(pkt, "tx");
+        self.events.push(EnvEvent::Sent {
+            out,
+            src_ip: hdr.src_ip,
+            src_port: hdr.src_port,
+            dst_ip: hdr.dst_ip,
+            dst_port: hdr.dst_port,
+        });
+    }
+
+    fn drop_pkt(&mut self, pkt: PktHandle) {
+        self.consume(pkt, "drop");
+        self.events.push(EnvEvent::Dropped);
+    }
 }
 
 impl SimpleEnv {
@@ -148,13 +131,9 @@ impl<T: FlowTable> SimpleEnv<T> {
         SimpleEnv {
             fm,
             cfg,
-            now_ns: 0,
-            pending: VecDeque::new(),
-            events: Vec::new(),
-            next_handle: 0,
-            in_flight: Vec::new(),
+            now: Time::ZERO,
+            packets: FieldQueue::default(),
             expired_total: 0,
-            fid_memo: FidMemo::default(),
             probe_scratch: ProbeScratch::default(),
         }
     }
@@ -171,46 +150,52 @@ impl<T: FlowTable> SimpleEnv<T> {
 
     /// All recorded events.
     pub fn events(&self) -> &[EnvEvent] {
-        &self.events
+        &self.packets.events
     }
 
     /// Set the clock (must be monotone across calls).
     pub fn set_time(&mut self, t: Time) {
-        debug_assert!(t.nanos() >= self.now_ns, "SimpleEnv clock must be monotone");
-        self.now_ns = t.nanos();
+        debug_assert!(t >= self.now, "SimpleEnv clock must be monotone");
+        self.now = t;
     }
 
     /// Queue a packet for the next iteration.
     pub fn inject(&mut self, raw: RawRx) {
-        self.pending.push_back(raw);
+        self.packets.pending.push_back(raw);
     }
 
-    /// Run one loop iteration of the *real* stateless code against this
-    /// env, enforcing the buffer-ownership discipline.
+    /// Run `body` — the *real* stateless code — against a
+    /// [`ConcreteEnv`] over this env's table and field queue,
+    /// enforcing the buffer-ownership discipline.
+    fn run<R>(
+        &mut self,
+        body: impl FnOnce(&mut ConcreteEnv<'_, T, &mut FieldQueue>, &NatConfig) -> R,
+    ) -> R {
+        let mut env = ConcreteEnv::new(
+            &mut self.fm,
+            &mut self.packets,
+            self.now,
+            &mut self.probe_scratch,
+        );
+        let out = body(&mut env, &self.cfg);
+        self.expired_total += env.finish();
+        assert!(
+            self.packets.in_flight.is_empty(),
+            "buffer leak: handles {:?} neither sent nor dropped",
+            self.packets.in_flight
+        );
+        out
+    }
+
+    /// Run one loop iteration ([`nat_loop_iteration`]).
     pub fn run_one(&mut self) -> IterationOutcome {
-        let cfg = self.cfg;
-        let out = nat_loop_iteration(self, &cfg);
-        assert!(
-            self.in_flight.is_empty(),
-            "buffer leak: handles {:?} neither sent nor dropped",
-            self.in_flight
-        );
-        out
+        self.run(|env, cfg| nat_loop_iteration(env, cfg))
     }
 
-    /// Run one *burst* of the real stateless code
-    /// ([`nat_process_batch`]): up to
-    /// [`crate::loop_body::MAX_BURST`] pending packets in one call,
-    /// with the same buffer-ownership enforcement.
+    /// Run one *burst* ([`nat_process_batch`]): up to
+    /// [`crate::loop_body::MAX_BURST`] pending packets in one call.
     pub fn run_burst(&mut self) -> Vec<IterationOutcome> {
-        let cfg = self.cfg;
-        let out = nat_process_batch(self, &cfg);
-        assert!(
-            self.in_flight.is_empty(),
-            "buffer leak: handles {:?} neither sent nor dropped",
-            self.in_flight
-        );
-        out
+        self.run(|env, cfg| nat_process_batch(env, cfg))
     }
 
     /// Convenience for differential testing: inject a well-formed packet
@@ -231,14 +216,14 @@ impl<T: FlowTable> SimpleEnv<T> {
     ) -> vig_spec::Output {
         self.set_time(t);
         self.inject(RawRx::well_formed(dir, fields).with_tcp_flags(tcp_flags));
-        let before = self.events.len();
+        let before = self.events().len();
         let outcome = self.run_one();
         assert_eq!(
-            self.events.len(),
+            self.events().len(),
             before + 1,
             "exactly one event per packet"
         );
-        match (outcome, self.events[before]) {
+        match (outcome, self.events()[before]) {
             (
                 IterationOutcome::Forwarded(_),
                 EnvEvent::Sent {
@@ -261,136 +246,6 @@ impl<T: FlowTable> SimpleEnv<T> {
             (IterationOutcome::Dropped(_), EnvEvent::Dropped) => vig_spec::Output::Drop,
             (o, e) => panic!("outcome {o:?} inconsistent with event {e:?}"),
         }
-    }
-}
-
-impl<T: FlowTable> NatEnv for SimpleEnv<T> {
-    fn now(&mut self) -> u64 {
-        self.now_ns
-    }
-
-    fn expire_flows(&mut self, threshold: &u64) {
-        self.expired_total += self.fm.expire(Time(*threshold));
-    }
-
-    fn receive(&mut self) -> Option<RxPacket<Self>> {
-        let raw = self.pending.pop_front()?;
-        let handle = PktHandle(self.next_handle);
-        self.next_handle += 1;
-        self.in_flight.push(handle.0);
-        Some(RxPacket {
-            handle,
-            dir: raw.dir,
-            frame_len: raw.frame_len,
-            ethertype: raw.ethertype,
-            version_ihl: raw.version_ihl,
-            total_len: raw.total_len,
-            frag_field: raw.frag_field,
-            ttl: raw.ttl,
-            proto: raw.proto,
-            src_ip: raw.src_ip,
-            dst_ip: raw.dst_ip,
-            src_port: raw.src_port,
-            dst_port: raw.dst_port,
-            // Zero-filled for non-TCP frames, per the RxPacket contract.
-            tcp_flags: if raw.proto == 6 { raw.tcp_flags } else { 0 },
-        })
-    }
-
-    fn branch(&mut self, cond: bool) -> bool {
-        cond
-    }
-
-    fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>> {
-        let key = fid_key(fid);
-        // Hash once per packet; a following insert_flow reuses it.
-        let hash = self.fid_memo.hash_for_lookup(key);
-        let (slot, flow) = self.fm.lookup_internal_hashed(&key, hash)?;
-        Some(view(slot, flow))
-    }
-
-    fn lookup_internal_batch(
-        &mut self,
-        fids: &[Option<FidParts<Self>>],
-        out: &mut [Option<FlowView<Self>>],
-    ) {
-        self.probe_scratch.lookup_internal(&mut self.fm, fids, out);
-    }
-
-    fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let (slot, flow) = self.fm.lookup_external(&ext_key(ek))?;
-        Some(view(slot, flow))
-    }
-
-    fn lookup_external_batch(
-        &mut self,
-        eks: &[Option<ExtParts<Self>>],
-        out: &mut [Option<FlowView<Self>>],
-    ) {
-        self.probe_scratch.lookup_external(&mut self.fm, eks, out);
-    }
-
-    fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, tcp_flags: &u8) {
-        self.fm.rejuvenate(slot.0, Time(*now), dir, *tcp_flags);
-    }
-
-    fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
-        // The memoized hash of the just-missed lookup routes the
-        // allocation (the shard selector for sharded tables).
-        let slot = self
-            .fm
-            .allocate_slot_routed(self.fid_memo.hash_for_alloc(), Time(*now))?;
-        let (ip, port) = self.fm.endpoint_of_slot(slot);
-        Some((SlotId(slot), port - self.cfg.start_port, ip.raw()))
-    }
-
-    fn insert_flow(
-        &mut self,
-        slot: SlotId,
-        fid: FidParts<Self>,
-        ext_ip: u32,
-        ext_port: u16,
-        _now: &u64,
-        tcp_flags: &u8,
-    ) {
-        let key = fid_key(&fid);
-        // Reuse the hash memoized by the lookup miss that precedes
-        // every insert on the same packet.
-        let hash = self.fid_memo.hash_for_insert(&key);
-        self.fm.insert_hashed(
-            slot.0,
-            key,
-            vig_packet::Ip4(ext_ip),
-            ext_port,
-            hash,
-            *tcp_flags,
-        );
-    }
-
-    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-        let pos = self
-            .in_flight
-            .iter()
-            .position(|&h| h == pkt.0)
-            .expect("tx of a handle not in flight (double send or invented)");
-        self.in_flight.swap_remove(pos);
-        self.events.push(EnvEvent::Sent {
-            out,
-            src_ip: hdr.src_ip,
-            src_port: hdr.src_port,
-            dst_ip: hdr.dst_ip,
-            dst_port: hdr.dst_port,
-        });
-    }
-
-    fn drop_pkt(&mut self, pkt: PktHandle) {
-        let pos = self
-            .in_flight
-            .iter()
-            .position(|&h| h == pkt.0)
-            .expect("drop of a handle not in flight");
-        self.in_flight.swap_remove(pos);
-        self.events.push(EnvEvent::Dropped);
     }
 }
 

@@ -250,9 +250,9 @@ pub struct FaultIo<B: PacketIo> {
     tx_overrun_left: u64,
     // The plan is immutable after construction, so the identity test
     // is hoisted out of the per-call hot path: with the empty schedule
-    // every PacketIo method is one branch plus the delegate, which is
-    // what keeps the disarmed seam under the 2% `fault_overhead` gate
-    // in `BENCH_throughput.json`.
+    // every PacketIo method is one branch plus the delegate — and the
+    // disarmed seam is the inner backend byte for byte, which
+    // `tests/backend_conformance.rs`'s `faultio*` cases hold it to.
     identity: bool,
 }
 

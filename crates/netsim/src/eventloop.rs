@@ -571,22 +571,19 @@ mod tests {
         let tx = drv.io_mut().reap(Direction::External);
         assert_eq!(tx.len(), 48);
         // Every output frame carries the external ip, and the port it
-        // was allocated lives in the same *shard* group as the queue
-        // that carried it (4 queues nest pairwise inside 2 shards; the
-        // port's exact queue within the group depends on allocation
-        // order, not on the hash's finer bits).
+        // was allocated belongs to the *shard* the carrying queue nests
+        // in (4 queues nest pairwise inside 2 shards).
         for (q, frame) in &tx {
             let (_, ff) = vig_packet::parse_l3l4(frame).unwrap();
             assert_eq!(ff.src_ip, Ip4::new(10, 1, 0, 1));
-            let port_q = drv
-                .io()
-                .classifier()
-                .queue_of_port(ff.src_port)
+            let port_shard = nf
+                .flow_manager()
+                .shard_of_port(ff.src_port)
                 .expect("allocated port is in range");
             assert_eq!(
-                port_q * 2 / 4,
+                port_shard,
                 q * 2 / 4,
-                "port's queue group must nest in the carrying queue's shard"
+                "the port's shard must be the one the carrying queue nests in"
             );
         }
         assert_eq!(

@@ -1,48 +1,30 @@
-//! `FrameEnv`: runs the verified loop body over real packet bytes.
+//! The concrete env over real packet bytes, and the RSS classifier.
 //!
-//! This is the production instantiation of `vignat`'s [`NatEnv`]: header
-//! fields are read straight off the frame (zero-filled where the frame
-//! is too short — the loop body's length guards run before any semantic
-//! use, a property the symbolic engine checks), and [`NatEnv::tx`]
-//! applies the rewrite to the same buffer using the RFC 1624
-//! incremental checksum updates from `vig-packet`.
+//! `vignat`'s [`ConcreteEnv`] owns the table half of every concrete run
+//! of the loop body; this module supplies the two [`PacketSide`]s of
+//! the datapath — one frame ([`FrameEnv`]) and one burst of mempool
+//! buffers ([`BurstEnv`]). Header fields are read straight off the
+//! frame by `read_rx_fields` (zero-filled where the frame is too
+//! short — the loop body's length guards run before any semantic use, a
+//! property the symbolic engine checks), and `tx` applies the rewrite to
+//! the same buffer using the RFC 1624 incremental checksum updates from
+//! `vig-packet`. Both sides borrow everything, so constructing an env
+//! costs nothing and the datapath stays allocation-free.
 //!
-//! One `FrameEnv` serves exactly one loop iteration for one frame; it
-//! borrows the flow manager and the buffer, so constructing it costs
-//! nothing and the datapath stays allocation-free.
+//! [`RssClassifier`] reads a frame through the same reader and steers
+//! it by the key the loop body will look up, built by the loop body's
+//! own key functions.
 
 use crate::dpdk::{BufIdx, Mempool};
 use libvig::map::MapKey;
 use libvig::time::Time;
 use vig_packet::checksum::Checksum;
-use vig_packet::{Direction, FlowId};
-use vignat::env::concrete::{ext_key, fid_key, view, FidMemo, ProbeScratch};
-use vignat::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
-use vignat::{FlowManager, FlowTable};
-
-/// What the loop body decided to do with the frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameVerdict {
-    /// Forward the (rewritten, in place) frame out of this interface.
-    Forward(Direction),
-    /// Drop the frame.
-    Drop,
-}
-
-/// Per-frame environment, generic over the flow table it drives
-/// (unsharded [`FlowManager`] by default, `ShardedFlowManager` for the
-/// RSS-partitioned NAT — the loop body above is the same either way).
-/// See module docs.
-pub struct FrameEnv<'a, T: FlowTable = FlowManager> {
-    fm: &'a mut T,
-    frame: &'a mut [u8],
-    dir: Direction,
-    now_ns: u64,
-    delivered: bool,
-    verdict: Option<FrameVerdict>,
-    expired: usize,
-    fid_memo: FidMemo,
-}
+use vig_packet::{Direction, Proto};
+use vignat::domain::Concrete;
+use vignat::env::concrete::{ext_key, fid_key, ConcreteEnv, PacketSide, ProbeScratch, RawRx};
+use vignat::env::{PktHandle, TxHdr};
+use vignat::loop_body::{external_key, internal_fid};
+use vignat::FlowTable;
 
 /// Read a big-endian u16 at `off`, zero if out of bounds.
 fn rd16(b: &[u8], off: usize) -> u16 {
@@ -65,213 +47,45 @@ fn rd8(b: &[u8], off: usize) -> u8 {
     b.get(off).copied().unwrap_or(0)
 }
 
-impl<'a, T: FlowTable> FrameEnv<'a, T> {
-    /// Build the env for one frame arriving on `dir` at `now`.
-    pub fn new(fm: &'a mut T, frame: &'a mut [u8], dir: Direction, now: Time) -> FrameEnv<'a, T> {
-        FrameEnv {
-            fm,
-            frame,
-            dir,
-            now_ns: now.nanos(),
-            delivered: false,
-            verdict: None,
-            expired: 0,
-            fid_memo: FidMemo::default(),
-        }
-    }
-
-    /// The decision, after the loop body ran.
-    pub fn verdict(&self) -> Option<FrameVerdict> {
-        self.verdict
-    }
-
-    /// Flows expired during this iteration.
-    pub fn expired(&self) -> usize {
-        self.expired
-    }
-}
-
-/// Read a frame's header fields into an [`RxPacket`] (shared by the
-/// per-frame and burst environments). Fields beyond the frame are
-/// zero-filled; the loop body's length guards run before any semantic
-/// use of them.
-fn read_rx_fields<E>(f: &[u8], handle: usize, dir: Direction) -> RxPacket<E>
-where
-    E: NatEnv<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-{
-    RxPacket {
-        handle: PktHandle(handle),
+/// Read a frame's header fields — the one place the datapath reads
+/// header bytes (both packet sides and the classifier call it). Fields
+/// beyond the frame are zero-filled; the loop body's length guards run
+/// before any semantic use of them.
+#[inline]
+fn read_rx_fields(f: &[u8], dir: Direction) -> RawRx {
+    let version_ihl = rd8(f, 14);
+    // The L4 header starts at 14 + IHL·4.
+    let l4 = 14 + usize::from(version_ihl & 0x0f) * 4;
+    RawRx {
         dir,
         frame_len: f.len().min(usize::from(u16::MAX)) as u16,
         ethertype: rd16(f, 12),
-        version_ihl: rd8(f, 14),
+        version_ihl,
         total_len: rd16(f, 16),
         frag_field: rd16(f, 20),
         ttl: rd8(f, 22),
         proto: rd8(f, 23),
         src_ip: rd32(f, 26),
         dst_ip: rd32(f, 30),
-        // L4 ports at 14 + IHL; zero-filled when absent.
-        src_port: rd16(f, 14 + usize::from(rd8(f, 14) & 0x0f) * 4),
-        dst_port: rd16(f, 14 + usize::from(rd8(f, 14) & 0x0f) * 4 + 2),
-        // TCP flag byte (offset 13 of the TCP header); zero for
-        // non-TCP frames per the RxPacket contract, and zero-filled
-        // when the frame is short (the loop body's ShortL4 guard drops
-        // such frames before the tracker ever sees the flags).
-        tcp_flags: if rd8(f, 23) == vig_packet::ipv4::PROTO_TCP {
-            rd8(f, 14 + usize::from(rd8(f, 14) & 0x0f) * 4 + 13)
-        } else {
-            0
-        },
-    }
-}
-
-/// The internal-direction flow id a frame *would* carry, read at the
-/// same offsets as [`RxPacket`] field extraction (zero-filled beyond
-/// the frame, TCP/UDP only) — what a NIC's RSS hash unit sees. The
-/// parallel sharded driver uses this for dispatch; because the offsets
-/// and zero-fill match the env's own field reads exactly, the dispatch
-/// shard always agrees with the shard the loop body's lookup routes to.
-/// `None` for frames whose protocol byte is neither TCP nor UDP (such
-/// frames carry no flow and may be dispatched to any shard — every
-/// shard drops them identically).
-pub fn frame_flow_id(f: &[u8]) -> Option<FlowId> {
-    let proto = vig_packet::Proto::from_number(rd8(f, 23))?;
-    let l4 = 14 + usize::from(rd8(f, 14) & 0x0f) * 4;
-    Some(FlowId {
-        src_ip: vig_packet::Ip4(rd32(f, 26)),
         src_port: rd16(f, l4),
-        dst_ip: vig_packet::Ip4(rd32(f, 30)),
         dst_port: rd16(f, l4 + 2),
-        proto,
-    })
-}
-
-/// A frame's L4 destination port at the env's offsets (zero-filled when
-/// absent) — the field that routes *external* (return) traffic to the
-/// shard owning that slice of the NAT's port range.
-pub fn frame_l4_dst_port(f: &[u8]) -> u16 {
-    let l4 = 14 + usize::from(rd8(f, 14) & 0x0f) * 4;
-    rd16(f, l4 + 2)
-}
-
-/// A frame's IPv4 destination address at the env's offsets (zero-filled
-/// when absent) — with a multi-address pool this selects which external
-/// address's port range return traffic resolves against.
-pub fn frame_dst_ip(f: &[u8]) -> vig_packet::Ip4 {
-    vig_packet::Ip4(rd32(f, 30))
-}
-
-/// The RSS classification function a multi-queue NIC's hash unit
-/// computes: frame bytes in, queue index out.
-///
-/// This is *the same function* the software drivers dispatch by —
-/// [`crate::harness::ParallelShardedNat::dispatch`] delegates here, and
-/// the sharded flow table's own routing
-/// (`ShardedFlowManager::shard_of_hash` / `shard_of_port`) applies the
-/// identical [`libvig::rss::shard_of`] reduction and port partition —
-/// so hardware steering, software dispatch, and table lookup can never
-/// disagree about where a flow lives (asserted by construction in
-/// [`RssClassifier::for_table`], differentially in
-/// `tests/queue_equivalence.rs`).
-///
-/// * **Internal traffic** routes by [`libvig::rss::shard_of`] over the
-///   flow-key hash a NIC's RSS unit would compute ([`frame_flow_id`],
-///   reading the same offsets with the same zero-fill as the env).
-/// * **External (return) traffic** routes by the NAT endpoint-pool
-///   partition: queue `q` owns the pool slots
-///   `q·slots_per_queue ..` — a translated flow's external
-///   `(address, port)` identifies its pool slot, hence its queue,
-///   exactly. With the paper's single-address pool the destination
-///   address is not consulted (the loop body's external match
-///   canonicalizes it), so this degenerates to the pure port partition.
-/// * Frames carrying no routable flow (non-TCP/UDP, endpoint outside
-///   the pool) classify to queue 0; every queue drops them identically,
-///   so the choice is unobservable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RssClassifier {
-    queues: usize,
-    cfg: vig_spec::NatConfig,
-    slots_per_queue: usize,
-}
-
-impl RssClassifier {
-    /// Classifier for `queues` queues over the NAT's endpoint pool — the
-    /// partition [`vignat::ShardedFlowManager`] would use with `queues`
-    /// shards (`cfg.capacity / queues` pool slots per queue).
-    pub fn for_nat(cfg: &vig_spec::NatConfig, queues: usize) -> RssClassifier {
-        assert!(queues > 0, "need at least one queue");
-        let slots_per_queue = cfg.capacity / queues;
-        assert!(slots_per_queue > 0, "more queues than pool slots");
-        RssClassifier {
-            queues,
-            cfg: *cfg,
-            slots_per_queue,
-        }
-    }
-
-    /// The classifier matching a sharded flow table's own routing: one
-    /// queue per shard, same pool partition — hardware dispatch and
-    /// table routing become one function by construction.
-    pub fn for_table(table: &vignat::ShardedFlowManager) -> RssClassifier {
-        RssClassifier {
-            queues: table.shard_count(),
-            cfg: table.global_cfg(),
-            slots_per_queue: table.per_shard_capacity(),
-        }
-    }
-
-    /// Number of queues this classifier steers across.
-    pub fn queue_count(&self) -> usize {
-        self.queues
-    }
-
-    /// The queue a frame arriving on `dir` steers to. See type docs.
-    pub fn queue_of(&self, dir: Direction, frame: &[u8]) -> usize {
-        match dir {
-            Direction::Internal => frame_flow_id(frame)
-                .map(|fid| libvig::rss::shard_of(fid.key_hash(), self.queues))
-                .unwrap_or(0),
-            Direction::External => self
-                .queue_of_endpoint(frame_dst_ip(frame), frame_l4_dst_port(frame))
-                .unwrap_or(0),
-        }
-    }
-
-    /// Which queue owns the pool endpoint `(dst_ip, dst_port)`, if any.
-    /// Mirrors the loop body's external match exactly: with a
-    /// single-address pool `dst_ip` is canonicalized away (the paper's
-    /// NAT never consults it), otherwise the pair resolves through
-    /// [`vig_spec::NatConfig::slot_of_endpoint`] — the same mapping the
-    /// sharded table routes by.
-    pub fn queue_of_endpoint(&self, dst_ip: vig_packet::Ip4, dst_port: u16) -> Option<usize> {
-        let ip = if self.cfg.is_single_address() {
-            self.cfg.external_ip
-        } else {
-            dst_ip
-        };
-        self.cfg
-            .slot_of_endpoint(ip, dst_port)
-            .filter(|&slot| slot < self.slots_per_queue * self.queues)
-            .map(|slot| slot / self.slots_per_queue)
-    }
-
-    /// Which queue owns external port `port` on the pool's first
-    /// address — the single-address special case of
-    /// [`RssClassifier::queue_of_endpoint`].
-    pub fn queue_of_port(&self, port: u16) -> Option<usize> {
-        self.queue_of_endpoint(self.cfg.external_ip, port)
+        // Offset 13 of a TCP header; `RawRx::into_rx` zeroes it for
+        // non-TCP frames, and the loop body's ShortL4 guard drops a
+        // frame too short to carry it before the tracker sees it.
+        tcp_flags: rd8(f, l4 + 13),
     }
 }
 
 /// Apply a NAT rewrite to the frame in place: fixed-offset field
 /// surgery with RFC 1624 incremental checksum maintenance — exactly the
-/// C original's struct-overlay writes. The loop body's validation
-/// ladder guarantees every offset touched here lies inside the frame
-/// (frame >= 14 + IHL + 20/8); deliberately *no* typed-view re-parse,
-/// whose stricter checks (e.g. TCP data offset) could reject a frame
-/// the NAT can translate perfectly well.
-fn apply_rewrite(frame: &mut [u8], src_ip: u32, src_port: u16, dst_ip: u32, dst_port: u16) {
+/// C original's struct-overlay writes, and the one place the datapath
+/// writes header bytes. The loop body's validation ladder guarantees
+/// every offset touched here lies inside the frame (frame >= 14 + IHL +
+/// 20/8); deliberately *no* typed-view re-parse, whose stricter checks
+/// (e.g. TCP data offset) could reject a frame the NAT can translate
+/// perfectly well.
+fn apply_rewrite(frame: &mut [u8], hdr: &TxHdr<Concrete>) {
+    let (src_ip, src_port, dst_ip, dst_port) = (hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port);
     let l4 = 14 + usize::from(rd8(frame, 14) & 0x0f) * 4;
     let proto = rd8(frame, 23);
     let old_src_ip = rd32(frame, 26);
@@ -310,331 +124,191 @@ fn apply_rewrite(frame: &mut [u8], src_ip: u32, src_port: u16, dst_ip: u32, dst_
     }
 }
 
-impl<T: FlowTable> vignat::domain::Domain for FrameEnv<'_, T> {
-    vignat::concrete_domain_items!();
+/// One frame as a [`PacketSide`]: `receive` yields it once, `tx`
+/// rewrites it in place. [`FrameEnv::new`] pairs it with a table — the
+/// env that serves exactly one loop iteration for one frame.
+pub struct FrameEnv<'a> {
+    frame: &'a mut [u8],
+    dir: Direction,
+    delivered: bool,
 }
 
-impl<T: FlowTable> NatEnv for FrameEnv<'_, T> {
-    fn now(&mut self) -> u64 {
-        self.now_ns
+impl<'a> FrameEnv<'a> {
+    /// Build the env for one frame arriving on `dir` at `now`, over any
+    /// flow table (the unsharded `FlowManager` or `ShardedFlowManager`
+    /// — the loop body above is the same either way). One frame never
+    /// batches its probes, so the env owns an empty scratch.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<T: FlowTable>(
+        fm: &'a mut T,
+        frame: &'a mut [u8],
+        dir: Direction,
+        now: Time,
+    ) -> ConcreteEnv<'a, T, FrameEnv<'a>, ProbeScratch> {
+        let side = FrameEnv {
+            frame,
+            dir,
+            delivered: false,
+        };
+        ConcreteEnv::new(fm, side, now, ProbeScratch::default())
     }
+}
 
-    fn expire_flows(&mut self, threshold: &u64) {
-        self.expired += self.fm.expire(Time(*threshold));
-    }
-
-    fn receive(&mut self) -> Option<RxPacket<Self>> {
-        if self.delivered {
+impl PacketSide for FrameEnv<'_> {
+    fn receive(&mut self) -> Option<(PktHandle, RawRx)> {
+        if std::mem::replace(&mut self.delivered, true) {
             return None;
         }
-        self.delivered = true;
-        Some(read_rx_fields(self.frame, 0, self.dir))
+        Some((PktHandle(0), read_rx_fields(self.frame, self.dir)))
     }
 
-    fn branch(&mut self, cond: bool) -> bool {
-        cond
+    fn tx(&mut self, _pkt: PktHandle, _out: Direction, hdr: TxHdr<Concrete>) {
+        apply_rewrite(self.frame, &hdr);
     }
 
-    fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>> {
-        let key = fid_key(fid);
-        // Hash once per packet; a following insert_flow reuses it.
-        let hash = self.fid_memo.hash_for_lookup(key);
-        let (slot, flow) = self.fm.lookup_internal_hashed(&key, hash)?;
-        Some(view(slot, flow))
-    }
-
-    fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let (slot, flow) = self.fm.lookup_external(&ext_key(ek))?;
-        Some(view(slot, flow))
-    }
-
-    fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, tcp_flags: &u8) {
-        self.fm.rejuvenate(slot.0, Time(*now), dir, *tcp_flags);
-    }
-
-    fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
-        // The memoized hash of the just-missed lookup routes the
-        // allocation (shard selector on sharded tables).
-        let slot = self
-            .fm
-            .allocate_slot_routed(self.fid_memo.hash_for_alloc(), Time(*now))?;
-        let (ip, _) = self.fm.endpoint_of_slot(slot);
-        Some((SlotId(slot), self.fm.port_offset_of_slot(slot), ip.raw()))
-    }
-
-    fn insert_flow(
-        &mut self,
-        slot: SlotId,
-        fid: FidParts<Self>,
-        ext_ip: u32,
-        ext_port: u16,
-        _now: &u64,
-        tcp_flags: &u8,
-    ) {
-        let key = fid_key(&fid);
-        // Reuse the hash memoized by the preceding lookup miss.
-        let hash = self.fid_memo.hash_for_insert(&key);
-        self.fm.insert_hashed(
-            slot.0,
-            key,
-            vig_packet::Ip4(ext_ip),
-            ext_port,
-            hash,
-            *tcp_flags,
-        );
-    }
-
-    fn tx(&mut self, _pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-        debug_assert!(self.verdict.is_none(), "double consume of frame");
-        apply_rewrite(
-            self.frame,
-            hdr.src_ip,
-            hdr.src_port,
-            hdr.dst_ip,
-            hdr.dst_port,
-        );
-        self.verdict = Some(FrameVerdict::Forward(out));
-    }
-
-    fn drop_pkt(&mut self, _pkt: PktHandle) {
-        debug_assert!(self.verdict.is_none(), "double consume of frame");
-        self.verdict = Some(FrameVerdict::Drop);
-    }
+    fn drop_pkt(&mut self, _pkt: PktHandle) {}
 }
 
-/// Burst environment: runs [`vignat::nat_process_batch`] over a burst
-/// of mempool-resident frames.
-///
-/// Where [`FrameEnv`] serves exactly one frame, `BurstEnv` serves one
-/// RX burst (up to [`vignat::MAX_BURST`] buffers): `receive_burst`
-/// yields the staged frames in ring order, `lookup_internal_batch` and
-/// `lookup_external_batch` resolve the burst's flow probes through the
-/// flow table's staged burst pipeline (`FlowTable::probe_*_batch`:
-/// tag words and directory slots for internal keys, the value slots
-/// their endpoints name for external ones, then every hit's chain cell,
-/// tracker byte and list neighbours, each first-touched for the whole
-/// burst before the next — results are exactly the per-query lookups',
-/// as the equivalence suites assert), and `tx`/`drop_pkt` record one
-/// verdict per buffer (the middlebox routes them afterwards). Like
-/// `FrameEnv` it borrows everything, so constructing one per burst
-/// costs nothing, and its scratch is reused across bursts.
-pub struct BurstEnv<'a, T: FlowTable = FlowManager> {
-    fm: &'a mut T,
+/// One RX burst of mempool-resident frames (up to [`vignat::MAX_BURST`]
+/// buffers) as a [`PacketSide`]: `receive` yields the staged frames in
+/// ring order, handles index `bufs`, `tx` rewrites the buffer in place.
+/// What became of each buffer is the [`vignat::IterationOutcome`] the
+/// loop body returns for it; the caller routes buffers by that.
+/// [`BurstEnv::new`] pairs it with a table and the driver's reusable
+/// scratch — the env [`vignat::nat_process_batch`] runs over, whose
+/// `lookup_*_batch` resolve the burst's flow probes through the flow
+/// table's staged burst pipeline (`FlowTable::probe_*_batch`).
+pub struct BurstEnv<'a> {
     pool: &'a mut Mempool,
     bufs: &'a [BufIdx],
     dir: Direction,
-    now_ns: u64,
     next_rx: usize,
-    verdicts: Vec<Option<FrameVerdict>>,
-    expired: usize,
-    fid_memo: FidMemo,
-    scratch: &'a mut BurstScratch,
 }
 
-/// Run staged buffers through the loop body over one shard's table,
-/// run-to-completion in [`vignat::MAX_BURST`] chunks, appending one
-/// verdict per buffer to `verdicts`; returns the flows expired on the
-/// way. No buffers still runs one empty chunk — the expiry tick a
-/// polling core performs every iteration, exactly as in the sequential
-/// oracle (which expires every shard per burst). Shared by the pinned
-/// runtime's workers and the in-line
-/// [`crate::harness::ParallelShardedNat::process_on_shard`], so the two
-/// cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-pub fn run_staged(
-    fm: &mut FlowManager,
-    pool: &mut Mempool,
-    scratch: &mut BurstScratch,
-    cfg: &vig_spec::NatConfig,
-    dir: Direction,
-    now: Time,
-    bufs: &[BufIdx],
-    verdicts: &mut Vec<FrameVerdict>,
-) -> usize {
-    let mut expired = 0;
-    let chunks = bufs
-        .chunks(vignat::MAX_BURST.max(1))
-        .chain(std::iter::once(&[] as &[BufIdx]).filter(|_| bufs.is_empty()));
-    for chunk in chunks {
-        let mut env = BurstEnv::new(fm, pool, chunk, dir, now, scratch);
-        let outcomes = vignat::nat_process_batch(&mut env, cfg);
-        debug_assert_eq!(outcomes.len(), chunk.len(), "burst must drain its chunk");
-        expired += env.expired();
-        verdicts.extend(env.verdicts().iter().map(|v| v.expect("staged buffer")));
-        env.finish();
-    }
-    expired
-}
+/// The burst path's reusable probe buffers, owned by the NF across
+/// bursts so the steady-state burst path performs no heap allocation
+/// for its flow probes — the design rule (§5.1.1, all memory
+/// preallocated) extended to the fast path's scratch space.
+pub use vignat::env::concrete::ProbeScratch as BurstScratch;
 
-/// Reusable per-burst buffers (probe keys, hashes and results, the
-/// verdict vector) of [`BurstEnv`]. Owned by the NF across bursts so
-/// the steady-state burst path performs no heap allocation for its flow
-/// probes — the design rule (§5.1.1, all memory preallocated) extended
-/// to the fast path's scratch space.
-#[derive(Debug, Default)]
-pub struct BurstScratch {
-    probe: ProbeScratch,
-    verdicts_pool: Vec<Option<FrameVerdict>>,
-}
-
-impl<'a, T: FlowTable> BurstEnv<'a, T> {
+impl<'a> BurstEnv<'a> {
     /// Build the env for one burst of staged buffers arriving on `dir`
     /// at `now`. `scratch` is reused across bursts.
-    pub fn new(
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<T: FlowTable>(
         fm: &'a mut T,
         pool: &'a mut Mempool,
         bufs: &'a [BufIdx],
         dir: Direction,
         now: Time,
         scratch: &'a mut BurstScratch,
-    ) -> BurstEnv<'a, T> {
-        let mut verdicts = std::mem::take(&mut scratch.verdicts_pool);
-        verdicts.clear();
-        verdicts.resize(bufs.len(), None);
-        BurstEnv {
-            fm,
+    ) -> ConcreteEnv<'a, T, BurstEnv<'a>> {
+        let side = BurstEnv {
             pool,
             bufs,
             dir,
-            now_ns: now.nanos(),
             next_rx: 0,
-            verdicts,
-            expired: 0,
-            fid_memo: FidMemo::default(),
-            scratch,
-        }
-    }
-
-    /// Return the verdict buffer to the scratch pool for the next
-    /// burst. Call after reading [`BurstEnv::verdicts`].
-    pub fn finish(mut self) {
-        self.scratch.verdicts_pool = std::mem::take(&mut self.verdicts);
-    }
-
-    /// Per-buffer verdicts, after the burst ran. Indexed like `bufs`;
-    /// `None` only for buffers the loop body never received (cannot
-    /// happen through [`vignat::nat_process_batch`], which drains the
-    /// whole burst).
-    pub fn verdicts(&self) -> &[Option<FrameVerdict>] {
-        &self.verdicts
-    }
-
-    /// Flows expired during this burst.
-    pub fn expired(&self) -> usize {
-        self.expired
+        };
+        ConcreteEnv::new(fm, side, now, scratch)
     }
 }
 
-impl<T: FlowTable> vignat::domain::Domain for BurstEnv<'_, T> {
-    vignat::concrete_domain_items!();
-}
-
-impl<T: FlowTable> NatEnv for BurstEnv<'_, T> {
-    fn now(&mut self) -> u64 {
-        self.now_ns
-    }
-
-    fn expire_flows(&mut self, threshold: &u64) {
-        self.expired += self.fm.expire(Time(*threshold));
-    }
-
-    fn receive(&mut self) -> Option<RxPacket<Self>> {
-        if self.next_rx >= self.bufs.len() {
-            return None;
-        }
+impl PacketSide for BurstEnv<'_> {
+    fn receive(&mut self) -> Option<(PktHandle, RawRx)> {
         let i = self.next_rx;
+        let &buf = self.bufs.get(i)?;
         self.next_rx += 1;
-        Some(read_rx_fields(self.pool.frame(self.bufs[i]), i, self.dir))
+        Some((PktHandle(i), read_rx_fields(self.pool.frame(buf), self.dir)))
     }
 
-    fn branch(&mut self, cond: bool) -> bool {
-        cond
+    fn tx(&mut self, pkt: PktHandle, _out: Direction, hdr: TxHdr<Concrete>) {
+        apply_rewrite(self.pool.frame_mut(self.bufs[pkt.0]), &hdr);
     }
 
-    fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>> {
-        let key = fid_key(fid);
-        // Hash once per packet; a following insert_flow reuses it.
-        let hash = self.fid_memo.hash_for_lookup(key);
-        let (slot, flow) = self.fm.lookup_internal_hashed(&key, hash)?;
-        Some(view(slot, flow))
+    fn drop_pkt(&mut self, _pkt: PktHandle) {}
+}
+
+/// The RSS classification function a multi-queue NIC's hash unit
+/// computes: frame bytes in, queue index out.
+///
+/// The queue a frame steers to is the shard of the key the loop body
+/// will look up, *because it is computed by the loop body's key
+/// functions*: [`RssClassifier::queue_of`] reads the frame with the
+/// env's own reader, builds the query with
+/// [`vignat::loop_body::internal_fid`] /
+/// [`vignat::loop_body::external_key`], and reduces it the way the
+/// sharded table routes (`ShardedFlowManager::shard_of_hash` /
+/// `shard_of_port`). Whatever key construction canonicalizes —
+/// the remote endpoint under `cfg.eim`, the pool address of a
+/// single-address pool — therefore steers dispatch by construction.
+///
+/// * **Internal traffic** routes by [`libvig::rss::shard_of`] over the
+///   hash of the internal flow id.
+/// * **External (return) traffic** routes by the NAT endpoint-pool
+///   partition: queue `q` owns the pool slots
+///   `q·slots_per_queue ..` — a translated flow's external
+///   `(address, port)` identifies its pool slot, hence its queue,
+///   exactly.
+/// * Frames carrying no routable flow (non-TCP/UDP, endpoint outside
+///   the pool) classify to queue 0; every queue drops them identically,
+///   so the choice is unobservable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RssClassifier {
+    queues: usize,
+    cfg: vig_spec::NatConfig,
+    slots_per_queue: usize,
+}
+
+impl RssClassifier {
+    /// Classifier for `queues` queues over the NAT's endpoint pool — the
+    /// partition [`vignat::ShardedFlowManager`] would use with `queues`
+    /// shards (`cfg.capacity / queues` pool slots per queue).
+    pub fn for_nat(cfg: &vig_spec::NatConfig, queues: usize) -> RssClassifier {
+        assert!(queues > 0, "need at least one queue");
+        let slots_per_queue = cfg.capacity / queues;
+        assert!(slots_per_queue > 0, "more queues than pool slots");
+        RssClassifier {
+            queues,
+            cfg: *cfg,
+            slots_per_queue,
+        }
     }
 
-    fn lookup_internal_batch(
-        &mut self,
-        fids: &[Option<FidParts<Self>>],
-        out: &mut [Option<FlowView<Self>>],
-    ) {
-        // On a sharded table this is where the burst splits into
-        // per-shard sub-batches by the keys' hashes.
-        self.scratch.probe.lookup_internal(self.fm, fids, out);
+    /// The classifier matching a sharded flow table's own routing: one
+    /// queue per shard, same pool partition.
+    pub fn for_table(table: &vignat::ShardedFlowManager) -> RssClassifier {
+        RssClassifier {
+            queues: table.shard_count(),
+            cfg: table.global_cfg(),
+            slots_per_queue: table.per_shard_capacity(),
+        }
     }
 
-    fn lookup_external_batch(
-        &mut self,
-        eks: &[Option<ExtParts<Self>>],
-        out: &mut [Option<FlowView<Self>>],
-    ) {
-        self.scratch.probe.lookup_external(self.fm, eks, out);
+    /// Number of queues this classifier steers across.
+    pub fn queue_count(&self) -> usize {
+        self.queues
     }
 
-    fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let (slot, flow) = self.fm.lookup_external(&ext_key(ek))?;
-        Some(view(slot, flow))
-    }
-
-    fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, tcp_flags: &u8) {
-        self.fm.rejuvenate(slot.0, Time(*now), dir, *tcp_flags);
-    }
-
-    fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
-        // Routed by the memoized hash of the just-missed lookup.
-        let slot = self
-            .fm
-            .allocate_slot_routed(self.fid_memo.hash_for_alloc(), Time(*now))?;
-        let (ip, _) = self.fm.endpoint_of_slot(slot);
-        Some((SlotId(slot), self.fm.port_offset_of_slot(slot), ip.raw()))
-    }
-
-    fn insert_flow(
-        &mut self,
-        slot: SlotId,
-        fid: FidParts<Self>,
-        ext_ip: u32,
-        ext_port: u16,
-        _now: &u64,
-        tcp_flags: &u8,
-    ) {
-        let key = fid_key(&fid);
-        // Reuse the hash memoized by the preceding lookup miss.
-        let hash = self.fid_memo.hash_for_insert(&key);
-        self.fm.insert_hashed(
-            slot.0,
-            key,
-            vig_packet::Ip4(ext_ip),
-            ext_port,
-            hash,
-            *tcp_flags,
-        );
-    }
-
-    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-        debug_assert!(
-            self.verdicts[pkt.0].is_none(),
-            "double consume of frame {}",
-            pkt.0
-        );
-        let frame = self.pool.frame_mut(self.bufs[pkt.0]);
-        apply_rewrite(frame, hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port);
-        self.verdicts[pkt.0] = Some(FrameVerdict::Forward(out));
-    }
-
-    fn drop_pkt(&mut self, pkt: PktHandle) {
-        debug_assert!(
-            self.verdicts[pkt.0].is_none(),
-            "double consume of frame {}",
-            pkt.0
-        );
-        self.verdicts[pkt.0] = Some(FrameVerdict::Drop);
+    /// The queue a frame arriving on `dir` steers to. See type docs.
+    pub fn queue_of(&self, dir: Direction, frame: &[u8]) -> usize {
+        let pkt = read_rx_fields(frame, dir).into_rx::<Concrete>(PktHandle(0));
+        let Some(proto) = Proto::from_number(pkt.proto) else {
+            return 0;
+        };
+        match dir {
+            Direction::Internal => {
+                let fid = fid_key(&internal_fid(&mut Concrete, &self.cfg, &pkt, proto));
+                libvig::rss::shard_of(fid.key_hash(), self.queues)
+            }
+            Direction::External => {
+                let ek = ext_key(&external_key(&mut Concrete, &self.cfg, &pkt, proto));
+                self.cfg
+                    .slot_of_endpoint(ek.ext_ip, ek.ext_port)
+                    .map(|slot| slot / self.slots_per_queue)
+                    .filter(|&queue| queue < self.queues)
+                    .unwrap_or(0)
+            }
+        }
     }
 }
 
@@ -643,7 +317,7 @@ mod tests {
     use super::*;
     use vig_packet::{builder::PacketBuilder, parse_l3l4, Ip4};
     use vig_spec::NatConfig;
-    use vignat::nat_loop_iteration;
+    use vignat::{nat_loop_iteration, FlowManager, IterationOutcome};
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -655,11 +329,9 @@ mod tests {
         }
     }
 
-    fn run(fm: &mut FlowManager, frame: &mut [u8], dir: Direction, t: Time) -> FrameVerdict {
-        let c = cfg();
+    fn run(fm: &mut FlowManager, frame: &mut [u8], dir: Direction, t: Time) -> IterationOutcome {
         let mut env = FrameEnv::new(fm, frame, dir, t);
-        nat_loop_iteration(&mut env, &c);
-        env.verdict().expect("one packet => one verdict")
+        nat_loop_iteration(&mut env, &cfg())
     }
 
     #[test]
@@ -675,7 +347,7 @@ mod tests {
         .build();
 
         let v = run(&mut fm, &mut frame, Direction::Internal, Time::from_secs(1));
-        assert_eq!(v, FrameVerdict::Forward(Direction::External));
+        assert_eq!(v, IterationOutcome::Forwarded(Direction::External));
 
         // The translated frame must still parse, with rewritten source.
         let (_, ff) = parse_l3l4(&frame).unwrap();
@@ -723,7 +395,7 @@ mod tests {
         .payload(b"answer")
         .build();
         let v = run(&mut fm, &mut back, Direction::External, Time::from_secs(2));
-        assert_eq!(v, FrameVerdict::Forward(Direction::Internal));
+        assert_eq!(v, IterationOutcome::Forwarded(Direction::Internal));
         let (_, backf) = parse_l3l4(&back).unwrap();
         assert_eq!(backf.dst_ip, Ip4::new(192, 168, 0, 9), "restored host");
         assert_eq!(backf.dst_port, 5353, "restored port");
@@ -750,11 +422,14 @@ mod tests {
         for cut in 0..valid.len() - 1 {
             let mut frame = valid[..cut].to_vec();
             let v = run(&mut fm, &mut frame, Direction::Internal, Time::from_secs(1));
-            assert_eq!(v, FrameVerdict::Drop, "truncated frame at {cut} must drop");
+            assert!(
+                matches!(v, IterationOutcome::Dropped(_)),
+                "truncated frame at {cut} must drop"
+            );
         }
         let mut noise = vec![0xa5u8; 60];
         let v = run(&mut fm, &mut noise, Direction::External, Time::from_secs(1));
-        assert_eq!(v, FrameVerdict::Drop);
+        assert!(matches!(v, IterationOutcome::Dropped(_)));
     }
 
     #[test]
@@ -763,7 +438,7 @@ mod tests {
         let mut frame =
             PacketBuilder::tcp(Ip4::new(6, 6, 6, 6), Ip4::new(10, 1, 0, 1), 80, 2000).build();
         let v = run(&mut fm, &mut frame, Direction::External, Time::from_secs(1));
-        assert_eq!(v, FrameVerdict::Drop);
+        assert!(matches!(v, IterationOutcome::Dropped(_)));
         assert!(fm.is_empty(), "external packets never create flows");
     }
 }

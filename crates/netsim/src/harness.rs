@@ -8,9 +8,12 @@
 //! this path; the next PR that may edit `benchmark/` renames it.
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
-use crate::frame_env::{run_staged, BurstScratch, RssClassifier};
-use crate::middlebox::Verdict;
-use crate::runtime::{with_shard_runtime, RuntimeReport, ShardRuntimeSession, DEFAULT_RING_WORDS};
+use crate::frame_env::{BurstScratch, RssClassifier};
+use crate::middlebox::{run_staged, Verdict};
+use crate::runtime::{
+    refuse_cross_shard_config, with_shard_runtime, RuntimeReport, ShardRuntimeSession,
+    DEFAULT_RING_WORDS,
+};
 use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
@@ -22,16 +25,17 @@ use vignat::ShardedFlowManager;
 /// queue per core.
 ///
 /// Per burst: an (untimed, tester-side) dispatch pass routes each frame
-/// to its shard — internal frames by the flow-key hash
-/// ([`crate::frame_env::frame_flow_id`], the hash a NIC's RSS unit
-/// would compute), external frames by the NAT port partition
-/// ([`crate::frame_env::frame_l4_dst_port`]) —
-/// then `std::thread::scope` runs every shard's sub-burst concurrently
-/// through the ordinary batched fast path
-/// ([`vignat::nat_process_batch`] over
-/// [`crate::frame_env::BurstEnv`]). Shards share no state, so no locks
-/// exist anywhere on the datapath; verdicts are scattered back to
-/// arrival order afterwards.
+/// to its shard with [`RssClassifier::queue_of`] — the shard of the
+/// key the loop body will look up, computed by the loop body's own key
+/// functions — then `std::thread::scope` runs every shard's sub-burst
+/// concurrently through the ordinary batched fast path
+/// ([`crate::middlebox::run_staged`]). Shards share no state, so no
+/// locks exist anywhere on the datapath; verdicts are scattered back to
+/// arrival order afterwards. For the same reason the per-shard drivers
+/// (`with_runtime`, `process_burst_parallel`, `process_on_shard`)
+/// refuse `cfg.hairpinning` with more than one shard: a hairpinned
+/// packet resolves its *target* by external lookup, and that mapping
+/// lives on whichever shard owns the port.
 ///
 /// Correctness, not wall-clock speed, is this driver's contract:
 /// `tests/shard_equivalence.rs` proves it packet-for-packet equivalent
@@ -91,19 +95,11 @@ impl ParallelShardedNat {
     }
 
     /// This NAT's RSS function ([`RssClassifier::for_table`]) — the
-    /// *same function* the multi-queue NIC model's hash unit computes,
-    /// so hardware steering and software dispatch can never drift
-    /// apart. Burst loops hoist this once and classify per frame.
+    /// *same function* the multi-queue NIC model's hash unit computes
+    /// and the per-shard drivers dispatch by; `tests/queue_equivalence.rs`
+    /// holds it to where the sequential table actually puts each flow.
     pub fn classifier(&self) -> RssClassifier {
         RssClassifier::for_table(&self.table)
-    }
-
-    /// The shard a frame arriving on `dir` is dispatched to — the RSS
-    /// model: internal traffic by flow-key hash (the same memoized hash
-    /// the flow table routes by, so the dispatch shard and the lookup
-    /// shard always agree), return traffic by the port partition.
-    pub fn dispatch(&self, dir: Direction, frame: &[u8]) -> usize {
-        self.classifier().queue_of(dir, frame)
     }
 
     /// Process one burst arriving on `dir` at instant `now`, one worker
@@ -176,6 +172,7 @@ impl ParallelShardedNat {
     ) -> Vec<Verdict> {
         assert!(self.clocks[s] <= now, "shard clock must be monotone");
         self.clocks[s] = now;
+        refuse_cross_shard_config(&self.table);
         let cls = self.classifier();
         for f in frames.iter() {
             assert_eq!(cls.queue_of(dir, f), s, "frame dispatched to wrong shard");
@@ -212,7 +209,7 @@ impl ParallelShardedNat {
                 };
                 f.copy_from_slice(pool.frame(b));
                 pool.put(b);
-                staged.next().expect("one verdict per staged buffer").into()
+                staged.next().expect("one verdict per staged buffer")
             })
             .collect()
     }

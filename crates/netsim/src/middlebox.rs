@@ -9,7 +9,7 @@
 //! top of a shared DPDK baseline.
 
 use crate::dpdk::{BufIdx, Mempool};
-use crate::frame_env::{BurstEnv, BurstScratch, FrameEnv, FrameVerdict};
+use crate::frame_env::{BurstEnv, BurstScratch, FrameEnv};
 use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
@@ -27,11 +27,50 @@ pub enum Verdict {
     Drop,
 }
 
-impl From<FrameVerdict> for Verdict {
-    fn from(v: FrameVerdict) -> Verdict {
-        match v {
-            FrameVerdict::Forward(d) => Verdict::Forward(d),
-            FrameVerdict::Drop => Verdict::Drop,
+impl Verdict {
+    /// What the loop body's outcome for a received packet means for
+    /// its frame.
+    fn of(outcome: IterationOutcome) -> Verdict {
+        match outcome {
+            IterationOutcome::Forwarded(d) => Verdict::Forward(d),
+            IterationOutcome::Dropped(_) => Verdict::Drop,
+            IterationOutcome::NoPacket => unreachable!("staged frame not received"),
+        }
+    }
+}
+
+/// Run staged buffers through the loop body over `fm`,
+/// run-to-completion in [`MAX_BURST`] chunks in ring order, appending
+/// one verdict per buffer to `verdicts`; returns the flows expired on
+/// the way. The one chunk runner: [`VigNatMb::process_burst`], the
+/// pinned runtime's workers and
+/// [`crate::harness::ParallelShardedNat::process_on_shard`] all call
+/// it. No buffers still runs one empty chunk — the expiry tick a
+/// polling core performs every iteration; a caller for which an empty
+/// burst is no arrival instant (the middlebox) does not call.
+#[allow(clippy::too_many_arguments)]
+pub fn run_staged<T: FlowTable>(
+    fm: &mut T,
+    pool: &mut Mempool,
+    scratch: &mut BurstScratch,
+    cfg: &NatConfig,
+    dir: Direction,
+    now: Time,
+    bufs: &[BufIdx],
+    verdicts: &mut Vec<Verdict>,
+) -> usize {
+    let mut expired = 0;
+    let mut rest = bufs;
+    loop {
+        let (chunk, tail) = rest.split_at(rest.len().min(MAX_BURST));
+        let mut env = BurstEnv::new(fm, pool, chunk, dir, now, scratch);
+        let outcomes = nat_process_batch(&mut env, cfg);
+        debug_assert_eq!(outcomes.len(), chunk.len(), "burst must drain its chunk");
+        expired += env.finish();
+        verdicts.extend(outcomes.into_iter().map(Verdict::of));
+        rest = tail;
+        if rest.is_empty() {
+            return expired;
         }
     }
 }
@@ -100,7 +139,8 @@ impl Middlebox for NoopForwarder {
     }
 }
 
-/// The Verified NAT: the real `vignat` loop body over [`FrameEnv`],
+/// The Verified NAT: the real `vignat` loop body over [`FrameEnv`] /
+/// [`BurstEnv`],
 /// generic in the flow table it keeps — the unsharded [`FlowManager`]
 /// by default, or the RSS-partitioned [`ShardedFlowManager`] (see
 /// [`ShardedVigNatMb`]). Either way the loop body is the identical
@@ -174,11 +214,9 @@ impl<T: FlowTable> Middlebox for VigNatMb<T> {
 
     fn process(&mut self, dir: Direction, frame: &mut [u8], now: Time) -> Verdict {
         let mut env = FrameEnv::new(&mut self.fm, frame, dir, now);
-        nat_loop_iteration(&mut env, &self.cfg);
-        let expired = env.expired() as u64;
-        let verdict = env.verdict().expect("one frame in => one verdict out");
-        self.expired_total += expired;
-        verdict.into()
+        let outcome = nat_loop_iteration(&mut env, &self.cfg);
+        self.expired_total += env.finish() as u64;
+        Verdict::of(outcome)
     }
 
     fn occupancy(&self) -> usize {
@@ -193,19 +231,18 @@ impl<T: FlowTable> Middlebox for VigNatMb<T> {
         now: Time,
     ) -> Vec<Verdict> {
         let mut verdicts = Vec::with_capacity(bufs.len());
-        // nat_process_batch drains up to MAX_BURST packets per call;
-        // feed it ring-order chunks so arrival order is preserved.
-        for chunk in bufs.chunks(MAX_BURST) {
-            let mut env = BurstEnv::new(&mut self.fm, pool, chunk, dir, now, &mut self.scratch);
-            let outcomes = nat_process_batch(&mut env, &self.cfg);
-            debug_assert_eq!(outcomes.len(), chunk.len(), "burst must drain its chunk");
-            self.expired_total += env.expired() as u64;
-            env.finish();
-            verdicts.extend(outcomes.into_iter().map(|o| match o {
-                IterationOutcome::Forwarded(d) => Verdict::Forward(d),
-                IterationOutcome::Dropped(_) => Verdict::Drop,
-                IterationOutcome::NoPacket => unreachable!("staged buffer not received"),
-            }));
+        // An empty burst is not an arrival instant: no expiry tick.
+        if !bufs.is_empty() {
+            self.expired_total += run_staged(
+                &mut self.fm,
+                pool,
+                &mut self.scratch,
+                &self.cfg,
+                dir,
+                now,
+                bufs,
+                &mut verdicts,
+            ) as u64;
         }
         verdicts
     }

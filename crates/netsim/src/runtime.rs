@@ -110,8 +110,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
-use crate::frame_env::{run_staged, BurstScratch, FrameVerdict, RssClassifier};
-use crate::middlebox::Verdict;
+use crate::frame_env::{BurstScratch, RssClassifier};
+use crate::middlebox::{run_staged, Verdict};
 use libvig::spsc;
 use libvig::time::Time;
 use vig_packet::Direction;
@@ -261,11 +261,11 @@ const VERDICT_FWD_EXTERNAL: u64 = 2;
 /// follows — the dispatcher's copy is still the unmodified original.
 const VERDICT_DENIED: u64 = 3;
 
-fn verdict_word(v: FrameVerdict) -> u64 {
+fn verdict_word(v: Verdict) -> u64 {
     match v {
-        FrameVerdict::Drop => VERDICT_DROP,
-        FrameVerdict::Forward(Direction::Internal) => VERDICT_FWD_INTERNAL,
-        FrameVerdict::Forward(Direction::External) => VERDICT_FWD_EXTERNAL,
+        Verdict::Drop => VERDICT_DROP,
+        Verdict::Forward(Direction::Internal) => VERDICT_FWD_INTERNAL,
+        Verdict::Forward(Direction::External) => VERDICT_FWD_EXTERNAL,
     }
 }
 
@@ -386,7 +386,7 @@ fn worker_loop(
     let pool_capacity = pool.capacity();
     let mut lens: Vec<u64> = Vec::new();
     let mut bufs: Vec<BufIdx> = Vec::new();
-    let mut verdicts: Vec<FrameVerdict> = Vec::new();
+    let mut verdicts: Vec<Verdict> = Vec::new();
     let mut response: Vec<u64> = Vec::new();
     let mut armed = false;
     loop {
@@ -814,6 +814,20 @@ impl ShardRuntimeSession {
     }
 }
 
+/// A driver that hands each shard to its own worker cannot serve a
+/// configuration whose packets read another shard's state (the
+/// paper's §5 no-shared-state rule): a hairpinned packet resolves its
+/// *target* by external lookup, and that mapping lives on whichever
+/// shard owns the port. Panics, at session start, on such a table.
+pub(crate) fn refuse_cross_shard_config(table: &ShardedFlowManager) {
+    let shards = table.shard_count();
+    assert!(
+        !table.global_cfg().hairpinning || shards == 1,
+        "hairpinning requires one shard per per-shard driver session \
+         (a target's mapping lives on the shard owning its port), got {shards}"
+    );
+}
+
 /// Run `f` with a live shard runtime: one persistent worker thread per
 /// shard of `table`, each owning its shard's [`Mempool`] and
 /// [`BurstScratch`], connected to the calling (dispatcher) thread by
@@ -825,6 +839,9 @@ impl ShardRuntimeSession {
 /// restricted CI runner should behave. When the session's threads
 /// (workers plus the dispatcher) outnumber the allowed CPUs, both sides
 /// skip the spin phase of their waits and yield at once.
+///
+/// Panics on a table only a whole-table driver can serve
+/// (`cfg.hairpinning` over more than one shard).
 ///
 /// The session (and thus every worker) lives exactly as long as `f`:
 /// when `f` returns — or panics — dropping the session sends the
@@ -842,6 +859,7 @@ pub fn with_shard_runtime<R>(
     let n = table.shard_count();
     assert_eq!(pools.len(), n, "one mempool per shard");
     assert_eq!(scratches.len(), n, "one scratch per shard");
+    refuse_cross_shard_config(table);
     let classifier = RssClassifier::for_table(table);
     // Every worker runs the loop body with the *global* config: shard
     // FlowManagers hand out pool-global port offsets (via their slot

@@ -29,10 +29,6 @@ pub struct FlowGen {
     remote_ip: Ip4,
     remote_port: u16,
     proto: Proto,
-    /// Per-thousand share of flows that are TCP (the rest UDP). Flow
-    /// `i`'s protocol is a pure function of `i`, so mixed universes are
-    /// as reproducible as single-protocol ones.
-    tcp_permille: u16,
 }
 
 impl FlowGen {
@@ -43,31 +39,6 @@ impl FlowGen {
             remote_ip: Ip4::new(1, 1, 1, 1),
             remote_port: 80,
             proto,
-            tcp_permille: match proto {
-                Proto::Tcp => 1000,
-                Proto::Udp => 0,
-            },
-        }
-    }
-
-    /// A mixed TCP/UDP universe: `tcp_permille`/1000 of the flows are
-    /// TCP, interleaved deterministically across indices (Fisher–Yates
-    /// would need state; a golden-ratio hash gives the same uniformity
-    /// statelessly).
-    pub fn mixed(tcp_permille: u16) -> FlowGen {
-        assert!(tcp_permille <= 1000, "a share out of 1000");
-        FlowGen {
-            tcp_permille,
-            ..FlowGen::new(Proto::Udp)
-        }
-    }
-
-    /// The protocol of flow index `i` under the configured mix.
-    pub fn proto_of(&self, i: u32) -> Proto {
-        if u32::from(self.tcp_permille) > i.wrapping_mul(2_654_435_761) % 1000 {
-            Proto::Tcp
-        } else {
-            Proto::Udp
         }
     }
 
@@ -80,7 +51,7 @@ impl FlowGen {
             src_port: 10_000 + (i % 40_000) as u16,
             dst_ip: self.remote_ip,
             dst_port: self.remote_port,
-            proto: self.proto_of(i),
+            proto: self.proto,
         }
     }
 
@@ -92,26 +63,19 @@ impl FlowGen {
             src_port: 10_000 + (j % 40_000) as u16,
             dst_ip: self.remote_ip,
             dst_port: self.remote_port,
-            proto: self.proto_of(j),
+            proto: self.proto,
         }
     }
 
     /// The reply the remote endpoint sends to a translated flow: swap
     /// endpoints, address the NAT's external ip and allocated port.
     pub fn return_for(&self, external_ip: Ip4, ext_port: u16) -> FlowFields {
-        self.return_for_proto(external_ip, ext_port, self.proto)
-    }
-
-    /// [`FlowGen::return_for`] with the protocol made explicit — the
-    /// reply must ride the original flow's protocol, which under a
-    /// mixed universe the caller knows from the translated packet.
-    pub fn return_for_proto(&self, external_ip: Ip4, ext_port: u16, proto: Proto) -> FlowFields {
         FlowFields {
             src_ip: self.remote_ip,
             src_port: self.remote_port,
             dst_ip: external_ip,
             dst_port: ext_port,
-            proto,
+            proto: self.proto,
         }
     }
 
@@ -207,22 +171,8 @@ mod tests {
 
     #[test]
     fn mixed_universe_is_deterministic_and_near_the_ratio() {
-        let g = FlowGen::mixed(250);
-        let tcp = (0..10_000)
-            .filter(|&i| g.background(i).proto == Proto::Tcp)
-            .count();
-        assert!(
-            (2_200..2_800).contains(&tcp),
-            "250‰ mix should give ~2500 TCP flows in 10k, got {tcp}"
-        );
-        assert_eq!(
-            g.background(7),
-            FlowGen::mixed(250).background(7),
-            "the mix is a pure function of the index"
-        );
-        assert_eq!(FlowGen::mixed(0).proto_of(5), Proto::Udp);
-        assert_eq!(FlowGen::mixed(1000).proto_of(5), Proto::Tcp);
-        // The single-protocol constructors are the degenerate mixes.
+        // What is left of the TCP-mix knob's test: the two
+        // single-protocol constructors, the only values ever in use.
         assert_eq!(FlowGen::new(Proto::Tcp).background(3).proto, Proto::Tcp);
         assert_eq!(FlowGen::new(Proto::Udp).background(3).proto, Proto::Udp);
     }

@@ -14,9 +14,9 @@
 //!    per-flow, tagged-payload version of the same proof.) The fault
 //!    layer's identity theorem rides the same schedule.
 //! 2. **OS ≡ sim on a recorded trace** (`#[ignore]`, needs
-//!    `CAP_NET_ADMIN`/`CAP_NET_RAW` — CI's `os-backend-integration`
-//!    job), run for *both* wire transports — the per-frame
-//!    `OsBackend` and the zero-copy mmap-ring `MmapBackend`: real
+//!    `CAP_NET_ADMIN`/`CAP_NET_RAW` — CI's `wire` job), run for
+//!    *both* wire transports — the per-frame `OsBackend` and the
+//!    zero-copy mmap-ring `MmapBackend`: real
 //!    frames cross a veth pair into the `AF_PACKET` backend while the
 //!    backend records its arrival trace; the trace is then replayed
 //!    through `SimBackend`, and tx order, per-queue stats (rx, drops,
@@ -331,7 +331,7 @@ fn weighted_budgets_preserve_equivalence() {
 }
 
 // ---------------------------------------------------------------------
-// OS-backend conformance (privileged; CI's os-backend-integration job).
+// OS-backend conformance (privileged; CI's wire job).
 // ---------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
@@ -592,7 +592,7 @@ mod os {
     }
 
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET); run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET); run via CI wire or sudo"]
     fn os_backend_matches_sim_on_recorded_trace() {
         recorded_trace_parity("os", "vgcnf", |i, e, cl, ring| {
             OsTestRig::open(i, e, cl, ring)
@@ -600,7 +600,7 @@ mod os {
     }
 
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET mmap rings); run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET mmap rings); run via CI wire or sudo"]
     fn mmap_backend_matches_sim_on_recorded_trace() {
         recorded_trace_parity("mmap", "vgmmp", |i, e, cl, ring| {
             OsTestRig::open_mmap(i, e, cl, ring)
@@ -613,7 +613,7 @@ mod os {
     /// bare backend does, so an empty schedule changes nothing on a
     /// real kernel packet path either.
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET); run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET); run via CI wire or sudo"]
     fn faultio_identity_holds_on_os_backend() {
         use vignat_repro::sim::backend::os::OsBackend;
         use vignat_repro::sim::backend::{FaultIo, FaultPlan};
@@ -625,7 +625,7 @@ mod os {
 
     /// Identity theorem on the zero-copy mmap-ring wire backend.
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET mmap rings); run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET mmap rings); run via CI wire or sudo"]
     fn faultio_identity_holds_on_mmap_backend() {
         use vignat_repro::sim::backend::{FaultIo, FaultPlan};
         recorded_trace_parity("fault-mmap", "vgfmm", |i, e, cl, ring| {
@@ -637,7 +637,7 @@ mod os {
     /// A partially filled RX block must reach user space within the
     /// retire timeout — frames must never wait for a block to fill.
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI wire or sudo"]
     fn mmap_partial_block_retires_within_timeout() {
         let c = cfg(64);
         let Some((int_veth, ext_veth)) = wire("vgret") else {
@@ -685,7 +685,7 @@ mod os {
     /// via `PACKET_STATISTICS` — and must never corrupt backend state:
     /// after the flood, the rig still forwards cleanly.
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI wire or sudo"]
     fn mmap_ring_overrun_counts_kernel_drops_without_corruption() {
         let c = cfg(256);
         let Some((int_veth, ext_veth)) = wire("vgovr") else {
@@ -777,7 +777,7 @@ mod os {
     /// full mmap rig (4 sockets + 4 ring mappings per cycle, traffic
     /// included) leaves the fd table and the address space flat.
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI os-backend-integration or sudo"]
+    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI wire or sudo"]
     fn mmap_teardown_releases_rings_and_sockets() {
         let c = cfg(64);
         let Some((int_veth, ext_veth)) = wire("vglk") else {

@@ -5,10 +5,11 @@
 //!
 //! The equivalence argument, layer by layer:
 //!
-//! 1. **Classification is one function**: the NIC model's RSS
-//!    classifier and the software dispatch of [`ParallelShardedNat`]
-//!    are the same code (differentially re-checked here on adversarial
-//!    frames, including garbage).
+//! 1. **Classification follows the table**: the NIC model's RSS
+//!    classifier (which is also the software dispatch of the per-shard
+//!    drivers) steers every frame to the shard the sequential sharded
+//!    NAT keeps its flow in — checked against the table's own snapshot
+//!    for every key shape, on adversarial frames including garbage.
 //! 2. **`queues == shards`**: each queue carries exactly one shard's
 //!    arrival subsequence in FIFO order, so no matter how the
 //!    event-driven scheduler interleaves queue bursts, every shard
@@ -41,13 +42,14 @@
 
 use std::collections::HashMap;
 
+use proptest::prelude::*;
+
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig};
 use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Ip4, Proto};
 use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
 use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, Poller, Wrr};
 use vignat_repro::sim::frame_env::RssClassifier;
-use vignat_repro::sim::harness::ParallelShardedNat;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
 
 fn cfg() -> NatConfig {
@@ -513,47 +515,212 @@ fn overflow_case(ev: EventLoop) {
     );
 }
 
-/// The NIC model's classifier and the parallel driver's software
-/// dispatch are the same function — re-checked differentially on
-/// adversarial frames (valid, truncated, and raw noise).
+/// The config shapes whose key construction differs: the paper's, a
+/// 17-address pool (4 ports each: the return key keeps its destination
+/// address), endpoint-independent mapping (keys lose their remote
+/// half), per-class TCP lifetimes.
+fn key_shapes() -> [(&'static str, NatConfig); 4] {
+    let multi = NatConfig {
+        capacity: 66,
+        start_port: 65_532,
+        ..cfg()
+    };
+    assert_eq!(multi.num_external_ips(), 17);
+    let eim = NatConfig { eim: true, ..cfg() };
+    let classed = NatConfig {
+        tcp_transitory_ns: Time::from_secs(1).nanos(),
+        tcp_established_ns: Time::from_secs(30).nanos(),
+        ..cfg()
+    };
+    [
+        ("paper", cfg()),
+        ("17 addresses", multi),
+        ("eim", eim),
+        ("tcp classes", classed),
+    ]
+}
+
+/// This suite's own header reader (independent of the code under
+/// test): `((src_ip, src_port), (dst_ip, dst_port))`, zero where the
+/// frame ends.
+fn endpoints(frame: &[u8]) -> ((Ip4, u16), (Ip4, u16)) {
+    let field = |off: usize, len: usize| {
+        let bytes = frame.get(off..off + len).unwrap_or(&[]);
+        bytes.iter().fold(0u32, |v, &b| v << 8 | u32::from(b))
+    };
+    let l4 = 14 + (field(14, 1) as usize & 0x0f) * 4;
+    (
+        (Ip4(field(26, 4)), field(l4, 2) as u16),
+        (Ip4(field(30, 4)), field(l4 + 2, 2) as u16),
+    )
+}
+
+/// The sequential sharded NAT beside the classifier of its table: the
+/// property is that a frame steers to the shard its flow lives in.
+struct Steering {
+    cfg: NatConfig,
+    nat: ShardedVigNatMb,
+    classifier: RssClassifier,
+    /// Forwarded frames whose flow was found where the classifier said.
+    agreed: usize,
+}
+
+impl Steering {
+    fn new(cfg: NatConfig, shards: usize) -> Steering {
+        let nat = ShardedVigNatMb::sharded(cfg, shards);
+        let classifier = RssClassifier::for_table(nat.flow_manager());
+        assert_eq!(classifier.queue_count(), shards);
+        Steering {
+            cfg,
+            nat,
+            classifier,
+            agreed: 0,
+        }
+    }
+
+    /// Classify `frame`, then process it. Whenever it forwards, the
+    /// flow it created or hit — found in the table's snapshot by its
+    /// external endpoint: the translated source of an outbound packet,
+    /// the original destination of a return packet — must sit in the
+    /// shard the classifier named. Returns the forwarded frame.
+    fn push(&mut self, dir: Direction, frame: &[u8], what: &str) -> Option<Vec<u8>> {
+        let queue = self.classifier.queue_of(dir, frame);
+        assert!(queue < self.classifier.queue_count());
+        let mut out = frame.to_vec();
+        let verdict = self.nat.process(dir, &mut out, Time::from_secs(1));
+        let table = self.nat.flow_manager();
+        FlowTable::check_coherence(table).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let Verdict::Forward(_) = verdict else {
+            return None;
+        };
+        let (ip, port) = match dir {
+            Direction::Internal => endpoints(&out).0,
+            Direction::External if self.cfg.is_single_address() => {
+                (self.cfg.external_ip, endpoints(frame).1 .1)
+            }
+            Direction::External => endpoints(frame).1,
+        };
+        let home = table.snapshot().iter().position(|shard| {
+            shard
+                .iter()
+                .any(|(_, f, _)| (f.ext_ip, f.ext_port) == (ip, port))
+        });
+        assert_eq!(
+            home,
+            Some(queue),
+            "{what}: {dir:?} frame steered to queue {queue}, its flow {ip}:{port} lives in {home:?}"
+        );
+        self.agreed += 1;
+        Some(out)
+    }
+}
+
+/// The classifier steers every frame to the shard the table keeps its
+/// flow in — checked against where the sequential sharded NAT actually
+/// put the flow, for every key shape and 1–4 shards, on valid,
+/// truncated and noise frames in both directions. (Under `eim` one
+/// internal endpoint reaches many remotes through one mapping: the
+/// shape a classifier hashing the raw 5-tuple gets wrong.)
 #[test]
 fn rss_classifier_agrees_with_parallel_dispatch() {
-    let c = cfg();
-    for shards in [1usize, 2, 3, 4] {
-        let nat = ParallelShardedNat::new(c, shards, 64);
-        let classifier = RssClassifier::for_table(nat.table());
-        assert_eq!(classifier.queue_count(), shards);
-        let mut frames: Vec<Vec<u8>> = Vec::new();
-        for h in 0..40u8 {
-            let (_, f) = internal(h, u32::from(h));
-            frames.push(f);
-        }
-        // Return traffic across the whole port range, in and out.
-        for port in [0u16, 999, 1000, 1031, 1063, 1064, 65_535] {
-            let (_, f) = tagged_frame(
-                Direction::External,
-                Ip4::new(9, 9, 9, 9),
-                Ip4::new(203, 0, 113, 1),
-                80,
-                port,
-                Proto::Udp,
-                u32::from(port),
-            );
-            frames.push(f);
-        }
-        // Truncations and noise.
-        let full = frames[0].clone();
-        for cut in [0usize, 10, 14, 20, 33] {
-            frames.push(full[..cut.min(full.len())].to_vec());
-        }
-        frames.push(vec![0xa5; 60]);
-        for f in &frames {
-            for dir in [Direction::Internal, Direction::External] {
-                assert_eq!(
-                    classifier.queue_of(dir, f),
-                    nat.dispatch(dir, f),
-                    "classifier and dispatch diverged ({shards} shards)"
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    for h in 0..40u8 {
+        let (_, f) = internal(h, u32::from(h));
+        frames.push(f);
+    }
+    // One internal endpoint, many remotes.
+    for r in 0..8u8 {
+        let (_, f) = tagged_frame(
+            Direction::Internal,
+            Ip4::new(192, 168, 0, 1),
+            Ip4::new(8, 8, 4, r),
+            10_001,
+            53 + u16::from(r),
+            Proto::Udp,
+            100 + u32::from(r),
+        );
+        frames.push(f);
+    }
+    // Return traffic across the whole port range, in and out.
+    for port in [0u16, 999, 1000, 1031, 1063, 1064, 65_535] {
+        let (_, f) = tagged_frame(
+            Direction::External,
+            Ip4::new(9, 9, 9, 9),
+            Ip4::new(203, 0, 113, 1),
+            80,
+            port,
+            Proto::Udp,
+            u32::from(port),
+        );
+        frames.push(f);
+    }
+    // Truncations and noise.
+    let full = frames[0].clone();
+    for cut in [0usize, 10, 14, 20, 33] {
+        frames.push(full[..cut.min(full.len())].to_vec());
+    }
+    frames.push(vec![0xa5; 60]);
+
+    for (shape, c) in key_shapes() {
+        for shards in [1usize, 2, 3, 4] {
+            let what = format!("{shape}, {shards} shards");
+            let mut steering = Steering::new(c, shards);
+            let mut replies = Vec::new();
+            for f in &frames {
+                for dir in [Direction::Internal, Direction::External] {
+                    let Some(out) = steering.push(dir, f, &what) else {
+                        continue;
+                    };
+                    if dir == Direction::Internal {
+                        // The reply the remote would send to it.
+                        let ((nat_ip, nat_port), (remote_ip, remote_port)) = endpoints(&out);
+                        let (_, proto) = parse_l3l4(&out).unwrap();
+                        replies.push(
+                            tagged_frame(
+                                Direction::External,
+                                remote_ip,
+                                nat_ip,
+                                remote_port,
+                                nat_port,
+                                proto.proto,
+                                0,
+                            )
+                            .1,
+                        );
+                    }
+                }
+            }
+            let outbound = steering.agreed;
+            assert!(outbound >= 40, "{what}: only {outbound} frames forwarded");
+            for r in &replies {
+                assert!(
+                    steering.push(Direction::External, r, &what).is_some(),
+                    "{what}: a reply to a live mapping must forward"
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The same property on arbitrary byte strings, and on a valid
+    /// frame with such a string XORed over it at an arbitrary offset
+    /// (options, odd lengths, foreign protocols), in both directions.
+    #[test]
+    fn rss_classifier_agrees_with_table_routing_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..=128),
+        at in 0usize..64,
+        shards in 1usize..=4,
+    ) {
+        let mut patched = internal(7, 7).1;
+        for (b, x) in patched.iter_mut().skip(at).zip(&bytes) {
+            *b ^= x;
+        }
+        for (shape, c) in key_shapes() {
+            let mut steering = Steering::new(c, shards);
+            for dir in [Direction::Internal, Direction::External] {
+                steering.push(dir, &bytes, shape);
+                steering.push(dir, &patched, shape);
             }
         }
     }

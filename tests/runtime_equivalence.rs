@@ -37,9 +37,8 @@ use rand::{Rng, SeedableRng};
 use vignat_repro::libvig::map::MapKey;
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig, ShardedFlowManager};
-use vignat_repro::packet::{builder::PacketBuilder, Direction, Flow, Ip4};
+use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Flow, FlowId, Ip4};
 use vignat_repro::sim::dpdk::Mempool;
-use vignat_repro::sim::frame_env::frame_flow_id;
 use vignat_repro::sim::harness::ParallelShardedNat;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
 
@@ -123,7 +122,14 @@ fn sharded_state(t: &ShardedFlowManager) -> Vec<Vec<(usize, Flow, Time)>> {
 /// fine: both sides account identically or not at all).
 fn credit_tx(acct: &mut HashMap<u64, u64>, verdict: Verdict, frame: &[u8]) {
     if matches!(verdict, Verdict::Forward(_)) {
-        if let Some(fid) = frame_flow_id(frame) {
+        if let Ok((_, f)) = parse_l3l4(frame) {
+            let fid = FlowId {
+                src_ip: f.src_ip,
+                src_port: f.src_port,
+                dst_ip: f.dst_ip,
+                dst_port: f.dst_port,
+                proto: f.proto,
+            };
             *acct.entry(fid.key_hash()).or_insert(0) += frame.len() as u64;
         }
     }
@@ -320,6 +326,170 @@ fn port_exhaustion_parity() {
         0xF0_11,
     );
     assert!(occupancy > 0, "the run must have built flow state");
+}
+
+/// EIM traffic: a handful of internal endpoints, each talking to many
+/// remotes (one mapping per endpoint, whatever the remote), and return
+/// traffic from arbitrary senders across the port range (full cone).
+fn eim_burst(rng: &mut StdRng) -> (Direction, Vec<Vec<u8>>, u64) {
+    let internal = rng.gen_bool(0.75);
+    let frames = (0..rng.gen_range(1..=32usize))
+        .map(|_| {
+            let remote = Ip4::new(8, 8, rng.gen_range(0..4u8), rng.gen_range(1..=8u8));
+            let rport = 53 + u16::from(rng.gen_range(0..4u8));
+            if !internal {
+                let ext_port = 4090 + u16::from(rng.gen_range(0..80u8));
+                PacketBuilder::udp(remote, Ip4::new(203, 0, 113, 1), rport, ext_port).build()
+            } else if rng.gen_bool(0.1) {
+                gen_frame(rng).1
+            } else {
+                let host = Ip4::new(10, 0, 0, rng.gen_range(1..=6u8));
+                let port = 1024 + u16::from(rng.gen_range(0..2u8));
+                PacketBuilder::udp(host, remote, port, rport).build()
+            }
+        })
+        .collect();
+    let dir = if internal {
+        Direction::Internal
+    } else {
+        Direction::External
+    };
+    (dir, frames, rng.gen_range(1_000_000..300_000_000))
+}
+
+#[test]
+fn eim_runtime_equals_sequential_sharded() {
+    // Dispatch must steer by the key the loop body looks up: under EIM
+    // that key has no remote half, so every packet of one internal
+    // endpoint lands on one shard and shares one mapping. (A dispatcher
+    // hashing the raw 5-tuple spreads them over the shards, each of
+    // which opens a mapping of its own: verdicts survive, the external
+    // ports and `check_coherence` do not.)
+    let c = NatConfig { eim: true, ..cfg() };
+    for workers in [1usize, 2, 4] {
+        let (occupancy, _) = run_differential(
+            c,
+            workers,
+            150,
+            64,
+            |rng, _round| eim_burst(rng),
+            0xE14 + workers as u64,
+        );
+        assert!(occupancy > 0, "the run must have built flow state");
+    }
+}
+
+/// The hairpinning configuration (RFC 4787 REQ-9; needs EIM).
+fn hairpin_cfg() -> NatConfig {
+    NatConfig {
+        eim: true,
+        hairpinning: true,
+        ..cfg()
+    }
+}
+
+const HAIRPIN_HOSTS: u8 = 16;
+
+fn hairpin_host(i: u8) -> Ip4 {
+    Ip4::new(10, 0, 0, 1 + i % HAIRPIN_HOSTS)
+}
+
+/// Each host opens a mapping by sending one packet out.
+fn hairpin_openers() -> Vec<Vec<u8>> {
+    (0..HAIRPIN_HOSTS)
+        .map(|i| PacketBuilder::udp(hairpin_host(i), Ip4::new(1, 1, 1, 1), 1024, 53).build())
+        .collect()
+}
+
+/// Each host sends a packet to its neighbour's *external* endpoint,
+/// read off the neighbour's translated opener.
+fn hairpins_to(opened: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    (0..HAIRPIN_HOSTS)
+        .map(|i| {
+            let (_, target) = parse_l3l4(&opened[usize::from((i + 1) % HAIRPIN_HOSTS)]).unwrap();
+            PacketBuilder::udp(hairpin_host(i), target.src_ip, 1024, target.src_port).build()
+        })
+        .collect()
+}
+
+/// The hairpin scene through the sequential NAT over `shards` shards:
+/// every hairpinned packet must come back inside, addressed to the
+/// neighbour's internal endpoint. Returns the translated openers.
+fn sequential_hairpins(shards: usize) -> Vec<Vec<u8>> {
+    let mut seq = ShardedVigNatMb::sharded(hairpin_cfg(), shards);
+    let now = Time::from_secs(1);
+    let mut opened = hairpin_openers();
+    for f in opened.iter_mut() {
+        assert_eq!(
+            seq.process(Direction::Internal, f, now),
+            Verdict::Forward(Direction::External)
+        );
+    }
+    let shards_used = sharded_state(seq.flow_manager())
+        .iter()
+        .filter(|s| !s.is_empty())
+        .count();
+    assert_eq!(
+        shards_used > 1,
+        shards > 1,
+        "the scene must span the shards"
+    );
+    for (i, mut f) in hairpins_to(&opened).into_iter().enumerate() {
+        assert_eq!(
+            seq.process(Direction::Internal, &mut f, now),
+            Verdict::Forward(Direction::Internal),
+            "hairpinned packet {i} ({shards} shards)"
+        );
+        let (_, out) = parse_l3l4(&f).unwrap();
+        assert_eq!(out.dst_ip, hairpin_host(i as u8 + 1));
+        assert_eq!(out.dst_port, 1024);
+    }
+    assert_eq!(
+        seq.occupancy(),
+        usize::from(HAIRPIN_HOSTS),
+        "hairpinning opens no extra mappings"
+    );
+    opened
+}
+
+#[test]
+fn sequential_sharded_nat_hairpins_across_shards() {
+    // The whole-table driver resolves a hairpin target wherever its
+    // port lives: 16 senders over 4 shards, 16 of 16 forwarded.
+    sequential_hairpins(4);
+}
+
+#[test]
+fn hairpin_runtime_equals_sequential_at_one_shard() {
+    // One shard is the whole table, so the per-shard drivers support
+    // hairpinning there — and must agree with the oracle on it, which
+    // (being the NAT of the dry run) forwards 16 of 16.
+    let opened = sequential_hairpins(1);
+    let (occupancy, _) = run_differential(
+        hairpin_cfg(),
+        1,
+        2,
+        64,
+        |_rng, round| {
+            let frames = match round {
+                0 => hairpin_openers(),
+                _ => hairpins_to(&opened),
+            };
+            (Direction::Internal, frames, 0)
+        },
+        0,
+    );
+    assert_eq!(occupancy, usize::from(HAIRPIN_HOSTS));
+}
+
+#[test]
+#[should_panic(expected = "hairpinning requires one shard")]
+fn per_shard_drivers_refuse_hairpinning_across_shards() {
+    // A worker owns one shard and cannot see the shard holding a
+    // hairpin target's mapping (§5: no shared state) — refused at
+    // session start rather than served wrong.
+    let mut par = ParallelShardedNat::new(hairpin_cfg(), 2, 8);
+    par.with_runtime(false, |_session| ());
 }
 
 /// A distinct internal-side frame for flow index `i` (up to 2^24

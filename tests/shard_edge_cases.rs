@@ -193,8 +193,8 @@ fn expiry_races_cross_burst_relookup_under_skewed_shard_clocks() {
         for i in 0..4096u32 {
             let f = gen.background(i);
             let n = gen.write_frame(&f, &mut buf);
-            let fid = vignat_repro::sim::frame_env::frame_flow_id(&buf[..n]).unwrap();
-            if routing.shard_of_hash(fid.key_hash()) == shard {
+            let (_, on_wire) = parse_l3l4(&buf[..n]).unwrap();
+            if routing.shard_of_hash(fid_of(on_wire).key_hash()) == shard {
                 return f;
             }
         }

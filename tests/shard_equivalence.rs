@@ -31,9 +31,10 @@ use rand::{Rng, SeedableRng};
 use vignat_repro::libvig::map::MapKey;
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowManager, FlowTable, NatConfig, ShardedFlowManager};
-use vignat_repro::packet::{builder::PacketBuilder, Direction, Flow, FlowFields, Ip4, Proto};
+use vignat_repro::packet::{
+    builder::PacketBuilder, Direction, Flow, FlowFields, FlowId, Ip4, Proto,
+};
 use vignat_repro::sim::dpdk::Mempool;
-use vignat_repro::sim::frame_env::{frame_flow_id, frame_l4_dst_port};
 use vignat_repro::sim::harness::ParallelShardedNat;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict, VigNatMb};
 
@@ -151,11 +152,26 @@ fn one_shard_is_byte_identical_to_unsharded() {
 /// rule the sharded table routes by (flow-key hash for internal, port
 /// partition for external, shard 0 for junk).
 fn dispatch_of(table: &ShardedFlowManager, dir: Direction, frame: &[u8]) -> usize {
+    // This suite's own reader (the frames may be junk, so not
+    // `parse_l3l4`): big-endian fields, zero where the frame ends.
+    let field = |off: usize, len: usize| {
+        let bytes = frame.get(off..off + len).unwrap_or(&[]);
+        bytes.iter().fold(0u32, |v, &b| v << 8 | u32::from(b))
+    };
+    let Some(proto) = Proto::from_number(field(23, 1) as u8) else {
+        return 0;
+    };
+    let l4 = 14 + (field(14, 1) as usize & 0x0f) * 4;
+    let fid = FlowId {
+        src_ip: Ip4(field(26, 4)),
+        src_port: field(l4, 2) as u16,
+        dst_ip: Ip4(field(30, 4)),
+        dst_port: field(l4 + 2, 2) as u16,
+        proto,
+    };
     match dir {
-        Direction::Internal => frame_flow_id(frame)
-            .map(|fid| table.shard_of_hash(fid.key_hash()))
-            .unwrap_or(0),
-        Direction::External => table.shard_of_port(frame_l4_dst_port(frame)).unwrap_or(0),
+        Direction::Internal => table.shard_of_hash(fid.key_hash()),
+        Direction::External => table.shard_of_port(fid.dst_port).unwrap_or(0),
     }
 }
 

@@ -344,7 +344,7 @@ pub mod concrete {
             // Hash once per packet; a following insert_flow reuses it.
             let hash = self.memo.hash_for_lookup(key);
             let (slot, flow) = self.table.lookup_internal_hashed(&key, hash)?;
-            Some(view(slot, flow))
+            Some(view(slot, &flow))
         }
 
         fn lookup_internal_batch(
@@ -360,7 +360,7 @@ pub mod concrete {
 
         fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
             let (slot, flow) = self.table.lookup_external(&ext_key(ek))?;
-            Some(view(slot, flow))
+            Some(view(slot, &flow))
         }
 
         fn lookup_external_batch(
@@ -372,8 +372,16 @@ pub mod concrete {
             scratch.lookup_external(self.table, eks, out);
         }
 
-        fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, tcp_flags: &u8) {
-            self.table.rejuvenate(slot.0, Time(*now), dir, *tcp_flags);
+        fn rejuvenate(
+            &mut self,
+            slot: SlotId,
+            now: &u64,
+            dir: Direction,
+            tcp_flags: &u8,
+            proto: Proto,
+        ) {
+            self.table
+                .rejuvenate_proto(slot.0, Time(*now), dir, *tcp_flags, proto);
         }
 
         fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
@@ -665,9 +673,20 @@ pub trait NatEnv: Domain {
     /// `dir` and `tcp_flags` feed the stateful half's TCP connection
     /// tracker (per-class lifetimes); the stateless code never branches
     /// on either — `dir` is concrete per path already, and the flags
-    /// byte is carried opaquely. The symbolic environment ignores both,
-    /// so the verified path shapes are unchanged.
-    fn rejuvenate(&mut self, slot: SlotId, now: &Self::U64, dir: Direction, tcp_flags: &Self::U8);
+    /// byte is carried opaquely. `proto` is the matched flow's protocol,
+    /// concrete per path as `dir` is (the lookup key carried it): it
+    /// tells the stateful half whether there is a tracker to step, so a
+    /// UDP flow's record is not loaded to find out. The symbolic
+    /// environment ignores all three, so the verified path shapes are
+    /// unchanged.
+    fn rejuvenate(
+        &mut self,
+        slot: SlotId,
+        now: &Self::U64,
+        dir: Direction,
+        tcp_flags: &Self::U8,
+        proto: Proto,
+    );
 
     /// Reserve a flow slot, returning its id, the slot's **port
     /// offset** within its pool address (so the loop body's

@@ -1,31 +1,43 @@
 //! The flow manager: VigNAT's stateful half, entirely in libVig
 //! structures.
 //!
-//! State layout (identical to the C VigNAT, minus its second hash
-//! directory):
+//! State layout (the C VigNAT's, minus its second hash directory and
+//! minus the stored copy of what the slot index already says):
 //!
-//! * a [`DoubleMap`] holding [`Flow`] records in slots `0..capacity`,
-//!   with one hash directory, keyed by the internal 5-tuple;
+//! * a [`DoubleMap`] holding one 16-byte record per slot `0..capacity`
+//!   — the internal 5-tuple and the TCP tracker, four records to a
+//!   cache line, none straddling — with one hash directory, keyed by
+//!   the internal 5-tuple;
 //! * a [`DoubleChain`] allocating those same slot indices and keeping
 //!   their last-activity order for expiry — the only timestamp-ordered
 //!   structure there is;
 //! * the invariant tying them: slot `i` is chain-allocated **iff** slot
 //!   `i` is dmap-occupied, and the flow in slot `i` owns the pool
-//!   endpoint `(ext_ip, ext_port) = cfg.endpoint_of(slot_base + i)`.
+//!   endpoint `(ext_ip, ext_port) = endpoint(cfg, slot_base + i)`.
 //!
 //! That last equality is the trick that removes the need for a separate
 //! endpoint allocator: endpoint uniqueness *is* slot uniqueness, which
 //! the dchain contract guarantees. With the paper's single-address pool
 //! it reads `ext_port == start_port + i`, VigNAT's literal invariant.
-//! It is also the whole external lookup: a return packet's destination
+//! It is also where a flow's endpoint is kept: nowhere. The bijection
+//! is the storage — [`FlowManager::endpoint`] computes a slot's
+//! endpoint (an add on a single-address pool), lookups hand out
+//! [`Flow`] *views* built from
+//! the record or the query plus that arithmetic, and the one place an
+//! endpoint enters from outside, [`FlowManager::insert_hashed`],
+//! `assert!`s it is the slot's (unreachable under P4; a stored copy
+//! that disagreed with its slot used to sit unreachable in the table
+//! instead).
+//!
+//! And it is the whole external lookup: a return packet's destination
 //! endpoint, run backwards through the bijection
 //! ([`NatConfig::slot_of_endpoint`], minus `slot_base`), *is* the slot
 //! index, so [`FlowManager::lookup_external`] is three integer
-//! operations and one comparison of the slot's `ext_key()` with the
-//! packet's — no hash, no probe. The comparison is of the whole key: a
-//! flow inserted at the wrong slot (a P4 violation, debug-asserted in
-//! [`FlowManager::insert_hashed`]) would be unreachable from outside,
-//! but no packet could ever be handed to the wrong flow.
+//! operations and one comparison of the slot's remote endpoint and
+//! protocol with the packet's — no hash, no probe. The key the
+//! [`DoubleMap`] contract sees is `(slot, remote ip, remote port,
+//! proto)`: the slot stands for the endpoint it is in bijection with,
+//! so the key is unique and no packet can be handed to the wrong flow.
 //! [`FlowManager::check_coherence`] asserts the full invariant; the
 //! differential and property tests call it liberally.
 //!
@@ -38,8 +50,8 @@
 //! `Texp` and a monotone clock make last-activity order deadline order.
 //!
 //! With per-class TCP lifetimes configured (`!cfg.is_homogeneous()`)
-//! each slot additionally carries its tracker state
-//! ([`vig_spec::TcpState`], `None` for UDP) and its current
+//! the tracker state in a TCP flow's record ([`vig_spec::TcpState`];
+//! UDP flows have none) also names the flow's current
 //! [`vig_spec::TimeoutClass`], and the chain has **one list per class**
 //! ([`DoubleChain::with_lists`]). Rejuvenation steps the tracker
 //! ([`vig_spec::tcp::transition`]) and re-links the slot at the tail of
@@ -60,12 +72,14 @@
 //!
 //! ## The burst pipeline
 //!
-//! An internal hit on a table larger than cache touches some seven
-//! scattered lines in dependent levels: directory tag word → directory
-//! slot → value slot, then — when the hit is rejuvenated — the chain
-//! cell, the tracker byte and the cells of the slot's two list
-//! neighbours. A return hit skips the two directory lines. One lookup
-//! at a time pays those misses in series.
+//! What one rejuvenated hit touches on a table larger than cache, in
+//! 64-byte lines: an internal UDP hit **5** — directory tag word,
+//! directory slot, chain cell, the cells of the slot's two list
+//! neighbours; the directory slot compared the whole key and the
+//! endpoint is arithmetic, so the record is never loaded — an internal
+//! TCP hit **6** (the record, for the tracker), a return hit **4**
+//! (record, chain cell, two neighbours). One lookup at a time pays
+//! those misses in series, level after dependent level.
 //! [`FlowTable::probe_internal_batch`] and
 //! [`FlowTable::probe_external_batch`] instead run the burst in stages,
 //! each issued for every query before the next begins, so the misses of
@@ -73,8 +87,8 @@
 //! (2) the directory slot each probe dereferences first, then the
 //! probes ([`libvig::map::Map::get_batch_with_hash`]). External keys:
 //! (1) every key's candidate slot — arithmetic — and a first touch of
-//! those value slots, (2) the key comparisons. Then both: (3) for every
-//! hit the value slot, chain cell and tracker byte; (4) the two
+//! those records, (2) the key comparisons. Then both: (3) for every hit
+//! the chain cell, and for an internal TCP hit its record; (4) the two
 //! neighbours the chain's unlink will write. The touches are plain
 //! loads through the structures' `first_touch*` hints — they change no
 //! state, so results stay exactly the per-query lookups' — and are
@@ -82,7 +96,7 @@
 //! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
 
 use libvig::dchain::DoubleChain;
-use libvig::dmap::DoubleMap;
+use libvig::dmap::{DmapValue, DoubleMap};
 use libvig::expirator;
 use libvig::map::MapKey;
 use libvig::time::Time;
@@ -123,8 +137,9 @@ pub trait FlowTable {
     /// for per-core expiry clocks).
     fn expire(&mut self, threshold: Time) -> usize;
 
-    /// Find a flow by internal 5-tuple; `hash == fid.key_hash()`.
-    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, &Flow)>;
+    /// Find a flow by internal 5-tuple; `hash == fid.key_hash()`. The
+    /// [`Flow`] is a view, by value: `fid` plus the slot's endpoint.
+    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)>;
 
     /// Resolve a burst of internal-key lookups, appending one result
     /// per query to `out` in query order; `hashes[i] ==
@@ -150,14 +165,29 @@ pub trait FlowTable {
 
     /// Find a flow by external key: the flow in the slot that owns the
     /// key's pool endpoint, if its external key is `ek`. An endpoint
-    /// outside the pool (or in no shard's partition) is a miss.
-    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)>;
+    /// outside the pool (or in no shard's partition) is a miss. The
+    /// [`Flow`] is a view, by value: the slot's record plus its endpoint.
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)>;
 
     /// Refresh the activity timestamp of an allocated (global) slot.
     /// `dir`/`tcp_flags` step the slot's TCP tracker (when it has one),
     /// which may migrate the flow between timeout classes; UDP slots
-    /// ignore them (pass `tcp_flags == 0`).
+    /// ignore them (pass `tcp_flags == 0`). For callers that hold only
+    /// a slot: the record says whether there is a tracker.
     fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8);
+
+    /// [`FlowTable::rejuvenate`] by a caller that knows the flow's
+    /// protocol (the loop body: it matched the packet's key, protocol
+    /// included, on this iteration) — a UDP flow's record is then never
+    /// loaded. `proto` must be the flow's.
+    fn rejuvenate_proto(
+        &mut self,
+        slot: usize,
+        now: Time,
+        dir: Direction,
+        tcp_flags: u8,
+        proto: Proto,
+    );
 
     /// Reserve a slot for a new flow whose internal key hashes to
     /// `fid_hash`, stamped `now`. Returns the *global* slot, or `None`
@@ -182,8 +212,10 @@ pub trait FlowTable {
     fn port_offset_of_slot(&self, slot: usize) -> u16;
 
     /// Populate a reserved slot; `fid_hash == fid.key_hash()`, and
-    /// `(ext_ip, ext_port) == endpoint_of_slot(slot)` (globally).
-    /// `tcp_flags` seeds the TCP tracker for TCP flows
+    /// `(ext_ip, ext_port) == endpoint_of_slot(slot)` (globally) —
+    /// asserted, in every build: the table stores no endpoint, so this
+    /// is where a wrong one is caught. `tcp_flags` seeds the TCP
+    /// tracker for TCP flows
     /// ([`vig_spec::tcp::initial_state`]); ignored for UDP.
     fn insert_hashed(
         &mut self,
@@ -200,33 +232,95 @@ pub trait FlowTable {
     fn check_coherence(&self) -> Result<(), String>;
 }
 
-/// What the burst pipeline's touches load for one hit: five 64-byte
-/// lines — value slot, chain cell, tracker byte, two chain neighbours.
-/// The directory's tag word and 32-byte slot (an internal probe's
-/// stages 1–2, which always run) are not in it, so the directory's slot
-/// size and load factor do not move the budget.
-const HIT_STATE_BYTES: usize = 5 * 64;
+/// What the burst pipeline's touches load for one hit: four 64-byte
+/// lines — the chain cell, its two neighbours, and the record (loaded
+/// for a return hit and an internal TCP hit; an internal UDP hit stops
+/// at three). The directory's tag word and 32-byte slot (an internal
+/// probe's stages 1–2, which always run) are not in it, so the
+/// directory's slot size and load factor do not move the budget.
+const HIT_STATE_BYTES: usize = 4 * 64;
 
 /// The cache a table's hot per-slot state may be assumed to stay in — a
 /// conservative share of one core's private L2. A table tracking fewer
-/// flows than fit it (about 1,638) runs its batched probes without
-/// touching ahead. (No natbench workload sits near the cut-off: 256
-/// flows below, 60k and 944k above.)
+/// flows than fit it (2,048; 1,638 while a hit was five lines) runs its
+/// batched probes without touching ahead. (No natbench workload sits
+/// near the cut-off: 256 flows below, 60k and 944k above.)
 const RESIDENT_BUDGET_BYTES: usize = 512 << 10;
+
+/// The pool endpoint `(ext_ip, ext_port)` that *global* slot `global`
+/// of `cfg`'s pool owns: [`NatConfig::ext_ip_of_slot`] and
+/// [`NatConfig::ext_port_of_slot`] without their divisions while the
+/// pool is one address (the paper's setup, and the datapath's: this
+/// runs per internal hit). The one slot → endpoint computation of this
+/// crate; [`NatConfig::slot_of_endpoint`] inverts it.
+#[inline]
+pub(crate) fn endpoint(cfg: &NatConfig, global: usize) -> (Ip4, u16) {
+    debug_assert!(global < cfg.capacity, "slot out of range");
+    if cfg.is_single_address() {
+        // `global < capacity <= ports_per_ip = 65536 - start_port`: the
+        // sum fits the port.
+        (cfg.external_ip, cfg.start_port + global as u16)
+    } else {
+        (cfg.ext_ip_of_slot(global), cfg.ext_port_of_slot(global))
+    }
+}
+
+/// What the table stores per flow: the internal 5-tuple and, for a TCP
+/// flow, its tracker — everything the slot index does not already say.
+/// The external endpoint is [`endpoint`] of the slot (module docs).
+///
+/// 14 bytes of fields; aligned to 16 so four records fill a cache line
+/// and none straddles two (`Option<FlowRecord>` stays 16 through the
+/// `Proto` / `TcpState` niches).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(align(16))]
+struct FlowRecord {
+    src_ip: Ip4,
+    dst_ip: Ip4,
+    src_port: u16,
+    dst_port: u16,
+    proto: Proto,
+    /// `Some` iff `proto` is TCP ([`FlowManager::check_coherence`]), so
+    /// it alone names the flow's timeout class.
+    tracker: Option<TcpState>,
+}
+
+/// The record's B-key: its slot — standing for the pool endpoint the
+/// slot is in bijection with — and the remote endpoint and protocol.
+type ReturnKey = (usize, Ip4, u16, Proto);
+
+/// `ek` as the B-key of the record that `slot` would have to hold.
+fn return_key(slot: usize, ek: &ExtKey) -> ReturnKey {
+    (slot, ek.dst_ip, ek.dst_port, ek.proto)
+}
+
+impl DmapValue for FlowRecord {
+    type KeyA = FlowId;
+    type KeyB = ReturnKey;
+
+    fn key_a(&self) -> FlowId {
+        FlowId {
+            src_ip: self.src_ip,
+            src_port: self.src_port,
+            dst_ip: self.dst_ip,
+            dst_port: self.dst_port,
+            proto: self.proto,
+        }
+    }
+
+    fn key_b(&self, index: usize) -> ReturnKey {
+        (index, self.dst_ip, self.dst_port, self.proto)
+    }
+}
 
 /// The NAT's flow table + expiry machinery. See module docs.
 #[derive(Debug, Clone)]
 pub struct FlowManager {
-    table: DoubleMap<Flow>,
+    table: DoubleMap<FlowRecord>,
     /// One LRU list on a homogeneous config, else one per
     /// [`TimeoutClass`], indexed by `TimeoutClass::index()` (module
     /// docs).
     chain: DoubleChain,
-    /// Per-slot TCP tracker state; `None` for UDP flows (and for free
-    /// slots — stale values are overwritten on insert, never read).
-    /// Also names the slot's timeout class, hence the chain list a
-    /// refresh re-links it on ([`FlowManager::list_of`]).
-    tcp_state: Vec<Option<TcpState>>,
     /// The *global* pool configuration the endpoint mapping runs on.
     cfg: NatConfig,
     /// This table's first global slot (0 standalone; `s * per_shard`
@@ -269,7 +363,6 @@ impl FlowManager {
         FlowManager {
             table: DoubleMap::new(capacity),
             chain: DoubleChain::with_lists(capacity, lists),
-            tcp_state: vec![None; capacity],
             cfg: *cfg,
             slot_base,
             capacity,
@@ -330,24 +423,36 @@ impl FlowManager {
         self.capacity
     }
 
-    /// The external port assigned to (local) slot `i`.
-    pub fn port_of_slot(&self, slot: usize) -> u16 {
+    /// The pool endpoint `(ext_ip, ext_port)` (local) slot `slot` owns —
+    /// what a flow inserted there translates through.
+    #[inline]
+    pub fn endpoint(&self, slot: usize) -> (Ip4, u16) {
         debug_assert!(slot < self.capacity);
-        self.cfg.ext_port_of_slot(self.slot_base + slot)
-    }
-
-    /// The pool address assigned to (local) slot `i`.
-    pub fn ip_of_slot(&self, slot: usize) -> Ip4 {
-        debug_assert!(slot < self.capacity);
-        self.cfg.ext_ip_of_slot(self.slot_base + slot)
+        endpoint(&self.cfg, self.slot_base + slot)
     }
 
     /// Slot `i`'s port offset within its pool address — the `offset`
     /// of the loop body's `ext_port = start_port + offset` (equals the
     /// global slot index with a single-address pool).
     pub fn port_offset_of_slot(&self, slot: usize) -> u16 {
-        debug_assert!(slot < self.capacity);
-        ((self.slot_base + slot) % self.cfg.ports_per_ip()) as u16
+        self.endpoint(slot).1 - self.cfg.start_port
+    }
+
+    /// The flow in (local) slot `slot` whose internal key is `int_key`,
+    /// as lookups hand it out.
+    #[inline]
+    fn view(&self, slot: usize, int_key: FlowId) -> Flow {
+        let (ext_ip, ext_port) = self.endpoint(slot);
+        Flow {
+            int_key,
+            ext_ip,
+            ext_port,
+        }
+    }
+
+    /// The flow in (local) slot `slot`, from its record.
+    fn flow_at(&self, slot: usize) -> Option<Flow> {
+        self.table.get(slot).map(|r| self.view(slot, r.key_a()))
     }
 
     /// Expire due flows. Returns how many were removed.
@@ -377,49 +482,31 @@ impl FlowManager {
     }
 
     /// Find a flow by its internal 5-tuple.
-    pub fn lookup_internal(&self, fid: &FlowId) -> Option<(usize, &Flow)> {
+    pub fn lookup_internal(&self, fid: &FlowId) -> Option<(usize, Flow)> {
         self.lookup_internal_hashed(fid, fid.key_hash())
     }
 
     /// [`FlowManager::lookup_internal`] with a caller-computed hash
     /// (`hash == fid.key_hash()`). The environments hash each packet's
     /// `FlowId` exactly once and reuse it here and in
-    /// [`FlowManager::insert_hashed`].
-    pub fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, &Flow)> {
+    /// [`FlowManager::insert_hashed`]. The directory slot compared the
+    /// whole key, so the hit's view is `fid` and arithmetic: the record
+    /// is not loaded.
+    pub fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         let slot = self.table.get_by_a_with_hash(fid, hash)?;
-        self.table.get(slot).map(|f| (slot, f))
+        Some((slot, self.view(slot, *fid)))
     }
 
-    /// One batched probe: `resolve` turns the queries into slots
-    /// (stages 1–2 of either direction); stages 3–4 (module docs) run
-    /// over the hits, then one `(slot, flow)` per query goes to `out`.
-    fn staged_probe(
-        &mut self,
-        out: &mut Vec<Option<(usize, Flow)>>,
-        resolve: impl FnOnce(&FlowManager, &mut Vec<Option<usize>>),
-    ) {
-        // Detach the scratch so the `&self` stages can run while we
-        // hold it mutably; reattach afterwards (no allocation in steady
-        // state).
-        let mut slots = std::mem::take(&mut self.probe_slots);
-        slots.clear();
-        resolve(self, &mut slots);
-        if self.touches_ahead() {
-            for &slot in slots.iter().flatten() {
-                self.table.first_touch(slot);
-                self.chain.first_touch(slot);
-                std::hint::black_box(self.tcp_state.get(slot));
-            }
-            for &slot in slots.iter().flatten() {
-                self.chain.first_touch_neighbours(slot);
-            }
+    /// Stages 3–4 of a batched probe (module docs), minus the records:
+    /// every hit's chain cell, then the two neighbours its unlink will
+    /// write.
+    fn touch_chain(&self, slots: &[Option<usize>]) {
+        for &slot in slots.iter().flatten() {
+            self.chain.first_touch(slot);
         }
-        out.extend(
-            slots
-                .iter()
-                .map(|s| s.and_then(|slot| self.table.get(slot).map(|f| (slot, *f)))),
-        );
-        self.probe_slots = slots;
+        for &slot in slots.iter().flatten() {
+            self.chain.first_touch_neighbours(slot);
+        }
     }
 
     /// Whether the batched probes touch ahead: not while the live
@@ -430,9 +517,9 @@ impl FlowManager {
     }
 
     /// The (local) slot that owns `ek`'s pool endpoint — the inverse of
-    /// [`FlowManager::ip_of_slot`] / [`FlowManager::port_of_slot`].
-    /// `None`, before any memory is touched, for an endpoint outside
-    /// the pool or in a sibling shard's slot range.
+    /// [`FlowManager::endpoint`]. `None`, before any memory is touched,
+    /// for an endpoint outside the pool or in a sibling shard's slot
+    /// range.
     fn slot_of_ext(&self, ek: &ExtKey) -> Option<usize> {
         let global = self.cfg.slot_of_endpoint(ek.ext_ip, ek.ext_port)?;
         let local = global.checked_sub(self.slot_base)?;
@@ -440,10 +527,12 @@ impl FlowManager {
     }
 
     /// Find a flow by its external key: index the slot its endpoint
-    /// names, compare the whole key (module docs).
-    pub fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)> {
-        let slot = self.table.get_by_b_at(ek, self.slot_of_ext(ek)?)?;
-        self.table.get(slot).map(|f| (slot, f))
+    /// names, compare the rest of the key with the record's (module
+    /// docs).
+    pub fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
+        let slot = self.slot_of_ext(ek)?;
+        let slot = self.table.get_by_b_at(&return_key(slot, ek), slot)?;
+        self.flow_at(slot).map(|f| (slot, f))
     }
 
     /// Refresh a flow's activity timestamp without stepping its TCP
@@ -456,16 +545,50 @@ impl FlowManager {
         self.rejuvenate_with(slot, now, Direction::Internal, 0);
     }
 
-    /// Refresh a flow's activity timestamp and step its TCP tracker
-    /// with a segment's flags from `dir`. A state change can migrate
-    /// the flow between timeout classes; either way the slot is
-    /// re-linked, stamped `now`, at the tail of its class's list.
+    /// Refresh a flow's activity timestamp and step its TCP tracker, in
+    /// place in its record, with a segment's flags from `dir` (a UDP
+    /// flow's record has no tracker: nothing to step). A state change
+    /// can migrate the flow between timeout classes; either way the slot
+    /// is re-linked, stamped `now`, at the tail of its class's list.
     ///
     /// Precondition (P4) as for [`FlowManager::rejuvenate`].
     pub fn rejuvenate_with(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
+        let step = |r: &mut FlowRecord| {
+            r.tracker = r.tracker.map(|st| transition(st, dir, tcp_flags));
+            r.tracker
+        };
+        let st = self.table.update(slot, step).flatten();
+        self.relink(slot, st, now);
+    }
+
+    /// [`FlowManager::rejuvenate_with`] by a caller that knows the
+    /// flow's protocol: a UDP flow has no tracker and one class, so its
+    /// record is not loaded — the chain cell alone is touched.
+    ///
+    /// Precondition (P4) as for [`FlowManager::rejuvenate`], and
+    /// `proto` is the flow's (the caller matched its key).
+    pub fn rejuvenate_proto(
+        &mut self,
+        slot: usize,
+        now: Time,
+        dir: Direction,
+        tcp_flags: u8,
+        proto: Proto,
+    ) {
+        debug_assert!(
+            self.table.get(slot).is_none_or(|r| r.proto == proto),
+            "slot {slot} rejuvenated as {proto:?}"
+        );
+        match proto {
+            Proto::Tcp => self.rejuvenate_with(slot, now, dir, tcp_flags),
+            Proto::Udp => self.relink(slot, None, now),
+        }
+    }
+
+    /// Re-link `slot`, stamped `now`, at the tail of the list of the
+    /// class its tracker `st` names.
+    fn relink(&mut self, slot: usize, st: Option<TcpState>, now: Time) {
         self.note_clock(now);
-        let st = self.tcp_state[slot].map(|st| transition(st, dir, tcp_flags));
-        self.tcp_state[slot] = st;
         let ok = self.chain.rejuvenate_on(slot, self.list_of(st), now);
         debug_assert!(ok, "rejuvenate of unallocated slot {slot}");
     }
@@ -474,7 +597,7 @@ impl FlowManager {
     /// flows). Diagnostic/test accessor.
     pub fn tcp_state_of(&self, slot: usize) -> Option<TcpState> {
         debug_assert!(self.chain.is_allocated(slot));
-        self.tcp_state.get(slot).copied().flatten()
+        self.table.get(slot).and_then(|r| r.tracker)
     }
 
     /// Reserve a slot for a new flow, stamped `now`. `None` when full.
@@ -500,6 +623,11 @@ impl FlowManager {
     /// every insert already hashed the key, and this entry point reuses
     /// that work instead of hashing a second time. `tcp_flags` (the
     /// creating segment's flag byte; 0 for UDP) seeds the TCP tracker.
+    ///
+    /// Panics, in every build, if `(ext_ip, ext_port)` is not the slot's
+    /// endpoint: the table keeps no copy of it, every later lookup hands
+    /// out the slot's, so a caller translating through another would
+    /// have its return traffic delivered to whichever flow owns that one.
     pub fn insert_hashed(
         &mut self,
         slot: usize,
@@ -509,25 +637,22 @@ impl FlowManager {
         fid_hash: u64,
         tcp_flags: u8,
     ) {
-        debug_assert_eq!(
-            ext_port,
-            self.port_of_slot(slot),
-            "slot/port bijection violated"
+        assert!(
+            slot < self.capacity && (ext_ip, ext_port) == self.endpoint(slot),
+            "slot/endpoint bijection violated: slot {slot} of {} does not own {ext_ip}:{ext_port}",
+            self.capacity
         );
-        debug_assert_eq!(
-            ext_ip,
-            self.ip_of_slot(slot),
-            "slot/address bijection violated"
-        );
-        let st = (fid.proto == Proto::Tcp).then(|| initial_state(tcp_flags));
-        let flow = Flow {
-            int_key: fid,
-            ext_ip,
-            ext_port,
+        let tracker = (fid.proto == Proto::Tcp).then(|| initial_state(tcp_flags));
+        let record = FlowRecord {
+            src_ip: fid.src_ip,
+            dst_ip: fid.dst_ip,
+            src_port: fid.src_port,
+            dst_port: fid.dst_port,
+            proto: fid.proto,
+            tracker,
         };
-        let ok = self.table.put_with_hash(slot, flow, fid_hash);
+        let ok = self.table.put_with_hash(slot, record, fid_hash);
         debug_assert!(ok.is_ok(), "insert into occupied slot {slot}");
-        self.tcp_state[slot] = st;
         if self.chain.lists() > 1 {
             // `allocate_slot` linked and stamped the slot on list 0 (same
             // iteration, P4); its class is only known now. Keeps the
@@ -536,13 +661,13 @@ impl FlowManager {
                 .chain
                 .timestamp_of(slot)
                 .expect("insert into unallocated slot");
-            self.chain.rejuvenate_on(slot, self.list_of(st), stamp);
+            self.chain.rejuvenate_on(slot, self.list_of(tracker), stamp);
         }
     }
 
     /// Convenience: allocate + insert in one step, returning the slot
     /// and the assigned external port (the slot's pool address is
-    /// [`FlowManager::ip_of_slot`]). This is the API examples and
+    /// [`FlowManager::endpoint`]'s). This is the API examples and
     /// baselines use; the verified loop body uses the two-step form to
     /// keep the port arithmetic in stateless code.
     pub fn allocate(&mut self, fid: FlowId, now: Time) -> Option<(usize, u16)> {
@@ -550,8 +675,7 @@ impl FlowManager {
             return None; // caller error: flow exists (precondition)
         }
         let slot = self.allocate_slot(now)?;
-        let port = self.port_of_slot(slot);
-        let ip = self.ip_of_slot(slot);
+        let (ip, port) = self.endpoint(slot);
         self.insert(slot, fid, ip, port);
         Some((slot, port))
     }
@@ -565,12 +689,13 @@ impl FlowManager {
     }
 
     /// Iterate over live flows (slot, flow, last_active), oldest first
-    /// (per-class lists merged by `(last_active, class)`). For tests and
+    /// (per-class lists merged by `(last_active, class)`); each flow a
+    /// view of its record and its slot's endpoint. For tests and
     /// statistics; the datapath never scans.
-    pub fn iter_lru(&self) -> impl Iterator<Item = (usize, &Flow, Time)> + '_ {
+    pub fn iter_lru(&self) -> impl Iterator<Item = (usize, Flow, Time)> + '_ {
         self.chain
             .iter_lru()
-            .filter_map(move |(slot, t)| self.table.get(slot).map(|f| (slot, f, t)))
+            .filter_map(move |(slot, t)| self.flow_at(slot).map(|f| (slot, f, t)))
     }
 
     /// Assert the cross-structure coherence invariant. Test/diagnostic
@@ -593,10 +718,10 @@ impl FlowManager {
         for list in 0..self.chain.lists() {
             let mut prev = Time::ZERO;
             for (slot, stamp) in self.chain.iter_list(list) {
-                if self.list_of(self.tcp_state[slot]) != list {
+                let tracker = self.table.get(slot).and_then(|r| r.tracker);
+                if self.list_of(tracker) != list {
                     return Err(format!(
-                        "slot {slot}: on list {list} with tracker {:?}",
-                        self.tcp_state[slot]
+                        "slot {slot}: on list {list} with tracker {tracker:?}"
                     ));
                 }
                 if stamp < prev {
@@ -620,32 +745,31 @@ impl FlowManager {
             if in_map != in_chain {
                 return Err(format!("slot {slot}: dmap={in_map} dchain={in_chain}"));
             }
-            if let Some(f) = self.table.get(slot) {
+            if let Some(r) = self.table.get(slot) {
                 // TCP tracker coherence: tracked iff TCP (which is what
                 // lets the tracker alone name the class, above).
-                if self.tcp_state[slot].is_some() != (f.int_key.proto == Proto::Tcp) {
+                if r.tracker.is_some() != (r.proto == Proto::Tcp) {
                     return Err(format!(
-                        "slot {slot}: tcp_state {:?} for proto {:?}",
-                        self.tcp_state[slot], f.int_key.proto
+                        "slot {slot}: tracker {:?} for proto {:?}",
+                        r.tracker, r.proto
                     ));
                 }
-                if f.ext_port != self.port_of_slot(slot) {
+                // The flow's endpoint is the pool's for this slot, by
+                // the spec's own (dividing) mapping...
+                let global = self.slot_base + slot;
+                let pool = (
+                    self.cfg.ext_ip_of_slot(global),
+                    self.cfg.ext_port_of_slot(global),
+                );
+                if self.endpoint(slot) != pool {
                     return Err(format!(
-                        "slot {slot}: ext_port {} != pool port {}",
-                        f.ext_port,
-                        self.port_of_slot(slot)
+                        "slot {slot}: endpoint {:?} != pool endpoint {pool:?}",
+                        self.endpoint(slot)
                     ));
                 }
-                if f.ext_ip != self.ip_of_slot(slot) {
-                    return Err(format!(
-                        "slot {slot}: ext_ip {} != pool address {}",
-                        f.ext_ip,
-                        self.ip_of_slot(slot)
-                    ));
-                }
-                // What the external lookup leans on, through the
+                // ...and what the external lookup leans on, through the
                 // datapath's own inverse: the flow's key indexes here.
-                let indexed = self.slot_of_ext(&f.ext_key());
+                let indexed = self.slot_of_ext(&self.view(slot, r.key_a()).ext_key());
                 if indexed != Some(slot) {
                     return Err(format!(
                         "slot {slot}: external key indexes slot {indexed:?}"
@@ -670,7 +794,7 @@ impl FlowTable for FlowManager {
         FlowManager::expire(self, threshold)
     }
 
-    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, &Flow)> {
+    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         FlowManager::lookup_internal_hashed(self, fid, hash)
     }
 
@@ -680,29 +804,72 @@ impl FlowTable for FlowManager {
         hashes: &[u64],
         out: &mut Vec<Option<(usize, Flow)>>,
     ) {
-        self.staged_probe(out, |fm, slots| fm.table.lookup_batch(fids, hashes, slots));
+        // The scratch is detached while `&self` stages fill it, and
+        // reattached afterwards (no allocation in steady state).
+        let mut slots = std::mem::take(&mut self.probe_slots);
+        slots.clear();
+        self.table.lookup_batch(fids, hashes, &mut slots);
+        if self.touches_ahead() {
+            // Only a TCP hit's rejuvenation reads its record (the
+            // tracker); a UDP hit is done with the directory.
+            for (slot, fid) in slots.iter().zip(fids) {
+                if let (Some(slot), Proto::Tcp) = (*slot, fid.proto) {
+                    self.table.first_touch(slot);
+                }
+            }
+            self.touch_chain(&slots);
+        }
+        out.extend(
+            slots
+                .iter()
+                .zip(fids)
+                .map(|(slot, fid)| slot.map(|slot| (slot, self.view(slot, *fid)))),
+        );
+        self.probe_slots = slots;
     }
 
     fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>) {
-        self.staged_probe(out, |fm, slots| {
-            slots.extend(eks.iter().map(|ek| fm.slot_of_ext(ek)));
-            if fm.touches_ahead() {
-                for &slot in slots.iter().flatten() {
-                    fm.table.first_touch(slot);
-                }
+        let mut slots = std::mem::take(&mut self.probe_slots);
+        slots.clear();
+        slots.extend(eks.iter().map(|ek| self.slot_of_ext(ek)));
+        let ahead = self.touches_ahead();
+        if ahead {
+            // Every candidate's record: the comparison below reads it.
+            for &slot in slots.iter().flatten() {
+                self.table.first_touch(slot);
             }
-            for (slot, ek) in slots.iter_mut().zip(eks) {
-                *slot = slot.and_then(|i| fm.table.get_by_b_at(ek, i));
-            }
-        });
+        }
+        for (slot, ek) in slots.iter_mut().zip(eks) {
+            *slot = slot.and_then(|i| self.table.get_by_b_at(&return_key(i, ek), i));
+        }
+        if ahead {
+            self.touch_chain(&slots);
+        }
+        out.extend(
+            slots
+                .iter()
+                .map(|slot| slot.and_then(|slot| self.flow_at(slot).map(|f| (slot, f)))),
+        );
+        self.probe_slots = slots;
     }
 
-    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)> {
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
         FlowManager::lookup_external(self, ek)
     }
 
     fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
         FlowManager::rejuvenate_with(self, slot, now, dir, tcp_flags);
+    }
+
+    fn rejuvenate_proto(
+        &mut self,
+        slot: usize,
+        now: Time,
+        dir: Direction,
+        tcp_flags: u8,
+        proto: Proto,
+    ) {
+        FlowManager::rejuvenate_proto(self, slot, now, dir, tcp_flags, proto);
     }
 
     fn allocate_slot_routed(&mut self, _fid_hash: u64, now: Time) -> Option<usize> {
@@ -711,7 +878,7 @@ impl FlowTable for FlowManager {
     }
 
     fn endpoint_of_slot(&self, slot: usize) -> (Ip4, u16) {
-        (self.ip_of_slot(slot), self.port_of_slot(slot))
+        self.endpoint(slot)
     }
 
     fn port_offset_of_slot(&self, slot: usize) -> u16 {
@@ -758,6 +925,92 @@ mod tests {
             dst_ip: Ip4::new(8, 8, 8, 8),
             dst_port: 53,
             proto: Proto::Udp,
+        }
+    }
+
+    /// The module docs' layout claim: a record, stored, is 16 bytes on a
+    /// 16-byte alignment, so in a live table every record sits in one
+    /// quarter of a 64-byte line and none straddles two (the twin of
+    /// libvig's `nat_sized_slots_are_half_a_line_and_never_straddle`).
+    #[test]
+    fn records_are_a_quarter_line_and_never_straddle() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(size_of::<Option<FlowRecord>>(), 16);
+        assert_eq!(align_of::<Option<FlowRecord>>(), 16);
+        let mut fm = FlowManager::new(&NatConfig {
+            capacity: 1000,
+            ..cfg()
+        });
+        for i in 0..1000u16 {
+            let f = [fid(0, i), tcp_fid(0, i)][usize::from(i % 2)];
+            fm.allocate(f, Time::from_secs(1)).expect("room");
+        }
+        for slot in 0..1000 {
+            let record = fm.table.get(slot).expect("every slot is live");
+            let offset = std::ptr::from_ref(record) as usize % 64;
+            assert!(
+                offset.is_multiple_of(16),
+                "record {slot} at line offset {offset}"
+            );
+        }
+    }
+
+    proptest! {
+        // 27 pools × 15 slots; a case costs nanoseconds.
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        /// The division-free [`endpoint`] equals the spec's dividing
+        /// `ext_ip_of_slot` / `ext_port_of_slot`, and `slot_of_endpoint`
+        /// inverts it, over 1-, 2- and 17-address pools whose last
+        /// address is barely, half or fully used (the pools of vig_spec's
+        /// `slot_of_endpoint_needs_no_address_guard`), at the slots
+        /// around every address boundary.
+        #[test]
+        fn endpoint_needs_no_division_on_one_address(
+            (ips, start_port, last_fill) in (
+                proptest::prop_oneof![Just(1usize), Just(2), Just(17)],
+                proptest::prop_oneof![Just(1u16), Just(1024), Just(65_535)],
+                0usize..3,
+            ),
+            (edge, back) in (0usize..5, 0usize..3),
+        ) {
+            let ports = 65_536 - usize::from(start_port);
+            let last_used = [1, ports.div_ceil(2), ports][last_fill];
+            let c = NatConfig {
+                capacity: (ips - 1) * ports + last_used,
+                start_port,
+                ..cfg()
+            };
+            prop_assert_eq!(c.is_single_address(), ips == 1);
+            let slot = [0, ports - 1, ports, c.capacity / 2, c.capacity - 1][edge]
+                .min(c.capacity - 1)
+                .saturating_sub(back);
+            let (ip, port) = endpoint(&c, slot);
+            prop_assert_eq!((ip, port), (c.ext_ip_of_slot(slot), c.ext_port_of_slot(slot)));
+            prop_assert_eq!(c.slot_of_endpoint(ip, port), Some(slot));
+        }
+    }
+
+    /// Every table's slot accessors are [`endpoint`] of the *global*
+    /// slot: the whole pool, a shard of it (`slot_base > 0`) and sharded
+    /// three ways, over [`oracle_cfgs`], against the spec's mapping.
+    #[test]
+    fn slot_accessors_are_the_pool_mapping_of_the_global_slot() {
+        use crate::sharded::ShardedFlowManager;
+        for c in oracle_cfgs() {
+            let pool = |g: usize| (c.ext_ip_of_slot(g), c.ext_port_of_slot(g));
+            let offset = |g: usize| (g % c.ports_per_ip()) as u16;
+            let third = c.capacity / 3;
+            let shard = FlowManager::for_shard(&c, third, 2 * third);
+            let sharded = ShardedFlowManager::new(&c, 3);
+            for local in 0..third {
+                let g = 2 * third + local;
+                assert_eq!(shard.endpoint(local), pool(g));
+                assert_eq!(shard.port_offset_of_slot(local), offset(g));
+            }
+            for g in 0..sharded.table_capacity() {
+                assert_eq!(sharded.endpoint_of_slot(g), pool(g));
+                assert_eq!(FlowTable::port_offset_of_slot(&sharded, g), offset(g));
+            }
         }
     }
 
@@ -858,7 +1111,7 @@ mod tests {
         // a bare-ACK mid-stream pickup), and a UDP flow.
         let f1 = tcp_fid(1, 100);
         let half = fm.allocate_slot(Time::from_secs(1)).unwrap();
-        let (ip, port) = (fm.ip_of_slot(half), fm.port_of_slot(half));
+        let (ip, port) = fm.endpoint(half);
         fm.insert_hashed(half, f1, ip, port, f1.key_hash(), flags::SYN);
         assert_eq!(fm.tcp_state_of(half), Some(TcpState::SynSent));
         let (est, _) = fm.allocate(tcp_fid(2, 100), Time::from_secs(1)).unwrap();
@@ -905,7 +1158,7 @@ mod tests {
         let (est, _) = fm.allocate(tcp_fid(1, 100), Time::ZERO).unwrap();
         let (udp, _) = fm.allocate(fid(2, 100), Time::from_secs(20)).unwrap();
         let syn = fm.allocate_slot(Time::from_secs(27)).unwrap();
-        let (ip, port) = (fm.ip_of_slot(syn), fm.port_of_slot(syn));
+        let (ip, port) = fm.endpoint(syn);
         let f = tcp_fid(3, 100);
         fm.insert_hashed(syn, f, ip, port, f.key_hash(), vig_packet::tcp::flags::SYN);
         fm.check_coherence().unwrap();
@@ -928,7 +1181,7 @@ mod tests {
     fn staged_probes_equal_lookups_and_change_nothing() {
         use vig_packet::tcp::flags;
         let big = |c: NatConfig| NatConfig {
-            capacity: 2048,
+            capacity: 4096,
             ..c
         };
         for c in [big(cfg()), big(classed_cfg())] {
@@ -943,13 +1196,13 @@ mod tests {
                 ..fid(0, 100)
             };
             let mut now = Time::from_secs(1);
-            for i in 0..1800 {
+            for i in 0..2400 {
                 now = now.plus(1_000);
                 fm.allocate(key(i), now).expect("below capacity");
             }
             assert!(fm.touches_ahead());
             // Shuffle the LRU order and spread TCP flows over classes.
-            for i in (0..1800).step_by(7) {
+            for i in (0..2400).step_by(7) {
                 now = now.plus(1_000);
                 let (slot, _) = fm.lookup_internal(&key(i)).unwrap();
                 let fl = [flags::ACK, flags::FIN, flags::RST][i as usize % 3];
@@ -957,14 +1210,14 @@ mod tests {
             }
             fm.check_coherence().unwrap();
 
-            let fids: Vec<FlowId> = (1700..1900).chain([3, 3, 1799]).map(key).collect();
+            let fids: Vec<FlowId> = (2300..2500).chain([3, 3, 2399]).map(key).collect();
             let eks: Vec<ExtKey> = fids
                 .iter()
                 .map(|f| match fm.lookup_internal(f) {
                     Some((_, flow)) => flow.ext_key(),
                     None => ExtKey {
                         ext_ip: c.external_ip,
-                        ext_port: c.start_port + 2047,
+                        ext_port: c.start_port + 4095,
                         dst_ip: f.dst_ip,
                         dst_port: f.dst_port,
                         proto: f.proto,
@@ -976,21 +1229,22 @@ mod tests {
             let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();
             fm.probe_internal_batch(&fids, &hashes, &mut out);
             for (i, f) in fids.iter().enumerate() {
-                assert_eq!(out[i], fm.lookup_internal(f).map(|(s, fl)| (s, *fl)));
+                assert_eq!(out[i], fm.lookup_internal(f));
             }
             assert_eq!(out.iter().flatten().count(), 100 + 3);
             out.clear();
             fm.probe_external_batch(&eks, &mut out);
             for (i, ek) in eks.iter().enumerate() {
-                assert_eq!(out[i], fm.lookup_external(ek).map(|(s, fl)| (s, *fl)));
+                assert_eq!(out[i], fm.lookup_external(ek));
             }
             assert_eq!(out.iter().flatten().count(), 100 + 3);
 
-            let lru = |fm: &FlowManager| -> Vec<(usize, Flow, Time)> {
-                fm.iter_lru().map(|(s, f, t)| (s, *f, t)).collect()
-            };
+            let lru = |fm: &FlowManager| -> Vec<(usize, Flow, Time)> { fm.iter_lru().collect() };
             assert_eq!(lru(&fm), lru(&before));
-            assert_eq!(fm.tcp_state, before.tcp_state);
+            let trackers = |fm: &FlowManager| -> Vec<Option<TcpState>> {
+                fm.iter_lru().map(|(s, ..)| fm.tcp_state_of(s)).collect()
+            };
+            assert_eq!(trackers(&fm), trackers(&before));
             fm.check_coherence().unwrap();
         }
     }
@@ -1114,11 +1368,7 @@ mod tests {
         assert_eq!(batch.len(), queries.len());
         for (ek, batched) in queries.iter().zip(batch) {
             let want = scan(ek);
-            assert_eq!(
-                t.lookup_external(ek).map(|(s, f)| (s, *f)),
-                want,
-                "lookup_external({ek:?})"
-            );
+            assert_eq!(t.lookup_external(ek), want, "lookup_external({ek:?})");
             assert_eq!(batched, want, "probe_external_batch({ek:?})");
         }
         for (_, f) in &live {
@@ -1140,7 +1390,7 @@ mod tests {
             ops in proptest::collection::vec((0u8..48, 0u8..2, 0u8..6), 0..160),
         ) {
             use crate::sharded::ShardedFlowManager;
-            let plain_live = |t: &FlowManager| t.iter_lru().map(|(s, f, _)| (s, *f)).collect();
+            let plain_live = |t: &FlowManager| t.iter_lru().map(|(s, f, _)| (s, f)).collect();
             let sharded_live = |t: &ShardedFlowManager| {
                 t.snapshot().into_iter().flatten().map(|(s, f, _)| (s, f)).collect()
             };
@@ -1162,7 +1412,7 @@ mod tests {
                             proto: Proto::Udp,
                         };
                         let forward = (0..capacity)
-                            .find(|&s| (fm.ip_of_slot(s), fm.port_of_slot(s)) == (ip, port));
+                            .find(|&s| fm.endpoint(s) == (ip, port));
                         prop_assert_eq!(fm.slot_of_ext(&ek), forward, "endpoint of global slot {}", g);
                     }
                     external_lookups_equal_a_linear_scan(fm, &c, plain_live, &ops);

@@ -271,7 +271,7 @@ fn translate_internal<E: NatEnv + ?Sized>(
     };
     match found {
         Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::Internal, &pkt.tcp_flags);
+            env.rejuvenate(flow.slot, &now, Direction::Internal, &pkt.tcp_flags, proto);
             let hdr = TxHdr {
                 src_ip: flow.ext_ip,
                 src_port: flow.ext_port,
@@ -342,7 +342,7 @@ fn translate_external<E: NatEnv + ?Sized>(
     };
     match found {
         Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::External, &pkt.tcp_flags);
+            env.rejuvenate(flow.slot, &now, Direction::External, &pkt.tcp_flags, proto);
             let hdr = TxHdr {
                 src_ip: pkt.src_ip.clone(),
                 src_port: pkt.src_port.clone(),
@@ -506,7 +506,7 @@ fn hairpin_internal<E: NatEnv + ?Sized>(
     };
     match sender {
         Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::Internal, &pkt.tcp_flags);
+            env.rejuvenate(flow.slot, &now, Direction::Internal, &pkt.tcp_flags, proto);
             let hdr = TxHdr {
                 src_ip: flow.ext_ip,
                 src_port: flow.ext_port,

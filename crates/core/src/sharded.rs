@@ -48,10 +48,10 @@
 //! tests pin this behaviour down; `docs/ARCHITECTURE.md` discusses the
 //! sizing consequences.
 
-use crate::flow_manager::{FlowManager, FlowTable};
+use crate::flow_manager::{endpoint, FlowManager, FlowTable};
 use libvig::rss::{shard_of, BatchSplit};
 use libvig::time::Time;
-use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4};
+use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
 use vig_spec::NatConfig;
 
 /// N independent flow-table shards. See module docs.
@@ -191,7 +191,7 @@ impl ShardedFlowManager {
     /// Kept only because a PR that claims a gain may not edit
     /// `benchmark/`: the next benchmark PR deletes it.
     #[doc(hidden)]
-    pub fn lookup_external_hashed(&self, ek: &ExtKey, _hash: u64) -> Option<(usize, &Flow)> {
+    pub fn lookup_external_hashed(&self, ek: &ExtKey, _hash: u64) -> Option<(usize, Flow)> {
         self.lookup_external(ek)
     }
 
@@ -222,7 +222,7 @@ impl ShardedFlowManager {
             .map(|s| {
                 self.shards[s]
                     .iter_lru()
-                    .map(|(slot, f, t)| (self.global(s, slot), *f, t))
+                    .map(|(slot, f, t)| (self.global(s, slot), f, t))
                     .collect()
             })
             .collect()
@@ -281,7 +281,7 @@ impl FlowTable for ShardedFlowManager {
         self.shards.iter_mut().map(|fm| fm.expire(threshold)).sum()
     }
 
-    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, &Flow)> {
+    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         let s = self.shard_of_hash(hash);
         let (slot, flow) = self.shards[s].lookup_internal_hashed(fid, hash)?;
         Some((self.global(s, slot), flow))
@@ -332,7 +332,7 @@ impl FlowTable for ShardedFlowManager {
         );
     }
 
-    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, &Flow)> {
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
         // An endpoint no shard owns cannot belong to any flow, matching
         // the unsharded table's miss.
         let s = self.shard_of_endpoint(ek.ext_ip, ek.ext_port)?;
@@ -345,6 +345,18 @@ impl FlowTable for ShardedFlowManager {
         self.shards[s].rejuvenate_with(local, now, dir, tcp_flags);
     }
 
+    fn rejuvenate_proto(
+        &mut self,
+        slot: usize,
+        now: Time,
+        dir: Direction,
+        tcp_flags: u8,
+        proto: Proto,
+    ) {
+        let (s, local) = self.local(slot);
+        self.shards[s].rejuvenate_proto(local, now, dir, tcp_flags, proto);
+    }
+
     fn allocate_slot_routed(&mut self, fid_hash: u64, now: Time) -> Option<usize> {
         let s = self.shard_of_hash(fid_hash);
         let slot = self.shards[s].allocate_slot(now)?;
@@ -354,14 +366,11 @@ impl FlowTable for ShardedFlowManager {
     fn endpoint_of_slot(&self, slot: usize) -> (Ip4, u16) {
         // Shards map their slots through the *global* pool, so this is
         // the global mapping regardless of which shard owns the slot.
-        (
-            self.cfg.ext_ip_of_slot(slot),
-            self.cfg.ext_port_of_slot(slot),
-        )
+        endpoint(&self.cfg, slot)
     }
 
     fn port_offset_of_slot(&self, slot: usize) -> u16 {
-        (slot % self.cfg.ports_per_ip()) as u16
+        endpoint(&self.cfg, slot).1 - self.cfg.start_port
     }
 
     fn insert_hashed(
@@ -497,7 +506,7 @@ mod tests {
         t.probe_internal_batch(&queries, &hashes, &mut batch);
         assert_eq!(batch.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
-            let seq = t.lookup_internal_hashed(q, hashes[i]).map(|(s, f)| (s, *f));
+            let seq = t.lookup_internal_hashed(q, hashes[i]);
             assert_eq!(batch[i], seq, "query {i} diverged");
         }
     }
@@ -515,12 +524,8 @@ mod tests {
             let b = plain.allocate(f, Time::from_secs(1));
             assert_eq!(a, b, "identical slots and ports with one shard");
             assert_eq!(
-                sharded
-                    .lookup_internal_hashed(&f, hash)
-                    .map(|(s, fl)| (s, *fl)),
-                plain
-                    .lookup_internal_hashed(&f, hash)
-                    .map(|(s, fl)| (s, *fl)),
+                sharded.lookup_internal_hashed(&f, hash),
+                plain.lookup_internal_hashed(&f, hash),
             );
         }
         sharded.check_coherence().unwrap();
@@ -589,16 +594,14 @@ mod tests {
         t.probe_external_batch(eks, &mut batch);
         assert_eq!(batch.len(), eks.len());
         for (i, ek) in eks.iter().enumerate() {
-            let seq = t.lookup_external(ek).map(|(s, f)| (s, *f));
+            let seq = t.lookup_external(ek);
             assert_eq!(batch[i], seq, "external query {i} ({ek:?}) diverged");
         }
         let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();
         batch.clear();
         t.probe_internal_batch(fids, &hashes, &mut batch);
         for (i, fid) in fids.iter().enumerate() {
-            let seq = t
-                .lookup_internal_hashed(fid, hashes[i])
-                .map(|(s, f)| (s, *f));
+            let seq = t.lookup_internal_hashed(fid, hashes[i]);
             assert_eq!(batch[i], seq, "internal query {i} diverged");
         }
     }
@@ -664,9 +667,9 @@ mod tests {
                 })
                 .collect();
 
-            let before: Vec<_> = plain.iter_lru().map(|(s, f, t)| (s, *f, t)).collect();
+            let before: Vec<_> = plain.iter_lru().collect();
             assert_batches_equal_lookups(&mut plain, &fids, &eks);
-            let after: Vec<_> = plain.iter_lru().map(|(s, f, t)| (s, *f, t)).collect();
+            let after: Vec<_> = plain.iter_lru().collect();
             proptest::prop_assert_eq!(before, after);
             proptest::prop_assert!(plain.check_coherence().is_ok());
 

@@ -504,16 +504,8 @@ mod tests {
         assert_eq!(seq_out, bat_out);
         assert_eq!(seq.events(), bat.events());
         assert_eq!(seq.flow_manager().len(), bat.flow_manager().len());
-        let a: Vec<_> = seq
-            .flow_manager()
-            .iter_lru()
-            .map(|(s, f, t)| (s, *f, t))
-            .collect();
-        let b: Vec<_> = bat
-            .flow_manager()
-            .iter_lru()
-            .map(|(s, f, t)| (s, *f, t))
-            .collect();
+        let a: Vec<_> = seq.flow_manager().iter_lru().collect();
+        let b: Vec<_> = bat.flow_manager().iter_lru().collect();
         assert_eq!(a, b, "LRU order must match sequential execution");
         bat.flow_manager().check_coherence().unwrap();
     }

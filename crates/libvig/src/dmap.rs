@@ -19,6 +19,9 @@
 //! B-key (the external key) *names its slot*: the caller inverts
 //! `port = start_port + i` and [`DoubleMap::get_by_b_at`] compares the
 //! key with that slot's — no hash, no probe, no second `put`/`erase`.
+//! It is also why [`DmapValue::key_b`] is told the slot: a value need
+//! not store the part of its B-key that its slot index already says
+//! (VigNAT's record stores no external endpoint at all).
 //!
 //! ## Contract summary
 //!
@@ -30,11 +33,14 @@
 //!   `slots[i].key_a() == ka`, or `None`.
 //! * `get_by_b_at(kb, i)` — requires that *if* some slot holds `kb`, it
 //!   is slot `i` (the caller's placement rule); ensures the result is
-//!   the unique `j` with `slots[j].key_b() == kb`, or `None`. Without
+//!   the unique `j` with `slots[j].key_b(j) == kb`, or `None`. Without
 //!   the precondition it is still `Some(i)` only when slot `i` holds
 //!   `kb`: never a wrong slot.
 //! * `put(i, v)` — requires slot `i` empty, `v.key_a()` fresh among
-//!   A-keys, `v.key_b()` fresh among B-keys; ensures `slots[i] = v`.
+//!   A-keys, `v.key_b(i)` fresh among B-keys; ensures `slots[i] = v`.
+//! * `update(i, f)` — requires slot `i` occupied and `f` to leave both
+//!   keys of its value as they were; ensures `slots[i] = f(slots[i])`
+//!   and nothing else changes (no directory is touched).
 //! * `erase(i)` — requires slot `i` occupied; ensures the slot is empty
 //!   and its directory entry is gone; returns the old value.
 //! * `get(i)` — pure query.
@@ -44,9 +50,10 @@ use crate::Full;
 
 /// A value storable in a [`DoubleMap`]: exposes its two keys.
 ///
-/// The key-extraction functions must be pure: the same value always
-/// yields the same keys. (In the C original this is the `vk1`/`vk2`
-/// ghost-map argument pair; in Rust it is enforced by taking `&self`.)
+/// The key-extraction functions must be pure: the same value (at the
+/// same slot) always yields the same keys. (In the C original this is
+/// the `vk1`/`vk2` ghost-map argument pair; in Rust it is enforced by
+/// taking `&self`.)
 pub trait DmapValue {
     /// First key type (VigNAT: the internal 5-tuple). Hashed: the
     /// directory resolves it.
@@ -57,8 +64,11 @@ pub trait DmapValue {
 
     /// Extract the first key.
     fn key_a(&self) -> Self::KeyA;
-    /// Extract the second key.
-    fn key_b(&self) -> Self::KeyB;
+    /// The second key of this value stored in slot `index`. A value
+    /// whose placement rule ties part of its B-key to its slot may
+    /// leave that part to `index` instead of storing it; B-keys must
+    /// still be pairwise distinct across the map.
+    fn key_b(&self, index: usize) -> Self::KeyB;
 }
 
 /// Probe positions the key directory gets per 16 value slots: a full
@@ -136,12 +146,12 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
 
     /// Resolve B-key `kb` at the slot the caller's placement rule names
     /// for it: `Some(index)` iff slot `index` holds a value whose
-    /// `key_b() == *kb`. The whole key is compared, and any `index` is
+    /// `key_b(index) == *kb`. The whole key is compared, and any `index` is
     /// accepted (out of range is a miss), so a wrong `index` can only
     /// miss — it never yields another value's slot.
     #[inline]
     pub fn get_by_b_at(&self, kb: &V::KeyB, index: usize) -> Option<usize> {
-        (self.slots.get(index)?.as_ref()?.key_b() == *kb).then_some(index)
+        (self.slots.get(index)?.as_ref()?.key_b(index) == *kb).then_some(index)
     }
 
     /// Resolve a burst of A-key lookups at once, appending one slot
@@ -165,6 +175,24 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
     /// Read the value in slot `index`.
     pub fn get(&self, index: usize) -> Option<&V> {
         self.slots.get(index).and_then(|s| s.as_ref())
+    }
+
+    /// Change the value in slot `index` in place, returning what `f`
+    /// returns (`None`, and `f` not called, for an empty or
+    /// out-of-range slot). No directory is touched.
+    ///
+    /// Contract precondition (debug-asserted here, asserted by
+    /// [`CheckedDmap`]): `f` leaves both keys as they were.
+    #[inline]
+    pub fn update<R>(&mut self, index: usize, f: impl FnOnce(&mut V) -> R) -> Option<R> {
+        let value = self.slots.get_mut(index)?.as_mut()?;
+        let keys = cfg!(debug_assertions).then(|| (value.key_a(), value.key_b(index)));
+        let r = f(value);
+        debug_assert!(
+            keys.is_none_or(|keys| keys == (value.key_a(), value.key_b(index))),
+            "dmap.update precondition: keys of slot {index} changed"
+        );
+        Some(r)
     }
 
     /// Store `value` in slot `index`.
@@ -285,7 +313,7 @@ impl<V: DmapValue + Clone> AbstractDmap<V> {
     /// Model `put` (preconditions already validated by caller).
     pub fn put(&mut self, index: usize, value: V) {
         self.dir_a.put(value.key_a(), index);
-        self.dir_b.put(value.key_b(), index);
+        self.dir_b.put(value.key_b(index), index);
         self.slots[index] = Some(value);
     }
 
@@ -293,8 +321,14 @@ impl<V: DmapValue + Clone> AbstractDmap<V> {
     pub fn erase(&mut self, index: usize) -> Option<V> {
         let v = self.slots.get_mut(index)?.take()?;
         self.dir_a.erase(&v.key_a());
-        self.dir_b.erase(&v.key_b());
+        self.dir_b.erase(&v.key_b(index));
         Some(v)
+    }
+
+    /// Model `update` (preconditions already validated by caller: the
+    /// directories, being keyed, do not move).
+    pub fn update(&mut self, index: usize, value: V) {
+        self.slots[index] = Some(value);
     }
 }
 
@@ -329,12 +363,42 @@ impl<V: DmapValue + Clone + PartialEq + core::fmt::Debug> CheckedDmap<V> {
             "dmap.put precondition: A-key fresh"
         );
         assert!(
-            self.model.get_by_b(&value.key_b()).is_none(),
+            self.model.get_by_b(&value.key_b(index)).is_none(),
             "dmap.put precondition: B-key fresh"
         );
         let r = self.imp.put(index, value.clone());
         assert!(r.is_ok(), "put with satisfied preconditions must succeed");
         self.model.put(index, value);
+        self.check_equiv();
+        r
+    }
+
+    /// Contract-checked `update`: the slot is occupied and `f` changes
+    /// neither key, so both directories still describe the slots.
+    pub fn update<R>(&mut self, index: usize, f: impl FnOnce(&mut V) -> R) -> R {
+        let old = self
+            .model
+            .get(index)
+            .expect("dmap.update precondition: slot occupied")
+            .clone();
+        let r = self
+            .imp
+            .update(index, f)
+            .expect("update of an occupied slot must reach its value");
+        let new = self
+            .imp
+            .get(index)
+            .expect("update emptied the slot")
+            .clone();
+        assert!(
+            old.key_a() == new.key_a(),
+            "dmap.update precondition: A-key unchanged"
+        );
+        assert!(
+            old.key_b(index) == new.key_b(index),
+            "dmap.update precondition: B-key unchanged"
+        );
+        self.model.update(index, new);
         self.check_equiv();
         r
     }
@@ -447,7 +511,7 @@ impl<V: DmapValue + Clone + PartialEq + core::fmt::Debug> CheckedDmap<V> {
                     "directory incoherent at {i}"
                 );
                 assert_eq!(
-                    self.get_by_b_at(&v.key_b(), i),
+                    self.get_by_b_at(&v.key_b(i), i),
                     Some(i),
                     "B-key incoherent at {i}"
                 );
@@ -476,7 +540,7 @@ mod tests {
         fn key_a(&self) -> u64 {
             self.a
         }
-        fn key_b(&self) -> u64 {
+        fn key_b(&self, _index: usize) -> u64 {
             self.b
         }
     }
@@ -530,6 +594,31 @@ mod tests {
         assert_eq!(d.get_by_a(&1), None);
         assert_eq!(d.get_by_b_at(&5, 1), Some(1));
         assert_eq!(d.get_by_b_at(&3, 1), None, "the slot's previous B-key");
+    }
+
+    #[test]
+    fn update_changes_the_value_and_no_lookup() {
+        let mut d = CheckedDmap::new(4);
+        d.put(2, pair(10, 22)).unwrap();
+        assert_eq!(
+            d.update(2, |v| std::mem::replace(&mut v.payload, 7)),
+            10_022
+        );
+        assert_eq!(d.get(2).map(|v| v.payload), Some(7));
+        assert_eq!(d.get_by_a(&10), Some(2));
+        assert_eq!(d.get_by_b_at(&22, 2), Some(2));
+        // The raw structure reports an empty or out-of-range slot.
+        let mut raw = d.raw().clone();
+        assert_eq!(raw.update(1, |v| v.payload), None);
+        assert_eq!(raw.update(99, |v| v.payload), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "dmap.update precondition")]
+    fn update_that_changes_a_key_violates_contract() {
+        let mut d = CheckedDmap::new(4);
+        d.put(2, pair(10, 22)).unwrap();
+        d.update(2, |v| v.b = 26);
     }
 
     /// The raw structure compares the whole key at whatever slot it is
@@ -709,7 +798,7 @@ mod tests {
         /// slot is asked for its previous tenants' keys too.
         #[test]
         fn random_ops_refine_model(
-            ops in proptest::collection::vec((0u8..3, 0usize..4, 0u64..6, 0u64..12), 0..120),
+            ops in proptest::collection::vec((0u8..4, 0usize..4, 0u64..6, 0u64..12), 0..120),
         ) {
             let mut d = CheckedDmap::new(4);
             for (kind, idx, a, b) in ops {
@@ -722,6 +811,11 @@ mod tests {
                         }
                     }
                     1 => { d.erase(idx); }
+                    2 => {
+                        if d.get(idx).is_some() {
+                            d.update(idx, |v| v.payload = v.payload.wrapping_add(b as u32));
+                        }
+                    }
                     _ => {
                         d.get_by_a(&a);
                         d.get_by_b_at(&b, slot_of_b(b, 4));

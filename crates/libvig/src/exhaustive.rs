@@ -262,7 +262,7 @@ mod tests {
         fn key_a(&self) -> CKey {
             CKey(self.a)
         }
-        fn key_b(&self) -> CKey {
+        fn key_b(&self, _index: usize) -> CKey {
             CKey(self.b)
         }
     }

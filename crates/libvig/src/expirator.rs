@@ -84,7 +84,7 @@ mod tests {
         fn key_a(&self) -> u64 {
             self.a
         }
-        fn key_b(&self) -> u64 {
+        fn key_b(&self, _index: usize) -> u64 {
             self.b
         }
     }

@@ -1,6 +1,7 @@
-//! The network-flow abstraction (`flow.h`): key hashing and the
-//! [`DmapValue`] instance that makes [`vig_packet::Flow`] storable in the
-//! libVig flow table.
+//! The network-flow abstraction (`flow.h`): key hashing. (The NAT's
+//! stored record and its `DmapValue` instance live in `vignat`, beside
+//! the TCP tracker the record carries; the instance for
+//! [`vig_packet::Flow`] below exists for this crate's own suites only.)
 //!
 //! libVig keys carry their own hash functions (`map_key_hash` in the C
 //! code). The `FlowId` hash below mixes all five tuple fields through a
@@ -9,9 +10,8 @@
 //! evaluates (Fig. 12 shows latency flat in table occupancy, which
 //! requires exactly this property).
 
-use crate::dmap::DmapValue;
 use crate::map::MapKey;
-use vig_packet::{ExtKey, Flow, FlowId};
+use vig_packet::{ExtKey, FlowId};
 
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
@@ -44,7 +44,11 @@ impl MapKey for ExtKey {
     }
 }
 
-impl DmapValue for Flow {
+/// A whole [`vig_packet::Flow`] as a flow-table value, endpoint stored:
+/// what the load-factor test of `dmap` and the tests below fill their
+/// tables with. The NAT stores a smaller record.
+#[cfg(test)]
+impl crate::dmap::DmapValue for vig_packet::Flow {
     type KeyA = FlowId;
     type KeyB = ExtKey;
 
@@ -52,7 +56,7 @@ impl DmapValue for Flow {
         self.int_key
     }
 
-    fn key_b(&self) -> ExtKey {
+    fn key_b(&self, _index: usize) -> ExtKey {
         self.ext_key()
     }
 }
@@ -62,7 +66,7 @@ mod tests {
     use super::*;
     use crate::dmap::DoubleMap;
     use proptest::prelude::*;
-    use vig_packet::{Ip4, Proto};
+    use vig_packet::{Flow, Ip4, Proto};
 
     fn fid(host: u8, port: u16) -> FlowId {
         FlowId {

@@ -154,7 +154,12 @@ impl Ring {
         if self.is_full() {
             return false;
         }
-        let tail = (self.head + self.len) % self.slots.len();
+        // `head < capacity` and `len < capacity`: one wrap at most, by a
+        // compare (no division per descriptor).
+        let mut tail = self.head + self.len;
+        if tail >= self.slots.len() {
+            tail -= self.slots.len();
+        }
         self.slots[tail] = buf;
         self.len += 1;
         true
@@ -166,7 +171,10 @@ impl Ring {
             return None;
         }
         let buf = self.slots[self.head];
-        self.head = (self.head + 1) % self.slots.len();
+        self.head += 1;
+        if self.head == self.slots.len() {
+            self.head = 0;
+        }
         self.len -= 1;
         Some(buf)
     }
@@ -500,10 +508,34 @@ mod tests {
 
     #[test]
     fn ring_wraps_many_times() {
-        let mut r = Ring::new(3);
-        for i in 0..100 {
-            assert!(r.push(BufIdx(i)));
-            assert_eq!(r.pop(), Some(BufIdx(i)));
+        use std::collections::VecDeque;
+        for capacity in [1usize, 3, 5, 512] {
+            let mut r = Ring::new(capacity);
+            let mut model = VecDeque::new();
+            let mut next = 0;
+            // Runs of pushes and pops of every length up to one past
+            // the capacity, alternating: each run ends against the full
+            // or the empty edge, and `head` laps the ring many times.
+            for run in (1..=capacity + 1).cycle().take(4 * capacity + 40) {
+                for _ in 0..run {
+                    let accepted = r.push(BufIdx(next));
+                    assert_eq!(accepted, model.len() < capacity);
+                    if accepted {
+                        model.push_back(BufIdx(next));
+                    }
+                    next += 1;
+                    assert_eq!(r.len(), model.len());
+                    assert_eq!(r.is_full(), model.len() == capacity);
+                }
+                for _ in 0..run.div_ceil(2) + 1 {
+                    assert_eq!(r.pop(), model.pop_front());
+                    assert_eq!(r.is_empty(), model.is_empty());
+                }
+            }
+            while let Some(want) = model.pop_front() {
+                assert_eq!(r.pop(), Some(want));
+            }
+            assert_eq!(r.pop(), None);
         }
     }
 }

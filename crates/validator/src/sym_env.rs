@@ -23,7 +23,7 @@
 //!   contract allows, and **P5 fails**.
 
 use crate::trace::{Event, Obligation, SymRx, SymTrace};
-use vig_packet::Direction;
+use vig_packet::{Direction, Proto};
 use vig_spec::NatConfig;
 use vig_symbex::explorer::Steering;
 use vig_symbex::solver::{Lit, SatResult, Solver};
@@ -384,7 +384,14 @@ impl NatEnv for SymEnv<'_> {
         })
     }
 
-    fn rejuvenate(&mut self, slot: SlotId, now: &TermId, _dir: Direction, _tcp_flags: &TermId) {
+    fn rejuvenate(
+        &mut self,
+        slot: SlotId,
+        now: &TermId,
+        _dir: Direction,
+        _tcp_flags: &TermId,
+        _proto: Proto,
+    ) {
         // Direction and flags only steer the per-class timeout choice,
         // which homogeneous configs (the symbolic coverage) collapse to
         // a single lifetime — the observable event is unchanged.

@@ -286,11 +286,7 @@ fn fault_layer_corruption_corpus_is_rejected_without_state_mutation() {
             now = now.plus(1_000);
             vig.process(Direction::Internal, &mut f, now);
         }
-        let state_before: Vec<_> = vig
-            .flow_manager()
-            .iter_lru()
-            .map(|(slot, flow, stamp)| (slot, *flow, stamp))
-            .collect();
+        let state_before: Vec<_> = vig.flow_manager().iter_lru().collect();
         assert_eq!(state_before.len(), 8, "{name}: warm-up admitted 8 flows");
         for f in &corpus {
             let mut frame = f.clone();
@@ -299,11 +295,7 @@ fn fault_layer_corruption_corpus_is_rejected_without_state_mutation() {
             let mut frame = f.clone();
             vig.process(Direction::External, &mut frame, now);
         }
-        let state_after: Vec<_> = vig
-            .flow_manager()
-            .iter_lru()
-            .map(|(slot, flow, stamp)| (slot, *flow, stamp))
-            .collect();
+        let state_after: Vec<_> = vig.flow_manager().iter_lru().collect();
         assert_eq!(
             state_before, state_after,
             "{name}: corrupted frames mutated NAT state"

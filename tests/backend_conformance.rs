@@ -61,7 +61,7 @@ fn nat_state(nf: &ShardedVigNatMb) -> Vec<(usize, usize, Flow, Time)> {
     let mut out = Vec::new();
     for s in 0..fm.shard_count() {
         for (slot, flow, stamp) in fm.shard(s).iter_lru() {
-            out.push((s, slot, *flow, stamp));
+            out.push((s, slot, flow, stamp));
         }
     }
     out

@@ -12,6 +12,13 @@
 //! class)`. On a homogeneous configuration every flow has class 0 — the
 //! paper's single list, ties in global LRU order.
 //!
+//! The model also *stores* what the table only derives: each live
+//! flow's whole [`Flow`] — external endpoint included, as the loop body
+//! inserted it — and its TCP tracker beside it. Every lookup, every
+//! `snapshot()` and every `tcp_state_of` is held to those stored
+//! copies, and the two ways to rejuvenate (by slot alone, or naming the
+//! flow's protocol as the loop body does) must digest identically.
+//!
 //! Four angles, each over UDP flows and TCP flows whose flags migrate
 //! them between classes, on one lifetime and on per-class lifetimes:
 //!
@@ -32,7 +39,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use vignat_repro::libvig::map::MapKey;
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig, ShardedFlowManager};
@@ -61,6 +70,17 @@ fn cfg(capacity: usize, lifetimes: [u64; 3]) -> NatConfig {
     }
 }
 
+/// 68 slots at four ports per address: a 17-address pool, whose address
+/// boundaries fall inside every shard of a 1-, 2- or 4-way split.
+fn pool17_cfg(lifetimes: [u64; 3]) -> NatConfig {
+    let c = NatConfig {
+        start_port: 65_532,
+        ..cfg(68, lifetimes)
+    };
+    assert_eq!(c.num_external_ips(), 17);
+    c
+}
+
 fn secs(lifetimes: [u64; 3]) -> [u64; 3] {
     lifetimes.map(|s| Time::from_secs(s).nanos())
 }
@@ -79,7 +99,8 @@ fn fid(i: u32) -> FlowId {
 /// One live flow of the model.
 #[derive(Debug, Clone, Copy)]
 struct Live {
-    fid: FlowId,
+    /// The whole flow, endpoint stored, as inserted.
+    flow: Flow,
     tcp: Option<TcpState>,
     /// Bumped on every (re)link; log entries of older versions are dead.
     version: u32,
@@ -94,6 +115,7 @@ type Entry = (usize, usize, Time, u32);
 /// longer matches), which `expire` sweeps — so an arrival is O(1) and
 /// the model stays usable at a million flows.
 struct Model {
+    cfg: NatConfig,
     lifetimes: [u64; 3],
     one_list: bool,
     /// Global slot of local slot 0.
@@ -108,6 +130,7 @@ struct Model {
 impl Model {
     fn new(c: &NatConfig, capacity: usize, base: usize) -> Model {
         Model {
+            cfg: *c,
             lifetimes: TimeoutClass::ALL.map(|cl| c.lifetime_ns(cl)),
             one_list: c.is_homogeneous(),
             base,
@@ -130,16 +153,26 @@ impl Model {
                 slot
             }
         };
-        let tcp = match self.slots[slot] {
-            Some(live) => live.tcp.map(|st| transition(st, dir, fl)),
-            None => (f.proto == Proto::Tcp).then(|| initial_state(fl)),
+        let live = match self.slots[slot] {
+            Some(live) => Live {
+                tcp: live.tcp.map(|st| transition(st, dir, fl)),
+                version: live.version + 1,
+                ..live
+            },
+            // What the loop body inserts: the key, and the endpoint the
+            // spec's (dividing) pool mapping gives the slot.
+            None => Live {
+                flow: Flow {
+                    int_key: f,
+                    ext_ip: self.cfg.ext_ip_of_slot(self.base + slot),
+                    ext_port: self.cfg.ext_port_of_slot(self.base + slot),
+                },
+                tcp: (f.proto == Proto::Tcp).then(|| initial_state(fl)),
+                version: 0,
+            },
         };
-        let version = self.slots[slot].map_or(0, |live| live.version + 1);
-        self.slots[slot] = Some(Live {
-            fid: f,
-            tcp,
-            version,
-        });
+        self.slots[slot] = Some(live);
+        let (tcp, version) = (live.tcp, live.version);
         let class = class_of(f.proto, tcp).index();
         let class = if self.one_list { 0 } else { class };
         self.log.push((slot, class, now, version));
@@ -163,7 +196,7 @@ impl Model {
         self.log = log;
         for &(slot, ..) in &due {
             let live = self.slots[slot].take().expect("due slot is live");
-            self.by_fid.remove(&live.fid);
+            self.by_fid.remove(&live.flow.int_key);
             self.free.push(slot);
         }
         self.expired += due.len() as u64;
@@ -171,18 +204,14 @@ impl Model {
     }
 
     /// What the table's `iter_lru` must yield (with global slots): the
-    /// live flows by `(stamp, class)`, arrival order within that.
-    fn snapshot(&self, c: &NatConfig) -> Vec<(usize, Flow, Time)> {
+    /// live flows — the stored copies — by `(stamp, class)`, arrival
+    /// order within that.
+    fn snapshot(&self) -> Vec<(usize, Flow, Time)> {
         let mut live: Vec<&Entry> = self.log.iter().filter(|e| self.is_current(e)).collect();
         live.sort_by_key(|e| (e.2, e.1));
         let flow = |&&(slot, _, stamp, _): &&Entry| {
-            let g = self.base + slot;
-            let flow = Flow {
-                int_key: self.slots[slot].expect("current").fid,
-                ext_ip: c.ext_ip_of_slot(g),
-                ext_port: c.ext_port_of_slot(g),
-            };
-            (g, flow, stamp)
+            let flow = self.slots[slot].expect("current").flow;
+            (self.base + slot, flow, stamp)
         };
         live.iter().map(flow).collect()
     }
@@ -195,10 +224,15 @@ struct Pair {
     models: Vec<Model>,
     cfg: NatConfig,
     now: Time,
+    /// Rejuvenate as the loop body does, naming the flow's protocol
+    /// (`rejuvenate_proto`), instead of by slot alone (`rejuvenate`).
+    by_proto: bool,
+    /// Every state [`Pair::expire_at`] observed, hashed in order.
+    digest: DefaultHasher,
 }
 
 impl Pair {
-    fn new(c: &NatConfig, shards: usize) -> Pair {
+    fn new(c: &NatConfig, shards: usize, by_proto: bool) -> Pair {
         let table = ShardedFlowManager::new(c, shards);
         let per_shard = table.per_shard_capacity();
         Pair {
@@ -208,39 +242,51 @@ impl Pair {
             table,
             cfg: *c,
             now: Time::from_secs(1),
+            by_proto,
+            digest: DefaultHasher::new(),
         }
     }
 
     /// A packet of `f` arrives at `self.now` with TCP flags `fl` from
     /// `dir`: refresh on hit, allocate on miss. Table and model must
-    /// agree on hit/miss, slot, and tracker state.
+    /// agree on hit/miss, slot, the flow both lookups hand out (the
+    /// table derives what the model stored), and tracker state.
     fn arrive(&mut self, f: FlowId, dir: Direction, fl: u8) {
         let (h, now, t) = (f.key_hash(), self.now, &mut self.table);
         let s = t.shard_of_hash(h);
         let model = &mut self.models[s];
-        let hit = t.lookup_internal_hashed(&f, h).map(|(slot, _)| slot);
-        let known = model.by_fid.get(&f).map(|slot| model.base + slot);
-        assert_eq!(hit, known, "hit/miss diverged for {f:?}");
-        let want = model.arrive(f, now, dir, fl);
+        let hit = t.lookup_internal_hashed(&f, h);
+        let known = model.by_fid.get(&f).map(|&slot| {
+            let stored = model.slots[slot].expect("live").flow;
+            (model.base + slot, stored)
+        });
+        assert_eq!(hit, known, "internal lookup diverged for {f:?}");
+        if let Some((_, stored)) = known {
+            let back = t.lookup_external(&stored.ext_key());
+            assert_eq!(back, known, "return lookup diverged for {f:?}");
+        }
+        let want = model.arrive(f, now, dir, fl).map(|l| model.base + l);
         let got = match hit {
-            Some(slot) => {
-                t.rejuvenate(slot, now, dir, fl);
+            Some((slot, _)) => {
+                if self.by_proto {
+                    t.rejuvenate_proto(slot, now, dir, fl, f.proto);
+                } else {
+                    t.rejuvenate(slot, now, dir, fl);
+                }
                 Some(slot)
             }
-            None => {
-                let slot = t.allocate_slot_routed(h, now);
-                if let Some(slot) = slot {
-                    let (ip, port) = t.endpoint_of_slot(slot);
-                    t.insert_hashed(slot, f, ip, port, h, fl);
-                }
-                slot
-            }
+            None => t.allocate_slot_routed(h, now),
         };
-        assert_eq!(got, want.map(|l| model.base + l), "slot diverged for {f:?}");
-        if let Some(local) = want {
-            let tracked = model.slots[local].expect("live").tcp;
-            assert_eq!(t.shard(s).tcp_state_of(local), tracked, "tracker diverged");
+        assert_eq!(got, want, "slot diverged for {f:?}");
+        let Some(slot) = got else { return };
+        let live = model.slots[slot - model.base].expect("live");
+        if hit.is_none() {
+            // The model's stored endpoint goes in; the table keeps none
+            // and asserts this one is the slot's.
+            t.insert_hashed(slot, f, live.flow.ext_ip, live.flow.ext_port, h, fl);
         }
+        let tracked = t.shard(s).tcp_state_of(slot - model.base);
+        assert_eq!(tracked, live.tcp, "tracker diverged");
     }
 
     fn advance(&mut self, ns: u64) {
@@ -259,9 +305,25 @@ impl Pair {
         let want: usize = self.models.iter_mut().map(|m| m.expire(clock)).sum();
         assert_eq!(got, want, "expiry count diverged at {clock:?}");
         FlowTable::check_coherence(&self.table).expect("coherence");
-        let state: Vec<_> = self.models.iter().map(|m| m.snapshot(&self.cfg)).collect();
+        let state: Vec<_> = self.models.iter().map(Model::snapshot).collect();
         assert_eq!(self.table.snapshot(), state, "state diverged at {clock:?}");
+        // Every live flow's tracker, not only the last arrival's.
+        let mut trackers = Vec::new();
+        for (s, model) in self.models.iter().enumerate() {
+            for (local, live) in model.slots.iter().enumerate() {
+                let Some(live) = live else { continue };
+                let tracked = self.table.shard(s).tcp_state_of(local);
+                assert_eq!(tracked, live.tcp, "shard {s} slot {local}: tracker");
+                trackers.push(tracked);
+            }
+        }
+        (got, state, trackers).hash(&mut self.digest);
         got
+    }
+
+    /// A digest of every state the run passed through.
+    fn digest(&self) -> u64 {
+        self.digest.finish()
     }
 
     fn expire(&mut self) -> usize {
@@ -304,25 +366,40 @@ proptest! {
     /// sub-lifetime steps and 10× jumps, and expiry from a clock ahead
     /// of the table's own followed by late local arrivals — with expiry
     /// and a full-state comparison after every single operation.
+    ///
+    /// Run on the 8-slot single-address table and on a 68-slot
+    /// 17-address pool split 1, 2 and 4 ways (ids drawn from 3× the
+    /// capacity either way), each schedule once per rejuvenate entry
+    /// point: both must pass through the same states.
     #[test]
     fn engine_equals_model_under_adversarial_schedules(
         lifetimes in 0usize..LIFETIMES.len(),
-        ops in proptest::collection::vec((0u8..12, 0u32..24, 1u64..2_500, 0usize..6, any::<bool>()), 1..120),
+        shape in 0usize..4,
+        ops in proptest::collection::vec((0u8..12, 0u32..204, 1u64..2_500, 0usize..6, any::<bool>()), 1..120),
     ) {
-        let mut pair = Pair::new(&cfg(8, LIFETIMES[lifetimes]), 1);
-        for (kind, idx, step, fl, external) in ops {
-            match kind {
-                0..=5 => pair.arrive(fid(idx), if external { EXT } else { INT }, FLAGS[fl]),
-                6 | 7 => pair.advance(step),
-                8 => pair.advance(step * 10), // time jump past many lifetimes
-                9 => { pair.expire_at(pair.now.plus(step)); } // a clock ahead of ours
-                _ => {}
+        let (c, shards) = match shape {
+            0 => (cfg(8, LIFETIMES[lifetimes]), 1),
+            _ => (pool17_cfg(LIFETIMES[lifetimes]), [1, 2, 4][shape - 1]),
+        };
+        let ids = 3 * c.capacity as u32;
+        let run = |by_proto: bool| {
+            let mut pair = Pair::new(&c, shards, by_proto);
+            for &(kind, idx, step, fl, external) in &ops {
+                match kind {
+                    0..=5 => pair.arrive(fid(idx % ids), if external { EXT } else { INT }, FLAGS[fl]),
+                    6 | 7 => pair.advance(step),
+                    8 => pair.advance(step * 10), // time jump past many lifetimes
+                    9 => { pair.expire_at(pair.now.plus(step)); } // a clock ahead of ours
+                    _ => {}
+                }
+                // Every tick, not just the end: the equivalence must hold
+                // at every intermediate state the NAT could be observed in.
+                pair.expire();
             }
-            // Every tick, not just the end: the equivalence must hold
-            // at every intermediate state the NAT could be observed in.
-            pair.expire();
-        }
-        pair.assert_reuse_order_equal();
+            pair.assert_reuse_order_equal();
+            pair.digest()
+        };
+        prop_assert_eq!(run(false), run(true));
     }
 }
 
@@ -338,20 +415,25 @@ fn engine_equals_model_exhaustive_small_capacity() {
     const LEN: u32 = 6;
     for lifetimes in [[1_000; 3], [1_000, 500, 2_000]] {
         let c = cfg(2, lifetimes);
-        for mut code in 0..OPS.pow(LEN) {
-            let mut pair = Pair::new(&c, 1);
-            for _ in 0..LEN {
-                match code % OPS {
-                    0 => pair.arrive(fid(0), INT, 0),
-                    1 => pair.arrive(fid(1), INT, flags::ACK),
-                    2 => pair.arrive(fid(1), EXT, flags::FIN),
-                    3 => pair.arrive(fid(3), INT, flags::SYN),
-                    4 => pair.advance(400),   // below every lifetime but one
-                    _ => pair.advance(1_100), // past the UDP lifetime
+        for code in 0..OPS.pow(LEN) {
+            // Once per rejuvenate entry point, same states either way.
+            let run = |by_proto: bool| {
+                let (mut pair, mut code) = (Pair::new(&c, 1, by_proto), code);
+                for _ in 0..LEN {
+                    match code % OPS {
+                        0 => pair.arrive(fid(0), INT, 0),
+                        1 => pair.arrive(fid(1), INT, flags::ACK),
+                        2 => pair.arrive(fid(1), EXT, flags::FIN),
+                        3 => pair.arrive(fid(3), INT, flags::SYN),
+                        4 => pair.advance(400), // below every lifetime but one
+                        _ => pair.advance(1_100), // past the UDP lifetime
+                    }
+                    code /= OPS;
+                    pair.expire();
                 }
-                code /= OPS;
-                pair.expire();
-            }
+                pair.digest()
+            };
+            assert_eq!(run(false), run(true), "schedule {code}");
         }
     }
 }
@@ -368,7 +450,7 @@ fn boundary_semantics_per_list() {
     let flows = [(0u32, 0u8), (1, flags::SYN), (3, flags::ACK)];
     for lifetimes in [[1_000; 3], classed] {
         for (class, &(i, fl)) in flows.iter().enumerate() {
-            let mut pair = Pair::new(&cfg(4, lifetimes), 1);
+            let mut pair = Pair::new(&cfg(4, lifetimes), 1, true);
             pair.arrive(fid(i), INT, fl);
             pair.advance(5);
             pair.arrive(fid(i), INT, fl); // refreshed: the birth stamp is dead
@@ -384,7 +466,7 @@ fn boundary_semantics_per_list() {
     }
     // Established at t, FIN at t+100: dies 300 after the FIN, not 2 500
     // after anything.
-    let mut pair = Pair::new(&cfg(4, classed), 1);
+    let mut pair = Pair::new(&cfg(4, classed), 1, true);
     pair.arrive(fid(1), INT, flags::ACK);
     pair.advance(100);
     pair.arrive(fid(1), EXT, flags::FIN);
@@ -435,10 +517,11 @@ fn middlebox_parity_under_churn() {
                 let owner = ext_port
                     .checked_sub(c.start_port)
                     .and_then(|slot| model.slots.get(usize::from(slot)).copied().flatten())
-                    .filter(|live| live.fid.proto == proto);
-                let want = owner.map(|live| {
-                    model.arrive(live.fid, now, EXT, fl);
-                    (remote, 53, live.fid.src_ip, live.fid.src_port)
+                    .map(|live| live.flow.int_key)
+                    .filter(|fid| fid.proto == proto);
+                let want = owner.map(|fid| {
+                    model.arrive(fid, now, EXT, fl);
+                    (remote, 53, fid.src_ip, fid.src_port)
                 });
                 let frame = build(remote, c.external_ip, 53, ext_port).build();
                 (EXT, frame, want) // None: unsolicited
@@ -454,15 +537,15 @@ fn middlebox_parity_under_churn() {
         assert!(model.expired > 0, "the run must have raced expiry");
         let fm = nat.flow_manager();
         fm.check_coherence().expect("coherence");
-        let state: Vec<_> = fm.iter_lru().map(|(s, f, t)| (s, *f, t)).collect();
-        assert_eq!(state, model.snapshot(&c));
+        let state: Vec<_> = fm.iter_lru().collect();
+        assert_eq!(state, model.snapshot());
     }
 }
 
 /// Drive churn waves through a sharded table and its per-shard models
 /// in lockstep; state compared after every expiry.
 fn sharded_churn(c: &NatConfig, shards: usize, waves: usize, wave_flows: u32, seed: u64) {
-    let mut pair = Pair::new(c, shards);
+    let mut pair = Pair::new(c, shards, true);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut next_id = 0u32;
     let mut total_expired = 0usize;
@@ -538,7 +621,7 @@ fn sharded_parity_at_million_flows() {
 #[test]
 fn late_local_insert_behind_a_global_expiry_clock() {
     for lifetimes in [secs([2; 3]), secs([2, 1, 4])] {
-        let mut pair = Pair::new(&cfg(64, lifetimes), 2);
+        let mut pair = Pair::new(&cfg(64, lifetimes), 2, false);
         let on = |p: &Pair, s: usize| -> Vec<FlowId> {
             let routed = |f: &FlowId| p.table.shard_of_hash(f.key_hash()) == s;
             (0..200).map(fid).filter(routed).collect()
@@ -574,4 +657,18 @@ fn late_local_insert_behind_a_global_expiry_clock() {
         }
         pair.expire();
     }
+}
+
+/// The endpoint is not stored, so the one place it enters from outside
+/// must refuse a wrong one — in release too (CI's `table` job runs this
+/// file with `--release`): an `assert!`, where a stored copy used to
+/// make do with a `debug_assert!`.
+#[test]
+#[should_panic(expected = "slot/endpoint bijection violated")]
+fn insert_with_a_neighbour_slots_endpoint_is_refused() {
+    let mut t = ShardedFlowManager::new(&cfg(8, [1_000; 3]), 1);
+    let (f, now) = (fid(0), Time::from_secs(1));
+    let slot = t.allocate_slot_routed(f.key_hash(), now).expect("room");
+    let (ip, port) = t.endpoint_of_slot(slot ^ 1);
+    t.insert_hashed(slot, f, ip, port, f.key_hash(), 0);
 }

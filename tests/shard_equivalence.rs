@@ -109,7 +109,7 @@ fn gen_frame(rng: &mut StdRng) -> (Direction, Vec<u8>) {
 /// Observable state of a plain flow manager.
 fn fm_state(fm: &FlowManager) -> Vec<(usize, Flow, Time)> {
     fm.check_coherence().expect("unsharded coherence");
-    fm.iter_lru().map(|(s, f, t)| (s, *f, t)).collect()
+    fm.iter_lru().collect()
 }
 
 /// Observable state of a sharded flow manager: per-shard LRU snapshots

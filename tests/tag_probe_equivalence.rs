@@ -162,9 +162,7 @@ fn flow_manager_expiry_realloc_keeps_directories_coherent() {
         fm.probe_internal_batch(&queries, &hashes, &mut batch);
         assert_eq!(batch.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
-            let seq = fm
-                .lookup_internal_hashed(q, hashes[i])
-                .map(|(s, f)| (s, *f));
+            let seq = fm.lookup_internal_hashed(q, hashes[i]);
             assert_eq!(batch[i], seq, "batch query {i} diverged");
         }
     }
@@ -218,8 +216,8 @@ fn sharded_table_matches_unsharded_at_98pct() {
         let f = fid(j + 3_000_000);
         let h = f.key_hash();
         assert_eq!(
-            one.lookup_internal_hashed(&f, h).map(|(s, fl)| (s, *fl)),
-            plain.lookup_internal_hashed(&f, h).map(|(s, fl)| (s, *fl)),
+            one.lookup_internal_hashed(&f, h),
+            plain.lookup_internal_hashed(&f, h),
         );
         assert_eq!(one.internal_probe_len(&f), plain.internal_probe_len(&f));
     }
@@ -250,9 +248,7 @@ fn sharded_table_matches_unsharded_at_98pct() {
     let mut batch = Vec::new();
     four.probe_internal_batch(&queries, &hashes, &mut batch);
     for (qi, q) in queries.iter().enumerate() {
-        let seq = four
-            .lookup_internal_hashed(q, hashes[qi])
-            .map(|(s, f)| (s, *f));
+        let seq = four.lookup_internal_hashed(q, hashes[qi]);
         assert_eq!(batch[qi], seq, "4-shard batch query {qi} diverged");
     }
     four.check_coherence().unwrap();

@@ -149,15 +149,15 @@ pub struct TxHdr<D: Domain + ?Sized> {
 /// The one *concrete* environment (machine-integer domain) and its
 /// parts: [`concrete::ConcreteEnv`] — the table half every concrete
 /// run of the loop body shares — over a [`concrete::PacketSide`], plus
-/// key construction from domain-valued packet parts, flow views, the
-/// per-packet `FlowId` hash memo and the batched probes' buffers.
+/// key construction from domain-valued packet parts, flow views and
+/// the per-packet `FlowId` hash memo.
 pub mod concrete {
     use super::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
     use crate::domain::{Concrete, Domain};
     use crate::flow_manager::FlowTable;
+    use crate::loop_body::MAX_BURST;
     use libvig::map::MapKey;
     use libvig::time::Time;
-    use std::borrow::BorrowMut;
     use vig_packet::{Direction, ExtKey, Flow, FlowFields, FlowId, Ip4, Proto};
 
     /// One received packet's header fields as machine integers — what a
@@ -275,34 +275,28 @@ pub mod concrete {
     }
 
     /// The concrete [`NatEnv`]: the loop body's table half — a borrowed
-    /// [`FlowTable`], the run's clock and expiry count, the per-packet
-    /// hash memo and the batched probes' buffers — over a
-    /// [`PacketSide`] `P`. One env serves one iteration or one burst;
-    /// it borrows its state, so building one costs nothing.
-    ///
-    /// `S` holds the [`ProbeScratch`]: a `&mut` to one the driver keeps
-    /// across bursts (the default — the steady-state burst path then
-    /// allocates nothing for its probes), or an owned, empty one for an
-    /// env that serves a single frame and never batches.
-    pub struct ConcreteEnv<'a, T, P, S = &'a mut ProbeScratch> {
+    /// [`FlowTable`], the run's clock and expiry count and the
+    /// per-packet hash memo — over a [`PacketSide`] `P`. One env serves
+    /// one iteration or one burst; it borrows its state, so building one
+    /// costs nothing, and its batched lookups keep their queries and
+    /// results in arrays on the stack, so a burst allocates nothing.
+    pub struct ConcreteEnv<'a, T, P> {
         table: &'a mut T,
         packets: P,
         now_ns: u64,
         expired: usize,
         memo: FidMemo,
-        scratch: S,
     }
 
-    impl<'a, T, P, S> ConcreteEnv<'a, T, P, S> {
+    impl<'a, T, P> ConcreteEnv<'a, T, P> {
         /// The env for the packets of `packets`, arriving at `now`.
-        pub fn new(table: &'a mut T, packets: P, now: Time, scratch: S) -> Self {
+        pub fn new(table: &'a mut T, packets: P, now: Time) -> Self {
             ConcreteEnv {
                 table,
                 packets,
                 now_ns: now.nanos(),
                 expired: 0,
                 memo: FidMemo::default(),
-                scratch,
             }
         }
 
@@ -312,15 +306,14 @@ pub mod concrete {
         }
     }
 
-    impl<T, P, S> Domain for ConcreteEnv<'_, T, P, S> {
+    impl<T, P> Domain for ConcreteEnv<'_, T, P> {
         crate::concrete_domain_items!();
     }
 
-    impl<T, P, S> NatEnv for ConcreteEnv<'_, T, P, S>
+    impl<T, P> NatEnv for ConcreteEnv<'_, T, P>
     where
         T: FlowTable,
         P: PacketSide,
-        S: BorrowMut<ProbeScratch>,
     {
         fn now(&mut self) -> u64 {
             self.now_ns
@@ -352,10 +345,22 @@ pub mod concrete {
             fids: &[Option<FidParts<Self>>],
             out: &mut [Option<FlowView<Self>>],
         ) {
-            // On a sharded table this is where the burst splits into
-            // per-shard sub-batches by the keys' hashes.
-            let scratch = self.scratch.borrow_mut();
-            scratch.lookup_internal(self.table, fids, out);
+            // On a sharded table each query routes to its shard by this
+            // hash, inside the table's one staged loop.
+            for (fids, out) in fids.chunks(MAX_BURST).zip(out.chunks_mut(MAX_BURST)) {
+                let mut queries = [None; MAX_BURST];
+                for (q, fid) in queries.iter_mut().zip(fids) {
+                    *q = fid.as_ref().map(|fid| {
+                        let key = fid_key(fid);
+                        (key, key.key_hash())
+                    });
+                }
+                let mut found = [None; MAX_BURST];
+                let n = fids.len();
+                self.table
+                    .probe_internal_batch(&queries[..n], &mut found[..n]);
+                views_at_positions(fids, &found, out);
+            }
         }
 
         fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
@@ -368,8 +373,17 @@ pub mod concrete {
             eks: &[Option<ExtParts<Self>>],
             out: &mut [Option<FlowView<Self>>],
         ) {
-            let scratch = self.scratch.borrow_mut();
-            scratch.lookup_external(self.table, eks, out);
+            for (eks, out) in eks.chunks(MAX_BURST).zip(out.chunks_mut(MAX_BURST)) {
+                let mut queries = [None; MAX_BURST];
+                for (q, ek) in queries.iter_mut().zip(eks) {
+                    *q = ek.as_ref().map(ext_key);
+                }
+                let mut found = [None; MAX_BURST];
+                let n = eks.len();
+                self.table
+                    .probe_external_batch(&queries[..n], &mut found[..n]);
+                views_at_positions(eks, &found, out);
+            }
         }
 
         fn rejuvenate(
@@ -468,76 +482,19 @@ pub mod concrete {
         }
     }
 
-    /// Reusable buffers behind [`ConcreteEnv`]'s `lookup_*_batch`:
-    /// the burst's `Some` queries gathered into the dense key (and, for
-    /// internal keys, hash) slices [`FlowTable`]'s batch probes take,
-    /// their packet positions, and the probe results. Owned across
-    /// bursts, so the steady-state burst path allocates nothing for its
-    /// flow probes.
-    #[derive(Debug, Default)]
-    pub struct ProbeScratch {
-        fids: Vec<FlowId>,
-        eks: Vec<ExtKey>,
-        hashes: Vec<u64>,
-        positions: Vec<usize>,
-        found: Vec<Option<(usize, Flow)>>,
-    }
-
-    impl ProbeScratch {
-        /// [`NatEnv::lookup_internal_batch`] over `table`.
-        fn lookup_internal<E, T>(
-            &mut self,
-            table: &mut T,
-            fids: &[Option<FidParts<E>>],
-            out: &mut [Option<FlowView<E>>],
-        ) where
-            E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-            T: FlowTable,
-        {
-            self.gather(fids, |keys, q| keys.fids.push(fid_key(q)));
-            self.hashes.extend(self.fids.iter().map(MapKey::key_hash));
-            table.probe_internal_batch(&self.fids, &self.hashes, &mut self.found);
-            self.scatter(out);
-        }
-
-        /// [`NatEnv::lookup_external_batch`] over `table`.
-        fn lookup_external<E, T>(
-            &mut self,
-            table: &mut T,
-            eks: &[Option<ExtParts<E>>],
-            out: &mut [Option<FlowView<E>>],
-        ) where
-            E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-            T: FlowTable,
-        {
-            self.gather(eks, |keys, q| keys.eks.push(ext_key(q)));
-            table.probe_external_batch(&self.eks, &mut self.found);
-            self.scatter(out);
-        }
-
-        /// Clear, then push every `Some` query's key and position.
-        fn gather<Q>(&mut self, queries: &[Option<Q>], push_key: impl Fn(&mut Self, &Q)) {
-            self.fids.clear();
-            self.eks.clear();
-            self.hashes.clear();
-            self.positions.clear();
-            self.found.clear();
-            for (i, q) in queries.iter().enumerate() {
-                if let Some(q) = q {
-                    push_key(self, q);
-                    self.positions.push(i);
-                }
-            }
-        }
-
-        /// Write each probe result at its query's packet position.
-        fn scatter<E>(&self, out: &mut [Option<FlowView<E>>])
-        where
-            E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-        {
-            debug_assert_eq!(self.found.len(), self.positions.len());
-            for (&i, r) in self.positions.iter().zip(&self.found) {
-                out[i] = r.as_ref().map(|(slot, flow)| view(*slot, flow));
+    /// Write each probe result as a view at its query's position; leave
+    /// positions that asked nothing alone (the `lookup_*_batch`
+    /// contract).
+    fn views_at_positions<Q, E>(
+        queries: &[Option<Q>],
+        found: &[Option<(usize, Flow)>],
+        out: &mut [Option<FlowView<E>>],
+    ) where
+        E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
+    {
+        for ((q, r), o) in queries.iter().zip(found).zip(out) {
+            if q.is_some() {
+                *o = r.as_ref().map(|(slot, flow)| view(*slot, flow));
             }
         }
     }
@@ -599,22 +556,10 @@ pub trait NatEnv: Domain {
     /// stateless code).
     fn expire_flows(&mut self, threshold: &Self::U64);
 
-    /// Non-blocking receive. `None` when no packet is pending.
+    /// Non-blocking receive. `None` when no packet is pending. The burst
+    /// loop body ([`crate::loop_body::nat_process_batch_into`]) calls it
+    /// until it returns `None` or the burst is full.
     fn receive(&mut self) -> Option<RxPacket<Self>>;
-
-    /// Pull up to `max` pending packets into `out` (the
-    /// `rte_eth_rx_burst` analog). The default delegates to
-    /// [`NatEnv::receive`], so environments that model one packet per
-    /// iteration — including the symbolic one — are unaffected; burst
-    /// environments override it to drain their RX ring in one call.
-    fn receive_burst(&mut self, max: usize, out: &mut Vec<RxPacket<Self>>) {
-        while out.len() < max {
-            match self.receive() {
-                Some(p) => out.push(p),
-                None => break,
-            }
-        }
-    }
 
     /// Decide a branch. Concrete environments evaluate the condition;
     /// the symbolic engine forks execution here, recording the

@@ -85,7 +85,7 @@
 //! each issued for every query before the next begins, so the misses of
 //! one stage overlap. Internal keys: (1) probe starts and tag words,
 //! (2) the directory slot each probe dereferences first, then the
-//! probes ([`libvig::map::Map::get_batch_with_hash`]). External keys:
+//! probes ([`libvig::map::get_staged`]). External keys:
 //! (1) every key's candidate slot — arithmetic — and a first touch of
 //! those records, (2) the key comparisons. Then both: (3) for every hit
 //! the chain cell, and for an internal TCP hit its record; (4) the two
@@ -94,11 +94,18 @@
 //! state, so results stay exactly the per-query lookups' — and are
 //! skipped while the table tracks so few flows that their state is
 //! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
+//!
+//! Queries and results stay at their packet positions, in arrays on the
+//! caller's stack. Each query names the table that owns it — this one,
+//! or on a sharded table the shard its hash or endpoint routes to — so
+//! one staged loop serves every shard: nothing is gathered, split or
+//! scattered, and a burst that mixes shards overlaps their misses as
+//! one table's would.
 
 use libvig::dchain::DoubleChain;
 use libvig::dmap::{DmapValue, DoubleMap};
 use libvig::expirator;
-use libvig::map::MapKey;
+use libvig::map::{get_staged, MapKey, BATCH_CHUNK};
 use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
 use vig_spec::tcp::{initial_state, transition};
@@ -141,27 +148,26 @@ pub trait FlowTable {
     /// [`Flow`] is a view, by value: `fid` plus the slot's endpoint.
     fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)>;
 
-    /// Resolve a burst of internal-key lookups, appending one result
-    /// per query to `out` in query order; `hashes[i] ==
-    /// fids[i].key_hash()`. Results must equal element-wise
-    /// [`FlowTable::lookup_internal_hashed`] — batching (and, for
-    /// sharded tables, the per-shard sub-batch split) is a pure
+    /// Resolve a burst of internal-key lookups by packet position:
+    /// `queries[i]` is a key and its hash (`hash == fid.key_hash()`),
+    /// or `None` where position `i` asks nothing; `out[i]` receives the
+    /// result of query `i`, and is left alone where there is none
+    /// (`out.len() == queries.len()`). Results must equal element-wise
+    /// [`FlowTable::lookup_internal_hashed`] — batching is a pure
     /// optimization: beyond the results, an implementation may only
     /// *load* what the hits' rejuvenations will touch, so those misses
-    /// overlap across the burst ([`FlowManager`] docs). Takes
-    /// `&mut self` only for internal scratch; the table state is not
-    /// modified.
+    /// overlap across the burst, across shards too (module docs, "The
+    /// burst pipeline").
     fn probe_internal_batch(
-        &mut self,
-        fids: &[FlowId],
-        hashes: &[u64],
-        out: &mut Vec<Option<(usize, Flow)>>,
+        &self,
+        queries: &[Option<(FlowId, u64)>],
+        out: &mut [Option<(usize, Flow)>],
     );
 
     /// [`FlowTable::probe_internal_batch`] for external keys: results
     /// equal element-wise [`FlowTable::lookup_external`], duplicates
     /// and endpoints no shard owns included.
-    fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>);
+    fn probe_external_batch(&self, queries: &[Option<ExtKey>], out: &mut [Option<(usize, Flow)>]);
 
     /// Find a flow by external key: the flow in the slot that owns the
     /// key's pool endpoint, if its external key is `ek`. An endpoint
@@ -331,8 +337,6 @@ pub struct FlowManager {
     /// precondition (debug-asserted).
     #[cfg(debug_assertions)]
     clock_high: Time,
-    /// Reusable slot buffer for the `FlowTable::probe_*_batch` pair.
-    probe_slots: Vec<Option<usize>>,
 }
 
 impl FlowManager {
@@ -368,7 +372,6 @@ impl FlowManager {
             capacity,
             #[cfg(debug_assertions)]
             clock_high: Time::ZERO,
-            probe_slots: Vec::new(),
         }
     }
 
@@ -495,18 +498,6 @@ impl FlowManager {
     pub fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         let slot = self.table.get_by_a_with_hash(fid, hash)?;
         Some((slot, self.view(slot, *fid)))
-    }
-
-    /// Stages 3–4 of a batched probe (module docs), minus the records:
-    /// every hit's chain cell, then the two neighbours its unlink will
-    /// write.
-    fn touch_chain(&self, slots: &[Option<usize>]) {
-        for &slot in slots.iter().flatten() {
-            self.chain.first_touch(slot);
-        }
-        for &slot in slots.iter().flatten() {
-            self.chain.first_touch_neighbours(slot);
-        }
     }
 
     /// Whether the batched probes touch ahead: not while the live
@@ -799,58 +790,15 @@ impl FlowTable for FlowManager {
     }
 
     fn probe_internal_batch(
-        &mut self,
-        fids: &[FlowId],
-        hashes: &[u64],
-        out: &mut Vec<Option<(usize, Flow)>>,
+        &self,
+        queries: &[Option<(FlowId, u64)>],
+        out: &mut [Option<(usize, Flow)>],
     ) {
-        // The scratch is detached while `&self` stages fill it, and
-        // reattached afterwards (no allocation in steady state).
-        let mut slots = std::mem::take(&mut self.probe_slots);
-        slots.clear();
-        self.table.lookup_batch(fids, hashes, &mut slots);
-        if self.touches_ahead() {
-            // Only a TCP hit's rejuvenation reads its record (the
-            // tracker); a UDP hit is done with the directory.
-            for (slot, fid) in slots.iter().zip(fids) {
-                if let (Some(slot), Proto::Tcp) = (*slot, fid.proto) {
-                    self.table.first_touch(slot);
-                }
-            }
-            self.touch_chain(&slots);
-        }
-        out.extend(
-            slots
-                .iter()
-                .zip(fids)
-                .map(|(slot, fid)| slot.map(|slot| (slot, self.view(slot, *fid)))),
-        );
-        self.probe_slots = slots;
+        probe_internal_staged(queries, out, |_| (self, 0));
     }
 
-    fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>) {
-        let mut slots = std::mem::take(&mut self.probe_slots);
-        slots.clear();
-        slots.extend(eks.iter().map(|ek| self.slot_of_ext(ek)));
-        let ahead = self.touches_ahead();
-        if ahead {
-            // Every candidate's record: the comparison below reads it.
-            for &slot in slots.iter().flatten() {
-                self.table.first_touch(slot);
-            }
-        }
-        for (slot, ek) in slots.iter_mut().zip(eks) {
-            *slot = slot.and_then(|i| self.table.get_by_b_at(&return_key(i, ek), i));
-        }
-        if ahead {
-            self.touch_chain(&slots);
-        }
-        out.extend(
-            slots
-                .iter()
-                .map(|slot| slot.and_then(|slot| self.flow_at(slot).map(|f| (slot, f)))),
-        );
-        self.probe_slots = slots;
+    fn probe_external_batch(&self, queries: &[Option<ExtKey>], out: &mut [Option<(usize, Flow)>]) {
+        probe_external_staged(queries, out, |_| Some((self, 0)));
     }
 
     fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
@@ -902,8 +850,111 @@ impl FlowTable for FlowManager {
     }
 }
 
+/// A hit whose table touches ahead, as stages 3–4 need it: its table,
+/// its (local) slot, and whether its rejuvenation reads the record.
+type Touch<'t> = Option<(&'t FlowManager, usize, bool)>;
+
+/// The burst pipeline of internal keys (module docs) — the one every
+/// table runs, over one table or every shard of a sharded one: per
+/// chunk of [`BATCH_CHUNK`] positions, the directory's stages
+/// ([`libvig::map::get_staged`], each query in the directory of the
+/// shard it routes to), then stages 3–4 for the hits. `owner(hash)`
+/// names the table a key routes to and the global slot of that table's
+/// local slot 0; results go to `out` as [`FlowTable::probe_internal_batch`]
+/// specifies.
+pub(crate) fn probe_internal_staged<'t>(
+    queries: &[Option<(FlowId, u64)>],
+    out: &mut [Option<(usize, Flow)>],
+    owner: impl Fn(u64) -> (&'t FlowManager, usize),
+) {
+    assert_eq!(queries.len(), out.len(), "one result per query position");
+    for (queries, out) in queries.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
+        let mut touches: [Touch<'t>; BATCH_CHUNK] = [None; BATCH_CHUNK];
+        get_staged(
+            queries.len(),
+            |i| {
+                let (fid, hash) = queries[i].as_ref()?;
+                Some((owner(*hash).0.table.directory(), fid, *hash))
+            },
+            |i, slot| {
+                let (fid, hash) = queries[i].expect("results come only for queries");
+                let (fm, base) = owner(hash);
+                // The directory slot compared the whole key: the view is
+                // the query plus arithmetic.
+                out[i] = slot.map(|slot| (base + slot, fm.view(slot, fid)));
+                // Only a TCP hit's rejuvenation reads its record (the
+                // tracker); a UDP hit is done with the directory.
+                touches[i] = slot
+                    .filter(|_| fm.touches_ahead())
+                    .map(|slot| (fm, slot, fid.proto == Proto::Tcp));
+            },
+        );
+        touch_ahead(&touches);
+    }
+}
+
+/// The burst pipeline of return keys (module docs): per chunk of
+/// [`BATCH_CHUNK`] positions, (1) every key's candidate slot — the one
+/// its endpoint names in the table `owner` routes it to, arithmetic —
+/// and a first touch of that slot's record, (2) the key comparisons,
+/// then stages 3–4 for the hits. `owner(ek)` names the table that owns
+/// `ek`'s endpoint and the global slot of its local slot 0, or `None`
+/// when no table does; results go to `out` as
+/// [`FlowTable::probe_external_batch`] specifies.
+pub(crate) fn probe_external_staged<'t>(
+    queries: &[Option<ExtKey>],
+    out: &mut [Option<(usize, Flow)>],
+    owner: impl Fn(&ExtKey) -> Option<(&'t FlowManager, usize)>,
+) {
+    assert_eq!(queries.len(), out.len(), "one result per query position");
+    for (queries, out) in queries.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
+        let mut candidates: [Option<(&'t FlowManager, usize, usize)>; BATCH_CHUNK] =
+            [None; BATCH_CHUNK];
+        for (candidate, ek) in candidates.iter_mut().zip(queries) {
+            *candidate = ek.as_ref().and_then(|ek| {
+                let (fm, base) = owner(ek)?;
+                Some((fm, base, fm.slot_of_ext(ek)?))
+            });
+            if let Some((fm, _, slot)) = *candidate {
+                if fm.touches_ahead() {
+                    // The comparison below reads it.
+                    fm.table.first_touch(slot);
+                }
+            }
+        }
+        let mut touches: [Touch<'t>; BATCH_CHUNK] = [None; BATCH_CHUNK];
+        for (i, ek) in queries.iter().enumerate() {
+            let Some(ek) = ek else { continue };
+            let hit = candidates[i].and_then(|(fm, base, slot)| {
+                let slot = fm.table.get_by_b_at(&return_key(slot, ek), slot)?;
+                Some((fm, base, slot))
+            });
+            out[i] = hit.and_then(|(fm, base, slot)| Some((base + slot, fm.flow_at(slot)?)));
+            touches[i] = hit
+                .filter(|(fm, ..)| fm.touches_ahead())
+                .map(|(fm, _, slot)| (fm, slot, false));
+        }
+        touch_ahead(&touches);
+    }
+}
+
+/// Stages 3–4 of a batched probe (module docs): each hit's chain cell,
+/// and its record where its rejuvenation reads it, then the two
+/// neighbours its unlink will write.
+fn touch_ahead(touches: &[Touch<'_>]) {
+    for &(fm, slot, record) in touches.iter().flatten() {
+        if record {
+            fm.table.first_touch(slot);
+        }
+        fm.chain.first_touch(slot);
+    }
+    for &(fm, slot, _) in touches.iter().flatten() {
+        fm.chain.first_touch_neighbours(slot);
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use vig_packet::{Ip4, Proto};
@@ -1172,73 +1223,138 @@ mod tests {
         fm.check_coherence().unwrap();
     }
 
-    /// The batched probes, on a table past the cache-resident budget so
-    /// stages 3–4 run: results equal the per-key lookups (hits, misses,
-    /// duplicates, both directions), and nothing observable changes —
-    /// the table still equals the clone taken before, LRU order, stamps
-    /// and coherence included — on one list and on a list per class.
+    /// Both batched probes of `t`, by position, against its per-key
+    /// lookups: each `Some` position's result is the lookup's, each
+    /// `None` position keeps the sentinel it held. Returns the hits of
+    /// each direction.
+    pub(crate) fn assert_probes_equal_lookups<T: FlowTable>(
+        t: &T,
+        fids: &[Option<FlowId>],
+        eks: &[Option<ExtKey>],
+    ) -> (usize, usize) {
+        let sentinel = Some((
+            usize::MAX,
+            Flow {
+                int_key: fid(0, 0),
+                ext_ip: Ip4(0),
+                ext_port: 0,
+            },
+        ));
+        let queries: Vec<_> = fids.iter().map(|f| f.map(|f| (f, f.key_hash()))).collect();
+        let mut out = vec![sentinel; queries.len()];
+        t.probe_internal_batch(&queries, &mut out);
+        for (i, (f, got)) in fids.iter().zip(&out).enumerate() {
+            let want = f.map_or(sentinel, |f| t.lookup_internal_hashed(&f, f.key_hash()));
+            assert_eq!(*got, want, "internal position {i} ({f:?})");
+        }
+        let int_hits = fids
+            .iter()
+            .zip(&out)
+            .filter(|(f, r)| f.is_some() && r.is_some())
+            .count();
+        let mut out = vec![sentinel; eks.len()];
+        t.probe_external_batch(eks, &mut out);
+        for (i, (ek, got)) in eks.iter().zip(&out).enumerate() {
+            let want = ek.map_or(sentinel, |ek| t.lookup_external(&ek));
+            assert_eq!(*got, want, "external position {i} ({ek:?})");
+        }
+        let ext_hits = eks
+            .iter()
+            .zip(&out)
+            .filter(|(ek, r)| ek.is_some() && r.is_some())
+            .count();
+        (int_hits, ext_hits)
+    }
+
+    /// The batched probes, by position, on tables past the cache-resident
+    /// budget so stages 3–4 run — one table, and a table of two shards
+    /// whose every burst mixes them — against the per-key lookups: hits,
+    /// misses, duplicates, return keys for a free slot and outside the
+    /// pool, `None` holes at scattered positions, 203 positions (seven
+    /// chunks). Nothing observable changes — the table still equals the
+    /// clone taken before, LRU order, stamps, trackers and coherence
+    /// included — on one list and on a list per class.
     #[test]
     fn staged_probes_equal_lookups_and_change_nothing() {
+        use crate::sharded::ShardedFlowManager;
         use vig_packet::tcp::flags;
-        let big = |c: NatConfig| NatConfig {
-            capacity: 4096,
-            ..c
+        let key = |i: u32| FlowId {
+            src_ip: Ip4(Ip4::new(192, 168, 0, 0).raw() + i),
+            proto: if i.is_multiple_of(3) {
+                Proto::Udp
+            } else {
+                Proto::Tcp
+            },
+            ..fid(0, 100)
         };
-        for c in [big(cfg()), big(classed_cfg())] {
-            let mut fm = FlowManager::new(&c);
-            let key = |i: u32| FlowId {
-                src_ip: Ip4(Ip4::new(192, 168, 0, 0).raw() + i),
-                proto: if i.is_multiple_of(3) {
-                    Proto::Udp
-                } else {
-                    Proto::Tcp
-                },
-                ..fid(0, 100)
-            };
+        /// `flows` flows through the loop body's calls, then a shuffled
+        /// LRU order with TCP flows spread over classes.
+        fn fill<T: FlowTable>(t: &mut T, flows: u32, key: impl Fn(u32) -> FlowId) {
             let mut now = Time::from_secs(1);
-            for i in 0..2400 {
+            for i in 0..flows {
                 now = now.plus(1_000);
-                fm.allocate(key(i), now).expect("below capacity");
+                let (f, h) = (key(i), key(i).key_hash());
+                let slot = t.allocate_slot_routed(h, now).expect("below capacity");
+                let (ip, port) = t.endpoint_of_slot(slot);
+                t.insert_hashed(slot, f, ip, port, h, 0);
             }
-            assert!(fm.touches_ahead());
-            // Shuffle the LRU order and spread TCP flows over classes.
-            for i in (0..2400).step_by(7) {
+            for i in (0..flows).step_by(7) {
                 now = now.plus(1_000);
-                let (slot, _) = fm.lookup_internal(&key(i)).unwrap();
+                let (slot, _) = t
+                    .lookup_internal_hashed(&key(i), key(i).key_hash())
+                    .unwrap();
                 let fl = [flags::ACK, flags::FIN, flags::RST][i as usize % 3];
-                fm.rejuvenate_with(slot, now, Direction::External, fl);
+                t.rejuvenate(slot, now, Direction::External, fl);
             }
-            fm.check_coherence().unwrap();
-
-            let fids: Vec<FlowId> = (2300..2500).chain([3, 3, 2399]).map(key).collect();
-            let eks: Vec<ExtKey> = fids
-                .iter()
-                .map(|f| match fm.lookup_internal(f) {
+            t.check_coherence().unwrap();
+        }
+        /// Queries around the `flows` resident ones, with holes.
+        fn queries<T: FlowTable>(
+            t: &T,
+            c: &NatConfig,
+            flows: u32,
+            key: impl Fn(u32) -> FlowId,
+        ) -> (Vec<Option<FlowId>>, Vec<Option<ExtKey>>) {
+            let hole = |i: usize| (i as u64).key_hash().is_multiple_of(5);
+            let fids: Vec<FlowId> = (flows - 100..flows + 100)
+                .chain([3, 3, flows - 1])
+                .map(key)
+                .collect();
+            let eks = fids.iter().enumerate().map(|(i, f)| {
+                match t.lookup_internal_hashed(f, f.key_hash()) {
                     Some((_, flow)) => flow.ext_key(),
                     None => ExtKey {
                         ext_ip: c.external_ip,
-                        ext_port: c.start_port + 4095,
+                        // The last slot (free), or the port below the pool.
+                        ext_port: [c.start_port + c.capacity as u16 - 1, c.start_port - 1][i % 2],
                         dst_ip: f.dst_ip,
                         dst_port: f.dst_port,
                         proto: f.proto,
                     },
-                })
-                .collect();
+                }
+            });
+            let fids = fids
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (!hole(i)).then_some(*f));
+            let eks = eks.enumerate().map(|(i, ek)| (!hole(i + 1)).then_some(ek));
+            (fids.collect(), eks.collect())
+        }
+        for c in [cfg(), classed_cfg()] {
+            let c1 = NatConfig {
+                capacity: 4096,
+                ..c
+            };
+            let mut fm = FlowManager::new(&c1);
+            fill(&mut fm, 2400, key);
+            assert!(fm.touches_ahead());
+            let (fids, eks) = queries(&fm, &c1, 2400, key);
             let before = fm.clone();
-            let mut out = Vec::new();
-            let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();
-            fm.probe_internal_batch(&fids, &hashes, &mut out);
-            for (i, f) in fids.iter().enumerate() {
-                assert_eq!(out[i], fm.lookup_internal(f));
-            }
-            assert_eq!(out.iter().flatten().count(), 100 + 3);
-            out.clear();
-            fm.probe_external_batch(&eks, &mut out);
-            for (i, ek) in eks.iter().enumerate() {
-                assert_eq!(out[i], fm.lookup_external(ek));
-            }
-            assert_eq!(out.iter().flatten().count(), 100 + 3);
-
+            let (int_hits, ext_hits) = assert_probes_equal_lookups(&fm, &fids, &eks);
+            assert!(
+                int_hits > 60 && ext_hits > 60,
+                "hits {int_hits} / {ext_hits}"
+            );
             let lru = |fm: &FlowManager| -> Vec<(usize, Flow, Time)> { fm.iter_lru().collect() };
             assert_eq!(lru(&fm), lru(&before));
             let trackers = |fm: &FlowManager| -> Vec<Option<TcpState>> {
@@ -1246,6 +1362,36 @@ mod tests {
             };
             assert_eq!(trackers(&fm), trackers(&before));
             fm.check_coherence().unwrap();
+
+            let c2 = NatConfig {
+                capacity: 8192,
+                ..c
+            };
+            let mut two = ShardedFlowManager::new(&c2, 2);
+            fill(&mut two, 5000, key);
+            assert!((0..2).all(|s| two.shard(s).touches_ahead()));
+            let (fids, eks) = queries(&two, &c2, 5000, key);
+            let shard_of = |f: &FlowId| two.shard_of_hash(f.key_hash());
+            let shards: std::collections::HashSet<_> =
+                fids.iter().flatten().map(shard_of).collect();
+            assert_eq!(shards.len(), 2, "every burst mixes the shards");
+            let before = two.clone();
+            let (int_hits, ext_hits) = assert_probes_equal_lookups(&two, &fids, &eks);
+            assert!(
+                int_hits > 60 && ext_hits > 60,
+                "hits {int_hits} / {ext_hits}"
+            );
+            assert_eq!(two.snapshot(), before.snapshot());
+            for s in 0..2 {
+                let trackers = |t: &ShardedFlowManager| -> Vec<Option<TcpState>> {
+                    let fm = t.shard(s);
+                    fm.iter_lru()
+                        .map(|(slot, ..)| fm.tcp_state_of(slot))
+                        .collect()
+                };
+                assert_eq!(trackers(&two), trackers(&before));
+            }
+            FlowTable::check_coherence(&two).unwrap();
         }
     }
 
@@ -1363,9 +1509,9 @@ mod tests {
 
         let live = live(&t);
         let scan = |ek: &ExtKey| live.iter().copied().find(|(_, f)| f.ext_key() == *ek);
-        let mut batch = Vec::new();
-        t.probe_external_batch(&queries, &mut batch);
-        assert_eq!(batch.len(), queries.len());
+        let positioned: Vec<_> = queries.iter().copied().map(Some).collect();
+        let mut batch = vec![None; queries.len()];
+        t.probe_external_batch(&positioned, &mut batch);
         for (ek, batched) in queries.iter().zip(batch) {
             let want = scan(ek);
             assert_eq!(t.lookup_external(ek), want, "lookup_external({ek:?})");

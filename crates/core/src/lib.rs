@@ -77,7 +77,9 @@ pub mod simple_env;
 pub use domain::{Concrete, Domain};
 pub use env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
 pub use flow_manager::{FlowManager, FlowTable};
-pub use loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome, MAX_BURST};
+pub use loop_body::{
+    nat_loop_iteration, nat_process_batch, nat_process_batch_into, IterationOutcome, MAX_BURST,
+};
 pub use sharded::ShardedFlowManager;
 pub use simple_env::SimpleEnv;
 

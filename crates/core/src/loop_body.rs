@@ -545,9 +545,21 @@ fn hairpin_internal<E: NatEnv + ?Sized>(
     }
 }
 
-/// Largest burst [`nat_process_batch`] pulls per call — the
+/// Largest burst [`nat_process_batch_into`] pulls per call — the
 /// `rte_eth_rx_burst` default DPDK NFs use.
 pub const MAX_BURST: usize = 32;
+
+/// [`nat_process_batch_into`], collecting the outcomes into a `Vec`
+/// (one allocation per call): for callers that want the burst's
+/// outcomes as a value. The datapath's drivers pass a sink instead.
+pub fn nat_process_batch<E: NatEnv + ?Sized>(
+    env: &mut E,
+    cfg: &NatConfig,
+) -> Vec<IterationOutcome> {
+    let mut outcomes = Vec::with_capacity(MAX_BURST);
+    nat_process_batch_into(env, cfg, |o| outcomes.push(o));
+    outcomes
+}
 
 /// One burst of the NAT's packet-processing loop: pull up to
 /// [`MAX_BURST`] packets and process them with per-packet semantics
@@ -572,8 +584,8 @@ pub const MAX_BURST: usize = 32;
 /// The batched probe (pass 2 below) is also where **RSS-style shard
 /// dispatch** rides when the environment's flow table is sharded
 /// ([`crate::sharded::ShardedFlowManager`]): the probe pass has already
-/// computed each query's key hash, and the sharded table splits the
-/// burst into per-shard sub-batches by that same memoized hash — the
+/// computed each query's key hash, and in the table's one staged loop
+/// each query routes to its shard by that same memoized hash — the
 /// hash doubles as the shard selector, so dispatch adds no hash
 /// computation and no extra pass. The loop body itself is oblivious:
 /// slots it sees are global (`ext_port = start_port + slot` holds
@@ -587,36 +599,47 @@ pub const MAX_BURST: usize = 32;
 /// sequential loop leaves it. `tests/batch_equivalence.rs` asserts this
 /// differentially on adversarial traffic.
 ///
-/// Returns one [`IterationOutcome`] per received packet (empty when no
-/// packet was pending).
+/// Hands `sink` one [`IterationOutcome`] per received packet, in
+/// arrival order (none when no packet was pending).
 ///
-/// Verdicts, queries and hints live in fixed `[_; MAX_BURST]` arrays
-/// indexed by packet position, so the only heap allocations per call
-/// are the received-packet vector ([`NatEnv::receive_burst`] fills a
-/// `Vec`) and the returned outcomes.
-pub fn nat_process_batch<E: NatEnv + ?Sized>(
+/// Packets, verdicts, queries and hints live in fixed `[_; MAX_BURST]`
+/// arrays indexed by packet position, filled in place: the burst
+/// allocates nothing ([`nat_process_batch`] is the form that collects
+/// the outcomes into a `Vec`).
+pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-) -> Vec<IterationOutcome> {
+    mut sink: impl FnMut(IterationOutcome),
+) {
     let now = env.now();
     expire_guarded(env, cfg, &now); // once per burst
 
-    let mut pkts: Vec<RxPacket<E>> = Vec::with_capacity(MAX_BURST);
-    env.receive_burst(MAX_BURST, &mut pkts);
-    let n = pkts.len();
-    assert!(n <= MAX_BURST, "env delivered {n} packets to one burst");
+    // Receive until the env runs dry or the burst is full (the
+    // `rte_eth_rx_burst` analog). Burst arrays are filled by plain
+    // loops: filling this one by a `from_fn` closure that called
+    // `receive` cost ≈ 20 ns per packet on the new-flow path.
+    let mut pkts: [Option<RxPacket<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let mut n = 0;
+    while n < MAX_BURST {
+        let Some(pkt) = env.receive() else { break };
+        pkts[n] = Some(pkt);
+        n += 1;
+    }
+    let pkts = &pkts[..n];
 
     // Pass 1: validation ladder per packet. Decision only — the
     // `drop_pkt` *effect* is deferred to pass 3 so every buffer is
     // consumed at its own sequence point, in arrival order, exactly as
     // the sequential loop consumes them.
-    let verdicts: [Option<Result<Proto, DropReason>>; MAX_BURST] =
-        std::array::from_fn(|i| pkts.get(i).map(|pkt| validate(env, pkt)));
+    let mut verdicts: [Option<Result<Proto, DropReason>>; MAX_BURST] = [None; MAX_BURST];
+    for (verdict, pkt) in verdicts.iter_mut().zip(pkts.iter().flatten()) {
+        *verdict = Some(validate(env, pkt));
+    }
 
     // Pass 2: batched probes for every valid packet's own lookup, by
     // direction. (On a sharded flow table this is the dispatch point:
-    // the env splits these queries into per-shard sub-batches — see the
-    // function docs.) Keys are built by `internal_fid`/`external_key`,
+    // each query routes to its shard where it sits — see the function
+    // docs.) Keys are built by `internal_fid`/`external_key`,
     // so EIM canonicalization applies to batched probes exactly as to
     // sequence-point lookups. (On the hairpin path the sender's key is
     // this same fid, so a batched hit stays a valid hint there too; the
@@ -624,7 +647,7 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
     let mut int_queries: [Option<FidParts<E>>; MAX_BURST] = std::array::from_fn(|_| None);
     let mut ext_queries: [Option<ExtParts<E>>; MAX_BURST] = std::array::from_fn(|_| None);
     let (mut any_int, mut any_ext) = (false, false);
-    for (i, pkt) in pkts.iter().enumerate() {
+    for (i, pkt) in pkts.iter().flatten().enumerate() {
         if let Some(Ok(proto)) = verdicts[i] {
             match pkt.dir {
                 Direction::Internal => {
@@ -649,10 +672,9 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
     // Pass 3: complete each packet in arrival order. Trust batched
     // hits; batched misses pass `None` and re-probe at the sequence
     // point (see `translate_internal`).
-    let mut outcomes = Vec::with_capacity(n);
-    for (i, pkt) in pkts.iter().enumerate() {
+    for (i, pkt) in pkts.iter().flatten().enumerate() {
         let verdict = verdicts[i].expect("every received packet was validated in pass 1");
-        outcomes.push(complete(
+        sink(complete(
             env,
             cfg,
             pkt,
@@ -661,7 +683,6 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
             hints[i].take(),
         ));
     }
-    outcomes
 }
 
 /// Validate the VigNAT configuration invariants the loop body's proofs

@@ -48,8 +48,10 @@
 //! tests pin this behaviour down; `docs/ARCHITECTURE.md` discusses the
 //! sizing consequences.
 
-use crate::flow_manager::{endpoint, FlowManager, FlowTable};
-use libvig::rss::{shard_of, BatchSplit};
+use crate::flow_manager::{
+    endpoint, probe_external_staged, probe_internal_staged, FlowManager, FlowTable,
+};
+use libvig::rss::shard_of;
 use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
 use vig_spec::NatConfig;
@@ -60,13 +62,6 @@ pub struct ShardedFlowManager {
     shards: Vec<FlowManager>,
     cfg: NatConfig,
     per_shard: usize,
-    /// Gather/scatter scratch for the per-shard sub-batch probe split
-    /// of internal keys (routed by hash)...
-    split: BatchSplit<FlowId>,
-    /// ...and of external keys (routed by the endpoint partition).
-    split_ext: BatchSplit<ExtKey>,
-    /// One shard's probe results (reused across shards and bursts).
-    found: Vec<Option<(usize, Flow)>>,
 }
 
 impl ShardedFlowManager {
@@ -95,9 +90,6 @@ impl ShardedFlowManager {
                 .collect(),
             cfg: *cfg,
             per_shard,
-            split: BatchSplit::new(shards),
-            split_ext: BatchSplit::new(shards),
-            found: Vec::new(),
         }
     }
 
@@ -166,7 +158,10 @@ impl ShardedFlowManager {
     /// be canonicalized the way the loop body's external key is (the
     /// configured address for single-address pools).
     pub fn shard_of_endpoint(&self, ip: Ip4, port: u16) -> Option<usize> {
-        endpoint_shard(&self.cfg, self.per_shard, self.shards.len(), ip, port)
+        let slot = self.cfg.slot_of_endpoint(ip, port)?;
+        // Remainder slots (capacity % shards) are dropped from the
+        // sharded table; their endpoints belong to no shard.
+        (slot < self.table_capacity()).then(|| slot / self.per_shard)
     }
 
     /// [`ShardedFlowManager::shard_of_endpoint`] for the paper's
@@ -229,45 +224,6 @@ impl ShardedFlowManager {
     }
 }
 
-/// [`ShardedFlowManager::shard_of_endpoint`] on the table's parameters
-/// (callable while the table's scratch is mutably borrowed).
-fn endpoint_shard(
-    cfg: &NatConfig,
-    per_shard: usize,
-    shards: usize,
-    ip: Ip4,
-    port: u16,
-) -> Option<usize> {
-    let slot = cfg.slot_of_endpoint(ip, port)?;
-    // Remainder slots (capacity % shards) are dropped from the sharded
-    // table; their endpoints belong to no shard.
-    (slot < per_shard * shards).then(|| slot / per_shard)
-}
-
-/// Probe each shard's sub-batch of `split` with `probe` (which gets the
-/// shard's table and index) and write every result at its query's
-/// original position of `out`, remapped to global slots. Queries routed
-/// nowhere keep the `None` they start with.
-fn probe_split<K: Clone>(
-    shards: &mut [FlowManager],
-    per_shard: usize,
-    split: &BatchSplit<K>,
-    found: &mut Vec<Option<(usize, Flow)>>,
-    out: &mut [Option<(usize, Flow)>],
-    probe: impl Fn(&mut FlowManager, usize, &mut Vec<Option<(usize, Flow)>>),
-) {
-    for (s, fm) in shards.iter_mut().enumerate() {
-        if split.keys(s).is_empty() {
-            continue;
-        }
-        found.clear();
-        probe(fm, s, found);
-        for (&orig, r) in split.origins(s).iter().zip(found.iter()) {
-            out[orig as usize] = r.map(|(slot, flow)| (s * per_shard + slot, flow));
-        }
-    }
-}
-
 impl FlowTable for ShardedFlowManager {
     fn flow_count(&self) -> usize {
         self.shards.iter().map(FlowManager::len).sum()
@@ -288,48 +244,25 @@ impl FlowTable for ShardedFlowManager {
     }
 
     fn probe_internal_batch(
-        &mut self,
-        fids: &[FlowId],
-        hashes: &[u64],
-        out: &mut Vec<Option<(usize, Flow)>>,
+        &self,
+        queries: &[Option<(FlowId, u64)>],
+        out: &mut [Option<(usize, Flow)>],
     ) {
-        // Gather: split the burst's probe batch into per-shard
-        // sub-batches by the memoized hashes (the RSS dispatch step).
-        self.split.split(fids, hashes);
-        let base = out.len();
-        out.resize(base + fids.len(), None);
-        // Probe + scatter: each shard resolves its sub-batch with its
-        // own staged burst probe, giving the same overlapped misses per
-        // shard the unsharded burst path gets globally.
-        let split = &self.split;
-        probe_split(
-            &mut self.shards,
-            self.per_shard,
-            split,
-            &mut self.found,
-            &mut out[base..],
-            |fm, s, found| fm.probe_internal_batch(split.keys(s), split.hashes(s), found),
-        );
+        // Each query routes by its memoized hash (the RSS dispatch
+        // step) inside the one staged loop of every table.
+        probe_internal_staged(queries, out, |hash| {
+            let s = self.shard_of_hash(hash);
+            (&self.shards[s], self.global(s, 0))
+        });
     }
 
-    fn probe_external_batch(&mut self, eks: &[ExtKey], out: &mut Vec<Option<(usize, Flow)>>) {
-        // Route by the endpoint partition, once per key (module docs);
-        // an endpoint no shard owns joins no sub-batch and stays a miss.
-        let (cfg, per_shard, shards) = (self.cfg, self.per_shard, self.shards.len());
-        self.split_ext.split_by(eks, |ek| {
-            endpoint_shard(&cfg, per_shard, shards, ek.ext_ip, ek.ext_port)
+    fn probe_external_batch(&self, queries: &[Option<ExtKey>], out: &mut [Option<(usize, Flow)>]) {
+        // Route by the endpoint partition (module docs); an endpoint no
+        // shard owns stays a miss.
+        probe_external_staged(queries, out, |ek| {
+            let s = self.shard_of_endpoint(ek.ext_ip, ek.ext_port)?;
+            Some((&self.shards[s], self.global(s, 0)))
         });
-        let base = out.len();
-        out.resize(base + eks.len(), None);
-        let split = &self.split_ext;
-        probe_split(
-            &mut self.shards,
-            self.per_shard,
-            split,
-            &mut self.found,
-            &mut out[base..],
-            |fm, s, found| fm.probe_external_batch(split.keys(s), found),
-        );
     }
 
     fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
@@ -417,6 +350,7 @@ impl FlowTable for ShardedFlowManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow_manager::tests::assert_probes_equal_lookups;
     use libvig::map::MapKey;
     use vig_packet::{Ip4, Proto};
 
@@ -502,9 +436,13 @@ mod tests {
         // Hits, misses, and duplicates, in interleaved shard order.
         let queries: Vec<FlowId> = (0..40u8).map(|h| fid(h % 35, 100)).collect();
         let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-        let mut batch = Vec::new();
-        t.probe_internal_batch(&queries, &hashes, &mut batch);
-        assert_eq!(batch.len(), queries.len());
+        let positioned: Vec<_> = queries
+            .iter()
+            .zip(&hashes)
+            .map(|(q, &h)| Some((*q, h)))
+            .collect();
+        let mut batch = vec![None; queries.len()];
+        t.probe_internal_batch(&positioned, &mut batch);
         for (i, q) in queries.iter().enumerate() {
             let seq = t.lookup_internal_hashed(q, hashes[i]);
             assert_eq!(batch[i], seq, "query {i} diverged");
@@ -588,35 +526,20 @@ mod tests {
         let _ = ShardedFlowManager::new(&cfg(4), 8);
     }
 
-    /// Both batch probes against their per-key lookups on `t`.
-    fn assert_batches_equal_lookups<T: FlowTable>(t: &mut T, fids: &[FlowId], eks: &[ExtKey]) {
-        let mut batch = Vec::new();
-        t.probe_external_batch(eks, &mut batch);
-        assert_eq!(batch.len(), eks.len());
-        for (i, ek) in eks.iter().enumerate() {
-            let seq = t.lookup_external(ek);
-            assert_eq!(batch[i], seq, "external query {i} ({ek:?}) diverged");
-        }
-        let hashes: Vec<u64> = fids.iter().map(MapKey::key_hash).collect();
-        batch.clear();
-        t.probe_internal_batch(fids, &hashes, &mut batch);
-        for (i, fid) in fids.iter().enumerate() {
-            let seq = t.lookup_internal_hashed(fid, hashes[i]);
-            assert_eq!(batch[i], seq, "internal query {i} diverged");
-        }
-    }
-
     proptest::proptest! {
         /// `probe_external_batch` (and its internal twin) equal their
-        /// element-wise lookups on the unsharded and the sharded table
-        /// — live endpoints, dead ones, wrong remotes, duplicates,
-        /// endpoints outside the pool and, with 3 shards over 64 slots,
-        /// the remainder slot no shard owns — and, being loads only,
-        /// leave every observable bit of either table as it was.
+        /// element-wise lookups position by position on the unsharded
+        /// and the sharded table — live endpoints, dead ones, wrong
+        /// remotes, duplicates, endpoints outside the pool and, with 3
+        /// shards over 64 slots, the remainder slot no shard owns; bursts
+        /// up to three 32-query chunks long whose queries route to every
+        /// shard in any order, with `None` holes at random positions left
+        /// alone — and, being loads only, leave every observable bit of
+        /// either table as it was.
         #[test]
         fn batch_probes_equal_lookups_and_change_nothing(
             flows in proptest::collection::vec((0u8..48, 0u8..2, 0u8..3), 0..70),
-            queries in proptest::collection::vec((0u16..70, 0u8..3, 0u8..2), 1..90),
+            queries in proptest::collection::vec((0u16..70, 0u8..3, 0u8..2, 0u8..4), 1..100),
             shards in 1usize..4,
             classed in 0u8..2,
         ) {
@@ -648,33 +571,35 @@ mod tests {
                     }
                 }
             }
-            let eks: Vec<ExtKey> = queries
+            // A hole (`None`) one time in four, at a different position
+            // in each direction.
+            let eks: Vec<Option<ExtKey>> = queries
                 .iter()
-                .map(|&(off, remote, tcp)| ExtKey {
+                .map(|&(off, remote, tcp, hole)| (hole != 0).then_some(ExtKey {
                     ext_ip: c.external_ip,
                     // 1000..1063 is the pool; 999 and 1064.. are not.
                     ext_port: 999 + off,
                     dst_ip: Ip4::new(8, 8, 8, 8),
                     dst_port: [53, 53, 54][usize::from(remote)],
                     proto: if tcp == 1 { Proto::Tcp } else { Proto::Udp },
-                })
+                }))
                 .collect();
-            let fids: Vec<FlowId> = queries
+            let fids: Vec<Option<FlowId>> = queries
                 .iter()
-                .map(|&(off, _, tcp)| FlowId {
+                .map(|&(off, _, tcp, hole)| (hole != 1).then_some(FlowId {
                     proto: if tcp == 1 { Proto::Tcp } else { Proto::Udp },
                     ..fid(off as u8, 100)
-                })
+                }))
                 .collect();
 
             let before: Vec<_> = plain.iter_lru().collect();
-            assert_batches_equal_lookups(&mut plain, &fids, &eks);
+            assert_probes_equal_lookups(&plain, &fids, &eks);
             let after: Vec<_> = plain.iter_lru().collect();
             proptest::prop_assert_eq!(before, after);
             proptest::prop_assert!(plain.check_coherence().is_ok());
 
             let before = sharded.snapshot();
-            assert_batches_equal_lookups(&mut sharded, &fids, &eks);
+            assert_probes_equal_lookups(&sharded, &fids, &eks);
             proptest::prop_assert_eq!(before, sharded.snapshot());
             proptest::prop_assert!(sharded.check_coherence().is_ok());
         }

@@ -14,7 +14,7 @@
 //! before the iteration ends, mirroring the Validator's leak check.
 
 use crate::domain::Concrete;
-use crate::env::concrete::{ConcreteEnv, PacketSide, ProbeScratch};
+use crate::env::concrete::{ConcreteEnv, PacketSide};
 use crate::env::{PktHandle, TxHdr};
 use crate::flow_manager::{FlowManager, FlowTable};
 use crate::loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome};
@@ -57,8 +57,6 @@ pub struct SimpleEnv<T: FlowTable = FlowManager> {
     now: Time,
     packets: FieldQueue,
     expired_total: usize,
-    /// Reused buffers of the batched probes.
-    probe_scratch: ProbeScratch,
 }
 
 /// The field-level [`PacketSide`]: injected header fields in, events
@@ -134,7 +132,6 @@ impl<T: FlowTable> SimpleEnv<T> {
             now: Time::ZERO,
             packets: FieldQueue::default(),
             expired_total: 0,
-            probe_scratch: ProbeScratch::default(),
         }
     }
 
@@ -171,12 +168,7 @@ impl<T: FlowTable> SimpleEnv<T> {
         &mut self,
         body: impl FnOnce(&mut ConcreteEnv<'_, T, &mut FieldQueue>, &NatConfig) -> R,
     ) -> R {
-        let mut env = ConcreteEnv::new(
-            &mut self.fm,
-            &mut self.packets,
-            self.now,
-            &mut self.probe_scratch,
-        );
+        let mut env = ConcreteEnv::new(&mut self.fm, &mut self.packets, self.now);
         let out = body(&mut env, &self.cfg);
         self.expired_total += env.finish();
         assert!(

@@ -154,14 +154,12 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
         (self.slots.get(index)?.as_ref()?.key_b(index) == *kb).then_some(index)
     }
 
-    /// Resolve a burst of A-key lookups at once, appending one slot
-    /// result per query to `out` in query order. `hashes[i]` must equal
-    /// `keys[i].key_hash()`. Results are exactly `get_by_a` per query;
-    /// the batch form exists so the burst datapath gets the directory
-    /// probes issued back to back (see
-    /// [`crate::map::Map::get_batch_with_hash`] for the cache argument).
-    pub fn lookup_batch(&self, keys: &[V::KeyA], hashes: &[u64], out: &mut Vec<Option<usize>>) {
-        self.map_a.get_batch_with_hash(keys, hashes, out);
+    /// The A-key directory, read-only: what a burst probe stages
+    /// ([`crate::map::get_staged`]) — across the directories of several
+    /// double maps at once when a table is sharded. Its values are this
+    /// map's slot indices; [`DoubleMap::get_by_a`] is one lookup in it.
+    pub fn directory(&self) -> &Map<V::KeyA> {
+        &self.map_a
     }
 
     /// Hint: load value slot `index` so a following [`DoubleMap::get`]
@@ -457,7 +455,9 @@ impl<V: DmapValue + Clone + PartialEq + core::fmt::Debug> CheckedDmap<V> {
             assert_eq!(h, k.key_hash(), "lookup_batch precondition: stale hash");
         }
         let mut got = Vec::new();
-        self.imp.lookup_batch(keys, hashes, &mut got);
+        self.imp
+            .directory()
+            .get_batch_with_hash(keys, hashes, &mut got);
         assert_eq!(got.len(), keys.len(), "lookup_batch result count mismatch");
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(

@@ -77,6 +77,10 @@
 //! sublinear in burst size on large tables. The first-touches are plain
 //! loads folded into `std::hint::black_box` (this crate forbids
 //! `unsafe`, so there are no prefetch intrinsics); they change no state.
+//! The stages are [`get_staged`], which takes its queries by position
+//! and lets each name its own map, so one pass over a burst serves
+//! every shard of a partitioned table — the misses of different shards
+//! overlap as those of one map do — and writes nothing but results.
 //!
 //! ## Contract summary (paper Fig. 8 analog)
 //!
@@ -156,8 +160,9 @@ const LANE_LSB: u64 = 0x0101_0101_0101_0101;
 const LANE_MSB: u64 = 0x8080_8080_8080_8080;
 /// Busy bit within one control byte.
 const CTRL_BUSY: u8 = 0x80;
-/// Keys [`Map::get_batch_with_hash`] stages at once (one RX burst).
-const BATCH_CHUNK: usize = 32;
+/// Queries a staged probe issues each stage for at once (one RX burst):
+/// [`get_staged`] takes at most this many.
+pub const BATCH_CHUNK: usize = 32;
 
 /// The control byte a busy slot holding a key with hash `hash` carries:
 /// busy bit | top seven hash bits. The probe start position consumes
@@ -454,15 +459,10 @@ impl<K: MapKey> Map<K> {
     }
 
     /// Resolve a burst of lookups, writing one result per query into
-    /// `out` (appended in query order).
-    ///
-    /// Staged per chunk of 32 keys (module docs): stage 1
-    /// computes each probe start — once; the probe reuses it — and
-    /// first-touches its control word; stage 2 first-touches the slot
-    /// each probe will dereference first; then the probes complete on
-    /// the warmed lines. Results are exactly `get_with_hash` per query
-    /// (the contract layer checks this). `hashes[i]` must equal
-    /// `keys[i].key_hash()`.
+    /// `out` (appended in query order): [`get_staged`] over this one
+    /// map, per chunk of [`BATCH_CHUNK`] keys. Results are exactly
+    /// `get_with_hash` per query (the contract layer checks this).
+    /// `hashes[i]` must equal `keys[i].key_hash()`.
     pub fn get_batch_with_hash(&self, keys: &[K], hashes: &[u64], out: &mut Vec<Option<usize>>) {
         assert_eq!(
             keys.len(),
@@ -470,27 +470,12 @@ impl<K: MapKey> Map<K> {
             "get_batch: keys/hashes length mismatch"
         );
         out.reserve(keys.len());
-        let mut starts = [0usize; BATCH_CHUNK];
         for (keys, hashes) in keys.chunks(BATCH_CHUNK).zip(hashes.chunks(BATCH_CHUNK)) {
-            // The folds keep the loads from being optimized away.
-            let mut touch = 0u64;
-            for (start, &h) in starts.iter_mut().zip(hashes) {
-                *start = self.start_of(h);
-                touch = touch.wrapping_add(self.tags[*start / GROUP]);
-            }
-            std::hint::black_box(touch);
-            let mut touch = 0u64;
-            for (&start, &h) in starts.iter().zip(hashes) {
-                touch = touch.wrapping_add(self.first_touch_slot(start, h));
-            }
-            std::hint::black_box(touch);
-            for ((k, &h), &start) in keys.iter().zip(hashes).zip(&starts) {
-                debug_assert_eq!(h, k.key_hash(), "get_batch: stale hash");
-                out.push(match self.probe_at(k, h, start) {
-                    ProbeOutcome::Hit { idx, .. } => Some(self.slots[idx].value),
-                    _ => None,
-                });
-            }
+            get_staged(
+                keys.len(),
+                |i| Some((self, &keys[i], hashes[i])),
+                |_, value| out.push(value),
+            );
         }
     }
 
@@ -676,6 +661,57 @@ impl<K: MapKey> Map<K> {
                 None
             }
         })
+    }
+}
+
+/// The staged probe (module docs) of up to [`BATCH_CHUNK`] queries, each
+/// of which may name a map of its own — the shards of a partitioned
+/// table share one pass. `query(i)` is position `i`'s map, key and hash
+/// (`hash == key.key_hash()`), or `None` where position `i` holds no
+/// query; it is asked once per stage, so it must answer alike each time.
+/// Stage 1 computes every probe start — once; the probe reuses it — and
+/// first-touches its control word; stage 2 first-touches the slot each
+/// probe will dereference first; then the probes complete on the warmed
+/// lines, and `found(i, result)` receives each one in position order:
+/// exactly that map's `get_with_hash`. [`Map::get_batch_with_hash`] is
+/// the one-map case.
+pub fn get_staged<'m, 'k, K: MapKey + 'm + 'k>(
+    n: usize,
+    query: impl Fn(usize) -> Option<(&'m Map<K>, &'k K, u64)>,
+    mut found: impl FnMut(usize, Option<usize>),
+) {
+    assert!(
+        n <= BATCH_CHUNK,
+        "a staged probe takes {BATCH_CHUNK} queries, got {n}"
+    );
+    let mut starts = [0usize; BATCH_CHUNK];
+    // The folds keep the loads from being optimized away.
+    let mut touch = 0u64;
+    for (i, start) in starts[..n].iter_mut().enumerate() {
+        if let Some((m, _, h)) = query(i) {
+            *start = m.start_of(h);
+            touch = touch.wrapping_add(m.tags[*start / GROUP]);
+        }
+    }
+    std::hint::black_box(touch);
+    let mut touch = 0u64;
+    for (i, &start) in starts[..n].iter().enumerate() {
+        if let Some((m, _, h)) = query(i) {
+            touch = touch.wrapping_add(m.first_touch_slot(start, h));
+        }
+    }
+    std::hint::black_box(touch);
+    for (i, &start) in starts[..n].iter().enumerate() {
+        if let Some((m, k, h)) = query(i) {
+            debug_assert_eq!(h, k.key_hash(), "get_staged: stale hash");
+            found(
+                i,
+                match m.probe_at(k, h, start) {
+                    ProbeOutcome::Hit { idx, .. } => Some(m.slots[idx].value),
+                    _ => None,
+                },
+            );
+        }
     }
 }
 

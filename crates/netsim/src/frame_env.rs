@@ -9,7 +9,9 @@
 //! property the symbolic engine checks), and `tx` applies the rewrite to
 //! the same buffer using the RFC 1624 incremental checksum updates from
 //! `vig-packet`. Both sides borrow everything, so constructing an env
-//! costs nothing and the datapath stays allocation-free.
+//! costs nothing; with the loop body's fixed-size burst arrays and the
+//! env's stack-held probe arrays, a burst through `BurstEnv` allocates
+//! nothing (`tests/alloc_free_burst.rs` counts).
 //!
 //! [`RssClassifier`] reads a frame through the same reader and steers
 //! it by the key the loop body will look up, built by the loop body's
@@ -21,7 +23,7 @@ use libvig::time::Time;
 use vig_packet::checksum::Checksum;
 use vig_packet::{Direction, Proto};
 use vignat::domain::Concrete;
-use vignat::env::concrete::{ext_key, fid_key, ConcreteEnv, PacketSide, ProbeScratch, RawRx};
+use vignat::env::concrete::{ext_key, fid_key, ConcreteEnv, PacketSide, RawRx};
 use vignat::env::{PktHandle, TxHdr};
 use vignat::loop_body::{external_key, internal_fid};
 use vignat::FlowTable;
@@ -136,21 +138,20 @@ pub struct FrameEnv<'a> {
 impl<'a> FrameEnv<'a> {
     /// Build the env for one frame arriving on `dir` at `now`, over any
     /// flow table (the unsharded `FlowManager` or `ShardedFlowManager`
-    /// — the loop body above is the same either way). One frame never
-    /// batches its probes, so the env owns an empty scratch.
+    /// — the loop body above is the same either way).
     #[allow(clippy::new_ret_no_self)]
     pub fn new<T: FlowTable>(
         fm: &'a mut T,
         frame: &'a mut [u8],
         dir: Direction,
         now: Time,
-    ) -> ConcreteEnv<'a, T, FrameEnv<'a>, ProbeScratch> {
+    ) -> ConcreteEnv<'a, T, FrameEnv<'a>> {
         let side = FrameEnv {
             frame,
             dir,
             delivered: false,
         };
-        ConcreteEnv::new(fm, side, now, ProbeScratch::default())
+        ConcreteEnv::new(fm, side, now)
     }
 }
 
@@ -174,10 +175,10 @@ impl PacketSide for FrameEnv<'_> {
 /// ring order, handles index `bufs`, `tx` rewrites the buffer in place.
 /// What became of each buffer is the [`vignat::IterationOutcome`] the
 /// loop body returns for it; the caller routes buffers by that.
-/// [`BurstEnv::new`] pairs it with a table and the driver's reusable
-/// scratch — the env [`vignat::nat_process_batch`] runs over, whose
-/// `lookup_*_batch` resolve the burst's flow probes through the flow
-/// table's staged burst pipeline (`FlowTable::probe_*_batch`).
+/// [`BurstEnv::new`] pairs it with a table — the env
+/// [`vignat::nat_process_batch_into`] runs over, whose `lookup_*_batch`
+/// resolve the burst's flow probes through the flow table's staged
+/// burst pipeline (`FlowTable::probe_*_batch`).
 pub struct BurstEnv<'a> {
     pool: &'a mut Mempool,
     bufs: &'a [BufIdx],
@@ -185,15 +186,16 @@ pub struct BurstEnv<'a> {
     next_rx: usize,
 }
 
-/// The burst path's reusable probe buffers, owned by the NF across
-/// bursts so the steady-state burst path performs no heap allocation
-/// for its flow probes — the design rule (§5.1.1, all memory
-/// preallocated) extended to the fast path's scratch space.
-pub use vignat::env::concrete::ProbeScratch as BurstScratch;
+/// Nothing: the burst path keeps its probe buffers on the stack, so
+/// [`BurstEnv::new`] ignores the one it is passed. Kept only because a
+/// PR that claims a gain may not edit `benchmark/`, whose ladder passes
+/// one: the next benchmark PR deletes it and the parameter.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct BurstScratch;
 
 impl<'a> BurstEnv<'a> {
     /// Build the env for one burst of staged buffers arriving on `dir`
-    /// at `now`. `scratch` is reused across bursts.
+    /// at `now` (`_scratch`: see [`BurstScratch`]).
     #[allow(clippy::new_ret_no_self)]
     pub fn new<T: FlowTable>(
         fm: &'a mut T,
@@ -201,7 +203,7 @@ impl<'a> BurstEnv<'a> {
         bufs: &'a [BufIdx],
         dir: Direction,
         now: Time,
-        scratch: &'a mut BurstScratch,
+        _scratch: &mut BurstScratch,
     ) -> ConcreteEnv<'a, T, BurstEnv<'a>> {
         let side = BurstEnv {
             pool,
@@ -209,7 +211,7 @@ impl<'a> BurstEnv<'a> {
             dir,
             next_rx: 0,
         };
-        ConcreteEnv::new(fm, side, now, scratch)
+        ConcreteEnv::new(fm, side, now)
     }
 }
 

@@ -8,7 +8,7 @@
 //! this path; the next PR that may edit `benchmark/` renames it.
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
-use crate::frame_env::{BurstScratch, RssClassifier};
+use crate::frame_env::RssClassifier;
 use crate::middlebox::{run_staged, Verdict};
 use crate::runtime::{
     refuse_cross_shard_config, with_shard_runtime, RuntimeReport, ShardRuntimeSession,
@@ -20,8 +20,7 @@ use vig_spec::NatConfig;
 use vignat::ShardedFlowManager;
 
 /// The `std::thread`-based driver for the N-shard NAT: each shard runs
-/// on its own worker with its own mempool, burst scratch, and expiry
-/// clock — the software model of RSS hardware dispatch feeding one RX
+/// on its own worker with its own mempool and expiry clock — the software model of RSS hardware dispatch feeding one RX
 /// queue per core.
 ///
 /// Per burst: an (untimed, tester-side) dispatch pass routes each frame
@@ -46,7 +45,6 @@ use vignat::ShardedFlowManager;
 pub struct ParallelShardedNat {
     table: ShardedFlowManager,
     pools: Vec<Mempool>,
-    scratches: Vec<BurstScratch>,
     /// Per-shard expiry clocks: the last `now` each shard processed.
     /// [`ParallelShardedNat::process_burst_parallel`] advances all of
     /// them together (one burst = one arrival instant);
@@ -67,7 +65,6 @@ impl ParallelShardedNat {
         ParallelShardedNat {
             table: ShardedFlowManager::new(&cfg, shards),
             pools: (0..shards).map(|_| Mempool::new(burst_capacity)).collect(),
-            scratches: (0..shards).map(|_| BurstScratch::default()).collect(),
             clocks: vec![Time::ZERO; shards],
             expired_total: 0,
         }
@@ -136,24 +133,16 @@ impl ParallelShardedNat {
         let ParallelShardedNat {
             table,
             pools,
-            scratches,
             clocks,
             expired_total,
         } = self;
-        let (r, report) = with_shard_runtime(
-            table,
-            pools,
-            scratches,
-            DEFAULT_RING_WORDS,
-            pin,
-            |session| {
-                let mut nat_session = NatRuntimeSession {
-                    inner: session,
-                    clocks,
-                };
-                f(&mut nat_session)
-            },
-        );
+        let (r, report) = with_shard_runtime(table, pools, DEFAULT_RING_WORDS, pin, |session| {
+            let mut nat_session = NatRuntimeSession {
+                inner: session,
+                clocks,
+            };
+            f(&mut nat_session)
+        });
         *expired_total += report.expired;
         (r, report)
     }
@@ -195,9 +184,8 @@ impl ParallelShardedNat {
         // FlowManager returns pool-global port offsets.
         let cfg = self.table.global_cfg();
         let fm = &mut self.table.shards_mut()[s];
-        let scratch = &mut self.scratches[s];
         let mut staged = Vec::with_capacity(bufs.len());
-        let expired = run_staged(fm, pool, scratch, &cfg, dir, now, &bufs, &mut staged);
+        let expired = run_staged(fm, pool, &cfg, dir, now, &bufs, &mut staged);
         self.expired_total += expired as u64;
         let mut staged = staged.into_iter();
         frames

@@ -14,7 +14,7 @@ use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
 use vignat::{
-    nat_loop_iteration, nat_process_batch, FlowManager, FlowTable, IterationOutcome,
+    nat_loop_iteration, nat_process_batch_into, FlowManager, FlowTable, IterationOutcome,
     ShardedFlowManager, MAX_BURST,
 };
 
@@ -40,19 +40,18 @@ impl Verdict {
 }
 
 /// Run staged buffers through the loop body over `fm`,
-/// run-to-completion in [`MAX_BURST`] chunks in ring order, appending
-/// one verdict per buffer to `verdicts`; returns the flows expired on
-/// the way. The one chunk runner: [`VigNatMb::process_burst`], the
+/// run-to-completion in [`MAX_BURST`] chunks in ring order, pushing
+/// one verdict per buffer onto `verdicts` as the loop body decides it;
+/// returns the flows expired on the way. Allocates nothing while
+/// `verdicts` has room. The one chunk runner: [`VigNatMb::process_burst`], the
 /// pinned runtime's workers and
 /// [`crate::harness::ParallelShardedNat::process_on_shard`] all call
 /// it. No buffers still runs one empty chunk — the expiry tick a
 /// polling core performs every iteration; a caller for which an empty
 /// burst is no arrival instant (the middlebox) does not call.
-#[allow(clippy::too_many_arguments)]
 pub fn run_staged<T: FlowTable>(
     fm: &mut T,
     pool: &mut Mempool,
-    scratch: &mut BurstScratch,
     cfg: &NatConfig,
     dir: Direction,
     now: Time,
@@ -63,11 +62,15 @@ pub fn run_staged<T: FlowTable>(
     let mut rest = bufs;
     loop {
         let (chunk, tail) = rest.split_at(rest.len().min(MAX_BURST));
-        let mut env = BurstEnv::new(fm, pool, chunk, dir, now, scratch);
-        let outcomes = nat_process_batch(&mut env, cfg);
-        debug_assert_eq!(outcomes.len(), chunk.len(), "burst must drain its chunk");
+        let before = verdicts.len();
+        let mut env = BurstEnv::new(fm, pool, chunk, dir, now, &mut BurstScratch);
+        nat_process_batch_into(&mut env, cfg, |o| verdicts.push(Verdict::of(o)));
         expired += env.finish();
-        verdicts.extend(outcomes.into_iter().map(Verdict::of));
+        debug_assert_eq!(
+            verdicts.len() - before,
+            chunk.len(),
+            "burst must drain its chunk"
+        );
         rest = tail;
         if rest.is_empty() {
             return expired;
@@ -150,7 +153,6 @@ pub struct VigNatMb<T: FlowTable = FlowManager> {
     fm: T,
     name: &'static str,
     expired_total: u64,
-    scratch: BurstScratch,
 }
 
 /// The Verified NAT over an N-shard flow table, processed
@@ -186,7 +188,6 @@ impl<T: FlowTable> VigNatMb<T> {
             cfg,
             name,
             expired_total: 0,
-            scratch: BurstScratch::default(),
         }
     }
 
@@ -233,16 +234,8 @@ impl<T: FlowTable> Middlebox for VigNatMb<T> {
         let mut verdicts = Vec::with_capacity(bufs.len());
         // An empty burst is not an arrival instant: no expiry tick.
         if !bufs.is_empty() {
-            self.expired_total += run_staged(
-                &mut self.fm,
-                pool,
-                &mut self.scratch,
-                &self.cfg,
-                dir,
-                now,
-                bufs,
-                &mut verdicts,
-            ) as u64;
+            self.expired_total +=
+                run_staged(&mut self.fm, pool, &self.cfg, dir, now, bufs, &mut verdicts) as u64;
         }
         verdicts
     }

@@ -110,7 +110,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
-use crate::frame_env::{BurstScratch, RssClassifier};
+use crate::frame_env::RssClassifier;
 use crate::middlebox::{run_staged, Verdict};
 use libvig::spsc;
 use libvig::time::Time;
@@ -369,11 +369,9 @@ fn pop_blocking(ring: &mut spsc::Consumer, out: &mut [u64], backoff: &mut Backof
 /// Everything the loop needs per job lives in vectors it owns and
 /// reuses, so a steady-state job allocates nothing on the transport
 /// path.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     fm: &mut vignat::FlowManager,
     pool: &mut Mempool,
-    scratch: &mut BurstScratch,
     cfg: vig_spec::NatConfig,
     jobs: &mut spsc::Consumer,
     results: &mut spsc::Producer,
@@ -439,7 +437,7 @@ fn worker_loop(
                 bufs.len()
             };
             let run = &bufs[..run];
-            let expired = run_staged(fm, pool, scratch, &cfg, dir, now, run, &mut verdicts);
+            let expired = run_staged(fm, pool, &cfg, dir, now, run, &mut verdicts);
             assert!(!kill, "injected worker kill (test seam)");
             expired
         }));
@@ -457,7 +455,6 @@ fn worker_loop(
                 // re-pin, and report DOWN with every frame denied.
                 fm.reset();
                 *pool = Mempool::new(pool_capacity);
-                *scratch = BurstScratch::default();
                 bufs.clear();
                 let repinned = pin_cpu.is_some_and(pin_to);
                 response.extend([STATUS_DOWN, u64::from(repinned), 0]);
@@ -574,7 +571,7 @@ impl Lane {
 /// The dispatcher's handle to a live worker fleet, valid inside one
 /// [`with_shard_runtime`] call. Owns the job-ring producers and
 /// result-ring consumers; the workers own the opposite ends plus their
-/// shard's flow state, mempool, and scratch (disjoint `&mut` borrows —
+/// shard's flow state and mempool (disjoint `&mut` borrows —
 /// the compiler enforces the no-shared-state discipline).
 ///
 /// The session doubles as the supervisor: it detects worker panics
@@ -829,8 +826,7 @@ pub(crate) fn refuse_cross_shard_config(table: &ShardedFlowManager) {
 }
 
 /// Run `f` with a live shard runtime: one persistent worker thread per
-/// shard of `table`, each owning its shard's [`Mempool`] and
-/// [`BurstScratch`], connected to the calling (dispatcher) thread by
+/// shard of `table`, each owning its shard's [`Mempool`], connected to the calling (dispatcher) thread by
 /// SPSC rings of `ring_words` words (use [`DEFAULT_RING_WORDS`]).
 ///
 /// With `pin` set, worker `s` pins itself to the `s % host_cores`-th
@@ -851,14 +847,12 @@ pub(crate) fn refuse_cross_shard_config(table: &ShardedFlowManager) {
 pub fn with_shard_runtime<R>(
     table: &mut ShardedFlowManager,
     pools: &mut [Mempool],
-    scratches: &mut [BurstScratch],
     ring_words: usize,
     pin: bool,
     f: impl FnOnce(&mut ShardRuntimeSession) -> R,
 ) -> (R, RuntimeReport) {
     let n = table.shard_count();
     assert_eq!(pools.len(), n, "one mempool per shard");
-    assert_eq!(scratches.len(), n, "one scratch per shard");
     refuse_cross_shard_config(table);
     let classifier = RssClassifier::for_table(table);
     // Every worker runs the loop body with the *global* config: shard
@@ -891,23 +885,13 @@ pub fn with_shard_runtime<R>(
             .shards_mut()
             .iter_mut()
             .zip(pools.iter_mut())
-            .zip(scratches.iter_mut())
             .zip(worker_ends)
             .enumerate();
-        for (s, (((fm, pool), scratch), (mut jobs, mut results))) in workers {
+        for (s, ((fm, pool), (mut jobs, mut results))) in workers {
             let pin_cpu = pin.then(|| allowed[s % host_cores]);
             sc.spawn(move || {
                 let (jobs, results) = (&mut jobs, &mut results);
-                worker_loop(
-                    fm,
-                    pool,
-                    scratch,
-                    cfg,
-                    jobs,
-                    results,
-                    pin_cpu,
-                    oversubscribed,
-                )
+                worker_loop(fm, pool, cfg, jobs, results, pin_cpu, oversubscribed)
             });
         }
         let mut session = ShardRuntimeSession {
@@ -973,17 +957,10 @@ mod tests {
         let cfg = test_cfg();
         let mut table = ShardedFlowManager::new(&cfg, 2);
         let mut pools: Vec<Mempool> = (0..2).map(|_| Mempool::new(8)).collect();
-        let mut scratches: Vec<BurstScratch> = (0..2).map(|_| BurstScratch::default()).collect();
-        let ((), report) = with_shard_runtime(
-            &mut table,
-            &mut pools,
-            &mut scratches,
-            DEFAULT_RING_WORDS,
-            true,
-            |s| {
+        let ((), report) =
+            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, true, |s| {
                 assert_eq!(s.worker_count(), 2);
-            },
-        );
+            });
         assert!(report.pin.requested);
         assert_eq!(report.pin.workers, 2);
         // Pinning either worked or degraded — both are valid outcomes;
@@ -1000,14 +977,8 @@ mod tests {
         // Two buffers for an eight-frame burst: six frames must be
         // denied admission, zero may panic the worker.
         let mut pools = vec![Mempool::new(2)];
-        let mut scratches = vec![BurstScratch::default()];
-        let (v, report) = with_shard_runtime(
-            &mut table,
-            &mut pools,
-            &mut scratches,
-            DEFAULT_RING_WORDS,
-            false,
-            |s| {
+        let (v, report) =
+            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, false, |s| {
                 let mut frames: Vec<Vec<u8>> =
                     (0..8).map(|i| flow_frame(2, 1000 + i as u16)).collect();
                 let originals = frames.clone();
@@ -1030,8 +1001,7 @@ mod tests {
                 let v2 = s.process_burst(Direction::Internal, &mut again, Time::ZERO.plus(1));
                 assert_eq!(v2, vec![Verdict::Forward(Direction::External)]);
                 verdicts
-            },
-        );
+            });
         assert_eq!(v.len(), 8);
         assert_eq!(report.chaos.pool_denied, 6);
         assert_eq!(report.chaos.frames_lost, 0);
@@ -1042,14 +1012,8 @@ mod tests {
         let cfg = test_cfg();
         let mut table = ShardedFlowManager::new(&cfg, 1);
         let mut pools = vec![Mempool::new(64)];
-        let mut scratches = vec![BurstScratch::default()];
-        let ((), report) = with_shard_runtime(
-            &mut table,
-            &mut pools,
-            &mut scratches,
-            DEFAULT_RING_WORDS,
-            false,
-            |s| {
+        let ((), report) =
+            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, false, |s| {
                 // Establish a flow, then kill the worker mid-job.
                 let mut burst1 = vec![flow_frame(2, 1025)];
                 let v1 = s.process_burst(Direction::Internal, &mut burst1, Time::ZERO);
@@ -1082,8 +1046,7 @@ mod tests {
                     burst1b[0], burst1[0],
                     "restart cleared the old mapping: the flow re-maps to a new port"
                 );
-            },
-        );
+            });
         assert_eq!(report.chaos.worker_downs, 1);
         assert_eq!(report.chaos.hard_deaths, 0);
     }
@@ -1093,14 +1056,8 @@ mod tests {
         let cfg = test_cfg();
         let mut table = ShardedFlowManager::new(&cfg, 1);
         let mut pools = vec![Mempool::new(64)];
-        let mut scratches = vec![BurstScratch::default()];
-        let ((), report) = with_shard_runtime(
-            &mut table,
-            &mut pools,
-            &mut scratches,
-            DEFAULT_RING_WORDS,
-            false,
-            |s| {
+        let ((), report) =
+            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, false, |s| {
                 s.set_stall_budget(Duration::from_millis(50));
                 assert!(s.halt_worker(0));
                 // The dead worker never answers: the burst returns
@@ -1120,8 +1077,7 @@ mod tests {
                 assert_eq!(s.supervisor().backpressure_drops, 1);
                 // Sentinels to a dead shard are refused.
                 assert!(!s.kill_worker(0));
-            },
-        );
+            });
         assert_eq!(report.chaos.hard_deaths, 1);
         assert_eq!(report.chaos.backpressure_drops, 1);
     }

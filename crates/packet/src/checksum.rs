@@ -75,26 +75,48 @@ pub fn l4_checksum(src: u32, dst: u32, protocol: u8, l4: &[u8]) -> u16 {
 /// Internally stores the ones-complement of the field (the running sum
 /// form), which makes updates compose associatively: updating src-ip then
 /// src-port equals updating both in either order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Checksum(u16);
+///
+/// The sum is kept unfolded in a `u64` and folded once, in
+/// [`Checksum::to_field`]: a NAT rewrite applies up to six 16-bit
+/// updates to one sum, and folding after each cost a carry loop per
+/// update. Ones-complement addition is addition modulo `0xffff` with
+/// zero written `0xffff` unless the sum is zero outright, so one fold at
+/// the end gives the per-update folds' bits exactly — including which
+/// of `0x0000` and `0xffff` a zero comes out as (a sum of non-negative
+/// terms is zero only when every term is, and then every partial fold
+/// was zero too). A `u64` cannot overflow: each update adds below 2^17.
+#[derive(Debug, Clone, Copy)]
+pub struct Checksum(u64);
+
+impl PartialEq for Checksum {
+    /// Equal field values, however the sums were reached.
+    fn eq(&self, other: &Checksum) -> bool {
+        self.to_field() == other.to_field()
+    }
+}
+
+impl Eq for Checksum {}
 
 impl Checksum {
     /// Wrap the value currently stored in a header's checksum field.
     pub fn from_field(field: u16) -> Checksum {
-        Checksum(!field)
+        Checksum(u64::from(!field))
     }
 
     /// The value to store back into the header's checksum field.
     pub fn to_field(self) -> u16 {
-        !self.0
+        let mut sum = self.0;
+        while sum >> 16 != 0 {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
     }
 
     /// RFC 1624 eq. 3 update for one 16-bit field changing `old -> new`.
     #[must_use]
     pub fn update_u16(self, old: u16, new: u16) -> Checksum {
-        // HC' = ~(~HC + ~m + m')   — we store ~HC, so:
-        let sum = u32::from(self.0) + u32::from(!old) + u32::from(new);
-        Checksum(fold(sum))
+        // HC' = ~(~HC + ~m + m')   — we keep ~HC, unfolded, so:
+        Checksum(self.0 + u64::from(!old) + u64::from(new))
     }
 
     /// Update for a 32-bit field (e.g. an IPv4 address) changing
@@ -150,6 +172,25 @@ mod tests {
         checksum(buf)
     }
 
+    /// A 16-bit word, half the time one of those where carries and the
+    /// two ones-complement zeros live.
+    fn word() -> impl Strategy<Value = u16> {
+        prop_oneof![
+            Just(0u16),
+            Just(1),
+            Just(0x7fff),
+            Just(0x8000),
+            Just(0xfffe),
+            Just(0xffff),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+        ]
+    }
+
     proptest! {
         /// Incremental update (RFC 1624) == recomputation from scratch,
         /// for arbitrary header contents and arbitrary 16-bit rewrites.
@@ -202,6 +243,29 @@ mod tests {
             let c = Checksum::from_field(field).update_u16(v, v);
             // ones-complement identity: result verifies the same sums
             prop_assert_eq!(fold(u32::from(!c.to_field())), fold(u32::from(!field)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+        /// One fold at the end equals a fold after every update, bit for
+        /// bit — `0x0000` and `0xffff` included — over sequences of one
+        /// to ten updates whose words are biased to the values where
+        /// carries and the two zeros live. The oracle is the
+        /// per-update-fold form `Checksum` used to compute (a 32-bit
+        /// update is two 16-bit ones).
+        #[test]
+        fn unfolded_sum_equals_per_update_folds(
+            field in word(),
+            updates in proptest::collection::vec((word(), word()), 1..=10),
+        ) {
+            let mut c = Checksum::from_field(field);
+            let mut oracle = !field;
+            for &(old, new) in &updates {
+                c = c.update_u16(old, new);
+                oracle = fold(u32::from(oracle) + u32::from(!old) + u32::from(new));
+            }
+            prop_assert_eq!(c.to_field(), !oracle);
         }
     }
 }

@@ -24,6 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vignat_repro::libvig::map::MapKey;
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::loop_body::{DropReason, IterationOutcome};
 use vignat_repro::nat::simple_env::{EnvEvent, RawRx};
@@ -32,7 +33,9 @@ use vignat_repro::nat::{
     SimpleEnv, MAX_BURST,
 };
 use vignat_repro::packet::tcp::flags;
-use vignat_repro::packet::{builder::PacketBuilder, Direction, Flow, FlowFields, Ip4, Proto};
+use vignat_repro::packet::{
+    builder::PacketBuilder, parse_l3l4, Direction, Flow, FlowFields, FlowId, Ip4, Proto,
+};
 use vignat_repro::sim::dpdk::Mempool;
 use vignat_repro::sim::frame_env::{BurstEnv, BurstScratch, FrameEnv};
 
@@ -281,7 +284,7 @@ fn frames_batch_equals_sequential<T: Table>(
     let mut fm_seq = T::build(&c, shards);
     let mut fm_bat = T::build(&c, shards);
     let mut pool = Mempool::new(MAX_BURST * 2);
-    let mut scratch = BurstScratch::default();
+    let mut scratch = BurstScratch;
     let (mut forwarded, mut to_internal, mut peak_flows) = (0usize, 0usize, 0usize);
 
     let mut now = Time::from_secs(1);
@@ -541,7 +544,7 @@ fn batch_handles_full_table_same_as_sequential() {
     let mut fm_seq = FlowManager::new(&c);
     let mut fm_bat = FlowManager::new(&c);
     let mut pool = Mempool::new(MAX_BURST);
-    let mut scratch = BurstScratch::default();
+    let mut scratch = BurstScratch;
     let now = Time::from_secs(1);
 
     let frames: Vec<Vec<u8>> = (0..8u8)
@@ -586,4 +589,163 @@ fn batch_handles_full_table_same_as_sequential() {
         4,
         "exactly the overflow packets drop"
     );
+}
+
+/// Bursts whose frames alternate between the two shards of a table
+/// packet by packet — internal hits, new flows and repeats; return
+/// traffic to live flows, to live endpoints from the wrong remote, and
+/// to endpoints outside the pool — against the sequential oracle, on a
+/// table small enough to stay cache-resident and on one past the
+/// resident budget (every shard's probes touch ahead). A probe that
+/// resolved each shard's queries in a pass of its own would still have
+/// to write every result at its own packet's position; this is where
+/// an ordering mistake between the shards would show.
+#[test]
+fn bursts_alternating_shards_equal_sequential() {
+    for (c, resident) in [(classed_cfg(), 20u32), (large_cfg(8192), 2400)] {
+        let mut fm_seq = ShardedFlowManager::new(&c, 2);
+        let mut fm_bat = ShardedFlowManager::new(&c, 2);
+        let mut pool = Mempool::new(MAX_BURST);
+        let mut rng = StdRng::seed_from_u64(0xA17E + u64::from(resident));
+        let shard_of = |f: &FlowFields| {
+            let fid = FlowId {
+                src_ip: f.src_ip,
+                src_port: f.src_port,
+                dst_ip: f.dst_ip,
+                dst_port: f.dst_port,
+                proto: f.proto,
+            };
+            fm_seq.shard_of_hash(fid.key_hash())
+        };
+        let flow = |i: u32| {
+            let (proto, port) = [(Proto::Udp, 53), (Proto::Tcp, 80)][i as usize % 2];
+            FlowFields {
+                src_ip: Ip4(Ip4::new(10, 0, 0, 0).raw() + i),
+                src_port: 2000,
+                dst_ip: REMOTE,
+                dst_port: port,
+                proto,
+            }
+        };
+        // Flow indices of each shard, in index order; `resident` of each
+        // are opened first, the rest are new when first seen.
+        let mut by_shard: [Vec<u32>; 2] = [Vec::new(), Vec::new()];
+        for i in 0..2 * resident + 2_000 {
+            by_shard[shard_of(&flow(i))].push(i);
+        }
+        // The external port each resident flow was given.
+        let mut ext_port = std::collections::HashMap::new();
+        let mut now = Time::from_secs(1);
+
+        let mut run = |fm_seq: &mut ShardedFlowManager,
+                       fm_bat: &mut ShardedFlowManager,
+                       dir: Direction,
+                       now: Time,
+                       pkts: &[Pkt]|
+         -> Vec<Vec<u8>> {
+            let frames: Vec<Vec<u8>> = pkts.iter().map(Pkt::frame).collect();
+            let mut seq_outcomes = Vec::new();
+            let mut seq_frames = Vec::new();
+            for f in &frames {
+                let mut frame = f.clone();
+                let mut env = FrameEnv::new(fm_seq, &mut frame, dir, now);
+                seq_outcomes.push(nat_loop_iteration(&mut env, &c));
+                seq_frames.push(frame);
+            }
+            let bufs: Vec<_> = frames
+                .iter()
+                .map(|f| {
+                    let b = pool.get().expect("pool sized for a burst");
+                    pool.write_frame(b, f);
+                    b
+                })
+                .collect();
+            let mut env = BurstEnv::new(fm_bat, &mut pool, &bufs, dir, now, &mut BurstScratch);
+            let bat_outcomes = nat_process_batch(&mut env, &c);
+            env.finish();
+            assert_eq!(seq_outcomes, bat_outcomes, "outcomes");
+            for (i, b) in bufs.into_iter().enumerate() {
+                assert_eq!(seq_frames[i], pool.frame(b), "frame {i}");
+                pool.put(b);
+            }
+            assert_eq!(fm_seq.state(), fm_bat.state(), "table state");
+            seq_frames
+        };
+
+        let internal = |f: FlowFields| Pkt {
+            dir: Direction::Internal,
+            fields: f,
+            tcp_flags: if f.proto == Proto::Tcp { flags::ACK } else { 0 },
+        };
+        // Fill: `resident` flows per shard, in bursts that alternate.
+        for pair in (0..resident as usize)
+            .collect::<Vec<_>>()
+            .chunks(MAX_BURST / 2)
+        {
+            let pkts: Vec<Pkt> = pair
+                .iter()
+                .flat_map(|&k| [by_shard[0][k], by_shard[1][k]])
+                .map(|i| internal(flow(i)))
+                .collect();
+            now = now.plus(1_000);
+            let out = run(&mut fm_seq, &mut fm_bat, Direction::Internal, now, &pkts);
+            for (p, f) in pkts.iter().zip(&out) {
+                let (_, translated) = parse_l3l4(f).expect("forwarded");
+                ext_port.insert((p.fields.src_ip, p.fields.proto), translated.src_port);
+            }
+        }
+        for round in 0..200u32 {
+            now = now.plus(rng.gen_range(1_000..5_000_000));
+            // Live flows (hits), flows not yet seen (misses that open a
+            // flow, some repeated later in the same burst), alternating.
+            let pick = |rng: &mut StdRng, s: usize| {
+                let pool = &by_shard[s];
+                if rng.gen_bool(0.8) {
+                    pool[rng.gen_range(0..resident as usize)]
+                } else {
+                    pool[rng.gen_range(resident as usize..pool.len())]
+                }
+            };
+            let dir = if round % 3 == 2 {
+                Direction::External
+            } else {
+                Direction::Internal
+            };
+            let len = rng.gen_range(2..=MAX_BURST);
+            let pkts: Vec<Pkt> = (0..len)
+                .map(|k| {
+                    let f = flow(pick(&mut rng, k % 2));
+                    match dir {
+                        Direction::Internal => internal(f),
+                        Direction::External => {
+                            let port = ext_port.get(&(f.src_ip, f.proto)).copied();
+                            let (src_port, dst_port) = match (rng.gen_range(0..6u8), port) {
+                                (0, _) | (_, None) => (f.dst_port, c.start_port - 1),
+                                (1, Some(p)) => (f.dst_port + 1, p),
+                                (_, Some(p)) => (f.dst_port, p),
+                            };
+                            Pkt {
+                                dir,
+                                fields: FlowFields {
+                                    src_ip: REMOTE,
+                                    src_port,
+                                    dst_ip: c.external_ip,
+                                    dst_port,
+                                    proto: f.proto,
+                                },
+                                tcp_flags: if f.proto == Proto::Tcp { flags::ACK } else { 0 },
+                            }
+                        }
+                    }
+                })
+                .collect();
+            run(&mut fm_seq, &mut fm_bat, dir, now, &pkts);
+        }
+        if resident > 2048 {
+            assert!(
+                (0..2).all(|s| fm_bat.shard(s).len() > 2048),
+                "both shards past the resident budget"
+            );
+        }
+    }
 }

@@ -158,9 +158,13 @@ fn flow_manager_expiry_realloc_keeps_directories_coherent() {
             .chain((2_000_000..2_000_200).map(fid))
             .collect();
         let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-        let mut batch = Vec::new();
-        fm.probe_internal_batch(&queries, &hashes, &mut batch);
-        assert_eq!(batch.len(), queries.len());
+        let positioned: Vec<_> = queries
+            .iter()
+            .zip(&hashes)
+            .map(|(q, &h)| Some((*q, h)))
+            .collect();
+        let mut batch = vec![None; queries.len()];
+        fm.probe_internal_batch(&positioned, &mut batch);
         for (i, q) in queries.iter().enumerate() {
             let seq = fm.lookup_internal_hashed(q, hashes[i]);
             assert_eq!(batch[i], seq, "batch query {i} diverged");
@@ -245,8 +249,13 @@ fn sharded_table_matches_unsharded_at_98pct() {
     assert!(n > 0);
     let queries: Vec<FlowId> = (0..k + 512).step_by(3).map(fid).collect();
     let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-    let mut batch = Vec::new();
-    four.probe_internal_batch(&queries, &hashes, &mut batch);
+    let positioned: Vec<_> = queries
+        .iter()
+        .zip(&hashes)
+        .map(|(q, &h)| Some((*q, h)))
+        .collect();
+    let mut batch = vec![None; queries.len()];
+    four.probe_internal_batch(&positioned, &mut batch);
     for (qi, q) in queries.iter().enumerate() {
         let seq = four.lookup_internal_hashed(q, hashes[qi]);
         assert_eq!(batch[qi], seq, "4-shard batch query {qi} diverged");

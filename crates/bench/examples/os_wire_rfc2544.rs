@@ -1,8 +1,8 @@
 //! Short privileged cross-the-wire RFC 2544 run for CI.
 //!
-//! Runs the same three-way measurement (sim vs per-frame `AF_PACKET`
-//! vs mmap-ring, over real veth wires) the fig. 14 bench commits, but
-//! sized for a CI job, and writes the result to
+//! Measures two points — the sim backend, then the mmap-ring
+//! `AF_PACKET` wire backend over real veth wires — sized for a CI
+//! job, and writes the result to
 //! `target/os_wire_rfc2544.json` so the workflow can upload it as an
 //! artifact. Exits non-zero when the wire run is unavailable (missing
 //! `CAP_NET_RAW`/`CAP_NET_ADMIN`), so a silently-skipped measurement

@@ -1,8 +1,8 @@
 //! The cross-the-wire RFC 2544 measurement.
 //!
-//! `wire::os_wire_rfc2544` (Linux only) runs the three-way saturation
-//! measurement — simulated backend, per-frame `AF_PACKET` transport,
-//! zero-copy mmap-ring transport — over real veth wires, and
+//! `wire::os_wire_rfc2544` (Linux only) runs the two-point saturation
+//! measurement — the simulated backend, then the mmap-ring `AF_PACKET`
+//! wire backend over real veth wires — and
 //! [`section_json`] renders its report as the JSON object the
 //! `os_wire_rfc2544` example writes (CI's `wire` job uploads it).
 //!
@@ -65,30 +65,26 @@ mod wire {
     }
 
     /// The cross-wire RFC 2544 report: the same workload measured through
-    /// the simulated NIC model and across a live veth wire on both OS
-    /// transports. See [`os_wire_rfc2544`].
+    /// the simulated NIC model and across a live veth wire. See
+    /// [`os_wire_rfc2544`].
     #[derive(Debug, Clone)]
     pub struct OsWireReport {
         /// Simulated-backend baseline (no kernel in the loop).
         pub sim: RateEstimate,
-        /// Per-frame raw-socket transport (`recvmmsg` RX, one send per
-        /// frame).
-        pub os_frame: OsWirePoint,
-        /// Zero-copy mmap ring transport (`TPACKET_V3` RX, `TPACKET_V2`
+        /// The mmap-ring wire backend (`TPACKET_V3` RX, `TPACKET_V2`
         /// TX).
-        pub os_mmap: OsWirePoint,
+        pub wire: OsWirePoint,
     }
 
     /// Measure saturation throughput of the sharded NAT behind the event
-    /// loop three ways — simulated backend, per-frame OS backend, mmap OS
-    /// backend — with the identical populate-then-sustained-load
-    /// methodology ([`sustained_service_times_io`], in-flight window =
-    /// ring size), the OS points crossing a real veth wire. Needs
-    /// `CAP_NET_RAW` + `CAP_NET_ADMIN`; interface names are
-    /// `{veth_prefix}{i0,i1,e0,e1}` (≤ 11 chars of prefix).
+    /// loop twice — simulated backend, then the wire backend — with the
+    /// identical populate-then-sustained-load methodology
+    /// ([`sustained_service_times_io`], in-flight window = ring size),
+    /// the wire point crossing a real veth wire. Needs `CAP_NET_RAW` +
+    /// `CAP_NET_ADMIN`; interface names are `{veth_prefix}{i0,i1,e0,e1}`
+    /// (≤ 11 chars of prefix).
     ///
-    /// Reports absolute sim-vs-kernel Mpps with CIs, and the
-    /// per-frame-vs-mmap speedup the zero-copy work is accountable to.
+    /// Reports absolute sim-vs-kernel Mpps with CIs.
     #[allow(clippy::too_many_arguments)]
     pub fn os_wire_rfc2544(
         cfg: &NatConfig,
@@ -101,11 +97,11 @@ mod wire {
     ) -> io::Result<OsWireReport> {
         let texp = cfg.expiry_ns;
 
-        // All three transports run the *sustained-load* measurement loop
-        // (see `sustained_service_times_io`): a block-batching
-        // transport must be offered continuous load to be measured as a
-        // transport, and the sim/per-frame points use the identical loop
-        // so the comparison stays apples-to-apples.
+        // Both points run the *sustained-load* measurement loop (see
+        // `sustained_service_times_io`): a block-batching transport must
+        // be offered continuous load to be measured as a transport, and
+        // the sim point uses the identical loop so the comparison stays
+        // apples-to-apples.
         let sim = {
             let io = SimBackend::new(RssClassifier::for_nat(cfg, queues), ring_size);
             let mut nf = ShardedVigNatMb::sharded(*cfg, shards);
@@ -118,56 +114,30 @@ mod wire {
         let ext_veth = VethPair::create(&format!("{veth_prefix}e0"), &format!("{veth_prefix}e1"))?;
         let classifier = RssClassifier::for_nat(cfg, queues);
 
-        let os_frame = {
-            let rig = OsTestRig::open(&int_veth, &ext_veth, classifier, ring_size)?;
-            wire_point(rig, cfg, shards, flows, packets, ring_size, texp)
-        };
-        let os_mmap = {
-            let rig = OsTestRig::open_mmap(&int_veth, &ext_veth, classifier, ring_size)?;
-            wire_point(rig, cfg, shards, flows, packets, ring_size, texp)
-        };
-
-        Ok(OsWireReport {
-            sim,
-            os_frame,
-            os_mmap,
-        })
-    }
-
-    /// Run the generic measurement loop over one wire rig and package the
-    /// rate estimate with the rig's honesty counters.
-    fn wire_point<B: WireBackend>(
-        rig: OsTestRig<B>,
-        cfg: &NatConfig,
-        shards: usize,
-        flows: usize,
-        packets: usize,
-        ring_size: usize,
-        texp: u64,
-    ) -> OsWirePoint {
+        let rig = OsTestRig::open(&int_veth, &ext_veth, classifier, ring_size)?;
         let mut nf = ShardedVigNatMb::sharded(*cfg, shards);
         let (samples, mut rig) =
             sustained_service_times_io(rig, &mut nf, flows, packets, ring_size, texp);
-        let rate = search_rate_with_ci(&samples, ring_size);
-        let kernel_drops = rig.backend_mut().kernel_drops();
-        OsWirePoint {
-            rate,
-            kernel_drops,
+        let wire = OsWirePoint {
+            rate: search_rate_with_ci(&samples, ring_size),
+            kernel_drops: rig.backend_mut().kernel_drops(),
             tx_errors: rig.backend().tx_errors(),
             rx_errors: rig.backend().rx_errors(),
-        }
+        };
+
+        Ok(OsWireReport { sim, wire })
     }
 }
 
-/// Run the three-way cross-wire RFC 2544 measurement and render the
+/// Run the two-point cross-wire RFC 2544 measurement and render the
 /// `os_wire_rfc2544` JSON section (plus a one-line stdout summary).
-/// `flows` background flows, `packets` measured packets per transport.
+/// `flows` background flows, `packets` measured packets per point.
 #[cfg(target_os = "linux")]
 pub fn section_json(flows: usize, packets: usize) -> String {
     use libvig::time::Time;
     use vig_packet::Ip4;
     use vig_spec::NatConfig;
-    use wire::{os_wire_rfc2544, OsWirePoint};
+    use wire::os_wire_rfc2544;
 
     let cfg = NatConfig {
         capacity: 65_535,
@@ -181,45 +151,28 @@ pub fn section_json(flows: usize, packets: usize) -> String {
         Err(e) => return unavailable(&format!("wire run failed: {e}")),
     };
 
-    let point = |p: &OsWirePoint| {
-        format!(
-            r#"{{"mpps": {:.3}, "ci95_mpps": [{:.3}, {:.3}], "mean_ns": {:.1}, "outliers_rejected": {}, "kernel_drops": {}, "tx_errors": {}, "rx_errors": {}}}"#,
-            p.rate.mpps,
-            p.rate.ci95_lo_mpps,
-            p.rate.ci95_hi_mpps,
-            p.rate.mean_ns,
-            p.rate.outliers_rejected,
-            p.kernel_drops,
-            p.tx_errors,
-            p.rx_errors
-        )
-    };
-    let speedup = report.os_mmap.rate.mpps / report.os_frame.rate.mpps;
-    // Recorded because the ratio depends on it: on a single-core rig
-    // every veth transmit is synchronous on the measured core and
-    // shared by both transports, compressing the achievable ratio (see
+    let wire = &report.wire;
+    // Recorded because the wire point depends on it: on a single-core
+    // rig every veth transmit is synchronous on the measured core (see
     // docs/BENCHMARKS.md).
     let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "os_wire_rfc2544: sim {:.2} | per-frame {:.2} | mmap {:.2} Mpps (mmap/per-frame {speedup:.2}x; \
-         drops f={} m={}, tx_err f={} m={})",
-        report.sim.mpps,
-        report.os_frame.rate.mpps,
-        report.os_mmap.rate.mpps,
-        report.os_frame.kernel_drops,
-        report.os_mmap.kernel_drops,
-        report.os_frame.tx_errors,
-        report.os_mmap.tx_errors,
+        "os_wire_rfc2544: sim {:.2} | wire {:.2} Mpps (kernel drops {}, tx_err {}, rx_err {})",
+        report.sim.mpps, wire.rate.mpps, wire.kernel_drops, wire.tx_errors, wire.rx_errors,
     );
+    let rate = |r: &crate::harness::RateEstimate| {
+        format!(
+            r#""mpps": {:.3}, "ci95_mpps": [{:.3}, {:.3}], "mean_ns": {:.1}, "outliers_rejected": {}"#,
+            r.mpps, r.ci95_lo_mpps, r.ci95_hi_mpps, r.mean_ns, r.outliers_rejected
+        )
+    };
     format!(
-        "{{\n    \"available\": true,\n    \"queues\": {QUEUES},\n    \"shards\": {SHARDS},\n    \"ring\": {RING},\n    \"flows\": {flows},\n    \"packets\": {packets},\n    \"host_cores\": {host_cores},\n    \"wire\": \"veth pairs, AF_PACKET both transports\",\n    \"sim\": {{\"mpps\": {:.3}, \"ci95_mpps\": [{:.3}, {:.3}], \"mean_ns\": {:.1}, \"outliers_rejected\": {}}},\n    \"os_frame\": {},\n    \"os_mmap\": {},\n    \"mmap_vs_frame_speedup\": {speedup:.3}\n  }}",
-        report.sim.mpps,
-        report.sim.ci95_lo_mpps,
-        report.sim.ci95_hi_mpps,
-        report.sim.mean_ns,
-        report.sim.outliers_rejected,
-        point(&report.os_frame),
-        point(&report.os_mmap),
+        "{{\n    \"available\": true,\n    \"queues\": {QUEUES},\n    \"shards\": {SHARDS},\n    \"ring\": {RING},\n    \"flows\": {flows},\n    \"packets\": {packets},\n    \"host_cores\": {host_cores},\n    \"wire\": \"veth pairs, AF_PACKET mmap rings\",\n    \"sim\": {{{}}},\n    \"os_mmap\": {{{}, \"kernel_drops\": {}, \"tx_errors\": {}, \"rx_errors\": {}}}\n  }}",
+        rate(&report.sim),
+        rate(&wire.rate),
+        wire.kernel_drops,
+        wire.tx_errors,
+        wire.rx_errors,
     )
 }
 

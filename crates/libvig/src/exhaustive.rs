@@ -47,7 +47,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::CheckedBatcher;
     use crate::dchain::CheckedChain;
     use crate::dmap::{CheckedDmap, DmapValue};
     use crate::map::{CheckedMap, MapKey};
@@ -334,21 +333,6 @@ mod tests {
             }
         });
         assert_eq!(n, (0..=7).map(|d| 3u64.pow(d)).sum::<u64>());
-    }
-
-    #[test]
-    fn batcher_all_sequences_depth6() {
-        let universe = [Some(0u8), Some(1), None];
-        let init = CheckedBatcher::<u8>::new(2);
-        let n = check_all_sequences(&init, &universe, 6, &|b, op| match op {
-            Some(v) => {
-                let _ = b.push(*v);
-            }
-            None => {
-                b.take_all();
-            }
-        });
-        assert_eq!(n, (0..=6).map(|d| 3u64.pow(d)).sum::<u64>());
     }
 
     #[test]

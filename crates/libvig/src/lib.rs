@@ -12,11 +12,8 @@
 //! | [`map`] | open-addressing hash map with probe-chain counters; single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_staged` burst probe across one map or several (`get_batch_with_hash`: one) | `map.c` / `map.h` |
 //! | [`dmap`] | double-keyed map over preallocated value slots: one hash directory for the A-key (`get_by_a_with_hash`, `put_with_hash`, `directory` for staged probes), the B-key compared at the slot it names (`get_by_b_at`) | the flow table (`double-map.c`) |
 //! | [`dchain`] | index allocator with LRU timestamp order on one list, or one list per timeout class; one 16-byte cell per index, `first_touch*` load hints | `double-chain.c` (expirator substrate) |
-//! | [`vector`] | preallocated value vector | `vector.c` |
 //! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |
 //! | [`spsc`] | lock-free bounded SPSC word ring (shard-runtime queues) | DPDK `rte_ring` (SP/SC mode) |
-//! | [`batcher`] | bounded item batcher | `batcher.c` |
-//! | [`port_alloc`] | standalone port allocator | port allocator |
 //! | [`rss`] | RSS-style hash→shard routing | NIC receive-side scaling |
 //! | [`expirator`] | dchain+dmap glue that expires old flows: a merge over the chain's list heads, one lifetime per list | `expirator.c` |
 //! | [`wheel`] | hierarchical timer wheel; **not used by the NAT** — kept only while natbench's ladder times it (module header) | Varghese–Lauck wheel |
@@ -61,29 +58,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod dchain;
 pub mod dmap;
 pub mod exhaustive;
 pub mod expirator;
 pub mod flow;
 pub mod map;
-pub mod port_alloc;
 pub mod ring;
 pub mod rss;
 pub mod spsc;
 pub mod time;
-pub mod vector;
 pub mod wheel;
 
-pub use batcher::Batcher;
 pub use dchain::DoubleChain;
 pub use dmap::{DmapValue, DoubleMap};
 pub use map::{Map, MapKey};
-pub use port_alloc::PortAllocator;
 pub use ring::Ring;
 pub use time::{Clock, SystemClock, Time, VirtualClock};
-pub use vector::Vector;
 
 /// Error returned by operations whose contract precondition "capacity not
 /// exhausted" does not hold. These are *not* contract violations: the NF is

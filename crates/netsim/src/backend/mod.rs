@@ -16,18 +16,20 @@
 //!   every simulated test and bench (`tests/queue_equivalence.rs`
 //!   proves the driver over it equivalent to sequential per-frame
 //!   processing);
-//! * [`os::OsBackend`] (Linux) — real OS packet I/O: one `AF_PACKET`
-//!   raw socket per port, bound to an interface (a veth pair end in the
+//! * [`os::mmap::MmapBackend`] (Linux) — real OS packet I/O: per port,
+//!   an `AF_PACKET` RX block ring and TX slot ring shared with the
+//!   kernel via `mmap`, bound to an interface (a veth pair end in the
 //!   intended deployment), feeding the *same* classifier and FIFOs with
 //!   kernel-delivered frames.
 //!
 //! The split keeps the trust boundary explicit: everything above
 //! `PacketIo` (classification, scheduling, the verified NAT) is
 //! identical across backends and covered by the differential suites;
-//! everything below it (the kernel's socket path, for `OsBackend`) is
+//! everything below it (the kernel's packet path, for the wire backend) is
 //! trusted, exactly as the paper trusts DPDK and the NIC. A future
 //! AF_XDP or DPDK backend drops in behind this trait without touching
-//! verified code. See `docs/ARCHITECTURE.md` ("The backend layer").
+//! verified code. See `docs/ARCHITECTURE.md` ("Drivers: how a frame
+//! reaches a `Middlebox`" and "The wire backend: mmap rings").
 
 use crate::dpdk::{BufIdx, Mempool, PortStats};
 use vig_packet::Direction;

@@ -10,8 +10,8 @@
 //! timeout expires on a partial block). [`MmapBackend::pump_rx`] walks
 //! user-owned blocks in place: every frame descriptor is validated by
 //! `walk_block` *before* any byte slice over ring memory is formed,
-//! each valid frame is admitted through the same
-//! `admit` accounting as every other backend, and the
+//! each valid frame is admitted through `admit` (the sim backend's
+//! per-queue accounting), and the
 //! block is released back to the kernel with a single volatile status
 //! write. Steady-state RX therefore costs no syscalls and no
 //! per-frame copies beyond the one admission copy into the
@@ -32,8 +32,7 @@
 //! `TP_STATUS_AVAILABLE` was accepted (counted as `tx`/`tx_bytes` at
 //! that point, per the module-level TX-attribution rule), one marked
 //! `TP_STATUS_WRONG_FORMAT` was refused (a `tx_error`; the slot is
-//! reclaimed). One syscall flushes a whole batch, vs one per frame on
-//! the baseline [`OsBackend`](super::OsBackend).
+//! reclaimed). One syscall flushes a whole batch.
 //!
 //! ## Why two sockets per port
 //!
@@ -510,7 +509,7 @@ pub struct MmapBackend {
 impl MmapBackend {
     /// Open the backend on two interfaces with ring geometry `rc`.
     /// `ring_size` sizes the per-queue software FIFOs and the pool,
-    /// identically to the other backends. Needs `CAP_NET_RAW`.
+    /// identically to the sim backend. Needs `CAP_NET_RAW`.
     pub fn open(
         int_if: &str,
         ext_if: &str,
@@ -737,7 +736,7 @@ impl PacketIo for MmapBackend {
     /// `SEND_REQUEST`; the kernel is kicked in batches by `flush_tx`.
     /// Returns `false` when no slot is available (ring full or an
     /// unreaped tail) — the driver flushes and retries, exactly the
-    /// full-FIFO contract of the other backends. `tx`/`tx_bytes` are
+    /// full-FIFO contract of the sim backend. `tx`/`tx_bytes` are
     /// counted when the kernel confirms the slot (see module docs,
     /// "TX attribution").
     fn tx_put(&mut self, dir: Direction, q: usize, buf: BufIdx) -> bool {

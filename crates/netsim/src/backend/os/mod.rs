@@ -1,30 +1,24 @@
-//! [`OsBackend`] and [`mmap::MmapBackend`]: real OS packet I/O behind
-//! the [`PacketIo`] seam (Linux `AF_PACKET`).
+//! Real OS packet I/O behind the [`PacketIo`] seam (Linux
+//! `AF_PACKET`): the wire backend [`mmap::MmapBackend`], the veth test
+//! rig [`OsTestRig`] around it, and the pieces both share.
 //!
-//! Two backends share this module, differing only in how frames cross
-//! the kernel boundary:
+//! [`mmap::MmapBackend`] shares a `TPACKET_V3` RX block ring and a
+//! `TPACKET_V2` TX ring with the kernel via `mmap`, so steady-state RX
+//! needs no syscalls at all and a whole TX batch is flushed with a
+//! single kick. It classifies frames into per-queue software FIFOs with
+//! the *same* [`RssClassifier`] the sim backend and the sharded table
+//! use, and keeps the sim backend's per-queue drop accounting, so the
+//! verified NAT, the event loop, and the conformance suites are
+//! identical across backends; only the frame transport changes.
 //!
-//! * [`OsBackend`] — the per-frame baseline: one nonblocking raw
-//!   socket per port; RX drains the socket in `recvmmsg` bursts (one
-//!   syscall per 32 frames, one copy per frame), TX sends one syscall
-//!   per frame. Honest, simple, and the reference point the mmap
-//!   speedup is measured against (`vig_bench::os_wire`).
-//! * [`mmap::MmapBackend`] — the zero-copy path: a `TPACKET_V3` RX
-//!   block ring and a `TPACKET_V2` TX ring shared with the kernel via
-//!   `mmap`, so steady-state RX needs no syscalls at all and a whole
-//!   TX batch is flushed with a single kick.
-//!
-//! Both classify frames into per-queue software FIFOs with the *same*
-//! [`RssClassifier`] the sim backend and the sharded table use, and
-//! both admit through the same `admit` function, so the verified
-//! NAT, the event loop, and the conformance suites are identical
-//! across backends; only the frame transport changes.
+//! [`RawSocket`] is the plain per-frame socket (`recvfrom` / `send`):
+//! the test rig's peer ends inject and collect through it.
 //!
 //! ## The trust boundary
 //!
 //! The `sys` submodule contains the workspace's only `unsafe` code:
 //! the libc surface (raw-socket calls, the two CPU-affinity calls the
-//! shard runtime uses, and the ring-setup/`mmap` calls the zero-copy
+//! shard runtime uses, and the ring-setup/`mmap` calls the wire
 //! backend needs), each wrapped immediately in a safe function. Ring
 //! memory the kernel writes concurrently is only reachable through
 //! `sys::RingMap`'s bounds-checked volatile accessors, and a byte
@@ -34,13 +28,13 @@
 //! the socket is trusted, exactly as the paper trusts DPDK and the
 //! NIC hardware — the verified properties cover what happens to a
 //! frame *after* `pump_rx` admits it and *before* `flush_tx` hands it
-//! back. See `docs/ARCHITECTURE.md` ("The backend layer").
+//! back. See `docs/ARCHITECTURE.md` ("The wire backend: mmap rings").
 //!
 //! ## TX attribution
 //!
 //! The device models count `tx`/`tx_bytes` when a frame enters the TX
-//! ring (the simulated NIC owns it from that point). The OS backends
-//! count at *flush* time, and only frames the kernel actually
+//! ring (the simulated NIC owns it from that point). The wire backend
+//! counts at *flush* time, and only frames the kernel actually
 //! accepted — an enqueued frame the kernel refuses is a `tx_error`,
 //! not a transmission. Conformance asserts the totals agree (and that
 //! `tx_errors == 0` on a quiesced veth wire, which is what makes the
@@ -49,7 +43,7 @@
 //! ## Privileges
 //!
 //! `AF_PACKET` sockets need `CAP_NET_RAW`; creating veth pairs needs
-//! `CAP_NET_ADMIN`. [`OsBackend::open`] fails with a plain
+//! `CAP_NET_ADMIN`. [`mmap::MmapBackend::open`] fails with a plain
 //! `io::Error` when they are missing, and the conformance tests skip
 //! cleanly in that case (CI runs them in a privileged job).
 
@@ -64,7 +58,7 @@ mod sys;
 pub mod mmap;
 
 /// The `sll_pkttype` of a frame the socket itself sent (looped back by
-/// the kernel for observers); the RX pumps filter these out.
+/// the kernel for observers); the RX pump and the tester filter these out.
 const PACKET_OUTGOING: u8 = 4;
 
 /// Pin the **calling thread** to CPU `cpu` via `sched_setaffinity`.
@@ -158,19 +152,6 @@ impl RawSocket {
         }
     }
 
-    /// Batched nonblocking receive (`recvmmsg`): up to
-    /// `sys::BURST_FRAMES` frames per syscall, frame `i` landing at
-    /// `buf[i * frame_cap ..]`. Returns the frame count.
-    pub(super) fn recv_burst(
-        &self,
-        buf: &mut [u8],
-        frame_cap: usize,
-        lens: &mut [usize; sys::BURST_FRAMES],
-        pkttypes: &mut [u8; sys::BURST_FRAMES],
-    ) -> io::Result<usize> {
-        self.with_retries(|r| sys::recv_burst(self.fd, buf, frame_cap, lens, pkttypes, r))
-    }
-
     /// Transmit one frame out the bound interface.
     pub fn send(&self, frame: &[u8]) -> io::Result<usize> {
         self.with_retries(|r| sys::send_one(self.fd, frame, r))
@@ -189,10 +170,10 @@ impl Drop for RawSocket {
     }
 }
 
-/// The live-counter surface every OS-facing backend exposes, so the
-/// veth test rig, the conformance suites, and the cross-wire RFC 2544
-/// measurement (`vig_bench::os_wire`) are generic over per-frame vs
-/// mmap transport.
+/// The live-counter surface of a wire backend, so the veth test rig,
+/// the conformance suites, and the cross-wire RFC 2544 measurement
+/// (`vig_bench::os_wire`) run the bare [`mmap::MmapBackend`] and the
+/// same backend under the fault layer (`FaultIo<MmapBackend>`) alike.
 pub trait WireBackend: PacketIo {
     /// The classifier steering this backend's traffic (the tester
     /// predicts queue assignment with the same function).
@@ -248,142 +229,11 @@ pub struct IoRetryStats {
     pub enobufs_backoffs: u64,
 }
 
-/// One port of the per-frame OS backend: a bound socket plus the
-/// per-queue software FIFOs and stats the driver contract requires.
-struct OsPort {
-    sock: RawSocket,
-    rx: Vec<Ring>,
-    tx: Vec<Ring>,
-    stats: Vec<PortStats>,
-}
-
-impl OsPort {
-    fn new(sock: RawSocket, queues: usize, ring_size: usize) -> OsPort {
-        OsPort {
-            sock,
-            rx: (0..queues).map(|_| Ring::new(ring_size)).collect(),
-            tx: (0..queues).map(|_| Ring::new(ring_size)).collect(),
-            stats: vec![PortStats::default(); queues],
-        }
-    }
-}
-
-/// The Linux per-frame raw-socket backend. See module docs.
-pub struct OsBackend {
-    pool: Mempool,
-    classifier: RssClassifier,
-    int_port: OsPort,
-    ext_port: OsPort,
-    scratch: Box<[u8; MBUF_SIZE]>,
-    /// Flat `recvmmsg` landing area: `sys::BURST_FRAMES` slots of
-    /// `MBUF_SIZE` each.
-    burst_buf: Vec<u8>,
-    /// Per-call admission cap (one ring's worth per queue), so a
-    /// flooded socket cannot wedge the driver in `pump_rx` forever.
-    pump_cap: usize,
-    rx_log: Option<Vec<(Direction, Vec<u8>)>>,
-    rx_seen: u64,
-    rx_errors: u64,
-    tx_errors: u64,
-    kernel_drops: u64,
-}
-
-impl OsBackend {
-    /// Open the backend on two interfaces: `int_if` is the NAT's
-    /// internal port, `ext_if` the external one. Ring sizing matches
-    /// the sim backend (`ring_size` descriptors per queue, pool holds
-    /// four rings' worth per queue). Needs `CAP_NET_RAW`.
-    pub fn open(
-        int_if: &str,
-        ext_if: &str,
-        classifier: RssClassifier,
-        ring_size: usize,
-    ) -> io::Result<OsBackend> {
-        let queues = classifier.queue_count();
-        let int_sock = RawSocket::open(int_if)?;
-        let ext_sock = RawSocket::open(ext_if)?;
-        Ok(OsBackend {
-            pool: Mempool::new(queues * ring_size * 4),
-            classifier,
-            int_port: OsPort::new(int_sock, queues, ring_size),
-            ext_port: OsPort::new(ext_sock, queues, ring_size),
-            scratch: Box::new([0u8; MBUF_SIZE]),
-            burst_buf: vec![0u8; sys::BURST_FRAMES * MBUF_SIZE],
-            pump_cap: queues * ring_size,
-            rx_log: None,
-            rx_seen: 0,
-            rx_errors: 0,
-            tx_errors: 0,
-            kernel_drops: 0,
-        })
-    }
-
-    fn port(&mut self, d: Direction) -> &mut OsPort {
-        match d {
-            Direction::Internal => &mut self.int_port,
-            Direction::External => &mut self.ext_port,
-        }
-    }
-
-    fn port_ref(&self, d: Direction) -> &OsPort {
-        match d {
-            Direction::Internal => &self.int_port,
-            Direction::External => &self.ext_port,
-        }
-    }
-}
-
-impl WireBackend for OsBackend {
-    fn classifier(&self) -> RssClassifier {
-        self.classifier
-    }
-
-    fn set_rx_log(&mut self, on: bool) {
-        self.rx_log = if on { Some(Vec::new()) } else { None };
-    }
-
-    fn take_rx_log(&mut self) -> Vec<(Direction, Vec<u8>)> {
-        self.rx_log.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    fn rx_seen(&self) -> u64 {
-        self.rx_seen
-    }
-
-    fn rx_errors(&self) -> u64 {
-        self.rx_errors
-    }
-
-    fn tx_errors(&self) -> u64 {
-        self.tx_errors
-    }
-
-    fn kernel_drops(&mut self) -> u64 {
-        for dir in [Direction::Internal, Direction::External] {
-            let fd = self.port_ref(dir).sock.fd();
-            if let Ok((_, drops, _)) = sys::ring_stats(fd) {
-                self.kernel_drops += drops;
-            }
-        }
-        self.kernel_drops
-    }
-
-    fn io_retries(&self) -> IoRetryStats {
-        let a = self.int_port.sock.retry_stats();
-        let b = self.ext_port.sock.retry_stats();
-        IoRetryStats {
-            eintr_retries: a.eintr_retries + b.eintr_retries,
-            enobufs_backoffs: a.enobufs_backoffs + b.enobufs_backoffs,
-        }
-    }
-}
-
 /// Admit one frame into a port's per-queue FIFOs: log it, classify it,
 /// and apply the driver contract's drop accounting (pool exhaustion or
 /// a full ring counts `rx_dropped` on the frame's queue; admission
-/// counts `rx`). The single definition the per-frame RX pump, the mmap
-/// block walker, and the loopback `stage` paths all use, so their
-/// accounting can never diverge.
+/// counts `rx`) — the same ledger the sim backend keeps, so a recorded
+/// wire trace replays through it to identical per-queue counters.
 pub(super) fn admit(
     pool: &mut Mempool,
     classifier: &RssClassifier,
@@ -409,216 +259,6 @@ pub(super) fn admit(
         pool.put(buf);
         stats[q].rx_dropped += 1;
         None
-    }
-}
-
-impl PacketIo for OsBackend {
-    fn queue_count(&self) -> usize {
-        self.int_port.rx.len()
-    }
-
-    fn pool(&self) -> &Mempool {
-        &self.pool
-    }
-
-    fn pool_mut(&mut self) -> &mut Mempool {
-        &mut self.pool
-    }
-
-    /// Drain both sockets in `recvmmsg` bursts (one syscall per
-    /// `sys::BURST_FRAMES` frames) until the kernel reports empty or
-    /// the per-call cap is reached.
-    fn pump_rx(&mut self) -> usize {
-        let mut admitted = 0;
-        for dir in [Direction::Internal, Direction::External] {
-            let mut pumped = 0;
-            'dir: while pumped < self.pump_cap {
-                // Destructure so the socket read and the ring/pool
-                // writes borrow disjoint fields.
-                let OsBackend {
-                    pool,
-                    classifier,
-                    int_port,
-                    ext_port,
-                    burst_buf,
-                    rx_log,
-                    rx_seen,
-                    rx_errors,
-                    ..
-                } = self;
-                let port = match dir {
-                    Direction::Internal => int_port,
-                    Direction::External => ext_port,
-                };
-                let mut lens = [0usize; sys::BURST_FRAMES];
-                let mut kinds = [0u8; sys::BURST_FRAMES];
-                let n = match port
-                    .sock
-                    .recv_burst(burst_buf, MBUF_SIZE, &mut lens, &mut kinds)
-                {
-                    Ok(0) => break 'dir,
-                    Ok(n) => n,
-                    // A real error (the nonblocking wrapper already
-                    // maps EWOULDBLOCK to Ok(0)): count it so a dead
-                    // socket is distinguishable from a quiet network,
-                    // and retry on the next pump.
-                    Err(_) => {
-                        *rx_errors += 1;
-                        break 'dir;
-                    }
-                };
-                for i in 0..n {
-                    if kinds[i] == PACKET_OUTGOING {
-                        continue; // our own transmission, looped back
-                    }
-                    *rx_seen += 1;
-                    let start = i * MBUF_SIZE;
-                    let frame = &burst_buf[start..start + lens[i].min(MBUF_SIZE)];
-                    if admit(
-                        pool,
-                        classifier,
-                        &mut port.rx,
-                        &mut port.stats,
-                        dir,
-                        frame,
-                        rx_log,
-                    )
-                    .is_some()
-                    {
-                        admitted += 1;
-                    }
-                }
-                pumped += n;
-                if n < sys::BURST_FRAMES {
-                    break 'dir; // short burst: the socket is drained
-                }
-            }
-        }
-        admitted
-    }
-
-    fn rx_len(&self, dir: Direction, q: usize) -> usize {
-        self.port_ref(dir).rx[q].len()
-    }
-
-    fn rx_burst(&mut self, dir: Direction, q: usize, max: usize, out: &mut Vec<BufIdx>) -> usize {
-        let port = self.port(dir);
-        let mut n = 0;
-        while n < max {
-            match port.rx[q].pop() {
-                Some(b) => {
-                    out.push(b);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// Enqueue only — `tx`/`tx_bytes` are counted at flush time, when
-    /// the kernel accepts the frame (see module docs, "TX attribution").
-    fn tx_put(&mut self, dir: Direction, q: usize, buf: BufIdx) -> bool {
-        self.port(dir).tx[q].push(buf)
-    }
-
-    fn flush_tx(&mut self) -> usize {
-        let mut flushed = 0;
-        for dir in [Direction::Internal, Direction::External] {
-            for q in 0..self.queue_count() {
-                loop {
-                    let OsBackend {
-                        pool,
-                        int_port,
-                        ext_port,
-                        tx_errors,
-                        ..
-                    } = self;
-                    let port = match dir {
-                        Direction::Internal => int_port,
-                        Direction::External => ext_port,
-                    };
-                    let Some(buf) = port.tx[q].pop() else { break };
-                    let frame = pool.frame(buf);
-                    match port.sock.send(frame) {
-                        Ok(_) => {
-                            port.stats[q].tx += 1;
-                            port.stats[q].tx_bytes += frame.len() as u64;
-                            flushed += 1;
-                        }
-                        Err(_) => *tx_errors += 1,
-                    }
-                    pool.put(buf);
-                }
-            }
-        }
-        flushed
-    }
-
-    fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
-        self.port_ref(dir).stats[q]
-    }
-}
-
-impl TesterIo for OsBackend {
-    /// Staging directly into an OS backend is a *loopback* injection:
-    /// the frame is written straight into the classified RX FIFO as if
-    /// the kernel had just delivered it. Real-wire injection goes
-    /// through [`OsTestRig`], whose tester sits on the veth peer.
-    fn stage(
-        &mut self,
-        dir: Direction,
-        fields_writer: impl FnOnce(&mut [u8]) -> usize,
-    ) -> Option<usize> {
-        let len = fields_writer(&mut self.scratch[..]);
-        let OsBackend {
-            pool,
-            classifier,
-            int_port,
-            ext_port,
-            scratch,
-            rx_log,
-            ..
-        } = self;
-        let port = match dir {
-            Direction::Internal => int_port,
-            Direction::External => ext_port,
-        };
-        admit(
-            pool,
-            classifier,
-            &mut port.rx,
-            &mut port.stats,
-            dir,
-            &scratch[..len],
-            rx_log,
-        )
-    }
-
-    /// Drain the backend's own TX queues without touching the wire
-    /// (loopback collection, the dual of loopback staging). A live
-    /// driver normally calls `flush_tx` instead, which sends on the
-    /// socket.
-    fn reap(&mut self, dir: Direction) -> Vec<(usize, Vec<u8>)> {
-        let mut out = Vec::new();
-        for q in 0..self.queue_count() {
-            loop {
-                let OsBackend {
-                    pool,
-                    int_port,
-                    ext_port,
-                    ..
-                } = self;
-                let port = match dir {
-                    Direction::Internal => int_port,
-                    Direction::External => ext_port,
-                };
-                let Some(buf) = port.tx[q].pop() else { break };
-                out.push((q, pool.frame(buf).to_vec()));
-                pool.put(buf);
-            }
-        }
-        out
     }
 }
 
@@ -677,45 +317,30 @@ impl Drop for VethPair {
     }
 }
 
-/// The two-veth-pair test rig, generic over the backend transport: a
-/// [`WireBackend`] (per-frame [`OsBackend`] or zero-copy
-/// [`mmap::MmapBackend`]) on the near ends and tester sockets on the
-/// far ends, implementing [`TesterIo`] *across the wire* — `stage`
-/// transmits on the peer interface and `reap` receives what the NAT
-/// sent back out, so the generic RFC 2544 harness and the conformance
-/// suites run unchanged over real kernel packet I/O on either
-/// transport.
-pub struct OsTestRig<B: WireBackend = OsBackend> {
+/// The two-veth-pair test rig: a [`WireBackend`] (by default the
+/// [`mmap::MmapBackend`]; a test swaps in `FaultIo<MmapBackend>`
+/// through [`OsTestRig::with_backend`]) on the near ends and tester
+/// sockets on the far ends, implementing [`TesterIo`] *across the
+/// wire* — `stage` transmits on the peer interface and `reap` receives
+/// what the NAT sent back out, so the generic RFC 2544 harness and the
+/// conformance suites run unchanged over real kernel packet I/O.
+pub struct OsTestRig<B: WireBackend = mmap::MmapBackend> {
     backend: B,
     int_peer: RawSocket,
     ext_peer: RawSocket,
     scratch: Box<[u8; MBUF_SIZE]>,
 }
 
-impl OsTestRig<OsBackend> {
-    /// Build the per-frame rig: the backend binds `int_veth.a` /
-    /// `ext_veth.a`, the tester binds the `.b` peers.
+impl OsTestRig {
+    /// Build the rig: an [`mmap::MmapBackend`] with default ring
+    /// geometry binds `int_veth.a` / `ext_veth.a`, the tester binds the
+    /// `.b` peers.
     pub fn open(
         int_veth: &VethPair,
         ext_veth: &VethPair,
         classifier: RssClassifier,
         ring_size: usize,
-    ) -> io::Result<OsTestRig<OsBackend>> {
-        let backend = OsBackend::open(&int_veth.a, &ext_veth.a, classifier, ring_size)?;
-        OsTestRig::with_backend(backend, int_veth, ext_veth)
-    }
-}
-
-impl OsTestRig<mmap::MmapBackend> {
-    /// Build the zero-copy rig: an [`mmap::MmapBackend`] with default
-    /// ring geometry on the `.a` ends, tester sockets on the `.b`
-    /// peers.
-    pub fn open_mmap(
-        int_veth: &VethPair,
-        ext_veth: &VethPair,
-        classifier: RssClassifier,
-        ring_size: usize,
-    ) -> io::Result<OsTestRig<mmap::MmapBackend>> {
+    ) -> io::Result<OsTestRig> {
         let backend = mmap::MmapBackend::open(
             &int_veth.a,
             &ext_veth.a,

@@ -1,5 +1,5 @@
-//! The raw libc surface: every syscall the OS backends make, wrapped
-//! here and nowhere else.
+//! The raw libc surface: every syscall the wire backend and its test
+//! rig make, wrapped here and nowhere else.
 //!
 //! This file is the workspace's **entire** `unsafe` budget. The crate
 //! root carries `#![deny(unsafe_code)]`; only this module re-allows it,
@@ -7,8 +7,9 @@
 //! establishes its contract before the call and validates the result
 //! after it. The surface:
 //!
-//! * raw sockets — `socket`, `bind`, `recvfrom`, `recvmmsg`, `send`,
-//!   `close`, `if_nametoindex`;
+//! * raw sockets — `socket`, `bind`, `close`, `if_nametoindex`, and
+//!   the per-frame `recvfrom` / `send` the test rig's peer sockets
+//!   use;
 //! * CPU affinity for the shard runtime — `sched_setaffinity`,
 //!   `sched_getaffinity`;
 //! * packet rings for [`super::mmap::MmapBackend`] — `setsockopt`
@@ -120,33 +121,6 @@ struct TpacketStatsV3 {
     tp_freeze_q_cnt: u32,
 }
 
-/// `struct iovec`.
-#[repr(C)]
-struct IoVec {
-    base: *mut u8,
-    len: usize,
-}
-
-/// `struct msghdr` (x86-64 layout; `repr(C)` reproduces the padding
-/// after the 32-bit `namelen`).
-#[repr(C)]
-struct MsgHdr {
-    name: *mut SockaddrLl,
-    namelen: u32,
-    iov: *mut IoVec,
-    iovlen: usize,
-    control: *mut u8,
-    controllen: usize,
-    flags: CInt,
-}
-
-/// `struct mmsghdr`.
-#[repr(C)]
-struct MMsgHdr {
-    hdr: MsgHdr,
-    len: u32,
-}
-
 /// `struct pollfd`.
 #[repr(C)]
 struct PollFd {
@@ -166,7 +140,6 @@ extern "C" {
         addr: *mut SockaddrLl,
         addrlen: *mut u32,
     ) -> isize;
-    fn recvmmsg(fd: CInt, vec: *mut MMsgHdr, vlen: u32, flags: CInt, timeout: *mut u8) -> CInt;
     fn send(fd: CInt, buf: *const u8, len: usize, flags: CInt) -> isize;
     fn close(fd: CInt) -> CInt;
     fn if_nametoindex(name: *const u8) -> u32;
@@ -344,80 +317,6 @@ pub fn recv_one(
         }
         return Ok(Some((n as usize, from.sll_pkttype)));
     }
-}
-
-/// Frames per [`recv_burst`] call — one `recvmmsg` syscall drains up
-/// to this many.
-pub const BURST_FRAMES: usize = 32;
-
-/// Batched nonblocking receive: one `recvmmsg` syscall for up to
-/// [`BURST_FRAMES`] frames. `buf` is a flat scratch of at least
-/// `BURST_FRAMES * frame_cap` bytes; on return, frame `i` occupies
-/// `buf[i*frame_cap .. i*frame_cap + lens[i]]` and `pkttypes[i]` is
-/// its `sll_pkttype`. Returns the frame count (0 = nothing waiting).
-pub fn recv_burst(
-    fd: CInt,
-    buf: &mut [u8],
-    frame_cap: usize,
-    lens: &mut [usize; BURST_FRAMES],
-    pkttypes: &mut [u8; BURST_FRAMES],
-    retries: &mut Retries,
-) -> io::Result<usize> {
-    assert!(frame_cap > 0 && buf.len() >= BURST_FRAMES * frame_cap);
-    let mut addrs: [SockaddrLl; BURST_FRAMES] = std::array::from_fn(|_| SockaddrLl::zeroed());
-    let mut iovs: Vec<IoVec> = Vec::with_capacity(BURST_FRAMES);
-    for chunk in buf.chunks_exact_mut(frame_cap).take(BURST_FRAMES) {
-        iovs.push(IoVec {
-            base: chunk.as_mut_ptr(),
-            len: frame_cap,
-        });
-    }
-    let mut msgs: Vec<MMsgHdr> = (0..BURST_FRAMES)
-        .map(|i| MMsgHdr {
-            hdr: MsgHdr {
-                name: &mut addrs[i],
-                namelen: std::mem::size_of::<SockaddrLl>() as u32,
-                iov: &mut iovs[i],
-                iovlen: 1,
-                control: std::ptr::null_mut(),
-                controllen: 0,
-                flags: 0,
-            },
-            len: 0,
-        })
-        .collect();
-    let n = loop {
-        // SAFETY: every pointer in `msgs` (names, iovecs, data buffers)
-        // refers to live, disjoint, properly sized buffers that outlive
-        // the call; vlen matches the array length; timeout NULL is the
-        // documented "no timeout" value.
-        let n = unsafe {
-            recvmmsg(
-                fd,
-                msgs.as_mut_ptr(),
-                BURST_FRAMES as u32,
-                MSG_DONTWAIT,
-                std::ptr::null_mut(),
-            )
-        };
-        if n < 0 {
-            let e = io::Error::last_os_error();
-            if e.kind() == io::ErrorKind::Interrupted {
-                retries.eintr += 1;
-                continue;
-            }
-            if e.kind() == io::ErrorKind::WouldBlock {
-                return Ok(0);
-            }
-            return Err(e);
-        }
-        break n as usize;
-    };
-    for i in 0..n {
-        lens[i] = msgs[i].len as usize;
-        pkttypes[i] = addrs[i].sll_pkttype;
-    }
-    Ok(n)
 }
 
 /// Send one frame on the bound interface. Retries `EINTR`

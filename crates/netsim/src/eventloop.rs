@@ -21,7 +21,7 @@
 //!   [`PacketIo`] backend seam (see [`crate::backend`]), so it runs
 //!   identically on the simulated NIC model
 //!   ([`SimBackend`](crate::backend::SimBackend), any queue count down
-//!   to one) and on real OS packet I/O (`backend::os::OsBackend`).
+//!   to one) and on real OS packet I/O (`backend::os::mmap::MmapBackend`).
 //!
 //! Packets reach the NF through the ordinary [`Middlebox::process_burst`]
 //! — each queue event becomes one `BurstEnv` drain of the verified

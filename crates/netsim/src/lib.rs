@@ -38,12 +38,10 @@
 //! * [`backend`] — the pluggable packet-I/O layer: the
 //!   [`backend::PacketIo`] driver contract (classify into per-queue
 //!   FIFOs, budgeted WRR drain, per-queue stats), with the simulated
-//!   [`backend::SimBackend`] and, on Linux, two `AF_PACKET` transports
-//!   feeding the same event loop with real kernel-delivered frames:
-//!   the per-frame [`backend::os::OsBackend`] (`recvmmsg`-batched
-//!   baseline) and the zero-copy [`backend::os::mmap::MmapBackend`]
-//!   (`TPACKET_V3` RX block ring + `TPACKET_V2` TX ring shared with
-//!   the kernel via `mmap`).
+//!   [`backend::SimBackend`] and, on Linux, one `AF_PACKET` wire
+//!   backend feeding the same event loop with real kernel-delivered
+//!   frames: [`backend::os::mmap::MmapBackend`] (`TPACKET_V3` RX block
+//!   ring + `TPACKET_V2` TX ring shared with the kernel via `mmap`).
 //!
 //! What is real and what is modeled: the per-packet CPU work — parsing,
 //! flow-table probes, expiry, rewrites, checksum updates, ring and
@@ -55,7 +53,7 @@
 
 // The only `unsafe` in the workspace is the libc FFI in
 // `backend::os::sys` (raw-socket calls, the two CPU-affinity calls,
-// and the packet-ring setup/`mmap` surface for the zero-copy backend,
+// and the packet-ring setup/`mmap` surface for the wire backend,
 // each safely wrapped on the spot; shared ring memory is reachable
 // only through bounds-checked volatile accessors); the rest of the
 // crate stays unsafe-free and the lint keeps it that way.

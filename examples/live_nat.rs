@@ -1,7 +1,8 @@
 //! Live NAT: the verified loop body translating *real* traffic through
-//! Linux `AF_PACKET` sockets — the paper's deployment shape (verified
-//! NF over a trusted packet engine), with the kernel standing in for
-//! DPDK.
+//! Linux `AF_PACKET` rings (`MmapBackend`: a `TPACKET_V3` RX ring and a
+//! `TPACKET_V2` TX ring per port) — the paper's deployment shape
+//! (verified NF over a trusted packet engine), with the kernel standing
+//! in for DPDK.
 //!
 //! ```text
 //! cargo run --release --example live_nat -- <int_if> <ext_if> \
@@ -23,7 +24,7 @@
 
 #[cfg(not(target_os = "linux"))]
 fn main() {
-    eprintln!("live_nat needs Linux (AF_PACKET raw sockets)");
+    eprintln!("live_nat needs Linux (AF_PACKET rings)");
     std::process::exit(1);
 }
 
@@ -37,7 +38,7 @@ mod linux {
     use vignat_repro::libvig::time::Time;
     use vignat_repro::nat::NatConfig;
     use vignat_repro::packet::{Direction, Ip4};
-    use vignat_repro::sim::backend::os::OsBackend;
+    use vignat_repro::sim::backend::os::mmap::{MmapBackend, MmapRingConfig};
     use vignat_repro::sim::backend::PacketIo;
     use vignat_repro::sim::dpdk::{BufIdx, Mempool};
     use vignat_repro::sim::eventloop::BackendDriver;
@@ -168,7 +169,13 @@ mod linux {
             start_port: 10_000,
             ..NatConfig::paper_default()
         };
-        let io = match OsBackend::open(int_if, ext_if, RssClassifier::for_nat(&cfg, queues), 512) {
+        let io = match MmapBackend::open(
+            int_if,
+            ext_if,
+            RssClassifier::for_nat(&cfg, queues),
+            512,
+            MmapRingConfig::default(),
+        ) {
             Ok(io) => io,
             Err(e) => {
                 eprintln!("opening {int_if}/{ext_if}: {e} (need CAP_NET_RAW; run as root)");

@@ -13,22 +13,23 @@
 //!    skewed WRR budgets too. (`tests/queue_equivalence.rs` is the
 //!    per-flow, tagged-payload version of the same proof.) The fault
 //!    layer's identity theorem rides the same schedule.
-//! 2. **OS ≡ sim on a recorded trace** (`#[ignore]`, needs
-//!    `CAP_NET_ADMIN`/`CAP_NET_RAW` — CI's `wire` job), run for
-//!    *both* wire transports — the per-frame `OsBackend` and the
-//!    zero-copy mmap-ring `MmapBackend`: real
-//!    frames cross a veth pair into the `AF_PACKET` backend while the
-//!    backend records its arrival trace; the trace is then replayed
-//!    through `SimBackend`, and tx order, per-queue stats (rx, drops,
-//!    tx, tx bytes), and NAT state must match exactly. On this path
-//!    the kernel is the tester — whatever it delivered (including any
-//!    noise) is replayed verbatim, so parity is unconditional, and
-//!    each transport's parity with sim gives the three-way
-//!    mmap ≡ per-frame ≡ sim equivalence.
+//! 2. **Wire ≡ sim on a recorded trace** (`#[ignore]`, needs
+//!    `CAP_NET_ADMIN`/`CAP_NET_RAW` — CI's `wire` job), for the
+//!    mmap-ring `MmapBackend` bare and under `FaultIo` with the empty
+//!    schedule: real frames cross a veth pair into the `AF_PACKET`
+//!    backend while the backend records its arrival trace; the trace
+//!    is then replayed through `SimBackend`, and tx order, per-queue
+//!    stats (rx, drops, tx, tx bytes), and NAT state must match
+//!    exactly. On this path the kernel is the tester — whatever it
+//!    delivered (including any noise) is replayed verbatim, so parity
+//!    is unconditional.
 //!
 //! The privileged module also pins down the mmap ring's edges: the
 //! partial-block retire timeout, overrun behaviour (kernel drops are
-//! counted, state never corrupts), and leak-free teardown.
+//! counted, state never corrupts), and leak-free teardown. Its tests
+//! run one at a time (`LIVE`): the leak test counts the whole
+//! process's fds and mappings, which a parallel test opening sockets
+//! or spawning `ip` would move.
 //!
 //! The suite always writes its tx traces to
 //! `target/os-backend-trace/` so the CI job can upload them as
@@ -331,7 +332,7 @@ fn weighted_budgets_preserve_equivalence() {
 }
 
 // ---------------------------------------------------------------------
-// OS-backend conformance (privileged; CI's wire job).
+// Wire-backend conformance (privileged; CI's wire job).
 // ---------------------------------------------------------------------
 
 #[cfg(target_os = "linux")]
@@ -340,6 +341,17 @@ mod os {
     use std::io::Write;
     use vignat_repro::sim::backend::os::mmap::{MmapBackend, MmapRingConfig};
     use vignat_repro::sim::backend::os::{OsTestRig, VethPair, WireBackend};
+
+    /// Held for the whole body of every live test: they share the
+    /// process's fd table and address space, which the leak test
+    /// counts.
+    static LIVE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Take [`LIVE`]; a test that panicked while holding it leaves
+    /// nothing behind that the next one depends on.
+    fn live() -> std::sync::MutexGuard<'static, ()> {
+        LIVE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// Where the CI job picks up failure artifacts.
     fn trace_dir() -> std::path::PathBuf {
@@ -392,8 +404,9 @@ mod os {
 
     /// Same packet trace in → same NAT state, tx order, per-queue
     /// stats, and drop counters out, across the wire/sim boundary —
-    /// generic over the wire transport, so the per-frame and the
-    /// mmap-ring backends prove the identical property. The wire side
+    /// generic over the wire backend, so the bare mmap-ring backend and
+    /// the same backend under `FaultIo` prove the identical property.
+    /// The wire side
     /// records what the kernel actually delivered; the sim side
     /// replays that recording, so the comparison is exact by
     /// construction.
@@ -592,42 +605,22 @@ mod os {
     }
 
     #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET); run via CI wire or sudo"]
-    fn os_backend_matches_sim_on_recorded_trace() {
-        recorded_trace_parity("os", "vgcnf", |i, e, cl, ring| {
-            OsTestRig::open(i, e, cl, ring)
-        });
-    }
-
-    #[test]
     #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET mmap rings); run via CI wire or sudo"]
     fn mmap_backend_matches_sim_on_recorded_trace() {
-        recorded_trace_parity("mmap", "vgmmp", |i, e, cl, ring| {
-            OsTestRig::open_mmap(i, e, cl, ring)
-        });
+        let _live = live();
+        recorded_trace_parity("mmap", "vgmmp", OsTestRig::open);
     }
 
-    /// The fault layer's identity theorem on the per-frame wire
-    /// backend: `FaultIo(FaultPlan::none())` wrapped around a live
-    /// `OsBackend` passes the same recorded-trace parity proof the
+    /// The fault layer's identity theorem on the wire backend:
+    /// `FaultIo(FaultPlan::none())` wrapped around a live
+    /// `MmapBackend` passes the same recorded-trace parity proof the
     /// bare backend does, so an empty schedule changes nothing on a
     /// real kernel packet path either.
-    #[test]
-    #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET); run via CI wire or sudo"]
-    fn faultio_identity_holds_on_os_backend() {
-        use vignat_repro::sim::backend::os::OsBackend;
-        use vignat_repro::sim::backend::{FaultIo, FaultPlan};
-        recorded_trace_parity("fault-os", "vgfos", |i, e, cl, ring| {
-            let inner = OsBackend::open(&i.a, &e.a, cl, ring)?;
-            OsTestRig::with_backend(FaultIo::new(inner, FaultPlan::none()), i, e)
-        });
-    }
-
-    /// Identity theorem on the zero-copy mmap-ring wire backend.
     #[test]
     #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW (veth + AF_PACKET mmap rings); run via CI wire or sudo"]
     fn faultio_identity_holds_on_mmap_backend() {
         use vignat_repro::sim::backend::{FaultIo, FaultPlan};
+        let _live = live();
         recorded_trace_parity("fault-mmap", "vgfmm", |i, e, cl, ring| {
             let inner = MmapBackend::open(&i.a, &e.a, cl, ring, MmapRingConfig::default())?;
             OsTestRig::with_backend(FaultIo::new(inner, FaultPlan::none()), i, e)
@@ -639,18 +632,19 @@ mod os {
     #[test]
     #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI wire or sudo"]
     fn mmap_partial_block_retires_within_timeout() {
+        let _live = live();
         let c = cfg(64);
         let Some((int_veth, ext_veth)) = wire("vgret") else {
             return;
         };
-        let mut rig =
-            match OsTestRig::open_mmap(&int_veth, &ext_veth, RssClassifier::for_nat(&c, 2), 64) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("SKIP mmap_partial_block_retires_within_timeout: {e}");
-                    return;
-                }
-            };
+        let mut rig = match OsTestRig::open(&int_veth, &ext_veth, RssClassifier::for_nat(&c, 2), 64)
+        {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("SKIP mmap_partial_block_retires_within_timeout: {e}");
+                return;
+            }
+        };
         let gen = FlowGen::new(vignat_repro::packet::Proto::Udp);
         // 3 small frames: a 32 KiB block is nowhere near full.
         for i in 0..3u32 {
@@ -687,6 +681,7 @@ mod os {
     #[test]
     #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI wire or sudo"]
     fn mmap_ring_overrun_counts_kernel_drops_without_corruption() {
+        let _live = live();
         let c = cfg(256);
         let Some((int_veth, ext_veth)) = wire("vgovr") else {
             return;
@@ -779,6 +774,7 @@ mod os {
     #[test]
     #[ignore = "needs CAP_NET_ADMIN/CAP_NET_RAW; run via CI wire or sudo"]
     fn mmap_teardown_releases_rings_and_sockets() {
+        let _live = live();
         let c = cfg(64);
         let Some((int_veth, ext_veth)) = wire("vglk") else {
             return;
@@ -787,7 +783,7 @@ mod os {
         let gen = FlowGen::new(vignat_repro::packet::Proto::Udp);
         let cycle = |drive: bool| {
             let mut rig =
-                OsTestRig::open_mmap(&int_veth, &ext_veth, classifier, 64).expect("mmap rig opens");
+                OsTestRig::open(&int_veth, &ext_veth, classifier, 64).expect("mmap rig opens");
             if drive {
                 let mut nf = ShardedVigNatMb::sharded(c, 2);
                 let mut drv = BackendDriver::new(rig);

@@ -18,7 +18,7 @@
 //! (set `VIGNAT_BENCH_FULL=1` for the paper-scale sweep).
 
 use libvig::time::Time;
-use netsim::middlebox::{Middlebox, NoopForwarder, SystemClockMb, VigNatMb};
+use netsim::middlebox::{Middlebox, NoopForwarder, VigNatMb};
 use vig_baselines::UnverifiedNat;
 use vig_bench::harness::{probe_latency, WorkloadMix};
 use vig_bench::{flow_sweep, print_table, probe_count, us, WIRE_BASE_NS};
@@ -56,32 +56,18 @@ fn main() {
     let mut unv_series = Vec::new();
     let mut ver_series = Vec::new();
 
-    let mut sys_series = Vec::new();
-
     for &n in &sweep {
         let noop = measure(&mut NoopForwarder::new(), n);
         let unv = measure(&mut UnverifiedNat::new(cfg()), n);
         let ver = measure(&mut VigNatMb::new(cfg()), n);
-        // Real-clock mode side by side: the same NAT reading the host's
-        // monotonic clock per packet (the fixed cost virtual time
-        // hides). Real time barely advances during a run, so probe
-        // flows don't expire between their packets — this column
-        // prices the clock read + miss/allocate path, while the
-        // virtual-time column also carries the expiry work.
-        let ver_sys = measure(
-            &mut SystemClockMb::new(VigNatMb::new(cfg()), "Verified NAT (sysclock)"),
-            n,
-        );
         noop_series.push(noop);
         unv_series.push(unv);
         ver_series.push(ver);
-        sys_series.push(ver_sys);
         rows.push(vec![
             format!("{}", n / 1000),
             format!("{:.0}", noop),
             format!("{:.0}", unv),
             format!("{:.0}", ver),
-            format!("{:.0}", ver_sys),
             us(noop + WIRE_BASE_NS as f64),
             us(unv + WIRE_BASE_NS as f64),
             us(ver + WIRE_BASE_NS as f64),
@@ -95,7 +81,6 @@ fn main() {
             "No-op ns",
             "Unverified ns",
             "Verified ns",
-            "Verified sys ns",
             "No-op us*",
             "Unverified us*",
             "Verified us*",
@@ -103,10 +88,6 @@ fn main() {
         &rows,
     );
     println!("(*) with the documented +{WIRE_BASE_NS} ns wire/NIC offset (see EXPERIMENTS.md)");
-    println!(
-        "('Verified sys' reads the host clock per packet — real-clock middlebox mode; its probe\n \
-         flows never expire in real microseconds, so it prices clock read + miss/allocate)"
-    );
     println!(
         "paper reference: No-op 4.75 us, Unverified 5.03 us, Verified 5.13 us, flat; \
          Verified +~0.2 us at the last point"
@@ -143,11 +124,5 @@ fn main() {
     println!(
         "  Verified last-point uptick present but bounded: {} ({uptick:.1}x NAT-processing, paper ~1.5x)",
         if uptick > 1.0 && uptick < 20.0 { "ok" } else { "DEVIATION" }
-    );
-    let m_sys = mean(&sys_series);
-    println!(
-        "  Real-clock vs virtual-time probe path: {:.2}x ({m_sys:.0} vs {m_ver:.0} ns; \
-         sysclock adds the clock read but skips the expiry work — see the table note)",
-        m_sys / m_ver
     );
 }

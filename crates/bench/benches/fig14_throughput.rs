@@ -15,17 +15,11 @@
 //! is reported), then the highest offered rate whose bounded-ring
 //! queue simulation loses ≤ 0.1% of packets is found by binary search.
 //!
-//! Beyond the paper's four NFs, the figure carries three more series
-//! of the same NAT under the same methodology:
-//!
-//! * **the batched fast path** (`verified_batched`): the bare
-//!   [`VigNatMb`], whose `process_burst` runs the burst pipeline —
-//!   `verified` is the same NAT seen one frame at a time;
-//! * **real-clock mode** (`*_sysclock` series): the same NATs wrapped
-//!   in [`SystemClockMb`], which reads the host's monotonic clock per
-//!   process call instead of trusting the harness's virtual time — the
-//!   per-packet fixed cost a production loop pays and the burst path
-//!   amortizes.
+//! Beyond the paper's four NFs, the figure carries one more series of
+//! the same NAT under the same methodology: **the batched fast path**
+//! (`verified_batched`), the bare [`VigNatMb`], whose `process_burst`
+//! runs the burst pipeline — `verified` is the same NAT seen one frame
+//! at a time.
 //!
 //! Every rate point is the mean of per-trial rates with a bootstrap
 //! 95% CI on that mean ([`search_rate_with_ci`]), so run-to-run noise
@@ -43,7 +37,7 @@
 
 use libvig::time::Time;
 use netsim::backend::SimBackend;
-use netsim::middlebox::{Middlebox, NoopForwarder, SystemClockMb, Verdict, VigNatMb};
+use netsim::middlebox::{Middlebox, NoopForwarder, Verdict, VigNatMb};
 use netsim::tester::FlowGen;
 use netsim::RssClassifier;
 use vig_baselines::{NetfilterNat, UnverifiedNat};
@@ -69,8 +63,7 @@ fn cfg() -> NatConfig {
 /// An NF seen one frame at a time: forwards [`Middlebox::process`] and
 /// leaves `process_burst` at the trait default, so the driver's bursts
 /// reach it frame by frame — the paper's per-packet loop, and the
-/// `verified` / `verified_sysclock` series (the bare [`VigNatMb`] is
-/// the batched fast path).
+/// `verified` series (the bare [`VigNatMb`] is the batched fast path).
 struct PerFrame<M>(M);
 
 impl<M: Middlebox> Middlebox for PerFrame<M> {
@@ -101,30 +94,17 @@ fn measure(nf: &mut dyn Middlebox, flows: usize) -> RateEstimate {
 fn main() {
     let sweep = flow_sweep();
     let mut rows = Vec::new();
-    let mut series: [Vec<f64>; 7] = Default::default();
+    let mut series: [Vec<f64>; 5] = Default::default();
     let mut outliers_total = 0usize;
 
-    let mut cis: [Vec<(f64, f64)>; 7] = Default::default();
+    let mut cis: [Vec<(f64, f64)>; 5] = Default::default();
     for &n in &sweep {
         let noop = measure(&mut NoopForwarder::new(), n);
         let unv = measure(&mut UnverifiedNat::new(cfg()), n);
         let ver = measure(&mut PerFrame(VigNatMb::new(cfg())), n);
         let verb = measure(&mut VigNatMb::new(cfg()), n);
         let lin = measure(&mut NetfilterNat::new(cfg()), n);
-        // Real-clock mode: the same NAT reading the host clock per
-        // process call / per burst — side by side with virtual time.
-        let ver_sys = measure(
-            &mut PerFrame(SystemClockMb::new(
-                VigNatMb::new(cfg()),
-                "Verified NAT (sysclock)",
-            )),
-            n,
-        );
-        let verb_sys = measure(
-            &mut SystemClockMb::new(VigNatMb::new(cfg()), "Verified batched (sysclock)"),
-            n,
-        );
-        let all = [&noop, &unv, &ver, &lin, &verb, &ver_sys, &verb_sys];
+        let all = [&noop, &unv, &ver, &lin, &verb];
         outliers_total += all.iter().map(|e| e.outliers_rejected).sum::<usize>();
         for (i, est) in all.into_iter().enumerate() {
             series[i].push(est.mpps);
@@ -139,8 +119,6 @@ fn main() {
                 "{:.2} [{:.2},{:.2}]",
                 verb.mpps, verb.ci95_lo_mpps, verb.ci95_hi_mpps
             ),
-            format!("{:.2}", ver_sys.mpps),
-            format!("{:.2}", verb_sys.mpps),
             format!("{:.2}", lin.mpps),
         ]);
     }
@@ -152,8 +130,6 @@ fn main() {
             "Unverified NAT",
             "Verified NAT",
             "Verified (batched)",
-            "Verified (sysclock)",
-            "Batched (sysclock)",
             "Linux NAT",
         ],
         &rows,
@@ -166,8 +142,8 @@ fn main() {
     );
 
     // Machine-readable trajectory: Mpps per flow count for all series,
-    // plus p50/p99 steady-state service times for the verified NAT in
-    // both modes at the largest flow count.
+    // plus p50/p99 steady-state service times for the verified NAT,
+    // frame at a time and batched, at the largest flow count.
     let (p50_seq, p99_seq, p50_bat, p99_bat) = {
         let flows = *sweep.last().expect("non-empty sweep");
         let pkts = throughput_packets() / 4;
@@ -194,14 +170,12 @@ fn main() {
         )
     };
     let json = format!(
-        "{{\n  \"bench\": \"fig14_throughput\",\n  \"statistics\": {{\"outlier_rejection\": \"mad_z3.5\", \"rejected_total\": {outliers_total}, \"rate\": \"mean of {RATE_CI_TRIALS} per-trial rates\", \"rate_ci\": \"bootstrap pct of that mean, {RATE_CI_RESAMPLES} resamples\"}},\n  \"flow_counts\": [{}],\n  \"series\": [\n    {},\n    {},\n    {},\n    {},\n    {},\n    {},\n    {}\n  ],\n  \"verified_seq\": {{\"p50_ns\": {p50_seq}, \"p99_ns\": {p99_seq}}},\n  \"verified_batched\": {{\"p50_ns\": {p50_bat}, \"p99_ns\": {p99_bat}}}\n}}\n",
+        "{{\n  \"bench\": \"fig14_throughput\",\n  \"statistics\": {{\"outlier_rejection\": \"mad_z3.5\", \"rejected_total\": {outliers_total}, \"rate\": \"mean of {RATE_CI_TRIALS} per-trial rates\", \"rate_ci\": \"bootstrap pct of that mean, {RATE_CI_RESAMPLES} resamples\"}},\n  \"flow_counts\": [{}],\n  \"series\": [\n    {},\n    {},\n    {},\n    {},\n    {}\n  ],\n  \"verified_seq\": {{\"p50_ns\": {p50_seq}, \"p99_ns\": {p99_seq}}},\n  \"verified_batched\": {{\"p50_ns\": {p50_bat}, \"p99_ns\": {p99_bat}}}\n}}\n",
         sweep.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(","),
         fmt_series("noop", &series[0], &cis[0]),
         fmt_series("unverified", &series[1], &cis[1]),
         fmt_series("verified", &series[2], &cis[2]),
         fmt_series("verified_batched", &series[4], &cis[4]),
-        fmt_series("verified_sysclock", &series[5], &cis[5]),
-        fmt_series("verified_batched_sysclock", &series[6], &cis[6]),
         fmt_series("linux", &series[3], &cis[3]),
     );
     // A bench cannot write a file the committed-trajectory test would
@@ -250,11 +224,5 @@ fn main() {
     println!(
         "  Batched fast path vs single-packet Verified: {:.2}x ({m_verb:.2} vs {m_ver:.2} Mpps)",
         m_verb / m_ver
-    );
-    let (m_ver_sys, m_verb_sys) = (mean(&series[5]), mean(&series[6]));
-    println!(
-        "  Real-clock vs virtual-time (the per-packet clock read): single {:.2}x ({m_ver_sys:.2} vs {m_ver:.2} Mpps), batched {:.2}x ({m_verb_sys:.2} vs {m_verb:.2} Mpps)",
-        m_ver_sys / m_ver,
-        m_verb_sys / m_verb
     );
 }

@@ -260,8 +260,6 @@ pub const THROUGHPUT_RULES: &[(&str, Rule)] = &[
             "unverified",
             "verified",
             "verified_batched",
-            "verified_sysclock",
-            "verified_batched_sysclock",
             "linux",
         ]),
     ),
@@ -467,13 +465,11 @@ mod tests {
         assert!(parse("{} garbage").is_err());
     }
 
-    const SERIES: [&str; 7] = [
+    const SERIES: [&str; 5] = [
         "noop",
         "unverified",
         "verified",
         "verified_batched",
-        "verified_sysclock",
-        "verified_batched_sysclock",
         "linux",
     ];
 
@@ -526,7 +522,7 @@ mod tests {
                 "SameLen",
                 r#""name":"linux","mpps_per_flow_count":[1.0,2.0],"mpps_ci95_per_flow_count":[[0.9,1.1],[1.8,2.2]]"#,
                 r#""name":"linux","mpps_per_flow_count":[1.0,2.0],"mpps_ci95_per_flow_count":[[0.9,1.1],[1.8,2.2],[1.8,2.2]]"#,
-                "series[6].mpps_ci95_per_flow_count: 3 elements for 2 in flow_counts",
+                "series[4].mpps_ci95_per_flow_count: 3 elements for 2 in flow_counts",
             ),
             (
                 "Rows",

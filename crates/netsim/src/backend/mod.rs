@@ -4,12 +4,12 @@
 //! queue events come from — it assumes exactly the driver contract the
 //! multi-queue work established: frames are classified by
 //! [`RssClassifier`](crate::frame_env::RssClassifier) into per-queue
-//! FIFOs, drained in budgeted weighted-round-robin bursts through
+//! FIFOs, drained in budgeted round-robin bursts through
 //! [`Middlebox::process_burst`](crate::middlebox::Middlebox::process_burst),
 //! transmitted on the destination port's queue of the same index, and
 //! accounted per queue (rx / rx_dropped / tx). [`PacketIo`] makes that
 //! contract a trait, so the same verified loop body — and the same
-//! poller/WRR event loop — runs over:
+//! driver — runs over:
 //!
 //! * [`SimBackend`] — the in-process NIC model: an adapter over
 //!   [`MultiQueueDevice`](crate::dpdk::MultiQueueDevice), the home of

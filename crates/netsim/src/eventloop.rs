@@ -4,27 +4,29 @@
 //!
 //! The paper's NAT is one run-to-completion loop over one RX ring; this
 //! module is the I/O layer that feeds the *same verified loop body*
-//! from N hardware queues instead:
+//! from N hardware queues instead. [`BackendDriver`] is that layer, one
+//! type with no knobs:
 //!
-//! * [`Poller`] — readiness: level-triggered "queue non-empty" events
-//!   over every RX queue of both ports (epoll's `EPOLLIN` analog for a
-//!   poll-mode driver), with exponential idle backoff so a quiet NF
-//!   does not spin at full rate;
-//! * [`Wrr`] — scheduling: weighted round-robin with per-queue burst
-//!   budgets (deficit-round-robin style), so one deep queue cannot
-//!   starve its siblings and operators can bias service toward
-//!   latency-sensitive queues;
-//! * [`EventLoop`] — the driver state (poller + scheduler + batch
-//!   scratch), reused across drains so the steady-state path allocates
-//!   nothing;
-//! * [`BackendDriver`] — the drain loop, written once over the
-//!   [`PacketIo`] backend seam (see [`crate::backend`]), so it runs
-//!   identically on the simulated NIC model
-//!   ([`SimBackend`](crate::backend::SimBackend), any queue count down
-//!   to one) and on real OS packet I/O (`backend::os::mmap::MmapBackend`).
+//! * **readiness** — each round scans every RX queue of both ports
+//!   (internal port first, ascending queue index) for "queue
+//!   non-empty", epoll's `EPOLLIN` analog for a poll-mode driver;
+//! * **scheduling** — round-robin over the ready queues, the start
+//!   position rotating one step per non-idle round so no queue index
+//!   is structurally favoured, each visit taking at most [`MAX_BURST`]
+//!   frames so one deep queue cannot starve its siblings;
+//! * **idle backoff** — a round that finds nothing ready doubles the
+//!   pause a live loop should take (1 µs up to 128 µs, a poll-mode
+//!   driver's typical ladder); any readiness resets it.
+//!
+//! The drain loop is written once over the [`PacketIo`] backend seam
+//! (see [`crate::backend`]), so it runs identically on the simulated
+//! NIC model ([`SimBackend`](crate::backend::SimBackend), any queue
+//! count down to one) and on real OS packet I/O
+//! (`backend::os::mmap::MmapBackend`). Its scratch is reused across
+//! drains, so the steady-state path allocates nothing here.
 //!
 //! Packets reach the NF through the ordinary [`Middlebox::process_burst`]
-//! — each queue event becomes one `BurstEnv` drain of the verified
+//! — each queue visit becomes one `BurstEnv` drain of the verified
 //! batch loop — so the event-driven driver changes *when* bursts run,
 //! never *what* a burst does. `tests/queue_equivalence.rs` proves the
 //! output byte-for-byte equivalent per flow to the sequential
@@ -54,156 +56,11 @@ use libvig::time::Time;
 use vig_packet::Direction;
 use vignat::MAX_BURST;
 
-/// One readiness event: RX queue `queue` of port `dir` holds frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueEvent {
-    /// The port whose queue is ready.
-    pub dir: Direction,
-    /// The ready queue's index.
-    pub queue: usize,
-}
+/// First rung of the idle-backoff ladder.
+const BACKOFF_MIN_NS: u64 = 1_000;
 
-/// Counters the poller accumulates over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PollerStats {
-    /// Total poll calls.
-    pub polls: u64,
-    /// Total readiness events returned.
-    pub events: u64,
-    /// Polls that found no queue ready.
-    pub idle_polls: u64,
-    /// Virtual nanoseconds an idle driver would have slept, summed over
-    /// idle polls (each idle poll contributes the current backoff).
-    pub idle_backoff_ns: u64,
-}
-
-/// Level-triggered readiness over every RX queue of both ports, with
-/// exponential idle backoff. See the module docs.
-#[derive(Debug)]
-pub struct Poller {
-    backoff_min_ns: u64,
-    backoff_max_ns: u64,
-    cur_backoff_ns: u64,
-    ready: Vec<QueueEvent>,
-    stats: PollerStats,
-}
-
-impl Poller {
-    /// Poller with the default idle backoff window (1 µs doubling to
-    /// 128 µs — a poll-mode driver's typical pause ladder).
-    pub fn new() -> Poller {
-        Poller::with_backoff(1_000, 128_000)
-    }
-
-    /// Poller with an explicit idle-backoff window.
-    pub fn with_backoff(min_ns: u64, max_ns: u64) -> Poller {
-        assert!(min_ns > 0 && min_ns <= max_ns, "invalid backoff window");
-        Poller {
-            backoff_min_ns: min_ns,
-            backoff_max_ns: max_ns,
-            cur_backoff_ns: min_ns,
-            ready: Vec::new(),
-            stats: PollerStats::default(),
-        }
-    }
-
-    /// Scan both ports' RX queues (internal port first, ascending
-    /// queue index) against the backend's `rx_len` readiness signal
-    /// and record every non-empty one as a [`QueueEvent`] (readable via
-    /// [`Poller::ready`]). Returns how many queues are ready. An empty
-    /// scan advances the idle backoff (doubling up to the cap); any
-    /// readiness resets it.
-    pub fn poll_io<B: PacketIo>(&mut self, io: &B) -> usize {
-        self.ready.clear();
-        for dir in [Direction::Internal, Direction::External] {
-            for q in 0..io.queue_count() {
-                if io.rx_len(dir, q) > 0 {
-                    self.ready.push(QueueEvent { dir, queue: q });
-                }
-            }
-        }
-        self.stats.polls += 1;
-        self.stats.events += self.ready.len() as u64;
-        if self.ready.is_empty() {
-            self.stats.idle_polls += 1;
-            self.stats.idle_backoff_ns += self.cur_backoff_ns;
-            self.cur_backoff_ns = (self.cur_backoff_ns * 2).min(self.backoff_max_ns);
-        } else {
-            self.cur_backoff_ns = self.backoff_min_ns;
-        }
-        self.ready.len()
-    }
-
-    /// The events found by the last [`Poller::poll_io`].
-    pub fn ready(&self) -> &[QueueEvent] {
-        &self.ready
-    }
-
-    /// How long an idle driver would sleep before the next poll.
-    pub fn current_backoff_ns(&self) -> u64 {
-        self.cur_backoff_ns
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> PollerStats {
-        self.stats
-    }
-}
-
-impl Default for Poller {
-    fn default() -> Poller {
-        Poller::new()
-    }
-}
-
-/// Weighted round-robin over ready queues with per-queue burst budgets.
-///
-/// Queue `q` may take up to `weight[q] × quantum` frames per visit;
-/// the visiting order rotates one position per scheduling round so no
-/// queue index is structurally favoured. Weights default to 1 (plain
-/// round-robin at `quantum`-frame budgets).
-#[derive(Debug)]
-pub struct Wrr {
-    weights: Vec<usize>,
-    quantum: usize,
-    next: usize,
-}
-
-impl Wrr {
-    /// Equal-weight round-robin over `queues` queues, `quantum` frames
-    /// per visit.
-    pub fn new(queues: usize, quantum: usize) -> Wrr {
-        Wrr::weighted(vec![1; queues], quantum)
-    }
-
-    /// Weighted round-robin; `weights[q]` scales queue `q`'s budget.
-    pub fn weighted(weights: Vec<usize>, quantum: usize) -> Wrr {
-        assert!(!weights.is_empty(), "need at least one queue");
-        assert!(quantum > 0, "budget quantum must be non-zero");
-        assert!(
-            weights.iter().all(|&w| w > 0),
-            "zero-weight queues would starve"
-        );
-        Wrr {
-            weights,
-            quantum,
-            next: 0,
-        }
-    }
-
-    /// The frame budget of one visit to queue `q`.
-    pub fn budget(&self, q: usize) -> usize {
-        self.weights[q] * self.quantum
-    }
-
-    /// Start offset for this scheduling round's sweep over `n_ready`
-    /// ready queues (rotates every round).
-    fn rotation(&mut self, n_ready: usize) -> usize {
-        let r = self.next % n_ready.max(1);
-        self.next = self.next.wrapping_add(1);
-        r
-    }
-}
+/// Cap of the idle-backoff ladder.
+const BACKOFF_MAX_NS: u64 = 128_000;
 
 /// What one event-driven drain did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -212,7 +69,7 @@ pub struct DrainStats {
     pub forwarded: u64,
     /// Frames dropped by the NF.
     pub dropped: u64,
-    /// Queue-event bursts processed.
+    /// Queue-visit bursts processed.
     pub bursts: u64,
     /// Poll rounds taken (including the final empty one).
     pub polls: u64,
@@ -234,46 +91,6 @@ pub struct DrainStats {
 /// unbounded stall.
 pub const TX_RETRY_BUDGET: usize = 4;
 
-/// The reusable event-driven driver state: poller + scheduler + batch
-/// scratch. One `EventLoop` drives one NF across many drains; nothing
-/// in it allocates on the steady-state path.
-#[derive(Debug)]
-pub struct EventLoop {
-    poller: Poller,
-    wrr: Wrr,
-    batch: Vec<BufIdx>,
-}
-
-impl EventLoop {
-    /// Equal-weight driver for `queues` queues with [`MAX_BURST`]-frame
-    /// budgets — the default configuration every harness entry point
-    /// uses.
-    pub fn new(queues: usize) -> EventLoop {
-        EventLoop::with_parts(Poller::new(), Wrr::new(queues, MAX_BURST))
-    }
-
-    /// Driver from explicit poller/scheduler parts (tests use skewed
-    /// weights and tight backoff windows).
-    pub fn with_parts(poller: Poller, wrr: Wrr) -> EventLoop {
-        let cap = wrr
-            .weights
-            .iter()
-            .map(|&w| w * wrr.quantum)
-            .max()
-            .unwrap_or(MAX_BURST);
-        EventLoop {
-            poller,
-            wrr,
-            batch: Vec::with_capacity(cap),
-        }
-    }
-
-    /// The poller (stats and backoff inspection).
-    pub fn poller(&self) -> &Poller {
-        &self.poller
-    }
-}
-
 /// One transmitted frame as the driver saw it leave: which port, which
 /// TX queue, and the rewritten bytes — the unit of the tx-trace
 /// conformance proofs (and the artifact the CI OS-backend job uploads
@@ -288,36 +105,38 @@ pub struct TxRecord {
     pub frame: Vec<u8>,
 }
 
-/// The event-driven driver: poll for ready queues, visit them in
-/// weighted round-robin order, and run each visit's budgeted burst
-/// through [`Middlebox::process_burst`] — one queue event, one
-/// `BurstEnv` drain of the verified batch loop. Forwarded frames go out
-/// on the destination port's TX queue of the same index (a
-/// run-to-completion core owns its queue pair). Written once over
-/// [`PacketIo`], so it runs identically on the simulated NIC model and
-/// on real OS packet I/O; `tests/queue_equivalence.rs` proves the
-/// `SimBackend` instantiation byte-for-byte equivalent per flow to the
-/// sequential per-frame oracle.
+/// The event-driven driver: scan for ready queues, visit them in
+/// rotating round-robin order, and run each visit's burst of up to
+/// [`MAX_BURST`] frames through [`Middlebox::process_burst`] — one
+/// queue visit, one `BurstEnv` drain of the verified batch loop.
+/// Forwarded frames go out on the destination port's TX queue of the
+/// same index (a run-to-completion core owns its queue pair). Written
+/// once over [`PacketIo`], so it runs identically on the simulated NIC
+/// model and on real OS packet I/O; `tests/queue_equivalence.rs` proves
+/// the `SimBackend` instantiation byte-for-byte equivalent per flow to
+/// the sequential per-frame oracle.
 pub struct BackendDriver<B: PacketIo> {
     io: B,
-    ev: EventLoop,
+    /// The last scan's ready queues, in scan order.
+    ready: Vec<(Direction, usize)>,
+    /// Non-idle rounds so far: the rotation's start position.
+    round: usize,
+    /// How long a live loop should sleep after an idle round.
+    backoff_ns: u64,
+    /// One visit's buffers.
+    batch: Vec<BufIdx>,
     tx_log: Option<Vec<TxRecord>>,
 }
 
 impl<B: PacketIo> BackendDriver<B> {
-    /// Driver over `io` with the default equal-weight event loop
-    /// ([`MAX_BURST`]-frame budgets).
+    /// Driver over `io`.
     pub fn new(io: B) -> BackendDriver<B> {
-        let queues = io.queue_count();
-        BackendDriver::with_event_loop(io, EventLoop::new(queues))
-    }
-
-    /// Driver from an explicit event loop (skewed weights, tight
-    /// backoff windows).
-    pub fn with_event_loop(io: B, ev: EventLoop) -> BackendDriver<B> {
         BackendDriver {
             io,
-            ev,
+            ready: Vec::new(),
+            round: 0,
+            backoff_ns: BACKOFF_MIN_NS,
+            batch: Vec::with_capacity(MAX_BURST),
             tx_log: None,
         }
     }
@@ -330,11 +149,6 @@ impl<B: PacketIo> BackendDriver<B> {
     /// Mutable backend access (tester-side staging between drains).
     pub fn io_mut(&mut self) -> &mut B {
         &mut self.io
-    }
-
-    /// The event loop (poller stats, backoff inspection).
-    pub fn event_loop(&self) -> &EventLoop {
-        &self.ev
     }
 
     /// Unwrap the driver, returning the backend — so a measurement run
@@ -356,10 +170,11 @@ impl<B: PacketIo> BackendDriver<B> {
         self.tx_log.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// One service round: pump the backend's RX path, poll, and visit
-    /// every ready queue once in WRR order, draining each visit's
-    /// budgeted burst through [`Middlebox::process_burst`]. Returns
-    /// how many queues were ready (0 = idle round).
+    /// One service round: pump the backend's RX path, scan for ready
+    /// queues, and visit every ready queue once in rotating order,
+    /// draining up to [`MAX_BURST`] frames per visit through
+    /// [`Middlebox::process_burst`]. Returns how many queues were ready
+    /// (0 = idle round).
     fn service_round(
         &mut self,
         nf: &mut dyn Middlebox,
@@ -368,26 +183,32 @@ impl<B: PacketIo> BackendDriver<B> {
     ) -> usize {
         stats.polls += 1;
         self.io.pump_rx();
-        let n_ready = self.ev.poller.poll_io(&self.io);
+        self.ready.clear();
+        for dir in [Direction::Internal, Direction::External] {
+            for q in 0..self.io.queue_count() {
+                if self.io.rx_len(dir, q) > 0 {
+                    self.ready.push((dir, q));
+                }
+            }
+        }
+        let n_ready = self.ready.len();
         if n_ready == 0 {
+            self.backoff_ns = (self.backoff_ns * 2).min(BACKOFF_MAX_NS);
             return 0;
         }
-        let start = self.ev.wrr.rotation(n_ready);
+        self.backoff_ns = BACKOFF_MIN_NS;
+        let start = self.round % n_ready;
+        self.round = self.round.wrapping_add(1);
         for k in 0..n_ready {
-            let event = self.ev.poller.ready[(start + k) % n_ready];
-            let budget = self.ev.wrr.budget(event.queue);
-            self.ev.batch.clear();
-            if self
-                .io
-                .rx_burst(event.dir, event.queue, budget, &mut self.ev.batch)
-                == 0
-            {
+            let (dir, queue) = self.ready[(start + k) % n_ready];
+            self.batch.clear();
+            if self.io.rx_burst(dir, queue, MAX_BURST, &mut self.batch) == 0 {
                 continue;
             }
             stats.bursts += 1;
-            let verdicts = nf.process_burst(event.dir, self.io.pool_mut(), &self.ev.batch, now);
-            debug_assert_eq!(verdicts.len(), self.ev.batch.len());
-            for (&buf, v) in self.ev.batch.iter().zip(&verdicts) {
+            let verdicts = nf.process_burst(dir, self.io.pool_mut(), &self.batch, now);
+            debug_assert_eq!(verdicts.len(), self.batch.len());
+            for (&buf, v) in self.batch.iter().zip(&verdicts) {
                 match v {
                     Verdict::Forward(out) => {
                         // Capture trace bytes before the put (the mmap
@@ -396,7 +217,7 @@ impl<B: PacketIo> BackendDriver<B> {
                         // TX-dropped frame is accounted, not traced.
                         let trace = self.tx_log.as_ref().map(|_| TxRecord {
                             out: *out,
-                            queue: event.queue,
+                            queue,
                             frame: self.io.pool().frame(buf).to_vec(),
                         });
                         // A full TX queue mid-drain happens on a live
@@ -409,13 +230,13 @@ impl<B: PacketIo> BackendDriver<B> {
                         // that reaps between drains leaves each TX ring
                         // (as deep as the RX ring feeding it) room for
                         // the whole drain, so the first put succeeds.
-                        let mut sent = self.io.tx_put(*out, event.queue, buf);
+                        let mut sent = self.io.tx_put(*out, queue, buf);
                         for _ in 0..TX_RETRY_BUDGET {
                             if sent {
                                 break;
                             }
                             self.io.flush_tx();
-                            sent = self.io.tx_put(*out, event.queue, buf);
+                            sent = self.io.tx_put(*out, queue, buf);
                         }
                         if sent {
                             if let (Some(log), Some(rec)) = (&mut self.tx_log, trace) {
@@ -437,9 +258,9 @@ impl<B: PacketIo> BackendDriver<B> {
         n_ready
     }
 
-    /// Drain until idle: service rounds until a poll finds no queue
+    /// Drain until idle: service rounds until a scan finds no queue
     /// ready, then flush TX to the backend's outside world. The final
-    /// empty poll is counted in [`DrainStats::polls`].
+    /// empty round is counted in [`DrainStats::polls`].
     pub fn drain(&mut self, nf: &mut dyn Middlebox, now: Time) -> DrainStats {
         let mut stats = DrainStats::default();
         let t0 = std::time::Instant::now();
@@ -450,9 +271,9 @@ impl<B: PacketIo> BackendDriver<B> {
     }
 
     /// One service round + TX flush — the building block of a *live*
-    /// loop, which re-reads its clock between rounds and sleeps the
-    /// poller's current backoff when a round reports idle (see
-    /// `examples/live_nat.rs`).
+    /// loop, which re-reads its clock between rounds and sleeps
+    /// [`BackendDriver::current_backoff_ns`] when a round reports idle
+    /// (see `examples/live_nat.rs`).
     pub fn service_once(&mut self, nf: &mut dyn Middlebox, now: Time) -> DrainStats {
         let mut stats = DrainStats::default();
         let t0 = std::time::Instant::now();
@@ -462,9 +283,10 @@ impl<B: PacketIo> BackendDriver<B> {
         stats
     }
 
-    /// How long a live loop should sleep after an idle round.
+    /// How long a live loop should sleep after an idle round: 1 µs
+    /// after any readiness, doubling with each idle round up to 128 µs.
     pub fn current_backoff_ns(&self) -> u64 {
-        self.ev.poller.current_backoff_ns()
+        self.backoff_ns
     }
 }
 
@@ -513,37 +335,28 @@ mod tests {
 
     #[test]
     fn poller_reports_readiness_and_backs_off_when_idle() {
-        let mut io = sim(&cfg(64), 2, 4);
-        let mut p = Poller::with_backoff(100, 800);
-        // Idle polls double the backoff up to the cap.
-        assert_eq!(p.poll_io(&io), 0);
-        assert_eq!(p.current_backoff_ns(), 200);
-        assert_eq!(p.poll_io(&io), 0);
-        assert_eq!(p.poll_io(&io), 0);
-        assert_eq!(p.poll_io(&io), 0);
-        assert_eq!(p.current_backoff_ns(), 800, "capped");
-        assert_eq!(p.stats().idle_polls, 4);
-        assert!(p.stats().idle_backoff_ns >= 100 + 200 + 400 + 800);
+        let c = cfg(64);
+        let mut nf = VigNatMb::new(c);
+        let mut drv = BackendDriver::new(sim(&c, 2, 4));
+        let now = Time::from_secs(1);
+        // Idle rounds double the backoff from 1 µs up to the 128 µs cap.
+        assert_eq!(drv.current_backoff_ns(), 1_000);
+        for want in [2, 4, 8, 16, 32, 64, 128, 128] {
+            let idle = drv.service_once(&mut nf, now);
+            assert_eq!((idle.polls, idle.bursts), (1, 0));
+            assert_eq!(drv.current_backoff_ns(), want * 1_000);
+        }
 
-        // Readiness resets the backoff and reports the exact queue.
-        let queue = stage(&mut io, &FlowGen::new(Proto::Udp), 0).expect("ring has room");
-        assert_eq!(p.poll_io(&io), 1);
-        assert_eq!(
-            p.ready(),
-            &[QueueEvent {
-                dir: Direction::Internal,
-                queue
-            }]
-        );
-        assert_eq!(p.current_backoff_ns(), 100);
-    }
-
-    #[test]
-    fn wrr_budgets_scale_with_weights() {
-        let w = Wrr::weighted(vec![1, 3, 2], 8);
-        assert_eq!(w.budget(0), 8);
-        assert_eq!(w.budget(1), 24);
-        assert_eq!(w.budget(2), 16);
+        // Readiness resets the backoff, and the round serves exactly
+        // the queue the frame landed on.
+        drv.set_tx_log(true);
+        let queue = stage(drv.io_mut(), &FlowGen::new(Proto::Udp), 0).expect("ring has room");
+        let busy = drv.service_once(&mut nf, now);
+        assert_eq!((busy.bursts, busy.forwarded), (1, 1));
+        let log = drv.take_tx_log();
+        assert_eq!((log[0].out, log[0].queue), (Direction::External, queue));
+        assert_eq!(drv.current_backoff_ns(), 1_000);
+        let _ = drv.io_mut().reap(Direction::External);
     }
 
     /// 48 fresh flows through 4 queues into a 2-shard NAT, one drain,
@@ -597,19 +410,16 @@ mod tests {
     #[test]
     fn wrr_budget_interleaves_deep_and_shallow_queues() {
         // One deep queue must not be drained to completion before a
-        // shallow sibling gets service: with budget 8, the deep queue
-        // needs several visits, and each poll round visits every ready
-        // queue once.
+        // shallow sibling gets service: a visit takes at most
+        // MAX_BURST frames, so the deep queue needs several visits,
+        // and each round visits every ready queue once.
         let c = cfg(256);
         let mut nf = VigNatMb::new(c);
-        let mut drv = BackendDriver::with_event_loop(
-            sim(&c, 2, 64),
-            EventLoop::with_parts(Poller::new(), Wrr::new(2, 8)),
-        );
+        let mut drv = BackendDriver::new(sim(&c, 2, 128));
         let gen = FlowGen::new(Proto::Udp);
         let by_queue = flows_by_queue(drv.io(), &gen);
-        // 40 frames into queue 0's flows, 8 into queue 1's.
-        for (q, count) in [(0, 40), (1, 8)] {
+        let deep = 3 * MAX_BURST + 4;
+        for (q, count) in [(0, deep), (1, 8)] {
             for k in 0..count {
                 let i = by_queue[q][k % by_queue[q].len()];
                 assert_eq!(stage(drv.io_mut(), &gen, i), Some(q));
@@ -617,19 +427,20 @@ mod tests {
         }
         drv.set_tx_log(true);
         let stats = drv.drain(&mut nf, Time::from_secs(1));
-        assert_eq!(stats.forwarded, 48);
-        // Deep queue: ceil(40/8) = 5 visits; shallow: 1. Plus the final
-        // empty poll. Multiple poll rounds prove the interleaving.
-        assert!(stats.bursts >= 6, "budgeted visits, not full drains");
-        assert!(
-            stats.polls >= 5,
-            "deep queue re-polls while shallow is done"
-        );
+        assert_eq!(stats.forwarded, deep as u64 + 8);
+        // Deep queue: 4 visits (three full, one of 4 frames); shallow:
+        // 1. Five rounds, the last one empty: the deep queue re-polls
+        // while the shallow one is done.
+        assert_eq!((stats.bursts, stats.polls), (5, 5), "budgeted visits");
         // The first round serves both queues once: the shallow queue's
-        // 8 frames have all left within the first 16 transmissions.
+        // 8 frames have all left within the first MAX_BURST + 8
+        // transmissions.
         let log = drv.take_tx_log();
         let last_shallow = log.iter().rposition(|r| r.queue == 1).unwrap();
-        assert!(last_shallow < 16, "shallow queue waited for the deep one");
+        assert!(
+            last_shallow < MAX_BURST + 8,
+            "shallow queue waited for the deep one"
+        );
         let _ = drv.io_mut().reap(Direction::External);
     }
 

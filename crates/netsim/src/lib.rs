@@ -11,10 +11,10 @@
 //!   [`dpdk::MultiQueueDevice`] port model (N RX/TX ring pairs with
 //!   per-queue statistics, fed through the RSS classifier; one queue
 //!   is the paper's single-ring port);
-//! * [`eventloop`] — the one driver: readiness [`eventloop::Poller`]
-//!   over queue non-empty events, weighted round-robin budgets, idle
-//!   backoff, and the [`eventloop::BackendDriver`] that runs the
-//!   verified batch loop per queue event over any
+//! * [`eventloop`] — the one driver, [`eventloop::BackendDriver`]:
+//!   readiness over queue non-empty events, rotating round-robin
+//!   visits of at most `MAX_BURST` frames, idle backoff, and the
+//!   verified batch loop run per queue visit over any
 //!   [`backend::PacketIo`] — every frame of every test, bench and live
 //!   run reaches its [`middlebox::Middlebox`] through it (the pinned
 //!   [`runtime`] session is the only other entry);
@@ -25,19 +25,19 @@
 //!   ([`middlebox::Middlebox`]), plus the VigNAT and no-op instances;
 //! * [`tester`] — the MoonGen analog: background/probe flow workloads,
 //!   deterministic and reproducible via seeds;
-//! * [`harness`] — the `std::thread` per-shard parallel driver
-//!   ([`harness::ParallelShardedNat`]) over the pinned [`runtime`];
-//!   the measurement loops and statistics that used to share the
-//!   module live in `vig_bench::harness`, their only caller;
-//! * [`runtime`] — the persistent core-pinned shard runtime: one
+//! * [`runtime`] — the per-shard parallel driver
+//!   ([`runtime::ParallelShardedNat`]) and the persistent core-pinned
+//!   session it lends out ([`runtime::NatRuntimeSession`]): one
 //!   long-lived worker thread per shard (pinned via `sched_setaffinity`
 //!   where permitted), fed by the RSS dispatcher through lock-free
 //!   [`libvig::spsc`] rings, with results merged in deterministic shard
 //!   order — the deployment-shaped parallel driver natbench's
 //!   `runtime` workload times;
+//! * [`harness`] — the old import path of those two types, kept for
+//!   `benchmark/` only;
 //! * [`backend`] — the pluggable packet-I/O layer: the
 //!   [`backend::PacketIo`] driver contract (classify into per-queue
-//!   FIFOs, budgeted WRR drain, per-queue stats), with the simulated
+//!   FIFOs, budgeted drain, per-queue stats), with the simulated
 //!   [`backend::SimBackend`] and, on Linux, one `AF_PACKET` wire
 //!   backend feeding the same event loop with real kernel-delivered
 //!   frames: [`backend::os::mmap::MmapBackend`] (`TPACKET_V3` RX block
@@ -73,10 +73,10 @@ pub use backend::{
     CorruptKind, FaultIo, FaultPlan, FaultStats, PacketIo, SimBackend, TesterIo, TruncateKind,
 };
 pub use dpdk::{Mempool, MultiQueueDevice, PortStats, Ring};
-pub use eventloop::{BackendDriver, EventLoop, Poller, TxRecord, Wrr};
+pub use eventloop::{BackendDriver, TxRecord};
 pub use frame_env::{BurstEnv, FrameEnv, RssClassifier};
-pub use middlebox::{Middlebox, NoopForwarder, SystemClockMb, Verdict, VigNatMb};
+pub use middlebox::{Middlebox, NoopForwarder, Verdict, VigNatMb};
 pub use runtime::{
-    with_shard_runtime, PinReport, RuntimeReport, ShardRuntimeSession, SupervisorStats, WorkerDown,
+    NatRuntimeSession, ParallelShardedNat, PinReport, RuntimeReport, SupervisorStats, WorkerDown,
 };
 pub use tester::FlowGen;

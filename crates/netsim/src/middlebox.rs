@@ -241,78 +241,6 @@ impl<T: FlowTable> Middlebox for VigNatMb<T> {
     }
 }
 
-/// The real-clock middlebox mode: wraps any NF and replaces the
-/// harness's *virtual* arrival time with a reading of the host's
-/// monotonic clock on every `process`/`process_burst` call.
-///
-/// The netsim testbed normally passes virtual time, which removes the
-/// per-packet clock read a production run-to-completion loop pays (and
-/// which the burst path amortizes to one read per burst). Wrapping an
-/// NF in `SystemClockMb` puts that cost back *inside* the timed region
-/// — one `Instant::now()` per `process` call, one per burst through
-/// `process_burst`, exactly the production cadence — so fig12/fig14
-/// can report virtual-time and real-clock numbers side by side.
-///
-/// Time starts at `origin` (default 1 s) and advances with the host
-/// clock; it is monotone by construction, so expiry semantics are
-/// unchanged — at benchmark timescales (microseconds of real time
-/// against multi-second expiries) no flow expires mid-measurement,
-/// matching the steady-state workloads this mode is reported on.
-pub struct SystemClockMb<M> {
-    inner: M,
-    base: std::time::Instant,
-    origin_ns: u64,
-    name: &'static str,
-}
-
-impl<M: Middlebox> SystemClockMb<M> {
-    /// Wrap `inner`; its clock starts at 1 s of virtual time and then
-    /// follows the host's monotonic clock.
-    pub fn new(inner: M, name: &'static str) -> SystemClockMb<M> {
-        SystemClockMb {
-            inner,
-            base: std::time::Instant::now(),
-            origin_ns: Time::from_secs(1).nanos(),
-            name,
-        }
-    }
-
-    /// The wrapped NF.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    fn real_now(&self) -> Time {
-        Time(self.origin_ns + self.base.elapsed().as_nanos() as u64)
-    }
-}
-
-impl<M: Middlebox> Middlebox for SystemClockMb<M> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn process(&mut self, dir: Direction, frame: &mut [u8], _now: Time) -> Verdict {
-        let now = self.real_now();
-        self.inner.process(dir, frame, now)
-    }
-
-    fn process_burst(
-        &mut self,
-        dir: Direction,
-        pool: &mut Mempool,
-        bufs: &[BufIdx],
-        _now: Time,
-    ) -> Vec<Verdict> {
-        let now = self.real_now();
-        self.inner.process_burst(dir, pool, bufs, now)
-    }
-
-    fn occupancy(&self) -> usize {
-        self.inner.occupancy()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,44 +328,6 @@ mod tests {
         assert_eq!(batched.occupancy(), sequential.occupancy());
         assert_eq!(batched.expired_total(), sequential.expired_total());
         batched.flow_manager().check_coherence().unwrap();
-    }
-
-    #[test]
-    fn system_clock_mode_translates_like_virtual_time() {
-        // Same NAT semantics under the real clock: flows allocate,
-        // translate, and return traffic maps back — only the time
-        // source differs (and nothing expires at bench timescales).
-        let mut nf = SystemClockMb::new(
-            VigNatMb::new(NatConfig {
-                expiry_ns: Time::from_secs(60).nanos(),
-                ..cfg()
-            }),
-            "Verified NAT (sysclock)",
-        );
-        let mut f1 =
-            PacketBuilder::udp(Ip4::new(192, 168, 0, 1), Ip4::new(5, 5, 5, 5), 1111, 53).build();
-        // The virtual `now` passed here is deliberately absurd (0): the
-        // wrapper must ignore it and read the host clock.
-        assert_eq!(
-            nf.process(Direction::Internal, &mut f1, Time::ZERO),
-            Verdict::Forward(Direction::External)
-        );
-        assert_eq!(nf.occupancy(), 1);
-        let (_, ff) = parse_l3l4(&f1).unwrap();
-        assert_eq!(ff.src_ip, Ip4::new(10, 1, 0, 1));
-        let ext_port = ff.src_port;
-
-        let mut back =
-            PacketBuilder::udp(Ip4::new(5, 5, 5, 5), Ip4::new(10, 1, 0, 1), 53, ext_port).build();
-        assert_eq!(
-            nf.process(Direction::External, &mut back, Time::ZERO),
-            Verdict::Forward(Direction::Internal)
-        );
-        assert_eq!(
-            nf.inner().expired_total(),
-            0,
-            "nothing expires in microseconds"
-        );
     }
 
     #[test]

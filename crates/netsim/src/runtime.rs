@@ -1,14 +1,14 @@
 //! The persistent core-pinned shard runtime: long-lived worker threads
 //! fed through lock-free SPSC rings, under a supervising dispatcher.
 //!
-//! The deployment shape of the N-shard NAT
-//! ([`ParallelShardedNat`](crate::harness::ParallelShardedNat) drives
-//! it): thread creation is paid once per session, never per burst —
-//! the software analog of DPDK's `rte_eal_remote_launch` + `rte_ring`
-//! topology:
+//! The deployment shape of the N-shard NAT ([`ParallelShardedNat`]
+//! lends it out as a [`NatRuntimeSession`]): thread creation is paid
+//! once per session, never per burst — the software analog of DPDK's
+//! `rte_eal_remote_launch` + `rte_ring` topology:
 //!
 //! * **one long-lived worker thread per shard**, spawned once per
-//!   session ([`with_shard_runtime`]) and kept hot across every burst;
+//!   session ([`ParallelShardedNat::with_runtime`]) and kept hot across
+//!   every burst;
 //! * each worker **pinned to a CPU** with `sched_setaffinity` (via the
 //!   safe wrappers in [`crate::backend::os`]; `unsafe` stays confined
 //!   to that module's `sys` block). Pinning failure — unprivileged or
@@ -21,7 +21,7 @@
 //!   (§5: every structure single-owner);
 //! * workers **busy-poll with exponential idle backoff** (spin → yield
 //!   → sleep, the thread-world analog of
-//!   [`crate::eventloop::Poller`]'s virtual backoff), so an idle shard
+//!   [`crate::eventloop::BackendDriver`]'s idle backoff), so an idle shard
 //!   cedes its core — which matters on the very runners where pinning
 //!   is also restricted. A session with more threads than the host has
 //!   cores skips the spin phase on both sides.
@@ -32,8 +32,11 @@
 //! per word by [`spsc::Producer::push_bytes`], straight from the
 //! caller's frame into the job ring, straight from the ring into a
 //! worker-pool buffer, and back the same way — two copies per
-//! direction, no staging vectors, nothing allocated per burst once the
-//! session's and workers' scratch has grown to the burst size.
+//! direction, no staging vectors. Once the session's and workers'
+//! scratch has grown to the burst size, a burst allocates once: the
+//! verdict vector [`NatRuntimeSession::process_burst`] returns.
+//! Removing that allocation changes the signature natbench calls
+//! (`benchmark/`), so it waits for a change allowed to edit it.
 //!
 //! ```text
 //! job:      count, dir, now_ns, len × count, payload × count
@@ -80,7 +83,7 @@
 //!    shard's frames simply never arrived.
 //! 2. **Worker death.** If a shard stops making ring progress for
 //!    longer than the session's stall budget
-//!    ([`ShardRuntimeSession::set_stall_budget`]), the dispatcher
+//!    ([`NatRuntimeSession::set_stall_budget`]), the dispatcher
 //!    retires it: the in-flight job is dropped with accounting, the
 //!    dead result ring is drained (words counted, not abandoned), and
 //!    the shard is marked dead. This is also the **bounded
@@ -115,6 +118,7 @@ use crate::middlebox::{run_staged, Verdict};
 use libvig::spsc;
 use libvig::time::Time;
 use vig_packet::Direction;
+use vig_spec::NatConfig;
 use vignat::{ShardedFlowManager, MAX_BURST};
 
 /// Job-stream sentinel header: "session over, worker exits".
@@ -137,12 +141,12 @@ const STATUS_OK: u64 = 0;
 /// every frame is [`VERDICT_DENIED`] (no payload comes back).
 const STATUS_DOWN: u64 = 1;
 
-/// Default per-ring capacity in words (64 Ki words = 512 KiB): holds a
-/// full 4096-frame burst of minimum-size frames on one shard, so the
+/// Per-ring capacity in words (64 Ki words = 512 KiB): holds a full
+/// 4096-frame burst of minimum-size frames on one shard, so the
 /// steady-state pump rarely has to split a job across refills.
 pub const DEFAULT_RING_WORDS: usize = 1 << 16;
 
-/// Default [`ShardRuntimeSession::set_stall_budget`]: how long a shard
+/// Default [`NatRuntimeSession::set_stall_budget`]: how long a shard
 /// may make zero ring progress mid-burst before the dispatcher retires
 /// it. Generous — a healthy worker chewing a full 4096-frame job
 /// finishes orders of magnitude faster — because a false positive
@@ -196,7 +200,7 @@ pub struct SupervisorStats {
 }
 
 /// One supervised-failure event, in occurrence order
-/// ([`ShardRuntimeSession::down_events`]).
+/// ([`NatRuntimeSession::down_events`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerDown {
     /// Which shard went down.
@@ -213,7 +217,7 @@ pub struct WorkerDown {
     pub restarted: bool,
 }
 
-/// Post-session summary returned by [`with_shard_runtime`].
+/// Post-session summary returned by [`ParallelShardedNat::with_runtime`].
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeReport {
     /// Pinning outcome (see [`PinReport`]).
@@ -372,7 +376,7 @@ fn pop_blocking(ring: &mut spsc::Consumer, out: &mut [u64], backoff: &mut Backof
 fn worker_loop(
     fm: &mut vignat::FlowManager,
     pool: &mut Mempool,
-    cfg: vig_spec::NatConfig,
+    cfg: NatConfig,
     jobs: &mut spsc::Consumer,
     results: &mut spsc::Producer,
     pin_cpu: Option<usize>,
@@ -568,20 +572,24 @@ impl Lane {
     }
 }
 
-/// The dispatcher's handle to a live worker fleet, valid inside one
-/// [`with_shard_runtime`] call. Owns the job-ring producers and
-/// result-ring consumers; the workers own the opposite ends plus their
-/// shard's flow state and mempool (disjoint `&mut` borrows —
-/// the compiler enforces the no-shared-state discipline).
+/// A live [`ParallelShardedNat`] runtime: the dispatcher's handle to
+/// its worker fleet, valid inside one
+/// [`ParallelShardedNat::with_runtime`] call. Owns the job-ring
+/// producers and result-ring consumers; the workers own the opposite
+/// ends plus their shard's flow state and mempool (disjoint `&mut`
+/// borrows — the compiler enforces the no-shared-state discipline).
+/// It also holds the NAT's shard clocks: every burst advances all of
+/// them together, monotonically.
 ///
 /// The session doubles as the supervisor: it detects worker panics
 /// (`DOWN` responses), retires unresponsive shards after the stall
 /// budget, and attributes every lost frame in [`SupervisorStats`].
 /// Dropping it — normally, or while a panic in the session closure
 /// unwinds — sends every live worker its shutdown sentinel.
-pub struct ShardRuntimeSession {
+pub struct NatRuntimeSession<'a> {
     lanes: Vec<Lane>,
     classifier: RssClassifier,
+    clocks: &'a mut [Time],
     expired: u64,
     pin: PinReport,
     chaos: SupervisorStats,
@@ -590,7 +598,7 @@ pub struct ShardRuntimeSession {
     idle: Backoff,
 }
 
-impl Drop for ShardRuntimeSession {
+impl Drop for NatRuntimeSession<'_> {
     fn drop(&mut self) {
         // Retired shards get no sentinel: their threads already exited,
         // which is exactly why they were retired. A live worker whose
@@ -601,7 +609,7 @@ impl Drop for ShardRuntimeSession {
     }
 }
 
-impl ShardRuntimeSession {
+impl NatRuntimeSession<'_> {
     /// Number of worker threads (== shards).
     pub fn worker_count(&self) -> usize {
         self.lanes.len()
@@ -613,7 +621,10 @@ impl ShardRuntimeSession {
         self.pin
     }
 
-    /// Flows expired by workers so far this session.
+    /// Flows expired by workers so far this session (folded into
+    /// [`ParallelShardedNat::expired_total`] when the session ends; the
+    /// differential suites compare it mid-session, while the table
+    /// itself is on loan to the workers).
     pub fn expired(&self) -> u64 {
         self.expired
     }
@@ -705,10 +716,9 @@ impl ShardRuntimeSession {
 
     /// Process one burst arriving on `dir` at instant `now` across the
     /// persistent workers. Frames are rewritten in place; returns one
-    /// verdict per frame in arrival order. Semantically identical to
-    /// [`crate::harness::ParallelShardedNat::process_burst_parallel`] —
-    /// same dispatch, same chunking, same merge order — minus the
-    /// per-burst thread spawn.
+    /// verdict per frame in arrival order. One burst is one arrival
+    /// instant: every shard clock advances to `now`, which must not be
+    /// behind any of them (asserted).
     ///
     /// Under faults the burst still returns: frames on a panicking or
     /// dying shard come back as [`Verdict::Drop`] with the loss
@@ -722,6 +732,10 @@ impl ShardRuntimeSession {
         frames: &mut [Vec<u8>],
         now: Time,
     ) -> Vec<Verdict> {
+        for c in self.clocks.iter_mut() {
+            assert!(*c <= now, "shard clock must be monotone");
+            *c = now;
+        }
         for lane in &mut self.lanes {
             lane.idxs.clear();
             lane.head.clear();
@@ -815,8 +829,8 @@ impl ShardRuntimeSession {
 /// configuration whose packets read another shard's state (the
 /// paper's §5 no-shared-state rule): a hairpinned packet resolves its
 /// *target* by external lookup, and that mapping lives on whichever
-/// shard owns the port. Panics, at session start, on such a table.
-pub(crate) fn refuse_cross_shard_config(table: &ShardedFlowManager) {
+/// shard owns the port. Panics on such a table.
+fn refuse_cross_shard_config(table: &ShardedFlowManager) {
     let shards = table.shard_count();
     assert!(
         !table.global_cfg().hairpinning || shards == 1,
@@ -825,126 +839,271 @@ pub(crate) fn refuse_cross_shard_config(table: &ShardedFlowManager) {
     );
 }
 
-/// Run `f` with a live shard runtime: one persistent worker thread per
-/// shard of `table`, each owning its shard's [`Mempool`], connected to the calling (dispatcher) thread by
-/// SPSC rings of `ring_words` words (use [`DEFAULT_RING_WORDS`]).
+/// The per-shard parallel driver for the N-shard NAT: each shard runs
+/// on its own worker with its own mempool and expiry clock — the
+/// software model of RSS hardware dispatch feeding one RX queue per
+/// core.
 ///
-/// With `pin` set, worker `s` pins itself to the `s % host_cores`-th
-/// *allowed* CPU; failures degrade to unpinned workers and are counted
-/// in the returned [`RuntimeReport`] — never an error, matching how a
-/// restricted CI runner should behave. When the session's threads
-/// (workers plus the dispatcher) outnumber the allowed CPUs, both sides
-/// skip the spin phase of their waits and yield at once.
+/// Per burst, [`NatRuntimeSession::process_burst`] routes each frame
+/// to its shard with [`RssClassifier::queue_of`] — the shard of the key
+/// the loop body will look up, computed by the loop body's own key
+/// functions — and each shard's worker runs its sub-burst through the
+/// ordinary batched fast path ([`run_staged`]). Shards share no state,
+/// so no locks exist anywhere on the datapath; verdicts are scattered
+/// back to arrival order afterwards. For the same reason both
+/// per-shard drivers ([`ParallelShardedNat::with_runtime`] and
+/// [`ParallelShardedNat::process_on_shard`]) refuse `cfg.hairpinning`
+/// with more than one shard.
 ///
-/// Panics on a table only a whole-table driver can serve
-/// (`cfg.hairpinning` over more than one shard).
-///
-/// The session (and thus every worker) lives exactly as long as `f`:
-/// when `f` returns — or panics — dropping the session sends the
-/// shutdown sentinels and the scope joins all workers, so `table` is
-/// borrowable again immediately after, and a panic in `f` propagates
-/// instead of hanging on workers that wait forever.
-pub fn with_shard_runtime<R>(
-    table: &mut ShardedFlowManager,
-    pools: &mut [Mempool],
-    ring_words: usize,
-    pin: bool,
-    f: impl FnOnce(&mut ShardRuntimeSession) -> R,
-) -> (R, RuntimeReport) {
-    let n = table.shard_count();
-    assert_eq!(pools.len(), n, "one mempool per shard");
-    refuse_cross_shard_config(table);
-    let classifier = RssClassifier::for_table(table);
-    // Every worker runs the loop body with the *global* config: shard
-    // FlowManagers hand out pool-global port offsets (via their slot
-    // base), so the loop's `start_port + offset` arithmetic must use
-    // the global start port on every core.
-    let cfg = table.global_cfg();
-    let allowed = host_allowed_cpus();
-    let host_cores = allowed.len().max(1);
-    let oversubscribed = n + 1 > host_cores;
-    let mut lanes = Vec::with_capacity(n);
-    let mut worker_ends = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (jobs, jobs_rx) = spsc::channel(ring_words);
-        let (results_tx, results) = spsc::channel(ring_words);
-        worker_ends.push((jobs_rx, results_tx));
-        lanes.push(Lane {
-            jobs,
-            results,
-            dead: false,
-            pinned: false,
-            idxs: Vec::new(),
-            head: Vec::new(),
-            ctrl: Vec::new(),
-            at: Progress::default(),
-        });
+/// Correctness, not wall-clock speed, is this driver's contract:
+/// `tests/shard_equivalence.rs` and `tests/runtime_equivalence.rs`
+/// prove it packet-for-packet equivalent to the single-threaded sharded
+/// NAT ([`crate::middlebox::ShardedVigNatMb`]). Wall-clock scaling
+/// additionally requires ≥ N physical cores; natbench's `runtime`
+/// workload is where the runtime is timed (see `docs/BENCHMARKS.md`).
+pub struct ParallelShardedNat {
+    table: ShardedFlowManager,
+    pools: Vec<Mempool>,
+    /// Per-shard expiry clocks: the last `now` each shard processed.
+    /// A runtime burst advances all of them together (one burst = one
+    /// arrival instant); [`ParallelShardedNat::process_on_shard`]
+    /// advances one shard independently, which is how a real per-core
+    /// driver behaves when its queues drain at different rates.
+    clocks: Vec<Time>,
+    expired_total: u64,
+}
+
+impl ParallelShardedNat {
+    /// Build an N-shard parallel NAT. `burst_capacity` bounds the
+    /// number of frames one burst may carry (it sizes every per-shard
+    /// mempool for the worst-case skew of all frames hashing to one
+    /// shard).
+    pub fn new(cfg: NatConfig, shards: usize, burst_capacity: usize) -> ParallelShardedNat {
+        assert!(burst_capacity > 0, "burst capacity must be non-zero");
+        ParallelShardedNat {
+            table: ShardedFlowManager::new(&cfg, shards),
+            pools: (0..shards).map(|_| Mempool::new(burst_capacity)).collect(),
+            clocks: vec![Time::ZERO; shards],
+            expired_total: 0,
+        }
     }
-    std::thread::scope(|sc| {
-        let workers = table
-            .shards_mut()
-            .iter_mut()
-            .zip(pools.iter_mut())
-            .zip(worker_ends)
-            .enumerate();
-        for (s, ((fm, pool), (mut jobs, mut results))) in workers {
-            let pin_cpu = pin.then(|| allowed[s % host_cores]);
-            sc.spawn(move || {
-                let (jobs, results) = (&mut jobs, &mut results);
-                worker_loop(fm, pool, cfg, jobs, results, pin_cpu, oversubscribed)
+
+    /// Number of shards (== worker threads per session).
+    pub fn shard_count(&self) -> usize {
+        self.table.shard_count()
+    }
+
+    /// The sharded flow table (assertions/statistics).
+    pub fn table(&self) -> &ShardedFlowManager {
+        &self.table
+    }
+
+    /// Flows currently tracked across all shards.
+    pub fn occupancy(&self) -> usize {
+        use vignat::FlowTable;
+        self.table.flow_count()
+    }
+
+    /// Total flows expired over the run, across all shards.
+    pub fn expired_total(&self) -> u64 {
+        self.expired_total
+    }
+
+    /// This NAT's RSS function ([`RssClassifier::for_table`]) — the
+    /// *same function* the multi-queue NIC model's hash unit computes
+    /// and the per-shard drivers dispatch by; `tests/queue_equivalence.rs`
+    /// holds it to where the sequential table actually puts each flow.
+    pub fn classifier(&self) -> RssClassifier {
+        RssClassifier::for_table(&self.table)
+    }
+
+    /// Run `f` over a live shard runtime: one persistent worker thread
+    /// per shard, each owning its shard's [`Mempool`], connected to the
+    /// calling (dispatcher) thread by SPSC rings of
+    /// [`DEFAULT_RING_WORDS`] words.
+    ///
+    /// With `pin` set, worker `s` pins itself to the `s % host_cores`-th
+    /// *allowed* CPU; failures degrade to unpinned workers and are
+    /// counted in the returned [`RuntimeReport`] — never an error,
+    /// matching how a restricted CI runner should behave. When the
+    /// session's threads (workers plus the dispatcher) outnumber the
+    /// allowed CPUs, both sides skip the spin phase of their waits and
+    /// yield at once.
+    ///
+    /// Panics on a table only a whole-table driver can serve
+    /// (`cfg.hairpinning` over more than one shard).
+    ///
+    /// The session (and thus every worker) lives exactly as long as
+    /// `f`: when `f` returns — or panics — dropping the session sends
+    /// the shutdown sentinels and the scope joins all workers, so the
+    /// table is borrowable again immediately after, and a panic in `f`
+    /// propagates instead of hanging on workers that wait forever.
+    /// Expiry counts accumulate into
+    /// [`ParallelShardedNat::expired_total`] on return.
+    pub fn with_runtime<R>(
+        &mut self,
+        pin: bool,
+        f: impl FnOnce(&mut NatRuntimeSession<'_>) -> R,
+    ) -> (R, RuntimeReport) {
+        let ParallelShardedNat {
+            table,
+            pools,
+            clocks,
+            expired_total,
+        } = self;
+        let n = table.shard_count();
+        refuse_cross_shard_config(table);
+        let classifier = RssClassifier::for_table(table);
+        // Every worker runs the loop body with the *global* config:
+        // shard FlowManagers hand out pool-global port offsets (via
+        // their slot base), so the loop's `start_port + offset`
+        // arithmetic must use the global start port on every core.
+        let cfg = table.global_cfg();
+        let allowed = host_allowed_cpus();
+        let host_cores = allowed.len().max(1);
+        let oversubscribed = n + 1 > host_cores;
+        let mut lanes = Vec::with_capacity(n);
+        let mut worker_ends = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (jobs, jobs_rx) = spsc::channel(DEFAULT_RING_WORDS);
+            let (results_tx, results) = spsc::channel(DEFAULT_RING_WORDS);
+            worker_ends.push((jobs_rx, results_tx));
+            lanes.push(Lane {
+                jobs,
+                results,
+                dead: false,
+                pinned: false,
+                idxs: Vec::new(),
+                head: Vec::new(),
+                ctrl: Vec::new(),
+                at: Progress::default(),
             });
         }
-        let mut session = ShardRuntimeSession {
-            lanes,
-            classifier,
-            expired: 0,
-            pin: PinReport {
-                requested: pin,
-                workers: n,
-                pinned: 0,
-                host_cores,
-            },
-            chaos: SupervisorStats::default(),
-            downs: Vec::new(),
-            stall_budget: DEFAULT_STALL_BUDGET,
-            idle: Backoff::new(oversubscribed),
-        };
-        // First result word from each worker is its pin status; collect
-        // before handing the session to `f` so reports are complete even
-        // if `f` never processes a burst. Workers push it immediately,
-        // so this wait is bounded by thread startup.
-        for lane in &mut session.lanes {
-            let mut pinned = [0u64; 1];
-            pop_blocking(&mut lane.results, &mut pinned, &mut session.idle);
-            lane.pinned = pinned[0] != 0;
-        }
-        session.idle.reset();
-        session.pin.pinned = session.lanes.iter().filter(|l| l.pinned).count();
-        let r = f(&mut session);
-        let report = RuntimeReport {
-            pin: session.pin,
-            expired: session.expired,
-            chaos: session.chaos,
-        };
-        // Dropping the session shuts the workers down; the scope then
-        // joins them.
+        let (r, report) = std::thread::scope(|sc| {
+            let workers = table
+                .shards_mut()
+                .iter_mut()
+                .zip(pools.iter_mut())
+                .zip(worker_ends)
+                .enumerate();
+            for (s, ((fm, pool), (mut jobs, mut results))) in workers {
+                let pin_cpu = pin.then(|| allowed[s % host_cores]);
+                sc.spawn(move || {
+                    let (jobs, results) = (&mut jobs, &mut results);
+                    worker_loop(fm, pool, cfg, jobs, results, pin_cpu, oversubscribed)
+                });
+            }
+            let mut session = NatRuntimeSession {
+                lanes,
+                classifier,
+                clocks,
+                expired: 0,
+                pin: PinReport {
+                    requested: pin,
+                    workers: n,
+                    pinned: 0,
+                    host_cores,
+                },
+                chaos: SupervisorStats::default(),
+                downs: Vec::new(),
+                stall_budget: DEFAULT_STALL_BUDGET,
+                idle: Backoff::new(oversubscribed),
+            };
+            // First result word from each worker is its pin status;
+            // collect before handing the session to `f` so reports are
+            // complete even if `f` never processes a burst. Workers push
+            // it immediately, so this wait is bounded by thread startup.
+            for lane in &mut session.lanes {
+                let mut pinned = [0u64; 1];
+                pop_blocking(&mut lane.results, &mut pinned, &mut session.idle);
+                lane.pinned = pinned[0] != 0;
+            }
+            session.idle.reset();
+            session.pin.pinned = session.lanes.iter().filter(|l| l.pinned).count();
+            let r = f(&mut session);
+            let report = RuntimeReport {
+                pin: session.pin,
+                expired: session.expired,
+                chaos: session.chaos,
+            };
+            // Dropping the session shuts the workers down; the scope
+            // then joins them.
+            (r, report)
+        });
+        *expired_total += report.expired;
         (r, report)
-    })
+    }
+
+    /// Drive one shard alone at its own clock — what a per-core driver
+    /// does when its queue drains on its own schedule. Every frame must
+    /// dispatch to shard `s` (asserted); `now` must be monotone *for
+    /// this shard* but may run ahead of (or behind) the siblings', so
+    /// tests can race one shard's expiry against another's re-lookup.
+    pub fn process_on_shard(
+        &mut self,
+        s: usize,
+        dir: Direction,
+        frames: &mut [Vec<u8>],
+        now: Time,
+    ) -> Vec<Verdict> {
+        assert!(self.clocks[s] <= now, "shard clock must be monotone");
+        self.clocks[s] = now;
+        refuse_cross_shard_config(&self.table);
+        let cls = self.classifier();
+        for f in frames.iter() {
+            assert_eq!(cls.queue_of(dir, f), s, "frame dispatched to wrong shard");
+        }
+        // Checked admission, like the runtime's workers: a frame the
+        // pool cannot take (exhausted, or longer than a buffer) is
+        // dropped with its bytes unmodified — never a panic, never a
+        // leaked buffer.
+        let pool = &mut self.pools[s];
+        let slots: Vec<Option<BufIdx>> = frames
+            .iter()
+            .map(|f| {
+                let b = (f.len() <= MBUF_SIZE).then(|| pool.get()).flatten()?;
+                pool.write_frame(b, f);
+                Some(b)
+            })
+            .collect();
+        let bufs: Vec<BufIdx> = slots.iter().flatten().copied().collect();
+        // Global config, like the parallel workers: the shard's
+        // FlowManager returns pool-global port offsets.
+        let cfg = self.table.global_cfg();
+        let fm = &mut self.table.shards_mut()[s];
+        let mut staged = Vec::with_capacity(bufs.len());
+        let expired = run_staged(fm, pool, &cfg, dir, now, &bufs, &mut staged);
+        self.expired_total += expired as u64;
+        let mut staged = staged.into_iter();
+        frames
+            .iter_mut()
+            .zip(slots)
+            .map(|(f, slot)| {
+                let Some(b) = slot else {
+                    return Verdict::Drop;
+                };
+                f.copy_from_slice(pool.frame(b));
+                pool.put(b);
+                staged.next().expect("one verdict per staged buffer")
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tester::FlowGen;
     use vig_packet::builder::PacketBuilder;
-    use vig_packet::Ip4;
+    use vig_packet::{Ip4, Proto};
 
-    fn test_cfg() -> vig_spec::NatConfig {
-        vig_spec::NatConfig {
-            capacity: 64,
+    fn test_cfg(capacity: usize) -> NatConfig {
+        NatConfig {
+            capacity,
             expiry_ns: Time::from_secs(2).nanos(),
             external_ip: Ip4::new(203, 0, 113, 1),
             start_port: 4096,
-            ..vig_spec::NatConfig::paper_default()
+            ..NatConfig::paper_default()
         }
     }
 
@@ -954,13 +1113,10 @@ mod tests {
 
     #[test]
     fn pin_report_degrades_gracefully() {
-        let cfg = test_cfg();
-        let mut table = ShardedFlowManager::new(&cfg, 2);
-        let mut pools: Vec<Mempool> = (0..2).map(|_| Mempool::new(8)).collect();
-        let ((), report) =
-            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, true, |s| {
-                assert_eq!(s.worker_count(), 2);
-            });
+        let mut nat = ParallelShardedNat::new(test_cfg(64), 2, 8);
+        let ((), report) = nat.with_runtime(true, |s| {
+            assert_eq!(s.worker_count(), 2);
+        });
         assert!(report.pin.requested);
         assert_eq!(report.pin.workers, 2);
         // Pinning either worked or degraded — both are valid outcomes;
@@ -972,36 +1128,32 @@ mod tests {
 
     #[test]
     fn undersized_pool_denies_frames_instead_of_panicking() {
-        let cfg = test_cfg();
-        let mut table = ShardedFlowManager::new(&cfg, 1);
         // Two buffers for an eight-frame burst: six frames must be
         // denied admission, zero may panic the worker.
-        let mut pools = vec![Mempool::new(2)];
-        let (v, report) =
-            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, false, |s| {
-                let mut frames: Vec<Vec<u8>> =
-                    (0..8).map(|i| flow_frame(2, 1000 + i as u16)).collect();
-                let originals = frames.clone();
-                let verdicts = s.process_burst(Direction::Internal, &mut frames, Time::ZERO);
-                assert_eq!(s.supervisor().pool_denied, 6);
-                assert_eq!(s.supervisor().worker_downs, 0);
-                // Denied frames drop with bytes unmodified; admitted
-                // ones forward rewritten.
-                for (i, v) in verdicts.iter().enumerate() {
-                    if i < 2 {
-                        assert_eq!(*v, Verdict::Forward(Direction::External));
-                        assert_ne!(frames[i], originals[i]);
-                    } else {
-                        assert_eq!(*v, Verdict::Drop);
-                        assert_eq!(frames[i], originals[i]);
-                    }
+        let mut nat = ParallelShardedNat::new(test_cfg(64), 1, 2);
+        let (v, report) = nat.with_runtime(false, |s| {
+            let mut frames: Vec<Vec<u8>> = (0..8).map(|i| flow_frame(2, 1000 + i as u16)).collect();
+            let originals = frames.clone();
+            let verdicts = s.process_burst(Direction::Internal, &mut frames, Time::ZERO);
+            assert_eq!(s.supervisor().pool_denied, 6);
+            assert_eq!(s.supervisor().worker_downs, 0);
+            // Denied frames drop with bytes unmodified; admitted
+            // ones forward rewritten.
+            for (i, v) in verdicts.iter().enumerate() {
+                if i < 2 {
+                    assert_eq!(*v, Verdict::Forward(Direction::External));
+                    assert_ne!(frames[i], originals[i]);
+                } else {
+                    assert_eq!(*v, Verdict::Drop);
+                    assert_eq!(frames[i], originals[i]);
                 }
-                // The session keeps serving afterwards.
-                let mut again = vec![flow_frame(2, 1000)];
-                let v2 = s.process_burst(Direction::Internal, &mut again, Time::ZERO.plus(1));
-                assert_eq!(v2, vec![Verdict::Forward(Direction::External)]);
-                verdicts
-            });
+            }
+            // The session keeps serving afterwards.
+            let mut again = vec![flow_frame(2, 1000)];
+            let v2 = s.process_burst(Direction::Internal, &mut again, Time::ZERO.plus(1));
+            assert_eq!(v2, vec![Verdict::Forward(Direction::External)]);
+            verdicts
+        });
         assert_eq!(v.len(), 8);
         assert_eq!(report.chaos.pool_denied, 6);
         assert_eq!(report.chaos.frames_lost, 0);
@@ -1009,76 +1161,180 @@ mod tests {
 
     #[test]
     fn killed_worker_reports_down_and_restarts_on_fresh_state() {
-        let cfg = test_cfg();
-        let mut table = ShardedFlowManager::new(&cfg, 1);
-        let mut pools = vec![Mempool::new(64)];
-        let ((), report) =
-            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, false, |s| {
-                // Establish a flow, then kill the worker mid-job.
-                let mut burst1 = vec![flow_frame(2, 1025)];
-                let v1 = s.process_burst(Direction::Internal, &mut burst1, Time::ZERO);
-                assert_eq!(v1, vec![Verdict::Forward(Direction::External)]);
-                assert!(s.kill_worker(0));
-                let mut burst2 = vec![flow_frame(3, 2000)];
-                let original = burst2[0].clone();
-                // Note: the injected panic prints the usual thread
-                // panic message to stderr — expected noise here.
-                let v2 = s.process_burst(Direction::Internal, &mut burst2, Time::ZERO.plus(1));
-                assert_eq!(v2, vec![Verdict::Drop]);
-                assert_eq!(burst2[0], original, "lost frames come back unmodified");
-                assert_eq!(s.supervisor().worker_downs, 1);
-                assert_eq!(s.supervisor().frames_lost, 1);
-                assert_eq!(s.down_events().len(), 1);
-                let ev = s.down_events()[0];
-                assert_eq!(ev.shard, 0);
-                assert_eq!(ev.frames_lost, 1);
-                assert!(ev.restarted);
-                assert!(s.shard_alive(0));
-                // The restarted worker serves from a *fresh* table: the
-                // first flow after restart gets the first port again.
-                let mut burst3 = vec![flow_frame(4, 3000)];
-                let v3 = s.process_burst(Direction::Internal, &mut burst3, Time::ZERO.plus(2));
-                assert_eq!(v3, vec![Verdict::Forward(Direction::External)]);
-                let mut burst1b = vec![flow_frame(2, 1025)];
-                let v1b = s.process_burst(Direction::Internal, &mut burst1b, Time::ZERO.plus(3));
-                assert_eq!(v1b, vec![Verdict::Forward(Direction::External)]);
-                assert_ne!(
-                    burst1b[0], burst1[0],
-                    "restart cleared the old mapping: the flow re-maps to a new port"
-                );
-            });
+        let mut nat = ParallelShardedNat::new(test_cfg(64), 1, 64);
+        let ((), report) = nat.with_runtime(false, |s| {
+            // Establish a flow, then kill the worker mid-job.
+            let mut burst1 = vec![flow_frame(2, 1025)];
+            let v1 = s.process_burst(Direction::Internal, &mut burst1, Time::ZERO);
+            assert_eq!(v1, vec![Verdict::Forward(Direction::External)]);
+            assert!(s.kill_worker(0));
+            let mut burst2 = vec![flow_frame(3, 2000)];
+            let original = burst2[0].clone();
+            // Note: the injected panic prints the usual thread
+            // panic message to stderr — expected noise here.
+            let v2 = s.process_burst(Direction::Internal, &mut burst2, Time::ZERO.plus(1));
+            assert_eq!(v2, vec![Verdict::Drop]);
+            assert_eq!(burst2[0], original, "lost frames come back unmodified");
+            assert_eq!(s.supervisor().worker_downs, 1);
+            assert_eq!(s.supervisor().frames_lost, 1);
+            assert_eq!(s.down_events().len(), 1);
+            let ev = s.down_events()[0];
+            assert_eq!(ev.shard, 0);
+            assert_eq!(ev.frames_lost, 1);
+            assert!(ev.restarted);
+            assert!(s.shard_alive(0));
+            // The restarted worker serves from a *fresh* table: the
+            // first flow after restart gets the first port again.
+            let mut burst3 = vec![flow_frame(4, 3000)];
+            let v3 = s.process_burst(Direction::Internal, &mut burst3, Time::ZERO.plus(2));
+            assert_eq!(v3, vec![Verdict::Forward(Direction::External)]);
+            let mut burst1b = vec![flow_frame(2, 1025)];
+            let v1b = s.process_burst(Direction::Internal, &mut burst1b, Time::ZERO.plus(3));
+            assert_eq!(v1b, vec![Verdict::Forward(Direction::External)]);
+            assert_ne!(
+                burst1b[0], burst1[0],
+                "restart cleared the old mapping: the flow re-maps to a new port"
+            );
+        });
         assert_eq!(report.chaos.worker_downs, 1);
         assert_eq!(report.chaos.hard_deaths, 0);
     }
 
     #[test]
     fn halted_worker_is_retired_within_the_stall_budget() {
-        let cfg = test_cfg();
-        let mut table = ShardedFlowManager::new(&cfg, 1);
-        let mut pools = vec![Mempool::new(64)];
-        let ((), report) =
-            with_shard_runtime(&mut table, &mut pools, DEFAULT_RING_WORDS, false, |s| {
-                s.set_stall_budget(Duration::from_millis(50));
-                assert!(s.halt_worker(0));
-                // The dead worker never answers: the burst returns
-                // after the stall budget with the loss attributed.
-                let mut burst = vec![flow_frame(2, 1025), flow_frame(2, 1026)];
-                let v = s.process_burst(Direction::Internal, &mut burst, Time::ZERO);
-                assert_eq!(v, vec![Verdict::Drop, Verdict::Drop]);
-                assert_eq!(s.supervisor().hard_deaths, 1);
-                assert_eq!(s.supervisor().frames_lost, 2);
-                assert!(!s.shard_alive(0));
-                assert!(!s.down_events()[0].restarted);
-                // Later bursts drop at dispatch — bounded backpressure,
-                // no ring traffic, no stall.
-                let mut burst2 = vec![flow_frame(3, 2000)];
-                let v2 = s.process_burst(Direction::Internal, &mut burst2, Time::ZERO.plus(1));
-                assert_eq!(v2, vec![Verdict::Drop]);
-                assert_eq!(s.supervisor().backpressure_drops, 1);
-                // Sentinels to a dead shard are refused.
-                assert!(!s.kill_worker(0));
-            });
+        let mut nat = ParallelShardedNat::new(test_cfg(64), 1, 64);
+        let ((), report) = nat.with_runtime(false, |s| {
+            s.set_stall_budget(Duration::from_millis(50));
+            assert!(s.halt_worker(0));
+            // The dead worker never answers: the burst returns
+            // after the stall budget with the loss attributed.
+            let mut burst = vec![flow_frame(2, 1025), flow_frame(2, 1026)];
+            let v = s.process_burst(Direction::Internal, &mut burst, Time::ZERO);
+            assert_eq!(v, vec![Verdict::Drop, Verdict::Drop]);
+            assert_eq!(s.supervisor().hard_deaths, 1);
+            assert_eq!(s.supervisor().frames_lost, 2);
+            assert!(!s.shard_alive(0));
+            assert!(!s.down_events()[0].restarted);
+            // Later bursts drop at dispatch — bounded backpressure,
+            // no ring traffic, no stall.
+            let mut burst2 = vec![flow_frame(3, 2000)];
+            let v2 = s.process_burst(Direction::Internal, &mut burst2, Time::ZERO.plus(1));
+            assert_eq!(v2, vec![Verdict::Drop]);
+            assert_eq!(s.supervisor().backpressure_drops, 1);
+            // Sentinels to a dead shard are refused.
+            assert!(!s.kill_worker(0));
+        });
         assert_eq!(report.chaos.hard_deaths, 1);
         assert_eq!(report.chaos.backpressure_drops, 1);
+    }
+
+    #[test]
+    fn parallel_sharded_nat_reclaims_buffers_and_translates() {
+        let mut nat = ParallelShardedNat::new(test_cfg(128), 2, 64);
+        let mut frames = udp_frames(48);
+        let before: usize = (0..2).map(|s| 64 - nat.pools[s].available()).sum();
+        let (v, _) = nat.with_runtime(false, |s| {
+            s.process_burst(Direction::Internal, &mut frames, Time::from_secs(1))
+        });
+        assert_eq!(v, vec![Verdict::Forward(Direction::External); 48]);
+        assert_eq!(nat.occupancy(), 48);
+        let after: usize = (0..2).map(|s| 64 - nat.pools[s].available()).sum();
+        assert_eq!(before, after, "no buffer leaks through the parallel path");
+        // Every translated frame carries the external ip and a port
+        // from its dispatch shard's slice of the range.
+        let per = nat.table().per_shard_capacity() as u16;
+        for f in &frames {
+            let (_, ff) = vig_packet::parse_l3l4(f).unwrap();
+            assert_eq!(ff.src_ip, Ip4::new(203, 0, 113, 1));
+            let s = nat.table().shard_of_port(ff.src_port).unwrap();
+            let start = 4096 + s as u16 * per;
+            assert!((start..start + per).contains(&ff.src_port));
+        }
+    }
+
+    fn udp_frames(n: u32) -> Vec<Vec<u8>> {
+        let gen = FlowGen::new(Proto::Udp);
+        let mut buf = [0u8; MBUF_SIZE];
+        (0..n)
+            .map(|i| {
+                let len = gen.write_frame(&gen.background(i), &mut buf);
+                buf[..len].to_vec()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn process_on_shard_denies_what_the_pool_cannot_hold() {
+        // Two buffers for an eight-frame burst: the in-line path gets
+        // the runtime's checked admission — six frames denied, none
+        // panics, no buffer leaks.
+        let mut nat = ParallelShardedNat::new(test_cfg(128), 1, 2);
+        let mut frames = udp_frames(8);
+        let originals = frames.clone();
+        let v = nat.process_on_shard(0, Direction::Internal, &mut frames, Time::from_secs(1));
+        for (i, v) in v.iter().enumerate() {
+            if i < 2 {
+                assert_eq!(*v, Verdict::Forward(Direction::External));
+                assert_ne!(frames[i], originals[i]);
+            } else {
+                assert_eq!(*v, Verdict::Drop);
+                assert_eq!(
+                    frames[i], originals[i],
+                    "denied frames come back unmodified"
+                );
+            }
+        }
+        assert_eq!(nat.occupancy(), 2);
+        assert_eq!(nat.pools[0].available(), nat.pools[0].capacity());
+    }
+
+    #[test]
+    fn a_frame_longer_than_a_buffer_drops_on_both_paths() {
+        let mut nat = ParallelShardedNat::new(test_cfg(128), 1, 8);
+        let mut frames = udp_frames(3);
+        frames[1].resize(MBUF_SIZE + 1, 0xab);
+        let jumbo = frames[1].clone();
+        let want = [
+            Verdict::Forward(Direction::External),
+            Verdict::Drop,
+            Verdict::Forward(Direction::External),
+        ];
+        let now = Time::from_secs(1);
+        assert_eq!(
+            nat.process_on_shard(0, Direction::Internal, &mut frames.clone(), now),
+            want
+        );
+        let (v, report) = nat.with_runtime(false, |s| {
+            s.process_burst(Direction::Internal, &mut frames, now)
+        });
+        assert_eq!(v, want);
+        assert_eq!(frames[1], jumbo, "dropped unmodified");
+        assert_eq!(report.chaos.pool_denied, 1);
+        assert_eq!(nat.pools[0].available(), nat.pools[0].capacity());
+    }
+
+    #[test]
+    fn a_panicking_session_closure_propagates_instead_of_hanging() {
+        // Without the shutdown sentinels on unwind the workers would
+        // spin forever and `thread::scope` would never join them. The
+        // helper thread reports through a channel so a hang fails the
+        // test instead of wedging the suite.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let helper = std::thread::spawn(move || {
+            let mut nat = ParallelShardedNat::new(test_cfg(128), 2, 8);
+            let _done = done_tx; // dropped when the thread unwinds or returns
+            nat.with_runtime(false, |s| {
+                s.process_burst(Direction::Internal, &mut udp_frames(4), Time::from_secs(2));
+                // Time runs backwards: "shard clock must be monotone".
+                s.process_burst(Direction::Internal, &mut udp_frames(4), Time::from_secs(1));
+            });
+        });
+        let hung = done_rx.recv_timeout(std::time::Duration::from_secs(10))
+            != Err(std::sync::mpsc::RecvTimeoutError::Disconnected);
+        assert!(
+            !hung,
+            "session did not shut down within 10 s of the closure panicking"
+        );
+        assert!(helper.join().is_err(), "the closure's panic must propagate");
     }
 }

@@ -1,8 +1,7 @@
 //! The event-driven multi-queue driver, end to end: RSS-classify a
 //! workload across the Q RX queues of a simulated port, drain it with
-//! `BackendDriver` (poller + weighted round-robin budgets) through an
-//! S-shard verified NAT, and report per-queue statistics and the mean
-//! per-packet time of the drains.
+//! `BackendDriver` through an S-shard verified NAT, and report
+//! per-queue statistics and the mean per-packet time of the drains.
 //!
 //! ```sh
 //! cargo run --release --example eventloop_demo -- 4 2   # queues shards

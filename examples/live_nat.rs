@@ -201,7 +201,7 @@ mod linux {
             fwd += stats.forwarded;
             drop += stats.dropped;
             if stats.bursts == 0 {
-                // Idle: sleep the poller's current backoff, like a
+                // Idle: sleep the driver's current backoff, like a
                 // power-aware poll-mode driver.
                 std::thread::sleep(std::time::Duration::from_nanos(drv.current_backoff_ns()));
             }

@@ -10,7 +10,8 @@
 //!    `Middlebox::process` oracle produces for the admitted frames, and
 //!    every per-queue counter (rx, rx drops, tx, tx bytes) reads what
 //!    the contract says it must — under 2-descriptor rings and under
-//!    skewed WRR budgets too. (`tests/queue_equivalence.rs` is the
+//!    40-descriptor rings, deeper than a visit's `MAX_BURST` frames, too.
+//!    (`tests/queue_equivalence.rs` is the
 //!    per-flow, tagged-payload version of the same proof.) The fault
 //!    layer's identity theorem rides the same schedule.
 //! 2. **Wire ≡ sim on a recorded trace** (`#[ignore]`, needs
@@ -39,10 +40,10 @@ use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{FlowTable, NatConfig};
 use vignat_repro::packet::{parse_l3l4, Direction, Flow, Ip4};
 use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
-use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, TxRecord, Wrr};
+use vignat_repro::sim::eventloop::{BackendDriver, TxRecord};
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
 use vignat_repro::sim::tester::FlowGen;
-use vignat_repro::sim::{Poller, RssClassifier};
+use vignat_repro::sim::RssClassifier;
 
 fn cfg(capacity: usize) -> NatConfig {
     NatConfig {
@@ -147,14 +148,14 @@ fn mixed_round(gen: &FlowGen, round: usize, learned: &[Vec<u8>]) -> RoundFrames 
 /// flow's packets become does not depend on how the scheduler
 /// interleaves queues, so the forwarded bytes must agree exactly (as
 /// multisets: the flood repeats frames).
-fn run_against_oracle(queues: usize, ring: usize, ev: EventLoop) {
+fn run_against_oracle(queues: usize, ring: usize) {
     let c = cfg(256);
     let gen = FlowGen::new(vignat_repro::packet::Proto::Udp);
     let classifier = RssClassifier::for_nat(&c, queues);
 
     let mut oracle_nf = ShardedVigNatMb::sharded(c, queues);
     let mut nf = ShardedVigNatMb::sharded(c, queues);
-    let mut drv = BackendDriver::with_event_loop(SimBackend::new(classifier, ring), ev);
+    let mut drv = BackendDriver::new(SimBackend::new(classifier, ring));
 
     // (rx, rx_dropped, tx, tx_bytes) per port (internal first) × queue,
     // in `all_queue_stats` order.
@@ -317,18 +318,16 @@ fn faultio_identity_holds_under_queue_overflow() {
 fn drop_accounting_parity_under_queue_overflow() {
     // 2-descriptor rings: nearly everything overflows; the backend
     // must agree with the ledger on every per-queue drop counter anyway.
-    run_against_oracle(2, 2, EventLoop::new(2));
+    run_against_oracle(2, 2);
 }
 
 #[test]
 fn weighted_budgets_preserve_equivalence() {
-    // Skewed WRR weights and a tight backoff window change when each
-    // queue is served, never what its frames become.
-    run_against_oracle(
-        2,
-        8,
-        EventLoop::with_parts(Poller::with_backoff(100, 400), Wrr::weighted(vec![1, 2], 4)),
-    );
+    // Visit budgets smaller than a queue's depth change when each queue
+    // is served, never what its frames become: 40-descriptor rings take
+    // two MAX_BURST visits when full, and the flood round still
+    // overflows one (120 frames over two queues put at least 60 in one).
+    run_against_oracle(2, 40);
 }
 
 // ---------------------------------------------------------------------

@@ -36,19 +36,19 @@
 //!    coherent — loss is an accounting event, never corruption. Every
 //!    per-queue counter of both ports (rx, rx drops, tx, tx bytes) is
 //!    checked against a ledger kept beside the oracle.
-//! 5. **Skewed budgets**: `Wrr::weighted` budgets and a tight backoff
-//!    window reorder *when* queues are served, never what a flow's
-//!    packets become.
+//! 5. **Budgeted interleaving**: queues deeper than `MAX_BURST` take
+//!    several visits, interleaved with their siblings' — which reorders
+//!    *when* queues are served, never what a flow's packets become.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use vignat_repro::libvig::time::Time;
-use vignat_repro::nat::{FlowTable, NatConfig};
+use vignat_repro::nat::{FlowTable, NatConfig, MAX_BURST};
 use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Ip4, Proto};
 use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
-use vignat_repro::sim::eventloop::{BackendDriver, EventLoop, Poller, Wrr};
+use vignat_repro::sim::eventloop::BackendDriver;
 use vignat_repro::sim::frame_env::RssClassifier;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb, Verdict};
 
@@ -124,10 +124,9 @@ fn run_sequential(
     out
 }
 
-/// A driver over `queues`-queue simulated ports with the given event
-/// loop.
-fn driver(c: &NatConfig, queues: usize, ring: usize, ev: EventLoop) -> BackendDriver<SimBackend> {
-    BackendDriver::with_event_loop(SimBackend::new(RssClassifier::for_nat(c, queues), ring), ev)
+/// A driver over `queues`-queue simulated ports of `ring` descriptors.
+fn driver(c: &NatConfig, queues: usize, ring: usize) -> BackendDriver<SimBackend> {
+    BackendDriver::new(SimBackend::new(RssClassifier::for_nat(c, queues), ring))
 }
 
 /// Stage one frame; the RX queue it landed in, or `None` on overflow.
@@ -191,20 +190,19 @@ fn event_driven_equals_sequential_byte_for_byte_per_flow() {
         let c = cfg();
         let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
         let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-        // Skewed weights + small quantum: force budgeted interleaving
-        // rather than drain-to-completion per queue.
-        let weights: Vec<usize> = (0..shards).map(|q| 1 + (q % 2)).collect();
-        let ev = EventLoop::with_parts(Poller::with_backoff(100, 1_000), Wrr::weighted(weights, 4));
-        let mut drv = driver(&c, shards, 64, ev);
+        // Queues deeper than a visit's MAX_BURST frames: budgeted
+        // interleaving rather than drain-to-completion per queue.
+        let mut drv = driver(&c, shards, 256);
         let mut tag = 0u32;
         let next_tag = |n: &mut u32| {
             *n += 1;
             *n
         };
 
-        // Round 1 (t=1s): new flows + repeats → allocations on every shard.
+        // Round 1 (t=1s): new flows + repeats → allocations on every
+        // shard, 160 frames so some queue holds more than MAX_BURST.
         let t1 = Time::from_secs(1);
-        let round1: Vec<_> = (0..48)
+        let round1: Vec<_> = (0..160)
             .map(|i| internal(i % 12, next_tag(&mut tag)))
             .collect();
         let seq_out = run_sequential(&mut seq_nf, &round1, t1);
@@ -302,8 +300,7 @@ fn mixed_direction_drain_translates_identically_per_flow() {
     let shards = 2usize;
     let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
     let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-    let ev = EventLoop::with_parts(Poller::new(), Wrr::weighted(vec![2, 1], 4));
-    let mut drv = driver(&c, shards, 64, ev);
+    let mut drv = driver(&c, shards, 256);
 
     // Establish a few flows (single-direction round — equivalence from
     // the headline test).
@@ -313,28 +310,32 @@ fn mixed_direction_drain_translates_identically_per_flow() {
     let ev_out = run_event_driven(&mut ev_nf, &mut drv, &round1, t1);
     assert_same_outputs(&seq_out, &ev_out, "mixed: establish");
 
-    // One drain mixing new flows, repeats, and replies.
+    // One drain mixing new flows, repeats, and replies: three passes,
+    // 72 internal frames over two queues, so at least one queue holds
+    // more than a visit's MAX_BURST frames.
     let t2 = Time::from_secs(2);
     let mut tag = 9_000u32;
     let mut mixed = Vec::new();
-    for (i, (_, (d, f))) in seq_out.iter().enumerate() {
-        tag += 1;
-        if *d == Direction::External {
-            let (_, ff) = parse_l3l4(f).unwrap();
-            mixed.push(tagged_frame(
-                Direction::External,
-                ff.dst_ip,
-                Ip4::new(203, 0, 113, 1),
-                ff.dst_port,
-                ff.src_port,
-                ff.proto,
-                tag,
-            ));
+    for _pass in 0..3 {
+        for (i, (_, (d, f))) in seq_out.iter().enumerate() {
+            tag += 1;
+            if *d == Direction::External {
+                let (_, ff) = parse_l3l4(f).unwrap();
+                mixed.push(tagged_frame(
+                    Direction::External,
+                    ff.dst_ip,
+                    Ip4::new(203, 0, 113, 1),
+                    ff.dst_port,
+                    ff.src_port,
+                    ff.proto,
+                    tag,
+                ));
+            }
+            tag += 1;
+            mixed.push(internal((12 + i as u8) % 40, tag)); // new flows
+            tag += 1;
+            mixed.push(internal(i as u8 % 12, tag)); // repeats
         }
-        tag += 1;
-        mixed.push(internal((12 + i as u8) % 40, tag)); // new flows
-        tag += 1;
-        mixed.push(internal(i as u8 % 12, tag)); // repeats
     }
     let seq_out = run_sequential(&mut seq_nf, &mixed, t2);
     let ev_out = run_event_driven(&mut ev_nf, &mut drv, &mixed, t2);
@@ -353,7 +354,7 @@ fn four_queues_two_shards_established_flows_translate_identically() {
     let (queues, shards) = (4usize, 2usize);
     let mut seq_nf = ShardedVigNatMb::sharded(c, shards);
     let mut ev_nf = ShardedVigNatMb::sharded(c, shards);
-    let mut drv = driver(&c, queues, 64, EventLoop::new(queues));
+    let mut drv = driver(&c, queues, 64);
 
     // Establish the same flows in both NATs through the *same
     // sequential* order (allocation fixed), outside the queues; the
@@ -405,30 +406,25 @@ fn four_queues_two_shards_established_flows_translate_identically() {
     assert_eq!(seq_nf.occupancy(), ev_nf.occupancy());
 }
 
-/// Drop accounting under an overflowing queue, with the default event
-/// loop and under skewed `Wrr::weighted` budgets with a tight backoff
-/// window: the full ring drops (and counts) on that queue alone;
+/// Drop accounting under an overflowing queue, on a ring shallower
+/// than a visit's MAX_BURST frames and on one deeper (several visits
+/// per queue): the full ring drops (and counts) on that queue alone;
 /// siblings drain normally, every accepted frame is processed exactly
 /// as the oracle processes the accepted subsequence, every per-queue
 /// counter of both ports matches the ledger the oracle implies, and
 /// the flow table stays coherent.
 #[test]
 fn overflowing_queue_counts_drops_and_spares_siblings() {
-    let queues = 2usize;
-    overflow_case(EventLoop::new(queues));
-    overflow_case(EventLoop::with_parts(
-        Poller::with_backoff(100, 400),
-        Wrr::weighted((1..=queues).collect(), 4),
-    ));
+    overflow_case(8);
+    overflow_case(MAX_BURST + 8);
 }
 
-fn overflow_case(ev: EventLoop) {
+fn overflow_case(ring: usize) {
     let c = cfg();
     let queues = 2usize;
-    let ring = 8usize;
     let mut nf = ShardedVigNatMb::sharded(c, queues);
     let mut oracle = ShardedVigNatMb::sharded(c, queues);
-    let mut drv = driver(&c, queues, ring, ev);
+    let mut drv = driver(&c, queues, ring);
     let classifier = drv.io().classifier();
 
     // Sort candidate flows by the queue RSS steers them to.
@@ -438,19 +434,21 @@ fn overflow_case(ev: EventLoop) {
         by_queue[classifier.queue_of(Direction::Internal, &frame)].push(h);
     }
     assert!(
-        by_queue.iter().all(|v| v.len() >= 4),
+        by_queue.iter().all(|v| v.len() >= 16),
         "both queues reachable"
     );
 
-    // Offer 20 frames of queue-0 flows (ring holds 8) and 4 of queue-1
-    // flows; record which were accepted, in order.
+    // Offer `ring + 12` frames of 16 queue-0 flows (16 fit one shard's
+    // slots) and 4 of queue-1 flows; record which were accepted, in
+    // order.
     let t = Time::from_secs(1);
+    let offered = ring + 12;
     let mut accepted = Vec::new();
     let mut tag = 0u32;
-    for (q, count) in [(0usize, 20usize), (1, 4)] {
+    for (q, count) in [(0usize, offered), (1, 4)] {
         for k in 0..count {
             tag += 1;
-            let (dir, frame) = internal(by_queue[q][k % by_queue[q].len()], tag);
+            let (dir, frame) = internal(by_queue[q][k % 16], tag);
             match stage(&mut drv, dir, &frame) {
                 Some(landed) => {
                     assert_eq!(landed, q, "RSS steers the flow to its queue");
@@ -478,7 +476,7 @@ fn overflow_case(ev: EventLoop) {
     // external port's TX queue of its carrying queue's index with the
     // oracle's byte count. Nothing touched the other two rings.
     let mut want = [[(0u64, 0u64, 0u64, 0u64); 2]; 2];
-    want[0][0] = (ring as u64, 20 - ring as u64, 0, 0);
+    want[0][0] = (ring as u64, (offered - ring) as u64, 0, 0);
     want[0][1] = (4, 0, 0, 0);
     for (dir, frame) in &accepted {
         let q = classifier.queue_of(*dir, frame);

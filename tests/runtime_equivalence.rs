@@ -6,10 +6,10 @@
 //!
 //! This is the persistent-session counterpart of
 //! `tests/shard_equivalence.rs`'s `parallel_driver_equals_sequential_sharded`
-//! (which covers the one-burst-session path `process_burst_parallel`).
+//! (which opens a one-burst session per round).
 //! Here one pinned session stays alive across every burst of a run, so
 //! ring wraparound, worker idle/backoff cycles, and cross-burst state
-//! carried inside the workers are all exercised. Four angles:
+//! carried inside the workers are all exercised. Five angles:
 //!
 //! 1. **adversarial bursts** at 1/2/4 workers — the full hostile
 //!    generator (junk, bit flips, truncations, straddling return
@@ -23,7 +23,9 @@
 //!    with *empty* bursts (pure expiry ticks on the runtime side,
 //!    nothing at all on the oracle side): the idempotent-expiry
 //!    argument says totals re-converge at the next non-empty burst,
-//!    and this proves it.
+//!    and this proves it;
+//! 5. **jobs longer than a ring** — the dispatcher pushes and drains
+//!    them in pieces, resuming mid-frame both ways.
 //!
 //! Pinning is requested everywhere (`pin = true`): where the host
 //! permits, workers really are core-pinned; where it doesn't, the
@@ -572,6 +574,49 @@ fn sustained_million_flow_churn_session() {
             "the session must have expired more than a full table ({workers} workers)"
         );
     }
+}
+
+/// Jobs and responses longer than the SPSC ring, so the dispatcher's
+/// pump pushes part of a job, drains part of a response, and resumes
+/// both mid-frame. A frame is 14 + 20 + 8 + 1,400 = 1,442 bytes: 181
+/// payload words plus one length word. 1,200 frames over 2 workers put
+/// about 600 on each shard, so each job and each response is about
+/// 600 × 182 ≈ 109 k words, over 1.6 rings of `DEFAULT_RING_WORDS`
+/// (64 Ki words).
+#[test]
+fn jobs_larger_than_the_ring_equal_sequential_sharded() {
+    let c = NatConfig {
+        capacity: 2_048,
+        ..cfg()
+    };
+    let (occupancy, _) = run_differential(
+        c,
+        2,
+        4,
+        1_200,
+        |_rng, round| {
+            let frames = (0..1_200u16)
+                .map(|i| {
+                    // Distinct bytes per frame and round, so a
+                    // misplaced resumption shows in the comparison.
+                    let payload: Vec<u8> = (0..1_400u16)
+                        .map(|k| (k ^ i ^ round as u16) as u8)
+                        .collect();
+                    PacketBuilder::udp(
+                        Ip4::new(10, 0, (i >> 8) as u8, i as u8),
+                        Ip4::new(1, 1, 1, 1),
+                        1024,
+                        53,
+                    )
+                    .payload(&payload)
+                    .build()
+                })
+                .collect();
+            (Direction::Internal, frames, 1_000_000)
+        },
+        0x0B16,
+    );
+    assert_eq!(occupancy, 1_200, "every flow allocated, none expired");
 }
 
 #[test]

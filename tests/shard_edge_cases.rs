@@ -210,7 +210,9 @@ fn expiry_races_cross_burst_relookup_under_skewed_shard_clocks() {
 
     // Burst 1 (t = 1 s): both flows inserted, one per shard.
     let mut frames = vec![frame_of(&fa, &mut buf), frame_of(&fb, &mut buf)];
-    let v = nat.process_burst_parallel(Direction::Internal, &mut frames, Time::from_secs(1));
+    let (v, _) = nat.with_runtime(false, |s| {
+        s.process_burst(Direction::Internal, &mut frames, Time::from_secs(1))
+    });
     assert_eq!(v, vec![Verdict::Forward(Direction::External); 2]);
     let (_, fa_out) = parse_l3l4(&frames[0]).unwrap();
     let (_, fb_out) = parse_l3l4(&frames[1]).unwrap();

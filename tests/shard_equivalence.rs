@@ -285,7 +285,7 @@ fn parallel_driver_equals_sequential_sharded() {
 
         // Parallel driver on its own copy of the same burst.
         let mut par_frames = frames.clone();
-        let v_par = par.process_burst_parallel(dir, &mut par_frames, now);
+        let (v_par, _) = par.with_runtime(false, |s| s.process_burst(dir, &mut par_frames, now));
 
         assert_eq!(v_seq, v_par, "verdicts diverged in round {round}");
         for (i, b) in bufs.iter().enumerate() {

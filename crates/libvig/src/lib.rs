@@ -13,7 +13,7 @@
 //! | [`dmap`] | double-keyed map over preallocated value slots: one hash directory for the A-key (`get_by_a_with_hash`, `put_with_hash`, `directory` for staged probes), the B-key compared at the slot it names (`get_by_b_at`) | the flow table (`double-map.c`) |
 //! | [`dchain`] | index allocator with LRU timestamp order on one list, or one list per timeout class; one 16-byte cell per index, `first_touch*` load hints | `double-chain.c` (expirator substrate) |
 //! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |
-//! | [`spsc`] | lock-free bounded SPSC word ring (shard-runtime queues) | DPDK `rte_ring` (SP/SC mode) |
+//! | [`spsc`] | lock-free bounded SPSC word ring; off the datapath — natbench's `libvig.spsc_words_per_us` rung and a two-thread proof exercise (module header) | DPDK `rte_ring` (SP/SC mode) |
 //! | [`rss`] | RSS-style hash→shard routing | NIC receive-side scaling |
 //! | [`expirator`] | dchain+dmap glue that expires old flows: a merge over the chain's list heads, one lifetime per list | `expirator.c` |
 //! | [`wheel`] | hierarchical timer wheel; **not used by the NAT** — kept only while natbench's ladder times it (module header) | Varghese–Lauck wheel |

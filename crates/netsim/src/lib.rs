@@ -29,10 +29,11 @@
 //!   ([`runtime::ParallelShardedNat`]) and the persistent core-pinned
 //!   session it lends out ([`runtime::NatRuntimeSession`]): one
 //!   long-lived worker thread per shard (pinned via `sched_setaffinity`
-//!   where permitted), fed by the RSS dispatcher through lock-free
-//!   [`libvig::spsc`] rings, with results merged in deterministic shard
-//!   order — the deployment-shaped parallel driver natbench's
-//!   `runtime` workload times;
+//!   where permitted), handed jobs by the RSS dispatcher that carry the
+//!   shard's mempool — ownership moves, frame bytes stay put — with
+//!   results merged in deterministic shard order — the
+//!   deployment-shaped parallel driver natbench's `runtime` workload
+//!   times;
 //! * [`harness`] — the old import path of those two types, kept for
 //!   `benchmark/` only;
 //! * [`backend`] — the pluggable packet-I/O layer: the

@@ -1,5 +1,6 @@
 //! The persistent core-pinned shard runtime: long-lived worker threads
-//! fed through lock-free SPSC rings, under a supervising dispatcher.
+//! handed jobs that carry their shard's mempool, under a supervising
+//! dispatcher.
 //!
 //! The deployment shape of the N-shard NAT ([`ParallelShardedNat`]
 //! lends it out as a [`NatRuntimeSession`]): thread creation is paid
@@ -14,11 +15,14 @@
 //!   to that module's `sys` block). Pinning failure — unprivileged or
 //!   cgroup-restricted runners — degrades gracefully to unpinned
 //!   persistent workers, and the [`PinReport`] says so;
-//! * dispatcher ↔ worker traffic rides two [`libvig::spsc`] rings per
-//!   shard (jobs down, results up): single-producer/single-consumer,
-//!   cache-line-padded cursors, bulk transfers — no locks anywhere on
-//!   the datapath, matching the paper's no-shared-state discipline
-//!   (§5: every structure single-owner);
+//! * dispatcher ↔ worker traffic is **one owned job per shard**, moved
+//!   down and back through two bounded `std::sync::mpsc::sync_channel`s.
+//!   The job carries the shard's [`Mempool`], so buffer ownership moves
+//!   and no frame byte crosses a channel — as in DPDK, where the mbuf
+//!   stays put and only its descriptor changes cores. The datapath only
+//!   `try_send`s and `try_recv`s, which on a bounded channel neither
+//!   lock nor allocate; every structure stays single-owner (the paper's
+//!   §5 no-shared-state discipline);
 //! * workers **busy-poll with exponential idle backoff** (spin → yield
 //!   → sleep, the thread-world analog of
 //!   [`crate::eventloop::BackendDriver`]'s idle backoff), so an idle shard
@@ -28,21 +32,24 @@
 //!
 //! ## Transport
 //!
-//! Control travels as `u64` words; frame payloads are packed 8 bytes
-//! per word by [`spsc::Producer::push_bytes`], straight from the
-//! caller's frame into the job ring, straight from the ring into a
-//! worker-pool buffer, and back the same way — two copies per
-//! direction, no staging vectors. Once the session's and workers'
-//! scratch has grown to the burst size, a burst allocates once: the
-//! verdict vector [`NatRuntimeSession::process_burst`] returns.
-//! Removing that allocation changes the signature natbench calls
-//! (`benchmark/`), so it waits for a change allowed to edit it.
+//! Each shard's lane owns one reusable job: the burst's direction and
+//! instant, the shard's pool, the staged buffers and their verdicts.
+//! Per burst the dispatcher stages every frame routed to the shard into
+//! that pool, sends the job down, and gets it back once the worker has
+//! run it in place through [`run_staged`]; then it copies each buffer
+//! back into its frame and returns the buffer to the pool. That is one
+//! copy each way, on the dispatcher — the same two
+//! [`ParallelShardedNat::process_on_shard`] makes, through the same
+//! admission and write-back pair — and none on the worker, whatever the
+//! frame size. Once the lanes' vectors have grown to the burst size, a
+//! burst allocates once: the verdict vector
+//! [`NatRuntimeSession::process_burst`] returns. Removing that
+//! allocation changes the signature natbench calls (`benchmark/`), so it
+//! waits for a change allowed to edit it.
 //!
 //! ```text
-//! job:      count, dir, now_ns, len × count, payload × count
-//! response: STATUS_OK, expired, pool_denied, verdict × count,
-//!           payload × (frames whose verdict is not DENIED)
-//!      or:  STATUS_DOWN, repinned, 0, DENIED × count
+//! down (room for 2): Job(job) | Kill | Halt
+//! up   (room for 1): Pinned(bool), once, first | Done(job)
 //! ```
 //!
 //! ## Determinism (the oracle contract)
@@ -67,88 +74,65 @@
 //! does not come back forwarded is counted in exactly one
 //! [`SupervisorStats`] bucket):
 //!
-//! 1. **Worker panic.** Each worker reads its *entire* job off the
-//!    ring before touching shard state, and pushes nothing until the
-//!    job has run to completion — so the rings only ever see whole
-//!    responses, never a torn stream. The job itself runs under
+//! 1. **Worker panic.** A job crosses a channel whole, both ways, so
+//!    the dispatcher only ever sees whole responses. The job runs under
 //!    `catch_unwind`; on panic the worker discards the suspect shard
 //!    state ([`vignat::FlowManager::reset`] — mid-batch, any subset of
-//!    table/chain updates may have landed — plus a fresh
-//!    [`Mempool`], since staged buffers leak on unwind), re-attempts
-//!    its pin, and answers with a two-word `DOWN` report instead of a
-//!    result body. The dispatcher maps the whole job to
-//!    [`Verdict::Drop`], records a [`WorkerDown`] event, and the next
-//!    burst finds the shard alive and empty. Surviving shards are
-//!    untouched: their merge is byte-identical to a run where the dead
-//!    shard's frames simply never arrived.
-//! 2. **Worker death.** If a shard stops making ring progress for
-//!    longer than the session's stall budget
-//!    ([`NatRuntimeSession::set_stall_budget`]), the dispatcher
-//!    retires it: the in-flight job is dropped with accounting, the
-//!    dead result ring is drained (words counted, not abandoned), and
-//!    the shard is marked dead. This is also the **bounded
-//!    backpressure** guarantee — a full job ring can delay a burst by
-//!    at most the stall budget, never stall it forever.
+//!    table/chain updates may have landed — plus a fresh [`Mempool`] in
+//!    the job, since staged buffers leak on unwind), re-attempts its
+//!    pin, and sends the job back marked `DOWN`. The dispatcher maps the
+//!    whole job to [`Verdict::Drop`] with its frames unmodified, records
+//!    a [`WorkerDown`] event, and the next burst finds the shard alive
+//!    and empty. Surviving shards are untouched: their merge is
+//!    byte-identical to a run where the dead shard's frames simply never
+//!    arrived.
+//! 2. **Worker death.** A worker that is gone leaves its channels
+//!    disconnected, and the dispatcher retires its shard at once. A
+//!    worker that is alive but sends nothing back for longer than the
+//!    session's stall budget ([`NatRuntimeSession::set_stall_budget`])
+//!    is retired too — the **bounded backpressure** guarantee: a silent
+//!    shard delays a burst by at most the budget. Either way the
+//!    in-flight job is dropped with accounting, its frames unmodified
+//!    (bytes are written back only from a returned job), and the shard
+//!    is marked dead; a worker that outlives its retirement exits when
+//!    the session ends.
 //! 3. **Retired shards.** Frames the RSS function routes to a dead
 //!    shard are dropped at dispatch (`backpressure_drops`), before any
-//!    ring traffic — the session keeps serving every surviving shard.
+//!    channel traffic — the session keeps serving every surviving shard.
 //!
-//! Mempool exhaustion inside a worker is *not* a failure: admission is
-//! checked per frame as the job is read (a job holds its buffers until
-//! its response is out), denied frames come back as [`Verdict::Drop`]
-//! with their bytes unmodified, and the count rides the response into
-//! `SupervisorStats::pool_denied`.
+//! Mempool exhaustion is *not* a failure: admission is checked per
+//! frame as the dispatcher stages the job, denied frames come back as
+//! [`Verdict::Drop`] with their bytes unmodified, and the count joins
+//! `SupervisorStats::pool_denied` when the job returns.
 //!
 //! ## Deadlock freedom
 //!
-//! Rings are bounded, so a naive "push whole job, then read whole
-//! result" dispatcher could deadlock against a worker blocked on a
-//! full result ring. The dispatcher therefore never blocks: it pumps
-//! round-robin — push as much of each job as fits, drain whatever of
-//! each response arrived — until every stream completes or exceeds its
-//! stall budget. Workers *may* block (with backoff) on both rings,
-//! because the dispatcher is always draining the other end.
+//! The dispatcher never blocks — it only `try_send`s and `try_recv`s,
+//! bounded by the stall budget — and a lane has at most one job out,
+//! whose reply always finds the up channel's one slot free, so no
+//! cycle of waits can form.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
 use std::time::{Duration, Instant};
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
 use crate::frame_env::RssClassifier;
 use crate::middlebox::{run_staged, Verdict};
-use libvig::spsc;
 use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
 use vignat::{ShardedFlowManager, MAX_BURST};
 
-/// Job-stream sentinel header: "session over, worker exits".
-const SHUTDOWN: u64 = u64::MAX;
-
-/// Job-stream sentinel header: arm the worker to panic partway through
-/// its next job — the chaos seam behind the supervised-restart tests.
-const KILL: u64 = u64::MAX - 1;
-
-/// Job-stream sentinel header: the worker thread exits immediately and
-/// silently — a simulated hard death (SIGKILL analog) that exercises
-/// the dispatcher's stall-budget retirement path.
-const HALT: u64 = u64::MAX - 2;
-
-/// First word of a response to a job that ran to completion.
-const STATUS_OK: u64 = 0;
-
-/// First word of a response from a worker that panicked on the job:
-/// the second says whether the re-pin after restart succeeded, and
-/// every frame is [`VERDICT_DENIED`] (no payload comes back).
-const STATUS_DOWN: u64 = 1;
-
-/// Per-ring capacity in words (64 Ki words = 512 KiB): holds a full
-/// 4096-frame burst of minimum-size frames on one shard, so the
-/// steady-state pump rarely has to split a job across refills.
+/// Capacity in words of the `libvig::spsc` ring natbench's
+/// `libvig.spsc_words_per_us` rung times (64 Ki words = 512 KiB). It
+/// sizes nothing in the runtime: jobs move by ownership, no packet
+/// crosses a word ring (module docs, "Transport").
 pub const DEFAULT_RING_WORDS: usize = 1 << 16;
 
-/// Default [`NatRuntimeSession::set_stall_budget`]: how long a shard
-/// may make zero ring progress mid-burst before the dispatcher retires
-/// it. Generous — a healthy worker chewing a full 4096-frame job
+/// Default [`NatRuntimeSession::set_stall_budget`]: how long a shard's
+/// job may stay out with no reply before the dispatcher retires the
+/// shard. Generous — a healthy worker chewing a full 4096-frame job
 /// finishes orders of magnitude faster — because a false positive
 /// retires a live shard.
 pub const DEFAULT_STALL_BUDGET: Duration = Duration::from_secs(1);
@@ -180,23 +164,20 @@ pub struct SupervisorStats {
     /// Worker panics caught and recovered (shard state reset, worker
     /// kept serving). One [`WorkerDown`] event each.
     pub worker_downs: u64,
-    /// Shards retired after exceeding the dispatcher's stall budget
-    /// with zero ring progress (worker thread presumed dead).
+    /// Shards retired because their worker was gone (a disconnected
+    /// channel) or silent past the dispatcher's stall budget.
     pub hard_deaths: u64,
     /// Frames lost to a panicking or dying worker: the whole in-flight
     /// job maps to [`Verdict::Drop`].
     pub frames_lost: u64,
     /// Frames dropped at dispatch because their shard was already
-    /// retired — the bounded-backpressure path (no ring traffic, no
+    /// retired — the bounded-backpressure path (no channel traffic, no
     /// stall).
     pub backpressure_drops: u64,
-    /// Frames denied a buffer by a worker's checked mempool admission:
-    /// returned as [`Verdict::Drop`] with bytes unmodified.
+    /// Frames denied a buffer by checked mempool admission (the shard's
+    /// pool is dry, or the frame is longer than a buffer): returned as
+    /// [`Verdict::Drop`] with bytes unmodified.
     pub pool_denied: u64,
-    /// Result-ring words drained and discarded from dead shards —
-    /// counted so in-flight data is accounted, never silently
-    /// abandoned.
-    pub drained_result_words: u64,
 }
 
 /// One supervised-failure event, in occurrence order
@@ -256,26 +237,9 @@ fn fallback_cpus() -> Vec<usize> {
     (0..n).collect()
 }
 
-// --- verdict words ---------------------------------------------------------
-
-const VERDICT_DROP: u64 = 0;
-const VERDICT_FWD_INTERNAL: u64 = 1;
-const VERDICT_FWD_EXTERNAL: u64 = 2;
-/// The worker had no buffer for the frame: dropped, and no payload
-/// follows — the dispatcher's copy is still the unmodified original.
-const VERDICT_DENIED: u64 = 3;
-
-fn verdict_word(v: Verdict) -> u64 {
-    match v {
-        Verdict::Drop => VERDICT_DROP,
-        Verdict::Forward(Direction::Internal) => VERDICT_FWD_INTERNAL,
-        Verdict::Forward(Direction::External) => VERDICT_FWD_EXTERNAL,
-    }
-}
-
 // --- waiting ---------------------------------------------------------------
 
-/// Spin → yield → sleep ladder for a thread waiting on its rings: the
+/// Spin → yield → sleep ladder for a thread polling its channels: the
 /// real-time analog of the event loop's virtual idle backoff. The spin
 /// phase keeps the hot path latency-free; the sleep phase (doubling
 /// 1 µs → 128 µs) matters on hosts with fewer cores than workers,
@@ -329,267 +293,233 @@ impl Backoff {
     }
 }
 
-/// Drive a non-blocking bulk ring operation to completion (worker side
-/// only — the dispatcher never blocks; see the module docs' deadlock
-/// argument). `step(done)` moves what it can starting at offset `done`
-/// and returns how much that was.
-fn until_done(total: usize, backoff: &mut Backoff, mut step: impl FnMut(usize) -> usize) {
-    let mut done = 0;
-    while done < total {
-        match step(done) {
-            0 => backoff.wait(),
-            n => {
-                backoff.reset();
-                done += n;
-            }
-        }
-    }
+// --- staging ---------------------------------------------------------------
+
+/// Checked admission, the one staging path of both per-shard drivers:
+/// copy `frame` into a buffer of `pool`, or `None` — the frame left as
+/// it is — when it is longer than a buffer or the pool is dry.
+fn admit(pool: &mut Mempool, frame: &[u8]) -> Option<BufIdx> {
+    let b = (frame.len() <= MBUF_SIZE).then(|| pool.get()).flatten()?;
+    pool.write_frame(b, frame);
+    Some(b)
 }
 
-/// Blocking word push (worker side only).
-fn push_blocking(ring: &mut spsc::Producer, words: &[u64], backoff: &mut Backoff) {
-    until_done(words.len(), backoff, |at| ring.push_slice(&words[at..]));
+/// The inverse of [`admit`]: copy the processed bytes back into the
+/// frame and return the buffer.
+fn write_back(pool: &mut Mempool, b: BufIdx, frame: &mut [u8]) {
+    frame.copy_from_slice(pool.frame(b));
+    pool.put(b);
 }
 
-/// Blocking word pop (worker side only).
-fn pop_blocking(ring: &mut spsc::Consumer, out: &mut [u64], backoff: &mut Backoff) {
-    until_done(out.len(), backoff, |at| ring.pop_into(&mut out[at..]));
+// --- the job and the worker loop -------------------------------------------
+
+/// One shard's burst, owned by whichever side works on it: the
+/// dispatcher stages frames into `pool` and sends it down, the worker
+/// runs it in place and sends it back. One per lane, reused, so once
+/// its vectors have grown to the burst size it allocates nothing.
+struct Job {
+    dir: Direction,
+    now: Time,
+    /// The shard's mempool: it travels with the job.
+    pool: Mempool,
+    /// The admitted frames' buffers, in arrival order.
+    bufs: Vec<BufIdx>,
+    /// One per buffer, pushed by the worker.
+    verdicts: Vec<Verdict>,
+    /// Flows the worker expired running the job.
+    expired: usize,
+    /// `Some(repinned)`: the worker panicked on the job and restarted
+    /// on fresh state (`DOWN`); whether its re-pin stuck.
+    down: Option<bool>,
 }
 
-// --- the worker loop -------------------------------------------------------
+/// Dispatcher → worker. The channel has room for one sentinel and the
+/// one job a lane may have out.
+enum ToWorker {
+    Job(Job),
+    /// Arm the worker to panic partway through its next job — the chaos
+    /// seam behind the supervised-restart tests.
+    Kill,
+    /// The worker thread exits at once, silently — a simulated hard
+    /// death (SIGKILL analog).
+    Halt,
+}
 
-/// One shard's long-lived worker: pin (best effort), report pin status
-/// as the first result word, then serve jobs (stream layout: module
-/// docs, "Transport") until the shutdown sentinel.
+/// Worker → dispatcher. The channel has room for one message: a lane
+/// has at most one job out.
+enum FromWorker {
+    /// Whether the worker's pin stuck; sent once, before any job.
+    Pinned(bool),
+    Done(Job),
+}
+
+/// One shard's long-lived worker: pin (best effort), report it, then
+/// run jobs until `Halt` or until the session drops its channel ends
+/// (the shutdown).
 ///
-/// The worker reads the *whole* job before running it — payloads land
-/// directly in pool buffers, admission checked per frame — and pushes
-/// nothing until the job has run to completion, when the response
-/// streams straight out of those buffers. A panic can therefore never
-/// leave a torn stream on either ring: the supervisor's framing
-/// invariant. Frames an exhausted pool cannot take come back
-/// [`VERDICT_DENIED`] — undersized pools degrade, they don't panic.
-///
-/// Everything the loop needs per job lives in vectors it owns and
-/// reuses, so a steady-state job allocates nothing on the transport
-/// path.
+/// A job arrives whole and leaves whole, so a panic can never tear a
+/// response: the supervisor's framing invariant.
 fn worker_loop(
     fm: &mut vignat::FlowManager,
-    pool: &mut Mempool,
     cfg: NatConfig,
-    jobs: &mut spsc::Consumer,
-    results: &mut spsc::Producer,
+    jobs: Receiver<ToWorker>,
+    results: SyncSender<FromWorker>,
     pin_cpu: Option<usize>,
     oversubscribed: bool,
 ) {
     let pinned = pin_cpu.is_some_and(pin_to);
+    if results.try_send(FromWorker::Pinned(pinned)).is_err() {
+        return;
+    }
     let mut backoff = Backoff::new(oversubscribed);
-    push_blocking(results, &[u64::from(pinned)], &mut backoff);
-    let pool_capacity = pool.capacity();
-    let mut lens: Vec<u64> = Vec::new();
-    let mut bufs: Vec<BufIdx> = Vec::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
-    let mut response: Vec<u64> = Vec::new();
     let mut armed = false;
     loop {
-        let mut header = [0u64; 1];
-        pop_blocking(jobs, &mut header, &mut backoff);
-        match header[0] {
-            SHUTDOWN | HALT => return, // HALT: simulated hard death, no last word
-            KILL => {
+        let mut job = match jobs.try_recv() {
+            Ok(ToWorker::Job(job)) => job,
+            Ok(ToWorker::Kill) => {
                 armed = true;
                 continue;
             }
-            _ => {}
-        }
-        let mut meta = [0u64; 2];
-        pop_blocking(jobs, &mut meta, &mut backoff);
-        let dir = if meta[0] == Direction::Internal as u64 {
-            Direction::Internal
-        } else {
-            Direction::External
-        };
-        let now = Time::ZERO.plus(meta[1]);
-        lens.clear();
-        lens.resize(header[0] as usize, 0);
-        pop_blocking(jobs, &mut lens, &mut backoff);
-        // Payloads land straight in pool buffers until the pool runs
-        // dry; the rest of the job is read off the ring and discarded.
-        bufs.clear();
-        for &len in &lens {
-            let len = len as usize;
-            if let Some(b) = pool.get() {
-                let room = pool.reserve_frame(b, len);
-                until_done(len, &mut backoff, |at| jobs.pop_bytes(&mut room[at..]));
-                bufs.push(b);
-            } else {
-                let sink = &mut [0u8; MBUF_SIZE][..len];
-                until_done(len, &mut backoff, |at| jobs.pop_bytes(&mut sink[at..]));
+            Err(TryRecvError::Empty) => {
+                backoff.wait();
+                continue;
             }
-        }
-        // The whole job is now local: shard state is touched only from
-        // here on, and only whole responses hit the result ring.
+            // Halt: a simulated hard death, no last word.
+            Ok(ToWorker::Halt) | Err(TryRecvError::Disconnected) => return,
+        };
+        backoff.reset();
         let kill = std::mem::take(&mut armed);
-        verdicts.clear();
+        let Job {
+            dir,
+            now,
+            pool,
+            bufs,
+            verdicts,
+            ..
+        } = &mut job;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Armed by KILL (the test seam): run the first chunk only,
+            // Armed by Kill (the test seam): run the first chunk only,
             // then panic — shard state is *partially* mutated when the
             // supervisor's reset runs, the hard case.
             let run = if kill {
-                bufs.len().min(MAX_BURST)
+                &bufs[..bufs.len().min(MAX_BURST)]
             } else {
-                bufs.len()
+                &bufs[..]
             };
-            let run = &bufs[..run];
-            let expired = run_staged(fm, pool, &cfg, dir, now, run, &mut verdicts);
+            let expired = run_staged(fm, pool, &cfg, *dir, *now, run, verdicts);
             assert!(!kill, "injected worker kill (test seam)");
             expired
         }));
-        response.clear();
         match outcome {
-            Ok(expired) => {
-                let denied = lens.len() - bufs.len();
-                response.extend([STATUS_OK, expired as u64, denied as u64]);
-                response.extend(verdicts.iter().map(|&v| verdict_word(v)));
-            }
+            Ok(expired) => job.expired = expired,
             Err(_) => {
                 // Supervised restart: the shard's state is suspect (any
                 // subset of the batch's updates may have landed, and who
                 // holds which mbuf is unknown) — rebuild table and pool,
-                // re-pin, and report DOWN with every frame denied.
+                // re-pin, and send the job back DOWN.
                 fm.reset();
-                *pool = Mempool::new(pool_capacity);
-                bufs.clear();
-                let repinned = pin_cpu.is_some_and(pin_to);
-                response.extend([STATUS_DOWN, u64::from(repinned), 0]);
+                job.pool = Mempool::new(job.pool.capacity());
+                job.down = Some(pin_cpu.is_some_and(pin_to));
             }
         }
-        response.resize(3 + lens.len(), VERDICT_DENIED);
-        push_blocking(results, &response, &mut backoff);
-        for &b in &bufs {
-            let frame = pool.frame(b);
-            until_done(frame.len(), &mut backoff, |at| {
-                results.push_bytes(&frame[at..])
-            });
-            pool.put(b);
+        // The lane's one job is this one, so the reply's slot is free:
+        // this fails only once the session is gone.
+        if results.try_send(FromWorker::Done(job)).is_err() {
+            return;
         }
     }
 }
 
 // --- the dispatcher session ------------------------------------------------
 
-/// The dispatcher's end of one shard: its rings, what the supervisor
-/// knows of its worker, and its slice of the current burst with the
-/// cursors the non-blocking pump resumes from. Session-owned and
-/// reused, so once its vectors have grown to the session's burst size
-/// a burst allocates nothing here.
+/// The dispatcher's end of one shard: its channels, what the supervisor
+/// knows of its worker, its job while the job is home, and where the
+/// current burst's frames went. Session-owned and reused, so once its
+/// vectors have grown to the session's burst size a burst allocates
+/// nothing here.
 struct Lane {
-    jobs: spsc::Producer,
-    results: spsc::Consumer,
-    /// Retired by the supervisor; its worker thread is gone.
+    jobs: SyncSender<ToWorker>,
+    results: Receiver<FromWorker>,
+    /// `None` while the worker holds the job — or since the worker died
+    /// holding it.
+    job: Option<Job>,
+    /// Buffers in the shard's pool: the size of the fresh pool the shard
+    /// gets back if its worker dies holding the job.
+    pool_capacity: usize,
+    /// Retired by the supervisor: no job goes to its worker again.
     dead: bool,
     /// The worker's latest pin attempt stuck.
     pinned: bool,
-    /// Arrival positions of the frames routed to this shard.
+    /// Frames routed to this shard this burst, staged or denied: what a
+    /// failure loses.
+    routed: usize,
+    /// Arrival positions of the staged frames, one per buffer of the
+    /// job.
     idxs: Vec<usize>,
-    /// The job's control words (`count, dir, now_ns, len × count`).
-    head: Vec<u64>,
-    /// The response's control words as far as they have arrived.
-    ctrl: Vec<u64>,
-    at: Progress,
-}
-
-/// A [`Lane`]'s cursors, reset with every burst.
-#[derive(Default)]
-struct Progress {
-    /// Words of `head` on the job ring.
-    head_sent: usize,
-    /// Next frame of `idxs` to put on the job ring, and how many of
-    /// its bytes already are.
-    tx_frame: usize,
-    tx_off: usize,
-    /// Next frame of `idxs` to take off the result ring, and how many
-    /// of its bytes already are.
-    rx_frame: usize,
-    rx_off: usize,
-    /// Result-ring words taken this burst (control and payload).
-    rx_words: u64,
-    /// The whole response is in (or the shard is dead).
-    complete: bool,
-    /// Start of the current run of passes without ring progress.
+    /// The job has yet to go down, or to come back, this burst.
+    busy: bool,
+    /// Start of the current run of passes in which the job did not move.
     idle_since: Option<Instant>,
 }
 
+/// A lane's worker is gone: one of its channels is disconnected.
+struct Gone;
+
 impl Lane {
-    /// Move what the rings will take without blocking: job words and
-    /// payload bytes down, response words and payload bytes up (straight
-    /// into `frames`). Returns whether anything moved.
-    fn pump(&mut self, frames: &mut [Vec<u8>]) -> bool {
-        let at = &mut self.at;
-        let mut moved = 0;
-        if at.head_sent < self.head.len() {
-            let n = self.jobs.push_slice(&self.head[at.head_sent..]);
-            at.head_sent += n;
-            moved += n;
-        }
-        if at.head_sent == self.head.len() {
-            while let Some(&i) = self.idxs.get(at.tx_frame) {
-                let n = self.jobs.push_bytes(&frames[i][at.tx_off..]);
-                at.tx_off += n;
-                moved += n;
-                if at.tx_off < frames[i].len() {
-                    break; // ring full
+    /// One non-blocking step of the lane's exchange: send the job if it
+    /// is home, else look for its return. `Ok(moved)` says whether
+    /// anything moved.
+    fn poll(&mut self) -> Result<bool, Gone> {
+        if let Some(job) = self.job.take() {
+            return match self.jobs.try_send(ToWorker::Job(job)) {
+                Ok(()) => Ok(true),
+                Err(TrySendError::Full(ToWorker::Job(job))) => {
+                    self.job = Some(job);
+                    Ok(false)
                 }
-                at.tx_frame += 1;
-                at.tx_off = 0;
-            }
-        }
-        let ctrl_need = 3 + self.idxs.len();
-        let want = ctrl_need - self.ctrl.len();
-        let n = self.results.pop_extend(&mut self.ctrl, want);
-        at.rx_words += n as u64;
-        moved += n;
-        if self.ctrl.len() == ctrl_need {
-            while let Some(&i) = self.idxs.get(at.rx_frame) {
-                if self.ctrl[3 + at.rx_frame] != VERDICT_DENIED {
-                    let n = self.results.pop_bytes(&mut frames[i][at.rx_off..]);
-                    at.rx_off += n;
-                    at.rx_words += spsc::words_for_bytes(n) as u64;
-                    moved += n;
-                    if at.rx_off < frames[i].len() {
-                        break; // ring empty
-                    }
+                // The job never left: its pool stays home, and
+                // `retire_shard` hands its staged buffers back.
+                Err(TrySendError::Disconnected(ToWorker::Job(job))) => {
+                    self.job = Some(job);
+                    Err(Gone)
                 }
-                at.rx_frame += 1;
-                at.rx_off = 0;
-            }
+                Err(_) => unreachable!("a job was sent"),
+            };
         }
-        // A worker answers only after reading its whole job, so a whole
-        // response implies the job was wholly sent.
-        at.complete = self.ctrl.len() == ctrl_need && at.rx_frame == self.idxs.len();
-        debug_assert!(!at.complete || at.tx_frame == self.idxs.len());
-        moved > 0
+        match self.results.try_recv() {
+            Ok(FromWorker::Done(job)) => {
+                self.job = Some(job);
+                self.busy = false;
+                Ok(true)
+            }
+            Ok(FromWorker::Pinned(_)) => unreachable!("pin status comes before any job"),
+            Err(TryRecvError::Empty) => Ok(false),
+            Err(TryRecvError::Disconnected) => Err(Gone),
+        }
     }
 }
 
 /// A live [`ParallelShardedNat`] runtime: the dispatcher's handle to
 /// its worker fleet, valid inside one
-/// [`ParallelShardedNat::with_runtime`] call. Owns the job-ring
-/// producers and result-ring consumers; the workers own the opposite
-/// ends plus their shard's flow state and mempool (disjoint `&mut`
-/// borrows — the compiler enforces the no-shared-state discipline).
-/// It also holds the NAT's shard clocks: every burst advances all of
-/// them together, monotonically.
+/// [`ParallelShardedNat::with_runtime`] call. Owns the job senders and
+/// result receivers, and each shard's job (with its mempool) while it
+/// is home; the workers own the opposite ends plus their shard's flow
+/// state (disjoint `&mut` borrows — the compiler enforces the
+/// no-shared-state discipline). It also holds the NAT's shard clocks:
+/// every burst advances all of them together, monotonically.
 ///
 /// The session doubles as the supervisor: it detects worker panics
-/// (`DOWN` responses), retires unresponsive shards after the stall
-/// budget, and attributes every lost frame in [`SupervisorStats`].
-/// Dropping it — normally, or while a panic in the session closure
-/// unwinds — sends every live worker its shutdown sentinel.
+/// (jobs that come back `DOWN`), retires shards whose worker is gone or
+/// silent past the stall budget, and attributes every lost frame in
+/// [`SupervisorStats`]. Dropping it — normally, or while a panic in the
+/// session closure unwinds — disconnects every worker, retired ones
+/// included, and hands every shard's pool back to the NAT.
 pub struct NatRuntimeSession<'a> {
     lanes: Vec<Lane>,
     classifier: RssClassifier,
     clocks: &'a mut [Time],
+    /// The NAT's pools, empty while they travel with the jobs.
+    pools: &'a mut Vec<Mempool>,
     expired: u64,
     pin: PinReport,
     chaos: SupervisorStats,
@@ -600,11 +530,15 @@ pub struct NatRuntimeSession<'a> {
 
 impl Drop for NatRuntimeSession<'_> {
     fn drop(&mut self) {
-        // Retired shards get no sentinel: their threads already exited,
-        // which is exactly why they were retired. A live worker whose
-        // ring stays full past the stall budget is given up on.
-        for s in 0..self.worker_count() {
-            self.send_sentinel(s, SHUTDOWN);
+        // Dropping a lane's channel ends is the shutdown: its worker's
+        // next poll finds them disconnected and returns, even one
+        // retired while still alive. A shard whose worker died holding
+        // its pool gets a fresh one.
+        for lane in self.lanes.drain(..) {
+            self.pools.push(match lane.job {
+                Some(job) => job.pool,
+                None => Mempool::new(lane.pool_capacity),
+            });
         }
     }
 }
@@ -646,39 +580,41 @@ impl NatRuntimeSession<'_> {
     }
 
     /// Replace the stall budget ([`DEFAULT_STALL_BUDGET`]): the longest
-    /// a shard may sit mid-burst with zero ring progress before the
-    /// dispatcher declares it dead and drops its in-flight job. Chaos
-    /// tests shrink it to keep hard-death scenarios fast.
+    /// a shard's job may stay out mid-burst with no reply before the
+    /// dispatcher declares the shard dead and drops the job. A worker
+    /// that is gone is noticed at once, whatever the budget.
     pub fn set_stall_budget(&mut self, budget: Duration) {
         self.stall_budget = budget;
     }
 
     /// Arm shard `s`'s worker to panic partway through its next job —
     /// the chaos seam the supervised-restart tests drive. Returns
-    /// `false` if the shard is already dead or the sentinel could not
-    /// be enqueued within the stall budget.
+    /// `false` if the shard is already dead, its worker is gone, or the
+    /// sentinel could not be enqueued within the stall budget.
     pub fn kill_worker(&mut self, s: usize) -> bool {
-        self.send_sentinel(s, KILL)
+        self.send_sentinel(s, ToWorker::Kill)
     }
 
     /// Make shard `s`'s worker thread exit silently — a simulated hard
-    /// death (SIGKILL analog). The dispatcher only notices at the next
-    /// burst, when the shard exhausts its stall budget and is retired.
-    /// Returns `false` if the shard is already dead or the sentinel
-    /// could not be enqueued.
+    /// death (SIGKILL analog). The dispatcher notices at the next burst,
+    /// when the worker's channels are disconnected, and retires the
+    /// shard at once. Returns `false` if the shard is already dead, its
+    /// worker is gone, or the sentinel could not be enqueued.
     pub fn halt_worker(&mut self, s: usize) -> bool {
-        self.send_sentinel(s, HALT)
+        self.send_sentinel(s, ToWorker::Halt)
     }
 
-    fn send_sentinel(&mut self, s: usize, sentinel: u64) -> bool {
+    fn send_sentinel(&self, s: usize, mut sentinel: ToWorker) -> bool {
+        let lane = &self.lanes[s];
+        if lane.dead {
+            return false;
+        }
         let deadline = Instant::now() + self.stall_budget;
-        let lane = &mut self.lanes[s];
         loop {
-            if lane.dead || lane.jobs.try_push(sentinel) {
-                return !lane.dead;
-            }
-            if Instant::now() > deadline {
-                return false;
+            match lane.jobs.try_send(sentinel) {
+                Ok(()) => return true,
+                Err(TrySendError::Full(back)) if Instant::now() <= deadline => sentinel = back,
+                Err(_) => return false,
             }
             std::thread::yield_now();
         }
@@ -687,7 +623,7 @@ impl NatRuntimeSession<'_> {
     /// Record a supervised failure of shard `s` that lost its whole
     /// in-flight job, and the worker's pin state after it.
     fn worker_down(&mut self, s: usize, repinned: bool, restarted: bool) {
-        let frames_lost = self.lanes[s].idxs.len();
+        let frames_lost = self.lanes[s].routed;
         self.chaos.frames_lost += frames_lost as u64;
         self.lanes[s].pinned = repinned;
         self.pin.pinned = self.lanes.iter().filter(|l| l.pinned).count();
@@ -699,18 +635,19 @@ impl NatRuntimeSession<'_> {
         });
     }
 
-    /// Retire shard `s`: mark dead, account the lost in-flight frames,
-    /// and drain whatever the dead worker left on its result ring so
-    /// the words are counted rather than silently abandoned.
+    /// Retire shard `s`: mark it dead and account the frames its
+    /// in-flight job loses. A job still home never left, so its pool
+    /// gets its staged buffers back.
     fn retire_shard(&mut self, s: usize) {
         let lane = &mut self.lanes[s];
         lane.dead = true;
-        lane.at.complete = true;
-        self.chaos.hard_deaths += 1;
-        self.chaos.drained_result_words += lane.at.rx_words;
-        while lane.results.try_pop().is_some() {
-            self.chaos.drained_result_words += 1;
+        lane.busy = false;
+        if let Some(job) = &mut lane.job {
+            for b in job.bufs.drain(..) {
+                job.pool.put(b);
+            }
         }
+        self.chaos.hard_deaths += 1;
         self.worker_down(s, false, false);
     }
 
@@ -721,11 +658,9 @@ impl NatRuntimeSession<'_> {
     /// behind any of them (asserted).
     ///
     /// Under faults the burst still returns: frames on a panicking or
-    /// dying shard come back as [`Verdict::Drop`] with the loss
-    /// attributed in [`SupervisorStats`]; surviving shards' verdicts
-    /// and bytes are unaffected. (A shard retired *while its response
-    /// was arriving* may have rewritten some of its frames already;
-    /// they are `Drop` all the same.)
+    /// dying shard come back as [`Verdict::Drop`], bytes unmodified,
+    /// with the loss attributed in [`SupervisorStats`]; surviving
+    /// shards' verdicts and bytes are unaffected.
     pub fn process_burst(
         &mut self,
         dir: Direction,
@@ -737,18 +672,23 @@ impl NatRuntimeSession<'_> {
             *c = now;
         }
         for lane in &mut self.lanes {
+            lane.routed = 0;
             lane.idxs.clear();
-            lane.head.clear();
-            lane.ctrl.clear();
-            lane.at = Progress {
-                complete: lane.dead,
-                ..Progress::default()
-            };
+            lane.busy = !lane.dead;
+            lane.idle_since = None;
+            if let Some(job) = &mut lane.job {
+                job.dir = dir;
+                job.now = now;
+                job.bufs.clear();
+                job.verdicts.clear();
+                job.down = None;
+            }
         }
-        // Dispatch: route every frame to its shard (RSS function).
-        // Frames bound for a retired shard drop here, with accounting —
-        // bounded backpressure, not an unbounded stall. So does a frame
-        // longer than any worker buffer: no pool could admit it.
+        // Dispatch: route every frame to its shard (RSS function) and
+        // stage it in that shard's pool. Frames bound for a retired shard
+        // drop here, with accounting — bounded backpressure, not an
+        // unbounded stall. So does a frame longer than any buffer: no
+        // pool could admit it.
         for (i, f) in frames.iter().enumerate() {
             let lane = &mut self.lanes[self.classifier.queue_of(dir, f)];
             if lane.dead {
@@ -756,26 +696,38 @@ impl NatRuntimeSession<'_> {
             } else if f.len() > MBUF_SIZE {
                 self.chaos.pool_denied += 1;
             } else {
-                lane.idxs.push(i);
-            }
-        }
-        for lane in self.lanes.iter_mut().filter(|l| !l.dead) {
-            let meta = [lane.idxs.len() as u64, dir as u64, now.nanos()];
-            let lens = lane.idxs.iter().map(|&i| frames[i].len() as u64);
-            lane.head.extend(meta.into_iter().chain(lens));
-        }
-        // Non-blocking pump: interleave job pushes and result drains so
-        // bounded rings can never deadlock (see module docs). A shard
-        // with zero progress past the stall budget is retired.
-        loop {
-            let mut progress = false;
-            for lane in self.lanes.iter_mut().filter(|l| !l.at.complete) {
-                if lane.pump(frames) {
-                    lane.at.idle_since = None;
-                    progress = true;
+                lane.routed += 1;
+                let job = lane.job.as_mut().expect("a live lane's job is home");
+                if let Some(b) = admit(&mut job.pool, f) {
+                    lane.idxs.push(i);
+                    job.bufs.push(b);
                 }
             }
-            if self.lanes.iter().all(|l| l.at.complete) {
+        }
+        // Exchange: the first pass sends every job, later passes look for
+        // their return. A shard whose worker is gone is retired at once,
+        // one whose job has not moved past the stall budget when it runs
+        // out.
+        loop {
+            let mut progress = false;
+            for s in 0..self.lanes.len() {
+                let lane = &mut self.lanes[s];
+                if !lane.busy {
+                    continue;
+                }
+                match lane.poll() {
+                    Ok(false) => {}
+                    Ok(true) => {
+                        lane.idle_since = None;
+                        progress = true;
+                    }
+                    Err(Gone) => {
+                        self.retire_shard(s);
+                        progress = true;
+                    }
+                }
+            }
+            if self.lanes.iter().all(|l| !l.busy) {
                 break;
             }
             if progress {
@@ -784,41 +736,37 @@ impl NatRuntimeSession<'_> {
             }
             let now_t = Instant::now();
             for s in 0..self.lanes.len() {
-                let at = &mut self.lanes[s].at;
-                let since = *at.idle_since.get_or_insert(now_t);
-                if !at.complete && now_t.duration_since(since) > self.stall_budget {
+                let lane = &mut self.lanes[s];
+                let since = *lane.idle_since.get_or_insert(now_t);
+                if lane.busy && now_t.duration_since(since) > self.stall_budget {
                     self.retire_shard(s);
                 }
             }
             self.idle.wait_awake();
         }
         self.idle.reset();
-        // Merge in deterministic shard order: scatter verdicts back to
-        // arrival positions (the bytes are already in place), accumulate
-        // expiry. A DOWN response maps its whole job to Drop — the
-        // honest loss report; surviving shards merge exactly as on a
-        // clean run.
+        // Merge in deterministic shard order: write each returned job's
+        // bytes and verdicts back to arrival positions, returning its
+        // buffers, and accumulate expiry. A job that came back DOWN maps
+        // to Drop with its frames untouched — the honest loss report;
+        // surviving shards merge exactly as on a clean run.
         let mut out = vec![Verdict::Drop; frames.len()];
         for s in 0..self.lanes.len() {
-            let lane = &self.lanes[s];
+            let lane = &mut self.lanes[s];
             if lane.dead {
                 continue;
             }
-            if lane.ctrl[0] == STATUS_DOWN {
-                let repinned = lane.ctrl[1] != 0;
+            let job = lane.job.as_mut().expect("a finished job is home");
+            if let Some(repinned) = job.down {
                 self.chaos.worker_downs += 1;
                 self.worker_down(s, repinned, true);
-                continue; // every verdict is DENIED: the whole job drops
+                continue;
             }
-            self.expired += lane.ctrl[1];
-            self.chaos.pool_denied += lane.ctrl[2];
-            for (&i, &word) in lane.idxs.iter().zip(&lane.ctrl[3..]) {
-                out[i] = match word {
-                    VERDICT_DROP | VERDICT_DENIED => Verdict::Drop,
-                    VERDICT_FWD_INTERNAL => Verdict::Forward(Direction::Internal),
-                    VERDICT_FWD_EXTERNAL => Verdict::Forward(Direction::External),
-                    w => unreachable!("bad verdict word {w}"),
-                };
+            self.expired += job.expired as u64;
+            self.chaos.pool_denied += (lane.routed - lane.idxs.len()) as u64;
+            for ((&i, &b), &v) in lane.idxs.iter().zip(&job.bufs).zip(&job.verdicts) {
+                write_back(&mut job.pool, b, &mut frames[i]);
+                out[i] = v;
             }
         }
         out
@@ -918,9 +866,10 @@ impl ParallelShardedNat {
     }
 
     /// Run `f` over a live shard runtime: one persistent worker thread
-    /// per shard, each owning its shard's [`Mempool`], connected to the
-    /// calling (dispatcher) thread by SPSC rings of
-    /// [`DEFAULT_RING_WORDS`] words.
+    /// per shard, each owning its shard's flow table, connected to the
+    /// calling (dispatcher) thread by two bounded channels that move
+    /// the shard's job — and with it the shard's [`Mempool`] — down and
+    /// back.
     ///
     /// With `pin` set, worker `s` pins itself to the `s % host_cores`-th
     /// *allowed* CPU; failures degrade to unpinned workers and are
@@ -934,11 +883,12 @@ impl ParallelShardedNat {
     /// (`cfg.hairpinning` over more than one shard).
     ///
     /// The session (and thus every worker) lives exactly as long as
-    /// `f`: when `f` returns — or panics — dropping the session sends
-    /// the shutdown sentinels and the scope joins all workers, so the
-    /// table is borrowable again immediately after, and a panic in `f`
-    /// propagates instead of hanging on workers that wait forever.
-    /// Expiry counts accumulate into
+    /// `f`: when `f` returns — or panics — dropping the session
+    /// disconnects every worker and the scope joins them all, so the
+    /// table and the pools are usable again immediately after, and a
+    /// panic in `f` propagates instead of hanging on workers that wait
+    /// forever. A shard whose worker died holding its pool gets a fresh
+    /// one of the same size. Expiry counts accumulate into
     /// [`ParallelShardedNat::expired_total`] on return.
     pub fn with_runtime<R>(
         &mut self,
@@ -964,39 +914,42 @@ impl ParallelShardedNat {
         let oversubscribed = n + 1 > host_cores;
         let mut lanes = Vec::with_capacity(n);
         let mut worker_ends = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (jobs, jobs_rx) = spsc::channel(DEFAULT_RING_WORDS);
-            let (results_tx, results) = spsc::channel(DEFAULT_RING_WORDS);
+        for pool in pools.drain(..) {
+            let (jobs, jobs_rx) = sync_channel(2);
+            let (results_tx, results) = sync_channel(1);
             worker_ends.push((jobs_rx, results_tx));
             lanes.push(Lane {
                 jobs,
                 results,
+                pool_capacity: pool.capacity(),
+                job: Some(Job {
+                    dir: Direction::Internal,
+                    now: Time::ZERO,
+                    pool,
+                    bufs: Vec::new(),
+                    verdicts: Vec::new(),
+                    expired: 0,
+                    down: None,
+                }),
                 dead: false,
                 pinned: false,
+                routed: 0,
                 idxs: Vec::new(),
-                head: Vec::new(),
-                ctrl: Vec::new(),
-                at: Progress::default(),
+                busy: false,
+                idle_since: None,
             });
         }
         let (r, report) = std::thread::scope(|sc| {
-            let workers = table
-                .shards_mut()
-                .iter_mut()
-                .zip(pools.iter_mut())
-                .zip(worker_ends)
-                .enumerate();
-            for (s, ((fm, pool), (mut jobs, mut results))) in workers {
+            let workers = table.shards_mut().iter_mut().zip(worker_ends).enumerate();
+            for (s, (fm, (jobs, results))) in workers {
                 let pin_cpu = pin.then(|| allowed[s % host_cores]);
-                sc.spawn(move || {
-                    let (jobs, results) = (&mut jobs, &mut results);
-                    worker_loop(fm, pool, cfg, jobs, results, pin_cpu, oversubscribed)
-                });
+                sc.spawn(move || worker_loop(fm, cfg, jobs, results, pin_cpu, oversubscribed));
             }
             let mut session = NatRuntimeSession {
                 lanes,
                 classifier,
                 clocks,
+                pools,
                 expired: 0,
                 pin: PinReport {
                     requested: pin,
@@ -1009,14 +962,20 @@ impl ParallelShardedNat {
                 stall_budget: DEFAULT_STALL_BUDGET,
                 idle: Backoff::new(oversubscribed),
             };
-            // First result word from each worker is its pin status;
-            // collect before handing the session to `f` so reports are
-            // complete even if `f` never processes a burst. Workers push
-            // it immediately, so this wait is bounded by thread startup.
+            // Each worker's first message is its pin status; collect
+            // before handing the session to `f` so reports are complete
+            // even if `f` never processes a burst. Workers send it
+            // immediately, so this wait is bounded by thread startup. A
+            // worker gone before it reports counts as unpinned; the
+            // first burst retires its shard.
             for lane in &mut session.lanes {
-                let mut pinned = [0u64; 1];
-                pop_blocking(&mut lane.results, &mut pinned, &mut session.idle);
-                lane.pinned = pinned[0] != 0;
+                lane.pinned = loop {
+                    match lane.results.try_recv() {
+                        Ok(FromWorker::Pinned(pinned)) => break pinned,
+                        Err(TryRecvError::Empty) => session.idle.wait_awake(),
+                        _ => break false,
+                    }
+                };
             }
             session.idle.reset();
             session.pin.pinned = session.lanes.iter().filter(|l| l.pinned).count();
@@ -1026,8 +985,8 @@ impl ParallelShardedNat {
                 expired: session.expired,
                 chaos: session.chaos,
             };
-            // Dropping the session shuts the workers down; the scope
-            // then joins them.
+            // Dropping the session shuts the workers down and hands the
+            // pools back; the scope then joins the workers.
             (r, report)
         });
         *expired_total += report.expired;
@@ -1053,20 +1012,17 @@ impl ParallelShardedNat {
         for f in frames.iter() {
             assert_eq!(cls.queue_of(dir, f), s, "frame dispatched to wrong shard");
         }
-        // Checked admission, like the runtime's workers: a frame the
-        // pool cannot take (exhausted, or longer than a buffer) is
-        // dropped with its bytes unmodified — never a panic, never a
-        // leaked buffer.
+        // The runtime's staging path: a frame the pool cannot take
+        // (exhausted, or longer than a buffer) is dropped with its bytes
+        // unmodified — never a panic, never a leaked buffer.
         let pool = &mut self.pools[s];
-        let slots: Vec<Option<BufIdx>> = frames
-            .iter()
-            .map(|f| {
-                let b = (f.len() <= MBUF_SIZE).then(|| pool.get()).flatten()?;
-                pool.write_frame(b, f);
-                Some(b)
-            })
-            .collect();
-        let bufs: Vec<BufIdx> = slots.iter().flatten().copied().collect();
+        let (mut idxs, mut bufs) = (Vec::new(), Vec::new());
+        for (i, f) in frames.iter().enumerate() {
+            if let Some(b) = admit(pool, f) {
+                idxs.push(i);
+                bufs.push(b);
+            }
+        }
         // Global config, like the parallel workers: the shard's
         // FlowManager returns pool-global port offsets.
         let cfg = self.table.global_cfg();
@@ -1074,19 +1030,12 @@ impl ParallelShardedNat {
         let mut staged = Vec::with_capacity(bufs.len());
         let expired = run_staged(fm, pool, &cfg, dir, now, &bufs, &mut staged);
         self.expired_total += expired as u64;
-        let mut staged = staged.into_iter();
-        frames
-            .iter_mut()
-            .zip(slots)
-            .map(|(f, slot)| {
-                let Some(b) = slot else {
-                    return Verdict::Drop;
-                };
-                f.copy_from_slice(pool.frame(b));
-                pool.put(b);
-                staged.next().expect("one verdict per staged buffer")
-            })
-            .collect()
+        let mut out = vec![Verdict::Drop; frames.len()];
+        for ((&i, &b), v) in idxs.iter().zip(&bufs).zip(staged) {
+            write_back(pool, b, &mut frames[i]);
+            out[i] = v;
+        }
+        out
     }
 }
 
@@ -1204,19 +1153,25 @@ mod tests {
     fn halted_worker_is_retired_within_the_stall_budget() {
         let mut nat = ParallelShardedNat::new(test_cfg(64), 1, 64);
         let ((), report) = nat.with_runtime(false, |s| {
-            s.set_stall_budget(Duration::from_millis(50));
             assert!(s.halt_worker(0));
-            // The dead worker never answers: the burst returns
-            // after the stall budget with the loss attributed.
+            // The dead worker's channels are disconnected: the burst
+            // returns at once — far inside the default 1 s stall
+            // budget — with the loss attributed and every frame as it
+            // was sent.
             let mut burst = vec![flow_frame(2, 1025), flow_frame(2, 1026)];
+            let sent = burst.clone();
+            let t0 = Instant::now();
             let v = s.process_burst(Direction::Internal, &mut burst, Time::ZERO);
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(100), "noticed after {took:?}");
             assert_eq!(v, vec![Verdict::Drop, Verdict::Drop]);
+            assert_eq!(burst, sent, "lost frames come back unmodified");
             assert_eq!(s.supervisor().hard_deaths, 1);
             assert_eq!(s.supervisor().frames_lost, 2);
             assert!(!s.shard_alive(0));
             assert!(!s.down_events()[0].restarted);
             // Later bursts drop at dispatch — bounded backpressure,
-            // no ring traffic, no stall.
+            // no channel traffic, no stall.
             let mut burst2 = vec![flow_frame(3, 2000)];
             let v2 = s.process_burst(Direction::Internal, &mut burst2, Time::ZERO.plus(1));
             assert_eq!(v2, vec![Verdict::Drop]);
@@ -1226,6 +1181,69 @@ mod tests {
         });
         assert_eq!(report.chaos.hard_deaths, 1);
         assert_eq!(report.chaos.backpressure_drops, 1);
+    }
+
+    #[test]
+    fn a_killed_and_a_halted_worker_leave_both_shards_serving_on_whole_pools() {
+        let mut nat = ParallelShardedNat::new(test_cfg(128), 2, 64);
+        let cls = nat.classifier();
+        let frames = udp_frames(48);
+        let ((), report) = nat.with_runtime(false, |s| {
+            assert!(s.kill_worker(0));
+            assert!(s.halt_worker(1));
+            // Sentinels are refused once the halted worker is gone: then
+            // shard 1's job never leaves, and its staged buffers must go
+            // back to its pool.
+            while s.kill_worker(1) {}
+            let v = s.process_burst(Direction::Internal, &mut frames.clone(), Time::from_secs(1));
+            assert_eq!(v, vec![Verdict::Drop; 48]);
+            assert!(s.shard_alive(0), "a panic restarts the worker");
+            assert!(!s.shard_alive(1), "a halt retires the shard");
+        });
+        assert_eq!(report.chaos.worker_downs, 1);
+        assert_eq!(report.chaos.hard_deaths, 1);
+        assert_eq!(report.chaos.frames_lost, 48);
+        // Shard 0's worker rebuilt its pool; shard 1's came home with the
+        // job that never left, or fresh if its worker dropped it. Either
+        // way every buffer is free, and the in-line driver serves both.
+        for s in 0..2 {
+            assert_eq!(nat.pools[s].available(), nat.pools[s].capacity());
+            let mut mine: Vec<Vec<u8>> = frames
+                .iter()
+                .filter(|f| cls.queue_of(Direction::Internal, f) == s)
+                .cloned()
+                .collect();
+            assert!(!mine.is_empty());
+            let v = nat.process_on_shard(s, Direction::Internal, &mut mine, Time::from_secs(2));
+            assert_eq!(v, vec![Verdict::Forward(Direction::External); mine.len()]);
+            assert_eq!(nat.pools[s].available(), nat.pools[s].capacity());
+        }
+    }
+
+    #[test]
+    fn a_live_worker_retired_by_the_stall_budget_still_exits_with_the_session() {
+        // With no stall budget the dispatcher retires the shard while
+        // its worker is still chewing the job. The session's end must
+        // still reach that worker, or `thread::scope` never joins it;
+        // the helper thread reports through a channel so a hang fails
+        // the test instead of wedging the suite.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut nat = ParallelShardedNat::new(test_cfg(4096), 1, 4096);
+            let (retired, _) = nat.with_runtime(false, |s| {
+                s.set_stall_budget(Duration::ZERO);
+                let v = s.process_burst(Direction::Internal, &mut udp_frames(4000), Time::ZERO);
+                assert_eq!(v, vec![Verdict::Drop; 4000]);
+                !s.shard_alive(0)
+            });
+            let whole = nat.pools[0].available() == nat.pools[0].capacity();
+            let _ = done_tx.send((retired, whole));
+        });
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_secs(10)),
+            Ok((true, true)),
+            "the session must retire the shard, end within 10 s and hand back a whole pool"
+        );
     }
 
     #[test]
@@ -1315,8 +1333,8 @@ mod tests {
 
     #[test]
     fn a_panicking_session_closure_propagates_instead_of_hanging() {
-        // Without the shutdown sentinels on unwind the workers would
-        // spin forever and `thread::scope` would never join them. The
+        // Without the disconnect on unwind the workers would poll
+        // forever and `thread::scope` would never join them. The
         // helper thread reports through a channel so a hang fails the
         // test instead of wedging the suite.
         let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();

@@ -10,7 +10,10 @@
 //!   that runs as two chunks;
 //! * `nat_process_batch_into` with a sink, over `BurstEnv`;
 //! * `VigNatMb::process_burst`: exactly one allocation, the `Vec` it
-//!   returns.
+//!   returns;
+//! * `NatRuntimeSession::process_burst` on the dispatcher's thread:
+//!   exactly one allocation, the `Vec` it returns — staging, the job's
+//!   trip to the worker and back, and the write-back allocate nothing.
 //!
 //! Its own test binary because it installs a counting global
 //! allocator. The counter is per thread, so the harness's other test
@@ -28,6 +31,7 @@ use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, FlowId
 use vignat_repro::sim::dpdk::{BufIdx, Mempool};
 use vignat_repro::sim::frame_env::{BurstEnv, BurstScratch};
 use vignat_repro::sim::middlebox::{run_staged, Middlebox, Verdict, VigNatMb};
+use vignat_repro::sim::runtime::ParallelShardedNat;
 
 /// Forwards to the system allocator, counting allocation calls on the
 /// calling thread.
@@ -333,4 +337,29 @@ fn process_burst_allocates_only_the_verdicts_it_returns() {
             pool.put(b);
         }
     }
+}
+
+#[test]
+fn runtime_burst_allocates_only_the_verdicts_it_returns() {
+    let mut nat = ParallelShardedNat::new(cfg(), 1, MAX_BURST * 2);
+    let frames: Vec<_> = (0..48u32).map(|i| int_frame(&fid(i))).collect();
+    let (allocs, report) = nat.with_runtime(false, |s| {
+        // Warm-up: the flows open and the session's vectors grow to
+        // the burst size.
+        for round in 0..3u64 {
+            let v = s.process_burst(
+                Direction::Internal,
+                &mut frames.clone(),
+                Time::from_secs(1 + round),
+            );
+            assert_eq!(v, vec![Verdict::Forward(Direction::External); 48]);
+        }
+        let mut burst = frames.clone();
+        let (v, allocs) =
+            allocs_in(|| s.process_burst(Direction::Internal, &mut burst, Time::from_secs(4)));
+        assert_eq!(v, vec![Verdict::Forward(Direction::External); 48]);
+        allocs
+    });
+    assert_eq!(report.chaos, Default::default());
+    assert_eq!(allocs, 1, "the returned Vec and nothing else");
 }

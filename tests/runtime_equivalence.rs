@@ -1,6 +1,6 @@
 //! Persistent-runtime differential tests: the core-pinned shard
-//! runtime (`netsim::runtime` — long-lived workers fed through SPSC
-//! rings) must be packet-for-packet AND state-identical to the
+//! runtime (`netsim::runtime` — long-lived workers handed jobs that
+//! carry their shard's mempool) must be packet-for-packet AND state-identical to the
 //! sequential `ShardedFlowManager` oracle, for any worker count and
 //! any interleaving of worker execution.
 //!
@@ -8,7 +8,7 @@
 //! `tests/shard_equivalence.rs`'s `parallel_driver_equals_sequential_sharded`
 //! (which opens a one-burst session per round).
 //! Here one pinned session stays alive across every burst of a run, so
-//! ring wraparound, worker idle/backoff cycles, and cross-burst state
+//! job round trips, worker idle/backoff cycles, and cross-burst state
 //! carried inside the workers are all exercised. Five angles:
 //!
 //! 1. **adversarial bursts** at 1/2/4 workers — the full hostile
@@ -517,7 +517,7 @@ fn flow_frame(i: u32) -> Vec<u8> {
 /// frame bytes compared every round and per-flow TX bytes, full LRU
 /// state, and expiry totals at session end. This is the scale
 /// satellite of `expiry_equivalence.rs` driven through the real
-/// datapath (SPSC rings, burst envs, RSS dispatch) rather than the
+/// datapath (job hand-over, burst envs, RSS dispatch) rather than the
 /// table API. Release-only by size: the `nightly-deep` CI job runs it
 /// with `--release -- --ignored million`.
 #[test]
@@ -576,13 +576,10 @@ fn sustained_million_flow_churn_session() {
     }
 }
 
-/// Jobs and responses longer than the SPSC ring, so the dispatcher's
-/// pump pushes part of a job, drains part of a response, and resumes
-/// both mid-frame. A frame is 14 + 20 + 8 + 1,400 = 1,442 bytes: 181
-/// payload words plus one length word. 1,200 frames over 2 workers put
-/// about 600 on each shard, so each job and each response is about
-/// 600 × 182 ≈ 109 k words, over 1.6 rings of `DEFAULT_RING_WORDS`
-/// (64 Ki words).
+/// Large jobs: 1,200 frames of 14 + 20 + 8 + 1,400 = 1,442 bytes over
+/// 2 workers put about 600 frames, ≈ 850 KB, in each shard's job, with
+/// distinct bytes per frame and round, so a buffer written back to the
+/// wrong frame shows in the comparison.
 #[test]
 fn jobs_larger_than_the_ring_equal_sequential_sharded() {
     let c = NatConfig {

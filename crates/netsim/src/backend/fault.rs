@@ -524,10 +524,6 @@ impl<B: PacketIo> PacketIo for FaultIo<B> {
     fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
         self.inner.queue_stats(dir, q)
     }
-
-    fn port_stats(&self, dir: Direction) -> PortStats {
-        self.inner.port_stats(dir)
-    }
 }
 
 impl<B: TesterIo> TesterIo for FaultIo<B> {

@@ -104,10 +104,6 @@ impl PacketIo for SimBackend {
     fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
         self.dev_ref(dir).queue_stats(q)
     }
-
-    fn port_stats(&self, dir: Direction) -> PortStats {
-        self.dev_ref(dir).port_stats()
-    }
 }
 
 impl TesterIo for SimBackend {

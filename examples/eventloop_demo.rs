@@ -19,10 +19,22 @@ use vignat_repro::sim::frame_env::RssClassifier;
 use vignat_repro::sim::middlebox::{Middlebox, ShardedVigNatMb};
 use vignat_repro::sim::tester::FlowGen;
 
+/// Print why the arguments were refused and the usage line, then exit 2.
+fn usage(why: &str) -> ! {
+    eprintln!("eventloop_demo: {why}\nusage: eventloop_demo [queues] [shards]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let queues: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
-    let shards: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(2);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let arg = |i: usize, default: usize| match args.get(i) {
+        None => default,
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|_| usage(&format!("{s:?} is not a number"))),
+    };
+    let queues = arg(0, 4);
+    let shards = arg(1, 2);
     let cfg = NatConfig {
         capacity: 65_535,
         expiry_ns: Time::from_secs(60).nanos(),
@@ -30,6 +42,11 @@ fn main() {
         start_port: 1,
         ..NatConfig::paper_default()
     };
+    for (name, n) in [("queues", queues), ("shards", shards)] {
+        if !(1..=cfg.capacity).contains(&n) {
+            usage(&format!("{name} must be 1..={}, got {n}", cfg.capacity));
+        }
+    }
     println!("event-driven driver: {queues} RX queues -> {shards}-shard verified NAT");
 
     // A visible drain: 10k flows staged through the classifier, one

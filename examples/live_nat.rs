@@ -142,21 +142,29 @@ mod linux {
         }
     }
 
+    /// Print why the arguments were refused and the usage line, then
+    /// exit 2.
+    fn usage(why: &str) -> ! {
+        eprintln!(
+            "live_nat: {why}\n\
+             usage: live_nat <int_if> <ext_if> [queues] [shards] [seconds]\n\
+             (see README 'Running the live NAT' for the netns setup)"
+        );
+        std::process::exit(2);
+    }
+
     pub fn main() {
         let args: Vec<String> = std::env::args().collect();
         if args.len() < 3 {
-            eprintln!(
-                "usage: live_nat <int_if> <ext_if> [queues] [shards] [seconds]\n\
-                 (see README 'Running the live NAT' for the netns setup)"
-            );
-            std::process::exit(2);
+            usage("two interfaces are required");
         }
         let int_if = &args[1];
         let ext_if = &args[2];
-        let arg = |i: usize, default: usize| {
-            args.get(i)
-                .map(|s| s.parse().expect("numeric argument"))
-                .unwrap_or(default)
+        let arg = |i: usize, default: usize| match args.get(i) {
+            None => default,
+            Some(s) => s
+                .parse()
+                .unwrap_or_else(|_| usage(&format!("{s:?} is not a number"))),
         };
         let queues = arg(3, 2);
         let shards = arg(4, 2);
@@ -169,6 +177,13 @@ mod linux {
             start_port: 10_000,
             ..NatConfig::paper_default()
         };
+        // Checked before any socket opens: the classifier and the
+        // sharded table both split the `capacity` pool slots.
+        for (name, n) in [("queues", queues), ("shards", shards)] {
+            if !(1..=cfg.capacity).contains(&n) {
+                usage(&format!("{name} must be 1..={}, got {n}", cfg.capacity));
+            }
+        }
         let io = match MmapBackend::open(
             int_if,
             ext_if,

@@ -554,10 +554,6 @@ impl<B: super::os::WireBackend> super::os::WireBackend for FaultIo<B> {
         self.inner.take_rx_log()
     }
 
-    fn rx_seen(&self) -> u64 {
-        self.inner.rx_seen()
-    }
-
     fn rx_errors(&self) -> u64 {
         self.inner.rx_errors()
     }

@@ -11,16 +11,20 @@
 //! contract a trait, so the same verified loop body — and the same
 //! driver — runs over:
 //!
-//! * [`SimBackend`] — the in-process NIC model: an adapter over
-//!   [`MultiQueueDevice`](crate::dpdk::MultiQueueDevice), the home of
-//!   every simulated test and bench (`tests/queue_equivalence.rs`
-//!   proves the driver over it equivalent to sequential per-frame
-//!   processing);
-//! * [`os::mmap::MmapBackend`] (Linux) — real OS packet I/O: per port,
-//!   an `AF_PACKET` RX block ring and TX slot ring shared with the
-//!   kernel via `mmap`, bound to an interface (a veth pair end in the
-//!   intended deployment), feeding the *same* classifier and FIFOs with
-//!   kernel-delivered frames.
+//! * [`SimBackend`] — the in-process NIC model: a [`PortLedger`] plus
+//!   TX rings the tester reaps, the home of every simulated test and
+//!   bench (`tests/queue_equivalence.rs` proves the driver over it
+//!   equivalent to sequential per-frame processing);
+//! * [`os::mmap::MmapBackend`] (Linux) — real OS packet I/O: a
+//!   [`PortLedger`] plus, per port, an `AF_PACKET` RX block ring and TX
+//!   slot ring shared with the kernel via `mmap`, bound to an interface
+//!   (a veth pair end in the intended deployment), admitting
+//!   kernel-delivered frames through the *same* ledger.
+//!
+//! Both backends admit, queue and count through [`PortLedger`], the one
+//! copy of the per-queue admission rule (pool dry or ring full: an RX
+//! drop on the frame's queue), so a wire trace replayed through the sim
+//! backend reproduces the wire's counters by construction.
 //!
 //! The split keeps the trust boundary explicit: everything above
 //! `PacketIo` (classification, scheduling, the verified NAT) is
@@ -35,8 +39,10 @@ use crate::dpdk::{BufIdx, Mempool, PortStats};
 use vig_packet::Direction;
 
 pub mod fault;
+mod ledger;
 mod sim;
 pub use fault::{CorruptKind, FaultIo, FaultPlan, FaultStats, StallWindow, TruncateKind};
+pub use ledger::PortLedger;
 pub use sim::SimBackend;
 
 #[cfg(target_os = "linux")]

@@ -10,8 +10,8 @@
 //! timeout expires on a partial block). [`MmapBackend::pump_rx`] walks
 //! user-owned blocks in place: every frame descriptor is validated by
 //! `walk_block` *before* any byte slice over ring memory is formed,
-//! each valid frame is admitted through `admit` (the sim backend's
-//! per-queue accounting), and the
+//! each valid frame is admitted through the backend's
+//! [`PortLedger`] (the one the sim backend is built on), and the
 //! block is released back to the kernel with a single volatile status
 //! write. Steady-state RX therefore costs no syscalls and no
 //! per-frame copies beyond the one admission copy into the
@@ -55,7 +55,8 @@
 
 use super::sys;
 use super::{PacketIo, WireBackend, PACKET_OUTGOING};
-use crate::dpdk::{BufIdx, Mempool, PortStats, Ring, MBUF_SIZE};
+use crate::backend::PortLedger;
+use crate::dpdk::{BufIdx, Mempool, PortStats, MBUF_SIZE};
 use crate::frame_env::RssClassifier;
 use std::collections::VecDeque;
 use std::io;
@@ -369,9 +370,54 @@ pub(crate) fn walk_block<R: RingMem + ?Sized>(
     walk
 }
 
+/// Admit the frames of the user-owned RX block `block` (ring offsets)
+/// on port `dir`: walk it into the `walked` scratch, skip the
+/// socket's own looped-back transmissions, count truncated captures,
+/// clamp each frame to [`MBUF_SIZE`], log it when `rx_log` is on, and
+/// hand it to `ledger`. Returns how many frames the ledger admitted.
+/// Generic over [`RingMem`] so a synthetic block image exercises the
+/// same path as the live mapping.
+fn admit_block<R: RingMem + ?Sized>(
+    ring: &R,
+    block: std::ops::Range<usize>,
+    dir: Direction,
+    walked: &mut Vec<WalkedFrame>,
+    counters: &mut RingCounters,
+    ledger: &mut PortLedger,
+    rx_log: &mut Option<Vec<(Direction, Vec<u8>)>>,
+) -> usize {
+    walked.clear();
+    if walk_block(ring, block.start, block.len(), walked).malformed {
+        counters.malformed_blocks += 1;
+    }
+    let mut admitted = 0;
+    for wf in walked.iter() {
+        if wf.pkttype == PACKET_OUTGOING {
+            continue; // our own transmission, looped back
+        }
+        let take = wf.snaplen.min(MBUF_SIZE);
+        if wf.snaplen < wf.wire_len || wf.wire_len > MBUF_SIZE {
+            counters.truncated += 1;
+        }
+        // The walker validated [data_off, data_off+snaplen) against
+        // the block, so this slice cannot fail.
+        let Some(frame) = ring.bytes(wf.data_off, take) else {
+            continue;
+        };
+        if let Some(log) = rx_log {
+            log.push((dir, frame.to_vec()));
+        }
+        if ledger.admit(dir, frame).is_some() {
+            admitted += 1;
+        }
+    }
+    admitted
+}
+
 /// One port of the mmap backend: RX ring socket + TX ring socket on
-/// the same interface, their mappings, and the per-queue software
-/// FIFOs and stats the driver contract requires.
+/// the same interface, their mappings, and the ring-transport
+/// counters. The per-queue FIFOs and stats are the backend's
+/// [`PortLedger`].
 ///
 /// Field order matters for drop: mappings unmap before their sockets
 /// close.
@@ -388,20 +434,13 @@ struct MmapPort {
     tx_inflight: VecDeque<(usize, usize, usize)>,
     /// Slots marked `SEND_REQUEST` since the last kernel kick.
     unkicked: usize,
-    rx: Vec<Ring>,
-    stats: Vec<PortStats>,
     counters: RingCounters,
     /// Scratch for the per-block frame walk (no steady-state allocs).
     walked: Vec<WalkedFrame>,
 }
 
 impl MmapPort {
-    fn open(
-        ifname: &str,
-        rc: &MmapRingConfig,
-        queues: usize,
-        ring_size: usize,
-    ) -> io::Result<MmapPort> {
+    fn open(ifname: &str, rc: &MmapRingConfig) -> io::Result<MmapPort> {
         let idx = sys::ifindex(ifname)?;
 
         // RX: V3 block ring on an ETH_P_ALL socket.
@@ -447,8 +486,6 @@ impl MmapPort {
             tx_head: 0,
             tx_inflight: VecDeque::with_capacity(rc.tx_slots()),
             unkicked: 0,
-            rx: (0..queues).map(|_| Ring::new(ring_size)).collect(),
-            stats: vec![PortStats::default(); queues],
             counters: RingCounters::default(),
             walked: Vec::with_capacity(max_frames_in(rc.rx_block_size as usize)),
         })
@@ -466,14 +503,19 @@ impl MmapPort {
     /// `AVAILABLE` → transmitted (count it), `WRONG_FORMAT` → refused
     /// (tx_error, reclaim the slot), `SEND_REQUEST`/`SENDING` → still
     /// the kernel's; stop there. Returns frames confirmed sent.
-    fn reap_tx(&mut self, tx_frame_size: usize, tx_errors: &mut u64) -> usize {
+    fn reap_tx(
+        &mut self,
+        tx_frame_size: usize,
+        dir: Direction,
+        ledger: &mut PortLedger,
+        tx_errors: &mut u64,
+    ) -> usize {
         let mut sent = 0;
         while let Some(&(slot, q, bytes)) = self.tx_inflight.front() {
             let off = slot * tx_frame_size;
             match self.tx_map.u32_at(off + T2_STATUS) {
                 Some(STATUS_KERNEL) => {
-                    self.stats[q].tx += 1;
-                    self.stats[q].tx_bytes += bytes as u64;
+                    ledger.count_tx(dir, q, bytes);
                     sent += 1;
                     self.tx_inflight.pop_front();
                 }
@@ -492,16 +534,14 @@ impl MmapPort {
 
 /// The zero-copy mmap-ring backend. See module docs.
 pub struct MmapBackend {
-    pool: Mempool,
-    classifier: RssClassifier,
+    ledger: PortLedger,
     ring_cfg: MmapRingConfig,
-    int_port: MmapPort,
-    ext_port: MmapPort,
+    /// Indexed by `Direction as usize`.
+    ports: [MmapPort; 2],
     /// RX blocks processed per `pump_rx` call — one full ring pass, so
     /// a flooded wire cannot wedge the driver.
     pump_blocks: u32,
     rx_log: Option<Vec<(Direction, Vec<u8>)>>,
-    rx_seen: u64,
     rx_errors: u64,
     tx_errors: u64,
 }
@@ -523,33 +563,15 @@ impl MmapBackend {
                 "tx_frame_size must hold the V2 header plus a full mbuf",
             ));
         }
-        let queues = classifier.queue_count();
         Ok(MmapBackend {
-            pool: Mempool::new(queues * ring_size * 4),
-            classifier,
-            int_port: MmapPort::open(int_if, &rc, queues, ring_size)?,
-            ext_port: MmapPort::open(ext_if, &rc, queues, ring_size)?,
+            ledger: PortLedger::new(classifier, ring_size),
+            ports: [MmapPort::open(int_if, &rc)?, MmapPort::open(ext_if, &rc)?],
             ring_cfg: rc,
             pump_blocks: rc.rx_block_count,
             rx_log: None,
-            rx_seen: 0,
             rx_errors: 0,
             tx_errors: 0,
         })
-    }
-
-    fn port(&mut self, d: Direction) -> &mut MmapPort {
-        match d {
-            Direction::Internal => &mut self.int_port,
-            Direction::External => &mut self.ext_port,
-        }
-    }
-
-    fn port_ref(&self, d: Direction) -> &MmapPort {
-        match d {
-            Direction::Internal => &self.int_port,
-            Direction::External => &self.ext_port,
-        }
     }
 
     /// The ring geometry this backend runs.
@@ -560,13 +582,13 @@ impl MmapBackend {
     /// Mmap-specific ring counters for port `dir` (truncations,
     /// malformed blocks, kernel drops, freezes, kick errors).
     pub fn ring_counters(&self, dir: Direction) -> RingCounters {
-        self.port_ref(dir).counters
+        self.ports[dir as usize].counters
     }
 
     /// TX slots handed to the kernel and not yet confirmed, both
     /// ports. Zero after a quiescent flush — teardown tests pin this.
     pub fn tx_inflight(&self) -> usize {
-        self.int_port.tx_inflight.len() + self.ext_port.tx_inflight.len()
+        self.ports.iter().map(|p| p.tx_inflight.len()).sum()
     }
 
     /// Block until port `dir`'s RX ring has a user-owned block or
@@ -575,13 +597,13 @@ impl MmapBackend {
     /// For tests that wait out the block-retire timeout without busy
     /// spinning; the driver itself never blocks.
     pub fn wait_rx(&self, dir: Direction, timeout_ms: i32) -> io::Result<bool> {
-        sys::wait_readable(self.port_ref(dir).rx_sock.fd(), timeout_ms)
+        sys::wait_readable(self.ports[dir as usize].rx_sock.fd(), timeout_ms)
     }
 }
 
 impl WireBackend for MmapBackend {
     fn classifier(&self) -> RssClassifier {
-        self.classifier
+        self.ledger.classifier()
     }
 
     fn set_rx_log(&mut self, on: bool) {
@@ -590,10 +612,6 @@ impl WireBackend for MmapBackend {
 
     fn take_rx_log(&mut self) -> Vec<(Direction, Vec<u8>)> {
         self.rx_log.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    fn rx_seen(&self) -> u64 {
-        self.rx_seen
     }
 
     fn rx_errors(&self) -> u64 {
@@ -605,37 +623,36 @@ impl WireBackend for MmapBackend {
     }
 
     fn kernel_drops(&mut self) -> u64 {
-        self.int_port.accumulate_kernel_stats();
-        self.ext_port.accumulate_kernel_stats();
-        self.int_port.counters.kernel_drops + self.ext_port.counters.kernel_drops
+        let mut drops = 0;
+        for port in &mut self.ports {
+            port.accumulate_kernel_stats();
+            drops += port.counters.kernel_drops;
+        }
+        drops
     }
 
     fn io_retries(&self) -> super::IoRetryStats {
-        [
-            self.int_port.rx_sock.retry_stats(),
-            self.int_port.tx_sock.retry_stats(),
-            self.ext_port.rx_sock.retry_stats(),
-            self.ext_port.tx_sock.retry_stats(),
-        ]
-        .iter()
-        .fold(super::IoRetryStats::default(), |a, s| super::IoRetryStats {
-            eintr_retries: a.eintr_retries + s.eintr_retries,
-            enobufs_backoffs: a.enobufs_backoffs + s.enobufs_backoffs,
-        })
+        self.ports
+            .iter()
+            .flat_map(|p| [p.rx_sock.retry_stats(), p.tx_sock.retry_stats()])
+            .fold(super::IoRetryStats::default(), |a, s| super::IoRetryStats {
+                eintr_retries: a.eintr_retries + s.eintr_retries,
+                enobufs_backoffs: a.enobufs_backoffs + s.enobufs_backoffs,
+            })
     }
 }
 
 impl PacketIo for MmapBackend {
     fn queue_count(&self) -> usize {
-        self.int_port.rx.len()
+        self.ledger.queue_count()
     }
 
     fn pool(&self) -> &Mempool {
-        &self.pool
+        self.ledger.pool()
     }
 
     fn pool_mut(&mut self) -> &mut Mempool {
-        &mut self.pool
+        self.ledger.pool_mut()
     }
 
     /// Walk user-owned RX blocks in place — no syscalls — admitting
@@ -646,22 +663,8 @@ impl PacketIo for MmapBackend {
         let block_size = self.ring_cfg.rx_block_size as usize;
         let block_count = self.ring_cfg.rx_block_count;
         for dir in [Direction::Internal, Direction::External] {
+            let port = &mut self.ports[dir as usize];
             for _ in 0..self.pump_blocks {
-                // Destructure so ring reads and FIFO/pool writes
-                // borrow disjoint fields.
-                let MmapBackend {
-                    pool,
-                    classifier,
-                    int_port,
-                    ext_port,
-                    rx_log,
-                    rx_seen,
-                    ..
-                } = self;
-                let port = match dir {
-                    Direction::Internal => int_port,
-                    Direction::External => ext_port,
-                };
                 let block_off = port.cur_block as usize * block_size;
                 let Some(status) = port.rx_map.u32_at(block_off + BLK_STATUS) else {
                     break;
@@ -669,39 +672,15 @@ impl PacketIo for MmapBackend {
                 if status & STATUS_USER == 0 {
                     break; // kernel still owns it: ring drained
                 }
-                port.walked.clear();
-                let walk = walk_block(&port.rx_map, block_off, block_size, &mut port.walked);
-                if walk.malformed {
-                    port.counters.malformed_blocks += 1;
-                }
-                for wf in &port.walked {
-                    if wf.pkttype == PACKET_OUTGOING {
-                        continue; // our own transmission, looped back
-                    }
-                    *rx_seen += 1;
-                    let take = wf.snaplen.min(MBUF_SIZE);
-                    if wf.snaplen < wf.wire_len || wf.wire_len > MBUF_SIZE {
-                        port.counters.truncated += 1;
-                    }
-                    // The walker validated [data_off, data_off+snaplen)
-                    // against the block, so this slice cannot fail.
-                    let Some(frame) = RingMem::bytes(&port.rx_map, wf.data_off, take) else {
-                        continue;
-                    };
-                    if super::admit(
-                        pool,
-                        classifier,
-                        &mut port.rx,
-                        &mut port.stats,
-                        dir,
-                        frame,
-                        rx_log,
-                    )
-                    .is_some()
-                    {
-                        admitted += 1;
-                    }
-                }
+                admitted += admit_block(
+                    &port.rx_map,
+                    block_off..block_off + block_size,
+                    dir,
+                    &mut port.walked,
+                    &mut port.counters,
+                    &mut self.ledger,
+                    &mut self.rx_log,
+                );
                 // Hand the block back: after this volatile write the
                 // kernel may refill it, and no slice into it survives
                 // (the admission copies above are complete).
@@ -713,22 +692,11 @@ impl PacketIo for MmapBackend {
     }
 
     fn rx_len(&self, dir: Direction, q: usize) -> usize {
-        self.port_ref(dir).rx[q].len()
+        self.ledger.rx_len(dir, q)
     }
 
     fn rx_burst(&mut self, dir: Direction, q: usize, max: usize, out: &mut Vec<BufIdx>) -> usize {
-        let port = self.port(dir);
-        let mut n = 0;
-        while n < max {
-            match port.rx[q].pop() {
-                Some(b) => {
-                    out.push(b);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
+        self.ledger.rx_burst(dir, q, max, out)
     }
 
     /// Copy the frame into the next TX-ring slot *now*, while its
@@ -742,16 +710,7 @@ impl PacketIo for MmapBackend {
     fn tx_put(&mut self, dir: Direction, q: usize, buf: BufIdx) -> bool {
         let tx_frame_size = self.ring_cfg.tx_frame_size as usize;
         let tx_slots = self.ring_cfg.tx_slots();
-        let MmapBackend {
-            pool,
-            int_port,
-            ext_port,
-            ..
-        } = self;
-        let port = match dir {
-            Direction::Internal => int_port,
-            Direction::External => ext_port,
-        };
+        let port = &mut self.ports[dir as usize];
         if port.tx_inflight.len() >= tx_slots {
             return false;
         }
@@ -762,6 +721,7 @@ impl PacketIo for MmapBackend {
         if port.tx_map.u32_at(off + T2_STATUS) != Some(STATUS_KERNEL) {
             return false;
         }
+        let pool = self.ledger.pool_mut();
         let frame = pool.frame(buf);
         let bytes = frame.len();
         port.tx_map.write_bytes(off + TX_DATA_OFF, frame);
@@ -784,16 +744,7 @@ impl PacketIo for MmapBackend {
         let tx_frame_size = self.ring_cfg.tx_frame_size as usize;
         let mut sent = 0;
         for dir in [Direction::Internal, Direction::External] {
-            let MmapBackend {
-                int_port,
-                ext_port,
-                tx_errors,
-                ..
-            } = self;
-            let port = match dir {
-                Direction::Internal => int_port,
-                Direction::External => ext_port,
-            };
+            let port = &mut self.ports[dir as usize];
             if port.unkicked > 0 {
                 port.unkicked = 0;
                 // One syscall transmits the whole batch.
@@ -801,13 +752,13 @@ impl PacketIo for MmapBackend {
                     port.counters.kick_errors += 1;
                 }
             }
-            sent += port.reap_tx(tx_frame_size, tx_errors);
+            sent += port.reap_tx(tx_frame_size, dir, &mut self.ledger, &mut self.tx_errors);
         }
         sent
     }
 
     fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
-        self.port_ref(dir).stats[q]
+        self.ledger.queue_stats(dir, q)
     }
 }
 
@@ -953,6 +904,90 @@ mod tests {
         let walk = walk_block(&img[..], 0, BLOCK, &mut out);
         assert_eq!(walk.frames, 1);
         assert_eq!(out[0].pkttype, PACKET_OUTGOING);
+    }
+
+    #[test]
+    fn block_admission_matches_the_sim_backend() {
+        use crate::backend::{SimBackend, TesterIo};
+        use crate::tester::FlowGen;
+        use libvig::time::Time;
+        use vig_packet::{Ip4, Proto};
+        use vig_spec::NatConfig;
+
+        let cfg = NatConfig {
+            capacity: 64,
+            expiry_ns: Time::from_secs(60).nanos(),
+            external_ip: Ip4::new(10, 1, 0, 1),
+            start_port: 1,
+            ..NatConfig::paper_default()
+        };
+        let classifier = RssClassifier::for_nat(&cfg, 2);
+        let gen = FlowGen::new(Proto::Udp);
+        // Three frames of each of two flows: on 2-descriptor rings the
+        // third frame of a flow finds its queue full.
+        let frames: Vec<Vec<u8>> = [0, 0, 0, 1, 1, 1]
+            .iter()
+            .map(|&i| {
+                let mut b = vec![0u8; MBUF_SIZE];
+                let n = gen.write_frame(&gen.background(i), &mut b);
+                b.truncate(n);
+                b
+            })
+            .collect();
+        let mut laid: Vec<(&[u8], u32, u8)> =
+            frames.iter().map(|f| (&f[..], f.len() as u32, 0)).collect();
+        laid[4].1 = 9000; // the kernel captured less than the wire frame
+        laid.insert(2, (&frames[0][..], frames[0].len() as u32, PACKET_OUTGOING));
+        let img = block_with(&laid);
+
+        let mut ledger = PortLedger::new(classifier, 2);
+        let mut counters = RingCounters::default();
+        let mut rx_log = Some(Vec::new());
+        let admitted = admit_block(
+            &img[..],
+            0..BLOCK,
+            Direction::Internal,
+            &mut Vec::new(),
+            &mut counters,
+            &mut ledger,
+            &mut rx_log,
+        );
+        let mut sim = SimBackend::new(classifier, 2);
+        for f in &frames {
+            sim.stage(Direction::Internal, |b| {
+                b[..f.len()].copy_from_slice(f);
+                f.len()
+            });
+        }
+
+        for dir in [Direction::Internal, Direction::External] {
+            for q in 0..2 {
+                assert_eq!(ledger.queue_stats(dir, q), sim.queue_stats(dir, q));
+                let (mut wire_q, mut sim_q) = (Vec::new(), Vec::new());
+                ledger.rx_burst(dir, q, 8, &mut wire_q);
+                sim.rx_burst(dir, q, 8, &mut sim_q);
+                let wire_frames: Vec<&[u8]> =
+                    wire_q.iter().map(|&b| ledger.pool().frame(b)).collect();
+                let sim_frames: Vec<&[u8]> = sim_q.iter().map(|&b| sim.pool().frame(b)).collect();
+                assert_eq!(wire_frames, sim_frames, "port {dir:?} queue {q}");
+            }
+        }
+        assert_eq!(ledger.pool().available(), sim.pool_available());
+        let stats = sim.port_stats(Direction::Internal);
+        assert_eq!(admitted as u64, stats.rx);
+        assert_eq!(
+            stats.rx + stats.rx_dropped,
+            6,
+            "the looped-back copy is not offered"
+        );
+        assert!(stats.rx_dropped > 0, "a full ring drops");
+        assert_eq!(counters.truncated, 1);
+        assert_eq!(counters.malformed_blocks, 0);
+        let want: Vec<(Direction, Vec<u8>)> = frames
+            .into_iter()
+            .map(|f| (Direction::Internal, f))
+            .collect();
+        assert_eq!(rx_log, Some(want));
     }
 
     #[test]

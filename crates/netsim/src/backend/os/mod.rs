@@ -5,11 +5,12 @@
 //! [`mmap::MmapBackend`] shares a `TPACKET_V3` RX block ring and a
 //! `TPACKET_V2` TX ring with the kernel via `mmap`, so steady-state RX
 //! needs no syscalls at all and a whole TX batch is flushed with a
-//! single kick. It classifies frames into per-queue software FIFOs with
-//! the *same* [`RssClassifier`] the sim backend and the sharded table
-//! use, and keeps the sim backend's per-queue drop accounting, so the
-//! verified NAT, the event loop, and the conformance suites are
-//! identical across backends; only the frame transport changes.
+//! single kick. It admits every frame through the *same*
+//! [`PortLedger`](super::PortLedger) the sim backend is built on —
+//! the [`RssClassifier`] the sharded table routes by, the per-queue
+//! FIFOs and their drop accounting — so the verified NAT, the event
+//! loop, and the conformance suites are identical across backends;
+//! only the frame transport changes.
 //!
 //! [`RawSocket`] is the plain per-frame socket (`recvfrom` / `send`):
 //! the test rig's peer ends inject and collect through it.
@@ -32,7 +33,7 @@
 //!
 //! ## TX attribution
 //!
-//! The device models count `tx`/`tx_bytes` when a frame enters the TX
+//! The sim backend counts `tx`/`tx_bytes` when a frame enters the TX
 //! ring (the simulated NIC owns it from that point). The wire backend
 //! counts at *flush* time, and only frames the kernel actually
 //! accepted — an enqueued frame the kernel refuses is a `tx_error`,
@@ -48,7 +49,7 @@
 //! cleanly in that case (CI runs them in a privileged job).
 
 use super::{PacketIo, TesterIo};
-use crate::dpdk::{BufIdx, Mempool, PortStats, Ring, MBUF_SIZE};
+use crate::dpdk::{BufIdx, Mempool, PortStats, MBUF_SIZE};
 use crate::frame_env::RssClassifier;
 use std::io;
 use vig_packet::Direction;
@@ -187,12 +188,6 @@ pub trait WireBackend: PacketIo {
     /// Take the recorded arrival trace (see [`WireBackend::set_rx_log`]).
     fn take_rx_log(&mut self) -> Vec<(Direction, Vec<u8>)>;
 
-    /// Total frames received from the kernel over this backend's
-    /// lifetime (after the own-transmission filter), whether admitted
-    /// to a FIFO or dropped at a full ring — the tester's "has
-    /// everything I sent arrived yet?" signal.
-    fn rx_seen(&self) -> u64;
-
     /// Real receive errors from the kernel (not `EWOULDBLOCK`, which
     /// just means "no frame waiting"): `ENETDOWN` after the interface
     /// went down, `ENODEV` after a veth peer was deleted, … A live
@@ -227,39 +222,6 @@ pub struct IoRetryStats {
     pub eintr_retries: u64,
     /// Bounded backoff-sleeps taken on `ENOBUFS` before retrying TX.
     pub enobufs_backoffs: u64,
-}
-
-/// Admit one frame into a port's per-queue FIFOs: log it, classify it,
-/// and apply the driver contract's drop accounting (pool exhaustion or
-/// a full ring counts `rx_dropped` on the frame's queue; admission
-/// counts `rx`) — the same ledger the sim backend keeps, so a recorded
-/// wire trace replays through it to identical per-queue counters.
-pub(super) fn admit(
-    pool: &mut Mempool,
-    classifier: &RssClassifier,
-    rx: &mut [Ring],
-    stats: &mut [PortStats],
-    dir: Direction,
-    frame: &[u8],
-    rx_log: &mut Option<Vec<(Direction, Vec<u8>)>>,
-) -> Option<usize> {
-    if let Some(log) = rx_log {
-        log.push((dir, frame.to_vec()));
-    }
-    let q = classifier.queue_of(dir, frame);
-    let Some(buf) = pool.get() else {
-        stats[q].rx_dropped += 1;
-        return None;
-    };
-    pool.write_frame(buf, frame);
-    if rx[q].push(buf) {
-        stats[q].rx += 1;
-        Some(q)
-    } else {
-        pool.put(buf);
-        stats[q].rx_dropped += 1;
-        None
-    }
 }
 
 /// A veth pair created (and deleted on drop) via the `ip` tool — the
@@ -326,8 +288,9 @@ impl Drop for VethPair {
 /// conformance suites run unchanged over real kernel packet I/O.
 pub struct OsTestRig<B: WireBackend = mmap::MmapBackend> {
     backend: B,
-    int_peer: RawSocket,
-    ext_peer: RawSocket,
+    /// The tester's sockets on the far ends, indexed by `Direction as
+    /// usize`.
+    peers: [RawSocket; 2],
     scratch: Box<[u8; MBUF_SIZE]>,
 }
 
@@ -361,8 +324,7 @@ impl<B: WireBackend> OsTestRig<B> {
     ) -> io::Result<OsTestRig<B>> {
         Ok(OsTestRig {
             backend,
-            int_peer: RawSocket::open(&int_veth.b)?,
-            ext_peer: RawSocket::open(&ext_veth.b)?,
+            peers: [RawSocket::open(&int_veth.b)?, RawSocket::open(&ext_veth.b)?],
             scratch: Box::new([0u8; MBUF_SIZE]),
         })
     }
@@ -378,13 +340,6 @@ impl<B: WireBackend> OsTestRig<B> {
         &mut self.backend
     }
 
-    fn peer(&self, dir: Direction) -> &RawSocket {
-        match dir {
-            Direction::Internal => &self.int_peer,
-            Direction::External => &self.ext_peer,
-        }
-    }
-
     /// Receive frames the NAT transmitted out of port `dir` (arriving
     /// at the tester's peer socket), waiting up to `timeout` for at
     /// least `expect` of them. TX-queue attribution does not survive
@@ -398,10 +353,7 @@ impl<B: WireBackend> OsTestRig<B> {
     ) -> Vec<(usize, Vec<u8>)> {
         let deadline = std::time::Instant::now() + timeout;
         let mut out = Vec::new();
-        let peer = match dir {
-            Direction::Internal => &self.int_peer,
-            Direction::External => &self.ext_peer,
-        };
+        let peer = &self.peers[dir as usize];
         let scratch = &mut self.scratch;
         loop {
             while let Ok(Some((len, pkttype))) = peer.recv_from(&mut scratch[..]) {
@@ -471,7 +423,7 @@ impl<B: WireBackend> TesterIo for OsTestRig<B> {
             .backend
             .classifier()
             .queue_of(dir, &self.scratch[..len]);
-        match self.peer(dir).send(&self.scratch[..len]) {
+        match self.peers[dir as usize].send(&self.scratch[..len]) {
             Ok(_) => Some(q),
             Err(_) => None,
         }

@@ -1,81 +1,65 @@
 //! [`SimBackend`]: the in-process NIC model behind the [`PacketIo`]
 //! seam.
 //!
-//! An adapter over two [`MultiQueueDevice`]s and one [`Mempool`]: the
-//! two-port testbed of the paper's Fig. 11 (one queue) or its RSS
-//! multi-queue extension, arranged behind the backend trait so the one
-//! drain loop ([`crate::eventloop::BackendDriver`]) serves it like any
-//! other packet source. `tests/queue_equivalence.rs` proves the driver
-//! over this backend byte-for-byte equivalent per flow to sequential
+//! A [`PortLedger`] (the pool, the classifier, and per port and queue
+//! the RX rings and counters) plus a TX ring per port and queue that
+//! the tester reaps: the two-port testbed of the paper's Fig. 11 (one
+//! queue) or its RSS multi-queue extension, arranged behind the
+//! backend trait so the one drain loop
+//! ([`crate::eventloop::BackendDriver`]) serves it like any other
+//! packet source. `tests/queue_equivalence.rs` proves the driver over
+//! this backend byte-for-byte equivalent per flow to sequential
 //! per-frame processing, per-queue drop accounting under overflow
 //! included.
 
-use super::{PacketIo, TesterIo};
-use crate::dpdk::{BufIdx, Mempool, MultiQueueDevice, PortStats, MBUF_SIZE};
+use super::{PacketIo, PortLedger, TesterIo};
+use crate::dpdk::{BufIdx, Mempool, PortStats, Ring, MBUF_SIZE};
 use crate::frame_env::RssClassifier;
 use vig_packet::Direction;
 
 /// The simulated two-port multi-queue backend. See module docs.
 pub struct SimBackend {
-    pool: Mempool,
-    int_dev: MultiQueueDevice,
-    ext_dev: MultiQueueDevice,
-    classifier: RssClassifier,
+    ledger: PortLedger,
+    /// `tx[dir as usize][q]`: frames the NF transmitted, until reaped.
+    tx: [Vec<Ring>; 2],
     scratch: Box<[u8; MBUF_SIZE]>,
 }
 
 impl SimBackend {
     /// Backend whose ports have one RX/TX ring pair of `ring_size`
-    /// descriptors per classifier queue. The pool holds four rings'
-    /// worth of buffers per queue — both ports' RX and TX rings can be
-    /// full at once without exhausting it.
+    /// descriptors per classifier queue, over the ledger's pool.
     pub fn new(classifier: RssClassifier, ring_size: usize) -> SimBackend {
         let queues = classifier.queue_count();
+        let rings = || (0..queues).map(|_| Ring::new(ring_size)).collect();
         SimBackend {
-            pool: Mempool::new(queues * ring_size * 4),
-            int_dev: MultiQueueDevice::new(queues, ring_size),
-            ext_dev: MultiQueueDevice::new(queues, ring_size),
-            classifier,
+            ledger: PortLedger::new(classifier, ring_size),
+            tx: [rings(), rings()],
             scratch: Box::new([0u8; MBUF_SIZE]),
-        }
-    }
-
-    fn dev(&mut self, d: Direction) -> &mut MultiQueueDevice {
-        match d {
-            Direction::Internal => &mut self.int_dev,
-            Direction::External => &mut self.ext_dev,
-        }
-    }
-
-    fn dev_ref(&self, d: Direction) -> &MultiQueueDevice {
-        match d {
-            Direction::Internal => &self.int_dev,
-            Direction::External => &self.ext_dev,
         }
     }
 
     /// The classifier steering this backend's traffic.
     pub fn classifier(&self) -> RssClassifier {
-        self.classifier
+        self.ledger.classifier()
     }
 
     /// Buffers currently free in the pool (leak checks).
     pub fn pool_available(&self) -> usize {
-        self.pool.available()
+        self.ledger.pool().available()
     }
 }
 
 impl PacketIo for SimBackend {
     fn queue_count(&self) -> usize {
-        self.int_dev.queue_count()
+        self.ledger.queue_count()
     }
 
     fn pool(&self) -> &Mempool {
-        &self.pool
+        self.ledger.pool()
     }
 
     fn pool_mut(&mut self) -> &mut Mempool {
-        &mut self.pool
+        self.ledger.pool_mut()
     }
 
     /// No outside world: the tester stages frames via [`TesterIo`].
@@ -84,16 +68,22 @@ impl PacketIo for SimBackend {
     }
 
     fn rx_len(&self, dir: Direction, q: usize) -> usize {
-        self.dev_ref(dir).rx_len(q)
+        self.ledger.rx_len(dir, q)
     }
 
     fn rx_burst(&mut self, dir: Direction, q: usize, max: usize, out: &mut Vec<BufIdx>) -> usize {
-        self.dev(dir).rx_burst(q, max, out)
+        self.ledger.rx_burst(dir, q, max, out)
     }
 
+    /// The NIC owns the frame once it is on the TX ring, so `tx` and
+    /// `tx_bytes` count here.
     fn tx_put(&mut self, dir: Direction, q: usize, buf: BufIdx) -> bool {
-        let bytes = self.pool.frame(buf).len();
-        self.dev(dir).tx_put(q, buf, bytes)
+        let bytes = self.ledger.pool().frame(buf).len();
+        let ok = self.tx[dir as usize][q].push(buf);
+        if ok {
+            self.ledger.count_tx(dir, q, bytes);
+        }
+        ok
     }
 
     /// TX frames stay queued for the tester's [`TesterIo::reap`].
@@ -102,42 +92,30 @@ impl PacketIo for SimBackend {
     }
 
     fn queue_stats(&self, dir: Direction, q: usize) -> PortStats {
-        self.dev_ref(dir).queue_stats(q)
+        self.ledger.queue_stats(dir, q)
     }
 }
 
 impl TesterIo for SimBackend {
-    /// Tester-side: write the frame, classify it (the NIC hash unit's
-    /// step), and offer it to the chosen RX queue. A full ring counts
-    /// the drop on that queue; pool exhaustion manifests the same way
-    /// (an RX drop on the queue the frame would have entered — a NIC
-    /// out of descriptors).
+    /// Tester-side: write the frame, then admit it through the ledger
+    /// (classify, then a full ring or a dry pool counts an RX drop on
+    /// the frame's queue).
     fn stage(
         &mut self,
         dir: Direction,
         fields_writer: impl FnOnce(&mut [u8]) -> usize,
     ) -> Option<usize> {
         let len = fields_writer(&mut self.scratch[..]);
-        let q = self.classifier.queue_of(dir, &self.scratch[..len]);
-        let Some(buf) = self.pool.get() else {
-            self.dev(dir).note_rx_drop(q);
-            return None;
-        };
-        self.pool.write_frame(buf, &self.scratch[..len]);
-        if self.dev(dir).offer_to(q, buf) {
-            Some(q)
-        } else {
-            self.pool.put(buf);
-            None
-        }
+        self.ledger.admit(dir, &self.scratch[..len])
     }
 
     fn reap(&mut self, dir: Direction) -> Vec<(usize, Vec<u8>)> {
         let mut out = Vec::new();
-        for q in 0..self.queue_count() {
-            while let Some(buf) = self.dev(dir).tx_take(q) {
-                out.push((q, self.pool.frame(buf).to_vec()));
-                self.pool.put(buf);
+        for (q, ring) in self.tx[dir as usize].iter_mut().enumerate() {
+            while let Some(buf) = ring.pop() {
+                let pool = self.ledger.pool_mut();
+                out.push((q, pool.frame(buf).to_vec()));
+                pool.put(buf);
             }
         }
         out

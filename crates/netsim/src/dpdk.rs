@@ -1,4 +1,4 @@
-//! The DPDK-analog runtime: mempool, rings, devices.
+//! The DPDK-analog runtime: mempool, rings, port statistics.
 //!
 //! Faithful to the parts of DPDK the paper's NFs relied on:
 //!
@@ -12,8 +12,10 @@
 //! * **fixed-capacity rings** — like `rte_ring`, excess traffic is
 //!   dropped at the RX ring and counted, which is where "loss" in the
 //!   RFC 2544 throughput experiments comes from;
-//! * **port statistics** — rx/tx/drop counters per device, the numbers
-//!   the harness reads to compute loss rates.
+//! * **port statistics** — the [`PortStats`] counter type; the
+//!   per-queue counters themselves live in
+//!   [`PortLedger`](crate::backend::PortLedger), which admits and counts
+//!   frames for every backend.
 
 /// Default buffer size: one standard mbuf data room (holds any frame the
 /// evaluation uses; the paper's experiments are 64-byte frames).
@@ -190,127 +192,10 @@ pub struct PortStats {
     /// Frames transmitted.
     pub tx: u64,
     /// Bytes transmitted (`obytes`). Attributed when the frame is
-    /// handed to the transmit path: at `tx_put` for the device models
+    /// handed to the transmit path: at `tx_put` for the sim backend
     /// (the NIC owns the frame from that point), at flush time for the
-    /// OS backends (only a frame the kernel accepted counts).
+    /// wire backend (only a frame the kernel accepted counts).
     pub tx_bytes: u64,
-}
-
-/// A simulated multi-queue NIC port: N independent RX/TX ring pairs
-/// with per-queue statistics — the device model behind RSS (receive
-/// side scaling), where the NIC hashes each arriving frame and steers
-/// it to one of several hardware queues so that independent cores can
-/// drain them concurrently.
-///
-/// The classification step itself is *not* here: which queue a frame
-/// belongs to is the RSS function's business
-/// (`netsim::frame_env::RssClassifier`, shared with the software
-/// dispatch of `ParallelShardedNat`), and the tester applies it before
-/// calling [`MultiQueueDevice::offer_to`] — exactly like hardware,
-/// where the hash unit runs before the descriptor is posted to a queue.
-///
-/// Queues are fully independent: a full RX ring drops (and counts) on
-/// that queue only and can never stall or corrupt a sibling — the
-/// per-queue overflow tests pin this down.
-#[derive(Debug)]
-pub struct MultiQueueDevice {
-    rx: Vec<Ring>,
-    tx: Vec<Ring>,
-    stats: Vec<PortStats>,
-}
-
-impl MultiQueueDevice {
-    /// A port with `queues` RX/TX ring pairs of `ring_size` descriptors
-    /// each.
-    pub fn new(queues: usize, ring_size: usize) -> MultiQueueDevice {
-        assert!(queues > 0, "need at least one queue");
-        MultiQueueDevice {
-            rx: (0..queues).map(|_| Ring::new(ring_size)).collect(),
-            tx: (0..queues).map(|_| Ring::new(ring_size)).collect(),
-            stats: vec![PortStats::default(); queues],
-        }
-    }
-
-    /// Number of RX/TX queue pairs.
-    pub fn queue_count(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Tester-side: offer a frame to RX queue `q` (the queue the RSS
-    /// classifier picked). Returns `false` — and counts a drop in *this
-    /// queue's* stats — when that ring is full; siblings are untouched.
-    pub fn offer_to(&mut self, q: usize, buf: BufIdx) -> bool {
-        if self.rx[q].push(buf) {
-            self.stats[q].rx += 1;
-            true
-        } else {
-            self.stats[q].rx_dropped += 1;
-            false
-        }
-    }
-
-    /// Frames currently waiting in RX queue `q` (the readiness signal
-    /// an epoll-style poller level-triggers on).
-    pub fn rx_len(&self, q: usize) -> usize {
-        self.rx[q].len()
-    }
-
-    /// Tester-side: record an RX drop on queue `q` without touching the
-    /// ring — the accounting for a frame lost *before* the ring (e.g.
-    /// mempool exhaustion, a NIC with no free descriptors).
-    pub fn note_rx_drop(&mut self, q: usize) {
-        self.stats[q].rx_dropped += 1;
-    }
-
-    /// NF-side: drain up to `max` frames from RX queue `q` into `out`
-    /// (the per-queue `rte_eth_rx_burst` analog). Returns the count.
-    pub fn rx_burst(&mut self, q: usize, max: usize, out: &mut Vec<BufIdx>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.rx[q].pop() {
-                Some(b) => {
-                    out.push(b);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// NF-side: queue a frame of `bytes` bytes on TX queue `q`
-    /// (run-to-completion cores transmit on their own queue index).
-    pub fn tx_put(&mut self, q: usize, buf: BufIdx, bytes: usize) -> bool {
-        let ok = self.tx[q].push(buf);
-        if ok {
-            self.stats[q].tx += 1;
-            self.stats[q].tx_bytes += bytes as u64;
-        }
-        ok
-    }
-
-    /// Tester-side: collect a transmitted frame from TX queue `q`.
-    pub fn tx_take(&mut self, q: usize) -> Option<BufIdx> {
-        self.tx[q].pop()
-    }
-
-    /// Queue `q`'s counters.
-    pub fn queue_stats(&self, q: usize) -> PortStats {
-        self.stats[q]
-    }
-
-    /// Port-wide counters: the sum over queues (what `rte_eth_stats`
-    /// reports at the port level).
-    pub fn port_stats(&self) -> PortStats {
-        self.stats
-            .iter()
-            .fold(PortStats::default(), |a, s| PortStats {
-                rx: a.rx + s.rx,
-                rx_dropped: a.rx_dropped + s.rx_dropped,
-                tx: a.tx + s.tx,
-                tx_bytes: a.tx_bytes + s.tx_bytes,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -449,61 +334,111 @@ mod tests {
         assert_eq!(r.pop(), None);
     }
 
+    // The per-queue port counters are kept by `backend::PortLedger`;
+    // these pin down the `PortStats` semantics it reports.
+
+    use crate::backend::PortLedger;
+    use crate::frame_env::RssClassifier;
+    use crate::tester::FlowGen;
+    use vig_packet::{Direction, Proto};
+    use vig_spec::NatConfig;
+
+    /// A ledger with `queues` queues of `ring_size` descriptors, and a
+    /// picker of distinct inside frames the classifier steers to a
+    /// given queue.
+    fn ledger(queues: usize, ring_size: usize) -> (PortLedger, impl FnMut(usize) -> Vec<u8>) {
+        let classifier = RssClassifier::for_nat(&NatConfig::paper_default(), queues);
+        let gen = FlowGen::new(Proto::Udp);
+        let mut next = 0u32;
+        let frame_on = move |q: usize| loop {
+            let mut buf = [0u8; MBUF_SIZE];
+            let len = gen.write_frame(&gen.background(next), &mut buf);
+            next += 1;
+            if classifier.queue_of(Direction::Internal, &buf[..len]) == q {
+                return buf[..len].to_vec();
+            }
+        };
+        (PortLedger::new(classifier, ring_size), frame_on)
+    }
+
+    /// Port-wide counters: the sum over queues (what `rte_eth_stats`
+    /// reports at the port level).
+    fn port_stats(l: &PortLedger) -> PortStats {
+        (0..l.queue_count())
+            .map(|q| l.queue_stats(Direction::Internal, q))
+            .fold(PortStats::default(), |a, s| PortStats {
+                rx: a.rx + s.rx,
+                rx_dropped: a.rx_dropped + s.rx_dropped,
+                tx: a.tx + s.tx,
+                tx_bytes: a.tx_bytes + s.tx_bytes,
+            })
+    }
+
     #[test]
     fn device_counts_loss() {
-        let mut d = MultiQueueDevice::new(1, 1);
-        assert!(d.offer_to(0, BufIdx(0)));
-        assert!(
-            !d.offer_to(0, BufIdx(1)),
+        let (mut d, mut frame_on) = ledger(1, 1);
+        let (a, b) = (frame_on(0), frame_on(0));
+        let dir = Direction::Internal;
+        assert_eq!(d.admit(dir, &a), Some(0));
+        assert_eq!(
+            d.admit(dir, &b),
+            None,
             "second offer overflows the 1-slot ring"
         );
-        assert_eq!(d.queue_stats(0).rx, 1);
-        assert_eq!(d.queue_stats(0).rx_dropped, 1);
+        assert_eq!(d.queue_stats(dir, 0).rx, 1);
+        assert_eq!(d.queue_stats(dir, 0).rx_dropped, 1);
+        assert_eq!(
+            d.pool().available(),
+            d.pool().capacity() - 1,
+            "dropped frame's buffer returned"
+        );
         let mut got = Vec::new();
-        assert_eq!(d.rx_burst(0, 1, &mut got), 1);
-        assert!(d.tx_put(0, got[0], 64));
-        assert_eq!(d.queue_stats(0).tx, 1);
-        assert_eq!(d.queue_stats(0).tx_bytes, 64);
-        assert_eq!(d.tx_take(0), Some(BufIdx(0)));
+        assert_eq!(d.rx_burst(dir, 0, 1, &mut got), 1);
+        assert_eq!(d.pool().frame(got[0]), &a[..]);
+        d.count_tx(dir, 0, 64);
+        assert_eq!(d.queue_stats(dir, 0).tx, 1);
+        assert_eq!(d.queue_stats(dir, 0).tx_bytes, 64);
     }
 
     #[test]
     fn multiqueue_queues_are_independent() {
-        let mut d = MultiQueueDevice::new(3, 2);
+        let (mut d, mut frame_on) = ledger(3, 2);
+        let dir = Direction::Internal;
         assert_eq!(d.queue_count(), 3);
         // Fill queue 1 past capacity; queues 0 and 2 keep working.
-        assert!(d.offer_to(1, BufIdx(0)));
-        assert!(d.offer_to(1, BufIdx(1)));
-        assert!(!d.offer_to(1, BufIdx(2)), "queue 1 overflows");
-        assert!(d.offer_to(0, BufIdx(3)));
-        assert!(d.offer_to(2, BufIdx(4)));
-        assert_eq!(d.queue_stats(1).rx_dropped, 1);
-        assert_eq!(d.queue_stats(0).rx_dropped, 0);
-        assert_eq!(d.queue_stats(2).rx_dropped, 0);
-        assert_eq!(d.rx_len(0), 1);
-        assert_eq!(d.rx_len(1), 2);
-        assert_eq!(d.rx_len(2), 1);
-        let total = d.port_stats();
+        assert_eq!(d.admit(dir, &frame_on(1)), Some(1));
+        assert_eq!(d.admit(dir, &frame_on(1)), Some(1));
+        assert_eq!(d.admit(dir, &frame_on(1)), None, "queue 1 overflows");
+        assert_eq!(d.admit(dir, &frame_on(0)), Some(0));
+        assert_eq!(d.admit(dir, &frame_on(2)), Some(2));
+        assert_eq!(d.queue_stats(dir, 1).rx_dropped, 1);
+        assert_eq!(d.queue_stats(dir, 0).rx_dropped, 0);
+        assert_eq!(d.queue_stats(dir, 2).rx_dropped, 0);
+        assert_eq!(d.rx_len(dir, 0), 1);
+        assert_eq!(d.rx_len(dir, 1), 2);
+        assert_eq!(d.rx_len(dir, 2), 1);
+        let total = port_stats(&d);
         assert_eq!((total.rx, total.rx_dropped, total.tx), (4, 1, 0));
     }
 
     #[test]
     fn multiqueue_rx_tx_roundtrip_per_queue() {
-        let mut d = MultiQueueDevice::new(2, 4);
-        for i in 0..3 {
-            assert!(d.offer_to(0, BufIdx(i)));
+        let (mut d, mut frame_on) = ledger(2, 4);
+        let dir = Direction::Internal;
+        let frames: Vec<Vec<u8>> = (0..3).map(|_| frame_on(0)).collect();
+        for f in &frames {
+            assert_eq!(d.admit(dir, f), Some(0));
         }
         let mut out = Vec::new();
-        assert_eq!(d.rx_burst(0, 2, &mut out), 2);
-        assert_eq!(out, vec![BufIdx(0), BufIdx(1)]);
-        assert_eq!(d.rx_burst(1, 8, &mut out), 0, "sibling queue is empty");
-        assert!(d.tx_put(0, BufIdx(0), 128));
-        assert_eq!(d.tx_take(0), Some(BufIdx(0)));
-        assert_eq!(d.tx_take(1), None);
-        assert_eq!(d.queue_stats(0).tx, 1);
-        assert_eq!(d.queue_stats(0).tx_bytes, 128);
-        assert_eq!(d.queue_stats(1).tx, 0);
-        assert_eq!(d.port_stats().tx_bytes, 128, "port sum includes bytes");
+        assert_eq!(d.rx_burst(dir, 0, 2, &mut out), 2);
+        let got: Vec<&[u8]> = out.iter().map(|&b| d.pool().frame(b)).collect();
+        assert_eq!(got, vec![&frames[0][..], &frames[1][..]], "FIFO order");
+        assert_eq!(d.rx_burst(dir, 1, 8, &mut out), 0, "sibling queue is empty");
+        d.count_tx(dir, 0, 128);
+        assert_eq!(d.queue_stats(dir, 0).tx, 1);
+        assert_eq!(d.queue_stats(dir, 0).tx_bytes, 128);
+        assert_eq!(d.queue_stats(dir, 1).tx, 0);
+        assert_eq!(port_stats(&d).tx_bytes, 128, "port sum includes bytes");
     }
 
     #[test]

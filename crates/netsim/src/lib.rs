@@ -8,9 +8,7 @@
 //!
 //! * [`dpdk`] — the runtime: a preallocated buffer [`dpdk::Mempool`]
 //!   (DPDK's mbuf pool), fixed-capacity [`dpdk::Ring`]s, and the
-//!   [`dpdk::MultiQueueDevice`] port model (N RX/TX ring pairs with
-//!   per-queue statistics, fed through the RSS classifier; one queue
-//!   is the paper's single-ring port);
+//!   [`dpdk::PortStats`] counters;
 //! * [`eventloop`] — the one driver, [`eventloop::BackendDriver`]:
 //!   readiness over queue non-empty events, rotating round-robin
 //!   visits of at most `MAX_BURST` frames, idle backoff, and the
@@ -38,7 +36,10 @@
 //!   `benchmark/` only;
 //! * [`backend`] — the pluggable packet-I/O layer: the
 //!   [`backend::PacketIo`] driver contract (classify into per-queue
-//!   FIFOs, budgeted drain, per-queue stats), with the simulated
+//!   FIFOs, budgeted drain, per-queue stats), the port model both
+//!   backends are built on ([`backend::PortLedger`]: N RX rings per
+//!   port with per-queue statistics, fed through the RSS classifier;
+//!   one queue is the paper's single-ring port), the simulated
 //!   [`backend::SimBackend`] and, on Linux, one `AF_PACKET` wire
 //!   backend feeding the same event loop with real kernel-delivered
 //!   frames: [`backend::os::mmap::MmapBackend`] (`TPACKET_V3` RX block
@@ -73,7 +74,7 @@ pub mod tester;
 pub use backend::{
     CorruptKind, FaultIo, FaultPlan, FaultStats, PacketIo, SimBackend, TesterIo, TruncateKind,
 };
-pub use dpdk::{Mempool, MultiQueueDevice, PortStats, Ring};
+pub use dpdk::{Mempool, PortStats, Ring};
 pub use eventloop::{BackendDriver, TxRecord};
 pub use frame_env::{BurstEnv, FrameEnv, RssClassifier};
 pub use middlebox::{Middlebox, NoopForwarder, Verdict, VigNatMb};

@@ -352,6 +352,19 @@ mod os {
         LIVE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Frames the backend took from the kernel past the
+    /// own-transmission filter: each one was admitted or dropped on a
+    /// queue, so it shows up as `rx` or `rx_dropped`.
+    fn rx_seen(io: &impl PacketIo) -> u64 {
+        [Direction::Internal, Direction::External]
+            .into_iter()
+            .map(|dir| {
+                let s = io.port_stats(dir);
+                s.rx + s.rx_dropped
+            })
+            .sum()
+    }
+
     /// Where the CI job picks up failure artifacts.
     fn trace_dir() -> std::path::PathBuf {
         let d = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/os-backend-trace");
@@ -469,10 +482,10 @@ mod os {
             // Frames dropped at a full RX FIFO still count as seen:
             // the recorded trace replays the drop identically in sim.
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            let seen_before = os_drv.io().backend().rx_seen();
+            let seen_before = rx_seen(os_drv.io().backend());
             loop {
                 os_drv.io_mut().pump_rx();
-                let seen = (os_drv.io().backend().rx_seen() - seen_before) as usize;
+                let seen = (rx_seen(os_drv.io().backend()) - seen_before) as usize;
                 if seen >= sent {
                     break;
                 }
@@ -660,12 +673,12 @@ mod os {
             .expect("poll works");
         assert!(ready, "retire timeout hands over the partial block");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        while rig.backend().rx_seen() < 3 {
+        while rx_seen(rig.backend()) < 3 {
             rig.pump_rx();
             assert!(
                 std::time::Instant::now() < deadline,
                 "3 frames must arrive via block retire, got {}",
-                rig.backend().rx_seen()
+                rx_seen(rig.backend())
             );
         }
         let rx_total: u64 = (0..2)
@@ -721,7 +734,7 @@ mod os {
         std::thread::sleep(std::time::Duration::from_millis(20));
         rig.pump_rx();
         let drops = rig.backend_mut().kernel_drops();
-        let seen = rig.backend().rx_seen();
+        let seen = rx_seen(rig.backend());
         assert!(
             drops > 0,
             "a 2-block ring cannot absorb {staged} frames (seen {seen}, kernel drops {drops})"
@@ -792,7 +805,7 @@ mod os {
                     .stage(Direction::Internal, |b| gen.write_frame(&f, b))
                     .is_some());
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                while drv.io().backend().rx_seen() < 1 {
+                while rx_seen(drv.io().backend()) < 1 {
                     drv.drain(&mut nf, Time::from_secs(1));
                     assert!(std::time::Instant::now() < deadline);
                 }

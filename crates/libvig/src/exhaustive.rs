@@ -7,8 +7,8 @@
 //! the implementation in lockstep with its abstract model (the
 //! `Checked*` wrappers panic on any divergence or contract violation).
 //! Data-structure bugs overwhelmingly manifest in small scopes — e.g.
-//! the open-addressing deletion bug the chain counters exist to prevent
-//! shows up with 3 colliding keys and depth 5.
+//! the open-addressing deletion bug the map's backward shift exists to
+//! prevent shows up with 3 colliding keys and depth 5.
 //!
 //! The driver is generic so every structure reuses it; per-structure
 //! tests live here (rather than per-module) because they are slow-ish
@@ -155,6 +155,50 @@ mod tests {
                         m.erase(&key(k));
                     }
                 }
+            }
+        });
+        assert_eq!(n, (0..=5).map(|d| 12u64.pow(d)).sum::<u64>());
+    }
+
+    #[test]
+    fn map_all_sequences_depth5_erase_shift_keeps_entries_at_their_start() {
+        // Capacity 17: two full groups and a one-lane last group. Two
+        // keys start at group 0 and two at lane 16, whose cluster wraps
+        // into group 0, so an erase's backward shift meets both an
+        // entry whose probe path crosses the hole (it moves back) and
+        // one that sits at or after its own start past the hole (it
+        // must stay): erasing k2 at lane 16 with k0 at lane 0 leaves
+        // k0 where it is.
+        const CAP: usize = 17;
+        let keys = [
+            placed(0, 3, 0, CAP),
+            placed(1, 3, 0, CAP),  // same start and tag as k0
+            placed(2, 3, 16, CAP), // same tag, the wrapping start
+            placed(3, 127, 16, CAP),
+        ];
+        let universe: Vec<MapOp> = (0..4u8)
+            .flat_map(|k| [MapOp::Put(k), MapOp::Get(k), MapOp::Erase(k)])
+            .collect();
+        let init = CheckedMap::<PlacedKey>::new(CAP);
+        let n = check_all_sequences(&init, &universe, 5, &|m, op| {
+            let key = |k: u8| keys[k as usize].clone();
+            match *op {
+                MapOp::Put(k) => {
+                    if m.get(&key(k)).is_none() {
+                        let _ = m.put(key(k), usize::from(k));
+                    }
+                }
+                MapOp::Get(k) => {
+                    m.get(&key(k));
+                }
+                MapOp::Erase(k) => {
+                    if m.get(&key(k)).is_some() {
+                        m.erase(&key(k));
+                    }
+                }
+            }
+            for k in 0..4u8 {
+                m.get(&key(k));
             }
         });
         assert_eq!(n, (0..=5).map(|d| 12u64.pow(d)).sum::<u64>());

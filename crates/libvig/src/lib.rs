@@ -9,7 +9,7 @@
 //!
 //! | module | structure | paper counterpart |
 //! |--------|-----------|-------------------|
-//! | [`map`] | open-addressing hash map with probe-chain counters; single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_staged` burst probe across one map or several (`get_batch_with_hash`: one) | `map.c` / `map.h` |
+//! | [`map`] | open-addressing hash map with backward-shift erase (every probe stops at the first free slot); single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_staged` burst probe across one map or several (`get_batch_with_hash`: one) | `map.c` / `map.h` |
 //! | [`dmap`] | double-keyed map over preallocated value slots: one hash directory for the A-key (`get_by_a_with_hash`, `put_with_hash`, `directory` for staged probes), the B-key compared at the slot it names (`get_by_b_at`) | the flow table (`double-map.c`) |
 //! | [`dchain`] | index allocator with LRU timestamp order on one list, or one list per timeout class; one 16-byte cell per index, `first_touch*` load hints | `double-chain.c` (expirator substrate) |
 //! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |

@@ -2,13 +2,19 @@
 //!
 //! This is the algorithm of Vigor's `map.c`, the structure whose formal
 //! contract the paper contrasts with DPDK's separate-chaining table (§6):
-//! linear probing over preallocated arrays, with a **probe-chain counter**
-//! per slot (`chains[i]` = how many stored keys' probe paths *traverse*
-//! slot `i` without stopping there). The counters replace tombstones:
-//! a miss can stop at the first slot that is both free and traversed by
-//! no chain, and deletion just decrements the counters along the probe
-//! path. The price — and the effect the paper's Fig. 12 shows at ~full
-//! occupancy — is that probe sequences grow as the table fills.
+//! linear probing over preallocated arrays, without tombstones. libVig
+//! keeps a probe-chain counter per slot so that a free slot stops a miss
+//! only when no stored key's probe path crosses it; under churn those
+//! counters make the probe length depend on the table's history. This
+//! map deletes by **backward shift** instead (Knuth's Algorithm R):
+//! `erase` moves every later entry of the cluster whose probe start does
+//! not lie between the hole and the entry back into the hole, so no
+//! probe path ever crosses a free slot. Every probe stops at the first
+//! free slot, and the table after an erase is a table the erased key
+//! never entered: which slots are busy, and how far each key sits from
+//! its start, depend on the live keys alone. The price — and the effect
+//! the paper's Fig. 12 shows at ~full occupancy — is that probe
+//! sequences grow as the table fills.
 //!
 //! The map stores `usize` values ("indices" in Vigor parlance) because
 //! libVig's composite structures ([`crate::dmap::DoubleMap`]) keep the
@@ -17,23 +23,21 @@
 //!
 //! ## Memory layout (cache-conscious)
 //!
-//! The table is a **single allocation** of `Slot`s: value, key and
-//! metadata for one probe position live side by side, so one probe
+//! The table is a **single allocation** of `Slot`s: value and key for
+//! one probe position live side by side, so one probe
 //! step touches one slot instead of scattering across five parallel
 //! arrays (the original layout paid up to five cache misses per step).
 //! The slot stores **no hash**: the control directory's 7-bit tag
 //! (below) already rejects 127 of 128 foreign keys before a slot is
 //! loaded, key equality decides the rest, and the tag is recomputable
 //! from the key ([`Map::check_tag_coherence`] does). Without the hash a
-//! NAT-sized slot (`Slot<FlowId>`) is 28 bytes of fields, and `#[repr(align(32))]` rounds it to 32: two slots per
-//! 64-byte line, none straddling two. Those 8 bytes per slot are what
+//! NAT-sized slot (`Slot<FlowId>`) is 24 bytes of fields, and
+//! `#[repr(align(32))]` rounds it to 32: two slots per 64-byte line,
+//! none straddling two. The 8 bytes the hash no longer takes are what
 //! pay for the flow table's directory headroom
-//! ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]).
-//!
-//! The busybit is folded into the high bit of the chain-counter word
-//! (`Slot::meta`); the remaining 31 bits count traversing probe chains,
-//! which bounds chains at 2^31 — far above any reachable occupancy
-//! (capacity itself is bounded by memory long before).
+//! ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]). A slot is busy when it
+//! holds a key; its control byte (below) says the same without loading
+//! it.
 //!
 //! ## Tag-group directory (SWAR probing)
 //!
@@ -44,22 +48,21 @@
 //! `hash % capacity` barely consumes). A probe step first scans a whole
 //! group with SWAR bit tricks — XOR against the broadcast tag, detect
 //! zero bytes, mask by busy bits — and only dereferences slots whose
-//! control byte matches (candidate hits) or is free (possible chain
-//! stop). Up to eight "load slot, compare" steps collapse into one u64
-//! load; busy slots holding *other* keys are skipped without touching
-//! their cache lines at all, which is exactly the cost that dominated
-//! near-full-table misses (paper Fig. 12, last point). The scheme is
-//! the portable-SWAR form of Swiss-table metadata probing (the
-//! `hashbrown` design), with one twist: a free byte is not a terminator
-//! by itself — the slot's probe-chain counter decides, as ever, whether
-//! a miss may stop there.
+//! control byte matches and that lie before the word's first free lane,
+//! where the probe stops without loading anything. Up to eight "load
+//! slot, compare" steps collapse into one u64 load; busy slots holding
+//! *other* keys are skipped without touching their cache lines at all,
+//! which is exactly the cost that dominated near-full-table misses
+//! (paper Fig. 12, last point). The scheme is the portable-SWAR form of
+//! Swiss-table metadata probing (the `hashbrown` design).
 //!
 //! The scalar probe survives as `*_scalar` reference functions; the
 //! differential suites (module tests, `libvig::exhaustive`,
 //! `tests/tag_probe_equivalence.rs`) keep the tag-probed operations
 //! byte-for-byte equivalent to both the scalar path and the abstract
 //! model, and [`Map::check_tag_coherence`] asserts the control
-//! directory is exactly the busy-bit/tag projection of the slots.
+//! directory is exactly the busy-bit/tag projection of the slots and
+//! that no free slot lies on a stored key's probe path.
 //!
 //! ## Batched lookups
 //!
@@ -133,23 +136,16 @@ impl MapKey for u16 {
 
 /// One probe position of the table: everything a probe step needs, in
 /// one place. Aligned so that a slot of up to 32 bytes never straddles
-/// a cache line (see the module docs). The busybit lives in the high
-/// bit of `meta`; the low 31 bits are the probe-chain counter.
+/// a cache line (see the module docs). The slot is busy when it holds
+/// a key.
 #[derive(Debug, Clone)]
 #[repr(align(32))]
 struct Slot<K> {
     /// Stored value (valid only when busy).
     value: usize,
-    /// Busybit (bit 31) | probe-chain counter (bits 0..31).
-    meta: u32,
     /// The stored key, inline in the slot allocation.
     key: Option<K>,
 }
-
-/// Busybit mask within [`Slot::meta`].
-const BUSY: u32 = 1 << 31;
-/// Chain-counter mask within [`Slot::meta`].
-const CHAIN: u32 = BUSY - 1;
 
 /// Slots per control word: eight one-byte lanes per `u64`.
 const GROUP: usize = 8;
@@ -209,28 +205,25 @@ fn free_lanes(w: u64) -> u64 {
     !w & LANE_MSB
 }
 
+/// High-bit-per-lane mask selecting the lanes below the lowest lane of
+/// `frees` — every lane when `frees` is empty. A probe's candidates lie
+/// there: nothing at or past a free lane is on its probe path.
+#[inline(always)]
+fn before_first(frees: u64) -> u64 {
+    (frees & frees.wrapping_neg()).wrapping_sub(1) & LANE_MSB
+}
+
 /// Where a tag-probed walk stopped (see [`Map::probe`]). `dist` is the
 /// 0-based probe distance — the scalar loop's `i` — so `dist + 1` slots
 /// were inspected.
 enum ProbeOutcome {
     /// The key was found in slot `idx`.
     Hit { idx: usize, dist: usize },
-    /// A free slot traversed by no probe chain proves the key absent.
+    /// A free slot proves the key absent: no stored key's probe path
+    /// crosses one (`erase` shifts the cluster back).
     MissStop { dist: usize },
     /// The whole table was scanned without a stopping condition.
     Scanned,
-}
-
-impl<K> Slot<K> {
-    #[inline(always)]
-    fn busy(&self) -> bool {
-        self.meta & BUSY != 0
-    }
-
-    #[inline(always)]
-    fn chain(&self) -> u32 {
-        self.meta & CHAIN
-    }
 }
 
 /// The verified open-addressing map. See the module docs for the
@@ -240,9 +233,8 @@ pub struct Map<K: MapKey> {
     slots: Vec<Slot<K>>,
     /// Control directory: one word per eight slots, one byte per slot
     /// (busy bit | 7-bit tag; zero when free). Kept beside the slot
-    /// array so the verified slot layout and chain counters are
-    /// untouched; lanes past `capacity` in the last word stay zero and
-    /// are masked out of every scan.
+    /// array so a scan loads no slot; lanes past `capacity` in the last
+    /// word stay zero and are masked out of every scan.
     tags: Vec<u64>,
     size: usize,
     capacity: usize,
@@ -253,15 +245,10 @@ impl<K: MapKey> Map<K> {
     /// non-zero (libVig asserts the same in `map_allocate`).
     pub fn new(capacity: usize) -> Map<K> {
         assert!(capacity > 0, "map capacity must be non-zero");
-        assert!(
-            capacity <= CHAIN as usize,
-            "map capacity must fit the 31-bit chain counters"
-        );
         Map {
             slots: (0..capacity)
                 .map(|_| Slot {
                     value: 0,
-                    meta: 0,
                     key: None,
                 })
                 .collect(),
@@ -277,6 +264,12 @@ impl<K: MapKey> Map<K> {
         let shift = (idx % GROUP) * 8;
         let w = &mut self.tags[idx / GROUP];
         *w = (*w & !(0xFFu64 << shift)) | (u64::from(byte) << shift);
+    }
+
+    /// Slot `idx`'s control byte.
+    #[inline(always)]
+    fn ctrl(&self, idx: usize) -> u8 {
+        (self.tags[idx / GROUP] >> ((idx % GROUP) * 8)) as u8
     }
 
     /// Capacity fixed at construction.
@@ -305,7 +298,7 @@ impl<K: MapKey> Map<K> {
     /// in range), and costs nothing at lookup time.
     ///
     /// Every operation — the SWAR scan, the `*_scalar` reference
-    /// probes, insert's chain-prefix marking and erase's unmarking —
+    /// probes, insert's free-lane search and erase's backward shift —
     /// derives its probe sequence from this one function, so SWAR ≡
     /// scalar equivalence (asserted by `CheckedMap` and the
     /// differential suites) is preserved by construction.
@@ -327,10 +320,9 @@ impl<K: MapKey> Map<K> {
 
     /// Look up `key`, returning the stored value if present.
     ///
-    /// Probes linearly from the hash slot; stops early at a slot that is
-    /// free and traversed by no probe chain (`!busy && chain == 0`),
-    /// which is what makes misses cheap at low occupancy and expensive
-    /// near fullness.
+    /// Probes linearly from the hash slot and stops at the first free
+    /// slot, which is what makes misses cheap at low occupancy and
+    /// expensive near fullness.
     pub fn get(&self, key: &K) -> Option<usize> {
         self.get_with_hash(key, key.key_hash())
     }
@@ -360,14 +352,11 @@ impl<K: MapKey> Map<K> {
         debug_assert_eq!(hash, key.key_hash(), "get_with_hash_scalar: stale hash");
         let start = self.start_of(hash);
         for i in 0..self.capacity {
-            let idx = (start + i) % self.capacity;
-            let slot = &self.slots[idx];
-            if slot.busy() {
-                if slot.key.as_ref() == Some(key) {
-                    return Some(slot.value);
-                }
-            } else if slot.chain() == 0 {
-                return None;
+            let slot = &self.slots[(start + i) % self.capacity];
+            match &slot.key {
+                Some(k) if k == key => return Some(slot.value),
+                Some(_) => {}
+                None => return None,
             }
         }
         None
@@ -411,21 +400,21 @@ impl<K: MapKey> Map<K> {
 
     /// The SWAR group walk every tag-probed operation shares: follow
     /// `key`'s probe sequence from `hash`'s start slot, scanning one
-    /// control word per step. Lanes whose byte matches the broadcast
-    /// tag are **candidates** (confirmed against the slot's key); free
-    /// lanes consult the slot's chain counter, which —
-    /// exactly as in the scalar walk — decides whether a miss may stop.
-    /// Busy lanes with a different tag are skipped without loading
-    /// their slots. `dist` is the 0-based probe distance (the scalar
-    /// loop's `i`) at the stopping position.
+    /// control word per step. Lanes before the window's first free lane
+    /// whose byte matches the broadcast tag are **candidates**
+    /// (confirmed against the slot's key); the first free lane stops
+    /// the walk without loading its slot. Busy lanes with a different
+    /// tag are skipped without loading their slots either. `dist` is
+    /// the 0-based probe distance (the scalar loop's `i`) at the
+    /// stopping position.
     #[inline]
     fn probe(&self, key: &K, hash: u64) -> ProbeOutcome {
         self.probe_at(key, hash, self.start_of(hash))
     }
 
     /// [`Map::probe`] from a start the caller already computed
-    /// (`start == self.start_of(hash)`): the batch path and `erase`
-    /// need the start themselves and pay its division once.
+    /// (`start == self.start_of(hash)`): the batch path computes the
+    /// start in its first stage and pays its division once.
     #[inline]
     fn probe_at(&self, key: &K, hash: u64, start: usize) -> ProbeOutcome {
         debug_assert_eq!(start, self.start_of(hash), "probe_at: stale start");
@@ -433,27 +422,20 @@ impl<K: MapKey> Map<K> {
         self.scan_windows(start, |base, off, hi, w, scanned| {
             let window = lane_window(off, hi);
             let frees = free_lanes(w) & window;
-            let mut events = (match_lanes(w, tag) & window) | frees;
-            while events != 0 {
-                let lowest = events & events.wrapping_neg();
-                let lane = (events.trailing_zeros() as usize) / 8;
-                let idx = base + lane;
-                let slot = &self.slots[idx];
-                if frees & lowest != 0 {
-                    if slot.chain() == 0 {
-                        return Some(ProbeOutcome::MissStop {
-                            dist: scanned + (lane - off),
-                        });
-                    }
-                } else if slot.key.as_ref() == Some(key) {
+            let mut candidates = match_lanes(w, tag) & window & before_first(frees);
+            while candidates != 0 {
+                let lane = (candidates.trailing_zeros() as usize) / 8;
+                if self.slots[base + lane].key.as_ref() == Some(key) {
                     return Some(ProbeOutcome::Hit {
-                        idx,
+                        idx: base + lane,
                         dist: scanned + (lane - off),
                     });
                 }
-                events &= events - 1;
+                candidates &= candidates - 1;
             }
-            None
+            (frees != 0).then(|| ProbeOutcome::MissStop {
+                dist: scanned + (frees.trailing_zeros() as usize) / 8 - off,
+            })
         })
         .unwrap_or(ProbeOutcome::Scanned)
     }
@@ -480,22 +462,23 @@ impl<K: MapKey> Map<K> {
     }
 
     /// Load the slot a probe for `hash` from `start` dereferences first
-    /// — the first lane of the start group that is free or carries the
-    /// hash's tag — and return its `meta` word for the caller to sink
-    /// into `black_box`. One field is enough: a slot is line-aligned and
-    /// never straddles (module docs), so one load warms all of it. A
-    /// start group with no such lane (eight busy slots of other tags)
-    /// loads nothing: the probe moves on to the next control word,
-    /// which is adjacent.
+    /// — the first lane of the start group that carries the hash's tag,
+    /// before the group's first free lane — and return its value for the
+    /// caller to sink into `black_box`. One field is enough: a slot is
+    /// line-aligned and never straddles (module docs), so one load warms
+    /// all of it. A start group with no such lane loads nothing: either
+    /// the probe stops at a free lane without a slot load, or it moves
+    /// on to the next control word, which is adjacent.
     #[inline(always)]
     fn first_touch_slot(&self, start: usize, hash: u64) -> u64 {
         let w = self.tags[start / GROUP];
         let window = lane_window(0, GROUP.min(self.capacity - start));
-        let events = (match_lanes(w, ctrl_byte(hash)) | free_lanes(w)) & window;
-        if events == 0 {
+        let candidates =
+            match_lanes(w, ctrl_byte(hash)) & window & before_first(free_lanes(w) & window);
+        if candidates == 0 {
             return 0;
         }
-        u64::from(self.slots[start + (events.trailing_zeros() as usize) / 8].meta)
+        self.slots[start + (candidates.trailing_zeros() as usize) / 8].value as u64
     }
 
     /// Number of slots a lookup for `key` would inspect. Exposed for the
@@ -516,14 +499,9 @@ impl<K: MapKey> Map<K> {
         let hash = key.key_hash();
         let start = self.start_of(hash);
         for i in 0..self.capacity {
-            let idx = (start + i) % self.capacity;
-            let slot = &self.slots[idx];
-            if slot.busy() {
-                if slot.key.as_ref() == Some(key) {
-                    return i + 1;
-                }
-            } else if slot.chain() == 0 {
-                return i + 1;
+            match &self.slots[(start + i) % self.capacity].key {
+                Some(k) if k != key => {}
+                _ => return i + 1,
             }
         }
         self.capacity
@@ -541,39 +519,29 @@ impl<K: MapKey> Map<K> {
     }
 
     /// [`Map::put`] with a caller-computed hash (same contract, plus
-    /// `hash == key.key_hash()`).
+    /// `hash == key.key_hash()`). The key takes the first free slot of
+    /// its probe sequence, the slot where a probe for it would stop, and
+    /// no other slot changes.
     pub fn put_with_hash(&mut self, key: K, hash: u64, value: usize) -> Result<(), Full> {
         debug_assert_eq!(hash, key.key_hash(), "put_with_hash: stale hash");
         if self.size == self.capacity {
             return Err(Full);
         }
-        let start = self.start_of(hash);
-        // SWAR scan for the first free slot on the probe path: an
-        // insert stops at the first non-busy position regardless of its
-        // chain counter, so only the free-lane mask matters here.
-        let found = self.scan_windows(start, |base, off, hi, w, scanned| {
+        // SWAR scan for the first free slot on the probe path: the key
+        // goes where a probe for it will stop.
+        let found = self.scan_windows(self.start_of(hash), |base, off, hi, w, _| {
             let frees = free_lanes(w) & lane_window(off, hi);
-            (frees != 0).then(|| {
-                let lane = (frees.trailing_zeros() as usize) / 8;
-                (base + lane, scanned + (lane - off))
-            })
+            (frees != 0).then(|| base + (frees.trailing_zeros() as usize) / 8)
         });
-        let Some((idx, i)) = found else {
+        let Some(idx) = found else {
             // Unreachable: size < capacity guarantees a free slot.
             return Err(Full);
         };
         let slot = &mut self.slots[idx];
-        slot.meta |= BUSY;
         slot.key = Some(key);
         slot.value = value;
         self.set_ctrl(idx, ctrl_byte(hash));
         self.size += 1;
-        // Mark the traversed prefix of the probe path.
-        let mut t = start;
-        for _ in 0..i {
-            self.slots[t].meta += 1; // chain bits; cannot carry into BUSY
-            t = self.next_pos(t);
-        }
         Ok(())
     }
 
@@ -582,25 +550,39 @@ impl<K: MapKey> Map<K> {
     /// Contract precondition: `key` is present. Returns `None` (and
     /// changes nothing) if it is not — the defensive behaviour keeps the
     /// raw structure total, and the contract layer flags the misuse.
+    ///
+    /// The freed slot is a hole in its cluster, and a probe stops at the
+    /// first free slot, so the cluster shifts back (Knuth's Algorithm
+    /// R): walking `j` forward to the first free lane, each entry whose
+    /// probe start does not lie cyclically in `(hole, j]` — whose probe
+    /// path crosses the hole — moves into the hole with its control
+    /// byte, and the hole moves to `j`. Each move brings an entry closer
+    /// to its start, and the hole is free, so the walk ends.
     pub fn erase(&mut self, key: &K) -> Option<usize> {
-        let hash = key.key_hash();
-        let start = self.start_of(hash);
-        let ProbeOutcome::Hit { idx, dist } = self.probe_at(key, hash, start) else {
+        let ProbeOutcome::Hit { idx, .. } = self.probe(key, key.key_hash()) else {
             return None;
         };
-        let slot = &mut self.slots[idx];
-        slot.meta &= !BUSY;
-        slot.key = None;
-        let v = slot.value;
+        let v = self.slots[idx].value;
+        self.slots[idx].key = None;
         self.set_ctrl(idx, 0);
         self.size -= 1;
-        let mut t = start;
-        for _ in 0..dist {
-            debug_assert!(self.slots[t].chain() > 0, "chain underflow");
-            if self.slots[t].chain() > 0 {
-                self.slots[t].meta -= 1;
+        let mut hole = idx;
+        let mut j = self.next_pos(idx);
+        while self.ctrl(j) != 0 {
+            let moved = self.slots[j].key.as_ref().expect("a busy lane holds a key");
+            let start = self.start_of(moved.key_hash());
+            let stays = if hole <= j {
+                hole < start && start <= j
+            } else {
+                hole < start || start <= j
+            };
+            if !stays {
+                self.set_ctrl(hole, self.ctrl(j));
+                self.set_ctrl(j, 0);
+                self.slots.swap(hole, j);
+                hole = j;
             }
-            t = self.next_pos(t);
+            j = self.next_pos(j);
         }
         Some(v)
     }
@@ -611,7 +593,10 @@ impl<K: MapKey> Map<K> {
     /// the slot caches no hash — every free slot's byte is zero, and the
     /// padding lanes past `capacity` in the last word are zero (they
     /// must never register as free *or* candidate in a scan of the
-    /// short last group). Test/diagnostic use; O(capacity).
+    /// short last group). Also asserts the linear-probing invariant a
+    /// probe's stop rule rests on: no free slot lies between a stored
+    /// key's probe start and its position. Test/diagnostic use;
+    /// O(capacity + total probe distance).
     pub fn check_tag_coherence(&self) -> Result<(), String> {
         if self.tags.len() != self.capacity.div_ceil(GROUP) {
             return Err(format!(
@@ -621,26 +606,33 @@ impl<K: MapKey> Map<K> {
             ));
         }
         for idx in 0..self.capacity {
-            let byte = (self.tags[idx / GROUP] >> ((idx % GROUP) * 8)) as u8;
-            let slot = &self.slots[idx];
-            if slot.busy() {
-                let Some(key) = &slot.key else {
-                    return Err(format!("slot {idx}: busy without a key"));
-                };
-                let want = ctrl_byte(key.key_hash());
-                if byte != want {
+            let byte = self.ctrl(idx);
+            let Some(key) = &self.slots[idx].key else {
+                if byte != 0 {
                     return Err(format!(
-                        "slot {idx}: control byte {byte:#04x} != expected {want:#04x}"
+                        "slot {idx}: free slot has control byte {byte:#04x}"
                     ));
                 }
-            } else if byte != 0 {
+                continue;
+            };
+            let want = ctrl_byte(key.key_hash());
+            if byte != want {
                 return Err(format!(
-                    "slot {idx}: free slot has control byte {byte:#04x}"
+                    "slot {idx}: control byte {byte:#04x} != expected {want:#04x}"
                 ));
+            }
+            let mut t = self.start_of(key.key_hash());
+            while t != idx {
+                if self.slots[t].key.is_none() {
+                    return Err(format!(
+                        "slot {idx}: free slot {t} lies on its key's probe path"
+                    ));
+                }
+                t = self.next_pos(t);
             }
         }
         for pad in self.capacity..self.tags.len() * GROUP {
-            let byte = (self.tags[pad / GROUP] >> ((pad % GROUP) * 8)) as u8;
+            let byte = self.ctrl(pad);
             if byte != 0 {
                 return Err(format!(
                     "padding lane {pad} past capacity has control byte {byte:#04x}"
@@ -654,13 +646,9 @@ impl<K: MapKey> Map<K> {
     /// libVig interface (the NF never scans the table); used by the
     /// contract layer and tests.
     pub fn iter(&self) -> impl Iterator<Item = (&K, usize)> + '_ {
-        self.slots.iter().filter_map(|s| {
-            if s.busy() {
-                s.key.as_ref().map(|k| (k, s.value))
-            } else {
-                None
-            }
-        })
+        self.slots
+            .iter()
+            .filter_map(|s| s.key.as_ref().map(|k| (k, s.value)))
     }
 }
 
@@ -965,8 +953,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// A key type whose hash collides in a controlled way, to stress the
-    /// chain counters. `group` determines the hash; `id` distinguishes
+    /// A key type whose hash collides in a controlled way, to stress
+    /// long clusters. `group` determines the hash; `id` distinguishes
     /// keys within the group.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct CollidingKey {
@@ -1055,8 +1043,8 @@ mod tests {
 
     #[test]
     fn erase_in_middle_of_chain_keeps_later_keys_reachable() {
-        // The classic open-addressing deletion hazard the chain counters
-        // solve: delete a key in the middle of a probe chain, then look
+        // The classic open-addressing deletion hazard the backward shift
+        // solves: delete a key in the middle of a probe chain, then look
         // up a key stored beyond it.
         let mut m = CheckedMap::<CollidingKey>::new(8);
         let k = |id| CollidingKey { group: 5, id };
@@ -1377,8 +1365,8 @@ mod tests {
                     stored.push(k);
                 }
             }
-            // Holes in the chains: free lanes whose chain counters say
-            // "keep going".
+            // Erases in the middle of the clusters: the shift moves
+            // entries back across group boundaries and the wrap.
             for i in erase {
                 if i < stored.len() && stored.len() > 72 {
                     m.erase(&stored.swap_remove(i));
@@ -1400,11 +1388,10 @@ mod tests {
             prop_assert!(m.check_tag_coherence().is_ok());
         }
 
-        /// Under insert-only sequences every free slot on a probe path
-        /// has chain 0 (inserts traverse only busy slots), so the miss
-        /// stop and the insert position coincide and `probe_len` is
-        /// monotone non-decreasing for every key — present or absent —
-        /// as the table fills.
+        /// Under insert-only sequences a free slot only ever becomes
+        /// busy, so the miss stop (the insert position) only moves
+        /// outward and `probe_len` is monotone non-decreasing for every
+        /// key — present or absent — as the table fills.
         #[test]
         fn probe_len_monotone_under_inserts(
             inserts in proptest::collection::hash_set((0u8..2, 0u8..8, 0u32..8), 1..24),
@@ -1435,6 +1422,73 @@ mod tests {
                     *prev = now;
                 }
             }
+        }
+    }
+
+    /// The control directory's busy lanes, and the probe lengths of
+    /// the stored keys summed: what a history-free map fixes by its live
+    /// keys alone.
+    fn busy_lanes_and_probe_sum(m: &Map<AdvKey>) -> (Vec<u64>, usize) {
+        let busy = m.tags.iter().map(|w| w & LANE_MSB).collect();
+        (busy, m.iter().map(|(k, _)| m.probe_len(k)).sum())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The map is history-free: after a run of puts and erases that
+        /// holds the table between 85 % full and full, which lanes are
+        /// busy and the stored keys' summed probe lengths equal those of
+        /// a fresh map built from the live keys alone, in shuffled
+        /// order. Keys collide in tag and start, and starts sit on the
+        /// first lane, the last (wraparound), mid-table, the last
+        /// group's first lane and anywhere.
+        #[test]
+        fn churned_map_equals_a_fresh_build_of_its_live_keys(
+            cap in 97usize..400,
+            seed in any::<u64>(),
+            churn in 200usize..1500,
+        ) {
+            let mut rng = seed;
+            let mut next = move || {
+                rng = rng.key_hash();
+                rng
+            };
+            let mut id = 0u32;
+            let mut mk = |r: u64| {
+                id += 1;
+                let start = match (r >> 8) % 5 {
+                    0 => 0,
+                    1 => cap - 1,
+                    2 => cap / 2,
+                    3 => (cap - 1) / GROUP * GROUP,
+                    _ => (r >> 16) as usize % cap,
+                };
+                AdvKey { id, hash: adv_hash([0, 0, 1, 127][(r % 4) as usize], start, cap) }
+            };
+            let mut m = Map::<AdvKey>::new(cap);
+            let mut live = Vec::new();
+            for _ in 0..churn + cap * 85 / 100 {
+                let r = next();
+                if m.is_full() || (r % 2 == 0 && live.len() * 100 > cap * 85) {
+                    let k: AdvKey = live.swap_remove((r >> 1) as usize % live.len());
+                    prop_assert_eq!(m.erase(&k), Some(k.id as usize));
+                } else {
+                    let k = mk(r);
+                    m.put(k.clone(), k.id as usize).unwrap();
+                    live.push(k);
+                }
+            }
+            prop_assert!(m.check_tag_coherence().is_ok(), "{:?}", m.check_tag_coherence());
+            for i in (1..live.len()).rev() {
+                live.swap(i, next() as usize % (i + 1));
+            }
+            let mut fresh = Map::<AdvKey>::new(cap);
+            for k in &live {
+                prop_assert_eq!(m.get(k), Some(k.id as usize));
+                fresh.put(k.clone(), k.id as usize).unwrap();
+            }
+            prop_assert_eq!(busy_lanes_and_probe_sum(&m), busy_lanes_and_probe_sum(&fresh));
         }
     }
 }

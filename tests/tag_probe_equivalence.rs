@@ -58,9 +58,9 @@ fn assert_map_matches_scalar(m: &Map<u64>, queries: impl Iterator<Item = u64>) {
 }
 
 /// The directory-layer differential at both target occupancies, through
-/// fill → erase (holes + live chain counters) → refill (realloc over
-/// holes) — the sequence that stresses the free-lane/chain interaction
-/// the SWAR walk must preserve.
+/// fill → erase (backward shifts through the clusters) → refill
+/// (inserts into the freed lanes) — the sequence that stresses the
+/// free-lane stop the SWAR walk must share with the scalar walk.
 #[test]
 fn map_equals_scalar_reference_at_49_and_98_occupancy() {
     for occupancy in [CAP * 49 / 100, CAP * 98 / 100] {
@@ -70,14 +70,14 @@ fn map_equals_scalar_reference_at_49_and_98_occupancy() {
         }
         // Hits, misses, and out-of-range misses.
         assert_map_matches_scalar(&m, (0..occupancy as u64 + 512).step_by(3));
-        // Erase a scattered 10% — leaves holes whose chain counters
-        // stay live — then recheck misses that probe across them.
+        // Erase a scattered 10% — each erase shifts its cluster back —
+        // then recheck misses that probe across the shifted clusters.
         for k in (0..occupancy as u64).step_by(10) {
             assert!(m.erase(&k).is_some());
         }
         assert_map_matches_scalar(&m, (0..occupancy as u64 + 512).step_by(7));
         // Refill the holes with fresh keys (realloc): probe paths now
-        // mix old chains, reused slots, and new tags.
+        // mix shifted clusters, reused slots, and new tags.
         let mut fresh = 1_000_000u64;
         while m.size() < occupancy {
             if m.get(&fresh).is_none() {
@@ -93,9 +93,9 @@ fn map_equals_scalar_reference_at_49_and_98_occupancy() {
 }
 
 /// While a table fills from empty to 98%, `probe_len` of a fixed query
-/// set is monotone non-decreasing (insert-only sequences leave every
-/// free slot chain-free, so the miss stop can only move outward), and
-/// at every sampled occupancy the tag walk equals the scalar walk.
+/// set is monotone non-decreasing (under inserts alone no busy slot
+/// frees, so the miss stop can only move outward), and at every
+/// sampled occupancy the tag walk equals the scalar walk.
 #[test]
 fn probe_len_monotone_while_filling_to_98pct() {
     let mut m = Map::<u64>::new(CAP);

@@ -30,8 +30,11 @@
 //!   comes through the environment interface — which the `NatEnv`
 //!   boundary guarantees by construction.
 //!
-//! The engine is NF-agnostic: the NAT-specific environment, the libVig
-//! models and the trace vocabulary live in `vig-validator`.
+//! The engine is NF-agnostic. `vig-validator` builds the one symbolic
+//! environment on it (`vig_validator::sym::Sym`: the term domain with
+//! its P2 obligations, the solver-pruned branch, the trace), and each
+//! NF brings only its libVig models and trace vocabulary — the NAT's
+//! and the §3 discard NF's run on that same environment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

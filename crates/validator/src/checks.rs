@@ -13,9 +13,12 @@ use vig_symbex::solver::{Lit, Solver};
 use vig_symbex::term::{TermArena, TermId, Width};
 
 /// A failed verification condition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckFailure {
-    /// Which property failed ("P1", "P2", "P4", "P5").
+    /// Which property failed: "P1", "P2", "P4" or "P5" — or "ESE" when
+    /// symbolic execution refused the configuration (outside the
+    /// models' scope, or rejected by `check_config`) or exceeded its
+    /// path bound, so that no trace reached the checks.
     pub property: &'static str,
     /// What exactly could not be proven.
     pub detail: String,
@@ -27,19 +30,16 @@ impl core::fmt::Display for CheckFailure {
     }
 }
 
-fn entails(arena: &TermArena, path: &[Lit], prop: TermId) -> bool {
-    Solver::entails(arena, path, prop)
-}
-
 // ---------------------------------------------------------------------
 // P2 — low-level properties
 // ---------------------------------------------------------------------
 
-/// Discharge every arithmetic obligation on the path. Returns the
+/// Discharge every arithmetic obligation on the path — of either NF:
+/// the obligations come from the one symbolic domain. Returns the
 /// number of obligations proven.
-pub fn check_p2(trace: &SymTrace) -> Result<usize, CheckFailure> {
+pub fn check_p2<E>(trace: &SymTrace<E>) -> Result<usize, CheckFailure> {
     for ob in &trace.obligations {
-        if !entails(&trace.arena, &trace.path, ob.prop) {
+        if !Solver::entails(&trace.arena, &trace.path, ob.prop) {
             return Err(CheckFailure {
                 property: "P2",
                 detail: format!(
@@ -109,12 +109,12 @@ pub fn check_p4(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
         let expected = trace.arena.sub(now, texp);
         if thr != expected {
             let eq = trace.arena.eq(thr, expected);
-            if !entails(&trace.arena, &trace.path, eq) {
+            if !Solver::entails(&trace.arena, &trace.path, eq) {
                 return Err(fail("expire threshold is not now - Texp".into()));
             }
         }
         let guard = trace.arena.le(texp, now);
-        if !entails(&trace.arena, &trace.path, guard) {
+        if !Solver::entails(&trace.arena, &trace.path, guard) {
             return Err(fail(
                 "expiry threshold used without the Texp <= now guard".into(),
             ));
@@ -166,7 +166,7 @@ pub fn check_p4(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
                 let expected = trace.arena.add(start, idx);
                 if *ext_port != expected {
                     let eq = trace.arena.eq(*ext_port, expected);
-                    if !entails(&trace.arena, &trace.path, eq) {
+                    if !Solver::entails(&trace.arena, &trace.path, eq) {
                         return Err(fail(
                             "inserted flow's port is not start_port + allocated index".into(),
                         ));
@@ -242,26 +242,28 @@ pub fn check_p5(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
             Event::LookupExternal { .. } => Vec::new(),
             _ => unreachable!(),
         };
-        // contract ⊨ each model assumption.
-        for &(prop, polarity) in assumed {
-            let goal = if polarity {
-                prop
-            } else {
-                trace.arena.not(prop)
-            };
-            if !entails(&trace.arena, &contract, goal) {
-                return Err(CheckFailure {
-                    property: "P5",
-                    detail: format!(
-                        "model for {desc} (event {i}) assumed a constraint the contract does \
-                         not guarantee — the model is under-approximate (paper §3, model (c))"
-                    ),
-                });
-            }
-            validated += 1;
+        if !contract_entails(&mut trace.arena, &contract, assumed) {
+            return Err(CheckFailure {
+                property: "P5",
+                detail: format!(
+                    "model for {desc} (event {i}) assumed a constraint the contract does \
+                     not guarantee — the model is under-approximate (paper §3, model (c))"
+                ),
+            });
         }
+        validated += assumed.len();
     }
     Ok(validated)
+}
+
+/// Lazy validation of one model call (§5.2.3): the contract's
+/// postcondition entails each literal the model assumed. The NAT's
+/// [`check_p5`] and the discard NF's pop validation both ask this.
+pub(crate) fn contract_entails(arena: &mut TermArena, contract: &[Lit], assumed: &[Lit]) -> bool {
+    assumed.iter().all(|&(prop, polarity)| {
+        let goal = if polarity { prop } else { arena.not(prop) };
+        Solver::entails(arena, contract, goal)
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -376,7 +378,7 @@ pub fn check_p1(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
             ));
         }
         let not_accepted = trace.arena.not(accepted);
-        if !entails(&trace.arena, &trace.path, not_accepted) {
+        if !Solver::entails(&trace.arena, &trace.path, not_accepted) {
             return Err(fail(
                 "packet dropped before translation although the frame may be acceptable \
                  (spec requires translating every accepted packet)"
@@ -387,7 +389,7 @@ pub fn check_p1(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
     }
 
     // Translation path: the frame must be provably accepted.
-    if !entails(&trace.arena, &trace.path, accepted) {
+    if !Solver::entails(&trace.arena, &trace.path, accepted) {
         return Err(fail(
             "flow-table interaction on a frame not proven accepted".into(),
         ));
@@ -404,7 +406,7 @@ pub fn check_p1(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
             return Ok(());
         }
         let eq = arena.eq(a, b);
-        if entails(arena, path, eq) {
+        if Solver::entails(arena, path, eq) {
             Ok(())
         } else {
             Err(fail(format!("cannot prove {what}")))

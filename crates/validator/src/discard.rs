@@ -3,10 +3,16 @@
 //! exhaustive symbolic execution with all three of Fig. 4's ring
 //! models.
 //!
-//! This is the generality demonstration: the same engine (symbex), the
+//! This is the generality demonstration: the same symbolic environment
+//! as the NAT ([`Sym`], here `Sym<'_, RingModels>`: one term domain with
+//! its P2 obligations, one solver-pruned branch, one trace type), the
 //! same lazy-proof structure (assume the model, validate it a
 //! posteriori), applied to a different NF with a different stateful
-//! library (the ring instead of the flow table):
+//! library (the ring instead of the flow table). This module adds only
+//! the ring's models and the discard's checks. Every path's arithmetic
+//! obligations are discharged by the NAT's own [`check_p2`] (the loop
+//! below does no arithmetic, so it has none to discharge), and the
+//! [`ModelStyle`] that breaks the NAT's models breaks the ring's:
 //!
 //! * with the **faithful model (a)** — `ring_pop_front` returns a fresh
 //!   symbol constrained by the ring invariant `port != 9` — the
@@ -27,9 +33,10 @@
 //! `Domain` abstraction as the NAT so the engine executes the real
 //! code.
 
-use crate::checks::CheckFailure;
-use vig_symbex::explorer::{explore, Steering};
-use vig_symbex::solver::{Lit, SatResult, Solver};
+use crate::checks::{check_p2, contract_entails, CheckFailure};
+use crate::sym::{ModelStyle, Models, Sym};
+use vig_symbex::explorer::explore;
+use vig_symbex::solver::{Lit, Solver};
 use vig_symbex::term::{TermArena, TermId, Width};
 use vignat::domain::Domain;
 
@@ -82,18 +89,6 @@ pub fn discard_loop_iteration<E: DiscardEnv + ?Sized>(env: &mut E) {
     }
 }
 
-/// Which `ring_pop_front` model to execute under (paper Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RingModel {
-    /// Model (a): fresh symbol constrained by the ring invariant.
-    #[default]
-    Faithful,
-    /// Model (b): fresh symbol, unconstrained (over-approximate).
-    OverApproximate,
-    /// Model (c): constant 0 (under-approximate).
-    UnderApproximate,
-}
-
 /// Trace events of the symbolic discard run.
 #[derive(Debug, Clone)]
 pub enum DiscardEvent {
@@ -112,111 +107,35 @@ pub enum DiscardEvent {
     Send(TermId),
 }
 
-/// One path's record.
-pub struct DiscardTrace {
-    /// Terms.
-    pub arena: TermArena,
-    /// Path constraints.
-    pub path: Vec<Lit>,
-    /// Events.
-    pub events: Vec<DiscardEvent>,
+/// The ring's models for one path: `ring_pop`'s [`ModelStyle`].
+pub struct RingModels {
+    style: ModelStyle,
 }
 
-struct SymDiscardEnv<'s> {
-    arena: TermArena,
-    steer: &'s mut Steering,
-    path: Vec<Lit>,
-    events: Vec<DiscardEvent>,
-    model: RingModel,
+impl Models for RingModels {
+    type Event = DiscardEvent;
 }
 
-impl Domain for SymDiscardEnv<'_> {
-    type B = TermId;
-    type U8 = TermId;
-    type U16 = TermId;
-    type U32 = TermId;
-    type U64 = TermId;
-
-    fn c_bool(&mut self, v: bool) -> TermId {
-        self.arena.cb(v)
-    }
-    fn c_u8(&mut self, v: u8) -> TermId {
-        self.arena.cu(u64::from(v), Width::W8)
-    }
-    fn c_u16(&mut self, v: u16) -> TermId {
-        self.arena.cu(u64::from(v), Width::W16)
-    }
-    fn c_u32(&mut self, v: u32) -> TermId {
-        self.arena.cu(u64::from(v), Width::W32)
-    }
-    fn c_u64(&mut self, v: u64) -> TermId {
-        self.arena.cu(v, Width::W64)
-    }
-    fn eq_u8(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u32(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn lt_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.lt(*a, *b)
-    }
-    fn le_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.le(*a, *b)
-    }
-    fn lt_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.lt(*a, *b)
-    }
-    fn le_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.le(*a, *b)
-    }
-    fn and(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.and(*a, *b)
-    }
-    fn or(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.or(*a, *b)
-    }
-    fn not(&mut self, a: &TermId) -> TermId {
-        self.arena.not(*a)
-    }
-    fn add_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.add(*a, *b)
-    }
-    fn add_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.add(*a, *b)
-    }
-    fn sub_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.sub(*a, *b)
-    }
-    fn sub_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.sub(*a, *b)
-    }
-    fn and_u8(&mut self, a: &TermId, mask: u8) -> TermId {
-        self.arena.and_mask(*a, u64::from(mask))
-    }
-    fn and_u16(&mut self, a: &TermId, mask: u16) -> TermId {
-        self.arena.and_mask(*a, u64::from(mask))
-    }
-    fn shr_u8(&mut self, a: &TermId, shift: u32) -> TermId {
-        self.arena.shr(*a, shift)
-    }
-    fn shl_u8(&mut self, a: &TermId, shift: u32) -> TermId {
-        self.arena.shl(*a, shift)
-    }
-    fn u8_to_u16(&mut self, a: &TermId) -> TermId {
-        self.arena.zext(*a, Width::W16)
-    }
+/// Fig. 2's ring constraint, `port != 9`, as a proposition: what a push
+/// requires, what a send must prove and what a pop's contract ensures.
+fn port_not_nine(arena: &mut TermArena, port: TermId) -> TermId {
+    let nine = arena.cu(9, Width::W16);
+    let eq9 = arena.eq(port, nine);
+    arena.not(eq9)
 }
 
-impl DiscardEnv for SymDiscardEnv<'_> {
+/// A fresh symbolic flag, as a proposition: `flag == 1`. The solver
+/// only ever needs the fork structure of the ring's state predicates,
+/// matching how KLEE treats opaque model returns.
+fn fresh_flag(arena: &mut TermArena, name: &str) -> TermId {
+    let v = arena.var(name, Width::W8);
+    let one = arena.cu(1, Width::W8);
+    arena.eq(v, one)
+}
+
+impl DiscardEnv for Sym<'_, RingModels> {
     fn receive(&mut self) -> Option<TermId> {
-        if self.steer.decide(2, |_| true) == 1 {
+        if self.fork_free(2) == 1 {
             return None;
         }
         let p = self.arena.var("rx_port", Width::W16);
@@ -225,39 +144,19 @@ impl DiscardEnv for SymDiscardEnv<'_> {
     }
 
     fn branch(&mut self, cond: TermId) -> bool {
-        if let Some(b) = self.arena.as_const_bool(cond) {
-            return b;
-        }
-        let mut t = self.path.clone();
-        t.push((cond, true));
-        let ft = Solver::check(&self.arena, &t) == SatResult::Sat;
-        let mut f = self.path.clone();
-        f.push((cond, false));
-        let ff = Solver::check(&self.arena, &f) == SatResult::Sat;
-        let taken = self.steer.decide_bool(ft, ff);
-        self.path.push((cond, taken));
-        taken
+        self.fork_on(cond)
     }
 
-    // The state predicates return fresh *propositions*: `flag == 1`
-    // over a fresh variable. The solver only ever needs their fork
-    // structure, matching how KLEE treats opaque model returns.
     fn ring_full(&mut self) -> TermId {
-        let v = self.arena.var("ring_full", Width::W8);
-        let one = self.arena.cu(1, Width::W8);
-        self.arena.eq(v, one)
+        fresh_flag(&mut self.arena, "ring_full")
     }
 
     fn ring_empty(&mut self) -> TermId {
-        let v = self.arena.var("ring_empty", Width::W8);
-        let one = self.arena.cu(1, Width::W8);
-        self.arena.eq(v, one)
+        fresh_flag(&mut self.arena, "ring_empty")
     }
 
     fn can_send(&mut self) -> TermId {
-        let v = self.arena.var("can_send", Width::W8);
-        let one = self.arena.cu(1, Width::W8);
-        self.arena.eq(v, one)
+        fresh_flag(&mut self.arena, "can_send")
     }
 
     fn ring_push(&mut self, port: TermId) {
@@ -265,31 +164,19 @@ impl DiscardEnv for SymDiscardEnv<'_> {
     }
 
     fn ring_pop(&mut self) -> TermId {
-        let (port, assumed): (TermId, Vec<Lit>) = match self.model {
-            RingModel::Faithful => {
-                // Fig. 4 model (a): FILL_SYMBOLIC + ASSUME(constraints).
-                let p = self.arena.var("popped_port", Width::W16);
-                let nine = self.arena.cu(9, Width::W16);
-                let eq9 = self.arena.eq(p, nine);
-                let ne9 = self.arena.not(eq9);
-                (p, vec![(ne9, true)])
-            }
-            RingModel::OverApproximate => {
-                // Fig. 4 model (b): no constraint.
-                (self.arena.var("popped_port", Width::W16), Vec::new())
-            }
-            RingModel::UnderApproximate => {
-                // Fig. 4 model (c): p->port = 0. Pinning via an assumed
-                // equality on a fresh symbol keeps the shape uniform.
-                let p = self.arena.var("popped_port", Width::W16);
+        // Fig. 4: FILL_SYMBOLIC, then the style's ASSUME. Model (c)'s
+        // `p->port = 0` pins a fresh symbol by an assumed equality, so
+        // every style has the same shape.
+        let port = self.arena.var("popped_port", Width::W16);
+        let assumed: Vec<Lit> = match self.models.style {
+            ModelStyle::Faithful => vec![(port_not_nine(&mut self.arena, port), true)],
+            ModelStyle::OverApproximate => Vec::new(),
+            ModelStyle::UnderApproximate => {
                 let zero = self.arena.cu(0, Width::W16);
-                let eq0 = self.arena.eq(p, zero);
-                (p, vec![(eq0, true)])
+                vec![(self.arena.eq(port, zero), true)]
             }
         };
-        for &(c, pol) in &assumed {
-            self.path.push((c, pol));
-        }
+        self.assume(&assumed);
         self.events.push(DiscardEvent::Pop { port, assumed });
         port
     }
@@ -321,86 +208,77 @@ impl DiscardReport {
 }
 
 /// Run the full pipeline on the discard NF under the given ring model.
-pub fn verify_discard(model: RingModel) -> DiscardReport {
+pub fn verify_discard(style: ModelStyle) -> DiscardReport {
+    verify_body(style, |env| discard_loop_iteration(env))
+}
+
+/// Explore `body` exhaustively under the ring's models in `style`, and
+/// check every path: P2 on its arithmetic, the ring's push
+/// precondition, the port-9 property on each send, and P5 on each pop.
+fn verify_body(style: ModelStyle, body: impl Fn(&mut Sym<'_, RingModels>)) -> DiscardReport {
     let (traces, stats) = explore(1_000, |steer| {
-        let mut env = SymDiscardEnv {
-            arena: TermArena::new(),
-            steer,
-            path: Vec::new(),
-            events: Vec::new(),
-            model,
-        };
-        discard_loop_iteration(&mut env);
-        DiscardTrace {
-            arena: env.arena,
-            path: env.path,
-            events: env.events,
-        }
+        let mut env = Sym::new(steer, RingModels { style });
+        body(&mut env);
+        env.into_trace()
     })
     .expect("discard NF explores in bounded paths");
-
     let mut conditions = 0usize;
     let mut model_validations = 0usize;
     let mut failures = Vec::new();
 
     for mut t in traces {
-        let nine = t.arena.cu(9, Width::W16);
+        if let Err(f) = check_p2(&t) {
+            failures.push(f);
+        }
         for ev in t.events.clone() {
-            match ev {
+            let (proven, property, detail) = match ev {
                 // Ring contract precondition (P4 analog): only
                 // constraint-satisfying packets may be pushed.
                 DiscardEvent::Push(p) => {
-                    let eq9 = t.arena.eq(p, nine);
-                    let ne9 = t.arena.not(eq9);
-                    if Solver::entails(&t.arena, &t.path, ne9) {
-                        conditions += 1;
-                    } else {
-                        failures.push(CheckFailure {
-                            property: "P4",
-                            detail: "cannot prove pushed packet satisfies the ring constraint"
-                                .into(),
-                        });
-                    }
+                    let ne9 = port_not_nine(&mut t.arena, p);
+                    (
+                        Solver::entails(&t.arena, &t.path, ne9),
+                        "P4",
+                        "cannot prove pushed packet satisfies the ring constraint",
+                    )
                 }
                 // The target semantic property (P1 analog): no emitted
                 // packet has target port 9.
                 DiscardEvent::Send(p) => {
-                    let eq9 = t.arena.eq(p, nine);
-                    let ne9 = t.arena.not(eq9);
-                    if Solver::entails(&t.arena, &t.path, ne9) {
-                        conditions += 1;
-                    } else {
-                        failures.push(CheckFailure {
-                            property: "P1",
-                            detail: "cannot prove the emitted packet's port is not 9 \
-                                     (paper §3: Step 3b fails with model (b))"
-                                .into(),
-                        });
-                    }
+                    let ne9 = port_not_nine(&mut t.arena, p);
+                    (
+                        Solver::entails(&t.arena, &t.path, ne9),
+                        "P1",
+                        "cannot prove the emitted packet's port is not 9 \
+                         (paper §3: Step 3b fails with model (b))",
+                    )
                 }
                 // Lazy model validation (P5): the pop model's
                 // assumptions must be entailed by the ring contract's
                 // postcondition (popped element satisfies the ring
                 // constraint — Fig. 3 l.6).
                 DiscardEvent::Pop { port, assumed } => {
-                    let eq9 = t.arena.eq(port, nine);
-                    let ne9 = t.arena.not(eq9);
-                    let contract: Vec<Lit> = vec![(ne9, true)];
-                    for (c, pol) in assumed {
-                        let goal = if pol { c } else { t.arena.not(c) };
-                        if Solver::entails(&t.arena, &contract, goal) {
-                            model_validations += 1;
-                        } else {
-                            failures.push(CheckFailure {
-                                property: "P5",
-                                detail: "pop model assumed what the ring contract does not \
-                                         guarantee (paper §3: Step 3a fails with model (c))"
-                                    .into(),
-                            });
-                        }
+                    let contract = [(port_not_nine(&mut t.arena, port), true)];
+                    let proven = contract_entails(&mut t.arena, &contract, &assumed);
+                    if proven {
+                        model_validations += assumed.len();
                     }
+                    (
+                        proven,
+                        "P5",
+                        "pop model assumed what the ring contract does not guarantee \
+                         (paper §3: Step 3a fails with model (c))",
+                    )
                 }
-                DiscardEvent::Receive(_) => {}
+                DiscardEvent::Receive(_) => continue,
+            };
+            if !proven {
+                failures.push(CheckFailure {
+                    property,
+                    detail: detail.into(),
+                });
+            } else if property != "P5" {
+                conditions += 1;
             }
         }
     }
@@ -417,54 +295,86 @@ pub fn verify_discard(model: RingModel) -> DiscardReport {
 mod tests {
     use super::*;
 
+    fn properties(r: &DiscardReport) -> Vec<&'static str> {
+        r.failures.iter().map(|f| f.property).collect()
+    }
+
     /// The paper's §3 headline: with the faithful model, the discard NF
     /// verifies — low-level (vacuously here), ring discipline, and the
-    /// semantic property.
+    /// semantic property. Receive × filter × send forks give 8 paths:
+    /// 2 pushes and 4 sends proven, 4 pops validated.
     #[test]
     fn discard_nf_verifies_with_faithful_model() {
-        let r = verify_discard(RingModel::Faithful);
+        let r = verify_discard(ModelStyle::Faithful);
         assert!(r.ok(), "{:#?}", r.failures);
-        assert!(r.paths >= 6, "receive x filter x send forks: {}", r.paths);
-        assert!(r.conditions > 0, "must prove real conditions");
-        assert!(r.model_validations > 0, "must validate the pop model");
+        assert_eq!(
+            (r.paths, r.conditions, r.model_validations),
+            (8, 6, 4),
+            "{r:#?}"
+        );
     }
 
     /// Fig. 4 model (b): over-approximate pop — the semantic proof
-    /// fails (never the model validation).
+    /// fails on each of the 4 sending paths (never the model
+    /// validation); the 2 guarded pushes still prove.
     #[test]
     fn over_approximate_ring_model_fails_semantics() {
-        let r = verify_discard(RingModel::OverApproximate);
-        assert!(!r.ok());
-        assert!(
-            r.failures.iter().any(|f| f.property == "P1"),
-            "{:#?}",
-            r.failures
+        let r = verify_discard(ModelStyle::OverApproximate);
+        assert_eq!(
+            (r.paths, r.conditions, r.model_validations),
+            (8, 2, 0),
+            "{r:#?}"
         );
-        assert!(r.failures.iter().all(|f| f.property != "P5"));
+        assert_eq!(properties(&r), ["P1"; 4]);
     }
 
     /// Fig. 4 model (c): under-approximate pop — model validation
-    /// fails.
+    /// fails on each of the 4 popping paths, while the pinned port
+    /// still proves every push and send.
     #[test]
     fn under_approximate_ring_model_fails_validation() {
-        let r = verify_discard(RingModel::UnderApproximate);
-        assert!(!r.ok());
-        assert!(
-            r.failures.iter().any(|f| f.property == "P5"),
-            "{:#?}",
-            r.failures
+        let r = verify_discard(ModelStyle::UnderApproximate);
+        assert_eq!(
+            (r.paths, r.conditions, r.model_validations),
+            (8, 6, 0),
+            "{r:#?}"
         );
+        assert_eq!(properties(&r), ["P5"; 4]);
     }
 
     /// The push discipline is itself proven: the loop's `port != 9`
-    /// guard is what discharges the ring-contract precondition, so a
-    /// path that pushes without the guard cannot exist.
+    /// guard is what discharges the ring-contract precondition. The
+    /// same push without the guard fails P4 on the one pushing path.
     #[test]
     fn every_push_is_guarded() {
-        let r = verify_discard(RingModel::Faithful);
-        assert!(r.ok());
-        // The guard contributes exactly one P4 condition per pushing
-        // path; at least one path pushes.
-        assert!(r.conditions >= 2);
+        let r = verify_body(ModelStyle::Faithful, |env| {
+            if let Some(port) = env.receive() {
+                env.ring_push(port);
+            }
+        });
+        assert_eq!((r.paths, r.conditions), (2, 0), "{r:#?}");
+        assert_eq!(properties(&r), ["P4"]);
+    }
+
+    /// The discard NF's arithmetic is checked: it runs on the NAT's
+    /// symbolic domain, so `port + 1` on a received port records the
+    /// u16 overflow obligation, which P2 cannot discharge.
+    #[test]
+    fn discard_arithmetic_is_p2_checked() {
+        let r = verify_body(ModelStyle::Faithful, |env| {
+            if let Some(port) = env.receive() {
+                let one = env.c_u16(1);
+                let next = env.add_u16(&port, &one);
+                env.send(next);
+            }
+        });
+        assert_eq!(r.paths, 2, "packet or none");
+        let p2: Vec<&CheckFailure> = r.failures.iter().filter(|f| f.property == "P2").collect();
+        assert_eq!(p2.len(), 1, "{:#?}", r.failures);
+        assert!(
+            p2[0].detail.contains("u16 addition must not wrap"),
+            "{}",
+            p2[0]
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! has — the [`run_ese`] result records it, and the verification bench
 //! reproduces the paper's table).
 
-use crate::sym_env::{ModelStyle, SymEnv};
+use crate::sym::ModelStyle;
+use crate::sym_env::{check_scope, NatModels, SymEnv};
 use crate::trace::SymTrace;
 use vig_spec::NatConfig;
 use vig_symbex::explorer::{explore, ExploreStats};
@@ -47,23 +48,16 @@ impl EseResult {
 /// Exhaustively execute one NAT loop iteration symbolically.
 ///
 /// `max_paths` bounds the exploration (a safety valve; the NAT needs
-/// on the order of 10² paths).
+/// on the order of 10² paths). A configuration that `check_config`
+/// rejects, or that lies outside the models' [`check_scope`], is an
+/// `Err` naming why.
 pub fn run_ese(cfg: &NatConfig, style: ModelStyle, max_paths: usize) -> Result<EseResult, String> {
     vignat::loop_body::check_config(cfg).map_err(|e| format!("bad config: {e}"))?;
-    // The symbolic models cover the paper's single-address pool (see
-    // `SymEnv::new`); multi-address configs are validated
-    // differentially by the concrete suites instead.
-    if cfg.num_external_ips() != 1 {
-        return Err(format!(
-            "symbolic engine covers the single-address pool; capacity {} needs {} addresses",
-            cfg.capacity,
-            cfg.num_external_ips()
-        ));
-    }
+    check_scope(cfg)?;
     let start = std::time::Instant::now();
     let cfg = *cfg;
     let (traces, stats) = explore(max_paths, |steer| {
-        let mut env = SymEnv::new(steer, cfg, style);
+        let mut env = SymEnv::new(steer, NatModels::new(cfg, style));
         let _outcome = nat_loop_iteration(&mut env, &cfg);
         env.into_trace()
     })?;

@@ -10,14 +10,25 @@
 //! P5  libVig models faithful to the contracts  (Validator + solver)
 //! ```
 //!
+//! Both NFs run on one symbolic environment, [`sym::Sym`]: one term
+//! domain whose arithmetic emits the P2 obligations, one solver-pruned
+//! branch, one trace type ([`trace::SymTrace`]). An NF adds only its
+//! libVig models — the NAT's in [`sym_env`], the §3 discard NF's ring
+//! in [`discard`] — so a model written for either is checked by the
+//! same P2.
+//!
 //! The pipeline ([`run_verification`]):
 //!
 //! 1. **ESE** ([`ese`]): the *actual* `vignat::nat_loop_iteration` is
-//!    executed exhaustively under [`sym_env::SymEnv`] — a symbolic
-//!    environment whose libVig **models** fork execution (lookup
-//!    hit/miss, allocation success/failure) and return constrained
-//!    fresh symbols, exactly like the paper's symbolic models (§5.1.4).
-//!    Every feasible path yields a [`trace::SymTrace`].
+//!    executed exhaustively under [`sym_env::SymEnv`]
+//!    (`Sym<'_, NatModels>`), whose libVig **models** fork execution
+//!    (lookup hit/miss, allocation success/failure) and return
+//!    constrained fresh symbols, exactly like the paper's symbolic
+//!    models (§5.1.4). Every feasible path yields a
+//!    [`trace::SymTrace`]. A configuration outside the models' scope
+//!    ([`sym_env::check_scope`]: per-class lifetimes, EIM, hairpinning,
+//!    a multi-address pool) is refused with an `Err` naming the
+//!    feature, reported as one failure labelled `"ESE"`.
 //! 2. **P2** ([`checks::check_p2`]): each arithmetic obligation the
 //!    domain emitted (no overflow/underflow, shifts in range) is
 //!    discharged against that path's constraints.
@@ -35,10 +46,11 @@
 //!    unacceptable frames; accepted paths must forward/drop with
 //!    exactly the Fig. 6 rewrites, proven field-by-field by the solver.
 //!
-//! Deliberately-broken models (paper §3's over- and under-approximate
-//! ring models) are reproduced via [`sym_env::ModelStyle`]: the
-//! over-approximate model breaks the P2 overflow proof, the
-//! under-approximate one fails P5 — and the tests pin both failures.
+//! Deliberately-broken models (paper §3's Fig. 4 models (b) and (c))
+//! are one [`ModelStyle`] for both NFs. On the NAT the
+//! over-approximate model breaks the P2 overflow proof and the
+//! under-approximate one fails P5; on the discard NF they fail P1 and
+//! P5 — and the tests pin all four failures.
 //!
 //! Trace validation is embarrassingly parallel; [`run_verification`]
 //! validates traces across threads like the paper's 4-core run.
@@ -50,10 +62,11 @@ pub mod checks;
 pub mod discard;
 pub mod ese;
 pub mod report;
+pub mod sym;
 pub mod sym_env;
 pub mod trace;
 
 pub use ese::{run_ese, EseResult};
 pub use report::{run_verification, VerificationReport};
-pub use sym_env::ModelStyle;
+pub use sym::ModelStyle;
 pub use trace::{Event, SymTrace};

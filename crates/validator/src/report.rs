@@ -9,12 +9,13 @@
 
 use crate::checks::{check_p1, check_p2, check_p4, check_p5, CheckFailure};
 use crate::ese::run_ese;
-use crate::sym_env::ModelStyle;
+use crate::sym::ModelStyle;
 use crate::trace::SymTrace;
 use vig_spec::NatConfig;
 
-/// Outcome of the full pipeline.
-#[derive(Debug)]
+/// Outcome of the full pipeline. The default is the report of a run
+/// that never reached validation: every count zero.
+#[derive(Debug, Default)]
 pub struct VerificationReport {
     /// Feasible execution paths explored (paper: 108).
     pub paths: usize,
@@ -69,116 +70,76 @@ impl VerificationReport {
     }
 }
 
-/// Validate one trace, returning (p2, p4, p5, p1) counts or the first
-/// failure.
-fn validate_trace(
-    trace: &mut SymTrace,
-    cfg: &NatConfig,
-) -> Result<(usize, usize, usize, usize), CheckFailure> {
-    let p2 = check_p2(trace)?;
-    let p4 = check_p4(trace, cfg)?;
-    let p5 = check_p5(trace, cfg)?;
-    let p1 = check_p1(trace, cfg)?;
-    Ok((p2, p4, p5, p1))
+/// Validate one trace, returning its (P2, P4, P5, P1) counts or the
+/// first failure.
+fn validate_trace(trace: &mut SymTrace, cfg: &NatConfig) -> Result<[usize; 4], CheckFailure> {
+    Ok([
+        check_p2(trace)?,
+        check_p4(trace, cfg)?,
+        check_p5(trace, cfg)?,
+        check_p1(trace, cfg)?,
+    ])
 }
 
 /// Run the full pipeline. `threads` = 1 reproduces the paper's
 /// single-core validation; more threads reproduce the parallel run.
+/// The traces split into `threads` contiguous chunks, one thread each,
+/// so the failures come out in path order at every thread count.
 pub fn run_verification(cfg: &NatConfig, style: ModelStyle, threads: usize) -> VerificationReport {
+    let threads = threads.max(1);
     let ese = match run_ese(cfg, style, 10_000) {
         Ok(r) => r,
-        Err(e) => {
+        Err(detail) => {
             return VerificationReport {
-                paths: 0,
-                traces_with_prefixes: 0,
-                decisions: 0,
-                p2_obligations: 0,
-                p4_checks: 0,
-                p5_checks: 0,
-                p1_checks: 0,
-                ese_duration: std::time::Duration::ZERO,
-                validation_duration: std::time::Duration::ZERO,
                 threads,
                 failures: vec![CheckFailure {
-                    property: "P2",
-                    detail: format!("ESE failed: {e}"),
+                    property: "ESE",
+                    detail,
                 }],
+                ..VerificationReport::default()
             }
         }
     };
-    let paths = ese.stats.paths;
-    let decisions = ese.stats.decisions;
     let traces_with_prefixes = ese.trace_count_with_prefixes();
-    let ese_duration = ese.duration;
-
     let start = std::time::Instant::now();
-    let threads = threads.max(1);
     let mut traces = ese.traces;
-    let cfg = *cfg;
-
-    let chunk = traces.len().div_ceil(threads);
-    let mut totals = (0usize, 0usize, 0usize, 0usize);
-    let mut failures: Vec<CheckFailure> = Vec::new();
-
-    if threads == 1 || traces.len() <= 1 {
-        for t in &mut traces {
-            match validate_trace(t, &cfg) {
-                Ok((a, b, c, d)) => {
-                    totals.0 += a;
-                    totals.1 += b;
-                    totals.2 += c;
-                    totals.3 += d;
-                }
-                Err(f) => failures.push(f),
-            }
-        }
-    } else {
-        let results: Vec<(usize, usize, usize, usize, Vec<CheckFailure>)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = traces
-                    .chunks_mut(chunk.max(1))
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            let mut tot = (0usize, 0usize, 0usize, 0usize);
-                            let mut fails = Vec::new();
-                            for t in slice {
-                                match validate_trace(t, &cfg) {
-                                    Ok((a, b, c, d)) => {
-                                        tot.0 += a;
-                                        tot.1 += b;
-                                        tot.2 += c;
-                                        tot.3 += d;
-                                    }
-                                    Err(f) => fails.push(f),
-                                }
-                            }
-                            (tot.0, tot.1, tot.2, tot.3, fails)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("validator thread"))
-                    .collect()
-            });
-        for (a, b, c, d, fails) in results {
-            totals.0 += a;
-            totals.1 += b;
-            totals.2 += c;
-            totals.3 += d;
-            failures.extend(fails);
+    let chunk = traces.len().div_ceil(threads).max(1);
+    let results: Vec<Result<[usize; 4], CheckFailure>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = traces
+            .chunks_mut(chunk)
+            .map(|slice| {
+                scope.spawn(move || {
+                    slice
+                        .iter_mut()
+                        .map(|t| validate_trace(t, cfg))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("validator thread"))
+            .collect()
+    });
+    let mut counts = [0usize; 4];
+    let mut failures = Vec::new();
+    for r in results {
+        match r {
+            Ok(c) => counts.iter_mut().zip(c).for_each(|(n, k)| *n += k),
+            Err(f) => failures.push(f),
         }
     }
+    let [p2_obligations, p4_checks, p5_checks, p1_checks] = counts;
 
     VerificationReport {
-        paths,
+        paths: ese.stats.paths,
         traces_with_prefixes,
-        decisions,
-        p2_obligations: totals.0,
-        p4_checks: totals.1,
-        p5_checks: totals.2,
-        p1_checks: totals.3,
-        ese_duration,
+        decisions: ese.stats.decisions,
+        p2_obligations,
+        p4_checks,
+        p5_checks,
+        p1_checks,
+        ese_duration: ese.duration,
         validation_duration: start.elapsed(),
         threads,
         failures,
@@ -211,15 +172,33 @@ mod tests {
         assert!(r.p5_checks > 0, "must validate real model constraints");
     }
 
-    /// Parallel validation gives the same verdict (paper's 4-core run).
+    /// Parallel validation (the paper's 4-core run) gives every count
+    /// and every failure, in order, that the single-threaded run gives,
+    /// under each model style.
     #[test]
     fn parallel_validation_agrees() {
-        let seq = run_verification(&cfg(), ModelStyle::Faithful, 1);
-        let par = run_verification(&cfg(), ModelStyle::Faithful, 4);
-        assert_eq!(seq.ok(), par.ok());
-        assert_eq!(seq.paths, par.paths);
-        assert_eq!(seq.p2_obligations, par.p2_obligations);
-        assert_eq!(seq.p1_checks, par.p1_checks);
+        let counts = |r: &VerificationReport| {
+            [
+                r.paths,
+                r.traces_with_prefixes,
+                r.decisions,
+                r.p2_obligations,
+                r.p4_checks,
+                r.p5_checks,
+                r.p1_checks,
+            ]
+        };
+        for style in [
+            ModelStyle::Faithful,
+            ModelStyle::OverApproximate,
+            ModelStyle::UnderApproximate,
+        ] {
+            let seq = run_verification(&cfg(), style, 1);
+            let par = run_verification(&cfg(), style, 4);
+            assert_eq!(counts(&seq), counts(&par), "{style:?}");
+            assert_eq!(seq.failures, par.failures, "{style:?}");
+            assert_eq!(seq.ok(), style == ModelStyle::Faithful, "{style:?}");
+        }
     }
 
     /// Paper §3, model (b): an over-approximate model (allocation index

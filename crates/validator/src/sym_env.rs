@@ -1,227 +1,107 @@
-//! The symbolic environment: `NatEnv` over symbolic terms + the libVig
-//! models (paper §5.1.4).
+//! The NAT's libVig models (paper §5.1.4): `NatEnv` over the one
+//! symbolic environment, [`Sym`].
 //!
-//! Every value the loop body sees is a term; every branch consults the
-//! solver for feasibility and forks via the explorer's steering; every
-//! stateful call is answered by a **model** that forks over its
+//! [`SymEnv`] is `Sym<'_, NatModels>`: the shared engine supplies the
+//! term domain (with its P2 obligations), the solver-pruned branch and
+//! the trace; this module adds only the NAT's own environment calls.
+//! Every stateful call is answered by a **model** that forks over its
 //! abstract outcomes and returns fresh symbols constrained the way the
 //! libVig contract promises. The models deliberately know nothing about
 //! actual map/chain internals — they are the small, stateless stand-ins
 //! whose faithfulness P5 later validates per observed call.
 //!
-//! [`ModelStyle`] reproduces the paper's §3 invalid-model experiments:
+//! [`ModelStyle`] selects `allocate_slot`'s model: the faithful one
+//! bounds the index by the capacity; the over-approximate one (model
+//! (b)) leaves it free, so the port arithmetic's overflow obligation
+//! cannot be proven and **P2 fails**; the under-approximate one (model
+//! (c)) pins it to 0, narrower than the contract, so **P5 fails**.
 //!
-//! * [`ModelStyle::Faithful`] — the production models;
-//! * [`ModelStyle::OverApproximate`] — `allocate_slot` omits the
-//!   `index < capacity` constraint (like the paper's model (b), which
-//!   "returns a packet whose content could be anything"): exhaustive
-//!   symbolic execution then cannot prove the port-arithmetic overflow
-//!   obligation, and **P2 fails**;
-//! * [`ModelStyle::UnderApproximate`] — `allocate_slot` pins the index
-//!   to 0 (the paper's model (c), which "always returns a packet with
-//!   target port 0"): the emitted constraint is narrower than the
-//!   contract allows, and **P5 fails**.
+//! The models cover the paper's NAT only; [`check_scope`] is the one
+//! statement of that scope, and `run_ese` refuses anything outside it.
 
-use crate::trace::{Event, Obligation, SymRx, SymTrace};
+use crate::sym::{ModelStyle, Models, Sym};
+use crate::trace::{Event, SymRx};
 use vig_packet::{Direction, Proto};
 use vig_spec::NatConfig;
-use vig_symbex::explorer::Steering;
-use vig_symbex::solver::{Lit, SatResult, Solver};
-use vig_symbex::term::{TermArena, TermId, Width};
-use vignat::domain::Domain;
+use vig_symbex::solver::Lit;
+use vig_symbex::term::{TermId, Width};
 use vignat::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
 
-/// Which libVig model variant to execute under. See module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ModelStyle {
-    /// The production models (contract-shaped constraints).
-    #[default]
-    Faithful,
-    /// Allocation index left unconstrained (paper's model (b)).
-    OverApproximate,
-    /// Allocation index pinned to zero (paper's model (c)).
-    UnderApproximate,
+/// The configurations the symbolic models cover: the paper's NAT — one
+/// external address (so the loop body's pool branch has one shape and
+/// every external-address term is the constant `cfg.external_ip`), one
+/// lifetime for every flow, EIM and hairpinning off. Anything else is
+/// proven differentially by the concrete suites; the error names each
+/// feature that lies outside.
+pub fn check_scope(cfg: &NatConfig) -> Result<(), String> {
+    let mut outside = Vec::new();
+    if cfg.num_external_ips() != 1 {
+        outside.push(format!(
+            "a multi-address pool (capacity {} needs {} addresses)",
+            cfg.capacity,
+            cfg.num_external_ips()
+        ));
+    }
+    if !cfg.is_homogeneous() {
+        outside.push("per-class TCP lifetimes".to_string());
+    }
+    if cfg.eim {
+        outside.push("endpoint-independent mapping (EIM)".to_string());
+    }
+    if cfg.hairpinning {
+        outside.push("hairpinning".to_string());
+    }
+    if outside.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "the symbolic models cover the paper's single-address, single-lifetime NAT; \
+         this configuration has {} (proven differentially instead)",
+        outside.join(", ")
+    ))
 }
 
-/// The symbolic environment for one path execution.
-pub struct SymEnv<'s> {
-    /// Term arena (moves into the trace at the end).
-    pub arena: TermArena,
-    steer: &'s mut Steering,
+/// The NAT's model state for one path.
+pub struct NatModels {
     cfg: NatConfig,
     style: ModelStyle,
-    path: Vec<Lit>,
-    events: Vec<Event>,
-    obligations: Vec<Obligation>,
     slot_counter: usize,
     in_flight: Option<PktHandle>,
     consumed: bool,
 }
 
-impl<'s> SymEnv<'s> {
-    /// Fresh environment for one path run.
-    ///
-    /// The symbolic models cover the paper's NAT, whose pool is a
-    /// single external address: the loop body's config branch
-    /// (`num_external_ips() == 1`) then has a fixed shape and every
-    /// external-address term is the constant `cfg.external_ip`.
-    /// Multi-address pools are proven equivalent differentially (the
-    /// concrete suites), not symbolically.
-    pub fn new(steer: &'s mut Steering, cfg: NatConfig, style: ModelStyle) -> SymEnv<'s> {
-        assert_eq!(
-            cfg.num_external_ips(),
-            1,
-            "symbolic models cover the single-address pool"
-        );
-        assert!(
-            cfg.is_homogeneous() && !cfg.eim && !cfg.hairpinning,
-            "symbolic models cover the paper's baseline NAT; per-class \
-             lifetimes, EIM and hairpinning are proven differentially"
-        );
-        SymEnv {
-            arena: TermArena::new(),
-            steer,
+impl NatModels {
+    /// Models for `cfg` (inside [`check_scope`]) in the given style.
+    pub fn new(cfg: NatConfig, style: ModelStyle) -> NatModels {
+        NatModels {
             cfg,
             style,
-            path: Vec::new(),
-            events: Vec::new(),
-            obligations: Vec::new(),
             slot_counter: 0,
             in_flight: None,
             consumed: false,
         }
     }
 
-    /// Package the run into a trace.
-    pub fn into_trace(self) -> SymTrace {
-        assert!(
-            self.in_flight.is_none() || self.consumed,
-            "P4 violation detected at trace build: packet neither sent nor dropped"
-        );
-        SymTrace {
-            decisions: self.steer.taken().to_vec(),
-            arena: self.arena,
-            path: self.path,
-            events: self.events,
-            obligations: self.obligations,
-        }
+    /// Buffer ownership as the loop body hands a packet back: only the
+    /// received packet, and only once.
+    fn consume(&mut self, pkt: PktHandle) {
+        assert_eq!(self.in_flight, Some(pkt), "consume of unowned packet (P4)");
+        assert!(!self.consumed, "double consume (P4)");
+        self.consumed = true;
     }
 
-    fn oblige(&mut self, prop: TermId, what: &'static str) {
-        self.obligations.push(Obligation { prop, what });
-    }
-
-    /// Fork over `arity` alternatives; all are feasibility-unpruned
-    /// (used for model outcome forks, which are always possible).
-    fn fork_free(&mut self, arity: u8) -> u8 {
-        self.steer.decide(arity, |_| true)
+    fn next_slot(&mut self) -> usize {
+        self.slot_counter += 1;
+        self.slot_counter - 1
     }
 }
 
-impl Domain for SymEnv<'_> {
-    type B = TermId;
-    type U8 = TermId;
-    type U16 = TermId;
-    type U32 = TermId;
-    type U64 = TermId;
-
-    fn c_bool(&mut self, v: bool) -> TermId {
-        self.arena.cb(v)
-    }
-    fn c_u8(&mut self, v: u8) -> TermId {
-        self.arena.cu(u64::from(v), Width::W8)
-    }
-    fn c_u16(&mut self, v: u16) -> TermId {
-        self.arena.cu(u64::from(v), Width::W16)
-    }
-    fn c_u32(&mut self, v: u32) -> TermId {
-        self.arena.cu(u64::from(v), Width::W32)
-    }
-    fn c_u64(&mut self, v: u64) -> TermId {
-        self.arena.cu(v, Width::W64)
-    }
-
-    fn eq_u8(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u32(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-
-    fn lt_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.lt(*a, *b)
-    }
-    fn le_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.le(*a, *b)
-    }
-    fn lt_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.lt(*a, *b)
-    }
-    fn le_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.le(*a, *b)
-    }
-
-    fn and(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.and(*a, *b)
-    }
-    fn or(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.or(*a, *b)
-    }
-    fn not(&mut self, a: &TermId) -> TermId {
-        self.arena.not(*a)
-    }
-
-    fn add_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let t = self.arena.add(*a, *b);
-        let max = self.arena.cu(0xffff, Width::W16);
-        let ob = self.arena.le(t, max);
-        self.oblige(ob, "u16 addition must not wrap");
-        t
-    }
-    fn add_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let t = self.arena.add(*a, *b);
-        let max = self.arena.cu(u64::MAX, Width::W64);
-        let ob = self.arena.le(t, max);
-        self.oblige(ob, "u64 addition must not wrap");
-        t
-    }
-    fn sub_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let ob = self.arena.le(*b, *a);
-        self.oblige(ob, "u64 subtraction must not underflow");
-        self.arena.sub(*a, *b)
-    }
-    fn sub_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let ob = self.arena.le(*b, *a);
-        self.oblige(ob, "u16 subtraction must not underflow");
-        self.arena.sub(*a, *b)
-    }
-
-    fn and_u8(&mut self, a: &TermId, mask: u8) -> TermId {
-        self.arena.and_mask(*a, u64::from(mask))
-    }
-    fn and_u16(&mut self, a: &TermId, mask: u16) -> TermId {
-        self.arena.and_mask(*a, u64::from(mask))
-    }
-    fn shr_u8(&mut self, a: &TermId, shift: u32) -> TermId {
-        self.arena.shr(*a, shift)
-    }
-    fn shl_u8(&mut self, a: &TermId, shift: u32) -> TermId {
-        let t = self.arena.shl(*a, shift);
-        let max = self.arena.cu(0xff, Width::W8);
-        let ob = self.arena.le(t, max);
-        self.oblige(ob, "u8 shift must not lose bits");
-        t
-    }
-    fn u8_to_u16(&mut self, a: &TermId) -> TermId {
-        self.arena.zext(*a, Width::W16)
-    }
+impl Models for NatModels {
+    type Event = Event;
 }
+
+/// The NAT's symbolic environment.
+pub type SymEnv<'s> = Sym<'s, NatModels>;
 
 impl NatEnv for SymEnv<'_> {
     fn now(&mut self) -> TermId {
@@ -262,7 +142,7 @@ impl NatEnv for SymEnv<'_> {
             dst_port: self.arena.var("dst_port", Width::W16),
         };
         self.events.push(Event::Receive(rx.clone()));
-        self.in_flight = Some(PktHandle(0));
+        self.models.in_flight = Some(PktHandle(0));
         Some(RxPacket {
             handle: PktHandle(0),
             dir,
@@ -287,19 +167,7 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn branch(&mut self, cond: TermId) -> bool {
-        // Syntactically decided conditions don't fork.
-        if let Some(b) = self.arena.as_const_bool(cond) {
-            self.events.push(Event::Branch { cond, taken: b });
-            return b;
-        }
-        let mut t_lits = self.path.clone();
-        t_lits.push((cond, true));
-        let f_true = Solver::check(&self.arena, &t_lits) == SatResult::Sat;
-        let mut f_lits = self.path.clone();
-        f_lits.push((cond, false));
-        let f_false = Solver::check(&self.arena, &f_lits) == SatResult::Sat;
-        let taken = self.steer.decide_bool(f_true, f_false);
-        self.path.push((cond, taken));
+        let taken = self.fork_on(cond);
         self.events.push(Event::Branch { cond, taken });
         taken
     }
@@ -317,28 +185,24 @@ impl NatEnv for SymEnv<'_> {
         // Hit: the contract of the flow table says the returned flow's
         // internal key equals the queried fid, and the flow-manager
         // invariant bounds its external port to the configured range.
-        let slot = self.slot_counter;
-        self.slot_counter += 1;
+        let slot = self.models.next_slot();
+        let cfg = self.models.cfg;
         let ext_port = self.arena.var("hit_ext_port", Width::W16);
-        let lo = self.arena.cu(u64::from(self.cfg.start_port), Width::W16);
+        let lo = self.arena.cu(u64::from(cfg.start_port), Width::W16);
         let hi = self.arena.cu(
-            u64::from(self.cfg.start_port) + self.cfg.capacity as u64 - 1,
+            u64::from(cfg.start_port) + cfg.capacity as u64 - 1,
             Width::W16,
         );
         let ge = self.arena.le(lo, ext_port);
         let le = self.arena.le(ext_port, hi);
         let assumed = vec![(ge, true), (le, true)];
-        for &(p, pol) in &assumed {
-            self.path.push((p, pol));
-        }
+        self.assume(&assumed);
         self.events.push(Event::LookupInternal {
             fid: fid_terms,
             result: Some((slot, ext_port)),
             assumed,
         });
-        let ext_ip = self
-            .arena
-            .cu(u64::from(self.cfg.external_ip.raw()), Width::W32);
+        let ext_ip = self.arena.cu(u64::from(cfg.external_ip.raw()), Width::W32);
         Some(FlowView {
             slot: SlotId(slot),
             // invariant: single-address pool — every stored flow's
@@ -361,8 +225,7 @@ impl NatEnv for SymEnv<'_> {
             });
             return None;
         }
-        let slot = self.slot_counter;
-        self.slot_counter += 1;
+        let slot = self.models.next_slot();
         // Contract: the matched flow's internal endpoint is some stored
         // pair — fresh symbols, unconstrained (any host/port may be
         // behind the NAT).
@@ -409,13 +272,13 @@ impl NatEnv for SymEnv<'_> {
             });
             return None;
         }
-        let slot = self.slot_counter;
-        self.slot_counter += 1;
+        let slot = self.models.next_slot();
+        let cfg = self.models.cfg;
         let idx = self.arena.var("alloc_idx", Width::W16);
-        let assumed: Vec<Lit> = match self.style {
+        let assumed: Vec<Lit> = match self.models.style {
             ModelStyle::Faithful => {
                 // dchain contract: allocated index < capacity.
-                let hi = self.arena.cu(self.cfg.capacity as u64 - 1, Width::W16);
+                let hi = self.arena.cu(cfg.capacity as u64 - 1, Width::W16);
                 let le = self.arena.le(idx, hi);
                 vec![(le, true)]
             }
@@ -427,9 +290,7 @@ impl NatEnv for SymEnv<'_> {
                 vec![(eq, true)]
             }
         };
-        for &(p, pol) in &assumed {
-            self.path.push((p, pol));
-        }
+        self.assume(&assumed);
         self.events.push(Event::AllocateSlot {
             result: Some((slot, idx)),
             assumed,
@@ -437,9 +298,7 @@ impl NatEnv for SymEnv<'_> {
         // Single-address pool: the allocated slot's external address is
         // the configured one (constant term), and the returned port
         // offset is the slot index itself.
-        let ext_ip = self
-            .arena
-            .cu(u64::from(self.cfg.external_ip.raw()), Width::W32);
+        let ext_ip = self.arena.cu(u64::from(cfg.external_ip.raw()), Width::W32);
         Some((SlotId(slot), idx, ext_ip))
     }
 
@@ -460,9 +319,7 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-        assert_eq!(self.in_flight, Some(pkt), "tx of unowned packet (P4)");
-        assert!(!self.consumed, "double consume (P4)");
-        self.consumed = true;
+        self.models.consume(pkt);
         self.events.push(Event::Tx {
             out,
             hdr: [hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port],
@@ -470,9 +327,7 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn drop_pkt(&mut self, pkt: PktHandle) {
-        assert_eq!(self.in_flight, Some(pkt), "drop of unowned packet (P4)");
-        assert!(!self.consumed, "double consume (P4)");
-        self.consumed = true;
+        self.models.consume(pkt);
         self.events.push(Event::DropPkt);
     }
 }

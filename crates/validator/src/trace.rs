@@ -38,18 +38,7 @@ pub struct SymRx {
     pub dst_port: TermId,
 }
 
-/// Identifies which libVig model call an event came from (for P5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelCall {
-    /// `lookup_internal` returning a hit.
-    LookupInternalHit,
-    /// `lookup_external` returning a hit.
-    LookupExternalHit,
-    /// `allocate_slot` returning a slot.
-    AllocateSlot,
-}
-
-/// One event on the traced interface.
+/// One event on the NAT's traced interface.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// Clock read; the term is the symbolic `now`.
@@ -132,9 +121,11 @@ pub struct Obligation {
     pub what: &'static str,
 }
 
-/// One path's complete symbolic record.
+/// One path's complete symbolic record. `E` is the NF's event
+/// vocabulary: the NAT's [`Event`] by default, the discard NF's
+/// [`crate::discard::DiscardEvent`].
 #[derive(Debug)]
-pub struct SymTrace {
+pub struct SymTrace<E = Event> {
     /// Term arena for everything referenced by this trace.
     pub arena: TermArena,
     /// The decision sequence identifying the path.
@@ -142,7 +133,7 @@ pub struct SymTrace {
     /// Path constraints (branch conditions + model assumptions).
     pub path: Vec<Lit>,
     /// The event sequence.
-    pub events: Vec<Event>,
+    pub events: Vec<E>,
     /// Low-level obligations (P2).
     pub obligations: Vec<Obligation>,
 }

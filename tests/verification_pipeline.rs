@@ -171,4 +171,42 @@ fn rejected_configurations_never_reach_the_prover() {
     assert!(vignat_repro::nat::loop_body::check_config(&spill).is_ok());
     let r = run_ese(&spill, ModelStyle::Faithful, 10_000);
     assert!(r.is_err(), "ESE must refuse multi-address pools");
+
+    // Valid but outside the models' other bounds: per-class TCP
+    // lifetimes, EIM, EIM with hairpinning. Each, and the spill pool,
+    // is refused with an error naming the feature — never a panic —
+    // and the pipeline reports exactly one failure, labelled ESE: no
+    // low-level property failed, the prover was never reached.
+    let base = paper_cfg();
+    let outside = [
+        (
+            NatConfig {
+                tcp_transitory_ns: Time::from_secs(1).nanos(),
+                tcp_established_ns: Time::from_secs(60).nanos(),
+                ..base
+            },
+            "per-class TCP lifetimes",
+        ),
+        (NatConfig { eim: true, ..base }, "EIM"),
+        (
+            NatConfig {
+                eim: true,
+                hairpinning: true,
+                ..base
+            },
+            "hairpinning",
+        ),
+        (spill, "multi-address pool"),
+    ];
+    for (cfg, feature) in outside {
+        assert!(vignat_repro::nat::loop_body::check_config(&cfg).is_ok());
+        let err = run_ese(&cfg, ModelStyle::Faithful, 10_000)
+            .err()
+            .unwrap_or_else(|| panic!("ESE must refuse {feature}"));
+        assert!(err.contains(feature), "{feature}: {err}");
+        let report = run_verification(&cfg, ModelStyle::Faithful, 2);
+        assert_eq!(report.failures.len(), 1, "{feature}: {:?}", report.failures);
+        assert_eq!(report.failures[0].property, "ESE", "{feature}");
+        assert!(report.failures[0].detail.contains(feature), "{feature}");
+    }
 }

@@ -26,8 +26,17 @@
 //!   long timeout, half-open/closing ones the short transitory timeout,
 //!   UDP its own. With a homogeneous config all classes collapse to
 //!   `Texp` and the pre-TCP behaviour is preserved bit for bit.
-//! * **router duties** — TTL decrement + checksum fixup (a NAT box in
-//!   the kernel is a router; DPDK NATs in the paper do not route).
+//! * **router duties** — a packet whose TTL would expire (≤ 1) is
+//!   dropped where `ip_forward` drops it: after conntrack has seen it
+//!   (an established connection's timer is re-armed) and before
+//!   POSTROUTING would confirm a new connection, so none is created.
+//!   Every forwarded packet has its TTL decremented with a checksum
+//!   fixup (a NAT box in the kernel is a router; DPDK NATs in the
+//!   paper do not route).
+//!
+//! The frame is parsed with `vig_packet::parse_l3l4` and rewritten with
+//! `vig_packet::header::{rewrite, decrement_ttl}`, the codec the
+//! verified datapath writes through too.
 //!
 //! Masquerade port selection follows the kernel: keep the original
 //! source port when free, otherwise scan the configured range. The
@@ -37,8 +46,7 @@
 use libvig::time::Time;
 use netsim::middlebox::{Middlebox, Verdict};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use vig_packet::ipv4::Ipv4Packet;
-use vig_packet::{parse_l3l4, Direction, FlowId, Ip4, Proto};
+use vig_packet::{header, parse_l3l4, Direction, FlowId, Proto};
 use vig_spec::tcp::{class_of, initial_state, transition, TcpState};
 use vig_spec::NatConfig;
 
@@ -406,7 +414,7 @@ impl Middlebox for NetfilterNat {
             };
             // The TCP flag byte steers conntrack's per-state timeout.
             let tcp_flags = if ff.proto == Proto::Tcp {
-                skb[off.l4 + 13]
+                skb[off.l4 + header::TCP_FLAGS]
             } else {
                 0
             };
@@ -424,24 +432,31 @@ impl Middlebox for NetfilterNat {
             if !this.forward_allowed(&tuple) {
                 return Verdict::Drop;
             }
+            // A TTL that would expire drops where ip_forward drops it:
+            // after conntrack has seen the packet (an established
+            // connection is re-armed below), before POSTROUTING would
+            // confirm a new one.
+            let ttl_expires = header::rd8(skb, header::IP_TTL) <= 1;
             // conntrack lookup (established connections bypass the NAT chain)
             let hit = this.conns.get(&tuple).copied();
-            match (dir, hit) {
+            let ((src_ip, src_port), (dst_ip, dst_port), out) = match (dir, hit) {
                 (Direction::Internal, Some((idx, Hand::Orig))) => {
                     this.rearm(idx, now, Direction::Internal, tcp_flags);
                     let port = this.slab[idx].as_ref().unwrap().ext_port;
-                    let ext_ip = this.cfg.external_ip;
-                    kernel_forward(skb, ff.proto, Some((ext_ip, port)), None);
-                    Verdict::Forward(Direction::External)
+                    (
+                        (this.cfg.external_ip, port),
+                        (ff.dst_ip, ff.dst_port),
+                        Direction::External,
+                    )
                 }
                 (Direction::External, Some((idx, Hand::Reply))) => {
                     this.rearm(idx, now, Direction::External, tcp_flags);
-                    let (int_ip, int_port) = {
-                        let c = this.slab[idx].as_ref().unwrap();
-                        (c.fid.src_ip, c.fid.src_port)
-                    };
-                    kernel_forward(skb, ff.proto, None, Some((int_ip, int_port)));
-                    Verdict::Forward(Direction::Internal)
+                    let c = this.slab[idx].as_ref().unwrap();
+                    (
+                        (ff.src_ip, ff.src_port),
+                        (c.fid.src_ip, c.fid.src_port),
+                        Direction::Internal,
+                    )
                 }
                 (Direction::Internal, None) => {
                     // NEW connection: walk the NAT chain.
@@ -452,7 +467,7 @@ impl Middlebox for NetfilterNat {
                             break;
                         }
                     }
-                    if !masq {
+                    if !masq || ttl_expires {
                         return Verdict::Drop;
                     }
                     let fid = FlowId {
@@ -462,20 +477,26 @@ impl Middlebox for NetfilterNat {
                         dst_port: ff.dst_port,
                         proto: ff.proto,
                     };
-                    match this.new_conn(fid, now, tcp_flags) {
-                        Some(port) => {
-                            let ext_ip = this.cfg.external_ip;
-                            kernel_forward(skb, ff.proto, Some((ext_ip, port)), None);
-                            Verdict::Forward(Direction::External)
-                        }
-                        None => Verdict::Drop, // conntrack table full
-                    }
+                    let Some(port) = this.new_conn(fid, now, tcp_flags) else {
+                        return Verdict::Drop; // conntrack table full
+                    };
+                    (
+                        (this.cfg.external_ip, port),
+                        (ff.dst_ip, ff.dst_port),
+                        Direction::External,
+                    )
                 }
-                (Direction::External, None) => Verdict::Drop,
-                // Tuple matched the wrong direction (e.g. a spoofed
-                // packet replaying the orig tuple from outside): drop.
-                _ => Verdict::Drop,
+                // Unsolicited from outside, or a tuple matched from the
+                // wrong direction (e.g. a spoofed packet replaying the
+                // orig tuple from outside): drop.
+                _ => return Verdict::Drop,
+            };
+            if ttl_expires {
+                return Verdict::Drop;
             }
+            header::rewrite(skb, src_ip.raw(), src_port, dst_ip.raw(), dst_port);
+            header::decrement_ttl(skb);
+            Verdict::Forward(out)
         })(&mut skb, self);
 
         // --- kernel path: copy the skb back out ------------------------
@@ -491,60 +512,11 @@ impl Middlebox for NetfilterNat {
     }
 }
 
-/// The kernel forwarding path: NAT rewrite + TTL decrement, all with
-/// incremental checksum updates.
-fn kernel_forward(
-    skb: &mut [u8],
-    proto: Proto,
-    snat: Option<(Ip4, u16)>,
-    dnat: Option<(Ip4, u16)>,
-) {
-    let (old_src, old_dst);
-    {
-        let mut ip = Ipv4Packet::parse_mut(&mut skb[14..]).expect("validated skb");
-        old_src = ip.src();
-        old_dst = ip.dst();
-        if let Some((ip4, _)) = snat {
-            ip.rewrite_src(ip4);
-        }
-        if let Some((ip4, _)) = dnat {
-            ip.rewrite_dst(ip4);
-        }
-        ip.decrement_ttl();
-    }
-    let l4_off = 14 + usize::from(skb[14] & 0x0f) * 4;
-    match proto {
-        Proto::Tcp => {
-            let mut t =
-                vig_packet::tcp::TcpSegment::parse_mut(&mut skb[l4_off..]).expect("tcp skb");
-            if let Some((ip4, port)) = snat {
-                t.update_checksum_for_ip(old_src.raw(), ip4.raw());
-                t.rewrite_src_port(port);
-            }
-            if let Some((ip4, port)) = dnat {
-                t.update_checksum_for_ip(old_dst.raw(), ip4.raw());
-                t.rewrite_dst_port(port);
-            }
-        }
-        Proto::Udp => {
-            let mut u =
-                vig_packet::udp::UdpDatagram::parse_mut(&mut skb[l4_off..]).expect("udp skb");
-            if let Some((ip4, port)) = snat {
-                u.update_checksum_for_ip(old_src.raw(), ip4.raw());
-                u.rewrite_src_port(port);
-            }
-            if let Some((ip4, port)) = dnat {
-                u.update_checksum_for_ip(old_dst.raw(), ip4.raw());
-                u.rewrite_dst_port(port);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vig_packet::builder::PacketBuilder;
+    use vig_packet::Ip4;
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -595,9 +567,12 @@ mod tests {
             .ttl(64)
             .build();
         nat.process(Direction::Internal, &mut out, Time::from_secs(1));
-        let ip = Ipv4Packet::parse(&out[14..]).unwrap();
-        assert_eq!(ip.ttl(), 63, "router decrements TTL");
-        assert!(ip.verify_checksum());
+        assert_eq!(
+            header::rd8(&out, header::IP_TTL),
+            63,
+            "router decrements TTL"
+        );
+        assert!(header::ipv4_checksum_ok(&out));
         let (_, of) = parse_l3l4(&out).unwrap();
 
         let mut back =
@@ -691,6 +666,55 @@ mod tests {
         nat.process(Direction::Internal, &mut tick2, Time::from_secs(9));
         // B (rst'd, deadline 7) and the t=5 UDP tick (deadline 7) died.
         assert_eq!(nat.expired_total(), 3, "RST cuts the established timer");
+    }
+
+    /// `ip_forward` drops a TTL that would expire (≤ 1) before
+    /// POSTROUTING confirms a connection: a new flow is never created,
+    /// and an established one is re-armed, then the packet dropped.
+    #[test]
+    fn expiring_ttl_drops_without_creating_a_connection() {
+        let mut nat = NetfilterNat::new(cfg());
+        let lan = Ip4::new(192, 168, 0, 1);
+        let wan = Ip4::new(9, 9, 9, 9);
+        for ttl in [0, 1] {
+            let mut f = PacketBuilder::udp(lan, wan, 5555, 53).ttl(ttl).build();
+            assert_eq!(
+                nat.process(Direction::Internal, &mut f, Time::from_secs(1)),
+                Verdict::Drop,
+                "TTL {ttl} must not be forwarded"
+            );
+            assert_eq!(nat.occupancy(), 0, "TTL {ttl} must not create a connection");
+        }
+
+        let mut f = PacketBuilder::udp(lan, wan, 5555, 53).build();
+        assert_eq!(
+            nat.process(Direction::Internal, &mut f, Time::from_secs(1)),
+            Verdict::Forward(Direction::External)
+        );
+        let mut out = PacketBuilder::udp(lan, wan, 5555, 53).ttl(1).build();
+        let sent = out.clone();
+        assert_eq!(
+            nat.process(Direction::Internal, &mut out, Time::from_secs(2)),
+            Verdict::Drop
+        );
+        assert_eq!(out, sent, "a dropped frame is not rewritten");
+        let mut back = PacketBuilder::udp(wan, Ip4::new(10, 1, 0, 1), 53, 5555)
+            .ttl(1)
+            .build();
+        assert_eq!(
+            nat.process(Direction::External, &mut back, Time::from_secs(2)),
+            Verdict::Drop
+        );
+        assert_eq!(nat.occupancy(), 1, "the established connection stays");
+        // Created at t=1 with a 2 s timeout, re-armed at t=2: still
+        // alive at t=3.5.
+        let mut tick = PacketBuilder::udp(Ip4::new(192, 168, 0, 2), wan, 1, 53).build();
+        nat.process(Direction::Internal, &mut tick, Time::from_millis(3_500));
+        assert_eq!(
+            nat.expired_total(),
+            0,
+            "the dropped packets re-armed the timer"
+        );
     }
 
     #[test]

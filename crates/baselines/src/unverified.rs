@@ -9,8 +9,11 @@
 //!   the paper's authors could not formally specify;
 //! * a slab of entries with an intrusive LRU list for expiry;
 //! * an ad-hoc free-list port allocator (no slot⇄port bijection trick);
-//! * direct, idiomatic parsing and rewriting (reusing `vig-packet`'s
-//!   views the way a normal dev reuses DPDK's header structs);
+//! * parsing with `vig_packet::parse_l3l4` and rewriting with
+//!   `vig_packet::header::rewrite`, the codec the verified datapath
+//!   writes through too (the way a normal dev reuses DPDK's header
+//!   structs), so the two NATs share one frame path and differ only
+//!   in their NAT logic;
 //! * dynamic allocation wherever convenient.
 //!
 //! It is deliberately *not* built from the verified loop body or libVig
@@ -20,10 +23,7 @@
 
 use libvig::time::Time;
 use netsim::middlebox::{Middlebox, Verdict};
-use vig_packet::ipv4::Ipv4Packet;
-use vig_packet::tcp::TcpSegment;
-use vig_packet::udp::UdpDatagram;
-use vig_packet::{parse_l3l4, Direction, ExtKey, FlowId, Ip4, Proto};
+use vig_packet::{header, parse_l3l4, Direction, ExtKey, FlowId, Ip4};
 use vig_spec::NatConfig;
 
 use crate::chained_map::ChainedMap;
@@ -197,53 +197,6 @@ fn ext_key_of(fid: &FlowId, ext_ip: Ip4, ext_port: u16) -> ExtKey {
     }
 }
 
-/// Rewrite the frame's source to `(new_ip, new_port)` with incremental
-/// checksum updates — the standard hand-written DPDK NAT fast path.
-fn rewrite_src(frame: &mut [u8], proto: Proto, new_ip: Ip4, new_port: u16) {
-    let old_ip;
-    {
-        let mut ip = Ipv4Packet::parse_mut(&mut frame[14..]).expect("validated frame");
-        old_ip = ip.src();
-        ip.rewrite_src(new_ip);
-    }
-    let l4_off = 14 + usize::from(frame[14] & 0x0f) * 4;
-    match proto {
-        Proto::Tcp => {
-            let mut t = TcpSegment::parse_mut(&mut frame[l4_off..]).expect("validated tcp");
-            t.update_checksum_for_ip(old_ip.raw(), new_ip.raw());
-            t.rewrite_src_port(new_port);
-        }
-        Proto::Udp => {
-            let mut u = UdpDatagram::parse_mut(&mut frame[l4_off..]).expect("validated udp");
-            u.update_checksum_for_ip(old_ip.raw(), new_ip.raw());
-            u.rewrite_src_port(new_port);
-        }
-    }
-}
-
-/// Rewrite the frame's destination to `(new_ip, new_port)`.
-fn rewrite_dst(frame: &mut [u8], proto: Proto, new_ip: Ip4, new_port: u16) {
-    let old_ip;
-    {
-        let mut ip = Ipv4Packet::parse_mut(&mut frame[14..]).expect("validated frame");
-        old_ip = ip.dst();
-        ip.rewrite_dst(new_ip);
-    }
-    let l4_off = 14 + usize::from(frame[14] & 0x0f) * 4;
-    match proto {
-        Proto::Tcp => {
-            let mut t = TcpSegment::parse_mut(&mut frame[l4_off..]).expect("validated tcp");
-            t.update_checksum_for_ip(old_ip.raw(), new_ip.raw());
-            t.rewrite_dst_port(new_port);
-        }
-        Proto::Udp => {
-            let mut u = UdpDatagram::parse_mut(&mut frame[l4_off..]).expect("validated udp");
-            u.update_checksum_for_ip(old_ip.raw(), new_ip.raw());
-            u.rewrite_dst_port(new_port);
-        }
-    }
-}
-
 impl Middlebox for UnverifiedNat {
     fn name(&self) -> &'static str {
         "Unverified NAT"
@@ -273,7 +226,8 @@ impl Middlebox for UnverifiedNat {
                         None => return Verdict::Drop,
                     }
                 };
-                rewrite_src(frame, ff.proto, self.cfg.external_ip, port);
+                let ext_ip = self.cfg.external_ip.raw();
+                header::rewrite(frame, ext_ip, port, ff.dst_ip.raw(), ff.dst_port);
                 Verdict::Forward(Direction::External)
             }
             Direction::External => {
@@ -295,7 +249,7 @@ impl Middlebox for UnverifiedNat {
                     (e.fid.src_ip, e.fid.src_port)
                 };
                 self.touch(idx, now);
-                rewrite_dst(frame, ff.proto, int_ip, int_port);
+                header::rewrite(frame, ff.src_ip.raw(), ff.src_port, int_ip.raw(), int_port);
                 Verdict::Forward(Direction::Internal)
             }
         }

@@ -62,8 +62,6 @@ pub struct RxPacket<D: Domain + ?Sized> {
     pub total_len: D::U16,
     /// Raw IPv4 flags+fragment-offset field (bytes 6–7).
     pub frag_field: D::U16,
-    /// IPv4 TTL (carried for baselines; VigNAT does not use it).
-    pub ttl: D::U8,
     /// IPv4 protocol number.
     pub proto: D::U8,
     /// IPv4 source address.
@@ -178,8 +176,6 @@ pub mod concrete {
         pub total_len: u16,
         /// IPv4 flags+fragment-offset field.
         pub frag_field: u16,
-        /// IPv4 TTL.
-        pub ttl: u8,
         /// IPv4 protocol.
         pub proto: u8,
         /// Source address.
@@ -209,7 +205,6 @@ pub mod concrete {
                 version_ihl: 0x45,
                 total_len: 20 + l4,
                 frag_field: 0x4000, // DF, not fragmented
-                ttl: 64,
                 proto: fields.proto.number(),
                 src_ip: fields.src_ip.raw(),
                 dst_ip: fields.dst_ip.raw(),
@@ -239,7 +234,6 @@ pub mod concrete {
                 version_ihl: self.version_ihl,
                 total_len: self.total_len,
                 frag_field: self.frag_field,
-                ttl: self.ttl,
                 proto: self.proto,
                 src_ip: self.src_ip,
                 dst_ip: self.dst_ip,

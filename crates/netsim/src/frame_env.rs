@@ -3,12 +3,17 @@
 //! `vignat`'s [`ConcreteEnv`] owns the table half of every concrete run
 //! of the loop body; this module supplies the two [`PacketSide`]s of
 //! the datapath — one frame ([`FrameEnv`]) and one burst of mempool
-//! buffers ([`BurstEnv`]). Header fields are read straight off the
-//! frame by `read_rx_fields` (zero-filled where the frame is too
-//! short — the loop body's length guards run before any semantic use, a
-//! property the symbolic engine checks), and `tx` applies the rewrite to
-//! the same buffer using the RFC 1624 incremental checksum updates from
-//! `vig-packet`. Both sides borrow everything, so constructing an env
+//! buffers ([`BurstEnv`]). Both read and write frames through
+//! `vig_packet::header`, the workspace's one header codec: header
+//! fields are read straight off the frame by `read_rx_fields`
+//! (zero-filled where the frame is too short — the loop body's length
+//! guards run before any semantic use, a property the symbolic engine
+//! checks), and `tx` hands the loop body's rewrite to
+//! `header::rewrite`, the same writer the baseline NATs use. The
+//! validation ladder guarantees every offset the writer touches lies
+//! inside the frame (frame >= 14 + IHL + 20/8); the writer never reads
+//! the TCP data offset or UDP length, so it cannot refuse a frame the
+//! NAT translates. Both sides borrow everything, so constructing an env
 //! costs nothing; with the loop body's fixed-size burst arrays and the
 //! env's stack-held probe arrays, a burst through `BurstEnv` allocates
 //! nothing (`tests/alloc_free_burst.rs` counts).
@@ -20,7 +25,7 @@
 use crate::dpdk::{BufIdx, Mempool};
 use libvig::map::MapKey;
 use libvig::time::Time;
-use vig_packet::checksum::Checksum;
+use vig_packet::header::{self, rd16, rd32, rd8};
 use vig_packet::{Direction, Proto};
 use vignat::domain::Concrete;
 use vignat::env::concrete::{ext_key, fid_key, ConcreteEnv, PacketSide, RawRx};
@@ -28,101 +33,29 @@ use vignat::env::{PktHandle, TxHdr};
 use vignat::loop_body::{external_key, internal_fid};
 use vignat::FlowTable;
 
-/// Read a big-endian u16 at `off`, zero if out of bounds.
-fn rd16(b: &[u8], off: usize) -> u16 {
-    match b.get(off..off + 2) {
-        Some(w) => u16::from_be_bytes([w[0], w[1]]),
-        None => 0,
-    }
-}
-
-/// Read a big-endian u32 at `off`, zero if out of bounds.
-fn rd32(b: &[u8], off: usize) -> u32 {
-    match b.get(off..off + 4) {
-        Some(w) => u32::from_be_bytes([w[0], w[1], w[2], w[3]]),
-        None => 0,
-    }
-}
-
-/// Read a byte at `off`, zero if out of bounds.
-fn rd8(b: &[u8], off: usize) -> u8 {
-    b.get(off).copied().unwrap_or(0)
-}
-
-/// Read a frame's header fields — the one place the datapath reads
-/// header bytes (both packet sides and the classifier call it). Fields
-/// beyond the frame are zero-filled; the loop body's length guards run
-/// before any semantic use of them.
+/// Read a frame's header fields through the codec — the one place
+/// the datapath reads header bytes (both packet sides and the
+/// classifier call it). Fields beyond the frame are zero-filled; the
+/// loop body's length guards run before any semantic use of them.
 #[inline]
 fn read_rx_fields(f: &[u8], dir: Direction) -> RawRx {
-    let version_ihl = rd8(f, 14);
-    // The L4 header starts at 14 + IHL·4.
-    let l4 = 14 + usize::from(version_ihl & 0x0f) * 4;
+    let l4 = header::l4_offset(f);
     RawRx {
         dir,
         frame_len: f.len().min(usize::from(u16::MAX)) as u16,
-        ethertype: rd16(f, 12),
-        version_ihl,
-        total_len: rd16(f, 16),
-        frag_field: rd16(f, 20),
-        ttl: rd8(f, 22),
-        proto: rd8(f, 23),
-        src_ip: rd32(f, 26),
-        dst_ip: rd32(f, 30),
-        src_port: rd16(f, l4),
-        dst_port: rd16(f, l4 + 2),
-        // Offset 13 of a TCP header; `RawRx::into_rx` zeroes it for
-        // non-TCP frames, and the loop body's ShortL4 guard drops a
-        // frame too short to carry it before the tracker sees it.
-        tcp_flags: rd8(f, l4 + 13),
-    }
-}
-
-/// Apply a NAT rewrite to the frame in place: fixed-offset field
-/// surgery with RFC 1624 incremental checksum maintenance — exactly the
-/// C original's struct-overlay writes, and the one place the datapath
-/// writes header bytes. The loop body's validation ladder guarantees
-/// every offset touched here lies inside the frame (frame >= 14 + IHL +
-/// 20/8); deliberately *no* typed-view re-parse, whose stricter checks
-/// (e.g. TCP data offset) could reject a frame the NAT can translate
-/// perfectly well.
-fn apply_rewrite(frame: &mut [u8], hdr: &TxHdr<Concrete>) {
-    let (src_ip, src_port, dst_ip, dst_port) = (hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port);
-    let l4 = 14 + usize::from(rd8(frame, 14) & 0x0f) * 4;
-    let proto = rd8(frame, 23);
-    let old_src_ip = rd32(frame, 26);
-    let old_dst_ip = rd32(frame, 30);
-
-    // IPv4 addresses + header checksum (field at 14+10).
-    frame[26..30].copy_from_slice(&src_ip.to_be_bytes());
-    frame[30..34].copy_from_slice(&dst_ip.to_be_bytes());
-    let ip_csum = Checksum::from_field(rd16(frame, 24))
-        .update_u32(old_src_ip, src_ip)
-        .update_u32(old_dst_ip, dst_ip)
-        .to_field();
-    frame[24..26].copy_from_slice(&ip_csum.to_be_bytes());
-
-    // L4 ports.
-    let old_src_port = rd16(frame, l4);
-    let old_dst_port = rd16(frame, l4 + 2);
-    frame[l4..l4 + 2].copy_from_slice(&src_port.to_be_bytes());
-    frame[l4 + 2..l4 + 4].copy_from_slice(&dst_port.to_be_bytes());
-
-    // L4 checksum: pseudo-header (both addresses) + both ports.
-    let is_udp = proto == vig_packet::ipv4::PROTO_UDP;
-    let csum_off = if is_udp { l4 + 6 } else { l4 + 16 };
-    let old_csum = rd16(frame, csum_off);
-    if !(is_udp && old_csum == 0) {
-        let mut c = Checksum::from_field(old_csum)
-            .update_u32(old_src_ip, src_ip)
-            .update_u32(old_dst_ip, dst_ip)
-            .update_u16(old_src_port, src_port)
-            .update_u16(old_dst_port, dst_port)
-            .to_field();
-        if is_udp && c == 0 {
-            c = 0xffff; // RFC 768: transmitted zero means "no checksum"
-        }
-        frame[csum_off..csum_off + 2].copy_from_slice(&c.to_be_bytes());
+        ethertype: rd16(f, header::ETHERTYPE),
+        version_ihl: rd8(f, header::IP_VERSION_IHL),
+        total_len: rd16(f, header::IP_TOTAL_LEN),
+        frag_field: rd16(f, header::IP_FRAG),
+        proto: rd8(f, header::IP_PROTO),
+        src_ip: rd32(f, header::IP_SRC),
+        dst_ip: rd32(f, header::IP_DST),
+        src_port: rd16(f, l4 + header::L4_SRC_PORT),
+        dst_port: rd16(f, l4 + header::L4_DST_PORT),
+        // `RawRx::into_rx` zeroes it for non-TCP frames, and the loop
+        // body's ShortL4 guard drops a frame too short to carry it
+        // before the tracker sees it.
+        tcp_flags: rd8(f, l4 + header::TCP_FLAGS),
     }
 }
 
@@ -164,7 +97,13 @@ impl PacketSide for FrameEnv<'_> {
     }
 
     fn tx(&mut self, _pkt: PktHandle, _out: Direction, hdr: TxHdr<Concrete>) {
-        apply_rewrite(self.frame, &hdr);
+        header::rewrite(
+            self.frame,
+            hdr.src_ip,
+            hdr.src_port,
+            hdr.dst_ip,
+            hdr.dst_port,
+        );
     }
 
     fn drop_pkt(&mut self, _pkt: PktHandle) {}
@@ -224,7 +163,8 @@ impl PacketSide for BurstEnv<'_> {
     }
 
     fn tx(&mut self, pkt: PktHandle, _out: Direction, hdr: TxHdr<Concrete>) {
-        apply_rewrite(self.pool.frame_mut(self.bufs[pkt.0]), &hdr);
+        let frame = self.pool.frame_mut(self.bufs[pkt.0]);
+        header::rewrite(frame, hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port);
     }
 
     fn drop_pkt(&mut self, _pkt: PktHandle) {}
@@ -359,8 +299,7 @@ mod tests {
         assert_eq!(ff.dst_port, 443);
 
         // IPv4 checksum still verifies after the incremental update.
-        let ip = vig_packet::ipv4::Ipv4Packet::parse(&frame[14..]).unwrap();
-        assert!(ip.verify_checksum());
+        assert!(header::ipv4_checksum_ok(&frame));
 
         // TCP checksum verifies against the *new* pseudo-header.
         let l4 = &frame[34..];
@@ -369,7 +308,7 @@ mod tests {
         copy[17] = 0;
         let want = vig_packet::checksum::l4_checksum(ff.src_ip.raw(), ff.dst_ip.raw(), 6, &copy);
         assert_eq!(
-            vig_packet::tcp::TcpSegment::parse(l4).unwrap().checksum(),
+            rd16(&frame, 34 + header::TCP_CHECKSUM),
             want,
             "TCP checksum must verify after NAT rewrite"
         );
@@ -409,10 +348,7 @@ mod tests {
         copy[7] = 0;
         let want =
             vig_packet::checksum::l4_checksum(backf.src_ip.raw(), backf.dst_ip.raw(), 17, &copy);
-        assert_eq!(
-            vig_packet::udp::UdpDatagram::parse(l4).unwrap().checksum(),
-            want
-        );
+        assert_eq!(rd16(&back, 34 + header::UDP_CHECKSUM), want);
     }
 
     #[test]

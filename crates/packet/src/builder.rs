@@ -13,17 +13,16 @@
 //! or the NAT performs.
 
 use crate::checksum::l4_checksum;
-use crate::ethernet::{EtherType, EthernetFrameMut, MacAddr, ETHERNET_HEADER_LEN};
+use crate::ethernet::{EtherType, MacAddr, ETHERNET_HEADER_LEN};
 use crate::flow::Proto;
-use crate::ipv4::{Ip4, Ipv4Packet, IPV4_MIN_HEADER_LEN, PROTO_TCP, PROTO_UDP};
+use crate::header::{self as h, wr16, wr32};
+use crate::ipv4::{Ip4, IPV4_MIN_HEADER_LEN};
 use crate::tcp::TCP_MIN_HEADER_LEN;
 use crate::udp::UDP_HEADER_LEN;
 
 /// Fluent builder for Ethernet/IPv4/{TCP,UDP} frames.
 #[derive(Debug, Clone)]
 pub struct PacketBuilder {
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
     src_ip: Ip4,
     dst_ip: Ip4,
     src_port: u16,
@@ -51,8 +50,6 @@ impl PacketBuilder {
 
     fn new(proto: Proto, src_ip: Ip4, dst_ip: Ip4, src_port: u16, dst_port: u16) -> Self {
         PacketBuilder {
-            src_mac: MacAddr::local(1),
-            dst_mac: MacAddr::local(2),
             src_ip,
             dst_ip,
             src_port,
@@ -66,13 +63,6 @@ impl PacketBuilder {
             udp_checksum: true,
             pad_to: 0,
         }
-    }
-
-    /// Set source/destination MACs.
-    pub fn macs(mut self, src: MacAddr, dst: MacAddr) -> Self {
-        self.src_mac = src;
-        self.dst_mac = dst;
-        self
     }
 
     /// Set the IPv4 TTL (default 64).
@@ -146,77 +136,51 @@ impl PacketBuilder {
         let buf = &mut buf[..total];
         buf.fill(0);
 
-        // Ethernet
-        {
-            let mut eth = EthernetFrameMut::parse(buf).ok()?;
-            eth.set_dst(self.dst_mac);
-            eth.set_src(self.src_mac);
-            eth.set_ethertype(EtherType::IPV4);
-        }
+        buf[h::ETH_DST..h::ETH_DST + 6].copy_from_slice(&MacAddr::local(2).0);
+        buf[h::ETH_SRC..h::ETH_SRC + 6].copy_from_slice(&MacAddr::local(1).0);
+        wr16(buf, h::ETHERTYPE, EtherType::IPV4.0);
 
-        let l4_len = match self.proto {
+        let l4_hdr = match self.proto {
             Proto::Tcp => TCP_MIN_HEADER_LEN,
             Proto::Udp => UDP_HEADER_LEN,
-        } + self.payload.len();
-        let ip_total = IPV4_MIN_HEADER_LEN + l4_len;
+        };
+        let l4_len = l4_hdr + self.payload.len();
+        // IPv4: version 4, IHL 5, DF, no options.
+        buf[h::IP_VERSION_IHL] = 0x45;
+        wr16(buf, h::IP_TOTAL_LEN, (IPV4_MIN_HEADER_LEN + l4_len) as u16);
+        wr16(buf, h::IP_IDENT, self.ident);
+        wr16(buf, h::IP_FRAG, 0x4000);
+        buf[h::IP_TTL] = self.ttl;
+        buf[h::IP_PROTO] = self.proto.number();
+        wr32(buf, h::IP_SRC, self.src_ip.raw());
+        wr32(buf, h::IP_DST, self.dst_ip.raw());
+        h::fill_ipv4_checksum(buf);
 
-        // IPv4 (write raw, then fill checksum via the view)
-        {
-            let ip = &mut buf[ETHERNET_HEADER_LEN..];
-            ip[0] = 0x45; // version 4, IHL 5
-            ip[1] = 0; // DSCP/ECN
-            ip[2..4].copy_from_slice(&(ip_total as u16).to_be_bytes());
-            ip[4..6].copy_from_slice(&self.ident.to_be_bytes());
-            ip[6] = 0x40; // DF
-            ip[7] = 0;
-            ip[8] = self.ttl;
-            ip[9] = match self.proto {
-                Proto::Tcp => PROTO_TCP,
-                Proto::Udp => PROTO_UDP,
-            };
-            ip[12..16].copy_from_slice(&self.src_ip.octets());
-            ip[16..20].copy_from_slice(&self.dst_ip.octets());
-            let mut v = Ipv4Packet::parse_mut(ip).ok()?;
-            v.fill_checksum();
-        }
-
-        // L4
-        let l4_off = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
-        match self.proto {
+        let l4 = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
+        wr16(buf, l4 + h::L4_SRC_PORT, self.src_port);
+        wr16(buf, l4 + h::L4_DST_PORT, self.dst_port);
+        let csum_at = match self.proto {
             Proto::Tcp => {
-                let t = &mut buf[l4_off..];
-                t[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-                t[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-                t[4..8].copy_from_slice(&self.tcp_seq.to_be_bytes());
-                // ack number zero
-                t[12] = 0x50; // data offset 5
-                t[13] = self.tcp_flags;
-                t[14..16].copy_from_slice(&4096u16.to_be_bytes()); // window
-                t[20..20 + self.payload.len()].copy_from_slice(&self.payload);
-                let c = l4_checksum(
-                    self.src_ip.raw(),
-                    self.dst_ip.raw(),
-                    PROTO_TCP,
-                    &t[..l4_len],
-                );
-                t[16..18].copy_from_slice(&c.to_be_bytes());
+                wr32(buf, l4 + h::TCP_SEQ, self.tcp_seq);
+                buf[l4 + h::TCP_DATA_OFFSET] = 0x50; // data offset 5
+                buf[l4 + h::TCP_FLAGS] = self.tcp_flags;
+                wr16(buf, l4 + h::TCP_WINDOW, 4096);
+                l4 + h::TCP_CHECKSUM
             }
             Proto::Udp => {
-                let u = &mut buf[l4_off..];
-                u[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-                u[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-                u[4..6].copy_from_slice(&(l4_len as u16).to_be_bytes());
-                u[8..8 + self.payload.len()].copy_from_slice(&self.payload);
-                if self.udp_checksum {
-                    let c = l4_checksum(
-                        self.src_ip.raw(),
-                        self.dst_ip.raw(),
-                        PROTO_UDP,
-                        &u[..l4_len],
-                    );
-                    u[6..8].copy_from_slice(&c.to_be_bytes());
-                }
+                wr16(buf, l4 + h::UDP_LEN, l4_len as u16);
+                l4 + h::UDP_CHECKSUM
             }
+        };
+        buf[l4 + l4_hdr..l4 + l4_len].copy_from_slice(&self.payload);
+        if self.proto == Proto::Tcp || self.udp_checksum {
+            let c = l4_checksum(
+                self.src_ip.raw(),
+                self.dst_ip.raw(),
+                self.proto.number(),
+                &buf[l4..l4 + l4_len],
+            );
+            wr16(buf, csum_at, c);
         }
         Some(total)
     }
@@ -260,7 +224,6 @@ mod tests {
     #[test]
     fn ipv4_checksum_valid() {
         let f = PacketBuilder::tcp(Ip4::new(9, 9, 9, 9), Ip4::new(8, 8, 8, 8), 5, 6).build();
-        let ip = Ipv4Packet::parse(&f[ETHERNET_HEADER_LEN..]).unwrap();
-        assert!(ip.verify_checksum());
+        assert!(h::ipv4_checksum_ok(&f));
     }
 }

@@ -1,9 +1,8 @@
 //! Ethernet II framing.
 //!
 //! Only untagged Ethernet II frames are supported — the same restriction
-//! smoltcp documents and the one VigNAT's testbed used (no 802.1Q).
-
-use crate::{Layer, ParseError};
+//! smoltcp documents and the one VigNAT's testbed used (no 802.1Q). The
+//! header's fields are read and written through [`crate::header`].
 
 /// Length of an Ethernet II header: two MACs plus the EtherType.
 pub const ETHERNET_HEADER_LEN: usize = 14;
@@ -13,21 +12,10 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-    /// The all-zero address, used as a placeholder by the simulator.
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
-
     /// A locally administered unicast address derived from a small id;
     /// handy for giving simulated devices distinct, readable MACs.
     pub fn local(id: u8) -> MacAddr {
         MacAddr([0x02, 0, 0, 0, 0, id])
-    }
-
-    /// True if the least-significant bit of the first octet is set
-    /// (group/multicast bit).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
     }
 }
 
@@ -49,125 +37,39 @@ pub struct EtherType(pub u16);
 impl EtherType {
     /// IPv4.
     pub const IPV4: EtherType = EtherType(0x0800);
-    /// ARP (recognized so the simulator can generate/ignore it; the NAT
-    /// drops it).
-    pub const ARP: EtherType = EtherType(0x0806);
-    /// IPv6 (always dropped by VigNAT).
-    pub const IPV6: EtherType = EtherType(0x86dd);
-}
-
-/// An immutable view of an Ethernet II frame.
-///
-/// The view borrows the buffer; construction validates only that the fixed
-/// header fits, so accessors can never slice out of bounds.
-#[derive(Debug)]
-pub struct EthernetFrame<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> EthernetFrame<'a> {
-    /// Parse a frame, checking the buffer holds a full Ethernet header.
-    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
-        if buf.len() < ETHERNET_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                layer: Layer::Ethernet,
-                have: buf.len(),
-                need: ETHERNET_HEADER_LEN,
-            });
-        }
-        Ok(EthernetFrame { buf })
-    }
-
-    /// Destination MAC.
-    pub fn dst(&self) -> MacAddr {
-        let mut m = [0u8; 6];
-        m.copy_from_slice(&self.buf[0..6]);
-        MacAddr(m)
-    }
-
-    /// Source MAC.
-    pub fn src(&self) -> MacAddr {
-        let mut m = [0u8; 6];
-        m.copy_from_slice(&self.buf[6..12]);
-        MacAddr(m)
-    }
-
-    /// EtherType.
-    pub fn ethertype(&self) -> EtherType {
-        EtherType(u16::from_be_bytes([self.buf[12], self.buf[13]]))
-    }
-
-    /// The L3 payload (everything after the header).
-    pub fn payload(&self) -> &'a [u8] {
-        &self.buf[ETHERNET_HEADER_LEN..]
-    }
-}
-
-/// A mutable view of an Ethernet II frame.
-#[derive(Debug)]
-pub struct EthernetFrameMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> EthernetFrameMut<'a> {
-    /// Parse a mutable frame, checking the header fits.
-    pub fn parse(buf: &'a mut [u8]) -> Result<Self, ParseError> {
-        if buf.len() < ETHERNET_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                layer: Layer::Ethernet,
-                have: buf.len(),
-                need: ETHERNET_HEADER_LEN,
-            });
-        }
-        Ok(EthernetFrameMut { buf })
-    }
-
-    /// Set the destination MAC.
-    pub fn set_dst(&mut self, mac: MacAddr) {
-        self.buf[0..6].copy_from_slice(&mac.0);
-    }
-
-    /// Set the source MAC.
-    pub fn set_src(&mut self, mac: MacAddr) {
-        self.buf[6..12].copy_from_slice(&mac.0);
-    }
-
-    /// Set the EtherType.
-    pub fn set_ethertype(&mut self, et: EtherType) {
-        self.buf[12..14].copy_from_slice(&et.0.to_be_bytes());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::PacketBuilder;
+    use crate::header::{rd16, ETHERTYPE, ETH_DST, ETH_SRC};
+    use crate::ipv4::Ip4;
+    use crate::{parse_l3l4, Layer, ParseError};
 
     #[test]
     fn accessors_roundtrip() {
-        let mut buf = vec![0u8; 64];
-        {
-            let mut f = EthernetFrameMut::parse(&mut buf).unwrap();
-            f.set_dst(MacAddr::local(1));
-            f.set_src(MacAddr::local(2));
-            f.set_ethertype(EtherType::IPV4);
-        }
-        let f = EthernetFrame::parse(&buf).unwrap();
-        assert_eq!(f.dst(), MacAddr::local(1));
-        assert_eq!(f.src(), MacAddr::local(2));
-        assert_eq!(f.ethertype(), EtherType::IPV4);
-        assert_eq!(f.payload().len(), 50);
+        let buf = PacketBuilder::udp(Ip4::new(1, 1, 1, 1), Ip4::new(2, 2, 2, 2), 1, 2)
+            .pad_to(64)
+            .build();
+        assert_eq!(buf[ETH_DST..ETH_DST + 6], MacAddr::local(2).0);
+        assert_eq!(buf[ETH_SRC..ETH_SRC + 6], MacAddr::local(1).0);
+        assert_eq!(rd16(&buf, ETHERTYPE), EtherType::IPV4.0);
+        assert_eq!(buf.len() - ETHERNET_HEADER_LEN, 50);
     }
 
     #[test]
     fn short_buffer_fails() {
-        assert!(EthernetFrame::parse(&[0u8; 13]).is_err());
-        assert!(EthernetFrameMut::parse(&mut [0u8; 0]).is_err());
-    }
-
-    #[test]
-    fn multicast_bit() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(!MacAddr::local(3).is_multicast());
+        for len in [0, 13] {
+            assert_eq!(
+                parse_l3l4(&[0u8; 13][..len]),
+                Err(ParseError::Truncated {
+                    layer: Layer::Ethernet,
+                    have: len,
+                    need: ETHERNET_HEADER_LEN
+                })
+            );
+        }
     }
 
     #[test]

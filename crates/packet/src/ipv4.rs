@@ -1,10 +1,8 @@
-//! IPv4 header view.
+//! IPv4 addresses and header constants.
 //!
-//! Field layout per RFC 791. Options are tolerated (IHL > 5) but never
+//! Field layout per RFC 791; the fields are read and written through
+//! [`crate::header`]. Options are tolerated (IHL > 5) but never
 //! generated; the NAT forwards them untouched.
-
-use crate::checksum::{self, Checksum};
-use crate::{Layer, ParseError};
 
 /// Minimum IPv4 header length (IHL = 5, no options).
 pub const IPV4_MIN_HEADER_LEN: usize = 20;
@@ -13,8 +11,6 @@ pub const IPV4_MIN_HEADER_LEN: usize = 20;
 pub const PROTO_TCP: u8 = 6;
 /// IP protocol number for UDP.
 pub const PROTO_UDP: u8 = 17;
-/// IP protocol number for ICMP (recognized, never translated).
-pub const PROTO_ICMP: u8 = 1;
 
 /// An IPv4 address stored as four octets.
 ///
@@ -29,9 +25,6 @@ impl Ip4 {
     pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Ip4 {
         Ip4(u32::from_be_bytes([a, b, c, d]))
     }
-
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ip4 = Ip4(0);
 
     /// Raw 32-bit value (host order; big-endian byte image of the quad).
     pub const fn raw(self) -> u32 {
@@ -57,313 +50,90 @@ impl From<[u8; 4]> for Ip4 {
     }
 }
 
-/// An immutable view over an IPv4 header (plus payload).
-#[derive(Debug)]
-pub struct Ipv4Packet<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Ipv4Packet<'a> {
-    /// Parse, validating version, IHL and that the buffer covers the
-    /// header. Does not verify the checksum (see
-    /// [`Ipv4Packet::verify_checksum`]).
-    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
-        check(buf)?;
-        Ok(Ipv4Packet { buf })
-    }
-
-    /// Parse a mutable view with the same validation.
-    pub fn parse_mut(buf: &'a mut [u8]) -> Result<Ipv4PacketMut<'a>, ParseError> {
-        check(buf)?;
-        Ok(Ipv4PacketMut { buf })
-    }
-
-    /// Header length in bytes (IHL × 4), in `20..=60`.
-    pub fn header_len(&self) -> usize {
-        ((self.buf[0] & 0x0f) as usize) * 4
-    }
-
-    /// The `total_len` field: header + payload bytes.
-    pub fn total_len(&self) -> u16 {
-        u16::from_be_bytes([self.buf[2], self.buf[3]])
-    }
-
-    /// Identification field.
-    pub fn ident(&self) -> u16 {
-        u16::from_be_bytes([self.buf[4], self.buf[5]])
-    }
-
-    /// Don't-fragment flag.
-    pub fn dont_fragment(&self) -> bool {
-        self.buf[6] & 0x40 != 0
-    }
-
-    /// More-fragments flag.
-    pub fn more_fragments(&self) -> bool {
-        self.buf[6] & 0x20 != 0
-    }
-
-    /// Fragment offset in 8-byte units.
-    pub fn fragment_offset(&self) -> u16 {
-        u16::from_be_bytes([self.buf[6] & 0x1f, self.buf[7]])
-    }
-
-    /// Time to live.
-    pub fn ttl(&self) -> u8 {
-        self.buf[8]
-    }
-
-    /// IP protocol number.
-    pub fn protocol(&self) -> u8 {
-        self.buf[9]
-    }
-
-    /// Header checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[10], self.buf[11]])
-    }
-
-    /// Source address.
-    pub fn src(&self) -> Ip4 {
-        Ip4(u32::from_be_bytes([
-            self.buf[12],
-            self.buf[13],
-            self.buf[14],
-            self.buf[15],
-        ]))
-    }
-
-    /// Destination address.
-    pub fn dst(&self) -> Ip4 {
-        Ip4(u32::from_be_bytes([
-            self.buf[16],
-            self.buf[17],
-            self.buf[18],
-            self.buf[19],
-        ]))
-    }
-
-    /// Verify the header checksum (ones-complement sum of the header,
-    /// including the checksum field, must be `0xffff`).
-    pub fn verify_checksum(&self) -> bool {
-        let hl = self.header_len();
-        checksum::checksum(&self.buf[..hl]) == 0
-    }
-
-    /// The L4 payload as delimited by `total_len` (clamped to the buffer).
-    pub fn payload(&self) -> &'a [u8] {
-        let hl = self.header_len();
-        let end = (self.total_len() as usize).min(self.buf.len());
-        &self.buf[hl.min(end)..end]
-    }
-}
-
-/// A mutable view over an IPv4 header.
-#[derive(Debug)]
-pub struct Ipv4PacketMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> Ipv4PacketMut<'a> {
-    /// Header length in bytes.
-    pub fn header_len(&self) -> usize {
-        ((self.buf[0] & 0x0f) as usize) * 4
-    }
-
-    /// Current source address.
-    pub fn src(&self) -> Ip4 {
-        Ip4(u32::from_be_bytes([
-            self.buf[12],
-            self.buf[13],
-            self.buf[14],
-            self.buf[15],
-        ]))
-    }
-
-    /// Current destination address.
-    pub fn dst(&self) -> Ip4 {
-        Ip4(u32::from_be_bytes([
-            self.buf[16],
-            self.buf[17],
-            self.buf[18],
-            self.buf[19],
-        ]))
-    }
-
-    /// Current TTL.
-    pub fn ttl(&self) -> u8 {
-        self.buf[8]
-    }
-
-    /// Set `total_len`.
-    pub fn set_total_len(&mut self, v: u16) {
-        self.buf[2..4].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the identification field.
-    pub fn set_ident(&mut self, v: u16) {
-        self.buf[4..6].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Rewrite the source address, **incrementally updating** the header
-    /// checksum per RFC 1624. This is the hot-path operation of a NAT:
-    /// `O(1)` regardless of packet size.
-    pub fn rewrite_src(&mut self, new: Ip4) {
-        let old = self.src();
-        self.buf[12..16].copy_from_slice(&new.octets());
-        let c = Checksum::from_field(self.checksum()).update_u32(old.0, new.0);
-        self.set_checksum(c.to_field());
-    }
-
-    /// Rewrite the destination address, incrementally updating the header
-    /// checksum.
-    pub fn rewrite_dst(&mut self, new: Ip4) {
-        let old = self.dst();
-        self.buf[16..20].copy_from_slice(&new.octets());
-        let c = Checksum::from_field(self.checksum()).update_u32(old.0, new.0);
-        self.set_checksum(c.to_field());
-    }
-
-    /// Decrement TTL by one, incrementally updating the checksum.
-    /// Returns the new TTL; the caller drops the packet when it hits 0.
-    /// (VigNAT itself does not decrement TTL — it is a NAT, not a router —
-    /// but the no-op-forwarding baseline and the NetFilter analog do.)
-    pub fn decrement_ttl(&mut self) -> u8 {
-        let old16 = u16::from_be_bytes([self.buf[8], self.buf[9]]);
-        let new_ttl = self.buf[8].saturating_sub(1);
-        self.buf[8] = new_ttl;
-        let new16 = u16::from_be_bytes([self.buf[8], self.buf[9]]);
-        let c = Checksum::from_field(self.checksum()).update_u16(old16, new16);
-        self.set_checksum(c.to_field());
-        new_ttl
-    }
-
-    /// Current checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[10], self.buf[11]])
-    }
-
-    /// Overwrite the checksum field.
-    pub fn set_checksum(&mut self, v: u16) {
-        self.buf[10..12].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Recompute the header checksum from scratch and store it.
-    pub fn fill_checksum(&mut self) {
-        self.set_checksum(0);
-        let hl = self.header_len();
-        let c = checksum::checksum(&self.buf[..hl]);
-        self.set_checksum(c);
-    }
-}
-
-fn check(buf: &[u8]) -> Result<(), ParseError> {
-    if buf.len() < IPV4_MIN_HEADER_LEN {
-        return Err(ParseError::Truncated {
-            layer: Layer::Ipv4,
-            have: buf.len(),
-            need: IPV4_MIN_HEADER_LEN,
-        });
-    }
-    if buf[0] >> 4 != 4 {
-        return Err(ParseError::BadVersion);
-    }
-    let ihl = (buf[0] & 0x0f) as usize * 4;
-    if !(IPV4_MIN_HEADER_LEN..=60).contains(&ihl) || buf.len() < ihl {
-        return Err(ParseError::BadLength { layer: Layer::Ipv4 });
-    }
-    let total = u16::from_be_bytes([buf[2], buf[3]]) as usize;
-    if total < ihl || total > buf.len() {
-        return Err(ParseError::BadLength { layer: Layer::Ipv4 });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
-    use crate::ETHERNET_HEADER_LEN;
+    use crate::header::{self, rd16, rd32, rd8};
+    use crate::{parse_l3l4, ParseError};
 
-    fn ip_bytes() -> Vec<u8> {
-        let f = PacketBuilder::tcp(Ip4::new(192, 168, 1, 7), Ip4::new(8, 8, 8, 8), 40000, 443)
+    fn frame() -> Vec<u8> {
+        PacketBuilder::tcp(Ip4::new(192, 168, 1, 7), Ip4::new(8, 8, 8, 8), 40000, 443)
             .payload(&[1, 2, 3])
-            .build();
-        f[ETHERNET_HEADER_LEN..].to_vec()
+            .build()
+    }
+
+    /// Rewrite only the addresses, keeping both ports.
+    fn rewrite_ips(f: &mut [u8], src: Ip4, dst: Ip4) {
+        let l4 = header::l4_offset(f);
+        let (sp, dp) = (rd16(f, l4), rd16(f, l4 + 2));
+        header::rewrite(f, src.raw(), sp, dst.raw(), dp);
     }
 
     #[test]
     fn fields_parse() {
-        let b = ip_bytes();
-        let p = Ipv4Packet::parse(&b).unwrap();
-        assert_eq!(p.header_len(), 20);
-        assert_eq!(p.protocol(), PROTO_TCP);
-        assert_eq!(p.src(), Ip4::new(192, 168, 1, 7));
-        assert_eq!(p.dst(), Ip4::new(8, 8, 8, 8));
-        assert!(p.verify_checksum());
-        assert_eq!(p.total_len() as usize, 20 + 20 + 3);
-        assert_eq!(p.payload().len(), 23); // TCP header + payload
+        let f = frame();
+        let ihl = header::l4_offset(&f) - crate::ETHERNET_HEADER_LEN;
+        let total = usize::from(rd16(&f, header::IP_TOTAL_LEN));
+        assert_eq!(ihl, 20);
+        assert_eq!(rd8(&f, header::IP_PROTO), PROTO_TCP);
+        assert_eq!(Ip4(rd32(&f, header::IP_SRC)), Ip4::new(192, 168, 1, 7));
+        assert_eq!(Ip4(rd32(&f, header::IP_DST)), Ip4::new(8, 8, 8, 8));
+        assert!(header::ipv4_checksum_ok(&f));
+        assert_eq!(total, 20 + 20 + 3);
+        assert_eq!(total - ihl, 23); // TCP header + payload
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut b = ip_bytes();
-        b[0] = 0x65; // version 6
-        assert_eq!(Ipv4Packet::parse(&b).unwrap_err(), ParseError::BadVersion);
+        let mut f = frame();
+        f[header::IP_VERSION_IHL] = 0x65; // version 6
+        assert_eq!(parse_l3l4(&f).unwrap_err(), ParseError::BadVersion);
     }
 
     #[test]
     fn bad_ihl_rejected() {
-        let mut b = ip_bytes();
-        b[0] = 0x44; // IHL = 4 -> 16 bytes, below minimum
-        assert!(Ipv4Packet::parse(&b).is_err());
+        let mut f = frame();
+        f[header::IP_VERSION_IHL] = 0x44; // IHL = 4 -> 16 bytes, below minimum
+        assert!(parse_l3l4(&f).is_err());
     }
 
     #[test]
     fn total_len_beyond_buffer_rejected() {
-        let mut b = ip_bytes();
-        b[2] = 0xff;
-        b[3] = 0xff;
-        assert!(Ipv4Packet::parse(&b).is_err());
+        let mut f = frame();
+        header::wr16(&mut f, header::IP_TOTAL_LEN, 0xffff);
+        assert!(parse_l3l4(&f).is_err());
     }
 
     #[test]
     fn rewrite_src_preserves_checksum_validity() {
-        let mut b = ip_bytes();
-        {
-            let mut p = Ipv4Packet::parse_mut(&mut b).unwrap();
-            p.rewrite_src(Ip4::new(1, 2, 3, 4));
-        }
-        let p = Ipv4Packet::parse(&b).unwrap();
-        assert_eq!(p.src(), Ip4::new(1, 2, 3, 4));
+        let mut f = frame();
+        rewrite_ips(&mut f, Ip4::new(1, 2, 3, 4), Ip4::new(8, 8, 8, 8));
+        assert_eq!(Ip4(rd32(&f, header::IP_SRC)), Ip4::new(1, 2, 3, 4));
         assert!(
-            p.verify_checksum(),
+            header::ipv4_checksum_ok(&f),
             "incremental update must keep checksum valid"
         );
     }
 
     #[test]
     fn rewrite_dst_preserves_checksum_validity() {
-        let mut b = ip_bytes();
-        {
-            let mut p = Ipv4Packet::parse_mut(&mut b).unwrap();
-            p.rewrite_dst(Ip4::new(172, 16, 254, 254));
-        }
-        let p = Ipv4Packet::parse(&b).unwrap();
-        assert_eq!(p.dst(), Ip4::new(172, 16, 254, 254));
-        assert!(p.verify_checksum());
+        let mut f = frame();
+        rewrite_ips(
+            &mut f,
+            Ip4::new(192, 168, 1, 7),
+            Ip4::new(172, 16, 254, 254),
+        );
+        assert_eq!(Ip4(rd32(&f, header::IP_DST)), Ip4::new(172, 16, 254, 254));
+        assert!(header::ipv4_checksum_ok(&f));
     }
 
     #[test]
     fn ttl_decrement_preserves_checksum_validity() {
-        let mut b = ip_bytes();
-        {
-            let mut p = Ipv4Packet::parse_mut(&mut b).unwrap();
-            assert_eq!(p.decrement_ttl(), 63);
-        }
-        let p = Ipv4Packet::parse(&b).unwrap();
-        assert_eq!(p.ttl(), 63);
-        assert!(p.verify_checksum());
+        let mut f = frame();
+        header::decrement_ttl(&mut f);
+        assert_eq!(rd8(&f, header::IP_TTL), 63);
+        assert!(header::ipv4_checksum_ok(&f));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! This crate provides the wire-format substrate the NAT operates on:
 //!
-//! * typed, bounds-checked **views** over raw byte buffers for Ethernet,
-//!   IPv4, TCP and UDP headers (in the style of `smoltcp`: no allocation,
-//!   no copying, every accessor reads/writes big-endian fields in place);
+//! * the one fixed-offset **header codec** ([`header`]): where each
+//!   Ethernet II / IPv4 / {TCP, UDP} field sits, zero-filling readers,
+//!   and the one writer of a frame's 5-tuple — the verified datapath,
+//!   [`parse_l3l4`], the builder and both baseline NATs all read and
+//!   rewrite frames through it;
 //! * the **internet checksum** ([`checksum`]), including the RFC 1624
 //!   incremental-update rules a NAT relies on when it rewrites addresses
 //!   and ports without touching the payload;
@@ -23,16 +25,17 @@ pub mod builder;
 pub mod checksum;
 pub mod ethernet;
 pub mod flow;
+pub mod header;
 pub mod ipv4;
 pub mod tcp;
 pub mod udp;
 
 pub use builder::PacketBuilder;
-pub use ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
+pub use ethernet::{EtherType, MacAddr, ETHERNET_HEADER_LEN};
 pub use flow::{Direction, ExtKey, Flow, FlowId, Proto};
-pub use ipv4::{Ip4, Ipv4Packet, IPV4_MIN_HEADER_LEN};
-pub use tcp::{TcpSegment, TCP_MIN_HEADER_LEN};
-pub use udp::{UdpDatagram, UDP_HEADER_LEN};
+pub use ipv4::{Ip4, IPV4_MIN_HEADER_LEN};
+pub use tcp::TCP_MIN_HEADER_LEN;
+pub use udp::UDP_HEADER_LEN;
 
 /// Errors returned when parsing a packet from raw bytes.
 ///
@@ -61,13 +64,9 @@ pub enum ParseError {
     /// The IP protocol is neither TCP nor UDP (RFC 3022 NAT translates
     /// only TCP/UDP sessions; everything else is dropped).
     UnsupportedProto(u8),
-    /// The IPv4 header checksum does not verify.
-    BadChecksum {
-        /// Header whose checksum failed.
-        layer: Layer,
-    },
-    /// The packet is an IPv4 fragment with a non-zero offset; the port
-    /// fields are not present so the flow cannot be identified.
+    /// The packet is an IPv4 fragment (MF set or a non-zero offset);
+    /// the port fields of a non-first fragment are not present, so the
+    /// flow cannot be identified.
     Fragment,
 }
 
@@ -97,7 +96,6 @@ impl core::fmt::Display for ParseError {
             ParseError::NotIpv4 => write!(f, "EtherType is not IPv4"),
             ParseError::BadVersion => write!(f, "IP version is not 4"),
             ParseError::UnsupportedProto(p) => write!(f, "unsupported IP protocol {p}"),
-            ParseError::BadChecksum { layer } => write!(f, "{layer:?} checksum mismatch"),
             ParseError::Fragment => write!(f, "non-first IPv4 fragment"),
         }
     }
@@ -105,95 +103,101 @@ impl core::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A fully parsed TCP/UDP-over-IPv4-over-Ethernet packet: the header
-/// offsets within one contiguous buffer.
-///
-/// This is what VigNAT's stateless code extracts once per packet; all
-/// subsequent header rewrites go through these offsets so no re-parsing
-/// is needed.
+/// Where the headers of a parsed TCP/UDP-over-IPv4-over-Ethernet
+/// frame start within its buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeaderOffsets {
     /// Offset of the IPv4 header (== Ethernet header length).
     pub l3: usize,
     /// Offset of the TCP/UDP header.
     pub l4: usize,
-    /// IP protocol (TCP or UDP).
-    pub proto: Proto,
-    /// Total frame length that was validated.
-    pub frame_len: usize,
 }
 
 /// Parse and validate an Ethernet/IPv4/{TCP,UDP} frame, returning the
 /// header offsets and the flow 5-tuple fields.
 ///
-/// Checks performed (each failure is a distinct, testable path — these are
-/// exactly the parse branches the symbolic-execution engine enumerates):
+/// Checks performed, in order, each failure its own [`ParseError`]:
 ///
-/// 1. frame long enough for Ethernet + minimal IPv4;
+/// 1. frame long enough for the Ethernet header;
 /// 2. EtherType is IPv4;
-/// 3. IP version is 4 and IHL is within bounds;
-/// 4. IPv4 `total_len` consistent with the buffer;
+/// 3. frame long enough for a minimal IPv4 header, IP version 4, the
+///    IHL at least 20 bytes and at most `total_len`, and `total_len`
+///    inside the frame;
+/// 4. not a fragment (MF set or a non-zero offset);
 /// 5. protocol is TCP or UDP;
-/// 6. not a non-first fragment;
-/// 7. frame long enough for the L4 header.
+/// 6. the L4 room (`total_len` − IHL: the datagram after the IPv4
+///    header, never the Ethernet padding past it) holds the L4 header,
+///    and the TCP data offset or UDP length lies between the minimal
+///    header and that room.
 ///
 /// The IPv4 header checksum is *not* verified here (DPDK NICs verify it in
-/// hardware; VigNAT assumes it). [`Ipv4Packet::verify_checksum`] is
+/// hardware; VigNAT assumes it). [`header::ipv4_checksum_ok`] is
 /// available for callers that want the software check.
 pub fn parse_l3l4(frame: &[u8]) -> Result<(HeaderOffsets, FlowFields), ParseError> {
-    let eth = EthernetFrame::parse(frame)?;
-    if eth.ethertype() != EtherType::IPV4 {
-        return Err(ParseError::NotIpv4);
-    }
-    let l3 = ETHERNET_HEADER_LEN;
-    let ip = Ipv4Packet::parse(&frame[l3..])?;
-    if ip.more_fragments() || ip.fragment_offset() != 0 {
-        return Err(ParseError::Fragment);
-    }
-    let proto = match ip.protocol() {
-        ipv4::PROTO_TCP => Proto::Tcp,
-        ipv4::PROTO_UDP => Proto::Udp,
-        other => return Err(ParseError::UnsupportedProto(other)),
-    };
-    let l4 = l3 + ip.header_len();
-    let l4_need = match proto {
-        Proto::Tcp => TCP_MIN_HEADER_LEN,
-        Proto::Udp => UDP_HEADER_LEN,
-    };
-    let l4_have = frame.len().saturating_sub(l4);
-    if l4_have < l4_need {
+    use header::{rd16, rd32, rd8};
+    if frame.len() < ETHERNET_HEADER_LEN {
         return Err(ParseError::Truncated {
-            layer: if proto == Proto::Tcp {
-                Layer::Tcp
-            } else {
-                Layer::Udp
-            },
-            have: l4_have,
-            need: l4_need,
+            layer: Layer::Ethernet,
+            have: frame.len(),
+            need: ETHERNET_HEADER_LEN,
         });
     }
-    let (src_port, dst_port) = match proto {
-        Proto::Tcp => {
-            let seg = TcpSegment::parse(&frame[l4..])?;
-            (seg.src_port(), seg.dst_port())
-        }
-        Proto::Udp => {
-            let dg = UdpDatagram::parse(&frame[l4..])?;
-            (dg.src_port(), dg.dst_port())
-        }
+    if rd16(frame, header::ETHERTYPE) != EtherType::IPV4.0 {
+        return Err(ParseError::NotIpv4);
+    }
+    let ip_have = frame.len() - ETHERNET_HEADER_LEN;
+    if ip_have < IPV4_MIN_HEADER_LEN {
+        return Err(ParseError::Truncated {
+            layer: Layer::Ipv4,
+            have: ip_have,
+            need: IPV4_MIN_HEADER_LEN,
+        });
+    }
+    if rd8(frame, header::IP_VERSION_IHL) >> 4 != 4 {
+        return Err(ParseError::BadVersion);
+    }
+    let l4 = header::l4_offset(frame);
+    let ihl = l4 - ETHERNET_HEADER_LEN;
+    let total = usize::from(rd16(frame, header::IP_TOTAL_LEN));
+    if ihl < IPV4_MIN_HEADER_LEN || ihl > total || total > ip_have {
+        return Err(ParseError::BadLength { layer: Layer::Ipv4 });
+    }
+    if rd16(frame, header::IP_FRAG) & 0x3fff != 0 {
+        return Err(ParseError::Fragment);
+    }
+    let proto = rd8(frame, header::IP_PROTO);
+    let proto = Proto::from_number(proto).ok_or(ParseError::UnsupportedProto(proto))?;
+    let (layer, need, len) = match proto {
+        Proto::Tcp => (
+            Layer::Tcp,
+            TCP_MIN_HEADER_LEN,
+            usize::from(rd8(frame, l4 + header::TCP_DATA_OFFSET) >> 4) * 4,
+        ),
+        Proto::Udp => (
+            Layer::Udp,
+            UDP_HEADER_LEN,
+            usize::from(rd16(frame, l4 + header::UDP_LEN)),
+        ),
     };
+    // The L4 room ends at `total_len`: Ethernet padding past the
+    // datagram is not part of it.
+    let have = total - ihl;
+    if have < need {
+        return Err(ParseError::Truncated { layer, have, need });
+    }
+    if len < need || len > have {
+        return Err(ParseError::BadLength { layer });
+    }
     Ok((
         HeaderOffsets {
-            l3,
+            l3: ETHERNET_HEADER_LEN,
             l4,
-            proto,
-            frame_len: frame.len(),
         },
         FlowFields {
-            src_ip: ip.src(),
-            dst_ip: ip.dst(),
-            src_port,
-            dst_port,
+            src_ip: Ip4(rd32(frame, header::IP_SRC)),
+            dst_ip: Ip4(rd32(frame, header::IP_DST)),
+            src_port: rd16(frame, l4 + header::L4_SRC_PORT),
+            dst_port: rd16(frame, l4 + header::L4_DST_PORT),
             proto,
         },
     ))
@@ -218,6 +222,7 @@ pub struct FlowFields {
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use crate::header::rd16;
 
     fn sample() -> Vec<u8> {
         PacketBuilder::udp(Ip4::new(10, 0, 0, 1), Ip4::new(93, 184, 216, 34), 5555, 80)
@@ -257,21 +262,16 @@ mod tests {
         // payload, but header-only access is validated).
         let mut exact = frame[..l4_end].to_vec();
         // Fix up IPv4 total_len + UDP length to make the truncation
-        // self-consistent. Patch total_len raw first: the typed view
-        // refuses to parse while the stale length exceeds the buffer.
-        {
-            let new_total = (IPV4_MIN_HEADER_LEN + UDP_HEADER_LEN) as u16;
-            exact[ETHERNET_HEADER_LEN + 2..ETHERNET_HEADER_LEN + 4]
-                .copy_from_slice(&new_total.to_be_bytes());
-            let mut ip = Ipv4Packet::parse_mut(&mut exact[ETHERNET_HEADER_LEN..]).unwrap();
-            ip.fill_checksum();
-        }
-        {
-            let l4 = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
-            exact[l4 + 4..l4 + 6].copy_from_slice(&(UDP_HEADER_LEN as u16).to_be_bytes());
-            let mut udp = UdpDatagram::parse_mut(&mut exact[l4..]).unwrap();
-            udp.set_checksum(0); // checksum optional for UDP/IPv4
-        }
+        // self-consistent.
+        let l4 = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
+        header::wr16(
+            &mut exact,
+            header::IP_TOTAL_LEN,
+            (IPV4_MIN_HEADER_LEN + UDP_HEADER_LEN) as u16,
+        );
+        header::fill_ipv4_checksum(&mut exact);
+        header::wr16(&mut exact, l4 + header::UDP_LEN, UDP_HEADER_LEN as u16);
+        header::wr16(&mut exact, l4 + header::UDP_CHECKSUM, 0); // optional for UDP/IPv4
         parse_l3l4(&exact).expect("header-only UDP frame parses");
     }
 
@@ -305,5 +305,49 @@ mod tests {
         let mut frame = sample();
         frame[ETHERNET_HEADER_LEN + 6] = 0x20; // MF flag
         assert_eq!(parse_l3l4(&frame), Err(ParseError::Fragment));
+    }
+
+    /// A UDP datagram whose `total_len` (24) leaves 4 bytes after the
+    /// IPv4 header, padded to a 64-byte frame: the 8 bytes at the L4
+    /// offset are mostly Ethernet padding, not a UDP header.
+    #[test]
+    fn l4_header_in_ethernet_padding_is_truncated() {
+        let mut frame = sample();
+        frame.resize(64, 0);
+        header::wr16(&mut frame, header::IP_TOTAL_LEN, 24);
+        header::fill_ipv4_checksum(&mut frame);
+        assert_eq!(
+            parse_l3l4(&frame),
+            Err(ParseError::Truncated {
+                layer: Layer::Udp,
+                have: 4,
+                need: UDP_HEADER_LEN
+            })
+        );
+    }
+
+    /// IPv4 options move the L4 header: the ports are read after the
+    /// IHL's 60 bytes, and the L4 room is `total_len` − IHL.
+    #[test]
+    fn options_move_the_l4_header() {
+        let plain = sample();
+        let mut frame = plain[..34].to_vec();
+        frame[header::IP_VERSION_IHL] = 0x4f;
+        frame.extend_from_slice(&[1; 40]); // options
+        frame.extend_from_slice(&plain[34..]);
+        let total = rd16(&plain, header::IP_TOTAL_LEN) + 40;
+        header::wr16(&mut frame, header::IP_TOTAL_LEN, total);
+        let (off, ff) = parse_l3l4(&frame).expect("a frame with options parses");
+        assert_eq!(off.l4, ETHERNET_HEADER_LEN + 60);
+        assert_eq!((ff.src_port, ff.dst_port), (5555, 80));
+        header::wr16(&mut frame, header::IP_TOTAL_LEN, 60 + 7);
+        assert_eq!(
+            parse_l3l4(&frame),
+            Err(ParseError::Truncated {
+                layer: Layer::Udp,
+                have: 7,
+                need: UDP_HEADER_LEN
+            })
+        );
     }
 }

@@ -1,12 +1,8 @@
-//! TCP header view — only the fields a NAT needs.
+//! TCP header constants — only what a NAT needs.
 //!
 //! A Traditional NAT (RFC 3022) rewrites ports and updates the TCP
-//! checksum; it does not track sequence numbers or connection state beyond
-//! the flow table, so this view exposes ports, flags and checksum plus
-//! read-only access to the rest.
-
-use crate::checksum::Checksum;
-use crate::{Layer, ParseError};
+//! checksum ([`crate::header::rewrite`]); it does not track sequence
+//! numbers, and reads the flag byte only to pick a flow's timeout class.
 
 /// Minimum TCP header length (data offset = 5).
 pub const TCP_MIN_HEADER_LEN: usize = 20;
@@ -23,143 +19,16 @@ pub mod flags {
     pub const ACK: u8 = 0x10;
 }
 
-/// Immutable TCP header view.
-#[derive(Debug)]
-pub struct TcpSegment<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> TcpSegment<'a> {
-    /// Parse, checking the fixed header fits and the data offset is sane.
-    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
-        check(buf)?;
-        Ok(TcpSegment { buf })
-    }
-
-    /// Parse a mutable view.
-    pub fn parse_mut(buf: &'a mut [u8]) -> Result<TcpSegmentMut<'a>, ParseError> {
-        check(buf)?;
-        Ok(TcpSegmentMut { buf })
-    }
-
-    /// Source port.
-    pub fn src_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[0], self.buf[1]])
-    }
-
-    /// Destination port.
-    pub fn dst_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[2], self.buf[3]])
-    }
-
-    /// Sequence number.
-    pub fn seq(&self) -> u32 {
-        u32::from_be_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]])
-    }
-
-    /// Acknowledgment number.
-    pub fn ack(&self) -> u32 {
-        u32::from_be_bytes([self.buf[8], self.buf[9], self.buf[10], self.buf[11]])
-    }
-
-    /// Header length in bytes (data offset × 4).
-    pub fn header_len(&self) -> usize {
-        ((self.buf[12] >> 4) as usize) * 4
-    }
-
-    /// The flags byte (CWR..FIN).
-    pub fn flags(&self) -> u8 {
-        self.buf[13]
-    }
-
-    /// Checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[16], self.buf[17]])
-    }
-}
-
-/// Mutable TCP header view.
-#[derive(Debug)]
-pub struct TcpSegmentMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> TcpSegmentMut<'a> {
-    /// Current source port.
-    pub fn src_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[0], self.buf[1]])
-    }
-
-    /// Current destination port.
-    pub fn dst_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[2], self.buf[3]])
-    }
-
-    /// Rewrite the source port, incrementally updating the TCP checksum.
-    pub fn rewrite_src_port(&mut self, new: u16) {
-        let old = self.src_port();
-        self.buf[0..2].copy_from_slice(&new.to_be_bytes());
-        self.incremental_update_u16(old, new);
-    }
-
-    /// Rewrite the destination port, incrementally updating the checksum.
-    pub fn rewrite_dst_port(&mut self, new: u16) {
-        let old = self.dst_port();
-        self.buf[2..4].copy_from_slice(&new.to_be_bytes());
-        self.incremental_update_u16(old, new);
-    }
-
-    /// Fold an address rewrite into the TCP checksum (the pseudo-header
-    /// includes src/dst IPs, so a NAT must update the L4 checksum when it
-    /// rewrites L3 addresses).
-    pub fn update_checksum_for_ip(&mut self, old: u32, new: u32) {
-        let c = Checksum::from_field(self.checksum()).update_u32(old, new);
-        self.set_checksum(c.to_field());
-    }
-
-    fn incremental_update_u16(&mut self, old: u16, new: u16) {
-        let c = Checksum::from_field(self.checksum()).update_u16(old, new);
-        self.set_checksum(c.to_field());
-    }
-
-    /// Current checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[16], self.buf[17]])
-    }
-
-    /// Overwrite the checksum field.
-    pub fn set_checksum(&mut self, v: u16) {
-        self.buf[16..18].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Set the flags byte.
-    pub fn set_flags(&mut self, v: u8) {
-        self.buf[13] = v;
-    }
-}
-
-fn check(buf: &[u8]) -> Result<(), ParseError> {
-    if buf.len() < TCP_MIN_HEADER_LEN {
-        return Err(ParseError::Truncated {
-            layer: Layer::Tcp,
-            have: buf.len(),
-            need: TCP_MIN_HEADER_LEN,
-        });
-    }
-    let hl = ((buf[12] >> 4) as usize) * 4;
-    if hl < TCP_MIN_HEADER_LEN || hl > buf.len() {
-        return Err(ParseError::BadLength { layer: Layer::Tcp });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
     use crate::checksum::l4_checksum;
+    use crate::header::{self, rd16, TCP_CHECKSUM, TCP_DATA_OFFSET};
     use crate::ipv4::{Ip4, PROTO_TCP};
-    use crate::{ETHERNET_HEADER_LEN, IPV4_MIN_HEADER_LEN};
+    use crate::{parse_l3l4, Layer, ParseError, ETHERNET_HEADER_LEN, IPV4_MIN_HEADER_LEN};
+
+    const L4: usize = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
 
     fn tcp_frame() -> Vec<u8> {
         PacketBuilder::tcp(Ip4::new(10, 0, 0, 2), Ip4::new(1, 1, 1, 1), 33333, 443)
@@ -167,20 +36,24 @@ mod tests {
             .build()
     }
 
-    fn l4_of(frame: &[u8]) -> &[u8] {
-        &frame[ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN..]
-    }
-
     fn l4_verifies(frame: &[u8]) -> bool {
         let src = Ip4::new(10, 0, 0, 2).raw();
         let dst = Ip4::new(1, 1, 1, 1).raw();
-        let l4 = l4_of(frame);
-        let mut copy = l4.to_vec();
+        let mut copy = frame[L4..].to_vec();
         copy[16] = 0;
         copy[17] = 0;
         let expect = l4_checksum(src, dst, PROTO_TCP, &copy);
-        let got = TcpSegment::parse(l4).unwrap().checksum();
+        let got = rd16(frame, L4 + TCP_CHECKSUM);
         expect == got
+    }
+
+    /// Rewrite only the ports, keeping both addresses.
+    fn rewrite_ports(f: &mut [u8], src_port: u16, dst_port: u16) {
+        let (src, dst) = (
+            header::rd32(f, header::IP_SRC),
+            header::rd32(f, header::IP_DST),
+        );
+        header::rewrite(f, src, src_port, dst, dst_port);
     }
 
     #[test]
@@ -192,46 +65,56 @@ mod tests {
     #[test]
     fn ports_parse() {
         let f = tcp_frame();
-        let seg = TcpSegment::parse(l4_of(&f)).unwrap();
-        assert_eq!(seg.src_port(), 33333);
-        assert_eq!(seg.dst_port(), 443);
-        assert_eq!(seg.header_len(), 20);
+        let (off, ff) = parse_l3l4(&f).unwrap();
+        assert_eq!(off.l4, L4);
+        assert_eq!(ff.src_port, 33333);
+        assert_eq!(ff.dst_port, 443);
+        assert_eq!(usize::from(f[L4 + TCP_DATA_OFFSET] >> 4) * 4, 20);
     }
 
     #[test]
     fn rewrite_src_port_keeps_checksum_valid() {
         let mut f = tcp_frame();
-        {
-            let off = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
-            let mut seg = TcpSegment::parse_mut(&mut f[off..]).unwrap();
-            seg.rewrite_src_port(61000);
-        }
+        rewrite_ports(&mut f, 61000, 443);
         assert!(l4_verifies(&f));
-        assert_eq!(TcpSegment::parse(l4_of(&f)).unwrap().src_port(), 61000);
+        assert_eq!(parse_l3l4(&f).unwrap().1.src_port, 61000);
     }
 
     #[test]
     fn rewrite_dst_port_keeps_checksum_valid() {
         let mut f = tcp_frame();
-        {
-            let off = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
-            let mut seg = TcpSegment::parse_mut(&mut f[off..]).unwrap();
-            seg.rewrite_dst_port(8080);
-        }
+        rewrite_ports(&mut f, 33333, 8080);
         assert!(l4_verifies(&f));
     }
 
     #[test]
     fn short_buffer_rejected() {
-        assert!(TcpSegment::parse(&[0u8; 19]).is_err());
+        // A datagram whose L4 room is 19 bytes, one short of a TCP header.
+        let mut f = tcp_frame();
+        f.truncate(L4 + 19);
+        header::wr16(&mut f, header::IP_TOTAL_LEN, 20 + 19);
+        assert_eq!(
+            parse_l3l4(&f),
+            Err(ParseError::Truncated {
+                layer: Layer::Tcp,
+                have: 19,
+                need: TCP_MIN_HEADER_LEN
+            })
+        );
     }
 
     #[test]
     fn bad_data_offset_rejected() {
-        let mut b = vec![0u8; 20];
-        b[12] = 0x40; // data offset 4 -> 16 bytes < 20
-        assert!(TcpSegment::parse(&b).is_err());
-        b[12] = 0xf0; // data offset 15 -> 60 bytes > buffer
-        assert!(TcpSegment::parse(&b).is_err());
+        let mut f = tcp_frame();
+        f[L4 + TCP_DATA_OFFSET] = 0x40; // data offset 4 -> 16 bytes < 20
+        assert_eq!(
+            parse_l3l4(&f),
+            Err(ParseError::BadLength { layer: Layer::Tcp })
+        );
+        f[L4 + TCP_DATA_OFFSET] = 0xf0; // data offset 15 -> 60 bytes > segment
+        assert_eq!(
+            parse_l3l4(&f),
+            Err(ParseError::BadLength { layer: Layer::Tcp })
+        );
     }
 }

@@ -1,155 +1,21 @@
-//! UDP header view.
-
-use crate::checksum::Checksum;
-use crate::{Layer, ParseError};
+//! UDP header constants; the fields are read and written through
+//! [`crate::header`].
 
 /// UDP header length.
 pub const UDP_HEADER_LEN: usize = 8;
-
-/// Immutable UDP header view.
-#[derive(Debug)]
-pub struct UdpDatagram<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> UdpDatagram<'a> {
-    /// Parse, checking the header fits and the length field is sane.
-    pub fn parse(buf: &'a [u8]) -> Result<Self, ParseError> {
-        check(buf)?;
-        Ok(UdpDatagram { buf })
-    }
-
-    /// Parse a mutable view.
-    pub fn parse_mut(buf: &'a mut [u8]) -> Result<UdpDatagramMut<'a>, ParseError> {
-        check(buf)?;
-        Ok(UdpDatagramMut { buf })
-    }
-
-    /// Source port.
-    pub fn src_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[0], self.buf[1]])
-    }
-
-    /// Destination port.
-    pub fn dst_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[2], self.buf[3]])
-    }
-
-    /// The `length` field (header + payload).
-    pub fn len(&self) -> u16 {
-        u16::from_be_bytes([self.buf[4], self.buf[5]])
-    }
-
-    /// True when the length field covers only the header.
-    pub fn is_empty(&self) -> bool {
-        self.len() as usize == UDP_HEADER_LEN
-    }
-
-    /// Checksum field (0 = not computed, allowed for UDP over IPv4).
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[6], self.buf[7]])
-    }
-}
-
-/// Mutable UDP header view.
-#[derive(Debug)]
-pub struct UdpDatagramMut<'a> {
-    buf: &'a mut [u8],
-}
-
-impl<'a> UdpDatagramMut<'a> {
-    /// Current source port.
-    pub fn src_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[0], self.buf[1]])
-    }
-
-    /// Current destination port.
-    pub fn dst_port(&self) -> u16 {
-        u16::from_be_bytes([self.buf[2], self.buf[3]])
-    }
-
-    /// Rewrite the source port, incrementally updating the checksum unless
-    /// it is absent (0).
-    pub fn rewrite_src_port(&mut self, new: u16) {
-        let old = self.src_port();
-        self.buf[0..2].copy_from_slice(&new.to_be_bytes());
-        self.incremental_update_u16(old, new);
-    }
-
-    /// Rewrite the destination port, incrementally updating the checksum
-    /// unless it is absent.
-    pub fn rewrite_dst_port(&mut self, new: u16) {
-        let old = self.dst_port();
-        self.buf[2..4].copy_from_slice(&new.to_be_bytes());
-        self.incremental_update_u16(old, new);
-    }
-
-    /// Fold an IPv4 address rewrite into the UDP checksum (pseudo-header),
-    /// unless the checksum is absent.
-    pub fn update_checksum_for_ip(&mut self, old: u32, new: u32) {
-        if self.checksum() == 0 {
-            return;
-        }
-        let c = Checksum::from_field(self.checksum()).update_u32(old, new);
-        self.set_checksum_nonzero(c.to_field());
-    }
-
-    fn incremental_update_u16(&mut self, old: u16, new: u16) {
-        if self.checksum() == 0 {
-            return; // no checksum present; nothing to maintain
-        }
-        let c = Checksum::from_field(self.checksum()).update_u16(old, new);
-        self.set_checksum_nonzero(c.to_field());
-    }
-
-    /// An incremental update can yield 0x0000, which for UDP would mean
-    /// "no checksum"; RFC 768 requires transmitting 0xffff instead.
-    fn set_checksum_nonzero(&mut self, v: u16) {
-        let v = if v == 0 { 0xffff } else { v };
-        self.buf[6..8].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Current checksum field.
-    pub fn checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[6], self.buf[7]])
-    }
-
-    /// Set the length field.
-    pub fn set_len(&mut self, v: u16) {
-        self.buf[4..6].copy_from_slice(&v.to_be_bytes());
-    }
-
-    /// Overwrite the checksum field (0 disables checksumming).
-    pub fn set_checksum(&mut self, v: u16) {
-        self.buf[6..8].copy_from_slice(&v.to_be_bytes());
-    }
-}
-
-fn check(buf: &[u8]) -> Result<(), ParseError> {
-    if buf.len() < UDP_HEADER_LEN {
-        return Err(ParseError::Truncated {
-            layer: Layer::Udp,
-            have: buf.len(),
-            need: UDP_HEADER_LEN,
-        });
-    }
-    let len = u16::from_be_bytes([buf[4], buf[5]]) as usize;
-    if len < UDP_HEADER_LEN || len > buf.len() {
-        return Err(ParseError::BadLength { layer: Layer::Udp });
-    }
-    Ok(())
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
     use crate::checksum::l4_checksum;
+    use crate::header::{self, rd16, UDP_CHECKSUM, UDP_LEN};
     use crate::ipv4::{Ip4, PROTO_UDP};
-    use crate::{ETHERNET_HEADER_LEN, IPV4_MIN_HEADER_LEN};
+    use crate::{parse_l3l4, Layer, ParseError, ETHERNET_HEADER_LEN, IPV4_MIN_HEADER_LEN};
 
     const SRC: Ip4 = Ip4::new(10, 0, 0, 9);
     const DST: Ip4 = Ip4::new(4, 4, 4, 4);
+    const L4: usize = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
 
     fn udp_frame() -> Vec<u8> {
         PacketBuilder::udp(SRC, DST, 1234, 53)
@@ -158,12 +24,10 @@ mod tests {
     }
 
     fn l4_verifies(frame: &[u8]) -> bool {
-        let l4 = &frame[ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN..];
-        let mut copy = l4.to_vec();
+        let mut copy = frame[L4..].to_vec();
         copy[6] = 0;
         copy[7] = 0;
-        l4_checksum(SRC.raw(), DST.raw(), PROTO_UDP, &copy)
-            == UdpDatagram::parse(l4).unwrap().checksum()
+        l4_checksum(SRC.raw(), DST.raw(), PROTO_UDP, &copy) == rd16(frame, L4 + UDP_CHECKSUM)
     }
 
     #[test]
@@ -174,44 +38,55 @@ mod tests {
     #[test]
     fn rewrite_ports_keeps_checksum_valid() {
         let mut f = udp_frame();
-        let off = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
-        {
-            let mut dg = UdpDatagram::parse_mut(&mut f[off..]).unwrap();
-            dg.rewrite_src_port(40001);
-            dg.rewrite_dst_port(5353);
-        }
+        header::rewrite(&mut f, SRC.raw(), 40001, DST.raw(), 5353);
         assert!(l4_verifies(&f));
-        let dg = UdpDatagram::parse(&f[off..]).unwrap();
-        assert_eq!(dg.src_port(), 40001);
-        assert_eq!(dg.dst_port(), 5353);
+        let (_, ff) = parse_l3l4(&f).unwrap();
+        assert_eq!(ff.src_port, 40001);
+        assert_eq!(ff.dst_port, 5353);
     }
 
     #[test]
     fn zero_checksum_stays_zero_on_rewrite() {
-        let mut f = udp_frame();
-        let off = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN;
-        {
-            let mut dg = UdpDatagram::parse_mut(&mut f[off..]).unwrap();
-            dg.set_checksum(0);
-            dg.rewrite_src_port(999);
-            dg.update_checksum_for_ip(SRC.raw(), 0x01020304);
-        }
-        let dg = UdpDatagram::parse(&f[off..]).unwrap();
-        assert_eq!(dg.checksum(), 0, "absent checksum must stay absent");
+        let mut f = PacketBuilder::udp(SRC, DST, 1234, 53)
+            .payload(b"dns?")
+            .no_udp_checksum()
+            .build();
+        header::rewrite(&mut f, 0x01020304, 999, DST.raw(), 53);
+        assert_eq!(
+            rd16(&f, L4 + UDP_CHECKSUM),
+            0,
+            "absent checksum must stay absent"
+        );
     }
 
     #[test]
     fn bad_length_rejected() {
-        let mut b = vec![0u8; 8];
-        b[4] = 0;
-        b[5] = 7; // < header
-        assert!(UdpDatagram::parse(&b).is_err());
-        b[5] = 200; // > buffer
-        assert!(UdpDatagram::parse(&b).is_err());
+        let mut f = udp_frame();
+        header::wr16(&mut f, L4 + UDP_LEN, 7); // < header
+        assert_eq!(
+            parse_l3l4(&f),
+            Err(ParseError::BadLength { layer: Layer::Udp })
+        );
+        header::wr16(&mut f, L4 + UDP_LEN, 200); // > datagram
+        assert_eq!(
+            parse_l3l4(&f),
+            Err(ParseError::BadLength { layer: Layer::Udp })
+        );
     }
 
     #[test]
     fn short_rejected() {
-        assert!(UdpDatagram::parse(&[0u8; 7]).is_err());
+        // A datagram whose L4 room is 7 bytes, one short of a UDP header.
+        let mut f = udp_frame();
+        f.truncate(L4 + 7);
+        header::wr16(&mut f, header::IP_TOTAL_LEN, 20 + 7);
+        assert_eq!(
+            parse_l3l4(&f),
+            Err(ParseError::Truncated {
+                layer: Layer::Udp,
+                have: 7,
+                need: UDP_HEADER_LEN
+            })
+        );
     }
 }

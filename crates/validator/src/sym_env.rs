@@ -151,7 +151,6 @@ impl NatEnv for SymEnv<'_> {
             version_ihl: rx.version_ihl,
             total_len: rx.total_len,
             frag_field: rx.frag_field,
-            ttl: self.arena.var("ttl", Width::W8),
             proto: rx.proto,
             src_ip: rx.src_ip,
             dst_ip: rx.dst_ip,

@@ -7,12 +7,15 @@
 //! forwarded output still parses with valid checksums, (c) flow-state
 //! coherence afterwards.
 
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vignat_repro::baselines::{NetfilterNat, UnverifiedNat};
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::NatConfig;
-use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Ip4};
+use vignat_repro::packet::{
+    builder::PacketBuilder, header, parse_l3l4, Direction, FlowId, Ip4, Layer, ParseError,
+};
 use vignat_repro::sim::middlebox::{Middlebox, Verdict, VigNatMb};
 
 fn cfg() -> NatConfig {
@@ -39,10 +42,7 @@ fn nats() -> Vec<Box<dyn Middlebox>> {
 /// VigNAT they assume NIC hardware already dropped bad-checksum frames,
 /// so the invariant to test is "valid in ⇒ valid out".)
 fn input_checksum_valid(frame: &[u8]) -> bool {
-    frame.len() >= 34
-        && vignat_repro::packet::ipv4::Ipv4Packet::parse(&frame[14..])
-            .map(|ip| ip.verify_checksum())
-            .unwrap_or(false)
+    frame.len() >= 34 && header::ipv4_checksum_ok(frame)
 }
 
 /// Output contract under adversarial input: a forwarded frame must
@@ -65,9 +65,8 @@ fn check_output_if_forwarded(
                 .unwrap_or_else(|e| panic!("{name}: parseable input forwarded as junk: {e}"));
         }
         if input_valid {
-            let ip = vignat_repro::packet::ipv4::Ipv4Packet::parse(&frame[14..]).unwrap();
             assert!(
-                ip.verify_checksum(),
+                header::ipv4_checksum_ok(frame),
                 "{name}: checksum-valid input forwarded with bad IP checksum"
             );
         }
@@ -162,6 +161,140 @@ fn boundary_valued_headers_are_handled() {
             let v = nf.process(Direction::External, &mut frame, now);
             check_output_if_forwarded(nf.name(), v, &frame, parsed, valid);
             let _ = i;
+        }
+    }
+}
+
+/// A UDP datagram whose `total_len` (24) ends 4 bytes into its UDP
+/// header, padded to a 64-byte frame: the 8 bytes at the L4 offset are
+/// mostly Ethernet padding. The parser reports the UDP header
+/// truncated, and every NAT drops the frame and keeps no state — the
+/// verified datapath as `ShortL4`, the way Linux's `ip_rcv` trims the
+/// padding before anything reads the L4 header.
+#[test]
+fn an_l4_header_in_ethernet_padding_is_dropped_by_every_nat() {
+    let mut frame = PacketBuilder::udp(Ip4::new(192, 168, 0, 1), Ip4::new(1, 1, 1, 1), 1000, 53)
+        .pad_to(64)
+        .build();
+    header::wr16(&mut frame, header::IP_TOTAL_LEN, 24);
+    header::fill_ipv4_checksum(&mut frame);
+    assert_eq!(
+        parse_l3l4(&frame),
+        Err(ParseError::Truncated {
+            layer: Layer::Udp,
+            have: 4,
+            need: 8
+        })
+    );
+    for mut nf in nats() {
+        let mut f = frame.clone();
+        assert_eq!(
+            nf.process(Direction::Internal, &mut f, Time::from_secs(1)),
+            Verdict::Drop,
+            "{}: an L4 header in the padding must drop",
+            nf.name()
+        );
+        assert_eq!(
+            nf.occupancy(),
+            0,
+            "{}: no state for a dropped frame",
+            nf.name()
+        );
+    }
+}
+
+/// A byte string for the accept-set property: pure noise, or a valid
+/// TCP or UDP frame (padded or not) with up to four bytes at offsets
+/// 12..64 overwritten and then one of: nothing more, `total_len` set
+/// small, the IHL nibble set, the TCP data offset or UDP length set,
+/// or a cut.
+fn adversarial_frame() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (
+            0u8..6,
+            any::<bool>(),
+            0usize..24,
+            prop_oneof![Just(0usize), Just(64), 0usize..96],
+        ),
+        proptest::collection::vec((12usize..64, any::<u8>()), 0..4),
+        (any::<u16>(), 0u16..96, 0u8..16),
+        0usize..128,
+        proptest::collection::vec(any::<u8>(), 0..=96),
+    )
+        .prop_map(
+            |((kind, tcp, payload, pad), pokes, (port, short, nibble), cut, noise)| {
+                if kind == 0 {
+                    return noise;
+                }
+                let (src, dst) = (Ip4::new(192, 168, 0, 1), Ip4::new(1, 1, 1, 1));
+                let builder = if tcp {
+                    PacketBuilder::tcp(src, dst, port, 80)
+                } else {
+                    PacketBuilder::udp(src, dst, port, 53)
+                };
+                let mut f = builder
+                    .payload(&noise[..payload.min(noise.len())])
+                    .pad_to(pad)
+                    .build();
+                for (at, v) in pokes {
+                    if let Some(b) = f.get_mut(at) {
+                        *b = v;
+                    }
+                }
+                let l4 = header::l4_offset(&f);
+                match kind {
+                    2 => header::wr16(&mut f, header::IP_TOTAL_LEN, short),
+                    3 => f[header::IP_VERSION_IHL] = 0x40 | nibble,
+                    4 if l4 + 13 < f.len() => {
+                        f[l4 + header::TCP_DATA_OFFSET] = nibble << 4;
+                        header::wr16(&mut f, l4 + header::UDP_LEN, short);
+                    }
+                    5 => f.truncate(cut),
+                    _ => {}
+                }
+                f
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(50_000))]
+    /// The verified datapath and `parse_l3l4` accept the same frames
+    /// (ROADMAP item 8's first step, pinned). On a fresh table,
+    /// `VigNatMb::process` forwards an internal frame exactly when the
+    /// parser accepts it, and then the flow it creates carries the
+    /// parser's 5-tuple. The two deliberate exceptions are the output
+    /// contract's: a TCP data offset outside 20 ..= the L4 room, or a
+    /// UDP length outside 8 ..= the L4 room, which the parser rejects
+    /// and the NAT — not an L4 validator — translates.
+    #[test]
+    fn the_datapath_forwards_exactly_what_parse_l3l4_accepts(frame in adversarial_frame()) {
+        let parsed = parse_l3l4(&frame);
+        let mut nat = VigNatMb::new(cfg());
+        let mut out = frame.clone();
+        let verdict = nat.process(Direction::Internal, &mut out, Time::from_secs(1));
+        let exception = matches!(
+            parsed,
+            Err(ParseError::BadLength { layer: Layer::Tcp | Layer::Udp })
+        );
+        prop_assert_eq!(
+            verdict == Verdict::Forward(Direction::External),
+            parsed.is_ok() || exception,
+            "parser {:?}, datapath {:?} on {:02x?}",
+            parsed,
+            verdict,
+            frame
+        );
+        if let Ok((_, ff)) = parsed {
+            let (_, flow, _) = nat.flow_manager().iter_lru().next().expect("one flow");
+            let read = FlowId {
+                src_ip: ff.src_ip,
+                src_port: ff.src_port,
+                dst_ip: ff.dst_ip,
+                dst_port: ff.dst_port,
+                proto: ff.proto,
+            };
+            prop_assert_eq!(flow.int_key, read);
         }
     }
 }

@@ -7,7 +7,7 @@ use vignat_repro::baselines::{NetfilterNat, UnverifiedNat};
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::NatConfig;
 use vignat_repro::packet::tcp::flags;
-use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, Ip4};
+use vignat_repro::packet::{builder::PacketBuilder, header, parse_l3l4, Direction, Ip4};
 use vignat_repro::sim::middlebox::{Middlebox, Verdict, VigNatMb};
 
 const EXT_IP: Ip4 = Ip4::new(198, 51, 100, 1);
@@ -43,9 +43,12 @@ fn session_against(nf: &mut dyn Middlebox) {
     assert_eq!(out.dst_port, 443);
     let ext_port = out.src_port;
     // TCP specifics preserved:
-    let seg = vignat_repro::packet::tcp::TcpSegment::parse(&syn[34..]).unwrap();
-    assert_eq!(seg.flags() & flags::SYN, flags::SYN, "SYN flag preserved");
-    assert_eq!(seg.seq(), 1000, "sequence number untouched");
+    let (flag_byte, seq) = (
+        header::rd8(&syn, 34 + header::TCP_FLAGS),
+        header::rd32(&syn, 34 + header::TCP_SEQ),
+    );
+    assert_eq!(flag_byte & flags::SYN, flags::SYN, "SYN flag preserved");
+    assert_eq!(seq, 1000, "sequence number untouched");
 
     // 2. SYN-ACK back.
     let mut synack = PacketBuilder::tcp(SERVER, EXT_IP, 443, ext_port)

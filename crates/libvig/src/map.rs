@@ -72,14 +72,20 @@
 //! the same `FlowId` hash). [`Map::get_batch_with_hash`] resolves a
 //! burst of keys in stages, each issued for a whole chunk of keys before
 //! the next begins: compute every probe start and first-touch its
-//! control word; first-touch the one slot each probe will dereference
-//! first; then complete the probes on warm lines. Loads of one stage do
-//! not depend on each other, so their misses overlap in the memory
-//! system instead of serializing one lookup at a time (memory-level
+//! control word; first-touch the one slot where each probe's work in
+//! its start group ends — the slot a hit dereferences first, or the
+//! free slot where a miss stops and an insert of the key would write;
+//! then complete the probes on warm lines. Loads of one stage do not
+//! depend on each other, so their misses overlap in the memory system
+//! instead of serializing one lookup at a time (memory-level
 //! parallelism) — which is what makes the burst path's flow-table cost
-//! sublinear in burst size on large tables. The first-touches are plain
-//! loads folded into `std::hint::black_box` (this crate forbids
-//! `unsafe`, so there are no prefetch intrinsics); they change no state.
+//! sublinear in burst size on large tables, for new flows as for
+//! established ones: a store to a cold slot retires into the store
+//! buffer, but still waits for its line and its page translation, and
+//! the touch overlaps those waits across the burst. The first-touches
+//! are plain loads folded into `std::hint::black_box` (this crate
+//! forbids `unsafe`, so there are no prefetch intrinsics); they change
+//! no state.
 //! The stages are [`get_staged`], which takes its queries by position
 //! and lets each name its own map, so one pass over a burst serves
 //! every shard of a partitioned table — the misses of different shards
@@ -461,24 +467,36 @@ impl<K: MapKey> Map<K> {
         }
     }
 
-    /// Load the slot a probe for `hash` from `start` dereferences first
-    /// — the first lane of the start group that carries the hash's tag,
-    /// before the group's first free lane — and return its value for the
-    /// caller to sink into `black_box`. One field is enough: a slot is
-    /// line-aligned and never straddles (module docs), so one load warms
-    /// all of it. A start group with no such lane loads nothing: either
-    /// the probe stops at a free lane without a slot load, or it moves
-    /// on to the next control word, which is adjacent.
+    /// The lane stage 2 of a staged probe touches for `hash` from
+    /// `start`: where the probe's work in the start group ends. That is
+    /// the first lane carrying the hash's tag before the group's first
+    /// free lane — the slot the probe dereferences first — and otherwise
+    /// that first free lane, where a miss stops and which
+    /// [`Map::put_with_hash`] fills if the key is then inserted. A start
+    /// group with neither (every lane busy under other tags) gives
+    /// `None`: the probe moves on to the next control word, which is
+    /// adjacent.
     #[inline(always)]
-    fn first_touch_slot(&self, start: usize, hash: u64) -> u64 {
+    fn touch_lane(&self, start: usize, hash: u64) -> Option<usize> {
         let w = self.tags[start / GROUP];
         let window = lane_window(0, GROUP.min(self.capacity - start));
-        let candidates =
-            match_lanes(w, ctrl_byte(hash)) & window & before_first(free_lanes(w) & window);
-        if candidates == 0 {
-            return 0;
-        }
-        self.slots[start + (candidates.trailing_zeros() as usize) / 8].value as u64
+        let frees = free_lanes(w) & window;
+        let candidates = match_lanes(w, ctrl_byte(hash)) & window & before_first(frees);
+        let lanes = if candidates != 0 { candidates } else { frees };
+        (lanes != 0).then(|| start + (lanes.trailing_zeros() as usize) / 8)
+    }
+
+    /// Load the slot of [`Map::touch_lane`] and return its value for the
+    /// caller to sink into `black_box`; load nothing when it is `None`.
+    /// One field is enough: a slot is line-aligned and never straddles
+    /// (module docs), so one load warms all of it — for a hit, the slot
+    /// the probe compares; for a miss, the slot an insert then writes,
+    /// whose line and page translation would otherwise be waited for by
+    /// the insert's store, one packet at a time.
+    #[inline(always)]
+    fn first_touch_slot(&self, start: usize, hash: u64) -> u64 {
+        self.touch_lane(start, hash)
+            .map_or(0, |idx| self.slots[idx].value as u64)
     }
 
     /// Number of slots a lookup for `key` would inspect. Exposed for the
@@ -658,8 +676,9 @@ impl<K: MapKey> Map<K> {
 /// (`hash == key.key_hash()`), or `None` where position `i` holds no
 /// query; it is asked once per stage, so it must answer alike each time.
 /// Stage 1 computes every probe start — once; the probe reuses it — and
-/// first-touches its control word; stage 2 first-touches the slot each
-/// probe will dereference first; then the probes complete on the warmed
+/// first-touches its control word; stage 2 first-touches the slot of
+/// `Map::touch_lane` — the one a hit dereferences first, or the one a
+/// miss's insert fills; then the probes complete on the warmed
 /// lines, and `found(i, result)` receives each one in position order:
 /// exactly that map's `get_with_hash`. [`Map::get_batch_with_hash`] is
 /// the one-map case.
@@ -1489,6 +1508,87 @@ mod tests {
                 fresh.put(k.clone(), k.id as usize).unwrap();
             }
             prop_assert_eq!(busy_lanes_and_probe_sum(&m), busy_lanes_and_probe_sum(&fresh));
+        }
+
+        /// Stage 2 of the staged probe touches the lane where the probe
+        /// ends in its start group. For an absent key that is the lane
+        /// `put_with_hash` then fills, or a lane before it carrying the
+        /// key's tag (the slot the probe compares first); it touches
+        /// nothing only when the insert lands past the start group. For
+        /// a present key matched in its start group it is the key's own
+        /// lane, or the first lane before it carrying the same tag. Odd
+        /// capacities give a short last group and wraparound; loads run
+        /// from empty to 95 % full, after erasures.
+        #[test]
+        fn stage_two_touches_the_lane_the_probe_ends_at(
+            half in 4usize..100,
+            load in 0usize..=95,
+            seed in any::<u64>(),
+        ) {
+            let cap = 2 * half + 1;
+            let mut rng = seed;
+            let mut next = move || {
+                rng = rng.key_hash();
+                rng
+            };
+            let mut id = 0u32;
+            let mut mk = |r: u64| {
+                id += 1;
+                let start = match (r >> 8) % 4 {
+                    0 => cap - 1,
+                    1 => (cap - 1) / GROUP * GROUP,
+                    _ => (r >> 16) as usize % cap,
+                };
+                AdvKey { id, hash: adv_hash([0, 0, 1, 127][(r % 4) as usize], start, cap) }
+            };
+            let target = cap * load / 100;
+            let mut m = Map::<AdvKey>::new(cap);
+            let mut live = Vec::new();
+            while live.len() < target + target / 4 && !m.is_full() {
+                let k = mk(next());
+                m.put(k.clone(), k.id as usize).unwrap();
+                live.push(k);
+            }
+            while live.len() > target {
+                let k = live.swap_remove(next() as usize % live.len());
+                m.erase(&k);
+            }
+            let dist = |start: usize, idx: usize| (idx + cap - start) % cap;
+            let tagged = |idx: usize, h: u64| m.ctrl(idx) == ctrl_byte(h);
+            for k in &live {
+                let ProbeOutcome::Hit { idx, .. } = m.probe(k, k.hash) else {
+                    unreachable!("a live key is found");
+                };
+                let start = m.start_of(k.hash);
+                let lane = m.touch_lane(start, k.hash);
+                if dist(start, idx) < GROUP.min(cap - start) {
+                    let first = (start..=idx).find(|&l| tagged(l, k.hash));
+                    prop_assert_eq!(lane, first, "present key at {}", idx);
+                } else if let Some(l) = lane {
+                    prop_assert!(tagged(l, k.hash) && dist(start, l) < dist(start, idx));
+                }
+            }
+            for _ in 0..16 {
+                let q = mk(next());
+                let start = m.start_of(q.hash);
+                let lane = m.touch_lane(start, q.hash);
+                let mut after = m.clone();
+                after.put(q.clone(), 0).unwrap();
+                let ProbeOutcome::Hit { idx: filled, .. } = after.probe(&q, q.hash) else {
+                    unreachable!("an inserted key is found");
+                };
+                match lane {
+                    Some(l) => prop_assert!(
+                        l == filled
+                            || (tagged(l, q.hash) && dist(start, l) < dist(start, filled)),
+                        "absent key touches {} but fills {}", l, filled
+                    ),
+                    None => prop_assert!(
+                        dist(start, filled) >= GROUP.min(cap - start),
+                        "absent key touches nothing but fills {} in its start group", filled
+                    ),
+                }
+            }
         }
     }
 }

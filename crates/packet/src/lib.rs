@@ -122,7 +122,8 @@ pub struct HeaderOffsets {
 /// 2. EtherType is IPv4;
 /// 3. frame long enough for a minimal IPv4 header, IP version 4, the
 ///    IHL at least 20 bytes and at most `total_len`, and `total_len`
-///    inside the frame;
+///    inside the frame, whose length counts at most 65,535 bytes (the
+///    datapath's 16-bit `frame_len` clamp, so both accept one set);
 /// 4. not a fragment (MF set or a non-zero offset);
 /// 5. protocol is TCP or UDP;
 /// 6. the L4 room (`total_len` − IHL: the datagram after the IPv4
@@ -145,7 +146,7 @@ pub fn parse_l3l4(frame: &[u8]) -> Result<(HeaderOffsets, FlowFields), ParseErro
     if rd16(frame, header::ETHERTYPE) != EtherType::IPV4.0 {
         return Err(ParseError::NotIpv4);
     }
-    let ip_have = frame.len() - ETHERNET_HEADER_LEN;
+    let ip_have = frame.len().min(usize::from(u16::MAX)) - ETHERNET_HEADER_LEN;
     if ip_have < IPV4_MIN_HEADER_LEN {
         return Err(ParseError::Truncated {
             layer: Layer::Ipv4,

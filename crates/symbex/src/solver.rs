@@ -343,8 +343,11 @@ fn bounds(arena: &TermArena, t: TermId) -> (i128, i128) {
             (la - hb, ha - lb)
         }
         Node::AndMask(a, m) => {
-            let (_, ha) = bounds(arena, *a);
-            (0, (*m as i128).min(ha))
+            // A negative operand (a `Sub` that may go below zero) masks
+            // to its two's-complement low bits: anything up to the mask.
+            let (la, ha) = bounds(arena, *a);
+            let m = *m as i128;
+            (0, if la < 0 { m } else { m.min(ha) })
         }
         Node::ShlC(a, s) => {
             let (la, ha) = bounds(arena, *a);
@@ -465,6 +468,38 @@ mod tests {
             !Solver::entails(&a, &[], too_tight),
             "59 is not a valid bound"
         );
+    }
+
+    /// `(a - b) & m` with `a < b` masks a negative integer: its value
+    /// is the two's-complement low bits, anywhere in `0..=m`, not the
+    /// empty interval an operand assumed non-negative gives. Every pair
+    /// of W8 constants is checked against the integer value.
+    #[test]
+    fn mask_of_a_negative_difference_is_not_refuted() {
+        let mut a = arena();
+        let c3 = a.cu(3, Width::W8);
+        let c57 = a.cu(57, Width::W8);
+        let c172 = a.cu(172, Width::W8);
+        let diff = a.sub(c57, c172);
+        let masked = a.and_mask(diff, 213);
+        let ge3 = a.le(c3, masked);
+        assert_eq!(Solver::check(&a, &[(ge3, true)]), SatResult::Sat);
+        for x in 0..=255u64 {
+            for y in x + 1..=255 {
+                let cx = a.cu(x, Width::W8);
+                let cy = a.cu(y, Width::W8);
+                let diff = a.sub(cx, cy);
+                let masked = a.and_mask(diff, 213);
+                let value = ((x as i128 - y as i128) & 213) as u64;
+                let cv = a.cu(value, Width::W8);
+                let is_value = a.eq(masked, cv);
+                assert_eq!(
+                    Solver::check(&a, &[(is_value, true)]),
+                    SatResult::Sat,
+                    "({x} - {y}) & 213 == {value} refuted"
+                );
+            }
+        }
     }
 
     #[test]

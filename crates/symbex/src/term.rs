@@ -8,7 +8,10 @@
 //!
 //! Constant folding happens at construction: `add(c1, c2)` yields a
 //! constant, `eq(t, t)` yields `true`, etc. This keeps paths short and
-//! makes many proof obligations discharge syntactically.
+//! makes many proof obligations discharge syntactically. A fold equals
+//! the integer value of the term, or it does not happen: a constant sum
+//! past its width, or a constant shift that loses a bit, stays a node,
+//! so the obligation that it must not wrap stays refutable.
 
 use std::collections::HashMap;
 
@@ -182,15 +185,17 @@ impl TermArena {
         }
     }
 
-    /// `a + b`, constant-folded.
+    /// `a + b`, constant-folded when the sum fits the width. A sum past
+    /// it stays a node, so the domain's no-wrap obligation on it stays
+    /// refutable instead of folding to `true`.
     pub fn add(&mut self, a: TermId, b: TermId) -> TermId {
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => {
-                let w = self.width(a);
-                self.cu((x + y).min(w.max_value()), w)
+        if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
+            let w = self.width(a);
+            if let Some(sum) = x.checked_add(y).filter(|&sum| sum <= w.max_value()) {
+                return self.cu(sum, w);
             }
-            _ => self.intern(Node::Add(a, b)),
         }
+        self.intern(Node::Add(a, b))
     }
 
     /// `a - b`, constant-folded.
@@ -219,15 +224,16 @@ impl TermArena {
         }
     }
 
-    /// `a << s`, constant-folded.
+    /// `a << s`, constant-folded when no bit leaves the width (a lost
+    /// bit stays a node, as in [`TermArena::add`]).
     pub fn shl(&mut self, a: TermId, s: u32) -> TermId {
-        match self.as_const(a) {
-            Some(x) => {
-                let w = self.width(a);
-                self.cu((x << s) & w.max_value(), w)
+        if let Some(x) = self.as_const(a) {
+            let w = self.width(a);
+            if s < 64 && x <= w.max_value() >> s {
+                return self.cu(x << s, w);
             }
-            None => self.intern(Node::ShlC(a, s)),
         }
+        self.intern(Node::ShlC(a, s))
     }
 
     /// `a >> s`, constant-folded.
@@ -415,6 +421,34 @@ mod tests {
         assert_eq!(a.as_const(shifted), Some(20));
         let back = a.shr(shifted, 2);
         assert_eq!(a.as_const(back), Some(5));
+    }
+
+    /// A fold equals the integer value or does not happen: a sum past
+    /// the width (even past `u64`) and a shift that loses a bit stay
+    /// nodes.
+    #[test]
+    fn folds_are_exact_or_absent() {
+        let mut a = TermArena::new();
+        let max16 = a.cu(0xffff, Width::W16);
+        let one16 = a.cu(1, Width::W16);
+        let wrap = a.add(max16, one16);
+        assert_eq!(a.as_const(wrap), None);
+        let max64 = a.cu(u64::MAX, Width::W64);
+        let two64 = a.cu(2, Width::W64);
+        let past = a.add(max64, two64);
+        assert_eq!(a.as_const(past), None);
+        let zero16 = a.cu(0, Width::W16);
+        let fits = a.add(max16, zero16);
+        assert_eq!(a.as_const(fits), Some(0xffff));
+        let c80 = a.cu(0x80, Width::W8);
+        let lost = a.shl(c80, 1);
+        assert_eq!(a.as_const(lost), None);
+        let c40 = a.cu(0x40, Width::W8);
+        let kept = a.shl(c40, 1);
+        assert_eq!(a.as_const(kept), Some(0x80));
+        let c1 = a.cu(1, Width::W64);
+        let far = a.shl(c1, 64);
+        assert_eq!(a.as_const(far), None);
     }
 
     #[test]

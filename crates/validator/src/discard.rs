@@ -377,4 +377,31 @@ mod tests {
             p2[0]
         );
     }
+
+    /// A wrap between two constants fails P2 like any other: the arena
+    /// folds a constant sum or shift only when it fits the width, so the
+    /// obligations of `0xffff + 1` and `0x80 << 1` stay refutable
+    /// instead of folding to `true`.
+    #[test]
+    fn constant_wraps_fail_p2() {
+        type Op = fn(&mut Sym<'_, RingModels>);
+        let add: Op = |env| {
+            let max = env.c_u16(0xffff);
+            let one = env.c_u16(1);
+            env.add_u16(&max, &one);
+        };
+        let shl: Op = |env| {
+            let high = env.c_u8(0x80);
+            env.shl_u8(&high, 1);
+        };
+        for (op, what) in [
+            (add, "u16 addition must not wrap"),
+            (shl, "u8 shift must not lose bits"),
+        ] {
+            let r = verify_body(ModelStyle::Faithful, op);
+            assert_eq!(r.paths, 1);
+            assert_eq!(properties(&r), ["P2"], "{what}");
+            assert!(r.failures[0].detail.contains(what), "{}", r.failures[0]);
+        }
+    }
 }

@@ -203,6 +203,47 @@ fn an_l4_header_in_ethernet_padding_is_dropped_by_every_nat() {
     }
 }
 
+/// A frame longer than 64 KiB counts as 65,535 bytes, for the parser
+/// as for the datapath's 16-bit `frame_len`: on a 65,600-byte UDP frame
+/// a `total_len` of 65,530 lies past the 65,521 bytes of IPv4 room, so
+/// the parser rejects it and every NAT drops it; at 65,521 every NAT
+/// forwards it.
+#[test]
+fn a_frame_past_64_kib_has_one_accept_set() {
+    let build = |total: u16| {
+        let mut f = PacketBuilder::udp(Ip4::new(192, 168, 0, 1), Ip4::new(1, 1, 1, 1), 1000, 53)
+            .pad_to(65_600)
+            .build();
+        header::wr16(&mut f, header::IP_TOTAL_LEN, total);
+        header::fill_ipv4_checksum(&mut f);
+        f
+    };
+    let past = build(65_530);
+    assert_eq!(
+        parse_l3l4(&past),
+        Err(ParseError::BadLength { layer: Layer::Ipv4 })
+    );
+    let fits = build(65_521);
+    assert!(parse_l3l4(&fits).is_ok());
+    for mut nf in nats() {
+        let mut f = past.clone();
+        assert_eq!(
+            nf.process(Direction::Internal, &mut f, Time::from_secs(1)),
+            Verdict::Drop,
+            "{}: total_len past the clamped frame must drop",
+            nf.name()
+        );
+        assert_eq!(nf.occupancy(), 0, "{}: no state for a drop", nf.name());
+        let mut f = fits.clone();
+        assert_eq!(
+            nf.process(Direction::Internal, &mut f, Time::from_secs(1)),
+            Verdict::Forward(Direction::External),
+            "{}: total_len inside the clamped frame forwards",
+            nf.name()
+        );
+    }
+}
+
 /// A byte string for the accept-set property: pure noise, or a valid
 /// TCP or UDP frame (padded or not) with up to four bytes at offsets
 /// 12..64 overwritten and then one of: nothing more, `total_len` set

@@ -67,7 +67,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod domain;
 pub mod env;
 pub mod flow_manager;
 pub mod loop_body;
@@ -82,6 +81,8 @@ pub use loop_body::{
 };
 pub use sharded::ShardedFlowManager;
 pub use simple_env::SimpleEnv;
+pub use vig_spec::concrete_domain_items;
+pub use vig_spec::domain;
 
 /// The NAT configuration — re-exported from the spec crate so that the
 /// implementation and its specification can never disagree about what

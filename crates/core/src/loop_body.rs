@@ -479,7 +479,7 @@ fn dst_is_pool_endpoint<E: NatEnv + ?Sized>(
 /// mapping → drop. Only the sender's flow is rejuvenated — the target
 /// merely *receives* traffic, which no more refreshes its mapping than
 /// any other inbound packet creates state. Mirrors the spec's
-/// `hairpin_allows` leg clause-for-clause.
+/// hairpin leg (`vig_spec::rfc3022`) clause for clause.
 fn hairpin_internal<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,

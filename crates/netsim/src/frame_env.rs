@@ -38,7 +38,7 @@ use vignat::FlowTable;
 /// classifier call it). Fields beyond the frame are zero-filled; the
 /// loop body's length guards run before any semantic use of them.
 #[inline]
-fn read_rx_fields(f: &[u8], dir: Direction) -> RawRx {
+pub fn read_rx_fields(f: &[u8], dir: Direction) -> RawRx {
     let l4 = header::l4_offset(f);
     RawRx {
         dir,

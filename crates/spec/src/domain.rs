@@ -8,12 +8,14 @@
 //! * [`Concrete`] — the datapath: all associated types are plain machine
 //!   integers and every method is an `#[inline]` one-liner, so the
 //!   monomorphized loop is exactly the code one would write by hand;
-//! * `vig_symbex::SymDomain` (in the symbex/validator crates) — every
-//!   value is a term in an expression arena, comparisons build
-//!   constraint atoms, and arithmetic additionally emits **proof
-//!   obligations** (no overflow/underflow), which is how the paper's P2
-//!   low-level properties are discharged for the arithmetic the NAT
-//!   performs.
+//! * the validator's symbolic domain — every value is a term in an
+//!   expression arena, comparisons build constraint atoms, and
+//!   arithmetic additionally emits **proof obligations** (no
+//!   overflow/underflow), which is how the paper's P2 low-level
+//!   properties are discharged for the arithmetic the NAT performs.
+//!
+//! It lives in the spec crate because [`crate::rfc3022::decide`] is
+//! written over it too; `vignat::domain` re-exports it.
 //!
 //! Contract on arithmetic: `add_u16`, `add_u64` and `sub_u64` are only
 //! called on paths where the result cannot wrap; the concrete domain

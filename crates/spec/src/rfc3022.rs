@@ -1,16 +1,24 @@
-//! The RFC 3022 decision tree (paper Fig. 6), as an executable relation.
+//! The RFC 3022 decision step (paper Fig. 6), written once.
 //!
-//! Fig. 6 defines, for a packet `P` arriving at time `t`:
+//! For a packet `P` arriving at time `t`, Fig. 6 is `expire_flows(t)`
+//! and then, if `P` is accepted, `update_flow(P, t); forward(P)`, where
+//! `forward` rewrites and emits one packet on the opposite interface or
+//! drops `P`. [`decide`] is that step over a value [`Domain`]: it
+//! expires, tests the accept premise ([`accepts`]: a malformed frame
+//! reaches the spec, which drops it), looks the mapping up, refreshes or
+//! inserts it, takes the hairpin leg, and returns the [`Required`]
+//! verdict and rewrite. It asks the state everything through a
+//! [`SpecState`], which has two instances:
 //!
-//! ```text
-//! expire_flows(t);  update_flow(P, t);  forward(P)
-//! ```
+//! * [`AbstractNat`] over [`Concrete`]: [`step_allows`] and
+//!   [`SpecChecker`] are `decide` plus a comparison with the observed
+//!   [`Output`], which the differential, chaos and shard suites use;
+//! * one symbolic trace of the real loop body, in the Validator's P1:
+//!   the trace's calls answer the queries, the path decides the branches.
 //!
-//! where `forward` either rewrites and emits exactly one packet `S` on
-//! the opposite interface or drops `P`. The *only* nondeterminism is the
-//! external port chosen for a fresh flow, so the spec is a relation:
-//! [`step_allows`] checks an observed output against the tree and, when
-//! admissible, returns the unique post-state it implies.
+//! The one nondeterministic choice, the endpoint of a new mapping
+//! ([`SpecState::free_endpoint`]), is read off the observation and
+//! constrained: free, non-zero, inside the pool.
 //!
 //! ## Faithfulness notes
 //!
@@ -18,26 +26,350 @@
 //!   packets are matched purely by `(ext_port, remote ip, remote port,
 //!   proto)` — Fig. 6 does not test the packet's destination address
 //!   against `EXT_IP` (on the paper's testbed, L2 delivery guarantees
-//!   it). We mirror that exactly: `external_key` canonicalizes the
-//!   external address to `EXT_IP` whenever `num_external_ips() == 1`.
-//!   With a multi-address pool (a beyond-the-paper extension for >64k
-//!   flows) the destination address *must* participate — it selects
-//!   which pool address the mapping lives on.
+//!   it). With a multi-address pool (a beyond-the-paper extension for
+//!   >64k flows) the destination address selects the pool address.
 //! * `S.data = P.data` (payload untouched) is a byte-level property the
 //!   field-level relation cannot see; the differential tester checks it
-//!   on concrete packets, and the Validator checks it symbolically via
-//!   the payload-tag mechanism.
+//!   on concrete packets.
 
-use crate::state::{AbstractNat, InsertError};
+use crate::domain::{Concrete, Domain};
+use crate::state::{AbstractNat, InsertError, NatConfig};
 use libvig::time::Time;
-use vig_packet::{Direction, ExtKey, FlowFields, FlowId};
+use vig_packet::{Direction, ExtKey, FlowFields, FlowId, Ip4, Proto};
 
-/// A packet presented to the NAT: which interface it arrived on, its
-/// 5-tuple, and — for TCP — the segment's flag byte, which drives the
-/// connection tracker. (Non-TCP/UDP and malformed packets never reach
-/// the spec — Fig. 6's "P is accepted" premise; the parse-and-drop
-/// paths are covered by the low-level properties, not the semantic
-/// ones.)
+/// A received frame's header fields over a domain: what the NF reads
+/// before it decides anything (the loop body's `RxPacket` without its
+/// buffer handle).
+#[derive(Debug, Clone)]
+pub struct Frame<D: Domain + ?Sized> {
+    /// Arrival interface.
+    pub dir: Direction,
+    /// Frame length in bytes.
+    pub frame_len: D::U16,
+    /// Ethernet EtherType.
+    pub ethertype: D::U16,
+    /// IPv4 version (high nibble) and IHL (low nibble).
+    pub version_ihl: D::U8,
+    /// IPv4 total length.
+    pub total_len: D::U16,
+    /// IPv4 flags and fragment offset.
+    pub frag_field: D::U16,
+    /// IPv4 protocol number.
+    pub proto: D::U8,
+    /// Source address.
+    pub src_ip: D::U32,
+    /// Destination address.
+    pub dst_ip: D::U32,
+    /// L4 source port.
+    pub src_port: D::U16,
+    /// L4 destination port.
+    pub dst_port: D::U16,
+    /// TCP flag byte (0 for UDP).
+    pub tcp_flags: D::U8,
+}
+
+/// An `(address, port)` endpoint over a domain.
+pub type Endpoint<D> = (<D as Domain>::U32, <D as Domain>::U16);
+
+/// A 5-tuple over a domain: a rewritten header, or a mapping key — an
+/// internal key runs from the internal endpoint, an external key from
+/// the allocated one, both to the remote endpoint (zeros under RFC 4787
+/// endpoint-independent mapping).
+pub struct Tuple<D: Domain + ?Sized> {
+    /// Source (or internal / allocated) endpoint.
+    pub src: Endpoint<D>,
+    /// Destination (or remote) endpoint.
+    pub dst: Endpoint<D>,
+    /// Protocol.
+    pub proto: Proto,
+}
+
+/// One live mapping, as a lookup returns it.
+pub struct Mapping<D: Domain + ?Sized> {
+    /// The internal host's endpoint.
+    pub int: Endpoint<D>,
+    /// The allocated external endpoint.
+    pub ext: Endpoint<D>,
+}
+
+/// What RFC 3022 requires of a packet: emit one packet with header
+/// `hdr` on interface `iface` (`Some((iface, hdr))`), or drop it.
+pub type Required<D> = Option<(Direction, Tuple<D>)>;
+
+/// How [`decide`] computes and branches: a domain, and which way a
+/// condition goes ([`Concrete`] knows; a symbolic instance asks a solver).
+pub trait Decider<D: Domain> {
+    /// A [`SpecViolation`] against an observation, a P1 failure on a trace.
+    type Error;
+    /// The domain the step computes in.
+    fn domain(&mut self) -> &mut D;
+    /// Which way `cond` goes.
+    fn branch(&mut self, cond: D::B) -> Result<bool, Self::Error>;
+}
+
+impl Decider<Concrete> for Concrete {
+    type Error = core::convert::Infallible;
+    fn domain(&mut self) -> &mut Concrete {
+        self
+    }
+    fn branch(&mut self, cond: bool) -> Result<bool, Self::Error> {
+        Ok(cond)
+    }
+}
+
+/// The queries [`decide`] makes of the NAT state it steps.
+pub trait SpecState<D: Domain>: Decider<D> {
+    /// Fig. 6 line 2: remove every flow whose lifetime ran out by `now`.
+    fn expire(&mut self, now: &D::U64) -> Result<(), Self::Error>;
+    /// The mapping whose key on the `dir` side is `key`: an internal
+    /// flow id, or an external key.
+    fn lookup(&mut self, dir: Direction, key: &Tuple<D>)
+        -> Result<Option<Mapping<D>>, Self::Error>;
+    /// Is the flow table full (`size(flow_table) == CAP`)?
+    fn is_full(&mut self) -> Result<bool, Self::Error>;
+    /// The endpoint the NF gave `fid`'s new mapping, which must be free:
+    /// no live mapping holds it.
+    fn free_endpoint(&mut self, fid: &Tuple<D>) -> Result<Endpoint<D>, Self::Error>;
+    /// Fig. 6 line 16: map `fid` to `at` for a segment with `tcp_flags`.
+    fn insert(
+        &mut self,
+        fid: &Tuple<D>,
+        at: &Endpoint<D>,
+        now: &D::U64,
+        tcp_flags: &D::U8,
+    ) -> Result<(), Self::Error>;
+    /// Fig. 6 lines 10–12: refresh `fid`'s mapping, stepping its TCP
+    /// tracker with a segment from `dir`.
+    fn refresh(
+        &mut self,
+        fid: &Tuple<D>,
+        now: &D::U64,
+        dir: Direction,
+        tcp_flags: &D::U8,
+    ) -> Result<(), Self::Error>;
+}
+
+/// Fig. 6 line 2, `expire_flows(t)`, behind its `Texp <= t` guard
+/// (`Texp` the shortest lifetime: before it nothing can have expired).
+pub fn expire_flows<D: Domain, S: SpecState<D>>(
+    cfg: &NatConfig,
+    s: &mut S,
+    now: &D::U64,
+) -> Result<(), S::Error> {
+    let d = s.domain();
+    let texp = d.c_u64(cfg.min_lifetime_ns());
+    let due = d.le_u64(&texp, now);
+    if s.branch(due)? {
+        s.expire(now)?;
+    }
+    Ok(())
+}
+
+/// Fig. 6's premise, "P is accepted": an unfragmented IPv4 TCP or UDP
+/// datagram whose IPv4 and L4 headers fit inside the frame. Returns the
+/// accepted frame's protocol. Each subtraction sits behind the branch
+/// that keeps it from wrapping.
+pub fn accepts<D: Domain, S: Decider<D>>(
+    s: &mut S,
+    f: &Frame<D>,
+) -> Result<Option<Proto>, S::Error> {
+    let d = s.domain();
+    let eth_len = d.c_u16(14);
+    let has_l2 = d.le_u16(&eth_len, &f.frame_len);
+    if !s.branch(has_l2)? {
+        return Ok(None);
+    }
+    let d = s.domain();
+    let min_frame = d.c_u16(14 + 20);
+    let mut ok = d.le_u16(&min_frame, &f.frame_len);
+    let ipv4 = d.c_u16(0x0800);
+    let version = d.shr_u8(&f.version_ihl, 4);
+    let four = d.c_u8(4);
+    let ihl_nibble = d.and_u8(&f.version_ihl, 0x0f);
+    let ihl8 = d.shl_u8(&ihl_nibble, 2);
+    let ihl = d.u8_to_u16(&ihl8);
+    let twenty = d.c_u16(20);
+    let room = d.sub_u16(&f.frame_len, &eth_len);
+    let frag = d.and_u16(&f.frag_field, 0x3fff);
+    let zero = d.c_u16(0);
+    let (tcp_no, udp_no) = (d.c_u8(6), d.c_u8(17));
+    let is_tcp = d.eq_u8(&f.proto, &tcp_no);
+    let is_udp = d.eq_u8(&f.proto, &udp_no);
+    for p in [
+        d.eq_u16(&f.ethertype, &ipv4),
+        d.eq_u8(&version, &four),
+        d.le_u16(&twenty, &ihl),
+        d.le_u16(&f.total_len, &room),
+        d.eq_u16(&frag, &zero),
+        d.or(&is_tcp, &is_udp),
+    ] {
+        ok = d.and(&ok, &p);
+    }
+    if !s.branch(ok)? {
+        return Ok(None);
+    }
+    let hdr_fits = s.domain().le_u16(&ihl, &f.total_len);
+    if !s.branch(hdr_fits)? {
+        return Ok(None);
+    }
+    let proto = if s.branch(is_tcp)? {
+        Proto::Tcp
+    } else {
+        Proto::Udp
+    };
+    let d = s.domain();
+    let l4_room = d.sub_u16(&f.total_len, &ihl);
+    let l4_len = d.c_u16(match proto {
+        Proto::Tcp => 20,
+        Proto::Udp => 8,
+    });
+    let l4_fits = d.le_u16(&l4_len, &l4_room);
+    Ok(s.branch(l4_fits)?.then_some(proto))
+}
+
+/// The Fig. 6 step: what the NAT must do with `pkt`, arriving at `now`
+/// in the state `s` answers for. See module docs.
+pub fn decide<D: Domain, S: SpecState<D>>(
+    cfg: &NatConfig,
+    s: &mut S,
+    pkt: &Frame<D>,
+    now: &D::U64,
+) -> Result<Required<D>, S::Error> {
+    expire_flows(cfg, s, now)?;
+    let Some(proto) = accepts(s, pkt)? else {
+        return Ok(None);
+    };
+    let src = (pkt.src_ip.clone(), pkt.src_port.clone());
+    let dst = (pkt.dst_ip.clone(), pkt.dst_port.clone());
+    // The remote endpoint a mapping is keyed by: zeros under EIM.
+    let d = s.domain();
+    let mut remote = |(ip, port): &Endpoint<D>| {
+        if cfg.eim {
+            (d.c_u32(0), d.c_u16(0))
+        } else {
+            (ip.clone(), port.clone())
+        }
+    };
+    match pkt.dir {
+        Direction::Internal => {
+            let fid = Tuple {
+                dst: remote(&dst),
+                src,
+                proto,
+            };
+            if cfg.hairpinning {
+                let to_pool = to_pool(cfg, s.domain(), pkt);
+                if s.branch(to_pool)? {
+                    return hairpin(cfg, s, pkt, &fid, now);
+                }
+            }
+            let sender = sender_endpoint(s, pkt, &fid, now)?;
+            Ok(sender.map(|src| (Direction::External, Tuple { src, dst, proto })))
+        }
+        Direction::External => {
+            let remote = remote(&src);
+            let ek = Tuple {
+                src: (ext_address(cfg, s.domain(), &pkt.dst_ip), dst.1),
+                dst: remote,
+                proto,
+            };
+            // Fig. 6 l.13-19: external packets never create mappings.
+            let Some(m) = s.lookup(Direction::External, &ek)? else {
+                return Ok(None);
+            };
+            let fid = Tuple {
+                src: m.int.clone(),
+                dst: ek.dst,
+                proto,
+            };
+            s.refresh(&fid, now, Direction::External, &pkt.tcp_flags)?;
+            let hdr = Tuple {
+                src,
+                dst: m.int,
+                proto,
+            };
+            Ok(Some((Direction::Internal, hdr)))
+        }
+    }
+}
+
+/// The pool address a return packet's mapping lives on: `EXT_IP` with one
+/// address (Fig. 6 never reads the destination), else the destination.
+fn ext_address<D: Domain>(cfg: &NatConfig, d: &mut D, dst_ip: &D::U32) -> D::U32 {
+    if cfg.num_external_ips() == 1 {
+        d.c_u32(cfg.external_ip.raw())
+    } else {
+        dst_ip.clone()
+    }
+}
+
+/// Is the packet addressed to a pool endpoint: `EXT_IP` (hairpinning
+/// requires one address) and a port in `start_port .. start_port + CAP`?
+fn to_pool<D: Domain>(cfg: &NatConfig, d: &mut D, pkt: &Frame<D>) -> D::B {
+    let ext_ip = d.c_u32(cfg.external_ip.raw());
+    let on_ip = d.eq_u32(&pkt.dst_ip, &ext_ip);
+    let start = d.c_u16(cfg.start_port);
+    let above = d.le_u16(&start, &pkt.dst_port);
+    let mut inside = d.and(&on_ip, &above);
+    let end = usize::from(cfg.start_port) + cfg.capacity;
+    if end <= usize::from(u16::MAX) {
+        let end = d.c_u16(end as u16);
+        let below = d.lt_u16(&pkt.dst_port, &end);
+        inside = d.and(&inside, &below);
+    }
+    inside
+}
+
+/// Fig. 6 `update_flow` for an internal sender: its mapping's external
+/// endpoint, refreshed, or a new one at the NF's endpoint while the
+/// table has room; `None` when it is full (Fig. 6 l.39: drop).
+fn sender_endpoint<D: Domain, S: SpecState<D>>(
+    s: &mut S,
+    pkt: &Frame<D>,
+    fid: &Tuple<D>,
+    now: &D::U64,
+) -> Result<Option<Endpoint<D>>, S::Error> {
+    if let Some(m) = s.lookup(Direction::Internal, fid)? {
+        s.refresh(fid, now, Direction::Internal, &pkt.tcp_flags)?;
+        return Ok(Some(m.ext));
+    }
+    if s.is_full()? {
+        return Ok(None);
+    }
+    let at = s.free_endpoint(fid)?;
+    s.insert(fid, &at, now, &pkt.tcp_flags)?;
+    Ok(Some(at))
+}
+
+/// The RFC 4787 hairpin leg (REQ-9) for an internal packet addressed to
+/// a pool endpoint: find the target's mapping (keyed under EIM, which
+/// hairpinning requires), resolve the sender's as for an outbound
+/// packet, and forward back inside from the sender's external endpoint
+/// to the target's internal one. Only the sender's mapping is refreshed.
+fn hairpin<D: Domain, S: SpecState<D>>(
+    cfg: &NatConfig,
+    s: &mut S,
+    pkt: &Frame<D>,
+    fid: &Tuple<D>,
+    now: &D::U64,
+) -> Result<Required<D>, S::Error> {
+    let d = s.domain();
+    let target_key = Tuple {
+        src: (ext_address(cfg, d, &pkt.dst_ip), pkt.dst_port.clone()),
+        dst: (d.c_u32(0), d.c_u16(0)),
+        proto: fid.proto,
+    };
+    let Some(target) = s.lookup(Direction::External, &target_key)? else {
+        return Ok(None);
+    };
+    let sender = sender_endpoint(s, pkt, fid, now)?;
+    let (dst, proto) = (target.int, fid.proto);
+    Ok(sender.map(|src| (Direction::Internal, Tuple { src, dst, proto })))
+}
+
+/// A packet presented to the NAT as a 5-tuple, with its arrival
+/// interface and TCP flag byte: the spec sees the well-formed frame
+/// [`PacketInput::frame`] that carries it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketInput {
     /// Arrival interface.
@@ -50,61 +382,26 @@ pub struct PacketInput {
 }
 
 impl PacketInput {
-    /// `F(P)` for an internal packet: the 5-tuple is the flow id. With
-    /// RFC 4787 endpoint-independent mapping the remote endpoint does
-    /// not participate — the id is the internal endpoint alone, with
-    /// the remote fields canonicalized to zero.
-    pub fn internal_fid(&self, cfg: &crate::state::NatConfig) -> FlowId {
-        if cfg.eim {
-            FlowId {
-                src_ip: self.fields.src_ip,
-                src_port: self.fields.src_port,
-                dst_ip: vig_packet::Ip4(0),
-                dst_port: 0,
-                proto: self.fields.proto,
-            }
-        } else {
-            FlowId {
-                src_ip: self.fields.src_ip,
-                src_port: self.fields.src_port,
-                dst_ip: self.fields.dst_ip,
-                dst_port: self.fields.dst_port,
-                proto: self.fields.proto,
-            }
-        }
-    }
-
-    /// `F(P)` for an external (return) packet: keyed by the endpoint we
-    /// allocated (the packet's destination) and the remote endpoint
-    /// (the packet's source). `cfg` canonicalizes the external address:
-    /// with a single-address pool the packet's destination address is
-    /// *not* consulted (Fig. 6's exact behavior — see the module
-    /// faithfulness notes); with a larger pool it must select which
-    /// pool address the mapping lives on. Under endpoint-independent
-    /// mapping the remote endpoint is canonicalized to zero, so *any*
-    /// external sender matches the mapping (full-cone).
-    pub fn external_key(&self, cfg: &crate::state::NatConfig) -> ExtKey {
-        let ext_ip = if cfg.num_external_ips() == 1 {
-            cfg.external_ip
-        } else {
-            self.fields.dst_ip
+    /// The accepted frame carrying this packet: IPv4 without options,
+    /// unfragmented, with exactly the L4 header.
+    pub fn frame(&self) -> Frame<Concrete> {
+        let l4_len = match self.fields.proto {
+            Proto::Tcp => 20,
+            Proto::Udp => 8,
         };
-        if cfg.eim {
-            ExtKey {
-                ext_ip,
-                ext_port: self.fields.dst_port,
-                dst_ip: vig_packet::Ip4(0),
-                dst_port: 0,
-                proto: self.fields.proto,
-            }
-        } else {
-            ExtKey {
-                ext_ip,
-                ext_port: self.fields.dst_port,
-                dst_ip: self.fields.src_ip,
-                dst_port: self.fields.src_port,
-                proto: self.fields.proto,
-            }
+        Frame {
+            dir: self.dir,
+            frame_len: 14 + 20 + l4_len,
+            ethertype: 0x0800,
+            version_ihl: 0x45,
+            total_len: 20 + l4_len,
+            frag_field: 0,
+            proto: self.fields.proto.number(),
+            src_ip: self.fields.src_ip.raw(),
+            dst_ip: self.fields.dst_ip.raw(),
+            src_port: self.fields.src_port,
+            dst_port: self.fields.dst_port,
+            tcp_flags: self.tcp_flags,
         }
     }
 }
@@ -123,13 +420,13 @@ pub enum Output {
     Drop,
 }
 
-/// A divergence between observed NF behaviour and the RFC 3022 tree.
+/// A divergence between observed NF behaviour and the RFC 3022 step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecViolation {
-    /// The spec requires forwarding (a flow matched, or a fresh internal
-    /// flow fit in the table) but the NF dropped.
+    /// The spec requires forwarding (a mapping matched, or a fresh
+    /// internal flow fit in the table) but the NF dropped.
     ShouldForward {
-        /// The matched or insertable flow id.
+        /// The mapping to create, or the rewrite the spec requires.
         fid: FlowId,
     },
     /// The spec requires a drop (no match and not insertable) but the NF
@@ -206,61 +503,176 @@ impl core::fmt::Display for SpecViolation {
 
 impl std::error::Error for SpecViolation {}
 
-fn expect_field(field: &'static str, expected: u64, got: u64) -> Result<(), SpecViolation> {
-    if expected == got {
-        Ok(())
-    } else {
-        Err(SpecViolation::FieldMismatch {
-            field,
-            expected,
-            got,
-        })
+/// The concrete [`SpecState`]: [`AbstractNat`] answers every query, and
+/// the observed output supplies the one free choice — the endpoint of a
+/// new mapping.
+struct Observed<'a> {
+    nat: &'a mut AbstractNat,
+    output: &'a Output,
+    domain: Concrete,
+}
+
+fn flow_id(t: &Tuple<Concrete>) -> FlowId {
+    let ((src_ip, src_port), (dst_ip, dst_port)) = (t.src, t.dst);
+    FlowId {
+        src_ip: Ip4(src_ip),
+        src_port,
+        dst_ip: Ip4(dst_ip),
+        dst_port,
+        proto: t.proto,
     }
 }
 
-fn check_forward_fields(
-    expected_iface: Direction,
-    expected: &FlowFields,
+impl Decider<Concrete> for Observed<'_> {
+    type Error = SpecViolation;
+    fn domain(&mut self) -> &mut Concrete {
+        &mut self.domain
+    }
+    fn branch(&mut self, cond: bool) -> Result<bool, SpecViolation> {
+        Ok(cond)
+    }
+}
+
+impl SpecState<Concrete> for Observed<'_> {
+    fn expire(&mut self, now: &u64) -> Result<(), SpecViolation> {
+        self.nat.expire_flows(Time(*now));
+        Ok(())
+    }
+
+    fn lookup(
+        &mut self,
+        dir: Direction,
+        key: &Tuple<Concrete>,
+    ) -> Result<Option<Mapping<Concrete>>, SpecViolation> {
+        let k = flow_id(key);
+        let flow = match dir {
+            Direction::Internal => self.nat.lookup_internal(&k),
+            Direction::External => self.nat.lookup_external(&ExtKey {
+                ext_ip: k.src_ip,
+                ext_port: k.src_port,
+                dst_ip: k.dst_ip,
+                dst_port: k.dst_port,
+                proto: k.proto,
+            }),
+        };
+        Ok(flow.map(|f| Mapping {
+            int: (f.fid.src_ip.raw(), f.fid.src_port),
+            ext: (f.ext_ip.raw(), f.ext_port),
+        }))
+    }
+
+    fn is_full(&mut self) -> Result<bool, SpecViolation> {
+        Ok(self.nat.is_full())
+    }
+
+    fn free_endpoint(&mut self, fid: &Tuple<Concrete>) -> Result<(u32, u16), SpecViolation> {
+        let Output::Forward { fields, .. } = self.output else {
+            return Err(SpecViolation::ShouldForward { fid: flow_id(fid) });
+        };
+        let (ip, port) = (fields.src_ip, fields.src_port);
+        if self.nat.endpoint_in_use(ip, port) {
+            return Err(insert_violation(InsertError::EndpointInUse(ip, port)));
+        }
+        Ok((ip.raw(), port))
+    }
+
+    fn insert(
+        &mut self,
+        fid: &Tuple<Concrete>,
+        &(ip, port): &(u32, u16),
+        now: &u64,
+        tcp_flags: &u8,
+    ) -> Result<(), SpecViolation> {
+        self.nat
+            .insert_with_flags(flow_id(fid), Ip4(ip), port, Time(*now), *tcp_flags)
+            .map_err(insert_violation)
+    }
+
+    fn refresh(
+        &mut self,
+        fid: &Tuple<Concrete>,
+        now: &u64,
+        dir: Direction,
+        tcp_flags: &u8,
+    ) -> Result<(), SpecViolation> {
+        let fid = flow_id(fid);
+        if self.nat.refresh_with(&fid, Time(*now), dir, *tcp_flags) {
+            return Ok(());
+        }
+        Err(SpecViolation::StateError("refresh of matched flow failed"))
+    }
+}
+
+/// Why the NF's endpoint for a new mapping breaks the spec.
+fn insert_violation(e: InsertError) -> SpecViolation {
+    match e {
+        InsertError::PortZero => SpecViolation::BadPortAllocation {
+            port: 0,
+            reason: "port zero",
+        },
+        InsertError::EndpointInUse(_, port) => SpecViolation::BadPortAllocation {
+            port,
+            reason: "endpoint already allocated to another flow",
+        },
+        InsertError::EndpointOutsidePool(ip, port) => {
+            SpecViolation::BadEndpointAllocation { ip: ip.raw(), port }
+        }
+        InsertError::TableFull => SpecViolation::StateError("insert into full table"),
+        InsertError::DuplicateFlowId => SpecViolation::StateError("duplicate fid on insert"),
+    }
+}
+
+/// One step of the relation, in place: run [`decide`] on `nat` and
+/// compare its verdict with `observed`.
+fn step(
+    nat: &mut AbstractNat,
+    input: &PacketInput,
+    now: Time,
     observed: &Output,
-    matched_fid: FlowId,
 ) -> Result<(), SpecViolation> {
-    match observed {
-        Output::Drop => Err(SpecViolation::ShouldForward { fid: matched_fid }),
-        Output::Forward { iface, fields } => {
-            if *iface != expected_iface {
-                return Err(SpecViolation::WrongInterface {
-                    expected: expected_iface,
-                    got: *iface,
-                });
-            }
-            expect_field(
-                "src_ip",
-                u64::from(expected.src_ip.raw()),
-                u64::from(fields.src_ip.raw()),
-            )?;
-            expect_field(
-                "dst_ip",
-                u64::from(expected.dst_ip.raw()),
-                u64::from(fields.dst_ip.raw()),
-            )?;
-            expect_field(
-                "src_port",
-                u64::from(expected.src_port),
-                u64::from(fields.src_port),
-            )?;
-            expect_field(
-                "dst_port",
-                u64::from(expected.dst_port),
-                u64::from(fields.dst_port),
-            )?;
-            expect_field(
-                "proto",
-                u64::from(expected.proto.number()),
-                u64::from(fields.proto.number()),
-            )?;
-            Ok(())
+    let cfg = *nat.config();
+    let mut state = Observed {
+        nat,
+        output: observed,
+        domain: Concrete,
+    };
+    let required = decide(&cfg, &mut state, &input.frame(), &now.nanos())?;
+    let (iface, hdr, got, fields) = match (required, observed) {
+        (None, Output::Drop) => return Ok(()),
+        (None, Output::Forward { .. }) => return Err(SpecViolation::ShouldDrop),
+        (Some((_, hdr)), Output::Drop) => {
+            return Err(SpecViolation::ShouldForward { fid: flow_id(&hdr) });
+        }
+        (Some((iface, hdr)), Output::Forward { iface: got, fields }) => (iface, hdr, *got, fields),
+    };
+    if iface != got {
+        return Err(SpecViolation::WrongInterface {
+            expected: iface,
+            got,
+        });
+    }
+    let want = flow_id(&hdr);
+    let ip = |a: Ip4| u64::from(a.raw());
+    for (field, expected, got) in [
+        ("src_ip", ip(want.src_ip), ip(fields.src_ip)),
+        ("dst_ip", ip(want.dst_ip), ip(fields.dst_ip)),
+        ("src_port", want.src_port.into(), fields.src_port.into()),
+        ("dst_port", want.dst_port.into(), fields.dst_port.into()),
+        (
+            "proto",
+            want.proto.number().into(),
+            fields.proto.number().into(),
+        ),
+    ] {
+        if expected != got {
+            return Err(SpecViolation::FieldMismatch {
+                field,
+                expected,
+                got,
+            });
         }
     }
+    Ok(())
 }
 
 /// The Fig. 6 relation: does `observed` conform to RFC 3022 for packet
@@ -272,232 +684,15 @@ pub fn step_allows(
     now: Time,
     observed: &Output,
 ) -> Result<AbstractNat, SpecViolation> {
-    let mut state = pre.clone();
-
-    // Fig. 6 line 2: expire_flows(t).
-    state.expire_flows(now);
-
-    match input.dir {
-        Direction::Internal => {
-            let fid = input.internal_fid(state.config());
-            // RFC 4787 hairpinning: an internal packet addressed to a
-            // pool endpoint is translated back inside (when enabled).
-            if state.config().hairpinning
-                && state
-                    .config()
-                    .pool_contains(input.fields.dst_ip, input.fields.dst_port)
-            {
-                return hairpin_allows(state, input, fid, now, observed);
-            }
-            if let Some(flow) = state.lookup_internal(&fid).copied() {
-                // Match: rewrite src to the flow's allocated external
-                // endpoint (the pool address — EXT_IP itself when the
-                // pool is one address), forward east.
-                let expected = FlowFields {
-                    src_ip: flow.ext_ip,
-                    src_port: flow.ext_port,
-                    dst_ip: input.fields.dst_ip,
-                    dst_port: input.fields.dst_port,
-                    proto: input.fields.proto,
-                };
-                check_forward_fields(Direction::External, &expected, observed, fid)?;
-                if !state.refresh_with(&fid, now, Direction::Internal, input.tcp_flags) {
-                    return Err(SpecViolation::StateError("refresh of matched flow failed"));
-                }
-                Ok(state)
-            } else if !state.is_full() {
-                // Fig. 6 lines 14–16 + 20–28: insert then forward. The
-                // port is the NF's choice; validate its constraints.
-                match observed {
-                    Output::Drop => Err(SpecViolation::ShouldForward { fid }),
-                    Output::Forward { iface, fields } => {
-                        if *iface != Direction::External {
-                            return Err(SpecViolation::WrongInterface {
-                                expected: Direction::External,
-                                got: *iface,
-                            });
-                        }
-                        // The endpoint (address + port) is the NF's
-                        // choice; validate its constraints via insert.
-                        let port = fields.src_port;
-                        let ip = fields.src_ip;
-                        let expected = FlowFields {
-                            src_ip: ip,     // the NF's choice, constrained below
-                            src_port: port, // the NF's choice, constrained below
-                            dst_ip: input.fields.dst_ip,
-                            dst_port: input.fields.dst_port,
-                            proto: input.fields.proto,
-                        };
-                        check_forward_fields(Direction::External, &expected, observed, fid)?;
-                        match state.insert_with_flags(fid, ip, port, now, input.tcp_flags) {
-                            Ok(()) => Ok(state),
-                            Err(InsertError::PortZero) => Err(SpecViolation::BadPortAllocation {
-                                port,
-                                reason: "port zero",
-                            }),
-                            Err(InsertError::EndpointInUse(..)) => {
-                                Err(SpecViolation::BadPortAllocation {
-                                    port,
-                                    reason: "endpoint already allocated to another flow",
-                                })
-                            }
-                            Err(InsertError::EndpointOutsidePool(..)) => {
-                                Err(SpecViolation::BadEndpointAllocation { ip: ip.raw(), port })
-                            }
-                            Err(InsertError::TableFull) => {
-                                Err(SpecViolation::StateError("insert into full table"))
-                            }
-                            Err(InsertError::DuplicateFlowId) => {
-                                Err(SpecViolation::StateError("duplicate fid on insert"))
-                            }
-                        }
-                    }
-                }
-            } else {
-                // Table full, no match: update_flow is a no-op, forward
-                // finds nothing, the packet is dropped (Fig. 6 line 39).
-                match observed {
-                    Output::Drop => Ok(state),
-                    Output::Forward { .. } => Err(SpecViolation::ShouldDrop),
-                }
-            }
-        }
-        Direction::External => {
-            let ek = input.external_key(state.config());
-            if let Some(flow) = state.lookup_external(&ek).copied() {
-                // Match: rewrite dst to the internal endpoint, forward west.
-                let expected = FlowFields {
-                    src_ip: input.fields.src_ip,
-                    src_port: input.fields.src_port,
-                    dst_ip: flow.fid.src_ip,
-                    dst_port: flow.fid.src_port,
-                    proto: input.fields.proto,
-                };
-                let fid = flow.fid;
-                check_forward_fields(Direction::Internal, &expected, observed, fid)?;
-                if !state.refresh_with(&fid, now, Direction::External, input.tcp_flags) {
-                    return Err(SpecViolation::StateError("refresh of matched flow failed"));
-                }
-                Ok(state)
-            } else {
-                // Fig. 6 line 13-19: external packets never create flows.
-                match observed {
-                    Output::Drop => Ok(state),
-                    Output::Forward { .. } => Err(SpecViolation::ShouldDrop),
-                }
-            }
-        }
-    }
+    let mut post = pre.clone();
+    step(&mut post, input, now, observed)?;
+    Ok(post)
 }
 
-/// The RFC 4787 hairpin leg of the relation: `input` is an internal
-/// packet whose destination is a pool endpoint. The NAT resolves the
-/// target mapping by external lookup, resolves (or creates) the
-/// *sender's* mapping exactly as for an outbound packet, and forwards
-/// back on the internal interface with source rewritten to the
-/// sender's external endpoint ("external source address and port", the
-/// RFC's hairpinning of type EIM) and destination rewritten to the
-/// target's internal endpoint. No target mapping, or no room for the
-/// sender's mapping, means a drop. Only the sender's flow is
-/// refreshed — the target sees traffic *to* it, which no more refreshes
-/// its mapping than any other inbound packet creates state.
-fn hairpin_allows(
-    mut state: AbstractNat,
-    input: &PacketInput,
-    fid: FlowId,
-    now: Time,
-    observed: &Output,
-) -> Result<AbstractNat, SpecViolation> {
-    // Which internal host owns the targeted pool endpoint?
-    let target_key = ExtKey {
-        ext_ip: if state.config().num_external_ips() == 1 {
-            state.config().external_ip
-        } else {
-            input.fields.dst_ip
-        },
-        ext_port: input.fields.dst_port,
-        // Hairpinning requires EIM (enforced at config check), so the
-        // mapping's remote fields are always the canonical zeros.
-        dst_ip: vig_packet::Ip4(0),
-        dst_port: 0,
-        proto: input.fields.proto,
-    };
-    let Some(target) = state.lookup_external(&target_key).copied() else {
-        // Nobody owns the endpoint: the packet is unroutable inside.
-        return match observed {
-            Output::Drop => Ok(state),
-            Output::Forward { .. } => Err(SpecViolation::ShouldDrop),
-        };
-    };
-    let expected_dst = (target.fid.src_ip, target.fid.src_port);
-    if let Some(sender) = state.lookup_internal(&fid).copied() {
-        let expected = FlowFields {
-            src_ip: sender.ext_ip,
-            src_port: sender.ext_port,
-            dst_ip: expected_dst.0,
-            dst_port: expected_dst.1,
-            proto: input.fields.proto,
-        };
-        check_forward_fields(Direction::Internal, &expected, observed, fid)?;
-        if !state.refresh_with(&fid, now, Direction::Internal, input.tcp_flags) {
-            return Err(SpecViolation::StateError("refresh of matched flow failed"));
-        }
-        Ok(state)
-    } else if !state.is_full() {
-        match observed {
-            Output::Drop => Err(SpecViolation::ShouldForward { fid }),
-            Output::Forward { iface, fields } => {
-                if *iface != Direction::Internal {
-                    return Err(SpecViolation::WrongInterface {
-                        expected: Direction::Internal,
-                        got: *iface,
-                    });
-                }
-                // The sender's external endpoint is the NF's choice,
-                // constrained through insert as in the outbound case.
-                let (ip, port) = (fields.src_ip, fields.src_port);
-                let expected = FlowFields {
-                    src_ip: ip,
-                    src_port: port,
-                    dst_ip: expected_dst.0,
-                    dst_port: expected_dst.1,
-                    proto: input.fields.proto,
-                };
-                check_forward_fields(Direction::Internal, &expected, observed, fid)?;
-                match state.insert_with_flags(fid, ip, port, now, input.tcp_flags) {
-                    Ok(()) => Ok(state),
-                    Err(InsertError::PortZero) => Err(SpecViolation::BadPortAllocation {
-                        port,
-                        reason: "port zero",
-                    }),
-                    Err(InsertError::EndpointInUse(..)) => Err(SpecViolation::BadPortAllocation {
-                        port,
-                        reason: "endpoint already allocated to another flow",
-                    }),
-                    Err(InsertError::EndpointOutsidePool(..)) => {
-                        Err(SpecViolation::BadEndpointAllocation { ip: ip.raw(), port })
-                    }
-                    Err(InsertError::TableFull) => {
-                        Err(SpecViolation::StateError("insert into full table"))
-                    }
-                    Err(InsertError::DuplicateFlowId) => {
-                        Err(SpecViolation::StateError("duplicate fid on insert"))
-                    }
-                }
-            }
-        }
-    } else {
-        match observed {
-            Output::Drop => Ok(state),
-            Output::Forward { .. } => Err(SpecViolation::ShouldDrop),
-        }
-    }
-}
-
-/// Trace-level spec checking: feeds [`step_allows`] one packet at a
-/// time, carrying the abstract state along. The first violation is
-/// sticky (subsequent calls keep returning it) so a long differential
-/// run reports the earliest divergence.
+/// Trace-level spec checking: steps the abstract state one packet at a
+/// time, in place. The first violation is sticky (subsequent calls keep
+/// returning it, and the state is not stepped again) so a long
+/// differential run reports the earliest divergence.
 #[derive(Debug, Clone)]
 pub struct SpecChecker {
     state: AbstractNat,
@@ -508,7 +703,7 @@ pub struct SpecChecker {
 
 impl SpecChecker {
     /// Start checking from an empty NAT.
-    pub fn new(config: crate::state::NatConfig) -> SpecChecker {
+    pub fn new(config: NatConfig) -> SpecChecker {
         SpecChecker {
             state: AbstractNat::new(config),
             last_time: Time::ZERO,
@@ -542,15 +737,14 @@ impl SpecChecker {
         if let Some((_, v)) = &self.violation {
             return Err(v.clone());
         }
-        if now < self.last_time {
-            let v = SpecViolation::StateError("time went backwards in trace");
-            self.violation = Some((self.steps, v.clone()));
-            return Err(v);
-        }
-        self.last_time = now;
-        match step_allows(&self.state, input, now, output) {
-            Ok(post) => {
-                self.state = post;
+        let checked = if now < self.last_time {
+            Err(SpecViolation::StateError("time went backwards in trace"))
+        } else {
+            self.last_time = now;
+            step(&mut self.state, input, now, output)
+        };
+        match checked {
+            Ok(()) => {
                 self.steps += 1;
                 Ok(())
             }

@@ -94,16 +94,9 @@ impl NatConfig {
             .all(|c| self.lifetime_ns(c) == self.expiry_ns)
     }
 
-    /// Expiry threshold for packets arriving at `now`: flows stamped at
-    /// or before this are dead (Fig. 6 line 7: `timestamp + Texp <= t`).
-    /// `None` while `now < Texp`, when nothing can have expired yet.
-    pub fn expiry_threshold(&self, now: Time) -> Option<Time> {
-        now.nanos().checked_sub(self.expiry_ns).map(Time)
-    }
-
     /// Per-class expiry threshold: a class-`c` flow stamped at or
-    /// before this is dead at `now`. Same `checked_sub` shape as
-    /// [`NatConfig::expiry_threshold`].
+    /// before this is dead at `now` (Fig. 6 line 7: `timestamp + Texp
+    /// <= t`). `None` while `now` is below the class's lifetime.
     pub fn expiry_threshold_for(&self, class: TimeoutClass, now: Time) -> Option<Time> {
         now.nanos().checked_sub(self.lifetime_ns(class)).map(Time)
     }
@@ -216,8 +209,8 @@ impl AbstractFlow {
 
 /// The abstract NAT state: configuration plus the flow table.
 ///
-/// Invariants (checked by [`AbstractNat::check_invariants`], maintained
-/// by construction):
+/// Invariants (maintained by construction, and checked by the tests'
+/// `check_invariants`):
 ///
 /// * at most `capacity` flows;
 /// * internal flow ids are pairwise distinct;
@@ -302,15 +295,10 @@ impl AbstractNat {
             .any(|f| f.ext_ip == ip && f.ext_port == port)
     }
 
-    /// Fig. 6 lines 10–12: refresh the timestamp of an existing flow.
-    /// Returns `false` if the flow is absent (caller error).
-    pub fn refresh(&mut self, fid: &FlowId, now: Time) -> bool {
-        self.refresh_with(fid, now, Direction::Internal, 0)
-    }
-
-    /// [`AbstractNat::refresh`] plus the TCP tracker step: the packet
-    /// arrived from `dir` carrying `tcp_flags` (0 for UDP — the tracker
-    /// never fires on an empty flag set).
+    /// Fig. 6 lines 10–12: refresh the timestamp of an existing flow,
+    /// and step its TCP tracker with a packet from `dir` carrying
+    /// `tcp_flags` (0 for UDP — the tracker never fires on an empty flag
+    /// set). Returns `false` if the flow is absent (caller error).
     pub fn refresh_with(&mut self, fid: &FlowId, now: Time, dir: Direction, tcp_flags: u8) -> bool {
         match self.flows.iter_mut().find(|f| f.fid == *fid) {
             Some(f) => {
@@ -325,24 +313,13 @@ impl AbstractNat {
     }
 
     /// Fig. 6 line 16: insert a new flow mapped to the external
-    /// endpoint `(ext_ip, ext_port)`. Enforces the state invariants;
-    /// an `Err` here means the *caller* (the NF under test, or a buggy
-    /// spec client) violated the RFC. The endpoint must belong to the
-    /// configured pool (with a single-address pool: `ext_ip` must be
-    /// `EXT_IP`, exactly the paper's constraint).
-    pub fn insert(
-        &mut self,
-        fid: FlowId,
-        ext_ip: Ip4,
-        ext_port: u16,
-        now: Time,
-    ) -> Result<(), InsertError> {
-        self.insert_with_flags(fid, ext_ip, ext_port, now, 0)
-    }
-
-    /// [`AbstractNat::insert`] plus the TCP tracker: the mapping is
-    /// created by a segment carrying `tcp_flags` (ignored for UDP),
-    /// which selects the flow's initial tracker state.
+    /// endpoint `(ext_ip, ext_port)`, created by a segment carrying
+    /// `tcp_flags` (ignored for UDP), which selects the flow's initial
+    /// tracker state. Enforces the state invariants; an `Err` here means
+    /// the *caller* (the NF under test, or a buggy spec client) violated
+    /// the RFC. The endpoint must belong to the configured pool (with a
+    /// single-address pool: `ext_ip` must be `EXT_IP`, exactly the
+    /// paper's constraint).
     pub fn insert_with_flags(
         &mut self,
         fid: FlowId,
@@ -385,6 +362,54 @@ impl AbstractNat {
         });
         Ok(())
     }
+}
+
+/// Why an [`AbstractNat::insert_with_flags`] was rejected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InsertError {
+    /// `size(flow_table) == CAP`.
+    TableFull,
+    /// The internal 5-tuple is already mapped.
+    DuplicateFlowId,
+    /// Port 0 is never a valid translation.
+    PortZero,
+    /// The external endpoint is not in the configured pool.
+    EndpointOutsidePool(Ip4, u16),
+    /// The external endpoint is already allocated.
+    EndpointInUse(Ip4, u16),
+}
+
+#[cfg(test)]
+impl NatConfig {
+    /// Expiry threshold for packets arriving at `now`: flows stamped at
+    /// or before this are dead (Fig. 6 line 7: `timestamp + Texp <= t`).
+    /// `None` while `now < Texp`, when nothing can have expired yet.
+    pub fn expiry_threshold(&self, now: Time) -> Option<Time> {
+        now.nanos().checked_sub(self.expiry_ns).map(Time)
+    }
+}
+
+/// Conveniences and the invariant oracle the tests use.
+#[cfg(test)]
+impl AbstractNat {
+    /// Fig. 6 lines 10–12: refresh the timestamp of an existing flow.
+    /// Returns `false` if the flow is absent (caller error).
+    pub fn refresh(&mut self, fid: &FlowId, now: Time) -> bool {
+        self.refresh_with(fid, now, Direction::Internal, 0)
+    }
+
+    /// Fig. 6 line 16: insert a new flow mapped to the external
+    /// endpoint `(ext_ip, ext_port)`. A flow created by a segment
+    /// with no TCP flags.
+    pub fn insert(
+        &mut self,
+        fid: FlowId,
+        ext_ip: Ip4,
+        ext_port: u16,
+        now: Time,
+    ) -> Result<(), InsertError> {
+        self.insert_with_flags(fid, ext_ip, ext_port, now, 0)
+    }
 
     /// Verify the state invariants hold (used by tests and after
     /// deserialization-like operations; `insert` maintains them).
@@ -425,21 +450,6 @@ impl AbstractNat {
         }
         Ok(())
     }
-}
-
-/// Why an [`AbstractNat::insert`] was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsertError {
-    /// `size(flow_table) == CAP`.
-    TableFull,
-    /// The internal 5-tuple is already mapped.
-    DuplicateFlowId,
-    /// Port 0 is never a valid translation.
-    PortZero,
-    /// The external endpoint is not in the configured pool.
-    EndpointOutsidePool(Ip4, u16),
-    /// The external endpoint is already allocated.
-    EndpointInUse(Ip4, u16),
 }
 
 #[cfg(test)]

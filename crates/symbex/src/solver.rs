@@ -350,12 +350,19 @@ fn bounds(arena: &TermArena, t: TermId) -> (i128, i128) {
             (0, if la < 0 { m } else { m.min(ha) })
         }
         Node::ShlC(a, s) => {
+            // `v * 2^s`, unbounded once it leaves the intervals' range:
+            // a shifted-out bit must not wrap the bound.
             let (la, ha) = bounds(arena, *a);
-            (la << s, ha << s)
+            let shl = |v: i128| match 2i128.checked_pow(*s).and_then(|k| v.checked_mul(k)) {
+                Some(x) if x.abs() < INF => x,
+                _ if v == 0 => 0,
+                _ => INF * v.signum(),
+            };
+            (shl(la), shl(ha))
         }
         Node::ShrC(a, s) => {
             let (la, ha) = bounds(arena, *a);
-            (la >> s, ha >> s)
+            (la >> (*s).min(127), ha >> (*s).min(127))
         }
         Node::Zext(a, _) => bounds(arena, *a),
         _ => panic!("bounds of a boolean term"),
@@ -499,6 +506,27 @@ mod tests {
                     "({x} - {y}) & 213 == {value} refuted"
                 );
             }
+        }
+    }
+
+    /// A shift whose bound leaves `i128` is unbounded, not wrapped:
+    /// `1 << 70` is at least 1, and a shift by 200 neither panics nor
+    /// refutes anything.
+    #[test]
+    fn shift_bounds_past_i128_are_not_refuted() {
+        let mut a = arena();
+        let x = a.var("x", Width::W64);
+        let one = a.cu(1, Width::W64);
+        let x_is_one = a.eq(x, one);
+        for s in [64, 70, 127, 200] {
+            let big = a.shl(x, s);
+            let ge1 = a.le(one, big);
+            let lits = [(ge1, true), (x_is_one, true)];
+            assert_eq!(Solver::check(&a, &lits), SatResult::Sat, "x << {s}");
+            let down = a.shr(x, s);
+            let zero = a.cu(0, Width::W64);
+            let is_zero = a.eq(down, zero);
+            assert_eq!(Solver::check(&a, &[(is_zero, true)]), SatResult::Sat);
         }
     }
 

@@ -86,7 +86,7 @@ pub enum Node {
 }
 
 /// The hash-consing arena.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct TermArena {
     nodes: Vec<Node>,
     memo: HashMap<Node, TermId>,
@@ -331,31 +331,34 @@ impl TermArena {
         self.intern(Node::OrB(a, b))
     }
 
-    /// Evaluate a term under a variable assignment (model checking for
-    /// tests, and counterexample confirmation). Returns `None` if some
-    /// variable is unassigned.
-    pub fn eval(&self, t: TermId, assign: &HashMap<u32, u64>) -> Option<u64> {
-        Some(match self.node(t) {
-            Node::ConstU(v, _) => *v,
-            Node::Var(v, _) => *assign.get(v)?,
-            Node::Add(a, b) => self.eval(*a, assign)? + self.eval(*b, assign)?,
-            Node::Sub(a, b) => self.eval(*a, assign)?.wrapping_sub(self.eval(*b, assign)?),
-            Node::AndMask(a, m) => self.eval(*a, assign)? & m,
-            Node::ShlC(a, s) => self.eval(*a, assign)? << s,
-            Node::ShrC(a, s) => self.eval(*a, assign)? >> s,
-            Node::Zext(a, _) => self.eval(*a, assign)?,
-            Node::ConstB(b) => u64::from(*b),
-            Node::Eq(a, b) => u64::from(self.eval(*a, assign)? == self.eval(*b, assign)?),
-            Node::Lt(a, b) => u64::from(self.eval(*a, assign)? < self.eval(*b, assign)?),
-            Node::Le(a, b) => u64::from(self.eval(*a, assign)? <= self.eval(*b, assign)?),
-            Node::Not(a) => u64::from(self.eval(*a, assign)? == 0),
-            Node::AndB(a, b) => {
-                u64::from(self.eval(*a, assign)? != 0 && self.eval(*b, assign)? != 0)
-            }
-            Node::OrB(a, b) => {
-                u64::from(self.eval(*a, assign)? != 0 || self.eval(*b, assign)? != 0)
-            }
-        })
+    /// Evaluate a term under a variable assignment, with the integer
+    /// semantics the nodes state: `+`, `-` and `<<` never wrap (a
+    /// difference may be negative), `&` masks the two's-complement bits
+    /// and `>>` rounds down. Propositions evaluate to 0 or 1. Returns
+    /// `None` if some variable is unassigned or a value leaves `i128`.
+    pub fn eval(&self, t: TermId, assign: &HashMap<u32, u64>) -> Option<i128> {
+        let ev = |t: &TermId| self.eval(*t, assign);
+        let truth = |b: bool| Some(i128::from(b));
+        match self.node(t) {
+            Node::ConstU(v, _) => Some(i128::from(*v)),
+            Node::Var(v, _) => assign.get(v).map(|&x| i128::from(x)),
+            Node::Add(a, b) => ev(a)?.checked_add(ev(b)?),
+            Node::Sub(a, b) => ev(a)?.checked_sub(ev(b)?),
+            Node::AndMask(a, m) => Some(ev(a)? & i128::from(*m)),
+            Node::ShlC(a, s) => match ev(a)? {
+                0 => Some(0),
+                v => v.checked_mul(2i128.checked_pow(*s)?),
+            },
+            Node::ShrC(a, s) => Some(ev(a)? >> (*s).min(127)),
+            Node::Zext(a, _) => ev(a),
+            Node::ConstB(b) => truth(*b),
+            Node::Eq(a, b) => truth(ev(a)? == ev(b)?),
+            Node::Lt(a, b) => truth(ev(a)? < ev(b)?),
+            Node::Le(a, b) => truth(ev(a)? <= ev(b)?),
+            Node::Not(a) => truth(ev(a)? == 0),
+            Node::AndB(a, b) => truth(ev(a)? != 0 && ev(b)? != 0),
+            Node::OrB(a, b) => truth(ev(a)? != 0 || ev(b)? != 0),
+        }
     }
 }
 
@@ -465,6 +468,33 @@ mod tests {
         assert_eq!(a.eval(prop, &assign), Some(1));
         assign.insert(0, 45);
         assert_eq!(a.eval(prop, &assign), Some(0));
+    }
+
+    /// `eval` is integer arithmetic: no sum wraps at `u64`, a difference
+    /// goes negative and masks as two's complement, and a shift by 64 or
+    /// more multiplies.
+    #[test]
+    fn eval_has_integer_semantics() {
+        let mut a = TermArena::new();
+        let x = a.var("x", Width::W64);
+        let y = a.var("y", Width::W8);
+        let assign = HashMap::from([(0, u64::MAX), (1, 172)]);
+        let sum = a.add(x, x);
+        assert_eq!(a.eval(sum, &assign), Some(2 * i128::from(u64::MAX)));
+        let c57 = a.cu(57, Width::W8);
+        let diff = a.sub(c57, y);
+        assert_eq!(a.eval(diff, &assign), Some(-115));
+        let masked = a.and_mask(diff, 213);
+        assert_eq!(a.eval(masked, &assign), Some(-115 & 213));
+        let c3 = a.cu(3, Width::W8);
+        let three_le = a.le(c3, masked);
+        assert_eq!(a.eval(three_le, &assign), Some(1));
+        let far = a.shl(y, 64);
+        assert_eq!(a.eval(far, &assign), Some(172 << 64));
+        let down = a.shr(diff, 2);
+        assert_eq!(a.eval(down, &assign), Some(-29), "rounds toward -inf");
+        let huge = a.shl(x, 100);
+        assert_eq!(a.eval(huge, &assign), None, "past i128");
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! validation "highly parallelizable" (§5.2.2). Every check discharges
 //! its conditions with the symbex solver; a check only passes when the
 //! solver *proves* the condition, so the one-sided soundness of the
-//! solver carries over to the whole pipeline.
+//! solver carries over to the whole pipeline. P1 states no RFC 3022 of
+//! its own: it runs the spec's.
 
-use crate::trace::{Event, SymRx, SymTrace};
+use crate::sym::Terms;
+use crate::trace::{Event, SymTrace};
 use vig_packet::Direction;
+use vig_spec::rfc3022::{self, Decider, Mapping, Required, SpecState, Tuple};
 use vig_spec::NatConfig;
 use vig_symbex::solver::{Lit, Solver};
 use vig_symbex::term::{TermArena, TermId, Width};
@@ -270,395 +273,349 @@ pub(crate) fn contract_entails(arena: &mut TermArena, contract: &[Lit], assumed:
 // P1 — RFC 3022 semantics
 // ---------------------------------------------------------------------
 
-/// Build the "frame is accepted" proposition: the packet parses as an
-/// unfragmented IPv4/TCP-or-UDP frame with consistent lengths — the
-/// premise of the spec's decision tree ("P is accepted", Fig. 6 l.1).
-fn accepted_prop(arena: &mut TermArena, rx: &SymRx) -> TermId {
-    let c34 = arena.cu(34, Width::W16);
-    let len_ok = arena.le(c34, rx.frame_len);
-    let c0800 = arena.cu(0x0800, Width::W16);
-    let eth_ok = arena.eq(rx.ethertype, c0800);
-    let ver = arena.shr(rx.version_ihl, 4);
-    let c4 = arena.cu(4, Width::W8);
-    let ver_ok = arena.eq(ver, c4);
-    let nib = arena.and_mask(rx.version_ihl, 0x0f);
-    let ihl8 = arena.shl(nib, 2);
-    let ihl = arena.zext(ihl8, Width::W16);
-    let c20 = arena.cu(20, Width::W16);
-    let ihl_ok = arena.le(c20, ihl);
-    let c14 = arena.cu(14, Width::W16);
-    let budget = arena.sub(rx.frame_len, c14);
-    let total_ok = arena.le(rx.total_len, budget);
-    let frag = arena.and_mask(rx.frag_field, 0x3fff);
-    let c0 = arena.cu(0, Width::W16);
-    let frag_ok = arena.eq(frag, c0);
-    let hdr_ok = arena.le(ihl, rx.total_len);
-    let l4 = arena.sub(rx.total_len, ihl);
-    let c6 = arena.cu(6, Width::W8);
-    let c17 = arena.cu(17, Width::W8);
-    let c8 = arena.cu(8, Width::W16);
-    let is_tcp = arena.eq(rx.proto, c6);
-    let tcp_fit = arena.le(c20, l4);
-    let tcp_ok = arena.and(is_tcp, tcp_fit);
-    let is_udp = arena.eq(rx.proto, c17);
-    let udp_fit = arena.le(c8, l4);
-    let udp_ok = arena.and(is_udp, udp_fit);
-    let proto_ok = arena.or(tcp_ok, udp_ok);
-
-    let mut acc = len_ok;
-    for p in [eth_ok, ver_ok, ihl_ok, total_ok, frag_ok, hdr_ok, proto_ok] {
-        acc = arena.and(acc, p);
-    }
-    acc
-}
-
-/// Weave the RFC 3022 decision tree into the trace and discharge every
-/// obligation (paper §5.2.2). Returns the number of semantic conditions
-/// proven.
-pub fn check_p1(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFailure> {
-    let fail = |detail: String| CheckFailure {
+fn p1(detail: String) -> CheckFailure {
+    CheckFailure {
         property: "P1",
         detail,
-    };
-    let mut checks = 0usize;
+    }
+}
 
-    let Some(rx) = trace.rx().cloned() else {
-        // No packet: the spec is vacuous; P4 already ensured nothing
-        // was emitted.
-        if trace.tx().is_some() {
-            return Err(fail("packet emitted without a receive".into()));
-        }
-        return Ok(0);
-    };
+/// The spec's state on one symbolic trace: [`rfc3022::decide`]'s
+/// queries are answered by the trace's flow-table calls, in order, and
+/// its branches by solver entailment on the path. A branch the path
+/// leaves open, a query the next call does not answer, a call the spec
+/// never asked for, and a field the solver cannot prove are each a P1
+/// failure.
+struct TraceState<'t> {
+    terms: Terms,
+    path: &'t [Lit],
+    events: &'t [Event],
+    /// The trace's flow-table calls, and how many queries took one.
+    calls: Vec<&'t Event>,
+    next: usize,
+    cfg: &'t NatConfig,
+    ext_ip: TermId,
+    /// Conditions proven.
+    checks: usize,
+}
 
-    // Expiry ordering: expire_flows (if any) precedes all table ops.
-    let first_table_op = trace.events.iter().position(|e| {
-        matches!(
-            e,
-            Event::LookupInternal { .. }
-                | Event::LookupExternal { .. }
-                | Event::AllocateSlot { .. }
-                | Event::InsertFlow { .. }
-        )
-    });
-    let last_expire = trace
-        .events
-        .iter()
-        .rposition(|e| matches!(e, Event::ExpireFlows { .. }));
-    if let (Some(t), Some(x)) = (first_table_op, last_expire) {
-        if x > t {
-            return Err(fail(
-                "expire_flows must precede flow-table updates (Fig. 6 l.2)".into(),
-            ));
-        }
-        checks += 1;
+impl<'t> TraceState<'t> {
+    /// The trace's next flow-table call, which `answer` must recognize
+    /// as the answer to the spec's `query`.
+    fn take<T>(
+        &mut self,
+        query: &str,
+        answer: impl FnOnce(&'t Event) -> Option<T>,
+    ) -> Result<T, CheckFailure> {
+        let e = self.calls.get(self.next).copied();
+        let e = e.ok_or_else(|| p1(format!("the spec asks {query}; the trace does not")))?;
+        self.next += 1;
+        answer(e).ok_or_else(|| p1(format!("the spec asks {query}; the trace calls {e:?}")))
     }
 
-    let accepted = accepted_prop(&mut trace.arena, &rx);
-    let lookup_events: Vec<Event> = trace
-        .events
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                Event::LookupInternal { .. }
-                    | Event::LookupExternal { .. }
-                    | Event::AllocateSlot { .. }
-                    | Event::InsertFlow { .. }
-            )
-        })
-        .cloned()
-        .collect();
-
-    if lookup_events.is_empty() {
-        // Parse-drop path: must be provably un-accepted and dropped.
-        if !trace.dropped() {
-            return Err(fail(
-                "no table interaction and no drop: packet vanished".into(),
-            ));
-        }
-        let not_accepted = trace.arena.not(accepted);
-        if !Solver::entails(&trace.arena, &trace.path, not_accepted) {
-            return Err(fail(
-                "packet dropped before translation although the frame may be acceptable \
-                 (spec requires translating every accepted packet)"
-                    .into(),
-            ));
-        }
-        return Ok(checks + 1);
+    /// Does the path entail `prop`? Each proof counts as a condition.
+    fn proves(&mut self, prop: TermId) -> bool {
+        let proven = Solver::entails(&self.terms.arena, self.path, prop);
+        self.checks += usize::from(proven);
+        proven
     }
 
-    // Translation path: the frame must be provably accepted.
-    if !Solver::entails(&trace.arena, &trace.path, accepted) {
-        return Err(fail(
-            "flow-table interaction on a frame not proven accepted".into(),
-        ));
-    }
-    checks += 1;
-
-    let prove_eq = |arena: &mut TermArena,
-                    path: &[Lit],
-                    a: TermId,
-                    b: TermId,
-                    what: &str|
-     -> Result<(), CheckFailure> {
-        if a == b {
-            return Ok(());
+    /// Prove `got[k] == want[k]` on the path, for every `k`.
+    fn prove_eq(
+        &mut self,
+        got: &[TermId],
+        want: &[TermId],
+        what: &str,
+    ) -> Result<(), CheckFailure> {
+        for (k, (&g, &w)) in got.iter().zip(want).enumerate() {
+            let eq = self.terms.arena.eq(g, w);
+            if !self.proves(eq) {
+                return Err(p1(format!("cannot prove {what}, field {k}")));
+            }
         }
-        let eq = arena.eq(a, b);
-        if Solver::entails(arena, path, eq) {
-            Ok(())
+        Ok(())
+    }
+
+    /// After `decide` (`None` on a packetless path, which only expires):
+    /// no flow-table call left unasked, and the packet left the way the
+    /// spec requires.
+    fn finish(&mut self, required: Option<Required<Terms>>) -> Result<usize, CheckFailure> {
+        if let Some(e) = self.calls.get(self.next) {
+            return Err(p1(format!(
+                "the trace makes a call the spec did not ask for: {e:?}"
+            )));
+        }
+        let tx = self.events.iter().find_map(|e| match e {
+            Event::Tx { out, hdr } => Some((*out, *hdr)),
+            _ => None,
+        });
+        let dropped = self.events.iter().any(|e| matches!(e, Event::DropPkt));
+        match (required, tx) {
+            (None, None) => {}
+            (Some(None), None) if dropped => {}
+            (Some(Some((iface, hdr))), Some((out, got))) if out == iface => {
+                let want = [hdr.src.0, hdr.src.1, hdr.dst.0, hdr.dst.1];
+                self.prove_eq(&got, &want, "the emitted header")?;
+            }
+            (Some(Some((iface, _))), _) => {
+                return Err(p1(format!("the spec requires forwarding on {iface:?}")));
+            }
+            _ => return Err(p1("the packet does not leave as the spec requires".into())),
+        }
+        Ok(self.checks + 1)
+    }
+}
+
+impl Decider<Terms> for TraceState<'_> {
+    type Error = CheckFailure;
+
+    fn domain(&mut self) -> &mut Terms {
+        &mut self.terms
+    }
+
+    fn branch(&mut self, cond: TermId) -> Result<bool, CheckFailure> {
+        let not = self.terms.arena.not(cond);
+        if self.proves(cond) {
+            Ok(true)
+        } else if self.proves(not) {
+            Ok(false)
         } else {
-            Err(fail(format!("cannot prove {what}")))
-        }
-    };
-
-    let ext_ip = trace.arena.cu(u64::from(cfg.external_ip.raw()), Width::W32);
-
-    match rx.dir {
-        Direction::Internal => {
-            // F(P) must be the packet's own 5-tuple (Fig. 6 F function).
-            let fid_expected = [rx.src_ip, rx.src_port, rx.dst_ip, rx.dst_port];
-            let lookup = lookup_events.iter().find_map(|e| match e {
-                Event::LookupInternal { fid, result, .. } => Some((*fid, *result)),
-                _ => None,
-            });
-            let Some((fid, result)) = lookup else {
-                return Err(fail(
-                    "internal packet translated without an internal lookup".into(),
-                ));
-            };
-            for (k, (got, want)) in fid.iter().zip(fid_expected.iter()).enumerate() {
-                prove_eq(
-                    &mut trace.arena,
-                    &trace.path,
-                    *got,
-                    *want,
-                    &format!("F(P) field {k}"),
-                )?;
-                checks += 1;
-            }
-            match result {
-                Some((slot, hit_port)) => {
-                    // Fig. 6 ll.21–28: rewrite src to (EXT_IP, F(P).ext_port).
-                    let rej = trace
-                        .events
-                        .iter()
-                        .any(|e| matches!(e, Event::Rejuvenate { slot: s, .. } if *s == slot));
-                    if !rej {
-                        return Err(fail(
-                            "matched flow's timestamp not refreshed (Fig. 6 l.12)".into(),
-                        ));
-                    }
-                    let Some((out, hdr)) = trace.tx() else {
-                        return Err(fail("matched internal packet must be forwarded".into()));
-                    };
-                    if *out != Direction::External {
-                        return Err(fail(
-                            "internal packet forwarded out the wrong interface".into(),
-                        ));
-                    }
-                    let hdr = *hdr;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[0],
-                        ext_ip,
-                        "S.src_ip = EXT_IP",
-                    )?;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[1],
-                        hit_port,
-                        "S.src_port = F(P).ext_port",
-                    )?;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[2],
-                        rx.dst_ip,
-                        "S.dst_ip = P.dst_ip",
-                    )?;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[3],
-                        rx.dst_port,
-                        "S.dst_port = P.dst_port",
-                    )?;
-                    checks += 6;
-                }
-                None => {
-                    // Miss: allocate or drop (Fig. 6 ll.14–18, l.39).
-                    let alloc = lookup_events.iter().find_map(|e| match e {
-                        Event::AllocateSlot { result, .. } => Some(*result),
-                        _ => None,
-                    });
-                    match alloc {
-                        Some(Some((slot, _idx))) => {
-                            let insert = lookup_events.iter().find_map(|e| match e {
-                                Event::InsertFlow {
-                                    slot: s,
-                                    fid,
-                                    ext_port,
-                                } if *s == slot => Some((*fid, *ext_port)),
-                                _ => None,
-                            });
-                            let Some((ins_fid, ins_port)) = insert else {
-                                return Err(fail("allocated flow never inserted".into()));
-                            };
-                            for (k, (got, want)) in
-                                ins_fid.iter().zip(fid_expected.iter()).enumerate()
-                            {
-                                prove_eq(
-                                    &mut trace.arena,
-                                    &trace.path,
-                                    *got,
-                                    *want,
-                                    &format!("inserted fid field {k}"),
-                                )?;
-                                checks += 1;
-                            }
-                            let Some((out, hdr)) = trace.tx() else {
-                                return Err(fail(
-                                    "fresh flow must be forwarded (Fig. 6 l.20)".into(),
-                                ));
-                            };
-                            if *out != Direction::External {
-                                return Err(fail(
-                                    "fresh internal flow must exit externally".into(),
-                                ));
-                            }
-                            let hdr = *hdr;
-                            prove_eq(
-                                &mut trace.arena,
-                                &trace.path,
-                                hdr[0],
-                                ext_ip,
-                                "S.src_ip = EXT_IP",
-                            )?;
-                            prove_eq(
-                                &mut trace.arena,
-                                &trace.path,
-                                hdr[1],
-                                ins_port,
-                                "S.src_port = inserted ext_port",
-                            )?;
-                            prove_eq(&mut trace.arena, &trace.path, hdr[2], rx.dst_ip, "S.dst_ip")?;
-                            prove_eq(
-                                &mut trace.arena,
-                                &trace.path,
-                                hdr[3],
-                                rx.dst_port,
-                                "S.dst_port",
-                            )?;
-                            checks += 5;
-                        }
-                        Some(None) => {
-                            if !trace.dropped() {
-                                return Err(fail(
-                                    "table full: packet must be dropped (Fig. 6 l.39)".into(),
-                                ));
-                            }
-                            checks += 1;
-                        }
-                        None => {
-                            return Err(fail(
-                                "internal miss neither allocated nor reported full".into(),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Direction::External => {
-            // F(P) on the external side keys by (dst_port, src_ip, src_port).
-            let ek_expected = [rx.dst_port, rx.src_ip, rx.src_port];
-            let lookup = lookup_events.iter().find_map(|e| match e {
-                Event::LookupExternal { ek, result, .. } => Some((*ek, *result)),
-                _ => None,
-            });
-            let Some((ek, result)) = lookup else {
-                return Err(fail(
-                    "external packet handled without an external lookup".into(),
-                ));
-            };
-            for (k, (got, want)) in ek.iter().zip(ek_expected.iter()).enumerate() {
-                prove_eq(
-                    &mut trace.arena,
-                    &trace.path,
-                    *got,
-                    *want,
-                    &format!("ext key field {k}"),
-                )?;
-                checks += 1;
-            }
-            match result {
-                Some((slot, int_ip, int_port)) => {
-                    let rej = trace
-                        .events
-                        .iter()
-                        .any(|e| matches!(e, Event::Rejuvenate { slot: s, .. } if *s == slot));
-                    if !rej {
-                        return Err(fail("matched flow's timestamp not refreshed".into()));
-                    }
-                    let Some((out, hdr)) = trace.tx() else {
-                        return Err(fail("matched external packet must be forwarded".into()));
-                    };
-                    if *out != Direction::Internal {
-                        return Err(fail("return traffic must exit internally".into()));
-                    }
-                    let hdr = *hdr;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[0],
-                        rx.src_ip,
-                        "S.src_ip = P.src_ip",
-                    )?;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[1],
-                        rx.src_port,
-                        "S.src_port = P.src_port",
-                    )?;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[2],
-                        int_ip,
-                        "S.dst_ip = F(P).int_ip",
-                    )?;
-                    prove_eq(
-                        &mut trace.arena,
-                        &trace.path,
-                        hdr[3],
-                        int_port,
-                        "S.dst_port = F(P).int_port",
-                    )?;
-                    checks += 6;
-                }
-                None => {
-                    if !trace.dropped() {
-                        return Err(fail(
-                            "unsolicited external packet must be dropped (Fig. 6 l.39)".into(),
-                        ));
-                    }
-                    // External packets never create flows.
-                    if lookup_events
-                        .iter()
-                        .any(|e| matches!(e, Event::AllocateSlot { .. } | Event::InsertFlow { .. }))
-                    {
-                        return Err(fail(
-                            "external packet created flow state (Fig. 6 l.14)".into(),
-                        ));
-                    }
-                    checks += 2;
-                }
-            }
+            Err(p1(
+                "the path leaves a branch of the spec undetermined".into()
+            ))
         }
     }
-    Ok(checks)
+}
+
+impl SpecState<Terms> for TraceState<'_> {
+    fn expire(&mut self, now: &TermId) -> Result<(), CheckFailure> {
+        let threshold = self.take("expire_flows", |e| match e {
+            Event::ExpireFlows { threshold } => Some(*threshold),
+            _ => None,
+        })?;
+        let texp = self.terms.arena.cu(self.cfg.min_lifetime_ns(), Width::W64);
+        let want = self.terms.arena.sub(*now, texp);
+        self.prove_eq(&[threshold], &[want], "expire_flows(now - Texp)")
+    }
+
+    /// The model's internal lookup canonicalizes nothing, so all four
+    /// fields are checked; its external key omits the address, which
+    /// the single-address pool fixes.
+    fn lookup(
+        &mut self,
+        dir: Direction,
+        key: &Tuple<Terms>,
+    ) -> Result<Option<Mapping<Terms>>, CheckFailure> {
+        let ext_ip = self.ext_ip;
+        let internal = dir == Direction::Internal;
+        let (got, hit) = self.take("a lookup", |e| match e {
+            Event::LookupInternal { fid, result, .. } if internal => {
+                let hit = result.map(|(_, port)| (key.src, (ext_ip, port)));
+                Some((&fid[..], hit))
+            }
+            Event::LookupExternal { ek, result, .. } if !internal => {
+                let hit = result.map(|(_, ip, port)| ((ip, port), key.src));
+                Some((&ek[..], hit))
+            }
+            _ => None,
+        })?;
+        let want = [key.src.0, key.src.1, key.dst.0, key.dst.1];
+        self.prove_eq(got, &want[want.len() - got.len()..], "the lookup key")?;
+        Ok(hit.map(|(int, ext)| Mapping { int, ext }))
+    }
+
+    fn is_full(&mut self) -> Result<bool, CheckFailure> {
+        self.take("whether the table is full", |e| match e {
+            Event::AllocateSlot { result, .. } => Some(result.is_none()),
+            _ => None,
+        })
+    }
+
+    /// The NF's endpoint is the one its insert names. It is free and in
+    /// the pool by P3 (the dchain hands out a free index), P4 (the port
+    /// is `start_port + index`) and P5 (the index is below `CAP`).
+    fn free_endpoint(&mut self, _fid: &Tuple<Terms>) -> Result<(TermId, TermId), CheckFailure> {
+        match self.calls.get(self.next) {
+            Some(Event::InsertFlow { ext_port, .. }) => Ok((self.ext_ip, *ext_port)),
+            _ => Err(p1(
+                "the spec asks a free endpoint; the trace inserts none".into()
+            )),
+        }
+    }
+
+    fn insert(
+        &mut self,
+        fid: &Tuple<Terms>,
+        at: &(TermId, TermId),
+        _now: &TermId,
+        _tcp_flags: &TermId,
+    ) -> Result<(), CheckFailure> {
+        let (got, port) = self.take("insert", |e| match e {
+            Event::InsertFlow { fid, ext_port, .. } => Some((fid, *ext_port)),
+            _ => None,
+        })?;
+        let want = [fid.src.0, fid.src.1, fid.dst.0, fid.dst.1, at.1];
+        let got = [got[0], got[1], got[2], got[3], port];
+        self.prove_eq(&got, &want, "the inserted mapping")
+    }
+
+    fn refresh(
+        &mut self,
+        _fid: &Tuple<Terms>,
+        now: &TermId,
+        _dir: Direction,
+        _tcp_flags: &TermId,
+    ) -> Result<(), CheckFailure> {
+        let at = self.take("refresh", |e| match e {
+            Event::Rejuvenate { now, .. } => Some(*now),
+            _ => None,
+        })?;
+        self.prove_eq(&[at], &[*now], "the refresh time")
+    }
+}
+
+/// P1 (paper §5.2.2): run the one RFC 3022 step, [`rfc3022::decide`],
+/// over this trace — a packetless path only expires. Returns the number
+/// of semantic conditions proven.
+pub fn check_p1(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFailure> {
+    let rx = trace.rx().cloned();
+    let Some(&Event::Now(now)) = trace.events.first() else {
+        return Err(p1(
+            "the iteration does not start by reading the clock".into()
+        ));
+    };
+    let mut terms = Terms {
+        arena: std::mem::take(&mut trace.arena),
+    };
+    let ext_ip = terms.arena.cu(u64::from(cfg.external_ip.raw()), Width::W32);
+    let is_call = |e: &&Event| {
+        !matches!(
+            e,
+            Event::Now(_)
+                | Event::Receive(_)
+                | Event::NoPacket
+                | Event::Branch { .. }
+                | Event::Tx { .. }
+                | Event::DropPkt
+        )
+    };
+    let mut st = TraceState {
+        terms,
+        path: &trace.path,
+        events: &trace.events,
+        calls: trace.events.iter().filter(is_call).collect(),
+        next: 0,
+        cfg,
+        ext_ip,
+        checks: 0,
+    };
+    let required = match &rx {
+        Some(rx) => rfc3022::decide(cfg, &mut st, rx, &now).map(Some),
+        None => rfc3022::expire_flows(cfg, &mut st, &now).map(|()| None),
+    };
+    let checked = required.and_then(|required| st.finish(required));
+    trace.arena = st.terms.arena;
+    checked
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ese::run_ese;
+    use crate::sym::ModelStyle;
+
+    fn cfg() -> NatConfig {
+        NatConfig {
+            start_port: 1,
+            ..NatConfig::paper_default()
+        }
+    }
+
+    /// The first real ESE trace `pick` selects, which P1 must accept
+    /// before `edit` touches it and reject, with `[P1]`, after.
+    fn edited_trace_fails_p1(pick: impl Fn(&SymTrace) -> bool, edit: impl FnOnce(&mut SymTrace)) {
+        let c = cfg();
+        let mut trace = run_ese(&c, ModelStyle::Faithful, 10_000)
+            .unwrap()
+            .traces
+            .into_iter()
+            .find(|t| pick(t))
+            .expect("ESE yields such a path");
+        check_p1(&mut trace, &c).expect("the unedited trace passes P1");
+        edit(&mut trace);
+        let failure = check_p1(&mut trace, &c).expect_err("the edited trace must fail P1");
+        assert_eq!(failure.property, "P1", "{failure}");
+    }
+
+    fn lookups(t: &SymTrace) -> usize {
+        t.events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    Event::LookupInternal { .. } | Event::LookupExternal { .. }
+                )
+            })
+            .count()
+    }
+
+    /// Fig. 6 line 2 is an effect the spec requires: a path whose guard
+    /// `Texp <= now` holds must expire flows.
+    #[test]
+    fn p1_rejects_a_guarded_path_without_its_expiry() {
+        edited_trace_fails_p1(
+            |t| {
+                t.events
+                    .iter()
+                    .any(|e| matches!(e, Event::ExpireFlows { .. }))
+            },
+            |t| t.events.retain(|e| !matches!(e, Event::ExpireFlows { .. })),
+        );
+    }
+
+    /// An internal hit must rewrite exactly the source port.
+    #[test]
+    fn p1_rejects_swapped_ports_on_an_internal_hit() {
+        edited_trace_fails_p1(
+            |t| {
+                t.tx().is_some()
+                    && t.events.iter().any(|e| {
+                        matches!(
+                            e,
+                            Event::LookupInternal {
+                                result: Some(_),
+                                ..
+                            }
+                        )
+                    })
+            },
+            |t| {
+                for e in &mut t.events {
+                    if let Event::Tx { hdr, .. } = e {
+                        hdr.swap(1, 3);
+                    }
+                }
+            },
+        );
+    }
+
+    /// A frame the spec does not accept must not reach the flow table.
+    #[test]
+    fn p1_rejects_a_table_call_on_a_parse_drop_path() {
+        edited_trace_fails_p1(
+            |t| t.dropped() && lookups(t) == 0 && t.rx().is_some(),
+            |t| {
+                let rx = t.rx().cloned().unwrap();
+                let drop_at = t.events.iter().position(|e| matches!(e, Event::DropPkt));
+                t.events.insert(
+                    drop_at.unwrap(),
+                    Event::LookupInternal {
+                        fid: [rx.src_ip, rx.src_port, rx.dst_ip, rx.dst_port],
+                        result: None,
+                        assumed: Vec::new(),
+                    },
+                );
+            },
+        );
+    }
 }

@@ -41,10 +41,10 @@
 //!    the constraints the model emitted are *entailed by the libVig
 //!    contract postconditions* — the lazy model validation of §5.2.3
 //!    (validity only for the calls actually observed, not universally).
-//! 5. **P1** ([`checks::check_p1`]): the RFC 3022 decision tree is
-//!    woven into the trace: parse-drop paths must be provably
-//!    unacceptable frames; accepted paths must forward/drop with
-//!    exactly the Fig. 6 rewrites, proven field-by-field by the solver.
+//! 5. **P1** ([`checks::check_p1`]): the spec's RFC 3022 step
+//!    (`vig_spec::rfc3022::decide`) runs over the trace: the path must
+//!    decide its every branch, the trace's calls answer its queries in
+//!    order, and the emitted header must equal the required rewrite.
 //!
 //! Deliberately-broken models (paper §3's Fig. 4 models (b) and (c))
 //! are one [`ModelStyle`] for both NFs. On the NAT the

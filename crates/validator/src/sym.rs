@@ -123,107 +123,135 @@ impl<'s, M: Models> Sym<'s, M> {
     }
 }
 
+/// The term domain's associated types and methods, for expansion inside
+/// an `impl Domain for …` block whose type has an `arena: TermArena`
+/// field and an `oblige(prop, what)` method: [`Sym`]'s and [`Terms`]',
+/// so the spec's decision step and the loop body build the same
+/// hash-consed terms.
+macro_rules! term_domain_items {
+    () => {
+        type B = TermId;
+        type U8 = TermId;
+        type U16 = TermId;
+        type U32 = TermId;
+        type U64 = TermId;
+
+        fn c_bool(&mut self, v: bool) -> TermId {
+            self.arena.cb(v)
+        }
+        fn c_u8(&mut self, v: u8) -> TermId {
+            self.arena.cu(u64::from(v), Width::W8)
+        }
+        fn c_u16(&mut self, v: u16) -> TermId {
+            self.arena.cu(u64::from(v), Width::W16)
+        }
+        fn c_u32(&mut self, v: u32) -> TermId {
+            self.arena.cu(u64::from(v), Width::W32)
+        }
+        fn c_u64(&mut self, v: u64) -> TermId {
+            self.arena.cu(v, Width::W64)
+        }
+
+        fn eq_u8(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.eq(*a, *b)
+        }
+        fn eq_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.eq(*a, *b)
+        }
+        fn eq_u32(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.eq(*a, *b)
+        }
+        fn eq_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.eq(*a, *b)
+        }
+
+        fn lt_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.lt(*a, *b)
+        }
+        fn le_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.le(*a, *b)
+        }
+        fn lt_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.lt(*a, *b)
+        }
+        fn le_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.le(*a, *b)
+        }
+
+        fn and(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.and(*a, *b)
+        }
+        fn or(&mut self, a: &TermId, b: &TermId) -> TermId {
+            self.arena.or(*a, *b)
+        }
+        fn not(&mut self, a: &TermId) -> TermId {
+            self.arena.not(*a)
+        }
+
+        fn add_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
+            let t = self.arena.add(*a, *b);
+            let max = self.arena.cu(0xffff, Width::W16);
+            let ob = self.arena.le(t, max);
+            self.oblige(ob, "u16 addition must not wrap");
+            t
+        }
+        fn add_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
+            let t = self.arena.add(*a, *b);
+            let max = self.arena.cu(u64::MAX, Width::W64);
+            let ob = self.arena.le(t, max);
+            self.oblige(ob, "u64 addition must not wrap");
+            t
+        }
+        fn sub_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
+            let ob = self.arena.le(*b, *a);
+            self.oblige(ob, "u64 subtraction must not underflow");
+            self.arena.sub(*a, *b)
+        }
+        fn sub_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
+            let ob = self.arena.le(*b, *a);
+            self.oblige(ob, "u16 subtraction must not underflow");
+            self.arena.sub(*a, *b)
+        }
+
+        fn and_u8(&mut self, a: &TermId, mask: u8) -> TermId {
+            self.arena.and_mask(*a, u64::from(mask))
+        }
+        fn and_u16(&mut self, a: &TermId, mask: u16) -> TermId {
+            self.arena.and_mask(*a, u64::from(mask))
+        }
+        fn shr_u8(&mut self, a: &TermId, shift: u32) -> TermId {
+            self.arena.shr(*a, shift)
+        }
+        fn shl_u8(&mut self, a: &TermId, shift: u32) -> TermId {
+            let t = self.arena.shl(*a, shift);
+            let max = self.arena.cu(0xff, Width::W8);
+            let ob = self.arena.le(t, max);
+            self.oblige(ob, "u8 shift must not lose bits");
+            t
+        }
+        fn u8_to_u16(&mut self, a: &TermId) -> TermId {
+            self.arena.zext(*a, Width::W16)
+        }
+    };
+}
 impl<M: Models> Domain for Sym<'_, M> {
-    type B = TermId;
-    type U8 = TermId;
-    type U16 = TermId;
-    type U32 = TermId;
-    type U64 = TermId;
+    term_domain_items!();
+}
 
-    fn c_bool(&mut self, v: bool) -> TermId {
-        self.arena.cb(v)
-    }
-    fn c_u8(&mut self, v: u8) -> TermId {
-        self.arena.cu(u64::from(v), Width::W8)
-    }
-    fn c_u16(&mut self, v: u16) -> TermId {
-        self.arena.cu(u64::from(v), Width::W16)
-    }
-    fn c_u32(&mut self, v: u32) -> TermId {
-        self.arena.cu(u64::from(v), Width::W32)
-    }
-    fn c_u64(&mut self, v: u64) -> TermId {
-        self.arena.cu(v, Width::W64)
-    }
+/// The term domain alone, without obligations: what a received frame
+/// is written in, and what the spec's step computes in (P1).
+#[derive(Debug, Clone, Default)]
+pub struct Terms {
+    /// The trace's term arena.
+    pub arena: TermArena,
+}
 
-    fn eq_u8(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u32(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
-    fn eq_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.eq(*a, *b)
-    }
+impl Terms {
+    /// The spec's own arithmetic sits behind its own branches, which the
+    /// path entails; P2 is about the NAT's.
+    fn oblige(&mut self, _prop: TermId, _what: &'static str) {}
+}
 
-    fn lt_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.lt(*a, *b)
-    }
-    fn le_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.le(*a, *b)
-    }
-    fn lt_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.lt(*a, *b)
-    }
-    fn le_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.le(*a, *b)
-    }
-
-    fn and(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.and(*a, *b)
-    }
-    fn or(&mut self, a: &TermId, b: &TermId) -> TermId {
-        self.arena.or(*a, *b)
-    }
-    fn not(&mut self, a: &TermId) -> TermId {
-        self.arena.not(*a)
-    }
-
-    fn add_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let t = self.arena.add(*a, *b);
-        let max = self.arena.cu(0xffff, Width::W16);
-        let ob = self.arena.le(t, max);
-        self.oblige(ob, "u16 addition must not wrap");
-        t
-    }
-    fn add_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let t = self.arena.add(*a, *b);
-        let max = self.arena.cu(u64::MAX, Width::W64);
-        let ob = self.arena.le(t, max);
-        self.oblige(ob, "u64 addition must not wrap");
-        t
-    }
-    fn sub_u64(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let ob = self.arena.le(*b, *a);
-        self.oblige(ob, "u64 subtraction must not underflow");
-        self.arena.sub(*a, *b)
-    }
-    fn sub_u16(&mut self, a: &TermId, b: &TermId) -> TermId {
-        let ob = self.arena.le(*b, *a);
-        self.oblige(ob, "u16 subtraction must not underflow");
-        self.arena.sub(*a, *b)
-    }
-
-    fn and_u8(&mut self, a: &TermId, mask: u8) -> TermId {
-        self.arena.and_mask(*a, u64::from(mask))
-    }
-    fn and_u16(&mut self, a: &TermId, mask: u16) -> TermId {
-        self.arena.and_mask(*a, u64::from(mask))
-    }
-    fn shr_u8(&mut self, a: &TermId, shift: u32) -> TermId {
-        self.arena.shr(*a, shift)
-    }
-    fn shl_u8(&mut self, a: &TermId, shift: u32) -> TermId {
-        let t = self.arena.shl(*a, shift);
-        let max = self.arena.cu(0xff, Width::W8);
-        let ob = self.arena.le(t, max);
-        self.oblige(ob, "u8 shift must not lose bits");
-        t
-    }
-    fn u8_to_u16(&mut self, a: &TermId) -> TermId {
-        self.arena.zext(*a, Width::W16)
-    }
+impl Domain for Terms {
+    term_domain_items!();
 }

@@ -140,6 +140,9 @@ impl NatEnv for SymEnv<'_> {
             dst_ip: self.arena.var("dst_ip", Width::W32),
             src_port: self.arena.var("src_port", Width::W16),
             dst_port: self.arena.var("dst_port", Width::W16),
+            // Unbranched on: the homogeneous configs in scope give every
+            // flag class one lifetime.
+            tcp_flags: self.arena.var("tcp_flags", Width::W8),
         };
         self.events.push(Event::Receive(rx.clone()));
         self.models.in_flight = Some(PktHandle(0));
@@ -156,12 +159,7 @@ impl NatEnv for SymEnv<'_> {
             dst_ip: rx.dst_ip,
             src_port: rx.src_port,
             dst_port: rx.dst_port,
-            // Symbolic but unused: the baseline configs the symbolic
-            // engine covers are homogeneous, so the loop body threads
-            // the flags through without ever branching on them — the
-            // path count is unchanged and the trace Event shapes stay
-            // as they were.
-            tcp_flags: self.arena.var("tcp_flags", Width::W8),
+            tcp_flags: rx.tcp_flags,
         })
     }
 

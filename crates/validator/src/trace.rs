@@ -6,37 +6,16 @@
 //! the low-level proof obligations emitted along the way. The
 //! Validator's checks consume these; nothing else re-runs the code.
 
+use crate::sym::Terms;
 use vig_packet::Direction;
+use vig_spec::rfc3022::Frame;
 use vig_symbex::explorer::Decision;
 use vig_symbex::solver::Lit;
 use vig_symbex::term::{TermArena, TermId};
 
-/// The symbolic image of a received packet (all fields are terms).
-#[derive(Debug, Clone)]
-pub struct SymRx {
-    /// Arrival interface (concrete per path).
-    pub dir: Direction,
-    /// Frame length term.
-    pub frame_len: TermId,
-    /// EtherType term.
-    pub ethertype: TermId,
-    /// IPv4 version+IHL byte term.
-    pub version_ihl: TermId,
-    /// IPv4 total length term.
-    pub total_len: TermId,
-    /// Flags+fragment-offset term.
-    pub frag_field: TermId,
-    /// Protocol term.
-    pub proto: TermId,
-    /// Source ip term.
-    pub src_ip: TermId,
-    /// Destination ip term.
-    pub dst_ip: TermId,
-    /// Source port term.
-    pub src_port: TermId,
-    /// Destination port term.
-    pub dst_port: TermId,
-}
+/// The symbolic image of a received packet: its header fields as
+/// terms, the frame the spec's step reads (P1).
+pub type SymRx = Frame<Terms>;
 
 /// One event on the NAT's traced interface.
 #[derive(Debug, Clone)]

@@ -16,7 +16,10 @@ use vignat_repro::nat::NatConfig;
 use vignat_repro::packet::{
     builder::PacketBuilder, header, parse_l3l4, Direction, FlowId, Ip4, Layer, ParseError,
 };
+use vignat_repro::sim::frame_env::read_rx_fields;
 use vignat_repro::sim::middlebox::{Middlebox, Verdict, VigNatMb};
+use vignat_repro::spec::rfc3022::{accepts, Frame};
+use vignat_repro::spec::Concrete;
 
 fn cfg() -> NatConfig {
     NatConfig {
@@ -307,13 +310,39 @@ proptest! {
     /// parser's 5-tuple. The two deliberate exceptions are the output
     /// contract's: a TCP data offset outside 20 ..= the L4 room, or a
     /// UDP length outside 8 ..= the L4 room, which the parser rejects
-    /// and the NAT — not an L4 validator — translates.
+    /// and the NAT — not an L4 validator — translates. The spec's
+    /// accept premise (`vig_spec::accepts`, over the fields the datapath
+    /// reads) forwards exactly the same frames, with no exception.
     #[test]
     fn the_datapath_forwards_exactly_what_parse_l3l4_accepts(frame in adversarial_frame()) {
         let parsed = parse_l3l4(&frame);
         let mut nat = VigNatMb::new(cfg());
         let mut out = frame.clone();
         let verdict = nat.process(Direction::Internal, &mut out, Time::from_secs(1));
+        let raw = read_rx_fields(&frame, Direction::Internal);
+        let fields = Frame::<Concrete> {
+            dir: raw.dir,
+            frame_len: raw.frame_len,
+            ethertype: raw.ethertype,
+            version_ihl: raw.version_ihl,
+            total_len: raw.total_len,
+            frag_field: raw.frag_field,
+            proto: raw.proto,
+            src_ip: raw.src_ip,
+            dst_ip: raw.dst_ip,
+            src_port: raw.src_port,
+            dst_port: raw.dst_port,
+            tcp_flags: raw.tcp_flags,
+        };
+        let spec_accepts = accepts::<Concrete, _>(&mut Concrete, &fields);
+        prop_assert_eq!(
+            verdict == Verdict::Forward(Direction::External),
+            matches!(spec_accepts, Ok(Some(_))),
+            "spec {:?}, datapath {:?} on {:02x?}",
+            spec_accepts,
+            verdict,
+            frame
+        );
         let exception = matches!(
             parsed,
             Err(ParseError::BadLength { layer: Layer::Tcp | Layer::Udp })

@@ -16,7 +16,9 @@
 //! * `expire_flows(t)` → the guarded [`NatEnv::expire_flows`] call;
 //!   the `now >= Texp` guard makes the `now - Texp` subtraction safe,
 //!   which the symbolic domain proves as a P2 obligation.
-//! * `update_flow(P, t)` → the lookup/rejuvenate/allocate/insert calls.
+//! * `update_flow(P, t)` → `sender_endpoint` (lookup, rejuvenate or
+//!   allocate + insert) for an internal sender, outbound or hairpinned;
+//!   the lookup + rejuvenate of `translate_external` for a return packet.
 //! * `forward(P)` → the [`NatEnv::tx`]/[`NatEnv::drop_pkt`] calls with
 //!   Fig. 6's header rewrites, including VigNAT's signature
 //!   `ext_port = start_port + offset` arithmetic, where the offset is
@@ -239,8 +241,11 @@ fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &RxPacket<E>) -> Result<Proto,
     Ok(proto)
 }
 
-/// Internal → external path: match or create, rewrite source to
-/// `(EXT_IP, ext_port)`.
+/// Internal packet: forward it from the sender's external endpoint
+/// ([`sender_endpoint`], Fig. 6's `update_flow`) — out to its own
+/// destination, or, on the hairpin leg, back inside to the target's
+/// internal endpoint. Mirrors `vig_spec::rfc3022::decide`'s internal
+/// arm clause for clause.
 ///
 /// `hint`: a *trusted hit* from a batched lookup, or `None` to probe
 /// here. Only hits may be passed: a burst-mate packet can insert a flow
@@ -261,60 +266,73 @@ fn translate_internal<E: NatEnv + ?Sized>(
     // membership test is a concrete-config-shaped ladder of domain
     // comparisons; the branch on `cfg.hairpinning` itself is concrete,
     // so the paper's default configuration keeps its exact path set.
-    if cfg.hairpinning && dst_is_pool_endpoint(env, cfg, pkt) {
-        return hairpin_internal(env, cfg, pkt, proto, now, hint);
-    }
-    let fid = internal_fid(env, cfg, pkt, proto);
-    let found = match hint {
-        Some(flow) => Some(flow),
-        None => env.lookup_internal(&fid),
+    // The target is found by its external key (`check_config` requires
+    // EIM and one pool address); no target mapping → drop. The target
+    // merely *receives* traffic, so, like any inbound packet's, its
+    // mapping is not rejuvenated.
+    let (out, dst_ip, dst_port) = if cfg.hairpinning && dst_is_pool_endpoint(env, cfg, pkt) {
+        let target_key = external_key(env, cfg, pkt, proto);
+        let Some(target) = env.lookup_external(&target_key) else {
+            env.drop_pkt(pkt.handle);
+            return IterationOutcome::Dropped(DropReason::NoFlow);
+        };
+        (Direction::Internal, target.int_ip, target.int_port)
+    } else {
+        (
+            Direction::External,
+            pkt.dst_ip.clone(),
+            pkt.dst_port.clone(),
+        )
     };
-    match found {
-        Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::Internal, &pkt.tcp_flags, proto);
-            let hdr = TxHdr {
-                src_ip: flow.ext_ip,
-                src_port: flow.ext_port,
-                dst_ip: pkt.dst_ip.clone(),
-                dst_port: pkt.dst_port.clone(),
-            };
-            env.tx(pkt.handle, Direction::External, hdr);
-            IterationOutcome::Forwarded(Direction::External)
-        }
-        None => match env.allocate_slot(&now) {
-            Some((slot, offset, ext_ip)) => {
-                // VigNAT's port arithmetic: ext_port = start_port +
-                // offset, where the env's offset is the slot's index
-                // within its pool address — the slot index itself with
-                // the paper's single-address pool, making this Fig. 6's
-                // `start_port + slot` verbatim. No overflow: offset <
-                // ports_per_ip and start_port + ports_per_ip <= 65536
-                // by construction of the pool mapping.
-                let start = env.c_u16(cfg.start_port);
-                let ext_port = env.add_u16(&start, &offset);
-                env.insert_flow(
-                    slot,
-                    fid,
-                    ext_ip.clone(),
-                    ext_port.clone(),
-                    &now,
-                    &pkt.tcp_flags,
-                );
-                let hdr = TxHdr {
-                    src_ip: ext_ip,
-                    src_port: ext_port,
-                    dst_ip: pkt.dst_ip.clone(),
-                    dst_port: pkt.dst_port.clone(),
-                };
-                env.tx(pkt.handle, Direction::External, hdr);
-                IterationOutcome::Forwarded(Direction::External)
-            }
-            None => {
-                env.drop_pkt(pkt.handle);
-                IterationOutcome::Dropped(DropReason::TableFull)
-            }
-        },
+    let Some((src_ip, src_port)) = sender_endpoint(env, cfg, pkt, proto, &now, hint) else {
+        env.drop_pkt(pkt.handle);
+        return IterationOutcome::Dropped(DropReason::TableFull);
+    };
+    let hdr = TxHdr {
+        src_ip,
+        src_port,
+        dst_ip,
+        dst_port,
+    };
+    env.tx(pkt.handle, out, hdr);
+    IterationOutcome::Forwarded(out)
+}
+
+/// Fig. 6 `update_flow` for an internal sender: its mapping's external
+/// endpoint, rejuvenated on a hit, or a newly inserted one on a miss;
+/// `None` when the table is full. Mirrors `vig_spec::rfc3022`'s
+/// function of the same name. `hint` is [`translate_internal`]'s.
+fn sender_endpoint<E: NatEnv + ?Sized>(
+    env: &mut E,
+    cfg: &NatConfig,
+    pkt: &RxPacket<E>,
+    proto: Proto,
+    now: &E::U64,
+    hint: Option<FlowView<E>>,
+) -> Option<(E::U32, E::U16)> {
+    let fid = internal_fid(env, cfg, pkt, proto);
+    if let Some(flow) = hint.or_else(|| env.lookup_internal(&fid)) {
+        env.rejuvenate(flow.slot, now, Direction::Internal, &pkt.tcp_flags, proto);
+        return Some((flow.ext_ip, flow.ext_port));
     }
+    let (slot, offset, ext_ip) = env.allocate_slot(now)?;
+    // VigNAT's port arithmetic: ext_port = start_port + offset, where
+    // the env's offset is the slot's index within its pool address —
+    // the slot index itself with the paper's single-address pool,
+    // making this Fig. 6's `start_port + slot` verbatim. No overflow:
+    // offset < ports_per_ip and start_port + ports_per_ip <= 65536 by
+    // construction of the pool mapping.
+    let start = env.c_u16(cfg.start_port);
+    let ext_port = env.add_u16(&start, &offset);
+    env.insert_flow(
+        slot,
+        fid,
+        ext_ip.clone(),
+        ext_port.clone(),
+        now,
+        &pkt.tcp_flags,
+    );
+    Some((ext_ip, ext_port))
 }
 
 /// External → internal path: match or drop, rewrite destination to the
@@ -465,84 +483,6 @@ fn dst_is_pool_endpoint<E: NatEnv + ?Sized>(
         }
     }
     true
-}
-
-/// The RFC 4787 hairpin leg (REQ-9): `pkt` is an internal packet
-/// addressed to one of the NAT's own pool endpoints. Resolve the
-/// *target* mapping by external lookup (EIM wildcard remote — the
-/// config check requires EIM), resolve or create the *sender's*
-/// mapping exactly as the outbound path would, and forward back on the
-/// internal interface: source rewritten to the sender's external
-/// endpoint (the receiving host sees the same address an external peer
-/// would), destination rewritten to the target's internal endpoint.
-/// No target mapping → unroutable → drop; no room for the sender's
-/// mapping → drop. Only the sender's flow is rejuvenated — the target
-/// merely *receives* traffic, which no more refreshes its mapping than
-/// any other inbound packet creates state. Mirrors the spec's
-/// hairpin leg (`vig_spec::rfc3022`) clause for clause.
-fn hairpin_internal<E: NatEnv + ?Sized>(
-    env: &mut E,
-    cfg: &NatConfig,
-    pkt: &RxPacket<E>,
-    proto: Proto,
-    now: E::U64,
-    hint: Option<FlowView<E>>,
-) -> IterationOutcome {
-    let target_key = ExtParts {
-        ext_ip: env.c_u32(cfg.external_ip.raw()),
-        ext_port: pkt.dst_port.clone(),
-        dst_ip: env.c_u32(0),
-        dst_port: env.c_u16(0),
-        proto,
-    };
-    let Some(target) = env.lookup_external(&target_key) else {
-        env.drop_pkt(pkt.handle);
-        return IterationOutcome::Dropped(DropReason::NoFlow);
-    };
-    let fid = internal_fid(env, cfg, pkt, proto);
-    let sender = match hint {
-        Some(flow) => Some(flow),
-        None => env.lookup_internal(&fid),
-    };
-    match sender {
-        Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::Internal, &pkt.tcp_flags, proto);
-            let hdr = TxHdr {
-                src_ip: flow.ext_ip,
-                src_port: flow.ext_port,
-                dst_ip: target.int_ip,
-                dst_port: target.int_port,
-            };
-            env.tx(pkt.handle, Direction::Internal, hdr);
-            IterationOutcome::Forwarded(Direction::Internal)
-        }
-        None => match env.allocate_slot(&now) {
-            Some((slot, offset, ext_ip)) => {
-                let start = env.c_u16(cfg.start_port);
-                let ext_port = env.add_u16(&start, &offset);
-                env.insert_flow(
-                    slot,
-                    fid,
-                    ext_ip.clone(),
-                    ext_port.clone(),
-                    &now,
-                    &pkt.tcp_flags,
-                );
-                let hdr = TxHdr {
-                    src_ip: ext_ip,
-                    src_port: ext_port,
-                    dst_ip: target.int_ip,
-                    dst_port: target.int_port,
-                };
-                env.tx(pkt.handle, Direction::Internal, hdr);
-                IterationOutcome::Forwarded(Direction::Internal)
-            }
-            None => {
-                env.drop_pkt(pkt.handle);
-                IterationOutcome::Dropped(DropReason::TableFull)
-            }
-        },
-    }
 }
 
 /// Largest burst [`nat_process_batch_into`] pulls per call — the

@@ -45,7 +45,7 @@ impl Verdict {
 /// returns the flows expired on the way. Allocates nothing while
 /// `verdicts` has room. The one chunk runner: [`VigNatMb::process_burst`], the
 /// pinned runtime's workers and
-/// [`crate::harness::ParallelShardedNat::process_on_shard`] all call
+/// [`crate::runtime::ParallelShardedNat::process_on_shard`] all call
 /// it. No buffers still runs one empty chunk — the expiry tick a
 /// polling core performs every iteration; a caller for which an empty
 /// burst is no arrival instant (the middlebox) does not call.

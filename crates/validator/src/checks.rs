@@ -62,7 +62,9 @@ pub fn check_p2<E>(trace: &SymTrace<E>) -> Result<usize, CheckFailure> {
 
 /// Structural discipline of the stateful interface: buffer ownership,
 /// allocate→insert pairing with the slot/port bijection, rejuvenate
-/// only after a hit, guarded expiry with the exact threshold.
+/// only after a hit. (The expiry discipline — `expire_flows(now - Texp)`
+/// exactly on the paths that entail `Texp <= now` — is P1's: the
+/// spec's step asks for it.)
 pub fn check_p4(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFailure> {
     let mut checks = 0usize;
     let fail = |detail: String| CheckFailure {
@@ -87,43 +89,6 @@ pub fn check_p4(trace: &mut SymTrace, cfg: &NatConfig) -> Result<usize, CheckFai
         )));
     }
     checks += 1;
-
-    // Expiry discipline: threshold must be exactly now - Texp, and the
-    // guard Texp <= now must be on the path. Texp is the minimum
-    // configured lifetime: the flow manager reconstructs `now` from the
-    // threshold and applies the per-class deadlines itself, and for the
-    // homogeneous configs the symbolic engine covers this is just
-    // `expiry_ns`.
-    let now_term = trace.events.iter().find_map(|e| match e {
-        Event::Now(t) => Some(*t),
-        _ => None,
-    });
-    let expire_thresholds: Vec<TermId> = trace
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            Event::ExpireFlows { threshold } => Some(*threshold),
-            _ => None,
-        })
-        .collect();
-    for thr in expire_thresholds {
-        let now = now_term.ok_or_else(|| fail("expire_flows before reading the clock".into()))?;
-        let texp = trace.arena.cu(cfg.min_lifetime_ns(), Width::W64);
-        let expected = trace.arena.sub(now, texp);
-        if thr != expected {
-            let eq = trace.arena.eq(thr, expected);
-            if !Solver::entails(&trace.arena, &trace.path, eq) {
-                return Err(fail("expire threshold is not now - Texp".into()));
-            }
-        }
-        let guard = trace.arena.le(texp, now);
-        if !Solver::entails(&trace.arena, &trace.path, guard) {
-            return Err(fail(
-                "expiry threshold used without the Texp <= now guard".into(),
-            ));
-        }
-        checks += 2;
-    }
 
     // Slots returned by hits (eligible for rejuvenation).
     let mut hit_slots = Vec::new();

@@ -66,8 +66,6 @@ pub struct NatModels {
     cfg: NatConfig,
     style: ModelStyle,
     slot_counter: usize,
-    in_flight: Option<PktHandle>,
-    consumed: bool,
 }
 
 impl NatModels {
@@ -77,17 +75,7 @@ impl NatModels {
             cfg,
             style,
             slot_counter: 0,
-            in_flight: None,
-            consumed: false,
         }
-    }
-
-    /// Buffer ownership as the loop body hands a packet back: only the
-    /// received packet, and only once.
-    fn consume(&mut self, pkt: PktHandle) {
-        assert_eq!(self.in_flight, Some(pkt), "consume of unowned packet (P4)");
-        assert!(!self.consumed, "double consume (P4)");
-        self.consumed = true;
     }
 
     fn next_slot(&mut self) -> usize {
@@ -145,7 +133,6 @@ impl NatEnv for SymEnv<'_> {
             tcp_flags: self.arena.var("tcp_flags", Width::W8),
         };
         self.events.push(Event::Receive(rx.clone()));
-        self.models.in_flight = Some(PktHandle(0));
         Some(RxPacket {
             handle: PktHandle(0),
             dir,
@@ -315,16 +302,16 @@ impl NatEnv for SymEnv<'_> {
         });
     }
 
-    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-        self.models.consume(pkt);
+    /// Buffer ownership is P4's: it counts `Tx` and `DropPkt` events
+    /// against the one `Receive`.
+    fn tx(&mut self, _pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
         self.events.push(Event::Tx {
             out,
             hdr: [hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port],
         });
     }
 
-    fn drop_pkt(&mut self, pkt: PktHandle) {
-        self.models.consume(pkt);
+    fn drop_pkt(&mut self, _pkt: PktHandle) {
         self.events.push(Event::DropPkt);
     }
 }

@@ -23,26 +23,22 @@ fn the_headline_result() {
     // to RFC 3022, as well as crash-free and memory-safe."
     let report = run_verification(&paper_cfg(), ModelStyle::Faithful, 2);
     assert!(report.ok(), "{:#?}", report.failures);
-    // The proof did real work on every property:
-    assert!(
-        report.p1_checks >= 50,
-        "semantic conditions: {}",
-        report.p1_checks
-    );
-    assert!(
-        report.p2_obligations >= 50,
-        "low-level obligations: {}",
-        report.p2_obligations
-    );
-    assert!(
-        report.p4_checks >= 50,
-        "usage conditions: {}",
-        report.p4_checks
-    );
-    assert!(
-        report.p5_checks >= 10,
-        "model validations: {}",
-        report.p5_checks
+    // The proof did real work on every property, and exactly this much
+    // of it: a loop-body change that alters the path set, or a check
+    // that proves more or less, moves one of these counts.
+    let counts = [
+        report.paths,
+        report.traces_with_prefixes,
+        report.decisions,
+        report.p2_obligations,
+        report.p4_checks,
+        report.p5_checks,
+        report.p1_checks,
+    ];
+    assert_eq!(
+        counts,
+        [70, 139, 754, 167, 152, 12, 547],
+        "paths, traces with prefixes, decisions, P2, P4, P5, P1"
     );
 }
 

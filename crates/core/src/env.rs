@@ -19,9 +19,17 @@
 //!
 //! The trait extends [`Domain`]: an environment *is* a value domain plus
 //! effects, which spares the loop body a borrow dance between the two.
+//!
+//! What crosses the interface is the spec's vocabulary, over the env's
+//! bare domain ([`Domain::Values`]): a received [`Frame`], the
+//! [`Tuple`]s that key the flow table and rewrite the header, and the
+//! [`Mapping`] a lookup returns. `vig_spec::rfc3022::decide` is written
+//! over the same three types, so the Validator's P1 hands the spec the
+//! very frame and tuples the loop body produced.
 
 use crate::domain::Domain;
 use vig_packet::{Direction, Proto};
+use vig_spec::rfc3022::{Endpoint, Frame, Mapping, Tuple};
 
 /// Opaque handle to an in-flight packet buffer. The loop body may copy
 /// and compare it but can only consume it through [`NatEnv::tx`] or
@@ -35,218 +43,23 @@ pub struct PktHandle(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotId(pub usize);
 
-/// A received packet, presented as domain-valued header fields.
-///
-/// This is the granularity of the C original, which overlays
-/// `ether_hdr`/`ipv4_hdr`/`tcp_hdr` structs on the mbuf: field access
-/// is assumed, *validity checking is not* — every validation branch
-/// (EtherType, version, IHL, fragmenting, lengths, protocol) is taken by
-/// the stateless code on these values. For frames too short to contain
-/// a field, concrete environments supply zeroes; the loop body's
-/// length guards run **before** any semantic use of such fields, and
-/// under the symbolic engine the fields are unconstrained symbols, so
-/// the verification covers the zero-fill behaviour and more.
-#[derive(Debug, Clone)]
-pub struct RxPacket<D: Domain + ?Sized> {
-    /// Buffer ownership token.
-    pub handle: PktHandle,
-    /// Arrival interface (concrete: the NF knows which port fired).
-    pub dir: Direction,
-    /// Total frame length in bytes.
-    pub frame_len: D::U16,
-    /// Ethernet EtherType.
-    pub ethertype: D::U16,
-    /// Raw IPv4 first byte: version (high nibble) + IHL (low nibble).
-    pub version_ihl: D::U8,
-    /// IPv4 `total_len` field.
-    pub total_len: D::U16,
-    /// Raw IPv4 flags+fragment-offset field (bytes 6–7).
-    pub frag_field: D::U16,
-    /// IPv4 protocol number.
-    pub proto: D::U8,
-    /// IPv4 source address.
-    pub src_ip: D::U32,
-    /// IPv4 destination address.
-    pub dst_ip: D::U32,
-    /// L4 source port (zero-filled if the frame is short).
-    pub src_port: D::U16,
-    /// L4 destination port (zero-filled if the frame is short).
-    pub dst_port: D::U16,
-    /// TCP flags byte (zero-filled for non-TCP packets and frames too
-    /// short to carry it). The loop body never branches on it — it is
-    /// carried opaquely into the stateful half, whose TCP tracker
-    /// selects the flow's timeout class from it.
-    pub tcp_flags: D::U8,
-}
-
-/// The internal flow identifier, in domain values. The protocol is
-/// concrete because the loop body has already branched on it.
-#[derive(Debug, Clone)]
-pub struct FidParts<D: Domain + ?Sized> {
-    /// Internal host address.
-    pub src_ip: D::U32,
-    /// Internal host port.
-    pub src_port: D::U16,
-    /// Remote address.
-    pub dst_ip: D::U32,
-    /// Remote port.
-    pub dst_port: D::U16,
-    /// Session protocol (concrete per path).
-    pub proto: Proto,
-}
-
-/// The external-side key, in domain values.
-#[derive(Debug, Clone)]
-pub struct ExtParts<D: Domain + ?Sized> {
-    /// The NAT-allocated pool address (the return packet's destination
-    /// ip, canonicalized by the loop body: the single configured
-    /// address when the pool has one, the packet's destination
-    /// address when it has several).
-    pub ext_ip: D::U32,
-    /// The NAT-allocated port (the return packet's destination port).
-    pub ext_port: D::U16,
-    /// Remote address.
-    pub dst_ip: D::U32,
-    /// Remote port.
-    pub dst_port: D::U16,
-    /// Session protocol (concrete per path).
-    pub proto: Proto,
-}
-
-/// A flow-table match, as seen by the stateless code.
-#[derive(Debug, Clone)]
-pub struct FlowView<D: Domain + ?Sized> {
-    /// The slot handle (for rejuvenation).
-    pub slot: SlotId,
-    /// The allocated external (pool) address.
-    pub ext_ip: D::U32,
-    /// The allocated external port.
-    pub ext_port: D::U16,
-    /// The internal endpoint address.
-    pub int_ip: D::U32,
-    /// The internal endpoint port.
-    pub int_port: D::U16,
-}
-
-/// The rewritten 5-tuple handed to [`NatEnv::tx`]. The concrete
-/// environment applies it to the packet bytes with incremental checksum
-/// updates; the symbolic environment records it in the trace for the
-/// P1 semantic check.
-#[derive(Debug, Clone)]
-pub struct TxHdr<D: Domain + ?Sized> {
-    /// New source address.
-    pub src_ip: D::U32,
-    /// New source port.
-    pub src_port: D::U16,
-    /// New destination address.
-    pub dst_ip: D::U32,
-    /// New destination port.
-    pub dst_port: D::U16,
-}
+/// What a flow lookup finds: the matched slot and its mapping, or
+/// `None` on a miss.
+pub type Found<D> = Option<(SlotId, Mapping<D>)>;
 
 /// The one *concrete* environment (machine-integer domain) and its
 /// parts: [`concrete::ConcreteEnv`] — the table half every concrete
 /// run of the loop body shares — over a [`concrete::PacketSide`], plus
-/// key construction from domain-valued packet parts, flow views and
 /// the per-packet `FlowId` hash memo.
 pub mod concrete {
-    use super::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
+    use super::{Found, NatEnv, PktHandle, SlotId};
     use crate::domain::{Concrete, Domain};
     use crate::flow_manager::FlowTable;
     use crate::loop_body::MAX_BURST;
     use libvig::map::MapKey;
     use libvig::time::Time;
-    use vig_packet::{Direction, ExtKey, Flow, FlowFields, FlowId, Ip4, Proto};
-
-    /// One received packet's header fields as machine integers — what a
-    /// [`PacketSide`] hands the env, and what tests inject. Use
-    /// [`RawRx::well_formed`] for valid packets; construct directly to
-    /// exercise the drop paths.
-    #[derive(Debug, Clone, Copy)]
-    pub struct RawRx {
-        /// Arrival interface.
-        pub dir: Direction,
-        /// Frame length in bytes.
-        pub frame_len: u16,
-        /// EtherType.
-        pub ethertype: u16,
-        /// IPv4 version+IHL byte.
-        pub version_ihl: u8,
-        /// IPv4 total length.
-        pub total_len: u16,
-        /// IPv4 flags+fragment-offset field.
-        pub frag_field: u16,
-        /// IPv4 protocol.
-        pub proto: u8,
-        /// Source address.
-        pub src_ip: u32,
-        /// Destination address.
-        pub dst_ip: u32,
-        /// L4 source port.
-        pub src_port: u16,
-        /// L4 destination port.
-        pub dst_port: u16,
-        /// TCP flag byte (ignored for non-TCP packets).
-        pub tcp_flags: u8,
-    }
-
-    impl RawRx {
-        /// A well-formed 64-byte TCP/UDP frame carrying `fields` (empty
-        /// TCP flag byte; see [`RawRx::with_tcp_flags`]).
-        pub fn well_formed(dir: Direction, fields: FlowFields) -> RawRx {
-            let l4 = match fields.proto {
-                Proto::Tcp => 20,
-                Proto::Udp => 8,
-            };
-            RawRx {
-                dir,
-                frame_len: 64,
-                ethertype: 0x0800,
-                version_ihl: 0x45,
-                total_len: 20 + l4,
-                frag_field: 0x4000, // DF, not fragmented
-                proto: fields.proto.number(),
-                src_ip: fields.src_ip.raw(),
-                dst_ip: fields.dst_ip.raw(),
-                src_port: fields.src_port,
-                dst_port: fields.dst_port,
-                tcp_flags: 0,
-            }
-        }
-
-        /// The same frame with a TCP flag byte.
-        pub fn with_tcp_flags(self, tcp_flags: u8) -> RawRx {
-            RawRx { tcp_flags, ..self }
-        }
-
-        /// The packet as the loop body receives it, in any
-        /// machine-integer domain. The TCP flag byte is zero-filled for
-        /// non-TCP packets, per the [`RxPacket`] contract.
-        pub fn into_rx<D>(self, handle: PktHandle) -> RxPacket<D>
-        where
-            D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-        {
-            RxPacket {
-                handle,
-                dir: self.dir,
-                frame_len: self.frame_len,
-                ethertype: self.ethertype,
-                version_ihl: self.version_ihl,
-                total_len: self.total_len,
-                frag_field: self.frag_field,
-                proto: self.proto,
-                src_ip: self.src_ip,
-                dst_ip: self.dst_ip,
-                src_port: self.src_port,
-                dst_port: self.dst_port,
-                tcp_flags: if self.proto == vig_packet::ipv4::PROTO_TCP {
-                    self.tcp_flags
-                } else {
-                    0
-                },
-            }
-        }
-    }
+    use vig_packet::{Direction, Flow, FlowId, Ip4, Proto};
+    use vig_spec::rfc3022::{Frame, Mapping, Tuple};
 
     /// Where a [`ConcreteEnv`]'s packets come from and go to — the only
     /// thing that differs between concrete runs of the loop body.
@@ -258,11 +71,11 @@ pub mod concrete {
     pub trait PacketSide {
         /// The next pending packet — its ownership handle and header
         /// fields — or `None` when nothing is pending.
-        fn receive(&mut self) -> Option<(PktHandle, RawRx)>;
+        fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)>;
 
         /// Transmit `pkt` on `out` with the rewritten tuple. Consumes
         /// the buffer.
-        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Concrete>);
+        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: Tuple<Concrete>);
 
         /// Drop `pkt`. Consumes the buffer.
         fn drop_pkt(&mut self, pkt: PktHandle);
@@ -317,27 +130,32 @@ pub mod concrete {
             self.expired += self.table.expire(Time(*threshold));
         }
 
-        fn receive(&mut self) -> Option<RxPacket<Self>> {
-            let (handle, raw) = self.packets.receive()?;
-            Some(raw.into_rx(handle))
+        fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
+            let (handle, mut frame) = self.packets.receive()?;
+            // The one place the concrete receive path zeroes the flag
+            // byte of a non-TCP packet, as the spec's frame has it.
+            if frame.proto != vig_packet::ipv4::PROTO_TCP {
+                frame.tcp_flags = 0;
+            }
+            Some((handle, frame))
         }
 
         fn branch(&mut self, cond: bool) -> bool {
             cond
         }
 
-        fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>> {
-            let key = fid_key(fid);
+        fn lookup_internal(&mut self, fid: &Tuple<Concrete>) -> Found<Concrete> {
+            let key = fid.flow_id();
             // Hash once per packet; a following insert_flow reuses it.
             let hash = self.memo.hash_for_lookup(key);
             let (slot, flow) = self.table.lookup_internal_hashed(&key, hash)?;
-            Some(view(slot, &flow))
+            Some(hit(slot, &flow))
         }
 
         fn lookup_internal_batch(
             &mut self,
-            fids: &[Option<FidParts<Self>>],
-            out: &mut [Option<FlowView<Self>>],
+            fids: &[Option<Tuple<Concrete>>],
+            out: &mut [Found<Concrete>],
         ) {
             // On a sharded table each query routes to its shard by this
             // hash, inside the table's one staged loop.
@@ -345,38 +163,38 @@ pub mod concrete {
                 let mut queries = [None; MAX_BURST];
                 for (q, fid) in queries.iter_mut().zip(fids) {
                     *q = fid.as_ref().map(|fid| {
-                        let key = fid_key(fid);
+                        let key = fid.flow_id();
                         (key, key.key_hash())
                     });
                 }
-                let mut found = [None; MAX_BURST];
+                let mut hits = [None; MAX_BURST];
                 let n = fids.len();
                 self.table
-                    .probe_internal_batch(&queries[..n], &mut found[..n]);
-                views_at_positions(fids, &found, out);
+                    .probe_internal_batch(&queries[..n], &mut hits[..n]);
+                found_at_positions(fids, &hits, out);
             }
         }
 
-        fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-            let (slot, flow) = self.table.lookup_external(&ext_key(ek))?;
-            Some(view(slot, &flow))
+        fn lookup_external(&mut self, ek: &Tuple<Concrete>) -> Found<Concrete> {
+            let (slot, flow) = self.table.lookup_external(&ek.ext_key())?;
+            Some(hit(slot, &flow))
         }
 
         fn lookup_external_batch(
             &mut self,
-            eks: &[Option<ExtParts<Self>>],
-            out: &mut [Option<FlowView<Self>>],
+            eks: &[Option<Tuple<Concrete>>],
+            out: &mut [Found<Concrete>],
         ) {
             for (eks, out) in eks.chunks(MAX_BURST).zip(out.chunks_mut(MAX_BURST)) {
                 let mut queries = [None; MAX_BURST];
                 for (q, ek) in queries.iter_mut().zip(eks) {
-                    *q = ek.as_ref().map(ext_key);
+                    *q = ek.as_ref().map(Tuple::ext_key);
                 }
-                let mut found = [None; MAX_BURST];
+                let mut hits = [None; MAX_BURST];
                 let n = eks.len();
                 self.table
-                    .probe_external_batch(&queries[..n], &mut found[..n]);
-                views_at_positions(eks, &found, out);
+                    .probe_external_batch(&queries[..n], &mut hits[..n]);
+                found_at_positions(eks, &hits, out);
             }
         }
 
@@ -405,13 +223,12 @@ pub mod concrete {
         fn insert_flow(
             &mut self,
             slot: SlotId,
-            fid: FidParts<Self>,
-            ext_ip: u32,
-            ext_port: u16,
+            fid: Tuple<Concrete>,
+            (ext_ip, ext_port): (u32, u16),
             _now: &u64,
             tcp_flags: &u8,
         ) {
-            let key = fid_key(&fid);
+            let key = fid.flow_id();
             // Reuse the hash memoized by the lookup miss that precedes
             // every insert on the same packet.
             let hash = self.memo.hash_for_insert(&key);
@@ -419,13 +236,7 @@ pub mod concrete {
                 .insert_hashed(slot.0, key, Ip4(ext_ip), ext_port, hash, *tcp_flags);
         }
 
-        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-            let hdr = TxHdr {
-                src_ip: hdr.src_ip,
-                src_port: hdr.src_port,
-                dst_ip: hdr.dst_ip,
-                dst_port: hdr.dst_port,
-            };
+        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: Tuple<Concrete>) {
             self.packets.tx(pkt, out, hdr);
         }
 
@@ -434,61 +245,23 @@ pub mod concrete {
         }
     }
 
-    /// The internal 5-tuple as a flow-table key.
-    pub fn fid_key<D>(fid: &FidParts<D>) -> FlowId
-    where
-        D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-    {
-        FlowId {
-            src_ip: Ip4(fid.src_ip),
-            src_port: fid.src_port,
-            dst_ip: Ip4(fid.dst_ip),
-            dst_port: fid.dst_port,
-            proto: fid.proto,
-        }
+    /// A matched flow as the loop body sees it: its slot and mapping.
+    fn hit(slot: usize, flow: &Flow) -> (SlotId, Mapping<Concrete>) {
+        let int = (flow.int_key.src_ip.raw(), flow.int_key.src_port);
+        let ext = (flow.ext_ip.raw(), flow.ext_port);
+        (SlotId(slot), Mapping { int, ext })
     }
 
-    /// The external-side key as a flow-table key.
-    pub fn ext_key<D>(ek: &ExtParts<D>) -> ExtKey
-    where
-        D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-    {
-        ExtKey {
-            ext_ip: Ip4(ek.ext_ip),
-            ext_port: ek.ext_port,
-            dst_ip: Ip4(ek.dst_ip),
-            dst_port: ek.dst_port,
-            proto: ek.proto,
-        }
-    }
-
-    /// A matched flow as the loop body sees it.
-    fn view<D>(slot: usize, flow: &Flow) -> FlowView<D>
-    where
-        D: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-    {
-        FlowView {
-            slot: SlotId(slot),
-            ext_ip: flow.ext_ip.raw(),
-            ext_port: flow.ext_port,
-            int_ip: flow.int_key.src_ip.raw(),
-            int_port: flow.int_key.src_port,
-        }
-    }
-
-    /// Write each probe result as a view at its query's position; leave
-    /// positions that asked nothing alone (the `lookup_*_batch`
-    /// contract).
-    fn views_at_positions<Q, E>(
+    /// Write each probe result at its query's position; leave positions
+    /// that asked nothing alone (the `lookup_*_batch` contract).
+    fn found_at_positions<Q>(
         queries: &[Option<Q>],
-        found: &[Option<(usize, Flow)>],
-        out: &mut [Option<FlowView<E>>],
-    ) where
-        E: Domain<B = bool, U8 = u8, U16 = u16, U32 = u32, U64 = u64> + ?Sized,
-    {
-        for ((q, r), o) in queries.iter().zip(found).zip(out) {
+        hits: &[Option<(usize, Flow)>],
+        out: &mut [Found<Concrete>],
+    ) {
+        for ((q, r), o) in queries.iter().zip(hits).zip(out) {
             if q.is_some() {
-                *o = r.as_ref().map(|(slot, flow)| view(*slot, flow));
+                *o = r.as_ref().map(|(slot, flow)| hit(*slot, flow));
             }
         }
     }
@@ -550,18 +323,19 @@ pub trait NatEnv: Domain {
     /// stateless code).
     fn expire_flows(&mut self, threshold: &Self::U64);
 
-    /// Non-blocking receive. `None` when no packet is pending. The burst
-    /// loop body ([`crate::loop_body::nat_process_batch_into`]) calls it
+    /// Non-blocking receive: the pending packet's ownership handle and
+    /// header fields, `None` when no packet is pending. The burst loop
+    /// body ([`crate::loop_body::nat_process_batch_into`]) calls it
     /// until it returns `None` or the burst is full.
-    fn receive(&mut self) -> Option<RxPacket<Self>>;
+    fn receive(&mut self) -> Option<(PktHandle, Frame<Self::Values>)>;
 
     /// Decide a branch. Concrete environments evaluate the condition;
     /// the symbolic engine forks execution here, recording the
     /// condition (or its negation) as a path constraint.
     fn branch(&mut self, cond: Self::B) -> bool;
 
-    /// Look up a flow by internal 5-tuple.
-    fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>>;
+    /// Look up a flow by internal flow id: its slot and mapping.
+    fn lookup_internal(&mut self, fid: &Tuple<Self::Values>) -> Found<Self::Values>;
 
     /// Resolve a burst of internal-key lookups. Queries and results
     /// are indexed by packet position: `out[i]` receives the result of
@@ -579,8 +353,8 @@ pub trait NatEnv: Domain {
     /// misses are re-checked at their sequence point.
     fn lookup_internal_batch(
         &mut self,
-        fids: &[Option<FidParts<Self>>],
-        out: &mut [Option<FlowView<Self>>],
+        fids: &[Option<Tuple<Self::Values>>],
+        out: &mut [Found<Self::Values>],
     ) {
         for (fid, slot) in fids.iter().zip(out) {
             if let Some(fid) = fid {
@@ -589,16 +363,16 @@ pub trait NatEnv: Domain {
         }
     }
 
-    /// Look up a flow by external key.
-    fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>>;
+    /// Look up a flow by external key: its slot and mapping.
+    fn lookup_external(&mut self, ek: &Tuple<Self::Values>) -> Found<Self::Values>;
 
     /// [`NatEnv::lookup_internal_batch`] for external keys: same
     /// indexing, same hits-only trust rule, default delegating to
     /// [`NatEnv::lookup_external`] per query.
     fn lookup_external_batch(
         &mut self,
-        eks: &[Option<ExtParts<Self>>],
-        out: &mut [Option<FlowView<Self>>],
+        eks: &[Option<Tuple<Self::Values>>],
+        out: &mut [Found<Self::Values>],
     ) {
         for (ek, slot) in eks.iter().zip(out) {
             if let Some(ek) = ek {
@@ -639,23 +413,25 @@ pub trait NatEnv: Domain {
     /// the Validator's leak check enforces this (P4).
     fn allocate_slot(&mut self, now: &Self::U64) -> Option<(SlotId, Self::U16, Self::U32)>;
 
-    /// Populate a reserved slot with the new flow (Fig. 6 line 16).
-    /// `tcp_flags` seeds the TCP tracker's initial state for TCP flows
-    /// (opaque to the stateless code, ignored symbolically — see
+    /// Populate a reserved slot with the flow `fid` mapped to the
+    /// external endpoint `ext` (Fig. 6 line 16). `tcp_flags` seeds the
+    /// TCP tracker's initial state for TCP flows (opaque to the
+    /// stateless code, ignored symbolically — see
     /// [`NatEnv::rejuvenate`]).
     fn insert_flow(
         &mut self,
         slot: SlotId,
-        fid: FidParts<Self>,
-        ext_ip: Self::U32,
-        ext_port: Self::U16,
+        fid: Tuple<Self::Values>,
+        ext: Endpoint<Self>,
         now: &Self::U64,
         tcp_flags: &Self::U8,
     );
 
-    /// Transmit the packet on `out` with rewritten headers. Consumes the
-    /// buffer.
-    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Self>);
+    /// Transmit the packet on `out` with the rewritten header `hdr`.
+    /// The concrete environment applies it to the packet bytes with
+    /// incremental checksum updates; the symbolic environment records
+    /// it in the trace for P1. Consumes the buffer.
+    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: Tuple<Self::Values>);
 
     /// Drop the packet. Consumes the buffer.
     fn drop_pkt(&mut self, pkt: PktHandle);

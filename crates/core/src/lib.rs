@@ -74,7 +74,7 @@ pub mod sharded;
 pub mod simple_env;
 
 pub use domain::{Concrete, Domain};
-pub use env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
+pub use env::{NatEnv, PktHandle, SlotId};
 pub use flow_manager::{FlowManager, FlowTable};
 pub use loop_body::{
     nat_loop_iteration, nat_process_batch, nat_process_batch_into, IterationOutcome, MAX_BURST,

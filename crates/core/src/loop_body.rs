@@ -32,9 +32,13 @@
 //! what makes that safe (and is itself visible to the verifier).
 
 use crate::domain::Domain;
-use crate::env::{ExtParts, FidParts, FlowView, NatEnv, RxPacket, TxHdr};
+use crate::env::{Found, NatEnv, PktHandle};
 use vig_packet::{Direction, Proto};
+use vig_spec::rfc3022::{Endpoint, Frame, Tuple};
 use vig_spec::NatConfig;
+
+/// A trusted hit of the burst's batched probe, or `None`.
+type Hint<E> = Found<<E as Domain>::Values>;
 
 /// What one loop iteration did (ghost data for tests and statistics;
 /// the symbolic engine ignores it).
@@ -89,12 +93,12 @@ pub fn nat_loop_iteration<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig) -> I
     expire_guarded(env, cfg, &now);
 
     // --- receive -------------------------------------------------------
-    let Some(pkt) = env.receive() else {
+    let Some((handle, pkt)) = env.receive() else {
         return IterationOutcome::NoPacket;
     };
 
     let verdict = validate(env, &pkt);
-    complete(env, cfg, &pkt, verdict, now, None)
+    complete(env, cfg, handle, &pkt, verdict, now, None)
 }
 
 /// `expire_flows(t)` with the `now >= Texp` guard (Fig. 6 line 2):
@@ -126,18 +130,19 @@ fn expire_guarded<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig, now: &E::U64
 fn complete<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    handle: PktHandle,
+    pkt: &Frame<E::Values>,
     verdict: Result<Proto, DropReason>,
     now: E::U64,
-    hint: Option<FlowView<E>>,
+    hint: Hint<E>,
 ) -> IterationOutcome {
     match verdict {
         Ok(proto) => match pkt.dir {
-            Direction::Internal => translate_internal(env, cfg, pkt, proto, now, hint),
-            Direction::External => translate_external(env, cfg, pkt, proto, now, hint),
+            Direction::Internal => translate_internal(env, cfg, handle, pkt, proto, now, hint),
+            Direction::External => translate_external(env, cfg, handle, pkt, proto, now, hint),
         },
         Err(reason) => {
-            env.drop_pkt(pkt.handle);
+            env.drop_pkt(handle);
             IterationOutcome::Dropped(reason)
         }
     }
@@ -147,7 +152,7 @@ fn complete<E: NatEnv + ?Sized>(
 /// NAT takes before a packet's fields may be used semantically. Pure
 /// with respect to the flow table and the packet buffer — it decides,
 /// the caller drops. Returns the (concrete) protocol on acceptance.
-fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &RxPacket<E>) -> Result<Proto, DropReason> {
+fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &Frame<E::Values>) -> Result<Proto, DropReason> {
     // --- validation ladder ----------------------------------------------
     // L2: enough bytes for the Ethernet header?
     let eth_len = env.c_u16(14);
@@ -255,10 +260,11 @@ fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &RxPacket<E>) -> Result<Proto,
 fn translate_internal<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    handle: PktHandle,
+    pkt: &Frame<E::Values>,
     proto: Proto,
     now: E::U64,
-    hint: Option<FlowView<E>>,
+    hint: Hint<E>,
 ) -> IterationOutcome {
     // Hairpinning (RFC 4787 REQ-9): an internal packet aimed at one of
     // the NAT's *own* pool endpoints is looped back to the internal
@@ -270,31 +276,22 @@ fn translate_internal<E: NatEnv + ?Sized>(
     // EIM and one pool address); no target mapping → drop. The target
     // merely *receives* traffic, so, like any inbound packet's, its
     // mapping is not rejuvenated.
-    let (out, dst_ip, dst_port) = if cfg.hairpinning && dst_is_pool_endpoint(env, cfg, pkt) {
+    let (out, dst) = if cfg.hairpinning && dst_is_pool_endpoint(env, cfg, pkt) {
         let target_key = external_key(env, cfg, pkt, proto);
-        let Some(target) = env.lookup_external(&target_key) else {
-            env.drop_pkt(pkt.handle);
+        let Some((_, target)) = env.lookup_external(&target_key) else {
+            env.drop_pkt(handle);
             return IterationOutcome::Dropped(DropReason::NoFlow);
         };
-        (Direction::Internal, target.int_ip, target.int_port)
+        (Direction::Internal, target.int)
     } else {
-        (
-            Direction::External,
-            pkt.dst_ip.clone(),
-            pkt.dst_port.clone(),
-        )
+        let dst = (pkt.dst_ip.clone(), pkt.dst_port.clone());
+        (Direction::External, dst)
     };
-    let Some((src_ip, src_port)) = sender_endpoint(env, cfg, pkt, proto, &now, hint) else {
-        env.drop_pkt(pkt.handle);
+    let Some(src) = sender_endpoint(env, cfg, pkt, proto, &now, hint) else {
+        env.drop_pkt(handle);
         return IterationOutcome::Dropped(DropReason::TableFull);
     };
-    let hdr = TxHdr {
-        src_ip,
-        src_port,
-        dst_ip,
-        dst_port,
-    };
-    env.tx(pkt.handle, out, hdr);
+    env.tx(handle, out, Tuple { src, dst, proto });
     IterationOutcome::Forwarded(out)
 }
 
@@ -305,15 +302,15 @@ fn translate_internal<E: NatEnv + ?Sized>(
 fn sender_endpoint<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    pkt: &Frame<E::Values>,
     proto: Proto,
     now: &E::U64,
-    hint: Option<FlowView<E>>,
-) -> Option<(E::U32, E::U16)> {
+    hint: Hint<E>,
+) -> Option<Endpoint<E>> {
     let fid = internal_fid(env, cfg, pkt, proto);
-    if let Some(flow) = hint.or_else(|| env.lookup_internal(&fid)) {
-        env.rejuvenate(flow.slot, now, Direction::Internal, &pkt.tcp_flags, proto);
-        return Some((flow.ext_ip, flow.ext_port));
+    if let Some((slot, mapping)) = hint.or_else(|| env.lookup_internal(&fid)) {
+        env.rejuvenate(slot, now, Direction::Internal, &pkt.tcp_flags, proto);
+        return Some(mapping.ext);
     }
     let (slot, offset, ext_ip) = env.allocate_slot(now)?;
     // VigNAT's port arithmetic: ext_port = start_port + offset, where
@@ -323,16 +320,9 @@ fn sender_endpoint<E: NatEnv + ?Sized>(
     // offset < ports_per_ip and start_port + ports_per_ip <= 65536 by
     // construction of the pool mapping.
     let start = env.c_u16(cfg.start_port);
-    let ext_port = env.add_u16(&start, &offset);
-    env.insert_flow(
-        slot,
-        fid,
-        ext_ip.clone(),
-        ext_port.clone(),
-        now,
-        &pkt.tcp_flags,
-    );
-    Some((ext_ip, ext_port))
+    let ext = (ext_ip, env.add_u16(&start, &offset));
+    env.insert_flow(slot, fid, ext.clone(), now, &pkt.tcp_flags);
+    Some(ext)
 }
 
 /// External → internal path: match or drop, rewrite destination to the
@@ -346,46 +336,40 @@ fn sender_endpoint<E: NatEnv + ?Sized>(
 fn translate_external<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    handle: PktHandle,
+    pkt: &Frame<E::Values>,
     proto: Proto,
     now: E::U64,
-    hint: Option<FlowView<E>>,
+    hint: Hint<E>,
 ) -> IterationOutcome {
-    let found = match hint {
-        Some(flow) => Some(flow),
-        None => {
-            let ek = external_key(env, cfg, pkt, proto);
-            env.lookup_external(&ek)
-        }
-    };
+    let found = hint.or_else(|| {
+        let ek = external_key(env, cfg, pkt, proto);
+        env.lookup_external(&ek)
+    });
     match found {
-        Some(flow) => {
-            env.rejuvenate(flow.slot, &now, Direction::External, &pkt.tcp_flags, proto);
-            let hdr = TxHdr {
-                src_ip: pkt.src_ip.clone(),
-                src_port: pkt.src_port.clone(),
-                dst_ip: flow.int_ip,
-                dst_port: flow.int_port,
-            };
-            env.tx(pkt.handle, Direction::Internal, hdr);
+        Some((slot, mapping)) => {
+            env.rejuvenate(slot, &now, Direction::External, &pkt.tcp_flags, proto);
+            let (src, dst) = ((pkt.src_ip.clone(), pkt.src_port.clone()), mapping.int);
+            env.tx(handle, Direction::Internal, Tuple { src, dst, proto });
             IterationOutcome::Forwarded(Direction::Internal)
         }
         None => {
-            env.drop_pkt(pkt.handle);
+            env.drop_pkt(handle);
             IterationOutcome::Dropped(DropReason::NoFlow)
         }
     }
 }
 
-/// Build the external match key for a return packet. Needs only
-/// [`Domain`] operations, so the RSS classifier steers return traffic
-/// by calling this very function (over [`crate::domain::Concrete`]).
+/// Build the external match key for a return packet: from the
+/// allocated endpoint to the remote one. Needs only [`Domain`]
+/// operations, so the RSS classifier steers return traffic by calling
+/// this very function (over [`crate::domain::Concrete`]).
 pub fn external_key<E: Domain + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    pkt: &Frame<E::Values>,
     proto: Proto,
-) -> ExtParts<E> {
+) -> Tuple<E::Values> {
     // Pool-address selection for the match key. With the paper's
     // single-address pool the NAT owns its one external address and —
     // like Fig. 6 — matches return traffic without consulting the
@@ -408,11 +392,9 @@ pub fn external_key<E: Domain + ?Sized>(
     } else {
         (pkt.src_ip.clone(), pkt.src_port.clone())
     };
-    ExtParts {
-        ext_ip,
-        ext_port: pkt.dst_port.clone(),
-        dst_ip: rem_ip,
-        dst_port: rem_port,
+    Tuple {
+        src: (ext_ip, pkt.dst_port.clone()),
+        dst: (rem_ip, rem_port),
         proto,
     }
 }
@@ -427,19 +409,17 @@ pub fn external_key<E: Domain + ?Sized>(
 pub fn internal_fid<E: Domain + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    pkt: &Frame<E::Values>,
     proto: Proto,
-) -> FidParts<E> {
-    let (dst_ip, dst_port) = if cfg.eim {
+) -> Tuple<E::Values> {
+    let dst = if cfg.eim {
         (env.c_u32(0), env.c_u16(0))
     } else {
         (pkt.dst_ip.clone(), pkt.dst_port.clone())
     };
-    FidParts {
-        src_ip: pkt.src_ip.clone(),
-        src_port: pkt.src_port.clone(),
-        dst_ip,
-        dst_port,
+    Tuple {
+        src: (pkt.src_ip.clone(), pkt.src_port.clone()),
+        dst,
         proto,
     }
 }
@@ -454,7 +434,7 @@ pub fn internal_fid<E: Domain + ?Sized>(
 fn dst_is_pool_endpoint<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
-    pkt: &RxPacket<E>,
+    pkt: &Frame<E::Values>,
 ) -> bool {
     debug_assert_eq!(
         cfg.num_external_ips(),
@@ -558,7 +538,8 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     // `rte_eth_rx_burst` analog). Burst arrays are filled by plain
     // loops: filling this one by a `from_fn` closure that called
     // `receive` cost ≈ 20 ns per packet on the new-flow path.
-    let mut pkts: [Option<RxPacket<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let mut pkts: [Option<(PktHandle, Frame<E::Values>)>; MAX_BURST] =
+        std::array::from_fn(|_| None);
     let mut n = 0;
     while n < MAX_BURST {
         let Some(pkt) = env.receive() else { break };
@@ -572,7 +553,7 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     // consumed at its own sequence point, in arrival order, exactly as
     // the sequential loop consumes them.
     let mut verdicts: [Option<Result<Proto, DropReason>>; MAX_BURST] = [None; MAX_BURST];
-    for (verdict, pkt) in verdicts.iter_mut().zip(pkts.iter().flatten()) {
+    for (verdict, (_, pkt)) in verdicts.iter_mut().zip(pkts.iter().flatten()) {
         *verdict = Some(validate(env, pkt));
     }
 
@@ -584,10 +565,10 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     // sequence-point lookups. (On the hairpin path the sender's key is
     // this same fid, so a batched hit stays a valid hint there too; the
     // hairpin *target* is looked up at its sequence point.)
-    let mut int_queries: [Option<FidParts<E>>; MAX_BURST] = std::array::from_fn(|_| None);
-    let mut ext_queries: [Option<ExtParts<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let mut int_queries: [Option<Tuple<E::Values>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let mut ext_queries: [Option<Tuple<E::Values>>; MAX_BURST] = std::array::from_fn(|_| None);
     let (mut any_int, mut any_ext) = (false, false);
-    for (i, pkt) in pkts.iter().flatten().enumerate() {
+    for (i, (_, pkt)) in pkts.iter().flatten().enumerate() {
         if let Some(Ok(proto)) = verdicts[i] {
             match pkt.dir {
                 Direction::Internal => {
@@ -601,7 +582,7 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
             }
         }
     }
-    let mut hints: [Option<FlowView<E>>; MAX_BURST] = std::array::from_fn(|_| None);
+    let mut hints: [Hint<E>; MAX_BURST] = std::array::from_fn(|_| None);
     if any_int {
         env.lookup_internal_batch(&int_queries[..n], &mut hints[..n]);
     }
@@ -612,11 +593,12 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     // Pass 3: complete each packet in arrival order. Trust batched
     // hits; batched misses pass `None` and re-probe at the sequence
     // point (see `translate_internal`).
-    for (i, pkt) in pkts.iter().flatten().enumerate() {
+    for (i, &(handle, ref pkt)) in pkts.iter().flatten().enumerate() {
         let verdict = verdicts[i].expect("every received packet was validated in pass 1");
         sink(complete(
             env,
             cfg,
+            handle,
             pkt,
             verdict,
             now.clone(),

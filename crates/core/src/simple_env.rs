@@ -15,16 +15,20 @@
 
 use crate::domain::Concrete;
 use crate::env::concrete::{ConcreteEnv, PacketSide};
-use crate::env::{PktHandle, TxHdr};
+use crate::env::PktHandle;
 use crate::flow_manager::{FlowManager, FlowTable};
 use crate::loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome};
 use crate::sharded::ShardedFlowManager;
 use libvig::time::Time;
 use std::collections::VecDeque;
 use vig_packet::{Direction, FlowFields};
+use vig_spec::rfc3022::{Frame, Tuple};
 use vig_spec::NatConfig;
 
-pub use crate::env::concrete::RawRx;
+/// One received packet's header fields as machine integers: what a test
+/// injects. Use [`Frame::well_formed`] for valid packets; construct
+/// directly to exercise the drop paths.
+pub type RawRx = Frame<Concrete>;
 
 /// What the env observed the NF do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,14 +96,15 @@ impl PacketSide for &mut FieldQueue {
         Some((handle, raw))
     }
 
-    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: TxHdr<Concrete>) {
+    fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: Tuple<Concrete>) {
         self.consume(pkt, "tx");
+        let ((src_ip, src_port), (dst_ip, dst_port)) = (hdr.src, hdr.dst);
         self.events.push(EnvEvent::Sent {
             out,
-            src_ip: hdr.src_ip,
-            src_port: hdr.src_port,
-            dst_ip: hdr.dst_ip,
-            dst_port: hdr.dst_port,
+            src_ip,
+            src_port,
+            dst_ip,
+            dst_port,
         });
     }
 

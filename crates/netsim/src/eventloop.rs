@@ -56,11 +56,13 @@ use libvig::time::Time;
 use vig_packet::Direction;
 use vignat::MAX_BURST;
 
-/// First rung of the idle-backoff ladder.
-const BACKOFF_MIN_NS: u64 = 1_000;
+/// First rung of the idle-backoff ladder, which doubles per idle round
+/// up to [`BACKOFF_MAX_NS`]: this driver's virtual backoff and the
+/// pinned runtime's sleep phase climb the same one.
+pub(crate) const BACKOFF_MIN_NS: u64 = 1_000;
 
 /// Cap of the idle-backoff ladder.
-const BACKOFF_MAX_NS: u64 = 128_000;
+pub(crate) const BACKOFF_MAX_NS: u64 = 128_000;
 
 /// What one event-driven drain did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -27,9 +27,10 @@ use libvig::map::MapKey;
 use libvig::time::Time;
 use vig_packet::header::{self, rd16, rd32, rd8};
 use vig_packet::{Direction, Proto};
+use vig_spec::rfc3022::{Frame, Tuple};
 use vignat::domain::Concrete;
-use vignat::env::concrete::{ext_key, fid_key, ConcreteEnv, PacketSide, RawRx};
-use vignat::env::{PktHandle, TxHdr};
+use vignat::env::concrete::{ConcreteEnv, PacketSide};
+use vignat::env::PktHandle;
 use vignat::loop_body::{external_key, internal_fid};
 use vignat::FlowTable;
 
@@ -38,9 +39,9 @@ use vignat::FlowTable;
 /// classifier call it). Fields beyond the frame are zero-filled; the
 /// loop body's length guards run before any semantic use of them.
 #[inline]
-pub fn read_rx_fields(f: &[u8], dir: Direction) -> RawRx {
+pub fn read_rx_fields(f: &[u8], dir: Direction) -> Frame<Concrete> {
     let l4 = header::l4_offset(f);
-    RawRx {
+    Frame {
         dir,
         frame_len: f.len().min(usize::from(u16::MAX)) as u16,
         ethertype: rd16(f, header::ETHERTYPE),
@@ -52,11 +53,18 @@ pub fn read_rx_fields(f: &[u8], dir: Direction) -> RawRx {
         dst_ip: rd32(f, header::IP_DST),
         src_port: rd16(f, l4 + header::L4_SRC_PORT),
         dst_port: rd16(f, l4 + header::L4_DST_PORT),
-        // `RawRx::into_rx` zeroes it for non-TCP frames, and the loop
-        // body's ShortL4 guard drops a frame too short to carry it
+        // `ConcreteEnv::receive` zeroes it for non-TCP frames, and the
+        // loop body's ShortL4 guard drops a frame too short to carry it
         // before the tracker sees it.
         tcp_flags: rd8(f, l4 + header::TCP_FLAGS),
     }
+}
+
+/// Write the loop body's rewritten header into a frame through the codec.
+#[inline]
+fn rewrite(frame: &mut [u8], hdr: &Tuple<Concrete>) {
+    let ((src_ip, src_port), (dst_ip, dst_port)) = (hdr.src, hdr.dst);
+    header::rewrite(frame, src_ip, src_port, dst_ip, dst_port);
 }
 
 /// One frame as a [`PacketSide`]: `receive` yields it once, `tx`
@@ -89,21 +97,15 @@ impl<'a> FrameEnv<'a> {
 }
 
 impl PacketSide for FrameEnv<'_> {
-    fn receive(&mut self) -> Option<(PktHandle, RawRx)> {
+    fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
         if std::mem::replace(&mut self.delivered, true) {
             return None;
         }
         Some((PktHandle(0), read_rx_fields(self.frame, self.dir)))
     }
 
-    fn tx(&mut self, _pkt: PktHandle, _out: Direction, hdr: TxHdr<Concrete>) {
-        header::rewrite(
-            self.frame,
-            hdr.src_ip,
-            hdr.src_port,
-            hdr.dst_ip,
-            hdr.dst_port,
-        );
+    fn tx(&mut self, _pkt: PktHandle, _out: Direction, hdr: Tuple<Concrete>) {
+        rewrite(self.frame, &hdr);
     }
 
     fn drop_pkt(&mut self, _pkt: PktHandle) {}
@@ -155,16 +157,15 @@ impl<'a> BurstEnv<'a> {
 }
 
 impl PacketSide for BurstEnv<'_> {
-    fn receive(&mut self) -> Option<(PktHandle, RawRx)> {
+    fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
         let i = self.next_rx;
         let &buf = self.bufs.get(i)?;
         self.next_rx += 1;
         Some((PktHandle(i), read_rx_fields(self.pool.frame(buf), self.dir)))
     }
 
-    fn tx(&mut self, pkt: PktHandle, _out: Direction, hdr: TxHdr<Concrete>) {
-        let frame = self.pool.frame_mut(self.bufs[pkt.0]);
-        header::rewrite(frame, hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port);
+    fn tx(&mut self, pkt: PktHandle, _out: Direction, hdr: Tuple<Concrete>) {
+        rewrite(self.pool.frame_mut(self.bufs[pkt.0]), &hdr);
     }
 
     fn drop_pkt(&mut self, _pkt: PktHandle) {}
@@ -233,17 +234,17 @@ impl RssClassifier {
 
     /// The queue a frame arriving on `dir` steers to. See type docs.
     pub fn queue_of(&self, dir: Direction, frame: &[u8]) -> usize {
-        let pkt = read_rx_fields(frame, dir).into_rx::<Concrete>(PktHandle(0));
+        let pkt = read_rx_fields(frame, dir);
         let Some(proto) = Proto::from_number(pkt.proto) else {
             return 0;
         };
         match dir {
             Direction::Internal => {
-                let fid = fid_key(&internal_fid(&mut Concrete, &self.cfg, &pkt, proto));
+                let fid = internal_fid(&mut Concrete, &self.cfg, &pkt, proto).flow_id();
                 libvig::rss::shard_of(fid.key_hash(), self.queues)
             }
             Direction::External => {
-                let ek = ext_key(&external_key(&mut Concrete, &self.cfg, &pkt, proto));
+                let ek = external_key(&mut Concrete, &self.cfg, &pkt, proto).ext_key();
                 self.cfg
                     .slot_of_endpoint(ek.ext_ip, ek.ext_port)
                     .map(|slot| slot / self.slots_per_queue)

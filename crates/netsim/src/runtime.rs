@@ -117,6 +117,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendE
 use std::time::{Duration, Instant};
 
 use crate::dpdk::{BufIdx, Mempool, MBUF_SIZE};
+use crate::eventloop::{BACKOFF_MAX_NS, BACKOFF_MIN_NS};
 use crate::frame_env::RssClassifier;
 use crate::middlebox::{run_staged, Verdict};
 use libvig::time::Time;
@@ -241,8 +242,8 @@ fn fallback_cpus() -> Vec<usize> {
 
 /// Spin → yield → sleep ladder for a thread polling its channels: the
 /// real-time analog of the event loop's virtual idle backoff. The spin
-/// phase keeps the hot path latency-free; the sleep phase (doubling
-/// 1 µs → 128 µs) matters on hosts with fewer cores than workers,
+/// phase keeps the hot path latency-free; the sleep phase (the event
+/// loop's ladder, doubling 1 µs → 128 µs) matters on hosts with fewer cores than workers,
 /// where a spinning worker would starve the dispatcher it is waiting
 /// on.
 struct Backoff {
@@ -253,8 +254,6 @@ struct Backoff {
 impl Backoff {
     const SPINS: u32 = 64;
     const YIELDS: u32 = 16;
-    const SLEEP_MIN_NS: u64 = 1_000;
-    const SLEEP_MAX_NS: u64 = 128_000;
 
     /// `oversubscribed`: the session runs more threads than the host
     /// has cores, so whoever is being waited for needs this core —
@@ -276,7 +275,7 @@ impl Backoff {
             return self.wait_awake();
         }
         let exp = (self.step - self.spins - Self::YIELDS).min(16);
-        let ns = (Self::SLEEP_MIN_NS << exp).min(Self::SLEEP_MAX_NS);
+        let ns = (BACKOFF_MIN_NS << exp).min(BACKOFF_MAX_NS);
         std::thread::sleep(Duration::from_nanos(ns));
         self.step = self.step.saturating_add(1);
     }
@@ -855,6 +854,12 @@ impl ParallelShardedNat {
     /// Total flows expired over the run, across all shards.
     pub fn expired_total(&self) -> u64 {
         self.expired_total
+    }
+
+    /// Does every shard's mempool hold all its buffers? Between
+    /// sessions it must: a driver that lost a buffer leaks it here.
+    pub fn pools_full(&self) -> bool {
+        self.pools.iter().all(|p| p.available() == p.capacity())
     }
 
     /// This NAT's RSS function ([`RssClassifier::for_table`]) — the

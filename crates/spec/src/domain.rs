@@ -37,6 +37,19 @@ pub trait Domain {
     type U32: Clone + core::fmt::Debug;
     /// 64-bit values.
     type U64: Clone + core::fmt::Debug;
+    /// The bare domain these values belong to, without an environment's
+    /// effects: [`Concrete`] for every machine-integer domain, the
+    /// validator's term domain for the symbolic ones. The spec's
+    /// [`crate::rfc3022::Frame`], [`crate::rfc3022::Tuple`] and
+    /// [`crate::rfc3022::Mapping`] are written over it, so the frame an
+    /// environment receives is the type the spec's step reads.
+    type Values: Domain<
+        B = Self::B,
+        U8 = Self::U8,
+        U16 = Self::U16,
+        U32 = Self::U32,
+        U64 = Self::U64,
+    >;
 
     /// Constant boolean.
     fn c_bool(&mut self, v: bool) -> Self::B;
@@ -119,6 +132,7 @@ macro_rules! concrete_domain_items {
         type U16 = u16;
         type U32 = u32;
         type U64 = u64;
+        type Values = $crate::Concrete;
 
         #[inline(always)]
         fn c_bool(&mut self, v: bool) -> bool {

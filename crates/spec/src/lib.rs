@@ -19,7 +19,12 @@
 //!   the arrival time and an observed output, it either derives the
 //!   unique post-state or reports a [`rfc3022::SpecViolation`] — a
 //!   relation because the RFC leaves the external port to the NF; the
-//!   spec only *constrains* it (free, non-zero).
+//!   spec only *constrains* it (free, non-zero). Its vocabulary —
+//!   [`rfc3022::Frame`], [`rfc3022::Tuple`], [`rfc3022::Mapping`] — is
+//!   the loop body's too: `vignat`'s effect interface receives a
+//!   `Frame`, keys the flow table and rewrites headers with `Tuple`s,
+//!   and gets a `Mapping` back from a lookup, so the spec and the code
+//!   it judges share each packet's types, not copies of them.
 //! * [`rfc3022::SpecChecker`] — the trace form: feed it every packet the
 //!   NF sees along with what the NF did, and it maintains the abstract
 //!   state and flags the first divergence. The differential suites run

@@ -38,8 +38,13 @@ use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, FlowFields, FlowId, Ip4, Proto};
 
 /// A received frame's header fields over a domain: what the NF reads
-/// before it decides anything (the loop body's `RxPacket` without its
-/// buffer handle).
+/// before it decides anything, and what the loop body receives.
+///
+/// Field access is assumed, *validity checking is not*: the loop body
+/// takes every validation branch on these values. A concrete reader
+/// zero-fills a field the frame is too short to hold; the length guards
+/// run before any semantic use of one, and under the symbolic engine the
+/// fields are unconstrained, so verification covers the zero fill.
 #[derive(Debug, Clone)]
 pub struct Frame<D: Domain + ?Sized> {
     /// Arrival interface.
@@ -64,8 +69,43 @@ pub struct Frame<D: Domain + ?Sized> {
     pub src_port: D::U16,
     /// L4 destination port.
     pub dst_port: D::U16,
-    /// TCP flag byte (0 for UDP).
+    /// TCP flag byte (0 for UDP). The loop body never branches on it:
+    /// it is carried opaquely into the flow table, whose TCP tracker
+    /// picks the flow's timeout class from it.
     pub tcp_flags: D::U8,
+}
+
+impl Copy for Frame<Concrete> {}
+
+impl Frame<Concrete> {
+    /// A well-formed 64-byte frame carrying `fields`: IPv4 without
+    /// options, DF set, unfragmented, with exactly the L4 header and an
+    /// empty TCP flag byte (see [`Frame::with_tcp_flags`]).
+    pub fn well_formed(dir: Direction, fields: FlowFields) -> Frame<Concrete> {
+        let l4_len = match fields.proto {
+            Proto::Tcp => 20,
+            Proto::Udp => 8,
+        };
+        Frame {
+            dir,
+            frame_len: 64,
+            ethertype: 0x0800,
+            version_ihl: 0x45,
+            total_len: 20 + l4_len,
+            frag_field: 0x4000,
+            proto: fields.proto.number(),
+            src_ip: fields.src_ip.raw(),
+            dst_ip: fields.dst_ip.raw(),
+            src_port: fields.src_port,
+            dst_port: fields.dst_port,
+            tcp_flags: 0,
+        }
+    }
+
+    /// The same frame with a TCP flag byte.
+    pub fn with_tcp_flags(self, tcp_flags: u8) -> Frame<Concrete> {
+        Frame { tcp_flags, ..self }
+    }
 }
 
 /// An `(address, port)` endpoint over a domain.
@@ -75,6 +115,7 @@ pub type Endpoint<D> = (<D as Domain>::U32, <D as Domain>::U16);
 /// internal key runs from the internal endpoint, an external key from
 /// the allocated one, both to the remote endpoint (zeros under RFC 4787
 /// endpoint-independent mapping).
+#[derive(Debug, Clone)]
 pub struct Tuple<D: Domain + ?Sized> {
     /// Source (or internal / allocated) endpoint.
     pub src: Endpoint<D>,
@@ -84,7 +125,34 @@ pub struct Tuple<D: Domain + ?Sized> {
     pub proto: Proto,
 }
 
+impl Tuple<Concrete> {
+    /// The flow-table key of an internal flow id.
+    pub fn flow_id(&self) -> FlowId {
+        let ((src_ip, src_port), (dst_ip, dst_port)) = (self.src, self.dst);
+        FlowId {
+            src_ip: Ip4(src_ip),
+            src_port,
+            dst_ip: Ip4(dst_ip),
+            dst_port,
+            proto: self.proto,
+        }
+    }
+
+    /// The flow-table key of an external key.
+    pub fn ext_key(&self) -> ExtKey {
+        let ((ext_ip, ext_port), (dst_ip, dst_port)) = (self.src, self.dst);
+        ExtKey {
+            ext_ip: Ip4(ext_ip),
+            ext_port,
+            dst_ip: Ip4(dst_ip),
+            dst_port,
+            proto: self.proto,
+        }
+    }
+}
+
 /// One live mapping, as a lookup returns it.
+#[derive(Debug, Clone)]
 pub struct Mapping<D: Domain + ?Sized> {
     /// The internal host's endpoint.
     pub int: Endpoint<D>,
@@ -382,27 +450,10 @@ pub struct PacketInput {
 }
 
 impl PacketInput {
-    /// The accepted frame carrying this packet: IPv4 without options,
-    /// unfragmented, with exactly the L4 header.
+    /// The well-formed frame carrying this packet
+    /// ([`Frame::well_formed`]).
     pub fn frame(&self) -> Frame<Concrete> {
-        let l4_len = match self.fields.proto {
-            Proto::Tcp => 20,
-            Proto::Udp => 8,
-        };
-        Frame {
-            dir: self.dir,
-            frame_len: 14 + 20 + l4_len,
-            ethertype: 0x0800,
-            version_ihl: 0x45,
-            total_len: 20 + l4_len,
-            frag_field: 0,
-            proto: self.fields.proto.number(),
-            src_ip: self.fields.src_ip.raw(),
-            dst_ip: self.fields.dst_ip.raw(),
-            src_port: self.fields.src_port,
-            dst_port: self.fields.dst_port,
-            tcp_flags: self.tcp_flags,
-        }
+        Frame::well_formed(self.dir, self.fields).with_tcp_flags(self.tcp_flags)
     }
 }
 
@@ -512,17 +563,6 @@ struct Observed<'a> {
     domain: Concrete,
 }
 
-fn flow_id(t: &Tuple<Concrete>) -> FlowId {
-    let ((src_ip, src_port), (dst_ip, dst_port)) = (t.src, t.dst);
-    FlowId {
-        src_ip: Ip4(src_ip),
-        src_port,
-        dst_ip: Ip4(dst_ip),
-        dst_port,
-        proto: t.proto,
-    }
-}
-
 impl Decider<Concrete> for Observed<'_> {
     type Error = SpecViolation;
     fn domain(&mut self) -> &mut Concrete {
@@ -544,16 +584,9 @@ impl SpecState<Concrete> for Observed<'_> {
         dir: Direction,
         key: &Tuple<Concrete>,
     ) -> Result<Option<Mapping<Concrete>>, SpecViolation> {
-        let k = flow_id(key);
         let flow = match dir {
-            Direction::Internal => self.nat.lookup_internal(&k),
-            Direction::External => self.nat.lookup_external(&ExtKey {
-                ext_ip: k.src_ip,
-                ext_port: k.src_port,
-                dst_ip: k.dst_ip,
-                dst_port: k.dst_port,
-                proto: k.proto,
-            }),
+            Direction::Internal => self.nat.lookup_internal(&key.flow_id()),
+            Direction::External => self.nat.lookup_external(&key.ext_key()),
         };
         Ok(flow.map(|f| Mapping {
             int: (f.fid.src_ip.raw(), f.fid.src_port),
@@ -567,7 +600,7 @@ impl SpecState<Concrete> for Observed<'_> {
 
     fn free_endpoint(&mut self, fid: &Tuple<Concrete>) -> Result<(u32, u16), SpecViolation> {
         let Output::Forward { fields, .. } = self.output else {
-            return Err(SpecViolation::ShouldForward { fid: flow_id(fid) });
+            return Err(SpecViolation::ShouldForward { fid: fid.flow_id() });
         };
         let (ip, port) = (fields.src_ip, fields.src_port);
         if self.nat.endpoint_in_use(ip, port) {
@@ -584,7 +617,7 @@ impl SpecState<Concrete> for Observed<'_> {
         tcp_flags: &u8,
     ) -> Result<(), SpecViolation> {
         self.nat
-            .insert_with_flags(flow_id(fid), Ip4(ip), port, Time(*now), *tcp_flags)
+            .insert_with_flags(fid.flow_id(), Ip4(ip), port, Time(*now), *tcp_flags)
             .map_err(insert_violation)
     }
 
@@ -595,8 +628,10 @@ impl SpecState<Concrete> for Observed<'_> {
         dir: Direction,
         tcp_flags: &u8,
     ) -> Result<(), SpecViolation> {
-        let fid = flow_id(fid);
-        if self.nat.refresh_with(&fid, Time(*now), dir, *tcp_flags) {
+        if self
+            .nat
+            .refresh_with(&fid.flow_id(), Time(*now), dir, *tcp_flags)
+        {
             return Ok(());
         }
         Err(SpecViolation::StateError("refresh of matched flow failed"))
@@ -641,7 +676,7 @@ fn step(
         (None, Output::Drop) => return Ok(()),
         (None, Output::Forward { .. }) => return Err(SpecViolation::ShouldDrop),
         (Some((_, hdr)), Output::Drop) => {
-            return Err(SpecViolation::ShouldForward { fid: flow_id(&hdr) });
+            return Err(SpecViolation::ShouldForward { fid: hdr.flow_id() });
         }
         (Some((iface, hdr)), Output::Forward { iface: got, fields }) => (iface, hdr, *got, fields),
     };
@@ -651,7 +686,7 @@ fn step(
             got,
         });
     }
-    let want = flow_id(&hdr);
+    let want = hdr.flow_id();
     let ip = |a: Ip4| u64::from(a.raw());
     for (field, expected, got) in [
         ("src_ip", ip(want.src_ip), ip(fields.src_ip)),

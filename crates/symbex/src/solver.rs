@@ -188,7 +188,7 @@ enum AtomKind {
 struct Theory {
     /// term -> base index (vars and opaque terms).
     base_ids: HashMap<TermId, usize>,
-    /// dbm[i][j] = upper bound on (base_i - base_j).
+    /// `dbm[i][j]` = upper bound on (base_i - base_j).
     dbm: Vec<Vec<i128>>,
     diseqs: Vec<(usize, usize, i128)>, // b1 - b2 != rhs  (i.e. b1+o1 != b2+o2 with rhs = o2-o1)
 }

@@ -285,6 +285,26 @@ impl<'t> TraceState<'t> {
         proven
     }
 
+    /// Prove the tuple `got` equal to `want` on the path, from its
+    /// `from`-th term on (source address and port, then destination
+    /// address and port); the protocols are concrete and must match.
+    fn prove_tuple(
+        &mut self,
+        got: &Tuple<Terms>,
+        want: &Tuple<Terms>,
+        from: usize,
+        what: &str,
+    ) -> Result<(), CheckFailure> {
+        if got.proto != want.proto {
+            return Err(p1(format!(
+                "{what} is {:?}, not {:?}",
+                got.proto, want.proto
+            )));
+        }
+        let terms = |t: &Tuple<Terms>| [t.src.0, t.src.1, t.dst.0, t.dst.1];
+        self.prove_eq(&terms(got)[from..], &terms(want)[from..], what)
+    }
+
     /// Prove `got[k] == want[k]` on the path, for every `k`.
     fn prove_eq(
         &mut self,
@@ -311,16 +331,15 @@ impl<'t> TraceState<'t> {
             )));
         }
         let tx = self.events.iter().find_map(|e| match e {
-            Event::Tx { out, hdr } => Some((*out, *hdr)),
+            Event::Tx { out, hdr } => Some((*out, hdr)),
             _ => None,
         });
         let dropped = self.events.iter().any(|e| matches!(e, Event::DropPkt));
         match (required, tx) {
             (None, None) => {}
             (Some(None), None) if dropped => {}
-            (Some(Some((iface, hdr))), Some((out, got))) if out == iface => {
-                let want = [hdr.src.0, hdr.src.1, hdr.dst.0, hdr.dst.1];
-                self.prove_eq(&got, &want, "the emitted header")?;
+            (Some(Some((iface, want))), Some((out, got))) if out == iface => {
+                self.prove_tuple(got, &want, 0, "the emitted header")?;
             }
             (Some(Some((iface, _))), _) => {
                 return Err(p1(format!("the spec requires forwarding on {iface:?}")));
@@ -363,9 +382,8 @@ impl SpecState<Terms> for TraceState<'_> {
         self.prove_eq(&[threshold], &[want], "expire_flows(now - Texp)")
     }
 
-    /// The model's internal lookup canonicalizes nothing, so all four
-    /// fields are checked; its external key omits the address, which
-    /// the single-address pool fixes.
+    /// The internal key is checked whole; the external key from its
+    /// port on, since the single-address pool fixes its address.
     fn lookup(
         &mut self,
         dir: Direction,
@@ -376,16 +394,15 @@ impl SpecState<Terms> for TraceState<'_> {
         let (got, hit) = self.take("a lookup", |e| match e {
             Event::LookupInternal { fid, result, .. } if internal => {
                 let hit = result.map(|(_, port)| (key.src, (ext_ip, port)));
-                Some((&fid[..], hit))
+                Some((fid, hit))
             }
             Event::LookupExternal { ek, result, .. } if !internal => {
                 let hit = result.map(|(_, ip, port)| ((ip, port), key.src));
-                Some((&ek[..], hit))
+                Some((ek, hit))
             }
             _ => None,
         })?;
-        let want = [key.src.0, key.src.1, key.dst.0, key.dst.1];
-        self.prove_eq(got, &want[want.len() - got.len()..], "the lookup key")?;
+        self.prove_tuple(got, key, usize::from(!internal), "the lookup key")?;
         Ok(hit.map(|(int, ext)| Mapping { int, ext }))
     }
 
@@ -419,9 +436,8 @@ impl SpecState<Terms> for TraceState<'_> {
             Event::InsertFlow { fid, ext_port, .. } => Some((fid, *ext_port)),
             _ => None,
         })?;
-        let want = [fid.src.0, fid.src.1, fid.dst.0, fid.dst.1, at.1];
-        let got = [got[0], got[1], got[2], got[3], port];
-        self.prove_eq(&got, &want, "the inserted mapping")
+        self.prove_tuple(got, fid, 0, "the inserted mapping")?;
+        self.prove_eq(&[port], &[at.1], "the inserted mapping's port")
     }
 
     fn refresh(
@@ -557,7 +573,7 @@ mod tests {
             |t| {
                 for e in &mut t.events {
                     if let Event::Tx { hdr, .. } = e {
-                        hdr.swap(1, 3);
+                        std::mem::swap(&mut hdr.src.1, &mut hdr.dst.1);
                     }
                 }
             },
@@ -575,7 +591,11 @@ mod tests {
                 t.events.insert(
                     drop_at.unwrap(),
                     Event::LookupInternal {
-                        fid: [rx.src_ip, rx.src_port, rx.dst_ip, rx.dst_port],
+                        fid: Tuple {
+                            src: (rx.src_ip, rx.src_port),
+                            dst: (rx.dst_ip, rx.dst_port),
+                            proto: vig_packet::Proto::Tcp,
+                        },
                         result: None,
                         assumed: Vec::new(),
                     },

@@ -135,6 +135,7 @@ macro_rules! term_domain_items {
         type U16 = TermId;
         type U32 = TermId;
         type U64 = TermId;
+        type Values = Terms;
 
         fn c_bool(&mut self, v: bool) -> TermId {
             self.arena.cb(v)
@@ -238,8 +239,10 @@ impl<M: Models> Domain for Sym<'_, M> {
     term_domain_items!();
 }
 
-/// The term domain alone, without obligations: what a received frame
-/// is written in, and what the spec's step computes in (P1).
+/// The term domain alone, without obligations: the [`Domain::Values`]
+/// of every symbolic environment, so what a received frame, a key and a
+/// rewritten header are written in, and what the spec's step computes
+/// in (P1).
 #[derive(Debug, Clone, Default)]
 pub struct Terms {
     /// The trace's term arena.

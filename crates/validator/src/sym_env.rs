@@ -19,13 +19,14 @@
 //! The models cover the paper's NAT only; [`check_scope`] is the one
 //! statement of that scope, and `run_ese` refuses anything outside it.
 
-use crate::sym::{ModelStyle, Models, Sym};
-use crate::trace::{Event, SymRx};
+use crate::sym::{ModelStyle, Models, Sym, Terms};
+use crate::trace::Event;
 use vig_packet::{Direction, Proto};
+use vig_spec::rfc3022::{Frame, Mapping, Tuple};
 use vig_spec::NatConfig;
 use vig_symbex::solver::Lit;
 use vig_symbex::term::{TermId, Width};
-use vignat::env::{ExtParts, FidParts, FlowView, NatEnv, PktHandle, RxPacket, SlotId, TxHdr};
+use vignat::env::{Found, NatEnv, PktHandle, SlotId};
 
 /// The configurations the symbolic models cover: the paper's NAT — one
 /// external address (so the loop body's pool branch has one shape and
@@ -104,7 +105,7 @@ impl NatEnv for SymEnv<'_> {
         });
     }
 
-    fn receive(&mut self) -> Option<RxPacket<Self>> {
+    fn receive(&mut self) -> Option<(PktHandle, Frame<Terms>)> {
         // Fork: packet pending or not.
         if self.fork_free(2) == 1 {
             self.events.push(Event::NoPacket);
@@ -116,7 +117,7 @@ impl NatEnv for SymEnv<'_> {
         } else {
             Direction::External
         };
-        let rx = SymRx {
+        let frame = Frame {
             dir,
             frame_len: self.arena.var("frame_len", Width::W16),
             ethertype: self.arena.var("ethertype", Width::W16),
@@ -132,22 +133,8 @@ impl NatEnv for SymEnv<'_> {
             // flag class one lifetime.
             tcp_flags: self.arena.var("tcp_flags", Width::W8),
         };
-        self.events.push(Event::Receive(rx.clone()));
-        Some(RxPacket {
-            handle: PktHandle(0),
-            dir,
-            frame_len: rx.frame_len,
-            ethertype: rx.ethertype,
-            version_ihl: rx.version_ihl,
-            total_len: rx.total_len,
-            frag_field: rx.frag_field,
-            proto: rx.proto,
-            src_ip: rx.src_ip,
-            dst_ip: rx.dst_ip,
-            src_port: rx.src_port,
-            dst_port: rx.dst_port,
-            tcp_flags: rx.tcp_flags,
-        })
+        self.events.push(Event::Receive(frame.clone()));
+        Some((PktHandle(0), frame))
     }
 
     fn branch(&mut self, cond: TermId) -> bool {
@@ -156,11 +143,10 @@ impl NatEnv for SymEnv<'_> {
         taken
     }
 
-    fn lookup_internal(&mut self, fid: &FidParts<Self>) -> Option<FlowView<Self>> {
-        let fid_terms = [fid.src_ip, fid.src_port, fid.dst_ip, fid.dst_port];
+    fn lookup_internal(&mut self, fid: &Tuple<Terms>) -> Found<Terms> {
         if self.fork_free(2) == 1 {
             self.events.push(Event::LookupInternal {
-                fid: fid_terms,
+                fid: fid.clone(),
                 result: None,
                 assumed: Vec::new(),
             });
@@ -182,28 +168,28 @@ impl NatEnv for SymEnv<'_> {
         let assumed = vec![(ge, true), (le, true)];
         self.assume(&assumed);
         self.events.push(Event::LookupInternal {
-            fid: fid_terms,
+            fid: fid.clone(),
             result: Some((slot, ext_port)),
             assumed,
         });
+        // invariant: single-address pool — every stored flow's external
+        // address is the configured one
         let ext_ip = self.arena.cu(u64::from(cfg.external_ip.raw()), Width::W32);
-        Some(FlowView {
-            slot: SlotId(slot),
-            // invariant: single-address pool — every stored flow's
-            // external address is the configured one
-            ext_ip,
-            ext_port,
-            // contract: the stored flow's internal key is the fid
-            int_ip: fid.src_ip,
-            int_port: fid.src_port,
-        })
+        // contract: the stored flow's internal key is the fid
+        let int = fid.src;
+        Some((
+            SlotId(slot),
+            Mapping {
+                int,
+                ext: (ext_ip, ext_port),
+            },
+        ))
     }
 
-    fn lookup_external(&mut self, ek: &ExtParts<Self>) -> Option<FlowView<Self>> {
-        let ek_terms = [ek.ext_port, ek.dst_ip, ek.dst_port];
+    fn lookup_external(&mut self, ek: &Tuple<Terms>) -> Found<Terms> {
         if self.fork_free(2) == 1 {
             self.events.push(Event::LookupExternal {
-                ek: ek_terms,
+                ek: ek.clone(),
                 result: None,
                 assumed: Vec::new(),
             });
@@ -216,19 +202,20 @@ impl NatEnv for SymEnv<'_> {
         let int_ip = self.arena.var("hit_int_ip", Width::W32);
         let int_port = self.arena.var("hit_int_port", Width::W16);
         self.events.push(Event::LookupExternal {
-            ek: ek_terms,
+            ek: ek.clone(),
             result: Some((slot, int_ip, int_port)),
             assumed: Vec::new(),
         });
-        Some(FlowView {
-            slot: SlotId(slot),
-            // contract: the matched flow's external endpoint is the
-            // key's (the loop body canonicalized the address already)
-            ext_ip: ek.ext_ip,
-            ext_port: ek.ext_port,
-            int_ip,
-            int_port,
-        })
+        // contract: the matched flow's external endpoint is the key's
+        // (the loop body canonicalized the address already)
+        let ext = ek.src;
+        Some((
+            SlotId(slot),
+            Mapping {
+                int: (int_ip, int_port),
+                ext,
+            },
+        ))
     }
 
     fn rejuvenate(
@@ -289,26 +276,22 @@ impl NatEnv for SymEnv<'_> {
     fn insert_flow(
         &mut self,
         slot: SlotId,
-        fid: FidParts<Self>,
-        _ext_ip: TermId,
-        ext_port: TermId,
+        fid: Tuple<Terms>,
+        (_, ext_port): (TermId, TermId),
         _now: &TermId,
         _tcp_flags: &TermId,
     ) {
         self.events.push(Event::InsertFlow {
             slot: slot.0,
-            fid: [fid.src_ip, fid.src_port, fid.dst_ip, fid.dst_port],
+            fid,
             ext_port,
         });
     }
 
     /// Buffer ownership is P4's: it counts `Tx` and `DropPkt` events
     /// against the one `Receive`.
-    fn tx(&mut self, _pkt: PktHandle, out: Direction, hdr: TxHdr<Self>) {
-        self.events.push(Event::Tx {
-            out,
-            hdr: [hdr.src_ip, hdr.src_port, hdr.dst_ip, hdr.dst_port],
-        });
+    fn tx(&mut self, _pkt: PktHandle, out: Direction, hdr: Tuple<Terms>) {
+        self.events.push(Event::Tx { out, hdr });
     }
 
     fn drop_pkt(&mut self, _pkt: PktHandle) {

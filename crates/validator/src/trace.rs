@@ -8,14 +8,10 @@
 
 use crate::sym::Terms;
 use vig_packet::Direction;
-use vig_spec::rfc3022::Frame;
+use vig_spec::rfc3022::{Frame, Tuple};
 use vig_symbex::explorer::Decision;
 use vig_symbex::solver::Lit;
 use vig_symbex::term::{TermArena, TermId};
-
-/// The symbolic image of a received packet: its header fields as
-/// terms, the frame the spec's step reads (P1).
-pub type SymRx = Frame<Terms>;
 
 /// One event on the NAT's traced interface.
 #[derive(Debug, Clone)]
@@ -27,8 +23,9 @@ pub enum Event {
         /// Threshold term (must be `now - Texp` on guarded paths).
         threshold: TermId,
     },
-    /// A packet was received.
-    Receive(SymRx),
+    /// A packet was received: the frame the loop body read, and the one
+    /// the spec's step reads (P1).
+    Receive(Frame<Terms>),
     /// `receive` returned nothing.
     NoPacket,
     /// A branch was decided.
@@ -40,8 +37,8 @@ pub enum Event {
     },
     /// Flow lookup by internal 5-tuple.
     LookupInternal {
-        /// fid terms: src_ip, src_port, dst_ip, dst_port.
-        fid: [TermId; 4],
+        /// The flow id.
+        fid: Tuple<Terms>,
         /// Hit: (slot, ext_port term). Miss: `None`.
         result: Option<(usize, TermId)>,
         /// Constraints the model assumed on its outputs (P5 checks
@@ -50,8 +47,8 @@ pub enum Event {
     },
     /// Flow lookup by external key.
     LookupExternal {
-        /// ext key terms: ext_port, dst_ip, dst_port.
-        ek: [TermId; 3],
+        /// The external key.
+        ek: Tuple<Terms>,
         /// Hit: (slot, int_ip term, int_port term).
         result: Option<(usize, TermId, TermId)>,
         /// Model-assumed constraints.
@@ -75,8 +72,8 @@ pub enum Event {
     InsertFlow {
         /// The slot.
         slot: usize,
-        /// fid terms.
-        fid: [TermId; 4],
+        /// The flow id.
+        fid: Tuple<Terms>,
         /// The external port term the stateless code computed.
         ext_port: TermId,
     },
@@ -84,8 +81,8 @@ pub enum Event {
     Tx {
         /// Egress interface.
         out: Direction,
-        /// Rewritten header terms: src_ip, src_port, dst_ip, dst_port.
-        hdr: [TermId; 4],
+        /// The rewritten header.
+        hdr: Tuple<Terms>,
     },
     /// Packet dropped.
     DropPkt,
@@ -119,7 +116,7 @@ pub struct SymTrace<E = Event> {
 
 impl SymTrace {
     /// The received packet, if this path received one.
-    pub fn rx(&self) -> Option<&SymRx> {
+    pub fn rx(&self) -> Option<&Frame<Terms>> {
         self.events.iter().find_map(|e| match e {
             Event::Receive(rx) => Some(rx),
             _ => None,
@@ -127,7 +124,7 @@ impl SymTrace {
     }
 
     /// The transmit event, if the path forwarded.
-    pub fn tx(&self) -> Option<(&Direction, &[TermId; 4])> {
+    pub fn tx(&self) -> Option<(&Direction, &Tuple<Terms>)> {
         self.events.iter().find_map(|e| match e {
             Event::Tx { out, hdr } => Some((out, hdr)),
             _ => None,

@@ -14,11 +14,14 @@ use vignat_repro::baselines::{NetfilterNat, UnverifiedNat};
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::NatConfig;
 use vignat_repro::packet::{
-    builder::PacketBuilder, header, parse_l3l4, Direction, FlowId, Ip4, Layer, ParseError,
+    builder::PacketBuilder, header, parse_l3l4, Direction, FlowId, Ip4, Layer, ParseError, Proto,
 };
-use vignat_repro::sim::frame_env::read_rx_fields;
+use vignat_repro::sim::backend::{PacketIo, SimBackend, TesterIo};
+use vignat_repro::sim::eventloop::BackendDriver;
+use vignat_repro::sim::frame_env::{read_rx_fields, RssClassifier};
+use vignat_repro::sim::harness::ParallelShardedNat;
 use vignat_repro::sim::middlebox::{Middlebox, Verdict, VigNatMb};
-use vignat_repro::spec::rfc3022::{accepts, Frame};
+use vignat_repro::spec::rfc3022::accepts;
 use vignat_repro::spec::Concrete;
 
 fn cfg() -> NatConfig {
@@ -319,21 +322,7 @@ proptest! {
         let mut nat = VigNatMb::new(cfg());
         let mut out = frame.clone();
         let verdict = nat.process(Direction::Internal, &mut out, Time::from_secs(1));
-        let raw = read_rx_fields(&frame, Direction::Internal);
-        let fields = Frame::<Concrete> {
-            dir: raw.dir,
-            frame_len: raw.frame_len,
-            ethertype: raw.ethertype,
-            version_ihl: raw.version_ihl,
-            total_len: raw.total_len,
-            frag_field: raw.frag_field,
-            proto: raw.proto,
-            src_ip: raw.src_ip,
-            dst_ip: raw.dst_ip,
-            src_port: raw.src_port,
-            dst_port: raw.dst_port,
-            tcp_flags: raw.tcp_flags,
-        };
+        let fields = read_rx_fields(&frame, Direction::Internal);
         let spec_accepts = accepts::<Concrete, _>(&mut Concrete, &fields);
         prop_assert_eq!(
             verdict == Verdict::Forward(Direction::External),
@@ -366,6 +355,82 @@ proptest! {
             };
             prop_assert_eq!(flow.int_key, read);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// No reachable panic on the two burst drivers (ROADMAP item 8):
+    /// adversarial frames on either port, then a reply to each frame the
+    /// NAT sends out (so the return path hits too), through
+    /// `BackendDriver` over `SimBackend` (one frame per drain) and
+    /// through a 2-shard pinned runtime (one burst per run of same-port
+    /// frames). Neither panics, every mempool buffer is back in its pool
+    /// afterwards, and each frame gets the verdict and bytes the
+    /// per-frame `ShardedVigNatMb::process` oracle gives it.
+    #[test]
+    fn the_burst_drivers_equal_the_per_frame_oracle_on_adversarial_frames(
+        frames in proptest::collection::vec((any::<bool>(), adversarial_frame()), 1..48),
+    ) {
+        let now = Time::from_secs(1);
+        let mut inputs: Vec<(Direction, Vec<u8>)> = frames
+            .into_iter()
+            .map(|(internal, f)| (if internal { Direction::Internal } else { Direction::External }, f))
+            .collect();
+        let mut oracle = VigNatMb::sharded(cfg(), 2);
+        let mut want = Vec::new();
+        for k in 0.. {
+            let Some((dir, mut frame)) = inputs.get(k).cloned() else { break };
+            let verdict = oracle.process(dir, &mut frame, now);
+            if let (Verdict::Forward(Direction::External), Ok((_, ff))) = (verdict, parse_l3l4(&frame)) {
+                if dir == Direction::Internal {
+                    let (src, dst) = (ff.dst_ip, ff.src_ip);
+                    let reply = match ff.proto {
+                        Proto::Tcp => PacketBuilder::tcp(src, dst, ff.dst_port, ff.src_port),
+                        Proto::Udp => PacketBuilder::udp(src, dst, ff.dst_port, ff.src_port),
+                    };
+                    inputs.push((Direction::External, reply.build()));
+                }
+            }
+            want.push((verdict, frame));
+        }
+
+        let mut nf = VigNatMb::sharded(cfg(), 2);
+        let classifier = RssClassifier::for_table(nf.flow_manager());
+        let mut drv = BackendDriver::new(SimBackend::new(classifier, 64));
+        for ((dir, frame), (verdict, bytes)) in inputs.iter().zip(&want) {
+            let staged = drv.io_mut().stage(*dir, |buf| {
+                buf[..frame.len()].copy_from_slice(frame);
+                frame.len()
+            });
+            prop_assert!(staged.is_some());
+            drv.drain(&mut nf, now);
+            let mut sent = Vec::new();
+            for out in [Direction::Internal, Direction::External] {
+                for (_, f) in drv.io_mut().reap(out) {
+                    sent.push((Verdict::Forward(out), f));
+                }
+            }
+            let expected = match verdict {
+                Verdict::Forward(_) => vec![(*verdict, bytes.clone())],
+                Verdict::Drop => Vec::new(),
+            };
+            prop_assert_eq!(sent, expected);
+        }
+        prop_assert_eq!(drv.io().pool_available(), drv.io().pool().capacity());
+
+        let mut runtime = ParallelShardedNat::new(cfg(), 2, inputs.len());
+        let (got, _) = runtime.with_runtime(false, |session| {
+            let mut got = Vec::new();
+            for run in inputs.chunk_by(|a, b| a.0 == b.0) {
+                let mut burst: Vec<Vec<u8>> = run.iter().map(|(_, f)| f.clone()).collect();
+                let verdicts = session.process_burst(run[0].0, &mut burst, now);
+                got.extend(verdicts.into_iter().zip(burst));
+            }
+            got
+        });
+        prop_assert_eq!(got, want);
+        prop_assert!(runtime.pools_full());
     }
 }
 

@@ -89,9 +89,11 @@
 //! (1) every key's candidate slot — arithmetic — and a first touch of
 //! those records, (2) the key comparisons. Then both: (3) for every hit
 //! the chain cell, and for an internal TCP hit its record; (4) the two
-//! neighbours the chain's unlink will write. The touches are plain
-//! loads through the structures' `first_touch*` hints — they change no
-//! state, so results stay exactly the per-query lookups' — and are
+//! neighbours the chain's unlink will write. The touches are prefetch
+//! instructions ([`libvig::prefetch`]) through the structures'
+//! `first_touch*` hints — they change no state, so results stay exactly
+//! the per-query lookups', and they retire without waiting for their
+//! lines, so a cold touch holds up nothing behind it — and are
 //! skipped while the table tracks so few flows that their state is
 //! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
 //!
@@ -155,7 +157,7 @@ pub trait FlowTable {
     /// (`out.len() == queries.len()`). Results must equal element-wise
     /// [`FlowTable::lookup_internal_hashed`] — batching is a pure
     /// optimization: beyond the results, an implementation may only
-    /// *load* what the hits' rejuvenations will touch, so those misses
+    /// *prefetch* what the hits' rejuvenations will touch, so those misses
     /// overlap across the burst, across shards too (module docs, "The
     /// burst pipeline").
     fn probe_internal_batch(
@@ -250,7 +252,12 @@ const HIT_STATE_BYTES: usize = 4 * 64;
 /// conservative share of one core's private L2. A table tracking fewer
 /// flows than fit it (2,048; 1,638 while a hit was five lines) runs its
 /// batched probes without touching ahead. (No natbench workload sits
-/// near the cut-off: 256 flows below, 60k and 944k above.)
+/// near the cut-off: 256 flows below, 60k and 944k above.) With
+/// prefetch hints the gate's cost is unresolved: over ten alternated
+/// 15 s runs each, touching always read `hits-resident` `fwd_mpps`
+/// +4.0 % and `runtime` −2.6 % against gated, inside both workloads'
+/// run-to-run spread (docs/ARCHITECTURE.md, "Why prefetch
+/// instructions, and the resident budget").
 const RESIDENT_BUDGET_BYTES: usize = 512 << 10;
 
 /// The pool endpoint `(ext_ip, ext_port)` that *global* slot `global`
@@ -502,7 +509,8 @@ impl FlowManager {
 
     /// Whether the batched probes touch ahead: not while the live
     /// flows' per-slot state fits [`RESIDENT_BUDGET_BYTES`] — warm lines
-    /// gain nothing, and the hint passes cost a few ns per packet.
+    /// gain nothing from a hint, whose cost on a resident table is
+    /// unresolved (the constant's docs).
     fn touches_ahead(&self) -> bool {
         self.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES
     }

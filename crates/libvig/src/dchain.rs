@@ -156,17 +156,22 @@ impl DoubleChain {
         self.real(self.cells[self.sentinel(list)].next)
     }
 
-    /// Hint: load `index`'s cell so a following
-    /// [`DoubleChain::rejuvenate`] finds it in cache. Changes nothing;
-    /// any `index` is accepted (out of range loads nothing).
+    /// Hint: prefetch `index`'s cell ([`crate::prefetch`]) so a
+    /// following [`DoubleChain::rejuvenate`] finds it in cache. Changes
+    /// nothing; any `index` is accepted (out of range prefetches
+    /// nothing).
     #[inline]
     pub fn first_touch(&self, index: usize) {
-        std::hint::black_box(self.cells.get(index).map(|c| c.ts));
+        if let Some(c) = self.cells.get(index) {
+            crate::prefetch(c);
+        }
     }
 
-    /// Hint: load the cells of `index`'s two list neighbours — the
-    /// lines unlinking it will write. Changes nothing; any `index` is
-    /// accepted (a free cell's `next` is just another cell to load).
+    /// Hint: prefetch the cells of `index`'s two list neighbours — the
+    /// lines unlinking it will write. It reads `index`'s own cell for
+    /// their indices, so it follows a [`DoubleChain::first_touch`] of
+    /// `index`. Changes nothing; any `index` is accepted (a free cell's
+    /// `next` is just another cell to prefetch).
     #[inline]
     pub fn first_touch_neighbours(&self, index: usize) {
         if let Some(c) = self.cells.get(index) {

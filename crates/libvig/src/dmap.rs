@@ -172,12 +172,15 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
         &self.map_a
     }
 
-    /// Hint: load value slot `index` so a following [`DoubleMap::get`]
-    /// or [`DoubleMap::get_by_b_at`] finds its line in cache. Changes nothing; any `index` is accepted
-    /// (out of range loads nothing).
+    /// Hint: prefetch value slot `index` ([`crate::prefetch`]) so a
+    /// following [`DoubleMap::get`] or [`DoubleMap::get_by_b_at`] finds
+    /// its line in cache. Changes nothing; any `index` is accepted (out
+    /// of range prefetches nothing).
     #[inline]
     pub fn first_touch(&self, index: usize) {
-        std::hint::black_box(self.slots.get(index).map(Option::is_some));
+        if let Some(slot) = self.slots.get(index) {
+            crate::prefetch(slot);
+        }
     }
 
     /// Read the value in slot `index`.

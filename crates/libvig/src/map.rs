@@ -83,9 +83,9 @@
 //! established ones: a store to a cold slot retires into the store
 //! buffer, but still waits for its line and its page translation, and
 //! the touch overlaps those waits across the burst. The first-touches
-//! are plain loads folded into `std::hint::black_box` (this crate
-//! forbids `unsafe`, so there are no prefetch intrinsics); they change
-//! no state.
+//! are prefetch instructions ([`crate::prefetch`]), not loads: they
+//! change no state, and a prefetch retires without waiting for its line,
+//! where a load that misses holds up every instruction behind it.
 //! The stages are [`get_staged`], which takes its queries by position
 //! and lets each name its own map, so one pass over a burst serves
 //! every shard of a partitioned table — the misses of different shards
@@ -486,17 +486,17 @@ impl<K: MapKey> Map<K> {
         (lanes != 0).then(|| start + (lanes.trailing_zeros() as usize) / 8)
     }
 
-    /// Load the slot of [`Map::touch_lane`] and return its value for the
-    /// caller to sink into `black_box`; load nothing when it is `None`.
-    /// One field is enough: a slot is line-aligned and never straddles
-    /// (module docs), so one load warms all of it — for a hit, the slot
-    /// the probe compares; for a miss, the slot an insert then writes,
-    /// whose line and page translation would otherwise be waited for by
-    /// the insert's store, one packet at a time.
+    /// Prefetch the slot of [`Map::touch_lane`]; nothing when it is
+    /// `None`. One line is the whole slot: a slot is line-aligned and
+    /// never straddles (module docs) — for a hit, the slot the probe
+    /// compares; for a miss, the slot an insert then writes, whose line
+    /// and page translation would otherwise be waited for by the
+    /// insert's store, one packet at a time.
     #[inline(always)]
-    fn first_touch_slot(&self, start: usize, hash: u64) -> u64 {
-        self.touch_lane(start, hash)
-            .map_or(0, |idx| self.slots[idx].value as u64)
+    fn first_touch_slot(&self, start: usize, hash: u64) {
+        if let Some(idx) = self.touch_lane(start, hash) {
+            crate::prefetch(&self.slots[idx]);
+        }
     }
 
     /// Number of slots a lookup for `key` would inspect. Exposed for the
@@ -676,7 +676,7 @@ impl<K: MapKey> Map<K> {
 /// (`hash == key.key_hash()`), or `None` where position `i` holds no
 /// query; it is asked once per stage, so it must answer alike each time.
 /// Stage 1 computes every probe start — once; the probe reuses it — and
-/// first-touches its control word; stage 2 first-touches the slot of
+/// prefetches its control word; stage 2 prefetches the slot of
 /// `Map::touch_lane` — the one a hit dereferences first, or the one a
 /// miss's insert fills; then the probes complete on the warmed
 /// lines, and `found(i, result)` receives each one in position order:
@@ -692,22 +692,17 @@ pub fn get_staged<'m, 'k, K: MapKey + 'm + 'k>(
         "a staged probe takes {BATCH_CHUNK} queries, got {n}"
     );
     let mut starts = [0usize; BATCH_CHUNK];
-    // The folds keep the loads from being optimized away.
-    let mut touch = 0u64;
     for (i, start) in starts[..n].iter_mut().enumerate() {
         if let Some((m, _, h)) = query(i) {
             *start = m.start_of(h);
-            touch = touch.wrapping_add(m.tags[*start / GROUP]);
+            crate::prefetch(&m.tags[*start / GROUP]);
         }
     }
-    std::hint::black_box(touch);
-    let mut touch = 0u64;
     for (i, &start) in starts[..n].iter().enumerate() {
         if let Some((m, _, h)) = query(i) {
-            touch = touch.wrapping_add(m.first_touch_slot(start, h));
+            m.first_touch_slot(start, h);
         }
     }
-    std::hint::black_box(touch);
     for (i, &start) in starts[..n].iter().enumerate() {
         if let Some((m, k, h)) = query(i) {
             debug_assert_eq!(h, k.key_hash(), "get_staged: stale hash");

@@ -13,7 +13,7 @@
 //! [`Producer::push_slice`] and [`Consumer::pop_into`] move batches
 //! of words with one cursor publication per call.
 //!
-//! The crate-wide `#![forbid(unsafe_code)]` applies here too: unlike
+//! The crate-wide `#![deny(unsafe_code)]` applies here too: unlike
 //! the usual `UnsafeCell` SPSC ring, every slot is itself an atomic, so
 //! even a protocol bug could only ever produce a stale *value*, never
 //! undefined behaviour. The protocol is the classic two-cursor one:

@@ -17,7 +17,7 @@
 //!
 //! ## The trust boundary
 //!
-//! The `sys` submodule contains the workspace's only `unsafe` code:
+//! The `sys` submodule contains this crate's only `unsafe` code:
 //! the libc surface (raw-socket calls, the two CPU-affinity calls the
 //! shard runtime uses, and the ring-setup/`mmap` calls the wire
 //! backend needs), each wrapped immediately in a safe function. Ring

@@ -1,8 +1,12 @@
 //! The raw libc surface: every syscall the wire backend and its test
 //! rig make, wrapped here and nowhere else.
 //!
-//! This file is the workspace's **entire** `unsafe` budget. The crate
-//! root carries `#![deny(unsafe_code)]`; only this module re-allows it,
+//! This file is the workspace's **entire** FFI `unsafe` budget; the
+//! one other `unsafe` block is `libvig::prefetch`'s cache hint, and
+//! `tests/unsafe_inventory.rs` checks that nothing else holds any. The
+//! crate root carries `#![deny(unsafe_code)]` and
+//! `#![deny(clippy::undocumented_unsafe_blocks)]` (every block states
+//! its `SAFETY:`); only this module re-allows `unsafe_code`,
 //! and every `unsafe` block sits directly inside a safe wrapper that
 //! establishes its contract before the call and validates the result
 //! after it. The surface:
@@ -394,8 +398,8 @@ pub fn close_fd(fd: CInt) {
 }
 
 fn set_opt(fd: CInt, name: CInt, val: *const u8, len: usize) -> io::Result<()> {
-    // SAFETY (shared by all callers below): `val` points to a live,
-    // properly sized and aligned option struct for the call's
+    // SAFETY: every caller below passes a `val` that points to a
+    // live, properly sized and aligned option struct for the call's
     // duration; the kernel copies it.
     let rc = unsafe { setsockopt(fd, SOL_PACKET, name, val, len as u32) };
     if rc < 0 {

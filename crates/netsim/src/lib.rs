@@ -53,13 +53,16 @@
 //! path is real and trusted); benches that reproduce the paper's
 //! absolute latency scale add a single documented constant for them.
 
-// The only `unsafe` in the workspace is the libc FFI in
-// `backend::os::sys` (raw-socket calls, the two CPU-affinity calls,
-// and the packet-ring setup/`mmap` surface for the wire backend,
-// each safely wrapped on the spot; shared ring memory is reachable
-// only through bounds-checked volatile accessors); the rest of the
-// crate stays unsafe-free and the lint keeps it that way.
+// This crate's only `unsafe` is the libc FFI in `backend::os::sys`
+// (raw-socket calls, the two CPU-affinity calls, and the packet-ring
+// setup/`mmap` surface for the wire backend, each safely wrapped on
+// the spot; shared ring memory is reachable only through
+// bounds-checked volatile accessors); the rest of the crate stays
+// unsafe-free and the lint keeps it that way. The workspace's one
+// other `unsafe` block is `libvig::prefetch`'s cache hint;
+// `tests/unsafe_inventory.rs` holds the workspace to these two.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod backend;

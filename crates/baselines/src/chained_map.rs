@@ -240,6 +240,12 @@ mod tests {
                 // same bucket AND same signature: worst case
                 3
             }
+            fn to_bits(&self) -> u128 {
+                u128::from(self.0)
+            }
+            fn from_bits(bits: u128) -> Self {
+                C(bits as u32)
+            }
         }
         let mut m: ChainedMap<C, u32> = ChainedMap::with_capacity(8);
         for i in 0..5 {

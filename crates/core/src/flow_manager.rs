@@ -243,7 +243,7 @@ pub trait FlowTable {
 /// What the burst pipeline's touches load for one hit: four 64-byte
 /// lines — the chain cell, its two neighbours, and the record (loaded
 /// for a return hit and an internal TCP hit; an internal UDP hit stops
-/// at three). The directory's tag word and 32-byte slot (an internal
+/// at three). The directory's tag word and 16-byte slot (an internal
 /// probe's stages 1–2, which always run) are not in it, so the
 /// directory's slot size and load factor do not move the budget.
 const HIT_STATE_BYTES: usize = 4 * 64;
@@ -990,7 +990,7 @@ pub(crate) mod tests {
     /// The module docs' layout claim: a record, stored, is 16 bytes on a
     /// 16-byte alignment, so in a live table every record sits in one
     /// quarter of a 64-byte line and none straddles two (the twin of
-    /// libvig's `nat_sized_slots_are_half_a_line_and_never_straddle`).
+    /// libvig's `nat_sized_slots_are_a_quarter_line_and_never_straddle`).
     #[test]
     fn records_are_a_quarter_line_and_never_straddle() {
         use std::mem::{align_of, size_of};
@@ -1607,6 +1607,81 @@ pub(crate) mod tests {
                     }
                 }
                 prop_assert!(fm.check_coherence().is_ok());
+            }
+        }
+    }
+
+    /// A table of `capacity` flows on one address.
+    pub(crate) fn cfg_of(capacity: usize) -> NatConfig {
+        NatConfig { capacity, ..cfg() }
+    }
+
+    /// Flow `i` of a population of distinct UDP flows.
+    pub(crate) fn nth_fid(i: u32) -> FlowId {
+        FlowId {
+            src_ip: Ip4(0x0a00_0000 | (i & 0xffff)),
+            src_port: 10_000 + (i >> 16) as u16,
+            dst_ip: Ip4::new(1, 1, 1, 1),
+            dst_port: 80,
+            proto: Proto::Udp,
+        }
+    }
+
+    /// Drive a FlowManager through fill → expiry → realloc at 49% and
+    /// 98% occupancy, holding the coherence invariant (which includes
+    /// the directory's tag projection) at every stage, and proving the
+    /// batched probe contract — batch results equal element-wise hashed
+    /// lookups — on a hit/miss query mix.
+    #[test]
+    fn flow_manager_expiry_realloc_keeps_directories_coherent() {
+        const CAP: usize = 4096;
+        for occupancy in [CAP * 49 / 100, CAP * 98 / 100] {
+            let mut fm = FlowManager::new(&cfg_of(CAP));
+            for i in 0..occupancy as u32 {
+                fm.allocate(nth_fid(i), Time::from_secs(1))
+                    .expect("below capacity");
+            }
+            fm.check_coherence().unwrap();
+
+            // Rejuvenate a third so expiry leaves survivors interleaved
+            // with holes, then expire the rest.
+            for i in (0..occupancy as u32).step_by(3) {
+                let (slot, _) = fm.lookup_internal(&nth_fid(i)).expect("resident");
+                fm.rejuvenate(slot, Time::from_secs(5));
+            }
+            let expired = fm.expire(Time::from_secs(2));
+            assert!(expired > 0, "the unrejuvenated majority must expire");
+            fm.check_coherence().unwrap();
+
+            // Realloc into the freed slots with fresh flows.
+            let mut fresh = 2_000_000u32;
+            while !fm.is_full() {
+                if fm.lookup_internal(&nth_fid(fresh)).is_none() {
+                    fm.allocate(nth_fid(fresh), Time::from_secs(6))
+                        .expect("slot free");
+                }
+                fresh += 1;
+            }
+            fm.check_coherence().unwrap();
+
+            // Batched probe contract on a mix of survivors, expired keys,
+            // and reallocated flows.
+            let queries: Vec<FlowId> = (0..occupancy as u32)
+                .step_by(2)
+                .map(nth_fid)
+                .chain((2_000_000..2_000_200).map(nth_fid))
+                .collect();
+            let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
+            let positioned: Vec<_> = queries
+                .iter()
+                .zip(&hashes)
+                .map(|(q, &h)| Some((*q, h)))
+                .collect();
+            let mut batch = vec![None; queries.len()];
+            fm.probe_internal_batch(&positioned, &mut batch);
+            for (i, q) in queries.iter().enumerate() {
+                let seq = fm.lookup_internal_hashed(q, hashes[i]);
+                assert_eq!(batch[i], seq, "batch query {i} diverged");
             }
         }
     }

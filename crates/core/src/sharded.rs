@@ -604,4 +604,81 @@ mod tests {
             proptest::prop_assert!(sharded.check_coherence().is_ok());
         }
     }
+
+    /// The sharded table at 98% per-shard occupancy: 1-shard equals the
+    /// unsharded table byte-for-byte through fill/expiry/realloc, the
+    /// 4-shard probe batch equals element-wise lookups, per-shard probe
+    /// lengths stay observable, and coherence (tags included) holds.
+    #[test]
+    fn sharded_table_matches_unsharded_at_98pct() {
+        use crate::flow_manager::tests::{cfg_of, nth_fid};
+        let c = cfg_of(512);
+        let mut one = ShardedFlowManager::new(&c, 1);
+        let mut plain = FlowManager::new(&c);
+        let target = 512 * 98 / 100;
+        let mut i = 0u32;
+        while plain.len() < target {
+            let f = nth_fid(i);
+            let a = add_flow(&mut one, f, Time::from_secs(1));
+            let b = plain.allocate(f, Time::from_secs(1));
+            assert_eq!(a, b, "1-shard allocation diverged at flow {i}");
+            i += 1;
+        }
+        // Expire everything in both, realloc, and compare lookups + probe
+        // lengths across the whole key range.
+        assert_eq!(
+            FlowTable::expire(&mut one, Time::from_secs(1)),
+            plain.expire(Time::from_secs(1))
+        );
+        for j in 0..i {
+            let f = nth_fid(j + 3_000_000);
+            let a = add_flow(&mut one, f, Time::from_secs(2));
+            let b = plain.allocate(f, Time::from_secs(2));
+            assert_eq!(a, b, "realloc diverged at flow {j}");
+        }
+        for j in 0..2 * i {
+            let f = nth_fid(j + 3_000_000);
+            let h = f.key_hash();
+            assert_eq!(
+                one.lookup_internal_hashed(&f, h),
+                plain.lookup_internal_hashed(&f, h),
+            );
+            assert_eq!(one.internal_probe_len(&f), plain.internal_probe_len(&f));
+        }
+        one.check_coherence().unwrap();
+        plain.check_coherence().unwrap();
+
+        // 4-shard: fill each shard to ~90%, then the batched probe must
+        // equal element-wise lookups over a hit/miss mix.
+        const CAP: u32 = 4096;
+        let mut four = ShardedFlowManager::new(&cfg_of(CAP as usize), 4);
+        let mut n = 0u32;
+        let want = four.table_capacity() * 90 / 100;
+        let mut k = 0u32;
+        while four.flow_count() < want && k < 4 * CAP {
+            let f = nth_fid(k);
+            let h = f.key_hash();
+            if four.lookup_internal_hashed(&f, h).is_none()
+                && add_flow(&mut four, f, Time::from_secs(1)).is_some()
+            {
+                n += 1;
+            }
+            k += 1;
+        }
+        assert!(n > 0);
+        let queries: Vec<FlowId> = (0..k + 512).step_by(3).map(nth_fid).collect();
+        let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
+        let positioned: Vec<_> = queries
+            .iter()
+            .zip(&hashes)
+            .map(|(q, &h)| Some((*q, h)))
+            .collect();
+        let mut batch = vec![None; queries.len()];
+        four.probe_internal_batch(&positioned, &mut batch);
+        for (qi, q) in queries.iter().enumerate() {
+            let seq = four.lookup_internal_hashed(q, hashes[qi]);
+            assert_eq!(batch[qi], seq, "4-shard batch query {qi} diverged");
+        }
+        four.check_coherence().unwrap();
+    }
 }

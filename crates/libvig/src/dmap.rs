@@ -96,12 +96,13 @@ pub trait DmapValue {
 /// still the right factor at these lengths is a measurement of its
 /// own; it has not been retuned.
 ///
-/// Per value slot the directory costs 21/16 × (32-byte
-/// [`crate::map::Map`] slot + 1 tag byte) = 43.3 bytes. Spending part
+/// Per value slot the directory costs 21/16 × (16-byte
+/// [`crate::map::Map`] slot + 1 tag byte) = 22.3 bytes. Spending part
 /// of what the second directory's removal freed on a wider one — 32/16,
-/// load 0.46 — measured flat: `churn` 2.521 → 2.541 Mpps (×1.01, ahead
-/// in 3 of 6 alternated pairs), `burst_us_p99` 57.9 → 51.7 (5/6), for
-/// 10.5 % more table heap (14.19 → 15.68 MB). Not taken.
+/// load 0.46 — measured flat with 32-byte slots: `churn` 2.521 → 2.541
+/// Mpps (×1.01, ahead in 3 of 6 alternated pairs), `burst_us_p99` 57.9
+/// → 51.7 (5/6), for 10.5 % more table heap (14.19 → 15.68 MB). Not
+/// taken.
 ///
 /// Tables of fewer than four slots get no headroom (the quotient
 /// rounds down); the map is correct at load 1.0, only slow.
@@ -123,8 +124,16 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
     /// byte of busy-bit + hash-tag metadata per position — see the
     /// `map` module docs), so a directory probe scans eight positions
     /// per u64 load and only dereferences slots whose tag matches.
+    ///
+    /// The directory keeps each slot index beside its key in
+    /// [`crate::map::VALUE_BITS`] bits, so `capacity` may be at most
+    /// `MAX_VALUE + 1` = 2^31 (the NAT caps it at 2^26).
     pub fn new(capacity: usize) -> DoubleMap<V> {
         assert!(capacity > 0, "dmap capacity must be non-zero");
+        assert!(
+            capacity - 1 <= crate::map::MAX_VALUE,
+            "dmap capacity {capacity} has indices past the directory's value bits"
+        );
         DoubleMap {
             map_a: Map::new(capacity * DIRECTORY_SLOTS_PER_16 / 16),
             slots: (0..capacity).map(|_| None).collect(),
@@ -660,6 +669,13 @@ mod tests {
         let mut d = CheckedDmap::new(2);
         d.put(0, pair(1, 2)).unwrap();
         let _ = d.put(1, pair(1, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the directory's value bits")]
+    fn capacity_past_the_directory_value_bits_is_rejected_at_construction() {
+        // The assert fires before anything is allocated.
+        let _ = DoubleMap::<Pair>::new(crate::map::MAX_VALUE + 2);
     }
 
     #[test]

@@ -61,6 +61,12 @@ mod tests {
         fn key_hash(&self) -> u64 {
             0
         }
+        fn to_bits(&self) -> u128 {
+            u128::from(self.0)
+        }
+        fn from_bits(bits: u128) -> Self {
+            CKey(bits as u8)
+        }
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -108,6 +114,15 @@ mod tests {
     impl MapKey for PlacedKey {
         fn key_hash(&self) -> u64 {
             self.hash
+        }
+        fn to_bits(&self) -> u128 {
+            (u128::from(self.hash) << 8) | u128::from(self.id)
+        }
+        fn from_bits(bits: u128) -> Self {
+            PlacedKey {
+                id: bits as u8,
+                hash: (bits >> 8) as u64,
+            }
         }
     }
 

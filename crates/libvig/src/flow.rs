@@ -1,6 +1,6 @@
-//! The network-flow abstraction (`flow.h`): key hashing. (The NAT's
-//! stored record and its `DmapValue` instance live in `vignat`, beside
-//! the TCP tracker the record carries; the instance for
+//! The network-flow abstraction (`flow.h`): key hashing and packing.
+//! (The NAT's stored record and its `DmapValue` instance live in
+//! `vignat`, beside the TCP tracker the record carries; the instance for
 //! [`vig_packet::Flow`] below exists for this crate's own suites only.)
 //!
 //! libVig keys carry their own hash functions (`map_key_hash` in the C
@@ -9,15 +9,44 @@
 //! table's probe chains stay short at the occupancies the paper
 //! evaluates (Fig. 12 shows latency flat in table occupancy, which
 //! requires exactly this property).
+//!
+//! Both keys pack exactly into the map's 97 key bits
+//! ([`crate::map::KEY_BITS`]): two addresses, two ports and one bit for
+//! the protocol, which is TCP or UDP.
 
 use crate::map::MapKey;
-use vig_packet::{ExtKey, FlowId};
+use vig_packet::{ExtKey, FlowId, Ip4, Proto};
 
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
+}
+
+/// Two addresses, two ports and a protocol, packed exactly:
+/// `ip_a:32 | ip_b:32 | port_a:16 | port_b:16 | udp:1`, 97 bits.
+fn pack(ip_a: Ip4, ip_b: Ip4, port_a: u16, port_b: u16, proto: Proto) -> u128 {
+    (u128::from(ip_a.raw()) << 65)
+        | (u128::from(ip_b.raw()) << 33)
+        | (u128::from(port_a) << 17)
+        | (u128::from(port_b) << 1)
+        | u128::from(proto == Proto::Udp)
+}
+
+/// The fields [`pack`] packed, in its order.
+fn unpack(bits: u128) -> (Ip4, Ip4, u16, u16, Proto) {
+    (
+        Ip4((bits >> 65) as u32),
+        Ip4((bits >> 33) as u32),
+        (bits >> 17) as u16,
+        (bits >> 1) as u16,
+        if bits & 1 == 1 {
+            Proto::Udp
+        } else {
+            Proto::Tcp
+        },
+    )
 }
 
 impl MapKey for FlowId {
@@ -27,6 +56,25 @@ impl MapKey for FlowId {
             | (u64::from(self.dst_port) << 16)
             | u64::from(self.proto.number());
         mix(mix(a) ^ b)
+    }
+    fn to_bits(&self) -> u128 {
+        pack(
+            self.src_ip,
+            self.dst_ip,
+            self.src_port,
+            self.dst_port,
+            self.proto,
+        )
+    }
+    fn from_bits(bits: u128) -> FlowId {
+        let (src_ip, dst_ip, src_port, dst_port, proto) = unpack(bits);
+        FlowId {
+            src_ip,
+            src_port,
+            dst_ip,
+            dst_port,
+            proto,
+        }
     }
 }
 
@@ -41,6 +89,25 @@ impl MapKey for ExtKey {
             | (u64::from(self.dst_port) << 8)
             | u64::from(self.proto.number());
         mix(mix(a) ^ b)
+    }
+    fn to_bits(&self) -> u128 {
+        pack(
+            self.ext_ip,
+            self.dst_ip,
+            self.ext_port,
+            self.dst_port,
+            self.proto,
+        )
+    }
+    fn from_bits(bits: u128) -> ExtKey {
+        let (ext_ip, dst_ip, ext_port, dst_port, proto) = unpack(bits);
+        ExtKey {
+            ext_ip,
+            ext_port,
+            dst_ip,
+            dst_port,
+            proto,
+        }
     }
 }
 
@@ -117,7 +184,81 @@ mod tests {
         );
     }
 
+    /// Five fields from raw draws: the two keys' shared shape.
+    type Fields = (u32, u32, u16, u16, bool);
+
+    fn flow_id((a, b, p, q, udp): Fields) -> FlowId {
+        FlowId {
+            src_ip: Ip4(a),
+            src_port: p,
+            dst_ip: Ip4(b),
+            dst_port: q,
+            proto: if udp { Proto::Udp } else { Proto::Tcp },
+        }
+    }
+
+    fn ext_key((a, b, p, q, udp): Fields) -> ExtKey {
+        ExtKey {
+            ext_ip: Ip4(a),
+            ext_port: p,
+            dst_ip: Ip4(b),
+            dst_port: q,
+            proto: if udp { Proto::Udp } else { Proto::Tcp },
+        }
+    }
+
+    /// `b`: `a` with field `which` (0–4; 5 keeps them equal) replaced
+    /// by `with`'s, so pairs differ in exactly one field or not at all.
+    fn neighbour(a: Fields, with: Fields, which: u8) -> Fields {
+        let mut b = a;
+        match which {
+            0 => b.0 = with.0,
+            1 => b.1 = with.1,
+            2 => b.2 = with.2,
+            3 => b.3 = with.3,
+            4 => b.4 = with.4,
+            _ => {}
+        }
+        b
+    }
+
+    fn fields() -> impl Strategy<Value = Fields> {
+        (
+            any::<u32>(),
+            any::<u32>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<bool>(),
+        )
+    }
+
+    /// Packing is a bijection onto its image: the key round-trips, two
+    /// keys share bits exactly when they are equal, and nothing lands in
+    /// the top 31 bits a slot keeps for its value.
+    fn assert_exact_packing<K: MapKey + core::fmt::Debug>(a: &K, b: &K) {
+        assert_eq!(&K::from_bits(a.to_bits()), a);
+        assert_eq!(
+            a.to_bits() >> crate::map::KEY_BITS,
+            0,
+            "{a:?} is wider than a slot's key"
+        );
+        assert_eq!(a == b, a.to_bits() == b.to_bits(), "{a:?} vs {b:?}");
+    }
+
     proptest! {
+        #[test]
+        fn flow_keys_pack_exactly_into_97_bits(
+            a in fields(),
+            with in fields(),
+            which in 0u8..6,
+        ) {
+            let b = neighbour(a, with, which);
+            assert_exact_packing(&flow_id(a), &flow_id(b));
+            assert_exact_packing(&ext_key(a), &ext_key(b));
+            assert_exact_packing(&flow_id(a), &flow_id(with));
+            assert_exact_packing(&ext_key(a), &ext_key(with));
+        }
+
         /// Hash is a pure function of the key.
         #[test]
         fn hash_is_deterministic(host in any::<u8>(), port in any::<u16>()) {

@@ -27,17 +27,19 @@
 //! one probe position live side by side, so one probe
 //! step touches one slot instead of scattering across five parallel
 //! arrays (the original layout paid up to five cache misses per step).
-//! The slot stores **no hash**: the control directory's 7-bit tag
+//! A slot is one 16-byte word, 16-aligned: the key's exact bits
+//! ([`MapKey::to_bits`], at most [`KEY_BITS`] = 97 — a `FlowId` is two
+//! addresses, two ports and one TCP/UDP bit) above a [`VALUE_BITS`] =
+//! 31-bit value. Four slots fill a 64-byte line and none straddles
+//! two. The slot stores **no hash**: the control directory's 7-bit tag
 //! (below) already rejects 127 of 128 foreign keys before a slot is
 //! loaded, key equality decides the rest, and the tag is recomputable
-//! from the key ([`Map::check_tag_coherence`] does). Without the hash a
-//! NAT-sized slot (`Slot<FlowId>`) is 24 bytes of fields, and
-//! `#[repr(align(32))]` rounds it to 32: two slots per 64-byte line,
-//! none straddling two. The 8 bytes the hash no longer takes are what
-//! pay for the flow table's directory headroom
-//! ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]). A slot is busy when it
-//! holds a key; its control byte (below) says the same without loading
-//! it.
+//! from the key ([`Map::check_tag_coherence`] unpacks it and does). A
+//! probe packs its query once and compares a candidate slot as two
+//! machine words. The slot has no "empty" state of its own: its control
+//! byte (below) says whether it is busy, and nothing reads a free slot.
+//! At 21/16 positions per flow the flow table's directory costs 22.3
+//! bytes per flow ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]).
 //!
 //! ## Tag-group directory (SWAR probing)
 //!
@@ -56,13 +58,14 @@
 //! (paper Fig. 12, last point). The scheme is the portable-SWAR form of
 //! Swiss-table metadata probing (the `hashbrown` design).
 //!
-//! The scalar probe survives as `*_scalar` reference functions; the
-//! differential suites (module tests, `libvig::exhaustive`,
-//! `tests/tag_probe_equivalence.rs`) keep the tag-probed operations
-//! byte-for-byte equivalent to both the scalar path and the abstract
-//! model, and [`Map::check_tag_coherence`] asserts the control
-//! directory is exactly the busy-bit/tag projection of the slots and
-//! that no free slot lies on a stored key's probe path.
+//! The scalar probe survives as `*_scalar` reference functions, built
+//! only for this crate's tests: the differential suites (module tests,
+//! `libvig::exhaustive`) keep the tag-probed operations byte-for-byte
+//! equivalent to both the scalar path — which unpacks each slot's key
+//! and compares with `Eq` — and the abstract model, and
+//! [`Map::check_tag_coherence`] asserts the control directory is
+//! exactly the busy-bit/tag projection of the slots and that no free
+//! slot lies on a stored key's probe path.
 //!
 //! ## Batched lookups
 //!
@@ -97,8 +100,8 @@
 //!
 //! * `get(k)`  — requires nothing; ensures result = `m.get(k)` and `m`
 //!   unchanged.
-//! * `put(k,v)` — requires `m.get(k) == None` and `m.len() < cap`;
-//!   ensures post-state `m + [(k,v)]`.
+//! * `put(k,v)` — requires `m.get(k) == None`, `m.len() < cap` and
+//!   `v <= MAX_VALUE` (`v < 2^31`); ensures post-state `m + [(k,v)]`.
 //! * `erase(k)` — requires `m.get(k) != None`; ensures post-state
 //!   `m - k` and result = old `m.get(k)`.
 //! * `size()` — ensures result = `m.len()`.
@@ -107,14 +110,24 @@
 //! the model in lockstep (refinement shadowing, property P3).
 
 use crate::Full;
+use core::marker::PhantomData;
 
-/// Key requirements for the verified map: equality plus a caller-supplied
-/// hash. libVig keys carry their own hash function (`map_key_hash` in the
-/// C code) instead of going through a generic hasher framework, so probing
-/// behaviour is fully determined by the key type.
+/// Key requirements for the verified map: equality, a caller-supplied
+/// hash and an exact packing. libVig keys carry their own hash function
+/// (`map_key_hash` in the C code) instead of going through a generic
+/// hasher framework, so probing behaviour is fully determined by the
+/// key type. The map stores a key as its packed bits and compares keys
+/// by them, so `a.to_bits() == b.to_bits()` must hold exactly when
+/// `a == b`, and `from_bits(k.to_bits()) == k` ([`CheckedMap`] asserts
+/// the round trip and the width on every key it stores).
 pub trait MapKey: Eq + Clone {
     /// A well-distributed 64-bit hash of the key.
     fn key_hash(&self) -> u64;
+    /// The key's exact bits, in the low [`KEY_BITS`] bits; the rest are
+    /// zero.
+    fn to_bits(&self) -> u128;
+    /// The key whose [`MapKey::to_bits`] is `bits`.
+    fn from_bits(bits: u128) -> Self;
 }
 
 impl MapKey for u64 {
@@ -126,11 +139,23 @@ impl MapKey for u64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^ (z >> 31)
     }
+    fn to_bits(&self) -> u128 {
+        u128::from(*self)
+    }
+    fn from_bits(bits: u128) -> u64 {
+        bits as u64
+    }
 }
 
 impl MapKey for u32 {
     fn key_hash(&self) -> u64 {
         (u64::from(*self)).key_hash()
+    }
+    fn to_bits(&self) -> u128 {
+        u128::from(*self)
+    }
+    fn from_bits(bits: u128) -> u32 {
+        bits as u32
     }
 }
 
@@ -138,19 +163,65 @@ impl MapKey for u16 {
     fn key_hash(&self) -> u64 {
         (u64::from(*self)).key_hash()
     }
+    fn to_bits(&self) -> u128 {
+        u128::from(*self)
+    }
+    fn from_bits(bits: u128) -> u16 {
+        bits as u16
+    }
 }
 
-/// One probe position of the table: everything a probe step needs, in
-/// one place. Aligned so that a slot of up to 32 bytes never straddles
-/// a cache line (see the module docs). The slot is busy when it holds
-/// a key.
-#[derive(Debug, Clone)]
-#[repr(align(32))]
-struct Slot<K> {
-    /// Stored value (valid only when busy).
-    value: usize,
-    /// The stored key, inline in the slot allocation.
-    key: Option<K>,
+/// Bits a key may pack into ([`MapKey::to_bits`]): a `FlowId` or an
+/// `ExtKey` is 32 + 32 + 16 + 16 + 1.
+pub const KEY_BITS: u32 = 97;
+/// Bits a slot keeps for its value: what a 128-bit slot has left.
+pub const VALUE_BITS: u32 = 128 - KEY_BITS;
+/// The largest value [`Map::put`] accepts, 2^31 − 1.
+pub const MAX_VALUE: usize = (1 << VALUE_BITS) - 1;
+/// The value's bits within a slot.
+const VALUE_MASK: u128 = (1 << VALUE_BITS) - 1;
+
+/// One probe position of the table: a key's bits above its value, in
+/// one 16-byte word on a 16-byte alignment, so four slots fill a cache
+/// line and none straddles two (see the module docs). Whether the slot
+/// is busy is its control byte's to say; a free slot's word is zero
+/// and nothing reads it.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(16))]
+struct Slot(u128);
+
+impl Slot {
+    /// The slot holding `key`'s packed bits and `value`.
+    #[inline(always)]
+    fn new(packed: u128, value: usize) -> Slot {
+        Slot(packed | (value as u128 & VALUE_MASK))
+    }
+
+    /// The stored value.
+    #[inline(always)]
+    fn value(self) -> usize {
+        (self.0 & VALUE_MASK) as usize
+    }
+
+    /// The stored key, unpacked.
+    #[inline(always)]
+    fn key<K: MapKey>(self) -> K {
+        K::from_bits(self.0 >> VALUE_BITS)
+    }
+
+    /// Whether the slot holds the key `packed` was made from: the two
+    /// words compared, the value's bits masked off.
+    #[inline(always)]
+    fn holds(self, packed: u128) -> bool {
+        self.0 & !VALUE_MASK == packed
+    }
+}
+
+/// `key`'s bits where a slot keeps them, above the value: a probe packs
+/// its query once and compares every candidate slot with it.
+#[inline(always)]
+fn pack<K: MapKey>(key: &K) -> u128 {
+    key.to_bits() << VALUE_BITS
 }
 
 /// Slots per control word: eight one-byte lanes per `u64`.
@@ -236,7 +307,7 @@ enum ProbeOutcome {
 /// algorithm, contract, and memory layout.
 #[derive(Debug, Clone)]
 pub struct Map<K: MapKey> {
-    slots: Vec<Slot<K>>,
+    slots: Vec<Slot>,
     /// Control directory: one word per eight slots, one byte per slot
     /// (busy bit | 7-bit tag; zero when free). Kept beside the slot
     /// array so a scan loads no slot; lanes past `capacity` in the last
@@ -244,6 +315,8 @@ pub struct Map<K: MapKey> {
     tags: Vec<u64>,
     size: usize,
     capacity: usize,
+    /// The slots hold `K`s, packed.
+    key: PhantomData<K>,
 }
 
 impl<K: MapKey> Map<K> {
@@ -252,15 +325,11 @@ impl<K: MapKey> Map<K> {
     pub fn new(capacity: usize) -> Map<K> {
         assert!(capacity > 0, "map capacity must be non-zero");
         Map {
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    value: 0,
-                    key: None,
-                })
-                .collect(),
+            slots: vec![Slot::default(); capacity],
             tags: vec![0u64; capacity.div_ceil(GROUP)],
             size: 0,
             capacity,
+            key: PhantomData,
         }
     }
 
@@ -342,27 +411,29 @@ impl<K: MapKey> Map<K> {
     pub fn get_with_hash(&self, key: &K, hash: u64) -> Option<usize> {
         debug_assert_eq!(hash, key.key_hash(), "get_with_hash: stale hash");
         match self.probe(key, hash) {
-            ProbeOutcome::Hit { idx, .. } => Some(self.slots[idx].value),
+            ProbeOutcome::Hit { idx, .. } => Some(self.slots[idx].value()),
             _ => None,
         }
     }
 
-    /// The scalar reference probe: [`Map::get_with_hash`] exactly as the
-    /// pre-tag-directory implementation computed it, one slot load and
-    /// compare per probe position. Kept as the differential oracle for
-    /// the SWAR group scan (the equivalence suites assert
-    /// `get_with_hash == get_with_hash_scalar` on every state they
-    /// construct) and as the baseline the `tag_probe_*` benchmark rows
-    /// are measured against.
-    pub fn get_with_hash_scalar(&self, key: &K, hash: u64) -> Option<usize> {
+    /// The scalar reference probe: [`Map::get_with_hash`] walked the way
+    /// the pre-tag-directory implementation walked it, one position per
+    /// step: a free control byte stops it, and a busy slot's key is
+    /// unpacked and compared with `Eq`. The differential oracle for the
+    /// SWAR group scan and its packed compare: the equivalence suites
+    /// assert `get_with_hash == get_with_hash_scalar` on every state
+    /// they construct.
+    #[cfg(test)]
+    fn get_with_hash_scalar(&self, key: &K, hash: u64) -> Option<usize> {
         debug_assert_eq!(hash, key.key_hash(), "get_with_hash_scalar: stale hash");
         let start = self.start_of(hash);
         for i in 0..self.capacity {
-            let slot = &self.slots[(start + i) % self.capacity];
-            match &slot.key {
-                Some(k) if k == key => return Some(slot.value),
-                Some(_) => {}
-                None => return None,
+            let idx = (start + i) % self.capacity;
+            if self.ctrl(idx) == 0 {
+                return None;
+            }
+            if self.slots[idx].key::<K>() == *key {
+                return Some(self.slots[idx].value());
             }
         }
         None
@@ -425,13 +496,14 @@ impl<K: MapKey> Map<K> {
     fn probe_at(&self, key: &K, hash: u64, start: usize) -> ProbeOutcome {
         debug_assert_eq!(start, self.start_of(hash), "probe_at: stale start");
         let tag = ctrl_byte(hash);
+        let packed = pack(key);
         self.scan_windows(start, |base, off, hi, w, scanned| {
             let window = lane_window(off, hi);
             let frees = free_lanes(w) & window;
             let mut candidates = match_lanes(w, tag) & window & before_first(frees);
             while candidates != 0 {
                 let lane = (candidates.trailing_zeros() as usize) / 8;
-                if self.slots[base + lane].key.as_ref() == Some(key) {
+                if self.slots[base + lane].holds(packed) {
                     return Some(ProbeOutcome::Hit {
                         idx: base + lane,
                         dist: scanned + (lane - off),
@@ -503,7 +575,8 @@ impl<K: MapKey> Map<K> {
     /// occupancy microbenchmarks (DESIGN.md §7); not part of the libVig
     /// interface. Tag filtering changes how many slots a probe *loads*,
     /// never how many positions it traverses, so this is identical to
-    /// [`Map::probe_len_scalar`] (asserted by the differential suites).
+    /// the scalar reference walk's `probe_len_scalar` (asserted by the
+    /// differential suites of this crate's tests).
     pub fn probe_len(&self, key: &K) -> usize {
         match self.probe(key, key.key_hash()) {
             ProbeOutcome::Hit { dist, .. } | ProbeOutcome::MissStop { dist } => dist + 1,
@@ -512,25 +585,46 @@ impl<K: MapKey> Map<K> {
     }
 
     /// Scalar reference for [`Map::probe_len`] (see
-    /// [`Map::get_with_hash_scalar`] for why the scalar walk is kept).
-    pub fn probe_len_scalar(&self, key: &K) -> usize {
-        let hash = key.key_hash();
-        let start = self.start_of(hash);
+    /// `get_with_hash_scalar` for why the scalar walk is kept).
+    #[cfg(test)]
+    fn probe_len_scalar(&self, key: &K) -> usize {
+        let start = self.start_of(key.key_hash());
         for i in 0..self.capacity {
-            match &self.slots[(start + i) % self.capacity].key {
-                Some(k) if k != key => {}
-                _ => return i + 1,
+            let idx = (start + i) % self.capacity;
+            if self.ctrl(idx) == 0 || self.slots[idx].key::<K>() == *key {
+                return i + 1;
             }
         }
         self.capacity
     }
 
+    /// Tests only: the tag-probed `get_with_hash` and `probe_len` of
+    /// `key` equal the scalar reference walk's.
+    #[cfg(test)]
+    fn assert_matches_scalar(&self, key: &K)
+    where
+        K: core::fmt::Debug,
+    {
+        let h = key.key_hash();
+        assert_eq!(
+            self.get_with_hash(key, h),
+            self.get_with_hash_scalar(key, h),
+            "SWAR probe diverged from the scalar reference for {key:?}"
+        );
+        assert_eq!(
+            self.probe_len(key),
+            self.probe_len_scalar(key),
+            "probe_len diverged from the scalar reference for {key:?}"
+        );
+    }
+
     /// Insert `key -> value`.
     ///
     /// Contract precondition (checked by [`CheckedMap`], assumed here, as
-    /// in the C code): `key` is not already present. Returns [`Full`] when
-    /// the size is at capacity — fullness is interface behaviour, not a
-    /// contract violation.
+    /// in the C code): `key` is not already present, and `value` is at
+    /// most [`MAX_VALUE`] (it shares a slot with the key's 97 bits).
+    /// Returns [`Full`] when the size is at capacity — fullness is
+    /// interface behaviour, not a contract violation.
     pub fn put(&mut self, key: K, value: usize) -> Result<(), Full> {
         let hash = key.key_hash();
         self.put_with_hash(key, hash, value)
@@ -539,9 +633,14 @@ impl<K: MapKey> Map<K> {
     /// [`Map::put`] with a caller-computed hash (same contract, plus
     /// `hash == key.key_hash()`). The key takes the first free slot of
     /// its probe sequence, the slot where a probe for it would stop, and
-    /// no other slot changes.
+    /// no other slot changes. A value above [`MAX_VALUE`] breaks the
+    /// contract: it is stored modulo 2^31, and the key stays intact.
     pub fn put_with_hash(&mut self, key: K, hash: u64, value: usize) -> Result<(), Full> {
         debug_assert_eq!(hash, key.key_hash(), "put_with_hash: stale hash");
+        debug_assert!(
+            value <= MAX_VALUE,
+            "put_with_hash: value {value} > MAX_VALUE"
+        );
         if self.size == self.capacity {
             return Err(Full);
         }
@@ -555,9 +654,7 @@ impl<K: MapKey> Map<K> {
             // Unreachable: size < capacity guarantees a free slot.
             return Err(Full);
         };
-        let slot = &mut self.slots[idx];
-        slot.key = Some(key);
-        slot.value = value;
+        self.slots[idx] = Slot::new(pack(&key), value);
         self.set_ctrl(idx, ctrl_byte(hash));
         self.size += 1;
         Ok(())
@@ -575,20 +672,21 @@ impl<K: MapKey> Map<K> {
     /// probe start does not lie cyclically in `(hole, j]` — whose probe
     /// path crosses the hole — moves into the hole with its control
     /// byte, and the hole moves to `j`. Each move brings an entry closer
-    /// to its start, and the hole is free, so the walk ends.
+    /// to its start, and the hole is free, so the walk ends. The slot
+    /// stores no hash, so each entry walked past is unpacked and
+    /// rehashed.
     pub fn erase(&mut self, key: &K) -> Option<usize> {
         let ProbeOutcome::Hit { idx, .. } = self.probe(key, key.key_hash()) else {
             return None;
         };
-        let v = self.slots[idx].value;
-        self.slots[idx].key = None;
+        let v = self.slots[idx].value();
+        self.slots[idx] = Slot::default();
         self.set_ctrl(idx, 0);
         self.size -= 1;
         let mut hole = idx;
         let mut j = self.next_pos(idx);
         while self.ctrl(j) != 0 {
-            let moved = self.slots[j].key.as_ref().expect("a busy lane holds a key");
-            let start = self.start_of(moved.key_hash());
+            let start = self.start_of(self.slots[j].key::<K>().key_hash());
             let stays = if hole <= j {
                 hole < start && start <= j
             } else {
@@ -606,15 +704,16 @@ impl<K: MapKey> Map<K> {
     }
 
     /// Assert the control directory is exactly the busy-bit/tag
-    /// projection of the slot array: every busy slot's byte is
+    /// projection of the slot array: every control byte is zero (free)
+    /// or has its busy bit set, every busy slot's byte is
     /// `0x80 | top7(key.key_hash())` — recomputed from the stored key,
-    /// the slot caches no hash — every free slot's byte is zero, and the
-    /// padding lanes past `capacity` in the last word are zero (they
-    /// must never register as free *or* candidate in a scan of the
-    /// short last group). Also asserts the linear-probing invariant a
-    /// probe's stop rule rests on: no free slot lies between a stored
-    /// key's probe start and its position. Test/diagnostic use;
-    /// O(capacity + total probe distance).
+    /// unpacked, the slot caches no hash — and the key repacks to the
+    /// bits the slot holds, and the padding lanes past `capacity` in
+    /// the last word are zero (they must never register as free *or*
+    /// candidate in a scan of the short last group). Also asserts the
+    /// linear-probing invariant a probe's stop rule rests on: no free
+    /// slot lies between a stored key's probe start and its position.
+    /// Test/diagnostic use; O(capacity + total probe distance).
     pub fn check_tag_coherence(&self) -> Result<(), String> {
         if self.tags.len() != self.capacity.div_ceil(GROUP) {
             return Err(format!(
@@ -623,16 +722,22 @@ impl<K: MapKey> Map<K> {
                 self.capacity
             ));
         }
+        let mut busy = 0;
         for idx in 0..self.capacity {
             let byte = self.ctrl(idx);
-            let Some(key) = &self.slots[idx].key else {
-                if byte != 0 {
-                    return Err(format!(
-                        "slot {idx}: free slot has control byte {byte:#04x}"
-                    ));
-                }
+            if byte == 0 {
                 continue;
-            };
+            }
+            if byte & CTRL_BUSY == 0 {
+                return Err(format!(
+                    "slot {idx}: control byte {byte:#04x} is neither free nor busy"
+                ));
+            }
+            busy += 1;
+            let key: K = self.slots[idx].key();
+            if !self.slots[idx].holds(pack(&key)) {
+                return Err(format!("slot {idx}: its key does not repack to its bits"));
+            }
             let want = ctrl_byte(key.key_hash());
             if byte != want {
                 return Err(format!(
@@ -641,7 +746,7 @@ impl<K: MapKey> Map<K> {
             }
             let mut t = self.start_of(key.key_hash());
             while t != idx {
-                if self.slots[t].key.is_none() {
+                if self.ctrl(t) == 0 {
                     return Err(format!(
                         "slot {idx}: free slot {t} lies on its key's probe path"
                     ));
@@ -657,16 +762,19 @@ impl<K: MapKey> Map<K> {
                 ));
             }
         }
+        if busy != self.size {
+            return Err(format!("{busy} busy slots for size {}", self.size));
+        }
         Ok(())
     }
 
-    /// Iterate over `(key, value)` pairs in slot order. Not part of the
-    /// libVig interface (the NF never scans the table); used by the
-    /// contract layer and tests.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, usize)> + '_ {
-        self.slots
-            .iter()
-            .filter_map(|s| s.key.as_ref().map(|k| (k, s.value)))
+    /// Iterate over `(key, value)` pairs in slot order, each key
+    /// unpacked from its slot. Not part of the libVig interface (the NF
+    /// never scans the table); used by the contract layer and tests.
+    pub fn iter(&self) -> impl Iterator<Item = (K, usize)> + '_ {
+        (0..self.capacity)
+            .filter(|&idx| self.ctrl(idx) != 0)
+            .map(|idx| (self.slots[idx].key(), self.slots[idx].value()))
     }
 }
 
@@ -709,7 +817,7 @@ pub fn get_staged<'m, 'k, K: MapKey + 'm + 'k>(
             found(
                 i,
                 match m.probe_at(k, h, start) {
-                    ProbeOutcome::Hit { idx, .. } => Some(m.slots[idx].value),
+                    ProbeOutcome::Hit { idx, .. } => Some(m.slots[idx].value()),
                     _ => None,
                 },
             );
@@ -803,23 +911,16 @@ impl<K: MapKey + core::fmt::Debug> CheckedMap<K> {
         }
     }
 
-    /// Contract-checked `get`: checked against the abstract model *and*
-    /// the scalar reference probe (the tag-group scan is a pure probe
-    /// optimization, so hits and misses alike must agree byte for byte).
+    /// Contract-checked `get`: checked against the abstract model and,
+    /// in this crate's tests, the scalar reference probe (the tag-group
+    /// scan is a pure probe optimization, so hits and misses alike must
+    /// agree byte for byte).
     pub fn get(&self, key: &K) -> Option<usize> {
         let got = self.imp.get(key);
         let spec = self.model.get(key);
         assert_eq!(got, spec, "map.get({key:?}) diverged from abstract model");
-        assert_eq!(
-            got,
-            self.imp.get_with_hash_scalar(key, key.key_hash()),
-            "map.get({key:?}) diverged from the scalar reference probe"
-        );
-        assert_eq!(
-            self.imp.probe_len(key),
-            self.imp.probe_len_scalar(key),
-            "probe_len({key:?}) diverged from the scalar reference probe"
-        );
+        #[cfg(test)]
+        self.imp.assert_matches_scalar(key);
         got
     }
 
@@ -876,12 +977,22 @@ impl<K: MapKey + core::fmt::Debug> CheckedMap<K> {
     }
 
     /// Contract-checked `put`. Panics on contract violation (duplicate
-    /// key); propagates [`Full`].
+    /// key, a value above [`MAX_VALUE`], or a key type whose packing is
+    /// not exact); propagates [`Full`].
     pub fn put(&mut self, key: K, value: usize) -> Result<(), Full> {
         let dup = self.model.contains(&key);
         assert!(
             !dup,
             "map.put precondition violated: key {key:?} already present"
+        );
+        assert!(
+            value <= MAX_VALUE,
+            "map.put precondition violated: value {value} does not fit {VALUE_BITS} bits"
+        );
+        let bits = key.to_bits();
+        assert!(
+            bits >> KEY_BITS == 0 && K::from_bits(bits) == key,
+            "MapKey contract violated: {key:?} does not pack exactly into {KEY_BITS} bits"
         );
         let r = self.imp.put(key.clone(), value);
         match r {
@@ -929,28 +1040,19 @@ impl<K: MapKey + core::fmt::Debug> CheckedMap<K> {
 
     /// Full-state refinement check: the implementation's visible entries
     /// equal the abstract map's (as sets), the control directory is
-    /// coherent with the slots, and the tag-probed read path agrees
-    /// with the scalar reference walk for every stored key.
+    /// coherent with the slots, and (in this crate's tests) the
+    /// tag-probed read path agrees with the scalar reference walk for
+    /// every stored key.
     pub fn check_equiv(&self) {
         assert_eq!(self.imp.size(), self.model.len(), "size mismatch");
         self.imp
             .check_tag_coherence()
             .unwrap_or_else(|e| panic!("tag directory incoherent: {e}"));
+        #[cfg(test)]
         for (k, _) in self.model.entries() {
-            let h = k.key_hash();
-            assert_eq!(
-                self.imp.get_with_hash(k, h),
-                self.imp.get_with_hash_scalar(k, h),
-                "SWAR probe diverged from scalar reference for {k:?}"
-            );
-            assert_eq!(
-                self.imp.probe_len(k),
-                self.imp.probe_len_scalar(k),
-                "probe_len diverged from scalar reference for {k:?}"
-            );
+            self.imp.assert_matches_scalar(k);
         }
-        let mut imp_entries: Vec<(K, usize)> =
-            self.imp.iter().map(|(k, v)| (k.clone(), v)).collect();
+        let mut imp_entries: Vec<(K, usize)> = self.imp.iter().collect();
         for (k, v) in self.model.entries() {
             let pos = imp_entries
                 .iter()
@@ -980,24 +1082,66 @@ mod tests {
         fn key_hash(&self) -> u64 {
             u64::from(self.group) // all keys in a group collide perfectly
         }
+        fn to_bits(&self) -> u128 {
+            (u128::from(self.group) << 32) | u128::from(self.id)
+        }
+        fn from_bits(bits: u128) -> Self {
+            CollidingKey {
+                group: (bits >> 32) as u8,
+                id: bits as u32,
+            }
+        }
     }
 
-    /// The module docs' layout claim: the NAT's directory uses 32-byte
-    /// slots on a 32-byte alignment, so in a live table every slot sits
-    /// in one half of a 64-byte line and none straddles two.
+    /// The module docs' layout claim: the NAT's directory uses 16-byte
+    /// slots on a 16-byte alignment, so in a live table every slot sits
+    /// in one quarter of a 64-byte line and none straddles two.
     #[test]
-    fn nat_sized_slots_are_half_a_line_and_never_straddle() {
+    fn nat_sized_slots_are_a_quarter_line_and_never_straddle() {
         use std::mem::{align_of, size_of};
-        assert_eq!(size_of::<Slot<vig_packet::FlowId>>(), 32);
-        assert_eq!(align_of::<Slot<vig_packet::FlowId>>(), 32);
+        assert_eq!(size_of::<Slot>(), 16);
+        assert_eq!(align_of::<Slot>(), 16);
         let m = Map::<vig_packet::FlowId>::new(1000);
         for (i, slot) in m.slots.iter().enumerate() {
             let offset = std::ptr::from_ref(slot) as usize % 64;
-            assert!(
-                offset == 0 || offset == 32,
-                "slot {i} at line offset {offset}"
-            );
+            assert_eq!(offset % 16, 0, "slot {i} at line offset {offset}");
         }
+    }
+
+    /// The widest key and value a slot holds come back out intact: a
+    /// key of all 97 bits set beside [`MAX_VALUE`], and beside 0.
+    #[test]
+    fn the_widest_key_and_value_share_a_slot() {
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Wide(u128);
+        impl MapKey for Wide {
+            fn key_hash(&self) -> u64 {
+                (self.0 as u64).key_hash()
+            }
+            fn to_bits(&self) -> u128 {
+                self.0
+            }
+            fn from_bits(bits: u128) -> Self {
+                Wide(bits)
+            }
+        }
+        let all = (1u128 << KEY_BITS) - 1;
+        let mut m = CheckedMap::<Wide>::new(4);
+        m.put(Wide(all), MAX_VALUE).unwrap();
+        m.put(Wide(all - 1), 0).unwrap();
+        m.put(Wide(1 << (KEY_BITS - 1)), 7).unwrap();
+        assert_eq!(m.get(&Wide(all)), Some(MAX_VALUE));
+        assert_eq!(m.get(&Wide(all - 1)), Some(0));
+        assert_eq!(m.get(&Wide(1 << (KEY_BITS - 1))), Some(7));
+        assert_eq!(m.get(&Wide(1)), None);
+        assert_eq!(m.erase(&Wide(all)), Some(MAX_VALUE));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 31 bits")]
+    fn a_value_past_31_bits_violates_contract() {
+        let mut m = CheckedMap::<u64>::new(4);
+        let _ = m.put(1, MAX_VALUE + 1);
     }
 
     #[test]
@@ -1160,6 +1304,12 @@ mod tests {
             fn key_hash(&self) -> u64 {
                 7 // last slot of capacity 8
             }
+            fn to_bits(&self) -> u128 {
+                u128::from(self.0)
+            }
+            fn from_bits(bits: u128) -> Self {
+                TailKey(bits as u32)
+            }
         }
         let mut m = CheckedMap::<TailKey>::new(8);
         for id in 0..4 {
@@ -1185,6 +1335,15 @@ mod tests {
     impl MapKey for AdvKey {
         fn key_hash(&self) -> u64 {
             self.hash
+        }
+        fn to_bits(&self) -> u128 {
+            (u128::from(self.hash) << 32) | u128::from(self.id)
+        }
+        fn from_bits(bits: u128) -> Self {
+            AdvKey {
+                id: bits as u32,
+                hash: (bits >> 32) as u64,
+            }
         }
     }
 
@@ -1268,7 +1427,7 @@ mod tests {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (any::<u8>(), any::<usize>()).prop_map(|(k, v)| Op::Put(k % 16, v)),
+            (any::<u8>(), 0..=MAX_VALUE).prop_map(|(k, v)| Op::Put(k % 16, v)),
             any::<u8>().prop_map(|k| Op::Get(k % 16)),
             any::<u8>().prop_map(|k| Op::Erase(k % 16)),
         ]
@@ -1276,7 +1435,8 @@ mod tests {
 
     proptest! {
         /// Random op sequences never diverge from the abstract model.
-        /// (Contract-violating ops are filtered to their legal variants.)
+        /// (Contract-violating ops are filtered to their legal variants;
+        /// values are drawn from the contract's domain, `0..=MAX_VALUE`.)
         #[test]
         fn random_ops_refine_model(ops in proptest::collection::vec(op_strategy(), 0..200)) {
             let mut m = CheckedMap::<u64>::new(8);
@@ -1389,7 +1549,7 @@ mod tests {
             prop_assert!(m.size() * 100 >= cap * 95, "table only {} full", m.size());
             let queries: Vec<AdvKey> = queries.into_iter().map(mk).collect();
             let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-            let before: Vec<(AdvKey, usize)> = m.iter().map(|(k, v)| (k.clone(), v)).collect();
+            let before: Vec<(AdvKey, usize)> = m.iter().collect();
             let mut batch = vec![Some(usize::MAX)]; // results are appended
             m.get_batch_with_hash(&queries, &hashes, &mut batch);
             prop_assert_eq!(batch.len(), 1 + queries.len());
@@ -1397,7 +1557,7 @@ mod tests {
                 prop_assert_eq!(batch[1 + i], m.get_with_hash(q, h), "query {}", i);
                 prop_assert_eq!(batch[1 + i], m.get_with_hash_scalar(q, h));
             }
-            let after: Vec<(AdvKey, usize)> = m.iter().map(|(k, v)| (k.clone(), v)).collect();
+            let after: Vec<(AdvKey, usize)> = m.iter().collect();
             prop_assert_eq!(before, after);
             prop_assert!(m.check_tag_coherence().is_ok());
         }
@@ -1444,7 +1604,7 @@ mod tests {
     /// keys alone.
     fn busy_lanes_and_probe_sum(m: &Map<AdvKey>) -> (Vec<u64>, usize) {
         let busy = m.tags.iter().map(|w| w & LANE_MSB).collect();
-        (busy, m.iter().map(|(k, _)| m.probe_len(k)).sum())
+        (busy, m.iter().map(|(k, _)| m.probe_len(&k)).sum())
     }
 
     proptest! {
@@ -1582,6 +1742,76 @@ mod tests {
                         dist(start, filled) >= GROUP.min(cap - start),
                         "absent key touches nothing but fills {} in its start group", filled
                     ),
+                }
+            }
+        }
+    }
+
+    /// Map capacity of the occupancy differentials below.
+    const CAP: usize = 4096;
+
+    /// The tag-probed read path equals the scalar reference for a query
+    /// mix of hits, misses, and erased-then-reinserted keys.
+    fn assert_map_matches_scalar(m: &Map<u64>, queries: impl Iterator<Item = u64>) {
+        for q in queries {
+            m.assert_matches_scalar(&q);
+        }
+        m.check_tag_coherence().expect("tag directory incoherent");
+    }
+
+    /// The directory-layer differential at 49 % and 98 % occupancy,
+    /// through fill → erase (backward shifts through the clusters) →
+    /// refill (inserts into the freed lanes) — the sequence that
+    /// stresses the free-lane stop the SWAR walk must share with the
+    /// scalar walk.
+    #[test]
+    fn map_equals_scalar_reference_at_49_and_98_occupancy() {
+        for occupancy in [CAP * 49 / 100, CAP * 98 / 100] {
+            let mut m = Map::<u64>::new(CAP);
+            for k in 0..occupancy as u64 {
+                m.put(k, k as usize).unwrap();
+            }
+            // Hits, misses, and out-of-range misses.
+            assert_map_matches_scalar(&m, (0..occupancy as u64 + 512).step_by(3));
+            // Erase a scattered 10% — each erase shifts its cluster back —
+            // then recheck misses that probe across the shifted clusters.
+            for k in (0..occupancy as u64).step_by(10) {
+                assert!(m.erase(&k).is_some());
+            }
+            assert_map_matches_scalar(&m, (0..occupancy as u64 + 512).step_by(7));
+            // Refill the holes with fresh keys (realloc): probe paths now
+            // mix shifted clusters, reused slots, and new tags.
+            let mut fresh = 1_000_000u64;
+            while m.size() < occupancy {
+                if m.get(&fresh).is_none() {
+                    m.put(fresh, 0).unwrap();
+                }
+                fresh += 1;
+            }
+            assert_map_matches_scalar(
+                &m,
+                (0..occupancy as u64).step_by(5).chain(1_000_000..1_000_400),
+            );
+        }
+    }
+
+    /// While a table fills from empty to 98%, `probe_len` of a fixed
+    /// query set is monotone non-decreasing (under inserts alone no busy
+    /// slot frees, so the miss stop can only move outward), and at every
+    /// sampled occupancy the tag walk equals the scalar walk.
+    #[test]
+    fn probe_len_monotone_while_filling_to_98pct() {
+        let mut m = Map::<u64>::new(CAP);
+        let queries: Vec<u64> = (0..64).map(|i| i * 131).collect();
+        let mut last = vec![0usize; queries.len()];
+        for k in 0..(CAP * 98 / 100) as u64 {
+            m.put(k, 0).unwrap();
+            if k % 257 == 0 {
+                for (q, prev) in queries.iter().zip(last.iter_mut()) {
+                    let now = m.probe_len(q);
+                    assert_eq!(now, m.probe_len_scalar(q));
+                    assert!(*prev <= now, "probe_len shrank while filling");
+                    *prev = now;
                 }
             }
         }

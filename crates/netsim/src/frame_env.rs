@@ -232,8 +232,12 @@ impl RssClassifier {
         self.queues
     }
 
-    /// The queue a frame arriving on `dir` steers to. See type docs.
+    /// The queue a frame arriving on `dir` steers to. See type docs. With
+    /// one queue every frame steers to it, and the frame is not read.
     pub fn queue_of(&self, dir: Direction, frame: &[u8]) -> usize {
+        if self.queues == 1 {
+            return 0;
+        }
         let pkt = read_rx_fields(frame, dir);
         let Some(proto) = Proto::from_number(pkt.proto) else {
             return 0;
@@ -275,6 +279,28 @@ mod tests {
     fn run(fm: &mut FlowManager, frame: &mut [u8], dir: Direction, t: Time) -> IterationOutcome {
         let mut env = FrameEnv::new(fm, frame, dir, t);
         nat_loop_iteration(&mut env, &cfg())
+    }
+
+    /// A one-queue classifier steers every frame to queue 0 in both
+    /// directions: valid, truncated, empty and garbage frames alike.
+    #[test]
+    fn one_queue_steers_every_frame_to_queue_zero() {
+        let rss = RssClassifier::for_nat(&cfg(), 1);
+        let tcp =
+            PacketBuilder::tcp(Ip4::new(192, 168, 0, 7), Ip4::new(1, 2, 3, 4), 40000, 443).build();
+        let udp = PacketBuilder::udp(Ip4::new(8, 8, 8, 8), Ip4::new(10, 1, 0, 1), 53, 2005).build();
+        let garbage: Vec<u8> = (0..97u8).map(|b| b.wrapping_mul(151)).collect();
+        let frames: [&[u8]; 6] = [&tcp, &udp, &tcp[..20], &udp[..1], &[], &garbage];
+        for frame in frames {
+            for dir in [Direction::Internal, Direction::External] {
+                assert_eq!(
+                    rss.queue_of(dir, frame),
+                    0,
+                    "{dir:?} frame of {}",
+                    frame.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -73,19 +73,19 @@
 //! ## The burst pipeline
 //!
 //! What one rejuvenated hit touches on a table larger than cache, in
-//! 64-byte lines: an internal UDP hit **5** — directory tag word,
-//! directory slot, chain cell, the cells of the slot's two list
+//! 64-byte lines: an internal UDP hit **4** — the directory line its
+//! probe starts on, chain cell, the cells of the slot's two list
 //! neighbours; the directory slot compared the whole key and the
 //! endpoint is arithmetic, so the record is never loaded — an internal
-//! TCP hit **6** (the record, for the tracker), a return hit **4**
+//! TCP hit **5** (the record, for the tracker), a return hit **4**
 //! (record, chain cell, two neighbours). One lookup at a time pays
 //! those misses in series, level after dependent level.
 //! [`FlowTable::probe_internal_batch`] and
 //! [`FlowTable::probe_external_batch`] instead run the burst in stages,
 //! each issued for every query before the next begins, so the misses of
-//! one stage overlap. Internal keys: (1) probe starts and tag words,
-//! (2) the directory slot each probe dereferences first, then the
-//! probes ([`libvig::map::get_staged`]). External keys:
+//! one stage overlap. Internal keys: (1) probe starts and the
+//! directory line each probe starts on, (2) the probes' key comparisons
+//! ([`libvig::map::get_staged`]). External keys:
 //! (1) every key's candidate slot — arithmetic — and a first touch of
 //! those records, (2) the key comparisons. Then both: (3) for every hit
 //! the chain cell, and for an internal TCP hit its record; (4) the two
@@ -243,9 +243,9 @@ pub trait FlowTable {
 /// What the burst pipeline's touches load for one hit: four 64-byte
 /// lines — the chain cell, its two neighbours, and the record (loaded
 /// for a return hit and an internal TCP hit; an internal UDP hit stops
-/// at three). The directory's tag word and 16-byte slot (an internal
-/// probe's stages 1–2, which always run) are not in it, so the
-/// directory's slot size and load factor do not move the budget.
+/// at three). The directory's start line (an internal probe's stage 1,
+/// which always runs) is not in it, so the directory's slot size and
+/// load factor do not move the budget.
 const HIT_STATE_BYTES: usize = 4 * 64;
 
 /// The cache a table's hot per-slot state may be assumed to stay in — a
@@ -680,7 +680,7 @@ impl FlowManager {
     }
 
     /// Probe length of an internal-key lookup in the flow directory —
-    /// how many positions the tag-probed walk traverses for `fid`
+    /// how many positions the directory probe walks for `fid`
     /// (hit or miss). Diagnostic for the occupancy benchmarks and the
     /// high-occupancy equivalence suite; the datapath never calls it.
     pub fn internal_probe_len(&self, fid: &FlowId) -> usize {
@@ -707,9 +707,8 @@ impl FlowManager {
                 self.chain.size()
             ));
         }
-        // The flow directory's tag-group control words must project the
-        // slots exactly — expiry and slot realloc go through erase/put,
-        // which maintain them.
+        // The flow directory's probe invariants — expiry and slot
+        // realloc go through erase/put, which maintain them.
         self.table.check_directory_coherence()?;
         // Every allocated slot is on the list of the class its tracker
         // names, and each list is in stamp (hence deadline) order.
@@ -1629,7 +1628,7 @@ pub(crate) mod tests {
 
     /// Drive a FlowManager through fill → expiry → realloc at 49% and
     /// 98% occupancy, holding the coherence invariant (which includes
-    /// the directory's tag projection) at every stage, and proving the
+    /// the directory's probe invariants) at every stage, and proving the
     /// batched probe contract — batch results equal element-wise hashed
     /// lookups — on a hit/miss query mix.
     #[test]

@@ -88,16 +88,17 @@ pub trait DmapValue {
 /// still had two such directories).
 ///
 /// The map now erases by backward shift, so a probe's length depends
-/// on the live keys alone, not on the churn that placed them. At 21/16
-/// a resident flow's probe on traced `churn` walks 4.79–4.83 positions
-/// on average and 21–22 at the 99th percentile (seeds 1, 7 and 29;
+/// on the live keys alone, not on the churn that placed them, and a
+/// probe starts on the 4-slot line its home falls in. At 21/16 a
+/// resident flow's probe on traced `churn` walks 3.33–3.36 positions
+/// on average and 19 at the 99th percentile (seeds 1, 7 and 29;
 /// 6.51–6.64 and 33–34 over the counters), and the churned full
-/// table's misses 12.5 (98.9 over the counters). Whether 21/16 is
+/// table's misses 10.1 (98.9 over the counters). Whether 21/16 is
 /// still the right factor at these lengths is a measurement of its
 /// own; it has not been retuned.
 ///
-/// Per value slot the directory costs 21/16 × (16-byte
-/// [`crate::map::Map`] slot + 1 tag byte) = 22.3 bytes. Spending part
+/// Per value slot the directory costs 21/16 × 16-byte
+/// [`crate::map::Map`] slot = 21.0 bytes. Spending part
 /// of what the second directory's removal freed on a wider one — 32/16,
 /// load 0.46 — measured flat with 32-byte slots: `churn` 2.521 → 2.541
 /// Mpps (×1.01, ahead in 3 of 6 alternated pairs), `burst_us_p99` 57.9
@@ -119,15 +120,13 @@ pub struct DoubleMap<V: DmapValue> {
 impl<V: DmapValue + Clone> DoubleMap<V> {
     /// Preallocate `capacity` value slots and the A-key directory of
     /// `capacity * DIRECTORY_SLOTS_PER_16 / 16` probe positions (see
-    /// [`DIRECTORY_SLOTS_PER_16`] for how the factor was chosen). The
-    /// directory additionally carries its tag-group control words (one
-    /// byte of busy-bit + hash-tag metadata per position — see the
-    /// `map` module docs), so a directory probe scans eight positions
-    /// per u64 load and only dereferences slots whose tag matches.
+    /// [`DIRECTORY_SLOTS_PER_16`] for how the factor was chosen), in
+    /// lines of four (see the `map` module docs): a directory probe
+    /// compares four keys per line it reads.
     ///
     /// The directory keeps each slot index beside its key in
     /// [`crate::map::VALUE_BITS`] bits, so `capacity` may be at most
-    /// `MAX_VALUE + 1` = 2^31 (the NAT caps it at 2^26).
+    /// `MAX_VALUE + 1` = 2^30 (the NAT caps it at 2^26).
     pub fn new(capacity: usize) -> DoubleMap<V> {
         assert!(capacity > 0, "dmap capacity must be non-zero");
         assert!(
@@ -261,12 +260,12 @@ impl<V: DmapValue + Clone> DoubleMap<V> {
         self.map_a.probe_len(ka)
     }
 
-    /// Assert the directory's tag-group control words are coherent with
-    /// its slots ([`crate::map::Map::check_tag_coherence`]).
+    /// Assert the directory's probe invariants
+    /// ([`crate::map::Map::check_coherence`]).
     /// Test/diagnostic use; O(capacity).
     pub fn check_directory_coherence(&self) -> Result<(), String> {
         self.map_a
-            .check_tag_coherence()
+            .check_coherence()
             .map_err(|e| format!("directory: {e}"))
     }
 
@@ -517,8 +516,7 @@ impl<V: DmapValue + Clone + PartialEq + core::fmt::Debug> CheckedDmap<V> {
     /// Full refinement + coherence check: slots agree, every stored
     /// value is reachable by both keys (Vigor's `vk1`/`vk2` coherence —
     /// the A-key through the directory, the B-key at its own slot), and
-    /// the directory's tag-group control words are coherent with its
-    /// map slots.
+    /// the directory's probe invariants hold.
     pub fn check_equiv(&self) {
         assert_eq!(self.imp.size(), self.model.len(), "size mismatch");
         self.imp
@@ -749,7 +747,8 @@ mod tests {
     /// first free position and the churned directory probes as one
     /// freshly built from its live flows would. Measured at
     /// `DIRECTORY_SLOTS_PER_16 = 21` (load 0.76) with this seed: mean
-    /// 12.5 positions, maximum 128; the bounds are twice that. While
+    /// 10.1 positions, maximum 127; the bounds are about twice that.
+    /// While
     /// the map kept libVig's probe-chain counters, a free position
     /// stopped a miss only once no chain crossed it, and the same run
     /// read mean 98.9 and maximum 664 (at the 17/16 directory before
@@ -818,7 +817,7 @@ mod tests {
         let mean = lens.iter().sum::<usize>() as f64 / lens.len() as f64;
         let max = lens.into_iter().max().unwrap();
         assert!(
-            mean <= 25.0 && max <= 256,
+            mean <= 20.5 && max <= 256,
             "directory: miss probe_len mean {mean:.1}, max {max}"
         );
         table.check_directory_coherence().unwrap();

@@ -101,60 +101,45 @@ mod tests {
         assert_eq!(n, (0..=5).map(|d| 9u64.pow(d)).sum::<u64>());
     }
 
-    /// A key with an explicitly placed probe start and control tag
-    /// (bit 56 set so the mod-capacity adjustment cannot borrow into
-    /// the tag bits) — the exhaustive analog of the adversarial
-    /// proptest strategies in `map.rs`.
+    /// A key with an explicitly placed home (`home < capacity` is its
+    /// hash) — the exhaustive analog of the adversarial proptest
+    /// strategies in `map.rs`. `placed(0, 0)` packs to the all-zero key.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct PlacedKey {
         id: u8,
-        hash: u64,
+        home: u64,
     }
 
     impl MapKey for PlacedKey {
         fn key_hash(&self) -> u64 {
-            self.hash
+            self.home
         }
         fn to_bits(&self) -> u128 {
-            (u128::from(self.hash) << 8) | u128::from(self.id)
+            (u128::from(self.home) << 8) | u128::from(self.id)
         }
         fn from_bits(bits: u128) -> Self {
             PlacedKey {
                 id: bits as u8,
-                hash: (bits >> 8) as u64,
+                home: (bits >> 8) as u64,
             }
         }
     }
 
-    fn placed(id: u8, tag: u8, start: usize, cap: usize) -> PlacedKey {
-        let base = (u64::from(tag & 0x7F) << 57) | (1u64 << 56);
+    fn placed(id: u8, home: usize) -> PlacedKey {
         PlacedKey {
             id,
-            hash: base - base % cap as u64 + start as u64,
+            home: home as u64,
         }
     }
 
-    #[test]
-    fn map_all_sequences_depth5_tag_groups_short_last_group() {
-        // Capacity 10: two control words, the last group two lanes
-        // short. The key universe pins every probe start to the short
-        // group (lanes 8 and 9), so every sequence exercises the
-        // partial-word mask, the group-boundary crossing, and the wrap
-        // back to group 0; tags collide across distinct keys (k0/k1)
-        // and differ at the same start (k2/k3), covering both SWAR
-        // candidate cases exhaustively.
-        const CAP: usize = 10;
-        let keys = [
-            placed(0, 0, 8, CAP),   // tag 0x80, short-group lane 0
-            placed(1, 0, 8, CAP),   // same tag, distinct key (collision)
-            placed(2, 127, 8, CAP), // tag 0xFF at the same start
-            placed(3, 5, 9, CAP),   // last lane: immediate wraparound
-        ];
-        let universe: Vec<MapOp> = (0..4u8)
+    /// Every sequence of depth 5 over `keys` in a map of `cap` slots,
+    /// every key looked up after each op.
+    fn map_all_sequences_depth5(cap: usize, keys: &[PlacedKey]) -> u64 {
+        let universe: Vec<MapOp> = (0..keys.len() as u8)
             .flat_map(|k| [MapOp::Put(k), MapOp::Get(k), MapOp::Erase(k)])
             .collect();
-        let init = CheckedMap::<PlacedKey>::new(CAP);
-        let n = check_all_sequences(&init, &universe, 5, &|m, op| {
+        let init = CheckedMap::<PlacedKey>::new(cap);
+        check_all_sequences(&init, &universe, 5, &|m, op| {
             let key = |k: u8| keys[k as usize].clone();
             match *op {
                 MapOp::Put(k) => {
@@ -171,52 +156,44 @@ mod tests {
                     }
                 }
             }
-        });
-        assert_eq!(n, (0..=5).map(|d| 12u64.pow(d)).sum::<u64>());
+            for k in 0..keys.len() as u8 {
+                m.get(&key(k));
+            }
+        })
+    }
+
+    #[test]
+    fn map_all_sequences_depth5_capacities_1_to_9() {
+        // Every capacity from one slot to a full line and a line of
+        // one: the short last line, the wrap back to line 0, and
+        // fullness (three keys in one or two slots). Two keys share the
+        // last slot's home — the all-zero key is not one of them, so a
+        // probe from the last line must walk past it after the wrap —
+        // and the third sits at home 0.
+        for cap in 1..=9 {
+            let keys = [placed(1, cap - 1), placed(2, cap - 1), placed(0, 0)];
+            assert_eq!(
+                map_all_sequences_depth5(cap, &keys),
+                (0..=5).map(|d| 9u64.pow(d)).sum::<u64>()
+            );
+        }
     }
 
     #[test]
     fn map_all_sequences_depth5_erase_shift_keeps_entries_at_their_start() {
-        // Capacity 17: two full groups and a one-lane last group. Two
-        // keys start at group 0 and two at lane 16, whose cluster wraps
-        // into group 0, so an erase's backward shift meets both an
+        // Capacity 17: four full lines and a one-lane last line. Two
+        // keys start at line 0 and two at lane 16, whose cluster wraps
+        // into line 0, so an erase's backward shift meets both an
         // entry whose probe path crosses the hole (it moves back) and
         // one that sits at or after its own start past the hole (it
         // must stay): erasing k2 at lane 16 with k0 at lane 0 leaves
         // k0 where it is.
         const CAP: usize = 17;
-        let keys = [
-            placed(0, 3, 0, CAP),
-            placed(1, 3, 0, CAP),  // same start and tag as k0
-            placed(2, 3, 16, CAP), // same tag, the wrapping start
-            placed(3, 127, 16, CAP),
-        ];
-        let universe: Vec<MapOp> = (0..4u8)
-            .flat_map(|k| [MapOp::Put(k), MapOp::Get(k), MapOp::Erase(k)])
-            .collect();
-        let init = CheckedMap::<PlacedKey>::new(CAP);
-        let n = check_all_sequences(&init, &universe, 5, &|m, op| {
-            let key = |k: u8| keys[k as usize].clone();
-            match *op {
-                MapOp::Put(k) => {
-                    if m.get(&key(k)).is_none() {
-                        let _ = m.put(key(k), usize::from(k));
-                    }
-                }
-                MapOp::Get(k) => {
-                    m.get(&key(k));
-                }
-                MapOp::Erase(k) => {
-                    if m.get(&key(k)).is_some() {
-                        m.erase(&key(k));
-                    }
-                }
-            }
-            for k in 0..4u8 {
-                m.get(&key(k));
-            }
-        });
-        assert_eq!(n, (0..=5).map(|d| 12u64.pow(d)).sum::<u64>());
+        let keys = [placed(0, 0), placed(1, 0), placed(2, 16), placed(3, 16)];
+        assert_eq!(
+            map_all_sequences_depth5(CAP, &keys),
+            (0..=5).map(|d| 12u64.pow(d)).sum::<u64>()
+        );
     }
 
     #[derive(Debug, Clone, Copy)]

@@ -21,51 +21,39 @@
 //! real values in a separate preallocated slot array and use a map
 //! purely as a key → slot directory.
 //!
-//! ## Memory layout (cache-conscious)
+//! ## Memory layout: whole cache lines
 //!
-//! The table is a **single allocation** of `Slot`s: value and key for
-//! one probe position live side by side, so one probe
-//! step touches one slot instead of scattering across five parallel
-//! arrays (the original layout paid up to five cache misses per step).
-//! A slot is one 16-byte word, 16-aligned: the key's exact bits
-//! ([`MapKey::to_bits`], at most [`KEY_BITS`] = 97 — a `FlowId` is two
-//! addresses, two ports and one TCP/UDP bit) above a [`VALUE_BITS`] =
-//! 31-bit value. Four slots fill a 64-byte line and none straddles
-//! two. The slot stores **no hash**: the control directory's 7-bit tag
-//! (below) already rejects 127 of 128 foreign keys before a slot is
-//! loaded, key equality decides the rest, and the tag is recomputable
-//! from the key ([`Map::check_tag_coherence`] unpacks it and does). A
-//! probe packs its query once and compares a candidate slot as two
-//! machine words. The slot has no "empty" state of its own: its control
-//! byte (below) says whether it is busy, and nothing reads a free slot.
-//! At 21/16 positions per flow the flow table's directory costs 22.3
-//! bytes per flow ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]).
+//! The table is a **single allocation** of 64-byte-aligned lines, four
+//! slots to a line: position `p` is lane `p % 4` of line `p / 4`, and a
+//! capacity that is not a multiple of four leaves a short last line
+//! whose padding lanes no probe reaches. A slot is one 16-byte word:
+//! the key's exact bits ([`MapKey::to_bits`], at most [`KEY_BITS`] = 97
+//! — a `FlowId` is two addresses, two ports and one TCP/UDP bit) above
+//! a busy bit and a [`VALUE_BITS`] = 30-bit value.
 //!
-//! ## Tag-group directory (SWAR probing)
+//! A probe starts on the line its home position `hash % capacity` falls
+//! in — at the home rounded down to a multiple of four — so the first
+//! line it reads holds four whole keys to compare, and at the flow
+//! table's load it is usually the only line the probe reads. Nothing
+//! lives beside the slots: the table stores no hash and no tag, so a
+//! lookup's first load is its start line, and at 21/16 positions per
+//! flow the flow table's directory costs 21.0 bytes per flow
+//! ([`crate::dmap::DIRECTORY_SLOTS_PER_16`]).
 //!
-//! Alongside (not inside) the slot array lives a compact **control
-//! directory**: one `u64` word per group of eight consecutive slots,
-//! each byte packing a busy bit (bit 7) and a 7-bit **tag** — the top
-//! seven bits of the stored key's hash (bits the probe start
-//! `hash % capacity` barely consumes). A probe step first scans a whole
-//! group with SWAR bit tricks — XOR against the broadcast tag, detect
-//! zero bytes, mask by busy bits — and only dereferences slots whose
-//! control byte matches and that lie before the word's first free lane,
-//! where the probe stops without loading anything. Up to eight "load
-//! slot, compare" steps collapse into one u64 load; busy slots holding
-//! *other* keys are skipped without touching their cache lines at all,
-//! which is exactly the cost that dominated near-full-table misses
-//! (paper Fig. 12, last point). The scheme is the portable-SWAR form of
-//! Swiss-table metadata probing (the `hashbrown` design).
+//! **Busy in the slot.** A free slot is the zero word, and every busy
+//! slot has its busy bit set, so no key — the all-zero key included —
+//! stores as a free word. A probe packs its query once, busy bit
+//! included, and compares each slot with it as two machine words: a
+//! free slot never matches, and the first free slot stops the probe.
 //!
 //! The scalar probe survives as `*_scalar` reference functions, built
-//! only for this crate's tests: the differential suites (module tests,
-//! `libvig::exhaustive`) keep the tag-probed operations byte-for-byte
-//! equivalent to both the scalar path — which unpacks each slot's key
-//! and compares with `Eq` — and the abstract model, and
-//! [`Map::check_tag_coherence`] asserts the control directory is
-//! exactly the busy-bit/tag projection of the slots and that no free
-//! slot lies on a stored key's probe path.
+//! only for this crate's tests: they walk one position at a time with
+//! `(start + i) % capacity`, unpack each busy slot's key and compare
+//! with `Eq`, and the differential suites (module tests,
+//! `libvig::exhaustive`) keep the line walk's results and probe lengths
+//! equal to theirs and to the abstract model's. [`Map::check_coherence`]
+//! asserts what the stop rule rests on: no free slot lies on a stored
+//! key's probe path.
 //!
 //! ## Batched lookups
 //!
@@ -73,22 +61,18 @@
 //! computed hash so composite structures can hash a key **once** and
 //! reuse it across several probes (VigNAT: lookup miss → insert reuses
 //! the same `FlowId` hash). [`Map::get_batch_with_hash`] resolves a
-//! burst of keys in stages, each issued for a whole chunk of keys before
-//! the next begins: compute every probe start and first-touch its
-//! control word; first-touch the one slot where each probe's work in
-//! its start group ends — the slot a hit dereferences first, or the
-//! free slot where a miss stops and an insert of the key would write;
-//! then complete the probes on warm lines. Loads of one stage do not
-//! depend on each other, so their misses overlap in the memory system
-//! instead of serializing one lookup at a time (memory-level
-//! parallelism) — which is what makes the burst path's flow-table cost
-//! sublinear in burst size on large tables, for new flows as for
-//! established ones: a store to a cold slot retires into the store
-//! buffer, but still waits for its line and its page translation, and
-//! the touch overlaps those waits across the burst. The first-touches
-//! are prefetch instructions ([`crate::prefetch`]), not loads: they
-//! change no state, and a prefetch retires without waiting for its line,
-//! where a load that misses holds up every instruction behind it.
+//! burst of keys in two stages, each issued for a whole chunk of keys
+//! before the next begins: compute every probe start and prefetch its
+//! start line; then compare on the warmed lines. The prefetches of the
+//! first stage do not depend on each other, so their misses overlap in
+//! the memory system instead of serializing one lookup at a time
+//! (memory-level parallelism) — which is what makes the burst path's
+//! flow-table cost sublinear in burst size on large tables, for new
+//! flows as for established ones: a miss's start line is the line an
+//! insert of the key then writes, unless the probe spills past it. The
+//! hints are prefetch instructions ([`crate::prefetch`]), not loads:
+//! they change no state, and a prefetch retires without waiting for its
+//! line, where a load that misses holds up every instruction behind it.
 //! The stages are [`get_staged`], which takes its queries by position
 //! and lets each name its own map, so one pass over a burst serves
 //! every shard of a partitioned table — the misses of different shards
@@ -101,7 +85,7 @@
 //! * `get(k)`  — requires nothing; ensures result = `m.get(k)` and `m`
 //!   unchanged.
 //! * `put(k,v)` — requires `m.get(k) == None`, `m.len() < cap` and
-//!   `v <= MAX_VALUE` (`v < 2^31`); ensures post-state `m + [(k,v)]`.
+//!   `v <= MAX_VALUE` (`v < 2^30`); ensures post-state `m + [(k,v)]`.
 //! * `erase(k)` — requires `m.get(k) != None`; ensures post-state
 //!   `m - k` and result = old `m.get(k)`.
 //! * `size()` — ensures result = `m.len()`.
@@ -174,27 +158,40 @@ impl MapKey for u16 {
 /// Bits a key may pack into ([`MapKey::to_bits`]): a `FlowId` or an
 /// `ExtKey` is 32 + 32 + 16 + 16 + 1.
 pub const KEY_BITS: u32 = 97;
-/// Bits a slot keeps for its value: what a 128-bit slot has left.
-pub const VALUE_BITS: u32 = 128 - KEY_BITS;
-/// The largest value [`Map::put`] accepts, 2^31 − 1.
+/// Bits a slot keeps for its value: what a 128-bit slot has left beside
+/// the key and the busy bit.
+pub const VALUE_BITS: u32 = 128 - KEY_BITS - 1;
+/// The largest value [`Map::put`] accepts, 2^30 − 1.
 pub const MAX_VALUE: usize = (1 << VALUE_BITS) - 1;
 /// The value's bits within a slot.
 const VALUE_MASK: u128 = (1 << VALUE_BITS) - 1;
+/// The busy bit, between the value and the key: set in every busy slot.
+const BUSY: u128 = 1 << VALUE_BITS;
+/// Where a slot keeps the key's bits.
+const KEY_SHIFT: u32 = VALUE_BITS + 1;
+/// Slots per 64-byte line.
+const LANES: usize = 4;
+/// Queries a staged probe issues each stage for at once (one RX burst):
+/// [`get_staged`] takes at most this many.
+pub const BATCH_CHUNK: usize = 32;
 
-/// One probe position of the table: a key's bits above its value, in
-/// one 16-byte word on a 16-byte alignment, so four slots fill a cache
-/// line and none straddles two (see the module docs). Whether the slot
-/// is busy is its control byte's to say; a free slot's word is zero
-/// and nothing reads it.
+/// One probe position of the table: a key's bits above the busy bit
+/// and the value, in one 16-byte word; the zero word when free (see the
+/// module docs).
 #[derive(Debug, Clone, Copy, Default)]
-#[repr(align(16))]
 struct Slot(u128);
 
 impl Slot {
-    /// The slot holding `key`'s packed bits and `value`.
+    /// The busy slot holding the key `packed` was made from and `value`.
     #[inline(always)]
     fn new(packed: u128, value: usize) -> Slot {
         Slot(packed | (value as u128 & VALUE_MASK))
+    }
+
+    /// Whether the slot is free: the zero word.
+    #[inline(always)]
+    fn is_free(self) -> bool {
+        self.0 == 0
     }
 
     /// The stored value.
@@ -206,93 +203,34 @@ impl Slot {
     /// The stored key, unpacked.
     #[inline(always)]
     fn key<K: MapKey>(self) -> K {
-        K::from_bits(self.0 >> VALUE_BITS)
+        K::from_bits(self.0 >> KEY_SHIFT)
     }
 
-    /// Whether the slot holds the key `packed` was made from: the two
-    /// words compared, the value's bits masked off.
+    /// Whether the slot is busy with the key `packed` was made from: the
+    /// two words compared, the value's bits masked off. A free slot never
+    /// is: `packed` carries the busy bit.
     #[inline(always)]
     fn holds(self, packed: u128) -> bool {
         self.0 & !VALUE_MASK == packed
     }
 }
 
-/// `key`'s bits where a slot keeps them, above the value: a probe packs
-/// its query once and compares every candidate slot with it.
+/// `key`'s bits where a slot keeps them, above the busy bit, which is
+/// set: a probe packs its query once and compares every slot with it.
 #[inline(always)]
 fn pack<K: MapKey>(key: &K) -> u128 {
-    key.to_bits() << VALUE_BITS
+    (key.to_bits() << KEY_SHIFT) | BUSY
 }
 
-/// Slots per control word: eight one-byte lanes per `u64`.
-const GROUP: usize = 8;
-/// `0x01` broadcast to every lane (SWAR subtrahend).
-const LANE_LSB: u64 = 0x0101_0101_0101_0101;
-/// `0x80` broadcast to every lane: the per-lane busy bit, and where the
-/// zero-byte detector leaves its result.
-const LANE_MSB: u64 = 0x8080_8080_8080_8080;
-/// Busy bit within one control byte.
-const CTRL_BUSY: u8 = 0x80;
-/// Queries a staged probe issues each stage for at once (one RX burst):
-/// [`get_staged`] takes at most this many.
-pub const BATCH_CHUNK: usize = 32;
+/// Four slots on one 64-byte line: the unit a probe starts on and a
+/// staged probe prefetches.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct Line([Slot; LANES]);
 
-/// The control byte a busy slot holding a key with hash `hash` carries:
-/// busy bit | top seven hash bits. The probe start position consumes
-/// `hash % capacity` (low-order entropy), so the tag draws on bits the
-/// start barely touches — tag collisions between *different* hashes in
-/// the same probe window are ~1/128.
-#[inline(always)]
-fn ctrl_byte(hash: u64) -> u8 {
-    CTRL_BUSY | (hash >> 57) as u8
-}
-
-/// High-bit-per-lane mask selecting lanes `off..hi` of a group word
-/// (`off < 8`, `hi <= 8`).
-#[inline(always)]
-fn lane_window(off: usize, hi: usize) -> u64 {
-    debug_assert!(off < GROUP && hi <= GROUP);
-    let above = !((1u64 << (off * 8)) - 1);
-    let below = if hi == GROUP {
-        u64::MAX
-    } else {
-        (1u64 << (hi * 8)) - 1
-    };
-    LANE_MSB & above & below
-}
-
-/// Lanes of `w` whose byte equals `byte`, as a high-bit-per-lane mask.
-///
-/// Classic SWAR zero-byte detection over `w ^ broadcast(byte)`. May
-/// report a **false positive** on a lane differing from `byte` only in
-/// its lowest bit when a lower lane matched (borrow propagation) — the
-/// caller always confirms a candidate against the slot's key, so a
-/// false positive costs one extra comparison, never wrongness.
-#[inline(always)]
-fn match_lanes(w: u64, byte: u8) -> u64 {
-    let x = w ^ (u64::from(byte) * LANE_LSB);
-    x.wrapping_sub(LANE_LSB) & !x & LANE_MSB
-}
-
-/// Lanes of `w` whose busy bit is clear (free slots), as a
-/// high-bit-per-lane mask. Exact: every busy control byte has bit 7
-/// set, every free byte is zero.
-#[inline(always)]
-fn free_lanes(w: u64) -> u64 {
-    !w & LANE_MSB
-}
-
-/// High-bit-per-lane mask selecting the lanes below the lowest lane of
-/// `frees` — every lane when `frees` is empty. A probe's candidates lie
-/// there: nothing at or past a free lane is on its probe path.
-#[inline(always)]
-fn before_first(frees: u64) -> u64 {
-    (frees & frees.wrapping_neg()).wrapping_sub(1) & LANE_MSB
-}
-
-/// Where a tag-probed walk stopped (see [`Map::probe`]). `dist` is the
-/// 0-based probe distance — the scalar loop's `i` — so `dist + 1` slots
-/// were inspected.
+/// Where a probe stopped (see [`Map::probe`]). `dist` is the 0-based
+/// probe distance — the scalar walk's `i` — so `dist + 1` slots were
+/// inspected.
 enum ProbeOutcome {
     /// The key was found in slot `idx`.
     Hit { idx: usize, dist: usize },
@@ -307,12 +245,9 @@ enum ProbeOutcome {
 /// algorithm, contract, and memory layout.
 #[derive(Debug, Clone)]
 pub struct Map<K: MapKey> {
-    slots: Vec<Slot>,
-    /// Control directory: one word per eight slots, one byte per slot
-    /// (busy bit | 7-bit tag; zero when free). Kept beside the slot
-    /// array so a scan loads no slot; lanes past `capacity` in the last
-    /// word stay zero and are masked out of every scan.
-    tags: Vec<u64>,
+    /// The slots, four to a line; lanes past `capacity` in the last line
+    /// stay free and off every probe path.
+    lines: Vec<Line>,
     size: usize,
     capacity: usize,
     /// The slots hold `K`s, packed.
@@ -325,26 +260,23 @@ impl<K: MapKey> Map<K> {
     pub fn new(capacity: usize) -> Map<K> {
         assert!(capacity > 0, "map capacity must be non-zero");
         Map {
-            slots: vec![Slot::default(); capacity],
-            tags: vec![0u64; capacity.div_ceil(GROUP)],
+            lines: vec![Line::default(); capacity.div_ceil(LANES)],
             size: 0,
             capacity,
             key: PhantomData,
         }
     }
 
-    /// Write slot `idx`'s control byte.
+    /// Slot `pos`.
     #[inline(always)]
-    fn set_ctrl(&mut self, idx: usize, byte: u8) {
-        let shift = (idx % GROUP) * 8;
-        let w = &mut self.tags[idx / GROUP];
-        *w = (*w & !(0xFFu64 << shift)) | (u64::from(byte) << shift);
+    fn slot(&self, pos: usize) -> Slot {
+        self.lines[pos / LANES].0[pos % LANES]
     }
 
-    /// Slot `idx`'s control byte.
+    /// Slot `pos`, to write.
     #[inline(always)]
-    fn ctrl(&self, idx: usize) -> u8 {
-        (self.tags[idx / GROUP] >> ((idx % GROUP) * 8)) as u8
+    fn slot_mut(&mut self, pos: usize) -> &mut Slot {
+        &mut self.lines[pos / LANES].0[pos % LANES]
     }
 
     /// Capacity fixed at construction.
@@ -363,23 +295,18 @@ impl<K: MapKey> Map<K> {
     }
 
     /// First slot of `hash`'s probe sequence: the home slot
-    /// (`hash % capacity`) rounded **down to its 8-slot group
-    /// boundary**, so every probe's first window is a full control
-    /// word. An unaligned start makes the first SWAR window partial
-    /// (`off > 0` lanes masked out), which wastes up to 7 of the 8
-    /// lanes the first — and usually only — control-word load pays
-    /// for; aligning moves the start at most `GROUP - 1` slots back,
-    /// keeps it within capacity (the group base of an in-range slot is
-    /// in range), and costs nothing at lookup time.
+    /// (`hash % capacity`) rounded **down to its line**, so a probe's
+    /// first line is whole, wherever its home falls in it. The start
+    /// moves at most three slots back and stays in range.
     ///
-    /// Every operation — the SWAR scan, the `*_scalar` reference
-    /// probes, insert's free-lane search and erase's backward shift —
-    /// derives its probe sequence from this one function, so SWAR ≡
-    /// scalar equivalence (asserted by `CheckedMap` and the
-    /// differential suites) is preserved by construction.
+    /// Every operation — the line walk, the `*_scalar` reference probes,
+    /// insert's free-slot search and erase's backward shift — derives
+    /// its probe sequence from this one function, so line walk ≡ scalar
+    /// walk (asserted by `CheckedMap` and the differential suites) holds
+    /// by construction.
     fn start_of(&self, hash: u64) -> usize {
         let home = (hash % self.capacity as u64) as usize;
-        home - home % GROUP
+        home - home % LANES
     }
 
     /// The probe position after `pos`, wrapping at the table end — the
@@ -410,80 +337,46 @@ impl<K: MapKey> Map<K> {
     /// skip recomputing it.
     pub fn get_with_hash(&self, key: &K, hash: u64) -> Option<usize> {
         debug_assert_eq!(hash, key.key_hash(), "get_with_hash: stale hash");
-        match self.probe(key, hash) {
-            ProbeOutcome::Hit { idx, .. } => Some(self.slots[idx].value()),
+        self.hit_value(self.probe(key, hash))
+    }
+
+    /// The value a probe that ended with `outcome` found.
+    #[inline(always)]
+    fn hit_value(&self, outcome: ProbeOutcome) -> Option<usize> {
+        match outcome {
+            ProbeOutcome::Hit { idx, .. } => Some(self.slot(idx).value()),
             _ => None,
         }
     }
 
-    /// The scalar reference probe: [`Map::get_with_hash`] walked the way
-    /// the pre-tag-directory implementation walked it, one position per
-    /// step: a free control byte stops it, and a busy slot's key is
-    /// unpacked and compared with `Eq`. The differential oracle for the
-    /// SWAR group scan and its packed compare: the equivalence suites
-    /// assert `get_with_hash == get_with_hash_scalar` on every state
-    /// they construct.
+    /// The scalar reference probe: [`Map::get_with_hash`] walked one
+    /// position at a time with `(start + i) % capacity`: a free slot
+    /// stops it, and a busy slot's key is unpacked and compared with
+    /// `Eq`. The differential oracle for the line walk and its packed
+    /// compare: the equivalence suites assert
+    /// `get_with_hash == get_with_hash_scalar` on every state they
+    /// construct.
     #[cfg(test)]
     fn get_with_hash_scalar(&self, key: &K, hash: u64) -> Option<usize> {
         debug_assert_eq!(hash, key.key_hash(), "get_with_hash_scalar: stale hash");
         let start = self.start_of(hash);
         for i in 0..self.capacity {
-            let idx = (start + i) % self.capacity;
-            if self.ctrl(idx) == 0 {
+            let slot = self.slot((start + i) % self.capacity);
+            if slot.is_free() {
                 return None;
             }
-            if self.slots[idx].key::<K>() == *key {
-                return Some(self.slots[idx].value());
+            if slot.key::<K>() == *key {
+                return Some(slot.value());
             }
         }
         None
     }
 
-    /// Walk the probe sequence's group windows from slot `start`,
-    /// calling `visit` once per window with `(group base, first lane,
-    /// end lane, control word, probe distance of the first lane)`
-    /// until it returns `Some` or the whole table has been covered —
-    /// the **single owner** of the window clamp and wraparound
-    /// arithmetic every SWAR operation rides on.
-    ///
-    /// Each window is clamped to the table end (short last group) and
-    /// to the probe budget: the second visit of the start group after
-    /// a wrap covers only the lanes before `start`, so exactly
-    /// `capacity` lanes are visited overall, in scalar probe order.
-    #[inline]
-    fn scan_windows<R>(
-        &self,
-        start: usize,
-        mut visit: impl FnMut(usize, usize, usize, u64, usize) -> Option<R>,
-    ) -> Option<R> {
-        let cap = self.capacity;
-        let mut pos = start;
-        let mut scanned = 0usize;
-        while scanned < cap {
-            let base = (pos / GROUP) * GROUP;
-            let off = pos - base;
-            let hi = GROUP.min(cap - base).min(off + (cap - scanned));
-            if let Some(r) = visit(base, off, hi, self.tags[pos / GROUP], scanned) {
-                return Some(r);
-            }
-            scanned += hi - off;
-            pos = base + hi;
-            if pos >= cap {
-                pos = 0;
-            }
-        }
-        None
-    }
-
-    /// The SWAR group walk every tag-probed operation shares: follow
-    /// `key`'s probe sequence from `hash`'s start slot, scanning one
-    /// control word per step. Lanes before the window's first free lane
-    /// whose byte matches the broadcast tag are **candidates**
-    /// (confirmed against the slot's key); the first free lane stops
-    /// the walk without loading its slot. Busy lanes with a different
-    /// tag are skipped without loading their slots either. `dist` is
-    /// the 0-based probe distance (the scalar loop's `i`) at the
-    /// stopping position.
+    /// Walk `key`'s probe sequence from `hash`'s start line, one line
+    /// at a time, comparing each slot with the packed query: a slot
+    /// holding the key is a hit, and the first free slot stops the walk
+    /// as a miss. `dist` is the 0-based probe distance (the scalar
+    /// loop's `i`) at the stopping position.
     #[inline]
     fn probe(&self, key: &K, hash: u64) -> ProbeOutcome {
         self.probe_at(key, hash, self.start_of(hash))
@@ -492,30 +385,38 @@ impl<K: MapKey> Map<K> {
     /// [`Map::probe`] from a start the caller already computed
     /// (`start == self.start_of(hash)`): the batch path computes the
     /// start in its first stage and pays its division once.
+    ///
+    /// The start is line-aligned and the walk wraps to position 0, so
+    /// every line is walked from its first lane: the short last line is
+    /// the only one clamped, and exactly `capacity` positions are
+    /// walked in all.
     #[inline]
     fn probe_at(&self, key: &K, hash: u64, start: usize) -> ProbeOutcome {
         debug_assert_eq!(start, self.start_of(hash), "probe_at: stale start");
-        let tag = ctrl_byte(hash);
         let packed = pack(key);
-        self.scan_windows(start, |base, off, hi, w, scanned| {
-            let window = lane_window(off, hi);
-            let frees = free_lanes(w) & window;
-            let mut candidates = match_lanes(w, tag) & window & before_first(frees);
-            while candidates != 0 {
-                let lane = (candidates.trailing_zeros() as usize) / 8;
-                if self.slots[base + lane].holds(packed) {
-                    return Some(ProbeOutcome::Hit {
+        let mut base = start;
+        let mut dist = 0;
+        while dist < self.capacity {
+            let lanes = LANES.min(self.capacity - base);
+            for (lane, slot) in self.lines[base / LANES].0[..lanes].iter().enumerate() {
+                if slot.holds(packed) {
+                    return ProbeOutcome::Hit {
                         idx: base + lane,
-                        dist: scanned + (lane - off),
-                    });
+                        dist: dist + lane,
+                    };
                 }
-                candidates &= candidates - 1;
+                if slot.is_free() {
+                    return ProbeOutcome::MissStop { dist: dist + lane };
+                }
             }
-            (frees != 0).then(|| ProbeOutcome::MissStop {
-                dist: scanned + (frees.trailing_zeros() as usize) / 8 - off,
-            })
-        })
-        .unwrap_or(ProbeOutcome::Scanned)
+            dist += lanes;
+            base = if base + lanes == self.capacity {
+                0
+            } else {
+                base + lanes
+            };
+        }
+        ProbeOutcome::Scanned
     }
 
     /// Resolve a burst of lookups, writing one result per query into
@@ -539,44 +440,11 @@ impl<K: MapKey> Map<K> {
         }
     }
 
-    /// The lane stage 2 of a staged probe touches for `hash` from
-    /// `start`: where the probe's work in the start group ends. That is
-    /// the first lane carrying the hash's tag before the group's first
-    /// free lane — the slot the probe dereferences first — and otherwise
-    /// that first free lane, where a miss stops and which
-    /// [`Map::put_with_hash`] fills if the key is then inserted. A start
-    /// group with neither (every lane busy under other tags) gives
-    /// `None`: the probe moves on to the next control word, which is
-    /// adjacent.
-    #[inline(always)]
-    fn touch_lane(&self, start: usize, hash: u64) -> Option<usize> {
-        let w = self.tags[start / GROUP];
-        let window = lane_window(0, GROUP.min(self.capacity - start));
-        let frees = free_lanes(w) & window;
-        let candidates = match_lanes(w, ctrl_byte(hash)) & window & before_first(frees);
-        let lanes = if candidates != 0 { candidates } else { frees };
-        (lanes != 0).then(|| start + (lanes.trailing_zeros() as usize) / 8)
-    }
-
-    /// Prefetch the slot of [`Map::touch_lane`]; nothing when it is
-    /// `None`. One line is the whole slot: a slot is line-aligned and
-    /// never straddles (module docs) — for a hit, the slot the probe
-    /// compares; for a miss, the slot an insert then writes, whose line
-    /// and page translation would otherwise be waited for by the
-    /// insert's store, one packet at a time.
-    #[inline(always)]
-    fn first_touch_slot(&self, start: usize, hash: u64) {
-        if let Some(idx) = self.touch_lane(start, hash) {
-            crate::prefetch(&self.slots[idx]);
-        }
-    }
-
     /// Number of slots a lookup for `key` would inspect. Exposed for the
     /// occupancy microbenchmarks (DESIGN.md §7); not part of the libVig
-    /// interface. Tag filtering changes how many slots a probe *loads*,
-    /// never how many positions it traverses, so this is identical to
-    /// the scalar reference walk's `probe_len_scalar` (asserted by the
-    /// differential suites of this crate's tests).
+    /// interface. Identical to the scalar reference walk's
+    /// `probe_len_scalar` (asserted by the differential suites of this
+    /// crate's tests).
     pub fn probe_len(&self, key: &K) -> usize {
         match self.probe(key, key.key_hash()) {
             ProbeOutcome::Hit { dist, .. } | ProbeOutcome::MissStop { dist } => dist + 1,
@@ -590,15 +458,15 @@ impl<K: MapKey> Map<K> {
     fn probe_len_scalar(&self, key: &K) -> usize {
         let start = self.start_of(key.key_hash());
         for i in 0..self.capacity {
-            let idx = (start + i) % self.capacity;
-            if self.ctrl(idx) == 0 || self.slots[idx].key::<K>() == *key {
+            let slot = self.slot((start + i) % self.capacity);
+            if slot.is_free() || slot.key::<K>() == *key {
                 return i + 1;
             }
         }
         self.capacity
     }
 
-    /// Tests only: the tag-probed `get_with_hash` and `probe_len` of
+    /// Tests only: the line walk's `get_with_hash` and `probe_len` of
     /// `key` equal the scalar reference walk's.
     #[cfg(test)]
     fn assert_matches_scalar(&self, key: &K)
@@ -609,7 +477,7 @@ impl<K: MapKey> Map<K> {
         assert_eq!(
             self.get_with_hash(key, h),
             self.get_with_hash_scalar(key, h),
-            "SWAR probe diverged from the scalar reference for {key:?}"
+            "line walk diverged from the scalar reference for {key:?}"
         );
         assert_eq!(
             self.probe_len(key),
@@ -634,7 +502,8 @@ impl<K: MapKey> Map<K> {
     /// `hash == key.key_hash()`). The key takes the first free slot of
     /// its probe sequence, the slot where a probe for it would stop, and
     /// no other slot changes. A value above [`MAX_VALUE`] breaks the
-    /// contract: it is stored modulo 2^31, and the key stays intact.
+    /// contract: it is stored modulo 2^30, and the key and busy bit stay
+    /// intact.
     pub fn put_with_hash(&mut self, key: K, hash: u64, value: usize) -> Result<(), Full> {
         debug_assert_eq!(hash, key.key_hash(), "put_with_hash: stale hash");
         debug_assert!(
@@ -644,18 +513,13 @@ impl<K: MapKey> Map<K> {
         if self.size == self.capacity {
             return Err(Full);
         }
-        // SWAR scan for the first free slot on the probe path: the key
-        // goes where a probe for it will stop.
-        let found = self.scan_windows(self.start_of(hash), |base, off, hi, w, _| {
-            let frees = free_lanes(w) & lane_window(off, hi);
-            (frees != 0).then(|| base + (frees.trailing_zeros() as usize) / 8)
-        });
-        let Some(idx) = found else {
-            // Unreachable: size < capacity guarantees a free slot.
-            return Err(Full);
-        };
-        self.slots[idx] = Slot::new(pack(&key), value);
-        self.set_ctrl(idx, ctrl_byte(hash));
+        // The key goes where a probe for it will stop; size < capacity
+        // guarantees a free slot.
+        let mut idx = self.start_of(hash);
+        while !self.slot(idx).is_free() {
+            idx = self.next_pos(idx);
+        }
+        *self.slot_mut(idx) = Slot::new(pack(&key), value);
         self.size += 1;
         Ok(())
     }
@@ -668,34 +532,29 @@ impl<K: MapKey> Map<K> {
     ///
     /// The freed slot is a hole in its cluster, and a probe stops at the
     /// first free slot, so the cluster shifts back (Knuth's Algorithm
-    /// R): walking `j` forward to the first free lane, each entry whose
+    /// R): walking `j` forward to the first free slot, each entry whose
     /// probe start does not lie cyclically in `(hole, j]` — whose probe
-    /// path crosses the hole — moves into the hole with its control
-    /// byte, and the hole moves to `j`. Each move brings an entry closer
-    /// to its start, and the hole is free, so the walk ends. The slot
-    /// stores no hash, so each entry walked past is unpacked and
-    /// rehashed.
+    /// path crosses the hole — moves into the hole, and the hole moves
+    /// to `j`. Each move brings an entry closer to its start, and the
+    /// hole is free, so the walk ends. The slot stores no hash, so each
+    /// entry walked past is unpacked and rehashed.
     pub fn erase(&mut self, key: &K) -> Option<usize> {
         let ProbeOutcome::Hit { idx, .. } = self.probe(key, key.key_hash()) else {
             return None;
         };
-        let v = self.slots[idx].value();
-        self.slots[idx] = Slot::default();
-        self.set_ctrl(idx, 0);
+        let v = core::mem::take(self.slot_mut(idx)).value();
         self.size -= 1;
         let mut hole = idx;
         let mut j = self.next_pos(idx);
-        while self.ctrl(j) != 0 {
-            let start = self.start_of(self.slots[j].key::<K>().key_hash());
+        while !self.slot(j).is_free() {
+            let start = self.start_of(self.slot(j).key::<K>().key_hash());
             let stays = if hole <= j {
                 hole < start && start <= j
             } else {
                 hole < start || start <= j
             };
             if !stays {
-                self.set_ctrl(hole, self.ctrl(j));
-                self.set_ctrl(j, 0);
-                self.slots.swap(hole, j);
+                *self.slot_mut(hole) = core::mem::take(self.slot_mut(j));
                 hole = j;
             }
             j = self.next_pos(j);
@@ -703,50 +562,42 @@ impl<K: MapKey> Map<K> {
         Some(v)
     }
 
-    /// Assert the control directory is exactly the busy-bit/tag
-    /// projection of the slot array: every control byte is zero (free)
-    /// or has its busy bit set, every busy slot's byte is
-    /// `0x80 | top7(key.key_hash())` — recomputed from the stored key,
-    /// unpacked, the slot caches no hash — and the key repacks to the
-    /// bits the slot holds, and the padding lanes past `capacity` in
-    /// the last word are zero (they must never register as free *or*
-    /// candidate in a scan of the short last group). Also asserts the
-    /// linear-probing invariant a probe's stop rule rests on: no free
-    /// slot lies between a stored key's probe start and its position.
-    /// Test/diagnostic use; O(capacity + total probe distance).
-    pub fn check_tag_coherence(&self) -> Result<(), String> {
-        if self.tags.len() != self.capacity.div_ceil(GROUP) {
+    /// Assert the invariants the probe rests on: every busy slot has its
+    /// busy bit set and its key — unpacked, the slot caches no hash —
+    /// repacks to the bits the slot holds; the padding lanes past
+    /// `capacity` in the last line are free; the busy slots number
+    /// `size`; and no free slot lies between a stored key's probe start
+    /// and its position (the linear-probing invariant a probe's stop
+    /// rule rests on). Test/diagnostic use; O(capacity + total probe
+    /// distance).
+    pub fn check_coherence(&self) -> Result<(), String> {
+        if self.lines.len() != self.capacity.div_ceil(LANES) {
             return Err(format!(
-                "control directory has {} words for capacity {}",
-                self.tags.len(),
+                "{} lines for capacity {}",
+                self.lines.len(),
                 self.capacity
             ));
         }
         let mut busy = 0;
         for idx in 0..self.capacity {
-            let byte = self.ctrl(idx);
-            if byte == 0 {
+            let slot = self.slot(idx);
+            if slot.is_free() {
                 continue;
             }
-            if byte & CTRL_BUSY == 0 {
+            if slot.0 & BUSY == 0 {
                 return Err(format!(
-                    "slot {idx}: control byte {byte:#04x} is neither free nor busy"
+                    "slot {idx}: {:#x} is neither free nor busy",
+                    slot.0
                 ));
             }
             busy += 1;
-            let key: K = self.slots[idx].key();
-            if !self.slots[idx].holds(pack(&key)) {
+            let key: K = slot.key();
+            if !slot.holds(pack(&key)) {
                 return Err(format!("slot {idx}: its key does not repack to its bits"));
-            }
-            let want = ctrl_byte(key.key_hash());
-            if byte != want {
-                return Err(format!(
-                    "slot {idx}: control byte {byte:#04x} != expected {want:#04x}"
-                ));
             }
             let mut t = self.start_of(key.key_hash());
             while t != idx {
-                if self.ctrl(t) == 0 {
+                if self.slot(t).is_free() {
                     return Err(format!(
                         "slot {idx}: free slot {t} lies on its key's probe path"
                     ));
@@ -754,11 +605,12 @@ impl<K: MapKey> Map<K> {
                 t = self.next_pos(t);
             }
         }
-        for pad in self.capacity..self.tags.len() * GROUP {
-            let byte = self.ctrl(pad);
-            if byte != 0 {
+        for pad in self.capacity..self.lines.len() * LANES {
+            let slot = self.slot(pad);
+            if !slot.is_free() {
                 return Err(format!(
-                    "padding lane {pad} past capacity has control byte {byte:#04x}"
+                    "padding lane {pad} past capacity holds {:#x}",
+                    slot.0
                 ));
             }
         }
@@ -773,8 +625,9 @@ impl<K: MapKey> Map<K> {
     /// never scans the table); used by the contract layer and tests.
     pub fn iter(&self) -> impl Iterator<Item = (K, usize)> + '_ {
         (0..self.capacity)
-            .filter(|&idx| self.ctrl(idx) != 0)
-            .map(|idx| (self.slots[idx].key(), self.slots[idx].value()))
+            .map(|idx| self.slot(idx))
+            .filter(|slot| !slot.is_free())
+            .map(|slot| (slot.key(), slot.value()))
     }
 }
 
@@ -784,9 +637,7 @@ impl<K: MapKey> Map<K> {
 /// (`hash == key.key_hash()`), or `None` where position `i` holds no
 /// query; it is asked once per stage, so it must answer alike each time.
 /// Stage 1 computes every probe start — once; the probe reuses it — and
-/// prefetches its control word; stage 2 prefetches the slot of
-/// `Map::touch_lane` — the one a hit dereferences first, or the one a
-/// miss's insert fills; then the probes complete on the warmed
+/// prefetches its start line; stage 2 walks the probes from the warmed
 /// lines, and `found(i, result)` receives each one in position order:
 /// exactly that map's `get_with_hash`. [`Map::get_batch_with_hash`] is
 /// the one-map case.
@@ -803,24 +654,13 @@ pub fn get_staged<'m, 'k, K: MapKey + 'm + 'k>(
     for (i, start) in starts[..n].iter_mut().enumerate() {
         if let Some((m, _, h)) = query(i) {
             *start = m.start_of(h);
-            crate::prefetch(&m.tags[*start / GROUP]);
-        }
-    }
-    for (i, &start) in starts[..n].iter().enumerate() {
-        if let Some((m, _, h)) = query(i) {
-            m.first_touch_slot(start, h);
+            crate::prefetch(&m.lines[*start / LANES]);
         }
     }
     for (i, &start) in starts[..n].iter().enumerate() {
         if let Some((m, k, h)) = query(i) {
             debug_assert_eq!(h, k.key_hash(), "get_staged: stale hash");
-            found(
-                i,
-                match m.probe_at(k, h, start) {
-                    ProbeOutcome::Hit { idx, .. } => Some(m.slots[idx].value()),
-                    _ => None,
-                },
-            );
+            found(i, m.hit_value(m.probe_at(k, h, start)));
         }
     }
 }
@@ -912,9 +752,9 @@ impl<K: MapKey + core::fmt::Debug> CheckedMap<K> {
     }
 
     /// Contract-checked `get`: checked against the abstract model and,
-    /// in this crate's tests, the scalar reference probe (the tag-group
-    /// scan is a pure probe optimization, so hits and misses alike must
-    /// agree byte for byte).
+    /// in this crate's tests, the scalar reference probe (the line walk
+    /// and its packed compare are pure probe optimizations, so hits and
+    /// misses alike must agree byte for byte).
     pub fn get(&self, key: &K) -> Option<usize> {
         let got = self.imp.get(key);
         let spec = self.model.get(key);
@@ -1039,15 +879,14 @@ impl<K: MapKey + core::fmt::Debug> CheckedMap<K> {
     }
 
     /// Full-state refinement check: the implementation's visible entries
-    /// equal the abstract map's (as sets), the control directory is
-    /// coherent with the slots, and (in this crate's tests) the
-    /// tag-probed read path agrees with the scalar reference walk for
-    /// every stored key.
+    /// equal the abstract map's (as sets), the slots are coherent
+    /// ([`Map::check_coherence`]), and (in this crate's tests) the line
+    /// walk agrees with the scalar reference walk for every stored key.
     pub fn check_equiv(&self) {
         assert_eq!(self.imp.size(), self.model.len(), "size mismatch");
         self.imp
-            .check_tag_coherence()
-            .unwrap_or_else(|e| panic!("tag directory incoherent: {e}"));
+            .check_coherence()
+            .unwrap_or_else(|e| panic!("map incoherent: {e}"));
         #[cfg(test)]
         for (k, _) in self.model.entries() {
             self.imp.assert_matches_scalar(k);
@@ -1094,18 +933,49 @@ mod tests {
     }
 
     /// The module docs' layout claim: the NAT's directory uses 16-byte
-    /// slots on a 16-byte alignment, so in a live table every slot sits
-    /// in one quarter of a 64-byte line and none straddles two.
+    /// slots, four to a 64-byte-aligned line, so in a live table every
+    /// slot sits in one quarter of a line and none straddles two.
     #[test]
     fn nat_sized_slots_are_a_quarter_line_and_never_straddle() {
         use std::mem::{align_of, size_of};
         assert_eq!(size_of::<Slot>(), 16);
-        assert_eq!(align_of::<Slot>(), 16);
+        assert_eq!((size_of::<Line>(), align_of::<Line>()), (64, 64));
         let m = Map::<vig_packet::FlowId>::new(1000);
-        for (i, slot) in m.slots.iter().enumerate() {
-            let offset = std::ptr::from_ref(slot) as usize % 64;
-            assert_eq!(offset % 16, 0, "slot {i} at line offset {offset}");
+        for i in 0..m.capacity() {
+            let offset = std::ptr::from_ref(&m.lines[i / LANES].0[i % LANES]) as usize % 64;
+            assert_eq!(offset, i % LANES * 16, "slot {i} at line offset {offset}");
         }
+    }
+
+    /// What a staged probe's one prefetch rests on: in a live NAT-sized
+    /// directory (a 65,535-flow table's 21/16 positions), every start a
+    /// probe can have is line-aligned, and the four lanes from it share
+    /// one 64-byte line.
+    #[test]
+    fn every_probe_start_line_is_one_aligned_cache_line() {
+        let m = Map::<vig_packet::FlowId>::new(65_535 * 21 / 16);
+        let addr = |p: usize| std::ptr::from_ref(&m.lines[p / LANES].0[p % LANES]) as usize;
+        let mut starts = 0;
+        for home in 0..m.capacity() {
+            let start = m.start_of(home as u64);
+            assert!(
+                start <= home && home - start < LANES,
+                "home {home} starts at {start}"
+            );
+            if start != home {
+                continue;
+            }
+            starts += 1;
+            assert_eq!(addr(start) % 64, 0, "start {start} is not line-aligned");
+            for p in start..(start + LANES).min(m.capacity()) {
+                assert_eq!(
+                    addr(p) / 64,
+                    addr(start) / 64,
+                    "lane {p} leaves start {start}'s line"
+                );
+            }
+        }
+        assert_eq!(starts, m.capacity().div_ceil(LANES));
     }
 
     /// The widest key and value a slot holds come back out intact: a
@@ -1137,9 +1007,69 @@ mod tests {
         assert_eq!(m.erase(&Wide(all)), Some(MAX_VALUE));
     }
 
+    /// The all-zero key beside value 0 and the widest key beside
+    /// [`MAX_VALUE`] share one start line with a third key: each is
+    /// stored, found and erased, neither slot reads as free — a probe
+    /// for the key behind them walks past both, and a miss stops only
+    /// at the first free lane — and the backward shift moves them like
+    /// any other key.
     #[test]
-    #[should_panic(expected = "does not fit 31 bits")]
-    fn a_value_past_31_bits_violates_contract() {
+    fn the_all_zero_and_widest_keys_are_never_read_as_free() {
+        /// Every key's home is slot 0.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        struct Edge(u128);
+        impl MapKey for Edge {
+            fn key_hash(&self) -> u64 {
+                0
+            }
+            fn to_bits(&self) -> u128 {
+                self.0
+            }
+            fn from_bits(bits: u128) -> Self {
+                Edge(bits)
+            }
+        }
+        let (zero, wide, behind) = (Edge(0), Edge((1 << KEY_BITS) - 1), Edge(5));
+        assert_eq!(pack(&zero), BUSY);
+        let mut m = CheckedMap::<Edge>::new(8);
+        m.put(zero.clone(), 0).unwrap();
+        m.put(wide.clone(), MAX_VALUE).unwrap();
+        m.put(behind.clone(), 7).unwrap();
+        assert_eq!(m.raw().slot(0).0, BUSY, "the all-zero key beside 0");
+        assert_eq!(
+            m.raw().slot(1).0,
+            u128::MAX,
+            "the widest key beside MAX_VALUE"
+        );
+        assert_eq!(m.get(&zero), Some(0));
+        assert_eq!(m.get(&wide), Some(MAX_VALUE));
+        assert_eq!(m.get(&behind), Some(7));
+        assert_eq!(m.raw().probe_len(&behind), 3);
+        assert_eq!(m.get(&Edge(1)), None);
+        assert_eq!(
+            m.raw().probe_len(&Edge(1)),
+            4,
+            "a miss stops at the first free lane"
+        );
+        assert_eq!(m.erase(&zero), Some(0));
+        assert_eq!(
+            m.raw().probe_len(&behind),
+            2,
+            "the shift moved the cluster back"
+        );
+        assert_eq!(m.erase(&wide), Some(MAX_VALUE));
+        assert_eq!(m.raw().probe_len(&behind), 1);
+        m.put(wide.clone(), MAX_VALUE).unwrap();
+        m.put(zero.clone(), 0).unwrap();
+        assert_eq!(m.get(&zero), Some(0));
+        assert_eq!(m.erase(&behind), Some(7));
+        assert_eq!(m.get(&zero), Some(0));
+        assert_eq!(m.get(&wide), Some(MAX_VALUE));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit 30 bits")]
+    fn a_value_past_30_bits_violates_contract() {
         let mut m = CheckedMap::<u64>::new(4);
         let _ = m.put(1, MAX_VALUE + 1);
     }
@@ -1297,12 +1227,13 @@ mod tests {
 
     #[test]
     fn wraparound_probing_works() {
-        // Force a probe path that wraps past the end of the array.
+        // Force a probe path that wraps past the end of the array: the
+        // last slot of capacity 9 is a short line of one lane.
         #[derive(Debug, Clone, PartialEq, Eq)]
         struct TailKey(u32);
         impl MapKey for TailKey {
             fn key_hash(&self) -> u64 {
-                7 // last slot of capacity 8
+                8
             }
             fn to_bits(&self) -> u128 {
                 u128::from(self.0)
@@ -1311,7 +1242,7 @@ mod tests {
                 TailKey(bits as u32)
             }
         }
-        let mut m = CheckedMap::<TailKey>::new(8);
+        let mut m = CheckedMap::<TailKey>::new(9);
         for id in 0..4 {
             m.put(TailKey(id), id as usize).unwrap();
         }
@@ -1323,9 +1254,9 @@ mod tests {
     }
 
     /// A key carrying an arbitrary precomputed hash, so tests and
-    /// strategies can place probe starts and tags adversarially while
-    /// `id` keeps keys distinct (tag collisions between distinct keys,
-    /// the case the SWAR candidate-confirmation step exists for).
+    /// strategies can place homes adversarially — `hash` below the
+    /// capacity is the home itself — while `id` keeps keys distinct.
+    /// `AdvKey { id: 0, hash: 0 }` packs to the all-zero key.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct AdvKey {
         id: u32,
@@ -1347,28 +1278,13 @@ mod tests {
         }
     }
 
-    /// A hash whose home slot is exactly `start` (`hash % cap`; the
-    /// probe itself begins at that slot's group base) and whose
-    /// control tag is exactly `tag`: bit 56 is set so the small
-    /// mod-`cap` adjustment can never borrow into the tag bits.
-    fn adv_hash(tag: u8, start: usize, cap: usize) -> u64 {
-        assert!(start < cap);
-        let base = (u64::from(tag & 0x7F) << 57) | (1u64 << 56);
-        base - base % cap as u64 + start as u64
-    }
-
     #[test]
-    fn distinct_tags_same_start_cross_group_boundary() {
-        // Capacity 10: two control words, the second a short group of
-        // two lanes. All keys start at slot 8 (inside the short group)
-        // with pairwise-distinct tags, so every probe must scan the
-        // short group, wrap into group 0, and skip busy non-matching
-        // lanes by tag alone.
+    fn same_home_keys_fill_the_short_last_line_and_wrap() {
+        // Capacity 10: lines of four, four and a short one of two. All
+        // keys have home 9 (the short line's last lane) and start at 8,
+        // so every probe past two keys wraps to line 0.
         let mut m = CheckedMap::<AdvKey>::new(10);
-        let key = |id: u32| AdvKey {
-            id,
-            hash: adv_hash(id as u8, 8, 10),
-        };
+        let key = |id: u32| AdvKey { id, hash: 9 };
         for id in 0..10u32 {
             m.put(key(id), id as usize).unwrap();
         }
@@ -1381,41 +1297,6 @@ mod tests {
         assert_eq!(m.get(&key(9)), Some(9));
         m.put(key(30), 30).unwrap();
         assert_eq!(m.get(&key(30)), Some(30));
-    }
-
-    #[test]
-    fn extreme_tags_zero_and_127_probe_correctly() {
-        // Tag 0x00 gives control byte 0x80 (busy bit only) and tag 0x7F
-        // gives 0xFF — the two byte values most likely to trip SWAR
-        // borrow/carry edge cases.
-        let mut m = CheckedMap::<AdvKey>::new(16);
-        for (i, tag) in [0u8, 127, 0, 127, 1, 126].into_iter().enumerate() {
-            m.put(
-                AdvKey {
-                    id: i as u32,
-                    hash: adv_hash(tag, 5, 16),
-                },
-                i,
-            )
-            .unwrap();
-        }
-        for i in 0..6u32 {
-            let tag = [0u8, 127, 0, 127, 1, 126][i as usize];
-            assert_eq!(
-                m.get(&AdvKey {
-                    id: i,
-                    hash: adv_hash(tag, 5, 16),
-                }),
-                Some(i as usize)
-            );
-        }
-        assert_eq!(
-            m.get(&AdvKey {
-                id: 99,
-                hash: adv_hash(64, 5, 16),
-            }),
-            None
-        );
     }
 
     #[derive(Debug, Clone)]
@@ -1473,29 +1354,27 @@ mod tests {
             }
         }
 
-        /// Adversarial hash distributions — every key in one tag group,
-        /// tags colliding across distinct keys, probe starts pinned to
-        /// the group-boundary / wraparound lanes, capacities that leave
-        /// a short last group — never diverge from the abstract model
-        /// or the scalar reference probe (both asserted inside
-        /// [`CheckedMap`] on every op).
+        /// Adversarial hash distributions — homes pinned to the line
+        /// boundary and wraparound lanes, every capacity from 1 to 9
+        /// (one line, a short last line, a last line of one lane) and
+        /// two of whole lines, the all-zero key among the keys — never
+        /// diverge from the abstract model or the scalar reference probe
+        /// (both asserted inside [`CheckedMap`] on every op).
         #[test]
         fn adversarial_hash_distributions_refine_model(
-            cap in prop_oneof![Just(9usize), Just(10), Just(16), Just(24)],
+            cap in prop_oneof![1usize..=9, Just(16), Just(24)],
             ops in proptest::collection::vec(
-                (0u8..3, 0u8..4, 0u8..4, 0u32..5),
+                (0u8..3, 0u8..4, 0u32..5),
                 0..160,
             ),
         ) {
             let mut m = CheckedMap::<AdvKey>::new(cap);
-            for (kind, t, s, id) in ops {
-                // Heavily colliding tag pool (two choices of 0) and
-                // starts pinned to the adversarial lanes: slot 0, the
-                // last slot (wraparound), mid-table, and the last
-                // group's first lane.
-                let tag = [0u8, 0, 1, 127][t as usize];
-                let start = [0usize, cap - 1, cap / 2, (cap / 8) * 8][s as usize].min(cap - 1);
-                let key = AdvKey { id, hash: adv_hash(tag, start, cap) };
+            for (kind, h, id) in ops {
+                // Homes pinned to the adversarial lanes: slot 0, the
+                // last slot (wraparound), mid-table, and the last line's
+                // first lane.
+                let home = [0usize, cap - 1, cap / 2, (cap - 1) / LANES * LANES][h as usize];
+                let key = AdvKey { id, hash: home as u64 };
                 match kind {
                     0 => {
                         if m.get(&key).is_none() {
@@ -1515,22 +1394,22 @@ mod tests {
 
         /// The staged batch lookup equals per-key `get_with_hash` on a
         /// nearly full table (≥ 95 %) of heavily colliding keys whose
-        /// capacity leaves a short last group, over more than one
+        /// capacity leaves a short last line, over more than one
         /// 32-key chunk (so the per-chunk `starts` scratch is reused),
         /// with present, absent and duplicate queries — and changes
-        /// nothing: entries and control directory are as before.
+        /// nothing: entries and slots are as before.
         #[test]
         fn staged_batch_equals_per_key_lookups_when_nearly_full(
-            fill in proptest::collection::vec((0u8..4, 0u8..12, 0u32..40), 120..200),
+            fill in proptest::collection::vec((0u8..12, 0u32..160), 120..200),
             erase in proptest::collection::vec(0usize..75, 0..3),
-            queries in proptest::collection::vec((0u8..4, 0u8..12, 0u32..48), 65..100),
+            queries in proptest::collection::vec((0u8..12, 0u32..192), 65..100),
         ) {
-            let cap = 75; // nine full groups and one of three lanes
-            let mk = |(t, s, id): (u8, u8, u32)| AdvKey {
+            let cap = 75; // eighteen full lines and one of three lanes
+            let mk = |(s, id): (u8, u32)| AdvKey {
                 id,
-                // Few tags, few starts (the last lanes included): long,
-                // interleaved probe chains that wrap.
-                hash: adv_hash([0, 0, 1, 127][t as usize], (s as usize * 7 + 68) % cap, cap),
+                // Few homes (the last lanes included): long, interleaved
+                // probe chains that wrap.
+                hash: ((s as usize * 7 + 68) % cap) as u64,
             };
             let mut m = Map::<AdvKey>::new(cap);
             let mut stored = Vec::new();
@@ -1540,7 +1419,7 @@ mod tests {
                 }
             }
             // Erases in the middle of the clusters: the shift moves
-            // entries back across group boundaries and the wrap.
+            // entries back across line boundaries and the wrap.
             for i in erase {
                 if i < stored.len() && stored.len() > 72 {
                     m.erase(&stored.swap_remove(i));
@@ -1559,7 +1438,7 @@ mod tests {
             }
             let after: Vec<(AdvKey, usize)> = m.iter().collect();
             prop_assert_eq!(before, after);
-            prop_assert!(m.check_tag_coherence().is_ok());
+            prop_assert!(m.check_coherence().is_ok());
         }
 
         /// Under insert-only sequences a free slot only ever becomes
@@ -1568,14 +1447,14 @@ mod tests {
         /// key — present or absent — as the table fills.
         #[test]
         fn probe_len_monotone_under_inserts(
-            inserts in proptest::collection::hash_set((0u8..2, 0u8..8, 0u32..8), 1..24),
-            queries in proptest::collection::vec((0u8..2, 0u8..8, 0u32..12), 1..12),
+            inserts in proptest::collection::hash_set((0u8..8, 0u32..16), 1..24),
+            queries in proptest::collection::vec((0u8..8, 0u32..24), 1..12),
         ) {
-            let cap = 17; // short last group of one lane
+            let cap = 17; // short last line of one lane
             let mut m = CheckedMap::<AdvKey>::new(cap);
-            let mk = |(t, s, id): (u8, u8, u32)| AdvKey {
+            let mk = |(s, id): (u8, u32)| AdvKey {
                 id,
-                hash: adv_hash([0, 127][t as usize], (s as usize * 3) % cap, cap),
+                hash: ((s as usize * 3) % cap) as u64,
             };
             let queries: Vec<AdvKey> = queries.into_iter().map(mk).collect();
             let mut last: Vec<usize> = queries.iter().map(|q| m.raw().probe_len(q)).collect();
@@ -1599,11 +1478,10 @@ mod tests {
         }
     }
 
-    /// The control directory's busy lanes, and the probe lengths of
-    /// the stored keys summed: what a history-free map fixes by its live
-    /// keys alone.
-    fn busy_lanes_and_probe_sum(m: &Map<AdvKey>) -> (Vec<u64>, usize) {
-        let busy = m.tags.iter().map(|w| w & LANE_MSB).collect();
+    /// Which slots are busy, and the probe lengths of the stored keys
+    /// summed: what a history-free map fixes by its live keys alone.
+    fn busy_slots_and_probe_sum(m: &Map<AdvKey>) -> (Vec<bool>, usize) {
+        let busy = (0..m.capacity()).map(|p| !m.slot(p).is_free()).collect();
         (busy, m.iter().map(|(k, _)| m.probe_len(&k)).sum())
     }
 
@@ -1611,12 +1489,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The map is history-free: after a run of puts and erases that
-        /// holds the table between 85 % full and full, which lanes are
+        /// holds the table between 85 % full and full, which slots are
         /// busy and the stored keys' summed probe lengths equal those of
         /// a fresh map built from the live keys alone, in shuffled
-        /// order. Keys collide in tag and start, and starts sit on the
-        /// first lane, the last (wraparound), mid-table, the last
-        /// group's first lane and anywhere.
+        /// order. Homes sit on the first slot, the last (wraparound),
+        /// mid-table, the last line's first lane and anywhere.
         #[test]
         fn churned_map_equals_a_fresh_build_of_its_live_keys(
             cap in 97usize..400,
@@ -1631,14 +1508,14 @@ mod tests {
             let mut id = 0u32;
             let mut mk = |r: u64| {
                 id += 1;
-                let start = match (r >> 8) % 5 {
+                let home = match (r >> 8) % 5 {
                     0 => 0,
                     1 => cap - 1,
                     2 => cap / 2,
-                    3 => (cap - 1) / GROUP * GROUP,
+                    3 => (cap - 1) / LANES * LANES,
                     _ => (r >> 16) as usize % cap,
                 };
-                AdvKey { id, hash: adv_hash([0, 0, 1, 127][(r % 4) as usize], start, cap) }
+                AdvKey { id, hash: home as u64 }
             };
             let mut m = Map::<AdvKey>::new(cap);
             let mut live = Vec::new();
@@ -1653,7 +1530,7 @@ mod tests {
                     live.push(k);
                 }
             }
-            prop_assert!(m.check_tag_coherence().is_ok(), "{:?}", m.check_tag_coherence());
+            prop_assert!(m.check_coherence().is_ok(), "{:?}", m.check_coherence());
             for i in (1..live.len()).rev() {
                 live.swap(i, next() as usize % (i + 1));
             }
@@ -1662,107 +1539,26 @@ mod tests {
                 prop_assert_eq!(m.get(k), Some(k.id as usize));
                 fresh.put(k.clone(), k.id as usize).unwrap();
             }
-            prop_assert_eq!(busy_lanes_and_probe_sum(&m), busy_lanes_and_probe_sum(&fresh));
-        }
-
-        /// Stage 2 of the staged probe touches the lane where the probe
-        /// ends in its start group. For an absent key that is the lane
-        /// `put_with_hash` then fills, or a lane before it carrying the
-        /// key's tag (the slot the probe compares first); it touches
-        /// nothing only when the insert lands past the start group. For
-        /// a present key matched in its start group it is the key's own
-        /// lane, or the first lane before it carrying the same tag. Odd
-        /// capacities give a short last group and wraparound; loads run
-        /// from empty to 95 % full, after erasures.
-        #[test]
-        fn stage_two_touches_the_lane_the_probe_ends_at(
-            half in 4usize..100,
-            load in 0usize..=95,
-            seed in any::<u64>(),
-        ) {
-            let cap = 2 * half + 1;
-            let mut rng = seed;
-            let mut next = move || {
-                rng = rng.key_hash();
-                rng
-            };
-            let mut id = 0u32;
-            let mut mk = |r: u64| {
-                id += 1;
-                let start = match (r >> 8) % 4 {
-                    0 => cap - 1,
-                    1 => (cap - 1) / GROUP * GROUP,
-                    _ => (r >> 16) as usize % cap,
-                };
-                AdvKey { id, hash: adv_hash([0, 0, 1, 127][(r % 4) as usize], start, cap) }
-            };
-            let target = cap * load / 100;
-            let mut m = Map::<AdvKey>::new(cap);
-            let mut live = Vec::new();
-            while live.len() < target + target / 4 && !m.is_full() {
-                let k = mk(next());
-                m.put(k.clone(), k.id as usize).unwrap();
-                live.push(k);
-            }
-            while live.len() > target {
-                let k = live.swap_remove(next() as usize % live.len());
-                m.erase(&k);
-            }
-            let dist = |start: usize, idx: usize| (idx + cap - start) % cap;
-            let tagged = |idx: usize, h: u64| m.ctrl(idx) == ctrl_byte(h);
-            for k in &live {
-                let ProbeOutcome::Hit { idx, .. } = m.probe(k, k.hash) else {
-                    unreachable!("a live key is found");
-                };
-                let start = m.start_of(k.hash);
-                let lane = m.touch_lane(start, k.hash);
-                if dist(start, idx) < GROUP.min(cap - start) {
-                    let first = (start..=idx).find(|&l| tagged(l, k.hash));
-                    prop_assert_eq!(lane, first, "present key at {}", idx);
-                } else if let Some(l) = lane {
-                    prop_assert!(tagged(l, k.hash) && dist(start, l) < dist(start, idx));
-                }
-            }
-            for _ in 0..16 {
-                let q = mk(next());
-                let start = m.start_of(q.hash);
-                let lane = m.touch_lane(start, q.hash);
-                let mut after = m.clone();
-                after.put(q.clone(), 0).unwrap();
-                let ProbeOutcome::Hit { idx: filled, .. } = after.probe(&q, q.hash) else {
-                    unreachable!("an inserted key is found");
-                };
-                match lane {
-                    Some(l) => prop_assert!(
-                        l == filled
-                            || (tagged(l, q.hash) && dist(start, l) < dist(start, filled)),
-                        "absent key touches {} but fills {}", l, filled
-                    ),
-                    None => prop_assert!(
-                        dist(start, filled) >= GROUP.min(cap - start),
-                        "absent key touches nothing but fills {} in its start group", filled
-                    ),
-                }
-            }
+            prop_assert_eq!(busy_slots_and_probe_sum(&m), busy_slots_and_probe_sum(&fresh));
         }
     }
 
     /// Map capacity of the occupancy differentials below.
     const CAP: usize = 4096;
 
-    /// The tag-probed read path equals the scalar reference for a query
-    /// mix of hits, misses, and erased-then-reinserted keys.
+    /// The line walk equals the scalar reference for a query mix of
+    /// hits, misses, and erased-then-reinserted keys.
     fn assert_map_matches_scalar(m: &Map<u64>, queries: impl Iterator<Item = u64>) {
         for q in queries {
             m.assert_matches_scalar(&q);
         }
-        m.check_tag_coherence().expect("tag directory incoherent");
+        m.check_coherence().expect("map incoherent");
     }
 
     /// The directory-layer differential at 49 % and 98 % occupancy,
     /// through fill → erase (backward shifts through the clusters) →
-    /// refill (inserts into the freed lanes) — the sequence that
-    /// stresses the free-lane stop the SWAR walk must share with the
+    /// refill (inserts into the freed slots) — the sequence that
+    /// stresses the free-slot stop the line walk must share with the
     /// scalar walk.
     #[test]
     fn map_equals_scalar_reference_at_49_and_98_occupancy() {
@@ -1780,7 +1576,7 @@ mod tests {
             }
             assert_map_matches_scalar(&m, (0..occupancy as u64 + 512).step_by(7));
             // Refill the holes with fresh keys (realloc): probe paths now
-            // mix shifted clusters, reused slots, and new tags.
+            // mix shifted clusters and reused slots.
             let mut fresh = 1_000_000u64;
             while m.size() < occupancy {
                 if m.get(&fresh).is_none() {
@@ -1798,7 +1594,7 @@ mod tests {
     /// While a table fills from empty to 98%, `probe_len` of a fixed
     /// query set is monotone non-decreasing (under inserts alone no busy
     /// slot frees, so the miss stop can only move outward), and at every
-    /// sampled occupancy the tag walk equals the scalar walk.
+    /// sampled occupancy the line walk equals the scalar walk.
     #[test]
     fn probe_len_monotone_while_filling_to_98pct() {
         let mut m = Map::<u64>::new(CAP);

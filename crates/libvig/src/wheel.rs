@@ -864,7 +864,7 @@ mod tests {
         assert_eq!(drained, sorted, "drain order must be ascending");
     }
 
-    /// Bounded-exhaustive micro-suite in the depth-5 tag-probe style:
+    /// Bounded-exhaustive micro-suite in the depth-5 style of the map's:
     /// every op sequence of depth 5 over a capacity-2 wheel — op
     /// alphabet of 12 (arm/refresh/remove/pop × 2 indices, with a
     /// per-op time drawn from a 4-magnitude table spanning level-0

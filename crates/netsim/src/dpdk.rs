@@ -3,7 +3,9 @@
 //! Faithful to the parts of DPDK the paper's NFs relied on:
 //!
 //! * **all memory preallocated** — `Mempool::new` grabs every buffer up
-//!   front, `get`/`put` are O(1) free-list pops/pushes, nothing
+//!   front, as one zeroed slab of `count × MBUF_SIZE` bytes (buffer `i`
+//!   is the `i`-th [`MBUF_SIZE`] bytes of it), `get`/`put` are O(1)
+//!   free-list pops/pushes, nothing
 //!   allocates on the datapath (the property §5.1.1 of the paper builds
 //!   on). Double frees are still caught on every `put`: the pool keeps
 //!   one allocated flag per buffer, set by `get` and tested-and-cleared
@@ -28,7 +30,8 @@ pub struct BufIdx(pub usize);
 /// Preallocated packet-buffer pool (DPDK `rte_mempool` analog).
 #[derive(Debug)]
 pub struct Mempool {
-    bufs: Vec<Vec<u8>>,
+    /// Every buffer's data room, back to back: one allocation.
+    slab: Vec<u8>,
     lens: Vec<usize>,
     free: Vec<usize>,
     /// `allocated[i]`: buffer `i` is out of the pool (not on `free`).
@@ -40,7 +43,7 @@ impl Mempool {
     pub fn new(count: usize) -> Mempool {
         assert!(count > 0, "mempool must hold at least one buffer");
         Mempool {
-            bufs: (0..count).map(|_| vec![0u8; MBUF_SIZE]).collect(),
+            slab: vec![0u8; count * MBUF_SIZE],
             lens: vec![0; count],
             free: (0..count).rev().collect(),
             allocated: vec![false; count],
@@ -49,7 +52,7 @@ impl Mempool {
 
     /// Total buffers.
     pub fn capacity(&self) -> usize {
-        self.bufs.len()
+        self.lens.len()
     }
 
     /// Buffers currently available.
@@ -72,7 +75,7 @@ impl Mempool {
     /// paper proves absent (P2); the simulator enforces it dynamically.
     pub fn put(&mut self, idx: BufIdx) {
         assert!(
-            idx.0 < self.bufs.len(),
+            idx.0 < self.capacity(),
             "foreign buffer returned to mempool"
         );
         assert!(
@@ -96,18 +99,20 @@ impl Mempool {
     pub fn reserve_frame(&mut self, idx: BufIdx, len: usize) -> &mut [u8] {
         assert!(len <= MBUF_SIZE, "frame exceeds mbuf data room");
         self.lens[idx.0] = len;
-        &mut self.bufs[idx.0][..len]
+        let at = idx.0 * MBUF_SIZE;
+        &mut self.slab[at..at + len]
     }
 
     /// The valid bytes of a buffer.
     pub fn frame(&self, idx: BufIdx) -> &[u8] {
-        &self.bufs[idx.0][..self.lens[idx.0]]
+        let at = idx.0 * MBUF_SIZE;
+        &self.slab[at..at + self.lens[idx.0]]
     }
 
     /// Mutable access to the valid bytes of a buffer.
     pub fn frame_mut(&mut self, idx: BufIdx) -> &mut [u8] {
-        let len = self.lens[idx.0];
-        &mut self.bufs[idx.0][..len]
+        let at = idx.0 * MBUF_SIZE;
+        &mut self.slab[at..at + self.lens[idx.0]]
     }
 }
 
@@ -319,6 +324,39 @@ mod tests {
         assert_eq!(p.frame(a), &[1, 2, 3, 4]);
         p.frame_mut(a)[0] = 9;
         assert_eq!(p.frame(a), &[9, 2, 3, 4]);
+    }
+
+    /// The slab's buffers are disjoint: a full-room frame in each of
+    /// three adjacent buffers — the last one ending the slab — reads
+    /// back intact after all three are written, and a write through
+    /// `frame_mut` or `reserve_frame` changes only its own buffer.
+    #[test]
+    fn adjacent_slab_buffers_do_not_alias() {
+        let mut p = Mempool::new(3);
+        let bufs: Vec<BufIdx> = (0..3).map(|_| p.get().unwrap()).collect();
+        let frame =
+            |b: BufIdx| -> Vec<u8> { (0..MBUF_SIZE).map(|i| (i * 7 + b.0 * 31) as u8).collect() };
+        for &b in &bufs {
+            p.write_frame(b, &frame(b));
+        }
+        for &b in &bufs {
+            assert_eq!(p.frame(b), &frame(b)[..], "buffer {}", b.0);
+        }
+        let last = *bufs.iter().max_by_key(|b| b.0).unwrap();
+        assert_eq!(last.0, 2);
+        p.frame_mut(last)[MBUF_SIZE - 1] ^= 0xff;
+        p.reserve_frame(bufs[0], 1)[0] ^= 0xff;
+        for &b in &bufs {
+            let mut want = frame(b);
+            if b == last {
+                want[MBUF_SIZE - 1] ^= 0xff;
+            }
+            if b == bufs[0] {
+                want.truncate(1);
+                want[0] ^= 0xff;
+            }
+            assert_eq!(p.frame(b), &want[..], "buffer {}", b.0);
+        }
     }
 
     #[test]

@@ -132,8 +132,39 @@ mod tests {
         }
     }
 
+    /// The trust rule of the burst loop
+    /// (`vignat::loop_body::nat_process_batch_into`), as a lemma over
+    /// one table state: a `put` of a fresh key into a free slot leaves
+    /// every other key's lookup as it was, so a hit stays the same hit
+    /// and a miss stays a miss unless its key is the one put. Between a
+    /// burst's batched probe and the use of its answers the table only
+    /// gains flows (expiry, the one remover, runs before the probe):
+    /// a batched hit may be trusted, and a batched miss must re-probe
+    /// at its sequence point. `get` reads a state; `put` stores
+    /// `fresh` (absent from `state`) into it.
+    fn assert_trust_rule<S: Clone, K: PartialEq>(
+        state: &S,
+        keys: &[K],
+        fresh: &K,
+        get: impl Fn(&S, &K) -> Option<usize>,
+        put: impl FnOnce(&mut S),
+    ) {
+        assert_eq!(get(state, fresh), None, "lemma precondition: fresh key");
+        let mut after = state.clone();
+        put(&mut after);
+        for k in keys {
+            let (was, is) = (get(state, k), get(&after, k));
+            if k == fresh {
+                assert!(is.is_some(), "the put key must hit");
+            } else {
+                assert_eq!(was, is, "a put changed another key's lookup");
+            }
+        }
+    }
+
     /// Every sequence of depth 5 over `keys` in a map of `cap` slots,
-    /// every key looked up after each op.
+    /// every key looked up after each op, and the trust rule checked
+    /// for each absent key a put would store.
     fn map_all_sequences_depth5(cap: usize, keys: &[PlacedKey]) -> u64 {
         let universe: Vec<MapOp> = (0..keys.len() as u8)
             .flat_map(|k| [MapOp::Put(k), MapOp::Get(k), MapOp::Erase(k)])
@@ -156,8 +187,19 @@ mod tests {
                     }
                 }
             }
-            for k in 0..keys.len() as u8 {
-                m.get(&key(k));
+            for (k, fresh) in keys.iter().enumerate() {
+                let stored = keys.iter().filter(|k| m.get(k).is_some()).count();
+                if m.get(fresh).is_none() && stored < cap {
+                    assert_trust_rule(
+                        m,
+                        keys,
+                        fresh,
+                        |m, k| m.get(k),
+                        |m| {
+                            m.put(fresh.clone(), k).unwrap();
+                        },
+                    );
+                }
             }
         })
     }
@@ -325,22 +367,41 @@ mod tests {
             DmapOp::Lookup(0),
             DmapOp::Lookup(2),
         ];
+        let keys = [CKey(0), CKey(2)];
+        let puts: Vec<_> = universe
+            .iter()
+            .filter_map(|op| match *op {
+                DmapOp::Put(i, a, b) => Some((i, a, b)),
+                _ => None,
+            })
+            .collect();
         let init = CheckedDmap::<Two>::new(2);
-        let n = check_all_sequences(&init, &universe, 4, &|d, op| match *op {
-            DmapOp::Put(i, a, b) => {
-                debug_assert_eq!(i, at(b));
-                // An empty slot means its B-keys are fresh.
-                if d.get(i).is_none() && d.get_by_a(&CKey(a)).is_none() {
-                    d.put(i, Two { a, b }).unwrap();
+        let n = check_all_sequences(&init, &universe, 4, &|d, op| {
+            match *op {
+                DmapOp::Put(i, a, b) => {
+                    debug_assert_eq!(i, at(b));
+                    // An empty slot means its B-keys are fresh.
+                    if d.get(i).is_none() && d.get_by_a(&CKey(a)).is_none() {
+                        d.put(i, Two { a, b }).unwrap();
+                    }
+                }
+                DmapOp::Erase(i) => {
+                    d.erase(i);
+                }
+                DmapOp::Lookup(k) => {
+                    d.get_by_a(&CKey(k));
+                    d.get_by_b_at(&CKey(k), at(k));
+                    d.get_by_b_at(&CKey(k + 1), at(k + 1));
                 }
             }
-            DmapOp::Erase(i) => {
-                d.erase(i);
-            }
-            DmapOp::Lookup(k) => {
-                d.get_by_a(&CKey(k));
-                d.get_by_b_at(&CKey(k), at(k));
-                d.get_by_b_at(&CKey(k + 1), at(k + 1));
+            // The trust rule for each fresh put the universe offers.
+            for &(i, a, b) in &puts {
+                if d.get(i).is_none() && d.get_by_a(&CKey(a)).is_none() {
+                    let get = |d: &CheckedDmap<Two>, k: &CKey| d.get_by_a(k);
+                    assert_trust_rule(d, &keys, &CKey(a), get, |d| {
+                        d.put(i, Two { a, b }).unwrap();
+                    });
+                }
             }
         });
         assert_eq!(n, (0..=4).map(|d| 8u64.pow(d)).sum::<u64>());

@@ -12,12 +12,12 @@
 //! | [`map`] | open-addressing hash map with backward-shift erase (every probe stops at the first free slot); single-allocation slot layout, `get/put_with_hash` memoized-hash ops, `get_staged` burst probe across one map or several (`get_batch_with_hash`: one) | `map.c` / `map.h` |
 //! | [`dmap`] | double-keyed map over preallocated value slots: one hash directory for the A-key (`get_by_a_with_hash`, `put_with_hash`, `directory` for staged probes), the B-key compared at the slot it names (`get_by_b_at`) | the flow table (`double-map.c`) |
 //! | [`dchain`] | index allocator with LRU timestamp order on one list, or one list per timeout class; one 16-byte cell per index, `first_touch*` prefetch hints | `double-chain.c` (expirator substrate) |
-//! | [`ring`] | bounded FIFO ring (the paper's §3 example) | `ring.c` |
+//! | [`ring`] | bounded FIFO ring (the paper's §3 example); every RX and TX descriptor queue of `netsim`'s NIC model is one | `ring.c` |
 //! | [`spsc`] | lock-free bounded SPSC word ring; off the datapath — natbench's `libvig.spsc_words_per_us` rung and a two-thread proof exercise (module header) | DPDK `rte_ring` (SP/SC mode) |
 //! | [`rss`] | RSS-style hash→shard routing | NIC receive-side scaling |
 //! | [`expirator`] | dchain+dmap glue that expires old flows: a merge over the chain's list heads, one lifetime per list | `expirator.c` |
 //! | [`wheel`] | hierarchical timer wheel; **not used by the NAT** — kept only while natbench's ladder times it (module header) | Varghese–Lauck wheel |
-//! | [`time`] | time abstraction (virtual + system clocks) | `nf_time` |
+//! | [`time`] | the time value every driver passes in (`now: Time`) | `nf_time` |
 //! | [`flow`] | NAT flow key hashing | `flow.h` |
 //!
 //! ## The verification story (P3)
@@ -77,7 +77,7 @@ pub use dchain::DoubleChain;
 pub use dmap::{DmapValue, DoubleMap};
 pub use map::{Map, MapKey};
 pub use ring::Ring;
-pub use time::{Clock, SystemClock, Time, VirtualClock};
+pub use time::Time;
 
 /// Error returned by operations whose contract precondition "capacity not
 /// exhausted" does not hold. These are *not* contract violations: the NF is

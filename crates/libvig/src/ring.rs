@@ -15,21 +15,27 @@ use crate::Full;
 use core::fmt::Debug;
 use std::collections::VecDeque;
 
-/// Preallocated FIFO ring buffer.
+/// Preallocated FIFO ring buffer: every RX and TX descriptor queue of
+/// the NIC model (`netsim`'s `PortLedger` and `SimBackend`) is one.
+///
+/// Elements are stored unboxed (`T: Copy`), so a ring of 8-byte
+/// descriptors is 8 bytes a cell, in one allocation made at
+/// construction. Cells outside the live run hold `T::default()` and are
+/// never read. Both ends wrap by a compare, not a division.
 #[derive(Debug, Clone)]
 pub struct Ring<T> {
-    cells: Vec<Option<T>>,
+    cells: Vec<T>,
     begin: usize,
     len: usize,
 }
 
-impl<T> Ring<T> {
+impl<T: Copy + Default> Ring<T> {
     /// Preallocate a ring holding up to `capacity` items (paper Fig. 1:
     /// `ring_create(CAP)`).
     pub fn new(capacity: usize) -> Ring<T> {
         assert!(capacity > 0, "ring capacity must be non-zero");
         Ring {
-            cells: (0..capacity).map(|_| None).collect(),
+            cells: vec![T::default(); capacity],
             begin: 0,
             len: 0,
         }
@@ -55,6 +61,17 @@ impl<T> Ring<T> {
         self.len == self.cells.len()
     }
 
+    /// Cell `begin + i`, wrapped. `begin < capacity` and
+    /// `i <= len <= capacity`, so one subtraction at most.
+    fn wrap(&self, i: usize) -> usize {
+        let at = self.begin + i;
+        if at >= self.cells.len() {
+            at - self.cells.len()
+        } else {
+            at
+        }
+    }
+
     /// `ring_push_back`. Returns [`Full`] when at capacity (the paper's
     /// NF guards with `!ring_full(r)`, making fullness unreachable; the
     /// Rust interface stays total).
@@ -62,8 +79,8 @@ impl<T> Ring<T> {
         if self.is_full() {
             return Err(Full);
         }
-        let idx = (self.begin + self.len) % self.cells.len();
-        self.cells[idx] = Some(item);
+        let tail = self.wrap(self.len);
+        self.cells[tail] = item;
         self.len += 1;
         Ok(())
     }
@@ -78,11 +95,10 @@ impl<T> Ring<T> {
         if self.is_empty() {
             return None;
         }
-        let item = self.cells[self.begin].take();
-        debug_assert!(item.is_some(), "occupied head cell must hold a value");
-        self.begin = (self.begin + 1) % self.cells.len();
+        let item = self.cells[self.begin];
+        self.begin = self.wrap(1);
         self.len -= 1;
-        item
+        Some(item)
     }
 
     /// Peek at the head without removing it.
@@ -90,13 +106,13 @@ impl<T> Ring<T> {
         if self.is_empty() {
             None
         } else {
-            self.cells[self.begin].as_ref()
+            Some(&self.cells[self.begin])
         }
     }
 
     /// Iterate front-to-back. For contracts/tests.
     pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
-        (0..self.len).filter_map(move |i| self.cells[(self.begin + i) % self.cells.len()].as_ref())
+        (0..self.len).map(move |i| &self.cells[self.wrap(i)])
     }
 }
 
@@ -104,13 +120,13 @@ impl<T> Ring<T> {
 /// element **constraint** checked on every push and pop — the executable
 /// analog of the `packet_constraints_fp` abstract predicate threading
 /// through the paper's Fig. 2–3 contracts.
-pub struct CheckedRing<T: Clone + PartialEq + Debug> {
+pub struct CheckedRing<T: Copy + Default + PartialEq + Debug> {
     imp: Ring<T>,
     model: VecDeque<T>,
     constraint: fn(&T) -> bool,
 }
 
-impl<T: Clone + PartialEq + Debug> CheckedRing<T> {
+impl<T: Copy + Default + PartialEq + Debug> CheckedRing<T> {
     /// Ring with no element constraint.
     pub fn new(capacity: usize) -> Self {
         Self::with_constraint(capacity, |_| true)
@@ -132,7 +148,7 @@ impl<T: Clone + PartialEq + Debug> CheckedRing<T> {
             (self.constraint)(&item),
             "ring.push_back precondition: element violates ring constraint"
         );
-        let r = self.imp.push_back(item.clone());
+        let r = self.imp.push_back(item);
         match r {
             Ok(()) => {
                 assert!(
@@ -265,11 +281,52 @@ mod tests {
         assert_eq!(r.len(), 1);
     }
 
+    /// Runs of pushes and pops of every length up to one past the
+    /// capacity, alternating: each run ends against the full or the
+    /// empty edge, and the head laps the ring many times — at the
+    /// capacities of a one-descriptor queue, odd ones, and the NIC
+    /// model's default 512.
+    #[test]
+    fn ring_wraps_many_times() {
+        for capacity in [1usize, 3, 5, 512] {
+            let mut r = Ring::new(capacity);
+            let mut model = VecDeque::new();
+            let mut next = 0usize;
+            for run in (1..=capacity + 1).cycle().take(4 * capacity + 40) {
+                for _ in 0..run {
+                    let accepted = r.push_back(next).is_ok();
+                    assert_eq!(accepted, model.len() < capacity);
+                    if accepted {
+                        model.push_back(next);
+                    }
+                    next += 1;
+                    assert_eq!(r.len(), model.len());
+                    assert_eq!(r.is_full(), model.len() == capacity);
+                }
+                for _ in 0..run.div_ceil(2) + 1 {
+                    assert_eq!(r.front(), model.front());
+                    assert_eq!(r.pop_front(), model.pop_front());
+                    assert_eq!(r.is_empty(), model.is_empty());
+                }
+                assert!(r.iter().eq(model.iter()));
+            }
+            while let Some(want) = model.pop_front() {
+                assert_eq!(r.pop_front(), Some(want));
+            }
+            assert_eq!(r.pop_front(), None);
+        }
+    }
+
     proptest! {
-        /// Arbitrary interleavings of pushes and pops match VecDeque.
+        /// Arbitrary interleavings of pushes and pops match VecDeque,
+        /// at every capacity from a single cell to nine (short rings
+        /// wrap on almost every step).
         #[test]
-        fn random_ops_refine_model(ops in proptest::collection::vec(any::<Option<u8>>(), 0..200)) {
-            let mut r = CheckedRing::new(5);
+        fn random_ops_refine_model(
+            capacity in 1usize..10,
+            ops in proptest::collection::vec(any::<Option<u8>>(), 0..200),
+        ) {
+            let mut r = CheckedRing::new(capacity);
             for op in ops {
                 match op {
                     Some(v) => { let _ = r.push_back(v); }

@@ -2,12 +2,12 @@
 //!
 //! libVig exposes time to NFs through an interface rather than a syscall
 //! so that (a) the symbolic models can return symbolic time, and (b) the
-//! simulator can drive NFs with a virtual clock. Time is a monotonic
+//! simulator can drive NFs with a virtual clock. Here the interface is
+//! `vignat::env::NatEnv::now`, and every driver passes the instant in
+//! as a [`Time`] value (`now: Time`): a test or a simulation picks it,
+//! a live driver reads its own monotonic clock. Time is a monotonic
 //! nanosecond counter; the NAT only ever compares times and adds
 //! constants, so a plain `u64` with checked arithmetic suffices.
-
-use std::cell::Cell;
-use std::rc::Rc;
 
 /// A point in time, in nanoseconds since an arbitrary epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -64,77 +64,6 @@ impl core::fmt::Display for Time {
     }
 }
 
-/// Source of current time for an NF.
-pub trait Clock {
-    /// The current time. Implementations must be monotonic: successive
-    /// calls never go backwards. (The dchain contracts rely on this.)
-    fn now(&self) -> Time;
-}
-
-/// A hand-driven clock for simulation and tests.
-///
-/// Cloning shares the underlying cell, so a testbed can hold one handle
-/// while the NF under test holds another.
-#[derive(Debug, Clone, Default)]
-pub struct VirtualClock {
-    t: Rc<Cell<u64>>,
-}
-
-impl VirtualClock {
-    /// A clock starting at `t`.
-    pub fn starting_at(t: Time) -> VirtualClock {
-        VirtualClock {
-            t: Rc::new(Cell::new(t.0)),
-        }
-    }
-
-    /// Advance by `nanos`. Advancing is the only mutation — the clock can
-    /// never go backwards, preserving the `Clock` monotonicity contract.
-    pub fn advance(&self, nanos: u64) {
-        self.t.set(self.t.get().saturating_add(nanos));
-    }
-
-    /// Advance to an absolute time; ignored if `t` is in the past.
-    pub fn advance_to(&self, t: Time) {
-        if t.0 > self.t.get() {
-            self.t.set(t.0);
-        }
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> Time {
-        Time(self.t.get())
-    }
-}
-
-/// Wall-clock time from a monotonic OS source.
-#[derive(Debug)]
-pub struct SystemClock {
-    origin: std::time::Instant,
-}
-
-impl SystemClock {
-    /// A clock whose epoch is "now".
-    pub fn new() -> SystemClock {
-        SystemClock {
-            origin: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for SystemClock {
-    fn now(&self) -> Time {
-        Time(self.origin.elapsed().as_nanos() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,34 +83,6 @@ mod tests {
     #[test]
     fn plus_saturates_at_max() {
         assert_eq!(Time(u64::MAX).plus(10), Time(u64::MAX));
-    }
-
-    #[test]
-    fn virtual_clock_advances_monotonically() {
-        let c = VirtualClock::default();
-        assert_eq!(c.now(), Time::ZERO);
-        c.advance(100);
-        assert_eq!(c.now(), Time(100));
-        c.advance_to(Time(50)); // in the past: ignored
-        assert_eq!(c.now(), Time(100));
-        c.advance_to(Time(500));
-        assert_eq!(c.now(), Time(500));
-    }
-
-    #[test]
-    fn virtual_clock_handles_share_state() {
-        let a = VirtualClock::default();
-        let b = a.clone();
-        a.advance(42);
-        assert_eq!(b.now(), Time(42));
-    }
-
-    #[test]
-    fn system_clock_is_monotonic() {
-        let c = SystemClock::new();
-        let t1 = c.now();
-        let t2 = c.now();
-        assert!(t2 >= t1);
     }
 
     #[test]

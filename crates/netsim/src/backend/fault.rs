@@ -277,11 +277,6 @@ impl<B: PacketIo> FaultIo<B> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped backend (tester-side staging).
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
     /// Unwrap, returning the backend.
     pub fn into_inner(self) -> B {
         self.inner

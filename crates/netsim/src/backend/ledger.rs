@@ -16,8 +16,9 @@
 //! independent: a full RX ring drops (and counts) on that queue only
 //! and can never stall or corrupt a sibling.
 
-use crate::dpdk::{BufIdx, Mempool, PortStats, Ring};
+use crate::dpdk::{BufIdx, Mempool, PortStats};
 use crate::frame_env::RssClassifier;
+use libvig::Ring;
 use vig_packet::Direction;
 
 /// The mempool, the RSS classifier and, per port and queue, the RX
@@ -26,7 +27,7 @@ use vig_packet::Direction;
 pub struct PortLedger {
     pool: Mempool,
     classifier: RssClassifier,
-    rx: [Vec<Ring>; 2],
+    rx: [Vec<Ring<BufIdx>>; 2],
     stats: [Vec<PortStats>; 2],
 }
 
@@ -63,7 +64,7 @@ impl PortLedger {
             return None;
         };
         self.pool.write_frame(buf, frame);
-        if self.rx[dir as usize][q].push(buf) {
+        if self.rx[dir as usize][q].push_back(buf).is_ok() {
             stats.rx += 1;
             Some(q)
         } else {
@@ -91,7 +92,7 @@ impl PortLedger {
         let ring = &mut self.rx[dir as usize][q];
         let mut n = 0;
         while n < max {
-            match ring.pop() {
+            match ring.pop_front() {
                 Some(b) => {
                     out.push(b);
                     n += 1;

@@ -574,17 +574,6 @@ impl MmapBackend {
         })
     }
 
-    /// The ring geometry this backend runs.
-    pub fn ring_config(&self) -> MmapRingConfig {
-        self.ring_cfg
-    }
-
-    /// Mmap-specific ring counters for port `dir` (truncations,
-    /// malformed blocks, kernel drops, freezes, kick errors).
-    pub fn ring_counters(&self, dir: Direction) -> RingCounters {
-        self.ports[dir as usize].counters
-    }
-
     /// TX slots handed to the kernel and not yet confirmed, both
     /// ports. Zero after a quiescent flush — teardown tests pin this.
     pub fn tx_inflight(&self) -> usize {

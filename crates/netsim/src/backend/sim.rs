@@ -13,15 +13,16 @@
 //! included.
 
 use super::{PacketIo, PortLedger, TesterIo};
-use crate::dpdk::{BufIdx, Mempool, PortStats, Ring, MBUF_SIZE};
+use crate::dpdk::{BufIdx, Mempool, PortStats, MBUF_SIZE};
 use crate::frame_env::RssClassifier;
+use libvig::Ring;
 use vig_packet::Direction;
 
 /// The simulated two-port multi-queue backend. See module docs.
 pub struct SimBackend {
     ledger: PortLedger,
     /// `tx[dir as usize][q]`: frames the NF transmitted, until reaped.
-    tx: [Vec<Ring>; 2],
+    tx: [Vec<Ring<BufIdx>>; 2],
     scratch: Box<[u8; MBUF_SIZE]>,
 }
 
@@ -79,7 +80,7 @@ impl PacketIo for SimBackend {
     /// `tx_bytes` count here.
     fn tx_put(&mut self, dir: Direction, q: usize, buf: BufIdx) -> bool {
         let bytes = self.ledger.pool().frame(buf).len();
-        let ok = self.tx[dir as usize][q].push(buf);
+        let ok = self.tx[dir as usize][q].push_back(buf).is_ok();
         if ok {
             self.ledger.count_tx(dir, q, bytes);
         }
@@ -112,7 +113,7 @@ impl TesterIo for SimBackend {
     fn reap(&mut self, dir: Direction) -> Vec<(usize, Vec<u8>)> {
         let mut out = Vec::new();
         for (q, ring) in self.tx[dir as usize].iter_mut().enumerate() {
-            while let Some(buf) = ring.pop() {
+            while let Some(buf) = ring.pop_front() {
                 let pool = self.ledger.pool_mut();
                 out.push((q, pool.frame(buf).to_vec()));
                 pool.put(buf);

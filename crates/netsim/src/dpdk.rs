@@ -1,4 +1,4 @@
-//! The DPDK-analog runtime: mempool, rings, port statistics.
+//! The DPDK-analog runtime: mempool and port statistics.
 //!
 //! Faithful to the parts of DPDK the paper's NFs relied on:
 //!
@@ -13,7 +13,10 @@
 //!   the free list;
 //! * **fixed-capacity rings** — like `rte_ring`, excess traffic is
 //!   dropped at the RX ring and counted, which is where "loss" in the
-//!   RFC 2544 throughput experiments comes from;
+//!   RFC 2544 throughput experiments comes from. The rings are libVig's
+//!   own [`libvig::Ring`] of [`BufIdx`] descriptors, the FIFO of the
+//!   paper's §3 worked example, so the queues run on the ring whose
+//!   `ring_pop_front` contract `libvig::ring::CheckedRing` checks;
 //! * **port statistics** — the [`PortStats`] counter type; the
 //!   per-queue counters themselves live in
 //!   [`PortLedger`](crate::backend::PortLedger), which admits and counts
@@ -23,8 +26,9 @@
 /// evaluation uses; the paper's experiments are 64-byte frames).
 pub const MBUF_SIZE: usize = 2048;
 
-/// A handle to a mempool buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A handle to a mempool buffer. `Default` (buffer 0) only fills the
+/// idle cells of a descriptor ring.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct BufIdx(pub usize);
 
 /// Preallocated packet-buffer pool (DPDK `rte_mempool` analog).
@@ -113,77 +117,6 @@ impl Mempool {
     pub fn frame_mut(&mut self, idx: BufIdx) -> &mut [u8] {
         let at = idx.0 * MBUF_SIZE;
         &mut self.slab[at..at + self.lens[idx.0]]
-    }
-}
-
-/// Fixed-capacity FIFO of `(buffer, length-at-enqueue)` — the
-/// `rte_ring` analog backing RX/TX queues.
-#[derive(Debug)]
-pub struct Ring {
-    slots: Vec<BufIdx>,
-    head: usize,
-    len: usize,
-}
-
-impl Ring {
-    /// Ring with room for `capacity` descriptors.
-    pub fn new(capacity: usize) -> Ring {
-        assert!(capacity > 0, "ring capacity must be non-zero");
-        Ring {
-            slots: vec![BufIdx(0); capacity],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Capacity fixed at construction.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Occupied descriptors.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True when full.
-    pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
-    }
-
-    /// Enqueue; `false` when full (caller counts a drop).
-    pub fn push(&mut self, buf: BufIdx) -> bool {
-        if self.is_full() {
-            return false;
-        }
-        // `head < capacity` and `len < capacity`: one wrap at most, by a
-        // compare (no division per descriptor).
-        let mut tail = self.head + self.len;
-        if tail >= self.slots.len() {
-            tail -= self.slots.len();
-        }
-        self.slots[tail] = buf;
-        self.len += 1;
-        true
-    }
-
-    /// Dequeue.
-    pub fn pop(&mut self) -> Option<BufIdx> {
-        if self.len == 0 {
-            return None;
-        }
-        let buf = self.slots[self.head];
-        self.head += 1;
-        if self.head == self.slots.len() {
-            self.head = 0;
-        }
-        self.len -= 1;
-        Some(buf)
     }
 }
 
@@ -359,19 +292,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_fifo_and_overflow() {
-        let mut r = Ring::new(2);
-        assert!(r.push(BufIdx(1)));
-        assert!(r.push(BufIdx(2)));
-        assert!(!r.push(BufIdx(3)), "full ring rejects");
-        assert_eq!(r.pop(), Some(BufIdx(1)));
-        assert!(r.push(BufIdx(3)));
-        assert_eq!(r.pop(), Some(BufIdx(2)));
-        assert_eq!(r.pop(), Some(BufIdx(3)));
-        assert_eq!(r.pop(), None);
-    }
-
     // The per-queue port counters are kept by `backend::PortLedger`;
     // these pin down the `PortStats` semantics it reports.
 
@@ -477,38 +397,5 @@ mod tests {
         assert_eq!(d.queue_stats(dir, 0).tx_bytes, 128);
         assert_eq!(d.queue_stats(dir, 1).tx, 0);
         assert_eq!(port_stats(&d).tx_bytes, 128, "port sum includes bytes");
-    }
-
-    #[test]
-    fn ring_wraps_many_times() {
-        use std::collections::VecDeque;
-        for capacity in [1usize, 3, 5, 512] {
-            let mut r = Ring::new(capacity);
-            let mut model = VecDeque::new();
-            let mut next = 0;
-            // Runs of pushes and pops of every length up to one past
-            // the capacity, alternating: each run ends against the full
-            // or the empty edge, and `head` laps the ring many times.
-            for run in (1..=capacity + 1).cycle().take(4 * capacity + 40) {
-                for _ in 0..run {
-                    let accepted = r.push(BufIdx(next));
-                    assert_eq!(accepted, model.len() < capacity);
-                    if accepted {
-                        model.push_back(BufIdx(next));
-                    }
-                    next += 1;
-                    assert_eq!(r.len(), model.len());
-                    assert_eq!(r.is_full(), model.len() == capacity);
-                }
-                for _ in 0..run.div_ceil(2) + 1 {
-                    assert_eq!(r.pop(), model.pop_front());
-                    assert_eq!(r.is_empty(), model.is_empty());
-                }
-            }
-            while let Some(want) = model.pop_front() {
-                assert_eq!(r.pop(), Some(want));
-            }
-            assert_eq!(r.pop(), None);
-        }
     }
 }

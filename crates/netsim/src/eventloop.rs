@@ -5,7 +5,9 @@
 //! The paper's NAT is one run-to-completion loop over one RX ring; this
 //! module is the I/O layer that feeds the *same verified loop body*
 //! from N hardware queues instead. [`BackendDriver`] is that layer, one
-//! type with no knobs:
+//! type with no scheduling knobs (its one switch,
+//! [`BackendDriver::set_tx_log`], records forwarded frames for test
+//! traces and changes nothing it schedules):
 //!
 //! * **readiness** — each round scans every RX queue of both ports
 //!   (internal port first, ascending queue index) for "queue

@@ -7,8 +7,9 @@
 //! §5 for the substitution argument):
 //!
 //! * [`dpdk`] — the runtime: a preallocated buffer [`dpdk::Mempool`]
-//!   (DPDK's mbuf pool), fixed-capacity [`dpdk::Ring`]s, and the
-//!   [`dpdk::PortStats`] counters;
+//!   (DPDK's mbuf pool) and the [`dpdk::PortStats`] counters; every RX
+//!   and TX queue is a fixed-capacity [`libvig::Ring`] of buffer
+//!   descriptors, the FIFO of the paper's §3 example;
 //! * [`eventloop`] — the one driver, [`eventloop::BackendDriver`]:
 //!   readiness over queue non-empty events, rotating round-robin
 //!   visits of at most `MAX_BURST` frames, idle backoff, and the
@@ -77,7 +78,7 @@ pub mod tester;
 pub use backend::{
     CorruptKind, FaultIo, FaultPlan, FaultStats, PacketIo, SimBackend, TesterIo, TruncateKind,
 };
-pub use dpdk::{Mempool, PortStats, Ring};
+pub use dpdk::{Mempool, PortStats};
 pub use eventloop::{BackendDriver, TxRecord};
 pub use frame_env::{BurstEnv, FrameEnv, RssClassifier};
 pub use middlebox::{Middlebox, NoopForwarder, Verdict, VigNatMb};

@@ -1,7 +1,13 @@
 //! The exhaustive-symbolic-execution driver (paper §5.2.1).
 //!
-//! Runs the real `vignat::nat_loop_iteration` under [`SymEnv`] once per
-//! feasible path, collecting one [`SymTrace`] each. The paper reports
+//! Runs the real burst entry every driver ships,
+//! `vignat::loop_body::nat_process_batch_into`, under [`SymEnv`] once
+//! per feasible path, collecting one [`SymTrace`] each. [`SymEnv`]
+//! bounds the burst at one packet, so the batched probe and the trust
+//! of its hits run symbolically; a burst of one makes the same calls as
+//! the single-packet entry, `nat_loop_iteration`, and
+//! `the_single_packet_entry_has_the_burst_entrys_traces` holds the two
+//! to the same traces, path by path. The paper reports
 //! 108 paths for VigNAT's stateless code; ours is of the same order
 //! (the exact count depends on how many validation branches the loop
 //! has — the [`run_ese`] result records it, and the verification bench
@@ -12,7 +18,7 @@ use crate::sym_env::{check_scope, NatModels, SymEnv};
 use crate::trace::SymTrace;
 use vig_spec::NatConfig;
 use vig_symbex::explorer::{explore, ExploreStats};
-use vignat::loop_body::nat_loop_iteration;
+use vignat::loop_body::nat_process_batch_into;
 
 /// Result of exhaustive symbolic execution.
 #[derive(Debug)]
@@ -45,20 +51,32 @@ impl EseResult {
     }
 }
 
-/// Exhaustively execute one NAT loop iteration symbolically.
+/// Exhaustively execute one burst of the NAT's loop symbolically.
 ///
 /// `max_paths` bounds the exploration (a safety valve; the NAT needs
 /// on the order of 10² paths). A configuration that `check_config`
 /// rejects, or that lies outside the models' [`check_scope`], is an
 /// `Err` naming why.
 pub fn run_ese(cfg: &NatConfig, style: ModelStyle, max_paths: usize) -> Result<EseResult, String> {
+    run_entry(cfg, style, max_paths, |env, cfg| {
+        nat_process_batch_into(env, cfg, |_| {})
+    })
+}
+
+/// [`run_ese`] over any entry of the loop body.
+fn run_entry(
+    cfg: &NatConfig,
+    style: ModelStyle,
+    max_paths: usize,
+    entry: impl Fn(&mut SymEnv<'_>, &NatConfig),
+) -> Result<EseResult, String> {
     vignat::loop_body::check_config(cfg).map_err(|e| format!("bad config: {e}"))?;
     check_scope(cfg)?;
     let start = std::time::Instant::now();
     let cfg = *cfg;
     let (traces, stats) = explore(max_paths, |steer| {
         let mut env = SymEnv::new(steer, NatModels::new(cfg, style));
-        let _outcome = nat_loop_iteration(&mut env, &cfg);
+        entry(&mut env, &cfg);
         env.into_trace()
     })?;
     Ok(EseResult {
@@ -73,6 +91,7 @@ mod tests {
     use super::*;
     use crate::trace::Event;
     use vig_packet::Ip4;
+    use vig_symbex::term::TermId;
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -108,6 +127,37 @@ mod tests {
             no_pkt + forwarded + dropped,
             "every path ends in exactly one of no-packet/tx/drop"
         );
+    }
+
+    /// `Middlebox::process` ships the single-packet entry: a burst of
+    /// one must make exactly its calls, so `VERIFIED` covers both.
+    #[test]
+    fn the_single_packet_entry_has_the_burst_entrys_traces() {
+        for style in [
+            ModelStyle::Faithful,
+            ModelStyle::OverApproximate,
+            ModelStyle::UnderApproximate,
+        ] {
+            let burst = run_ese(&cfg(), style, 10_000).unwrap();
+            let single = run_entry(&cfg(), style, 10_000, |env, cfg| {
+                vignat::loop_body::nat_loop_iteration(env, cfg);
+            })
+            .unwrap();
+            // Everything a trace holds, its arena's terms in creation
+            // order included (the arena's hash-consing memo prints in
+            // no fixed order).
+            let record = |t: &SymTrace| {
+                let terms: Vec<_> = (0..t.arena.len() as u32)
+                    .map(|i| t.arena.node(TermId(i)))
+                    .collect();
+                let (d, e, p) = (&t.decisions, &t.events, &t.path);
+                format!("{d:?}\n{terms:?}\n{e:?}\n{p:?}\n{:?}", t.obligations)
+            };
+            assert_eq!(burst.traces.len(), single.traces.len());
+            for (b, s) in burst.traces.iter().zip(&single.traces) {
+                assert_eq!(record(b), record(s), "{}", s.render());
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! The pipeline ([`run_verification`]):
 //!
-//! 1. **ESE** ([`ese`]): the *actual* `vignat::nat_loop_iteration` is
+//! 1. **ESE** ([`ese`]): the *actual* burst entry every driver ships,
+//!    `vignat::nat_process_batch_into`, at a burst of one packet, is
 //!    executed exhaustively under [`sym_env::SymEnv`]
 //!    (`Sym<'_, NatModels>`), whose libVig **models** fork execution
 //!    (lookup hit/miss, allocation success/failure) and return

@@ -62,11 +62,28 @@ pub fn check_scope(cfg: &NatConfig) -> Result<(), String> {
     ))
 }
 
+/// A lookup key by its terms (hash-consed: equal keys, equal ids).
+type KeyTerms = (Direction, [TermId; 4], Proto);
+
+fn key_terms(dir: Direction, t: &Tuple<Terms>) -> KeyTerms {
+    (dir, [t.src.0, t.src.1, t.dst.0, t.dst.1], t.proto)
+}
+
 /// The NAT's model state for one path.
 pub struct NatModels {
     cfg: NatConfig,
     style: ModelStyle,
     slot_counter: usize,
+    /// `receive` was called on this path: the burst bound is one
+    /// packet, so every later call returns `None`.
+    received: bool,
+    /// Keys that missed on this path since the table last changed
+    /// (`expire_flows`, `allocate_slot`, `insert_flow`). A second
+    /// lookup of one must miss too (libVig's `get` contract: the map is
+    /// unchanged, so is its answer), and is answered with no fork and
+    /// no event: the burst entry's re-probe, at its sequence point, of
+    /// a key its batched probe missed.
+    misses: Vec<KeyTerms>,
 }
 
 impl NatModels {
@@ -76,6 +93,8 @@ impl NatModels {
             cfg,
             style,
             slot_counter: 0,
+            received: false,
+            misses: Vec::new(),
         }
     }
 
@@ -100,12 +119,20 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn expire_flows(&mut self, threshold: &TermId) {
+        self.models.misses.clear();
         self.events.push(Event::ExpireFlows {
             threshold: *threshold,
         });
     }
 
+    /// A burst of at most one packet: the first call forks over a
+    /// pending packet or none; any later call on the path is the burst
+    /// loop asking for a second packet, and gets `None` with no fork
+    /// and no event.
     fn receive(&mut self) -> Option<(PktHandle, Frame<Terms>)> {
+        if std::mem::replace(&mut self.models.received, true) {
+            return None;
+        }
         // Fork: packet pending or not.
         if self.fork_free(2) == 1 {
             self.events.push(Event::NoPacket);
@@ -144,7 +171,12 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn lookup_internal(&mut self, fid: &Tuple<Terms>) -> Found<Terms> {
+        let key = key_terms(Direction::Internal, fid);
+        if self.models.misses.contains(&key) {
+            return None;
+        }
         if self.fork_free(2) == 1 {
+            self.models.misses.push(key);
             self.events.push(Event::LookupInternal {
                 fid: fid.clone(),
                 result: None,
@@ -187,7 +219,12 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn lookup_external(&mut self, ek: &Tuple<Terms>) -> Found<Terms> {
+        let key = key_terms(Direction::External, ek);
+        if self.models.misses.contains(&key) {
+            return None;
+        }
         if self.fork_free(2) == 1 {
+            self.models.misses.push(key);
             self.events.push(Event::LookupExternal {
                 ek: ek.clone(),
                 result: None,
@@ -236,6 +273,7 @@ impl NatEnv for SymEnv<'_> {
     }
 
     fn allocate_slot(&mut self, _now: &TermId) -> Option<(SlotId, TermId, TermId)> {
+        self.models.misses.clear();
         if self.fork_free(2) == 1 {
             self.events.push(Event::AllocateSlot {
                 result: None,
@@ -281,6 +319,7 @@ impl NatEnv for SymEnv<'_> {
         _now: &TermId,
         _tcp_flags: &TermId,
     ) {
+        self.models.misses.clear();
         self.events.push(Event::InsertFlow {
             slot: slot.0,
             fid,

@@ -20,7 +20,7 @@ use vignat_repro::spec::discard::{DiscardEvent, DiscardSpec};
 
 /// The NF's packet, as in the paper's Fig. 1: just a target port (we
 /// add an identity tag so the spec can detect reordering).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Packet {
     port: u16,
     tag: u64,

@@ -47,15 +47,19 @@ pub struct SlotId(pub usize);
 /// `None` on a miss.
 pub type Found<D> = Option<(SlotId, Mapping<D>)>;
 
+/// One packet position's query in a batched lookup
+/// ([`NatEnv::lookup_batch`]): its key and the direction that names its
+/// lookup, or `None` where the position asks nothing.
+pub type Query<D> = Option<(Direction, Tuple<D>)>;
+
 /// The one *concrete* environment (machine-integer domain) and its
 /// parts: [`concrete::ConcreteEnv`] — the table half every concrete
 /// run of the loop body shares — over a [`concrete::PacketSide`], plus
 /// the per-packet `FlowId` hash memo.
 pub mod concrete {
-    use super::{Found, NatEnv, PktHandle, SlotId};
+    use super::{Found, NatEnv, PktHandle, Query, SlotId};
     use crate::domain::{Concrete, Domain};
     use crate::flow_manager::FlowTable;
-    use crate::loop_body::MAX_BURST;
     use libvig::map::MapKey;
     use libvig::time::Time;
     use vig_packet::{Direction, Flow, FlowId, Ip4, Proto};
@@ -85,8 +89,8 @@ pub mod concrete {
     /// [`FlowTable`], the run's clock and expiry count and the
     /// per-packet hash memo — over a [`PacketSide`] `P`. One env serves
     /// one iteration or one burst; it borrows its state, so building one
-    /// costs nothing, and its batched lookups keep their queries and
-    /// results in arrays on the stack, so a burst allocates nothing.
+    /// costs nothing, and its batched lookup hands the loop body's query
+    /// array to the table as it is, so a burst allocates nothing.
     pub struct ConcreteEnv<'a, T, P> {
         table: &'a mut T,
         packets: P,
@@ -148,54 +152,39 @@ pub mod concrete {
             let key = fid.flow_id();
             // Hash once per packet; a following insert_flow reuses it.
             let hash = self.memo.hash_for_lookup(key);
-            let (slot, flow) = self.table.lookup_internal_hashed(&key, hash)?;
-            Some(hit(slot, &flow))
-        }
-
-        fn lookup_internal_batch(
-            &mut self,
-            fids: &[Option<Tuple<Concrete>>],
-            out: &mut [Found<Concrete>],
-        ) {
-            // On a sharded table each query routes to its shard by this
-            // hash, inside the table's one staged loop.
-            for (fids, out) in fids.chunks(MAX_BURST).zip(out.chunks_mut(MAX_BURST)) {
-                let mut queries = [None; MAX_BURST];
-                for (q, fid) in queries.iter_mut().zip(fids) {
-                    *q = fid.as_ref().map(|fid| {
-                        let key = fid.flow_id();
-                        (key, key.key_hash())
-                    });
-                }
-                let mut hits = [None; MAX_BURST];
-                let n = fids.len();
-                self.table
-                    .probe_internal_batch(&queries[..n], &mut hits[..n]);
-                found_at_positions(fids, &hits, out);
-            }
+            self.table.lookup_internal_hashed(&key, hash).map(hit)
         }
 
         fn lookup_external(&mut self, ek: &Tuple<Concrete>) -> Found<Concrete> {
-            let (slot, flow) = self.table.lookup_external(&ek.ext_key())?;
-            Some(hit(slot, &flow))
+            self.table.lookup_external(&ek.ext_key()).map(hit)
         }
 
-        fn lookup_external_batch(
-            &mut self,
-            eks: &[Option<Tuple<Concrete>>],
-            out: &mut [Found<Concrete>],
-        ) {
-            for (eks, out) in eks.chunks(MAX_BURST).zip(out.chunks_mut(MAX_BURST)) {
-                let mut queries = [None; MAX_BURST];
-                for (q, ek) in queries.iter_mut().zip(eks) {
-                    *q = ek.as_ref().map(Tuple::ext_key);
-                }
-                let mut hits = [None; MAX_BURST];
-                let n = eks.len();
-                self.table
-                    .probe_external_batch(&queries[..n], &mut hits[..n]);
-                found_at_positions(eks, &hits, out);
-            }
+        fn lookup_batch(&mut self, queries: &[Query<Concrete>], out: &mut [Found<Concrete>]) {
+            // Each direction's staged probe reads its keys from `queries`
+            // and writes each result at its position. On a sharded table
+            // each internal key routes to its shard by this hash, inside
+            // the table's one staged loop.
+            let n = queries.len();
+            let mut found = |i: usize, r: Option<(usize, Flow)>| out[i] = r.map(hit);
+            self.table.probe_internal_batch(
+                n,
+                |i| match &queries[i] {
+                    Some((Direction::Internal, fid)) => {
+                        let key = fid.flow_id();
+                        Some((key, key.key_hash()))
+                    }
+                    _ => None,
+                },
+                &mut found,
+            );
+            self.table.probe_external_batch(
+                n,
+                |i| match &queries[i] {
+                    Some((Direction::External, ek)) => Some(ek.ext_key()),
+                    _ => None,
+                },
+                &mut found,
+            );
         }
 
         fn rejuvenate(
@@ -246,24 +235,10 @@ pub mod concrete {
     }
 
     /// A matched flow as the loop body sees it: its slot and mapping.
-    fn hit(slot: usize, flow: &Flow) -> (SlotId, Mapping<Concrete>) {
+    fn hit((slot, flow): (usize, Flow)) -> (SlotId, Mapping<Concrete>) {
         let int = (flow.int_key.src_ip.raw(), flow.int_key.src_port);
         let ext = (flow.ext_ip.raw(), flow.ext_port);
         (SlotId(slot), Mapping { int, ext })
-    }
-
-    /// Write each probe result at its query's position; leave positions
-    /// that asked nothing alone (the `lookup_*_batch` contract).
-    fn found_at_positions<Q>(
-        queries: &[Option<Q>],
-        hits: &[Option<(usize, Flow)>],
-        out: &mut [Found<Concrete>],
-    ) {
-        for ((q, r), o) in queries.iter().zip(hits).zip(out) {
-            if q.is_some() {
-                *o = r.as_ref().map(|(slot, flow)| hit(*slot, flow));
-            }
-        }
     }
 
     /// Per-packet `FlowId` hash memo: the lookup that precedes every
@@ -337,46 +312,31 @@ pub trait NatEnv: Domain {
     /// Look up a flow by internal flow id: its slot and mapping.
     fn lookup_internal(&mut self, fid: &Tuple<Self::Values>) -> Found<Self::Values>;
 
-    /// Resolve a burst of internal-key lookups. Queries and results
-    /// are indexed by packet position: `out[i]` receives the result of
-    /// `fids[i]` where that is `Some`, and is left alone where it is
-    /// `None` (`out.len() == fids.len()`). Must be observationally
-    /// identical to calling [`NatEnv::lookup_internal`] per query — the
-    /// default does exactly that; concrete environments override it
-    /// with the flow table's staged burst probe
-    /// ([`crate::flow_manager::FlowTable::probe_internal_batch`]) so the
-    /// burst's cache misses overlap instead of serializing.
-    ///
-    /// The burst loop body ([`crate::loop_body::nat_process_batch`])
-    /// only *trusts* hits from this call: burst-mate packets can insert
-    /// flows (turning a stale miss into a hit) but never remove one, so
-    /// misses are re-checked at their sequence point.
-    fn lookup_internal_batch(
-        &mut self,
-        fids: &[Option<Tuple<Self::Values>>],
-        out: &mut [Found<Self::Values>],
-    ) {
-        for (fid, slot) in fids.iter().zip(out) {
-            if let Some(fid) = fid {
-                *slot = self.lookup_internal(fid);
-            }
-        }
-    }
-
     /// Look up a flow by external key: its slot and mapping.
     fn lookup_external(&mut self, ek: &Tuple<Self::Values>) -> Found<Self::Values>;
 
-    /// [`NatEnv::lookup_internal_batch`] for external keys: same
-    /// indexing, same hits-only trust rule, default delegating to
-    /// [`NatEnv::lookup_external`] per query.
-    fn lookup_external_batch(
-        &mut self,
-        eks: &[Option<Tuple<Self::Values>>],
-        out: &mut [Found<Self::Values>],
-    ) {
-        for (ek, slot) in eks.iter().zip(out) {
-            if let Some(ek) = ek {
-                *slot = self.lookup_external(ek);
+    /// Resolve a burst's lookups by packet position: `queries[i]` is
+    /// position `i`'s key and the direction that names its lookup —
+    /// [`NatEnv::lookup_internal`] or [`NatEnv::lookup_external`] — or
+    /// `None` where position `i` asks nothing; `out[i]` receives the
+    /// result of query `i`, and is left alone where there is none
+    /// (`out.len() == queries.len()`). Must be observationally identical
+    /// to those per-query calls — the default makes exactly them; the
+    /// concrete environment hands the queries to the flow table's staged
+    /// burst probes ([`crate::flow_manager::FlowTable::probe_internal_batch`],
+    /// [`crate::flow_manager::FlowTable::probe_external_batch`]) so the
+    /// burst's cache misses overlap instead of serializing.
+    ///
+    /// The burst loop body ([`crate::loop_body::nat_process_batch_into`])
+    /// only *trusts* hits from this call: burst-mate packets can insert
+    /// flows (turning a stale miss into a hit) but never remove one, so
+    /// misses are re-checked at their sequence point.
+    fn lookup_batch(&mut self, queries: &[Query<Self::Values>], out: &mut [Found<Self::Values>]) {
+        for (query, found) in queries.iter().zip(out) {
+            match query {
+                Some((Direction::Internal, fid)) => *found = self.lookup_internal(fid),
+                Some((Direction::External, ek)) => *found = self.lookup_external(ek),
+                None => {}
             }
         }
     }

@@ -93,16 +93,17 @@
 //! instructions ([`libvig::prefetch`]) through the structures'
 //! `first_touch*` hints — they change no state, so results stay exactly
 //! the per-query lookups', and they retire without waiting for their
-//! lines, so a cold touch holds up nothing behind it — and are
-//! skipped while the table tracks so few flows that their state is
-//! cache-resident anyway (`RESIDENT_BUDGET_BYTES`).
+//! lines, so a cold touch holds up nothing behind it — and run on every
+//! table, however few flows it tracks.
 //!
-//! Queries and results stay at their packet positions, in arrays on the
-//! caller's stack. Each query names the table that owns it — this one,
-//! or on a sharded table the shard its hash or endpoint routes to — so
-//! one staged loop serves every shard: nothing is gathered, split or
-//! scattered, and a burst that mixes shards overlaps their misses as
-//! one table's would.
+//! Queries and results stay at their packet positions: the pipeline
+//! reads each position's key through the caller's closure, once, and
+//! hands each result back through another, so the caller keeps its
+//! queries in whatever shape it has them. Each query names the table
+//! that owns it — this one, or on a sharded table the shard its hash or
+//! endpoint routes to — so one staged loop serves every shard: nothing
+//! is gathered, split or scattered, and a burst that mixes shards
+//! overlaps their misses as one table's would.
 
 use libvig::dchain::DoubleChain;
 use libvig::dmap::{DmapValue, DoubleMap};
@@ -150,26 +151,32 @@ pub trait FlowTable {
     /// [`Flow`] is a view, by value: `fid` plus the slot's endpoint.
     fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)>;
 
-    /// Resolve a burst of internal-key lookups by packet position:
-    /// `queries[i]` is a key and its hash (`hash == fid.key_hash()`),
-    /// or `None` where position `i` asks nothing; `out[i]` receives the
-    /// result of query `i`, and is left alone where there is none
-    /// (`out.len() == queries.len()`). Results must equal element-wise
-    /// [`FlowTable::lookup_internal_hashed`] — batching is a pure
+    /// Resolve a burst of internal-key lookups by packet position, for
+    /// positions `0..n`: `key(i)` is asked once per position and answers
+    /// a key and its hash (`hash == fid.key_hash()`), or `None` where
+    /// position `i` asks nothing; `found(i, result)` receives each
+    /// query's result, in position order, and nothing else. Results must
+    /// equal [`FlowTable::lookup_internal_hashed`] — batching is a pure
     /// optimization: beyond the results, an implementation may only
     /// *prefetch* what the hits' rejuvenations will touch, so those misses
     /// overlap across the burst, across shards too (module docs, "The
     /// burst pipeline").
     fn probe_internal_batch(
         &self,
-        queries: &[Option<(FlowId, u64)>],
-        out: &mut [Option<(usize, Flow)>],
+        n: usize,
+        key: impl FnMut(usize) -> Option<(FlowId, u64)>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
     );
 
     /// [`FlowTable::probe_internal_batch`] for external keys: results
-    /// equal element-wise [`FlowTable::lookup_external`], duplicates
-    /// and endpoints no shard owns included.
-    fn probe_external_batch(&self, queries: &[Option<ExtKey>], out: &mut [Option<(usize, Flow)>]);
+    /// equal [`FlowTable::lookup_external`], duplicates and endpoints no
+    /// shard owns included.
+    fn probe_external_batch(
+        &self,
+        n: usize,
+        key: impl FnMut(usize) -> Option<ExtKey>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
+    );
 
     /// Find a flow by external key: the flow in the slot that owns the
     /// key's pool endpoint, if its external key is `ek`. An endpoint
@@ -239,26 +246,6 @@ pub trait FlowTable {
     /// (test/diagnostic use; O(capacity)).
     fn check_coherence(&self) -> Result<(), String>;
 }
-
-/// What the burst pipeline's touches load for one hit: four 64-byte
-/// lines — the chain cell, its two neighbours, and the record (loaded
-/// for a return hit and an internal TCP hit; an internal UDP hit stops
-/// at three). The directory's start line (an internal probe's stage 1,
-/// which always runs) is not in it, so the directory's slot size and
-/// load factor do not move the budget.
-const HIT_STATE_BYTES: usize = 4 * 64;
-
-/// The cache a table's hot per-slot state may be assumed to stay in — a
-/// conservative share of one core's private L2. A table tracking fewer
-/// flows than fit it (2,048; 1,638 while a hit was five lines) runs its
-/// batched probes without touching ahead. (No natbench workload sits
-/// near the cut-off: 256 flows below, 60k and 944k above.) With
-/// prefetch hints the gate's cost is unresolved: over ten alternated
-/// 15 s runs each, touching always read `hits-resident` `fwd_mpps`
-/// +4.0 % and `runtime` −2.6 % against gated, inside both workloads'
-/// run-to-run spread (docs/ARCHITECTURE.md, "Why prefetch
-/// instructions, and the resident budget").
-const RESIDENT_BUDGET_BYTES: usize = 512 << 10;
 
 /// The pool endpoint `(ext_ip, ext_port)` that *global* slot `global`
 /// of `cfg`'s pool owns: [`NatConfig::ext_ip_of_slot`] and
@@ -505,14 +492,6 @@ impl FlowManager {
     pub fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         let slot = self.table.get_by_a_with_hash(fid, hash)?;
         Some((slot, self.view(slot, *fid)))
-    }
-
-    /// Whether the batched probes touch ahead: not while the live
-    /// flows' per-slot state fits [`RESIDENT_BUDGET_BYTES`] — warm lines
-    /// gain nothing from a hint, whose cost on a resident table is
-    /// unresolved (the constant's docs).
-    fn touches_ahead(&self) -> bool {
-        self.len() * HIT_STATE_BYTES > RESIDENT_BUDGET_BYTES
     }
 
     /// The (local) slot that owns `ek`'s pool endpoint — the inverse of
@@ -798,14 +777,20 @@ impl FlowTable for FlowManager {
 
     fn probe_internal_batch(
         &self,
-        queries: &[Option<(FlowId, u64)>],
-        out: &mut [Option<(usize, Flow)>],
+        n: usize,
+        key: impl FnMut(usize) -> Option<(FlowId, u64)>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
     ) {
-        probe_internal_staged(queries, out, |_| (self, 0));
+        probe_internal_staged(n, key, found, |_| (self, 0));
     }
 
-    fn probe_external_batch(&self, queries: &[Option<ExtKey>], out: &mut [Option<(usize, Flow)>]) {
-        probe_external_staged(queries, out, |_| Some((self, 0)));
+    fn probe_external_batch(
+        &self,
+        n: usize,
+        key: impl FnMut(usize) -> Option<ExtKey>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
+    ) {
+        probe_external_staged(n, key, found, |_| Some((self, 0)));
     }
 
     fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
@@ -857,91 +842,98 @@ impl FlowTable for FlowManager {
     }
 }
 
-/// A hit whose table touches ahead, as stages 3–4 need it: its table,
-/// its (local) slot, and whether its rejuvenation reads the record.
+/// A hit as stages 3–4 need it: its table, its (local) slot, and
+/// whether its rejuvenation reads the record.
 type Touch<'t> = Option<(&'t FlowManager, usize, bool)>;
+
+/// Where a return key's flow can only be: the table that owns its
+/// endpoint, the global slot of that table's local slot 0, and the local
+/// slot the endpoint names; `None` when it names no table's slot.
+type Candidate<'t> = Option<(&'t FlowManager, usize, usize)>;
 
 /// The burst pipeline of internal keys (module docs) — the one every
 /// table runs, over one table or every shard of a sharded one: per
-/// chunk of [`BATCH_CHUNK`] positions, the directory's stages
-/// ([`libvig::map::get_staged`], each query in the directory of the
-/// shard it routes to), then stages 3–4 for the hits. `owner(hash)`
-/// names the table a key routes to and the global slot of that table's
-/// local slot 0; results go to `out` as [`FlowTable::probe_internal_batch`]
-/// specifies.
+/// chunk of [`BATCH_CHUNK`] positions, each key read once, the
+/// directory's stages ([`libvig::map::get_staged`], each query in the
+/// directory of the shard it routes to), then stages 3–4 for the hits.
+/// `owner(hash)` names the table a key routes to and the global slot of
+/// that table's local slot 0; `key` and `found` are
+/// [`FlowTable::probe_internal_batch`]'s.
 pub(crate) fn probe_internal_staged<'t>(
-    queries: &[Option<(FlowId, u64)>],
-    out: &mut [Option<(usize, Flow)>],
+    n: usize,
+    mut key: impl FnMut(usize) -> Option<(FlowId, u64)>,
+    mut found: impl FnMut(usize, Option<(usize, Flow)>),
     owner: impl Fn(u64) -> (&'t FlowManager, usize),
 ) {
-    assert_eq!(queries.len(), out.len(), "one result per query position");
-    for (queries, out) in queries.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
+    for first in (0..n).step_by(BATCH_CHUNK) {
+        let len = BATCH_CHUNK.min(n - first);
+        let mut keys = [None; BATCH_CHUNK];
+        for (i, k) in keys[..len].iter_mut().enumerate() {
+            *k = key(first + i);
+        }
         let mut touches: [Touch<'t>; BATCH_CHUNK] = [None; BATCH_CHUNK];
         get_staged(
-            queries.len(),
+            len,
             |i| {
-                let (fid, hash) = queries[i].as_ref()?;
+                let (fid, hash) = keys[i].as_ref()?;
                 Some((owner(*hash).0.table.directory(), fid, *hash))
             },
             |i, slot| {
-                let (fid, hash) = queries[i].expect("results come only for queries");
+                let (fid, hash) = keys[i].expect("results come only for queries");
                 let (fm, base) = owner(hash);
                 // The directory slot compared the whole key: the view is
                 // the query plus arithmetic.
-                out[i] = slot.map(|slot| (base + slot, fm.view(slot, fid)));
+                let hit = slot.map(|slot| (base + slot, fm.view(slot, fid)));
+                found(first + i, hit);
                 // Only a TCP hit's rejuvenation reads its record (the
                 // tracker); a UDP hit is done with the directory.
-                touches[i] = slot
-                    .filter(|_| fm.touches_ahead())
-                    .map(|slot| (fm, slot, fid.proto == Proto::Tcp));
+                touches[i] = slot.map(|slot| (fm, slot, fid.proto == Proto::Tcp));
             },
         );
-        touch_ahead(&touches);
+        touch_ahead(&touches[..len]);
     }
 }
 
 /// The burst pipeline of return keys (module docs): per chunk of
-/// [`BATCH_CHUNK`] positions, (1) every key's candidate slot — the one
-/// its endpoint names in the table `owner` routes it to, arithmetic —
-/// and a first touch of that slot's record, (2) the key comparisons,
-/// then stages 3–4 for the hits. `owner(ek)` names the table that owns
-/// `ek`'s endpoint and the global slot of its local slot 0, or `None`
-/// when no table does; results go to `out` as
-/// [`FlowTable::probe_external_batch`] specifies.
+/// [`BATCH_CHUNK`] positions, (1) each key, read once, and its candidate
+/// slot — the one its endpoint names in the table `owner` routes it to,
+/// arithmetic — and a first touch of that slot's record, (2) the key
+/// comparisons, then stages 3–4 for the hits. `owner(ek)` names the
+/// table that owns `ek`'s endpoint and the global slot of its local
+/// slot 0, or `None` when no table does; `key` and `found` are
+/// [`FlowTable::probe_external_batch`]'s.
 pub(crate) fn probe_external_staged<'t>(
-    queries: &[Option<ExtKey>],
-    out: &mut [Option<(usize, Flow)>],
+    n: usize,
+    mut key: impl FnMut(usize) -> Option<ExtKey>,
+    mut found: impl FnMut(usize, Option<(usize, Flow)>),
     owner: impl Fn(&ExtKey) -> Option<(&'t FlowManager, usize)>,
 ) {
-    assert_eq!(queries.len(), out.len(), "one result per query position");
-    for (queries, out) in queries.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
-        let mut candidates: [Option<(&'t FlowManager, usize, usize)>; BATCH_CHUNK] =
-            [None; BATCH_CHUNK];
-        for (candidate, ek) in candidates.iter_mut().zip(queries) {
-            *candidate = ek.as_ref().and_then(|ek| {
-                let (fm, base) = owner(ek)?;
-                Some((fm, base, fm.slot_of_ext(ek)?))
-            });
-            if let Some((fm, _, slot)) = *candidate {
-                if fm.touches_ahead() {
-                    // The comparison below reads it.
-                    fm.table.first_touch(slot);
-                }
+    for first in (0..n).step_by(BATCH_CHUNK) {
+        let len = BATCH_CHUNK.min(n - first);
+        let mut candidates: [Option<(ExtKey, Candidate<'t>)>; BATCH_CHUNK] = [None; BATCH_CHUNK];
+        for (i, candidate) in candidates[..len].iter_mut().enumerate() {
+            let Some(ek) = key(first + i) else { continue };
+            let at = owner(&ek).and_then(|(fm, base)| Some((fm, base, fm.slot_of_ext(&ek)?)));
+            if let Some((fm, _, slot)) = at {
+                // The comparison below reads it.
+                fm.table.first_touch(slot);
             }
+            *candidate = Some((ek, at));
         }
         let mut touches: [Touch<'t>; BATCH_CHUNK] = [None; BATCH_CHUNK];
-        for (i, ek) in queries.iter().enumerate() {
-            let Some(ek) = ek else { continue };
-            let hit = candidates[i].and_then(|(fm, base, slot)| {
+        for (i, candidate) in candidates[..len].iter().enumerate() {
+            let Some((ek, at)) = candidate else { continue };
+            let hit = at.and_then(|(fm, base, slot)| {
                 let slot = fm.table.get_by_b_at(&return_key(slot, ek), slot)?;
                 Some((fm, base, slot))
             });
-            out[i] = hit.and_then(|(fm, base, slot)| Some((base + slot, fm.flow_at(slot)?)));
-            touches[i] = hit
-                .filter(|(fm, ..)| fm.touches_ahead())
-                .map(|(fm, _, slot)| (fm, slot, false));
+            found(
+                first + i,
+                hit.and_then(|(fm, base, slot)| Some((base + slot, fm.flow_at(slot)?))),
+            );
+            touches[i] = hit.map(|(fm, _, slot)| (fm, slot, false));
         }
-        touch_ahead(&touches);
+        touch_ahead(&touches[..len]);
     }
 }
 
@@ -963,8 +955,12 @@ fn touch_ahead(touches: &[Touch<'_>]) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::env::concrete::{ConcreteEnv, PacketSide};
+    use crate::env::{Found, NatEnv, PktHandle, SlotId};
+    use crate::Concrete;
     use proptest::prelude::*;
     use vig_packet::{Ip4, Proto};
+    use vig_spec::rfc3022::{Frame, Mapping, Tuple};
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -1230,12 +1226,34 @@ pub(crate) mod tests {
         fm.check_coherence().unwrap();
     }
 
+    /// A packet side with no packets: the probe tests drive lookups only.
+    struct NoPackets;
+
+    impl PacketSide for NoPackets {
+        fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
+            None
+        }
+
+        fn tx(&mut self, _: PktHandle, _: Direction, _: Tuple<Concrete>) {
+            unreachable!("no packet was received");
+        }
+
+        fn drop_pkt(&mut self, _: PktHandle) {
+            unreachable!("no packet was received");
+        }
+    }
+
     /// Both batched probes of `t`, by position, against its per-key
     /// lookups: each `Some` position's result is the lookup's, each
-    /// `None` position keeps the sentinel it held. Returns the hits of
-    /// each direction.
+    /// `None` position keeps the sentinel it held. Then the same keys as
+    /// one mixed-direction query array — `fids[i]` at even positions,
+    /// `eks[i]` at odd ones, a hole wherever that key is `None` — through
+    /// [`ConcreteEnv`] over `t`: its one batched lookup equals, position
+    /// by position, what the [`NatEnv::lookup_batch`] default asks (one
+    /// `lookup_internal` or `lookup_external` per query), and keeps the
+    /// sentinel at every hole. Returns the hits of each direction.
     pub(crate) fn assert_probes_equal_lookups<T: FlowTable>(
-        t: &T,
+        t: &mut T,
         fids: &[Option<FlowId>],
         eks: &[Option<ExtKey>],
     ) -> (usize, usize) {
@@ -1247,9 +1265,9 @@ pub(crate) mod tests {
                 ext_port: 0,
             },
         ));
-        let queries: Vec<_> = fids.iter().map(|f| f.map(|f| (f, f.key_hash()))).collect();
-        let mut out = vec![sentinel; queries.len()];
-        t.probe_internal_batch(&queries, &mut out);
+        let mut out = vec![sentinel; fids.len()];
+        let key = |i: usize| fids[i].map(|f| (f, f.key_hash()));
+        t.probe_internal_batch(fids.len(), key, |i, r| out[i] = r);
         for (i, (f, got)) in fids.iter().zip(&out).enumerate() {
             let want = f.map_or(sentinel, |f| t.lookup_internal_hashed(&f, f.key_hash()));
             assert_eq!(*got, want, "internal position {i} ({f:?})");
@@ -1260,7 +1278,7 @@ pub(crate) mod tests {
             .filter(|(f, r)| f.is_some() && r.is_some())
             .count();
         let mut out = vec![sentinel; eks.len()];
-        t.probe_external_batch(eks, &mut out);
+        t.probe_external_batch(eks.len(), |i| eks[i], |i, r| out[i] = r);
         for (i, (ek, got)) in eks.iter().zip(&out).enumerate() {
             let want = ek.map_or(sentinel, |ek| t.lookup_external(&ek));
             assert_eq!(*got, want, "external position {i} ({ek:?})");
@@ -1270,15 +1288,57 @@ pub(crate) mod tests {
             .zip(&out)
             .filter(|(ek, r)| ek.is_some() && r.is_some())
             .count();
+
+        let tuple = |(ip, port): (Ip4, u16), (rip, rport): (Ip4, u16), proto| Tuple {
+            src: (ip.raw(), port),
+            dst: (rip.raw(), rport),
+            proto,
+        };
+        let queries: Vec<_> = fids
+            .iter()
+            .zip(eks)
+            .enumerate()
+            .map(|(i, (f, ek))| match i % 2 {
+                0 => f.map(|f| {
+                    let q = tuple((f.src_ip, f.src_port), (f.dst_ip, f.dst_port), f.proto);
+                    (Direction::Internal, q)
+                }),
+                _ => ek.map(|ek| {
+                    let q = tuple((ek.ext_ip, ek.ext_port), (ek.dst_ip, ek.dst_port), ek.proto);
+                    (Direction::External, q)
+                }),
+            })
+            .collect();
+        let plain = |found: &Found<Concrete>| found.as_ref().map(|(s, m)| (s.0, m.int, m.ext));
+        let hole = (
+            SlotId(usize::MAX),
+            Mapping {
+                int: (0, 0),
+                ext: (0, 0),
+            },
+        );
+        let mut env = ConcreteEnv::new(t, NoPackets, Time::ZERO);
+        let mut batched = vec![Some(hole.clone()); queries.len()];
+        env.lookup_batch(&queries, &mut batched);
+        for (i, (q, got)) in queries.iter().zip(&batched).enumerate() {
+            let want = match q {
+                Some((Direction::Internal, fid)) => env.lookup_internal(fid),
+                Some((Direction::External, ek)) => env.lookup_external(ek),
+                None => Some(hole.clone()),
+            };
+            assert_eq!(plain(got), plain(&want), "mixed position {i} ({q:?})");
+        }
         (int_hits, ext_hits)
     }
 
-    /// The batched probes, by position, on tables past the cache-resident
-    /// budget so stages 3–4 run — one table, and a table of two shards
-    /// whose every burst mixes them — against the per-key lookups: hits,
-    /// misses, duplicates, return keys for a free slot and outside the
-    /// pool, `None` holes at scattered positions, 203 positions (seven
-    /// chunks). Nothing observable changes — the table still equals the
+    /// The batched probes, by position, on tables of thousands of flows —
+    /// one table, and a table of two shards whose every burst mixes them
+    /// — against the per-key lookups and, as one mixed-direction query
+    /// array, through `ConcreteEnv`'s batched lookup
+    /// ([`assert_probes_equal_lookups`]): hits, misses, duplicates,
+    /// return keys for a free slot and outside the pool, `None` holes at
+    /// scattered positions, 203 positions (seven chunks). Nothing
+    /// observable changes — the table still equals the
     /// clone taken before, LRU order, stamps, trackers and coherence
     /// included — on one list and on a list per class.
     #[test]
@@ -1354,10 +1414,9 @@ pub(crate) mod tests {
             };
             let mut fm = FlowManager::new(&c1);
             fill(&mut fm, 2400, key);
-            assert!(fm.touches_ahead());
             let (fids, eks) = queries(&fm, &c1, 2400, key);
             let before = fm.clone();
-            let (int_hits, ext_hits) = assert_probes_equal_lookups(&fm, &fids, &eks);
+            let (int_hits, ext_hits) = assert_probes_equal_lookups(&mut fm, &fids, &eks);
             assert!(
                 int_hits > 60 && ext_hits > 60,
                 "hits {int_hits} / {ext_hits}"
@@ -1376,14 +1435,13 @@ pub(crate) mod tests {
             };
             let mut two = ShardedFlowManager::new(&c2, 2);
             fill(&mut two, 5000, key);
-            assert!((0..2).all(|s| two.shard(s).touches_ahead()));
             let (fids, eks) = queries(&two, &c2, 5000, key);
             let shard_of = |f: &FlowId| two.shard_of_hash(f.key_hash());
             let shards: std::collections::HashSet<_> =
                 fids.iter().flatten().map(shard_of).collect();
             assert_eq!(shards.len(), 2, "every burst mixes the shards");
             let before = two.clone();
-            let (int_hits, ext_hits) = assert_probes_equal_lookups(&two, &fids, &eks);
+            let (int_hits, ext_hits) = assert_probes_equal_lookups(&mut two, &fids, &eks);
             assert!(
                 int_hits > 60 && ext_hits > 60,
                 "hits {int_hits} / {ext_hits}"
@@ -1516,9 +1574,8 @@ pub(crate) mod tests {
 
         let live = live(&t);
         let scan = |ek: &ExtKey| live.iter().copied().find(|(_, f)| f.ext_key() == *ek);
-        let positioned: Vec<_> = queries.iter().copied().map(Some).collect();
         let mut batch = vec![None; queries.len()];
-        t.probe_external_batch(&positioned, &mut batch);
+        t.probe_external_batch(queries.len(), |i| Some(queries[i]), |i, r| batch[i] = r);
         for (ek, batched) in queries.iter().zip(batch) {
             let want = scan(ek);
             assert_eq!(t.lookup_external(ek), want, "lookup_external({ek:?})");
@@ -1671,13 +1728,12 @@ pub(crate) mod tests {
                 .chain((2_000_000..2_000_200).map(nth_fid))
                 .collect();
             let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-            let positioned: Vec<_> = queries
-                .iter()
-                .zip(&hashes)
-                .map(|(q, &h)| Some((*q, h)))
-                .collect();
             let mut batch = vec![None; queries.len()];
-            fm.probe_internal_batch(&positioned, &mut batch);
+            fm.probe_internal_batch(
+                queries.len(),
+                |i| Some((queries[i], hashes[i])),
+                |i, r| batch[i] = r,
+            );
             for (i, q) in queries.iter().enumerate() {
                 let seq = fm.lookup_internal_hashed(q, hashes[i]);
                 assert_eq!(batch[i], seq, "batch query {i} diverged");

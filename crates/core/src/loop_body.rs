@@ -32,7 +32,7 @@
 //! what makes that safe (and is itself visible to the verifier).
 
 use crate::domain::Domain;
-use crate::env::{Found, NatEnv, PktHandle};
+use crate::env::{Found, NatEnv, PktHandle, Query};
 use vig_packet::{Direction, Proto};
 use vig_spec::rfc3022::{Endpoint, Frame, Tuple};
 use vig_spec::NatConfig;
@@ -122,11 +122,10 @@ fn expire_guarded<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig, now: &E::U64
 
 /// Complete one received packet from its validation `verdict`:
 /// translate it, or drop it. `hint` is an optional result of the burst's
-/// batched probe for this packet's own lookup
-/// ([`NatEnv::lookup_internal_batch`] /
-/// [`NatEnv::lookup_external_batch`]); `None` means "look up at the
-/// sequence point" — the single-packet path always passes `None`, so
-/// its behaviour is byte-for-byte the pre-batching code.
+/// batched probe for this packet's own lookup ([`NatEnv::lookup_batch`]);
+/// `None` means "look up at the sequence point" — the single-packet path
+/// always passes `None`, so its behaviour is byte-for-byte the
+/// pre-batching code.
 fn complete<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -492,10 +491,9 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
 /// * `expire_flows` runs **once** — re-running it mid-burst is provably
 ///   a no-op, because every flow touched after the first scan is
 ///   stamped `now > now - Texp` (`Texp > 0` by the config invariant);
-/// * flow lookups of **both directions** are issued as batched probes
-///   ([`NatEnv::lookup_internal_batch`],
-///   [`NatEnv::lookup_external_batch`]) which the concrete flow tables
-///   run as a staged first-touch pipeline, so the burst's cache misses
+/// * flow lookups of **both directions** are issued as one batched probe
+///   ([`NatEnv::lookup_batch`]) which the concrete flow tables run as a
+///   staged first-touch pipeline, so the burst's cache misses
 ///   overlap; only *hits* are trusted, and misses re-probe at their
 ///   sequence point, so a flow inserted by an earlier packet of the
 ///   same burst is still found by a later one — in either direction
@@ -557,38 +555,27 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
         *verdict = Some(validate(env, pkt));
     }
 
-    // Pass 2: batched probes for every valid packet's own lookup, by
-    // direction. (On a sharded flow table this is the dispatch point:
+    // Pass 2: one batched probe for every valid packet's own lookup,
+    // each query at its packet's position with the direction that names
+    // its lookup. (On a sharded flow table this is the dispatch point:
     // each query routes to its shard where it sits — see the function
     // docs.) Keys are built by `internal_fid`/`external_key`,
     // so EIM canonicalization applies to batched probes exactly as to
     // sequence-point lookups. (On the hairpin path the sender's key is
     // this same fid, so a batched hit stays a valid hint there too; the
     // hairpin *target* is looked up at its sequence point.)
-    let mut int_queries: [Option<Tuple<E::Values>>; MAX_BURST] = std::array::from_fn(|_| None);
-    let mut ext_queries: [Option<Tuple<E::Values>>; MAX_BURST] = std::array::from_fn(|_| None);
-    let (mut any_int, mut any_ext) = (false, false);
+    let mut queries: [Query<E::Values>; MAX_BURST] = std::array::from_fn(|_| None);
     for (i, (_, pkt)) in pkts.iter().flatten().enumerate() {
         if let Some(Ok(proto)) = verdicts[i] {
-            match pkt.dir {
-                Direction::Internal => {
-                    int_queries[i] = Some(internal_fid(env, cfg, pkt, proto));
-                    any_int = true;
-                }
-                Direction::External => {
-                    ext_queries[i] = Some(external_key(env, cfg, pkt, proto));
-                    any_ext = true;
-                }
-            }
+            let key = match pkt.dir {
+                Direction::Internal => internal_fid(env, cfg, pkt, proto),
+                Direction::External => external_key(env, cfg, pkt, proto),
+            };
+            queries[i] = Some((pkt.dir, key));
         }
     }
     let mut hints: [Hint<E>; MAX_BURST] = std::array::from_fn(|_| None);
-    if any_int {
-        env.lookup_internal_batch(&int_queries[..n], &mut hints[..n]);
-    }
-    if any_ext {
-        env.lookup_external_batch(&ext_queries[..n], &mut hints[..n]);
-    }
+    env.lookup_batch(&queries[..n], &mut hints[..n]);
 
     // Pass 3: complete each packet in arrival order. Trust batched
     // hits; batched misses pass `None` and re-probe at the sequence

@@ -245,21 +245,27 @@ impl FlowTable for ShardedFlowManager {
 
     fn probe_internal_batch(
         &self,
-        queries: &[Option<(FlowId, u64)>],
-        out: &mut [Option<(usize, Flow)>],
+        n: usize,
+        key: impl FnMut(usize) -> Option<(FlowId, u64)>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
     ) {
         // Each query routes by its memoized hash (the RSS dispatch
         // step) inside the one staged loop of every table.
-        probe_internal_staged(queries, out, |hash| {
+        probe_internal_staged(n, key, found, |hash| {
             let s = self.shard_of_hash(hash);
             (&self.shards[s], self.global(s, 0))
         });
     }
 
-    fn probe_external_batch(&self, queries: &[Option<ExtKey>], out: &mut [Option<(usize, Flow)>]) {
+    fn probe_external_batch(
+        &self,
+        n: usize,
+        key: impl FnMut(usize) -> Option<ExtKey>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
+    ) {
         // Route by the endpoint partition (module docs); an endpoint no
         // shard owns stays a miss.
-        probe_external_staged(queries, out, |ek| {
+        probe_external_staged(n, key, found, |ek| {
             let s = self.shard_of_endpoint(ek.ext_ip, ek.ext_port)?;
             Some((&self.shards[s], self.global(s, 0)))
         });
@@ -436,13 +442,12 @@ mod tests {
         // Hits, misses, and duplicates, in interleaved shard order.
         let queries: Vec<FlowId> = (0..40u8).map(|h| fid(h % 35, 100)).collect();
         let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-        let positioned: Vec<_> = queries
-            .iter()
-            .zip(&hashes)
-            .map(|(q, &h)| Some((*q, h)))
-            .collect();
         let mut batch = vec![None; queries.len()];
-        t.probe_internal_batch(&positioned, &mut batch);
+        t.probe_internal_batch(
+            queries.len(),
+            |i| Some((queries[i], hashes[i])),
+            |i, r| batch[i] = r,
+        );
         for (i, q) in queries.iter().enumerate() {
             let seq = t.lookup_internal_hashed(q, hashes[i]);
             assert_eq!(batch[i], seq, "query {i} diverged");
@@ -593,13 +598,13 @@ mod tests {
                 .collect();
 
             let before: Vec<_> = plain.iter_lru().collect();
-            assert_probes_equal_lookups(&plain, &fids, &eks);
+            assert_probes_equal_lookups(&mut plain, &fids, &eks);
             let after: Vec<_> = plain.iter_lru().collect();
             proptest::prop_assert_eq!(before, after);
             proptest::prop_assert!(plain.check_coherence().is_ok());
 
             let before = sharded.snapshot();
-            assert_probes_equal_lookups(&sharded, &fids, &eks);
+            assert_probes_equal_lookups(&mut sharded, &fids, &eks);
             proptest::prop_assert_eq!(before, sharded.snapshot());
             proptest::prop_assert!(sharded.check_coherence().is_ok());
         }
@@ -668,13 +673,12 @@ mod tests {
         assert!(n > 0);
         let queries: Vec<FlowId> = (0..k + 512).step_by(3).map(nth_fid).collect();
         let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
-        let positioned: Vec<_> = queries
-            .iter()
-            .zip(&hashes)
-            .map(|(q, &h)| Some((*q, h)))
-            .collect();
         let mut batch = vec![None; queries.len()];
-        four.probe_internal_batch(&positioned, &mut batch);
+        four.probe_internal_batch(
+            queries.len(),
+            |i| Some((queries[i], hashes[i])),
+            |i, r| batch[i] = r,
+        );
         for (qi, q) in queries.iter().enumerate() {
             let seq = four.lookup_internal_hashed(q, hashes[qi]);
             assert_eq!(batch[qi], seq, "4-shard batch query {qi} diverged");

@@ -14,9 +14,10 @@
 //! inside the frame (frame >= 14 + IHL + 20/8); the writer never reads
 //! the TCP data offset or UDP length, so it cannot refuse a frame the
 //! NAT translates. Both sides borrow everything, so constructing an env
-//! costs nothing; with the loop body's fixed-size burst arrays and the
-//! env's stack-held probe arrays, a burst through `BurstEnv` allocates
-//! nothing (`tests/alloc_free_burst.rs` counts).
+//! costs nothing; with the loop body's fixed-size burst arrays, which
+//! the env's batched lookup hands to the flow table's staged probes as
+//! they are, a burst through `BurstEnv` allocates nothing
+//! (`tests/alloc_free_burst.rs` counts).
 //!
 //! [`RssClassifier`] reads a frame through the same reader and steers
 //! it by the key the loop body will look up, built by the loop body's
@@ -117,8 +118,8 @@ impl PacketSide for FrameEnv<'_> {
 /// What became of each buffer is the [`vignat::IterationOutcome`] the
 /// loop body returns for it; the caller routes buffers by that.
 /// [`BurstEnv::new`] pairs it with a table — the env
-/// [`vignat::nat_process_batch_into`] runs over, whose `lookup_*_batch`
-/// resolve the burst's flow probes through the flow table's staged
+/// [`vignat::nat_process_batch_into`] runs over, whose `lookup_batch`
+/// resolves the burst's flow probes through the flow table's staged
 /// burst pipeline (`FlowTable::probe_*_batch`).
 pub struct BurstEnv<'a> {
     pool: &'a mut Mempool,

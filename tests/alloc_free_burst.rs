@@ -3,11 +3,10 @@
 //! heap allocation — the paper's "all memory preallocated" (§5.1.1)
 //! held on the fast path, by count:
 //!
-//! * `run_staged` over a 2-shard table past the cache-resident budget
-//!   (so the staged probes touch ahead): resident hits, new flows,
-//!   unsolicited and malformed frames, an expiry tick, bursts whose
-//!   frames alternate shards in both directions, and a 40-frame burst
-//!   that runs as two chunks;
+//! * `run_staged` over a 2-shard table of thousands of flows per shard:
+//!   resident hits, new flows, unsolicited and malformed frames, an
+//!   expiry tick, bursts whose frames alternate shards in both
+//!   directions, and a 40-frame burst that runs as two chunks;
 //! * `nat_process_batch_into` with a sink, over `BurstEnv`;
 //! * `VigNatMb::process_burst`: exactly one allocation, the `Vec` it
 //!   returns;
@@ -89,8 +88,8 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const REMOTE: Ip4 = Ip4::new(1, 1, 1, 1);
 
-/// 8,192 slots, long lifetimes: the warm-up's flows pile up past the
-/// 2,048 per shard below which the staged probes skip their touches.
+/// 8,192 slots, long lifetimes: the warm-up's flows pile up past 2,048
+/// per shard.
 fn cfg() -> NatConfig {
     NatConfig {
         capacity: 8192,
@@ -217,7 +216,7 @@ fn run_staged_allocates_nothing_on_a_sharded_table() {
     }
     assert!(
         (0..2).all(|s| rig.table.shard(s).len() > 2048),
-        "past the resident budget"
+        "past 2,048 flows per shard"
     );
 
     // Resident hits, in flow order (shards as the hash falls).

@@ -72,10 +72,11 @@ fn pool17_cfg() -> NatConfig {
     c
 }
 
-/// A table that outgrows the flow manager's cache-resident budget
-/// (2,048 flows per shard): lifetimes long enough that the run's
-/// flows pile up, so the batched probes run their stages 3–4, which the
-/// 64-slot tables never do.
+/// A table that outgrows a core's private cache (past 2,048 flows per
+/// shard, at four touched lines per hit, is past 512 KiB): lifetimes
+/// long enough that the run's flows pile up, so the batched probes'
+/// stages 3–4 run over thousands of live slots, not the 64-slot
+/// tables' few.
 fn large_cfg(capacity: usize) -> NatConfig {
     NatConfig {
         capacity,
@@ -504,8 +505,8 @@ fn batch_equals_sequential_with_eim_and_hairpinning() {
 
 #[test]
 fn batch_equals_sequential_past_the_cache_resident_budget() {
-    // The budget is 2,048 flows per table (or shard); 2,601 and 5,925
-    // at these seeds.
+    // Past 2,048 flows per table (or shard); 2,601 and 5,925 at these
+    // seeds.
     let peak = frames_batch_equals_sequential::<FlowManager>(large_cfg(4096), 1, 0x1A46E, 560);
     assert!(peak > 2400, "table peaked at {peak} flows");
     let peak =
@@ -595,8 +596,8 @@ fn batch_handles_full_table_same_as_sequential() {
 /// packet by packet — internal hits, new flows and repeats; return
 /// traffic to live flows, to live endpoints from the wrong remote, and
 /// to endpoints outside the pool — against the sequential oracle, on a
-/// table small enough to stay cache-resident and on one past the
-/// resident budget (every shard's probes touch ahead). A probe that
+/// table small enough to stay cache-resident and on one past 2,048
+/// flows per shard (see `large_cfg`). A probe that
 /// resolved each shard's queries in a pass of its own would still have
 /// to write every result at its own packet's position; this is where
 /// an ordering mistake between the shards would show.
@@ -744,7 +745,7 @@ fn bursts_alternating_shards_equal_sequential() {
         if resident > 2048 {
             assert!(
                 (0..2).all(|s| fm_bat.shard(s).len() > 2048),
-                "both shards past the resident budget"
+                "both shards past 2,048 flows"
             );
         }
     }

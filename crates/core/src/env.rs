@@ -59,7 +59,7 @@ pub type Query<D> = Option<(Direction, Tuple<D>)>;
 pub mod concrete {
     use super::{Found, NatEnv, PktHandle, Query, SlotId};
     use crate::domain::{Concrete, Domain};
-    use crate::flow_manager::FlowTable;
+    use crate::flow_manager::{FlowTable, ProbeKey};
     use libvig::map::MapKey;
     use libvig::time::Time;
     use vig_packet::{Direction, Flow, FlowId, Ip4, Proto};
@@ -160,31 +160,20 @@ pub mod concrete {
         }
 
         fn lookup_batch(&mut self, queries: &[Query<Concrete>], out: &mut [Found<Concrete>]) {
-            // Each direction's staged probe reads its keys from `queries`
+            // The table's one staged probe reads each key from `queries`
             // and writes each result at its position. On a sharded table
             // each internal key routes to its shard by this hash, inside
-            // the table's one staged loop.
-            let n = queries.len();
-            let mut found = |i: usize, r: Option<(usize, Flow)>| out[i] = r.map(hit);
-            self.table.probe_internal_batch(
-                n,
-                |i| match &queries[i] {
-                    Some((Direction::Internal, fid)) => {
-                        let key = fid.flow_id();
-                        Some((key, key.key_hash()))
-                    }
-                    _ => None,
-                },
-                &mut found,
-            );
-            self.table.probe_external_batch(
-                n,
-                |i| match &queries[i] {
-                    Some((Direction::External, ek)) => Some(ek.ext_key()),
-                    _ => None,
-                },
-                &mut found,
-            );
+            // that one staged loop.
+            let key = |i: usize| match &queries[i] {
+                Some((Direction::Internal, fid)) => {
+                    let key = fid.flow_id();
+                    Some(ProbeKey::Internal(key, key.key_hash()))
+                }
+                Some((Direction::External, ek)) => Some(ProbeKey::External(ek.ext_key())),
+                None => None,
+            };
+            self.table
+                .probe_batch(queries.len(), key, |i, r| out[i] = r.map(hit));
         }
 
         fn rejuvenate(
@@ -322,10 +311,11 @@ pub trait NatEnv: Domain {
     /// result of query `i`, and is left alone where there is none
     /// (`out.len() == queries.len()`). Must be observationally identical
     /// to those per-query calls — the default makes exactly them; the
-    /// concrete environment hands the queries to the flow table's staged
-    /// burst probes ([`crate::flow_manager::FlowTable::probe_internal_batch`],
-    /// [`crate::flow_manager::FlowTable::probe_external_batch`]) so the
-    /// burst's cache misses overlap instead of serializing.
+    /// concrete environment hands the queries, both directions at once,
+    /// to the flow table's one staged burst probe
+    /// ([`crate::flow_manager::FlowTable::probe_batch`]) so the burst's
+    /// cache misses overlap instead of serializing, and a burst that
+    /// asks one direction pays for that direction alone.
     ///
     /// The burst loop body ([`crate::loop_body::nat_process_batch_into`])
     /// only *trusts* hits from this call: burst-mate packets can insert

@@ -20,11 +20,11 @@
 //! the dchain contract guarantees. With the paper's single-address pool
 //! it reads `ext_port == start_port + i`, VigNAT's literal invariant.
 //! It is also where a flow's endpoint is kept: nowhere. The bijection
-//! is the storage — [`FlowManager::endpoint`] computes a slot's
+//! is the storage — [`FlowTable::endpoint_of_slot`] computes a slot's
 //! endpoint (an add on a single-address pool), lookups hand out
 //! [`Flow`] *views* built from
 //! the record or the query plus that arithmetic, and the one place an
-//! endpoint enters from outside, [`FlowManager::insert_hashed`],
+//! endpoint enters from outside, [`FlowTable::insert_hashed`],
 //! `assert!`s it is the slot's (unreachable under P4; a stored copy
 //! that disagreed with its slot used to sit unreachable in the table
 //! instead).
@@ -32,13 +32,13 @@
 //! And it is the whole external lookup: a return packet's destination
 //! endpoint, run backwards through the bijection
 //! ([`NatConfig::slot_of_endpoint`], minus `slot_base`), *is* the slot
-//! index, so [`FlowManager::lookup_external`] is three integer
+//! index, so [`FlowTable::lookup_external`] is three integer
 //! operations and one comparison of the slot's remote endpoint and
 //! protocol with the packet's — no hash, no probe. The key the
 //! [`DoubleMap`] contract sees is `(slot, remote ip, remote port,
 //! proto)`: the slot stands for the endpoint it is in bijection with,
 //! so the key is unique and no packet can be handed to the wrong flow.
-//! [`FlowManager::check_coherence`] asserts the full invariant; the
+//! [`FlowTable::check_coherence`] asserts the full invariant; the
 //! differential and property tests call it liberally.
 //!
 //! ## Expiry: one LRU list per timeout class
@@ -80,21 +80,24 @@
 //! TCP hit **5** (the record, for the tracker), a return hit **4**
 //! (record, chain cell, two neighbours). One lookup at a time pays
 //! those misses in series, level after dependent level.
-//! [`FlowTable::probe_internal_batch`] and
-//! [`FlowTable::probe_external_batch`] instead run the burst in stages,
-//! each issued for every query before the next begins, so the misses of
-//! one stage overlap. Internal keys: (1) probe starts and the
-//! directory line each probe starts on, (2) the probes' key comparisons
-//! ([`libvig::map::get_staged`]). External keys:
-//! (1) every key's candidate slot — arithmetic — and a first touch of
-//! those records, (2) the key comparisons. Then both: (3) for every hit
-//! the chain cell, and for an internal TCP hit its record; (4) the two
-//! neighbours the chain's unlink will write. The touches are prefetch
-//! instructions ([`libvig::prefetch`]) through the structures'
-//! `first_touch*` hints — they change no state, so results stay exactly
-//! the per-query lookups', and they retire without waiting for their
-//! lines, so a cold touch holds up nothing behind it — and run on every
-//! table, however few flows it tracks.
+//! [`FlowTable::probe_batch`] instead runs the burst in stages, each
+//! issued for every query of a chunk, internal and return keys alike,
+//! before the next begins, so the misses of one stage overlap:
+//!
+//! 1. every key, read once and routed, and its first line — an
+//!    internal key's directory line its probe starts on
+//!    ([`libvig::map::get_staged`]), a return key's candidate record
+//!    (the slot its endpoint names: arithmetic);
+//! 2. the key comparisons of both kinds;
+//! 3. for every hit the chain cell, and for an internal TCP hit its
+//!    record;
+//! 4. for every hit the two neighbours the chain's unlink will write.
+//!
+//! The touches are prefetch instructions ([`libvig::prefetch`])
+//! through the structures' `first_touch*` hints — they change no state,
+//! so results stay exactly the per-query lookups', and they retire
+//! without waiting for their lines, so a cold touch holds up nothing
+//! behind it — and run on every table, however few flows it tracks.
 //!
 //! Queries and results stay at their packet positions: the pipeline
 //! reads each position's key through the caller's closure, once, and
@@ -102,13 +105,14 @@
 //! queries in whatever shape it has them. Each query names the table
 //! that owns it — this one, or on a sharded table the shard its hash or
 //! endpoint routes to — so one staged loop serves every shard: nothing
-//! is gathered, split or scattered, and a burst that mixes shards
-//! overlaps their misses as one table's would.
+//! is gathered, split or scattered, and a burst that mixes shards or
+//! directions overlaps their misses as one table's would, while a
+//! burst that asks one direction pays for that direction alone.
 
 use libvig::dchain::DoubleChain;
 use libvig::dmap::{DmapValue, DoubleMap};
 use libvig::expirator;
-use libvig::map::{get_staged, MapKey, BATCH_CHUNK};
+use libvig::map::{get_staged, BATCH_CHUNK};
 use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
 use vig_spec::tcp::{initial_state, transition};
@@ -132,8 +136,11 @@ use vig_spec::{NatConfig, TcpState, TimeoutClass};
 /// Slot indices returned by lookups and allocation are *global*: a
 /// sharded table exposes `shard * per_shard_capacity + local_slot`, so
 /// the VigNAT invariant `ext_port == start_port + slot` holds verbatim
-/// for every implementation and the loop body's port arithmetic needs
-/// no sharding awareness.
+/// for the whole table and the loop body's port arithmetic needs no
+/// sharding awareness. One shard's [`FlowManager`], driven alone by a
+/// per-core worker, numbers its slots locally, but its
+/// [`FlowTable::port_offset_of_slot`] is still the pool's, which is all
+/// that arithmetic reads.
 pub trait FlowTable {
     /// Flows currently tracked.
     fn flow_count(&self) -> usize;
@@ -142,39 +149,30 @@ pub trait FlowTable {
     fn table_capacity(&self) -> usize;
 
     /// Expire every flow with `last_active <= threshold`; returns how
-    /// many were removed. Sharded implementations expire all shards
-    /// (each shard also exposes an independent per-shard entry point
-    /// for per-core expiry clocks).
+    /// many were removed. Sharded implementations expire all shards; a
+    /// per-core driver, with a clock per shard, calls its own shard's.
     fn expire(&mut self, threshold: Time) -> usize;
 
     /// Find a flow by internal 5-tuple; `hash == fid.key_hash()`. The
     /// [`Flow`] is a view, by value: `fid` plus the slot's endpoint.
     fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)>;
 
-    /// Resolve a burst of internal-key lookups by packet position, for
-    /// positions `0..n`: `key(i)` is asked once per position and answers
-    /// a key and its hash (`hash == fid.key_hash()`), or `None` where
-    /// position `i` asks nothing; `found(i, result)` receives each
-    /// query's result, in position order, and nothing else. Results must
-    /// equal [`FlowTable::lookup_internal_hashed`] — batching is a pure
-    /// optimization: beyond the results, an implementation may only
-    /// *prefetch* what the hits' rejuvenations will touch, so those misses
-    /// overlap across the burst, across shards too (module docs, "The
-    /// burst pipeline").
-    fn probe_internal_batch(
+    /// Resolve a burst of lookups by packet position, for positions
+    /// `0..n`: `key(i)` is asked once per position and answers its
+    /// [`ProbeKey`], or `None` where position `i` asks nothing;
+    /// `found(i, result)` is called exactly once for each position that
+    /// asks, and never for one that does not. Each result must equal
+    /// the per-key lookup — [`FlowTable::lookup_internal_hashed`] or
+    /// [`FlowTable::lookup_external`], duplicates and endpoints no shard
+    /// owns included. Batching is a pure optimization: beyond the
+    /// results, an implementation may only *prefetch* what the hits'
+    /// rejuvenations will touch, so those misses overlap across the
+    /// burst, across directions and shards too (module docs, "The burst
+    /// pipeline").
+    fn probe_batch(
         &self,
         n: usize,
-        key: impl FnMut(usize) -> Option<(FlowId, u64)>,
-        found: impl FnMut(usize, Option<(usize, Flow)>),
-    );
-
-    /// [`FlowTable::probe_internal_batch`] for external keys: results
-    /// equal [`FlowTable::lookup_external`], duplicates and endpoints no
-    /// shard owns included.
-    fn probe_external_batch(
-        &self,
-        n: usize,
-        key: impl FnMut(usize) -> Option<ExtKey>,
+        key: impl FnMut(usize) -> Option<ProbeKey>,
         found: impl FnMut(usize, Option<(usize, Flow)>),
     );
 
@@ -247,6 +245,16 @@ pub trait FlowTable {
     fn check_coherence(&self) -> Result<(), String>;
 }
 
+/// One packet position's key in a batched probe
+/// ([`FlowTable::probe_batch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeKey {
+    /// An internal 5-tuple and its hash (`hash == fid.key_hash()`).
+    Internal(FlowId, u64),
+    /// A return packet's external key.
+    External(ExtKey),
+}
+
 /// The pool endpoint `(ext_ip, ext_port)` that *global* slot `global`
 /// of `cfg`'s pool owns: [`NatConfig::ext_ip_of_slot`] and
 /// [`NatConfig::ext_port_of_slot`] without their divisions while the
@@ -280,7 +288,7 @@ struct FlowRecord {
     src_port: u16,
     dst_port: u16,
     proto: Proto,
-    /// `Some` iff `proto` is TCP ([`FlowManager::check_coherence`]), so
+    /// `Some` iff `proto` is TCP ([`FlowTable::check_coherence`]), so
     /// it alone names the flow's timeout class.
     tracker: Option<TcpState>,
 }
@@ -400,46 +408,11 @@ impl FlowManager {
         let _ = now;
     }
 
-    /// Flow count.
-    pub fn len(&self) -> usize {
-        self.table.size()
-    }
-
-    /// True when no flows are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the table is full.
-    pub fn is_full(&self) -> bool {
-        self.chain.is_full()
-    }
-
-    /// Capacity fixed at construction.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The pool endpoint `(ext_ip, ext_port)` (local) slot `slot` owns —
-    /// what a flow inserted there translates through.
-    #[inline]
-    pub fn endpoint(&self, slot: usize) -> (Ip4, u16) {
-        debug_assert!(slot < self.capacity);
-        endpoint(&self.cfg, self.slot_base + slot)
-    }
-
-    /// Slot `i`'s port offset within its pool address — the `offset`
-    /// of the loop body's `ext_port = start_port + offset` (equals the
-    /// global slot index with a single-address pool).
-    pub fn port_offset_of_slot(&self, slot: usize) -> u16 {
-        self.endpoint(slot).1 - self.cfg.start_port
-    }
-
     /// The flow in (local) slot `slot` whose internal key is `int_key`,
     /// as lookups hand it out.
     #[inline]
     fn view(&self, slot: usize, int_key: FlowId) -> Flow {
-        let (ext_ip, ext_port) = self.endpoint(slot);
+        let (ext_ip, ext_port) = self.endpoint_of_slot(slot);
         Flow {
             int_key,
             ext_ip,
@@ -452,24 +425,9 @@ impl FlowManager {
         self.table.get(slot).map(|r| self.view(slot, r.key_a()))
     }
 
-    /// Expire due flows. Returns how many were removed.
-    ///
-    /// `threshold` is what the loop body computes: `now -
-    /// min_lifetime_ns()`. The manager reconstructs `now` and applies
-    /// each list's own lifetime (module docs) — a flow is due iff
-    /// `last_active + lifetime(class) <= now`, which on a homogeneous
-    /// config is the paper's `last_active <= threshold`. (The addition
-    /// saturates only for a threshold no clock can produce.)
-    pub fn expire(&mut self, threshold: Time) -> usize {
-        let now = threshold.plus(self.cfg.min_lifetime_ns());
-        let lifetimes = TimeoutClass::ALL.map(|c| self.cfg.lifetime_ns(c));
-        let lifetimes = &lifetimes[..self.chain.lists()];
-        expirator::expire_items(&mut self.chain, &mut self.table, lifetimes, now)
-    }
-
     /// The chain list a slot whose tracker reads `st` lives on: its
     /// timeout class's. The table tracks a flow iff it is TCP
-    /// ([`FlowManager::check_coherence`]), so `None` is a UDP flow.
+    /// ([`FlowTable::check_coherence`]), so `None` is a UDP flow.
     fn list_of(&self, st: Option<TcpState>) -> usize {
         if self.chain.lists() == 1 {
             0
@@ -478,89 +436,14 @@ impl FlowManager {
         }
     }
 
-    /// Find a flow by its internal 5-tuple.
-    pub fn lookup_internal(&self, fid: &FlowId) -> Option<(usize, Flow)> {
-        self.lookup_internal_hashed(fid, fid.key_hash())
-    }
-
-    /// [`FlowManager::lookup_internal`] with a caller-computed hash
-    /// (`hash == fid.key_hash()`). The environments hash each packet's
-    /// `FlowId` exactly once and reuse it here and in
-    /// [`FlowManager::insert_hashed`]. The directory slot compared the
-    /// whole key, so the hit's view is `fid` and arithmetic: the record
-    /// is not loaded.
-    pub fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
-        let slot = self.table.get_by_a_with_hash(fid, hash)?;
-        Some((slot, self.view(slot, *fid)))
-    }
-
     /// The (local) slot that owns `ek`'s pool endpoint — the inverse of
-    /// [`FlowManager::endpoint`]. `None`, before any memory is touched,
-    /// for an endpoint outside the pool or in a sibling shard's slot
-    /// range.
+    /// [`FlowTable::endpoint_of_slot`]. `None`, before any memory is
+    /// touched, for an endpoint outside the pool or in a sibling shard's
+    /// slot range.
     fn slot_of_ext(&self, ek: &ExtKey) -> Option<usize> {
         let global = self.cfg.slot_of_endpoint(ek.ext_ip, ek.ext_port)?;
         let local = global.checked_sub(self.slot_base)?;
         (local < self.capacity).then_some(local)
-    }
-
-    /// Find a flow by its external key: index the slot its endpoint
-    /// names, compare the rest of the key with the record's (module
-    /// docs).
-    pub fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
-        let slot = self.slot_of_ext(ek)?;
-        let slot = self.table.get_by_b_at(&return_key(slot, ek), slot)?;
-        self.flow_at(slot).map(|f| (slot, f))
-    }
-
-    /// Refresh a flow's activity timestamp without stepping its TCP
-    /// tracker (equivalent to [`FlowManager::rejuvenate_with`] with an
-    /// empty flag set, which transitions no state).
-    ///
-    /// Precondition (P4, validated by the Vigor pipeline): `slot` was
-    /// returned by a lookup on this same iteration, hence allocated.
-    pub fn rejuvenate(&mut self, slot: usize, now: Time) {
-        self.rejuvenate_with(slot, now, Direction::Internal, 0);
-    }
-
-    /// Refresh a flow's activity timestamp and step its TCP tracker, in
-    /// place in its record, with a segment's flags from `dir` (a UDP
-    /// flow's record has no tracker: nothing to step). A state change
-    /// can migrate the flow between timeout classes; either way the slot
-    /// is re-linked, stamped `now`, at the tail of its class's list.
-    ///
-    /// Precondition (P4) as for [`FlowManager::rejuvenate`].
-    pub fn rejuvenate_with(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
-        let step = |r: &mut FlowRecord| {
-            r.tracker = r.tracker.map(|st| transition(st, dir, tcp_flags));
-            r.tracker
-        };
-        let st = self.table.update(slot, step).flatten();
-        self.relink(slot, st, now);
-    }
-
-    /// [`FlowManager::rejuvenate_with`] by a caller that knows the
-    /// flow's protocol: a UDP flow has no tracker and one class, so its
-    /// record is not loaded — the chain cell alone is touched.
-    ///
-    /// Precondition (P4) as for [`FlowManager::rejuvenate`], and
-    /// `proto` is the flow's (the caller matched its key).
-    pub fn rejuvenate_proto(
-        &mut self,
-        slot: usize,
-        now: Time,
-        dir: Direction,
-        tcp_flags: u8,
-        proto: Proto,
-    ) {
-        debug_assert!(
-            self.table.get(slot).is_none_or(|r| r.proto == proto),
-            "slot {slot} rejuvenated as {proto:?}"
-        );
-        match proto {
-            Proto::Tcp => self.rejuvenate_with(slot, now, dir, tcp_flags),
-            Proto::Udp => self.relink(slot, None, now),
-        }
     }
 
     /// Re-link `slot`, stamped `now`, at the tail of the list of the
@@ -576,86 +459,6 @@ impl FlowManager {
     pub fn tcp_state_of(&self, slot: usize) -> Option<TcpState> {
         debug_assert!(self.chain.is_allocated(slot));
         self.table.get(slot).and_then(|r| r.tracker)
-    }
-
-    /// Reserve a slot for a new flow, stamped `now`. `None` when full.
-    ///
-    /// The caller must follow up with [`FlowManager::insert`] for the
-    /// same slot (the loop body does; the Validator checks it).
-    pub fn allocate_slot(&mut self, now: Time) -> Option<usize> {
-        self.note_clock(now);
-        self.chain.allocate(now).ok()
-    }
-
-    /// Populate a reserved slot.
-    ///
-    /// Preconditions (P4): `slot` freshly allocated and empty; `fid` not
-    /// present; `(ext_ip, ext_port)` is the slot's pool endpoint.
-    pub fn insert(&mut self, slot: usize, fid: FlowId, ext_ip: Ip4, ext_port: u16) {
-        let hash = fid.key_hash();
-        self.insert_hashed(slot, fid, ext_ip, ext_port, hash, 0);
-    }
-
-    /// [`FlowManager::insert`] with a caller-computed `FlowId` hash
-    /// (`fid_hash == fid.key_hash()`): the lookup miss that precedes
-    /// every insert already hashed the key, and this entry point reuses
-    /// that work instead of hashing a second time. `tcp_flags` (the
-    /// creating segment's flag byte; 0 for UDP) seeds the TCP tracker.
-    ///
-    /// Panics, in every build, if `(ext_ip, ext_port)` is not the slot's
-    /// endpoint: the table keeps no copy of it, every later lookup hands
-    /// out the slot's, so a caller translating through another would
-    /// have its return traffic delivered to whichever flow owns that one.
-    pub fn insert_hashed(
-        &mut self,
-        slot: usize,
-        fid: FlowId,
-        ext_ip: Ip4,
-        ext_port: u16,
-        fid_hash: u64,
-        tcp_flags: u8,
-    ) {
-        assert!(
-            slot < self.capacity && (ext_ip, ext_port) == self.endpoint(slot),
-            "slot/endpoint bijection violated: slot {slot} of {} does not own {ext_ip}:{ext_port}",
-            self.capacity
-        );
-        let tracker = (fid.proto == Proto::Tcp).then(|| initial_state(tcp_flags));
-        let record = FlowRecord {
-            src_ip: fid.src_ip,
-            dst_ip: fid.dst_ip,
-            src_port: fid.src_port,
-            dst_port: fid.dst_port,
-            proto: fid.proto,
-            tracker,
-        };
-        let ok = self.table.put_with_hash(slot, record, fid_hash);
-        debug_assert!(ok.is_ok(), "insert into occupied slot {slot}");
-        if self.chain.lists() > 1 {
-            // `allocate_slot` linked and stamped the slot on list 0 (same
-            // iteration, P4); its class is only known now. Keeps the
-            // stamp, so within a class slots order by insertion.
-            let stamp = self
-                .chain
-                .timestamp_of(slot)
-                .expect("insert into unallocated slot");
-            self.chain.rejuvenate_on(slot, self.list_of(tracker), stamp);
-        }
-    }
-
-    /// Convenience: allocate + insert in one step, returning the slot
-    /// and the assigned external port (the slot's pool address is
-    /// [`FlowManager::endpoint`]'s). This is the API examples and
-    /// baselines use; the verified loop body uses the two-step form to
-    /// keep the port arithmetic in stateless code.
-    pub fn allocate(&mut self, fid: FlowId, now: Time) -> Option<(usize, u16)> {
-        if self.lookup_internal(&fid).is_some() {
-            return None; // caller error: flow exists (precondition)
-        }
-        let slot = self.allocate_slot(now)?;
-        let (ip, port) = self.endpoint(slot);
-        self.insert(slot, fid, ip, port);
-        Some((slot, port))
     }
 
     /// Probe length of an internal-key lookup in the flow directory —
@@ -675,10 +478,154 @@ impl FlowManager {
             .iter_lru()
             .filter_map(move |(slot, t)| self.flow_at(slot).map(|f| (slot, f, t)))
     }
+}
 
-    /// Assert the cross-structure coherence invariant. Test/diagnostic
-    /// use; O(capacity).
-    pub fn check_coherence(&self) -> Result<(), String> {
+/// The table standalone, or one shard of a sharded table: its slots are
+/// local, `0..capacity`, and own the pool endpoints from `slot_base` on.
+impl FlowTable for FlowManager {
+    fn flow_count(&self) -> usize {
+        self.table.size()
+    }
+
+    fn table_capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// `threshold` is what the loop body computes: `now -
+    /// min_lifetime_ns()`. The manager reconstructs `now` and applies
+    /// each list's own lifetime (module docs) — a flow is due iff
+    /// `last_active + lifetime(class) <= now`, which on a homogeneous
+    /// config is the paper's `last_active <= threshold`. (The addition
+    /// saturates only for a threshold no clock can produce.)
+    fn expire(&mut self, threshold: Time) -> usize {
+        let now = threshold.plus(self.cfg.min_lifetime_ns());
+        let lifetimes = TimeoutClass::ALL.map(|c| self.cfg.lifetime_ns(c));
+        let lifetimes = &lifetimes[..self.chain.lists()];
+        expirator::expire_items(&mut self.chain, &mut self.table, lifetimes, now)
+    }
+
+    /// The directory slot compared the whole key, so the hit's view is
+    /// `fid` and arithmetic: the record is not loaded.
+    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
+        let slot = self.table.get_by_a_with_hash(fid, hash)?;
+        Some((slot, self.view(slot, *fid)))
+    }
+
+    fn probe_batch(
+        &self,
+        n: usize,
+        key: impl FnMut(usize) -> Option<ProbeKey>,
+        found: impl FnMut(usize, Option<(usize, Flow)>),
+    ) {
+        probe_staged(n, key, found, |_| (self, 0), |_| Some((self, 0)));
+    }
+
+    /// Index the slot the key's endpoint names, compare the rest of the
+    /// key with the record's (module docs).
+    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
+        let slot = self.slot_of_ext(ek)?;
+        let slot = self.table.get_by_b_at(&return_key(slot, ek), slot)?;
+        self.flow_at(slot).map(|f| (slot, f))
+    }
+
+    /// Steps the tracker in place in the record (a UDP flow's record has
+    /// none: nothing to step). A state change can migrate the flow
+    /// between timeout classes; either way the slot is re-linked,
+    /// stamped `now`, at the tail of its class's list.
+    ///
+    /// Precondition (P4, validated by the Vigor pipeline): `slot` was
+    /// returned by a lookup on this same iteration, hence allocated.
+    fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
+        let step = |r: &mut FlowRecord| {
+            r.tracker = r.tracker.map(|st| transition(st, dir, tcp_flags));
+            r.tracker
+        };
+        let st = self.table.update(slot, step).flatten();
+        self.relink(slot, st, now);
+    }
+
+    /// A UDP flow has no tracker and one class, so its record is not
+    /// loaded — the chain cell alone is touched.
+    fn rejuvenate_proto(
+        &mut self,
+        slot: usize,
+        now: Time,
+        dir: Direction,
+        tcp_flags: u8,
+        proto: Proto,
+    ) {
+        debug_assert!(
+            self.table.get(slot).is_none_or(|r| r.proto == proto),
+            "slot {slot} rejuvenated as {proto:?}"
+        );
+        match proto {
+            Proto::Tcp => self.rejuvenate(slot, now, dir, tcp_flags),
+            Proto::Udp => self.relink(slot, None, now),
+        }
+    }
+
+    /// One port pool (or the shard the hash already chose): the hash
+    /// plays no routing role here.
+    fn allocate_slot_routed(&mut self, _fid_hash: u64, now: Time) -> Option<usize> {
+        self.note_clock(now);
+        self.chain.allocate(now).ok()
+    }
+
+    #[inline]
+    fn endpoint_of_slot(&self, slot: usize) -> (Ip4, u16) {
+        debug_assert!(slot < self.capacity);
+        endpoint(&self.cfg, self.slot_base + slot)
+    }
+
+    fn port_offset_of_slot(&self, slot: usize) -> u16 {
+        self.endpoint_of_slot(slot).1 - self.cfg.start_port
+    }
+
+    /// The lookup miss that precedes every insert already hashed the
+    /// key; `fid_hash` reuses that work.
+    ///
+    /// Panics, in every build, if `(ext_ip, ext_port)` is not the slot's
+    /// endpoint: the table keeps no copy of it, every later lookup hands
+    /// out the slot's, so a caller translating through another would
+    /// have its return traffic delivered to whichever flow owns that one.
+    fn insert_hashed(
+        &mut self,
+        slot: usize,
+        fid: FlowId,
+        ext_ip: Ip4,
+        ext_port: u16,
+        fid_hash: u64,
+        tcp_flags: u8,
+    ) {
+        assert!(
+            slot < self.capacity && (ext_ip, ext_port) == self.endpoint_of_slot(slot),
+            "slot/endpoint bijection violated: slot {slot} of {} does not own {ext_ip}:{ext_port}",
+            self.capacity
+        );
+        let tracker = (fid.proto == Proto::Tcp).then(|| initial_state(tcp_flags));
+        let record = FlowRecord {
+            src_ip: fid.src_ip,
+            dst_ip: fid.dst_ip,
+            src_port: fid.src_port,
+            dst_port: fid.dst_port,
+            proto: fid.proto,
+            tracker,
+        };
+        let ok = self.table.put_with_hash(slot, record, fid_hash);
+        debug_assert!(ok.is_ok(), "insert into occupied slot {slot}");
+        if self.chain.lists() > 1 {
+            // `allocate_slot_routed` linked and stamped the slot on list
+            // 0 (same iteration, P4); its class is only known now. Keeps
+            // the stamp, so within a class slots order by insertion.
+            let stamp = self
+                .chain
+                .timestamp_of(slot)
+                .expect("insert into unallocated slot");
+            self.chain.rejuvenate_on(slot, self.list_of(tracker), stamp);
+        }
+    }
+
+    fn check_coherence(&self) -> Result<(), String> {
         if self.table.size() != self.chain.size() {
             return Err(format!(
                 "size mismatch: dmap {} vs dchain {}",
@@ -738,10 +685,10 @@ impl FlowManager {
                     self.cfg.ext_ip_of_slot(global),
                     self.cfg.ext_port_of_slot(global),
                 );
-                if self.endpoint(slot) != pool {
+                if self.endpoint_of_slot(slot) != pool {
                     return Err(format!(
                         "slot {slot}: endpoint {:?} != pool endpoint {pool:?}",
-                        self.endpoint(slot)
+                        self.endpoint_of_slot(slot)
                     ));
                 }
                 // ...and what the external lookup leans on, through the
@@ -758,129 +705,76 @@ impl FlowManager {
     }
 }
 
-impl FlowTable for FlowManager {
-    fn flow_count(&self) -> usize {
-        self.len()
-    }
-
-    fn table_capacity(&self) -> usize {
-        self.capacity()
-    }
-
-    fn expire(&mut self, threshold: Time) -> usize {
-        FlowManager::expire(self, threshold)
-    }
-
-    fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
-        FlowManager::lookup_internal_hashed(self, fid, hash)
-    }
-
-    fn probe_internal_batch(
-        &self,
-        n: usize,
-        key: impl FnMut(usize) -> Option<(FlowId, u64)>,
-        found: impl FnMut(usize, Option<(usize, Flow)>),
-    ) {
-        probe_internal_staged(n, key, found, |_| (self, 0));
-    }
-
-    fn probe_external_batch(
-        &self,
-        n: usize,
-        key: impl FnMut(usize) -> Option<ExtKey>,
-        found: impl FnMut(usize, Option<(usize, Flow)>),
-    ) {
-        probe_external_staged(n, key, found, |_| Some((self, 0)));
-    }
-
-    fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
-        FlowManager::lookup_external(self, ek)
-    }
-
-    fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
-        FlowManager::rejuvenate_with(self, slot, now, dir, tcp_flags);
-    }
-
-    fn rejuvenate_proto(
-        &mut self,
-        slot: usize,
-        now: Time,
-        dir: Direction,
-        tcp_flags: u8,
-        proto: Proto,
-    ) {
-        FlowManager::rejuvenate_proto(self, slot, now, dir, tcp_flags, proto);
-    }
-
-    fn allocate_slot_routed(&mut self, _fid_hash: u64, now: Time) -> Option<usize> {
-        // Unsharded: one port pool, the hash plays no routing role.
-        self.allocate_slot(now)
-    }
-
-    fn endpoint_of_slot(&self, slot: usize) -> (Ip4, u16) {
-        self.endpoint(slot)
-    }
-
-    fn port_offset_of_slot(&self, slot: usize) -> u16 {
-        FlowManager::port_offset_of_slot(self, slot)
-    }
-
-    fn insert_hashed(
-        &mut self,
-        slot: usize,
-        fid: FlowId,
-        ext_ip: Ip4,
-        ext_port: u16,
-        fid_hash: u64,
-        tcp_flags: u8,
-    ) {
-        FlowManager::insert_hashed(self, slot, fid, ext_ip, ext_port, fid_hash, tcp_flags);
-    }
-
-    fn check_coherence(&self) -> Result<(), String> {
-        FlowManager::check_coherence(self)
-    }
+/// A position of a chunk after stage 1: its key, routed.
+#[derive(Clone, Copy)]
+enum Staged<'t> {
+    /// An internal key and its hash, the table it routes to and the
+    /// global slot of that table's local slot 0.
+    Internal(FlowId, u64, &'t FlowManager, usize),
+    /// A return key and where its flow can only be: the table that owns
+    /// its endpoint, the global slot of that table's local slot 0, and
+    /// the local slot the endpoint names; `None` when it names no
+    /// table's slot.
+    External(ExtKey, Option<(&'t FlowManager, usize, usize)>),
 }
 
 /// A hit as stages 3–4 need it: its table, its (local) slot, and
 /// whether its rejuvenation reads the record.
 type Touch<'t> = Option<(&'t FlowManager, usize, bool)>;
 
-/// Where a return key's flow can only be: the table that owns its
-/// endpoint, the global slot of that table's local slot 0, and the local
-/// slot the endpoint names; `None` when it names no table's slot.
-type Candidate<'t> = Option<(&'t FlowManager, usize, usize)>;
-
-/// The burst pipeline of internal keys (module docs) — the one every
-/// table runs, over one table or every shard of a sharded one: per
-/// chunk of [`BATCH_CHUNK`] positions, each key read once, the
-/// directory's stages ([`libvig::map::get_staged`], each query in the
-/// directory of the shard it routes to), then stages 3–4 for the hits.
-/// `owner(hash)` names the table a key routes to and the global slot of
-/// that table's local slot 0; `key` and `found` are
-/// [`FlowTable::probe_internal_batch`]'s.
-pub(crate) fn probe_internal_staged<'t>(
+/// The burst pipeline (module docs) — the one every table runs, over
+/// one table or every shard of a sharded one, both directions at once.
+/// Per chunk of [`BATCH_CHUNK`] positions: (1) each key, read once and
+/// routed, and its first line — an internal key's directory start line
+/// ([`libvig::map::get_staged`], in the directory of the shard it
+/// routes to), a return key's candidate record (the slot its endpoint
+/// names: arithmetic); (2) the key comparisons of both kinds; then
+/// stages 3–4 for every hit. `internal(hash)` names the table an
+/// internal key routes to and the global slot of that table's local
+/// slot 0; `external(ek)` the same for the table that owns `ek`'s
+/// endpoint, or `None` when no table does. `key` and `found` are
+/// [`FlowTable::probe_batch`]'s.
+pub(crate) fn probe_staged<'t>(
     n: usize,
-    mut key: impl FnMut(usize) -> Option<(FlowId, u64)>,
+    mut key: impl FnMut(usize) -> Option<ProbeKey>,
     mut found: impl FnMut(usize, Option<(usize, Flow)>),
-    owner: impl Fn(u64) -> (&'t FlowManager, usize),
+    internal: impl Fn(u64) -> (&'t FlowManager, usize),
+    external: impl Fn(&ExtKey) -> Option<(&'t FlowManager, usize)>,
 ) {
     for first in (0..n).step_by(BATCH_CHUNK) {
         let len = BATCH_CHUNK.min(n - first);
-        let mut keys = [None; BATCH_CHUNK];
-        for (i, k) in keys[..len].iter_mut().enumerate() {
-            *k = key(first + i);
+        let mut staged: [Option<Staged<'t>>; BATCH_CHUNK] = [None; BATCH_CHUNK];
+        for (i, s) in staged[..len].iter_mut().enumerate() {
+            *s = key(first + i).map(|k| match k {
+                ProbeKey::Internal(fid, hash) => {
+                    let (fm, base) = internal(hash);
+                    Staged::Internal(fid, hash, fm, base)
+                }
+                ProbeKey::External(ek) => {
+                    let at =
+                        external(&ek).and_then(|(fm, base)| Some((fm, base, fm.slot_of_ext(&ek)?)));
+                    if let Some((fm, _, slot)) = at {
+                        // The comparison below reads it.
+                        fm.table.first_touch(slot);
+                    }
+                    Staged::External(ek, at)
+                }
+            });
         }
         let mut touches: [Touch<'t>; BATCH_CHUNK] = [None; BATCH_CHUNK];
+        // Internal keys: stage 1's start lines, then the comparisons.
         get_staged(
             len,
-            |i| {
-                let (fid, hash) = keys[i].as_ref()?;
-                Some((owner(*hash).0.table.directory(), fid, *hash))
+            |i| match &staged[i] {
+                Some(Staged::Internal(fid, hash, fm, _)) => {
+                    Some((fm.table.directory(), fid, *hash))
+                }
+                _ => None,
             },
             |i, slot| {
-                let (fid, hash) = keys[i].expect("results come only for queries");
-                let (fm, base) = owner(hash);
+                let Some(Staged::Internal(fid, _, fm, base)) = staged[i] else {
+                    unreachable!("results come only for internal keys")
+                };
                 // The directory slot compared the whole key: the view is
                 // the query plus arithmetic.
                 let hit = slot.map(|slot| (base + slot, fm.view(slot, fid)));
@@ -890,39 +784,11 @@ pub(crate) fn probe_internal_staged<'t>(
                 touches[i] = slot.map(|slot| (fm, slot, fid.proto == Proto::Tcp));
             },
         );
-        touch_ahead(&touches[..len]);
-    }
-}
-
-/// The burst pipeline of return keys (module docs): per chunk of
-/// [`BATCH_CHUNK`] positions, (1) each key, read once, and its candidate
-/// slot — the one its endpoint names in the table `owner` routes it to,
-/// arithmetic — and a first touch of that slot's record, (2) the key
-/// comparisons, then stages 3–4 for the hits. `owner(ek)` names the
-/// table that owns `ek`'s endpoint and the global slot of its local
-/// slot 0, or `None` when no table does; `key` and `found` are
-/// [`FlowTable::probe_external_batch`]'s.
-pub(crate) fn probe_external_staged<'t>(
-    n: usize,
-    mut key: impl FnMut(usize) -> Option<ExtKey>,
-    mut found: impl FnMut(usize, Option<(usize, Flow)>),
-    owner: impl Fn(&ExtKey) -> Option<(&'t FlowManager, usize)>,
-) {
-    for first in (0..n).step_by(BATCH_CHUNK) {
-        let len = BATCH_CHUNK.min(n - first);
-        let mut candidates: [Option<(ExtKey, Candidate<'t>)>; BATCH_CHUNK] = [None; BATCH_CHUNK];
-        for (i, candidate) in candidates[..len].iter_mut().enumerate() {
-            let Some(ek) = key(first + i) else { continue };
-            let at = owner(&ek).and_then(|(fm, base)| Some((fm, base, fm.slot_of_ext(&ek)?)));
-            if let Some((fm, _, slot)) = at {
-                // The comparison below reads it.
-                fm.table.first_touch(slot);
-            }
-            *candidate = Some((ek, at));
-        }
-        let mut touches: [Touch<'t>; BATCH_CHUNK] = [None; BATCH_CHUNK];
-        for (i, candidate) in candidates[..len].iter().enumerate() {
-            let Some((ek, at)) = candidate else { continue };
+        // Return keys: the comparisons.
+        for (i, s) in staged[..len].iter().enumerate() {
+            let Some(Staged::External(ek, at)) = s else {
+                continue;
+            };
             let hit = at.and_then(|(fm, base, slot)| {
                 let slot = fm.table.get_by_b_at(&return_key(slot, ek), slot)?;
                 Some((fm, base, slot))
@@ -958,9 +824,32 @@ pub(crate) mod tests {
     use crate::env::concrete::{ConcreteEnv, PacketSide};
     use crate::env::{Found, NatEnv, PktHandle, SlotId};
     use crate::Concrete;
+    use libvig::map::MapKey;
     use proptest::prelude::*;
     use vig_packet::{Ip4, Proto};
     use vig_spec::rfc3022::{Frame, Mapping, Tuple};
+
+    /// Test conveniences over the table's operations.
+    impl FlowManager {
+        /// [`FlowTable::lookup_internal_hashed`], hashing `fid`.
+        pub(crate) fn lookup_internal(&self, fid: &FlowId) -> Option<(usize, Flow)> {
+            self.lookup_internal_hashed(fid, fid.key_hash())
+        }
+
+        /// Allocate and insert `fid`, stamped `now`, through the loop
+        /// body's two steps, returning its slot and external port;
+        /// `None` when the flow exists or the table is full.
+        pub(crate) fn allocate(&mut self, fid: FlowId, now: Time) -> Option<(usize, u16)> {
+            if self.lookup_internal(&fid).is_some() {
+                return None;
+            }
+            let hash = fid.key_hash();
+            let slot = self.allocate_slot_routed(hash, now)?;
+            let (ip, port) = self.endpoint_of_slot(slot);
+            self.insert_hashed(slot, fid, ip, port, hash, 0);
+            Some((slot, port))
+        }
+    }
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -1058,7 +947,7 @@ pub(crate) mod tests {
             let sharded = ShardedFlowManager::new(&c, 3);
             for local in 0..third {
                 let g = 2 * third + local;
-                assert_eq!(shard.endpoint(local), pool(g));
+                assert_eq!(shard.endpoint_of_slot(local), pool(g));
                 assert_eq!(shard.port_offset_of_slot(local), offset(g));
             }
             for g in 0..sharded.table_capacity() {
@@ -1077,7 +966,7 @@ pub(crate) mod tests {
             assert_eq!(port, 1000 + slot as u16);
             assert!(ports.insert(port));
         }
-        assert!(fm.is_full());
+        assert_eq!(fm.flow_count(), fm.table_capacity());
         assert_eq!(fm.allocate(fid(9, 100), Time::from_secs(1)), None);
         fm.check_coherence().unwrap();
     }
@@ -1099,7 +988,7 @@ pub(crate) mod tests {
         let mut fm = FlowManager::new(&cfg());
         let (a, _) = fm.allocate(fid(1, 100), Time::from_secs(1)).unwrap();
         fm.allocate(fid(2, 100), Time::from_secs(2)).unwrap();
-        fm.rejuvenate(a, Time::from_secs(5));
+        fm.rejuvenate(a, Time::from_secs(5), Direction::Internal, 0);
         // threshold 2: only flow 2 (stamped 2s) dies; flow 1 was refreshed.
         assert_eq!(fm.expire(Time::from_secs(2)), 1);
         assert!(fm.lookup_internal(&fid(1, 100)).is_some());
@@ -1123,7 +1012,7 @@ pub(crate) mod tests {
         let mut fm = FlowManager::new(&cfg());
         fm.allocate(fid(1, 100), Time::from_secs(1)).unwrap();
         assert_eq!(fm.allocate(fid(1, 100), Time::from_secs(2)), None);
-        assert_eq!(fm.len(), 1);
+        assert_eq!(fm.flow_count(), 1);
     }
 
     fn classed_cfg() -> NatConfig {
@@ -1164,8 +1053,10 @@ pub(crate) mod tests {
         // Half-open TCP (created by a SYN), established TCP (created by
         // a bare-ACK mid-stream pickup), and a UDP flow.
         let f1 = tcp_fid(1, 100);
-        let half = fm.allocate_slot(Time::from_secs(1)).unwrap();
-        let (ip, port) = fm.endpoint(half);
+        let half = fm
+            .allocate_slot_routed(f1.key_hash(), Time::from_secs(1))
+            .unwrap();
+        let (ip, port) = fm.endpoint_of_slot(half);
         fm.insert_hashed(half, f1, ip, port, f1.key_hash(), flags::SYN);
         assert_eq!(fm.tcp_state_of(half), Some(TcpState::SynSent));
         let (est, _) = fm.allocate(tcp_fid(2, 100), Time::from_secs(1)).unwrap();
@@ -1183,7 +1074,7 @@ pub(crate) mod tests {
         assert!(fm.lookup_internal(&tcp_fid(2, 100)).is_some());
         // t=31s: the established flow (30s) finally dies.
         assert_eq!(fm.expire(Time::from_secs(29)), 1);
-        assert!(fm.is_empty());
+        assert!(fm.flow_count() == 0);
         fm.check_coherence().unwrap();
     }
 
@@ -1193,12 +1084,12 @@ pub(crate) mod tests {
         let mut fm = FlowManager::new(&classed_cfg());
         let (slot, _) = fm.allocate(tcp_fid(1, 100), Time::from_secs(1)).unwrap();
         assert_eq!(fm.tcp_state_of(slot), Some(TcpState::Established));
-        fm.rejuvenate_with(slot, Time::from_secs(5), Direction::External, flags::RST);
+        fm.rejuvenate(slot, Time::from_secs(5), Direction::External, flags::RST);
         assert_eq!(fm.tcp_state_of(slot), Some(TcpState::Closed));
         fm.check_coherence().unwrap();
         // Now on the 2s transitory timer: dead by t=8s.
         assert_eq!(fm.expire(Time::from_secs(6)), 1);
-        assert!(fm.is_empty());
+        assert!(fm.flow_count() == 0);
     }
 
     /// Equal deadlines across classes expire in class order, not LRU
@@ -1211,9 +1102,11 @@ pub(crate) mod tests {
         // deadline t=30; a transitory flow (2 s) at t=27 is due earlier.
         let (est, _) = fm.allocate(tcp_fid(1, 100), Time::ZERO).unwrap();
         let (udp, _) = fm.allocate(fid(2, 100), Time::from_secs(20)).unwrap();
-        let syn = fm.allocate_slot(Time::from_secs(27)).unwrap();
-        let (ip, port) = fm.endpoint(syn);
         let f = tcp_fid(3, 100);
+        let syn = fm
+            .allocate_slot_routed(f.key_hash(), Time::from_secs(27))
+            .unwrap();
+        let (ip, port) = fm.endpoint_of_slot(syn);
         fm.insert_hashed(syn, f, ip, port, f.key_hash(), vig_packet::tcp::flags::SYN);
         fm.check_coherence().unwrap();
         // The loop body's threshold at t=30 (min lifetime 2 s).
@@ -1243,15 +1136,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// Both batched probes of `t`, by position, against its per-key
-    /// lookups: each `Some` position's result is the lookup's, each
-    /// `None` position keeps the sentinel it held. Then the same keys as
-    /// one mixed-direction query array — `fids[i]` at even positions,
-    /// `eks[i]` at odd ones, a hole wherever that key is `None` — through
-    /// [`ConcreteEnv`] over `t`: its one batched lookup equals, position
-    /// by position, what the [`NatEnv::lookup_batch`] default asks (one
-    /// `lookup_internal` or `lookup_external` per query), and keeps the
-    /// sentinel at every hole. Returns the hits of each direction.
+    /// `t`'s batched probe, by position, against its per-key lookups —
+    /// over `fids` alone, over `eks` alone, and over both as one mixed
+    /// array (`fids[i]` at even positions, `eks[i]` at odd ones, a hole
+    /// wherever that key is `None`): each asking position's result is
+    /// the lookup's and comes in exactly one `found` call, and a hole
+    /// gets no call and keeps the sentinel it held. Then the mixed array
+    /// as one query array through [`ConcreteEnv`] over `t`: its one
+    /// batched lookup equals, position by position, what the
+    /// [`NatEnv::lookup_batch`] default asks (one `lookup_internal` or
+    /// `lookup_external` per query), and keeps the sentinel at every
+    /// hole. Returns the hits of each direction.
     pub(crate) fn assert_probes_equal_lookups<T: FlowTable>(
         t: &mut T,
         fids: &[Option<FlowId>],
@@ -1265,48 +1160,57 @@ pub(crate) mod tests {
                 ext_port: 0,
             },
         ));
-        let mut out = vec![sentinel; fids.len()];
-        let key = |i: usize| fids[i].map(|f| (f, f.key_hash()));
-        t.probe_internal_batch(fids.len(), key, |i, r| out[i] = r);
-        for (i, (f, got)) in fids.iter().zip(&out).enumerate() {
-            let want = f.map_or(sentinel, |f| t.lookup_internal_hashed(&f, f.key_hash()));
-            assert_eq!(*got, want, "internal position {i} ({f:?})");
-        }
-        let int_hits = fids
-            .iter()
-            .zip(&out)
-            .filter(|(f, r)| f.is_some() && r.is_some())
-            .count();
-        let mut out = vec![sentinel; eks.len()];
-        t.probe_external_batch(eks.len(), |i| eks[i], |i, r| out[i] = r);
-        for (i, (ek, got)) in eks.iter().zip(&out).enumerate() {
-            let want = ek.map_or(sentinel, |ek| t.lookup_external(&ek));
-            assert_eq!(*got, want, "external position {i} ({ek:?})");
-        }
-        let ext_hits = eks
-            .iter()
-            .zip(&out)
-            .filter(|(ek, r)| ek.is_some() && r.is_some())
-            .count();
+        let probe = |t: &T, keys: &[Option<ProbeKey>], what: &str| {
+            let mut out = vec![sentinel; keys.len()];
+            let mut calls = vec![0; keys.len()];
+            t.probe_batch(
+                keys.len(),
+                |i| keys[i],
+                |i, r| {
+                    out[i] = r;
+                    calls[i] += 1;
+                },
+            );
+            for (i, (k, got)) in keys.iter().zip(&out).enumerate() {
+                let want = match k {
+                    Some(ProbeKey::Internal(f, hash)) => t.lookup_internal_hashed(f, *hash),
+                    Some(ProbeKey::External(ek)) => t.lookup_external(ek),
+                    None => sentinel,
+                };
+                assert_eq!(*got, want, "{what} position {i} ({k:?})");
+                let asks = usize::from(k.is_some());
+                assert_eq!(calls[i], asks, "{what} position {i}: found calls");
+            }
+            let hits = keys.iter().zip(&out);
+            hits.filter(|(k, r)| k.is_some() && r.is_some()).count()
+        };
+        let internal = |f: &Option<FlowId>| f.map(|f| ProbeKey::Internal(f, f.key_hash()));
+        let external = |ek: &Option<ExtKey>| ek.map(ProbeKey::External);
+        let fid_keys: Vec<_> = fids.iter().map(internal).collect();
+        let int_hits = probe(t, &fid_keys, "internal");
+        let ek_keys: Vec<_> = eks.iter().map(external).collect();
+        let ext_hits = probe(t, &ek_keys, "external");
+        let mixed: Vec<_> = (fid_keys.iter().zip(ek_keys).enumerate())
+            .map(|(i, (f, ek))| if i % 2 == 0 { *f } else { ek })
+            .collect();
+        probe(t, &mixed, "mixed");
 
         let tuple = |(ip, port): (Ip4, u16), (rip, rport): (Ip4, u16), proto| Tuple {
             src: (ip.raw(), port),
             dst: (rip.raw(), rport),
             proto,
         };
-        let queries: Vec<_> = fids
+        let queries: Vec<_> = mixed
             .iter()
-            .zip(eks)
-            .enumerate()
-            .map(|(i, (f, ek))| match i % 2 {
-                0 => f.map(|f| {
+            .map(|k| match (*k)? {
+                ProbeKey::Internal(f, _) => {
                     let q = tuple((f.src_ip, f.src_port), (f.dst_ip, f.dst_port), f.proto);
-                    (Direction::Internal, q)
-                }),
-                _ => ek.map(|ek| {
+                    Some((Direction::Internal, q))
+                }
+                ProbeKey::External(ek) => {
                     let q = tuple((ek.ext_ip, ek.ext_port), (ek.dst_ip, ek.dst_port), ek.proto);
-                    (Direction::External, q)
-                }),
+                    Some((Direction::External, q))
+                }
             })
             .collect();
         let plain = |found: &Found<Concrete>| found.as_ref().map(|(s, m)| (s.0, m.int, m.ext));
@@ -1331,10 +1235,11 @@ pub(crate) mod tests {
         (int_hits, ext_hits)
     }
 
-    /// The batched probes, by position, on tables of thousands of flows —
+    /// The batched probe, by position, on tables of thousands of flows —
     /// one table, and a table of two shards whose every burst mixes them
-    /// — against the per-key lookups and, as one mixed-direction query
-    /// array, through `ConcreteEnv`'s batched lookup
+    /// — against the per-key lookups, over keys of one kind and both
+    /// mixed, and, as one mixed-direction query array, through
+    /// `ConcreteEnv`'s batched lookup
     /// ([`assert_probes_equal_lookups`]): hits, misses, duplicates,
     /// return keys for a free slot and outside the pool, `None` holes at
     /// scattered positions, 203 positions (seven chunks). Nothing
@@ -1575,11 +1480,12 @@ pub(crate) mod tests {
         let live = live(&t);
         let scan = |ek: &ExtKey| live.iter().copied().find(|(_, f)| f.ext_key() == *ek);
         let mut batch = vec![None; queries.len()];
-        t.probe_external_batch(queries.len(), |i| Some(queries[i]), |i, r| batch[i] = r);
+        let key = |i: usize| Some(ProbeKey::External(queries[i]));
+        t.probe_batch(queries.len(), key, |i, r| batch[i] = r);
         for (ek, batched) in queries.iter().zip(batch) {
             let want = scan(ek);
             assert_eq!(t.lookup_external(ek), want, "lookup_external({ek:?})");
-            assert_eq!(batched, want, "probe_external_batch({ek:?})");
+            assert_eq!(batched, want, "probe_batch({ek:?})");
         }
         for (_, f) in &live {
             assert!(queries.contains(&f.ext_key()), "a live flow went unasked");
@@ -1588,7 +1494,7 @@ pub(crate) mod tests {
 
     proptest! {
         /// The oracle that is not the index: `lookup_external` and
-        /// `probe_external_batch` equal a linear scan of the live flows
+        /// `probe_batch` of return keys equal a linear scan of the live flows
         /// for `ext_key() == ek` — on the whole pool, on a shard of it
         /// (`slot_base > 0`), and sharded 1, 2 and 3 ways (3 leaves
         /// remainder slots no shard owns), over [`oracle_cfgs`] — and
@@ -1622,7 +1528,7 @@ pub(crate) mod tests {
                             proto: Proto::Udp,
                         };
                         let forward = (0..capacity)
-                            .find(|&s| fm.endpoint(s) == (ip, port));
+                            .find(|&s| fm.endpoint_of_slot(s) == (ip, port));
                         prop_assert_eq!(fm.slot_of_ext(&ek), forward, "endpoint of global slot {}", g);
                     }
                     external_lookups_equal_a_linear_scan(fm, &c, plain_live, &ops);
@@ -1654,7 +1560,7 @@ pub(crate) mod tests {
                     }
                     1 => {
                         if let Some((slot, _)) = fm.lookup_internal(&fid(host, 100)) {
-                            fm.rejuvenate(slot, now);
+                            fm.rejuvenate(slot, now, Direction::Internal, 0);
                         }
                     }
                     _ => {
@@ -1703,7 +1609,7 @@ pub(crate) mod tests {
             // with holes, then expire the rest.
             for i in (0..occupancy as u32).step_by(3) {
                 let (slot, _) = fm.lookup_internal(&nth_fid(i)).expect("resident");
-                fm.rejuvenate(slot, Time::from_secs(5));
+                fm.rejuvenate(slot, Time::from_secs(5), Direction::Internal, 0);
             }
             let expired = fm.expire(Time::from_secs(2));
             assert!(expired > 0, "the unrejuvenated majority must expire");
@@ -1711,7 +1617,7 @@ pub(crate) mod tests {
 
             // Realloc into the freed slots with fresh flows.
             let mut fresh = 2_000_000u32;
-            while !fm.is_full() {
+            while fm.flow_count() < fm.table_capacity() {
                 if fm.lookup_internal(&nth_fid(fresh)).is_none() {
                     fm.allocate(nth_fid(fresh), Time::from_secs(6))
                         .expect("slot free");
@@ -1729,9 +1635,9 @@ pub(crate) mod tests {
                 .collect();
             let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
             let mut batch = vec![None; queries.len()];
-            fm.probe_internal_batch(
+            fm.probe_batch(
                 queries.len(),
-                |i| Some((queries[i], hashes[i])),
+                |i| Some(ProbeKey::Internal(queries[i], hashes[i])),
                 |i, r| batch[i] = r,
             );
             for (i, q) in queries.iter().enumerate() {

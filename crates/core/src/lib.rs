@@ -43,8 +43,8 @@
 //! ## Quick start
 //!
 //! ```
-//! use vignat::{FlowManager, NatConfig};
-//! use libvig::time::Time;
+//! use vignat::{FlowManager, FlowTable, NatConfig};
+//! use libvig::{map::MapKey, time::Time};
 //! use vig_packet::{FlowId, Ip4, Proto};
 //!
 //! let cfg = NatConfig {
@@ -59,9 +59,13 @@
 //!     src_ip: Ip4::new(192, 168, 0, 2), src_port: 49152,
 //!     dst_ip: Ip4::new(93, 184, 216, 34), dst_port: 80, proto: Proto::Tcp,
 //! };
-//! let (slot, ext_port) = fm.allocate(fid, Time::from_secs(1)).unwrap();
+//! // A new flow: reserve a slot, then insert the flow at its endpoint.
+//! let hash = fid.key_hash();
+//! let slot = fm.allocate_slot_routed(hash, Time::from_secs(1)).unwrap();
+//! let (ext_ip, ext_port) = fm.endpoint_of_slot(slot);
 //! assert_eq!(ext_port, 1024 + slot as u16);
-//! assert_eq!(fm.lookup_internal(&fid).unwrap().0, slot);
+//! fm.insert_hashed(slot, fid, ext_ip, ext_port, hash, 0);
+//! assert_eq!(fm.lookup_internal_hashed(&fid, hash).unwrap().0, slot);
 //! ```
 
 #![forbid(unsafe_code)]

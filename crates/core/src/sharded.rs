@@ -17,7 +17,7 @@
 //! * **External (return) traffic** routes by that endpoint partition —
 //!   a flow's external endpoint *identifies* its shard, and within the
 //!   shard its slot: the partition is the lookup, not only the route
-//!   ([`FlowManager::lookup_external`]). No external key is hashed (its
+//!   ([`FlowTable::lookup_external`]). No external key is hashed (its
 //!   hash would name the wrong shard for `(N-1)/N` of all flows).
 //!
 //! ## Global slots: the bijection survives sharding
@@ -48,9 +48,7 @@
 //! tests pin this behaviour down; `docs/ARCHITECTURE.md` discusses the
 //! sizing consequences.
 
-use crate::flow_manager::{
-    endpoint, probe_external_staged, probe_internal_staged, FlowManager, FlowTable,
-};
+use crate::flow_manager::{endpoint, probe_staged, FlowManager, FlowTable, ProbeKey};
 use libvig::rss::shard_of;
 use libvig::time::Time;
 use vig_packet::{Direction, ExtKey, Flow, FlowId, Ip4, Proto};
@@ -190,13 +188,6 @@ impl ShardedFlowManager {
         self.lookup_external(ek)
     }
 
-    /// Expire shard `s` only, against its own clock's threshold — the
-    /// entry point a per-core driver uses so each shard's expiry clock
-    /// advances independently. Returns how many flows were removed.
-    pub fn expire_shard(&mut self, s: usize, threshold: Time) -> usize {
-        self.shards[s].expire(threshold)
-    }
-
     /// Probe length of an internal-key lookup, measured in the shard
     /// the key routes to (shard routing itself is one multiply-shift
     /// and traverses nothing). Diagnostic twin of
@@ -226,7 +217,7 @@ impl ShardedFlowManager {
 
 impl FlowTable for ShardedFlowManager {
     fn flow_count(&self) -> usize {
-        self.shards.iter().map(FlowManager::len).sum()
+        self.shards.iter().map(FlowTable::flow_count).sum()
     }
 
     fn table_capacity(&self) -> usize {
@@ -243,32 +234,29 @@ impl FlowTable for ShardedFlowManager {
         Some((self.global(s, slot), flow))
     }
 
-    fn probe_internal_batch(
+    fn probe_batch(
         &self,
         n: usize,
-        key: impl FnMut(usize) -> Option<(FlowId, u64)>,
+        key: impl FnMut(usize) -> Option<ProbeKey>,
         found: impl FnMut(usize, Option<(usize, Flow)>),
     ) {
-        // Each query routes by its memoized hash (the RSS dispatch
-        // step) inside the one staged loop of every table.
-        probe_internal_staged(n, key, found, |hash| {
-            let s = self.shard_of_hash(hash);
-            (&self.shards[s], self.global(s, 0))
-        });
-    }
-
-    fn probe_external_batch(
-        &self,
-        n: usize,
-        key: impl FnMut(usize) -> Option<ExtKey>,
-        found: impl FnMut(usize, Option<(usize, Flow)>),
-    ) {
-        // Route by the endpoint partition (module docs); an endpoint no
+        // Inside the one staged loop of every table, an internal key
+        // routes by its memoized hash (the RSS dispatch step), a return
+        // key by the endpoint partition (module docs); an endpoint no
         // shard owns stays a miss.
-        probe_external_staged(n, key, found, |ek| {
-            let s = self.shard_of_endpoint(ek.ext_ip, ek.ext_port)?;
-            Some((&self.shards[s], self.global(s, 0)))
-        });
+        probe_staged(
+            n,
+            key,
+            found,
+            |hash| {
+                let s = self.shard_of_hash(hash);
+                (&self.shards[s], self.global(s, 0))
+            },
+            |ek| {
+                let s = self.shard_of_endpoint(ek.ext_ip, ek.ext_port)?;
+                Some((&self.shards[s], self.global(s, 0)))
+            },
+        );
     }
 
     fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
@@ -281,7 +269,7 @@ impl FlowTable for ShardedFlowManager {
 
     fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
         let (s, local) = self.local(slot);
-        self.shards[s].rejuvenate_with(local, now, dir, tcp_flags);
+        self.shards[s].rejuvenate(local, now, dir, tcp_flags);
     }
 
     fn rejuvenate_proto(
@@ -298,7 +286,7 @@ impl FlowTable for ShardedFlowManager {
 
     fn allocate_slot_routed(&mut self, fid_hash: u64, now: Time) -> Option<usize> {
         let s = self.shard_of_hash(fid_hash);
-        let slot = self.shards[s].allocate_slot(now)?;
+        let slot = self.shards[s].allocate_slot_routed(fid_hash, now)?;
         Some(self.global(s, slot))
     }
 
@@ -443,9 +431,9 @@ mod tests {
         let queries: Vec<FlowId> = (0..40u8).map(|h| fid(h % 35, 100)).collect();
         let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
         let mut batch = vec![None; queries.len()];
-        t.probe_internal_batch(
+        t.probe_batch(
             queries.len(),
-            |i| Some((queries[i], hashes[i])),
+            |i| Some(ProbeKey::Internal(queries[i], hashes[i])),
             |i, r| batch[i] = r,
         );
         for (i, q) in queries.iter().enumerate() {
@@ -488,8 +476,9 @@ mod tests {
             }
         }
         let [a, b] = in_shard.map(|f| f.expect("both shards populated"));
-        // Only shard 0's clock passes the threshold.
-        assert_eq!(t.expire_shard(0, Time::from_secs(5)), 1);
+        // Only shard 0's clock passes the threshold: a per-core driver
+        // expires its own shard through the table's `expire`.
+        assert_eq!(t.shards_mut()[0].expire(Time::from_secs(5)), 1);
         assert!(t.lookup_internal_hashed(&a, a.key_hash()).is_none());
         assert!(t.lookup_internal_hashed(&b, b.key_hash()).is_some());
         t.check_coherence().unwrap();
@@ -521,7 +510,7 @@ mod tests {
         }
         assert_eq!(filled, 4, "shard 0 fills to its own capacity");
         assert!(rejected_in_full_shard, "then rejects, siblings empty");
-        assert_eq!(t.shard(1).len(), 0);
+        assert_eq!(t.shard(1).flow_count(), 0);
         assert_eq!(t.flow_count(), 4);
     }
 
@@ -532,15 +521,17 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `probe_external_batch` (and its internal twin) equal their
-        /// element-wise lookups position by position on the unsharded
-        /// and the sharded table — live endpoints, dead ones, wrong
-        /// remotes, duplicates, endpoints outside the pool and, with 3
-        /// shards over 64 slots, the remainder slot no shard owns; bursts
-        /// up to three 32-query chunks long whose queries route to every
-        /// shard in any order, with `None` holes at random positions left
-        /// alone — and, being loads only, leave every observable bit of
-        /// either table as it was.
+        /// `probe_batch` equals its element-wise lookups position by
+        /// position, with exactly one `found` call per asking position,
+        /// on the unsharded and the sharded table, over keys of either
+        /// kind alone and both mixed ([`assert_probes_equal_lookups`]) —
+        /// live endpoints, dead ones, wrong remotes, duplicates,
+        /// endpoints outside the pool and, with 3 shards over 64 slots,
+        /// the remainder slot no shard owns; bursts up to three 32-query
+        /// chunks long whose queries route to every shard in any order,
+        /// with `None` holes at random positions left alone — and, being
+        /// loads only, leaves every observable bit of either table as it
+        /// was.
         #[test]
         fn batch_probes_equal_lookups_and_change_nothing(
             flows in proptest::collection::vec((0u8..48, 0u8..2, 0u8..3), 0..70),
@@ -562,7 +553,7 @@ mod tests {
                     ..fid(host, 100)
                 };
                 match plain.lookup_internal(&f) {
-                    Some((slot, _)) => plain.rejuvenate(slot, now),
+                    Some((slot, _)) => plain.rejuvenate(slot, now, Direction::Internal, 0),
                     None => { plain.allocate(f, now); }
                 }
                 let h = f.key_hash();
@@ -622,7 +613,7 @@ mod tests {
         let mut plain = FlowManager::new(&c);
         let target = 512 * 98 / 100;
         let mut i = 0u32;
-        while plain.len() < target {
+        while plain.flow_count() < target {
             let f = nth_fid(i);
             let a = add_flow(&mut one, f, Time::from_secs(1));
             let b = plain.allocate(f, Time::from_secs(1));
@@ -674,9 +665,9 @@ mod tests {
         let queries: Vec<FlowId> = (0..k + 512).step_by(3).map(nth_fid).collect();
         let hashes: Vec<u64> = queries.iter().map(MapKey::key_hash).collect();
         let mut batch = vec![None; queries.len()];
-        four.probe_internal_batch(
+        four.probe_batch(
             queries.len(),
-            |i| Some((queries[i], hashes[i])),
+            |i| Some(ProbeKey::Internal(queries[i], hashes[i])),
             |i, r| batch[i] = r,
         );
         for (qi, q) in queries.iter().enumerate() {

@@ -434,7 +434,7 @@ mod tests {
             fields(1, 100, Proto::Udp),
             Time::from_secs(1),
         );
-        assert_eq!(env.flow_manager().len(), 1);
+        assert_eq!(env.flow_manager().flow_count(), 1);
         // At t=11 the flow (stamped 1, Texp=10) is dead; its return
         // packet must be dropped by this very iteration.
         let back = FlowFields {
@@ -446,7 +446,7 @@ mod tests {
         };
         let out = env.step(Direction::External, back, Time::from_secs(11));
         assert_eq!(out, vig_spec::Output::Drop);
-        assert_eq!(env.flow_manager().len(), 0);
+        assert_eq!(env.flow_manager().flow_count(), 0);
         assert_eq!(env.expired_total(), 1);
     }
 
@@ -500,7 +500,10 @@ mod tests {
         let bat_out = bat.run_burst();
         assert_eq!(seq_out, bat_out);
         assert_eq!(seq.events(), bat.events());
-        assert_eq!(seq.flow_manager().len(), bat.flow_manager().len());
+        assert_eq!(
+            seq.flow_manager().flow_count(),
+            bat.flow_manager().flow_count()
+        );
         let a: Vec<_> = seq.flow_manager().iter_lru().collect();
         let b: Vec<_> = bat.flow_manager().iter_lru().collect();
         assert_eq!(a, b, "LRU order must match sequential execution");

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vignat_repro::baselines::{NetfilterNat, UnverifiedNat};
 use vignat_repro::libvig::time::Time;
-use vignat_repro::nat::NatConfig;
+use vignat_repro::nat::{FlowTable, NatConfig};
 use vignat_repro::packet::{
     builder::PacketBuilder, header, parse_l3l4, Direction, FlowId, Ip4, Layer, ParseError, Proto,
 };

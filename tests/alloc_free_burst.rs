@@ -24,7 +24,8 @@ use std::cell::Cell;
 use vignat_repro::libvig::map::MapKey;
 use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::{
-    nat_process_batch_into, FlowManager, IterationOutcome, NatConfig, ShardedFlowManager, MAX_BURST,
+    nat_process_batch_into, FlowManager, FlowTable, IterationOutcome, NatConfig,
+    ShardedFlowManager, MAX_BURST,
 };
 use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, FlowId, Ip4, Proto};
 use vignat_repro::sim::dpdk::{BufIdx, Mempool};
@@ -215,7 +216,7 @@ fn run_staged_allocates_nothing_on_a_sharded_table() {
         }
     }
     assert!(
-        (0..2).all(|s| rig.table.shard(s).len() > 2048),
+        (0..2).all(|s| rig.table.shard(s).flow_count() > 2048),
         "past 2,048 flows per shard"
     );
 
@@ -271,7 +272,10 @@ fn run_staged_allocates_nothing_on_a_sharded_table() {
     // An expiry tick: no frames, and every flow idle past its lifetime.
     let (_, allocs) = rig.burst(Direction::Internal, cfg().expiry_ns + 1, &[]);
     assert!(rig.verdicts.is_empty());
-    assert_eq!(rig.table.shard(0).len() + rig.table.shard(1).len(), 0);
+    assert_eq!(
+        rig.table.shard(0).flow_count() + rig.table.shard(1).flow_count(),
+        0
+    );
     assert_eq!(allocs, 0, "expiry tick: allocations");
 }
 

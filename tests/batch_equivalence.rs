@@ -744,7 +744,7 @@ fn bursts_alternating_shards_equal_sequential() {
         }
         if resident > 2048 {
             assert!(
-                (0..2).all(|s| fm_bat.shard(s).len() > 2048),
+                (0..2).all(|s| fm_bat.shard(s).flow_count() > 2048),
                 "both shards past 2,048 flows"
             );
         }

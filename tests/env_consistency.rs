@@ -12,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vignat_repro::libvig::time::Time;
-use vignat_repro::nat::{NatConfig, SimpleEnv};
+use vignat_repro::nat::{FlowTable, NatConfig, SimpleEnv};
 use vignat_repro::packet::{builder::PacketBuilder, parse_l3l4, Direction, FlowFields, Ip4, Proto};
 use vignat_repro::sim::middlebox::{Middlebox, Verdict, VigNatMb};
 use vignat_repro::spec::Output;
@@ -102,7 +102,7 @@ fn simple_env_and_frame_env_agree_packet_for_packet() {
             "environments diverged at step {step} (dir {dir:?}, fields {fields:?})"
         );
         assert_eq!(
-            field_env.flow_manager().len(),
+            field_env.flow_manager().flow_count(),
             byte_env.occupancy(),
             "flow-table occupancy diverged at step {step}"
         );

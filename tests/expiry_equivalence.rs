@@ -648,7 +648,7 @@ fn late_local_insert_behind_a_global_expiry_clock() {
             pair.advance(1_000_000);
             pair.arrive(*f, INT, flags::ACK);
         }
-        assert_eq!(pair.table.shard(0).len(), 20);
+        assert_eq!(pair.table.shard(0).flow_count(), 20);
         assert_eq!(pair.expire_at(ahead.plus(1)), 20, "the late arrivals");
         // And the slots they freed come back in the model's order.
         for f in &s0[40..70] {

@@ -126,14 +126,17 @@ pub mod concrete {
         T: FlowTable,
         P: PacketSide,
     {
+        #[inline]
         fn now(&mut self) -> u64 {
             self.now_ns
         }
 
+        #[inline]
         fn expire_flows(&mut self, threshold: &u64) {
             self.expired += self.table.expire(Time(*threshold));
         }
 
+        #[inline]
         fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
             let (handle, mut frame) = self.packets.receive()?;
             // The one place the concrete receive path zeroes the flag
@@ -144,10 +147,12 @@ pub mod concrete {
             Some((handle, frame))
         }
 
+        #[inline]
         fn branch(&mut self, cond: bool) -> bool {
             cond
         }
 
+        #[inline]
         fn lookup_internal(&mut self, fid: &Tuple<Concrete>) -> Found<Concrete> {
             let key = fid.flow_id();
             // Hash once per packet; a following insert_flow reuses it.
@@ -155,10 +160,12 @@ pub mod concrete {
             self.table.lookup_internal_hashed(&key, hash).map(hit)
         }
 
+        #[inline]
         fn lookup_external(&mut self, ek: &Tuple<Concrete>) -> Found<Concrete> {
             self.table.lookup_external(&ek.ext_key()).map(hit)
         }
 
+        #[inline]
         fn lookup_batch(&mut self, queries: &[Query<Concrete>], out: &mut [Found<Concrete>]) {
             // The table's one staged probe reads each key from `queries`
             // and writes each result at its position. On a sharded table
@@ -176,6 +183,7 @@ pub mod concrete {
                 .probe_batch(queries.len(), key, |i, r| out[i] = r.map(hit));
         }
 
+        #[inline]
         fn rejuvenate(
             &mut self,
             slot: SlotId,
@@ -188,6 +196,7 @@ pub mod concrete {
                 .rejuvenate_proto(slot.0, Time(*now), dir, *tcp_flags, proto);
         }
 
+        #[inline]
         fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
             // The memoized hash of the just-missed lookup routes the
             // allocation (the shard selector on sharded tables).
@@ -198,6 +207,7 @@ pub mod concrete {
             Some((SlotId(slot), self.table.port_offset_of_slot(slot), ip.raw()))
         }
 
+        #[inline]
         fn insert_flow(
             &mut self,
             slot: SlotId,
@@ -214,16 +224,19 @@ pub mod concrete {
                 .insert_hashed(slot.0, key, Ip4(ext_ip), ext_port, hash, *tcp_flags);
         }
 
+        #[inline]
         fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: Tuple<Concrete>) {
             self.packets.tx(pkt, out, hdr);
         }
 
+        #[inline]
         fn drop_pkt(&mut self, pkt: PktHandle) {
             self.packets.drop_pkt(pkt);
         }
     }
 
     /// A matched flow as the loop body sees it: its slot and mapping.
+    #[inline]
     fn hit((slot, flow): (usize, Flow)) -> (SlotId, Mapping<Concrete>) {
         let int = (flow.int_key.src_ip.raw(), flow.int_key.src_port);
         let ext = (flow.ext_ip.raw(), flow.ext_port);
@@ -240,6 +253,7 @@ pub mod concrete {
     impl FidMemo {
         /// Hash `key` for a lookup, remembering it for the insert that
         /// may follow on the same packet.
+        #[inline]
         fn hash_for_lookup(&mut self, key: FlowId) -> u64 {
             let h = key.key_hash();
             self.0 = Some((key, h));
@@ -248,6 +262,7 @@ pub mod concrete {
 
         /// Hash for the insert of `key`: the memoized value when it
         /// matches, a fresh hash otherwise.
+        #[inline]
         fn hash_for_insert(&mut self, key: &FlowId) -> u64 {
             match self.0 {
                 Some((memo_key, memo_hash)) if memo_key == *key => memo_hash,
@@ -268,6 +283,7 @@ pub mod concrete {
         /// the flow id that will be inserted precedes every allocation.
         /// Panics if violated — silently routing by a wrong hash would
         /// strand the flow in a shard its lookups never probe.
+        #[inline]
         fn hash_for_alloc(&self) -> u64 {
             self.0
                 .as_ref()

@@ -298,6 +298,7 @@ struct FlowRecord {
 type ReturnKey = (usize, Ip4, u16, Proto);
 
 /// `ek` as the B-key of the record that `slot` would have to hold.
+#[inline]
 fn return_key(slot: usize, ek: &ExtKey) -> ReturnKey {
     (slot, ek.dst_ip, ek.dst_port, ek.proto)
 }
@@ -306,6 +307,7 @@ impl DmapValue for FlowRecord {
     type KeyA = FlowId;
     type KeyB = ReturnKey;
 
+    #[inline]
     fn key_a(&self) -> FlowId {
         FlowId {
             src_ip: self.src_ip,
@@ -316,6 +318,7 @@ impl DmapValue for FlowRecord {
         }
     }
 
+    #[inline]
     fn key_b(&self, index: usize) -> ReturnKey {
         (index, self.dst_ip, self.dst_port, self.proto)
     }
@@ -421,6 +424,7 @@ impl FlowManager {
     }
 
     /// The flow in (local) slot `slot`, from its record.
+    #[inline]
     fn flow_at(&self, slot: usize) -> Option<Flow> {
         self.table.get(slot).map(|r| self.view(slot, r.key_a()))
     }
@@ -428,6 +432,7 @@ impl FlowManager {
     /// The chain list a slot whose tracker reads `st` lives on: its
     /// timeout class's. The table tracks a flow iff it is TCP
     /// ([`FlowTable::check_coherence`]), so `None` is a UDP flow.
+    #[inline]
     fn list_of(&self, st: Option<TcpState>) -> usize {
         if self.chain.lists() == 1 {
             0
@@ -440,6 +445,7 @@ impl FlowManager {
     /// [`FlowTable::endpoint_of_slot`]. `None`, before any memory is
     /// touched, for an endpoint outside the pool or in a sibling shard's
     /// slot range.
+    #[inline]
     fn slot_of_ext(&self, ek: &ExtKey) -> Option<usize> {
         let global = self.cfg.slot_of_endpoint(ek.ext_ip, ek.ext_port)?;
         let local = global.checked_sub(self.slot_base)?;
@@ -448,6 +454,7 @@ impl FlowManager {
 
     /// Re-link `slot`, stamped `now`, at the tail of the list of the
     /// class its tracker `st` names.
+    #[inline]
     fn relink(&mut self, slot: usize, st: Option<TcpState>, now: Time) {
         self.note_clock(now);
         let ok = self.chain.rejuvenate_on(slot, self.list_of(st), now);
@@ -483,10 +490,12 @@ impl FlowManager {
 /// The table standalone, or one shard of a sharded table: its slots are
 /// local, `0..capacity`, and own the pool endpoints from `slot_base` on.
 impl FlowTable for FlowManager {
+    #[inline]
     fn flow_count(&self) -> usize {
         self.table.size()
     }
 
+    #[inline]
     fn table_capacity(&self) -> usize {
         self.capacity
     }
@@ -497,6 +506,7 @@ impl FlowTable for FlowManager {
     /// `last_active + lifetime(class) <= now`, which on a homogeneous
     /// config is the paper's `last_active <= threshold`. (The addition
     /// saturates only for a threshold no clock can produce.)
+    #[inline]
     fn expire(&mut self, threshold: Time) -> usize {
         let now = threshold.plus(self.cfg.min_lifetime_ns());
         let lifetimes = TimeoutClass::ALL.map(|c| self.cfg.lifetime_ns(c));
@@ -506,11 +516,13 @@ impl FlowTable for FlowManager {
 
     /// The directory slot compared the whole key, so the hit's view is
     /// `fid` and arithmetic: the record is not loaded.
+    #[inline]
     fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         let slot = self.table.get_by_a_with_hash(fid, hash)?;
         Some((slot, self.view(slot, *fid)))
     }
 
+    #[inline]
     fn probe_batch(
         &self,
         n: usize,
@@ -522,6 +534,7 @@ impl FlowTable for FlowManager {
 
     /// Index the slot the key's endpoint names, compare the rest of the
     /// key with the record's (module docs).
+    #[inline]
     fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
         let slot = self.slot_of_ext(ek)?;
         let slot = self.table.get_by_b_at(&return_key(slot, ek), slot)?;
@@ -535,6 +548,7 @@ impl FlowTable for FlowManager {
     ///
     /// Precondition (P4, validated by the Vigor pipeline): `slot` was
     /// returned by a lookup on this same iteration, hence allocated.
+    #[inline]
     fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
         let step = |r: &mut FlowRecord| {
             r.tracker = r.tracker.map(|st| transition(st, dir, tcp_flags));
@@ -546,6 +560,7 @@ impl FlowTable for FlowManager {
 
     /// A UDP flow has no tracker and one class, so its record is not
     /// loaded — the chain cell alone is touched.
+    #[inline]
     fn rejuvenate_proto(
         &mut self,
         slot: usize,
@@ -566,6 +581,7 @@ impl FlowTable for FlowManager {
 
     /// One port pool (or the shard the hash already chose): the hash
     /// plays no routing role here.
+    #[inline]
     fn allocate_slot_routed(&mut self, _fid_hash: u64, now: Time) -> Option<usize> {
         self.note_clock(now);
         self.chain.allocate(now).ok()
@@ -577,6 +593,7 @@ impl FlowTable for FlowManager {
         endpoint(&self.cfg, self.slot_base + slot)
     }
 
+    #[inline]
     fn port_offset_of_slot(&self, slot: usize) -> u16 {
         self.endpoint_of_slot(slot).1 - self.cfg.start_port
     }
@@ -588,6 +605,7 @@ impl FlowTable for FlowManager {
     /// endpoint: the table keeps no copy of it, every later lookup hands
     /// out the slot's, so a caller translating through another would
     /// have its return traffic delivered to whichever flow owns that one.
+    #[inline]
     fn insert_hashed(
         &mut self,
         slot: usize,
@@ -625,6 +643,7 @@ impl FlowTable for FlowManager {
         }
     }
 
+    #[inline]
     fn check_coherence(&self) -> Result<(), String> {
         if self.table.size() != self.chain.size() {
             return Err(format!(
@@ -734,6 +753,7 @@ type Touch<'t> = Option<(&'t FlowManager, usize, bool)>;
 /// slot 0; `external(ek)` the same for the table that owns `ek`'s
 /// endpoint, or `None` when no table does. `key` and `found` are
 /// [`FlowTable::probe_batch`]'s.
+#[inline]
 pub(crate) fn probe_staged<'t>(
     n: usize,
     mut key: impl FnMut(usize) -> Option<ProbeKey>,
@@ -806,6 +826,7 @@ pub(crate) fn probe_staged<'t>(
 /// Stages 3–4 of a batched probe (module docs): each hit's chain cell,
 /// and its record where its rejuvenation reads it, then the two
 /// neighbours its unlink will write.
+#[inline]
 fn touch_ahead(touches: &[Touch<'_>]) {
     for &(fm, slot, record) in touches.iter().flatten() {
         if record {

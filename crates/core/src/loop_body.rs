@@ -88,6 +88,7 @@ pub enum DropReason {
 /// [`check_config`]): `capacity >= 1`, a non-zero `start_port`, and an
 /// endpoint pool that fits the IPv4 space; the port-arithmetic proof
 /// relies on them.
+#[inline]
 pub fn nat_loop_iteration<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig) -> IterationOutcome {
     let now = env.now();
     expire_guarded(env, cfg, &now);
@@ -111,6 +112,7 @@ pub fn nat_loop_iteration<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig) -> I
 /// single-threshold shape (and the symbolic path count) unchanged.
 /// With the paper's homogeneous configuration `min_lifetime_ns()` *is*
 /// `expiry_ns` and this is Fig. 6 verbatim.
+#[inline]
 fn expire_guarded<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig, now: &E::U64) {
     let texp = env.c_u64(cfg.min_lifetime_ns());
     let expirable = env.le_u64(&texp, now);
@@ -126,6 +128,7 @@ fn expire_guarded<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig, now: &E::U64
 /// `None` means "look up at the sequence point" — the single-packet path
 /// always passes `None`, so its behaviour is byte-for-byte the
 /// pre-batching code.
+#[inline]
 fn complete<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -151,6 +154,7 @@ fn complete<E: NatEnv + ?Sized>(
 /// NAT takes before a packet's fields may be used semantically. Pure
 /// with respect to the flow table and the packet buffer — it decides,
 /// the caller drops. Returns the (concrete) protocol on acceptance.
+#[inline]
 fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &Frame<E::Values>) -> Result<Proto, DropReason> {
     // --- validation ladder ----------------------------------------------
     // L2: enough bytes for the Ethernet header?
@@ -256,6 +260,7 @@ fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &Frame<E::Values>) -> Result<P
 /// after the batch probe (so a batched miss must be re-checked, which
 /// passing `None` does), but nothing removes flows mid-burst, so a
 /// batched hit stays valid.
+#[inline]
 fn translate_internal<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -298,6 +303,7 @@ fn translate_internal<E: NatEnv + ?Sized>(
 /// endpoint, rejuvenated on a hit, or a newly inserted one on a miss;
 /// `None` when the table is full. Mirrors `vig_spec::rfc3022`'s
 /// function of the same name. `hint` is [`translate_internal`]'s.
+#[inline]
 fn sender_endpoint<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -332,6 +338,7 @@ fn sender_endpoint<E: NatEnv + ?Sized>(
 /// expiry ran before the batch probe and nothing else removes a flow
 /// mid-burst, so a batched hit stays valid, while an earlier packet of
 /// the burst may have created the flow a batched miss did not see.
+#[inline]
 fn translate_external<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -363,6 +370,7 @@ fn translate_external<E: NatEnv + ?Sized>(
 /// allocated endpoint to the remote one. Needs only [`Domain`]
 /// operations, so the RSS classifier steers return traffic by calling
 /// this very function (over [`crate::domain::Concrete`]).
+#[inline]
 pub fn external_key<E: Domain + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -405,6 +413,7 @@ pub fn external_key<E: Domain + ?Sized>(
 /// mapping. The branch is on concrete configuration, so each config
 /// has a fixed key shape (and a fixed symbolic path set). Exported,
 /// like [`external_key`], so dispatch hashes the key the lookup will use.
+#[inline]
 pub fn internal_fid<E: Domain + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -430,6 +439,7 @@ pub fn internal_fid<E: Domain + ?Sized>(
 /// < start_port + capacity`. Built as a ladder of domain comparisons —
 /// each conjunct is its own [`NatEnv::branch`], the same shape the
 /// validation ladder uses.
+#[inline]
 fn dst_is_pool_endpoint<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
@@ -524,6 +534,7 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
 /// arrays indexed by packet position, filled in place: the burst
 /// allocates nothing ([`nat_process_batch`] is the form that collects
 /// the outcomes into a `Vec`).
+#[inline]
 pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,

@@ -145,6 +145,7 @@ impl ShardedFlowManager {
     }
 
     /// Which shard the internal key with hash `fid_hash` routes to.
+    #[inline]
     pub fn shard_of_hash(&self, fid_hash: u64) -> usize {
         shard_of(fid_hash, self.shards.len())
     }
@@ -155,6 +156,7 @@ impl ShardedFlowManager {
     /// NIC classifier also uses. `ip` must already
     /// be canonicalized the way the loop body's external key is (the
     /// configured address for single-address pools).
+    #[inline]
     pub fn shard_of_endpoint(&self, ip: Ip4, port: u16) -> Option<usize> {
         let slot = self.cfg.slot_of_endpoint(ip, port)?;
         // Remainder slots (capacity % shards) are dropped from the
@@ -169,11 +171,13 @@ impl ShardedFlowManager {
     }
 
     /// Global slot of shard `s`'s local `slot`.
+    #[inline]
     fn global(&self, s: usize, slot: usize) -> usize {
         s * self.per_shard + slot
     }
 
     /// `(shard, local slot)` of a global slot.
+    #[inline]
     fn local(&self, global: usize) -> (usize, usize) {
         debug_assert!(global < self.per_shard * self.shards.len());
         (global / self.per_shard, global % self.per_shard)
@@ -216,24 +220,29 @@ impl ShardedFlowManager {
 }
 
 impl FlowTable for ShardedFlowManager {
+    #[inline]
     fn flow_count(&self) -> usize {
         self.shards.iter().map(FlowTable::flow_count).sum()
     }
 
+    #[inline]
     fn table_capacity(&self) -> usize {
         self.per_shard * self.shards.len()
     }
 
+    #[inline]
     fn expire(&mut self, threshold: Time) -> usize {
         self.shards.iter_mut().map(|fm| fm.expire(threshold)).sum()
     }
 
+    #[inline]
     fn lookup_internal_hashed(&self, fid: &FlowId, hash: u64) -> Option<(usize, Flow)> {
         let s = self.shard_of_hash(hash);
         let (slot, flow) = self.shards[s].lookup_internal_hashed(fid, hash)?;
         Some((self.global(s, slot), flow))
     }
 
+    #[inline]
     fn probe_batch(
         &self,
         n: usize,
@@ -259,6 +268,7 @@ impl FlowTable for ShardedFlowManager {
         );
     }
 
+    #[inline]
     fn lookup_external(&self, ek: &ExtKey) -> Option<(usize, Flow)> {
         // An endpoint no shard owns cannot belong to any flow, matching
         // the unsharded table's miss.
@@ -267,11 +277,13 @@ impl FlowTable for ShardedFlowManager {
         Some((self.global(s, slot), flow))
     }
 
+    #[inline]
     fn rejuvenate(&mut self, slot: usize, now: Time, dir: Direction, tcp_flags: u8) {
         let (s, local) = self.local(slot);
         self.shards[s].rejuvenate(local, now, dir, tcp_flags);
     }
 
+    #[inline]
     fn rejuvenate_proto(
         &mut self,
         slot: usize,
@@ -284,22 +296,26 @@ impl FlowTable for ShardedFlowManager {
         self.shards[s].rejuvenate_proto(local, now, dir, tcp_flags, proto);
     }
 
+    #[inline]
     fn allocate_slot_routed(&mut self, fid_hash: u64, now: Time) -> Option<usize> {
         let s = self.shard_of_hash(fid_hash);
         let slot = self.shards[s].allocate_slot_routed(fid_hash, now)?;
         Some(self.global(s, slot))
     }
 
+    #[inline]
     fn endpoint_of_slot(&self, slot: usize) -> (Ip4, u16) {
         // Shards map their slots through the *global* pool, so this is
         // the global mapping regardless of which shard owns the slot.
         endpoint(&self.cfg, slot)
     }
 
+    #[inline]
     fn port_offset_of_slot(&self, slot: usize) -> u16 {
         endpoint(&self.cfg, slot).1 - self.cfg.start_port
     }
 
+    #[inline]
     fn insert_hashed(
         &mut self,
         slot: usize,
@@ -320,6 +336,7 @@ impl FlowTable for ShardedFlowManager {
         self.shards[s].insert_hashed(local, fid, ext_ip, ext_port, fid_hash, tcp_flags);
     }
 
+    #[inline]
     fn check_coherence(&self) -> Result<(), String> {
         use libvig::map::MapKey;
         for (s, fm) in self.shards.iter().enumerate() {

@@ -67,6 +67,7 @@ impl Mempool {
     /// Take a buffer. `None` when exhausted (DPDK returns `ENOMEM`; NFs
     /// must treat it as packet loss, never crash — the leak Vigor caught
     /// in VigNAT was exactly a buffer that never came back here).
+    #[inline]
     pub fn get(&mut self) -> Option<BufIdx> {
         let idx = self.free.pop()?;
         self.allocated[idx] = true;
@@ -77,6 +78,7 @@ impl Mempool {
     ///
     /// Panics on double-free — on the datapath this is a bug class the
     /// paper proves absent (P2); the simulator enforces it dynamically.
+    #[inline]
     pub fn put(&mut self, idx: BufIdx) {
         assert!(
             idx.0 < self.capacity(),
@@ -108,12 +110,14 @@ impl Mempool {
     }
 
     /// The valid bytes of a buffer.
+    #[inline]
     pub fn frame(&self, idx: BufIdx) -> &[u8] {
         let at = idx.0 * MBUF_SIZE;
         &self.slab[at..at + self.lens[idx.0]]
     }
 
     /// Mutable access to the valid bytes of a buffer.
+    #[inline]
     pub fn frame_mut(&mut self, idx: BufIdx) -> &mut [u8] {
         let at = idx.0 * MBUF_SIZE;
         &mut self.slab[at..at + self.lens[idx.0]]

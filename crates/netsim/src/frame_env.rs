@@ -98,6 +98,7 @@ impl<'a> FrameEnv<'a> {
 }
 
 impl PacketSide for FrameEnv<'_> {
+    #[inline]
     fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
         if std::mem::replace(&mut self.delivered, true) {
             return None;
@@ -105,10 +106,12 @@ impl PacketSide for FrameEnv<'_> {
         Some((PktHandle(0), read_rx_fields(self.frame, self.dir)))
     }
 
+    #[inline]
     fn tx(&mut self, _pkt: PktHandle, _out: Direction, hdr: Tuple<Concrete>) {
         rewrite(self.frame, &hdr);
     }
 
+    #[inline]
     fn drop_pkt(&mut self, _pkt: PktHandle) {}
 }
 
@@ -120,7 +123,7 @@ impl PacketSide for FrameEnv<'_> {
 /// [`BurstEnv::new`] pairs it with a table — the env
 /// [`vignat::nat_process_batch_into`] runs over, whose `lookup_batch`
 /// resolves the burst's flow probes through the flow table's staged
-/// burst pipeline (`FlowTable::probe_*_batch`).
+/// burst pipeline ([`FlowTable::probe_batch`]).
 pub struct BurstEnv<'a> {
     pool: &'a mut Mempool,
     bufs: &'a [BufIdx],
@@ -158,6 +161,7 @@ impl<'a> BurstEnv<'a> {
 }
 
 impl PacketSide for BurstEnv<'_> {
+    #[inline]
     fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
         let i = self.next_rx;
         let &buf = self.bufs.get(i)?;
@@ -165,10 +169,12 @@ impl PacketSide for BurstEnv<'_> {
         Some((PktHandle(i), read_rx_fields(self.pool.frame(buf), self.dir)))
     }
 
+    #[inline]
     fn tx(&mut self, pkt: PktHandle, _out: Direction, hdr: Tuple<Concrete>) {
         rewrite(self.pool.frame_mut(self.bufs[pkt.0]), &hdr);
     }
 
+    #[inline]
     fn drop_pkt(&mut self, _pkt: PktHandle) {}
 }
 

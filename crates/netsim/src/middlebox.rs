@@ -30,6 +30,7 @@ pub enum Verdict {
 impl Verdict {
     /// What the loop body's outcome for a received packet means for
     /// its frame.
+    #[inline]
     fn of(outcome: IterationOutcome) -> Verdict {
         match outcome {
             IterationOutcome::Forwarded(d) => Verdict::Forward(d),

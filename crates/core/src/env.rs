@@ -334,9 +334,9 @@ pub trait NatEnv: Domain {
     /// asks one direction pays for that direction alone.
     ///
     /// The burst loop body ([`crate::loop_body::nat_process_batch_into`])
-    /// only *trusts* hits from this call: burst-mate packets can insert
-    /// flows (turning a stale miss into a hit) but never remove one, so
-    /// misses are re-checked at their sequence point.
+    /// calls it from two packets on and only *trusts* its hits: burst
+    /// mates can insert flows (turning a stale miss into a hit) but never
+    /// remove one, so misses are re-checked at their sequence point.
     fn lookup_batch(&mut self, queries: &[Query<Self::Values>], out: &mut [Found<Self::Values>]) {
         for (query, found) in queries.iter().zip(out) {
             match query {

@@ -10,10 +10,11 @@
 //!   seam the state can also be RSS-partitioned across N independent
 //!   shards ([`sharded::ShardedFlowManager`]) without the stateless
 //!   half noticing — see the `sharded` module docs.
-//! * **Stateless half** — [`loop_body::nat_loop_iteration`]: one
-//!   iteration of the packet-processing loop, containing *every* branch
-//!   and every piece of arithmetic the NAT performs, but **zero**
-//!   persistent state. It is written once, generically:
+//! * **Stateless half** — [`loop_body::nat_process_batch_into`], the
+//!   one entry: one iteration of the packet-processing loop over a
+//!   burst (of one: the paper's), containing *every* branch and every
+//!   piece of arithmetic the NAT performs, but **zero** persistent
+//!   state. It is written once, generically:
 //!
 //!   - over a value [`domain::Domain`] — concrete machine integers on
 //!     the datapath ([`domain::Concrete`]), symbolic terms under the
@@ -80,9 +81,7 @@ pub mod simple_env;
 pub use domain::{Concrete, Domain};
 pub use env::{NatEnv, PktHandle, SlotId};
 pub use flow_manager::{FlowManager, FlowTable};
-pub use loop_body::{
-    nat_loop_iteration, nat_process_batch, nat_process_batch_into, IterationOutcome, MAX_BURST,
-};
+pub use loop_body::{nat_process_batch, nat_process_batch_into, IterationOutcome, MAX_BURST};
 pub use sharded::ShardedFlowManager;
 pub use simple_env::SimpleEnv;
 pub use vig_spec::concrete_domain_items;

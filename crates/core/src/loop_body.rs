@@ -1,8 +1,9 @@
 //! The stateless NAT loop body — the code Vigor verifies.
 //!
-//! One call = one iteration of the paper's Fig. 1-style event loop,
+//! One call of [`nat_process_batch_into`] = one iteration of the
+//! paper's Fig. 1-style event loop over a burst (of one: the paper's),
 //! specialized to the NAT: expire, receive, validate, translate,
-//! forward. **Every** branch the NAT ever takes is in this function, on
+//! forward. **Every** branch the NAT ever takes is in this code, on
 //! domain values, through [`NatEnv::branch`] — which is what lets the
 //! symbolic engine enumerate all feasible paths of exactly this code
 //! (not a model of it), the way the paper's modified KLEE explores the
@@ -40,12 +41,16 @@ use vig_spec::NatConfig;
 /// A trusted hit of the burst's batched probe, or `None`.
 type Hint<E> = Found<<E as Domain>::Values>;
 
-/// What one loop iteration did (ghost data for tests and statistics;
-/// the symbolic engine ignores it).
+/// A received packet: its handle, fields and, after pass 1, verdict.
+type Received<E> = (PktHandle, Frame<<E as Domain>::Values>, Option<Verdict>);
+
+/// A validation verdict: the packet's protocol, or why it drops.
+type Verdict = Result<Proto, DropReason>;
+
+/// What the loop body did with one received packet (ghost data for
+/// tests and statistics; the symbolic engine ignores it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterationOutcome {
-    /// No packet was pending.
-    NoPacket,
     /// A packet was received and dropped.
     Dropped(DropReason),
     /// A packet was received, translated and transmitted on this
@@ -82,26 +87,6 @@ pub enum DropReason {
     TableFull,
 }
 
-/// One iteration of the NAT's packet-processing loop. See module docs.
-///
-/// `cfg` must satisfy the VigNAT configuration invariants (checked by
-/// [`check_config`]): `capacity >= 1`, a non-zero `start_port`, and an
-/// endpoint pool that fits the IPv4 space; the port-arithmetic proof
-/// relies on them.
-#[inline]
-pub fn nat_loop_iteration<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig) -> IterationOutcome {
-    let now = env.now();
-    expire_guarded(env, cfg, &now);
-
-    // --- receive -------------------------------------------------------
-    let Some((handle, pkt)) = env.receive() else {
-        return IterationOutcome::NoPacket;
-    };
-
-    let verdict = validate(env, &pkt);
-    complete(env, cfg, handle, &pkt, verdict, now, None)
-}
-
 /// `expire_flows(t)` with the `now >= Texp` guard (Fig. 6 line 2):
 /// threshold = now - Texp, the subtraction made safe by the guard.
 ///
@@ -125,16 +110,15 @@ fn expire_guarded<E: NatEnv + ?Sized>(env: &mut E, cfg: &NatConfig, now: &E::U64
 /// Complete one received packet from its validation `verdict`:
 /// translate it, or drop it. `hint` is an optional result of the burst's
 /// batched probe for this packet's own lookup ([`NatEnv::lookup_batch`]);
-/// `None` means "look up at the sequence point" — the single-packet path
-/// always passes `None`, so its behaviour is byte-for-byte the
-/// pre-batching code.
+/// `None` means "look up at the sequence point" — a burst of one always
+/// passes `None`, so it makes the paper's single-packet calls.
 #[inline]
 fn complete<E: NatEnv + ?Sized>(
     env: &mut E,
     cfg: &NatConfig,
     handle: PktHandle,
     pkt: &Frame<E::Values>,
-    verdict: Result<Proto, DropReason>,
+    verdict: Verdict,
     now: E::U64,
     hint: Hint<E>,
 ) -> IterationOutcome {
@@ -155,7 +139,7 @@ fn complete<E: NatEnv + ?Sized>(
 /// with respect to the flow table and the packet buffer — it decides,
 /// the caller drops. Returns the (concrete) protocol on acceptance.
 #[inline]
-fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &Frame<E::Values>) -> Result<Proto, DropReason> {
+fn validate<E: NatEnv + ?Sized>(env: &mut E, pkt: &Frame<E::Values>) -> Verdict {
     // --- validation ladder ----------------------------------------------
     // L2: enough bytes for the Ethernet header?
     let eth_len = env.c_u16(14);
@@ -492,22 +476,22 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
 
 /// One burst of the NAT's packet-processing loop: pull up to
 /// [`MAX_BURST`] packets and process them with per-packet semantics
-/// **identical** to that many [`nat_loop_iteration`] calls made at the
-/// same instant, while amortizing per-iteration overhead across the
-/// burst:
+/// **identical** to that many bursts of one made at the same instant,
+/// while amortizing per-iteration overhead across the burst:
 ///
 /// * the clock is read **once** (a burst is one arrival instant, the
 ///   run-to-completion model: `rte_eth_rx_burst` → process → tx);
 /// * `expire_flows` runs **once** — re-running it mid-burst is provably
 ///   a no-op, because every flow touched after the first scan is
 ///   stamped `now > now - Texp` (`Texp > 0` by the config invariant);
-/// * flow lookups of **both directions** are issued as one batched probe
-///   ([`NatEnv::lookup_batch`]) which the concrete flow tables run as a
-///   staged first-touch pipeline, so the burst's cache misses
-///   overlap; only *hits* are trusted, and misses re-probe at their
-///   sequence point, so a flow inserted by an earlier packet of the
-///   same burst is still found by a later one — in either direction
-///   (mixed-direction bursts, hairpinning).
+/// * from two packets on, flow lookups of **both directions** are issued
+///   as one batched probe ([`NatEnv::lookup_batch`]) which the concrete
+///   flow tables run as a staged first-touch pipeline, so the burst's
+///   cache misses overlap; only *hits* are trusted, and misses re-probe
+///   at their sequence point, so a flow inserted by an earlier packet of
+///   the same burst is still found by a later one — in either direction
+///   (mixed-direction bursts, hairpinning). A burst of one has nothing
+///   to overlap: it looks up at its sequence point, as the paper does.
 ///
 /// The batched probe (pass 2 below) is also where **RSS-style shard
 /// dispatch** rides when the environment's flow table is sharded
@@ -523,17 +507,22 @@ pub fn nat_process_batch<E: NatEnv + ?Sized>(
 ///
 /// All per-packet *effects* (rejuvenate, allocate, insert, tx, drop)
 /// happen strictly in arrival order, so flow-table state — including
-/// LRU order and slot⇄port assignment — ends up exactly as the
-/// sequential loop leaves it. `tests/batch_equivalence.rs` asserts this
+/// LRU order and slot⇄port assignment — ends up exactly as a sequence
+/// of bursts of one leaves it. `tests/batch_equivalence.rs` asserts this
 /// differentially on adversarial traffic.
 ///
 /// Hands `sink` one [`IterationOutcome`] per received packet, in
 /// arrival order (none when no packet was pending).
 ///
-/// Packets, verdicts, queries and hints live in fixed `[_; MAX_BURST]`
-/// arrays indexed by packet position, filled in place: the burst
-/// allocates nothing ([`nat_process_batch`] is the form that collects
-/// the outcomes into a `Vec`).
+/// A packet's handle, fields and verdict share one record of a fixed
+/// `[_; MAX_BURST]` array; queries and hints get arrays only from two
+/// packets on. The burst allocates nothing ([`nat_process_batch`]
+/// collects the outcomes into a `Vec`).
+///
+/// `cfg` must satisfy the VigNAT configuration invariants (checked by
+/// [`check_config`]): `capacity >= 1`, a non-zero `start_port`, and an
+/// endpoint pool that fits the IPv4 space; the port-arithmetic proof
+/// relies on them.
 #[inline]
 pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     env: &mut E,
@@ -547,61 +536,58 @@ pub fn nat_process_batch_into<E: NatEnv + ?Sized>(
     // `rte_eth_rx_burst` analog). Burst arrays are filled by plain
     // loops: filling this one by a `from_fn` closure that called
     // `receive` cost ≈ 20 ns per packet on the new-flow path.
-    let mut pkts: [Option<(PktHandle, Frame<E::Values>)>; MAX_BURST] =
-        std::array::from_fn(|_| None);
+    let mut pkts: [Option<Received<E>>; MAX_BURST] = std::array::from_fn(|_| None);
     let mut n = 0;
     while n < MAX_BURST {
-        let Some(pkt) = env.receive() else { break };
-        pkts[n] = Some(pkt);
+        let Some((handle, pkt)) = env.receive() else {
+            break;
+        };
+        pkts[n] = Some((handle, pkt, None));
         n += 1;
     }
-    let pkts = &pkts[..n];
+    let pkts = &mut pkts[..n];
 
     // Pass 1: validation ladder per packet. Decision only — the
     // `drop_pkt` *effect* is deferred to pass 3 so every buffer is
     // consumed at its own sequence point, in arrival order, exactly as
-    // the sequential loop consumes them.
-    let mut verdicts: [Option<Result<Proto, DropReason>>; MAX_BURST] = [None; MAX_BURST];
-    for (verdict, (_, pkt)) in verdicts.iter_mut().zip(pkts.iter().flatten()) {
+    // a burst of one consumes it.
+    for (_, pkt, verdict) in pkts.iter_mut().flatten() {
         *verdict = Some(validate(env, pkt));
     }
 
-    // Pass 2: one batched probe for every valid packet's own lookup,
-    // each query at its packet's position with the direction that names
-    // its lookup. (On a sharded flow table this is the dispatch point:
-    // each query routes to its shard where it sits — see the function
-    // docs.) Keys are built by `internal_fid`/`external_key`,
-    // so EIM canonicalization applies to batched probes exactly as to
-    // sequence-point lookups. (On the hairpin path the sender's key is
-    // this same fid, so a batched hit stays a valid hint there too; the
-    // hairpin *target* is looked up at its sequence point.)
-    let mut queries: [Query<E::Values>; MAX_BURST] = std::array::from_fn(|_| None);
-    for (i, (_, pkt)) in pkts.iter().flatten().enumerate() {
-        if let Some(Ok(proto)) = verdicts[i] {
-            let key = match pkt.dir {
-                Direction::Internal => internal_fid(env, cfg, pkt, proto),
-                Direction::External => external_key(env, cfg, pkt, proto),
-            };
-            queries[i] = Some((pkt.dir, key));
+    // Pass 2, from two packets on: one batched probe for every valid
+    // packet's own lookup, each query at its packet's position with the
+    // direction that names its lookup. (On a sharded flow table this is
+    // the dispatch point: each query routes to its shard where it sits —
+    // see the function docs.) Keys are built by
+    // `internal_fid`/`external_key`, so EIM canonicalization applies to
+    // batched probes exactly as to sequence-point lookups. (On the
+    // hairpin path the sender's key is this same fid, so a batched hit
+    // stays a valid hint there too; the hairpin *target* is looked up at
+    // its sequence point.)
+    let mut hints: Option<[Hint<E>; MAX_BURST]> = None;
+    if n > 1 {
+        let mut queries: [Query<E::Values>; MAX_BURST] = std::array::from_fn(|_| None);
+        for (query, (_, pkt, verdict)) in queries.iter_mut().zip(pkts.iter().flatten()) {
+            if let Some(Ok(proto)) = *verdict {
+                let key = match pkt.dir {
+                    Direction::Internal => internal_fid(env, cfg, pkt, proto),
+                    Direction::External => external_key(env, cfg, pkt, proto),
+                };
+                *query = Some((pkt.dir, key));
+            }
         }
+        let hints = hints.insert(std::array::from_fn(|_| None));
+        env.lookup_batch(&queries[..n], &mut hints[..n]);
     }
-    let mut hints: [Hint<E>; MAX_BURST] = std::array::from_fn(|_| None);
-    env.lookup_batch(&queries[..n], &mut hints[..n]);
 
     // Pass 3: complete each packet in arrival order. Trust batched
-    // hits; batched misses pass `None` and re-probe at the sequence
-    // point (see `translate_internal`).
-    for (i, &(handle, ref pkt)) in pkts.iter().flatten().enumerate() {
-        let verdict = verdicts[i].expect("every received packet was validated in pass 1");
-        sink(complete(
-            env,
-            cfg,
-            handle,
-            pkt,
-            verdict,
-            now.clone(),
-            hints[i].take(),
-        ));
+    // hits; batched misses, and a burst of one, pass `None` and probe at
+    // the sequence point (see `translate_internal`).
+    for (i, &(handle, ref pkt, verdict)) in pkts.iter().flatten().enumerate() {
+        let verdict = verdict.expect("every received packet was validated in pass 1");
+        let hint = hints.as_mut().and_then(|hints| hints[i].take());
+        sink(complete(env, cfg, handle, pkt, verdict, now.clone(), hint));
     }
 }
 
@@ -667,8 +653,13 @@ pub const MAX_CAPACITY: usize = 1 << 26;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Concrete;
+    use crate::env::concrete::{ConcreteEnv, PacketSide};
+    use crate::env::{Found, SlotId};
+    use crate::flow_manager::FlowManager;
     use libvig::time::Time;
-    use vig_packet::Ip4;
+    use std::collections::VecDeque;
+    use vig_packet::{FlowFields, Ip4};
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -757,5 +748,155 @@ mod tests {
             ..cfg()
         })
         .unwrap();
+    }
+
+    /// Queued frames in, nothing out: the packet side of [`Recording`].
+    struct Queued(VecDeque<Frame<Concrete>>);
+
+    impl PacketSide for Queued {
+        fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
+            Some((PktHandle(0), self.0.pop_front()?))
+        }
+        fn tx(&mut self, _: PktHandle, _: Direction, _: Tuple<Concrete>) {}
+        fn drop_pkt(&mut self, _: PktHandle) {}
+    }
+
+    /// A tuple as comparable parts.
+    type Parts = (Direction, (u32, u16), (u32, u16), Proto);
+
+    fn parts(dir: Direction, t: &Tuple<Concrete>) -> Parts {
+        (dir, t.src, t.dst, t.proto)
+    }
+
+    /// The concrete env over a [`FlowManager`], except that its batched
+    /// probe records each position's query and answers every one with a
+    /// miss, and each sequence-point lookup records its key under the
+    /// position of the packet it serves (the packets consumed so far).
+    struct Recording<'a> {
+        inner: ConcreteEnv<'a, FlowManager, Queued>,
+        queries: Vec<Option<Parts>>,
+        lookups: Vec<(usize, Parts)>,
+        consumed: usize,
+    }
+
+    impl Domain for Recording<'_> {
+        crate::concrete_domain_items!();
+    }
+
+    impl NatEnv for Recording<'_> {
+        fn now(&mut self) -> u64 {
+            self.inner.now()
+        }
+        fn expire_flows(&mut self, threshold: &u64) {
+            self.inner.expire_flows(threshold)
+        }
+        fn receive(&mut self) -> Option<(PktHandle, Frame<Concrete>)> {
+            self.inner.receive()
+        }
+        fn branch(&mut self, cond: bool) -> bool {
+            cond
+        }
+        fn lookup_internal(&mut self, fid: &Tuple<Concrete>) -> Found<Concrete> {
+            let at = self.consumed;
+            self.lookups.push((at, parts(Direction::Internal, fid)));
+            self.inner.lookup_internal(fid)
+        }
+        fn lookup_external(&mut self, ek: &Tuple<Concrete>) -> Found<Concrete> {
+            let at = self.consumed;
+            self.lookups.push((at, parts(Direction::External, ek)));
+            self.inner.lookup_external(ek)
+        }
+        fn lookup_batch(&mut self, queries: &[Query<Concrete>], out: &mut [Found<Concrete>]) {
+            assert!(out.iter().all(Option::is_none), "hints start empty");
+            let asked = queries
+                .iter()
+                .map(|q| q.as_ref().map(|(d, k)| parts(*d, k)));
+            self.queries.extend(asked);
+        }
+        fn rejuvenate(&mut self, slot: SlotId, now: &u64, dir: Direction, flags: &u8, p: Proto) {
+            self.inner.rejuvenate(slot, now, dir, flags, p)
+        }
+        fn allocate_slot(&mut self, now: &u64) -> Option<(SlotId, u16, u32)> {
+            self.inner.allocate_slot(now)
+        }
+        fn insert_flow(
+            &mut self,
+            slot: SlotId,
+            fid: Tuple<Concrete>,
+            ext: (u32, u16),
+            now: &u64,
+            flags: &u8,
+        ) {
+            self.inner.insert_flow(slot, fid, ext, now, flags)
+        }
+        fn tx(&mut self, pkt: PktHandle, out: Direction, hdr: Tuple<Concrete>) {
+            self.consumed += 1;
+            self.inner.tx(pkt, out, hdr)
+        }
+        fn drop_pkt(&mut self, pkt: PktHandle) {
+            self.consumed += 1;
+            self.inner.drop_pkt(pkt)
+        }
+    }
+
+    /// The batched probe asks, at each position, exactly the key the
+    /// packet there looks up at its sequence point. A batched miss
+    /// re-probes, so a wrong batched key only misses and no outcome
+    /// shows it; this test does.
+    #[test]
+    fn each_batched_query_is_its_packets_sequence_point_lookup() {
+        let remote = Ip4::new(1, 1, 1, 1);
+        let fields = |src_ip, src_port, dst_ip, dst_port, proto| FlowFields {
+            src_ip,
+            src_port,
+            dst_ip,
+            dst_port,
+            proto,
+        };
+        let (int, ext) = (Direction::Internal, Direction::External);
+        let host = |h| Ip4::new(192, 168, 0, h);
+        let pool = cfg().external_ip;
+        let burst = [
+            Frame::well_formed(int, fields(host(1), 100, remote, 53, Proto::Udp)),
+            Frame::well_formed(ext, fields(remote, 53, pool, 1000, Proto::Udp)),
+            Frame::well_formed(int, fields(host(2), 200, remote, 443, Proto::Tcp)),
+            Frame {
+                ethertype: 0x86dd,
+                ..Frame::well_formed(int, fields(host(3), 300, remote, 53, Proto::Udp))
+            },
+            Frame::well_formed(int, fields(host(1), 100, remote, 53, Proto::Udp)),
+            Frame::well_formed(ext, fields(remote, 443, pool, 1001, Proto::Tcp)),
+            Frame::well_formed(ext, fields(remote, 9, pool, 1007, Proto::Udp)),
+        ];
+        for eim in [false, true] {
+            let c = NatConfig { eim, ..cfg() };
+            let mut fm = FlowManager::new(&c);
+            let packets = Queued(burst.iter().copied().collect());
+            let mut env = Recording {
+                inner: ConcreteEnv::new(&mut fm, packets, Time::from_secs(1)),
+                queries: Vec::new(),
+                lookups: Vec::new(),
+                consumed: 0,
+            };
+            let mut outcomes = Vec::new();
+            nat_process_batch_into(&mut env, &c, |o| outcomes.push(o));
+            assert_eq!(outcomes.len(), burst.len());
+            assert_eq!(env.queries.len(), burst.len(), "one query slot a packet");
+            for (i, query) in env.queries.iter().enumerate() {
+                let at_i: Vec<_> = env.lookups.iter().filter(|(p, _)| *p == i).collect();
+                match query {
+                    Some(key) => assert_eq!(at_i, [&(i, *key)], "eim {eim}, packet {i}"),
+                    None => assert!(at_i.is_empty(), "eim {eim}, packet {i} asked nothing"),
+                }
+            }
+            // Both directions asked, a dropped frame asked nothing, and
+            // the return packets found the flows opened before them.
+            let asked = |d| env.queries.iter().flatten().filter(|k| k.0 == d).count();
+            assert_eq!((asked(int), asked(ext)), (3, 3), "eim {eim}");
+            assert!(env.queries[3].is_none());
+            assert_eq!(outcomes[1], IterationOutcome::Forwarded(int), "eim {eim}");
+            assert_eq!(outcomes[5], IterationOutcome::Forwarded(int), "eim {eim}");
+            assert_eq!(outcomes[6], IterationOutcome::Dropped(DropReason::NoFlow));
+        }
     }
 }

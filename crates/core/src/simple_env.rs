@@ -17,7 +17,7 @@ use crate::domain::Concrete;
 use crate::env::concrete::{ConcreteEnv, PacketSide};
 use crate::env::PktHandle;
 use crate::flow_manager::{FlowManager, FlowTable};
-use crate::loop_body::{nat_loop_iteration, nat_process_batch, IterationOutcome};
+use crate::loop_body::{nat_process_batch, nat_process_batch_into, IterationOutcome, MAX_BURST};
 use crate::sharded::ShardedFlowManager;
 use libvig::time::Time;
 use std::collections::VecDeque;
@@ -64,13 +64,15 @@ pub struct SimpleEnv<T: FlowTable = FlowManager> {
 }
 
 /// The field-level [`PacketSide`]: injected header fields in, events
-/// out, and the run-time buffer-ownership check in between.
+/// out, and the run-time buffer-ownership check in between; a run
+/// receives at most `limit` packets.
 #[derive(Default)]
 struct FieldQueue {
     pending: VecDeque<RawRx>,
     events: Vec<EnvEvent>,
     next_handle: usize,
     in_flight: Vec<usize>,
+    limit: usize,
 }
 
 impl FieldQueue {
@@ -89,6 +91,7 @@ impl FieldQueue {
 
 impl PacketSide for &mut FieldQueue {
     fn receive(&mut self) -> Option<(PktHandle, RawRx)> {
+        self.limit = self.limit.checked_sub(1)?;
         let raw = self.pending.pop_front()?;
         let handle = PktHandle(self.next_handle);
         self.next_handle += 1;
@@ -167,12 +170,14 @@ impl<T: FlowTable> SimpleEnv<T> {
     }
 
     /// Run `body` — the *real* stateless code — against a
-    /// [`ConcreteEnv`] over this env's table and field queue,
-    /// enforcing the buffer-ownership discipline.
+    /// [`ConcreteEnv`] over this env's table and at most `limit` queued
+    /// packets, enforcing the buffer-ownership discipline.
     fn run<R>(
         &mut self,
+        limit: usize,
         body: impl FnOnce(&mut ConcreteEnv<'_, T, &mut FieldQueue>, &NatConfig) -> R,
     ) -> R {
+        self.packets.limit = limit;
         let mut env = ConcreteEnv::new(&mut self.fm, &mut self.packets, self.now);
         let out = body(&mut env, &self.cfg);
         self.expired_total += env.finish();
@@ -184,15 +189,20 @@ impl<T: FlowTable> SimpleEnv<T> {
         out
     }
 
-    /// Run one loop iteration ([`nat_loop_iteration`]).
-    pub fn run_one(&mut self) -> IterationOutcome {
-        self.run(|env, cfg| nat_loop_iteration(env, cfg))
+    /// Run one loop iteration, a burst of one ([`nat_process_batch_into`]):
+    /// `None` when no packet was pending (the expiry still runs).
+    pub fn run_one(&mut self) -> Option<IterationOutcome> {
+        self.run(1, |env, cfg| {
+            let mut outcome = None;
+            nat_process_batch_into(env, cfg, |o| outcome = Some(o));
+            outcome
+        })
     }
 
-    /// Run one *burst* ([`nat_process_batch`]): up to
-    /// [`crate::loop_body::MAX_BURST`] pending packets in one call.
+    /// Run one *burst* ([`nat_process_batch`]): up to [`MAX_BURST`]
+    /// pending packets in one call.
     pub fn run_burst(&mut self) -> Vec<IterationOutcome> {
-        self.run(|env, cfg| nat_process_batch(env, cfg))
+        self.run(MAX_BURST, |env, cfg| nat_process_batch(env, cfg))
     }
 
     /// Convenience for differential testing: inject a well-formed packet
@@ -214,7 +224,7 @@ impl<T: FlowTable> SimpleEnv<T> {
         self.set_time(t);
         self.inject(RawRx::well_formed(dir, fields).with_tcp_flags(tcp_flags));
         let before = self.events().len();
-        let outcome = self.run_one();
+        let outcome = self.run_one().expect("the injected packet was received");
         assert_eq!(
             self.events().len(),
             before + 1,
@@ -277,7 +287,7 @@ mod tests {
     #[test]
     fn no_packet_iteration() {
         let mut env = SimpleEnv::new(cfg());
-        assert_eq!(env.run_one(), IterationOutcome::NoPacket);
+        assert_eq!(env.run_one(), None);
     }
 
     #[test]
@@ -399,7 +409,7 @@ mod tests {
             env.inject(raw);
             assert_eq!(
                 env.run_one(),
-                IterationOutcome::Dropped(want),
+                Some(IterationOutcome::Dropped(want)),
                 "case {want:?} mis-dropped for {raw:?}"
             );
         }
@@ -422,7 +432,7 @@ mod tests {
         ));
         assert_eq!(
             env.run_one(),
-            IterationOutcome::Dropped(DropReason::TableFull)
+            Some(IterationOutcome::Dropped(DropReason::TableFull))
         );
     }
 
@@ -452,9 +462,9 @@ mod tests {
 
     #[test]
     fn burst_matches_sequential_iterations() {
-        // Same traffic, same instant: one nat_process_batch call vs N
-        // nat_loop_iteration calls must produce identical outcomes,
-        // events, and flow-table state. Includes a duplicate flow in
+        // Same traffic, same instant: one burst vs N bursts of one
+        // must produce identical outcomes, events, and flow-table
+        // state. Includes a duplicate flow in
         // the burst (second packet must hit the flow the first one
         // inserted) and junk return traffic.
         let traffic: Vec<(Direction, FlowFields)> = vec![
@@ -496,7 +506,7 @@ mod tests {
             bat.inject(*raw);
         }
         let traffic = raws;
-        let seq_out: Vec<_> = traffic.iter().map(|_| seq.run_one()).collect();
+        let seq_out: Vec<_> = traffic.iter().map(|_| seq.run_one().unwrap()).collect();
         let bat_out = bat.run_burst();
         assert_eq!(seq_out, bat_out);
         assert_eq!(seq.events(), bat.events());

@@ -70,7 +70,7 @@ fn rewrite(frame: &mut [u8], hdr: &Tuple<Concrete>) {
 
 /// One frame as a [`PacketSide`]: `receive` yields it once, `tx`
 /// rewrites it in place. [`FrameEnv::new`] pairs it with a table — the
-/// env that serves exactly one loop iteration for one frame.
+/// env that serves one burst of one, for one frame.
 pub struct FrameEnv<'a> {
     frame: &'a mut [u8],
     dir: Direction,
@@ -271,7 +271,7 @@ mod tests {
     use super::*;
     use vig_packet::{builder::PacketBuilder, parse_l3l4, Ip4};
     use vig_spec::NatConfig;
-    use vignat::{nat_loop_iteration, FlowManager, IterationOutcome};
+    use vignat::{nat_process_batch, FlowManager, IterationOutcome};
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -283,9 +283,12 @@ mod tests {
         }
     }
 
+    /// One frame through the loop body: a burst of one.
     fn run(fm: &mut FlowManager, frame: &mut [u8], dir: Direction, t: Time) -> IterationOutcome {
         let mut env = FrameEnv::new(fm, frame, dir, t);
-        nat_loop_iteration(&mut env, &cfg())
+        let outcomes = nat_process_batch(&mut env, &cfg());
+        assert_eq!(outcomes.len(), 1, "the frame was received once");
+        outcomes[0]
     }
 
     /// A one-queue classifier steers every frame to queue 0 in both

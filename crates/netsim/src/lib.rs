@@ -18,7 +18,7 @@
 //!   run reaches its [`middlebox::Middlebox`] through it (the pinned
 //!   [`runtime`] session is the only other entry);
 //! * [`frame_env`] — the bridge that runs the **verified loop body**
-//!   (`vignat::nat_loop_iteration`) over real packet bytes: header
+//!   (`vignat::nat_process_batch_into`) over real packet bytes: header
 //!   fields in, incremental-checksum rewrites out;
 //! * [`middlebox`] — the uniform NF interface every driver calls
 //!   ([`middlebox::Middlebox`]), plus the VigNAT and no-op instances;

@@ -14,8 +14,7 @@ use libvig::time::Time;
 use vig_packet::Direction;
 use vig_spec::NatConfig;
 use vignat::{
-    nat_loop_iteration, nat_process_batch_into, FlowManager, FlowTable, IterationOutcome,
-    ShardedFlowManager, MAX_BURST,
+    nat_process_batch_into, FlowManager, FlowTable, IterationOutcome, ShardedFlowManager, MAX_BURST,
 };
 
 /// What a middlebox did with a frame.
@@ -35,7 +34,6 @@ impl Verdict {
         match outcome {
             IterationOutcome::Forwarded(d) => Verdict::Forward(d),
             IterationOutcome::Dropped(_) => Verdict::Drop,
-            IterationOutcome::NoPacket => unreachable!("staged frame not received"),
         }
     }
 }
@@ -214,11 +212,14 @@ impl<T: FlowTable> Middlebox for VigNatMb<T> {
         self.name
     }
 
+    /// A burst of one: [`FrameEnv`] yields its frame to the first
+    /// `receive`, so the sink runs exactly once.
     fn process(&mut self, dir: Direction, frame: &mut [u8], now: Time) -> Verdict {
         let mut env = FrameEnv::new(&mut self.fm, frame, dir, now);
-        let outcome = nat_loop_iteration(&mut env, &self.cfg);
+        let mut verdict = Verdict::Drop;
+        nat_process_batch_into(&mut env, &self.cfg, |o| verdict = Verdict::of(o));
         self.expired_total += env.finish() as u64;
-        Verdict::of(outcome)
+        verdict
     }
 
     fn occupancy(&self) -> usize {

@@ -1,13 +1,12 @@
 //! The exhaustive-symbolic-execution driver (paper §5.2.1).
 //!
-//! Runs the real burst entry every driver ships,
-//! `vignat::loop_body::nat_process_batch_into`, under [`SymEnv`] once
-//! per feasible path, collecting one [`SymTrace`] each. [`SymEnv`]
-//! bounds the burst at one packet, so the batched probe and the trust
-//! of its hits run symbolically; a burst of one makes the same calls as
-//! the single-packet entry, `nat_loop_iteration`, and
-//! `the_single_packet_entry_has_the_burst_entrys_traces` holds the two
-//! to the same traces, path by path. The paper reports
+//! Runs the loop body's one entry, which every driver and
+//! `Middlebox::process` ship, `vignat::loop_body::nat_process_batch_into`,
+//! under [`SymEnv`] once per feasible path, collecting one [`SymTrace`]
+//! each. [`SymEnv`] bounds the burst at one packet — the paper's single
+//! iteration, which looks up at its sequence point; the batched probe
+//! of a burst of two or more is held to it by
+//! `tests/batch_equivalence.rs` (ROADMAP item 13). The paper reports
 //! 108 paths for VigNAT's stateless code; ours is of the same order
 //! (the exact count depends on how many validation branches the loop
 //! has — the [`run_ese`] result records it, and the verification bench
@@ -58,25 +57,13 @@ impl EseResult {
 /// rejects, or that lies outside the models' [`check_scope`], is an
 /// `Err` naming why.
 pub fn run_ese(cfg: &NatConfig, style: ModelStyle, max_paths: usize) -> Result<EseResult, String> {
-    run_entry(cfg, style, max_paths, |env, cfg| {
-        nat_process_batch_into(env, cfg, |_| {})
-    })
-}
-
-/// [`run_ese`] over any entry of the loop body.
-fn run_entry(
-    cfg: &NatConfig,
-    style: ModelStyle,
-    max_paths: usize,
-    entry: impl Fn(&mut SymEnv<'_>, &NatConfig),
-) -> Result<EseResult, String> {
     vignat::loop_body::check_config(cfg).map_err(|e| format!("bad config: {e}"))?;
     check_scope(cfg)?;
     let start = std::time::Instant::now();
     let cfg = *cfg;
     let (traces, stats) = explore(max_paths, |steer| {
         let mut env = SymEnv::new(steer, NatModels::new(cfg, style));
-        entry(&mut env, &cfg);
+        nat_process_batch_into(&mut env, &cfg, |_| {});
         env.into_trace()
     })?;
     Ok(EseResult {
@@ -91,7 +78,6 @@ mod tests {
     use super::*;
     use crate::trace::Event;
     use vig_packet::Ip4;
-    use vig_symbex::term::TermId;
 
     fn cfg() -> NatConfig {
         NatConfig {
@@ -127,37 +113,6 @@ mod tests {
             no_pkt + forwarded + dropped,
             "every path ends in exactly one of no-packet/tx/drop"
         );
-    }
-
-    /// `Middlebox::process` ships the single-packet entry: a burst of
-    /// one must make exactly its calls, so `VERIFIED` covers both.
-    #[test]
-    fn the_single_packet_entry_has_the_burst_entrys_traces() {
-        for style in [
-            ModelStyle::Faithful,
-            ModelStyle::OverApproximate,
-            ModelStyle::UnderApproximate,
-        ] {
-            let burst = run_ese(&cfg(), style, 10_000).unwrap();
-            let single = run_entry(&cfg(), style, 10_000, |env, cfg| {
-                vignat::loop_body::nat_loop_iteration(env, cfg);
-            })
-            .unwrap();
-            // Everything a trace holds, its arena's terms in creation
-            // order included (the arena's hash-consing memo prints in
-            // no fixed order).
-            let record = |t: &SymTrace| {
-                let terms: Vec<_> = (0..t.arena.len() as u32)
-                    .map(|i| t.arena.node(TermId(i)))
-                    .collect();
-                let (d, e, p) = (&t.decisions, &t.events, &t.path);
-                format!("{d:?}\n{terms:?}\n{e:?}\n{p:?}\n{:?}", t.obligations)
-            };
-            assert_eq!(burst.traces.len(), single.traces.len());
-            for (b, s) in burst.traces.iter().zip(&single.traces) {
-                assert_eq!(record(b), record(s), "{}", s.render());
-            }
-        }
     }
 
     #[test]

@@ -82,7 +82,9 @@ pub struct NatModels {
     /// lookup of one must miss too (libVig's `get` contract: the map is
     /// unchanged, so is its answer), and is answered with no fork and
     /// no event: the burst entry's re-probe, at its sequence point, of
-    /// a key its batched probe missed.
+    /// a key its batched probe missed. A burst of one makes no batched
+    /// probe, so on its paths no key is asked twice; the memo is for
+    /// bursts of two (ROADMAP item 13).
     misses: Vec<KeyTerms>,
 }
 

@@ -1,6 +1,6 @@
 //! Batch/sequential differential test: `nat_process_batch` must be
-//! observationally identical to N sequential `nat_loop_iteration`
-//! calls made at the same instant — byte-identical output frames,
+//! observationally identical to N sequential bursts of one made at the
+//! same instant — byte-identical output frames,
 //! identical drop reasons, identical flow-table state (including LRU
 //! order, hence identical future expiry behaviour).
 //!
@@ -29,8 +29,7 @@ use vignat_repro::libvig::time::Time;
 use vignat_repro::nat::loop_body::{DropReason, IterationOutcome};
 use vignat_repro::nat::simple_env::{EnvEvent, RawRx};
 use vignat_repro::nat::{
-    nat_loop_iteration, nat_process_batch, FlowManager, FlowTable, NatConfig, ShardedFlowManager,
-    SimpleEnv, MAX_BURST,
+    nat_process_batch, FlowManager, FlowTable, NatConfig, ShardedFlowManager, SimpleEnv, MAX_BURST,
 };
 use vignat_repro::packet::tcp::flags;
 use vignat_repro::packet::{
@@ -302,13 +301,14 @@ fn frames_batch_equals_sequential<T: Table>(
         // model); frames within it are randomized independently.
         let frames: Vec<Vec<u8>> = (0..burst_len).map(|_| gen_frame(&mut rng, &c)).collect();
 
-        // Sequential reference: one FrameEnv per frame, same instant.
+        // Sequential reference: one FrameEnv per frame, same instant,
+        // each a burst of one.
         let mut seq_outcomes: Vec<IterationOutcome> = Vec::with_capacity(burst_len);
         let mut seq_frames: Vec<Vec<u8>> = Vec::with_capacity(burst_len);
         for f in &frames {
             let mut frame = f.clone();
             let mut env = FrameEnv::new(&mut fm_seq, &mut frame, dir, now);
-            seq_outcomes.push(nat_loop_iteration(&mut env, &c));
+            seq_outcomes.extend(nat_process_batch(&mut env, &c));
             seq_frames.push(frame);
         }
 
@@ -393,7 +393,7 @@ fn mixed_bursts_equal_sequential<T: Table>(
         let mut run_seq = |seq: &mut SimpleEnv<T>, p: Pkt| {
             seq.inject(rx(&p));
             burst.push(p);
-            seq_outcomes.push(seq.run_one());
+            seq_outcomes.push(seq.run_one().expect("the packet just injected"));
         };
 
         // The sequential side runs first, packet by packet, so the
@@ -558,7 +558,7 @@ fn batch_handles_full_table_same_as_sequential() {
     for f in &frames {
         let mut frame = f.clone();
         let mut env = FrameEnv::new(&mut fm_seq, &mut frame, Direction::Internal, now);
-        seq_outcomes.push(nat_loop_iteration(&mut env, &c));
+        seq_outcomes.extend(nat_process_batch(&mut env, &c));
     }
 
     let bufs: Vec<_> = frames
@@ -650,7 +650,7 @@ fn bursts_alternating_shards_equal_sequential() {
             for f in &frames {
                 let mut frame = f.clone();
                 let mut env = FrameEnv::new(fm_seq, &mut frame, dir, now);
-                seq_outcomes.push(nat_loop_iteration(&mut env, &c));
+                seq_outcomes.extend(nat_process_batch(&mut env, &c));
                 seq_frames.push(frame);
             }
             let bufs: Vec<_> = frames

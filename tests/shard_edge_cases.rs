@@ -162,7 +162,7 @@ fn port_exhaustion_in_one_shard_leaves_siblings_allocating() {
     env.inject(RawRx::well_formed(Direction::Internal, overflow));
     assert_eq!(
         env.run_one(),
-        IterationOutcome::Dropped(DropReason::TableFull),
+        Some(IterationOutcome::Dropped(DropReason::TableFull)),
         "a full shard drops new flows routed to it"
     );
     assert_eq!(env.flow_manager().flow_count(), per, "siblings untouched");
